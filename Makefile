@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint vet check bench bench-pktpath bench-build fabric-chaos fabricplace fmt doccheck
+.PHONY: build test race lint vet check bench bench-chain bench-pktpath bench-build fabric-chaos fabricplace fmt doccheck
 
 build:
 	$(GO) build ./...
@@ -43,6 +43,13 @@ check: build vet lint test doccheck
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
+
+# The paper's §5 chain through the repository benchmark (bench/README.md):
+# one traced 3-second run of chain-steady, which prints the end-to-end
+# figures and the per-layer ledger and exits non-zero unless every
+# output check held (correct=true).
+bench-chain:
+	$(GO) run ./bench --workload chain-steady --seconds 3 --trace 1
 
 # Packet hot-path benchmark: sweeps the parallel traffic engine
 # (workers x batch, GOMAXPROCS forced > 1 so the multi-worker rows are

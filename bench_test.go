@@ -276,7 +276,7 @@ func deployScenario(b *testing.B) *core.Deployment {
 
 // Lock-free packet hot path: single-thread InjectQuiet through the
 // synthetic forwarder pipeline (the `dejavu bench` workload). The
-// committed budget is <= 2 allocs/op (0 in steady state); CI runs this
+// committed budget is 0 allocs/op in steady state; CI runs this
 // with -benchmem as a smoke check and BENCH_pktpath.json records the
 // before/after numbers.
 func BenchmarkInjectHotPath(b *testing.B) {

@@ -183,8 +183,8 @@ func runBench(args []string) error {
 		return err
 	}
 
-	// Steady-state allocations on the quiet path (should be ~0; the
-	// committed budget is 2 — see TestInjectQuietAllocBudget), with
+	// Steady-state allocations on the quiet path (the committed budget
+	// is 0 — see TestInjectQuietAllocBudget), with
 	// telemetry off and on, and per packet on the batched path.
 	quietAllocs, err := measureQuietAllocs(prof, opts, *seed, *payload, nil)
 	if err != nil {

@@ -64,7 +64,7 @@ func buildNFs() dejavu.NFs {
 
 	vgw := dejavu.NewVGW(localVTEP, gwMAC)
 	must(vgw.AddVNI(tenantVNI, tenantID))
-	vgw.AddEncapRoute(tenantHost, dejavu.EncapEntry{VNI: tenantVNI, RemoteIP: remoteVTEP, NextMAC: wlMAC})
+	must(vgw.AddEncapRoute(tenantHost, dejavu.EncapEntry{VNI: tenantVNI, RemoteIP: remoteVTEP, NextMAC: wlMAC}))
 
 	lb := dejavu.NewLoadBalancer(65536)
 	must(lb.AddVIP(vip, backends))

@@ -218,6 +218,43 @@ func TestHotpathAnnotationCoversInjectQuiet(t *testing.T) {
 	}
 }
 
+// TestHotpathAnnotationCoversChain pins the contract to the composed
+// datapath: the graph rooted at the pipelet program — the StageFunc
+// asic.run calls through a func value, hence a root of its own —
+// reaches every scenario NF through the nf.NF interface, and through
+// them the match engines, the flow hash and the compiled dispatch
+// tables.
+func TestHotpathAnnotationCoversChain(t *testing.T) {
+	res := realTree(t)
+	const root = "dejavu/internal/compose.(pipelet).run"
+	covered := make(map[string]bool)
+	for _, k := range analysis.CoverageFrom(res.Facts, root) {
+		covered[k] = true
+	}
+	for _, fn := range []string{
+		root,
+		"dejavu/internal/compose.applyBranching",
+		"dejavu/internal/compose.checkSFCFlags",
+		"dejavu/internal/compose.(Runtime).nextNF",
+		"dejavu/internal/route.(Branching).ChainIndex",
+		"dejavu/internal/route.(Branching).Decide",
+		"dejavu/internal/nf.(Classifier).Execute",
+		"dejavu/internal/nf.(Firewall).Execute",
+		"dejavu/internal/nf.(VGW).Execute",
+		"dejavu/internal/nf.(LoadBalancer).Execute",
+		"dejavu/internal/nf.(Router).Execute",
+		"dejavu/internal/nf.(RateLimiter).Execute",
+		"dejavu/internal/mau.(ExactTable).Lookup",
+		"dejavu/internal/mau.(LPM32).Lookup",
+		"dejavu/internal/mau.(TernaryTable).Lookup",
+		"dejavu/internal/packet.(FiveTuple).Hash",
+	} {
+		if !covered[fn] {
+			t.Errorf("hot-path call graph from %s does not reach %s", root, fn)
+		}
+	}
+}
+
 // TestRealTreeHotAnnotations pins the annotation set itself: the
 // functions the performance contract names must carry //dv:hotpath.
 func TestRealTreeHotAnnotations(t *testing.T) {
@@ -237,6 +274,18 @@ func TestRealTreeHotAnnotations(t *testing.T) {
 		"dejavu/internal/telemetry.(DatapathShard).Flush",
 		"dejavu/internal/telemetry.(DatapathShard).PacketDone",
 		"dejavu/internal/telemetry.(Histogram).Observe",
+		"dejavu/internal/compose.(pipelet).run",
+		"dejavu/internal/route.(Branching).ChainIndex",
+		"dejavu/internal/route.(Branching).Decide",
+		"dejavu/internal/mau.(ExactTable).Lookup",
+		"dejavu/internal/mau.(LPM32).Lookup",
+		"dejavu/internal/mau.(TernaryTable).Lookup",
+		"dejavu/internal/packet.(FiveTuple).Hash",
+		"dejavu/internal/nf.(Classifier).Execute",
+		"dejavu/internal/nf.(Firewall).Execute",
+		"dejavu/internal/nf.(VGW).Execute",
+		"dejavu/internal/nf.(LoadBalancer).Execute",
+		"dejavu/internal/nf.(Router).Execute",
 	} {
 		if !hot[fn] {
 			t.Errorf("%s is not annotated //dv:hotpath", fn)

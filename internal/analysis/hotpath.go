@@ -16,9 +16,14 @@ import (
 // Effects are summarized per function into facts and propagated
 // bottom-up along static call edges within the module, so a violation
 // three calls deep under asic.run is reported at the line that
-// allocates, with the call chain in the message. Dynamic calls
-// (interface methods, func values — e.g. the installed StageFunc
-// programs) are a checked boundary: they are not followed.
+// allocates, with the call chain in the message. A call through a
+// module interface (nf.NF.Execute in a composed pipelet program) is
+// followed to every implementation declared in the interface's own
+// package, so an NF is on the hot path because the pipelet program can
+// dispatch to it, not because someone remembered to annotate it. Calls
+// through func values (the installed StageFunc programs) and through
+// interfaces implemented elsewhere (asic.FaultHook) are a checked
+// boundary: they are not followed.
 //
 // Waivers: `//dv:allow hotpath: reason` on an effect line suppresses
 // the effect; on a call line it accepts the callee's whole transitive
@@ -198,6 +203,14 @@ func collectHotpath(pass *Pass, body *ast.BlockStmt, fn *hpFunc) {
 				}
 				return true
 			}
+			addCall := func(callee *types.Func) {
+				fn.calls = append(fn.calls, hpCall{
+					key:    ObjKey(callee),
+					name:   displayName(callee),
+					hot:    localHot(pass, callee),
+					waived: pass.allows.allowed("hotpath", pass.Fset.Position(n.Pos())),
+				})
+			}
 			callee := calleeFunc(info, n.Fun)
 			if callee == nil {
 				if b := builtinName(info, n.Fun); b != "" {
@@ -205,16 +218,13 @@ func collectHotpath(pass *Pass, body *ast.BlockStmt, fn *hpFunc) {
 						addEffect(n.Pos(), msg)
 					}
 				}
-				return true // dynamic call: checked boundary, not followed
+				for _, impl := range interfaceImpls(pass, n.Fun) {
+					addCall(impl)
+				}
+				return true // otherwise a dynamic call: checked boundary, not followed
 			}
 			if pkg := callee.Pkg(); pkg != nil && pass.InModule(pkg.Path()) {
-				key := ObjKey(callee)
-				fn.calls = append(fn.calls, hpCall{
-					key:    key,
-					name:   displayName(callee),
-					hot:    localHot(pass, callee),
-					waived: pass.allows.allowed("hotpath", pass.Fset.Position(n.Pos())),
-				})
+				addCall(callee)
 				return true
 			}
 			if msg := denyEffect(callee); msg != "" {
@@ -299,6 +309,53 @@ func calleeFunc(info *types.Info, fun ast.Expr) *types.Func {
 		}
 	}
 	return nil
+}
+
+// interfaceImpls resolves a call through a named module interface to
+// the method of every concrete type, declared in the interface's own
+// package, that implements it. Any other expression yields nil.
+func interfaceImpls(pass *Pass, fun ast.Expr) []*types.Func {
+	sel, ok := ast.Unparen(fun).(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	s, ok := pass.TypesInfo.Selections[sel]
+	if !ok {
+		return nil
+	}
+	method, ok := s.Obj().(*types.Func)
+	if !ok || !isInterfaceRecv(method) {
+		return nil
+	}
+	recv := s.Recv()
+	if ptr, ok := recv.(*types.Pointer); ok {
+		recv = ptr.Elem()
+	}
+	named, ok := recv.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil || !pass.InModule(named.Obj().Pkg().Path()) {
+		return nil
+	}
+	iface, ok := named.Underlying().(*types.Interface)
+	if !ok {
+		return nil
+	}
+	var out []*types.Func
+	scope := named.Obj().Pkg().Scope()
+	for _, name := range scope.Names() { // sorted: edges come out in a stable order
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
+			continue
+		}
+		ptr := types.NewPointer(tn.Type())
+		if !types.Implements(ptr, iface) {
+			continue
+		}
+		obj, _, _ := types.LookupFieldOrMethod(ptr, true, named.Obj().Pkg(), method.Name())
+		if impl, ok := obj.(*types.Func); ok {
+			out = append(out, impl)
+		}
+	}
+	return out
 }
 
 // isInterfaceRecv reports whether fn is declared on an interface.

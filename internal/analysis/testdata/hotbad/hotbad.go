@@ -36,3 +36,27 @@ func Spin(n int) string {
 func helper(n int) []int {
 	return append([]int(nil), n) // want `hot path: append may grow the backing array \(via hotbad\.helper\)`
 }
+
+// Stage is a module interface with its implementations beside it: a
+// hot call through it is followed to every one of them.
+type Stage interface {
+	Apply(n int) int
+}
+
+type cleanStage struct{}
+
+func (cleanStage) Apply(n int) int { return n + 1 }
+
+type leakyStage struct{ seen []int }
+
+func (s *leakyStage) Apply(n int) int {
+	s.seen = append(s.seen, n) // want `hot path: append may grow the backing array \(via \(\*leakyStage\)\.Apply\)`
+	return n
+}
+
+// Dispatch is hot; the unannotated implementation's effect climbs in.
+//
+//dv:hotpath
+func Dispatch(s Stage, n int) int {
+	return s.Apply(n)
+}

@@ -33,3 +33,16 @@ func Trace(msgs []string, quiet bool, msg string) []string {
 func Dyn(f func() []byte) {
 	_ = f()
 }
+
+// Hook is implemented outside this package only, so a call through it
+// stays a boundary.
+type Hook interface {
+	Fire()
+}
+
+// Notify calls through an interface with no local implementation.
+//
+//dv:hotpath
+func Notify(h Hook) {
+	h.Fire()
+}

@@ -1,8 +1,10 @@
 package asic
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"dejavu/internal/packet"
 	"dejavu/internal/telemetry"
@@ -302,4 +304,96 @@ func TestConcurrentBatchHammer(t *testing.T) {
 	if total != totalPkts {
 		t.Fatalf("accounted %d of %d packets", total, totalPkts)
 	}
+}
+
+// TestBatchPortCountersSlotConflict drives a burst whose ports share a
+// slot of the burst's port-counter table (the dedicated recirculation
+// port of pipeline 0 and front-panel port 32 on a 64-port profile), so
+// every packet evicts the other port's tally: the counters must still
+// equal the per-packet path's.
+func TestBatchPortCountersSlotConflict(t *testing.T) {
+	exit, loop := PortID(32), RecircPort(0)
+	var d portDelta
+	if a, b := d.of(nil, exit), d.of(New(Tofino4()), loop); a != b {
+		t.Fatalf("ports %d and %d no longer share a slot; pick a colliding pair", exit, loop)
+	}
+	mk := func() *Switch {
+		s := New(Tofino4())
+		s.InstallIngress(0, func(c *Ctx) {
+			if c.Meta.Passes == 1 {
+				c.Meta.OutPort = loop
+			} else {
+				c.Meta.OutPort = exit
+			}
+		})
+		return s
+	}
+	sSingle, sBatch := mk(), mk()
+	pkts := batchPackets(100)
+	for _, p := range pkts {
+		if _, err := sSingle.InjectQuiet(0, p.Clone()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if br := sBatch.InjectQuietBatch(0, pkts); br.Err != nil || br.Delivered != len(pkts) || br.Recirculations != len(pkts) {
+		t.Fatalf("batch: %+v", br)
+	}
+	for _, p := range []PortID{0, exit, loop} {
+		sa, sb := sSingle.Stats(p), sBatch.Stats(p)
+		if sa.RxPackets.Load() != sb.RxPackets.Load() || sa.TxPackets.Load() != sb.TxPackets.Load() ||
+			sa.RxBytes.Load() != sb.RxBytes.Load() || sa.TxBytes.Load() != sb.TxBytes.Load() {
+			t.Errorf("port %d stats diverge: single rx=%d/%d tx=%d/%d batch rx=%d/%d tx=%d/%d", p,
+				sa.RxPackets.Load(), sa.RxBytes.Load(), sa.TxPackets.Load(), sa.TxBytes.Load(),
+				sb.RxPackets.Load(), sb.RxBytes.Load(), sb.TxPackets.Load(), sb.TxBytes.Load())
+		}
+	}
+	if got := sBatch.Stats(exit).TxPackets.Load(); got != uint64(len(pkts)) {
+		t.Errorf("exit port transmitted %d, want %d", got, len(pkts))
+	}
+}
+
+// TestCtxShardsSpreadAndRecycle pins the two properties that keep
+// concurrent injectors off each other's counter lines from one run to
+// the next: contexts alive together hold different shards (far apart
+// while few are taken), and a shard comes back once the collector has
+// dropped its context from the pool.
+func TestCtxShardsSpreadAndRecycle(t *testing.T) {
+	// settle collects until no context holds a shard: every test pairs
+	// its pool Gets with Puts, and the pool forgets idle entries after
+	// two collections.
+	settle := func(when string) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			runtime.GC()
+			shardHolders.mu.Lock()
+			n := shardHolders.n
+			shardHolders.mu.Unlock()
+			if n == ([ctxShards]int{}) {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: shards still held after collection: %v", when, n)
+			}
+		}
+	}
+	settle("before")
+	var live [ctxShards]*Ctx
+	var seen [ctxShards]bool
+	for i := range live {
+		live[i] = ctxPool.New().(*Ctx)
+		if s := live[i].shard; seen[s] {
+			t.Fatalf("context %d took shard %d, already held by a live context", i, s)
+		} else {
+			seen[s] = true
+		}
+	}
+	if a, b := live[0].shard, live[1].shard; a != 0 || b != ctxShards/2 {
+		t.Errorf("first two contexts hold shards %d and %d, want 0 and %d", a, b, ctxShards/2)
+	}
+	if extra := ctxPool.New().(*Ctx); extra.shard != shardOrder[0] {
+		t.Errorf("ninth context took shard %d, want the first of the order again", extra.shard)
+	}
+	runtime.KeepAlive(live)
+	live = [ctxShards]*Ctx{}
+	settle("after")
 }

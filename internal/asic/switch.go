@@ -2,10 +2,13 @@ package asic
 
 import (
 	"fmt"
+	"math/bits"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"dejavu/internal/packet"
 	"dejavu/internal/telemetry"
@@ -61,6 +64,13 @@ type Ctx struct {
 	tel telemetry.DatapathDelta
 }
 
+// Shard returns the context's counter shard: a small number fixed when
+// the pool allocated the context, so concurrent injectors — each
+// recycling its own contexts — index sharded counters with different
+// values. Pipelet programs use it to keep their per-packet counters off
+// cache lines another injector writes.
+func (c *Ctx) Shard() uint8 { return c.shard }
+
 // StageFunc is a behavioural pipelet program: the composed NF logic
 // that internal/compose produces for one ingress or egress pipe.
 type StageFunc func(*Ctx)
@@ -83,7 +93,7 @@ type PortStats struct {
 // dropShards is the number of cells the switch-wide drop counter is
 // split over; injectors index it by their pooled context's telemetry
 // shard, so concurrent droppers touch different cache lines.
-const dropShards = 8
+const dropShards = ctxShards
 
 // dropCounter is a sharded drop tally: a single atomic.Uint64 would
 // put every dropping worker on one cache line, serializing exactly the
@@ -266,22 +276,91 @@ type Switch struct {
 	drops dropCounter
 }
 
-// ctxPool recycles per-packet contexts across injections. Each new
-// context draws the next telemetry shard from ctxShardSeq, so however
-// many injector goroutines run, their counters land on different
-// shards.
-var ctxShardSeq atomic.Uint32
+// ctxShards is the number of counter shards pooled contexts spread
+// over. Every counter indexed by Ctx.Shard has at least this many
+// cells (dropShards here, compose's counterShards, telemetry's
+// datapath shards).
+const ctxShards = 8
 
+// shardOrder is the order in which free shards are handed out:
+// contexts alive together get shards far apart, so the cells two
+// injectors write are never neighbours in a counter's shard array.
+var shardOrder = [ctxShards]uint8{0, 4, 2, 6, 1, 5, 3, 7}
+
+// shardHolders counts, per shard, the pooled contexts alive that hold
+// it. Drawing shards from an ever-growing sequence instead would let
+// two long-lived contexts collide modulo ctxShards — sync.Pool drops
+// idle contexts at every collection, so how many were made before two
+// injectors start depends on GC timing — and the injectors would then
+// share every counter line for the rest of the run.
+var shardHolders struct {
+	mu sync.Mutex
+	n  [ctxShards]int
+}
+
+// acquireShard returns the shard the fewest live contexts hold, the
+// earliest in shardOrder among equals.
+func acquireShard() uint8 {
+	shardHolders.mu.Lock()
+	defer shardHolders.mu.Unlock()
+	best := shardOrder[0]
+	for _, s := range shardOrder[1:] {
+		if shardHolders.n[s] < shardHolders.n[best] {
+			best = s
+		}
+	}
+	shardHolders.n[best]++
+	return best
+}
+
+// releaseShard is the finalizer of a pooled context: it runs once the
+// collector has dropped the context from ctxPool.
+func releaseShard(c *pooledCtx) {
+	shardHolders.mu.Lock()
+	shardHolders.n[c.shard]--
+	shardHolders.mu.Unlock()
+}
+
+// pooledCtx is the allocation behind a pooled context: the context
+// padded up to a size class whose objects start on a 128-byte boundary,
+// so the memory one injector rewrites for every packet shares no cache
+// line (nor the line the adjacent-line prefetcher pairs with it) with
+// another injector's. Unpadded, contexts and traces are 136 and 144
+// bytes of one size class, and after a collection one injector's are
+// allocated from the span that holds the other's: 3 of 16 two-injector
+// runs then lost 15–20 % (EXPERIMENTS.md "NF/MAU fast path"). The array
+// length stops compiling if the context outgrows the class.
+type pooledCtx struct {
+	Ctx
+	_ [256 - unsafe.Sizeof(Ctx{})]byte
+}
+
+// pooledTrace pads a pooled trace the same way.
+type pooledTrace struct {
+	Trace
+	_ [256 - unsafe.Sizeof(Trace{})]byte
+}
+
+// ctxPool recycles per-packet contexts across injections. A new
+// context takes a free counter shard and keeps it until the collector
+// drops the context, so however many injector goroutines run (up to
+// ctxShards), their counters land on different shards.
 var ctxPool = sync.Pool{New: func() any {
-	c := new(Ctx)
-	c.shard = uint8(ctxShardSeq.Add(1))
-	return c
+	c := new(pooledCtx)
+	c.shard = acquireShard()
+	runtime.SetFinalizer(c, releaseShard)
+	return &c.Ctx
 }}
 
 // tracePool recycles the quiet-mode traces InjectQuiet uses
 // internally (traced Inject hands its Trace to the caller, so those
 // are not pooled).
-var tracePool = sync.Pool{New: func() any { return new(Trace) }}
+var tracePool = sync.Pool{New: func() any { return &new(pooledTrace).Trace }}
+
+// portDeltaPool recycles the port-counter tables of InjectQuietBatch
+// bursts; a table goes back empty. Its size class starts objects on
+// 128-byte boundaries as it is.
+var portDeltaPool = sync.Pool{New: func() any { return new(portDelta) }}
 
 // New creates a switch with all ports in normal mode and empty
 // pipelet programs (packets pass through unmodified).
@@ -525,6 +604,96 @@ func (s *Switch) stats(port PortID) *PortStats {
 // Stats returns the cumulative counters of a port.
 func (s *Switch) Stats(port PortID) *PortStats { return s.stats(port) }
 
+// portDeltaSlots is the size of a burst's port-counter table: every
+// front-panel port of the profiles in use has a slot of its own.
+const portDeltaSlots = 64
+
+// portDelta accumulates a burst's per-port traffic in plain memory.
+// Every injector whose packets use a port adds to the same PortStats
+// line, so InjectQuietBatch pays those atomic adds once per burst and
+// port instead of up to six times per packet (recirculation port and
+// exit port); a nil delta means add directly. It is a direct-mapped
+// table: a port that finds its slot taken by another flushes that one
+// tally and takes the slot over.
+type portDelta struct {
+	used  uint64 // bit i set: slot i holds a tally
+	tally [portDeltaSlots]portTally
+}
+
+type portTally struct {
+	rxPackets, rxBytes, txPackets, txBytes uint64
+	port                                   PortID
+}
+
+// of returns the burst's tally for a port.
+func (d *portDelta) of(s *Switch, port PortID) *portTally {
+	// The dedicated recirculation ports start at a multiple of the table
+	// size; the shift moves them off the first front-panel ports' slots.
+	i := (port + port>>6) % portDeltaSlots
+	t := &d.tally[i]
+	if d.used&(1<<i) == 0 {
+		d.used |= 1 << i
+		t.port = port
+	} else if t.port != port {
+		t.flush(s)
+		t.port = port
+	}
+	return t
+}
+
+// flush adds the accumulated tallies to the ports' counters and
+// empties the delta.
+func (d *portDelta) flush(s *Switch) {
+	for used := d.used; used != 0; used &= used - 1 {
+		d.tally[bits.TrailingZeros64(used)].flush(s)
+	}
+	d.used = 0
+}
+
+func (t *portTally) flush(s *Switch) {
+	st := s.stats(t.port) //dv:allow hotpath: profile ports hit preallocated arrays; the locked overflow map serves only out-of-profile ports
+	if t.rxPackets != 0 {
+		st.RxPackets.Add(t.rxPackets)
+		st.RxBytes.Add(t.rxBytes)
+	}
+	if t.txPackets != 0 {
+		st.TxPackets.Add(t.txPackets)
+		st.TxBytes.Add(t.txBytes)
+	}
+	*t = portTally{}
+}
+
+// countTx charges one transmitted packet to a port.
+func (s *Switch) countTx(pd *portDelta, port PortID, bytes uint64) {
+	if pd != nil {
+		t := pd.of(s, port)
+		t.txPackets++
+		t.txBytes += bytes
+		return
+	}
+	st := s.stats(port) //dv:allow hotpath: profile ports hit preallocated arrays; the locked overflow map serves only out-of-profile ports
+	st.TxPackets.Add(1)
+	st.TxBytes.Add(bytes)
+}
+
+// countLoopback charges one recirculated packet to the loopback port
+// it leaves and re-enters through.
+func (s *Switch) countLoopback(pd *portDelta, port PortID, bytes uint64) {
+	if pd != nil {
+		t := pd.of(s, port)
+		t.txPackets++
+		t.txBytes += bytes
+		t.rxPackets++
+		t.rxBytes += bytes
+		return
+	}
+	st := s.stats(port) //dv:allow hotpath: profile ports hit preallocated arrays; the locked overflow map serves only out-of-profile ports
+	st.TxPackets.Add(1)
+	st.TxBytes.Add(bytes)
+	st.RxPackets.Add(1)
+	st.RxBytes.Add(bytes)
+}
+
 // Drops returns the number of packets dropped switch-wide (summed
 // across the sharded cells).
 func (s *Switch) Drops() uint64 { return s.drops.Load() }
@@ -577,7 +746,7 @@ func (s *Switch) Inject(in PortID, pkt *packet.Parsed) (*Trace, error) {
 	shard := ctx.shard
 	*ctx = Ctx{Pkt: pkt, Meta: Meta{InPort: in, OutPort: PortUnset}, App: sn.app}
 	ctx.shard = shard
-	err := s.run(sn, ctx, tr)
+	err := s.run(sn, ctx, tr, nil)
 	s.countDone(sn, ctx, tr)
 	ctxPool.Put(ctx)
 	return tr, err
@@ -601,7 +770,7 @@ func (s *Switch) InjectQuiet(in PortID, pkt *packet.Parsed) (QuietResult, error)
 	shard := ctx.shard
 	*ctx = Ctx{Pkt: pkt, Meta: Meta{InPort: in, OutPort: PortUnset}, App: sn.app}
 	ctx.shard = shard
-	err := s.run(sn, ctx, tr)
+	err := s.run(sn, ctx, tr, nil)
 	s.countDone(sn, ctx, tr)
 	q := QuietResult{
 		Dropped:        tr.Dropped,
@@ -649,11 +818,13 @@ const batchTelFlushEvery = 256
 
 // InjectQuietBatch runs a burst of packets through the quiet hot path
 // while paying the per-packet fixed costs once per burst: one config
-// snapshot load, one pooled Ctx/Trace checkout, one ingress-port stats
-// update, and one telemetry flush (a single fast-path matrix add per
-// pipeline pair plus one batched delta flush) for the whole batch
-// instead of per packet. Dispositions are aggregated — callers that
-// need per-packet results use InjectQuiet.
+// snapshot load, one pooled Ctx/Trace checkout, one stats update per
+// port the burst touched (ingress, loopback and exit ports alike; the
+// counters show the burst once it has returned), and one telemetry
+// flush (a single fast-path matrix add per pipeline pair plus one
+// batched delta flush) for the whole batch instead of per packet.
+// Dispositions are aggregated — callers that need per-packet results
+// use InjectQuiet.
 //
 // Every packet in the batch enters through the same port and runs
 // against the same configuration snapshot: a hot swap lands between
@@ -682,6 +853,7 @@ func (s *Switch) InjectQuietBatch(in PortID, pkts []*packet.Parsed) BatchResult 
 
 	tr := tracePool.Get().(*Trace)
 	ctx := ctxPool.Get().(*Ctx)
+	pd := portDeltaPool.Get().(*portDelta)
 	shard := ctx.shard
 	ctx.tel = telemetry.DatapathDelta{} // pooled context may carry a stale delta
 
@@ -721,7 +893,7 @@ func (s *Switch) InjectQuietBatch(in PortID, pkts []*packet.Parsed) BatchResult 
 		ctx.Meta = Meta{InPort: in, OutPort: PortUnset}
 		ctx.Pipelet = PipeletID{}
 		ctx.App = sn.app
-		err := s.run(sn, ctx, tr)
+		err := s.run(sn, ctx, tr, pd)
 
 		switch {
 		case err != nil:
@@ -773,6 +945,8 @@ func (s *Switch) InjectQuietBatch(in PortID, pkts []*packet.Parsed) BatchResult 
 		st.RxPackets.Add(rxPkts)
 		st.RxBytes.Add(rxBytes)
 	}
+	pd.flush(s)
+	portDeltaPool.Put(pd)
 	if sh != nil {
 		sh.Flush(&ctx.tel)
 		for pi := 0; pi < telPipes; pi++ {
@@ -835,7 +1009,7 @@ func (s *Switch) countDone(sn *snapshot, ctx *Ctx, tr *Trace) {
 // between two configurations, and the loop takes zero locks.
 //
 //dv:hotpath
-func (s *Switch) run(sn *snapshot, ctx *Ctx, tr *Trace) error {
+func (s *Switch) run(sn *snapshot, ctx *Ctx, tr *Trace, pd *portDelta) error {
 	// Per-traversal events accumulate in the context's plain-memory
 	// delta (countDone flushes them in one batch); pipelines beyond the
 	// delta's fixed bound — no real profile has them — fall back to
@@ -932,7 +1106,7 @@ func (s *Switch) run(sn *snapshot, ctx *Ctx, tr *Trace) error {
 			// Mirrored copy leaves immediately from the TM; a lost
 			// mirror does not affect the original packet.
 			cp := ctx.Pkt.Clone() //dv:allow hotpath: mirror copies allocate by design; the non-mirrored fast path never reaches this
-			s.emit(sn, ctx.Meta.MirrorPort, cp, tr)
+			s.emit(sn, ctx.Meta.MirrorPort, cp, tr, pd)
 			ctx.Meta.Mirror = false
 		}
 
@@ -973,7 +1147,7 @@ func (s *Switch) run(sn *snapshot, ctx *Ctx, tr *Trace) error {
 			mode = sn.loopbackOf(out)
 		}
 		if mode == LoopbackOff {
-			if ok, reason, code := s.emit(sn, out, ctx.Pkt, tr); !ok {
+			if ok, reason, code := s.emit(sn, out, ctx.Pkt, tr, pd); !ok {
 				tr.Dropped = true
 				tr.DropReason = reason
 				tr.DropCode = code
@@ -1020,12 +1194,7 @@ func (s *Switch) run(sn *snapshot, ctx *Ctx, tr *Trace) error {
 		if !tr.quiet {
 			tr.Steps[len(tr.Steps)-1].Note = "recirculate"
 		}
-		st := s.stats(out) //dv:allow hotpath: profile ports hit preallocated arrays; the locked overflow map serves only out-of-profile ports
-		wl := uint64(ctx.Pkt.WireLen())
-		st.TxPackets.Add(1)
-		st.TxBytes.Add(wl)
-		st.RxPackets.Add(1)
-		st.RxBytes.Add(wl)
+		s.countLoopback(pd, out, uint64(ctx.Pkt.WireLen()))
 		ctx.Meta.InPort = out
 		ctx.Meta.OutPort = PortUnset
 		ctx.Meta.Recirc = false
@@ -1047,7 +1216,7 @@ func (s *Switch) toCPU(ctx *Ctx, tr *Trace) {
 // failure (the reason and its typed code) when the port is
 // administratively down or an injected fault loses the packet on the
 // wire.
-func (s *Switch) emit(sn *snapshot, port PortID, pkt *packet.Parsed, tr *Trace) (bool, string, telemetry.DropReason) {
+func (s *Switch) emit(sn *snapshot, port PortID, pkt *packet.Parsed, tr *Trace, pd *portDelta) (bool, string, telemetry.DropReason) {
 	if !IsRecircPort(port) && port != PortCPU && !sn.portUp(port) {
 		if !tr.quiet {
 			return false, fmt.Sprintf("egress port %d down", port), telemetry.DropPortDown //dv:allow hotpath: traced mode formats rich drop reasons
@@ -1060,9 +1229,7 @@ func (s *Switch) emit(sn *snapshot, port PortID, pkt *packet.Parsed, tr *Trace) 
 		}
 		return false, telemetry.DropWire.String(), telemetry.DropWire
 	}
-	st := s.stats(port) //dv:allow hotpath: profile ports hit preallocated arrays; the locked overflow map serves only out-of-profile ports
-	st.TxPackets.Add(1)
-	st.TxBytes.Add(uint64(pkt.WireLen()))
+	s.countTx(pd, port, uint64(pkt.WireLen()))
 	tr.emitCount++
 	if !tr.quiet {
 		tr.Out = append(tr.Out, Emitted{Port: port, Pkt: pkt}) //dv:allow hotpath: traced mode only; quiet traces never append

@@ -96,9 +96,13 @@ func Allocate(cb *p4.ControlBlock, maxStages int) (*Plan, error) {
 		Block:      cb,
 		TableStage: assigned,
 	}
-	stageUsed := make([]mau.Resources, 0, maxStages)
-	stageTables := make([][]string, 0, maxStages)
-	stageFramework := make([]bool, 0, maxStages)
+	// Grown on demand: maxStages is a budget (MinStages passes 1<<20),
+	// not an expected size.
+	var (
+		stageUsed      []mau.Resources
+		stageTables    [][]string
+		stageFramework []bool
+	)
 	cap := mau.StageCapacity()
 
 	seen := make(map[string]bool, len(order))

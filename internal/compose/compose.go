@@ -101,7 +101,7 @@ func New(prof asic.Profile, chains []route.Chain, placement *route.Placement, nf
 	for i, n := range names {
 		c.ids[n] = uint8(i + 1)
 	}
-	c.fallback.Store(&Runtime{branching: br, postcards: c.postcards})
+	c.fallback.Store(c.newRuntime())
 	return c, nil
 }
 
@@ -185,7 +185,7 @@ func (c *Composer) Build() (*Deployment, error) {
 		Ingress:  make([]asic.StageFunc, c.Prof.Pipelines),
 		Egress:   make([]asic.StageFunc, c.Prof.Pipelines),
 		Composer: c,
-		Runtime:  &Runtime{branching: c.Branching, postcards: c.postcards},
+		Runtime:  c.newRuntime(),
 	}
 	for pipe := 0; pipe < c.Prof.Pipelines; pipe++ {
 		for _, dir := range []asic.Direction{asic.Ingress, asic.Egress} {
@@ -264,69 +264,103 @@ func (d *Deployment) InstallOn(sw *asic.Switch) error {
 // counts without a map lookup.
 type placedNF struct {
 	f      nf.NF
-	name   string
 	telIdx int
+}
+
+// pipelet is the behavioural program of one pipelet. It holds only
+// what the pipelet's NF set, composition mode and the composer's NF
+// identities determine; everything chain-dependent is read per packet
+// through the snapshot-published Runtime, which is what lets the build
+// pipeline keep a compiled program across chain-set changes.
+type pipelet struct {
+	c        *Composer
+	id       asic.PipeletID
+	parallel bool
+	placed   []placedNF
+	// slotOf maps an NF ID (meta.next_nf) to its index in placed, -1 for
+	// NFs hosted elsewhere and for ID 0 ("no next NF").
+	slotOf []int16
+	// classifier is the NF ID untagged packets dispatch to.
+	classifier uint8
 }
 
 // pipeletFunc builds the behavioural program of one pipelet.
 func (c *Composer) pipeletFunc(pl asic.PipeletID, nfs []nf.NF, mode route.Mode) asic.StageFunc {
-	isIngress := pl.Dir == asic.Ingress
-	placed := make([]placedNF, 0, len(nfs))
-	for _, f := range nfs {
-		placed = append(placed, placedNF{f: f, name: f.Name(), telIdx: c.telemetry.nfIndex(f.Name())})
+	p := &pipelet{
+		c:          c,
+		id:         pl,
+		parallel:   mode == route.Parallel,
+		slotOf:     make([]int16, len(c.ids)+1),
+		classifier: c.ids[ClassifierNF],
 	}
-	return func(ctx *asic.Ctx) {
-		rt := c.runtimeOf(ctx)
-		hdr := ctx.Pkt
-		if fresh(hdr) {
-			// Seed the SFC header's platform metadata copy (Fig. 3):
-			// inPort records the physical port the packet was received
-			// on — the original one, preserved across recirculations so
-			// the control plane can reinject punted packets correctly.
-			hdr.SFC.Meta.InPort = uint16(ctx.Meta.InPort) & 0xFFF
-			hdr.SFC.Meta.OutPort = nsh.OutPortUnset
-		}
+	for i := range p.slotOf {
+		p.slotOf[i] = -1
+	}
+	for i, f := range nfs {
+		p.placed = append(p.placed, placedNF{f: f, telIdx: c.telemetry.nfIndex(f.Name())})
+		p.slotOf[c.ids[f.Name()]] = int16(i)
+	}
+	return p.run
+}
 
-		for {
-			name, ok := nextNF(rt, hdr)
-			if !ok {
-				break
-			}
-			ran := -1
-			for i := range placed {
-				if placed[i].name == name {
-					ran = i
-					break
-				}
-			}
-			if ran < 0 {
-				break // next NF lives elsewhere; branching will route it
-			}
-			wasFresh := fresh(hdr)
-			placed[ran].f.Execute(hdr)
-			c.telemetry.countNFIdx(placed[ran].telIdx)
-			if wasFresh && hdr.Valid(sfcBit) {
-				// The classifier just stamped a path.
-				c.telemetry.countPath(hdr.SFC.ServicePathID)
-			}
-			// check_sfcFlags: translate SFC header flags to platform
-			// metadata after every NF (§3.2, Fig. 5).
-			if stop := c.checkSFCFlags(hdr, ctx); stop {
-				return
-			}
-			// Advance the service index past the NF that just ran.
-			hdr.SFC.Advance()
-			if mode == route.Parallel {
-				break // one NF per traversal on a parallel pipelet
-			}
-		}
+// run is one traversal of the pipelet: dispatch to the NFs the packet
+// must visit next for as long as they are hosted here (check_nextNF),
+// translate SFC flags after each (check_sfcFlags), then branch.
+//
+//dv:hotpath
+func (p *pipelet) run(ctx *asic.Ctx) {
+	c := p.c
+	rt := c.runtimeOf(ctx)
+	hdr := ctx.Pkt
+	shard := ctx.Shard()
+	if fresh(hdr) {
+		// Seed the SFC header's platform metadata copy (Fig. 3):
+		// inPort records the physical port the packet was received
+		// on — the original one, preserved across recirculations so
+		// the control plane can reinject punted packets correctly.
+		hdr.SFC.Meta.InPort = uint16(ctx.Meta.InPort) & 0xFFF
+		hdr.SFC.Meta.OutPort = nsh.OutPortUnset
+	}
 
-		if log := rt.postcards.Load(); log != nil {
-			c.postcardHook(log, hdr, ctx, pl.Pipeline, isIngress)
+	for {
+		// Untagged packets go to the classifier; tagged packets consult
+		// the chain set of the runtime the packet's snapshot published.
+		wasFresh := fresh(hdr)
+		id := p.classifier
+		if !wasFresh {
+			id = rt.nextNF(hdr.SFC.ServicePathID, hdr.SFC.ServiceIndex)
 		}
-		if isIngress {
-			applyBranching(rt, hdr, ctx, pl.Pipeline)
+		if int(id) >= len(p.slotOf) {
+			break
 		}
+		ran := p.slotOf[id]
+		if ran < 0 {
+			break // chain complete, or the next NF lives elsewhere; branching will route it
+		}
+		p.placed[ran].f.Execute(hdr)
+		c.telemetry.countNF(p.placed[ran].telIdx, shard)
+		if wasFresh && hdr.Valid(sfcBit) {
+			// The classifier just stamped a path.
+			rt.countPath(hdr.SFC.ServicePathID, shard)
+		}
+		// check_sfcFlags: translate SFC header flags to platform
+		// metadata after every NF (§3.2, Fig. 5).
+		if stop := checkSFCFlags(hdr, ctx); stop {
+			return
+		}
+		// Advance the service index past the NF that just ran.
+		hdr.SFC.Advance()
+		if p.parallel {
+			break // one NF per traversal on a parallel pipelet
+		}
+	}
+
+	isIngress := p.id.Dir == asic.Ingress
+	if log := rt.postcards.Load(); log != nil {
+		postcardHook(log, hdr, ctx, p.id.Pipeline, isIngress) //dv:allow hotpath: postcards are opt-in debug telemetry; the log is lock-guarded by design
+	}
+	if isIngress {
+		applyBranching(rt, hdr, ctx, p.id.Pipeline)
 	}
 }
 
@@ -335,7 +369,7 @@ func (c *Composer) pipeletFunc(pl asic.PipeletID, nfs []nf.NF, mode route.Mode) 
 // the egress pipelet that completes the chain, decodes the accumulated
 // records into the log and strips them from the header so hop keys
 // never leave on the wire.
-func (c *Composer) postcardHook(log *telemetry.PostcardLog, hdr *packetAlias, ctx *asic.Ctx, pipeline int, isIngress bool) {
+func postcardHook(log *telemetry.PostcardLog, hdr *packetAlias, ctx *asic.Ctx, pipeline int, isIngress bool) {
 	if hdr.SFC.ServicePathID == 0 {
 		return // never classified: nothing to trace
 	}
@@ -369,19 +403,9 @@ func fresh(hdr *packetAlias) bool {
 	return !hdr.Valid(sfcBit) && hdr.SFC.ServicePathID == 0
 }
 
-// nextNF resolves which NF the packet must visit next: untagged
-// packets go to the classifier; tagged packets consult the chain set
-// of the runtime the packet's snapshot published.
-func nextNF(rt *Runtime, hdr *packetAlias) (string, bool) {
-	if fresh(hdr) {
-		return ClassifierNF, true
-	}
-	return rt.branching.NextNF(hdr.SFC.ServicePathID, hdr.SFC.ServiceIndex)
-}
-
 // checkSFCFlags translates the SFC header's platform metadata flags to
 // the platform context, reporting whether processing must stop.
-func (c *Composer) checkSFCFlags(hdr *packetAlias, ctx *asic.Ctx) (stop bool) {
+func checkSFCFlags(hdr *packetAlias, ctx *asic.Ctx) (stop bool) {
 	m := &hdr.SFC.Meta
 	if m.Has(nsh.FlagDrop) {
 		ctx.Meta.Drop = true

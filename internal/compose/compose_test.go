@@ -2,6 +2,7 @@ package compose
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"dejavu/internal/asic"
@@ -471,6 +472,41 @@ func TestTelemetryCounters(t *testing.T) {
 	for i := 1; i < len(nfs); i++ {
 		if nfs[i-1].Name > nfs[i].Name {
 			t.Error("NF snapshot unsorted")
+		}
+	}
+}
+
+// TestPathCountersAcrossBlocks declares more paths than one counter
+// block holds, as live reconfigurations can: every path keeps the slot
+// it was first given, no two paths share one, and counts from every
+// shard add up per path.
+func TestPathCountersAcrossBlocks(t *testing.T) {
+	tel := newTelemetry(nil, nil)
+	const paths = 2*pathsPerBlock + 3
+	type cell struct {
+		block *atomic.Uint64
+		slot  int
+	}
+	seen := map[cell]uint16{}
+	for p := uint16(1); p <= paths; p++ {
+		c := tel.pathCell(p)
+		id := cell{&c.block[0], c.slot}
+		if other, dup := seen[id]; dup {
+			t.Fatalf("paths %d and %d share a counter", other, p)
+		}
+		seen[id] = p
+		for shard := 0; shard < 2*counterShards; shard++ {
+			for n := uint16(0); n < p; n++ {
+				c.add(uint8(shard))
+			}
+		}
+	}
+	for p := uint16(1); p <= paths; p++ {
+		if again := tel.pathCell(p); seen[cell{&again.block[0], again.slot}] != p {
+			t.Errorf("path %d was handed a different counter the second time", p)
+		}
+		if got, want := tel.PathPackets(p), uint64(p)*2*counterShards; got != want {
+			t.Errorf("path %d counted %d packets, want %d", p, got, want)
 		}
 	}
 }

@@ -23,13 +23,73 @@ import (
 // closures cacheable across rebuilds: a pipelet whose NF set did not
 // change keeps its compiled program verbatim while the runtime (and
 // with it the branching decisions) moves underneath it.
+//
+// A Runtime is immutable once assembled. Besides the branching tables
+// it carries check_nextNF compiled against this composer's NF
+// identities and the chains' packet counters, both indexed by the
+// branching function's compact chain index.
 type Runtime struct {
 	branching *route.Branching
 	postcards *atomic.Pointer[telemetry.PostcardLog]
+	// nextID[chain][index] is the ID (meta.next_nf) of the NF a packet
+	// at that service index visits next; 0 means none.
+	nextID [][]uint8
+	// pathCount[chain] counts packets classified onto the chain;
+	// telemetry takes the ones on a path no chain declares.
+	pathCount []pathCounter
+	telemetry *Telemetry
+}
+
+// newRuntime assembles the runtime for the composer's current
+// branching function, which must be fully configured (exit ports,
+// remotes) by now.
+func (c *Composer) newRuntime() *Runtime {
+	br := c.Branching
+	rt := &Runtime{
+		branching: br,
+		postcards: c.postcards,
+		nextID:    make([][]uint8, br.Chains()),
+		pathCount: make([]pathCounter, br.Chains()),
+		telemetry: c.telemetry,
+	}
+	for ci := range rt.nextID {
+		ch := br.ChainAt(ci)
+		row := make([]uint8, len(ch.NFs)+1)
+		for j, name := range ch.NFs {
+			row[len(ch.NFs)-j] = c.ids[name]
+		}
+		rt.nextID[ci] = row
+		rt.pathCount[ci] = c.telemetry.pathCell(ch.PathID)
+	}
+	return rt
 }
 
 // Branching returns the runtime's branching function.
 func (r *Runtime) Branching() *route.Branching { return r.branching }
+
+// nextNF is the check_nextNF lookup of §3.2: the ID of the NF a packet
+// on (path, index) must visit next, 0 when the chain is complete or the
+// path unknown.
+func (r *Runtime) nextNF(path uint16, index uint8) uint8 {
+	ci, ok := r.branching.ChainIndex(path)
+	if !ok {
+		return 0
+	}
+	row := r.nextID[ci]
+	if int(index) >= len(row) {
+		return 0
+	}
+	return row[index]
+}
+
+// countPath records one packet classified onto a path.
+func (r *Runtime) countPath(path uint16, shard uint8) {
+	if ci, ok := r.branching.ChainIndex(path); ok {
+		r.pathCount[ci].add(shard)
+		return
+	}
+	r.telemetry.countUndeclared(path) //dv:allow hotpath: a classifier stamped a path no chain declares; the overflow map is lock-guarded and never touched by a consistent deployment
+}
 
 // runtimeOf resolves the routing state for one packet: the snapshot's
 // published runtime when the program runs on a switch, the composer's
@@ -64,12 +124,12 @@ func (c *Composer) AdoptState(prev *Composer) error {
 			return fmt.Errorf("compose: cannot adopt state: NF %q changed identity", name)
 		}
 	}
-	prev.telemetry.ensurePaths(c.Chains)
 	c.telemetry = prev.telemetry
 	c.postcards = prev.postcards
-	// Rebuild the fallback runtime: same shared postcard cell, this
+	// Rebuild the fallback runtime: same shared postcard cell and
+	// counters (grown by any path this chain set introduces), this
 	// generation's branching.
-	c.fallback.Store(&Runtime{branching: c.Branching, postcards: c.postcards})
+	c.fallback.Store(c.newRuntime())
 	return nil
 }
 
@@ -92,7 +152,7 @@ func (c *Composer) FuncFor(pl asic.PipeletID) asic.StageFunc {
 //dv:snapshotwriter
 func (c *Composer) Assemble(parser *p4.ParserGraph, idt *p4.GlobalIDTable,
 	blocks map[asic.PipeletID]*p4.ControlBlock, ingress, egress []asic.StageFunc) *Deployment {
-	rt := &Runtime{branching: c.Branching, postcards: c.postcards}
+	rt := c.newRuntime()
 	// Refresh the build-time fallback: the pipeline may have swapped in
 	// a cached Branching generation since this composer was created.
 	c.fallback.Store(rt)

@@ -10,6 +10,42 @@ import (
 	"dejavu/internal/telemetry"
 )
 
+// counterShards is the number of cells a datapath counter is split
+// over; injectors index it by their pooled context's shard
+// (asic.Ctx.Shard), so concurrent injectors add to different cache
+// lines. A single atomic word per counter would put every injector on
+// one line for every NF hop of every packet.
+const counterShards = 8
+
+// pathsPerBlock is how many path counters share one block: a shard's
+// row of a block is pathsPerBlock words, a whole pair of cache lines.
+const pathsPerBlock = 16
+
+// pathCounter is one path's packet counter: a slot in a block laid out
+// shard-major like the NF counters, so a shard's cell shares its lines
+// only with the same shard's cells of other paths. Reaching the cell
+// through the block's slice costs a bounds check; a pointer to a
+// per-path array of cells would cost a nil check that loads the
+// array's first line — shard 0's cell — from every injector.
+type pathCounter struct {
+	block []atomic.Uint64 // counterShards rows of pathsPerBlock words
+	slot  int
+}
+
+// add counts one event into the caller's cell.
+func (c pathCounter) add(shard uint8) {
+	c.block[int(shard%counterShards)*pathsPerBlock+c.slot].Add(1)
+}
+
+// load sums all cells.
+func (c pathCounter) load() uint64 {
+	var sum uint64
+	for s := 0; s < counterShards; s++ {
+		sum += c.block[s*pathsPerBlock+c.slot].Load()
+	}
+	return sum
+}
+
 // Telemetry aggregates datapath counters the operator needs: how many
 // packets each service path carried and how often each NF executed.
 // Counting happens inside the behavioural pipelet programs, so the
@@ -17,111 +53,69 @@ import (
 // recirculated passes, which execute NFs at most once each).
 //
 // The NF universe is fixed at composition time, so those counters are
-// dense preallocated atomics — the update path takes no locks and
-// allocates nothing, matching the switch's own PortStats discipline.
-// The path universe can GROW across live reconfigurations (AddChain):
-// the per-path counters live in an atomically swapped index whose
-// entries are shared between generations, so readers stay lock-free
-// and no count is lost when paths are added while traffic runs.
-// Packets classified onto a path no chain declares (a classifier bug)
-// fall back to a mutex-guarded overflow map on the cold path.
+// one preallocated block laid out shard-major — a shard's row holds
+// all of its NF counters side by side, on lines no other shard writes —
+// that the pipelet programs index directly. The
+// path universe can GROW across live reconfigurations (AddChain): each
+// path's counter is a slot taken once, in a block of the same layout
+// (a new block when the last is full), and handed to every Runtime
+// generation that declares the path, so the update path takes no lock
+// and no count is lost when paths are added while traffic runs. Packets
+// classified onto a path no chain declares (a classifier bug) fall
+// back to a mutex-guarded overflow map on the cold path.
 type Telemetry struct {
-	nfNames []string       // sorted; parallel to nfExec
-	nfIdx   map[string]int // name -> index into nfExec
-	nfExec  []atomic.Uint64
+	nfNames []string       // sorted
+	nfIdx   map[string]int // name -> index into a shard's row
+	// nfExec[shard*nfStride+i] counts NF i's executions seen by a shard;
+	// nfStride pads rows to whole pairs of cache lines.
+	nfExec   []atomic.Uint64
+	nfStride int
 
-	// paths is the current path-counter index. Counter cells are
-	// pointers shared across swaps: ensurePaths builds a superset index
-	// reusing the existing cells, so in-flight increments are never
-	// lost.
-	paths atomic.Pointer[pathState]
-
-	mu         sync.Mutex        // guards extraPaths and path-state growth
-	extraPaths map[uint16]uint64 // paths outside the declared chain set
+	mu         sync.Mutex             // guards paths and extraPaths
+	paths      map[uint16]pathCounter // declared paths; counters are never replaced or removed
+	lastBlock  []atomic.Uint64        // the newest block; full when len(paths) is a multiple of pathsPerBlock
+	extraPaths map[uint16]uint64      // paths outside the declared chain set
 }
 
-// pathState is one immutable generation of the per-path counter index.
-type pathState struct {
-	ids  []uint16       // sorted; parallel to pkts
-	idx  map[uint16]int // path -> index into pkts
-	pkts []*atomic.Uint64
-}
-
-func newPathState(ids []uint16) *pathState {
-	st := &pathState{ids: ids, idx: make(map[uint16]int, len(ids))}
-	sort.Slice(st.ids, func(i, j int) bool { return st.ids[i] < st.ids[j] })
-	st.pkts = make([]*atomic.Uint64, len(st.ids))
-	for i, p := range st.ids {
-		st.idx[p] = i
-		st.pkts[i] = new(atomic.Uint64)
-	}
-	return st
-}
-
-//dv:snapshotwriter
 func newTelemetry(nfNames []string, chains []route.Chain) *Telemetry {
 	t := &Telemetry{
 		nfNames: append([]string(nil), nfNames...),
 		nfIdx:   make(map[string]int, len(nfNames)),
+		paths:   make(map[uint16]pathCounter, len(chains)),
 	}
 	sort.Strings(t.nfNames)
 	for i, n := range t.nfNames {
 		t.nfIdx[n] = i
 	}
-	t.nfExec = make([]atomic.Uint64, len(t.nfNames))
-
-	seen := make(map[uint16]bool, len(chains))
-	var ids []uint16
+	t.nfStride = (len(t.nfNames) + 15) &^ 15
+	t.nfExec = make([]atomic.Uint64, counterShards*t.nfStride)
 	for _, ch := range chains {
-		if !seen[ch.PathID] {
-			seen[ch.PathID] = true
-			ids = append(ids, ch.PathID)
-		}
+		t.pathCell(ch.PathID)
 	}
-	t.paths.Store(newPathState(ids))
 	return t
 }
 
-// ensurePaths grows the path universe to cover every chain in the set,
-// keeping existing counter cells (and their values). Counters of paths
-// no longer declared are retained: they are totals since deployment.
-//
-//dv:snapshotwriter
-func (t *Telemetry) ensurePaths(chains []route.Chain) {
+// pathCell returns the counter of a declared path, declaring it first
+// if needed. Counters of paths no longer declared are retained: they
+// are totals since deployment.
+func (t *Telemetry) pathCell(path uint16) pathCounter {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	cur := t.paths.Load()
-	missing := false
-	for _, ch := range chains {
-		if _, ok := cur.idx[ch.PathID]; !ok {
-			missing = true
-			break
+	c, ok := t.paths[path]
+	if !ok {
+		c.slot = len(t.paths) % pathsPerBlock
+		if c.slot == 0 {
+			t.lastBlock = make([]atomic.Uint64, counterShards*pathsPerBlock)
 		}
+		c.block = t.lastBlock
+		t.paths[path] = c
 	}
-	if !missing {
-		return
-	}
-	ids := append([]uint16(nil), cur.ids...)
-	have := make(map[uint16]bool, len(ids))
-	for _, p := range ids {
-		have[p] = true
-	}
-	for _, ch := range chains {
-		if !have[ch.PathID] {
-			have[ch.PathID] = true
-			ids = append(ids, ch.PathID)
-		}
-	}
-	next := newPathState(ids)
-	for p, i := range cur.idx {
-		next.pkts[next.idx[p]] = cur.pkts[i] // share the live cell
-	}
-	t.paths.Store(next)
+	return c
 }
 
 // nfIndex returns the dense counter index of an NF, or -1. Pipelet
 // programs resolve indices once at composition time and count through
-// countNFIdx on the hot path.
+// countNF on the hot path.
 func (t *Telemetry) nfIndex(name string) int {
 	if i, ok := t.nfIdx[name]; ok {
 		return i
@@ -129,22 +123,25 @@ func (t *Telemetry) nfIndex(name string) int {
 	return -1
 }
 
-// countNFIdx records one execution of the NF at a precomputed index.
-func (t *Telemetry) countNFIdx(i int) {
+// countNF records one execution of the NF at a precomputed index.
+func (t *Telemetry) countNF(i int, shard uint8) {
 	if i >= 0 {
-		t.nfExec[i].Add(1)
+		t.nfExec[int(shard%counterShards)*t.nfStride+i].Add(1)
 	}
 }
 
-// countPath records one packet classified onto a path. The index is an
-// atomically loaded immutable generation, so the lookup is lock-free;
-// only undeclared paths touch the overflow mutex.
-func (t *Telemetry) countPath(path uint16) {
-	st := t.paths.Load()
-	if i, ok := st.idx[path]; ok {
-		st.pkts[i].Add(1)
-		return
+// nfExecutions sums the shards' counts of the NF at index i.
+func (t *Telemetry) nfExecutions(i int) uint64 {
+	var sum uint64
+	for s := 0; s < counterShards; s++ {
+		sum += t.nfExec[s*t.nfStride+i].Load()
 	}
+	return sum
+}
+
+// countUndeclared records one packet classified onto a path outside
+// the declared chain set.
+func (t *Telemetry) countUndeclared(path uint16) {
 	t.mu.Lock()
 	if t.extraPaths == nil {
 		t.extraPaths = make(map[uint16]uint64)
@@ -156,32 +153,30 @@ func (t *Telemetry) countPath(path uint16) {
 // NFExecutions returns the execution count of an NF.
 func (t *Telemetry) NFExecutions(name string) uint64 {
 	if i, ok := t.nfIdx[name]; ok {
-		return t.nfExec[i].Load()
+		return t.nfExecutions(i)
 	}
 	return 0
 }
 
 // PathPackets returns the number of packets classified onto a path.
 func (t *Telemetry) PathPackets(path uint16) uint64 {
-	st := t.paths.Load()
-	if i, ok := st.idx[path]; ok {
-		return st.pkts[i].Load()
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if c, ok := t.paths[path]; ok {
+		return c.load()
+	}
 	return t.extraPaths[path]
 }
 
 // Snapshot returns sorted copies of both counter sets.
 func (t *Telemetry) Snapshot() (nfs []NFCount, paths []PathCount) {
 	for i, n := range t.nfNames {
-		nfs = append(nfs, NFCount{Name: n, Executions: t.nfExec[i].Load()})
-	}
-	st := t.paths.Load()
-	for i, p := range st.ids {
-		paths = append(paths, PathCount{Path: p, Packets: st.pkts[i].Load()})
+		nfs = append(nfs, NFCount{Name: n, Executions: t.nfExecutions(i)})
 	}
 	t.mu.Lock()
+	for p, c := range t.paths {
+		paths = append(paths, PathCount{Path: p, Packets: c.load()})
+	}
 	for p, c := range t.extraPaths {
 		paths = append(paths, PathCount{Path: p, Packets: c})
 	}

@@ -369,7 +369,9 @@ func (f *File) Build() (*core.Config, error) {
 			if err != nil {
 				return nil, err
 			}
-			v.AddEncapRoute(inner, nf.EncapEntry{VNI: e.VNI, RemoteIP: remote, NextMAC: nm})
+			if err := v.AddEncapRoute(inner, nf.EncapEntry{VNI: e.VNI, RemoteIP: remote, NextMAC: nm}); err != nil {
+				return nil, err
+			}
 		}
 		cfg.NFs = append(cfg.NFs, v)
 	}

@@ -1,0 +1,318 @@
+package core
+
+import (
+	"bytes"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"dejavu/internal/asic"
+	"dejavu/internal/ctl"
+	"dejavu/internal/nf"
+	"dejavu/internal/packet"
+	"dejavu/internal/route"
+	"dejavu/internal/scenario"
+)
+
+// The §5 chain through a real deployment, with the real NFs: what the
+// hot-path contract promises about it.
+
+// chainPaths is one template per SFC path of the scenario.
+func chainPaths() map[uint16]*packet.Parsed {
+	return map[uint16]*packet.Parsed{
+		scenario.PathFull:   scenario.ClientTCP(443),
+		scenario.PathMedium: scenario.TenantBound(),
+		scenario.PathBasic:  scenario.InternetBound(),
+	}
+}
+
+// deployChain deploys the scenario and installs the full-path
+// template's LB session, so every template is on the fast path.
+func deployChain(t testing.TB) *Deployment {
+	t.Helper()
+	d, err := Deploy(edgeConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr, err := d.Inject(scenario.PortClient, scenario.ClientTCP(443)); err != nil || len(tr.Out) != 1 {
+		t.Fatalf("warm-up of the VIP flow: %+v, %v", tr, err)
+	}
+	return d
+}
+
+func wireOf(t testing.TB, p *packet.Parsed) []byte {
+	t.Helper()
+	b, err := p.Serialize(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestChainAllocBudget: the chain allocates nothing per packet, on
+// every path. CI's bench job gates on it.
+func TestChainAllocBudget(t *testing.T) {
+	d := deployChain(t)
+	for path, tmpl := range chainPaths() {
+		var slots [32]packet.Parsed
+		var ptrs [32]*packet.Parsed
+		for i := range slots {
+			ptrs[i] = &slots[i]
+		}
+		burst := func() {
+			for i := range slots {
+				slots[i].CopyFrom(tmpl)
+			}
+			if br := d.Switch.InjectQuietBatch(scenario.PortClient, ptrs[:]); br.Delivered != len(ptrs) || br.Recirculations != len(ptrs) {
+				t.Fatalf("path %d: burst result %+v", path, br)
+			}
+		}
+		for i := 0; i < 64; i++ {
+			burst() // warm the context and trace pools
+		}
+		if allocs := testing.AllocsPerRun(200, burst); allocs != 0 {
+			t.Errorf("path %d: %.2f allocations per burst of %d, want exactly 0", path, allocs, len(ptrs))
+		}
+	}
+}
+
+// TestChainTracedQuietBatchedAgree: the three injection modes are one
+// datapath. Same pipelet path length, recirculations, exit port and
+// output bytes for every SFC path.
+func TestChainTracedQuietBatchedAgree(t *testing.T) {
+	d := deployChain(t)
+	for path, tmpl := range chainPaths() {
+		plan, err := route.Plan(d.Chains[chainPos(d, path)].Chain, d.Placement, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		traced := tmpl.Clone()
+		before := d.Switch.Stats(scenario.PortClient).RxPackets.Load()
+		tr, err := d.Switch.Inject(scenario.PortClient, traced)
+		if err != nil || tr.Dropped || len(tr.Out) != 1 || len(tr.CPU) != 0 {
+			t.Fatalf("path %d traced: %+v, %v", path, tr, err)
+		}
+		if tr.Path() != plan.Path() || tr.Recirculations != plan.Recirculations {
+			t.Errorf("path %d traced: %s (%d recircs), route.Plan says %s (%d)",
+				path, tr.Path(), tr.Recirculations, plan.Path(), plan.Recirculations)
+		}
+		want := wireOf(t, tr.Out[0].Pkt)
+		if bytes.Equal(want, wireOf(t, tmpl)) {
+			t.Fatalf("path %d: the chain left the packet untouched", path)
+		}
+
+		quiet := tmpl.Clone()
+		q, err := d.Switch.InjectQuiet(scenario.PortClient, quiet)
+		if err != nil || q.Dropped || q.Emitted != 1 || q.ToCPU != 0 {
+			t.Fatalf("path %d quiet: %+v, %v", path, q, err)
+		}
+		if q.Recirculations != tr.Recirculations || q.Resubmissions != tr.Resubmissions || q.Latency != tr.Latency {
+			t.Errorf("path %d quiet: %d/%d/%v, traced %d/%d/%v", path,
+				q.Recirculations, q.Resubmissions, q.Latency, tr.Recirculations, tr.Resubmissions, tr.Latency)
+		}
+		if got := wireOf(t, quiet); !bytes.Equal(got, want) {
+			t.Errorf("path %d: quiet output differs from traced\n got %x\nwant %x", path, got, want)
+		}
+
+		batch := []*packet.Parsed{tmpl.Clone(), tmpl.Clone(), tmpl.Clone()}
+		br := d.Switch.InjectQuietBatch(scenario.PortClient, batch)
+		if br.Err != nil || br.Delivered != len(batch) || br.Recirculations != len(batch)*tr.Recirculations ||
+			br.Latency != tr.Latency*3 {
+			t.Fatalf("path %d batched: %+v", path, br)
+		}
+		for i, p := range batch {
+			if got := wireOf(t, p); !bytes.Equal(got, want) {
+				t.Errorf("path %d: batched output %d differs from traced\n got %x\nwant %x", path, i, got, want)
+			}
+		}
+		if got := d.Switch.Stats(scenario.PortClient).RxPackets.Load() - before; got != 5 {
+			t.Errorf("path %d: %d packets admitted, want 5", path, got)
+		}
+	}
+}
+
+func chainPos(d *Deployment, path uint16) int {
+	for i, c := range d.Chains {
+		if c.Chain.PathID == path {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestRecycledSlotRunsTheChain: a Parsed slot that carried a packet
+// through the chain (so its SFC struct holds a terminated path) and is
+// then reused through Parse must run the chain again — recirculate
+// once, leave rewritten — not be delivered in one pass untouched.
+func TestRecycledSlotRunsTheChain(t *testing.T) {
+	d := deployChain(t)
+	for path, tmpl := range chainPaths() {
+		frame := wireOf(t, tmpl)
+		var slot packet.Parsed
+		var first []byte
+		for round := 0; round < 3; round++ {
+			if err := slot.Parse(frame); err != nil {
+				t.Fatal(err)
+			}
+			q, err := d.Switch.InjectQuiet(scenario.PortClient, &slot)
+			if err != nil || q.Dropped || q.Emitted != 1 || q.Recirculations != 1 {
+				t.Fatalf("path %d round %d: %+v, %v", path, round, q, err)
+			}
+			out := wireOf(t, &slot)
+			if bytes.Equal(out, frame) {
+				t.Fatalf("path %d round %d: packet left with untouched headers", path, round)
+			}
+			if round == 0 {
+				first = out
+			} else if !bytes.Equal(out, first) {
+				t.Errorf("path %d round %d: output differs from the first use of the slot", path, round)
+			}
+		}
+	}
+}
+
+// TestTableWritesWhileChainRuns pushes run-time writes to every NF's
+// tables through the controller while two injectors run the full chain.
+// Every write leaves the VIP flow's treatment intact or moves it
+// atomically, so the assertion is strict: zero drops, and every packet
+// rewritten by either the old or the new route — destination MAC and
+// exit port from the same entry, never a mix. Run with -race.
+func TestTableWritesWhileChainRuns(t *testing.T) {
+	d := deployChain(t)
+	tmpl := scenario.ClientTCP(443)
+	ft, _ := tmpl.FiveTuple()
+	backend, err := d.scenarioLB(t).SelectBackend(scenario.VIP, ft.Hash())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The new, more specific route to the backends: another port and
+	// MAC than the 10.0/16 the scenario installs.
+	newMAC := packet.MAC{0x02, 0xAA, 0xAA, 0xAA, 0xAA, 0xAA}
+	const newPort = asic.PortID(12)
+	oldTx := d.Switch.Stats(scenario.PortBackends).TxPackets.Load()
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	var sent, viaOld, viaNew atomic.Int64
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var slots [16]packet.Parsed
+			var ptrs [16]*packet.Parsed
+			for i := range slots {
+				ptrs[i] = &slots[i]
+			}
+			for !stop.Load() {
+				for i := range slots {
+					slots[i].CopyFrom(tmpl)
+				}
+				br := d.Switch.InjectQuietBatch(scenario.PortClient, ptrs[:])
+				if br.Err != nil || br.Delivered != len(ptrs) || br.Dropped != 0 || br.ToCPU != 0 {
+					t.Errorf("burst during table writes: %+v", br)
+					return
+				}
+				sent.Add(int64(len(ptrs)))
+				for i := range slots {
+					p := &slots[i]
+					if p.IPv4.Dst != backend || p.IPv4.TTL != 63 || p.Valid(packet.HdrSFC) {
+						t.Errorf("packet left wrong: %s ttl %d", p, p.IPv4.TTL)
+						return
+					}
+					switch p.Eth.Dst {
+					case newMAC:
+						viaNew.Add(1)
+					case scenario.WorkloadMAC:
+						viaOld.Add(1)
+					default:
+						t.Errorf("destination MAC %s is neither route's", p.Eth.Dst)
+						return
+					}
+				}
+			}
+		}()
+	}
+
+	apply := func(w ctl.TableWrite) {
+		t.Helper()
+		if err := d.Controller.Apply(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 200; round++ {
+		// Writes that must not disturb the flow: unrelated ACL and
+		// classification rules below the installed priorities, more
+		// VNIs, sessions for other flows, routes to other prefixes.
+		apply(ctl.TableWrite{NF: "fw", Table: "fw_acl", Args: []any{nf.ACLRule{
+			DstIP: packet.IP4{192, 0, 2, byte(round)}, DstMask: packet.IP4{255, 255, 255, 255}, Priority: 1}}})
+		apply(ctl.TableWrite{NF: "classifier", Table: "class_map", Args: []any{nf.ClassRule{
+			DstIP: packet.IP4{192, 0, 2, byte(round)}, DstMask: packet.IP4{255, 255, 255, 255},
+			Priority: 1, Path: scenario.PathBasic, InitialIndex: 2}}})
+		apply(ctl.TableWrite{NF: "vgw", Table: "vni_table", Args: []any{uint32(7000 + round), uint16(round)}})
+		apply(ctl.TableWrite{NF: "lb", Table: "lb_session", Args: []any{uint32(round) * 2654435761, scenario.Backend2}})
+		apply(ctl.TableWrite{NF: "router", Table: "ipv4_lpm", Args: []any{
+			packet.IP4{192, 0, byte(round), 0}, 24, nf.NextHop{Port: 3, DstMAC: scenario.UpstreamMAC, SrcMAC: scenario.GatewayMAC}}})
+		if round == 100 {
+			// The one write that moves the flow: a /24 over the backends.
+			apply(ctl.TableWrite{NF: "router", Table: "ipv4_lpm", Args: []any{
+				packet.IP4{10, 0, 1, 0}, 24, nf.NextHop{Port: uint16(newPort), DstMAC: newMAC, SrcMAC: scenario.GatewayMAC}}})
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+
+	if d.Switch.Drops() != 0 {
+		t.Errorf("%d packets dropped", d.Switch.Drops())
+	}
+	gotOld := int64(d.Switch.Stats(scenario.PortBackends).TxPackets.Load() - oldTx)
+	gotNew := int64(d.Switch.Stats(newPort).TxPackets.Load())
+	if gotOld != viaOld.Load() || gotNew != viaNew.Load() || gotOld+gotNew != sent.Load() {
+		t.Errorf("%d packets sent: %d carried the old MAC and %d left the old port, %d the new MAC and %d the new port",
+			sent.Load(), viaOld.Load(), gotOld, viaNew.Load(), gotNew)
+	}
+	if viaNew.Load() == 0 {
+		// The injectors may not have been scheduled after round 100.
+		q, err := d.Switch.InjectQuiet(scenario.PortClient, tmpl.Clone())
+		if err != nil || q.Emitted != 1 || d.Switch.Stats(newPort).TxPackets.Load() == 0 {
+			t.Errorf("the new route never took effect: %+v, %v", q, err)
+		}
+	}
+}
+
+// scenarioLB returns the deployment's load balancer.
+func (d *Deployment) scenarioLB(t testing.TB) *nf.LoadBalancer {
+	t.Helper()
+	lb, ok := d.Config.NFs.ByName("lb").(*nf.LoadBalancer)
+	if !ok {
+		t.Fatal("deployment has no load balancer")
+	}
+	return lb
+}
+
+// BenchmarkChainQuietBatch is the §5 chain at struct level, one SFC
+// path per sub-benchmark, in bursts of 32; ns/op is per packet.
+func BenchmarkChainQuietBatch(b *testing.B) {
+	d := deployChain(b)
+	names := map[uint16]string{scenario.PathFull: "full", scenario.PathMedium: "medium", scenario.PathBasic: "basic"}
+	for path, tmpl := range chainPaths() {
+		b.Run(names[path], func(b *testing.B) {
+			var slots [32]packet.Parsed
+			var ptrs [32]*packet.Parsed
+			for i := range slots {
+				ptrs[i] = &slots[i]
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for done := 0; done < b.N; done += len(slots) {
+				for i := range slots {
+					slots[i].CopyFrom(tmpl)
+				}
+				if br := d.Switch.InjectQuietBatch(scenario.PortClient, ptrs[:]); br.Delivered != len(ptrs) {
+					b.Fatalf("burst result %+v", br)
+				}
+			}
+		})
+	}
+}

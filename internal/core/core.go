@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"dejavu/internal/asic"
 	"dejavu/internal/compiler"
@@ -152,56 +153,88 @@ type deadPort struct {
 
 // loopbackPool round-robins recirculation traffic over a pipeline's
 // loopback ports, falling back to the dedicated recirculation port.
-// Ports can be removed at runtime (failure handling).
+// Ports can be removed at runtime (failure handling). choose runs once
+// per recirculated packet, so it takes no lock: the port lists are an
+// immutable snapshot that add and remove replace, and a pipeline
+// served by its dedicated port alone touches no shared counter.
 type loopbackPool struct {
-	mu     sync.Mutex
-	byPipe map[int][]asic.PortID
-	rr     map[int]uint64
+	mu    sync.Mutex // serialises add and remove
+	ports atomic.Pointer[loopbackPorts]
+	// rr counts, per pipeline, the packets rotated over its ports.
+	rr []atomic.Uint64
+}
+
+// loopbackPorts is one published generation of the rotation: the
+// loopback ports of each pipeline, indexed by pipeline.
+type loopbackPorts struct {
+	byPipe [][]asic.PortID
+}
+
+//dv:snapshotwriter
+func newLoopbackPool(pipelines int, byPipe map[int][]asic.PortID) *loopbackPool {
+	p := &loopbackPool{rr: make([]atomic.Uint64, pipelines)}
+	lp := &loopbackPorts{byPipe: make([][]asic.PortID, pipelines)}
+	for pipe, ports := range byPipe {
+		lp.byPipe[pipe] = ports
+	}
+	p.ports.Store(lp)
+	return p
 }
 
 func (p *loopbackPool) choose(pipeline int) asic.PortID {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ports := p.byPipe[pipeline]
-	if len(ports) == 0 {
+	lp := p.ports.Load()
+	if pipeline < 0 || pipeline >= len(lp.byPipe) || len(lp.byPipe[pipeline]) == 0 {
 		return asic.RecircPort(pipeline)
 	}
-	if p.rr == nil {
-		p.rr = make(map[int]uint64)
+	ports := lp.byPipe[pipeline]
+	n := p.rr[pipeline].Add(1) - 1
+	return ports[n%uint64(len(ports))]
+}
+
+// replace publishes the rotation with one pipeline's ports swapped for
+// the list edit returns; a nil list leaves the rotation as it is.
+//
+//dv:snapshotwriter
+func (p *loopbackPool) replace(pipeline int, edit func(ports []asic.PortID) []asic.PortID) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	cur := p.ports.Load()
+	if pipeline < 0 || pipeline >= len(cur.byPipe) {
+		return false
 	}
-	n := p.rr[pipeline]
-	p.rr[pipeline] = n + 1
-	return ports[int(n)%len(ports)]
+	ports := edit(cur.byPipe[pipeline])
+	if ports == nil {
+		return false
+	}
+	next := &loopbackPorts{byPipe: append([][]asic.PortID(nil), cur.byPipe...)}
+	next.byPipe[pipeline] = ports
+	p.ports.Store(next)
+	return true
 }
 
 // add returns a port to the rotation (recovery), keeping the pool
 // duplicate-free.
 func (p *loopbackPool) add(port asic.PortID, pipeline int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, candidate := range p.byPipe[pipeline] {
-		if candidate == port {
-			return
+	p.replace(pipeline, func(ports []asic.PortID) []asic.PortID {
+		for _, candidate := range ports {
+			if candidate == port {
+				return nil
+			}
 		}
-	}
-	if p.byPipe == nil {
-		p.byPipe = make(map[int][]asic.PortID)
-	}
-	p.byPipe[pipeline] = append(p.byPipe[pipeline], port)
+		return append(ports[:len(ports):len(ports)], port)
+	})
 }
 
 // remove drops a port from rotation, reporting whether it was present.
 func (p *loopbackPool) remove(port asic.PortID, pipeline int) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ports := p.byPipe[pipeline]
-	for i, candidate := range ports {
-		if candidate == port {
-			p.byPipe[pipeline] = append(ports[:i:i], ports[i+1:]...)
-			return true
+	return p.replace(pipeline, func(ports []asic.PortID) []asic.PortID {
+		for i, candidate := range ports {
+			if candidate == port {
+				return append(ports[:i:i], ports[i+1:]...)
+			}
 		}
-	}
-	return false
+		return nil
+	})
 }
 
 // P4Source renders the deployment as a single multi-pipeline
@@ -339,7 +372,7 @@ func Deploy(cfg Config) (*Deployment, error) {
 	// bandwidth); the dedicated recirculation port is the fallback. The
 	// pool is shared with the deployment so port failures remove dead
 	// ports from rotation.
-	pool := &loopbackPool{byPipe: loopsByPipe}
+	pool := newLoopbackPool(cfg.Prof.Pipelines, loopsByPipe)
 	comp.Branching.SetLoopbackChooser(pool.choose)
 	if err := res.Dep.InstallOn(sw); err != nil {
 		return nil, err

@@ -2,9 +2,20 @@ package mau
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
+
+// The three match engines follow the P4 split of data-plane reads and
+// control-plane writes: Lookup takes no lock and writes no shared
+// memory, so any number of injectors read one table without touching a
+// common cache line; writers serialise on a mutex and publish through
+// atomic pointers. TernaryTable and LPM32 are written at configuration
+// rate, so each write builds a new immutable generation (copy-on-write
+// rule slice, path-copying trie) and swaps one pointer. ExactTable is
+// written once per new flow, so a whole-table copy per insert is out:
+// it publishes per slot instead (see its doc).
 
 // Entry is the result of a table lookup: which action to run and its
 // runtime parameters, in declaration order of the action's Params.
@@ -13,82 +24,231 @@ type Entry struct {
 	Params []uint64
 }
 
-// ExactTable is an exact-match table keyed by opaque byte strings.
-// It is safe for concurrent lookup with single-writer updates, the
-// usual switch table discipline (data plane reads, control plane
-// writes).
+// ExactTable is an exact-match table keyed by opaque byte strings: an
+// open-addressed array of atomic pointers to immutable slots. A write
+// allocates a fresh slot and stores its pointer, so an insert is O(1)
+// amortised and a concurrent Lookup sees either the old slot or the new
+// one, never a torn entry. The array grows by doubling into a fresh
+// array that is published with one pointer store; a Lookup that loaded
+// the old array finishes against it, complete as of the swap. It starts
+// at eight slots and is never presized to the capacity: a session table sized
+// for its worst case would pin that memory from the first packet.
 type ExactTable struct {
-	mu   sync.RWMutex
-	m    map[string]Entry
-	hits atomic.Uint64
-	miss atomic.Uint64
-	cap  int
+	mu    sync.Mutex // serialises writers; readers never take it
+	arr   atomic.Pointer[exactArray]
+	n     atomic.Int64 // live entries
+	tombs int          // deleted slots still occupying probe chains
+	cap   int
 }
+
+// exactArray is one generation of the slot array; len(slots) is a
+// power of two and at most half of it is ever occupied.
+type exactArray struct {
+	slots []atomic.Pointer[exactSlot]
+	shift uint // 64 - log2(len(slots)): the hash's top bits index the array
+}
+
+// exactSlot is one immutable key/entry pair.
+type exactSlot struct {
+	key  string
+	hash uint64
+	e    Entry
+}
+
+// exactTombstone marks a deleted slot: probe chains continue past it.
+var exactTombstone = new(exactSlot)
+
+// exactMinSlots is the size of a table's first array.
+const exactMinSlots = 8
 
 // NewExactTable creates a table with the given capacity; capacity 0
 // means unbounded.
+//
+//dv:snapshotwriter
 func NewExactTable(capacity int) *ExactTable {
-	return &ExactTable{m: make(map[string]Entry), cap: capacity}
+	t := &ExactTable{cap: capacity}
+	t.arr.Store(newExactArray(exactMinSlots))
+	return t
+}
+
+func newExactArray(size int) *exactArray {
+	return &exactArray{
+		slots: make([]atomic.Pointer[exactSlot], size),
+		shift: uint(64 - bits.TrailingZeros(uint(size))),
+	}
+}
+
+// hashKey mixes a key into 64 bits, eight bytes per multiply; the top
+// bits, which index the array, depend on every byte. Table keys are a
+// few bytes (a session hash, an address, a VNI), so the common case is
+// one round.
+func hashKey(key []byte) uint64 {
+	h := uint64(len(key))
+	for {
+		var w uint64
+		n := len(key)
+		if n > 8 {
+			n = 8
+		}
+		for i, b := range key[:n] {
+			w |= uint64(b) << (8 * uint(i))
+		}
+		h = (h ^ w) * 0x9E3779B97F4A7C15
+		h ^= h >> 32
+		if key = key[n:]; len(key) == 0 {
+			return h * 0xD6E8FEB86659FD93
+		}
+	}
+}
+
+// matches reports whether the slot holds key.
+func (s *exactSlot) matches(h uint64, key []byte) bool {
+	if s.hash != h || len(s.key) != len(key) {
+		return false
+	}
+	for i := range key {
+		if s.key[i] != key[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// find probes for key. It returns the index holding it, or -1 and the
+// index a new slot for it belongs in (the first tombstone on the probe
+// chain, else the empty slot that ended it).
+func (a *exactArray) find(h uint64, key []byte) (at, free int) {
+	mask := len(a.slots) - 1
+	free = -1
+	for i := int(h >> a.shift); ; i = (i + 1) & mask {
+		switch s := a.slots[i].Load(); {
+		case s == nil:
+			if free < 0 {
+				free = i
+			}
+			return -1, free
+		case s == exactTombstone:
+			if free < 0 {
+				free = i
+			}
+		case s.matches(h, key):
+			return i, -1
+		}
+	}
+}
+
+// grown returns a fresh array, the smallest that is at most half full
+// with one more entry than live, holding every live slot of a and no
+// tombstones.
+func (a *exactArray) grown(live int) *exactArray {
+	size := exactMinSlots
+	for size < 2*(live+1) {
+		size *= 2
+	}
+	next := newExactArray(size)
+	mask := size - 1
+	for i := range a.slots {
+		s := a.slots[i].Load()
+		if s == nil || s == exactTombstone {
+			continue
+		}
+		j := int(s.hash >> next.shift)
+		for next.slots[j].Load() != nil {
+			j = (j + 1) & mask
+		}
+		next.slots[j].Store(s)
+	}
+	return next
 }
 
 // Insert adds or replaces the entry for key. It fails when the table
 // is at capacity and key is new, mirroring hardware table exhaustion.
+//
+//dv:snapshotwriter
 func (t *ExactTable) Insert(key []byte, e Entry) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	k := string(key)
-	if _, exists := t.m[k]; !exists && t.cap > 0 && len(t.m) >= t.cap {
-		return fmt.Errorf("mau: exact table full (%d entries)", t.cap)
+	h := hashKey(key)
+	cur := t.arr.Load()
+	a := cur
+	at, free := a.find(h, key)
+	if at < 0 {
+		live := t.Len()
+		if t.cap > 0 && live >= t.cap {
+			return fmt.Errorf("mau: exact table full (%d entries)", t.cap)
+		}
+		// Keep occupied slots (live + tombstones) at or below half the
+		// array: every probe dereferences a slot, so chains stay short.
+		if 2*(live+t.tombs+1) > len(a.slots) {
+			a = a.grown(live)
+			t.tombs = 0
+			_, free = a.find(h, key)
+		} else if a.slots[free].Load() == exactTombstone {
+			t.tombs--
+		}
+		at = free
+		t.n.Add(1)
 	}
-	t.m[k] = e
+	a.slots[at].Store(&exactSlot{key: string(key), hash: h, e: e})
+	if a != cur {
+		t.arr.Store(a) // a grown array is published complete, the new entry included
+	}
 	return nil
 }
 
-// Delete removes the entry for key, reporting whether it existed.
+// Delete removes the entry for key, reporting whether it existed. The
+// slot becomes a tombstone so probe chains through it stay intact; the
+// next growth drops it.
+//
+//dv:snapshotwriter
 func (t *ExactTable) Delete(key []byte) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	k := string(key)
-	if _, ok := t.m[k]; !ok {
+	a := t.arr.Load()
+	at, _ := a.find(hashKey(key), key)
+	if at < 0 {
 		return false
 	}
-	delete(t.m, k)
+	a.slots[at].Store(exactTombstone)
+	t.tombs++
+	t.n.Add(-1)
 	return true
 }
 
 // Lookup returns the entry for key.
+//
+//dv:hotpath
 func (t *ExactTable) Lookup(key []byte) (Entry, bool) {
-	t.mu.RLock()
-	e, ok := t.m[string(key)]
-	t.mu.RUnlock()
-	if ok {
-		t.hits.Add(1)
-	} else {
-		t.miss.Add(1)
+	a := t.arr.Load()
+	h := hashKey(key)
+	mask := len(a.slots) - 1
+	for i := int(h >> a.shift); ; i = (i + 1) & mask {
+		s := a.slots[i].Load()
+		if s == nil {
+			return Entry{}, false
+		}
+		if s != exactTombstone && s.matches(h, key) {
+			return s.e, true
+		}
 	}
-	return e, ok
 }
 
 // Len returns the number of installed entries.
-func (t *ExactTable) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.m)
-}
-
-// Stats returns cumulative hit and miss counts.
-func (t *ExactTable) Stats() (hits, misses uint64) {
-	return t.hits.Load(), t.miss.Load()
-}
+func (t *ExactTable) Len() int { return int(t.n.Load()) }
 
 // LPM32 is a longest-prefix-match table over 32-bit keys (IPv4
-// routes), implemented as a level-compressed binary trie.
+// routes): a binary trie whose nodes are immutable once published.
+// A write copies the nodes on the path to the prefix, shares every
+// other subtree with the previous generation, and swaps the root.
 type LPM32 struct {
-	mu   sync.RWMutex
+	mu   sync.Mutex // serialises writers
+	snap atomic.Pointer[lpmSnap]
+}
+
+// lpmSnap is one published generation of the trie.
+type lpmSnap struct {
 	root *lpmNode
 	n    int
-	hits atomic.Uint64
-	miss atomic.Uint64
 }
 
 type lpmNode struct {
@@ -97,7 +257,49 @@ type lpmNode struct {
 }
 
 // NewLPM32 creates an empty LPM table.
-func NewLPM32() *LPM32 { return &LPM32{root: &lpmNode{}} }
+func NewLPM32() *LPM32 { return &LPM32{} }
+
+// with returns a copy of the subtree at n in which the node depth bits
+// down prefix holds entry e (nil removes it), pruning nodes left with
+// neither entry nor children. delta reports the change in entry count.
+func (n *lpmNode) with(prefix uint32, depth, plen int, e *Entry) (out *lpmNode, delta int) {
+	var c lpmNode
+	if n != nil {
+		c = *n
+	}
+	if depth == plen {
+		switch {
+		case c.entry == nil && e != nil:
+			delta = 1
+		case c.entry != nil && e == nil:
+			delta = -1
+		}
+		c.entry = e
+	} else {
+		bit := prefix >> (31 - depth) & 1
+		c.child[bit], delta = c.child[bit].with(prefix, depth+1, plen, e)
+	}
+	if c.entry == nil && c.child[0] == nil && c.child[1] == nil {
+		return nil, delta
+	}
+	return &c, delta
+}
+
+// publish swaps in the trie with prefix/plen set to e (nil deletes),
+// returning the change in entry count.
+//
+//dv:snapshotwriter
+func (t *LPM32) publish(prefix uint32, plen int, e *Entry) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var cur lpmSnap
+	if s := t.snap.Load(); s != nil {
+		cur = *s
+	}
+	root, delta := cur.root.with(prefix, 0, plen, e)
+	t.snap.Store(&lpmSnap{root: root, n: cur.n + delta})
+	return delta
+}
 
 // Insert adds or replaces the entry for prefix/plen. plen must be in
 // [0, 32].
@@ -105,53 +307,29 @@ func (t *LPM32) Insert(prefix uint32, plen int, e Entry) error {
 	if plen < 0 || plen > 32 {
 		return fmt.Errorf("mau: invalid prefix length %d", plen)
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := t.root
-	for i := 0; i < plen; i++ {
-		bit := prefix >> (31 - i) & 1
-		if n.child[bit] == nil {
-			n.child[bit] = &lpmNode{}
-		}
-		n = n.child[bit]
-	}
-	if n.entry == nil {
-		t.n++
-	}
-	ec := e
-	n.entry = &ec
+	t.publish(prefix, plen, &e)
 	return nil
 }
 
 // Delete removes the entry for prefix/plen, reporting whether it
-// existed. Trie nodes are not reclaimed; tables are long-lived.
+// existed.
 func (t *LPM32) Delete(prefix uint32, plen int) bool {
 	if plen < 0 || plen > 32 {
 		return false
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := t.root
-	for i := 0; i < plen; i++ {
-		bit := prefix >> (31 - i) & 1
-		if n.child[bit] == nil {
-			return false
-		}
-		n = n.child[bit]
-	}
-	if n.entry == nil {
-		return false
-	}
-	n.entry = nil
-	t.n--
-	return true
+	return t.publish(prefix, plen, nil) < 0
 }
 
 // Lookup returns the entry of the longest matching prefix for addr.
+//
+//dv:hotpath
 func (t *LPM32) Lookup(addr uint32) (Entry, bool) {
-	t.mu.RLock()
-	n := t.root
+	s := t.snap.Load()
+	if s == nil {
+		return Entry{}, false
+	}
 	var best *Entry
+	n := s.root
 	for i := 0; n != nil; i++ {
 		if n.entry != nil {
 			best = n.entry
@@ -161,43 +339,40 @@ func (t *LPM32) Lookup(addr uint32) (Entry, bool) {
 		}
 		n = n.child[addr>>(31-i)&1]
 	}
-	t.mu.RUnlock()
 	if best == nil {
-		t.miss.Add(1)
 		return Entry{}, false
 	}
-	t.hits.Add(1)
 	return *best, true
 }
 
 // Len returns the number of installed prefixes.
 func (t *LPM32) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.n
-}
-
-// Stats returns cumulative hit and miss counts.
-func (t *LPM32) Stats() (hits, misses uint64) {
-	return t.hits.Load(), t.miss.Load()
+	if s := t.snap.Load(); s != nil {
+		return s.n
+	}
+	return 0
 }
 
 // TernaryTable is a ternary (value/mask) match table with priorities,
 // the model of a TCAM. Lookup returns the highest-priority matching
 // rule; ties break toward the earliest-inserted rule, mirroring TCAM
-// physical ordering.
+// physical ordering. The rule list is immutable once published; a
+// write copies it.
 type TernaryTable struct {
-	mu    sync.RWMutex
+	mu   sync.Mutex // serialises writers
+	snap atomic.Pointer[ternarySnap]
+}
+
+// ternarySnap is one published generation of the rule list, sorted by
+// (priority desc, insertion order asc).
+type ternarySnap struct {
 	rules []ternaryRule
-	hits  atomic.Uint64
-	miss  atomic.Uint64
 }
 
 type ternaryRule struct {
-	value, mask []byte
-	priority    int
-	entry       Entry
-	seq         int
+	want, mask []byte // want = value & mask, so a match is key&mask == want
+	priority   int
+	entry      Entry
 }
 
 // NewTernaryTable creates an empty ternary table.
@@ -205,73 +380,78 @@ func NewTernaryTable() *TernaryTable { return &TernaryTable{} }
 
 // Insert adds a rule. value and mask must have equal length; key bytes
 // outside the mask are wildcarded. Higher priority wins.
+//
+//dv:snapshotwriter
 func (t *TernaryTable) Insert(value, mask []byte, priority int, e Entry) error {
 	if len(value) != len(mask) {
 		return fmt.Errorf("mau: ternary value/mask length mismatch: %d vs %d", len(value), len(mask))
 	}
+	// One backing array for both halves keeps a rule's bytes adjacent.
+	buf := make([]byte, 2*len(value))
+	r := ternaryRule{want: buf[:len(value):len(value)], mask: buf[len(value):], priority: priority, entry: e}
+	copy(r.mask, mask)
+	for i := range value {
+		r.want[i] = value[i] & mask[i]
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	r := ternaryRule{
-		value:    append([]byte(nil), value...),
-		mask:     append([]byte(nil), mask...),
-		priority: priority,
-		entry:    e,
-		seq:      len(t.rules),
+	var cur []ternaryRule
+	if s := t.snap.Load(); s != nil {
+		cur = s.rules
 	}
-	// Insert keeping rules sorted by (priority desc, seq asc).
-	pos := len(t.rules)
-	for i, existing := range t.rules {
-		if existing.priority < priority {
+	// Behind every rule of equal or higher priority.
+	pos := len(cur)
+	for i := range cur {
+		if cur[i].priority < priority {
 			pos = i
 			break
 		}
 	}
-	t.rules = append(t.rules, ternaryRule{})
-	copy(t.rules[pos+1:], t.rules[pos:])
-	t.rules[pos] = r
+	next := make([]ternaryRule, 0, len(cur)+1)
+	next = append(append(append(next, cur[:pos]...), r), cur[pos:]...)
+	t.snap.Store(&ternarySnap{rules: next})
 	return nil
 }
 
 // Lookup returns the entry of the highest-priority rule matching key.
 // The key must be at least as long as the rules' masks.
+//
+//dv:hotpath
 func (t *TernaryTable) Lookup(key []byte) (Entry, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for _, r := range t.rules {
-		if len(key) < len(r.value) {
+	s := t.snap.Load()
+	if s == nil {
+		return Entry{}, false
+	}
+next:
+	for i := range s.rules {
+		r := &s.rules[i]
+		if len(key) < len(r.want) {
 			continue
 		}
-		match := true
-		for i := range r.value {
-			if key[i]&r.mask[i] != r.value[i]&r.mask[i] {
-				match = false
-				break
+		k, mask := key[:len(r.want)], r.mask[:len(r.want)]
+		for j, w := range r.want {
+			if k[j]&mask[j] != w {
+				continue next
 			}
 		}
-		if match {
-			t.hits.Add(1)
-			return r.entry, true
-		}
+		return r.entry, true
 	}
-	t.miss.Add(1)
 	return Entry{}, false
 }
 
 // Len returns the number of installed rules.
 func (t *TernaryTable) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.rules)
+	if s := t.snap.Load(); s != nil {
+		return len(s.rules)
+	}
+	return 0
 }
 
 // Clear removes all rules.
+//
+//dv:snapshotwriter
 func (t *TernaryTable) Clear() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.rules = nil
-}
-
-// Stats returns cumulative hit and miss counts.
-func (t *TernaryTable) Stats() (hits, misses uint64) {
-	return t.hits.Load(), t.miss.Load()
+	t.snap.Store(nil)
 }

@@ -1,0 +1,355 @@
+package mau
+
+import (
+	"fmt"
+	"math/rand"
+	"sync"
+	"sync/atomic"
+	"testing"
+)
+
+// Randomized op-sequence differential tests: each engine against the
+// simplest structure that defines its semantics.
+
+func sameEntry(a, b Entry) bool {
+	if a.Action != b.Action || len(a.Params) != len(b.Params) {
+		return false
+	}
+	for i := range a.Params {
+		if a.Params[i] != b.Params[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func TestExactTableMatchesMap(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		capacity := 0
+		if seed%2 == 0 {
+			capacity = 40 + rng.Intn(200)
+		}
+		tb := NewExactTable(capacity)
+		ref := make(map[string]Entry)
+		// A small key universe forces replaces, deletes of present keys
+		// and re-inserts over tombstones; key lengths 0..12 cross the
+		// hash's eight-byte round boundary.
+		universe := make([][]byte, 300)
+		for i := range universe {
+			k := make([]byte, rng.Intn(13))
+			rng.Read(k)
+			universe[i] = k
+		}
+		for op := 0; op < 6000; op++ {
+			k := universe[rng.Intn(len(universe))]
+			switch rng.Intn(10) {
+			case 0, 1, 2, 3, 4:
+				e := Entry{Action: fmt.Sprint("a", op%7), Params: []uint64{uint64(op), rng.Uint64()}}
+				err := tb.Insert(k, e)
+				_, exists := ref[string(k)]
+				full := capacity > 0 && !exists && len(ref) >= capacity
+				if (err != nil) != full {
+					t.Fatalf("seed %d op %d: Insert err=%v, reference full=%v", seed, op, err, full)
+				}
+				if err == nil {
+					ref[string(k)] = e
+				}
+			case 5, 6:
+				_, exists := ref[string(k)]
+				if got := tb.Delete(k); got != exists {
+					t.Fatalf("seed %d op %d: Delete=%v, reference has key=%v", seed, op, got, exists)
+				}
+				delete(ref, string(k))
+			default:
+				got, ok := tb.Lookup(k)
+				want, exists := ref[string(k)]
+				if ok != exists || !sameEntry(got, want) {
+					t.Fatalf("seed %d op %d: Lookup(%x) = %+v,%v want %+v,%v", seed, op, k, got, ok, want, exists)
+				}
+			}
+			if tb.Len() != len(ref) {
+				t.Fatalf("seed %d op %d: Len=%d, reference %d", seed, op, tb.Len(), len(ref))
+			}
+		}
+		for _, k := range universe {
+			got, ok := tb.Lookup(k)
+			want, exists := ref[string(k)]
+			if ok != exists || !sameEntry(got, want) {
+				t.Fatalf("seed %d final: Lookup(%x) = %+v,%v want %+v,%v", seed, k, got, ok, want, exists)
+			}
+		}
+	}
+}
+
+// TestExactTableStaysSmall pins the no-presizing rule: a table with a
+// large capacity and few entries holds an array sized to the entries,
+// and a delete-heavy table does not grow on tombstones alone.
+func TestExactTableStaysSmall(t *testing.T) {
+	tb := NewExactTable(1 << 16)
+	for i := 0; i < 100; i++ {
+		tb.Insert([]byte{byte(i)}, Entry{})
+	}
+	if n := len(tb.arr.Load().slots); n != 256 {
+		t.Errorf("100 entries sit in %d slots, want 256", n)
+	}
+	for round := 0; round < 1000; round++ {
+		k := []byte{1, byte(round), byte(round >> 8)}
+		tb.Insert(k, Entry{})
+		tb.Delete(k)
+	}
+	if n := len(tb.arr.Load().slots); n > 512 {
+		t.Errorf("insert/delete churn grew the array to %d slots", n)
+	}
+}
+
+type refRoute struct {
+	prefix uint32
+	plen   int
+	e      Entry
+}
+
+func TestLPM32MatchesLinearScan(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tb := NewLPM32()
+		var ref []refRoute
+		mask := func(plen int) uint32 {
+			if plen == 0 {
+				return 0
+			}
+			return ^uint32(0) << (32 - plen)
+		}
+		find := func(prefix uint32, plen int) int {
+			for i, r := range ref {
+				if r.plen == plen && r.prefix == prefix&mask(plen) {
+					return i
+				}
+			}
+			return -1
+		}
+		// Addresses share high bytes so prefixes nest.
+		addr := func() uint32 { return uint32(10+rng.Intn(3))<<24 | uint32(rng.Intn(4))<<16 | uint32(rng.Intn(1<<16)) }
+		for op := 0; op < 3000; op++ {
+			switch rng.Intn(8) {
+			case 0, 1, 2:
+				plen := []int{0, 8, 12, 16, 20, 24, 31, 32}[rng.Intn(8)]
+				p := addr()
+				e := Entry{Action: "fwd", Params: []uint64{uint64(op)}}
+				if err := tb.Insert(p, plen, e); err != nil {
+					t.Fatal(err)
+				}
+				if i := find(p, plen); i >= 0 {
+					ref[i].e = e
+				} else {
+					ref = append(ref, refRoute{p & mask(plen), plen, e})
+				}
+			case 3:
+				if len(ref) == 0 {
+					continue
+				}
+				r := ref[rng.Intn(len(ref))]
+				p, plen := r.prefix|uint32(rng.Intn(2)), r.plen // low host bit must not matter below /32
+				if plen == 32 {
+					p = r.prefix
+				}
+				i := find(p, plen)
+				if got := tb.Delete(p, plen); got != (i >= 0) {
+					t.Fatalf("seed %d op %d: Delete(%#x/%d)=%v, reference %v", seed, op, p, plen, got, i >= 0)
+				}
+				if i >= 0 {
+					ref = append(ref[:i], ref[i+1:]...)
+				}
+			default:
+				a := addr()
+				best := -1
+				for i, r := range ref {
+					if a&mask(r.plen) == r.prefix && (best < 0 || r.plen > ref[best].plen) {
+						best = i
+					}
+				}
+				got, ok := tb.Lookup(a)
+				if ok != (best >= 0) || (ok && !sameEntry(got, ref[best].e)) {
+					t.Fatalf("seed %d op %d: Lookup(%#x) = %+v,%v, reference index %d", seed, op, a, got, ok, best)
+				}
+			}
+			if tb.Len() != len(ref) {
+				t.Fatalf("seed %d op %d: Len=%d, reference %d", seed, op, tb.Len(), len(ref))
+			}
+		}
+	}
+}
+
+type refRule struct {
+	value, mask []byte
+	priority    int
+	e           Entry
+}
+
+func TestTernaryMatchesPriorityScan(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tb := NewTernaryTable()
+		var ref []refRule // insertion order
+		for op := 0; op < 1500; op++ {
+			switch {
+			case op%500 == 499:
+				tb.Clear()
+				ref = nil
+			case rng.Intn(4) == 0:
+				n := 1 + rng.Intn(4)
+				value, mask := make([]byte, n), make([]byte, n)
+				rng.Read(value)
+				for i := range mask {
+					mask[i] = []byte{0, 0x0F, 0xF0, 0xFF}[rng.Intn(4)]
+				}
+				r := refRule{value: append([]byte(nil), value...), mask: append([]byte(nil), mask...),
+					priority: rng.Intn(5), e: Entry{Action: fmt.Sprint("r", op)}}
+				if err := tb.Insert(value, mask, r.priority, r.e); err != nil {
+					t.Fatal(err)
+				}
+				ref = append(ref, r)
+				value[0], mask[0] = ^value[0], ^mask[0] // the table must have copied its inputs
+			default:
+				key := make([]byte, 1+rng.Intn(4))
+				rng.Read(key)
+				best := -1
+				for i, r := range ref {
+					if len(key) < len(r.value) {
+						continue
+					}
+					match := true
+					for j := range r.value {
+						if key[j]&r.mask[j] != r.value[j]&r.mask[j] {
+							match = false
+						}
+					}
+					// Highest priority, then earliest inserted.
+					if match && (best < 0 || r.priority > ref[best].priority) {
+						best = i
+					}
+				}
+				got, ok := tb.Lookup(key)
+				if ok != (best >= 0) || (ok && got.Action != ref[best].e.Action) {
+					t.Fatalf("seed %d op %d: Lookup(%x) = %+v,%v, reference index %d", seed, op, key, got, ok, best)
+				}
+			}
+			if tb.Len() != len(ref) {
+				t.Fatalf("seed %d op %d: Len=%d, reference %d", seed, op, tb.Len(), len(ref))
+			}
+		}
+	}
+}
+
+// The hammers: one writer, several readers, across array growth,
+// tombstones and republished generations. Every key a reader saw
+// installed before a pass must be visible throughout that pass. Run
+// with -race -count=10 (CI does).
+
+func TestExactTableHammer(t *testing.T) {
+	const stable, churn, readers = 3000, 400, 4
+	tb := NewExactTable(0)
+	key := func(i int) []byte { return []byte{byte(i >> 16), byte(i >> 8), byte(i), 0xA5} }
+	var installed atomic.Int64 // stable keys [0, installed) are in the table for good
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				n := int(installed.Load())
+				for i := 0; i < n; i++ {
+					e, ok := tb.Lookup(key(i))
+					if !ok || e.Params[0] != uint64(i) {
+						t.Errorf("stable key %d of %d installed: Lookup = %+v,%v", i, n, e, ok)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < stable; i++ {
+		tb.Insert(key(i), Entry{Params: []uint64{uint64(i)}})
+		installed.Store(int64(i + 1))
+		// Churn keys come and go between the stable ones: tombstones on
+		// the stable keys' probe chains, reuse of tombstones, replaces.
+		c := key(1<<20 + i%churn)
+		tb.Insert(c, Entry{Params: []uint64{0}})
+		tb.Insert(c, Entry{Params: []uint64{1}})
+		if i%3 != 0 {
+			tb.Delete(c)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+}
+
+func TestLPM32Hammer(t *testing.T) {
+	const stable, readers = 600, 4
+	tb := NewLPM32()
+	tb.Insert(0, 0, Entry{Params: []uint64{1 << 40}})
+	var installed atomic.Int64
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				n := int(installed.Load())
+				for i := 0; i < n; i++ {
+					// Host .1 of stable /24 number i.
+					e, ok := tb.Lookup(uint32(i)<<8 | 1)
+					if !ok || e.Params[0] != uint64(i) {
+						t.Errorf("stable /24 %d of %d installed: Lookup = %+v,%v", i, n, e, ok)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < stable; i++ {
+		tb.Insert(uint32(i)<<8, 24, Entry{Params: []uint64{uint64(i)}})
+		installed.Store(int64(i + 1))
+		// A /32 for host .2 beside it, then gone again: the /24 node is
+		// path-copied twice more.
+		tb.Insert(uint32(i)<<8|2, 32, Entry{Params: []uint64{7}})
+		tb.Delete(uint32(i)<<8|2, 32)
+	}
+	stop.Store(true)
+	wg.Wait()
+}
+
+func TestTernaryHammer(t *testing.T) {
+	const stable, readers = 300, 4
+	tb := NewTernaryTable()
+	var installed atomic.Int64
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				n := int(installed.Load())
+				for i := 0; i < n; i++ {
+					e, ok := tb.Lookup([]byte{byte(i >> 8), byte(i)})
+					if !ok || e.Params[0] != uint64(i) {
+						t.Errorf("stable rule %d of %d installed: Lookup = %+v,%v", i, n, e, ok)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < stable; i++ {
+		// Exact two-byte rules at priority 10; a lower-priority catch-all
+		// is republished around them and must never shadow them.
+		tb.Insert([]byte{byte(i >> 8), byte(i)}, []byte{0xFF, 0xFF}, 10, Entry{Params: []uint64{uint64(i)}})
+		installed.Store(int64(i + 1))
+		tb.Insert([]byte{0, 0}, []byte{0, 0}, 1, Entry{Params: []uint64{1 << 40}})
+	}
+	stop.Store(true)
+	wg.Wait()
+}

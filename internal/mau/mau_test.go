@@ -36,10 +36,6 @@ func TestExactTable(t *testing.T) {
 	if tb.Len() != 1 {
 		t.Errorf("Len = %d, want 1", tb.Len())
 	}
-	hits, misses := tb.Stats()
-	if hits != 1 || misses != 1 {
-		t.Errorf("Stats = %d,%d want 1,1", hits, misses)
-	}
 }
 
 func TestExactTableConcurrent(t *testing.T) {
@@ -116,10 +112,6 @@ func TestLPM32DeleteAndMiss(t *testing.T) {
 	if err := tb.Insert(0, 33, Entry{}); err == nil {
 		t.Error("prefix length 33 accepted")
 	}
-	_, misses := tb.Stats()
-	if misses == 0 {
-		t.Error("miss counter not bumped")
-	}
 }
 
 func TestLPM32Property(t *testing.T) {
@@ -177,10 +169,6 @@ func TestTernaryShortKeyAndClear(t *testing.T) {
 	tb.Clear()
 	if tb.Len() != 0 {
 		t.Error("Clear left rules behind")
-	}
-	_, misses := tb.Stats()
-	if misses == 0 {
-		t.Error("miss counter not bumped")
 	}
 }
 

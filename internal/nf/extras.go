@@ -39,13 +39,14 @@ func NewNAT(publicIP packet.IP4, sessionCapacity int) *NAT {
 func (n *NAT) Name() string { return "nat" }
 
 // natKey builds the session key.
-func natKey(src packet.IP4, port uint16, proto uint8) []byte {
-	return []byte{src[0], src[1], src[2], src[3], byte(port >> 8), byte(port), proto}
+func natKey(src packet.IP4, port uint16, proto uint8) [7]byte {
+	return [7]byte{src[0], src[1], src[2], src[3], byte(port >> 8), byte(port), proto}
 }
 
 // InstallMapping installs a translation (src,port,proto) -> publicPort.
 func (n *NAT) InstallMapping(src packet.IP4, srcPort uint16, proto uint8, publicPort uint16) error {
-	if err := n.sessions.Insert(natKey(src, srcPort, proto), mau.Entry{
+	key := natKey(src, srcPort, proto)
+	if err := n.sessions.Insert(key[:], mau.Entry{
 		Action: "translate",
 		Params: []uint64{uint64(publicPort)},
 	}); err != nil {
@@ -61,12 +62,15 @@ func (n *NAT) InstallMapping(src packet.IP4, srcPort uint16, proto uint8, public
 func (n *NAT) Mappings() int { return n.sessions.Len() }
 
 // Execute implements NF: translate the source of outbound flows.
+//
+//dv:hotpath
 func (n *NAT) Execute(hdr *packet.Parsed) {
 	ft, ok := hdr.FiveTuple()
 	if !ok {
 		return
 	}
-	e, hit := n.sessions.Lookup(natKey(ft.Src, ft.SrcPort, ft.Proto))
+	key := natKey(ft.Src, ft.SrcPort, ft.Proto)
+	e, hit := n.sessions.Lookup(key[:])
 	if !hit {
 		hdr.SFC.Meta.Set(nsh.FlagToCPU)
 		return
@@ -146,6 +150,8 @@ func (m *Mirror) ContextReads() []uint8 { return nil }
 func (m *Mirror) ContextWrites() []uint8 { return []uint8{KeyMirrorPort} }
 
 // Execute implements NF.
+//
+//dv:hotpath
 func (m *Mirror) Execute(hdr *packet.Parsed) {
 	if !hdr.Valid(packet.HdrIPv4) {
 		return

@@ -15,9 +15,10 @@ import (
 // the control plane can install a new session and reinject the packet.
 type LoadBalancer struct {
 	sessions *mau.ExactTable
-	// vips maps virtual IPs to their backend pools, used by the control
-	// plane when establishing new sessions.
-	vips map[packet.IP4][]packet.IP4
+	// vips maps virtual IPs to their backend pools (one action
+	// parameter per backend): matched per packet, and read by the
+	// control plane when establishing new sessions.
+	vips *mau.ExactTable
 }
 
 // NewLoadBalancer creates a load balancer with the given session table
@@ -25,7 +26,7 @@ type LoadBalancer struct {
 func NewLoadBalancer(sessionCapacity int) *LoadBalancer {
 	return &LoadBalancer{
 		sessions: mau.NewExactTable(sessionCapacity),
-		vips:     make(map[packet.IP4][]packet.IP4),
+		vips:     mau.NewExactTable(0),
 	}
 }
 
@@ -37,16 +38,26 @@ func (lb *LoadBalancer) AddVIP(vip packet.IP4, backends []packet.IP4) error {
 	if len(backends) == 0 {
 		return fmt.Errorf("nf: VIP %s has no backends", vip)
 	}
-	lb.vips[vip] = append([]packet.IP4(nil), backends...)
-	return nil
+	pool := make([]uint64, len(backends))
+	for i, b := range backends {
+		pool[i] = uint64(b.Uint32())
+	}
+	return lb.vips.Insert(vip[:], mau.Entry{Action: "vip", Params: pool})
 }
 
 // Backends returns the backend pool of a VIP.
-func (lb *LoadBalancer) Backends(vip packet.IP4) []packet.IP4 { return lb.vips[vip] }
+func (lb *LoadBalancer) Backends(vip packet.IP4) []packet.IP4 {
+	e, _ := lb.vips.Lookup(vip[:])
+	var out []packet.IP4
+	for _, b := range e.Params {
+		out = append(out, packet.IP4FromUint32(uint32(b)))
+	}
+	return out
+}
 
 // IsVIP reports whether dst is a registered virtual IP.
 func (lb *LoadBalancer) IsVIP(dst packet.IP4) bool {
-	_, ok := lb.vips[dst]
+	_, ok := lb.vips.Lookup(dst[:])
 	return ok
 }
 
@@ -54,7 +65,8 @@ func (lb *LoadBalancer) IsVIP(dst packet.IP4) bool {
 // plane's "install a new session in lb_session upon packet reception"
 // step (§3.1).
 func (lb *LoadBalancer) InstallSession(hash uint32, backend packet.IP4) error {
-	return lb.sessions.Insert(u32Key(hash), mau.Entry{
+	key := u32Key(hash)
+	return lb.sessions.Insert(key[:], mau.Entry{
 		Action: "modify_dstIp",
 		Params: []uint64{uint64(backend.Uint32())},
 	})
@@ -66,26 +78,26 @@ func (lb *LoadBalancer) Sessions() int { return lb.sessions.Len() }
 // SelectBackend deterministically picks a backend for a session hash,
 // the policy the control plane applies on a miss.
 func (lb *LoadBalancer) SelectBackend(vip packet.IP4, hash uint32) (packet.IP4, error) {
-	pool := lb.vips[vip]
+	e, _ := lb.vips.Lookup(vip[:])
+	pool := e.Params
 	if len(pool) == 0 {
 		return packet.IP4{}, fmt.Errorf("nf: no backends for VIP %s", vip)
 	}
-	return pool[int(hash)%len(pool)], nil
+	return packet.IP4FromUint32(uint32(pool[int(hash)%len(pool)])), nil
 }
 
 // Execute implements NF (compare the paper's Fig. 4: compute the
 // 5-tuple hash, look up lb_session, rewrite on hit, toCpu on miss).
 // Traffic whose destination is not a registered VIP passes through.
+//
+//dv:hotpath
 func (lb *LoadBalancer) Execute(hdr *packet.Parsed) {
 	ft, ok := hdr.FiveTuple()
-	if !ok {
+	if !ok || !lb.IsVIP(ft.Dst) {
 		return
 	}
-	if !lb.IsVIP(ft.Dst) {
-		return
-	}
-	sessionHash := ft.Hash()
-	if e, hit := lb.sessions.Lookup(u32Key(sessionHash)); hit {
+	key := u32Key(ft.Hash())
+	if e, hit := lb.sessions.Lookup(key[:]); hit {
 		hdr.IPv4.Dst = packet.IP4FromUint32(uint32(e.Params[0]))
 		return
 	}

@@ -87,6 +87,8 @@ func (r *RateLimiter) ContextWrites() []uint8 { return nil }
 
 // Execute implements NF: charge the packet's wire length against the
 // tenant's bucket; drop on exhaustion (red marking).
+//
+//dv:hotpath
 func (r *RateLimiter) Execute(hdr *packet.Parsed) {
 	tenant, ok := hdr.SFC.LookupContext(nsh.KeyTenantID)
 	if !ok {
@@ -95,7 +97,7 @@ func (r *RateLimiter) Execute(hdr *packet.Parsed) {
 		}
 		return
 	}
-	r.mu.Lock()
+	r.mu.Lock() //dv:allow hotpath: token buckets are read-modify-written per packet and refilled by Advance; the meter is off the §5 chain and sharding it by tenant is ROADMAP item 2's remainder
 	defer r.mu.Unlock()
 	b := r.buckets[tenant]
 	if b == nil {

@@ -87,10 +87,18 @@ func (l List) Names() []string {
 	return out
 }
 
-// ipKey converts an IPv4 address to an exact-match table key.
-func ipKey(ip packet.IP4) []byte { return ip[:] }
+// u32Key converts a 32-bit value to an exact-match table key. It is an
+// array so a per-packet lookup key lives on the caller's stack.
+func u32Key(v uint32) [4]byte {
+	return [4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}
+}
 
-// u32Key converts a 32-bit value to an exact-match table key.
-func u32Key(v uint32) []byte {
-	return []byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}
+// macParam packs a MAC address into an action parameter.
+func macParam(m packet.MAC) uint64 {
+	return uint64(m[0])<<40 | uint64(m[1])<<32 | uint64(m[2])<<24 | uint64(m[3])<<16 | uint64(m[4])<<8 | uint64(m[5])
+}
+
+// paramMAC unpacks macParam.
+func paramMAC(v uint64) packet.MAC {
+	return packet.MAC{byte(v >> 40), byte(v >> 32), byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}
 }

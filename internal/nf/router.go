@@ -12,9 +12,10 @@ import (
 // specifies, the Router also removes the SFC header before the packet
 // leaves the switch. The framework supplies it for all SFC paths.
 type Router struct {
-	routes  *mau.LPM32
-	nexthop map[uint32]NextHop // keyed by next-hop ID
-	nextID  uint32
+	// routes carries each prefix's adjacency in its action parameters
+	// (port, destination MAC, source MAC), so a route and its next hop
+	// are published — and replaced — as one entry.
+	routes *mau.LPM32
 }
 
 // NextHop describes one adjacency.
@@ -26,7 +27,7 @@ type NextHop struct {
 
 // NewRouter creates an empty router.
 func NewRouter() *Router {
-	return &Router{routes: mau.NewLPM32(), nexthop: make(map[uint32]NextHop)}
+	return &Router{routes: mau.NewLPM32()}
 }
 
 // Name implements NF.
@@ -34,12 +35,9 @@ func (r *Router) Name() string { return "router" }
 
 // AddRoute installs prefix/plen -> nh.
 func (r *Router) AddRoute(prefix packet.IP4, plen int, nh NextHop) error {
-	id := r.nextID
-	r.nextID++
-	r.nexthop[id] = nh
 	return r.routes.Insert(prefix.Uint32(), plen, mau.Entry{
 		Action: "forward",
-		Params: []uint64{uint64(id)},
+		Params: []uint64{uint64(nh.Port), macParam(nh.DstMAC), macParam(nh.SrcMAC)},
 	})
 }
 
@@ -47,6 +45,8 @@ func (r *Router) AddRoute(prefix packet.IP4, plen int, nh NextHop) error {
 func (r *Router) Routes() int { return r.routes.Len() }
 
 // Execute implements NF.
+//
+//dv:hotpath
 func (r *Router) Execute(hdr *packet.Parsed) {
 	// The router terminates the service chain: strip the SFC header
 	// from the wire format (flags in the struct stay readable for the
@@ -70,11 +70,10 @@ func (r *Router) Execute(hdr *packet.Parsed) {
 		hdr.SFC.Meta.Set(nsh.FlagToCPU) // no route: punt for ICMP unreachable
 		return
 	}
-	nh := r.nexthop[uint32(e.Params[0])]
-	hdr.Eth.Dst = nh.DstMAC
-	hdr.Eth.Src = nh.SrcMAC
+	hdr.Eth.Dst = paramMAC(e.Params[1])
+	hdr.Eth.Src = paramMAC(e.Params[2])
 	hdr.IPv4.TTL--
-	hdr.SFC.Meta.OutPort = nh.Port
+	hdr.SFC.Meta.OutPort = uint16(e.Params[0])
 }
 
 // Block implements NF.

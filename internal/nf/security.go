@@ -76,6 +76,8 @@ func (c *ContextFirewall) ContextReads() []uint8 { return []uint8{nsh.KeyTenantI
 func (c *ContextFirewall) ContextWrites() []uint8 { return nil }
 
 // Execute implements NF.
+//
+//dv:hotpath
 func (c *ContextFirewall) Execute(hdr *packet.Parsed) {
 	tenant, ok := hdr.SFC.LookupContext(nsh.KeyTenantID)
 	if !ok {
@@ -103,9 +105,9 @@ func (c *ContextFirewall) Execute(hdr *packet.Parsed) {
 	case hdr.Valid(packet.HdrUDP):
 		dstPort = hdr.UDP.DstPort
 	}
-	key := []byte{byte(dstPort >> 8), byte(dstPort), proto}
+	key := [3]byte{byte(dstPort >> 8), byte(dstPort), proto}
 	permit := c.DefaultPermit
-	if e, hit := tbl.Lookup(key); hit {
+	if e, hit := tbl.Lookup(key[:]); hit {
 		permit = e.Action == "permit"
 	}
 	if !permit {

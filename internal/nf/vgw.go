@@ -15,9 +15,9 @@ import (
 type VGW struct {
 	// vniTable maps VNI -> tenant ID (decap direction).
 	vniTable *mau.ExactTable
-	// encapTable maps inner destination IP -> encap parameters
-	// (encap direction).
-	encap map[packet.IP4]EncapEntry
+	// encapTable maps inner destination IP -> encap parameters (VNI,
+	// remote VTEP, workload MAC; encap direction).
+	encapTable *mau.ExactTable
 	// LocalVTEP is the gateway's own tunnel endpoint address.
 	LocalVTEP packet.IP4
 	LocalMAC  packet.MAC
@@ -33,10 +33,10 @@ type EncapEntry struct {
 // NewVGW creates a virtualization gateway.
 func NewVGW(localVTEP packet.IP4, localMAC packet.MAC) *VGW {
 	return &VGW{
-		vniTable:  mau.NewExactTable(4096),
-		encap:     make(map[packet.IP4]EncapEntry),
-		LocalVTEP: localVTEP,
-		LocalMAC:  localMAC,
+		vniTable:   mau.NewExactTable(4096),
+		encapTable: mau.NewExactTable(4096),
+		LocalVTEP:  localVTEP,
+		LocalMAC:   localMAC,
 	}
 }
 
@@ -45,12 +45,17 @@ func (v *VGW) Name() string { return "vgw" }
 
 // AddVNI authorizes a VNI and associates it with a tenant ID.
 func (v *VGW) AddVNI(vni uint32, tenant uint16) error {
-	return v.vniTable.Insert(u32Key(vni), mau.Entry{Action: "set_tenant", Params: []uint64{uint64(tenant)}})
+	key := u32Key(vni)
+	return v.vniTable.Insert(key[:], mau.Entry{Action: "set_tenant", Params: []uint64{uint64(tenant)}})
 }
 
-// AddEncapRoute installs an encapsulation rule for an inner IP.
-func (v *VGW) AddEncapRoute(innerDst packet.IP4, e EncapEntry) {
-	v.encap[innerDst] = e
+// AddEncapRoute installs an encapsulation rule for an inner IP. It
+// fails when encap_table is full.
+func (v *VGW) AddEncapRoute(innerDst packet.IP4, e EncapEntry) error {
+	return v.encapTable.Insert(innerDst[:], mau.Entry{
+		Action: "vxlan_encap",
+		Params: []uint64{uint64(e.VNI), uint64(e.RemoteIP.Uint32()), macParam(e.NextMAC)},
+	})
 }
 
 // ContextReads implements ContextUser: the VGW reads nothing.
@@ -61,6 +66,8 @@ func (v *VGW) ContextReads() []uint8 { return nil }
 func (v *VGW) ContextWrites() []uint8 { return []uint8{nsh.KeyTenantID, nsh.KeyVNI} }
 
 // Execute implements NF.
+//
+//dv:hotpath
 func (v *VGW) Execute(hdr *packet.Parsed) {
 	switch {
 	case hdr.Valid(packet.HdrVXLAN):
@@ -73,7 +80,8 @@ func (v *VGW) Execute(hdr *packet.Parsed) {
 // decap strips the VXLAN encapsulation, promoting the inner stack.
 // Unknown VNIs are dropped (tenant isolation).
 func (v *VGW) decap(hdr *packet.Parsed) {
-	e, ok := v.vniTable.Lookup(u32Key(hdr.VXLAN.VNI))
+	key := u32Key(hdr.VXLAN.VNI)
+	e, ok := v.vniTable.Lookup(key[:])
 	if !ok {
 		hdr.SFC.Meta.Set(nsh.FlagDrop)
 		return
@@ -103,9 +111,14 @@ func (v *VGW) decap(hdr *packet.Parsed) {
 // maybeEncap wraps Internet traffic destined to a known tenant
 // workload in a VXLAN tunnel; other traffic passes through.
 func (v *VGW) maybeEncap(hdr *packet.Parsed) {
-	e, ok := v.encap[hdr.IPv4.Dst]
+	hit, ok := v.encapTable.Lookup(hdr.IPv4.Dst[:])
 	if !ok {
 		return
+	}
+	e := EncapEntry{
+		VNI:      uint32(hit.Params[0]),
+		RemoteIP: packet.IP4FromUint32(uint32(hit.Params[1])),
+		NextMAC:  paramMAC(hit.Params[2]),
 	}
 	// Demote the current stack to inner.
 	hdr.InnerIPv4 = hdr.IPv4

@@ -70,6 +70,9 @@ var ErrTruncated = errors.New("nsh: buffer shorter than SFC header")
 // hold other keys.
 var ErrContextFull = errors.New("nsh: all context slots in use")
 
+// ErrReservedKey is returned by SetContext for key 0.
+var ErrReservedKey = errors.New("nsh: context key 0 is reserved for empty slots")
+
 // PlatformMeta is the 4-byte platform-specific metadata copy carried in
 // the SFC header (§3, Fig. 3). The wire layout is:
 //
@@ -213,10 +216,11 @@ func (h *Header) LookupContext(key uint8) (uint16, bool) {
 
 // SetContext stores value under key, reusing the slot if the key is
 // already present and otherwise claiming the first empty slot. It
-// returns ErrContextFull when no slot is available.
+// returns ErrContextFull when no slot is available and ErrReservedKey
+// for key 0.
 func (h *Header) SetContext(key uint8, value uint16) error {
 	if key == KeyNone {
-		return errors.New("nsh: context key 0 is reserved for empty slots")
+		return ErrReservedKey
 	}
 	empty := -1
 	for i, p := range h.Context {

@@ -1,0 +1,122 @@
+package packet
+
+import (
+	"hash/crc32"
+	"math/rand"
+	"testing"
+
+	"dejavu/internal/nsh"
+)
+
+// bitLoopCRC32 is the bit-at-a-time CRC-32 (IEEE, reflected) that
+// FiveTuple.Hash used to run, kept as the reference: LB backend
+// choice, session keys, VXLAN source ports and the synthetic
+// forwarder's port spread all depend on its exact values.
+func bitLoopCRC32(data []byte) uint32 {
+	crc := ^uint32(0)
+	for _, b := range data {
+		crc ^= uint32(b)
+		for i := 0; i < 8; i++ {
+			if crc&1 != 0 {
+				crc = crc>>1 ^ 0xEDB88320
+			} else {
+				crc >>= 1
+			}
+		}
+	}
+	return ^crc
+}
+
+func tupleKey(ft FiveTuple) []byte {
+	return []byte{ft.Src[0], ft.Src[1], ft.Src[2], ft.Src[3], ft.Dst[0], ft.Dst[1], ft.Dst[2], ft.Dst[3],
+		ft.Proto, byte(ft.SrcPort >> 8), byte(ft.SrcPort), byte(ft.DstPort >> 8), byte(ft.DstPort)}
+}
+
+func TestFiveTupleHashGolden(t *testing.T) {
+	for _, c := range []struct {
+		ft   FiveTuple
+		want uint32
+	}{
+		{FiveTuple{}, 0x0f744682},
+		{FiveTuple{Src: IP4{198, 51, 100, 10}, Dst: IP4{203, 0, 113, 80}, Proto: ProtoTCP, SrcPort: 40000, DstPort: 443}, 0x17098fa0},
+		{FiveTuple{Src: IP4{255, 255, 255, 255}, Dst: IP4{255, 255, 255, 255}, Proto: 255, SrcPort: 65535, DstPort: 65535}, 0xf2d6f3c1},
+		{FiveTuple{Src: IP4{10, 0, 2, 5}, Dst: IP4{172, 16, 0, 9}, Proto: ProtoUDP, SrcPort: VXLANPort, DstPort: VXLANPort}, 0x75b06937},
+	} {
+		if got := c.ft.Hash(); got != c.want {
+			t.Errorf("Hash(%+v) = %#x, want %#x", c.ft, got, c.want)
+		}
+	}
+}
+
+func TestFiveTupleHashMatchesBitLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100_000; i++ {
+		var ft FiveTuple
+		rng.Read(ft.Src[:])
+		rng.Read(ft.Dst[:])
+		ft.Proto = uint8(rng.Intn(256))
+		ft.SrcPort, ft.DstPort = uint16(rng.Intn(1<<16)), uint16(rng.Intn(1<<16))
+		key := tupleKey(ft)
+		got := ft.Hash()
+		if want := bitLoopCRC32(key); got != want {
+			t.Fatalf("Hash(%+v) = %#x, bit loop says %#x", ft, got, want)
+		}
+		if want := crc32.ChecksumIEEE(key); got != want {
+			t.Fatalf("Hash(%+v) = %#x, hash/crc32 says %#x", ft, got, want)
+		}
+	}
+}
+
+func TestFiveTupleHashDoesNotAllocate(t *testing.T) {
+	ft := FiveTuple{Src: IP4{1, 2, 3, 4}, Dst: IP4{5, 6, 7, 8}, Proto: ProtoTCP, SrcPort: 9, DstPort: 10}
+	var sink uint32
+	if n := testing.AllocsPerRun(1000, func() { sink += ft.Hash() }); n != 0 {
+		t.Errorf("Hash allocates %.1f times per call", n)
+	}
+	_ = sink
+}
+
+// TestRecycledSlotIsFresh: a Parsed that carried a classified packet
+// must come back from Reset, Parse and the pool looking never
+// classified — the framework tells "fresh" from "chain terminated" by
+// SFC.ServicePathID, which outlives the header's validity bit.
+func TestRecycledSlotIsFresh(t *testing.T) {
+	plain := NewTCP(TCPOpts{SrcMAC: macA, DstMAC: macB, Src: ipA, Dst: ipB, SrcPort: 1, DstPort: 2})
+	wire, err := plain.Serialize(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := func(p *Parsed) {
+		h := nsh.New(10, 5)
+		h.SetContext(nsh.KeyTenantID, 42)
+		h.Meta.Set(nsh.FlagToCPU)
+		p.PushSFC(h)
+		p.PopSFC() // what the Router leaves behind: struct set, header gone
+	}
+	check := func(what string, p *Parsed) {
+		t.Helper()
+		if p.SFC != (nsh.Header{}) {
+			t.Errorf("%s: stale SFC state %+v", what, p.SFC)
+		}
+	}
+
+	var slot Parsed
+	used(&slot)
+	slot.Reset()
+	check("Reset", &slot)
+
+	used(&slot)
+	if err := slot.Parse(wire); err != nil {
+		t.Fatal(err)
+	}
+	check("Parse of an untagged frame", &slot)
+
+	p := GetParsed()
+	used(p)
+	PutParsed(p)
+	for i := 0; i < 8; i++ { // the pool may hand back any slot; all must be clean
+		q := GetParsed()
+		check("GetParsed", q)
+		defer PutParsed(q)
+	}
+}

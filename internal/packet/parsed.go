@@ -2,6 +2,7 @@ package packet
 
 import (
 	"fmt"
+	"hash/crc32"
 	"strings"
 
 	"dejavu/internal/nsh"
@@ -86,9 +87,14 @@ func (p *Parsed) SetInvalid(mask HeaderBit) { p.valid &^= mask }
 // ValidMask returns the raw validity bit set.
 func (p *Parsed) ValidMask() HeaderBit { return p.valid }
 
-// Reset clears the parsed vector for reuse.
+// Reset clears the parsed vector for reuse. The SFC struct is cleared
+// with the validity mask because the framework reads it past the
+// header's wire lifetime (a nonzero ServicePathID with the header
+// popped means "chain already terminated"): a recycled slot that kept
+// the previous packet's path would skip the chain.
 func (p *Parsed) Reset() {
 	p.valid = 0
+	p.SFC = nsh.Header{}
 	p.Payload = nil
 }
 
@@ -451,8 +457,11 @@ func (p *Parsed) FiveTuple() (ft FiveTuple, ok bool) {
 	return ft, true
 }
 
-// Hash returns a CRC32-style hash of the five-tuple, matching the
-// sessionHash computation in the paper's LB example (Fig. 4).
+// Hash returns the CRC-32 (IEEE) of the five-tuple in wire order,
+// matching the sessionHash computation in the paper's LB example
+// (Fig. 4).
+//
+//dv:hotpath
 func (ft FiveTuple) Hash() uint32 {
 	var key [13]byte
 	copy(key[0:4], ft.Src[:])
@@ -463,18 +472,16 @@ func (ft FiveTuple) Hash() uint32 {
 	return crc32Hash(key[:])
 }
 
-// crc32Hash is a table-free CRC-32 (IEEE polynomial, reflected).
+// crc32Hash is a byte-at-a-time table-driven CRC-32 (IEEE polynomial,
+// reflected). It indexes the standard table directly instead of calling
+// crc32.ChecksumIEEE: that goes through an architecture-dispatch
+// function variable, which makes the caller's stack key escape to the
+// heap — one allocation per packet.
 func crc32Hash(data []byte) uint32 {
+	tab := crc32.IEEETable
 	crc := ^uint32(0)
 	for _, b := range data {
-		crc ^= uint32(b)
-		for i := 0; i < 8; i++ {
-			if crc&1 != 0 {
-				crc = crc>>1 ^ 0xEDB88320
-			} else {
-				crc >>= 1
-			}
-		}
+		crc = tab[byte(crc)^b] ^ crc>>8
 	}
 	return ^crc
 }

@@ -121,54 +121,26 @@ func keyLess(a, b EntryKey) bool {
 	return a.Index < b.Index
 }
 
-// entryFor computes the static entry for one (pipeline, path, index),
-// mirroring Decide for the outPort-unset case (the outPort-set fast
-// path is a priority rule common to every entry, not table content).
-func (b *Branching) entryFor(pipe int, c Chain, index uint8) Entry {
-	key := EntryKey{Pipeline: pipe, Path: c.PathID, Index: index}
-	name, ok := c.NFAt(index)
-	if !ok {
-		// Chain complete: static exit when known, punt otherwise.
-		if port, has := b.exitPort[c.PathID]; has {
-			return Entry{Key: key, Action: ActForward, Port: port}
-		}
-		return Entry{Key: key, Action: ActToCPU}
-	}
-	if port, isRemote := b.remote[name]; isRemote {
-		return Entry{Key: key, Action: ActForward, Port: port}
-	}
-	pl, placed := b.placement.Of(name)
-	if !placed {
-		return Entry{Key: key, Action: ActToCPU}
-	}
-	if pl == (asic.PipeletID{Pipeline: pipe, Dir: asic.Ingress}) {
-		return Entry{Key: key, Action: ActResubmit}
-	}
-	target := pl.Pipeline
-	eg := asic.PipeletID{Pipeline: target, Dir: asic.Egress}
-	if port, has := b.exitPort[c.PathID]; has &&
-		c.ExitPipeline == target &&
-		b.placement.ModeOf(eg) != Parallel &&
-		remainderCompletesIn(c, b.placement, len(c.NFs)-int(index), eg) {
-		return Entry{Key: key, Action: ActForward, Port: port}
-	}
-	return Entry{Key: key, Action: ActLoopback, Target: target}
-}
-
 // Program renders the branching function as the explicit entry set
-// installed across the given number of ingress pipelines.
+// installed across the given number of ingress pipelines: the compiled
+// entries Decide reads, for the outPort-unset case (the outPort-set
+// fast path is a priority rule common to every entry, not table
+// content).
 func (b *Branching) Program(pipelines int) TableProgram {
-	paths := make([]uint16, 0, len(b.chains))
-	for id := range b.chains {
-		paths = append(paths, id)
-	}
-	sort.Slice(paths, func(i, j int) bool { return paths[i] < paths[j] })
 	var p TableProgram
 	for pipe := 0; pipe < pipelines; pipe++ {
-		for _, id := range paths {
-			c := b.chains[id]
-			for idx := int(c.InitialIndex()); idx >= 0; idx-- {
-				p.Entries = append(p.Entries, b.entryFor(pipe, c, uint8(idx)))
+		for ci, c := range b.chains {
+			for index, h := range b.hops[ci] {
+				e := Entry{Key: EntryKey{Pipeline: pipe, Path: c.PathID, Index: uint8(index)}, Action: h.act}
+				switch {
+				case h.ingress == pipe:
+					e.Action = ActResubmit
+				case h.act == ActForward:
+					e.Port = h.port
+				case h.act == ActLoopback:
+					e.Target = h.target
+				}
+				p.Entries = append(p.Entries, e)
 			}
 		}
 	}

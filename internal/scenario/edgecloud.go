@@ -116,7 +116,9 @@ func New() (*Scenario, error) {
 	if err := s.VGW.AddVNI(TenantVNI, TenantID); err != nil {
 		return nil, err
 	}
-	s.VGW.AddEncapRoute(TenantHost, nf.EncapEntry{VNI: TenantVNI, RemoteIP: RemoteVTEP, NextMAC: WorkloadMAC})
+	if err := s.VGW.AddEncapRoute(TenantHost, nf.EncapEntry{VNI: TenantVNI, RemoteIP: RemoteVTEP, NextMAC: WorkloadMAC}); err != nil {
+		return nil, err
+	}
 
 	// LB: one VIP with two backends.
 	s.LB = nf.NewLoadBalancer(65536)
