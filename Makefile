@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint vet check bench bench-chain bench-pktpath bench-build fabric-chaos fabricplace fmt doccheck
+.PHONY: build test race lint vet check bench bench-chain bench-apply bench-pktpath bench-build fabric-chaos fabricplace fmt doccheck
 
 build:
 	$(GO) build ./...
@@ -51,6 +51,13 @@ bench:
 bench-chain:
 	$(GO) run ./bench --workload chain-steady --seconds 3 --trace 1
 
+# The control-plane counterpart: one traced 3-second run of apply-churn
+# (one-chain intent deltas hot-swapped beside live traffic), which
+# prints apply latency and the per-stage build ledger and exits
+# non-zero on correct=false.
+bench-apply:
+	$(GO) run ./bench --workload apply-churn --seconds 3 --trace 1
+
 # Packet hot-path benchmark: sweeps the parallel traffic engine
 # (workers x batch, GOMAXPROCS forced > 1 so the multi-worker rows are
 # honest) and snapshots the report -- worker-scaling table, batch-vs-
@@ -62,7 +69,8 @@ bench-pktpath: build
 
 # Build-pipeline benchmark: full (cold-cache) rebuild versus the
 # incremental staged rebuild under chain churn; snapshots the report
-# into BENCH_build.json.
+# into BENCH_build.json. CI does not regenerate the file, it runs
+# `dejavu benchbuild -check BENCH_build.json` against the committed one.
 bench-build: build
 	$(GO) run ./cmd/dejavu benchbuild -rounds 50 -json > BENCH_build.json
 	@$(GO) run ./cmd/dejavu benchbuild -rounds 10

@@ -32,6 +32,10 @@ type Plan struct {
 	Block      *p4.ControlBlock
 	Stages     []StageUsage
 	TableStage map[string]int // table name -> stage index
+	// Deps is the block's table dependency graph (Block.Deps()) the
+	// stages were allocated from; later passes over the same block read
+	// it here instead of deriving it again.
+	Deps []p4.Dep
 }
 
 // StagesUsed returns the number of stages with at least one table.
@@ -95,6 +99,7 @@ func Allocate(cb *p4.ControlBlock, maxStages int) (*Plan, error) {
 	plan := &Plan{
 		Block:      cb,
 		TableStage: assigned,
+		Deps:       deps,
 	}
 	// Grown on demand: maxStages is a budget (MinStages passes 1<<20),
 	// not an expected size.

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -178,8 +179,15 @@ func TestAllocateAllProductionNFsFitOnePipelet(t *testing.T) {
 		nf.NewRouter(),
 	}
 	for _, f := range nfs {
-		if _, err := Allocate(f.Block(), 12); err != nil {
+		block := f.Block()
+		plan, err := Allocate(block, 12)
+		if err != nil {
 			t.Errorf("%s does not fit a 12-stage pipelet: %v", f.Name(), err)
+			continue
+		}
+		// The plan carries the graph it was allocated from.
+		if deps, _ := block.Deps(); !reflect.DeepEqual(plan.Deps, deps) {
+			t.Errorf("%s: Plan.Deps = %v, block.Deps() = %v", f.Name(), plan.Deps, deps)
 		}
 	}
 }

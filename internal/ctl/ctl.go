@@ -8,6 +8,7 @@
 package ctl
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -31,6 +32,7 @@ type Controller struct {
 	natAllocated      int
 	reinjected        int
 	unknown           int
+	failed            int
 	programCommits    int
 	entryWrites       int
 	programWrites     int
@@ -124,25 +126,36 @@ func (c *Controller) Reinject(pkt *packet.Parsed) (*asic.Trace, error) {
 }
 
 // Poll drains the switch's CPU queue, handles every punted packet, and
-// reinjects the ones whose state was repaired. It returns the traces
-// of reinjected packets.
+// reinjects the ones whose state was repaired. One packet's failure (a
+// full session table, an unusable in-port) does not stop the drain:
+// every drained packet is handled, and Poll returns the traces of the
+// reinjected ones together with the joined errors of the rest, which
+// Stats.Failed counts.
 func (c *Controller) Poll() ([]*asic.Trace, error) {
 	var traces []*asic.Trace
+	var errs []error
 	for _, pkt := range c.sw.DrainCPU() {
 		again, err := c.HandlePacketIn(pkt)
 		if err != nil {
-			return traces, err
+			errs = append(errs, err)
+			continue
 		}
 		if !again {
 			continue
 		}
 		tr, err := c.Reinject(pkt)
 		if err != nil {
-			return traces, err
+			errs = append(errs, err)
+			continue
 		}
 		traces = append(traces, tr)
 	}
-	return traces, nil
+	if len(errs) > 0 {
+		c.mu.Lock()
+		c.failed += len(errs)
+		c.mu.Unlock()
+	}
+	return traces, errors.Join(errs...)
 }
 
 // Stats reports controller activity.
@@ -151,6 +164,8 @@ type Stats struct {
 	NATAllocated      int
 	Reinjected        int
 	Unknown           int
+	// Failed counts punted packets Poll could not handle or reinject.
+	Failed int
 	// ProgramCommits counts committed program transactions.
 	ProgramCommits int
 	// EntryWrites counts branching-table entry ops committed.
@@ -168,6 +183,7 @@ func (c *Controller) Stats() Stats {
 		NATAllocated:      c.natAllocated,
 		Reinjected:        c.reinjected,
 		Unknown:           c.unknown,
+		Failed:            c.failed,
 		ProgramCommits:    c.programCommits,
 		EntryWrites:       c.entryWrites,
 		ProgramWrites:     c.programWrites,

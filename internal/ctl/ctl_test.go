@@ -84,6 +84,75 @@ func TestPollIdempotentWhenQuiet(t *testing.T) {
 	}
 }
 
+// TestPollHandlesEveryDrainedPacket: a punt the controller cannot
+// repair must not take the packets drained behind it with it. With a
+// two-entry session table, a burst of six new VIP flows and one ARP
+// gives two reinjections, four failures and one unknown punt; nothing
+// stays queued.
+func TestPollHandlesEveryDrainedPacket(t *testing.T) {
+	s := scenario.MustNew()
+	lb := nf.NewLoadBalancer(2)
+	if err := lb.AddVIP(scenario.VIP, []packet.IP4{scenario.Backend1, scenario.Backend2}); err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range s.NFs {
+		if f == nf.NF(s.LB) {
+			s.NFs[i] = lb
+		}
+	}
+	c, err := compose.New(s.Prof, s.Chains, s.Placement, s.NFs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := c.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := asic.New(s.Prof)
+	if err := d.InstallOn(sw); err != nil {
+		t.Fatal(err)
+	}
+	ctrl := New(sw, s.NFs)
+
+	for i := 0; i < 6; i++ {
+		pkt := packet.NewTCP(packet.TCPOpts{
+			SrcMAC: scenario.ClientMAC, DstMAC: scenario.GatewayMAC,
+			Src: scenario.ClientIP, Dst: scenario.VIP,
+			SrcPort: uint16(33000 + i), DstPort: 443,
+		})
+		if tr, err := sw.Inject(scenario.PortClient, pkt); err != nil || len(tr.CPU) != 1 {
+			t.Fatalf("flow %d not punted: %+v %v", i, tr, err)
+		}
+	}
+	arp := packet.NewARP(packet.ARPRequest, scenario.ClientMAC, scenario.ClientIP, packet.MAC{}, scenario.VIP)
+	if _, err := sw.Inject(scenario.PortClient, arp); err != nil {
+		t.Fatal(err)
+	}
+
+	traces, err := ctrl.Poll()
+	if len(traces) != 2 {
+		t.Errorf("reinjected %d packets, want 2", len(traces))
+	}
+	for _, tr := range traces {
+		if tr.Dropped || len(tr.Out) != 1 || tr.Out[0].Port != scenario.PortBackends {
+			t.Errorf("reinjected packet did not complete the chain: %+v", tr)
+		}
+	}
+	if err == nil || strings.Count(err.Error(), "session install") != 4 {
+		t.Errorf("Poll error = %v, want 4 joined session-install failures", err)
+	}
+	st := ctrl.Stats()
+	if st.SessionsInstalled != 2 || st.Reinjected != 2 || st.Failed != 4 || st.Unknown != 1 {
+		t.Errorf("Stats = %+v, want 2 installed, 2 reinjected, 4 failed, 1 unknown", st)
+	}
+	if left := sw.DrainCPU(); len(left) != 0 {
+		t.Errorf("%d packets left in the CPU queue", len(left))
+	}
+	if traces, err := ctrl.Poll(); len(traces) != 0 || err != nil {
+		t.Errorf("second Poll returned %d traces, %v", len(traces), err)
+	}
+}
+
 func TestUnknownPuntCounted(t *testing.T) {
 	_, sw, ctrl := deployed(t)
 	// ARP reaches the router and is punted; the controller has no

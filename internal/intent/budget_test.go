@@ -1,0 +1,108 @@
+package intent
+
+import (
+	"os"
+	"runtime"
+	"testing"
+
+	"dejavu/internal/config"
+)
+
+// churnDocs returns the §5 edge-cloud intent (the committed example)
+// and the same intent plus chain 40 over the already-placed NFs — the
+// one-chain delta the repository benchmark's apply-churn toggles.
+func churnDocs(tb testing.TB) (base, plus *Document) {
+	tb.Helper()
+	f, err := os.Open("../../examples/intent/intent.json")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer f.Close()
+	if base, err = Parse(f); err != nil {
+		tb.Fatal(err)
+	}
+	plus = base.Clone()
+	plus.Chains = append(plus.Chains, config.ChainSpec{
+		PathID: 40, NFs: []string{"classifier", "fw", "vgw", "lb", "router"}, Weight: 0.05,
+	})
+	if err := plus.Validate(); err != nil {
+		tb.Fatal(err)
+	}
+	return base, plus
+}
+
+// churnApplier deploys base and returns a function that applies the
+// other of the two documents on every call, failing unless the apply
+// hot-swapped the live deployment.
+func churnApplier(tb testing.TB) (toggle func()) {
+	tb.Helper()
+	base, plus := churnDocs(tb)
+	a := NewApplier(nil)
+	if _, err := a.Apply(base, Options{}); err != nil {
+		tb.Fatal(err)
+	}
+	docs, next := [2]*Document{plus, base}, 0
+	return func() {
+		rep, err := a.Apply(docs[next], Options{})
+		if err != nil || rep.NoOp || rep.Redeployed || rep.RolledBack || rep.DeltaEntries == 0 {
+			tb.Fatalf("one-chain delta did not hot-swap: %v %+v", err, rep)
+		}
+		next = 1 - next
+	}
+}
+
+// TestApplyAllocBudget bounds what one incremental apply allocates.
+// The parent of this test measured 10 114 allocations per apply: every
+// NF re-emitted and hashed, and each pipelet's dependency graph derived
+// three times with quadratic set construction. A regression in the
+// staged build's reuse shows here as a count, not as a timing.
+func TestApplyAllocBudget(t *testing.T) {
+	const budget = 4500
+	toggle := churnApplier(t)
+	toggle()
+	toggle() // both documents' artifacts have been built once
+	if got := testing.AllocsPerRun(20, toggle); got > budget {
+		t.Errorf("one-chain apply allocates %.0f objects, budget %d", got, budget)
+	}
+}
+
+// TestApplyHeapDoesNotGrow: what the deployment and its build cache
+// keep alive does not depend on how many applies they have served —
+// the cache holds one generation per stage and one fingerprint per
+// live NF object, whatever the churn.
+func TestApplyHeapDoesNotGrow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("16 000 applies")
+	}
+	toggle := churnApplier(t)
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC() // the second pass frees what the first one's finalizers released
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	for i := 0; i < 2000; i++ {
+		toggle()
+	}
+	early := liveHeap()
+	for i := 2000; i < 16000; i++ {
+		toggle()
+	}
+	if late := liveHeap(); late > early+64<<10 {
+		t.Errorf("live heap grew from %d B after 2 000 applies to %d B after 16 000", early, late)
+	}
+}
+
+// BenchmarkApplyOneChainDelta times the apply-churn operation: base ↔
+// base + chain 40, every apply a hot swap of the live deployment.
+func BenchmarkApplyOneChainDelta(b *testing.B) {
+	toggle := churnApplier(b)
+	toggle()
+	toggle()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		toggle()
+	}
+}

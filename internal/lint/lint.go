@@ -22,6 +22,7 @@ import (
 	"sort"
 
 	"dejavu/internal/asic"
+	"dejavu/internal/compiler"
 	"dejavu/internal/compose"
 	"dejavu/internal/nf"
 	"dejavu/internal/p4"
@@ -54,6 +55,49 @@ type Target struct {
 	// Enter is the pipeline receiving external traffic, derived from
 	// the classifier's pinned placement when available.
 	Enter int
+	// Plans holds, per pipelet, the stage allocation of Blocks[pl] at
+	// Prof.StagesPerPipelet together with the dependency graph it was
+	// allocated from (compiler.Plan.Deps) — what DV001 and DV002 read.
+	// pipeline.Build supplies its allocation stage's plans; a block
+	// without one is allocated by the first rule that asks (planFor)
+	// and the result is kept here for the rules that follow.
+	Plans map[asic.PipeletID]*compiler.Plan
+	// allocErr remembers why a block has no plan.
+	allocErr map[asic.PipeletID]error
+}
+
+// planFor returns the pipelet's stage allocation, running the allocator
+// at most once per block per target.
+func (t *Target) planFor(pl asic.PipeletID, block *p4.ControlBlock) (*compiler.Plan, error) {
+	if plan := t.Plans[pl]; plan != nil {
+		return plan, nil
+	}
+	if err := t.allocErr[pl]; err != nil {
+		return nil, err
+	}
+	plan, err := compiler.Allocate(block, t.Prof.StagesPerPipelet)
+	if err != nil {
+		if t.allocErr == nil {
+			t.allocErr = make(map[asic.PipeletID]error)
+		}
+		t.allocErr[pl] = err
+		return nil, err
+	}
+	if t.Plans == nil {
+		t.Plans = make(map[asic.PipeletID]*compiler.Plan)
+	}
+	t.Plans[pl] = plan
+	return plan, nil
+}
+
+// depsFor returns the block's table dependency graph: the one its plan
+// was allocated from, or, for a block that does not allocate (DV001
+// reports why), a derivation of its own.
+func (t *Target) depsFor(pl asic.PipeletID, block *p4.ControlBlock) ([]p4.Dep, error) {
+	if plan, _ := t.planFor(pl, block); plan != nil {
+		return plan.Deps, nil
+	}
+	return block.Deps()
 }
 
 // Pipelets returns the profile's pipelet IDs in deterministic order

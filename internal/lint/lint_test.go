@@ -159,26 +159,7 @@ func TestStageBudgetOverflow(t *testing.T) {
 }
 
 func TestTableDependencyCycle(t *testing.T) {
-	// A writes x and reads y; B writes y and reads x. Applied A,B,A the
-	// dependency graph holds both A->B and B->A.
-	mk := func(name string, writes, reads p4.FieldRef) *p4.Table {
-		return &p4.Table{
-			Name: name,
-			Keys: []p4.Key{{Field: reads, Kind: p4.MatchExact, Bits: 8}},
-			Actions: []*p4.Action{{
-				Name: "setf",
-				Ops:  []p4.Op{{Kind: p4.OpSetField, Dst: writes}},
-			}},
-			Size: 1,
-		}
-	}
-	cb := &p4.ControlBlock{
-		Name:   "cyclic",
-		Tables: []*p4.Table{mk("a", "meta.x", "meta.y"), mk("b", "meta.y", "meta.x")},
-		Body: []p4.Stmt{
-			p4.ApplyStmt{Table: "a"}, p4.ApplyStmt{Table: "b"}, p4.ApplyStmt{Table: "a"},
-		},
-	}
+	cb := cycleBlock()
 	tg := baseTarget()
 	tg.Blocks[asic.PipeletID{Pipeline: 0, Dir: asic.Ingress}] = cb
 	r := NewReport()

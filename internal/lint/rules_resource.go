@@ -12,7 +12,8 @@ import (
 // §3.2 warns about for sequential composition ("which may fail if the
 // pipelet does not have enough stages"). The check runs the same stage
 // allocator a deployment runs, so a clean lint pass guarantees the
-// compile step cannot fail on stage exhaustion.
+// compile step cannot fail on stage exhaustion. Inside a staged build
+// it reads the allocation stage's own plan (Target.Plans).
 type stageBudgetRule struct{}
 
 func (stageBudgetRule) ID() string    { return RuleStageBudget }
@@ -25,7 +26,7 @@ func (stageBudgetRule) Check(t *Target, r *Report) {
 		if block == nil {
 			continue
 		}
-		plan, err := compiler.Allocate(block, budget)
+		plan, err := t.planFor(pl, block)
 		if err != nil {
 			// Distinguish "needs more stages" from structural failures:
 			// re-allocate with an unlimited budget to learn the true
@@ -74,7 +75,7 @@ func (tableDepsRule) Check(t *Target, r *Report) {
 		if block == nil {
 			continue
 		}
-		deps, err := block.Deps()
+		deps, err := t.depsFor(pl, block)
 		if err != nil {
 			r.Add(Finding{
 				Rule:     RuleTableDeps,

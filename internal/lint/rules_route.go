@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"dejavu/internal/asic"
@@ -129,7 +130,16 @@ func (branchingRule) Check(t *Target, r *Report) {
 		if !ok {
 			continue
 		}
-		for path, idx := range ps.StampedPaths() {
+		// In path order: findings of one NF tie in the report's sort,
+		// so the emission order is the printed order.
+		paths := ps.StampedPaths()
+		order := make([]uint16, 0, len(paths))
+		for path := range paths {
+			order = append(order, path)
+		}
+		sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+		for _, path := range order {
+			idx := paths[path]
 			stamped[path] = true
 			ch, exists := chains[path]
 			if !exists {

@@ -146,43 +146,69 @@ func (cb *ControlBlock) GatewayCount() int {
 // match dependency). Pure control nesting without data overlap yields
 // successor dependencies, which permit same-stage placement through
 // predication.
+//
+// Each application site's read and write sets are built once; the
+// pairwise pass only tests membership.
 func (cb *ControlBlock) Deps() ([]Dep, error) {
 	var apps []appliedTable
 	if err := cb.linearize(cb.Body, nil, &apps); err != nil {
 		return nil, err
 	}
+	sites := make([]depSite, len(apps))
+	for i, a := range apps {
+		sites[i] = newDepSite(a)
+	}
 	var deps []Dep
-	for i := 0; i < len(apps); i++ {
-		for j := i + 1; j < len(apps); j++ {
-			a, b := apps[i], apps[j]
-			if a.table.Name == b.table.Name {
+	for i, a := range sites {
+		for _, b := range sites[i+1:] {
+			if a.name == b.name {
 				continue
 			}
-			kind := classifyGuarded(a, b)
+			kind := a.classify(b)
 			if kind == DepNone {
 				continue
 			}
-			deps = append(deps, Dep{From: a.table.Name, To: b.table.Name, Kind: kind})
+			deps = append(deps, Dep{From: a.name, To: b.name, Kind: kind})
 		}
 	}
 	SortDeps(deps)
 	return dedupDeps(deps), nil
 }
 
-// classifyGuarded extends Classify with guard-read fields.
-func classifyGuarded(a, b appliedTable) DepKind {
-	aw := refSet(a.table.WriteSet())
-	reads := b.table.ReadSet()
-	for _, g := range b.guards {
+// depSite is one application site as the dependency analysis sees it.
+type depSite struct {
+	name    string
+	reads   []FieldRef // table reads plus the reads of every guard above it
+	writes  []FieldRef
+	written map[FieldRef]bool // writes, for membership tests
+	guarded bool
+}
+
+func newDepSite(a appliedTable) depSite {
+	reads := a.table.ReadSet()
+	for _, g := range a.guards {
 		reads = append(reads, g.Reads()...)
 	}
-	for _, r := range reads {
-		if aw[r] {
+	writes := a.table.WriteSet()
+	return depSite{
+		name:    a.table.Name,
+		reads:   reads,
+		writes:  writes,
+		written: refSet(writes),
+		guarded: len(a.guards) > 0,
+	}
+}
+
+// classify extends Classify with guard-read fields: the strictest
+// dependency from the earlier site a to the later site b.
+func (a depSite) classify(b depSite) DepKind {
+	for _, r := range b.reads {
+		if a.written[r] {
 			return DepMatch
 		}
 	}
-	for _, r := range b.table.WriteSet() {
-		if aw[r] {
+	for _, w := range b.writes {
+		if a.written[w] {
 			return DepAction
 		}
 	}
@@ -190,7 +216,7 @@ func classifyGuarded(a, b appliedTable) DepKind {
 	// differs from a's guard prefix (b's execution depends on control
 	// flow a participates in). A conservative but useful rule: any
 	// guarded pair is successor-dependent.
-	if len(b.guards) > 0 {
+	if b.guarded {
 		return DepSuccessor
 	}
 	return DepNone

@@ -1,10 +1,13 @@
 package pipeline
 
 import (
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 
 	"dejavu/internal/compose"
+	"dejavu/internal/nf"
 )
 
 // Cache holds the per-stage artifacts of previous builds, keyed by
@@ -21,6 +24,14 @@ type Cache struct {
 	// cell) so cached pipelet programs — whose closures captured that
 	// state — remain valid under the new generation.
 	prev *compose.Composer
+	// fps remembers the fingerprint of every NF object of the last
+	// build's nf.List, so a build re-emits and hashes only the NFs it
+	// has not seen. Sound for the reason nfFingerprint gives: the cache
+	// never outlives its NF objects, and an NF's Block() and Parser()
+	// are fixed programs that run-time table writes do not alter. Each
+	// build replaces the map with one over its own list, so it is
+	// bounded by that list and never pins a retired NF.
+	fps map[nf.NF]string
 }
 
 type cacheEntry struct {
@@ -68,11 +79,50 @@ func (c *Cache) Clone() *Cache {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := &Cache{entries: make(map[string]cacheEntry, len(c.entries)), prev: c.prev}
+	out := &Cache{
+		entries: make(map[string]cacheEntry, len(c.entries)),
+		prev:    c.prev,
+		fps:     make(map[nf.NF]string, len(c.fps)),
+	}
 	for k, v := range c.entries {
 		out.entries[k] = v
 	}
+	for k, v := range c.fps {
+		out.fps[k] = v
+	}
 	return out
+}
+
+// fingerprints returns every NF's fingerprint by name plus a sorted
+// combined rendering (the placement-optimizer hash input), computing
+// only those the cache does not remember for the same NF object.
+func (c *Cache) fingerprints(nfs nf.List) (map[string]string, string) {
+	var known map[nf.NF]string
+	if c != nil {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		known, c.fps = c.fps, make(map[nf.NF]string, len(nfs))
+	}
+	fps := make(map[string]string, len(nfs))
+	list := make([]string, 0, len(nfs))
+	for _, f := range nfs {
+		// Only an NF of a comparable dynamic type can key the memo.
+		keyed := c != nil && reflect.TypeOf(f).Comparable()
+		fp, ok := "", false
+		if keyed {
+			fp, ok = known[f]
+		}
+		if !ok {
+			fp = nfFingerprint(f)
+		}
+		if keyed {
+			c.fps[f] = fp
+		}
+		fps[f.Name()] = fp
+		list = append(list, f.Name()+"="+fp)
+	}
+	sort.Strings(list)
+	return fps, strings.Join(list, ",")
 }
 
 // dropPrefix evicts every entry whose stage name starts with the

@@ -105,20 +105,6 @@ func nfFingerprint(f nf.NF) string {
 	return hashOf(f.Name(), ctl, par)
 }
 
-// fingerprints computes every NF's fingerprint plus a sorted combined
-// rendering (the placement-optimizer hash input).
-func fingerprints(nfs nf.List) (map[string]string, string) {
-	fps := make(map[string]string, len(nfs))
-	list := make([]string, 0, len(nfs))
-	for _, f := range nfs {
-		fp := nfFingerprint(f)
-		fps[f.Name()] = fp
-		list = append(list, f.Name()+"="+fp)
-	}
-	sort.Strings(list)
-	return fps, strings.Join(list, ",")
-}
-
 // chainEntriesOf counts (pathID, serviceIndex) pairs across the chain
 // set — the only property of the chains a pipelet's control block
 // depends on (framework table sizing), mirroring the composer's own

@@ -204,7 +204,7 @@ func Build(in Inputs, cache *Cache) (*Result, error) {
 			res.Info.CacheMisses++
 		}
 	}
-	fps, fpAll := fingerprints(in.NFs)
+	fps, fpAll := cache.fingerprints(in.NFs)
 
 	// Stage: parser-merge. The generic parser depends on the NFs the
 	// chains use, in first-seen chain order (§3).
@@ -414,8 +414,10 @@ func Build(in Inputs, cache *Cache) (*Result, error) {
 	}
 
 	// Stage: lint. Block-scoped findings (DV001/DV002) are cached by
-	// block hash; global rules are cheap and re-run every build. The
-	// merged, sorted report equals a full lint.AnalyzeDeployment run.
+	// block hash and, on a miss, read the allocation stage's plan and
+	// the dependency graph it carries instead of deriving their own;
+	// global rules are cheap and re-run every build. The merged, sorted
+	// report equals a full lint.AnalyzeDeployment run.
 	start = time.Now()
 	enter := 0
 	if pl, ok := placement.Of(compose.ClassifierNF); ok && pl.Dir == asic.Ingress {
@@ -439,6 +441,7 @@ func Build(in Inputs, cache *Cache) (*Result, error) {
 				Prof: in.Prof, Chains: in.Chains, Placement: placement,
 				NFs: in.NFs, Branching: comp.Branching, Enter: enter,
 				Blocks: map[asic.PipeletID]*p4.ControlBlock{pl: blocks[pl]},
+				Plans:  plans,
 			}
 			findings = lint.AnalyzeTarget(single, lint.BlockRules()).Findings
 			cache.store("lint/"+pl.String(), lh, findings)

@@ -1,6 +1,9 @@
 package pipeline
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"dejavu/internal/route"
@@ -118,49 +121,103 @@ func TestChainChurnSkipsStages(t *testing.T) {
 	}
 }
 
+// assertSameBuild fails unless the cached build is indistinguishable
+// from the from-scratch one: table program, placement and cost, lint
+// findings, every pipelet's table-to-stage map, traversals and the
+// content hash of every stage.
+func assertSameBuild(t *testing.T, step string, incr, fresh *Result) {
+	t.Helper()
+	if incr.Program.String() != fresh.Program.String() {
+		t.Errorf("%s: programs differ:\nincremental:\n%s\nfresh:\n%s",
+			step, incr.Program.String(), fresh.Program.String())
+	}
+	if canonPlacement(incr.Placement) != canonPlacement(fresh.Placement) {
+		t.Errorf("%s: placements differ", step)
+	}
+	if incr.Cost != fresh.Cost {
+		t.Errorf("%s: costs differ: %+v vs %+v", step, incr.Cost, fresh.Cost)
+	}
+	if ib, fb := incr.Composer.Branching.BranchingEntries(), fresh.Composer.Branching.BranchingEntries(); ib != fb {
+		t.Errorf("%s: branching entries differ: %d vs %d", step, ib, fb)
+	}
+	if il, fl := incr.Lint.String(), fresh.Lint.String(); il != fl {
+		t.Errorf("%s: lint reports differ:\nincremental:\n%s\nfresh:\n%s", step, il, fl)
+	}
+	if len(incr.Plans) != len(fresh.Plans) {
+		t.Fatalf("%s: %d plans vs %d", step, len(incr.Plans), len(fresh.Plans))
+	}
+	for pl, plan := range fresh.Plans {
+		if got := incr.Plans[pl]; got == nil || !reflect.DeepEqual(got.TableStage, plan.TableStage) {
+			t.Errorf("%s: pipelet %s allocated differently", step, pl)
+		}
+	}
+	if !reflect.DeepEqual(incr.Traversals, fresh.Traversals) {
+		t.Errorf("%s: traversals differ", step)
+	}
+	if len(incr.Info.Stages) != len(fresh.Info.Stages) {
+		t.Fatalf("%s: stage counts differ", step)
+	}
+	for i, st := range fresh.Info.Stages {
+		if got := incr.Info.Stages[i]; got.Name != st.Name || got.Hash != st.Hash {
+			t.Errorf("%s: stage %s hash %s, fresh build has %s %s", step, got.Name, got.Hash, st.Name, st.Hash)
+		}
+	}
+}
+
 // TestIncrementalEquivalence: a build served partly from cache must be
-// byte-identical — table program, placement, branching size, lint
-// report — to a from-scratch build of the same inputs.
+// byte-identical to a from-scratch build of the same inputs — after one
+// chain add, and at every step of a seeded random walk of chain adds,
+// removals, re-weights and no-ops over one long-lived cache.
 func TestIncrementalEquivalence(t *testing.T) {
 	in := scenarioInputs(t)
 	cache := NewCache()
 	if _, err := Build(in, cache); err != nil {
 		t.Fatal(err)
 	}
-	grown := in
-	grown.Chains = append(append([]route.Chain(nil), in.Chains...), extraChain(in))
+	both := func(step string) {
+		t.Helper()
+		incr, err := Build(in, cache)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		fresh, err := Build(in, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		assertSameBuild(t, step, incr, fresh)
+	}
+	templates := append([]route.Chain(nil), in.Chains...)
+	in.Chains = append(append([]route.Chain(nil), in.Chains...), extraChain(in))
+	both("chain add")
 
-	incr, err := Build(grown, cache)
-	if err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(1))
+	ops := map[string]int{}
+	for step, nextID := 0, uint16(100); step < 60; step++ {
+		chains := append([]route.Chain(nil), in.Chains...)
+		op := [...]string{"add", "remove", "reweight", "noop"}[rng.Intn(4)]
+		switch {
+		case op == "add" && len(chains) < 8:
+			tmpl := templates[rng.Intn(len(templates))]
+			chains = append(chains, route.Chain{
+				PathID: nextID, NFs: append([]string(nil), tmpl.NFs...),
+				Weight: 0.05 + rng.Float64(), ExitPipeline: tmpl.ExitPipeline,
+			})
+			nextID++
+		case op == "remove" && len(chains) > 1:
+			i := rng.Intn(len(chains))
+			chains = append(chains[:i], chains[i+1:]...)
+		case op == "reweight":
+			chains[rng.Intn(len(chains))].Weight = 0.05 + rng.Float64()
+		default:
+			op = "noop"
+		}
+		ops[op]++
+		in.Chains = chains
+		both(fmt.Sprintf("step %d (%s, %d chains)", step, op, len(chains)))
 	}
-	fresh, err := Build(grown, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if incr.Program.String() != fresh.Program.String() {
-		t.Errorf("programs differ:\nincremental:\n%s\nfresh:\n%s",
-			incr.Program.String(), fresh.Program.String())
-	}
-	if canonPlacement(incr.Placement) != canonPlacement(fresh.Placement) {
-		t.Error("placements differ")
-	}
-	if incr.Cost != fresh.Cost {
-		t.Errorf("costs differ: %+v vs %+v", incr.Cost, fresh.Cost)
-	}
-	if ib, fb := incr.Composer.Branching.BranchingEntries(), fresh.Composer.Branching.BranchingEntries(); ib != fb {
-		t.Errorf("branching entries differ: %d vs %d", ib, fb)
-	}
-	if il, fl := len(incr.Lint.Findings), len(fresh.Lint.Findings); il != fl {
-		t.Errorf("lint reports differ: %d vs %d findings", il, fl)
-	}
-	if len(incr.Traversals) != len(fresh.Traversals) {
-		t.Fatalf("traversal counts differ")
-	}
-	for i := range incr.Traversals {
-		if incr.Traversals[i].Path() != fresh.Traversals[i].Path() {
-			t.Errorf("chain %d traversal differs", i)
+	for _, op := range []string{"add", "remove", "reweight", "noop"} {
+		if ops[op] == 0 {
+			t.Errorf("the walk never took a %s step", op)
 		}
 	}
 }
