@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint vet check bench bench-chain bench-apply bench-pktpath bench-build fabric-chaos fabricplace fmt doccheck
+.PHONY: build test race lint vet check bench bench-chain bench-apply bench-pktpath bench-build fabric-chaos fabricplace fmt doccheck loc
 
 build:
 	$(GO) build ./...
@@ -85,12 +85,13 @@ fabric-chaos: build
 	done
 
 # Topology-aware placement gate (DESIGN.md §14): placement engine and
-# per-chain reconciler convergence tests under the race detector, then
-# the dvexp comparison table, which itself errors if the cost-based
-# placer ever scores worse than the lex-path baseline or no row wins
-# strictly via a branching placement.
+# per-chain reconciler convergence tests under the race detector —
+# TestPlace* includes the placement-contract property test over 3 000
+# seeded random fabrics — then the dvexp comparison table, which itself
+# errors if the adopted plan ever scores worse than the lex-path
+# candidate or no row wins strictly via a branching placement.
 fabricplace: build
-	$(GO) test -race -run 'TestPlace|TestReconciler|TestFabricPlace' ./internal/fabricplace/ ./internal/cluster/ ./internal/experiments/
+	$(GO) test -race -run 'TestPlace|TestGreedySegment|TestReconciler|TestPlan|TestFlapLink|TestFabricPlace' ./internal/fabricplace/ ./internal/cluster/ ./internal/experiments/
 	$(GO) run ./cmd/dvexp -exp fabricplace
 
 fmt:
@@ -109,3 +110,10 @@ doccheck:
 	if [ $$fail -ne 0 ]; then exit 1; fi; \
 	echo "package comments: all internal packages documented"
 	$(GO) test -run 'TestDocs' .
+
+# Non-test Go lines (ROADMAP aim 2: every PR reports its non-test line
+# delta) for internal/, cmd/ and the whole module outside bench/.
+# Analyzer fixtures under testdata/ are test inputs and are not counted.
+loc:
+	@count() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './bench/*' -print0 | xargs -0 cat | wc -l; }; \
+	printf '%-22s %6d\n' 'internal/' $$(count internal) 'cmd/' $$(count cmd) 'module outside bench/' $$(count .)

@@ -399,23 +399,16 @@ func BenchmarkAnnealBudget(b *testing.B) {
 // Multi-switch fabric datapath: packets crossing a 2-switch wire.
 func BenchmarkFabricCrossSwitch(b *testing.B) {
 	s := scenario.MustNew()
-	f, err := cluster.NewFabric(s.Prof, 2)
+	f, err := cluster.NewSpineFabric(s.Prof, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ing0 := asic.PipeletID{Pipeline: 0, Dir: asic.Ingress}
-	p0 := route.NewPlacement()
-	p0.Assign("classifier", ing0)
-	p0.Assign("fw", ing0)
-	p1 := route.NewPlacement()
-	p1.Assign("vgw", ing0)
-	p1.Assign("lb", ing0)
-	p1.Assign("router", ing0)
-	if _, err := cluster.DeploySegments(f, s.Chains, s.NFs,
-		[][]string{{"classifier", "fw"}, {"vgw", "lb", "router"}},
-		[]*route.Placement{p0, p1},
-		[]asic.PortID{10},
-	); err != nil {
+	fd, err := cluster.NewFabricDeployment(f, s.Chains, s.NFs, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fd.Pins = map[string]int{"classifier": 0, "fw": 0, "vgw": 1, "lb": 1, "router": 1}
+	if _, err := cluster.NewReconciler(fd).Reconcile(); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

@@ -1,3 +1,18 @@
+// Package cluster implements the paper's §7 multi-switch extension:
+// "multiple switches can be chained back-to-back to provide the same
+// bandwidth of a single switch but with manyfold more MAU stages."
+// Placement across switches gains stage capacity at the cost of
+// off-chip hops between switches. There is one way to do it: wire a
+// Fabric of behavioural switches (Connect, NewSpineFabric), describe
+// the chain set as a FabricDeployment (optionally pinning NFs to home
+// switches), and Reconcile. Every round asks fabricplace.Place for
+// per-chain routes over the fabric's current health, anneals each
+// switch's share of the chains onto its pipelets, and reprograms exactly
+// the switches whose programs changed, through per-switch transactions.
+// FabricDeployment.Plan is the same computation without the install —
+// the dry run, and the §7 "does it fit, at what latency" model with the
+// latency numbers the paper derives from its off-chip recirculation
+// measurement.
 package cluster
 
 import (
@@ -7,12 +22,9 @@ import (
 	"time"
 
 	"dejavu/internal/asic"
-	"dejavu/internal/compose"
 	"dejavu/internal/fabricplace"
 	"dejavu/internal/fifo"
-	"dejavu/internal/nf"
 	"dejavu/internal/packet"
-	"dejavu/internal/route"
 )
 
 // Health is the operational state of a fabric element — a switch or a
@@ -100,6 +112,28 @@ func NewFabric(prof asic.Profile, n int) (*Fabric, error) {
 	}
 	for i := 0; i < n; i++ {
 		f.Switches = append(f.Switches, asic.New(prof))
+	}
+	return f, nil
+}
+
+// NewSpineFabric creates n switches wired as a linear spine 0->1->...
+// on port 10 with skip wires i->i+2 on port 11, so any single switch
+// death leaves a path from the entry: the topology of `dejavu
+// fabricchaos` and of an intent's `fabric` section.
+func NewSpineFabric(prof asic.Profile, n int) (*Fabric, error) {
+	f, err := NewFabric(prof, n)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < n-1; i++ {
+		if err := f.Connect(i, 10, i+1, 10); err != nil {
+			return nil, err
+		}
+	}
+	for i := 0; i < n-2; i++ {
+		if err := f.Connect(i, 11, i+2, 11); err != nil {
+			return nil, err
+		}
 	}
 	return f, nil
 }
@@ -374,103 +408,6 @@ func (f *Fabric) Inject(sw int, port asic.PortID, pkt *packet.Parsed) (*FabricTr
 		}
 	}
 	return ft, nil
-}
-
-// SegmentedDeployment is a chain set deployed across a linear fabric.
-type SegmentedDeployment struct {
-	Fabric    *Fabric
-	Composers []*compose.Composer
-	// Segments[s] lists the NF names hosted on switch s.
-	Segments [][]string
-}
-
-// DeploySegments composes and installs a chain set whose NFs are
-// pre-assigned to switches (segments must be chain-consecutive: a
-// chain's NFs may only move forward through the fabric). Each switch
-// gets the full chain definitions — the service index carried in the
-// SFC header provides continuity — plus remote-forwarding entries for
-// NFs hosted downstream, wired through per-pair connection ports.
-//
-// placements[s] assigns switch s's segment NFs to its pipelets;
-// wirePorts[s] is the local egress port of switch s wired to switch
-// s+1 (ingress arrives on the same port number by convention).
-func DeploySegments(
-	f *Fabric,
-	chains []route.Chain,
-	nfs nf.List,
-	segments [][]string,
-	placements []*route.Placement,
-	wirePorts []asic.PortID,
-) (*SegmentedDeployment, error) {
-	n := len(f.Switches)
-	if len(segments) != n || len(placements) != n {
-		return nil, fmt.Errorf("cluster: need %d segments and placements", n)
-	}
-	if len(wirePorts) < n-1 {
-		return nil, fmt.Errorf("cluster: need %d wire ports", n-1)
-	}
-	// Which switch hosts each NF.
-	home := make(map[string]int)
-	for s, seg := range segments {
-		for _, name := range seg {
-			if prev, dup := home[name]; dup {
-				return nil, fmt.Errorf("cluster: NF %q in segments %d and %d", name, prev, s)
-			}
-			home[name] = s
-		}
-	}
-	// Chains must move forward through the fabric: within each chain,
-	// the hosting switch index may never decrease.
-	for _, c := range chains {
-		prev := 0
-		for _, name := range c.NFs {
-			h, ok := home[name]
-			if !ok {
-				return nil, fmt.Errorf("cluster: NF %q of chain %d not in any segment", name, c.PathID)
-			}
-			if h < prev {
-				return nil, fmt.Errorf(
-					"cluster: chain %d visits NF %q on switch %d after switch %d (segments must be chain-consecutive)",
-					c.PathID, name, h, prev)
-			}
-			prev = h
-		}
-	}
-	// Wire the fabric.
-	for s := 0; s < n-1; s++ {
-		if err := f.Connect(s, wirePorts[s], s+1, wirePorts[s]); err != nil {
-			return nil, err
-		}
-	}
-
-	dep := &SegmentedDeployment{Fabric: f, Segments: segments}
-	for s := 0; s < n; s++ {
-		placement := placements[s].Clone()
-		for name, h := range home {
-			if h != s {
-				placement.AssignRemote(name)
-			}
-		}
-		comp, err := compose.New(f.Prof, chains, placement, nfs)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: switch %d: %w", s, err)
-		}
-		// Downstream NFs forward through this switch's wire port.
-		for name, h := range home {
-			if h > s {
-				comp.Branching.SetRemote(name, wirePorts[s])
-			}
-		}
-		built, err := comp.Build()
-		if err != nil {
-			return nil, err
-		}
-		if err := built.InstallOn(f.Switches[s]); err != nil {
-			return nil, err
-		}
-		dep.Composers = append(dep.Composers, comp)
-	}
-	return dep, nil
 }
 
 // PlacementGraph projects the fabric's current health onto the

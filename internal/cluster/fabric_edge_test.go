@@ -119,11 +119,14 @@ func TestFabricHopLimitBreaksWiringLoop(t *testing.T) {
 }
 
 // FuzzFabricInject drives arbitrary traffic kinds and injection ports
-// through the 2-switch segmented deployment and checks FabricTrace
+// through the pinned 2-switch deployment and checks FabricTrace
 // self-consistency: every packet is delivered, punted or attributably
 // dropped (never both delivered and dropped, never silently vanished),
-// exits happen only on unwired ports, and Hops/Latency agree.
+// exits happen only on unwired ports, and Hops/Latency agree. The
+// deployment is reconciled once per process; punts are drained unserved
+// after every input, so no input sees state an earlier one left behind.
 func FuzzFabricInject(f *testing.F) {
+	s, fab, _ := deployAcrossTwoSwitches(f)
 	f.Add(uint8(0), uint16(443), uint16(scenario.PortClient))
 	f.Add(uint8(0), uint16(22), uint16(scenario.PortClient))
 	f.Add(uint8(1), uint16(0), uint16(scenario.PortClient))
@@ -132,7 +135,11 @@ func FuzzFabricInject(f *testing.F) {
 	f.Add(uint8(2), uint16(80), uint16(999))
 
 	f.Fuzz(func(t *testing.T, kind uint8, dport uint16, inPort uint16) {
-		s, fab, _ := deployAcrossTwoSwitches(t)
+		defer func() {
+			for _, sw := range fab.Switches {
+				sw.DrainCPU()
+			}
+		}()
 		var pkt *packet.Parsed
 		switch kind % 3 {
 		case 0:

@@ -4,46 +4,38 @@ import (
 	"testing"
 
 	"dejavu/internal/asic"
-	"dejavu/internal/ctl"
 	"dejavu/internal/packet"
-	"dejavu/internal/route"
 	"dejavu/internal/scenario"
 )
 
 const wirePort = asic.PortID(10)
 
-// deployAcrossTwoSwitches splits the §5 chain over a 2-switch fabric:
+// deployAcrossTwoSwitches pins the §5 chain over a 2-switch fabric:
 // switch 0 hosts classifier+fw, switch 1 hosts vgw+lb+router.
-func deployAcrossTwoSwitches(t *testing.T) (*scenario.Scenario, *Fabric, *SegmentedDeployment) {
+func deployAcrossTwoSwitches(t testing.TB) (*scenario.Scenario, *Fabric, *FabricDeployment) {
 	t.Helper()
 	s := scenario.MustNew()
-	f, err := NewFabric(s.Prof, 2)
+	f, err := NewSpineFabric(s.Prof, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ing0 := asic.PipeletID{Pipeline: 0, Dir: asic.Ingress}
-	p0 := route.NewPlacement()
-	p0.Assign("classifier", ing0)
-	p0.Assign("fw", ing0)
-	p1 := route.NewPlacement()
-	p1.Assign("vgw", ing0)
-	p1.Assign("lb", ing0)
-	p1.Assign("router", ing0)
-
-	dep, err := DeploySegments(
-		f, s.Chains, s.NFs,
-		[][]string{{"classifier", "fw"}, {"vgw", "lb", "router"}},
-		[]*route.Placement{p0, p1},
-		[]asic.PortID{wirePort},
-	)
+	fd, err := NewFabricDeployment(f, s.Chains, s.NFs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, f, dep
+	fd.Pins = map[string]int{"classifier": 0, "fw": 0, "vgw": 1, "lb": 1, "router": 1}
+	rep, err := NewReconciler(fd).Reconcile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Blackholed) != 0 {
+		t.Fatalf("pinned deployment blackholed %v", rep.Blackholed)
+	}
+	return s, f, fd
 }
 
 func TestFabricFullPathAcrossSwitches(t *testing.T) {
-	s, f, _ := deployAcrossTwoSwitches(t)
+	s, f, fd := deployAcrossTwoSwitches(t)
 
 	// First VIP packet: classifier+fw on switch 0, wire hop, LB miss on
 	// switch 1.
@@ -59,8 +51,7 @@ func TestFabricFullPathAcrossSwitches(t *testing.T) {
 	}
 
 	// Service the punt with switch 1's controller, then resend.
-	ctrl := ctl.New(f.Switches[1], s.NFs)
-	if _, err := ctrl.Poll(); err != nil {
+	if _, err := fd.Controllers[1].Poll(); err != nil {
 		t.Fatal(err)
 	}
 	if s.LB.Sessions() != 1 {
@@ -160,63 +151,52 @@ func TestFabricValidation(t *testing.T) {
 	}
 }
 
-func TestDeploySegmentsValidation(t *testing.T) {
+// Pins that would pull a chain back against the only wire's direction
+// are a placement outcome, not a deploy error: every chain is reported
+// blackholed with a reason and nothing is delivered.
+func TestPinsAgainstTheWireBlackhole(t *testing.T) {
 	s := scenario.MustNew()
-	ing0 := asic.PipeletID{Pipeline: 0, Dir: asic.Ingress}
-
-	// Backwards segmentation: router upstream of classifier.
-	f, _ := NewFabric(s.Prof, 2)
-	pA := route.NewPlacement()
-	pA.Assign("vgw", ing0)
-	pA.Assign("lb", ing0)
-	pA.Assign("router", ing0)
-	pB := route.NewPlacement()
-	pB.Assign("classifier", ing0)
-	pB.Assign("fw", ing0)
-	if _, err := DeploySegments(f, s.Chains, s.NFs,
-		[][]string{{"vgw", "lb", "router"}, {"classifier", "fw"}},
-		[]*route.Placement{pA, pB},
-		[]asic.PortID{wirePort},
-	); err == nil {
-		t.Error("backwards segmentation accepted")
+	f, err := NewSpineFabric(s.Prof, 2) // one wire, 0 -> 1
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Missing NF.
-	f2, _ := NewFabric(s.Prof, 2)
-	if _, err := DeploySegments(f2, s.Chains, s.NFs,
-		[][]string{{"classifier"}, {"vgw", "lb", "router"}},
-		[]*route.Placement{route.NewPlacement(), route.NewPlacement()},
-		[]asic.PortID{wirePort},
-	); err == nil {
-		t.Error("segmentation missing fw accepted")
+	fd, err := NewFabricDeployment(f, s.Chains, s.NFs, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Wrong arity.
-	f3, _ := NewFabric(s.Prof, 2)
-	if _, err := DeploySegments(f3, s.Chains, s.NFs,
-		[][]string{{"classifier"}},
-		[]*route.Placement{route.NewPlacement()},
-		nil,
-	); err == nil {
-		t.Error("wrong segment arity accepted")
+	fd.Pins = map[string]int{"classifier": 1, "fw": 1, "vgw": 0, "lb": 0, "router": 0}
+	rep, err := NewReconciler(fd).Reconcile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Blackholed) != len(s.Chains) || len(fd.Routes) != 0 {
+		t.Fatalf("backwards pins placed: routes %v, blackholed %v", fd.Routes, rep.Blackholed)
+	}
+	for id, reason := range rep.Blackholed {
+		if reason == "" {
+			t.Errorf("chain %d blackholed without a reason", id)
+		}
+	}
+	if got := probeAll(t, f); got != 0 {
+		t.Errorf("%d path(s) delivered through an unplaceable deployment", got)
 	}
 }
 
 func TestFabricTelemetrySplit(t *testing.T) {
-	_, f, dep := deployAcrossTwoSwitches(t)
+	_, f, fd := deployAcrossTwoSwitches(t)
 	for i := 0; i < 4; i++ {
 		if _, err := f.Inject(0, scenario.PortClient, scenario.InternetBound()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Classifier executions counted on switch 0, router on switch 1.
-	if got := dep.Composers[0].Telemetry().NFExecutions("classifier"); got != 4 {
+	if got := fd.composed[0].Composer.Telemetry().NFExecutions("classifier"); got != 4 {
 		t.Errorf("switch 0 classifier executions = %d", got)
 	}
-	if got := dep.Composers[1].Telemetry().NFExecutions("router"); got != 4 {
+	if got := fd.composed[1].Composer.Telemetry().NFExecutions("router"); got != 4 {
 		t.Errorf("switch 1 router executions = %d", got)
 	}
-	if got := dep.Composers[0].Telemetry().NFExecutions("router"); got != 0 {
+	if got := fd.composed[0].Composer.Telemetry().NFExecutions("router"); got != 0 {
 		t.Errorf("router ran on switch 0: %d", got)
 	}
 }

@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"time"
 
 	"dejavu/internal/asic"
 	"dejavu/internal/compose"
@@ -199,17 +202,56 @@ func chainsEqual(a, b []route.Chain) bool {
 	return true
 }
 
+// PlanReport is the outcome of a dry-run placement.
+type PlanReport struct {
+	// Switches lists every switch the plan uses (hosting or transit),
+	// ascending.
+	Switches []int
+	// Routes is the per-chain route map; Blackholed maps the chains that
+	// cannot be placed to the reason.
+	Routes     map[uint16]ChainRoute
+	Blackholed map[uint16]string
+	// Latency is the weighted end-to-end latency estimate for one packet
+	// (§7): a port-to-port traversal of every switch in use, each
+	// switch's weighted on-chip recirculations, and the weighted
+	// inter-switch hops at the off-chip DAC latency of Fig. 8(b).
+	Latency time.Duration
+}
+
 // Plan computes the desired placement over the current topology health
 // without touching any switch: the switches that would carry programs,
 // the per-chain routes and the chains that would be blackholed. It is
-// the fabric-mode dry run behind `dejavu apply -dry-run`.
-func (fd *FabricDeployment) Plan() (switches []int, routes map[uint16]ChainRoute, blackholed map[uint16]string) {
+// the fabric-mode dry run behind `dejavu apply -dry-run`, and fails
+// exactly when Reconcile's planning would.
+func (fd *FabricDeployment) Plan() (*PlanReport, error) {
 	p := fd.desired()
-	routes = make(map[uint16]ChainRoute, len(p.routes))
-	for id, r := range p.routes {
-		routes[id] = r
+	if p.err != nil {
+		return nil, p.err
 	}
-	return append([]int(nil), p.switches...), routes, p.dropped
+	prof := fd.Fabric.Prof
+	var totalW, crossings float64
+	for _, c := range p.active {
+		w := c.Weight
+		if w == 0 {
+			w = 1
+		}
+		totalW += w
+		crossings += w * float64(p.routes[c.PathID].CrossHops)
+	}
+	var lat time.Duration
+	if totalW > 0 {
+		lat = time.Duration(crossings/totalW) * prof.RecircOffChip
+		for _, s := range p.switches {
+			recircs := time.Duration(p.perSwitch[s].WeightedRecircs / totalW)
+			lat += prof.PortToPortLatency() + recircs*(prof.PortToPortLatency()+prof.RecircOnChip)
+		}
+	}
+	return &PlanReport{
+		Switches:   p.switches,
+		Routes:     p.routes,
+		Blackholed: p.dropped,
+		Latency:    lat,
+	}, nil
 }
 
 // placeOptions derives the placement engine's options from the
@@ -234,6 +276,9 @@ type fabricPlan struct {
 	routes   map[uint16]ChainRoute
 	homes    map[string]int
 	pipelets map[string]asic.PipeletID
+	// perSwitch is each hosting switch's single-switch traversal cost
+	// under its annealed pipelet placement.
+	perSwitch map[int]route.Cost
 	// remote maps switch -> remote NF -> egress port toward its home,
 	// following the placement graph's per-destination forwarding trees.
 	remote map[int]map[string]asic.PortID
@@ -252,12 +297,11 @@ type fabricPlan struct {
 // reason rather than failing the whole plan.
 func (fd *FabricDeployment) desired() *fabricPlan {
 	p := &fabricPlan{
-		routes:   make(map[uint16]ChainRoute),
-		homes:    make(map[string]int),
-		pipelets: make(map[string]asic.PipeletID),
-		remote:   make(map[int]map[string]asic.PortID),
-		sigs:     make(map[int]string),
-		dropped:  make(map[uint16]string),
+		routes:  make(map[uint16]ChainRoute),
+		homes:   make(map[string]int),
+		remote:  make(map[int]map[string]asic.PortID),
+		sigs:    make(map[int]string),
+		dropped: make(map[uint16]string),
 	}
 	if fd.Fabric.SwitchHealth(0) == HealthDead {
 		for _, c := range fd.Chains {
@@ -301,7 +345,7 @@ func (fd *FabricDeployment) desired() *fabricPlan {
 	// keeps the single SetRemote slot per NF per switch globally
 	// consistent even when chains branch over different subsets.
 	for _, s := range p.switches {
-		for _, n := range sortedNames(p.homes) {
+		for _, n := range SortedKeys(p.homes) {
 			h := p.homes[n]
 			if h == s {
 				continue
@@ -315,43 +359,9 @@ func (fd *FabricDeployment) desired() *fabricPlan {
 		}
 	}
 
-	// Optimize each switch's sub-chains (consecutive same-home runs)
-	// with the single-switch placer, seeded per switch.
-	bySwitch := make(map[int][]route.Chain)
-	for _, c := range p.active {
-		r := p.routes[c.PathID]
-		runIdx := 0
-		for pos, seg := range r.Segments {
-			if len(seg) == 0 {
-				continue
-			}
-			sub := route.Chain{
-				PathID:       c.PathID*16 + uint16(runIdx) + 1,
-				NFs:          seg,
-				Weight:       c.Weight,
-				ExitPipeline: 0,
-			}
-			runIdx++
-			bySwitch[r.Path[pos]] = append(bySwitch[r.Path[pos]], sub)
-		}
-	}
-	for _, s := range p.switches {
-		subs := bySwitch[s]
-		if len(subs) == 0 {
-			continue
-		}
-		prob := place.Problem{Prof: fd.Fabric.Prof, Chains: subs, Enter: 0, StageDemand: fd.StageDemand}
-		ares, err := place.Anneal(prob, place.AnnealOpts{Seed: int64(s + 1), Iterations: 4000})
-		if err != nil {
-			p.err = fmt.Errorf("cluster: switch %d placement: %w", s, err)
-			return p
-		}
-		for _, sub := range subs {
-			for _, n := range sub.NFs {
-				at, _ := ares.Placement.Of(n)
-				p.pipelets[n] = at
-			}
-		}
+	p.pipelets, p.perSwitch, p.err = fd.placePipelets(p)
+	if p.err != nil {
+		return p
 	}
 
 	// Program signatures: everything that determines a switch's
@@ -359,12 +369,12 @@ func (fd *FabricDeployment) desired() *fabricPlan {
 	// entries and the full active chain set.
 	for _, s := range p.switches {
 		var b strings.Builder
-		for _, n := range sortedNames(p.homes) {
+		for _, n := range SortedKeys(p.homes) {
 			if p.homes[n] == s {
 				fmt.Fprintf(&b, "L%s=%v;", n, p.pipelets[n])
 			}
 		}
-		for _, n := range sortedNames2(p.remote[s]) {
+		for _, n := range SortedKeys(p.remote[s]) {
 			fmt.Fprintf(&b, "R%s>%d;", n, p.remote[s][n])
 		}
 		for _, c := range p.active {
@@ -373,6 +383,50 @@ func (fd *FabricDeployment) desired() *fabricPlan {
 		p.sigs[s] = b.String()
 	}
 	return p
+}
+
+// placePipelets turns the plan's routes into per-switch sub-chains —
+// one per NF-executing position of each active chain's route — and
+// anneals every hosting switch's set onto its pipelets with the
+// single-switch placer, seeded per switch. It returns each NF's pipelet
+// and each switch's traversal cost.
+func (fd *FabricDeployment) placePipelets(p *fabricPlan) (map[string]asic.PipeletID, map[int]route.Cost, error) {
+	bySwitch := make(map[int][]route.Chain)
+	for _, c := range p.active {
+		r := p.routes[c.PathID]
+		runIdx := 0
+		for pos, seg := range r.Segments {
+			if len(seg) == 0 {
+				continue
+			}
+			bySwitch[r.Path[pos]] = append(bySwitch[r.Path[pos]], route.Chain{
+				PathID: c.PathID*16 + uint16(runIdx) + 1,
+				NFs:    seg,
+				Weight: c.Weight,
+			})
+			runIdx++
+		}
+	}
+	pipelets := make(map[string]asic.PipeletID)
+	perSwitch := make(map[int]route.Cost)
+	for _, s := range p.switches {
+		subs := bySwitch[s]
+		if len(subs) == 0 {
+			continue
+		}
+		prob := place.Problem{Prof: fd.Fabric.Prof, Chains: subs, Enter: 0, StageDemand: fd.StageDemand}
+		res, err := place.Anneal(prob, place.AnnealOpts{Seed: int64(s + 1), Iterations: 4000})
+		if err != nil {
+			return nil, nil, fmt.Errorf("cluster: switch %d placement: %w", s, err)
+		}
+		perSwitch[s] = res.Cost
+		for _, sub := range subs {
+			for _, n := range sub.NFs {
+				pipelets[n], _ = res.Placement.Of(n)
+			}
+		}
+	}
+	return pipelets, perSwitch, nil
 }
 
 // equalPlan reports whether the desired plan matches the installed
@@ -400,7 +454,7 @@ func (fd *FabricDeployment) equalPlan(p *fabricPlan) bool {
 // pipelets, everything else remote with per-destination forwarding.
 func (fd *FabricDeployment) composeAt(p *fabricPlan, s int) (*compose.Deployment, error) {
 	placement := route.NewPlacement()
-	for _, n := range sortedNames(p.homes) {
+	for _, n := range SortedKeys(p.homes) {
 		if p.homes[n] == s {
 			placement.Assign(n, p.pipelets[n])
 		} else {
@@ -411,7 +465,7 @@ func (fd *FabricDeployment) composeAt(p *fabricPlan, s int) (*compose.Deployment
 	if err != nil {
 		return nil, err
 	}
-	for _, n := range sortedNames2(p.remote[s]) {
+	for _, n := range SortedKeys(p.remote[s]) {
 		comp.Branching.SetRemote(n, p.remote[s][n])
 	}
 	return comp.Build()
@@ -552,7 +606,7 @@ func (r *Reconciler) Reconcile() (*ReconcileReport, error) {
 	rep.Blackholed = p.dropped
 	rep.Cost = p.cost
 	rep.Strategy = p.strategy
-	for _, id := range sortedChainIDs(p.dropped) {
+	for _, id := range SortedKeys(p.dropped) {
 		rep.Findings.Add(lint.Finding{
 			Rule: RuleFBBlackhole, Severity: lint.SevError,
 			Where:   fmt.Sprintf("chain %d", id),
@@ -560,7 +614,7 @@ func (r *Reconciler) Reconcile() (*ReconcileReport, error) {
 			Fix:     "restore fabric capacity or retire the chain",
 		})
 	}
-	for _, id := range sortedChainIDs(fd.Blackholed) {
+	for _, id := range SortedKeys(fd.Blackholed) {
 		if _, still := p.dropped[id]; !still {
 			rep.Findings.Add(lint.Finding{
 				Rule: RuleFBRestored, Severity: lint.SevInfo,
@@ -616,33 +670,13 @@ func (r *Reconciler) Reconcile() (*ReconcileReport, error) {
 	return rep, nil
 }
 
-// sortedChainIDs returns the map's keys in ascending order, for
-// deterministic finding emission.
-func sortedChainIDs(m map[uint16]string) []uint16 {
-	ids := make([]uint16, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
+// SortedKeys returns a map's keys in ascending order, for deterministic
+// iteration.
+func SortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// sortedNames returns an int-valued map's keys ascending.
-func sortedNames(m map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for n := range m {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// sortedNames2 returns a port-valued map's keys ascending.
-func sortedNames2(m map[string]asic.PortID) []string {
-	out := make([]string, 0, len(m))
-	for n := range m {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	slices.Sort(keys)
+	return keys
 }

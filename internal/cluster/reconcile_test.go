@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -25,29 +26,15 @@ func fabricDemand() map[string]int {
 	return d
 }
 
-// newTestFabric wires a 3-switch fabric with a redundant topology:
-// 0->1 and 1->2 on port 10, plus a skip wire 0->2 on port 11, so the
-// death of switch 1 leaves a 2-switch path.
+// newTestFabric wires the 3-switch spine: 0->1 and 1->2 on port 10,
+// plus a skip wire 0->2 on port 11, so the death of switch 1 leaves a
+// 2-switch path.
 func newTestFabric(t *testing.T) (*scenario.Scenario, *Fabric, *FabricDeployment, *Reconciler) {
 	t.Helper()
 	s := scenario.MustNew()
-	f, err := NewFabric(s.Prof, 3)
+	f, err := NewSpineFabric(s.Prof, 3)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, w := range []struct {
-		a  int
-		pa asic.PortID
-		b  int
-		pb asic.PortID
-	}{
-		{0, 10, 1, 10},
-		{1, 10, 2, 10},
-		{0, 11, 2, 11},
-	} {
-		if err := f.Connect(w.a, w.pa, w.b, w.pb); err != nil {
-			t.Fatal(err)
-		}
 	}
 	fd, err := NewFabricDeployment(f, s.Chains, s.NFs, fabricDemand())
 	if err != nil {
@@ -404,23 +391,9 @@ var errTest = errors.New("injected post-commit failure")
 // the other chain's exclusive switch is untouched.
 func TestReconcilerConvergesPerChain(t *testing.T) {
 	s := scenario.MustNew()
-	f, err := NewFabric(s.Prof, 3)
+	f, err := NewSpineFabric(s.Prof, 3)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, w := range []struct {
-		a  int
-		pa asic.PortID
-		b  int
-		pb asic.PortID
-	}{
-		{0, 10, 1, 10},
-		{1, 10, 2, 10},
-		{0, 11, 2, 11},
-	} {
-		if err := f.Connect(w.a, w.pa, w.b, w.pb); err != nil {
-			t.Fatal(err)
-		}
 	}
 	chains := []route.Chain{
 		{PathID: 40, NFs: []string{"fw"}, Weight: 0.5},
@@ -464,5 +437,152 @@ func TestReconcilerConvergesPerChain(t *testing.T) {
 	// entry switch's forwarding entry changed.
 	if !pathEquals(rep.Changed, 0) {
 		t.Fatalf("Changed = %v, want only the entry switch [0]", rep.Changed)
+	}
+}
+
+// The dry run fails exactly where the reconcile does: a 13-stage NF
+// fits a 48-unit switch, so the fabric placer homes it, but no 12-stage
+// pipelet. Plan used to drop the error and report three healthy routes.
+func TestPlanFailsWhereReconcileFails(t *testing.T) {
+	_, _, fd, rec := newTestFabric(t)
+	fd.StageDemand = map[string]int{"fw": 13}
+	if plan, err := fd.Plan(); err == nil || !strings.Contains(err.Error(), `cannot fit NF "fw"`) {
+		t.Fatalf("Plan: err = %v, plan %+v; want the pipelet-fit refusal", err, plan)
+	}
+	if _, err := rec.Reconcile(); err == nil || !strings.Contains(err.Error(), `cannot fit NF "fw"`) {
+		t.Fatalf("Reconcile: err = %v; want the pipelet-fit refusal", err)
+	}
+
+	fd.StageDemand = fabricDemand()
+	plan, err := fd.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := rec.Reconcile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plan.Switches, rep.Switches) || !reflect.DeepEqual(plan.Routes, rep.Routes) ||
+		len(plan.Blackholed) != 0 || len(rep.Blackholed) != 0 {
+		t.Errorf("plan %+v disagrees with the reconcile that followed: %+v", plan, rep)
+	}
+}
+
+// The §7 model through the one path: a chain that fits the entry never
+// crosses a wire; a 20-NF chain of 10-unit NFs (four to a switch) fits
+// no single switch, and over five back-to-back switches it spills
+// across all of them at four crossings, with a latency estimate that
+// covers five traversals and four DAC hops.
+func TestPlanLongChainSpillsAcrossSwitches(t *testing.T) {
+	prof := asic.Wedge100B()
+	plan := func(switches int, c route.Chain, demand map[string]int) *PlanReport {
+		t.Helper()
+		f, err := NewFabric(prof, switches)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i+1 < switches; i++ {
+			if err := f.Connect(i, wirePort, i+1, wirePort); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fd, err := NewFabricDeployment(f, []route.Chain{c}, nil, demand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := fd.Plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+
+	short := route.Chain{PathID: 1, NFs: []string{"a", "b", "c"}, Weight: 1}
+	if p := plan(2, short, nil); !pathEquals(p.Switches, 0) || p.Routes[1].CrossHops != 0 {
+		t.Errorf("3-NF chain: switches %v, %d crossings; want the entry alone", p.Switches, p.Routes[1].CrossHops)
+	}
+
+	long := route.Chain{PathID: 1, Weight: 1}
+	demand := make(map[string]int)
+	for i := 0; i < 20; i++ {
+		n := "nf" + string(rune('a'+i))
+		long.NFs = append(long.NFs, n)
+		demand[n] = 8
+	}
+	if p := plan(1, long, demand); len(p.Blackholed) != 1 || len(p.Routes) != 0 {
+		t.Errorf("20x10-unit chain on one 48-stage switch: routes %v, blackholed %v", p.Routes, p.Blackholed)
+	}
+	p := plan(5, long, demand)
+	if len(p.Blackholed) != 0 || !pathEquals(p.Switches, 0, 1, 2, 3, 4) || p.Routes[1].CrossHops != 4 {
+		t.Fatalf("five switches: blackholed %v, switches %v, %d crossings", p.Blackholed, p.Switches, p.Routes[1].CrossHops)
+	}
+	if floor := 5*prof.PortToPortLatency() + 4*prof.RecircOffChip; p.Latency < floor {
+		t.Errorf("latency %v below five traversals plus four DAC hops (%v)", p.Latency, floor)
+	}
+}
+
+// A flapping wire drops every other packet with an attributable reason,
+// shows up flaky in the placement graph and as FB002 in the reconcile
+// report, and the cost model routes around it when an equally short
+// healthy wire exists.
+func TestFlapLink(t *testing.T) {
+	_, f, fd, rec := newTestFabric(t)
+	if _, err := rec.Reconcile(); err != nil {
+		t.Fatal(err)
+	}
+	if !pathEquals(usedSwitches(fd), 0, 1) {
+		t.Fatalf("healthy switches = %v, want [0 1]", usedSwitches(fd))
+	}
+	if err := f.FlapLink(0, 12); err == nil {
+		t.Error("flapped a port with no wire")
+	}
+	if err := f.FlapLink(0, 10); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.LinkHealth(0, 10); got != HealthFlapping {
+		t.Fatalf("link health = %v", got)
+	}
+
+	// Still programmed over 0->1: packets alternate drop / deliver.
+	for i := 0; i < 4; i++ {
+		ft, err := f.Inject(0, scenario.PortClient, scenario.InternetBound())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantDrop := i%2 == 0; wantDrop != ft.Dropped {
+			t.Fatalf("packet %d: dropped = %v, want %v", i, ft.Dropped, wantDrop)
+		} else if wantDrop && (len(ft.DropReasons) != 1 || ft.DropReasons[0] != "wire 0:10 flapping") {
+			t.Fatalf("packet %d: drop reasons %v", i, ft.DropReasons)
+		}
+	}
+
+	var flaky []int
+	for _, e := range f.PlacementGraph().Edges(0) {
+		if e.Flaky {
+			flaky = append(flaky, e.To)
+		}
+	}
+	if !pathEquals(flaky, 1) {
+		t.Errorf("flaky edges out of switch 0 lead to %v, want [1]", flaky)
+	}
+
+	rep, err := rec.Reconcile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fb002 bool
+	for _, fdg := range rep.Findings.Findings {
+		if fdg.Rule == RuleFBLinkDown && fdg.Where == "wire 0:10" && strings.Contains(fdg.Message, "flapping") {
+			fb002 = true
+		}
+	}
+	if !fb002 {
+		t.Errorf("no FB002 for the flapping wire: %+v", rep.Findings.Findings)
+	}
+	if !pathEquals(usedSwitches(fd), 0, 2) {
+		t.Errorf("switches with 0->1 flapping = %v, want the healthy skip wire [0 2]", usedSwitches(fd))
+	}
+	if got := probeAll(t, f); got != 3 {
+		t.Errorf("delivered %d/3 paths around the flapping wire", got)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -172,21 +171,9 @@ func RunFabricChaos(opts FabricChaosOpts) (*FabricChaosResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := cluster.NewFabric(s.Prof, n)
+	f, err := cluster.NewSpineFabric(s.Prof, n)
 	if err != nil {
 		return nil, err
-	}
-	// Linear spine on port 10 plus skip wires on port 11: any single
-	// switch death leaves a usable path from the entry.
-	for i := 0; i < n-1; i++ {
-		if err := f.Connect(i, 10, i+1, 10); err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < n-2; i++ {
-		if err := f.Connect(i, 11, i+2, 11); err != nil {
-			return nil, err
-		}
 	}
 	fd, err := cluster.NewFabricDeployment(f, s.Chains, s.NFs, fabricStageDemand())
 	if err != nil {
@@ -320,7 +307,7 @@ func RunFabricChaos(opts FabricChaosOpts) (*FabricChaosResult, error) {
 			for _, id := range rep.Replaced {
 				replaced[id] = true
 			}
-			for _, id := range sortedRouteIDs(fd.Routes) {
+			for _, id := range cluster.SortedKeys(fd.Routes) {
 				r := fd.Routes[id]
 				tel.ObservePlacement(id, len(r.Path), r.CrossHops, replaced[id])
 			}
@@ -332,15 +319,19 @@ func RunFabricChaos(opts FabricChaosOpts) (*FabricChaosResult, error) {
 		// the surviving subgraph.
 		if !unconverged {
 			checkFabricRoutes(fd, tick, violate)
-			_, _, planBlack := fd.Plan()
-			for id := range fd.Blackholed {
-				if _, still := planBlack[id]; !still {
-					violate(tick, "chain %d stays blackholed while a feasible placement exists", id)
+			plan, err := fd.Plan()
+			if err != nil {
+				violate(tick, "plan fails on a converged fabric: %v", err)
+			} else {
+				for id := range fd.Blackholed {
+					if _, still := plan.Blackholed[id]; !still {
+						violate(tick, "chain %d stays blackholed while a feasible placement exists", id)
+					}
 				}
-			}
-			for id := range planBlack {
-				if _, have := fd.Blackholed[id]; !have {
-					violate(tick, "chain %d carries traffic but the current plan cannot place it", id)
+				for id := range plan.Blackholed {
+					if _, have := fd.Blackholed[id]; !have {
+						violate(tick, "chain %d carries traffic but the current plan cannot place it", id)
+					}
 				}
 			}
 		}
@@ -402,7 +393,7 @@ func RunFabricChaos(opts FabricChaosOpts) (*FabricChaosResult, error) {
 	res.WireLosses = len(finj.Losses())
 	res.AliveAtEnd = f.AliveSwitches()
 	res.Replacements = fd.Replacements
-	for _, id := range sortedRouteIDs(fd.Routes) {
+	for _, id := range cluster.SortedKeys(fd.Routes) {
 		r := fd.Routes[id]
 		res.Routes = append(res.Routes, ChainRouteRecord{
 			Chain: id, Path: r.Path, Segments: r.Segments, CrossHops: r.CrossHops,
@@ -425,17 +416,6 @@ func fabricExitSwitch(fd *cluster.FabricDeployment, name string) int {
 		return sw
 	}
 	return -1
-}
-
-// sortedRouteIDs returns the route map's chain IDs ascending, for
-// deterministic iteration.
-func sortedRouteIDs(m map[uint16]cluster.ChainRoute) []uint16 {
-	ids := make([]uint16, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // checkFabricRoutes audits every installed per-chain route: each

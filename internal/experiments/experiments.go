@@ -401,22 +401,33 @@ func MultiSwitch() (Table, error) {
 	}
 	chain := []route.Chain{{PathID: 1, NFs: nfs, Weight: 1, ExitPipeline: 0}}
 	for _, n := range []int{1, 2, 4} {
-		c, err := cluster.New(prof, n)
+		// n switches chained back-to-back: stage capacity multiplies,
+		// bandwidth stays a single switch's (§7).
+		fab, err := cluster.NewFabric(prof, n)
 		if err != nil {
 			return Table{}, err
 		}
-		plan, err := c.PlaceChains(chain, demand)
-		status := "fits"
-		crossings := "-"
-		lat := "-"
+		for i := 0; i+1 < n; i++ {
+			if err := fab.Connect(i, 10, i+1, 10); err != nil {
+				return Table{}, err
+			}
+		}
+		fd, err := cluster.NewFabricDeployment(fab, chain, nil, demand)
 		if err != nil {
-			status = "does not fit"
-		} else {
-			crossings = f(plan.Crossings)
+			return Table{}, err
+		}
+		plan, err := fd.Plan()
+		if err != nil {
+			return Table{}, err
+		}
+		status, crossings, lat := "does not fit", "-", "-"
+		if len(plan.Blackholed) == 0 {
+			status = "fits"
+			crossings = f(float64(plan.Routes[1].CrossHops))
 			lat = plan.Latency.String()
 		}
 		rows = append(rows, []string{
-			fmt.Sprint(n), fmt.Sprint(c.TotalStages()), f(c.Bandwidth()),
+			fmt.Sprint(n), fmt.Sprint(n * prof.TotalStages()), f(prof.CapacityGbps() / 2),
 			status, crossings, lat,
 		})
 	}
@@ -442,23 +453,16 @@ func MultiSwitch() (Table, error) {
 // drives the three SFC paths through.
 func fabricValidation() (passed, hops int, err error) {
 	s := scenario.MustNew()
-	f, err := cluster.NewFabric(s.Prof, 2)
+	f, err := cluster.NewSpineFabric(s.Prof, 2)
 	if err != nil {
 		return 0, 0, err
 	}
-	ing0 := asic.PipeletID{Pipeline: 0, Dir: asic.Ingress}
-	p0 := route.NewPlacement()
-	p0.Assign("classifier", ing0)
-	p0.Assign("fw", ing0)
-	p1 := route.NewPlacement()
-	p1.Assign("vgw", ing0)
-	p1.Assign("lb", ing0)
-	p1.Assign("router", ing0)
-	if _, err := cluster.DeploySegments(f, s.Chains, s.NFs,
-		[][]string{{"classifier", "fw"}, {"vgw", "lb", "router"}},
-		[]*route.Placement{p0, p1},
-		[]asic.PortID{10},
-	); err != nil {
+	fd, err := cluster.NewFabricDeployment(f, s.Chains, s.NFs, nil)
+	if err != nil {
+		return 0, 0, err
+	}
+	fd.Pins = map[string]int{"classifier": 0, "fw": 0, "vgw": 1, "lb": 1, "router": 1}
+	if _, err := cluster.NewReconciler(fd).Reconcile(); err != nil {
 		return 0, 0, err
 	}
 	// Pre-install the LB session so the full path completes.

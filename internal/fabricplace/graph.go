@@ -7,10 +7,11 @@
 // lexicographically-smallest path. Different chains may be routed over
 // different switch subsets (branching placement), and ties are broken
 // toward the least-loaded switches so one spine does not become a
-// hotspot. The package also hosts the shared path-search helpers
-// (LongestPathFrom, LexSmallestPath, per-destination next-hop tables)
-// that the fabric reconciler and the lex-path baseline both build on,
-// so the two placers cannot fork them. Everything here is
+// hotspot. That historical single-path assignment survives as the
+// second candidate of a two-plan portfolio (LongestPathFrom,
+// LexSmallestPath, greedySegment); both candidates are routed over the
+// same per-destination next-hop tables and priced by the same function,
+// the one whose routes the fabric reconciler installs. Everything here is
 // deterministic: the same graph, chain set and options always produce
 // the identical placement (see DESIGN.md §14 for the objective and the
 // tie-breaking order).
@@ -290,7 +291,7 @@ func (g *Graph) Route(from, to int) (path []int, ports []asic.PortID, ok bool) {
 // LongestPathFrom returns the length in switches of the longest simple
 // path starting at from over alive elements. It bounds how many
 // back-to-back segments a joint segmentation may use — the lex-path
-// baseline's capacity probe, shared here so old and new placers agree.
+// candidate's capacity probe.
 func LongestPathFrom(g *Graph, from int) int {
 	if from < 0 || from >= len(g.Nodes) || !g.Nodes[from].Alive {
 		return 0
@@ -317,8 +318,8 @@ func LongestPathFrom(g *Graph, from int) int {
 // LexSmallestPath returns the lexicographically smallest simple path
 // of exactly `length` switches starting at from over alive elements,
 // with the egress port of each hop, or ok=false when none exists. This
-// is the historical single-path selection rule, kept as the baseline
-// the cost-based placer is benchmarked against.
+// is the historical single-path selection rule, which the lex-path
+// candidate lays its joint segmentation along.
 func LexSmallestPath(g *Graph, from, length int) (path []int, ports []asic.PortID, ok bool) {
 	if from < 0 || from >= len(g.Nodes) || !g.Nodes[from].Alive || length < 1 {
 		return nil, nil, false
@@ -352,22 +353,12 @@ func LexSmallestPath(g *Graph, from, length int) (path []int, ports []asic.PortI
 }
 
 // Demand is the per-NF stage demand in placement units: the NF's own
-// MAU stage demand (default 1) plus the two framework wrapper stages —
-// the model PlaceChains, the fabric reconciler and this engine all
-// share.
+// MAU stage demand (default 1) plus the two framework wrapper stages,
+// mirroring place.Problem's model.
 func Demand(stageDemand map[string]int, name string) int {
 	d := 1
 	if stageDemand != nil && stageDemand[name] > 0 {
 		d = stageDemand[name]
 	}
 	return d + 2
-}
-
-// MaxF returns the larger of two floats — the float helper the cluster
-// latency model and the placement objective previously each forked.
-func MaxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -127,7 +127,7 @@ func (cp *ChainPlacement) SwitchSet() []int {
 }
 
 // Result is a full fabric placement: per-chain placements, the shared
-// NF home map, and the cost-based vs lex-path baseline comparison.
+// NF home map, and the cost-based vs lex-path candidate comparison.
 type Result struct {
 	// Chains maps placed path IDs to their placement.
 	Chains map[uint16]*ChainPlacement
@@ -139,43 +139,42 @@ type Result struct {
 	Unplaced map[uint16]string
 	// Total is the adopted plan's cost, unplaced penalties included.
 	Total Cost
-	// Baseline is the lex-path baseline's cost on the same graph and
-	// chain set (what the pre-topology-aware placer would have spent).
+	// Baseline is the lex-path candidate's cost on the same graph and
+	// chain set: the historical single-path home assignment, routed and
+	// priced by the same function as the search's plan.
 	Baseline Cost
-	// BaselineUnplaced counts chains the baseline would shed.
-	BaselineUnplaced int
 	// Branching reports that two placed chains use non-nested switch
 	// subsets — a genuinely multi-path placement no single shared
 	// simple path could express.
 	Branching bool
-	// Strategy is "cost" when the cost-based search won, "lex" when the
-	// baseline was adopted (the portfolio guarantees the cheaper of the
-	// two, so cost-based results are never worse than the baseline).
+	// Strategy is "cost" when the per-chain search won, "lex" when the
+	// joint segmentation was adopted: the search commits chains one at a
+	// time, heaviest first, so on a minority of inputs the joint fill is
+	// cheaper or places a chain the search sheds. Without pins,
+	// Total <= Baseline always.
 	Strategy string
 	// Truncated reports the search hit MaxStates somewhere.
 	Truncated bool
 }
 
 // Place computes a fabric placement for the chain set over the graph.
-// It runs the per-chain cost-based search AND the historical lex-path
-// baseline, adopts whichever plan is cheaper under the model (the
-// baseline only when no pins are set), and reports both costs so
-// experiments can gate on cost-based ≤ baseline. Deterministic: chains
-// are placed heaviest-first (ties toward the smaller path ID), switch
-// candidates are scanned ascending, and score ties break toward the
-// lower peak switch load, then the lexicographically smallest home
-// assignment.
+// It runs the per-chain cost-based search AND the lex-path joint
+// segmentation, prices both with realize, adopts whichever plan is
+// cheaper under the model (the lex one only when no pins are set), and
+// reports both costs so experiments can gate on adopted ≤ baseline.
+// Deterministic: chains are placed heaviest-first (ties toward the
+// smaller path ID), switch candidates are scanned ascending, and score
+// ties break toward the lower peak switch load, then the
+// lexicographically smallest home assignment.
 func Place(g *Graph, chains []route.Chain, opts Options) *Result {
 	opts = opts.withDefaults()
 	res := searchPlace(g, chains, opts)
 	base := lexBaseline(g, chains, opts)
 	res.Baseline = base.Total
-	res.BaselineUnplaced = len(base.Unplaced)
 	if len(opts.Pins) == 0 && base.Total.Weighted < res.Total.Weighted-1e-9 {
-		// Portfolio fallback: the search never returns a plan worse than
-		// the lex baseline.
+		// Portfolio guard: Place never returns a plan worse than the lex
+		// candidate.
 		base.Baseline = base.Total
-		base.BaselineUnplaced = len(base.Unplaced)
 		base.Truncated = res.Truncated
 		res = base
 	}
@@ -333,7 +332,7 @@ func placeChain(g *Graph, c route.Chain, homes map[string]int, used map[int]int,
 			}
 			before := nextUnits
 			nextUnits += Demand(opts.StageDemand, c.NFs[pos])
-			step += m.RecircCost * float64(passes(nextUnits, opts.StagesPerPass)-passes(maxI(before, 1), opts.StagesPerPass)) * w
+			step += m.RecircCost * float64(passes(nextUnits, opts.StagesPerPass)-passes(max(before, 1), opts.StagesPerPass)) * w
 			if g.Nodes[h].Flaky {
 				step += m.FlakyPenalty * w
 			}
@@ -385,13 +384,6 @@ func passes(units, perPass int) int {
 	return (units + perPass - 1) / perPass
 }
 
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // peakLoad returns the highest fractional stage utilization any switch
 // would reach, the load-aware tie-break: among equal-cost placements
 // prefer the one that keeps the hottest switch coolest.
@@ -403,7 +395,7 @@ func peakLoad(g *Graph, used, add map[int]int) float64 {
 		if budget <= 0 {
 			budget = 1
 		}
-		peak = MaxF(peak, float64(total)/float64(budget))
+		peak = max(peak, float64(total)/float64(budget))
 	}
 	return peak
 }
@@ -459,29 +451,28 @@ func realize(g *Graph, c route.Chain, homesSeq []int, opts Options) *ChainPlacem
 	return pl
 }
 
-// lexBaseline replays the historical placer on the shared graph: one
-// lexicographically-smallest simple path from the entry, every chain
-// segmented consecutively along it (greedy fill with cross-chain NF
-// pinning), shedding the largest-demand chain on overflow. Its cost is
-// scored under the same model, with hops counted along the shared path
-// (the old forwarding walked every wire between consecutive positions).
+// lexBaseline is the portfolio's second candidate, the historical
+// placer's home assignment: one lexicographically-smallest simple path
+// from the entry, every chain segmented consecutively along it (greedy
+// fill with cross-chain NF pinning), shedding the largest-demand chain
+// on overflow. Only the homes come from the shared path — each chain's
+// route, segments and cost are realize's, so both candidates are priced
+// by the function whose routes the reconciler installs.
 func lexBaseline(g *Graph, chains []route.Chain, opts Options) *Result {
-	opts = opts.withDefaults()
 	res := newResult("lex")
-	dropAll := func(reason string) *Result {
+	shed := func(c route.Chain, reason string) {
+		res.Unplaced[c.PathID] = reason
+		res.Total.Weighted += opts.Model.UnplacedPenalty * chainWeight(c)
+	}
+	if opts.Entry < 0 || opts.Entry >= g.NumNodes() || !g.Nodes[opts.Entry].Alive {
 		for _, c := range chains {
-			res.Unplaced[c.PathID] = reason
-			res.Total.Weighted += opts.Model.UnplacedPenalty * chainWeight(c)
+			shed(c, fmt.Sprintf("entry switch %d dead", opts.Entry))
 		}
 		return res
 	}
-	if opts.Entry < 0 || opts.Entry >= g.NumNodes() || !g.Nodes[opts.Entry].Alive {
-		return dropAll(fmt.Sprintf("entry switch %d dead", opts.Entry))
-	}
 	lmax := LongestPathFrom(g, opts.Entry)
 	if opts.HopLimit > 0 && lmax > opts.HopLimit+1 {
-		// A shared path of L switches costs every full-length chain L-1
-		// hops; the baseline must honour the hop limit too.
+		// A shared path of L switches costs a full-length chain L-1 hops.
 		lmax = opts.HopLimit + 1
 	}
 	// The historical planner assumed one uniform per-switch budget.
@@ -491,26 +482,38 @@ func lexBaseline(g *Graph, chains []route.Chain, opts Options) *Result {
 	for len(active) > 0 {
 		nfPos, maxPos, ok := greedySegment(active, opts.StageDemand, budget, lmax)
 		var path []int
-		var ports []asic.PortID
 		if ok {
-			path, ports, ok = LexSmallestPath(g, opts.Entry, maxPos+1)
+			path, _, ok = LexSmallestPath(g, opts.Entry, maxPos+1)
 		}
-		if !ok {
+		if !ok || !withinBudgets(g, opts.StageDemand, nfPos, path) {
 			i := dropCandidate(active, opts.StageDemand)
-			res.Unplaced[active[i].PathID] = fmt.Sprintf(
-				"does not fit on surviving topology (%d reachable switches)", lmax)
-			res.Total.Weighted += opts.Model.UnplacedPenalty * chainWeight(active[i])
+			shed(active[i], fmt.Sprintf("does not fit on surviving topology (%d reachable switches)", lmax))
 			active = append(active[:i], active[i+1:]...)
 			continue
 		}
 		for _, c := range active {
-			pl := baselineChain(g, c, nfPos, path, ports, opts)
+			homes := make([]int, len(c.NFs))
+			for i, n := range c.NFs {
+				homes[i] = path[nfPos[n]]
+			}
+			// Shared NFs can pull a chain back up the path, where a
+			// directed wiring may offer no return route, and the detours
+			// count against the hop limit like any other hop.
+			pl := realize(g, c, homes, opts)
+			if pl == nil {
+				shed(c, "no usable route over surviving topology")
+				continue
+			}
+			if opts.HopLimit > 0 && pl.Cost.CrossHops > opts.HopLimit {
+				shed(c, fmt.Sprintf("no feasible placement within %d fabric hops", opts.HopLimit))
+				continue
+			}
 			res.Chains[c.PathID] = pl
 			res.Total.add(pl.Cost)
 			for i, n := range c.NFs {
 				if _, seen := res.Homes[n]; !seen {
-					res.Homes[n] = pl.Homes[i]
-					res.Used[pl.Homes[i]] += Demand(opts.StageDemand, n)
+					res.Homes[n] = homes[i]
+					res.Used[homes[i]] += Demand(opts.StageDemand, n)
 				}
 			}
 		}
@@ -519,10 +522,27 @@ func lexBaseline(g *Graph, chains []route.Chain, opts Options) *Result {
 	return res
 }
 
-// greedySegment replays PlaceChains' joint consecutive segmentation:
-// positions 0..n-1 filled greedily with cross-chain NF pinning and a
-// shared per-position budget. Returns each NF's position and the
-// highest position used.
+// withinBudgets reports whether a joint segmentation, laid along path,
+// respects every switch's own stage budget (greedySegment fills against
+// the entry's).
+func withinBudgets(g *Graph, stageDemand map[string]int, nfPos map[string]int, path []int) bool {
+	used := make(map[int]int)
+	for n, pos := range nfPos {
+		used[path[pos]] += Demand(stageDemand, n)
+	}
+	for s, u := range used {
+		if u > g.Nodes[s].StageBudget {
+			return false
+		}
+	}
+	return true
+}
+
+// greedySegment is the joint consecutive segmentation: positions
+// 0..n-1 filled greedily, chain by chain, with a shared per-position
+// budget; an NF an earlier chain already placed keeps its position and
+// moves the chain there. Returns each NF's position and the highest
+// position used.
 func greedySegment(chains []route.Chain, stageDemand map[string]int, budget, n int) (nfPos map[string]int, maxPos int, ok bool) {
 	if n < 1 {
 		return nil, 0, false
@@ -568,67 +588,6 @@ func dropCandidate(chains []route.Chain, stageDemand map[string]int) int {
 		}
 	}
 	return best
-}
-
-// baselineChain scores one chain under the old single-path forwarding:
-// traffic crosses every wire from the entry up to the chain's last
-// position, recirculating per consecutive same-position run.
-func baselineChain(g *Graph, c route.Chain, nfPos map[string]int, path []int, ports []asic.PortID, opts Options) *ChainPlacement {
-	w := chainWeight(c)
-	m := opts.Model
-	last := 0
-	for _, n := range c.NFs {
-		if nfPos[n] > last {
-			last = nfPos[n]
-		}
-	}
-	pl := &ChainPlacement{
-		PathID:   c.PathID,
-		Path:     append([]int(nil), path[:last+1]...),
-		Ports:    append([]asic.PortID(nil), ports[:last]...),
-		Segments: make([][]string, last+1),
-	}
-	for _, n := range c.NFs {
-		pl.Homes = append(pl.Homes, path[nfPos[n]])
-		pl.Segments[nfPos[n]] = append(pl.Segments[nfPos[n]], n)
-	}
-	pl.Cost.CrossHops = last
-	// Flakiness along the traversed prefix: wires and non-entry
-	// switches, plus the entry itself if flapping.
-	if g.Nodes[path[0]].Flaky {
-		pl.Cost.Flaky++
-	}
-	for pos := 0; pos < last; pos++ {
-		for _, e := range g.Edges(path[pos]) {
-			if e.To == path[pos+1] {
-				if e.Flaky {
-					pl.Cost.Flaky++
-				}
-				break
-			}
-		}
-		if g.Nodes[path[pos+1]].Flaky {
-			pl.Cost.Flaky++
-		}
-	}
-	// Recirculations per consecutive same-position run of the chain.
-	segUnits, prev := 0, -1
-	for _, n := range c.NFs {
-		if nfPos[n] != prev {
-			if segUnits > 0 {
-				pl.Cost.Recircs += passes(segUnits, opts.StagesPerPass) - 1
-			}
-			segUnits, prev = 0, nfPos[n]
-		}
-		segUnits += Demand(opts.StageDemand, n)
-	}
-	if segUnits > 0 {
-		pl.Cost.Recircs += passes(segUnits, opts.StagesPerPass) - 1
-	}
-	pl.Cost.Weighted = w * (m.HopCost*float64(pl.Cost.CrossHops) +
-		m.RecircCost*float64(pl.Cost.Recircs) +
-		m.FlakyPenalty*float64(pl.Cost.Flaky))
-	return pl
 }
 
 // branching reports whether two placed chains occupy non-nested switch

@@ -1,6 +1,7 @@
 package fabricplace
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -260,6 +261,174 @@ func TestPlaceNeverWorseThanBaseline(t *testing.T) {
 	}
 }
 
+// One placement has one price. Both candidates home chain 20's NFs on
+// [0 1 0]; a second scorer used to charge the lex copy one hop for it
+// (and report a 1-hop path with segments [[a c] [b]]), so the portfolio
+// adopted "lex" at half the cost of the identical "cost" plan.
+func TestPlaceOnePriceForOnePlacement(t *testing.T) {
+	g := lineGraph(2, 13)
+	chains := []route.Chain{chain(10, 1, "a", "c"), chain(20, 1, "a", "b", "c")}
+	opts := Options{Entry: 0, StageDemand: map[string]int{"a": 1, "b": 1, "c": 6}}
+	res := Place(g, chains, opts)
+	if err := checkPlan(g, chains, opts, res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Strategy != "cost" || res.Total.Weighted != res.Baseline.Weighted {
+		t.Fatalf("strategy %q at %.3f against lex %.3f: identical homes must tie",
+			res.Strategy, res.Total.Weighted, res.Baseline.Weighted)
+	}
+	pl := res.Chains[20]
+	if !reflect.DeepEqual(pl.Path, []int{0, 1, 0}) || pl.Cost.CrossHops != 2 {
+		t.Fatalf("chain 20: path %v, %d hops; want out to switch 1 and back", pl.Path, pl.Cost.CrossHops)
+	}
+}
+
+// What the portfolio guard is for: the search commits one chain at a
+// time and breaks cost ties toward the lower peak load, which can move a
+// shared NF off the entry (a later chain then pays a hop to reach it) or
+// fragment the capacity a later chain needs. The joint fill does
+// neither, and under the one scorer it wins on its merits.
+func TestPlaceLexGuardWins(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		g        *Graph
+		demand   map[string]int
+		chains   []route.Chain
+		total    float64
+		unplaced int // by the search alone
+	}{
+		{
+			// The search homes d a b on [0 1 1] (peak 8/9, not 9/9), so
+			// chain 20 crosses to reach a; the fill keeps a on the entry.
+			name: "shared NF kept on the entry", g: lineGraph(3, 9),
+			demand: map[string]int{"a": 1, "b": 3, "d": 4},
+			chains: []route.Chain{chain(10, 1, "d", "a", "b"), chain(20, 1, "a")},
+			total:  145.0 / 75.0,
+		},
+		{
+			// The search homes d c b on [0 1 1], leaving 3 and 2 units: a's
+			// 5 fit nowhere. The fill packs d c on the entry and b a behind.
+			name: "places a chain the search sheds", g: lineGraph(2, 9),
+			demand: map[string]int{"a": 3, "b": 2, "c": 1, "d": 4},
+			chains: []route.Chain{chain(10, 1, "d", "c", "b"), chain(20, 1, "a"), chain(30, 1, "d")},
+			total:  2 * 145.0 / 75.0, unplaced: 1,
+		},
+	} {
+		opts := Options{Entry: 0, StageDemand: tc.demand}
+		res := Place(tc.g, tc.chains, opts)
+		if err := checkPlan(tc.g, tc.chains, opts, res); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if res.Strategy != "lex" || len(res.Unplaced) != 0 || math.Abs(res.Total.Weighted-tc.total) > 1e-9 {
+			t.Errorf("%s: strategy %q, total %.3f, unplaced %v; want lex at %.3f placing everything",
+				tc.name, res.Strategy, res.Total.Weighted, res.Unplaced, tc.total)
+		}
+		search := searchPlace(tc.g, tc.chains, opts.withDefaults())
+		if len(search.Unplaced) != tc.unplaced || search.Total.Weighted <= res.Total.Weighted {
+			t.Errorf("%s: search alone: %.3f, unplaced %v", tc.name, search.Total.Weighted, search.Unplaced)
+		}
+	}
+}
+
+// candidates runs both portfolio candidates on their own and audits
+// each: a plan that homes more on a switch than it holds fails here
+// whichever of the two the portfolio would adopt.
+func candidates(t *testing.T, g *Graph, chains []route.Chain, opts Options) (search, lex *Result) {
+	t.Helper()
+	search = searchPlace(g, chains, opts.withDefaults())
+	lex = lexBaseline(g, chains, opts.withDefaults())
+	for _, res := range []*Result{search, lex} {
+		if err := checkPlan(g, chains, opts, res); err != nil {
+			t.Fatalf("%s candidate: %v", res.Strategy, err)
+		}
+	}
+	return search, lex
+}
+
+// heavy gives every named NF 8 stages: 10 placement units, four to a
+// 48-stage switch.
+func heavy(nfs ...string) map[string]int {
+	d := make(map[string]int)
+	for _, n := range nfs {
+		d[n] = 8
+	}
+	return d
+}
+
+// Stage usage must survive chain boundaries and revisits. Chain 10
+// fills switch 0 (a-d) and puts e on switch 1; chain 20 tops switch 1 up
+// to 40 units; chain 30 re-enters switch 1 through the shared e, so its
+// i fits there no more.
+func TestPlaceBudgetSurvivesPinnedRevisit(t *testing.T) {
+	opts := Options{Entry: 0, StageDemand: heavy("a", "b", "c", "d", "e", "f", "g", "h", "i")}
+	chains := []route.Chain{
+		chain(10, 1, "a", "b", "c", "d", "e"),
+		chain(20, 1, "f", "g", "h"),
+		chain(30, 1, "e", "i"),
+	}
+	// Two switches hold eight of the nine NFs: a chain is shed rather
+	// than a switch overcommitted.
+	search, lex := candidates(t, lineGraph(2, 48), chains, opts)
+	if len(search.Unplaced) == 0 || len(lex.Unplaced) == 0 {
+		t.Errorf("nine 10-unit NFs placed on 2x48 stages: search shed %v, lex shed %v", search.Unplaced, lex.Unplaced)
+	}
+	// Three switches: everything places and i spills past e.
+	search, lex = candidates(t, lineGraph(3, 48), chains, opts)
+	for _, res := range []*Result{search, lex} {
+		if len(res.Unplaced) != 0 {
+			t.Errorf("%s: shed %v on three switches", res.Strategy, res.Unplaced)
+		}
+	}
+	if lex.Homes["e"] >= lex.Homes["i"] {
+		t.Errorf("lex: chain 30 not consecutive: e on %d, i on %d", lex.Homes["e"], lex.Homes["i"])
+	}
+}
+
+// Usage also accumulates across chains that share no NF: five 10-unit
+// chains cannot all claim the entry's 48 stages.
+func TestPlaceBudgetAccumulatesAcrossChains(t *testing.T) {
+	nfs := []string{"v", "w", "x", "y", "z"}
+	var chains []route.Chain
+	for i, n := range nfs {
+		chains = append(chains, chain(uint16(i+1), 1, n))
+	}
+	search, lex := candidates(t, lineGraph(2, 48), chains, Options{Entry: 0, StageDemand: heavy(nfs...)})
+	for _, res := range []*Result{search, lex} {
+		if len(res.Unplaced) != 0 || res.Homes["z"] != 1 {
+			t.Errorf("%s: shed %v, z on switch %d; want the fifth chain spilled to 1", res.Strategy, res.Unplaced, res.Homes["z"])
+		}
+	}
+}
+
+// An NF two chains share has one home, and both chains execute it there.
+func TestPlaceSharedNFHomedOnce(t *testing.T) {
+	chains := []route.Chain{chain(1, 1, "a", "x", "b"), chain(2, 1, "c", "x")}
+	search, lex := candidates(t, lineGraph(2, 48), chains, Options{Entry: 0})
+	for _, res := range []*Result{search, lex} {
+		if _, ok := res.Homes["x"]; !ok || len(res.Chains) != 2 {
+			t.Errorf("%s: shared NF homes %v, placed %d chains", res.Strategy, res.Homes, len(res.Chains))
+		}
+	}
+}
+
+func TestGreedySegment(t *testing.T) {
+	chains := []route.Chain{chain(1, 1, "a", "b", "c"), chain(2, 1, "d", "b", "e")}
+	demand := map[string]int{"a": 2, "b": 2, "c": 2, "d": 2, "e": 2} // 4 units each
+	// Budget 8: a b | c ...; chain 2 starts back at 0 (full, so d joins c
+	// on 1), follows the shared b home to 0, and e fills from there.
+	nfPos, maxPos, ok := greedySegment(chains, demand, 8, 3)
+	want := map[string]int{"a": 0, "b": 0, "c": 1, "d": 1, "e": 2}
+	if !ok || maxPos != 2 || !reflect.DeepEqual(nfPos, want) {
+		t.Fatalf("positions %v, max %d, ok %v; want %v", nfPos, maxPos, ok, want)
+	}
+	if _, _, ok := greedySegment(chains, demand, 8, 2); ok {
+		t.Error("five 4-unit NFs segmented over two 8-unit positions")
+	}
+	if _, _, ok := greedySegment(chains, demand, 8, 0); ok {
+		t.Error("segmented over zero positions")
+	}
+}
+
 // Load-aware tie-break: among equal-cost homes, pick the switch with
 // the most remaining headroom.
 func TestPlaceSpreadsByRemainingBudget(t *testing.T) {
@@ -321,14 +490,11 @@ func TestPlaceDeterministic(t *testing.T) {
 	}
 }
 
-func TestDemandAndMaxF(t *testing.T) {
+func TestDemand(t *testing.T) {
 	if Demand(nil, "x") != 3 {
 		t.Fatalf("default demand = %d, want 1+2", Demand(nil, "x"))
 	}
 	if Demand(map[string]int{"x": 8}, "x") != 10 {
 		t.Fatalf("demand = %d, want 8+2", Demand(map[string]int{"x": 8}, "x"))
-	}
-	if MaxF(1.5, 2.5) != 2.5 || MaxF(3, -1) != 3 {
-		t.Fatal("MaxF broken")
 	}
 }

@@ -92,7 +92,6 @@ type Applier struct {
 	dep  *core.Deployment
 	fab  *cluster.FabricDeployment
 	frec *cluster.Reconciler
-	rec  *core.Reconciler
 
 	// Stats receives dejavu_apply_* observations; never nil.
 	Stats *telemetry.Apply
@@ -132,19 +131,6 @@ func (a *Applier) FabricDeployment() *cluster.FabricDeployment {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.fab
-}
-
-// Bind attaches a core reconciler: after every successful apply its
-// desired chain set tracks the applied intent, so self-healing
-// converges toward what the operator declared (e.g. restoring a
-// chain's declared static exit when its port recovers).
-func (a *Applier) Bind(r *core.Reconciler) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.rec = r
-	if a.rec != nil && a.last != nil {
-		a.rec.SetDesired(a.last.RouteChains())
-	}
 }
 
 // redeployGlobals are the deployment-wide settings an incremental hot
@@ -236,10 +222,6 @@ func (a *Applier) Apply(doc *Document, opts Options) (*Report, error) {
 	rep.NoOp = !rep.Initial && delta.Empty() && rep.DeltaEntries == 0 && rep.ProgramReloads == 0
 	a.Stats.ObserveApply(delta.Count(KindAdd), delta.Count(KindRemove), delta.Count(KindUpdate),
 		rep.NoOp, rep.ConvergenceNS)
-	if a.rec != nil && a.dep != nil {
-		a.rec.Dep = a.dep
-		a.rec.SetDesired(doc.RouteChains())
-	}
 	return rep, nil
 }
 
@@ -252,10 +234,9 @@ func (a *Applier) dryRun(doc *Document, delta *Delta, rep *Report) error {
 		// Plan over the live fabric with the new chain set, then restore.
 		prior := a.fab.Chains
 		a.fab.Chains = doc.RouteChains()
-		switches, routes, blackholed := a.fab.Plan()
+		err := planFabric(a.fab, rep)
 		a.fab.Chains = prior
-		rep.FabricPath, rep.FabricRoutes, rep.FabricBlackholed = switches, routes, blackholed
-		return nil
+		return err
 	case a.last == nil || a.dep == nil || needsRedeploy(delta):
 		// A fresh deployment would run: prove the document composes.
 		cfg, err := doc.BuildConfig()
@@ -267,9 +248,7 @@ func (a *Applier) dryRun(doc *Document, delta *Delta, rep *Report) error {
 			if err != nil {
 				return err
 			}
-			switches, routes, blackholed := fab.Plan()
-			rep.FabricPath, rep.FabricRoutes, rep.FabricBlackholed = switches, routes, blackholed
-			return nil
+			return planFabric(fab, rep)
 		}
 		rep.Redeployed = !rep.Initial
 		_, _, err = core.Compose(*cfg, cfg.StrictLint)
@@ -284,6 +263,17 @@ func (a *Applier) dryRun(doc *Document, delta *Delta, rep *Report) error {
 		rep.ProgramReloads = len(res.ChangedFuncs)
 		return nil
 	}
+}
+
+// planFabric records the fabric dry run in the report; a plan the real
+// apply's reconcile would reject is an error here too.
+func planFabric(fab *cluster.FabricDeployment, rep *Report) error {
+	plan, err := fab.Plan()
+	if err != nil {
+		return err
+	}
+	rep.FabricPath, rep.FabricRoutes, rep.FabricBlackholed = plan.Switches, plan.Routes, plan.Blackholed
+	return nil
 }
 
 // converge drives a single-switch apply: initial deploys and
@@ -361,25 +351,12 @@ func (a *Applier) converge(doc *Document, delta *Delta, rep *Report) error {
 	return nil
 }
 
-// buildFabric wires the document's fabric (linear spine on port 10,
-// skip wires on port 11 — the `dejavu fabricchaos` topology, so any
-// single switch death leaves a path) and prepares a deployment over
-// it.
+// buildFabric wires the document's fabric (the spine-plus-skip-wire
+// topology of `dejavu fabricchaos`) and prepares a deployment over it.
 func (a *Applier) buildFabric(doc *Document, cfg *core.Config) (*cluster.FabricDeployment, error) {
-	n := doc.Fabric.Switches
-	f, err := cluster.NewFabric(cfg.Prof, n)
+	f, err := cluster.NewSpineFabric(cfg.Prof, doc.Fabric.Switches)
 	if err != nil {
 		return nil, err
-	}
-	for i := 0; i < n-1; i++ {
-		if err := f.Connect(i, 10, i+1, 10); err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < n-2; i++ {
-		if err := f.Connect(i, 11, i+2, 11); err != nil {
-			return nil, err
-		}
 	}
 	fd, err := cluster.NewFabricDeployment(f, cfg.Chains, cfg.NFs, doc.Fabric.StageDemand)
 	if err != nil {

@@ -402,6 +402,39 @@ func TestApplyFabricPins(t *testing.T) {
 	}
 }
 
+// TestFabricDryRunRejectsWhatApplyRejects: an NF of 13 stages fits a
+// 48-unit switch, so the fabric placer homes it, but fits no 12-stage
+// pipelet, so the per-switch placement fails. The dry run used to drop
+// that error and approve an intent the real apply refuses — on a fresh
+// fabric and on a live one alike.
+func TestFabricDryRunRejectsWhatApplyRejects(t *testing.T) {
+	const refusal = `cannot fit NF "fw"`
+	doc := testDoc(t)
+	doc.Fabric = &FabricSpec{Switches: 3, StageDemand: map[string]int{"fw": 13}}
+
+	a := NewApplier(nil)
+	if rep, err := a.Apply(doc, Options{DryRun: true}); err == nil || !strings.Contains(err.Error(), refusal) {
+		t.Fatalf("fresh-fabric dry run: err = %v, routes %v; want %s", err, rep.FabricRoutes, refusal)
+	}
+	if _, err := a.Apply(doc, Options{}); err == nil || !strings.Contains(err.Error(), refusal) {
+		t.Fatalf("real apply: err = %v; want %s", err, refusal)
+	}
+
+	// Live fabric: deploy without the fw chain, then plan adding it.
+	without := doc.Clone()
+	without.Chains = without.Chains[1:]
+	applyDoc(t, a, without)
+	if rep, err := a.Apply(doc, Options{DryRun: true}); err == nil || !strings.Contains(err.Error(), refusal) {
+		t.Fatalf("live-fabric dry run: err = %v, routes %v; want %s", err, rep.FabricRoutes, refusal)
+	}
+	if got := len(a.FabricDeployment().Chains); got != 1 {
+		t.Fatalf("dry run left %d desired chains on the live fabric, want 1", got)
+	}
+	if _, err := a.Apply(doc, Options{}); err == nil || !strings.Contains(err.Error(), refusal) {
+		t.Fatalf("real apply on the live fabric: err = %v; want %s", err, refusal)
+	}
+}
+
 // TestApplyRejectsInvalidDocument: validation failures surface before
 // any converge and leave the applier untouched.
 func TestApplyRejectsInvalidDocument(t *testing.T) {
