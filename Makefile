@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint vet check bench bench-chain bench-apply bench-pktpath bench-build fabric-chaos fabricplace fmt doccheck loc
+.PHONY: build test race lint vet check bench bench-chain bench-apply bench-fabric bench-pktpath bench-build fabric-chaos fabricplace fmt doccheck loc
 
 build:
 	$(GO) build ./...
@@ -58,6 +58,13 @@ bench-chain:
 bench-apply:
 	$(GO) run ./bench --workload apply-churn --seconds 3 --trace 1
 
+# The fabric counterpart: one traced 3-second run of fabric-heal (kill,
+# reconcile, probe, revive over a 4-switch fabric), which prints heal
+# latency and the reconcile/placement ledger and exits non-zero on
+# correct=false.
+bench-fabric:
+	$(GO) run ./bench --workload fabric-heal --seconds 3 --trace 1
+
 # Packet hot-path benchmark: sweeps the parallel traffic engine
 # (workers x batch, GOMAXPROCS forced > 1 so the multi-worker rows are
 # honest) and snapshots the report -- worker-scaling table, batch-vs-
@@ -76,8 +83,10 @@ bench-build: build
 	@$(GO) run ./cmd/dejavu benchbuild -rounds 10
 
 # Fabric chaos soak: the multi-switch fault-tolerance gate (DESIGN.md
-# §12) — reconciler + soak tests under the race detector, then the CLI
-# over the canonical seeds.
+# §12) — reconciler + soak tests under the race detector (including
+# TestFabricChaosGolden: `fabricchaos -json` seeds 1/7/42 against the
+# committed internal/core/testdata bytes, and the remembered-plan
+# differential walk), then the CLI over the canonical seeds.
 fabric-chaos: build
 	$(GO) test -race -run 'TestFabricChaos|TestReconciler' ./internal/core/ ./internal/cluster/
 	@for seed in 1 7 42; do \

@@ -74,8 +74,13 @@ type Fabric struct {
 	Prof     asic.Profile
 	Switches []*asic.Switch
 
-	mu          sync.Mutex
-	wires       map[wireEnd]wireEnd
+	mu    sync.Mutex
+	wires map[wireEnd]wireEnd
+	// epoch counts the changes to what PlacementGraph reads: a new wire,
+	// or a switch or wire health set to a different value. Reads and
+	// packet offers (flap sequences) never move it, so an unchanged epoch
+	// means an unchanged placement graph.
+	epoch       uint64
 	swHealth    []Health
 	wireHealth  map[wireEnd]Health
 	swFlapSeq   []uint64
@@ -147,7 +152,10 @@ func (f *Fabric) setSwitchHealth(i int, h Health) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.swHealth[i] = h
+	if f.swHealth[i] != h {
+		f.swHealth[i] = h
+		f.epoch++
+	}
 	return nil
 }
 
@@ -173,6 +181,13 @@ func (f *Fabric) SwitchHealth(i int) Health {
 	return f.swHealth[i]
 }
 
+// healthEpoch returns the fabric's change counter (see Fabric.epoch).
+func (f *Fabric) healthEpoch() uint64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.epoch
+}
+
 // AliveSwitches counts switches that are not dead.
 func (f *Fabric) AliveSwitches() int {
 	f.mu.Lock()
@@ -193,7 +208,10 @@ func (f *Fabric) setWireHealth(sw int, port asic.PortID, h Health) error {
 	if _, ok := f.wires[from]; !ok {
 		return fmt.Errorf("cluster: no wire from switch %d port %d", sw, port)
 	}
-	f.wireHealth[from] = h
+	if f.wireHealth[from] != h {
+		f.wireHealth[from] = h
+		f.epoch++
+	}
 	return nil
 }
 
@@ -268,6 +286,7 @@ func (f *Fabric) Connect(a int, portA asic.PortID, b int, portB asic.PortID) err
 		return fmt.Errorf("cluster: switch %d port %d already wired", a, portA)
 	}
 	f.wires[from] = wireEnd{sw: b, port: portB}
+	f.epoch++
 	return nil
 }
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -120,6 +121,13 @@ type FabricDeployment struct {
 	// pending marks a desired chain-set change (SetChains) not yet
 	// converged.
 	pending bool
+	// last is the last successful plan: desired returns it while what
+	// determined it holds, and a new plan takes over its per-switch
+	// anneal results where the sub-chain sets still match.
+	last rememberedPlan
+	// graphBuilds and anneals count desired's two expensive steps, for
+	// the tests that hold a round's cost to what changed.
+	graphBuilds, anneals int
 	// testPostCommit, when set, runs after each switch's commit —
 	// failure exercises the rollback path.
 	testPostCommit func(sw int) error
@@ -238,19 +246,21 @@ func (fd *FabricDeployment) Plan() (*PlanReport, error) {
 		totalW += w
 		crossings += w * float64(p.routes[c.PathID].CrossHops)
 	}
-	var lat time.Duration
+	// Weighted counts are fractions of a packet: sum in float64 and
+	// convert once.
+	var ns float64
 	if totalW > 0 {
-		lat = time.Duration(crossings/totalW) * prof.RecircOffChip
+		ns = crossings / totalW * float64(prof.RecircOffChip)
 		for _, s := range p.switches {
-			recircs := time.Duration(p.perSwitch[s].WeightedRecircs / totalW)
-			lat += prof.PortToPortLatency() + recircs*(prof.PortToPortLatency()+prof.RecircOnChip)
+			recircs := p.perSwitch[s].WeightedRecircs / totalW
+			ns += float64(prof.PortToPortLatency()) + recircs*float64(prof.PortToPortLatency()+prof.RecircOnChip)
 		}
 	}
 	return &PlanReport{
 		Switches:   p.switches,
 		Routes:     p.routes,
 		Blackholed: p.dropped,
-		Latency:    lat,
+		Latency:    time.Duration(ns),
 	}, nil
 }
 
@@ -271,7 +281,9 @@ func (fd *FabricDeployment) placeOptions() fabricplace.Options {
 
 // fabricPlan is the desired state computed over the current topology
 // health: per-chain routes, NF homes and pipelet slots, per-switch
-// remote-forwarding entries and program signatures.
+// remote-forwarding entries and program signatures. A plan is immutable
+// once desired returns it: the deployment remembers it, and reports and
+// installed state share its maps.
 type fabricPlan struct {
 	routes   map[uint16]ChainRoute
 	homes    map[string]int
@@ -279,6 +291,10 @@ type fabricPlan struct {
 	// perSwitch is each hosting switch's single-switch traversal cost
 	// under its annealed pipelet placement.
 	perSwitch map[int]route.Cost
+	// annealKeys is what determined each hosting switch's anneal: its
+	// sub-chains in order with their NFs' stage demands (the profile and
+	// the seed are fixed per switch).
+	annealKeys map[int]string
 	// remote maps switch -> remote NF -> egress port toward its home,
 	// following the placement graph's per-destination forwarding trees.
 	remote map[int]map[string]asic.PortID
@@ -292,16 +308,43 @@ type fabricPlan struct {
 	err      error
 }
 
+// rememberedPlan is a plan with what determined it: the fabric's health
+// epoch and copies of the deployment's chain set, StageDemand and Pins.
+type rememberedPlan struct {
+	plan         *fabricPlan
+	epoch        uint64
+	chains       []route.Chain
+	demand, pins map[string]int
+}
+
 // desired computes the target plan over the current topology health.
 // Chains that cannot be placed are dropped deterministically with a
-// reason rather than failing the whole plan.
-func (fd *FabricDeployment) desired() *fabricPlan {
-	p := &fabricPlan{
-		routes:  make(map[uint16]ChainRoute),
-		homes:   make(map[string]int),
-		remote:  make(map[int]map[string]asic.PortID),
-		sigs:    make(map[int]string),
-		dropped: make(map[uint16]string),
+// reason rather than failing the whole plan. The plan is a function of
+// the fabric's health epoch and the deployment's chain set, StageDemand
+// and Pins — compared by value, callers write those fields directly —
+// so while none of them moved the last successful plan is the answer; a
+// failed plan is not remembered.
+func (fd *FabricDeployment) desired() (p *fabricPlan) {
+	epoch := fd.Fabric.healthEpoch() // read before the health it stamps
+	if l := &fd.last; l.plan != nil && l.epoch == epoch && chainsEqual(l.chains, fd.Chains) &&
+		maps.Equal(l.demand, fd.StageDemand) && maps.Equal(l.pins, fd.Pins) {
+		return l.plan
+	}
+	defer func() {
+		if p.err == nil {
+			fd.last = rememberedPlan{plan: p, epoch: epoch, chains: slices.Clone(fd.Chains),
+				demand: maps.Clone(fd.StageDemand), pins: maps.Clone(fd.Pins)}
+		}
+	}()
+	p = &fabricPlan{
+		routes:     make(map[uint16]ChainRoute),
+		homes:      make(map[string]int),
+		pipelets:   make(map[string]asic.PipeletID),
+		perSwitch:  make(map[int]route.Cost),
+		annealKeys: make(map[int]string),
+		remote:     make(map[int]map[string]asic.PortID),
+		sigs:       make(map[int]string),
+		dropped:    make(map[uint16]string),
 	}
 	if fd.Fabric.SwitchHealth(0) == HealthDead {
 		for _, c := range fd.Chains {
@@ -309,6 +352,7 @@ func (fd *FabricDeployment) desired() *fabricPlan {
 		}
 		return p
 	}
+	fd.graphBuilds++
 	g := fd.Fabric.PlacementGraph()
 	res := fabricplace.Place(g, fd.Chains, fd.placeOptions())
 	p.dropped = res.Unplaced
@@ -359,8 +403,7 @@ func (fd *FabricDeployment) desired() *fabricPlan {
 		}
 	}
 
-	p.pipelets, p.perSwitch, p.err = fd.placePipelets(p)
-	if p.err != nil {
+	if p.err = fd.placePipelets(p); p.err != nil {
 		return p
 	}
 
@@ -386,47 +429,66 @@ func (fd *FabricDeployment) desired() *fabricPlan {
 }
 
 // placePipelets turns the plan's routes into per-switch sub-chains —
-// one per NF-executing position of each active chain's route — and
-// anneals every hosting switch's set onto its pipelets with the
-// single-switch placer, seeded per switch. It returns each NF's pipelet
-// and each switch's traversal cost.
-func (fd *FabricDeployment) placePipelets(p *fabricPlan) (map[string]asic.PipeletID, map[int]route.Cost, error) {
+// one per NF-executing position of each active chain's route, numbered
+// 1..n per switch — and anneals every hosting switch's set onto its
+// pipelets with the single-switch placer, seeded per switch, filling in
+// each NF's pipelet and each switch's traversal cost. A switch whose
+// sub-chains and stage demands are those of the last plan takes that
+// plan's result, so a heal re-anneals only the switches whose share of
+// the chains changed and nothing outlives the plan it belongs to.
+func (fd *FabricDeployment) placePipelets(p *fabricPlan) error {
 	bySwitch := make(map[int][]route.Chain)
 	for _, c := range p.active {
 		r := p.routes[c.PathID]
-		runIdx := 0
 		for pos, seg := range r.Segments {
 			if len(seg) == 0 {
 				continue
 			}
-			bySwitch[r.Path[pos]] = append(bySwitch[r.Path[pos]], route.Chain{
-				PathID: c.PathID*16 + uint16(runIdx) + 1,
-				NFs:    seg,
-				Weight: c.Weight,
-			})
-			runIdx++
+			s := r.Path[pos]
+			bySwitch[s] = append(bySwitch[s], route.Chain{PathID: uint16(len(bySwitch[s]) + 1), NFs: seg, Weight: c.Weight})
 		}
 	}
-	pipelets := make(map[string]asic.PipeletID)
-	perSwitch := make(map[int]route.Cost)
 	for _, s := range p.switches {
 		subs := bySwitch[s]
 		if len(subs) == 0 {
 			continue
 		}
+		var key strings.Builder
+		for _, sub := range subs {
+			fmt.Fprintf(&key, "w%g", sub.Weight)
+			for _, n := range sub.NFs {
+				d, ok := fd.StageDemand[n]
+				if !ok {
+					d = 1 // place.Problem's default
+				}
+				fmt.Fprintf(&key, ",%q:%d", n, d)
+			}
+			key.WriteByte(';')
+		}
+		p.annealKeys[s] = key.String()
+		if prev := fd.last.plan; prev != nil && prev.annealKeys[s] == p.annealKeys[s] {
+			p.perSwitch[s] = prev.perSwitch[s]
+			for _, sub := range subs {
+				for _, n := range sub.NFs {
+					p.pipelets[n] = prev.pipelets[n]
+				}
+			}
+			continue
+		}
+		fd.anneals++
 		prob := place.Problem{Prof: fd.Fabric.Prof, Chains: subs, Enter: 0, StageDemand: fd.StageDemand}
 		res, err := place.Anneal(prob, place.AnnealOpts{Seed: int64(s + 1), Iterations: 4000})
 		if err != nil {
-			return nil, nil, fmt.Errorf("cluster: switch %d placement: %w", s, err)
+			return fmt.Errorf("cluster: switch %d placement: %w", s, err)
 		}
-		perSwitch[s] = res.Cost
+		p.perSwitch[s] = res.Cost
 		for _, sub := range subs {
 			for _, n := range sub.NFs {
-				pipelets[n], _ = res.Placement.Of(n)
+				p.pipelets[n], _ = res.Placement.Of(n)
 			}
 		}
 	}
-	return pipelets, perSwitch, nil
+	return nil
 }
 
 // equalPlan reports whether the desired plan matches the installed

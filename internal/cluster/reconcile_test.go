@@ -31,8 +31,14 @@ func fabricDemand() map[string]int {
 // 2-switch path.
 func newTestFabric(t *testing.T) (*scenario.Scenario, *Fabric, *FabricDeployment, *Reconciler) {
 	t.Helper()
+	return newSpineDeployment(t, 3)
+}
+
+// newSpineDeployment is newTestFabric over an n-switch spine.
+func newSpineDeployment(t testing.TB, n int) (*scenario.Scenario, *Fabric, *FabricDeployment, *Reconciler) {
+	t.Helper()
 	s := scenario.MustNew()
-	f, err := NewSpineFabric(s.Prof, 3)
+	f, err := NewSpineFabric(s.Prof, n)
 	if err != nil {
 		t.Fatal(err)
 	}

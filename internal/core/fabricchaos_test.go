@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"os"
 	"testing"
 
 	"dejavu/internal/telemetry"
@@ -78,6 +79,34 @@ func TestFabricChaosDeterministic(t *testing.T) {
 	}
 	if len(a.Log) == 0 {
 		t.Fatal("run produced no log")
+	}
+}
+
+// TestFabricChaosGolden holds `dejavu fabricchaos -seed N -json` for the
+// canonical seeds to the committed bytes, captured from the commit
+// before the reconciler began remembering plans: a change to planning,
+// placement or healing that is meant to keep behaviour must keep these
+// files. One that means to change behaviour regenerates them with that
+// command, into testdata/fabricchaos_seedN.json.
+func TestFabricChaosGolden(t *testing.T) {
+	for _, seed := range []int64{1, 7, 42} {
+		res, err := RunFabricChaos(FabricChaosOpts{Seed: seed, Ticks: 40, Switches: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Log = nil // as the CLI without -v
+		got, err := json.MarshalIndent(res, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		file := fmt.Sprintf("testdata/fabricchaos_seed%d.json", seed)
+		want, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got)+"\n" != string(want) {
+			t.Errorf("seed %d: result differs from %s", seed, file)
+		}
 	}
 }
 

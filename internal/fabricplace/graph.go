@@ -289,30 +289,36 @@ func (g *Graph) Route(from, to int) (path []int, ports []asic.PortID, ok bool) {
 }
 
 // LongestPathFrom returns the length in switches of the longest simple
-// path starting at from over alive elements. It bounds how many
-// back-to-back segments a joint segmentation may use — the lex-path
-// candidate's capacity probe.
-func LongestPathFrom(g *Graph, from int) int {
+// path starting at from over alive elements, or limit if that is smaller
+// (limit <= 0: no limit). It bounds how many back-to-back segments a
+// joint segmentation may use — the lex-path candidate's capacity probe.
+// The search stops at the first path of limit switches: without that it
+// walks every simple path, and the spine-and-skip wiring has Fibonacci
+// many (64 switches never finished).
+func LongestPathFrom(g *Graph, from, limit int) int {
 	if from < 0 || from >= len(g.Nodes) || !g.Nodes[from].Alive {
 		return 0
 	}
 	visited := make([]bool, len(g.Nodes))
-	var dfs func(at int) int
-	dfs = func(at int) int {
+	var dfs func(at, depth int) int
+	dfs = func(at, depth int) int {
 		visited[at] = true
 		best := 1
 		for _, e := range g.Edges(at) {
+			if limit > 0 && depth+best > limit {
+				break
+			}
 			if visited[e.To] || !g.Nodes[e.To].Alive {
 				continue
 			}
-			if l := 1 + dfs(e.To); l > best {
+			if l := 1 + dfs(e.To, depth+1); l > best {
 				best = l
 			}
 		}
 		visited[at] = false
 		return best
 	}
-	return dfs(from)
+	return dfs(from, 1)
 }
 
 // LexSmallestPath returns the lexicographically smallest simple path

@@ -470,11 +470,12 @@ func lexBaseline(g *Graph, chains []route.Chain, opts Options) *Result {
 		}
 		return res
 	}
-	lmax := LongestPathFrom(g, opts.Entry)
-	if opts.HopLimit > 0 && lmax > opts.HopLimit+1 {
+	lmax := 0
+	if opts.HopLimit > 0 {
 		// A shared path of L switches costs a full-length chain L-1 hops.
 		lmax = opts.HopLimit + 1
 	}
+	lmax = LongestPathFrom(g, opts.Entry, lmax)
 	// The historical planner assumed one uniform per-switch budget.
 	budget := g.Nodes[opts.Entry].StageBudget
 

@@ -90,8 +90,15 @@ func TestRouteFollowsDeterministicNextHops(t *testing.T) {
 
 func TestSharedPathHelpers(t *testing.T) {
 	g := diamondGraph(48)
-	if l := LongestPathFrom(g, 0); l != 4 {
+	if l := LongestPathFrom(g, 0, 0); l != 4 {
 		t.Fatalf("LongestPathFrom = %d, want 4 (0-1-3-2)", l)
+	}
+	if l := LongestPathFrom(g, 0, 3); l != 3 {
+		t.Fatalf("LongestPathFrom limit 3 = %d", l)
+	}
+	// Fibonacci many simple paths; only the limit makes this return.
+	if l := LongestPathFrom(spineGraph(64), 0, 33); l != 33 {
+		t.Fatalf("LongestPathFrom on a 64-switch spine, limit 33 = %d", l)
 	}
 	path, ports, ok := LexSmallestPath(g, 0, 3)
 	if !ok || !reflect.DeepEqual(path, []int{0, 1, 3}) {
