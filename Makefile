@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint vet check bench bench-chain bench-apply bench-fabric bench-pktpath bench-build fabric-chaos fabricplace fmt doccheck loc
+.PHONY: build test race lint vet check bench bench-chain bench-apply bench-fabric bench-punt bench-pktpath bench-build fabric-chaos fabricplace fmt doccheck loc
 
 build:
 	$(GO) build ./...
@@ -64,6 +64,13 @@ bench-apply:
 # correct=false.
 bench-fabric:
 	$(GO) run ./bench --workload fabric-heal --seconds 3 --trace 1
+
+# The slow-path counterpart: one traced 3-second run of newflow-punt
+# (every packet a new VIP flow: LB miss, CPU punt, session install,
+# traced reinjection), which prints flows per second and the
+# punt/poll/insert ledger and exits non-zero on correct=false.
+bench-punt:
+	$(GO) run ./bench --workload newflow-punt --seconds 3 --trace 1
 
 # Packet hot-path benchmark: sweeps the parallel traffic engine
 # (workers x batch, GOMAXPROCS forced > 1 so the multi-worker rows are

@@ -270,8 +270,12 @@ type Switch struct {
 	extraMu     sync.RWMutex
 	extraStats  map[PortID]*PortStats
 
-	cpuQueue []*packet.Parsed
+	// The CPU queue (see toCPU): the waiting punts, the chunk the next
+	// one is copied into, the size of the last non-empty drain.
 	cpuMu    sync.Mutex
+	cpuQueue []*packet.Parsed
+	cpuChunk []packet.Parsed
+	cpuBurst int
 
 	drops dropCounter
 }
@@ -339,6 +343,18 @@ type pooledCtx struct {
 type pooledTrace struct {
 	Trace
 	_ [256 - unsafe.Sizeof(Trace{})]byte
+}
+
+// tracedTrace is the allocation behind a traced Inject: the trace with
+// room for an ordinary journey — the §5 chain with one recirculation is
+// four pipelet steps and one emission — so recording it is one
+// allocation; a longer journey outgrows the room by append. A trace the
+// caller keeps pins the room, so it is no larger: 4 + 1 fills the
+// 288-byte size class.
+type tracedTrace struct {
+	Trace
+	steps [4]Step
+	out   [1]Emitted
 }
 
 // ctxPool recycles per-packet contexts across injections. A new
@@ -699,12 +715,26 @@ func (s *Switch) countLoopback(pd *portDelta, port PortID, bytes uint64) {
 func (s *Switch) Drops() uint64 { return s.drops.Load() }
 
 // DrainCPU returns and clears the packets delivered to the CPU port.
+// The caller owns them: the switch keeps neither the slice nor the
+// chunk they live in, so later punts overwrite nothing, and a chunk is
+// freed once the last packet of it is unreachable.
 func (s *Switch) DrainCPU() []*packet.Parsed {
 	s.cpuMu.Lock()
 	defer s.cpuMu.Unlock()
 	out := s.cpuQueue
-	s.cpuQueue = nil
+	s.cpuQueue, s.cpuChunk = nil, nil
+	if len(out) > 0 {
+		s.cpuBurst = min(len(out), cpuChunkMax)
+	}
 	return out
+}
+
+// CPUQueueDepth returns the number of punted packets waiting for the
+// control plane; it never exceeds cpuQueueCap.
+func (s *Switch) CPUQueueDepth() int {
+	s.cpuMu.Lock()
+	defer s.cpuMu.Unlock()
+	return len(s.cpuQueue)
 }
 
 // admit runs the port-level admission checks shared by Inject and
@@ -741,7 +771,9 @@ func (s *Switch) Inject(in PortID, pkt *packet.Parsed) (*Trace, error) {
 		s.countRefused(sn, in)
 		return nil, err
 	}
-	tr := &Trace{}
+	t := new(tracedTrace)
+	tr := &t.Trace
+	tr.Steps, tr.Out = t.steps[:0], t.out[:0]
 	ctx := ctxPool.Get().(*Ctx)
 	shard := ctx.shard
 	*ctx = Ctx{Pkt: pkt, Meta: Meta{InPort: in, OutPort: PortUnset}, App: sn.app}
@@ -1201,10 +1233,39 @@ func (s *Switch) run(sn *snapshot, ctx *Ctx, tr *Trace, pd *portDelta) error {
 	}
 }
 
-// toCPU queues the packet for the control plane.
+// cpuQueueCap bounds the punted packets waiting for the control plane
+// (DESIGN.md §8 "Slow path" has the reasoning behind the value).
+const cpuQueueCap = 4096
+
+// cpuChunkMax is the most packets one CPU-queue chunk holds — the
+// traffic engines' burst. A drained packet pins its whole chunk.
+const cpuChunkMax = 32
+
+// toCPU queues a copy of the packet for the control plane, or drops the
+// packet (DropCPUQueueFull) when the queue is at its cap. Copies live
+// in chunks as long as the last non-empty drain was — 1 for a switch
+// polled per packet, cpuChunkMax for one polled per burst — so a burst
+// of punts pays one chunk and one queue slice, not one copy each.
 func (s *Switch) toCPU(ctx *Ctx, tr *Trace) {
 	s.cpuMu.Lock()
-	s.cpuQueue = append(s.cpuQueue, ctx.Pkt.Clone())
+	if len(s.cpuQueue) >= cpuQueueCap {
+		s.cpuMu.Unlock()
+		tr.Dropped = true
+		tr.DropCode = telemetry.DropCPUQueueFull
+		tr.DropReason = tr.DropCode.String()
+		s.drops.Add(ctx.shard)
+		return
+	}
+	n := len(s.cpuChunk)
+	if n == cap(s.cpuChunk) {
+		s.cpuChunk, n = make([]packet.Parsed, 0, max(s.cpuBurst, 1)), 0
+		if s.cpuQueue == nil {
+			s.cpuQueue = make([]*packet.Parsed, 0, cap(s.cpuChunk))
+		}
+	}
+	s.cpuChunk = s.cpuChunk[:n+1]
+	ctx.Pkt.CloneInto(&s.cpuChunk[n])
+	s.cpuQueue = append(s.cpuQueue, &s.cpuChunk[n])
 	s.cpuMu.Unlock()
 	tr.cpuCount++
 	if !tr.quiet {

@@ -30,7 +30,8 @@ func (d *Deployment) RegisterMetrics(reg *telemetry.Registry) {
 	reg.Register(telemetry.CollectorFunc(d.gatherPorts))
 }
 
-// gatherPorts renders the switch's per-port counters and admin state.
+// gatherPorts renders the switch's per-port counters and admin state,
+// its drop total and the depth of its CPU queue.
 // Front-panel ports use their numeric ID as the port label; the
 // per-pipeline dedicated recirculation ports are labelled "recircN".
 func (d *Deployment) gatherPorts() []telemetry.Family {
@@ -78,5 +79,11 @@ func (d *Deployment) gatherPorts() []telemetry.Family {
 		Kind:    telemetry.KindCounter,
 		Samples: []telemetry.Sample{{Value: float64(d.Switch.Drops())}},
 	}
-	return []telemetry.Family{pkts, bytes, up, drops}
+	cpuq := telemetry.Family{
+		Name:    "dejavu_cpu_queue_depth",
+		Help:    "Punted packets waiting in the switch's CPU queue for the control plane.",
+		Kind:    telemetry.KindGauge,
+		Samples: []telemetry.Sample{{Value: float64(d.Switch.CPUQueueDepth())}},
+	}
+	return []telemetry.Family{pkts, bytes, up, drops, cpuq}
 }

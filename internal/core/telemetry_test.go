@@ -107,6 +107,10 @@ func TestRegisterMetricsExposition(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A new VIP flow offered to the bare switch stays punted: nobody polls.
+	if tr, err := d.Switch.Inject(scenario.PortClient, scenario.ClientTCP(443)); err != nil || len(tr.CPU) != 1 {
+		t.Fatalf("new flow not punted: %+v %v", tr, err)
+	}
 	reg := telemetry.NewRegistry()
 	d.RegisterMetrics(reg)
 	var buf bytes.Buffer
@@ -130,6 +134,7 @@ func TestRegisterMetricsExposition(t *testing.T) {
 		"dejavu_port_packets_total",
 		"dejavu_port_up",
 		"dejavu_switch_drops_total",
+		"dejavu_cpu_queue_depth",
 	} {
 		if _, ok := byName[name]; !ok {
 			t.Errorf("family %s missing from deployment exposition", name)
@@ -143,6 +148,9 @@ func TestRegisterMetricsExposition(t *testing.T) {
 	}
 	if delivered != 10 {
 		t.Errorf("delivered = %v, want 10", delivered)
+	}
+	if q := byName["dejavu_cpu_queue_depth"]; q.Kind != telemetry.KindGauge || len(q.Samples) != 1 || q.Samples[0].Value != 1 {
+		t.Errorf("cpu_queue_depth = %+v, want a gauge reading the one waiting punt", q)
 	}
 	if v := byName["dejavu_postcards_total"].Samples[0].Value; v != 10 {
 		t.Errorf("postcards_total = %v, want 10", v)

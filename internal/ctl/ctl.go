@@ -18,32 +18,56 @@ import (
 	"dejavu/internal/packet"
 )
 
+// natFirstPort is the first public port the NAT allocator hands out;
+// the last is 65535.
+const natFirstPort = 50000
+
+// ErrNATPortsExhausted is returned for a NAT miss once every public
+// port has been handed out. The punted packet is not reinjected.
+var ErrNATPortsExhausted = errors.New("ctl: nat public ports exhausted")
+
 // Controller is the merged control plane of one switch.
 type Controller struct {
 	sw  *asic.Switch
 	nfs nf.List
 
-	mu sync.Mutex
-	// natNextPort allocates public ports for the NAT.
-	natNextPort uint16
+	mu          sync.Mutex
+	natNextPort int // next public port of the NAT; exhausted past 65535
 
-	// Stats.
-	sessionsInstalled int
-	natAllocated      int
-	reinjected        int
-	unknown           int
-	failed            int
-	programCommits    int
-	entryWrites       int
-	programWrites     int
+	tally // packet-in counters
+	// Program transaction counters.
+	programCommits int
+	entryWrites    int
+	programWrites  int
 
 	// prog is the open program transaction, if any (see program.go).
 	prog *pendingProgram
 }
 
+// tally is a batch of packet-in outcomes: a Poll counts into its own
+// and adds it to the controller's under one lock.
+type tally struct {
+	sessionsInstalled int
+	natAllocated      int
+	reinjected        int
+	unknown           int
+	failed            int
+}
+
+// count adds a batch of outcomes to the controller's counters.
+func (c *Controller) count(t tally) {
+	c.mu.Lock()
+	c.sessionsInstalled += t.sessionsInstalled
+	c.natAllocated += t.natAllocated
+	c.reinjected += t.reinjected
+	c.unknown += t.unknown
+	c.failed += t.failed
+	c.mu.Unlock()
+}
+
 // New creates a controller for a switch running the given NFs.
 func New(sw *asic.Switch, nfs nf.List) *Controller {
-	return &Controller{sw: sw, nfs: nfs, natNextPort: 50000}
+	return &Controller{sw: sw, nfs: nfs, natNextPort: natFirstPort}
 }
 
 // lb returns the chain's load balancer, if any.
@@ -66,45 +90,51 @@ func (c *Controller) nat() *nf.NAT {
 // state the responsible NF was missing and reports whether the packet
 // should be reinjected.
 func (c *Controller) HandlePacketIn(pkt *packet.Parsed) (reinject bool, err error) {
+	var t tally
+	reinject, err = c.handle(c.lb(), c.nat(), pkt, &t)
+	c.count(t)
+	return reinject, err
+}
+
+// handle is HandlePacketIn on the caller's NFs and tally.
+func (c *Controller) handle(lb *nf.LoadBalancer, nat *nf.NAT, pkt *packet.Parsed, t *tally) (reinject bool, err error) {
 	ft, ok := pkt.FiveTuple()
 	if !ok {
-		c.mu.Lock()
-		c.unknown++
-		c.mu.Unlock()
+		t.unknown++
 		return false, nil
 	}
 
 	// LB session miss: the destination still names a VIP.
-	if lb := c.lb(); lb != nil && lb.IsVIP(ft.Dst) {
-		backend, err := lb.SelectBackend(ft.Dst, ft.Hash())
+	if lb != nil && lb.IsVIP(ft.Dst) {
+		hash := ft.Hash()
+		backend, err := lb.SelectBackend(ft.Dst, hash)
 		if err != nil {
 			return false, err
 		}
-		if err := lb.InstallSession(ft.Hash(), backend); err != nil {
+		if err := lb.InstallSession(hash, backend); err != nil {
 			return false, fmt.Errorf("ctl: session install: %w", err)
 		}
-		c.mu.Lock()
-		c.sessionsInstalled++
-		c.mu.Unlock()
+		t.sessionsInstalled++
 		return true, nil
 	}
 
-	// NAT miss: allocate a public port.
-	if n := c.nat(); n != nil {
+	// NAT miss: allocate a public port. The allocator moves on only once
+	// the mapping is in, so a failed install costs no port.
+	if nat != nil {
 		c.mu.Lock()
-		pub := c.natNextPort
-		c.natNextPort++
-		c.natAllocated++
-		c.mu.Unlock()
-		if err := n.InstallMapping(ft.Src, ft.SrcPort, ft.Proto, pub); err != nil {
+		defer c.mu.Unlock()
+		if c.natNextPort > 0xFFFF {
+			return false, ErrNATPortsExhausted
+		}
+		if err := nat.InstallMapping(ft.Src, ft.SrcPort, ft.Proto, uint16(c.natNextPort)); err != nil {
 			return false, fmt.Errorf("ctl: nat install: %w", err)
 		}
+		c.natNextPort++
+		t.natAllocated++
 		return true, nil
 	}
 
-	c.mu.Lock()
-	c.unknown++
-	c.mu.Unlock()
+	t.unknown++
 	return false, nil
 }
 
@@ -112,6 +142,14 @@ func (c *Controller) HandlePacketIn(pkt *packet.Parsed) (reinject bool, err erro
 // recorded in its SFC platform metadata ("the control plane will
 // simply install a new session ... and reinject the packet", §3.1).
 func (c *Controller) Reinject(pkt *packet.Parsed) (*asic.Trace, error) {
+	var t tally
+	tr, err := c.reinject(pkt, &t)
+	c.count(t)
+	return tr, err
+}
+
+// reinject is Reinject on the caller's tally.
+func (c *Controller) reinject(pkt *packet.Parsed, t *tally) (*asic.Trace, error) {
 	in := asic.PortID(pkt.SFC.Meta.InPort)
 	if !c.sw.Profile().ValidPort(in) || asic.IsRecircPort(in) {
 		return nil, fmt.Errorf("ctl: punted packet has no usable in-port (%d)", in)
@@ -119,9 +157,7 @@ func (c *Controller) Reinject(pkt *packet.Parsed) (*asic.Trace, error) {
 	// Clear the punt flags: the packet re-enters the data plane with a
 	// clean verdict, now that the missing state is installed.
 	pkt.SFC.Meta.Clear(nsh.FlagToCPU | nsh.FlagDrop | nsh.FlagResubmit | nsh.FlagRecirculate)
-	c.mu.Lock()
-	c.reinjected++
-	c.mu.Unlock()
+	t.reinjected++
 	return c.sw.Inject(in, pkt)
 }
 
@@ -130,12 +166,19 @@ func (c *Controller) Reinject(pkt *packet.Parsed) (*asic.Trace, error) {
 // full session table, an unusable in-port) does not stop the drain:
 // every drained packet is handled, and Poll returns the traces of the
 // reinjected ones together with the joined errors of the rest, which
-// Stats.Failed counts.
+// Stats.Failed counts. Reinjection is traced: the trace is what
+// core.Deployment.Inject returns for a repaired punt.
 func (c *Controller) Poll() ([]*asic.Trace, error) {
-	var traces []*asic.Trace
+	pkts := c.sw.DrainCPU()
+	if len(pkts) == 0 {
+		return nil, nil
+	}
+	lb, nat := c.lb(), c.nat()
+	traces := make([]*asic.Trace, 0, len(pkts))
 	var errs []error
-	for _, pkt := range c.sw.DrainCPU() {
-		again, err := c.HandlePacketIn(pkt)
+	var t tally
+	for _, pkt := range pkts {
+		again, err := c.handle(lb, nat, pkt, &t)
 		if err != nil {
 			errs = append(errs, err)
 			continue
@@ -143,18 +186,15 @@ func (c *Controller) Poll() ([]*asic.Trace, error) {
 		if !again {
 			continue
 		}
-		tr, err := c.Reinject(pkt)
+		tr, err := c.reinject(pkt, &t)
 		if err != nil {
 			errs = append(errs, err)
 			continue
 		}
 		traces = append(traces, tr)
 	}
-	if len(errs) > 0 {
-		c.mu.Lock()
-		c.failed += len(errs)
-		c.mu.Unlock()
-	}
+	t.failed = len(errs)
+	c.count(t)
 	return traces, errors.Join(errs...)
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 // deployed builds the scenario switch with a controller.
-func deployed(t *testing.T) (*scenario.Scenario, *asic.Switch, *Controller) {
+func deployed(t testing.TB) (*scenario.Scenario, *asic.Switch, *Controller) {
 	t.Helper()
 	s := scenario.MustNew()
 	c, err := compose.New(s.Prof, s.Chains, s.Placement, s.NFs)

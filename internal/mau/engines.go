@@ -1,6 +1,7 @@
 package mau
 
 import (
+	"bytes"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -48,15 +49,40 @@ type exactArray struct {
 	shift uint // 64 - log2(len(slots)): the hash's top bits index the array
 }
 
-// exactSlot is one immutable key/entry pair.
+// exactSlot is one immutable key/entry pair: 64 bytes, and the only
+// allocation of an insert whose key is at most exactInlineKey bytes and
+// whose entry has at most one param (a session, a NAT mapping, a VNI).
+// Such a key is its tag, and e.Params points at the slot's own param
+// word, so Lookup hands out e as stored. A longer key spills into an
+// exactLongSlot, more params into a slice of their own. Either way the
+// slot holds copies: the caller's key and Params stay the caller's.
 type exactSlot struct {
-	key  string
-	hash uint64
-	e    Entry
+	e     Entry
+	tag   uint64  // see hashKey
+	long  *[]byte // the key when the tag cannot hold it, else nil
+	param [1]uint64
 }
 
+// exactLongSlot is the allocation behind a slot with a spilled key:
+// long points at key.
+type exactLongSlot struct {
+	exactSlot
+	key []byte
+}
+
+// exactInlineKey is the longest key a tag holds: seven bytes under the
+// length byte.
+const exactInlineKey = 7
+
+// A tag's top byte is an inline key's length (0–7), tagLong over 56
+// bits of a spilled key's hash, or the tombstone's, which no key has.
+const (
+	tagLong      uint64 = 0xFF << 56
+	tagTombstone uint64 = 0xFE << 56
+)
+
 // exactTombstone marks a deleted slot: probe chains continue past it.
-var exactTombstone = new(exactSlot)
+var exactTombstone = &exactSlot{tag: tagTombstone}
 
 // exactMinSlots is the size of a table's first array.
 const exactMinSlots = 8
@@ -78,46 +104,63 @@ func newExactArray(size int) *exactArray {
 	}
 }
 
+// mix folds one word of key into the hash.
+func mix(h, w uint64) uint64 {
+	h = (h ^ w) * 0x9E3779B97F4A7C15
+	return h ^ h>>32
+}
+
 // hashKey mixes a key into 64 bits, eight bytes per multiply; the top
 // bits, which index the array, depend on every byte. Table keys are a
 // few bytes (a session hash, an address, a VNI), so the common case is
-// one round.
-func hashKey(key []byte) uint64 {
-	h := uint64(len(key))
-	for {
-		var w uint64
-		n := len(key)
-		if n > 8 {
-			n = 8
+// one round. tag is what a slot holding the key stores: the key itself
+// under its length when it fits (equal tags, equal keys), else tagLong
+// over the hash (equal tags, likely equal keys).
+func hashKey(key []byte) (h, tag uint64) {
+	if len(key) <= exactInlineKey {
+		for i, b := range key {
+			tag |= uint64(b) << (8 * uint(i))
 		}
+		tag |= uint64(len(key)) << 56
+		return hashInline(tag), tag
+	}
+	h = uint64(len(key))
+	for len(key) > 0 {
+		var w uint64
+		n := min(len(key), 8)
 		for i, b := range key[:n] {
 			w |= uint64(b) << (8 * uint(i))
 		}
-		h = (h ^ w) * 0x9E3779B97F4A7C15
-		h ^= h >> 32
-		if key = key[n:]; len(key) == 0 {
-			return h * 0xD6E8FEB86659FD93
-		}
+		h = mix(h, w)
+		key = key[n:]
 	}
+	h *= 0xD6E8FEB86659FD93
+	return h, tagLong | h>>8
 }
 
-// matches reports whether the slot holds key.
-func (s *exactSlot) matches(h uint64, key []byte) bool {
-	if s.hash != h || len(s.key) != len(key) {
-		return false
+// hashInline is hashKey of the key an inline tag holds.
+func hashInline(tag uint64) uint64 {
+	return mix(tag>>56, tag&^tagLong) * 0xD6E8FEB86659FD93
+}
+
+// hash returns hashKey of the slot's key.
+func (s *exactSlot) hash() uint64 {
+	if s.long == nil {
+		return hashInline(s.tag)
 	}
-	for i := range key {
-		if s.key[i] != key[i] {
-			return false
-		}
-	}
-	return true
+	h, _ := hashKey(*s.long)
+	return h
+}
+
+// holds reports whether the slot holds the key that tag was made from.
+func (s *exactSlot) holds(tag uint64, key []byte) bool {
+	return s.tag == tag && (s.long == nil || bytes.Equal(*s.long, key))
 }
 
 // find probes for key. It returns the index holding it, or -1 and the
 // index a new slot for it belongs in (the first tombstone on the probe
 // chain, else the empty slot that ended it).
-func (a *exactArray) find(h uint64, key []byte) (at, free int) {
+func (a *exactArray) find(h, tag uint64, key []byte) (at, free int) {
 	mask := len(a.slots) - 1
 	free = -1
 	for i := int(h >> a.shift); ; i = (i + 1) & mask {
@@ -131,7 +174,7 @@ func (a *exactArray) find(h uint64, key []byte) (at, free int) {
 			if free < 0 {
 				free = i
 			}
-		case s.matches(h, key):
+		case s.holds(tag, key):
 			return i, -1
 		}
 	}
@@ -152,7 +195,7 @@ func (a *exactArray) grown(live int) *exactArray {
 		if s == nil || s == exactTombstone {
 			continue
 		}
-		j := int(s.hash >> next.shift)
+		j := int(s.hash() >> next.shift)
 		for next.slots[j].Load() != nil {
 			j = (j + 1) & mask
 		}
@@ -161,17 +204,38 @@ func (a *exactArray) grown(live int) *exactArray {
 	return next
 }
 
-// Insert adds or replaces the entry for key. It fails when the table
-// is at capacity and key is new, mirroring hardware table exhaustion.
+// newExactSlot builds the slot for key and e in one allocation when
+// both fit inline.
+func newExactSlot(tag uint64, key []byte, e Entry) *exactSlot {
+	var s *exactSlot
+	if len(key) <= exactInlineKey {
+		s = new(exactSlot)
+	} else {
+		l := &exactLongSlot{key: append([]byte(nil), key...)}
+		s, l.long = &l.exactSlot, &l.key
+	}
+	s.tag, s.e.Action = tag, e.Action
+	switch n := len(e.Params); {
+	case n > len(s.param):
+		s.e.Params = append([]uint64(nil), e.Params...)
+	case n > 0:
+		s.e.Params = s.param[:copy(s.param[:], e.Params)]
+	}
+	return s
+}
+
+// Insert adds or replaces the entry for key, copying both. It fails
+// when the table is at capacity and key is new, mirroring hardware
+// table exhaustion.
 //
 //dv:snapshotwriter
 func (t *ExactTable) Insert(key []byte, e Entry) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	h := hashKey(key)
+	h, tag := hashKey(key)
 	cur := t.arr.Load()
 	a := cur
-	at, free := a.find(h, key)
+	at, free := a.find(h, tag, key)
 	if at < 0 {
 		live := t.Len()
 		if t.cap > 0 && live >= t.cap {
@@ -182,14 +246,14 @@ func (t *ExactTable) Insert(key []byte, e Entry) error {
 		if 2*(live+t.tombs+1) > len(a.slots) {
 			a = a.grown(live)
 			t.tombs = 0
-			_, free = a.find(h, key)
+			_, free = a.find(h, tag, key)
 		} else if a.slots[free].Load() == exactTombstone {
 			t.tombs--
 		}
 		at = free
 		t.n.Add(1)
 	}
-	a.slots[at].Store(&exactSlot{key: string(key), hash: h, e: e})
+	a.slots[at].Store(newExactSlot(tag, key, e))
 	if a != cur {
 		t.arr.Store(a) // a grown array is published complete, the new entry included
 	}
@@ -205,7 +269,8 @@ func (t *ExactTable) Delete(key []byte) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	a := t.arr.Load()
-	at, _ := a.find(hashKey(key), key)
+	h, tag := hashKey(key)
+	at, _ := a.find(h, tag, key)
 	if at < 0 {
 		return false
 	}
@@ -215,19 +280,20 @@ func (t *ExactTable) Delete(key []byte) bool {
 	return true
 }
 
-// Lookup returns the entry for key.
+// Lookup returns the entry for key. Its Params are the table's own:
+// read them, do not write them.
 //
 //dv:hotpath
 func (t *ExactTable) Lookup(key []byte) (Entry, bool) {
 	a := t.arr.Load()
-	h := hashKey(key)
+	h, tag := hashKey(key)
 	mask := len(a.slots) - 1
 	for i := int(h >> a.shift); ; i = (i + 1) & mask {
 		s := a.slots[i].Load()
 		if s == nil {
 			return Entry{}, false
 		}
-		if s != exactTombstone && s.matches(h, key) {
+		if s.holds(tag, key) {
 			return s.e, true
 		}
 	}

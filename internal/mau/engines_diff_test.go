@@ -33,11 +33,15 @@ func TestExactTableMatchesMap(t *testing.T) {
 		tb := NewExactTable(capacity)
 		ref := make(map[string]Entry)
 		// A small key universe forces replaces, deletes of present keys
-		// and re-inserts over tombstones; key lengths 0..12 cross the
-		// hash's eight-byte round boundary.
+		// and re-inserts over tombstones. Key lengths sit on both sides
+		// of the slot's inline limit (7) and of the hash's eight-byte
+		// round, param counts on both sides of the one inline param, so
+		// the inline and the spilled layout are both held to the map.
+		keyLens := []int{0, 1, 4, 7, 14, 15, 40}
+		paramCounts := []int{0, 1, 2, 5}
 		universe := make([][]byte, 300)
 		for i := range universe {
-			k := make([]byte, rng.Intn(13))
+			k := make([]byte, keyLens[rng.Intn(len(keyLens))])
 			rng.Read(k)
 			universe[i] = k
 		}
@@ -45,7 +49,10 @@ func TestExactTableMatchesMap(t *testing.T) {
 			k := universe[rng.Intn(len(universe))]
 			switch rng.Intn(10) {
 			case 0, 1, 2, 3, 4:
-				e := Entry{Action: fmt.Sprint("a", op%7), Params: []uint64{uint64(op), rng.Uint64()}}
+				e := Entry{Action: fmt.Sprint("a", op%7), Params: make([]uint64, paramCounts[rng.Intn(len(paramCounts))])}
+				for j := range e.Params {
+					e.Params[j] = rng.Uint64()
+				}
 				err := tb.Insert(k, e)
 				_, exists := ref[string(k)]
 				full := capacity > 0 && !exists && len(ref) >= capacity
@@ -249,7 +256,21 @@ func TestTernaryMatchesPriorityScan(t *testing.T) {
 func TestExactTableHammer(t *testing.T) {
 	const stable, churn, readers = 3000, 400, 4
 	tb := NewExactTable(0)
-	key := func(i int) []byte { return []byte{byte(i >> 16), byte(i >> 8), byte(i), 0xA5} }
+	// Every third key and entry take the spilled layout (nine-byte key,
+	// two params), the rest the inline one.
+	key := func(i int) []byte {
+		k := []byte{byte(i >> 16), byte(i >> 8), byte(i), 0xA5}
+		if i%3 == 0 {
+			k = append(k, 1, 2, 3, 4, 5)
+		}
+		return k
+	}
+	entry := func(i int, v uint64) Entry {
+		if i%3 == 0 {
+			return Entry{Params: []uint64{v, ^v}}
+		}
+		return Entry{Params: []uint64{v}}
+	}
 	var installed atomic.Int64 // stable keys [0, installed) are in the table for good
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -261,7 +282,7 @@ func TestExactTableHammer(t *testing.T) {
 				n := int(installed.Load())
 				for i := 0; i < n; i++ {
 					e, ok := tb.Lookup(key(i))
-					if !ok || e.Params[0] != uint64(i) {
+					if !ok || e.Params[0] != uint64(i) || (i%3 == 0 && e.Params[1] != ^uint64(i)) {
 						t.Errorf("stable key %d of %d installed: Lookup = %+v,%v", i, n, e, ok)
 						return
 					}
@@ -270,13 +291,13 @@ func TestExactTableHammer(t *testing.T) {
 		}()
 	}
 	for i := 0; i < stable; i++ {
-		tb.Insert(key(i), Entry{Params: []uint64{uint64(i)}})
+		tb.Insert(key(i), entry(i, uint64(i)))
 		installed.Store(int64(i + 1))
 		// Churn keys come and go between the stable ones: tombstones on
 		// the stable keys' probe chains, reuse of tombstones, replaces.
 		c := key(1<<20 + i%churn)
-		tb.Insert(c, Entry{Params: []uint64{0}})
-		tb.Insert(c, Entry{Params: []uint64{1}})
+		tb.Insert(c, entry(i, 0))
+		tb.Insert(c, entry(i+1, 1)) // a replace may change the layout
 		if i%3 != 0 {
 			tb.Delete(c)
 		}
@@ -352,4 +373,62 @@ func TestTernaryHammer(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
+}
+
+// TestExactInsertCopies: the table keeps copies of the key and the
+// params, in the inline layout and in the spilled one, so a caller that
+// reuses its buffers after Insert does not rewrite an installed entry
+// under the readers.
+func TestExactInsertCopies(t *testing.T) {
+	tb := NewExactTable(0)
+	for _, c := range []struct {
+		key    []byte
+		params []uint64
+	}{
+		{[]byte{1, 2, 3, 4}, []uint64{10}},
+		{[]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, []uint64{10}},
+		{[]byte{9, 9}, []uint64{10, 11, 12}},
+	} {
+		key := append([]byte(nil), c.key...)
+		params := append([]uint64(nil), c.params...)
+		if err := tb.Insert(key, Entry{Action: "a", Params: params}); err != nil {
+			t.Fatal(err)
+		}
+		for i := range key {
+			key[i] = 0xFF
+		}
+		for i := range params {
+			params[i] = 0xDEAD
+		}
+		if got, ok := tb.Lookup(c.key); !ok || !sameEntry(got, Entry{Action: "a", Params: c.params}) {
+			t.Errorf("key %x after the caller rewrote its buffers: Lookup = %+v,%v, want params %v", c.key, got, ok, c.params)
+		}
+		if _, ok := tb.Lookup(key); ok {
+			t.Errorf("key %x: the rewritten key buffer matches an entry", c.key)
+		}
+	}
+}
+
+// TestExactInsertAllocBudget: an entry that fits the slot — here a
+// 4-byte key and one param, an LB session — is one allocation; a longer
+// key or more params spill into one more each.
+func TestExactInsertAllocBudget(t *testing.T) {
+	tb := NewExactTable(0)
+	for _, c := range []struct {
+		name   string
+		key    []byte
+		params []uint64
+		want   float64
+	}{
+		{"session", []byte{1, 2, 3, 4}, []uint64{7}, 1},
+		{"7-byte key, no params", []byte{1, 2, 3, 4, 5, 6, 7}, nil, 1},
+		{"8-byte key", []byte{1, 2, 3, 4, 5, 6, 7, 8}, []uint64{7}, 2},
+		{"two params", []byte{1, 2, 3}, []uint64{7, 8}, 2},
+	} {
+		e := Entry{Action: "a", Params: c.params}
+		tb.Insert(c.key, e) // replaces from here on: no array growth
+		if got := testing.AllocsPerRun(100, func() { tb.Insert(c.key, e) }); got != c.want {
+			t.Errorf("%s: Insert = %.1f allocations, want %.0f", c.name, got, c.want)
+		}
+	}
 }

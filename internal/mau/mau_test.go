@@ -276,6 +276,19 @@ func BenchmarkExactLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkExactLookupSession is the same over a 4-byte key with one
+// param, the shape of an LB session: the slot's inline layout, where
+// BenchmarkExactLookup's 8-byte key takes the spilled one.
+func BenchmarkExactLookupSession(b *testing.B) {
+	tb := NewExactTable(0)
+	key := []byte{1, 2, 3, 4}
+	tb.Insert(key, Entry{Action: "a", Params: []uint64{7}})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tb.Lookup(key)
+	}
+}
+
 func BenchmarkLPMLookup(b *testing.B) {
 	tb := NewLPM32()
 	for i := uint32(0); i < 1024; i++ {
@@ -284,5 +297,23 @@ func BenchmarkLPMLookup(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tb.Lookup(uint32(i) << 16)
+	}
+}
+
+// BenchmarkExactInsert fills a fresh table with 4-byte keys and one
+// param each, the shape of an LB session; growth is amortised in.
+func BenchmarkExactInsert(b *testing.B) {
+	const entries = 1 << 12
+	keys := make([][]byte, entries)
+	for i := range keys {
+		h := uint32(i) * 2654435761
+		keys[i] = []byte{byte(h >> 24), byte(h >> 16), byte(h >> 8), byte(h)}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i += entries {
+		tb := NewExactTable(0)
+		for j, k := range keys {
+			tb.Insert(k, Entry{Action: "modify_dstIp", Params: []uint64{uint64(j)}})
+		}
 	}
 }

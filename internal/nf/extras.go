@@ -43,19 +43,28 @@ func natKey(src packet.IP4, port uint16, proto uint8) [7]byte {
 	return [7]byte{src[0], src[1], src[2], src[3], byte(port >> 8), byte(port), proto}
 }
 
-// InstallMapping installs a translation (src,port,proto) -> publicPort.
+// InstallMapping installs a translation (src,port,proto) -> publicPort
+// in both directions or in neither. The reverse entry goes in first:
+// its key is a public port the caller hands out once, so taking it back
+// out when the forward insert fails undoes exactly what was done (the
+// forward key may be a replace, which a delete could not undo).
 func (n *NAT) InstallMapping(src packet.IP4, srcPort uint16, proto uint8, publicPort uint16) error {
+	rev := [3]byte{byte(publicPort >> 8), byte(publicPort), proto}
+	if err := n.reverseTbl.Insert(rev[:], mau.Entry{
+		Action: "untranslate",
+		Params: []uint64{uint64(src.Uint32()), uint64(srcPort)},
+	}); err != nil {
+		return err
+	}
 	key := natKey(src, srcPort, proto)
 	if err := n.sessions.Insert(key[:], mau.Entry{
 		Action: "translate",
 		Params: []uint64{uint64(publicPort)},
 	}); err != nil {
+		n.reverseTbl.Delete(rev[:])
 		return err
 	}
-	return n.reverseTbl.Insert(
-		[]byte{byte(publicPort >> 8), byte(publicPort), proto},
-		mau.Entry{Action: "untranslate", Params: []uint64{uint64(src.Uint32()), uint64(srcPort)}},
-	)
+	return nil
 }
 
 // Mappings returns the number of installed translations.

@@ -464,6 +464,41 @@ func TestNAT(t *testing.T) {
 	}
 }
 
+// TestNATMappingIsAllOrNothing: a translation whose second table write
+// fails leaves nothing behind in the first — with either table as the
+// one that is full.
+func TestNATMappingIsAllOrNothing(t *testing.T) {
+	src1, src2 := packet.IP4{10, 0, 5, 5}, packet.IP4{10, 0, 5, 6}
+	for _, c := range []struct {
+		name             string
+		forward, reverse int // table capacities
+	}{
+		{"reverse table full", 0, 1},
+		{"forward table full", 1, 0},
+	} {
+		n := NewNAT(packet.IP4{192, 0, 2, 1}, 0)
+		n.sessions, n.reverseTbl = mau.NewExactTable(c.forward), mau.NewExactTable(c.reverse)
+		if err := n.InstallMapping(src1, 1000, packet.ProtoTCP, 50000); err != nil {
+			t.Fatalf("%s: first mapping: %v", c.name, err)
+		}
+		if err := n.InstallMapping(src2, 1000, packet.ProtoTCP, 50001); err == nil {
+			t.Fatalf("%s: second mapping went in", c.name)
+		}
+		if n.sessions.Len() != 1 || n.reverseTbl.Len() != 1 {
+			t.Errorf("%s: %d forward and %d reverse entries after the failed install, want 1 and 1",
+				c.name, n.sessions.Len(), n.reverseTbl.Len())
+		}
+		p := withSFC(packet.NewTCP(packet.TCPOpts{Src: src2, Dst: ipA, SrcPort: 1000, DstPort: 80}), 1, 2)
+		n.Execute(p)
+		if !p.SFC.Meta.Has(nsh.FlagToCPU) || p.IPv4.Src != src2 {
+			t.Errorf("%s: the flow whose install failed is translated: %s", c.name, p.IPv4.Src)
+		}
+		if e, ok := n.reverseTbl.Lookup([]byte{50000 >> 8, 50000 & 0xFF, packet.ProtoTCP}); !ok || uint32(e.Params[0]) != src1.Uint32() {
+			t.Errorf("%s: the first flow's reverse entry: %+v,%v", c.name, e, ok)
+		}
+	}
+}
+
 func TestMirror(t *testing.T) {
 	m := NewMirror()
 	if err := m.AddTap(vip, packet.IP4{255, 255, 255, 255}, 30, 1); err != nil {

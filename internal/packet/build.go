@@ -118,11 +118,19 @@ func (p *Parsed) PopSFC() {
 // Clone returns a deep copy of the parsed vector, including payload and
 // option slices, so the copy can be mutated independently.
 func (p *Parsed) Clone() *Parsed {
-	c := *p
-	c.Payload = append([]byte(nil), p.Payload...)
-	c.IPv4.Options = append([]byte(nil), p.IPv4.Options...)
-	c.TCP.Options = append([]byte(nil), p.TCP.Options...)
-	c.InnerIPv4.Options = append([]byte(nil), p.InnerIPv4.Options...)
-	c.InnerTCP.Options = append([]byte(nil), p.InnerTCP.Options...)
-	return &c
+	c := new(Parsed)
+	p.CloneInto(c)
+	return c
+}
+
+// CloneInto overwrites dst with a deep copy of p, for callers that own
+// the memory the copy lives in (the switch's CPU queue copies a burst
+// of punts into one chunk). Nothing of dst's previous content is kept.
+func (p *Parsed) CloneInto(dst *Parsed) {
+	*dst = *p
+	dst.Payload = append([]byte(nil), p.Payload...)
+	dst.IPv4.Options = append([]byte(nil), p.IPv4.Options...)
+	dst.TCP.Options = append([]byte(nil), p.TCP.Options...)
+	dst.InnerIPv4.Options = append([]byte(nil), p.InnerIPv4.Options...)
+	dst.InnerTCP.Options = append([]byte(nil), p.InnerTCP.Options...)
 }

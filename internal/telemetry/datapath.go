@@ -23,6 +23,7 @@ const (
 	DropRecircDead                // recirculated into a dead loopback port
 	DropRecircOverload            // recirculation queue overload
 	DropRefused                   // refused at the ingress port (admission)
+	DropCPUQueueFull              // punted while the CPU queue was at its cap
 	numDropReasons
 )
 
@@ -51,6 +52,8 @@ func (d DropReason) String() string {
 		return "recirc_overload"
 	case DropRefused:
 		return "refused_at_port"
+	case DropCPUQueueFull:
+		return "cpu_queue_full"
 	}
 	return "unknown"
 }
