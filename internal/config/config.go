@@ -12,6 +12,7 @@ import (
 	"io"
 	"net/netip"
 	"os"
+	"slices"
 
 	"dejavu/internal/asic"
 	"dejavu/internal/core"
@@ -147,6 +148,52 @@ type RouteSpec struct {
 type NATSpec struct {
 	PublicIP        string `json:"public_ip"`
 	SessionCapacity int    `json:"session_capacity"`
+}
+
+// Clone deep-copies the document: the copy shares no slice and no NF
+// section with the original, and a nil slice or section stays nil, an
+// empty one empty — the copy renders to the same JSON.
+func (f *File) Clone() File {
+	c := *f
+	c.LoopbackPorts = slices.Clone(f.LoopbackPorts)
+	c.Chains = slices.Clone(f.Chains)
+	for i := range c.Chains {
+		c.Chains[i].NFs = slices.Clone(c.Chains[i].NFs)
+	}
+	if f.Classifier != nil {
+		s := *f.Classifier
+		s.Rules = slices.Clone(s.Rules)
+		c.Classifier = &s
+	}
+	if f.Firewall != nil {
+		s := *f.Firewall
+		s.Rules = slices.Clone(s.Rules)
+		c.Firewall = &s
+	}
+	if f.VGW != nil {
+		s := *f.VGW
+		s.VNIs = slices.Clone(s.VNIs)
+		s.Encap = slices.Clone(s.Encap)
+		c.VGW = &s
+	}
+	if f.LB != nil {
+		s := *f.LB
+		s.VIPs = slices.Clone(s.VIPs)
+		for i := range s.VIPs {
+			s.VIPs[i].Backends = slices.Clone(s.VIPs[i].Backends)
+		}
+		c.LB = &s
+	}
+	if f.Router != nil {
+		s := *f.Router
+		s.Routes = slices.Clone(s.Routes)
+		c.Router = &s
+	}
+	if f.NAT != nil {
+		s := *f.NAT
+		c.NAT = &s
+	}
+	return c
 }
 
 // parseIP4 parses a dotted-quad address.

@@ -305,7 +305,11 @@ func TestApplyDryRun(t *testing.T) {
 func TestApplyFabric(t *testing.T) {
 	a := NewApplier(nil)
 	doc := testDoc(t)
-	doc.Fabric = &FabricSpec{Switches: 3, StageDemand: map[string]int{"classifier": 6, "fw": 6, "router": 6}}
+	// The empty pin map is what `"pin": {}` parses to: the applier's
+	// copy of the document must keep it, or the re-apply below is a
+	// fabric change against that copy.
+	doc.Fabric = &FabricSpec{Switches: 3, StageDemand: map[string]int{"classifier": 6, "fw": 6, "router": 6},
+		Pin: map[string]int{}}
 
 	rep := applyDoc(t, a, doc)
 	if !rep.Initial {
@@ -329,9 +333,10 @@ func TestApplyFabric(t *testing.T) {
 		}
 	}
 
-	rep = applyDoc(t, a, doc.Clone())
-	if !rep.NoOp {
-		t.Fatalf("unchanged fabric re-apply not a no-op: %s", rep.Summary())
+	for _, same := range []*Document{doc, doc.Clone()} {
+		if rep = applyDoc(t, a, same); !rep.NoOp {
+			t.Fatalf("unchanged fabric re-apply not a no-op: %s", rep.Summary())
+		}
 	}
 	if len(rep.FabricChanged) != 0 || rep.ProgramReloads != 0 {
 		t.Errorf("fabric no-op reprogrammed switches %v (%d reloads)",

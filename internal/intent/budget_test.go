@@ -52,12 +52,14 @@ func churnApplier(tb testing.TB) (toggle func()) {
 }
 
 // TestApplyAllocBudget bounds what one incremental apply allocates.
-// The parent of this test measured 10 114 allocations per apply: every
-// NF re-emitted and hashed, and each pipelet's dependency graph derived
-// three times with quadratic set construction. A regression in the
-// staged build's reuse shows here as a count, not as a timing.
+// The budget is the measured 1 907 plus 20 %. Work the staged build is
+// supposed to reuse costs hundreds to thousands of allocations when it
+// is redone — re-emitting and hashing every NF, a dependency graph per
+// lint rule, DV004 re-merging the parser fragments, the applier copying
+// its document through JSON — so a regression in that reuse shows here
+// as a count, not as a timing.
 func TestApplyAllocBudget(t *testing.T) {
-	const budget = 4500
+	const budget = 2300
 	toggle := churnApplier(t)
 	toggle()
 	toggle() // both documents' artifacts have been built once

@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"sort"
 	"strconv"
@@ -241,16 +242,19 @@ func (d *Document) Hash() string {
 	return hex.EncodeToString(sum[:])[:16]
 }
 
-// Clone deep-copies the document via its JSON form, so callers can
-// mutate a desired state without aliasing the applied one.
+// Clone deep-copies the document, so callers can mutate a desired
+// state without aliasing the applied one. The copy is the original
+// value for value — nil stays nil, empty stays empty, which Diff tells
+// apart — and shares no slice, map or section with it.
 func (d *Document) Clone() *Document {
-	b, err := json.Marshal(d)
-	if err != nil {
-		panic("intent: marshal: " + err.Error())
-	}
-	var out Document
-	if err := json.Unmarshal(b, &out); err != nil {
-		panic("intent: unmarshal: " + err.Error())
+	out := *d
+	out.File = d.File.Clone()
+	out.Placement = maps.Clone(d.Placement)
+	if d.Fabric != nil {
+		f := *d.Fabric
+		f.StageDemand = maps.Clone(f.StageDemand)
+		f.Pin = maps.Clone(f.Pin)
+		out.Fabric = &f
 	}
 	return &out
 }

@@ -145,14 +145,23 @@ func BlockRules() []Rule {
 	return []Rule{stageBudgetRule{}, tableDepsRule{}}
 }
 
-// GlobalRules returns the rules that read cross-pipelet state (chains,
-// placement, branching, parser): everything except BlockRules. They
-// re-run on every rebuild — they are cheap — while block findings are
-// cached.
+// ParserRules returns the rule whose findings depend only on the parser
+// fragments of the chain NFs, in first-seen chain order — the inputs of
+// the generic-parser merge: DV004. The incremental build pipeline
+// caches its findings under the parser-merge stage's input hash, so a
+// rebuild over the same NF set asks no NF for its parser.
+func ParserRules() []Rule {
+	return []Rule{parserMergeRule{}}
+}
+
+// GlobalRules returns the rules that read cross-pipelet routing state
+// (chains, placement, branching): everything except BlockRules and
+// ParserRules. Their inputs change with every chain edit, so the
+// incremental build pipeline runs them on every rebuild and caches
+// only the block and parser findings.
 func GlobalRules() []Rule {
 	return []Rule{
 		contextDefUseRule{},
-		parserMergeRule{},
 		recircLegalRule{},
 		branchingRule{},
 		placementRule{},

@@ -473,4 +473,19 @@ func TestRuleCatalogue(t *testing.T) {
 			t.Errorf("rule %s has no title", id)
 		}
 	}
+	// The incremental build assembles its report from the three subsets:
+	// every rule must be in exactly one of them.
+	subsets := 0
+	for _, set := range [][]Rule{BlockRules(), ParserRules(), GlobalRules()} {
+		for _, rule := range set {
+			if !seen[rule.ID()] {
+				t.Errorf("rule %s is in two subsets or not in Rules()", rule.ID())
+			}
+			delete(seen, rule.ID())
+			subsets++
+		}
+	}
+	if subsets != len(rules) || len(seen) != 0 {
+		t.Errorf("Block, Parser and Global rules hold %d rules, Rules() %d; in no subset: %v", subsets, len(rules), seen)
+	}
 }

@@ -113,11 +113,9 @@ var (
 	}}
 )
 
-// StandardHeaderTypes returns the registry of built-in header types,
-// keyed by name. Inner (post-VXLAN) headers reuse the same types at
-// different parser offsets, exactly as the (header_type, offset) vertex
-// representation of §3 intends.
-func StandardHeaderTypes() map[string]*HeaderType {
+// standardHeaderTypes is the registry StandardHeaderTypes hands out,
+// built once: the built-in types are fixed at package initialisation.
+var standardHeaderTypes = func() map[string]*HeaderType {
 	m := make(map[string]*HeaderType, 10)
 	for _, h := range []*HeaderType{
 		HdrEthernet, HdrSFC, HdrIPv4, HdrTCP, HdrUDP, HdrICMP, HdrARP, HdrVXLAN, HdrMeta,
@@ -125,7 +123,14 @@ func StandardHeaderTypes() map[string]*HeaderType {
 		m[h.Name] = h
 	}
 	return m
-}
+}()
+
+// StandardHeaderTypes returns the registry of built-in header types,
+// keyed by name. Inner (post-VXLAN) headers reuse the same types at
+// different parser offsets, exactly as the (header_type, offset) vertex
+// representation of §3 intends. Every caller gets the same map and
+// goroutines read it concurrently: it must not be written to.
+func StandardHeaderTypes() map[string]*HeaderType { return standardHeaderTypes }
 
 // MatchKind is the match semantics of one table key component.
 type MatchKind uint8

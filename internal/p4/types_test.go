@@ -1,6 +1,8 @@
 package p4
 
 import (
+	"maps"
+	"sync"
 	"testing"
 )
 
@@ -189,4 +191,90 @@ func TestDepKindStrings(t *testing.T) {
 			t.Errorf("MatchKind.String() = %s, want %s", k.String(), want)
 		}
 	}
+}
+
+// lpmTable is a table whose key widths (32 + 16 bits) come from the
+// header-type registry.
+func lpmTable() *Table {
+	return &Table{
+		Name:    "lpm",
+		Keys:    []Key{{Field: "ipv4.dst_addr", Kind: MatchLPM}, {Field: "meta.class_id", Kind: MatchExact}},
+		Actions: []*Action{{Name: "fwd"}},
+	}
+}
+
+// TestStandardHeaderTypesIsReadOnly: every caller is handed the one
+// registry built at package initialisation, so it must hold the nine
+// built-in types under their own names and no in-tree reader may write
+// to it — the four that consult it (KeyBits, Validate, EmitProgram,
+// the reader's field-reference recovery) leave it as they found it.
+func TestStandardHeaderTypesIsReadOnly(t *testing.T) {
+	builtin := []*HeaderType{HdrEthernet, HdrSFC, HdrIPv4, HdrTCP, HdrUDP, HdrICMP, HdrARP, HdrVXLAN, HdrMeta}
+	reg := StandardHeaderTypes()
+	if len(reg) != len(builtin) {
+		t.Fatalf("registry holds %d types, want %d", len(reg), len(builtin))
+	}
+	for _, h := range builtin {
+		if reg[h.Name] != h {
+			t.Errorf("registry[%q] is not the built-in %s type", h.Name, h.Name)
+		}
+	}
+
+	tb := lpmTable()
+	prog := &Program{Name: "ro", Parser: SFCIPv4Parser(), Blocks: []*ControlBlock{makeLBBlock()}}
+	callers := map[string]func(){
+		"Table.KeyBits": func() { tb.KeyBits() },
+		"Table.Validate": func() {
+			_ = tb.Validate()
+			_ = (&Table{Name: "bad", Keys: []Key{{Field: "nosuch.f"}}, Actions: tb.Actions}).Validate()
+		},
+		"EmitProgram": func() {
+			if _, err := EmitProgram(prog, EmitOptions{}); err != nil {
+				t.Error(err)
+			}
+		},
+		"unsanitizeFieldRef": func() { unsanitizeFieldRef("ethernet_ether_type"); unsanitizeFieldRef("nosuch_f") },
+	}
+	for name, call := range callers {
+		before := maps.Clone(reg)
+		call()
+		if !maps.Equal(before, StandardHeaderTypes()) {
+			t.Errorf("%s wrote to the shared header-type registry", name)
+		}
+	}
+}
+
+// TestStandardHeaderTypesConcurrentReaders is for the race detector:
+// the registry's readers run from several goroutines at once, as two
+// appliers or an applier beside `dejavu emit` would.
+func TestStandardHeaderTypesConcurrentReaders(t *testing.T) {
+	tb := lpmTable()
+	want, err := EmitProgram(&Program{Name: "rt", Parser: SFCIPv4Parser(), Blocks: []*ControlBlock{makeLBBlock()}}, EmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			prog := &Program{Name: "rt", Parser: SFCIPv4Parser(), Blocks: []*ControlBlock{makeLBBlock()}}
+			for i := 0; i < 50; i++ {
+				if err := tb.Validate(); err != nil {
+					t.Error(err)
+				}
+				if got := tb.KeyBits(); got != 48 {
+					t.Errorf("KeyBits = %d, want 48", got)
+				}
+				src, err := EmitProgram(prog, EmitOptions{})
+				if err != nil || src != want {
+					t.Errorf("EmitProgram: %v; same text as alone: %v", err, src == want)
+				}
+				if _, err := ReadProgram("rt", src); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

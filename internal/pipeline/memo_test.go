@@ -16,23 +16,25 @@ import (
 	"dejavu/internal/scenario"
 )
 
-// countedNF counts how often the build asks an NF for its program.
+// countedNF counts how often the build asks an NF for its program and
+// for its parser fragment.
 type countedNF struct {
 	nf.NF
-	blocks *int
+	blocks, parsers *int
 }
 
 func (c *countedNF) Block() *p4.ControlBlock { *c.blocks++; return c.NF.Block() }
+func (c *countedNF) Parser() *p4.ParserGraph { *c.parsers++; return c.NF.Parser() }
 
-// counted wraps every NF of the inputs and returns the shared counter.
-func counted(in *Inputs) *int {
-	n := new(int)
+// counted wraps every NF of the inputs and returns the shared counters.
+func counted(in *Inputs) (blocks, parsers *int) {
+	blocks, parsers = new(int), new(int)
 	wrapped := make(nf.List, len(in.NFs))
 	for i, f := range in.NFs {
-		wrapped[i] = &countedNF{NF: f, blocks: n}
+		wrapped[i] = &countedNF{NF: f, blocks: blocks, parsers: parsers}
 	}
 	in.NFs = wrapped
-	return n
+	return blocks, parsers
 }
 
 // TestWarmCacheFingerprintsNothing: once the cache has seen the NF
@@ -42,7 +44,7 @@ func counted(in *Inputs) *int {
 // placed NF's block once for that, and no more.
 func TestWarmCacheFingerprintsNothing(t *testing.T) {
 	in := scenarioInputs(t)
-	blocks := counted(&in)
+	blocks, _ := counted(&in)
 	cache := NewCache()
 	if _, err := Build(in, cache); err != nil {
 		t.Fatal(err)
@@ -77,6 +79,173 @@ func TestWarmCacheFingerprintsNothing(t *testing.T) {
 	}
 }
 
+// TestWarmBuildCallsNoParser: the generic parser and its DV004
+// findings are both keyed by the parser-merge stage's input hash, so
+// once the cache has seen the NF objects, toggling a chain over the
+// same NF set asks no NF for its parser fragment — not to fingerprint
+// it, not to merge it, not to lint it.
+func TestWarmBuildCallsNoParser(t *testing.T) {
+	base := scenarioInputs(t)
+	_, parsers := counted(&base)
+	plus := base
+	plus.Chains = append(append([]route.Chain(nil), base.Chains...), extraChain(base))
+	cache := NewCache()
+	if _, err := Build(base, cache); err != nil {
+		t.Fatal(err)
+	}
+	if *parsers == 0 {
+		t.Fatal("the cold build never read an NF parser; the counter is not wired")
+	}
+	*parsers = 0
+	for i, in := range []Inputs{plus, base, plus, base} {
+		// On a clone, as every live apply builds, then on the cache.
+		for _, c := range []*Cache{cache.Clone(), cache} {
+			if _, err := Build(in, c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if *parsers != 0 {
+			t.Fatalf("warm build %d read NF parsers %d times, want 0", i, *parsers)
+		}
+	}
+}
+
+// reparsedNF is an NF object standing in for another with a different
+// parser fragment.
+type reparsedNF struct {
+	nf.NF
+	parser *p4.ParserGraph
+}
+
+func (r *reparsedNF) Parser() *p4.ParserGraph { return r.parser }
+
+// swapNF returns the inputs with the named NF object replaced.
+func swapNF(in Inputs, with nf.NF) Inputs {
+	in.NFs = append(nf.List(nil), in.NFs...)
+	for i, f := range in.NFs {
+		if f.Name() == with.Name() {
+			in.NFs[i] = with
+		}
+	}
+	return in
+}
+
+// TestParserLintFollowsTheParserStage: the cached DV004 findings are
+// replaced exactly when the generic parser is. Swapping in an NF object
+// whose fragment carries an orphan vertex shows the warning in the very
+// next build and swapping the original back removes it; at every step
+// the report is the one the full rule set gives on a fresh target. A
+// fragment that disagrees with another NF's on a transition (the
+// fixture of lint.TestParserMergeAmbiguity) never reaches lint: the
+// parser-merge stage refuses it, as it does without a cache, and the
+// refusal leaves nothing behind in the cache.
+func TestParserLintFollowsTheParserStage(t *testing.T) {
+	in := scenarioInputs(t)
+	router := in.NFs.ByName("router")
+	eth := router.Parser().Start
+
+	orphan := router.Parser().Clone()
+	orphan.AddVertex(p4.Vertex{Type: "vxlan", Offset: 99})
+	ambiguous := p4.NewParserGraph(eth)
+	ambiguous.MustEdge(p4.Transition{
+		From: eth, Select: "ethernet.ether_type", Value: 0x0800,
+		To: p4.Vertex{Type: "arp", Offset: 14},
+	})
+
+	cache := NewCache()
+	dv004 := func(step string, in Inputs) []lint.Finding {
+		t.Helper()
+		res, err := Build(in, cache)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		fresh, err := Build(in, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		assertSameBuild(t, step, res, fresh)
+		return res.Lint.ByRule(lint.RuleParserMerge)
+	}
+
+	if got := dv004("original", in); len(got) != 0 {
+		t.Fatalf("the scenario has DV004 findings: %v", got)
+	}
+	got := dv004("orphan vertex swapped in", swapNF(in, &reparsedNF{NF: router, parser: orphan}))
+	if len(got) != 1 || got[0].Severity != lint.SevWarn || got[0].Where != "vxlan@99" {
+		t.Fatalf("orphan vertex: DV004 findings %v, want one warning at vxlan@99", got)
+	}
+	if got := dv004("original swapped back", in); len(got) != 0 {
+		t.Fatalf("original swapped back: DV004 findings remain: %v", got)
+	}
+
+	bad := swapNF(in, &reparsedNF{NF: router, parser: ambiguous})
+	entries := len(cache.entries)
+	_, err := Build(bad, cache)
+	_, errCold := Build(bad, nil)
+	if err == nil || errCold == nil || err.Error() != errCold.Error() ||
+		!strings.Contains(err.Error(), "conflicting transitions") {
+		t.Fatalf("ambiguous fragment: cached build %v, cold build %v; want the same merge conflict", err, errCold)
+	}
+	if len(cache.entries) != entries {
+		t.Errorf("the refused build changed the cache: %d entries, had %d", len(cache.entries), entries)
+	}
+	if got := dv004("original after the refusal", in); len(got) != 0 {
+		t.Fatalf("original after the refusal: DV004 findings %v", got)
+	}
+}
+
+// TestCacheEntriesBoundedUnderChurn: the cache holds one generation
+// per stage key — the parser findings under "lint/parser" included —
+// and one fingerprint per live NF object, however many rebuilds and
+// NF-object replacements it has served.
+func TestCacheEntriesBoundedUnderChurn(t *testing.T) {
+	base := scenarioInputs(t)
+	plus := base
+	plus.Chains = append(append([]route.Chain(nil), base.Chains...), extraChain(base))
+	cache := NewCache()
+	for _, in := range []Inputs{base, plus} {
+		if _, err := Build(in, cache); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := len(cache.entries)
+	if _, ok := cache.entries["lint/parser"]; !ok {
+		t.Fatal("no lint/parser entry after two builds")
+	}
+	router := base.NFs.ByName("router")
+	swaps := 0
+	for i := 0; i < 2000; i++ {
+		if i%40 == 0 {
+			// A fresh object for the same NF, alternately with and
+			// without an orphan parser vertex: fingerprints, parser,
+			// blocks and findings of both kinds pass through the cache.
+			g := router.Parser().Clone()
+			if swaps%2 == 0 {
+				g.AddVertex(p4.Vertex{Type: "vxlan", Offset: 99})
+			}
+			repl := &reparsedNF{NF: router, parser: g}
+			base, plus = swapNF(base, repl), swapNF(plus, repl)
+			swaps++
+		}
+		in := plus
+		if i%2 == 1 {
+			in = base
+		}
+		if _, err := Build(in, cache); err != nil {
+			t.Fatalf("build %d: %v", i, err)
+		}
+	}
+	if swaps != 50 {
+		t.Fatalf("%d NF swaps, want 50", swaps)
+	}
+	if got := len(cache.entries); got != want {
+		t.Errorf("%d cache entries after the churn, %d after the second build", got, want)
+	}
+	if len(cache.fps) != len(base.NFs) {
+		t.Errorf("cache remembers %d NF objects, the list has %d", len(cache.fps), len(base.NFs))
+	}
+}
+
 // TestCacheForgetsRetiredNFs: a cache reused with a fresh list of
 // same-named NF objects fingerprints the new objects and remembers
 // only them.
@@ -87,7 +256,7 @@ func TestCacheForgetsRetiredNFs(t *testing.T) {
 		t.Fatal(err)
 	}
 	second := scenarioInputs(t)
-	blocks := counted(&second)
+	blocks, _ := counted(&second)
 	if _, err := Build(second, cache); err != nil {
 		t.Fatal(err)
 	}

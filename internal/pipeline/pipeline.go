@@ -133,8 +133,8 @@ type Result struct {
 	// Program is the declarative branching-table program; diffing two
 	// builds' Programs yields a live reconfiguration's write-set.
 	Program route.TableProgram
-	// Lint is the static-verification report (cached block findings
-	// merged with freshly run global rules).
+	// Lint is the static-verification report (cached block and parser
+	// findings merged with freshly run global rules).
 	Lint *lint.Report
 	// ChangedFuncs lists the pipelets whose behavioural programs were
 	// rebuilt — the pipelet_program writes of an incremental swap.
@@ -416,8 +416,13 @@ func Build(in Inputs, cache *Cache) (*Result, error) {
 	// Stage: lint. Block-scoped findings (DV001/DV002) are cached by
 	// block hash and, on a miss, read the allocation stage's plan and
 	// the dependency graph it carries instead of deriving their own;
-	// global rules are cheap and re-run every build. The merged, sorted
-	// report equals a full lint.AnalyzeDeployment run.
+	// the parser-merge findings (DV004) are cached by the parser-merge
+	// stage's input hash, so they are recomputed exactly when the
+	// generic parser is (that hash is the parser-merge stage's reported
+	// Hash and is not folded into this stage's a second time); the
+	// global rules read the chains, placement and branching a rebuild
+	// changes and run every build. The merged, sorted report equals a
+	// full lint.AnalyzeDeployment run.
 	start = time.Now()
 	enter := 0
 	if pl, ok := placement.Of(compose.ClassifierNF); ok && pl.Dir == asic.Ingress {
@@ -428,6 +433,17 @@ func Build(in Inputs, cache *Cache) (*Result, error) {
 		NFs: in.NFs, Branching: comp.Branching, Blocks: blocks, Enter: enter,
 	}
 	rep := lint.AnalyzeTarget(target, lint.GlobalRules())
+	var parserFindings []lint.Finding
+	v, parserLintHit := cache.lookup("lint/parser", parserHash)
+	if parserLintHit {
+		parserFindings = v.([]lint.Finding)
+	} else {
+		parserFindings = lint.AnalyzeTarget(target, lint.ParserRules()).Findings
+		cache.store("lint/parser", parserHash, parserFindings)
+	}
+	for _, f := range parserFindings {
+		rep.Add(f)
+	}
 	lintRebuilt := 0
 	var lintHashes []string
 	for _, pl := range pipelets {
@@ -453,7 +469,7 @@ func Build(in Inputs, cache *Cache) (*Result, error) {
 	}
 	rep.Sort()
 	res.Lint = rep
-	record(StageLint, hashOf(lintHashes...), lintRebuilt == 0,
+	record(StageLint, hashOf(lintHashes...), parserLintHit && lintRebuilt == 0,
 		fmt.Sprintf("%d findings, %d/%d pipelets re-linted",
 			len(rep.Findings), lintRebuilt, len(pipelets)), start)
 	if in.Strict {

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"dejavu/internal/lint"
 	"dejavu/internal/route"
 	"dejavu/internal/scenario"
 )
@@ -140,8 +141,15 @@ func assertSameBuild(t *testing.T, step string, incr, fresh *Result) {
 	if ib, fb := incr.Composer.Branching.BranchingEntries(), fresh.Composer.Branching.BranchingEntries(); ib != fb {
 		t.Errorf("%s: branching entries differ: %d vs %d", step, ib, fb)
 	}
-	if il, fl := incr.Lint.String(), fresh.Lint.String(); il != fl {
-		t.Errorf("%s: lint reports differ:\nincremental:\n%s\nfresh:\n%s", step, il, fl)
+	// Finding by finding (rule, severity, where, message, fix), and both
+	// against the full rule set run in one pass over the fresh build:
+	// a report assembled from cached block, parser and global findings
+	// must not be distinguishable from it.
+	if !reflect.DeepEqual(incr.Lint.Findings, fresh.Lint.Findings) {
+		t.Errorf("%s: lint reports differ:\nincremental:\n%s\nfresh:\n%s", step, incr.Lint, fresh.Lint)
+	}
+	if full := lint.AnalyzeDeployment(fresh.Dep); !reflect.DeepEqual(incr.Lint.Findings, full.Findings) {
+		t.Errorf("%s: lint report differs from lint.Rules() in one pass:\nincremental:\n%s\nfull:\n%s", step, incr.Lint, full)
 	}
 	if len(incr.Plans) != len(fresh.Plans) {
 		t.Fatalf("%s: %d plans vs %d", step, len(incr.Plans), len(fresh.Plans))
