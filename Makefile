@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint vet check bench bench-chain bench-apply bench-fabric bench-punt bench-pktpath bench-build fabric-chaos fabricplace fmt doccheck loc
+.PHONY: build test race lint vet check bench bench-smoke bench-pktpath bench-build fabric-chaos fabricplace fmt doccheck loc
 
 build:
 	$(GO) build ./...
@@ -44,33 +44,18 @@ check: build vet lint test doccheck
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 
-# The paper's §5 chain through the repository benchmark (bench/README.md):
-# one traced 3-second run of chain-steady, which prints the end-to-end
-# figures and the per-layer ledger and exits non-zero unless every
-# output check held (correct=true).
-bench-chain:
-	$(GO) run ./bench --workload chain-steady --seconds 3 --trace 1
-
-# The control-plane counterpart: one traced 3-second run of apply-churn
-# (one-chain intent deltas hot-swapped beside live traffic), which
-# prints apply latency and the per-stage build ledger and exits
-# non-zero on correct=false.
-bench-apply:
-	$(GO) run ./bench --workload apply-churn --seconds 3 --trace 1
-
-# The fabric counterpart: one traced 3-second run of fabric-heal (kill,
-# reconcile, probe, revive over a 4-switch fabric), which prints heal
-# latency and the reconcile/placement ledger and exits non-zero on
-# correct=false.
-bench-fabric:
-	$(GO) run ./bench --workload fabric-heal --seconds 3 --trace 1
-
-# The slow-path counterpart: one traced 3-second run of newflow-punt
-# (every packet a new VIP flow: LB miss, CPU punt, session install,
-# traced reinjection), which prints flows per second and the
-# punt/poll/insert ledger and exits non-zero on correct=false.
-bench-punt:
-	$(GO) run ./bench --workload newflow-punt --seconds 3 --trace 1
+# Benchmark smoke (bench/README.md): one traced 3-second run of each
+# workload BENCHMARK.json lists — the §5 chain, its two-injector and
+# bare-forward controls, the punt slow path, intent applies beside live
+# traffic, fabric heal — each printing its end-to-end figures and
+# per-layer ledger and exiting non-zero unless every output check held
+# (correct=true). One workload: `make bench-smoke SMOKE=apply-churn`.
+SMOKE ?= $(shell sed -n '/"workloads"/,/^  \]/s/.*"name": "\([^"]*\)".*/\1/p' BENCHMARK.json)
+bench-smoke:
+	@for w in $(SMOKE); do \
+		echo "== $$w"; \
+		$(GO) run ./bench --workload $$w --seconds 3 --trace 1 || exit 1; \
+	done
 
 # Packet hot-path benchmark: sweeps the parallel traffic engine
 # (workers x batch, GOMAXPROCS forced > 1 so the multi-worker rows are

@@ -140,6 +140,16 @@ func (p Profile) TotalPorts() int { return p.Pipelines * p.PortsPerPipeline }
 // TotalPipelets returns the number of pipelets (ingress + egress pipes).
 func (p Profile) TotalPipelets() int { return 2 * p.Pipelines }
 
+// Pipelets returns every pipelet in deterministic order: by pipeline,
+// ingress before egress.
+func (p Profile) Pipelets() []PipeletID {
+	out := make([]PipeletID, 0, p.TotalPipelets())
+	for pipe := 0; pipe < p.Pipelines; pipe++ {
+		out = append(out, PipeletID{Pipeline: pipe, Dir: Ingress}, PipeletID{Pipeline: pipe, Dir: Egress})
+	}
+	return out
+}
+
 // TotalStages returns the number of MAU stages across all pipelets —
 // the denominator of the Table-1 "Stages" percentage.
 func (p Profile) TotalStages() int { return p.TotalPipelets() * p.StagesPerPipelet }

@@ -128,9 +128,6 @@ type FabricDeployment struct {
 	// graphBuilds and anneals count desired's two expensive steps, for
 	// the tests that hold a round's cost to what changed.
 	graphBuilds, anneals int
-	// testPostCommit, when set, runs after each switch's commit —
-	// failure exercises the rollback path.
-	testPostCommit func(sw int) error
 }
 
 // NewFabricDeployment prepares a fabric deployment: per-switch
@@ -192,22 +189,10 @@ func (fd *FabricDeployment) SetChains(chains []route.Chain) error {
 
 // chainsEqual compares two chain sets field by field, order included.
 func chainsEqual(a, b []route.Chain) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].PathID != b[i].PathID || a[i].Weight != b[i].Weight ||
-			a[i].ExitPipeline != b[i].ExitPipeline || a[i].StaticExitPort != b[i].StaticExitPort ||
-			len(a[i].NFs) != len(b[i].NFs) {
-			return false
-		}
-		for j := range a[i].NFs {
-			if a[i].NFs[j] != b[i].NFs[j] {
-				return false
-			}
-		}
-	}
-	return true
+	return slices.EqualFunc(a, b, func(x, y route.Chain) bool {
+		return x.PathID == y.PathID && x.Weight == y.Weight && x.ExitPipeline == y.ExitPipeline &&
+			x.StaticExitPort == y.StaticExitPort && slices.Equal(x.NFs, y.NFs)
+	})
 }
 
 // PlanReport is the outcome of a dry-run placement.
@@ -533,50 +518,20 @@ func (fd *FabricDeployment) composeAt(p *fabricPlan, s int) (*compose.Deployment
 	return comp.Build()
 }
 
-// installProgram pushes a composed deployment onto switch s as a
-// control-plane program transaction: every pipelet program is staged
-// through the switch's retrying driver, then committed as ONE atomic
-// snapshot swap. Pre-commit failures abort and leave the switch
-// untouched; post-commit failures reinstall the prior composed
-// deployment wholesale.
+// installProgram pushes a composed deployment onto switch s as one
+// control-plane program transaction (ctl.UpdateProgram) replacing every
+// pipelet program through the switch's retrying driver.
 func (fd *FabricDeployment) installProgram(s int, built *compose.Deployment) error {
-	ctrl, drv := fd.Controllers[s], fd.Drivers[s]
-	if err := ctrl.BeginProgram(); err != nil {
-		return err
+	var restore func() error
+	if prev := fd.composed[s]; prev != nil {
+		restore = func() error { return prev.InstallOn(fd.Fabric.Switches[s]) }
 	}
-	abort := func(cause error) error {
-		ctrl.AbortProgram()
-		return fmt.Errorf("cluster: switch %d update rejected, switch untouched: %w", s, cause)
-	}
-	for pipe := 0; pipe < fd.Fabric.Prof.Pipelines; pipe++ {
-		for _, dir := range []asic.Direction{asic.Ingress, asic.Egress} {
-			pl := asic.PipeletID{Pipeline: pipe, Dir: dir}
-			var fn asic.StageFunc
-			if dir == asic.Ingress {
-				fn = built.Ingress[pipe]
-			} else {
-				fn = built.Egress[pipe]
-			}
-			w := ctl.TableWrite{NF: ctl.FrameworkNF, Table: ctl.PipeletProgramTable, Args: []any{pl, fn}}
-			if err := drv.Apply(w); err != nil {
-				return abort(err)
-			}
-		}
-	}
-	prev := fd.composed[s]
-	if err := ctrl.CommitProgram(built.Runtime); err != nil {
-		return abort(err)
-	}
-	if fd.testPostCommit != nil {
-		if err := fd.testPostCommit(s); err != nil {
-			if prev == nil {
-				return fmt.Errorf("cluster: switch %d update failed with no prior programs to restore: %w", s, err)
-			}
-			if rbErr := prev.InstallOn(fd.Fabric.Switches[s]); rbErr != nil {
-				return fmt.Errorf("cluster: switch %d update failed (%w) AND rollback failed: %v", s, err, rbErr)
-			}
-			return fmt.Errorf("cluster: switch %d rolled back to prior programs: %w", s, err)
-		}
+	err := fd.Controllers[s].UpdateProgram(fd.Drivers[s].Apply, ctl.ProgramUpdate{
+		Pipelets: fd.Fabric.Prof.Pipelets(),
+		Ingress:  built.Ingress, Egress: built.Egress, App: built.Runtime,
+	}, restore)
+	if err != nil {
+		return fmt.Errorf("cluster: switch %d %w", s, err)
 	}
 	fd.composed[s] = built
 	return nil

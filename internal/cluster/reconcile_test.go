@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dejavu/internal/asic"
+	"dejavu/internal/ctl"
 	"dejavu/internal/fault"
 	"dejavu/internal/packet"
 	"dejavu/internal/route"
@@ -353,40 +354,77 @@ func TestReconcilerRetriesThroughFlakyDriver(t *testing.T) {
 	}
 }
 
+// faultyApplier forwards writes to a controller, except that write
+// number failAt (1-based) is rejected and after write number abortAfter
+// the open transaction is lost, so the commit that follows fails.
+type faultyApplier struct {
+	ctrl                  *ctl.Controller
+	n, failAt, abortAfter int
+}
+
+func (f *faultyApplier) Apply(w ctl.TableWrite) error {
+	if f.n++; f.n == f.failAt {
+		return errors.New("write rejected by switch driver")
+	}
+	err := f.ctrl.Apply(w)
+	if f.n == f.abortAfter {
+		f.ctrl.AbortProgram()
+	}
+	return err
+}
+
+// TestReconcilerRollsBackOnPostCommitFailure: a fault at any step of a
+// switch's program transaction — a staged write, the commit, the
+// post-commit seam — fails the round with the installed-state
+// bookkeeping still describing the old routes, and the next round
+// (fault cleared) converges.
 func TestReconcilerRollsBackOnPostCommitFailure(t *testing.T) {
-	_, f, fd, rec := newTestFabric(t)
-	if _, err := rec.Reconcile(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.KillSwitch(1); err != nil {
-		t.Fatal(err)
-	}
-	boom := true
-	fd.testPostCommit = func(sw int) error {
-		if boom && sw == 0 {
-			return &fault.TransientError{Op: "post-commit verify", Err: errTest}
-		}
-		return nil
-	}
-	if _, err := rec.Reconcile(); err == nil {
-		t.Fatal("reconcile succeeded despite post-commit failure")
-	} else if !strings.Contains(err.Error(), "rolled back") {
-		t.Fatalf("no rollback in error: %v", err)
-	}
-	// Installed-state bookkeeping must still describe the OLD routes.
-	if !pathEquals(usedSwitches(fd), 0, 1) {
-		t.Fatalf("installed routes mutated by failed reconcile: %v", fd.Routes)
-	}
-	// The next round (fault cleared) converges.
-	boom = false
-	if _, err := rec.Reconcile(); err != nil {
-		t.Fatal(err)
-	}
-	if !pathEquals(usedSwitches(fd), 0, 2) {
-		t.Fatalf("switches after retry = %v, want [0 2]", usedSwitches(fd))
-	}
-	if got := probeAll(t, f); got != 3 {
-		t.Fatalf("delivered %d/3 paths after rollback recovery", got)
+	for _, tc := range []struct {
+		name, want string
+		arm        func(fd *FabricDeployment) // the fault, on switch 0
+	}{
+		{"staged write", "switch 0 update rejected, switch untouched: write rejected", func(fd *FabricDeployment) {
+			fd.Drivers[0] = &fault.Driver{Applier: &faultyApplier{ctrl: fd.Controllers[0], failAt: 3}, MaxAttempts: 1}
+		}},
+		{"commit", "switch 0 update rejected, switch untouched: ctl: no open", func(fd *FabricDeployment) {
+			writes := len(fd.Fabric.Prof.Pipelets())
+			fd.Drivers[0] = &fault.Driver{Applier: &faultyApplier{ctrl: fd.Controllers[0], abortAfter: writes}, MaxAttempts: 1}
+		}},
+		{"post-commit seam", "switch 0 update rejected, switch rolled back to prior programs", func(fd *FabricDeployment) {
+			fd.Controllers[0].VerifyCommit = func() error {
+				return &fault.TransientError{Op: "post-commit verify", Err: errTest}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, f, fd, rec := newTestFabric(t)
+			if _, err := rec.Reconcile(); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.KillSwitch(1); err != nil {
+				t.Fatal(err)
+			}
+			drv := fd.Drivers[0]
+			tc.arm(fd)
+			if _, err := rec.Reconcile(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("reconcile through the fault: %v, want %q", err, tc.want)
+			}
+			// Installed-state bookkeeping must still describe the OLD routes.
+			if !pathEquals(usedSwitches(fd), 0, 1) {
+				t.Fatalf("installed routes mutated by failed reconcile: %v", fd.Routes)
+			}
+			// The next round (fault cleared) converges.
+			fd.Drivers[0], fd.Controllers[0].VerifyCommit = drv, nil
+			if _, err := rec.Reconcile(); err != nil {
+				t.Fatal(err)
+			}
+			if !pathEquals(usedSwitches(fd), 0, 2) {
+				t.Fatalf("switches after retry = %v, want [0 2]", usedSwitches(fd))
+			}
+			if got := probeAll(t, f); got != 3 {
+				t.Fatalf("delivered %d/3 paths after rollback recovery", got)
+			}
+		})
 	}
 }
 

@@ -12,7 +12,6 @@
 package compose
 
 import (
-	"fmt"
 	"sort"
 	"sync/atomic"
 
@@ -43,14 +42,6 @@ type Composer struct {
 	Placement *route.Placement
 	NFs       nf.List
 	Branching *route.Branching
-
-	// Verifier, when non-nil, is a static deployment gate: Build runs
-	// it over the composed output and refuses to return a deployment it
-	// rejects, and InstallOn re-checks before touching a switch. The
-	// lint package provides the standard error-severity gate
-	// (lint.Gate); the indirection keeps compose free of a dependency
-	// on its own analyzer.
-	Verifier func(*Deployment) error
 
 	ids map[string]uint8 // NF name -> meta.next_nf ID
 
@@ -178,39 +169,20 @@ func (c *Composer) Build() (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Deployment{
-		Parser:   parser,
-		IDTable:  idt,
-		Blocks:   make(map[asic.PipeletID]*p4.ControlBlock),
-		Ingress:  make([]asic.StageFunc, c.Prof.Pipelines),
-		Egress:   make([]asic.StageFunc, c.Prof.Pipelines),
-		Composer: c,
-		Runtime:  c.newRuntime(),
-	}
-	for pipe := 0; pipe < c.Prof.Pipelines; pipe++ {
-		for _, dir := range []asic.Direction{asic.Ingress, asic.Egress} {
-			pl := asic.PipeletID{Pipeline: pipe, Dir: dir}
-			nfs := c.orderedNFsOn(pl)
-			mode := c.Placement.ModeOf(pl)
-			block, err := c.PipeletBlock(pl, nfs, mode)
-			if err != nil {
-				return nil, err
-			}
-			d.Blocks[pl] = block
-			fn := c.pipeletFunc(pl, nfs, mode)
-			if dir == asic.Ingress {
-				d.Ingress[pipe] = fn
-			} else {
-				d.Egress[pipe] = fn
-			}
+	blocks := make(map[asic.PipeletID]*p4.ControlBlock)
+	ingress := make([]asic.StageFunc, c.Prof.Pipelines)
+	egress := make([]asic.StageFunc, c.Prof.Pipelines)
+	for _, pl := range c.Prof.Pipelets() {
+		if blocks[pl], err = c.BlockFor(pl); err != nil {
+			return nil, err
+		}
+		if pl.Dir == asic.Ingress {
+			ingress[pl.Pipeline] = c.FuncFor(pl)
+		} else {
+			egress[pl.Pipeline] = c.FuncFor(pl)
 		}
 	}
-	if c.Verifier != nil {
-		if err := c.Verifier(d); err != nil {
-			return nil, fmt.Errorf("compose: deployment rejected by verifier: %w", err)
-		}
-	}
-	return d, nil
+	return c.Assemble(parser, idt, blocks, ingress, egress), nil
 }
 
 // BlockFor composes the control block of a single pipelet. It is the
@@ -228,28 +200,19 @@ func (d *Deployment) EmitP4() (string, error) {
 		Name:   "dejavu",
 		Parser: d.Parser,
 	}
-	// Deterministic pipelet order: ingress 0, egress 0, ingress 1, ...
-	for pipe := 0; pipe < d.Composer.Prof.Pipelines; pipe++ {
-		for _, dir := range []asic.Direction{asic.Ingress, asic.Egress} {
-			if b := d.Blocks[asic.PipeletID{Pipeline: pipe, Dir: dir}]; b != nil {
-				prog.Blocks = append(prog.Blocks, b)
-			}
+	for _, pl := range d.Composer.Prof.Pipelets() {
+		if b := d.Blocks[pl]; b != nil {
+			prog.Blocks = append(prog.Blocks, b)
 		}
 	}
 	return p4.EmitProgram(prog, p4.EmitOptions{})
 }
 
-// InstallOn loads the deployment's behavioural programs onto a switch,
-// re-running the composer's verifier (if any) first: a deployment must
-// never reach hardware with error-severity findings. All programs and
-// the routing runtime are published as ONE snapshot commit, so packets
-// in flight never straddle two deployment generations.
+// InstallOn loads the deployment's behavioural programs onto a switch.
+// All programs and the routing runtime are published as ONE snapshot
+// commit, so packets in flight never straddle two deployment
+// generations.
 func (d *Deployment) InstallOn(sw *asic.Switch) error {
-	if v := d.Composer.Verifier; v != nil {
-		if err := v(d); err != nil {
-			return fmt.Errorf("compose: install rejected by verifier: %w", err)
-		}
-	}
 	b := sw.NewBatch()
 	for pipe := 0; pipe < d.Composer.Prof.Pipelines; pipe++ {
 		b.SetIngress(pipe, d.Ingress[pipe])

@@ -290,6 +290,19 @@ func Load(path string) (*core.Config, error) {
 	return Parse(fh)
 }
 
+// ResolveOptimizer returns the placement strategy the file names; none
+// means exhaustive.
+func (f *File) ResolveOptimizer() (core.Optimizer, error) {
+	switch f.Optimizer {
+	case "":
+		return core.OptExhaustive, nil
+	case "exhaustive", "anneal", "greedy", "naive":
+		return core.Optimizer(f.Optimizer), nil
+	default:
+		return "", fmt.Errorf("config: unknown optimizer %q", f.Optimizer)
+	}
+}
+
 // Build materializes the NFs and the core configuration.
 func (f *File) Build() (*core.Config, error) {
 	cfg := &core.Config{Enter: f.Enter, StrictLint: f.StrictLint, Telemetry: f.Telemetry, Postcards: f.Postcards}
@@ -302,13 +315,9 @@ func (f *File) Build() (*core.Config, error) {
 	default:
 		return nil, fmt.Errorf("config: unknown profile %q", f.Profile)
 	}
-	switch f.Optimizer {
-	case "":
-		cfg.Optimizer = core.OptExhaustive
-	case "exhaustive", "anneal", "greedy", "naive":
-		cfg.Optimizer = core.Optimizer(f.Optimizer)
-	default:
-		return nil, fmt.Errorf("config: unknown optimizer %q", f.Optimizer)
+	var err error
+	if cfg.Optimizer, err = f.ResolveOptimizer(); err != nil {
+		return nil, err
 	}
 	for _, p := range f.LoopbackPorts {
 		cfg.LoopbackPorts = append(cfg.LoopbackPorts, asic.PortID(p))

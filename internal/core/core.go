@@ -140,10 +140,6 @@ type Deployment struct {
 	// cannot double-decrement capacity and HandlePortUp can restore the
 	// port's prior role.
 	dead map[asic.PortID]deadPort
-	// testPostInstall, when set by a test, runs after InstallOn inside
-	// swap — the seam that forces a post-commit failure to prove the
-	// rollback path.
-	testPostInstall func() error
 }
 
 // deadPort remembers what a failed port was doing when it died.
@@ -249,11 +245,11 @@ func (d *Deployment) Telemetry() *compose.Telemetry {
 }
 
 // buildInputs translates a deployment config into the staged build
-// pipeline's input declaration for a given chain set and placement.
-func buildInputs(cfg Config, chains []route.Chain, placement *route.Placement) pipeline.Inputs {
+// pipeline's input declaration under a given placement (nil: optimize).
+func buildInputs(cfg Config, placement *route.Placement) pipeline.Inputs {
 	return pipeline.Inputs{
 		Prof:       cfg.Prof,
-		Chains:     chains,
+		Chains:     cfg.Chains,
 		NFs:        cfg.NFs,
 		Enter:      cfg.Enter,
 		Placement:  placement,
@@ -276,7 +272,7 @@ func Composer(cfg Config) (*compose.Composer, route.Cost, error) {
 	if cfg.Prof.Pipelines == 0 {
 		cfg.Prof = asic.Wedge100B()
 	}
-	placement, cost, err := pipeline.ResolvePlacement(buildInputs(cfg, cfg.Chains, cfg.Placement))
+	placement, cost, err := pipeline.ResolvePlacement(buildInputs(cfg, cfg.Placement))
 	if err != nil {
 		return nil, route.Cost{}, fmt.Errorf("core: %w", err)
 	}
@@ -294,10 +290,7 @@ func Composer(cfg Config) (*compose.Composer, route.Cost, error) {
 // cost. When strict, a deployment with error-severity lint findings is
 // refused here rather than misbehaving on the ASIC.
 func Compose(cfg Config, strict bool) (*compose.Deployment, route.Cost, error) {
-	if len(cfg.Chains) == 0 {
-		return nil, route.Cost{}, fmt.Errorf("core: no chains configured")
-	}
-	in := buildInputs(cfg, cfg.Chains, cfg.Placement)
+	in := buildInputs(cfg, cfg.Placement)
 	in.Strict = strict
 	res, err := pipeline.Build(in, nil)
 	if err != nil {
@@ -350,12 +343,11 @@ func Deploy(cfg Config) (*Deployment, error) {
 		cfg.Prof = asic.Wedge100B()
 	}
 	cache := pipeline.NewCache()
-	res, err := pipeline.Build(buildInputs(cfg, cfg.Chains, cfg.Placement), cache)
+	res, err := pipeline.Build(buildInputs(cfg, cfg.Placement), cache)
 	if err != nil {
 		return nil, err
 	}
 	comp := res.Composer
-	placement := res.Placement
 
 	// Install on the switch.
 	sw := asic.New(cfg.Prof)
@@ -390,34 +382,42 @@ func Deploy(cfg Config) (*Deployment, error) {
 
 	ctrl := ctl.New(sw, cfg.NFs)
 	d := &Deployment{
-		Config:       cfg,
-		Switch:       sw,
-		Controller:   ctrl,
-		Driver:       fault.NewDriver(ctrl),
-		Datapath:     dp,
-		Postcards:    pcl,
-		composed:     res.Dep,
-		loops:        pool,
-		cache:        cache,
-		program:      res.Program,
-		Placement:    placement,
-		Cost:         res.Cost,
-		Plans:        res.Plans,
-		Resources:    compiler.FrameworkReport(cfg.Prof, sortedPlans(res.Plans)),
-		ParserStates: res.Dep.Parser.ParseStates(),
-		Lint:         res.Lint,
-		LastBuild:    res.Info,
-		Rebuild:      telemetry.NewRebuild(),
-		Chains:       chainReports(cfg.Chains, res.Traversals),
+		Switch:     sw,
+		Controller: ctrl,
+		Driver:     fault.NewDriver(ctrl),
+		Datapath:   dp,
+		Postcards:  pcl,
+		loops:      pool,
+		Rebuild:    telemetry.NewRebuild(),
 		Capacity: recirc.CapacitySplit{
 			TotalPorts:    cfg.Prof.TotalPorts(),
 			LoopbackPorts: len(cfg.LoopbackPorts),
 			PortGbps:      cfg.Prof.PortGbps,
 		},
 	}
+	d.adopt(&staged{cfg: cfg, cache: cache, res: res})
+	return d, nil
+}
+
+// adopt makes a build that reached the switch the deployment's state:
+// artifact cache, config, placement, plans and reports, together.
+func (d *Deployment) adopt(st *staged) {
+	res := st.res
+	d.cache = st.cache
+	d.Config = st.cfg
+	d.Placement = res.Placement
+	d.Cost = res.Cost
+	d.Plans = res.Plans
+	d.Resources = compiler.FrameworkReport(st.cfg.Prof, sortedPlans(res.Plans))
+	d.ParserStates = res.Dep.Parser.ParseStates()
+	d.composed = res.Dep
+	d.Chains = chainReports(st.cfg.Chains, res.Traversals)
+	d.Lint = res.Lint
+	d.program = res.Program
+	d.LastBuild = res.Info
+	d.LastDelta = st.delta
 	d.LastReloads = len(res.ChangedFuncs)
 	d.Rebuild.ObserveBuild(res.Info.CacheHits, res.Info.CacheMisses, int64(res.Info.Duration))
-	return d, nil
 }
 
 // MaxRecirculations returns the worst-case recirculation count across

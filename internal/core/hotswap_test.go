@@ -1,12 +1,20 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"dejavu/internal/asic"
+	"dejavu/internal/ctl"
+	"dejavu/internal/fault"
 	"dejavu/internal/nf"
 	"dejavu/internal/packet"
 	"dejavu/internal/pipeline"
@@ -17,8 +25,9 @@ import (
 // assertEquivalentToFresh proves the incremental invariant: the
 // deployment's current state — P4 source, branching-table program,
 // placement, branching size — must be byte-identical to a from-scratch
-// Deploy of the same config pinned to the same placement.
-func assertEquivalentToFresh(t *testing.T, d *Deployment, label string) {
+// Deploy of the same config pinned to the same placement, which it
+// returns.
+func assertEquivalentToFresh(t *testing.T, d *Deployment, label string) (fresh *Deployment) {
 	t.Helper()
 	cfg := d.Config
 	cfg.Placement = d.Placement
@@ -57,16 +66,98 @@ func assertEquivalentToFresh(t *testing.T, d *Deployment, label string) {
 				label, f.Name(), ipl, iok, fpl, fok)
 		}
 	}
+	return fresh
+}
+
+// faultyApplier forwards writes to a controller, except that write
+// number failAt (1-based) is rejected and after write number abortAfter
+// the open transaction is lost, so the commit that follows fails.
+type faultyApplier struct {
+	ctrl                  *ctl.Controller
+	n, failAt, abortAfter int
+}
+
+func (f *faultyApplier) Apply(w ctl.TableWrite) error {
+	if f.n++; f.n == f.failAt {
+		return errors.New("write rejected by switch driver")
+	}
+	err := f.ctrl.Apply(w)
+	if f.n == f.abortAfter {
+		f.ctrl.AbortProgram()
+	}
+	return err
+}
+
+// liveState is what a failed update must leave exactly as it was: the
+// chain set and settings, the artifact cache, the placement, the
+// branching program and what the switch does to the three §5 probes.
+type liveState struct {
+	Settings  Update
+	Cache     *pipeline.Cache
+	Placement string
+	Program   string
+	Probes    []string
+}
+
+func stateOf(t *testing.T, d *Deployment) liveState {
+	t.Helper()
+	var placed []string
+	for _, f := range d.Config.NFs {
+		if pl, ok := d.Placement.Of(f.Name()); ok {
+			placed = append(placed, f.Name()+"="+pl.String())
+		}
+	}
+	return liveState{
+		Settings: d.keep(d.Config.Chains), Cache: d.cache,
+		Placement: strings.Join(placed, " "), Program: d.program.String(),
+		Probes: probeOutputs(t, d),
+	}
+}
+
+// probeOutputs injects the three §5 probes and renders what came out:
+// exit port and wire bytes, or the drop reason.
+func probeOutputs(t *testing.T, d *Deployment) []string {
+	t.Helper()
+	var out []string
+	for _, pkt := range []*packet.Parsed{scenario.ClientTCP(443), scenario.TenantBound(), scenario.InternetBound()} {
+		tr, err := d.Inject(scenario.PortClient, pkt)
+		if err != nil {
+			t.Fatalf("probe: %v", err)
+		}
+		line := fmt.Sprintf("dropped=%v(%s) cpu=%d", tr.Dropped, tr.DropReason, len(tr.CPU))
+		for _, e := range tr.Out {
+			wire, err := e.Pkt.Serialize(nil)
+			if err != nil {
+				t.Fatalf("probe output: %v", err)
+			}
+			line += fmt.Sprintf(" port %d %x", e.Port, wire)
+		}
+		out = append(out, line)
+	}
+	return out
 }
 
 // TestIncrementalEquivalenceAfterChurn drives AddChain/RemoveChain and
 // checks byte-identity against clean builds at every step, plus the
 // acceptance criterion: a same-NF chain add serves at least two
-// pipeline stages from cache and reloads no pipelet program.
+// pipeline stages from cache and reloads no pipelet program. Then a
+// seeded random walk (add, remove, re-weight, move an NF by pin) holds
+// the one update path to its contract at every step:
+//
+//	(a) AddChain/RemoveChain ≡ Reconfigure(list) ≡ a fresh Deploy(list):
+//	    placement, branching program and the probes' output bytes;
+//	(b) dry run ≡ apply: same accept/reject, write-set size, program
+//	    reloads and per-stage hit/miss;
+//	(c) a fault at each transaction step — a staged write, the commit,
+//	    the post-commit seam — leaves settings, cache, placement,
+//	    program and switch at the prior state.
 func TestIncrementalEquivalenceAfterChurn(t *testing.T) {
-	cfg := edgeConfig()
-	cfg.NFs = append(cfg.NFs, nf.NewNAT(packet.IP4{192, 0, 2, 1}, 1024))
-	d, err := Deploy(cfg)
+	withNAT := func() Config {
+		cfg := edgeConfig()
+		cfg.NFs = append(cfg.NFs, nf.NewNAT(packet.IP4{192, 0, 2, 1}, 1024))
+		return cfg
+	}
+	d, err := Deploy(withNAT())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,34 +210,161 @@ func TestIncrementalEquivalenceAfterChurn(t *testing.T) {
 	}
 	assertEquivalentToFresh(t, d, "after remove")
 
-	// Randomized churn over a pool of candidate chains; equivalence is
-	// re-proven after every step.
+	// The walk. rec is a second deployment (its own NF objects) started
+	// at d's state and driven through Reconfigure(list) only.
+	rcfg := withNAT()
+	rcfg.Chains, rcfg.Placement = slices.Clone(d.Config.Chains), d.Placement.Clone()
+	rec, err := Deploy(rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probeOutputs(t, d) // both learn the probes' LB session up front
+	probeOutputs(t, rec)
+
 	rng := rand.New(rand.NewSource(7))
 	pool := []route.Chain{
 		{PathID: 50, NFs: []string{"classifier", "router"}, Weight: 0.05, ExitPipeline: 0},
 		{PathID: 51, NFs: []string{"classifier", "fw", "router"}, Weight: 0.05, ExitPipeline: 0},
 		{PathID: 52, NFs: []string{"classifier", "fw", "vgw", "router"}, Weight: 0.05, ExitPipeline: 0},
-		{PathID: 53, NFs: []string{"classifier", "lb", "router"}, Weight: 0.05, ExitPipeline: 0},
+		{PathID: 53, NFs: []string{"classifier", "lb", "router"}, Weight: 0.05, ExitPipeline: 1},
+		{PathID: 54, NFs: []string{"classifier", "nat", "router"}, Weight: 0.05, ExitPipeline: 0},
+		{PathID: 55, NFs: []string{"classifier", "fw", "nat", "vgw", "lb", "router"}, Weight: 0.05, ExitPipeline: 0},
 	}
-	live := make(map[uint16]bool)
-	for round := 0; round < 8; round++ {
-		c := pool[rng.Intn(len(pool))]
-		if live[c.PathID] {
-			if err := d.RemoveChain(c.PathID); err != nil {
-				t.Fatalf("round %d remove %d: %v", round, c.PathID, err)
+	movable := []string{"fw", "vgw", "lb", "router", "nat"}
+	steps, freshEvery := 200, 1
+	if raceEnabled || testing.Short() {
+		freshEvery = 8
+	}
+	accepted := map[string]int{}
+	for i := 0; i < steps; i++ {
+		// Draw the step: the target list, and how each deployment gets
+		// there.
+		live := d.Config.Chains
+		target := slices.Clone(live)
+		deployed := func(id uint16) bool {
+			return slices.ContainsFunc(live, func(c route.Chain) bool { return c.PathID == id })
+		}
+		var kind string
+		var viaOps func() error                    // d: the list-edit entry points
+		refuses := false                           // ...which refuse some edits themselves
+		move := func(u Update) Update { return u } // the settings a move changes
+		switch roll := rng.Intn(10); {
+		case roll < 3:
+			kind = "add"
+			c := pool[rng.Intn(len(pool))]
+			target, refuses = append(target, c), deployed(c.PathID)
+			viaOps = func() error { return d.AddChain(c) }
+		case roll < 6:
+			kind = "remove" // never a §5 chain: the probes ride them
+			id := pool[rng.Intn(len(pool))].PathID
+			target, refuses = slices.DeleteFunc(target, func(c route.Chain) bool { return c.PathID == id }), !deployed(id)
+			viaOps = func() error { return d.RemoveChain(id) }
+		case roll < 8:
+			kind = "re-weight"
+			target[rng.Intn(len(target))].Weight = float64(1+rng.Intn(9)) / 10
+		default:
+			kind = "move"
+			name := movable[rng.Intn(len(movable))]
+			pl := asic.PipeletID{Pipeline: rng.Intn(d.Config.Prof.Pipelines), Dir: asic.Direction(rng.Intn(2))}
+			move = func(u Update) Update {
+				u.Pin, u.Optimizer, u.Replace = map[string]asic.PipeletID{name: pl}, OptGreedy, true
+				return u
 			}
-			live[c.PathID] = false
+		}
+		label := fmt.Sprintf("step %d (%s)", i, kind)
+		if refuses {
+			// A duplicate ID, an unknown chain: refused before any update
+			// is staged, with the list edit's own message.
+			if err := viaOps(); err == nil || !strings.Contains(err.Error(), "deployed") {
+				t.Fatalf("%s: list edit said %v", label, err)
+			}
+			continue
+		}
+		ud := move(d.keep(target))
+		if viaOps == nil {
+			viaOps = func() error { return d.Apply(ud) }
+		}
+
+		// (b) the dry run, then (c) the three faults, then the real thing.
+		prior := stateOf(t, d)
+		res, planned, planErr := d.Plan(ud)
+		if planErr == nil {
+			writes := len(planned) + len(res.ChangedFuncs)
+			drv := d.Driver
+			for _, f := range []struct {
+				want string
+				seam bool
+				faultyApplier
+			}{
+				{"switch untouched: write rejected", false, faultyApplier{failAt: 1 + rng.Intn(max(writes, 1))}},
+				{"switch untouched: ctl: no open", false, faultyApplier{abortAfter: writes}},
+				{"rolled back to prior programs", true, faultyApplier{}},
+			} {
+				if writes == 0 && !f.seam {
+					continue // nothing is staged: the fault has no write to hit
+				}
+				if f.seam {
+					d.Controller.VerifyCommit = func() error { return errors.New("post-commit check failed") }
+				}
+				f.ctrl = d.Controller
+				d.Driver = &fault.Driver{Applier: &f.faultyApplier, MaxAttempts: 1}
+				err := viaOps()
+				d.Driver, d.Controller.VerifyCommit = drv, nil
+				if err == nil || !strings.Contains(err.Error(), f.want) {
+					t.Fatalf("%s: fault %q: got %v", label, f.want, err)
+				}
+				if after := stateOf(t, d); !reflect.DeepEqual(prior, after) {
+					t.Fatalf("%s: fault %q moved the deployment:\nbefore %+v\nafter  %+v", label, f.want, prior, after)
+				}
+			}
+		}
+		errD := viaOps()
+		if (planErr == nil) != (errD == nil) {
+			t.Fatalf("%s: dry run said %v, apply said %v", label, planErr, errD)
+		}
+		if errD == nil {
+			if len(planned) != len(d.LastDelta) || len(res.ChangedFuncs) != d.LastReloads {
+				t.Errorf("%s: dry run planned %d entries / %d reloads, apply pushed %d / %d",
+					label, len(planned), len(res.ChangedFuncs), len(d.LastDelta), d.LastReloads)
+			}
+			for j, st := range d.LastBuild.Stages {
+				if p := res.Info.Stages[j]; p.Name != st.Name || p.CacheHit != st.CacheHit || p.Hash != st.Hash {
+					t.Errorf("%s: stage %s: dry run %v %s, apply %v %s", label, st.Name, p.CacheHit, p.Hash, st.CacheHit, st.Hash)
+				}
+			}
+			accepted[kind]++
+		} else if after := stateOf(t, d); !reflect.DeepEqual(prior, after) {
+			t.Fatalf("%s: refused update (%v) moved the deployment", label, errD)
+		}
+
+		// (a) the same step through Reconfigure(list), and from scratch.
+		var errR error
+		if kind == "move" {
+			errR = rec.Apply(move(rec.keep(target)))
 		} else {
-			if err := d.AddChain(c); err != nil {
-				t.Fatalf("round %d add %d: %v", round, c.PathID, err)
-			}
-			live[c.PathID] = true
+			errR = rec.Reconfigure(target)
 		}
-		if round%3 == 2 {
-			assertEquivalentToFresh(t, d, "churn round")
+		if (errD == nil) != (errR == nil) {
+			t.Fatalf("%s: first deployment said %v, second said %v", label, errD, errR)
+		}
+		sd, sr := stateOf(t, d), stateOf(t, rec)
+		sd.Cache, sr.Cache = nil, nil
+		if !reflect.DeepEqual(sd, sr) {
+			t.Fatalf("%s: list edits and Reconfigure(list) diverged:\n%+v\n%+v", label, sd, sr)
+		}
+		if i%freshEvery == 0 {
+			fresh := assertEquivalentToFresh(t, d, label)
+			if got := probeOutputs(t, fresh); !reflect.DeepEqual(got, sd.Probes) {
+				t.Fatalf("%s: fresh deploy forwards differently:\n%v\n%v", label, got, sd.Probes)
+			}
 		}
 	}
-	assertEquivalentToFresh(t, d, "after churn")
+	t.Logf("accepted: %v", accepted)
+	for _, kind := range []string{"add", "remove", "re-weight", "move"} {
+		if accepted[kind] < 10 {
+			t.Errorf("walk accepted only %d %s steps: %v", accepted[kind], kind, accepted)
+		}
+	}
 }
 
 // TestConfigFileEquivalence runs the same invariant over the shipped

@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"dejavu/internal/asic"
-	"dejavu/internal/compiler"
 	"dejavu/internal/ctl"
-	"dejavu/internal/fault"
 	"dejavu/internal/lint"
 	"dejavu/internal/pipeline"
 	"dejavu/internal/route"
@@ -18,147 +18,171 @@ import (
 // switch, and loopback-port failure handling with capacity
 // re-analysis.
 
+// Update is a target state for a running deployment: the chain set
+// plus the settings a live update can change without a redeploy. Every
+// change to a running switch is one: staged (validate, derive the
+// placement, build against a copy of the artifact cache, diff, DV009),
+// then — unless it is a dry run — committed.
+type Update struct {
+	Chains []route.Chain
+	// Pin, Optimizer, AnnealSeed and StrictLint replace the live
+	// Config's on commit.
+	Pin        map[string]asic.PipeletID
+	Optimizer  Optimizer
+	AnnealSeed int64
+	StrictLint bool
+	// Replace re-resolves the whole placement from the optimizer. The
+	// default keeps every live NF where it is (moving one disrupts its
+	// traffic), which is exactly wrong when a hint or the optimizer
+	// choice changed: the operator's declared intent is to move them.
+	Replace bool
+}
+
+// keep is the update to chains under the live settings.
+func (d *Deployment) keep(chains []route.Chain) Update {
+	c := d.Config
+	return Update{Chains: chains, Pin: c.Pin, Optimizer: c.Optimizer, AnnealSeed: c.AnnealSeed, StrictLint: c.StrictLint}
+}
+
 // AddChain introduces a new service chain into the running deployment:
-// the placement is extended (existing NFs stay where they are — moving
-// a live NF would disrupt its traffic), the pipelet programs are
-// recomposed and verified against the stage budget, and the switch is
-// updated in place. NF state (sessions, routes, ACLs) is untouched.
+// NFs it introduces are placed, the pipelet programs are recomposed and
+// verified against the stage budget, and the switch is updated in
+// place. NF state (sessions, routes, ACLs) is untouched.
 func (d *Deployment) AddChain(c route.Chain) error {
-	if err := c.Validate(); err != nil {
-		return err
-	}
 	for _, existing := range d.Config.Chains {
 		if existing.PathID == c.PathID {
 			return fmt.Errorf("core: chain %d already deployed", c.PathID)
 		}
 	}
-	for _, n := range c.NFs {
-		if d.Config.NFs.ByName(n) == nil {
-			return fmt.Errorf("core: chain %d references unknown NF %q", c.PathID, n)
-		}
-	}
-	newChains := append(append([]route.Chain(nil), d.Config.Chains...), c)
-
-	// Place any NFs the new chain introduces; keep existing locations.
-	placement := d.Placement.Clone()
-	for _, n := range c.NFs {
-		if _, ok := placement.Of(n); ok {
-			continue
-		}
-		if err := d.placeNewNF(placement, newChains, n); err != nil {
-			return err
-		}
-	}
-	return d.swap(newChains, placement)
+	return d.Reconfigure(append(slices.Clone(d.Config.Chains), c))
 }
 
 // RemoveChain retires a service chain. NFs that no longer appear in
 // any chain are removed from the placement.
 func (d *Deployment) RemoveChain(pathID uint16) error {
-	var newChains []route.Chain
-	found := false
-	for _, c := range d.Config.Chains {
-		if c.PathID == pathID {
-			found = true
-			continue
-		}
-		newChains = append(newChains, c)
-	}
-	if !found {
+	chains := slices.DeleteFunc(slices.Clone(d.Config.Chains), func(c route.Chain) bool { return c.PathID == pathID })
+	switch {
+	case len(chains) == len(d.Config.Chains):
 		return fmt.Errorf("core: chain %d is not deployed", pathID)
-	}
-	if len(newChains) == 0 {
+	case len(chains) == 0:
 		return fmt.Errorf("core: refusing to remove the last chain %d", pathID)
 	}
-	placement := d.Placement.Clone()
-	still := make(map[string]bool)
-	for _, c := range newChains {
-		for _, n := range c.NFs {
-			still[n] = true
-		}
-	}
-	for name := range placement.NF {
-		if !still[name] {
-			delete(placement.NF, name)
-		}
-	}
-	return d.swap(newChains, placement)
+	return d.Reconfigure(chains)
 }
 
-// placeNewNF greedily chooses the feasible pipelet minimizing the new
-// chain set's cost for one unplaced NF.
-func (d *Deployment) placeNewNF(placement *route.Placement, chains []route.Chain, name string) error {
-	f := d.Config.NFs.ByName(name)
-	stages, err := compiler.MinStages(f.Block())
+// Reconfigure transitions the running deployment to an entirely new
+// chain set in one hot swap under the live settings.
+func (d *Deployment) Reconfigure(chains []route.Chain) error {
+	return d.Apply(d.keep(chains))
+}
+
+// PlanReconfigure dry-runs Reconfigure. This is what `dejavu plan -to`
+// prints.
+func (d *Deployment) PlanReconfigure(chains []route.Chain) (*pipeline.Result, []route.EntryOp, error) {
+	return d.Plan(d.keep(chains))
+}
+
+// Apply stages u and commits it to the live switch.
+func (d *Deployment) Apply(u Update) error {
+	st, err := d.stage(u)
 	if err != nil {
 		return err
 	}
-	_ = stages // feasibility is re-verified by the full compile below
-	var best asic.PipeletID
-	bestSet := false
-	var bestCost route.Cost
-	for pipe := 0; pipe < d.Config.Prof.Pipelines; pipe++ {
-		for _, dir := range []asic.Direction{asic.Ingress, asic.Egress} {
-			cand := placement.Clone()
-			cand.Assign(name, asic.PipeletID{Pipeline: pipe, Dir: dir})
-			// Cost over chains fully placed under cand.
-			var ready []route.Chain
-			for _, c := range chains {
-				ok := true
-				for _, n := range c.NFs {
-					if _, placed := cand.Of(n); !placed {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					ready = append(ready, c)
-				}
-			}
-			cost, err := route.Evaluate(ready, cand, d.Config.Enter)
-			if err != nil {
-				continue
-			}
-			if !bestSet || cost.Less(bestCost) {
-				best = asic.PipeletID{Pipeline: pipe, Dir: dir}
-				bestCost = cost
-				bestSet = true
+	return d.commit(st)
+}
+
+// Plan dry-runs Apply: the staged build and the branching-table delta
+// a real update would push, with the deployment, its artifact cache and
+// the switch untouched. It fails exactly where Apply would before its
+// first write.
+func (d *Deployment) Plan(u Update) (*pipeline.Result, []route.EntryOp, error) {
+	st, err := d.stage(u)
+	if err != nil {
+		return nil, nil, err
+	}
+	return st.res, st.delta, nil
+}
+
+// staged is an update computed but not yet on the switch.
+type staged struct {
+	cfg   Config          // the live Config with the update's chains and settings
+	cache *pipeline.Cache // the artifact cache this build extended
+	res   *pipeline.Result
+	delta []route.EntryOp
+}
+
+// stage computes everything an update needs short of touching the
+// switch or the deployment.
+func (d *Deployment) stage(u Update) (*staged, error) {
+	if len(u.Chains) == 0 {
+		return nil, fmt.Errorf("core: refusing to reconfigure to zero chains")
+	}
+	cfg := d.Config
+	cfg.Chains, cfg.Pin, cfg.Optimizer, cfg.AnnealSeed, cfg.StrictLint = u.Chains, u.Pin, u.Optimizer, u.AnnealSeed, u.StrictLint
+	for _, c := range cfg.Chains {
+		if err := c.Validate(); err != nil {
+			return nil, err
+		}
+		for _, n := range c.NFs {
+			if cfg.NFs.ByName(n) == nil {
+				return nil, fmt.Errorf("core: chain %d references unknown NF %q", c.PathID, n)
 			}
 		}
 	}
-	if !bestSet {
-		return fmt.Errorf("core: no feasible pipelet for new NF %q", name)
+	placement, err := d.derivePlacement(cfg, u.Replace)
+	if err != nil {
+		return nil, err
 	}
-	placement.Assign(name, best)
-	return nil
+	if err := placement.Validate(cfg.Prof, cfg.Chains); err != nil {
+		return nil, err
+	}
+	// Build against a clone of the artifact cache, adopted only by a
+	// successful commit: an update that aborts (or rolls back) must leave
+	// the cache at the prior generation too, or the next build of the
+	// prior state would spuriously miss — breaking the provable no-op
+	// re-apply.
+	st := &staged{cfg: cfg, cache: d.cache.Clone()}
+	if st.res, err = pipeline.Build(buildInputs(cfg, placement), st.cache); err != nil {
+		return nil, err
+	}
+	st.delta = route.Diff(d.program, st.res.Program)
+	// DV009: every branching-entry write must target a table the
+	// candidate build actually placed, on a stage the profile has.
+	// Rejecting here costs a map lookup per touched pipeline; letting
+	// a bad write through costs silently black-holed traffic.
+	if ws := lint.AnalyzeWriteSet(cfg.Prof, st.res.Plans, st.delta); ws.HasErrors() {
+		return nil, fmt.Errorf("core: update rejected, switch untouched: write-set fails DV009: %s",
+			ws.Findings[0].Message)
+	}
+	return st, nil
 }
 
-// derivePlacement extends the running placement to a new chain set the
-// way live updates must: existing NFs stay where they are (moving a
-// live NF would disrupt its traffic), NFs no chain uses anymore are
-// unplaced, and NFs the new set introduces are placed greedily.
-func (d *Deployment) derivePlacement(chains []route.Chain) (*route.Placement, error) {
+// derivePlacement is an update's one fork. Unless asked to re-resolve,
+// it extends the running placement the way live updates must: existing
+// NFs stay where they are, NFs no chain uses anymore are unplaced, and
+// each NF the new set introduces is placed greedily, in chain order.
+func (d *Deployment) derivePlacement(cfg Config, replace bool) (*route.Placement, error) {
+	if replace {
+		placement, _, err := pipeline.ResolvePlacement(buildInputs(cfg, nil))
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		return placement, nil
+	}
 	placement := d.Placement.Clone()
 	still := make(map[string]bool)
-	for _, c := range chains {
+	for _, c := range cfg.Chains {
 		for _, n := range c.NFs {
 			still[n] = true
 		}
 	}
-	for name := range placement.NF {
-		if !still[name] {
-			delete(placement.NF, name)
-		}
-	}
-	for _, c := range chains {
+	maps.DeleteFunc(placement.NF, func(name string, _ asic.PipeletID) bool { return !still[name] })
+	for _, c := range cfg.Chains {
 		for _, n := range c.NFs {
-			if d.Config.NFs.ByName(n) == nil {
-				return nil, fmt.Errorf("core: chain %d references unknown NF %q", c.PathID, n)
-			}
 			if _, ok := placement.Of(n); ok {
 				continue
 			}
-			if err := d.placeNewNF(placement, chains, n); err != nil {
+			if err := placeNewNF(cfg, placement, n); err != nil {
 				return nil, err
 			}
 		}
@@ -166,190 +190,58 @@ func (d *Deployment) derivePlacement(chains []route.Chain) (*route.Placement, er
 	return placement, nil
 }
 
-// Reconfigure transitions the running deployment to an entirely new
-// chain set in one hot swap, deriving the placement like
-// AddChain/RemoveChain would (existing NFs stay put).
-func (d *Deployment) Reconfigure(chains []route.Chain) error {
-	if len(chains) == 0 {
-		return fmt.Errorf("core: refusing to reconfigure to zero chains")
+// placeNewNF puts one unplaced NF on the pipelet that minimizes the cost
+// of the chains fully placed once it is. Stage feasibility is verified
+// by the build that follows.
+func placeNewNF(cfg Config, placement *route.Placement, name string) error {
+	unplaced := func(n string) bool {
+		_, ok := placement.Of(n)
+		return !ok && n != name
 	}
-	for _, c := range chains {
-		if err := c.Validate(); err != nil {
-			return err
+	ready := slices.DeleteFunc(slices.Clone(cfg.Chains), func(c route.Chain) bool {
+		return slices.ContainsFunc(c.NFs, unplaced)
+	})
+	var best asic.PipeletID
+	var bestCost route.Cost
+	found := false
+	for _, pl := range cfg.Prof.Pipelets() {
+		cand := placement.Clone()
+		cand.Assign(name, pl)
+		cost, err := route.Evaluate(ready, cand, cfg.Enter)
+		if err == nil && (!found || cost.Less(bestCost)) {
+			best, bestCost, found = pl, cost, true
 		}
 	}
-	placement, err := d.derivePlacement(chains)
-	if err != nil {
-		return err
+	if !found {
+		return fmt.Errorf("core: no feasible pipelet for new NF %q", name)
 	}
-	return d.swap(chains, placement)
+	placement.Assign(name, best)
+	return nil
 }
 
-// ReconfigureWithPlacement transitions the running deployment to a new
-// chain set under an explicitly resolved placement in one hot swap.
-// The intent plane uses it when a placement-affecting input changed
-// (a placement hint, the optimizer choice): derivePlacement would keep
-// live NFs pinned where they are, which is exactly wrong when the
-// operator's declared intent is to move them.
-func (d *Deployment) ReconfigureWithPlacement(chains []route.Chain, placement *route.Placement) error {
-	if len(chains) == 0 {
-		return fmt.Errorf("core: refusing to reconfigure to zero chains")
-	}
-	for _, c := range chains {
-		if err := c.Validate(); err != nil {
-			return err
-		}
-		for _, n := range c.NFs {
-			if d.Config.NFs.ByName(n) == nil {
-				return fmt.Errorf("core: chain %d references unknown NF %q", c.PathID, n)
-			}
-		}
-	}
-	return d.swap(chains, placement)
-}
-
-// PlanReconfigure dry-runs Reconfigure: it computes the staged rebuild
-// against a copy of the deployment's artifact cache and returns the
-// build result plus the branching-table delta that a real swap would
-// push, leaving the deployment and the switch untouched. This is what
-// `dejavu plan -to` prints.
-func (d *Deployment) PlanReconfigure(chains []route.Chain) (*pipeline.Result, []route.EntryOp, error) {
-	if len(chains) == 0 {
-		return nil, nil, fmt.Errorf("core: refusing to plan zero chains")
-	}
-	placement, err := d.derivePlacement(chains)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := pipeline.Build(buildInputs(d.Config, chains, placement), d.cache.Clone())
-	if err != nil {
-		return nil, nil, err
-	}
-	delta := route.Diff(d.program, res.Program)
-	if ws := lint.AnalyzeWriteSet(d.Config.Prof, res.Plans, delta); len(ws.Findings) > 0 {
-		// Surface write-set findings in the dry-run's lint report so
-		// `dejavu plan -to` shows exactly what swap would reject.
-		res.Lint.Findings = append(res.Lint.Findings, ws.Findings...)
-		res.Lint.Sort()
-	}
-	return res, delta, nil
-}
-
-// swap rebuilds the deployment for a new chain set + placement through
-// the staged incremental pipeline and applies the result to the live
-// switch as a minimal delta: the branching-table entry diff plus the
-// pipelet programs whose NF sets changed, each written through the
-// retrying control-plane driver into a ctl program transaction, then
-// committed as ONE atomic snapshot swap ("the data plane programs have
-// a much higher loading cost", §7 — so unchanged programs are not
-// reloaded). Traffic keeps flowing throughout: a packet in flight
-// finishes under the snapshot it started with, and nothing mixes old
-// and new state. Before the commit every error simply aborts the
-// transaction; if anything fails after it, the prior composed
-// deployment is reinstalled wholesale so the switch never runs new
-// programs against stale bookkeeping.
-func (d *Deployment) swap(chains []route.Chain, placement *route.Placement) error {
-	if err := placement.Validate(d.Config.Prof, chains); err != nil {
-		return err
-	}
-	// Build against a clone of the artifact cache and adopt it only on
-	// success: a swap that aborts (or rolls back) must leave the cache
-	// at the prior generation too, or the next build of the prior state
-	// would spuriously miss — breaking the provable no-op re-apply.
-	cache := d.cache.Clone()
-	res, err := pipeline.Build(buildInputs(d.Config, chains, placement), cache)
-	if err != nil {
-		return err
-	}
-	if res.RoutingRebuilt && d.loops != nil {
+// commit applies a staged update to the live switch as a minimal delta
+// — the branching-table entry diff plus the pipelet programs whose NF
+// sets changed ("the data plane programs have a much higher loading
+// cost", §7, so unchanged programs are not reloaded) — in one program
+// transaction through the retrying driver, and adopts cache, settings,
+// placement, plans and reports together once it succeeded.
+func (d *Deployment) commit(st *staged) error {
+	res := st.res
+	if res.RoutingRebuilt {
 		// A fresh Branching generation needs the loopback spreader; a
 		// cached one already carries it (and is live — don't re-set).
 		res.Composer.Branching.SetLoopbackChooser(d.loops.choose)
 	}
-	delta := route.Diff(d.program, res.Program)
-
-	// DV009: every branching-entry write must target a table the
-	// candidate build actually placed, on a stage the profile has.
-	// Rejecting here costs a map lookup per touched pipeline; letting
-	// a bad write through costs silently black-holed traffic.
-	if ws := lint.AnalyzeWriteSet(d.Config.Prof, res.Plans, delta); ws.HasErrors() {
-		return fmt.Errorf("core: update rejected, switch untouched: write-set fails DV009: %s",
-			ws.Findings[0].Message)
-	}
-
-	// Stage the write-set into a control-plane program transaction.
-	// Each write goes through the retrying driver; staging is
-	// idempotent, so a committed-but-unacked write retried by the
-	// driver is harmless. Until CommitProgram the switch is untouched.
-	driver := d.Driver
-	if driver == nil {
-		driver = fault.NewDriver(d.Controller)
-	}
-	if err := d.Controller.BeginProgram(); err != nil {
-		return err
-	}
-	abort := func(cause error) error {
-		d.Controller.AbortProgram()
-		return fmt.Errorf("core: update rejected, switch untouched: %w", cause)
-	}
-	for _, op := range delta {
-		w := ctl.TableWrite{NF: ctl.FrameworkNF, Table: ctl.BranchingTable, Args: []any{op}}
-		if err := driver.Apply(w); err != nil {
-			return abort(err)
-		}
-	}
-	for _, pl := range res.ChangedFuncs {
-		var fn asic.StageFunc
-		if pl.Dir == asic.Ingress {
-			fn = res.Dep.Ingress[pl.Pipeline]
-		} else {
-			fn = res.Dep.Egress[pl.Pipeline]
-		}
-		w := ctl.TableWrite{NF: ctl.FrameworkNF, Table: ctl.PipeletProgramTable, Args: []any{pl, fn}}
-		if err := driver.Apply(w); err != nil {
-			return abort(err)
-		}
-	}
-
-	// Commit point: one atomic snapshot swap publishes the staged
-	// programs together with the new routing runtime. From here on, any
-	// failure rolls the switch back to the prior composed deployment.
 	prev := d.composed
-	if err := d.Controller.CommitProgram(res.Dep.Runtime); err != nil {
-		return abort(err)
+	err := d.Controller.UpdateProgram(d.Driver.Apply, ctl.ProgramUpdate{
+		Entries: st.delta, Pipelets: res.ChangedFuncs,
+		Ingress: res.Dep.Ingress, Egress: res.Dep.Egress, App: res.Dep.Runtime,
+	}, func() error { return prev.InstallOn(d.Switch) })
+	if err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
-	rollback := func(cause error) error {
-		if prev == nil {
-			return fmt.Errorf("core: update failed with no prior deployment to restore: %w", cause)
-		}
-		if rbErr := prev.InstallOn(d.Switch); rbErr != nil {
-			return fmt.Errorf("core: update failed (%w) AND rollback failed: %v", cause, rbErr)
-		}
-		return fmt.Errorf("core: update rejected, switch rolled back to prior programs: %w", cause)
-	}
-	if d.testPostInstall != nil {
-		if err := d.testPostInstall(); err != nil {
-			return rollback(err)
-		}
-	}
-	d.cache = cache
-	d.Config.Chains = chains
-	d.Placement = res.Placement
-	d.Cost = res.Cost
-	d.Plans = res.Plans
-	d.Resources = compiler.FrameworkReport(d.Config.Prof, sortedPlans(res.Plans))
-	d.ParserStates = res.Dep.Parser.ParseStates()
-	d.composed = res.Dep
-	d.Chains = chainReports(chains, res.Traversals)
-	d.Lint = res.Lint
-	d.program = res.Program
-	d.LastBuild = res.Info
-	d.LastDelta = delta
-	d.LastReloads = len(res.ChangedFuncs)
-	if d.Rebuild != nil {
-		d.Rebuild.ObserveBuild(res.Info.CacheHits, res.Info.CacheMisses, int64(res.Info.Duration))
-		d.Rebuild.ObserveSwap(len(delta), len(res.ChangedFuncs))
-	}
+	d.adopt(st)
+	d.Rebuild.ObserveSwap(len(st.delta), len(res.ChangedFuncs))
 	return nil
 }
 
@@ -394,24 +286,15 @@ func (d *Deployment) HandlePortDown(port asic.PortID) (PortDownReport, error) {
 			return rep, err
 		}
 		// Update the capacity bookkeeping.
-		var kept []asic.PortID
-		for _, p := range d.Config.LoopbackPorts {
-			if p != port {
-				kept = append(kept, p)
-			}
-		}
-		d.Config.LoopbackPorts = kept
-		d.Capacity.LoopbackPorts = len(kept)
-		// The failed port no longer serves external traffic either.
-		d.Capacity.TotalPorts--
+		d.Config.LoopbackPorts = slices.DeleteFunc(slices.Clone(d.Config.LoopbackPorts),
+			func(p asic.PortID) bool { return p == port })
+		d.Capacity.LoopbackPorts = len(d.Config.LoopbackPorts)
 		// Take it out of the recirculation rotation so no traffic is
 		// steered into a dead port.
-		if d.loops != nil {
-			d.loops.remove(port, d.Config.Prof.PipelineOf(port))
-		}
-	} else {
-		d.Capacity.TotalPorts--
+		d.loops.remove(port, d.Config.Prof.PipelineOf(port))
 	}
+	// The failed port no longer serves external traffic either.
+	d.Capacity.TotalPorts--
 	d.dead[port] = deadPort{wasLoopback: rep.WasLoopback}
 	for _, c := range d.Config.Chains {
 		if c.StaticExitPort == port {
@@ -462,9 +345,7 @@ func (d *Deployment) HandlePortUp(port asic.PortID) (PortUpReport, error) {
 		rep.RestoredLoopbackGbps = d.Config.Prof.PortGbps
 		d.Config.LoopbackPorts = append(d.Config.LoopbackPorts, port)
 		d.Capacity.LoopbackPorts = len(d.Config.LoopbackPorts)
-		if d.loops != nil {
-			d.loops.add(port, d.Config.Prof.PipelineOf(port))
-		}
+		d.loops.add(port, d.Config.Prof.PipelineOf(port))
 	}
 	d.Capacity.TotalPorts++
 	delete(d.dead, port)
@@ -479,10 +360,6 @@ func (d *Deployment) DeadPorts() []asic.PortID {
 	for p := range d.dead {
 		out = append(out, p)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }

@@ -354,7 +354,7 @@ func TestSwapRollbackOnPostInstallFailure(t *testing.T) {
 	// Forced post-commit failure: InstallOn has already loaded the new
 	// programs when this hook runs.
 	installed := false
-	d.testPostInstall = func() error {
+	d.Controller.VerifyCommit = func() error {
 		installed = true
 		return fmt.Errorf("forced post-install validation failure")
 	}
@@ -385,7 +385,7 @@ func TestSwapRollbackOnPostInstallFailure(t *testing.T) {
 
 	// The switch runs the OLD programs again: all three original
 	// chains still forward end-to-end, checked through ptf.
-	d.testPostInstall = nil
+	d.Controller.VerifyCommit = nil
 	h := ptf.New(d.Switch)
 	h.AfterInject = func() error { _, err := d.Controller.Poll(); return err }
 	rep := h.RunAll([]ptf.TestCase{

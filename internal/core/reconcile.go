@@ -156,18 +156,17 @@ func (r *Reconciler) sustainableGbps() float64 {
 	return d.LoopbackGbps() / k
 }
 
-// replace re-runs placement optimization and swaps the deployment to
-// the new placement when it strictly reduces the weighted
-// recirculation cost. It reports whether a swap happened.
+// replace stages the live chain set re-resolved from the optimizer and
+// commits it when that strictly reduces the weighted recirculation
+// cost. It reports whether a swap happened.
 func (r *Reconciler) replace(rep *ReconcileReport) (bool, error) {
 	d := r.Dep
-	cfg := d.Config
-	cfg.Placement = nil
-	cfg.Optimizer = r.Optimizer
-	if cfg.Optimizer == "" {
-		cfg.Optimizer = OptGreedy
+	u := d.keep(d.Config.Chains)
+	u.Replace = true
+	if u.Optimizer = r.Optimizer; u.Optimizer == "" {
+		u.Optimizer = OptGreedy
 	}
-	comp, cost, err := Composer(cfg)
+	st, err := d.stage(u)
 	if err != nil {
 		// Infeasible re-placement is a degradation, not a reconciler
 		// crash.
@@ -177,11 +176,13 @@ func (r *Reconciler) replace(rep *ReconcileReport) (bool, error) {
 		})
 		return false, nil
 	}
-	if !cost.Less(d.Cost) {
+	oldCost, cost := d.Cost, st.res.Cost
+	if !cost.Less(oldCost) {
 		return false, nil
 	}
-	oldCost := d.Cost
-	if err := d.swap(d.Config.Chains, comp.Placement); err != nil {
+	// The repair loop's strategy is not the operator's declared one.
+	st.cfg.Optimizer = d.Config.Optimizer
+	if err := d.commit(st); err != nil {
 		return false, err
 	}
 	rep.Replaced = true
@@ -268,7 +269,7 @@ func (r *Reconciler) restoreIntentExits(port asic.PortID, rep *ReconcileReport) 
 	if len(restored) == 0 {
 		return nil
 	}
-	if err := d.swap(chains, d.Placement); err != nil {
+	if err := d.Reconfigure(chains); err != nil {
 		return fmt.Errorf("core: restoring intent exits after port %d recovery: %w", port, err)
 	}
 	for _, id := range restored {
@@ -318,7 +319,7 @@ func (r *Reconciler) repoint(pathIDs []uint16, deadPort asic.PortID, rep *Reconc
 	if !moved {
 		return nil
 	}
-	if err := d.swap(chains, d.Placement); err != nil {
+	if err := d.Reconfigure(chains); err != nil {
 		return fmt.Errorf("core: re-pointing chains after port %d failure: %w", deadPort, err)
 	}
 	ids := make([]int, 0, len(rep.Repointed))

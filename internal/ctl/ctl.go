@@ -42,6 +42,12 @@ type Controller struct {
 
 	// prog is the open program transaction, if any (see program.go).
 	prog *pendingProgram
+
+	// VerifyCommit, when set, runs right after every UpdateProgram
+	// commit; an error rolls the switch back to the prior programs.
+	// Production leaves it nil — it is the one seam tests use to force a
+	// post-commit failure. Set it before the controller is shared.
+	VerifyCommit func() error
 }
 
 // tally is a batch of packet-in outcomes: a Poll counts into its own

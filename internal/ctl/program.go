@@ -10,11 +10,11 @@ import (
 // Program transactions: the control-plane half of a live
 // reconfiguration (§7). A rebuild produces a minimal write-set — the
 // branching-table entry diff plus the pipelet programs whose NF sets
-// changed — and the controller stages those writes one by one (each
-// write goes through the retrying fault.Driver like any other
-// table write), then commits them to the switch as ONE atomic snapshot
-// swap. Until Commit, nothing touches the data plane; Abort discards
-// the staged writes, leaving the switch exactly as it was.
+// changed — and UpdateProgram stages those writes one by one (each goes
+// through the caller's retrying driver like any other table write),
+// then commits them to the switch as ONE atomic snapshot swap. Until
+// the commit nothing touches the data plane, and a packet in flight
+// finishes under the snapshot it started with.
 //
 // Staging is idempotent per key (re-applying a write after an
 // ambiguous failure is safe), which is exactly the contract the
@@ -90,6 +90,70 @@ func (c *Controller) CommitProgram(app any) error {
 	c.entryWrites += len(c.prog.entries)
 	c.programWrites += len(c.prog.ingress) + len(c.prog.egress)
 	c.prog = nil
+	return nil
+}
+
+// ProgramUpdate is the write-set of one program transaction: the
+// branching-table entry diff, the pipelets whose behavioural program is
+// replaced (each looked up in Ingress or Egress by its pipeline), and
+// the application runtime the commit publishes with them.
+type ProgramUpdate struct {
+	Entries         []route.EntryOp
+	Pipelets        []asic.PipeletID
+	Ingress, Egress []asic.StageFunc
+	App             any
+}
+
+// UpdateProgram runs one program transaction: open, stage every write
+// of u through apply, commit. A failure up to the commit aborts and the
+// switch is untouched; one after it (VerifyCommit) reinstalls the prior
+// programs through restore — nil when there are none — so the switch
+// never runs new programs against the caller's stale bookkeeping.
+// Callers adopt the new state only on a nil return.
+func (c *Controller) UpdateProgram(apply func(TableWrite) error, u ProgramUpdate, restore func() error) error {
+	if err := c.BeginProgram(); err != nil {
+		return err
+	}
+	err := stageUpdate(apply, u)
+	if err == nil {
+		err = c.CommitProgram(u.App)
+	}
+	if err != nil {
+		c.AbortProgram()
+		return fmt.Errorf("update rejected, switch untouched: %w", err)
+	}
+	var cause error
+	if c.VerifyCommit != nil {
+		cause = c.VerifyCommit()
+	}
+	switch {
+	case cause == nil:
+		return nil
+	case restore == nil:
+		return fmt.Errorf("update failed with no prior programs to restore: %w", cause)
+	}
+	if err := restore(); err != nil {
+		return fmt.Errorf("update failed (%w) AND rollback failed: %v", cause, err)
+	}
+	return fmt.Errorf("update rejected, switch rolled back to prior programs: %w", cause)
+}
+
+// stageUpdate pushes every write of u through apply, entries first.
+func stageUpdate(apply func(TableWrite) error, u ProgramUpdate) error {
+	for _, op := range u.Entries {
+		if err := apply(TableWrite{NF: FrameworkNF, Table: BranchingTable, Args: []any{op}}); err != nil {
+			return err
+		}
+	}
+	for _, pl := range u.Pipelets {
+		fn := u.Egress[pl.Pipeline]
+		if pl.Dir == asic.Ingress {
+			fn = u.Ingress[pl.Pipeline]
+		}
+		if err := apply(TableWrite{NF: FrameworkNF, Table: PipeletProgramTable, Args: []any{pl, fn}}); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

@@ -3,8 +3,6 @@ package fault
 import (
 	"fmt"
 	"math/rand"
-	"sort"
-	"sync"
 
 	"dejavu/internal/asic"
 	"dejavu/internal/packet"
@@ -89,29 +87,15 @@ func (e FabricEvent) String() string {
 	}
 }
 
-func (e FabricEvent) bytes() int {
-	if e.Bytes <= 0 {
-		return 2
-	}
-	return e.Bytes
-}
+func (e FabricEvent) at() int    { return e.Tick }
+func (e FabricEvent) bytes() int { return positiveOr(e.Bytes, 2) }
 
 // Dur is the effective duration of a WireCorruptWindow in ticks.
-func (e FabricEvent) Dur() int {
-	if e.Ticks <= 0 {
-		return 1
-	}
-	return e.Ticks
-}
+func (e FabricEvent) Dur() int { return positiveOr(e.Ticks, 1) }
 
-// FabricSchedule is a fabric fault timeline, ordered by tick.
+// FabricSchedule is a fabric fault timeline; an injector replays it in
+// tick order.
 type FabricSchedule []FabricEvent
-
-// Sort orders the schedule by tick, keeping the insertion order of
-// same-tick events stable.
-func (s FabricSchedule) Sort() {
-	sort.SliceStable(s, func(i, j int) bool { return s[i].Tick < s[j].Tick })
-}
 
 // FabricLink names one directed inter-switch wire by its near end.
 type FabricLink struct {
@@ -251,35 +235,18 @@ type corruptWindow struct {
 // hook the fabric consults on every wire crossing (wire it up with
 // cluster's Fabric.SetWireHook). All randomness flows from the seed.
 type FabricInjector struct {
-	mu    sync.Mutex
-	rng   *rand.Rand
-	sched FabricSchedule
-	next  int
-	tick  int
+	timeline[FabricEvent]
 
 	windows map[FabricLink]corruptWindow
-
-	losses []Loss
-	log    []string
 }
 
 // NewFabricInjector builds an injector over a fabric schedule. The
 // schedule is sorted by tick; same-tick order is preserved.
 func NewFabricInjector(seed int64, sched FabricSchedule) *FabricInjector {
-	s := append(FabricSchedule(nil), sched...)
-	s.Sort()
 	return &FabricInjector{
-		rng:     rand.New(rand.NewSource(seed)),
-		sched:   s,
-		windows: make(map[FabricLink]corruptWindow),
+		timeline: newTimeline(seed, sched),
+		windows:  make(map[FabricLink]corruptWindow),
 	}
-}
-
-// Tick returns the injector's current virtual time.
-func (in *FabricInjector) Tick() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.tick
 }
 
 // Advance moves virtual time forward one tick, fires every event
@@ -289,12 +256,8 @@ func (in *FabricInjector) Tick() int {
 func (in *FabricInjector) Advance(target FabricTarget) []FabricEvent {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	in.tick++
-	var fired []FabricEvent
-	for in.next < len(in.sched) && in.sched[in.next].Tick <= in.tick {
-		ev := in.sched[in.next]
-		in.next++
-		in.logf("%s", ev)
+	fired := in.advance()
+	for _, ev := range fired {
 		if target != nil {
 			switch ev.Kind {
 			case SwitchKill:
@@ -315,34 +278,8 @@ func (in *FabricInjector) Advance(target FabricTarget) []FabricEvent {
 				bytes: ev.bytes(),
 			}
 		}
-		fired = append(fired, ev)
 	}
 	return fired
-}
-
-// Done reports whether every scheduled event has fired.
-func (in *FabricInjector) Done() bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.next >= len(in.sched)
-}
-
-// Losses returns the packets the injector destroyed so far.
-func (in *FabricInjector) Losses() []Loss {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return append([]Loss(nil), in.losses...)
-}
-
-// Log returns the deterministic event/loss log, one line per entry.
-func (in *FabricInjector) Log() []string {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return append([]string(nil), in.log...)
-}
-
-func (in *FabricInjector) logf(format string, args ...any) {
-	in.log = append(in.log, fmt.Sprintf(format, args...))
 }
 
 // CorruptionOpen reports whether a corruption window is currently open
@@ -367,26 +304,9 @@ func (in *FabricInjector) WireHook(fromSw int, fromPort asic.PortID, pkt *packet
 	if !ok || in.tick > w.until {
 		return pkt, true
 	}
-	wire, err := pkt.Serialize(nil)
-	if err != nil || len(wire) == 0 {
-		in.recordFabricLoss(fromSw, fromPort, "corruption destroyed unserializable packet")
+	if !in.corruptWire(pkt, w.bytes, false) {
+		in.recordLoss(fromPort, fmt.Sprintf("wire %d:%d corruption destroyed packet on wire", fromSw, fromPort))
 		return nil, false
 	}
-	for i := 0; i < w.bytes; i++ {
-		pos := in.rng.Intn(len(wire))
-		wire[pos] ^= byte(1 + in.rng.Intn(255))
-	}
-	var mangled packet.Parsed
-	if err := mangled.Parse(wire); err != nil {
-		in.recordFabricLoss(fromSw, fromPort, "corruption destroyed packet on wire")
-		return nil, false
-	}
-	*pkt = mangled
 	return pkt, true
-}
-
-func (in *FabricInjector) recordFabricLoss(sw int, port asic.PortID, reason string) {
-	l := Loss{Tick: in.tick, Port: port, Reason: fmt.Sprintf("wire %d:%d %s", sw, port, reason)}
-	in.losses = append(in.losses, l)
-	in.logf("%s", l)
 }

@@ -13,7 +13,6 @@ package fault
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"dejavu/internal/asic"
 )
@@ -108,29 +107,14 @@ func (e Event) String() string {
 	}
 }
 
-func (e Event) bytes() int {
-	if e.Bytes <= 0 {
-		return 2
-	}
-	return e.Bytes
-}
+func (e Event) at() int    { return e.Tick }
+func (e Event) bytes() int { return positiveOr(e.Bytes, 2) }
 
 // Dur is the effective duration of a RecircOverload window in ticks.
-func (e Event) Dur() int {
-	if e.Ticks <= 0 {
-		return 1
-	}
-	return e.Ticks
-}
+func (e Event) Dur() int { return positiveOr(e.Ticks, 1) }
 
-// Schedule is a fault timeline, ordered by tick.
+// Schedule is a fault timeline; an injector replays it in tick order.
 type Schedule []Event
-
-// Sort orders the schedule by tick, keeping the insertion order of
-// same-tick events stable.
-func (s Schedule) Sort() {
-	sort.SliceStable(s, func(i, j int) bool { return s[i].Tick < s[j].Tick })
-}
 
 // TableRef names one (nf, table) control-plane write target.
 type TableRef struct {

@@ -2,8 +2,6 @@ package fault
 
 import (
 	"fmt"
-	"math/rand"
-	"sync"
 
 	"dejavu/internal/asic"
 	"dejavu/internal/packet"
@@ -34,41 +32,24 @@ type tableFault struct {
 // schedule) pair reproduces the identical event sequence, byte flips
 // and packet losses.
 type Injector struct {
-	mu    sync.Mutex
-	rng   *rand.Rand
-	sched Schedule
-	next  int // index of the first unfired schedule entry
-	tick  int
+	timeline[Event]
 
 	wire         map[asic.PortID][]Event // armed one-shot corrupt/truncate
 	overload     map[asic.PortID]int     // port -> overload window end tick
 	overloadSeen map[asic.PortID]int     // per-port recirc counter in window
 	tables       map[string]*tableFault  // "nf/table" -> armed fault
-
-	losses []Loss
-	log    []string
 }
 
 // NewInjector builds an injector over a schedule. The schedule is
 // sorted by tick; same-tick order is preserved.
 func NewInjector(seed int64, sched Schedule) *Injector {
-	s := append(Schedule(nil), sched...)
-	s.Sort()
 	return &Injector{
-		rng:          rand.New(rand.NewSource(seed)),
-		sched:        s,
+		timeline:     newTimeline(seed, sched),
 		wire:         make(map[asic.PortID][]Event),
 		overload:     make(map[asic.PortID]int),
 		overloadSeen: make(map[asic.PortID]int),
 		tables:       make(map[string]*tableFault),
 	}
-}
-
-// Tick returns the injector's current virtual time.
-func (in *Injector) Tick() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.tick
 }
 
 // Advance moves virtual time forward one tick, fires every event
@@ -78,20 +59,12 @@ func (in *Injector) Tick() int {
 func (in *Injector) Advance(sw *asic.Switch) []Event {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	in.tick++
-	var fired []Event
-	for in.next < len(in.sched) && in.sched[in.next].Tick <= in.tick {
-		ev := in.sched[in.next]
-		in.next++
-		in.logf("%s", ev)
+	fired := in.advance()
+	for _, ev := range fired {
 		switch ev.Kind {
-		case PortDown:
+		case PortDown, PortUp:
 			if sw != nil {
-				sw.SetPortAdminState(ev.Port, false)
-			}
-		case PortUp:
-			if sw != nil {
-				sw.SetPortAdminState(ev.Port, true)
+				sw.SetPortAdminState(ev.Port, ev.Kind == PortUp)
 			}
 		case Corrupt, Truncate:
 			in.wire[ev.Port] = append(in.wire[ev.Port], ev)
@@ -101,40 +74,8 @@ func (in *Injector) Advance(sw *asic.Switch) []Event {
 		case TableWriteFail:
 			in.tables[ev.NF+"/"+ev.Table] = &tableFault{remaining: ev.Failures, ambiguous: ev.Ambiguous}
 		}
-		fired = append(fired, ev)
 	}
 	return fired
-}
-
-// Done reports whether every scheduled event has fired.
-func (in *Injector) Done() bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.next >= len(in.sched)
-}
-
-// Losses returns the packets the injector destroyed so far.
-func (in *Injector) Losses() []Loss {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return append([]Loss(nil), in.losses...)
-}
-
-// Log returns the deterministic event/loss log, one line per entry.
-func (in *Injector) Log() []string {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return append([]string(nil), in.log...)
-}
-
-func (in *Injector) logf(format string, args ...any) {
-	in.log = append(in.log, fmt.Sprintf(format, args...))
-}
-
-func (in *Injector) recordLoss(port asic.PortID, reason string) {
-	l := Loss{Tick: in.tick, Port: port, Reason: reason}
-	in.losses = append(in.losses, l)
-	in.logf("%s", l)
 }
 
 // OnInject implements asic.FaultHook: armed wire faults on the ingress
@@ -146,7 +87,7 @@ func (in *Injector) OnInject(port asic.PortID, pkt *packet.Parsed) error {
 	if !ok {
 		return nil
 	}
-	if !in.mangle(ev, pkt) {
+	if !in.corruptWire(pkt, ev.bytes(), ev.Kind == Truncate) {
 		in.recordLoss(port, fmt.Sprintf("%s destroyed packet at ingress", ev.Kind))
 		return fmt.Errorf("fault: %s destroyed packet", ev.Kind)
 	}
@@ -162,7 +103,7 @@ func (in *Injector) OnEmit(port asic.PortID, pkt *packet.Parsed) bool {
 	if !ok {
 		return true
 	}
-	if !in.mangle(ev, pkt) {
+	if !in.corruptWire(pkt, ev.bytes(), ev.Kind == Truncate) {
 		in.recordLoss(port, fmt.Sprintf("%s destroyed packet on wire", ev.Kind))
 		return false
 	}
@@ -195,35 +136,6 @@ func (in *Injector) takeWireFault(port asic.PortID) (Event, bool) {
 	ev := q[0]
 	in.wire[port] = q[1:]
 	return ev, true
-}
-
-// mangle serializes the packet, applies the wire fault to the raw
-// bytes, and reparses. It reports false when the mangled bytes no
-// longer parse — the packet is destroyed.
-func (in *Injector) mangle(ev Event, pkt *packet.Parsed) bool {
-	wire, err := pkt.Serialize(nil)
-	if err != nil || len(wire) == 0 {
-		return false
-	}
-	switch ev.Kind {
-	case Corrupt:
-		for i := 0; i < ev.bytes(); i++ {
-			pos := in.rng.Intn(len(wire))
-			wire[pos] ^= byte(1 + in.rng.Intn(255))
-		}
-	case Truncate:
-		cut := ev.bytes()
-		if cut >= len(wire) {
-			cut = len(wire) - 1
-		}
-		wire = wire[:len(wire)-cut]
-	}
-	var mangled packet.Parsed
-	if err := mangled.Parse(wire); err != nil {
-		return false
-	}
-	*pkt = mangled
-	return true
 }
 
 // tableFaultFor consumes one armed failure for the write target,

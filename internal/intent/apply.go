@@ -2,6 +2,7 @@ package intent
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -143,17 +144,12 @@ var redeployGlobals = map[string]bool{
 // needsRedeploy reports whether the delta's global changes force a
 // fresh deployment.
 func needsRedeploy(delta *Delta) bool {
-	for _, g := range delta.Global {
-		if redeployGlobals[g] {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(delta.Global, func(g string) bool { return redeployGlobals[g] })
 }
 
 // needsReplace reports whether the delta moves placement-affecting
-// inputs (optimizer, anneal seed, per-NF hints) that a plain
-// Reconfigure — which keeps live NFs where they are — would ignore.
+// inputs (optimizer, anneal seed, per-NF hints) that an update keeping
+// live NFs where they are would ignore.
 func needsReplace(delta *Delta) bool {
 	for _, g := range delta.Global {
 		if g == "optimizer" || g == "anneal_seed" {
@@ -191,20 +187,27 @@ func (a *Applier) Apply(doc *Document, opts Options) (*Report, error) {
 		Initial: a.last == nil, DryRun: opts.DryRun,
 	}
 
+	// A recorded intent implies a live deployment of its mode, and a
+	// document of the other mode differs in the "fabric" global: whether
+	// to build fresh is decided here, once, for every mode and for the
+	// dry run alike.
+	fresh := a.last == nil || needsRedeploy(delta)
+	rep.Redeployed = fresh && !rep.Initial
+	start := time.Now()
+	var err error
+	switch {
+	case doc.Fabric != nil:
+		err = a.convergeFabric(doc, fresh, rep)
+	case fresh:
+		err = a.deploy(doc, rep)
+	default:
+		err = a.update(doc, delta, rep)
+	}
 	if opts.DryRun {
-		err := a.dryRun(doc, delta, rep)
 		if err == nil {
 			a.Stats.ObserveDryRun()
 		}
 		return rep, err
-	}
-
-	start := time.Now()
-	var err error
-	if doc.Fabric != nil {
-		err = a.convergeFabric(doc, delta, rep)
-	} else {
-		err = a.converge(doc, delta, rep)
 	}
 	rep.ConvergenceNS = time.Since(start).Nanoseconds()
 	if err != nil {
@@ -225,115 +228,50 @@ func (a *Applier) Apply(doc *Document, opts Options) (*Report, error) {
 	return rep, nil
 }
 
-// dryRun plans the converge without touching anything: the delta plus,
-// when an incremental hot swap would run, the staged rebuild computed
-// against a copy of the deployment's artifact cache.
-func (a *Applier) dryRun(doc *Document, delta *Delta, rep *Report) error {
-	switch {
-	case doc.Fabric != nil && a.fab != nil && !needsRedeploy(delta):
-		// Plan over the live fabric with the new chain set, then restore.
-		prior := a.fab.Chains
-		a.fab.Chains = doc.RouteChains()
-		err := planFabric(a.fab, rep)
-		a.fab.Chains = prior
-		return err
-	case a.last == nil || a.dep == nil || needsRedeploy(delta):
-		// A fresh deployment would run: prove the document composes.
-		cfg, err := doc.BuildConfig()
-		if err != nil {
-			return err
-		}
-		if doc.Fabric != nil {
-			fab, err := a.buildFabric(doc, cfg)
-			if err != nil {
-				return err
-			}
-			return planFabric(fab, rep)
-		}
-		rep.Redeployed = !rep.Initial
-		_, _, err = core.Compose(*cfg, cfg.StrictLint)
-		return err
-	default:
-		res, entryOps, err := a.dep.PlanReconfigure(doc.RouteChains())
-		if err != nil {
-			return err
-		}
-		rep.Build = res.Info
-		rep.DeltaEntries = len(entryOps)
-		rep.ProgramReloads = len(res.ChangedFuncs)
-		return nil
-	}
-}
-
-// planFabric records the fabric dry run in the report; a plan the real
-// apply's reconcile would reject is an error here too.
-func planFabric(fab *cluster.FabricDeployment, rep *Report) error {
-	plan, err := fab.Plan()
-	if err != nil {
-		return err
-	}
-	rep.FabricPath, rep.FabricRoutes, rep.FabricBlackholed = plan.Switches, plan.Routes, plan.Blackholed
-	return nil
-}
-
-// converge drives a single-switch apply: initial deploys and
-// redeploy-forcing global changes build fresh; everything else is an
-// incremental hot swap on the live deployment, with in-place knobs
-// (telemetry, strict_lint) toggled after the swap commits.
-func (a *Applier) converge(doc *Document, delta *Delta, rep *Report) error {
-	if a.last == nil || a.dep == nil || a.fab != nil || needsRedeploy(delta) {
-		cfg, err := doc.BuildConfig()
-		if err != nil {
-			return err
-		}
-		dep, err := core.Deploy(*cfg)
-		if err != nil {
-			return err
-		}
-		rep.Redeployed = !rep.Initial
-		rep.Build = dep.LastBuild
-		rep.ProgramReloads = dep.LastReloads
-		a.dep, a.fab, a.frec = dep, nil, nil
-		return nil
-	}
-
-	d := a.dep
-	chains := doc.RouteChains()
-	// Stage the placement-affecting knobs into the live config so the
-	// rebuild sees them; restore on failure (the switch is untouched by
-	// an aborted swap, so the bookkeeping must stay prior too).
-	saved := d.Config
+// deploy builds the document fresh on a new switch — the initial apply
+// and every redeploy-forcing global change. A dry run proves the
+// document composes instead.
+func (a *Applier) deploy(doc *Document, rep *Report) error {
 	cfg, err := doc.BuildConfig()
 	if err != nil {
 		return err
 	}
-	d.Config.Pin = cfg.Pin
-	d.Config.Optimizer = cfg.Optimizer
-	d.Config.AnnealSeed = cfg.AnnealSeed
-	d.Config.StrictLint = cfg.StrictLint
-
-	if needsReplace(delta) {
-		// Re-resolve the placement from scratch under the new hints and
-		// optimizer: a derived placement would keep live NFs pinned to
-		// their old pipelets, ignoring the operator's declared move.
-		pcfg := d.Config
-		pcfg.Chains = chains
-		pcfg.Placement = nil
-		comp, _, cerr := core.Composer(pcfg)
-		if cerr != nil {
-			d.Config = saved
-			return cerr
-		}
-		err = d.ReconfigureWithPlacement(chains, comp.Placement)
-	} else {
-		err = d.Reconfigure(chains)
-	}
-	if err != nil {
-		d.Config = saved
+	if rep.DryRun {
+		_, _, err = core.Compose(*cfg, cfg.StrictLint)
 		return err
 	}
+	dep, err := core.Deploy(*cfg)
+	if err != nil {
+		return err
+	}
+	rep.Build = dep.LastBuild
+	rep.ProgramReloads = dep.LastReloads
+	a.dep, a.fab, a.frec = dep, nil, nil
+	return nil
+}
 
-	// In-place knobs, after the swap committed.
+// update drives everything else through the live deployment's one
+// update path: the chain set and the hot-swappable settings go in
+// together, the placement is kept or — when the delta moved a
+// placement input — re-resolved, and a dry run stops before the first
+// write. The telemetry collector is toggled in place after the commit.
+func (a *Applier) update(doc *Document, delta *Delta, rep *Report) error {
+	d := a.dep
+	u, err := doc.update(d.Config.Prof, needsReplace(delta))
+	if err != nil {
+		return err
+	}
+	if rep.DryRun {
+		res, entryOps, err := d.Plan(u)
+		if err != nil {
+			return err
+		}
+		rep.Build, rep.DeltaEntries, rep.ProgramReloads = res.Info, len(entryOps), len(res.ChangedFuncs)
+		return nil
+	}
+	if err := d.Apply(u); err != nil {
+		return err
+	}
 	if d.Config.Telemetry != doc.Telemetry {
 		if doc.Telemetry {
 			d.Datapath = telemetry.NewDatapath(d.Config.Prof.Pipelines)
@@ -344,10 +282,7 @@ func (a *Applier) converge(doc *Document, delta *Delta, rep *Report) error {
 		}
 		d.Config.Telemetry = doc.Telemetry
 	}
-
-	rep.Build = d.LastBuild
-	rep.DeltaEntries = len(d.LastDelta)
-	rep.ProgramReloads = d.LastReloads
+	rep.Build, rep.DeltaEntries, rep.ProgramReloads = d.LastBuild, len(d.LastDelta), d.LastReloads
 	return nil
 }
 
@@ -372,44 +307,48 @@ func (a *Applier) buildFabric(doc *Document, cfg *core.Config) (*cluster.FabricD
 // live fabric and let the level-triggered reconciler converge — an
 // unchanged intent reconciles to Converged with zero reprogrammed
 // switches. A failed chain-delta converge restores the prior chain set
-// and re-reconciles, so the fabric ends at the prior intent.
-func (a *Applier) convergeFabric(doc *Document, delta *Delta, rep *Report) error {
-	if a.last == nil || a.fab == nil || needsRedeploy(delta) {
+// and re-reconciles, so the fabric ends at the prior intent. A dry run
+// plans the same fabric and chain set and installs nothing; a plan the
+// reconcile would reject is an error there too.
+func (a *Applier) convergeFabric(doc *Document, fresh bool, rep *Report) error {
+	fab, frec := a.fab, a.frec
+	if fresh {
 		cfg, err := doc.BuildConfig()
 		if err != nil {
 			return err
 		}
-		fab, err := a.buildFabric(doc, cfg)
+		if fab, err = a.buildFabric(doc, cfg); err != nil {
+			return err
+		}
+		frec = cluster.NewReconciler(fab)
+	}
+	prior := fab.Chains
+	if rep.DryRun {
+		fab.Chains = doc.RouteChains()
+		plan, err := fab.Plan()
+		fab.Chains = prior
 		if err != nil {
 			return err
 		}
-		frec := cluster.NewReconciler(fab)
-		frep, err := frec.Reconcile()
-		if err != nil {
-			return err
-		}
-		rep.Redeployed = !rep.Initial
-		rep.FabricPath = frep.Switches
-		rep.FabricChanged = frep.Changed
-		rep.FabricRoutes = frep.Routes
-		rep.FabricReplaced = frep.Replaced
-		rep.FabricBlackholed = frep.Blackholed
-		a.fab, a.frec, a.dep = fab, frec, nil
+		rep.FabricPath, rep.FabricRoutes, rep.FabricBlackholed = plan.Switches, plan.Routes, plan.Blackholed
 		return nil
 	}
-
-	prior := a.fab.Chains
-	if err := a.fab.SetChains(doc.RouteChains()); err != nil {
-		return err
+	if !fresh {
+		if err := fab.SetChains(doc.RouteChains()); err != nil {
+			return err
+		}
 	}
-	frep, err := a.frec.Reconcile()
-	if err != nil {
+	frep, err := frec.Reconcile()
+	switch {
+	case err != nil && fresh:
+		return err
+	case err != nil:
 		// Converge failed partway: restore the prior desired set and let
 		// the reconciler put every switch back. A rollback failure is
 		// reported alongside the original cause — the fabric needs an
 		// operator at that point.
-		a.fab.Chains = prior
-		if _, rbErr := a.frec.Reconcile(); rbErr != nil {
+		fab.Chains = prior
+		if _, rbErr := frec.Reconcile(); rbErr != nil {
 			return fmt.Errorf("intent: apply failed (%w) AND fabric rollback failed: %v", err, rbErr)
 		}
 		return fmt.Errorf("intent: apply failed, fabric rolled back to prior intent: %w", err)
@@ -419,8 +358,9 @@ func (a *Applier) convergeFabric(doc *Document, delta *Delta, rep *Report) error
 	rep.FabricRoutes = frep.Routes
 	rep.FabricReplaced = frep.Replaced
 	rep.FabricBlackholed = frep.Blackholed
-	if !frep.Converged {
-		rep.ProgramReloads = len(frep.Changed) * a.fab.Fabric.Prof.Pipelines * 2
+	if !fresh && !frep.Converged {
+		rep.ProgramReloads = len(frep.Changed) * fab.Fabric.Prof.Pipelines * 2
 	}
+	a.fab, a.frec, a.dep = fab, frec, nil
 	return nil
 }

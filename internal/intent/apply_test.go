@@ -7,10 +7,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"dejavu/internal/asic"
 	"dejavu/internal/config"
+	"dejavu/internal/core"
 	"dejavu/internal/ctl"
 	"dejavu/internal/fault"
 	"dejavu/internal/pipeline"
@@ -190,70 +190,116 @@ func TestApplyTelemetryToggle(t *testing.T) {
 	assertProvedNoOp(t, applyDoc(t, a, testDoc(t)))
 }
 
-// deadApplier fails every control-plane write permanently.
-type deadApplier struct{}
-
-func (deadApplier) Apply(ctl.TableWrite) error {
-	return errors.New("switch driver gone")
+// faultyApplier forwards writes to a controller, except that write
+// number failAt (1-based) is rejected and after write number abortAfter
+// the open transaction is lost, so the commit that follows fails.
+type faultyApplier struct {
+	ctrl                  *ctl.Controller
+	n, failAt, abortAfter int
 }
 
-// TestApplyRollbackOnFault is the acceptance fault case: a mid-apply
-// control-plane failure must roll the deployment back to the prior
-// intent — the recorded intent is unchanged, traffic still flows on
-// the prior chains, the lint report stays clean — and once the driver
-// recovers, the prior intent re-applies as a proved no-op and the new
+func (f *faultyApplier) Apply(w ctl.TableWrite) error {
+	if f.n++; f.n == f.failAt {
+		return errors.New("switch driver gone")
+	}
+	err := f.ctrl.Apply(w)
+	if f.n == f.abortAfter {
+		f.ctrl.AbortProgram()
+	}
+	return err
+}
+
+// TestApplyRollbackOnFault is the acceptance fault case: a failure at
+// any step of the apply's program transaction — a staged write, the
+// commit, the post-commit seam — must leave the deployment at the prior
+// intent: the recorded intent is unchanged, so are the settings the
+// update carried (the optimizer pin, strict_lint), traffic still flows
+// on the prior chains, the lint report stays clean — and once the fault
+// clears, the prior intent re-applies as a proved no-op and the new
 // intent converges.
 func TestApplyRollbackOnFault(t *testing.T) {
-	a := NewApplier(nil)
 	prior := testDoc(t)
-	applyDoc(t, a, prior)
-	dep := a.Deployment()
-
-	// The switch driver dies: every table write is rejected.
-	orig := dep.Driver
-	dep.Driver = &fault.Driver{Applier: deadApplier{}, MaxAttempts: 1, Sleep: func(time.Duration) {}}
-
 	next := testDoc(t)
 	next.File.Chains = append(next.File.Chains, config.ChainSpec{
 		PathID: 20, NFs: []string{"classifier", "fw", "router"}, Weight: 0.1,
 	})
-	rep, err := a.Apply(next, Options{})
-	if err == nil {
-		t.Fatal("apply succeeded through a dead driver")
-	}
-	if !rep.RolledBack {
-		t.Errorf("report not marked rolled back: %s", rep.Summary())
-	}
-	if a.Stats.Rollbacks() != 1 {
-		t.Errorf("rollbacks counter = %d, want 1", a.Stats.Rollbacks())
-	}
+	next.StrictLint = true
+	next.Placement = map[string]string{"fw": "egress 1"}
 
-	// The prior intent is still the applied one and the switch still
-	// runs it: traffic forwards, chains unchanged, lint clean.
-	if cur := a.Current(); cur == nil || cur.Hash() != prior.Hash() {
-		t.Fatal("failed apply advanced the recorded intent")
-	}
-	if got := len(dep.Config.Chains); got != len(prior.Chains) {
-		t.Fatalf("deployment runs %d chains after rollback, want %d", got, len(prior.Chains))
-	}
-	tr, injErr := dep.Inject(scenario.PortClient, scenario.InternetBound())
-	if injErr != nil || tr.Dropped {
-		t.Fatalf("traffic after rollback: %v %+v", injErr, tr)
-	}
-	if dep.Lint.HasErrors() {
-		t.Errorf("lint findings after rollback: %+v", dep.Lint)
-	}
+	for _, tc := range []struct {
+		name string
+		arm  func(dep *core.Deployment, writes int)
+	}{
+		{"staged write", func(dep *core.Deployment, _ int) {
+			dep.Driver = &fault.Driver{Applier: &faultyApplier{ctrl: dep.Controller, failAt: 1}, MaxAttempts: 1}
+		}},
+		{"commit", func(dep *core.Deployment, writes int) {
+			dep.Driver = &fault.Driver{Applier: &faultyApplier{ctrl: dep.Controller, abortAfter: writes}, MaxAttempts: 1}
+		}},
+		{"post-commit seam", func(dep *core.Deployment, _ int) {
+			dep.Controller.VerifyCommit = func() error { return errors.New("post-commit check failed") }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := NewApplier(nil)
+			applyDoc(t, a, prior)
+			dep := a.Deployment()
+			placedFW, _ := dep.Placement.Of("fw")
 
-	// Driver recovers: the prior intent is a proved no-op, the new one
-	// converges.
-	dep.Driver = orig
-	assertProvedNoOp(t, applyDoc(t, a, prior.Clone()))
-	rep = applyDoc(t, a, next.Clone())
-	if rep.DeltaEntries == 0 {
-		t.Error("recovered apply wrote nothing")
-	}
-	if cur := a.Current(); cur.Hash() != next.Hash() {
-		t.Error("recovered apply did not advance the recorded intent")
+			plan, err := a.Apply(next, Options{DryRun: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			orig := dep.Driver
+			tc.arm(dep, plan.DeltaEntries+plan.ProgramReloads)
+			rep, err := a.Apply(next, Options{})
+			if err == nil {
+				t.Fatal("apply succeeded through the fault")
+			}
+			if !rep.RolledBack {
+				t.Errorf("report not marked rolled back: %s", rep.Summary())
+			}
+			if a.Stats.Rollbacks() != 1 {
+				t.Errorf("rollbacks counter = %d, want 1", a.Stats.Rollbacks())
+			}
+
+			// The prior intent is still the applied one and the switch still
+			// runs it: settings and placement as before, traffic forwards,
+			// chains unchanged, lint clean.
+			if cur := a.Current(); cur == nil || cur.Hash() != prior.Hash() {
+				t.Fatal("failed apply advanced the recorded intent")
+			}
+			if got := len(dep.Config.Chains); got != len(prior.Chains) {
+				t.Fatalf("deployment runs %d chains after rollback, want %d", got, len(prior.Chains))
+			}
+			if now, _ := dep.Placement.Of("fw"); dep.Config.StrictLint || dep.Config.Pin != nil || now != placedFW {
+				t.Errorf("failed apply left its settings behind: strict=%v pin=%v fw on %s (was %s)",
+					dep.Config.StrictLint, dep.Config.Pin, now, placedFW)
+			}
+			tr, injErr := dep.Inject(scenario.PortClient, scenario.InternetBound())
+			if injErr != nil || tr.Dropped {
+				t.Fatalf("traffic after rollback: %v %+v", injErr, tr)
+			}
+			if dep.Lint.HasErrors() {
+				t.Errorf("lint findings after rollback: %+v", dep.Lint)
+			}
+
+			// The fault clears: the prior intent is a proved no-op, the new
+			// one converges exactly as the dry run planned it.
+			dep.Driver, dep.Controller.VerifyCommit = orig, nil
+			assertProvedNoOp(t, applyDoc(t, a, prior.Clone()))
+			rep = applyDoc(t, a, next.Clone())
+			if rep.DeltaEntries == 0 || rep.DeltaEntries != plan.DeltaEntries || rep.ProgramReloads != plan.ProgramReloads {
+				t.Errorf("recovered apply wrote %d entries / %d programs, dry run planned %d / %d",
+					rep.DeltaEntries, rep.ProgramReloads, plan.DeltaEntries, plan.ProgramReloads)
+			}
+			if cur := a.Current(); cur.Hash() != next.Hash() {
+				t.Error("recovered apply did not advance the recorded intent")
+			}
+			if now, _ := dep.Placement.Of("fw"); !dep.Config.StrictLint || now != (asic.PipeletID{Pipeline: 1, Dir: asic.Egress}) {
+				t.Errorf("recovered apply did not carry its settings: strict=%v fw on %s", dep.Config.StrictLint, now)
+			}
+		})
 	}
 }
 

@@ -207,22 +207,50 @@ func (d *Document) BuildConfig() (*core.Config, error) {
 	if err != nil {
 		return nil, fmt.Errorf("intent: %w", err)
 	}
-	if len(d.Placement) > 0 {
-		cfg.Pin = make(map[string]asic.PipeletID, len(d.Placement))
-		for n, hint := range d.Placement {
-			pl, err := parsePipelet(hint)
-			if err != nil {
-				return nil, err
-			}
-			if pl.Pipeline >= cfg.Prof.Pipelines {
-				return nil, fmt.Errorf("intent: placement hint %q for %q exceeds the profile's %d pipelines",
-					hint, n, cfg.Prof.Pipelines)
-			}
-			cfg.Pin[n] = pl
-		}
+	if cfg.Pin, err = d.pins(cfg.Prof); err != nil {
+		return nil, err
 	}
 	cfg.AnnealSeed = d.AnnealSeed
 	return cfg, nil
+}
+
+// pins resolves the placement hints into optimizer pins on prof.
+func (d *Document) pins(prof asic.Profile) (map[string]asic.PipeletID, error) {
+	if len(d.Placement) == 0 {
+		return nil, nil
+	}
+	pin := make(map[string]asic.PipeletID, len(d.Placement))
+	for n, hint := range d.Placement {
+		pl, err := parsePipelet(hint)
+		if err != nil {
+			return nil, err
+		}
+		if pl.Pipeline >= prof.Pipelines {
+			return nil, fmt.Errorf("intent: placement hint %q for %q exceeds the profile's %d pipelines",
+				hint, n, prof.Pipelines)
+		}
+		pin[n] = pl
+	}
+	return pin, nil
+}
+
+// update is the intent as an update of a live deployment on prof — the
+// chain set and the settings a hot swap can change, checked as
+// BuildConfig checks them. No NF is built: a changed NF section forces
+// a redeploy (redeployGlobals), so the live ones are the declared ones.
+func (d *Document) update(prof asic.Profile, replace bool) (core.Update, error) {
+	opt, err := d.ResolveOptimizer()
+	if err != nil {
+		return core.Update{}, fmt.Errorf("intent: %w", err)
+	}
+	pin, err := d.pins(prof)
+	if err != nil {
+		return core.Update{}, err
+	}
+	return core.Update{
+		Chains: d.RouteChains(), Pin: pin, Optimizer: opt,
+		AnnealSeed: d.AnnealSeed, StrictLint: d.StrictLint, Replace: replace,
+	}, nil
 }
 
 // Hash is the content hash of the canonical document rendering. Two

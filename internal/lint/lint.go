@@ -20,6 +20,7 @@ package lint
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"dejavu/internal/asic"
 	"dejavu/internal/compiler"
@@ -254,19 +255,10 @@ func runRules(t *Target, r *Report) {
 	r.Sort()
 }
 
-// Gate returns a compose.Composer.Verifier that rejects deployments
-// with error-severity findings — the opt-in strict mode of
-// Composer.Build and Deployment.InstallOn.
-func Gate() func(*compose.Deployment) error {
-	return func(d *compose.Deployment) error {
-		return AnalyzeDeployment(d).GateError()
-	}
-}
-
-// GateError renders the report's error-severity findings as the
-// one-line gate error Gate produces, or nil when the report has none.
-// The incremental build pipeline uses it to enforce strict mode on a
-// report assembled from cached and fresh findings.
+// GateError renders the report's error-severity findings as a one-line
+// gate error, or nil when the report has none. The build pipeline uses
+// it to enforce strict mode (pipeline.Inputs.Strict) on a report
+// assembled from cached and fresh findings.
 func (r *Report) GateError() error {
 	if !r.HasErrors() {
 		return nil
@@ -283,18 +275,7 @@ func (r *Report) GateError() error {
 // joinMax joins up to n items, eliding the rest.
 func joinMax(items []string, n int) string {
 	if len(items) <= n {
-		return join(items)
+		return strings.Join(items, "; ")
 	}
-	return fmt.Sprintf("%s; and %d more", join(items[:n]), len(items)-n)
-}
-
-func join(items []string) string {
-	out := ""
-	for i, s := range items {
-		if i > 0 {
-			out += "; "
-		}
-		out += s
-	}
-	return out
+	return fmt.Sprintf("%s; and %d more", strings.Join(items[:n], "; "), len(items)-n)
 }

@@ -363,56 +363,6 @@ func TestChainShapeNoClassifier(t *testing.T) {
 	wantFinding(t, r, RuleChainShape, SevWarn, "no chain contains the classifier")
 }
 
-func TestGateRejectsBrokenDeployment(t *testing.T) {
-	s := scenario.MustNew()
-	// Stamp a path no chain implements: DV006 error.
-	if err := s.Classifier.AddRule(nf.ClassRule{
-		DstIP: packet.IP4{192, 0, 2, 1}, DstMask: packet.IP4{255, 255, 255, 255},
-		Priority: 5,
-		Path:     99, InitialIndex: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	c, err := compose.New(s.Prof, s.Chains, s.Placement, s.NFs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Without the gate the deployment builds.
-	if _, err := c.Build(); err != nil {
-		t.Fatalf("ungated build failed: %v", err)
-	}
-	// With the gate it is rejected.
-	c.Verifier = Gate()
-	if _, err := c.Build(); err == nil {
-		t.Fatal("gated build accepted a deployment with DV006 errors")
-	} else if !strings.Contains(err.Error(), "DV006") {
-		t.Errorf("gate error does not name the rule: %v", err)
-	}
-}
-
-func TestGateBlocksInstall(t *testing.T) {
-	s := scenario.MustNew()
-	if err := s.Classifier.AddRule(nf.ClassRule{
-		DstIP: packet.IP4{192, 0, 2, 1}, DstMask: packet.IP4{255, 255, 255, 255},
-		Priority: 5,
-		Path:     99, InitialIndex: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	c, err := compose.New(s.Prof, s.Chains, s.Placement, s.NFs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := c.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Verifier = Gate() // gate enabled after build: InstallOn re-checks
-	if err := d.InstallOn(asic.New(s.Prof)); err == nil {
-		t.Fatal("install accepted a deployment the verifier rejects")
-	}
-}
-
 func TestReportSortAndJSON(t *testing.T) {
 	r := NewReport()
 	r.Add(Finding{Rule: "DV008", Severity: SevInfo, Where: "z", Message: "c"})

@@ -377,7 +377,7 @@ func TestLintReadsTheAllocationStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := len(pipeletIDs(in.Prof))
+	n := len(in.Prof.Pipelets())
 	all, one := fmt.Sprintf("%d/%d pipelets", n, n), fmt.Sprintf("1/%d pipelets", n)
 	alloc, lnt := res.Info.Stage(StageAllocation).Detail, res.Info.Stage(StageLint).Detail
 	if !strings.HasPrefix(alloc, all) || !strings.Contains(lnt, " "+all) {

@@ -166,17 +166,6 @@ type routingArtifact struct {
 	traversals []route.Traversal
 }
 
-// pipeletIDs returns the profile's pipelets in deterministic order.
-func pipeletIDs(prof asic.Profile) []asic.PipeletID {
-	out := make([]asic.PipeletID, 0, 2*prof.Pipelines)
-	for pipe := 0; pipe < prof.Pipelines; pipe++ {
-		out = append(out,
-			asic.PipeletID{Pipeline: pipe, Dir: asic.Ingress},
-			asic.PipeletID{Pipeline: pipe, Dir: asic.Egress})
-	}
-	return out
-}
-
 // Build runs the staged pipeline. A nil cache builds everything from
 // scratch; with a cache, stages whose input hashes match a previous
 // build are served from it. On success the cache adopts this build's
@@ -307,7 +296,7 @@ func Build(in Inputs, cache *Cache) (*Result, error) {
 	// read routing state through the published Runtime, so same-NF
 	// chain churn keeps them verbatim).
 	start = time.Now()
-	pipelets := pipeletIDs(in.Prof)
+	pipelets := in.Prof.Pipelets()
 	entries := chainEntriesOf(in.Chains)
 	blocks := make(map[asic.PipeletID]*p4.ControlBlock, len(pipelets))
 	blockHashes := make(map[asic.PipeletID]string, len(pipelets))

@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dejavu/internal/lint"
+	"dejavu/internal/nf"
+	"dejavu/internal/packet"
 	"dejavu/internal/route"
 	"dejavu/internal/scenario"
 )
@@ -53,6 +56,33 @@ func TestBuildNilCache(t *testing.T) {
 	}
 	if res.Program.Len() == 0 {
 		t.Error("empty table program")
+	}
+}
+
+// TestStrictBuildNamesTheRule: a classifier rule stamping a path no
+// chain implements (DV006) builds unstrict, and a strict build — the
+// one deploy gate, core.Config.StrictLint — refuses it naming the rule,
+// from a warm cache too.
+func TestStrictBuildNamesTheRule(t *testing.T) {
+	s := scenario.MustNew()
+	if err := s.Classifier.AddRule(nf.ClassRule{
+		DstIP: packet.IP4{192, 0, 2, 1}, DstMask: packet.IP4{255, 255, 255, 255},
+		Priority: 5, Path: 99, InitialIndex: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	in := Inputs{Prof: s.Prof, Chains: s.Chains, NFs: s.NFs, Placement: s.Placement}
+	cache := NewCache()
+	if _, err := Build(in, cache); err != nil {
+		t.Fatalf("unstrict build failed: %v", err)
+	}
+	in.Strict = true
+	for _, c := range []*Cache{nil, cache} {
+		if _, err := Build(in, c); err == nil {
+			t.Fatal("strict build accepted a deployment with DV006 errors")
+		} else if !strings.Contains(err.Error(), "DV006") {
+			t.Errorf("gate error does not name the rule: %v", err)
+		}
 	}
 }
 

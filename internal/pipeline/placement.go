@@ -30,25 +30,16 @@ func ResolvePlacement(in Inputs) (*route.Placement, route.Cost, error) {
 
 // stageDemands computes every NF's minimum stage demand
 // (compiler.MinStages over its emitted block). The demand is a pure
-// function of the block, so with a cache and the NFs' content
-// fingerprints it is served from previous builds — MinStages runs a
-// full trial allocation per NF, which would otherwise dominate
+// function of the block, so with a cache (nil: none) and the NFs'
+// content fingerprints it is served from previous builds — MinStages
+// runs a full trial allocation per NF, which would otherwise dominate
 // incremental rebuilds.
 func stageDemands(nfs nf.List, cache *Cache, fps map[string]string) (map[string]int, error) {
 	demand := make(map[string]int, len(nfs))
 	for _, f := range nfs {
-		if cache != nil && fps != nil {
-			h := hashOf("demand", fps[f.Name()])
-			if v, ok := cache.lookup("demand/"+f.Name(), h); ok {
-				demand[f.Name()] = v.(int)
-				continue
-			}
-			n, err := compiler.MinStages(f.Block())
-			if err != nil {
-				return nil, fmt.Errorf("NF %s: %w", f.Name(), err)
-			}
-			demand[f.Name()] = n
-			cache.store("demand/"+f.Name(), h, n)
+		h := hashOf("demand", fps[f.Name()])
+		if v, ok := cache.lookup("demand/"+f.Name(), h); ok {
+			demand[f.Name()] = v.(int)
 			continue
 		}
 		n, err := compiler.MinStages(f.Block())
@@ -56,6 +47,7 @@ func stageDemands(nfs nf.List, cache *Cache, fps map[string]string) (map[string]
 			return nil, fmt.Errorf("NF %s: %w", f.Name(), err)
 		}
 		demand[f.Name()] = n
+		cache.store("demand/"+f.Name(), h, n)
 	}
 	return demand, nil
 }
