@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"dejavu/internal/asic"
@@ -299,14 +300,22 @@ func runResources(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("Dejavu framework resource overhead (cf. paper Table 1):")
-	fmt.Print(d.Resources.String())
-	fmt.Println("\nper-pipelet stage allocation:")
-	for pl, plan := range d.Plans {
-		fmt.Printf("  %-10s: %d stages used (%d with framework tables)\n",
-			pl, plan.StagesUsed(), plan.FrameworkStages())
-	}
+	writeResources(os.Stdout, d)
 	return nil
+}
+
+// writeResources prints the resource report; pipelets appear in the
+// profile's order, not the plan map's.
+func writeResources(w io.Writer, d *core.Deployment) {
+	fmt.Fprintln(w, "Dejavu framework resource overhead (cf. paper Table 1):")
+	fmt.Fprint(w, d.Resources.String())
+	fmt.Fprintln(w, "\nper-pipelet stage allocation:")
+	for _, pl := range d.Config.Prof.Pipelets() {
+		if plan := d.Plans[pl]; plan != nil {
+			fmt.Fprintf(w, "  %-10s: %d stages used (%d with framework tables)\n",
+				pl, plan.StagesUsed(), plan.FrameworkStages())
+		}
+	}
 }
 
 func runTraffic(args []string) error {

@@ -62,6 +62,45 @@ type Ctx struct {
 	// the hot path pays one atomic add per visited pipeline instead of
 	// one per traversal. Zeroed by the wholesale Ctx reset per packet.
 	tel telemetry.DatapathDelta
+
+	// tally accumulates a burst's application counters (see TallySink)
+	// in plain memory; tallying says a switch is running the burst and
+	// will flush them. It lives here, not on InjectQuietBatch's stack,
+	// because a local handed to the sink's interface method escapes —
+	// one allocation per burst.
+	tally    [TallyCells]uint32
+	tallying bool
+}
+
+// TallyCells is the number of counters a burst tallies in its context:
+// as many as fit the context's size class (see pooledCtx).
+const TallyCells = 24
+
+// TallySink is the seam through which application state (Ctx.App) has
+// its programs' per-packet counters paid once per burst, as the switch
+// pays its own port and datapath counters: a program counts with
+// Ctx.Tally, and when the burst returns InjectQuietBatch hands the
+// cells to the state of the snapshot the burst ran under — a hot swap
+// between bursts loses nothing. What a cell counts is the sink's
+// business. FlushTally adds the non-zero cells to the shard's counters
+// and zeroes them.
+type TallySink interface {
+	FlushTally(shard uint8, cells *[TallyCells]uint32)
+}
+
+// Tally counts one event into a cell of the burst's tally and reports
+// whether it did. It did not when nobody will flush the tally — a single
+// Inject or InjectQuiet, whose counts would gain nothing from the
+// detour, or a program run outside a switch — or when the cell is out
+// of range; the caller then counts directly.
+//
+//dv:hotpath
+func (c *Ctx) Tally(cell int) bool {
+	if !c.tallying || uint(cell) >= TallyCells {
+		return false
+	}
+	c.tally[cell]++
+	return true
 }
 
 // Shard returns the context's counter shard: a small number fixed when
@@ -217,6 +256,8 @@ type snapshot struct {
 	// pipelet programs (see Ctx.App). Swapped atomically with them by
 	// Commit, so programs never observe state from another generation.
 	app any
+	// tally is app when it is a TallySink, resolved once per commit.
+	tally TallySink
 }
 
 // clone returns a deep copy writers mutate before republishing.
@@ -229,6 +270,7 @@ func (sn *snapshot) clone() *snapshot {
 		ingress:  append([]StageFunc(nil), sn.ingress...),
 		egress:   append([]StageFunc(nil), sn.egress...),
 		app:      sn.app,
+		tally:    sn.tally,
 	}
 	return n
 }
@@ -576,6 +618,7 @@ func (s *Switch) Commit(b *Batch) error {
 		}
 		if b.setApp {
 			sn.app = b.app
+			sn.tally, _ = b.app.(TallySink)
 		}
 	})
 	return nil
@@ -848,13 +891,19 @@ type BatchResult struct {
 // the delta's uint16 fields.
 const batchTelFlushEvery = 256
 
+// tallyFlushEvery does the same for the application tally: a packet
+// adds at most 255 (service indices) × 2 × maxPasses to a cell, so
+// 65 536 packets stay inside its uint32.
+const tallyFlushEvery = 1 << 16
+
 // InjectQuietBatch runs a burst of packets through the quiet hot path
 // while paying the per-packet fixed costs once per burst: one config
 // snapshot load, one pooled Ctx/Trace checkout, one stats update per
 // port the burst touched (ingress, loopback and exit ports alike; the
-// counters show the burst once it has returned), and one telemetry
+// counters show the burst once it has returned), one telemetry
 // flush (a single fast-path matrix add per pipeline pair plus one
-// batched delta flush) for the whole batch instead of per packet.
+// batched delta flush) and one flush of the programs' own counters
+// (TallySink) for the whole batch instead of per packet.
 // Dispositions are aggregated — callers that need per-packet results
 // use InjectQuiet.
 //
@@ -888,6 +937,7 @@ func (s *Switch) InjectQuietBatch(in PortID, pkts []*packet.Parsed) BatchResult 
 	pd := portDeltaPool.Get().(*portDelta)
 	shard := ctx.shard
 	ctx.tel = telemetry.DatapathDelta{} // pooled context may carry a stale delta
+	ctx.tallying = sn.tally != nil
 
 	var sh *telemetry.DatapathShard
 	telPipes := 0
@@ -903,7 +953,10 @@ func (s *Switch) InjectQuietBatch(in PortID, pkts []*packet.Parsed) BatchResult 
 
 	var rxPkts, rxBytes uint64
 	sinceFlush := 0
-	for _, pkt := range pkts {
+	for i, pkt := range pkts {
+		if ctx.tallying && i%tallyFlushEvery == tallyFlushEvery-1 {
+			sn.tally.FlushTally(shard, &ctx.tally)
+		}
 		if sn.faults != nil {
 			if err := sn.faults.OnInject(in, pkt); err != nil {
 				s.drops.Add(shard)
@@ -979,6 +1032,10 @@ func (s *Switch) InjectQuietBatch(in PortID, pkts []*packet.Parsed) BatchResult 
 	}
 	pd.flush(s)
 	portDeltaPool.Put(pd)
+	if ctx.tallying {
+		sn.tally.FlushTally(shard, &ctx.tally)
+		ctx.tallying = false
+	}
 	if sh != nil {
 		sh.Flush(&ctx.tel)
 		for pi := 0; pi < telPipes; pi++ {

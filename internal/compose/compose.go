@@ -272,10 +272,8 @@ func (c *Composer) pipeletFunc(pl asic.PipeletID, nfs []nf.NF, mode route.Mode) 
 //
 //dv:hotpath
 func (p *pipelet) run(ctx *asic.Ctx) {
-	c := p.c
-	rt := c.runtimeOf(ctx)
+	rt := p.c.runtimeOf(ctx)
 	hdr := ctx.Pkt
-	shard := ctx.Shard()
 	if fresh(hdr) {
 		// Seed the SFC header's platform metadata copy (Fig. 3):
 		// inPort records the physical port the packet was received
@@ -301,10 +299,14 @@ func (p *pipelet) run(ctx *asic.Ctx) {
 			break // chain complete, or the next NF lives elsewhere; branching will route it
 		}
 		p.placed[ran].f.Execute(hdr)
-		c.telemetry.countNF(p.placed[ran].telIdx, shard)
+		// The one place an NF execution is counted: into the burst's
+		// tally when a switch will flush it, else straight to the shard.
+		if i := p.placed[ran].telIdx; !ctx.Tally(nfCell(i)) {
+			rt.telemetry.addNF(i, ctx.Shard(), 1)
+		}
 		if wasFresh && hdr.Valid(sfcBit) {
 			// The classifier just stamped a path.
-			rt.countPath(hdr.SFC.ServicePathID, shard)
+			rt.countPath(hdr.SFC.ServicePathID, ctx)
 		}
 		// check_sfcFlags: translate SFC header flags to platform
 		// metadata after every NF (§3.2, Fig. 5).

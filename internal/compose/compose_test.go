@@ -497,7 +497,7 @@ func TestPathCountersAcrossBlocks(t *testing.T) {
 		seen[id] = p
 		for shard := 0; shard < 2*counterShards; shard++ {
 			for n := uint16(0); n < p; n++ {
-				c.add(uint8(shard))
+				c.add(uint8(shard), 1)
 			}
 		}
 	}

@@ -83,12 +83,55 @@ func (r *Runtime) nextNF(path uint16, index uint8) uint8 {
 }
 
 // countPath records one packet classified onto a path.
-func (r *Runtime) countPath(path uint16, shard uint8) {
+func (r *Runtime) countPath(path uint16, ctx *asic.Ctx) {
 	if ci, ok := r.branching.ChainIndex(path); ok {
-		r.pathCount[ci].add(shard)
+		if !ctx.Tally(chainCell(ci)) {
+			r.pathCount[ci].add(ctx.Shard(), 1)
+		}
 		return
 	}
 	r.telemetry.countUndeclared(path) //dv:allow hotpath: a classifier stamped a path no chain declares; the overflow map is lock-guarded and never touched by a consistent deployment
+}
+
+// The burst tally's layout (asic.Ctx.Tally): NF counter indices first,
+// then the runtime's chain indices. An index past its range has no cell
+// and is counted directly.
+const (
+	tallyNFs    = 16
+	tallyChains = asic.TallyCells - tallyNFs
+)
+
+func nfCell(i int) int {
+	if uint(i) < tallyNFs {
+		return i
+	}
+	return -1
+}
+
+func chainCell(ci int) int {
+	if uint(ci) < tallyChains {
+		return tallyNFs + ci
+	}
+	return -1
+}
+
+// FlushTally implements asic.TallySink: a burst's NF-execution and path
+// counts, added to the shard's cells once. The cells were tallied under
+// this runtime, so every non-zero one names an NF or chain it has.
+//
+//dv:hotpath
+func (r *Runtime) FlushTally(shard uint8, cells *[asic.TallyCells]uint32) {
+	for i, n := range cells {
+		if n == 0 {
+			continue
+		}
+		cells[i] = 0
+		if i < tallyNFs {
+			r.telemetry.addNF(i, shard, uint64(n))
+		} else {
+			r.pathCount[i-tallyNFs].add(shard, uint64(n))
+		}
+	}
 }
 
 // runtimeOf resolves the routing state for one packet: the snapshot's

@@ -32,9 +32,9 @@ type pathCounter struct {
 	slot  int
 }
 
-// add counts one event into the caller's cell.
-func (c pathCounter) add(shard uint8) {
-	c.block[int(shard%counterShards)*pathsPerBlock+c.slot].Add(1)
+// add counts n events into the caller's cell.
+func (c pathCounter) add(shard uint8, n uint64) {
+	c.block[int(shard%counterShards)*pathsPerBlock+c.slot].Add(n)
 }
 
 // load sums all cells.
@@ -115,7 +115,7 @@ func (t *Telemetry) pathCell(path uint16) pathCounter {
 
 // nfIndex returns the dense counter index of an NF, or -1. Pipelet
 // programs resolve indices once at composition time and count through
-// countNF on the hot path.
+// addNF on the hot path.
 func (t *Telemetry) nfIndex(name string) int {
 	if i, ok := t.nfIdx[name]; ok {
 		return i
@@ -123,10 +123,10 @@ func (t *Telemetry) nfIndex(name string) int {
 	return -1
 }
 
-// countNF records one execution of the NF at a precomputed index.
-func (t *Telemetry) countNF(i int, shard uint8) {
+// addNF records n executions of the NF at a precomputed index.
+func (t *Telemetry) addNF(i int, shard uint8, n uint64) {
 	if i >= 0 {
-		t.nfExec[int(shard%counterShards)*t.nfStride+i].Add(1)
+		t.nfExec[int(shard%counterShards)*t.nfStride+i].Add(n)
 	}
 }
 

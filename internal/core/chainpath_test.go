@@ -316,3 +316,140 @@ func BenchmarkChainQuietBatch(b *testing.B) {
 		})
 	}
 }
+
+// TestBurstCountersExact: NF-execution and path counters are tallied per
+// burst and flushed when the burst returns, against the runtime of the
+// snapshot the burst ran under. Everything that can race a flush runs at
+// once — two batch injectors, single-packet injections that count
+// directly, chain-set hot swaps replacing the runtime — and afterwards
+// every counter equals its analytic total. Along the way a burst's
+// counts are visible the moment its call returns; a chain whose index
+// lies past the tally's chain cells and a path no chain declares count
+// as exactly. Run with -race (CI does, x5).
+func TestBurstCountersExact(t *testing.T) {
+	const (
+		extraChains = 8 // with the scenario's three: chain indices 0–10, the tally holds 0–7
+		lastPath    = 100 + extraChains - 1
+		undeclared  = 999 // a path the classifier stamps and no chain declares
+		burst       = 16
+		rounds      = 1500
+	)
+	cfg := edgeConfig()
+	classifier := cfg.NFs.ByName("classifier").(*nf.Classifier)
+	steer := func(dst packet.IP4, path uint16) {
+		t.Helper()
+		if err := classifier.AddRule(nf.ClassRule{DstIP: dst, DstMask: packet.IP4{255, 255, 255, 255}, Priority: 30, Path: path, InitialIndex: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < extraChains; i++ {
+		cfg.Chains = append(cfg.Chains, route.Chain{PathID: uint16(100 + i), NFs: []string{"classifier", "router"}, Weight: 0.01})
+		steer(packet.IP4{198, 18, 0, byte(i)}, uint16(100+i))
+	}
+	steer(packet.IP4{198, 18, 1, 1}, undeclared)
+	d, err := Deploy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr, err := d.Inject(scenario.PortClient, scenario.ClientTCP(443)); err != nil || len(tr.Out) != 1 {
+		t.Fatalf("warm-up of the VIP flow: %+v, %v", tr, err)
+	}
+	to := func(dst packet.IP4) *packet.Parsed {
+		p := scenario.InternetBound()
+		p.IPv4.Dst = dst
+		return p
+	}
+	tel := d.Telemetry() // one Telemetry across every generation of the runtime
+	if ci, ok := d.composed.Runtime.Branching().ChainIndex(lastPath); !ok || ci < 8 {
+		t.Fatalf("path %d has chain index %d, %v: not past the tally's chain cells", lastPath, ci, ok)
+	}
+	base := map[string]uint64{}
+	for _, name := range []string{"classifier", "fw", "vgw", "lb", "router"} {
+		base[name] = tel.NFExecutions(name)
+	}
+	basePath := map[uint16]uint64{}
+	for _, p := range []uint16{scenario.PathFull, scenario.PathMedium, scenario.PathBasic, lastPath, undeclared} {
+		basePath[p] = tel.PathPackets(p)
+	}
+
+	var wg sync.WaitGroup
+	var swapping atomic.Bool
+	swapping.Store(true)
+	// Two batch injectors, each the only source of its path, so the
+	// path's counter after a burst is exactly what the injector has sent.
+	batch := func(path uint16, tmpl *packet.Parsed) {
+		defer wg.Done()
+		var slots [burst]packet.Parsed
+		var ptrs [burst]*packet.Parsed
+		for i := range slots {
+			ptrs[i] = &slots[i]
+		}
+		for r := 1; r <= rounds; r++ {
+			for i := range slots {
+				slots[i].CopyFrom(tmpl)
+			}
+			if br := d.Switch.InjectQuietBatch(scenario.PortClient, ptrs[:]); br.Err != nil || br.Delivered != burst {
+				t.Errorf("path %d burst %d: %+v", path, r, br)
+				return
+			}
+			if got, want := tel.PathPackets(path)-basePath[path], uint64(r*burst); got != want {
+				t.Errorf("path %d: %d packets counted when burst %d returned, want %d", path, got, r, want)
+				return
+			}
+		}
+	}
+	wg.Add(3)
+	go batch(scenario.PathFull, scenario.ClientTCP(443))
+	go batch(lastPath, to(packet.IP4{198, 18, 0, extraChains - 1}))
+	// Single-packet injections between the bursts: these count directly.
+	go func() {
+		defer wg.Done()
+		for r := 0; r < rounds; r++ {
+			if _, err := d.Switch.Inject(scenario.PortClient, scenario.TenantBound()); err != nil {
+				t.Error(err)
+			}
+			if _, err := d.Switch.InjectQuiet(scenario.PortClient, scenario.InternetBound()); err != nil {
+				t.Error(err)
+			}
+			if q, err := d.Switch.InjectQuiet(scenario.PortClient, to(packet.IP4{198, 18, 1, 1})); err != nil || q.Emitted != 0 {
+				t.Errorf("packet on an undeclared path: %+v, %v", q, err)
+			}
+		}
+		swapping.Store(false)
+	}()
+	// Hot swaps for as long as traffic runs: every one publishes a new
+	// runtime, and a burst in flight flushes into the one it started on.
+	// The chain that comes and goes sits first in the list, so chain
+	// indices — the tally's cells — mean other chains from one runtime to
+	// the next.
+	visitor := route.Chain{PathID: 500, NFs: []string{"classifier", "fw", "router"}, Weight: 0.01}
+	swaps := 0
+	for swapping.Load() || swaps < 2 {
+		if err := d.Reconfigure(append([]route.Chain{visitor}, d.Config.Chains...)); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.RemoveChain(visitor.PathID); err != nil {
+			t.Fatal(err)
+		}
+		swaps += 2
+	}
+	wg.Wait()
+
+	n := uint64(rounds)
+	for name, want := range map[string]uint64{
+		"classifier": n*burst*2 + 3*n, "router": n*burst*2 + 2*n, // the undeclared path ends at the classifier
+		"fw": n * burst, "lb": n * burst, "vgw": n*burst + n,
+	} {
+		if got := tel.NFExecutions(name) - base[name]; got != want {
+			t.Errorf("%s executed %d times, want %d", name, got, want)
+		}
+	}
+	for path, want := range map[uint16]uint64{
+		scenario.PathFull: n * burst, lastPath: n * burst, scenario.PathMedium: n, scenario.PathBasic: n, undeclared: n,
+	} {
+		if got := tel.PathPackets(path) - basePath[path]; got != want {
+			t.Errorf("path %d counted %d packets, want %d", path, got, want)
+		}
+	}
+	t.Logf("%d hot swaps beside %d bursts", swaps, 2*rounds)
+}

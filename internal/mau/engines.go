@@ -2,6 +2,7 @@ package mau
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -303,9 +304,14 @@ func (t *ExactTable) Lookup(key []byte) (Entry, bool) {
 func (t *ExactTable) Len() int { return int(t.n.Load()) }
 
 // LPM32 is a longest-prefix-match table over 32-bit keys (IPv4
-// routes): a binary trie whose nodes are immutable once published.
-// A write copies the nodes on the path to the prefix, shares every
-// other subtree with the previous generation, and swaps the root.
+// routes): a trie of 8-bit stride, so a lookup reads at most four
+// nodes. A prefix lives in the node its last bit falls in — lengths
+// 1–8 in the root, 9–16 one level down, and so on; /0 sits in the
+// snapshot — expanded there over every address byte it covers, so a
+// node answers "longest prefix ending here" with one bitmap test. Nodes
+// are popcount-compressed (lpmNode) and immutable once published: a
+// write copies the nodes on the path to the prefix, shares every other
+// subtree with the previous generation, and swaps the root.
 type LPM32 struct {
 	mu   sync.Mutex // serialises writers
 	snap atomic.Pointer[lpmSnap]
@@ -314,41 +320,153 @@ type LPM32 struct {
 // lpmSnap is one published generation of the trie.
 type lpmSnap struct {
 	root *lpmNode
+	def  *Entry // the /0 entry
 	n    int
 }
 
+// lpmStride is the address bits one node consumes.
+const lpmStride = 8
+
+// bitmap256 is a set of byte values with the rank structure of a
+// popcount-compressed array: value b's slot in the dense slice beside
+// the bitmap is the number of set bits below b.
+type bitmap256 struct {
+	bits [4]uint64
+	base [4]uint8 // base[w] = set bits in words below w (at most 192)
+}
+
+// rank returns b's index in the dense slice and whether b is set.
+//
+//dv:hotpath
+func (m *bitmap256) rank(b uint8) (int, bool) {
+	w, bit := b>>6, b&63
+	word := m.bits[w]
+	return int(m.base[w]) + bits.OnesCount64(word&(1<<bit-1)), word>>bit&1 != 0
+}
+
+// put adds (on) or removes b.
+func (m *bitmap256) put(b uint8, on bool) {
+	m.bits[b>>6] &^= 1 << (b & 63)
+	if on {
+		m.bits[b>>6] |= 1 << (b & 63)
+	}
+	m.rebase()
+}
+
+// rebase derives base from bits.
+func (m *bitmap256) rebase() {
+	for w := 1; w < len(m.bits); w++ {
+		m.base[w] = m.base[w-1] + uint8(bits.OnesCount64(m.bits[w-1]))
+	}
+}
+
+// lpmNode is one stride of the trie, the Tree-Bitmap/Poptrie shape: two
+// 256-bit bitmaps index two dense slices, so a node with k children and
+// prefixes covering c byte values costs k+c pointers, not 512.
 type lpmNode struct {
-	child [2]*lpmNode
-	entry *Entry
+	children bitmap256 // byte values with a subtree
+	covered  bitmap256 // byte values some prefix ending in this node covers
+	child    []*lpmNode
+	best     []*Entry    // per covered byte value, the longest such prefix's entry
+	own      []lpmPrefix // the prefixes ending here, which best is expanded from
+}
+
+// lpmPrefix is a prefix within its node: the top len bits of bits.
+type lpmPrefix struct {
+	e    *Entry
+	bits uint8
+	len  uint8 // 1–8
 }
 
 // NewLPM32 creates an empty LPM table.
 func NewLPM32() *LPM32 { return &LPM32{} }
 
-// with returns a copy of the subtree at n in which the node depth bits
-// down prefix holds entry e (nil removes it), pruning nodes left with
-// neither entry nor children. delta reports the change in entry count.
-func (n *lpmNode) with(prefix uint32, depth, plen int, e *Entry) (out *lpmNode, delta int) {
+// with returns a copy of the subtree at n — the node that consumes the
+// address byte shift bits up — in which prefix/plen holds entry e (nil
+// removes it), pruning nodes left with neither prefix nor child. plen
+// counts from this node's first bit. delta reports the change in entry
+// count.
+func (n *lpmNode) with(prefix uint32, shift uint, plen int, e *Entry) (out *lpmNode, delta int) {
 	var c lpmNode
 	if n != nil {
 		c = *n
 	}
-	if depth == plen {
-		switch {
-		case c.entry == nil && e != nil:
-			delta = 1
-		case c.entry != nil && e == nil:
-			delta = -1
-		}
-		c.entry = e
+	b := uint8(prefix >> shift)
+	if plen <= lpmStride {
+		c.own, delta = withPrefix(c.own, lpmPrefix{e: e, bits: b &^ (0xFF >> plen), len: uint8(plen)})
+		c.expand()
 	} else {
-		bit := prefix >> (31 - depth) & 1
-		c.child[bit], delta = c.child[bit].with(prefix, depth+1, plen, e)
+		i, ok := c.children.rank(b)
+		var sub *lpmNode
+		if ok {
+			sub = c.child[i]
+		}
+		sub, delta = sub.with(prefix, shift-lpmStride, plen-lpmStride, e)
+		// The dense slice is shared with the previous generation: build
+		// a fresh one around the slot that changes.
+		kids := append(make([]*lpmNode, 0, len(c.child)+1), c.child[:i]...)
+		if sub != nil {
+			kids = append(kids, sub)
+		}
+		if ok {
+			i++
+		}
+		c.child = append(kids, c.child[i:]...)
+		c.children.put(b, sub != nil)
 	}
-	if c.entry == nil && c.child[0] == nil && c.child[1] == nil {
+	if len(c.own) == 0 && len(c.child) == 0 {
 		return nil, delta
 	}
 	return &c, delta
+}
+
+// withPrefix returns a copy of own in which p's prefix holds p.e (nil
+// removes it).
+func withPrefix(own []lpmPrefix, p lpmPrefix) (out []lpmPrefix, delta int) {
+	out = make([]lpmPrefix, 0, len(own)+1)
+	for _, o := range own {
+		if o.len == p.len && o.bits == p.bits {
+			delta--
+			continue
+		}
+		out = append(out, o)
+	}
+	if p.e != nil {
+		delta++
+		out = append(out, p)
+	}
+	return out, delta
+}
+
+// expand derives covered and best from own: every prefix written over
+// the byte values it covers, shorter ones first so longer ones win.
+func (n *lpmNode) expand() {
+	var slots [256]*Entry
+	for l := uint8(1); l <= lpmStride; l++ {
+		for _, p := range n.own {
+			if p.len != l {
+				continue
+			}
+			for v, end := int(p.bits), int(p.bits)+1<<(lpmStride-l); v < end; v++ {
+				slots[v] = p.e
+			}
+		}
+	}
+	n.covered = bitmap256{}
+	covered := 0
+	for v, e := range slots {
+		if e != nil {
+			n.covered.bits[v>>6] |= 1 << (v & 63)
+			covered++
+		}
+	}
+	n.covered.rebase()
+	n.best = make([]*Entry, 0, covered)
+	for _, e := range slots {
+		if e != nil {
+			n.best = append(n.best, e)
+		}
+	}
 }
 
 // publish swaps in the trie with prefix/plen set to e (nil deletes),
@@ -358,12 +476,24 @@ func (n *lpmNode) with(prefix uint32, depth, plen int, e *Entry) (out *lpmNode, 
 func (t *LPM32) publish(prefix uint32, plen int, e *Entry) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var cur lpmSnap
+	var next lpmSnap
 	if s := t.snap.Load(); s != nil {
-		cur = *s
+		next = *s
 	}
-	root, delta := cur.root.with(prefix, 0, plen, e)
-	t.snap.Store(&lpmSnap{root: root, n: cur.n + delta})
+	delta := 0
+	if plen == 0 {
+		if next.def != nil {
+			delta--
+		}
+		if e != nil {
+			delta++
+		}
+		next.def = e
+	} else {
+		next.root, delta = next.root.with(prefix, 32-lpmStride, plen, e)
+	}
+	next.n += delta
+	t.snap.Store(&next)
 	return delta
 }
 
@@ -394,16 +524,20 @@ func (t *LPM32) Lookup(addr uint32) (Entry, bool) {
 	if s == nil {
 		return Entry{}, false
 	}
-	var best *Entry
+	best := s.def
 	n := s.root
-	for i := 0; n != nil; i++ {
-		if n.entry != nil {
-			best = n.entry
+	// A node at shift 0 holds /25–/32 and has no children, so the loop
+	// ends there at the latest.
+	for shift := uint(32 - lpmStride); n != nil; shift -= lpmStride {
+		b := uint8(addr >> shift)
+		if i, ok := n.covered.rank(b); ok {
+			best = n.best[i]
 		}
-		if i == 32 {
+		i, ok := n.children.rank(b)
+		if !ok {
 			break
 		}
-		n = n.child[addr>>(31-i)&1]
+		n = n.child[i]
 	}
 	if best == nil {
 		return Entry{}, false
@@ -435,10 +569,42 @@ type ternarySnap struct {
 	rules []ternaryRule
 }
 
+// ternaryWordKey is the widest key two machine words hold.
+const ternaryWordKey = 16
+
+// ternaryRule is a rule compiled for a word-wide compare: its first 16
+// bytes as two little-endian (want, mask) word pairs — byte j of the
+// rule is bits 8(j%8) of word j/8, bytes past its width are wildcards —
+// so that a key packed the same way matches when k&m == w in both
+// words. want = value & mask throughout.
 type ternaryRule struct {
-	want, mask []byte // want = value & mask, so a match is key&mask == want
-	priority   int
-	entry      Entry
+	w0, m0, w1, m1 uint64
+	width          int    // key bytes the rule constrains; a shorter key cannot match
+	tail           []byte // bytes 16… of a wider rule: want, then mask
+	priority       int
+	entry          Entry
+}
+
+// packWords packs the first 16 bytes of key into two little-endian
+// words, zero past its end.
+//
+//dv:hotpath
+func packWords(key []byte) (k0, k1 uint64) {
+	switch {
+	case len(key) >= ternaryWordKey:
+		return binary.LittleEndian.Uint64(key), binary.LittleEndian.Uint64(key[8:])
+	case len(key) >= 8:
+		return binary.LittleEndian.Uint64(key), packWord(key[8:])
+	}
+	return packWord(key), 0
+}
+
+// packWord packs fewer than eight bytes.
+func packWord(b []byte) (w uint64) {
+	for j, v := range b {
+		w |= uint64(v) << (8 * uint(j))
+	}
+	return w
 }
 
 // NewTernaryTable creates an empty ternary table.
@@ -452,12 +618,16 @@ func (t *TernaryTable) Insert(value, mask []byte, priority int, e Entry) error {
 	if len(value) != len(mask) {
 		return fmt.Errorf("mau: ternary value/mask length mismatch: %d vs %d", len(value), len(mask))
 	}
-	// One backing array for both halves keeps a rule's bytes adjacent.
-	buf := make([]byte, 2*len(value))
-	r := ternaryRule{want: buf[:len(value):len(value)], mask: buf[len(value):], priority: priority, entry: e}
-	copy(r.mask, mask)
-	for i := range value {
-		r.want[i] = value[i] & mask[i]
+	r := ternaryRule{width: len(value), priority: priority, entry: e}
+	r.m0, r.m1 = packWords(mask)
+	r.w0, r.w1 = packWords(value)
+	r.w0, r.w1 = r.w0&r.m0, r.w1&r.m1
+	if n := len(value) - ternaryWordKey; n > 0 {
+		r.tail = make([]byte, 2*n)
+		copy(r.tail[n:], mask[ternaryWordKey:])
+		for i, v := range value[ternaryWordKey:] {
+			r.tail[i] = v & r.tail[n+i]
+		}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -479,28 +649,56 @@ func (t *TernaryTable) Insert(value, mask []byte, priority int, e Entry) error {
 	return nil
 }
 
+// match is the one match loop: the first rule in priority order whose
+// word pairs accept k0, k1 — a key of n bytes packed as packWords does —
+// and, for a rule wider than two words, whose tail accepts the key
+// bytes from 16 on.
+//
+//dv:hotpath
+func (t *TernaryTable) match(k0, k1 uint64, n int, rest []byte) *Entry {
+	s := t.snap.Load()
+	if s == nil {
+		return nil
+	}
+next:
+	for i := range s.rules {
+		r := &s.rules[i]
+		if k0&r.m0 != r.w0 || k1&r.m1 != r.w1 || n < r.width {
+			continue
+		}
+		want, mask := r.tail[:len(r.tail)/2], r.tail[len(r.tail)/2:]
+		for j, w := range want {
+			if rest[j]&mask[j] != w {
+				continue next
+			}
+		}
+		return &r.entry
+	}
+	return nil
+}
+
+// LookupWords is Lookup for a key of n ≤ 16 bytes the caller already
+// holds as two little-endian words (byte j of the key in
+// bits 8(j%8) of word j/8, zero past n). The entry is the table's own:
+// read it, do not write it; nil is a miss.
+//
+//dv:hotpath
+func (t *TernaryTable) LookupWords(k0, k1 uint64, n int) *Entry {
+	return t.match(k0, k1, min(n, ternaryWordKey), nil)
+}
+
 // Lookup returns the entry of the highest-priority rule matching key.
 // The key must be at least as long as the rules' masks.
 //
 //dv:hotpath
 func (t *TernaryTable) Lookup(key []byte) (Entry, bool) {
-	s := t.snap.Load()
-	if s == nil {
-		return Entry{}, false
+	k0, k1 := packWords(key)
+	var rest []byte
+	if len(key) > ternaryWordKey {
+		rest = key[ternaryWordKey:]
 	}
-next:
-	for i := range s.rules {
-		r := &s.rules[i]
-		if len(key) < len(r.want) {
-			continue
-		}
-		k, mask := key[:len(r.want)], r.mask[:len(r.want)]
-		for j, w := range r.want {
-			if k[j]&mask[j] != w {
-				continue next
-			}
-		}
-		return r.entry, true
+	if e := t.match(k0, k1, len(key), rest); e != nil {
+		return *e, true
 	}
 	return Entry{}, false
 }

@@ -3,6 +3,7 @@ package mau
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -116,20 +117,25 @@ type refRoute struct {
 	e      Entry
 }
 
+func lpmMask(plen int) uint32 {
+	if plen == 0 {
+		return 0
+	}
+	return ^uint32(0) << (32 - plen)
+}
+
+// TestLPM32MatchesLinearScan holds the stride-8 trie to two oracles: a
+// linear scan over the installed routes on a small nested address space
+// (every prefix length, replaces, deletes with host bits set), then the
+// binary trie it replaced at the Router table's declared size.
 func TestLPM32MatchesLinearScan(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tb := NewLPM32()
 		var ref []refRoute
-		mask := func(plen int) uint32 {
-			if plen == 0 {
-				return 0
-			}
-			return ^uint32(0) << (32 - plen)
-		}
 		find := func(prefix uint32, plen int) int {
 			for i, r := range ref {
-				if r.plen == plen && r.prefix == prefix&mask(plen) {
+				if r.plen == plen && r.prefix == prefix&lpmMask(plen) {
 					return i
 				}
 			}
@@ -140,7 +146,7 @@ func TestLPM32MatchesLinearScan(t *testing.T) {
 		for op := 0; op < 3000; op++ {
 			switch rng.Intn(8) {
 			case 0, 1, 2:
-				plen := []int{0, 8, 12, 16, 20, 24, 31, 32}[rng.Intn(8)]
+				plen := rng.Intn(33)
 				p := addr()
 				e := Entry{Action: "fwd", Params: []uint64{uint64(op)}}
 				if err := tb.Insert(p, plen, e); err != nil {
@@ -149,7 +155,7 @@ func TestLPM32MatchesLinearScan(t *testing.T) {
 				if i := find(p, plen); i >= 0 {
 					ref[i].e = e
 				} else {
-					ref = append(ref, refRoute{p & mask(plen), plen, e})
+					ref = append(ref, refRoute{p & lpmMask(plen), plen, e})
 				}
 			case 3:
 				if len(ref) == 0 {
@@ -171,7 +177,7 @@ func TestLPM32MatchesLinearScan(t *testing.T) {
 				a := addr()
 				best := -1
 				for i, r := range ref {
-					if a&mask(r.plen) == r.prefix && (best < 0 || r.plen > ref[best].plen) {
+					if a&lpmMask(r.plen) == r.prefix && (best < 0 || r.plen > ref[best].plen) {
 						best = i
 					}
 				}
@@ -185,6 +191,93 @@ func TestLPM32MatchesLinearScan(t *testing.T) {
 			}
 		}
 	}
+
+	// 8 192 prefixes of every length, then deletes and re-inserts
+	// interleaved with lookups, against the binary trie.
+	rng := rand.New(rand.NewSource(7))
+	tb, ref := NewLPM32(), new(refLPM)
+	type route struct {
+		prefix uint32
+		plen   int
+	}
+	var routes []route
+	set := func(op int, r route, e *Entry) {
+		want := ref.set(r.prefix, r.plen, e)
+		if e != nil {
+			if err := tb.Insert(r.prefix, r.plen, *e); err != nil {
+				t.Fatal(err)
+			}
+		} else if got := tb.Delete(r.prefix, r.plen); got != (want < 0) {
+			t.Fatalf("op %d: Delete(%#x/%d)=%v, binary trie %v", op, r.prefix, r.plen, got, want < 0)
+		}
+		if tb.Len() != ref.n {
+			t.Fatalf("op %d: Len=%d after %#x/%d, binary trie %d", op, tb.Len(), r.prefix, r.plen, ref.n)
+		}
+	}
+	lookup := func(op int, a uint32) {
+		got, ok := tb.Lookup(a)
+		want, exists := ref.Lookup(a)
+		if ok != exists || !sameEntry(got, want) {
+			t.Fatalf("op %d: Lookup(%#x) = %+v,%v, binary trie %+v,%v", op, a, got, ok, want, exists)
+		}
+	}
+	for len(routes) < 8192 {
+		r := route{rng.Uint32(), len(routes) % 33}
+		if rng.Intn(2) == 0 && len(routes) > 0 {
+			// Under an installed route's first bits, so prefixes nest.
+			up := routes[rng.Intn(len(routes))]
+			r.prefix = up.prefix&lpmMask(up.plen) | r.prefix&^lpmMask(up.plen)
+		}
+		routes = append(routes, r)
+		set(len(routes), r, &Entry{Action: "fwd", Params: []uint64{uint64(len(routes))}})
+	}
+	for op := 0; op < 40000; op++ {
+		r := routes[rng.Intn(len(routes))]
+		switch rng.Intn(8) {
+		case 0:
+			set(op, r, nil) // may already be gone
+		case 1:
+			set(op, r, &Entry{Action: "fwd", Params: []uint64{uint64(op)}})
+		case 2:
+			lookup(op, rng.Uint32())
+		default:
+			// An address under the route, and its sibling's.
+			a := r.prefix&lpmMask(r.plen) | rng.Uint32()&^lpmMask(r.plen)
+			lookup(op, a)
+			if r.plen > 0 {
+				lookup(op, a^1<<(32-r.plen))
+			}
+		}
+	}
+	for op, r := range routes {
+		set(op, r, nil)
+	}
+	if s := tb.snap.Load(); s.root != nil || s.def != nil {
+		t.Errorf("every route deleted, trie still holds root=%v def=%v", s.root, s.def)
+	}
+}
+
+// TestLPM32Memory bounds the popcount nodes: 8 192 random /24s with
+// three params each — the Router's table at its declared size — stay
+// within what the binary trie took (2.93 MB); plain [256] arrays per
+// node would take 57 MB.
+func TestLPM32Memory(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tb := NewLPM32()
+	for tb.Len() < 8192 {
+		tb.Insert(rng.Uint32(), 24, Entry{Action: "forward", Params: []uint64{1, 2, 3}})
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if live := int64(after.HeapAlloc) - int64(before.HeapAlloc); live > 3<<20 {
+		t.Errorf("8192 /24 routes hold %d bytes live, want at most %d", live, 3<<20)
+	} else {
+		t.Logf("8192 /24 routes hold %d bytes live", live)
+	}
+	runtime.KeepAlive(tb)
 }
 
 type refRule struct {
@@ -244,6 +337,71 @@ func TestTernaryMatchesPriorityScan(t *testing.T) {
 			if tb.Len() != len(ref) {
 				t.Fatalf("seed %d op %d: Len=%d, reference %d", seed, op, tb.Len(), len(ref))
 			}
+		}
+	}
+}
+
+// TestTernaryWordsMatchByteScan holds the word-wide match loop to the
+// byte-wise scan it replaced: rules 1–24 bytes wide (inside one word,
+// across both, and with a tail past them), keys shorter, equal and
+// longer than the rules, few priorities so insertion order breaks ties,
+// and the word entry point on every key two words hold.
+func TestTernaryWordsMatchByteScan(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tb, ref := NewTernaryTable(), new(refTernary)
+		maskBytes := []byte{0, 0, 0x0F, 0xF0, 0xFF, 0xFF}
+		width, widest := make(map[string]int), 0 // per rule; of the rules that were hit
+		for op := 0; op < 4000; op++ {
+			if op%8 == 0 && ref.rules == nil || rng.Intn(40) == 0 {
+				n := 1 + rng.Intn(24)
+				value, mask := make([]byte, n), make([]byte, n)
+				// A few values per byte, so keys hit rules.
+				for i := range value {
+					value[i], mask[i] = byte(rng.Intn(3)), maskBytes[rng.Intn(len(maskBytes))]
+				}
+				e := Entry{Action: fmt.Sprint("r", op), Params: []uint64{uint64(op)}}
+				prio := rng.Intn(3) + n/12 // wide rules above most narrow ones, or those would shadow them
+				if err := tb.Insert(value, mask, prio, e); err != nil {
+					t.Fatal(err)
+				}
+				ref.Insert(value, mask, prio, e)
+				width[e.Action] = n
+				continue
+			}
+			key := make([]byte, rng.Intn(28))
+			for i := range key {
+				key[i] = byte(rng.Intn(3))
+			}
+			if len(ref.rules) > 0 && rng.Intn(2) == 0 {
+				// Start from a rule, so wide rules are hit too; sometimes
+				// one byte off.
+				copy(key, ref.rules[rng.Intn(len(ref.rules))].want)
+				if len(key) > 0 && rng.Intn(4) == 0 {
+					key[rng.Intn(len(key))] ^= 0x11
+				}
+			}
+			got, ok := tb.Lookup(key)
+			want, exists := ref.Lookup(key)
+			if exists {
+				widest = max(widest, width[want.Action])
+			}
+			if ok != exists || !sameEntry(got, want) {
+				t.Fatalf("seed %d op %d: Lookup(%x) = %+v,%v, byte-wise scan %+v,%v", seed, op, key, got, ok, want, exists)
+			}
+			if len(key) <= ternaryWordKey {
+				k0, k1 := packWords(key)
+				e := tb.LookupWords(k0, k1, len(key))
+				if (e != nil) != exists || (e != nil && !sameEntry(*e, want)) {
+					t.Fatalf("seed %d op %d: LookupWords(%x) = %+v, byte-wise scan %+v,%v", seed, op, key, e, want, exists)
+				}
+			}
+		}
+		if tb.Len() != len(ref.rules) {
+			t.Fatalf("seed %d: Len=%d, reference %d", seed, tb.Len(), len(ref.rules))
+		}
+		if widest <= ternaryWordKey {
+			t.Errorf("seed %d: no lookup hit a rule wider than %d bytes (widest %d): the tail compare went untested", seed, ternaryWordKey, widest)
 		}
 	}
 }

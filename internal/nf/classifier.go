@@ -1,7 +1,9 @@
 package nf
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"dejavu/internal/mau"
 	"dejavu/internal/nsh"
@@ -31,14 +33,32 @@ type Classifier struct {
 const classKeyLen = 13
 
 // classKey lays a five-tuple out as the ternary key the classifier and
-// the firewall match on.
-func classKey(ft packet.FiveTuple) (key [classKeyLen]byte) {
-	copy(key[0:4], ft.Src[:])
-	copy(key[4:8], ft.Dst[:])
-	key[8] = ft.Proto
-	key[9], key[10] = byte(ft.SrcPort>>8), byte(ft.SrcPort)
-	key[11], key[12] = byte(ft.DstPort>>8), byte(ft.DstPort)
-	return key
+// the firewall match on, packed as mau.TernaryTable.LookupWords takes
+// it: the addresses in the first word, protocol and ports in the second.
+func classKey(ft packet.FiveTuple) (k0, k1 uint64) {
+	k0 = uint64(binary.LittleEndian.Uint32(ft.Src[:])) | uint64(binary.LittleEndian.Uint32(ft.Dst[:]))<<32
+	k1 = uint64(ft.Proto) | uint64(bits.ReverseBytes16(ft.SrcPort))<<8 | uint64(bits.ReverseBytes16(ft.DstPort))<<24
+	return k0, k1
+}
+
+// classRule lays a rule's match out in the same key layout; a zero port
+// is a wildcard.
+func classRule(src, srcMask, dst, dstMask packet.IP4, proto, protoMask uint8, srcPort, dstPort uint16) (value, mask []byte) {
+	value, mask = make([]byte, classKeyLen), make([]byte, classKeyLen)
+	copy(value[0:4], src[:])
+	copy(mask[0:4], srcMask[:])
+	copy(value[4:8], dst[:])
+	copy(mask[4:8], dstMask[:])
+	value[8], mask[8] = proto, protoMask
+	if srcPort != 0 {
+		binary.BigEndian.PutUint16(value[9:], srcPort)
+		binary.BigEndian.PutUint16(mask[9:], 0xFFFF)
+	}
+	if dstPort != 0 {
+		binary.BigEndian.PutUint16(value[11:], dstPort)
+		binary.BigEndian.PutUint16(mask[11:], 0xFFFF)
+	}
+	return value, mask
 }
 
 // NewClassifier creates a classifier whose miss path is defaultPath
@@ -75,21 +95,7 @@ func (c *Classifier) AddRule(r ClassRule) error {
 	if r.InitialIndex == 0 {
 		return fmt.Errorf("nf: classifier rule for path %d has zero initial index", r.Path)
 	}
-	value := make([]byte, classKeyLen)
-	mask := make([]byte, classKeyLen)
-	copy(value[0:4], r.SrcIP[:])
-	copy(mask[0:4], r.SrcMask[:])
-	copy(value[4:8], r.DstIP[:])
-	copy(mask[4:8], r.DstMask[:])
-	value[8], mask[8] = r.Proto, r.ProtoMask
-	if r.SrcPort != 0 {
-		value[9], value[10] = byte(r.SrcPort>>8), byte(r.SrcPort)
-		mask[9], mask[10] = 0xFF, 0xFF
-	}
-	if r.DstPort != 0 {
-		value[11], value[12] = byte(r.DstPort>>8), byte(r.DstPort)
-		mask[11], mask[12] = 0xFF, 0xFF
-	}
+	value, mask := classRule(r.SrcIP, r.SrcMask, r.DstIP, r.DstMask, r.Proto, r.ProtoMask, r.SrcPort, r.DstPort)
 	c.pathIndex[r.Path] = r.InitialIndex
 	if r.Tenant != 0 {
 		c.pathTenant[r.Path] = r.Tenant
@@ -112,8 +118,8 @@ func (c *Classifier) Execute(hdr *packet.Parsed) {
 	path, index := c.defaultPath, c.defaultIndex
 	var tenant uint16
 	if ft, ok := hdr.FiveTuple(); ok {
-		key := classKey(ft)
-		if e, hit := c.rules.Lookup(key[:]); hit {
+		k0, k1 := classKey(ft)
+		if e := c.rules.LookupWords(k0, k1, classKeyLen); e != nil {
 			path = uint16(e.Params[0])
 			index = uint8(e.Params[1])
 			tenant = uint16(e.Params[2])

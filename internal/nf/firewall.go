@@ -39,21 +39,7 @@ type ACLRule struct {
 
 // AddRule installs an ACL rule.
 func (f *Firewall) AddRule(r ACLRule) error {
-	value := make([]byte, classKeyLen)
-	mask := make([]byte, classKeyLen)
-	copy(value[0:4], r.SrcIP[:])
-	copy(mask[0:4], r.SrcMask[:])
-	copy(value[4:8], r.DstIP[:])
-	copy(mask[4:8], r.DstMask[:])
-	value[8], mask[8] = r.Proto, r.ProtoMask
-	if r.SrcPort != 0 {
-		value[9], value[10] = byte(r.SrcPort>>8), byte(r.SrcPort)
-		mask[9], mask[10] = 0xFF, 0xFF
-	}
-	if r.DstPort != 0 {
-		value[11], value[12] = byte(r.DstPort>>8), byte(r.DstPort)
-		mask[11], mask[12] = 0xFF, 0xFF
-	}
+	value, mask := classRule(r.SrcIP, r.SrcMask, r.DstIP, r.DstMask, r.Proto, r.ProtoMask, r.SrcPort, r.DstPort)
 	// The verdict rides in the action parameter so the per-packet path
 	// reads a word instead of comparing action names.
 	e := mau.Entry{Action: "deny", Params: []uint64{0}}
@@ -81,9 +67,9 @@ func (f *Firewall) Execute(hdr *packet.Parsed) {
 		}
 		ft = packet.FiveTuple{Src: hdr.IPv4.Src, Dst: hdr.IPv4.Dst, Proto: hdr.IPv4.Protocol}
 	}
-	key := classKey(ft)
+	k0, k1 := classKey(ft)
 	permit := f.DefaultPermit
-	if e, hit := f.acl.Lookup(key[:]); hit {
+	if e := f.acl.LookupWords(k0, k1, classKeyLen); e != nil {
 		permit = e.Params[0] != 0
 	}
 	if !permit {

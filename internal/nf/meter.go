@@ -98,20 +98,18 @@ func (r *RateLimiter) Execute(hdr *packet.Parsed) {
 		return
 	}
 	r.mu.Lock() //dv:allow hotpath: token buckets are read-modify-written per packet and refilled by Advance; the meter is off the §5 chain and sharding it by tenant is ROADMAP item 2's remainder
-	defer r.mu.Unlock()
-	b := r.buckets[tenant]
-	if b == nil {
-		if !r.PermitUnmetered {
-			hdr.SFC.Meta.Set(nsh.FlagDrop)
-		}
-		return
+	drop := false
+	if b := r.buckets[tenant]; b == nil {
+		drop = !r.PermitUnmetered
+	} else if cost := float64(hdr.WireLen()); b.tokens < cost {
+		drop = true
+	} else {
+		b.tokens -= cost
 	}
-	cost := float64(hdr.WireLen())
-	if b.tokens < cost {
+	r.mu.Unlock()
+	if drop {
 		hdr.SFC.Meta.Set(nsh.FlagDrop)
-		return
 	}
-	b.tokens -= cost
 }
 
 // Block implements NF.

@@ -51,7 +51,7 @@ func (r *Router) Execute(hdr *packet.Parsed) {
 	// The router terminates the service chain: strip the SFC header
 	// from the wire format (flags in the struct stay readable for the
 	// framework's check_sfcFlags step).
-	defer hdr.PopSFC()
+	hdr.PopSFC()
 
 	if hdr.Valid(packet.HdrARP) {
 		hdr.SFC.Meta.Set(nsh.FlagToCPU)

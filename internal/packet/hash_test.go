@@ -67,6 +67,20 @@ func TestFiveTupleHashMatchesBitLoop(t *testing.T) {
 	}
 }
 
+// FuzzFiveTupleHash: the word-folded hash is hash/crc32's checksum of
+// the 13-byte wire key, whatever the tuple.
+func FuzzFiveTupleHash(f *testing.F) {
+	f.Add(uint32(0), uint32(0), uint8(0), uint16(0), uint16(0))
+	f.Add(^uint32(0), ^uint32(0), uint8(255), uint16(65535), uint16(65535))
+	f.Add(uint32(0xC6336440), uint32(0xCB007150), ProtoTCP, uint16(40000), uint16(443))
+	f.Fuzz(func(t *testing.T, src, dst uint32, proto uint8, sport, dport uint16) {
+		ft := FiveTuple{Src: IP4FromUint32(src), Dst: IP4FromUint32(dst), Proto: proto, SrcPort: sport, DstPort: dport}
+		if got, want := ft.Hash(), crc32.ChecksumIEEE(tupleKey(ft)); got != want {
+			t.Fatalf("Hash(%+v) = %#x, hash/crc32 says %#x", ft, got, want)
+		}
+	})
+}
+
 func TestFiveTupleHashDoesNotAllocate(t *testing.T) {
 	ft := FiveTuple{Src: IP4{1, 2, 3, 4}, Dst: IP4{5, 6, 7, 8}, Proto: ProtoTCP, SrcPort: 9, DstPort: 10}
 	var sink uint32

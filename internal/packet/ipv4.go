@@ -75,18 +75,30 @@ func (ip *IPv4) SerializeTo(b []byte) (int, error) {
 		return 0, ErrShortBuf
 	}
 	ihl := uint8(hdrLen / 4)
+	ff := uint16(ip.Flags&0x7)<<13 | ip.FragOff&0x1FFF
 	b[0] = 4<<4 | ihl
 	b[1] = ip.TOS
 	put16(b[2:4], ip.Length)
 	put16(b[4:6], ip.ID)
-	put16(b[6:8], uint16(ip.Flags&0x7)<<13|ip.FragOff&0x1FFF)
+	put16(b[6:8], ff)
 	b[8] = ip.TTL
 	b[9] = ip.Protocol
 	b[10], b[11] = 0, 0 // checksum computed below
 	copy(b[12:16], ip.Src[:])
 	copy(b[16:20], ip.Dst[:])
-	copy(b[20:hdrLen], ip.Options)
-	cs := Checksum(b[:hdrLen])
+	var cs uint16
+	if hdrLen == IPv4MinLen {
+		// No options: the ten header words are the fields just written.
+		sum := uint32(b[0])<<8 + uint32(ip.TOS) + uint32(ip.Length) + uint32(ip.ID) + uint32(ff) +
+			uint32(ip.TTL)<<8 + uint32(ip.Protocol)
+		src, dst := ip.Src.Uint32(), ip.Dst.Uint32()
+		sum += src>>16 + src&0xFFFF + dst>>16 + dst&0xFFFF
+		sum = sum&0xFFFF + sum>>16
+		cs = ^uint16(sum + sum>>16)
+	} else {
+		copy(b[20:hdrLen], ip.Options)
+		cs = Checksum(b[:hdrLen])
+	}
 	put16(b[10:12], cs)
 	ip.Checksum = cs
 	ip.Version = 4

@@ -1,8 +1,10 @@
 package packet
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"strings"
 
 	"dejavu/internal/nsh"
@@ -283,76 +285,81 @@ func (p *Parsed) Serialize(b []byte) ([]byte, error) {
 	}
 	b = b[:start+n]
 	out := b[start:]
-	off := 0
-	write := func(h interface {
-		SerializeTo([]byte) (int, error)
-	}) error {
-		m, err := h.SerializeTo(out[off:])
-		if err != nil {
-			return err
+	// Each header's SerializeTo is called directly, in wire order: through
+	// an interface the calls could not be inlined or devirtualized.
+	off, m := 0, 0
+	var err error
+	if p.Valid(HdrEth) {
+		if m, err = p.Eth.SerializeTo(out[off:]); err != nil {
+			return nil, err
 		}
 		off += m
-		return nil
-	}
-	if p.Valid(HdrEth) {
-		if err := write(&p.Eth); err != nil {
-			return nil, err
-		}
 	}
 	if p.Valid(HdrSFC) {
-		if err := write(&p.SFC); err != nil {
+		if m, err = p.SFC.SerializeTo(out[off:]); err != nil {
 			return nil, err
 		}
+		off += m
 	}
 	if p.Valid(HdrARP) {
-		if err := write(&p.ARP); err != nil {
+		if m, err = p.ARP.SerializeTo(out[off:]); err != nil {
 			return nil, err
 		}
+		off += m
 	}
 	if p.Valid(HdrIPv4) {
-		if err := write(&p.IPv4); err != nil {
+		if m, err = p.IPv4.SerializeTo(out[off:]); err != nil {
 			return nil, err
 		}
+		off += m
 	}
 	if p.Valid(HdrTCP) {
-		if err := write(&p.TCP); err != nil {
+		if m, err = p.TCP.SerializeTo(out[off:]); err != nil {
 			return nil, err
 		}
+		off += m
 	}
 	if p.Valid(HdrUDP) {
-		if err := write(&p.UDP); err != nil {
+		if m, err = p.UDP.SerializeTo(out[off:]); err != nil {
 			return nil, err
 		}
+		off += m
 	}
 	if p.Valid(HdrICMP) {
-		if err := write(&p.ICMP); err != nil {
+		if m, err = p.ICMP.SerializeTo(out[off:]); err != nil {
 			return nil, err
 		}
+		off += m
 	}
 	if p.Valid(HdrVXLAN) {
-		if err := write(&p.VXLAN); err != nil {
+		if m, err = p.VXLAN.SerializeTo(out[off:]); err != nil {
 			return nil, err
 		}
+		off += m
 	}
 	if p.Valid(HdrInnerEth) {
-		if err := write(&p.InnerEth); err != nil {
+		if m, err = p.InnerEth.SerializeTo(out[off:]); err != nil {
 			return nil, err
 		}
+		off += m
 	}
 	if p.Valid(HdrInnerIPv4) {
-		if err := write(&p.InnerIPv4); err != nil {
+		if m, err = p.InnerIPv4.SerializeTo(out[off:]); err != nil {
 			return nil, err
 		}
+		off += m
 	}
 	if p.Valid(HdrInnerTCP) {
-		if err := write(&p.InnerTCP); err != nil {
+		if m, err = p.InnerTCP.SerializeTo(out[off:]); err != nil {
 			return nil, err
 		}
+		off += m
 	}
 	if p.Valid(HdrInnerUDP) {
-		if err := write(&p.InnerUDP); err != nil {
+		if m, err = p.InnerUDP.SerializeTo(out[off:]); err != nil {
 			return nil, err
 		}
+		off += m
 	}
 	copy(out[off:], p.Payload)
 	return b, nil
@@ -459,31 +466,37 @@ func (p *Parsed) FiveTuple() (ft FiveTuple, ok bool) {
 
 // Hash returns the CRC-32 (IEEE) of the five-tuple in wire order,
 // matching the sessionHash computation in the paper's LB example
-// (Fig. 4).
+// (Fig. 4): the 13 key bytes folded as three words — source,
+// destination, protocol with the ports' first three bytes — and the
+// last port byte. It does not call crc32.ChecksumIEEE: that goes
+// through an architecture-dispatch function variable, which makes a key
+// on the caller's stack escape to the heap — one allocation per packet.
 //
 //dv:hotpath
 func (ft FiveTuple) Hash() uint32 {
-	var key [13]byte
-	copy(key[0:4], ft.Src[:])
-	copy(key[4:8], ft.Dst[:])
-	key[8] = ft.Proto
-	put16(key[9:11], ft.SrcPort)
-	put16(key[11:13], ft.DstPort)
-	return crc32Hash(key[:])
+	crc := crcWord(^uint32(0), binary.LittleEndian.Uint32(ft.Src[:]))
+	crc = crcWord(crc, binary.LittleEndian.Uint32(ft.Dst[:]))
+	crc = crcWord(crc, uint32(ft.Proto)|uint32(bits.ReverseBytes16(ft.SrcPort))<<8|uint32(ft.DstPort>>8)<<24)
+	return ^(crcSlice[0][byte(crc)^byte(ft.DstPort)] ^ crc>>8)
 }
 
-// crc32Hash is a byte-at-a-time table-driven CRC-32 (IEEE polynomial,
-// reflected). It indexes the standard table directly instead of calling
-// crc32.ChecksumIEEE: that goes through an architecture-dispatch
-// function variable, which makes the caller's stack key escape to the
-// heap — one allocation per packet.
-func crc32Hash(data []byte) uint32 {
-	tab := crc32.IEEETable
-	crc := ^uint32(0)
-	for _, b := range data {
-		crc = tab[byte(crc)^b] ^ crc>>8
+// crcSlice are the slicing-by-4 tables of the reflected IEEE
+// polynomial: crcSlice[k][b] is the CRC state after byte b and k zero
+// bytes, so four table reads advance the state over a whole word.
+var crcSlice = func() (t [4][256]uint32) {
+	t[0] = *crc32.IEEETable
+	for k := 1; k < len(t); k++ {
+		for b, v := range t[k-1] {
+			t[k][b] = t[0][byte(v)] ^ v>>8
+		}
 	}
-	return ^crc
+	return t
+}()
+
+// crcWord folds four message bytes, little-endian in w, into crc.
+func crcWord(crc, w uint32) uint32 {
+	crc ^= w
+	return crcSlice[3][byte(crc)] ^ crcSlice[2][byte(crc>>8)] ^ crcSlice[1][byte(crc>>16)] ^ crcSlice[0][crc>>24]
 }
 
 // String lists the valid headers and key addressing fields.
