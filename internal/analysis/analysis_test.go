@@ -187,34 +187,41 @@ func TestRealTreeClean(t *testing.T) {
 }
 
 // TestHotpathAnnotationCoversInjectQuiet pins the annotation contract
-// to the real datapath: everything InjectQuiet statically reaches
-// inside the module must be in the checked call graph — including
-// functions whose call sites carry waivers (a waiver accepts effects,
-// it does not remove the callee from the surface).
+// to the real datapath: everything the quiet entry points statically
+// reach inside the module must be in the checked call graph — the one
+// injection core they share (which traced Inject and InjectBurst run
+// too) and everything under it, including functions whose call sites
+// carry waivers (a waiver accepts effects, it does not remove the callee
+// from the surface).
 func TestHotpathAnnotationCoversInjectQuiet(t *testing.T) {
 	res := realTree(t)
-	const root = "dejavu/internal/asic.(Switch).InjectQuiet"
-	cov := analysis.CoverageFrom(res.Facts, root)
-	covered := make(map[string]bool, len(cov))
-	for _, k := range cov {
-		covered[k] = true
-	}
-	for _, fn := range []string{
-		root,
-		"dejavu/internal/asic.(Switch).run",
-		"dejavu/internal/asic.(Switch).admit",
-		"dejavu/internal/asic.(Switch).countDone",
-		"dejavu/internal/asic.(Switch).countRefused",
-		"dejavu/internal/asic.(Switch).emit",
-		"dejavu/internal/asic.(Switch).toCPU",
-		"dejavu/internal/asic.(Switch).stats",
+	for _, root := range []string{
+		"dejavu/internal/asic.(Switch).InjectQuiet",
+		"dejavu/internal/asic.(Switch).InjectQuietBatch",
 	} {
-		if !covered[fn] {
-			t.Errorf("hot-path call graph from %s does not reach %s", root, fn)
+		cov := analysis.CoverageFrom(res.Facts, root)
+		covered := make(map[string]bool, len(cov))
+		for _, k := range cov {
+			covered[k] = true
 		}
-	}
-	if len(cov) < 8 {
-		t.Errorf("suspiciously small call graph from %s: %v", root, cov)
+		for _, fn := range []string{
+			root,
+			"dejavu/internal/asic.(Switch).inject",
+			"dejavu/internal/asic.(Switch).admit",
+			"dejavu/internal/asic.(Switch).run",
+			"dejavu/internal/asic.(Switch).emit",
+			"dejavu/internal/asic.(Switch).toCPU",
+			"dejavu/internal/asic.(Switch).queuePunts",
+			"dejavu/internal/asic.(Switch).stats",
+			"dejavu/internal/asic.(portDelta).flush",
+		} {
+			if !covered[fn] {
+				t.Errorf("hot-path call graph from %s does not reach %s", root, fn)
+			}
+		}
+		if len(cov) < 8 {
+			t.Errorf("suspiciously small call graph from %s: %v", root, cov)
+		}
 	}
 }
 

@@ -1,7 +1,9 @@
 package asic
 
 import (
+	"sync"
 	"testing"
+	"unsafe"
 
 	"dejavu/internal/packet"
 	"dejavu/internal/telemetry"
@@ -15,76 +17,89 @@ func puntAll() *Switch {
 }
 
 // TestCPUQueueBoundedUnderOverload: ten times the cap of punts with no
-// drain. The queue takes cap of them and never grows past it; the rest
-// are typed drops on the traced, quiet and batched paths alike, and the
-// switch-wide drop counter, the telemetry snapshot and the exposition
-// agree on how many. One drain empties the queue and punts are taken
-// again.
+// drain, from two injectors at once, each mixing the traced, quiet and
+// batched paths. The queue takes exactly cap of them and never grows
+// past it; every other punt is a typed drop on whichever path it came,
+// and the switch-wide drop counter, the telemetry snapshot and the
+// exposition agree on how many, to the packet. One drain empties the
+// queue and punts are taken again. Run with -race (CI does).
 func TestCPUQueueBoundedUnderOverload(t *testing.T) {
 	s := puntAll()
 	dp := telemetry.NewDatapath(s.prof.Pipelines)
 	s.SetTelemetry(dp)
 
-	const burst = 32
-	pkts := batchPackets(burst)
-	var punted, dropped [3]int // by path: traced, quiet, batched
-	for sent := 0; sent < 10*cpuQueueCap; {
-		switch path := sent / burst % 3; path {
-		case 0:
-			for i := 0; i < burst; i++ {
-				tr, err := s.Inject(0, testPacket())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if tr.Dropped {
-					if tr.DropCode != telemetry.DropCPUQueueFull || tr.DropReason != "cpu_queue_full" || len(tr.CPU) != 0 {
-						t.Fatalf("traced packet %d: dropped with %v %q, %d CPU copies", sent+i, tr.DropCode, tr.DropReason, len(tr.CPU))
+	const burst, injectors = 32, 2
+	var punted, dropped [injectors][3]int // by injector and path: traced, quiet, batched
+	var wg sync.WaitGroup
+	for w := 0; w < injectors; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pkts := batchPackets(burst)
+			for sent := 0; sent < 10*cpuQueueCap/injectors; sent += burst {
+				switch path := sent / burst % 3; path {
+				case 0:
+					for i := 0; i < burst; i++ {
+						tr, err := s.Inject(0, testPacket())
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if tr.Dropped {
+							if tr.DropCode != telemetry.DropCPUQueueFull || tr.DropReason != "cpu_queue_full" || len(tr.CPU) != 0 {
+								t.Errorf("traced packet %d: dropped with %v %q, %d CPU copies", sent+i, tr.DropCode, tr.DropReason, len(tr.CPU))
+							}
+							dropped[w][path]++
+						} else if len(tr.CPU) == 1 {
+							punted[w][path]++
+						}
 					}
-					dropped[path]++
-				} else if len(tr.CPU) == 1 {
-					punted[path]++
-				}
-			}
-		case 1:
-			for i := 0; i < burst; i++ {
-				q, err := s.InjectQuiet(0, testPacket())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if q.Dropped {
-					if q.DropCode != telemetry.DropCPUQueueFull || q.DropReason != "cpu_queue_full" || q.ToCPU != 0 {
-						t.Fatalf("quiet packet %d: dropped with %v %q, ToCPU=%d", sent+i, q.DropCode, q.DropReason, q.ToCPU)
+				case 1:
+					for i := 0; i < burst; i++ {
+						q, err := s.InjectQuiet(0, testPacket())
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if q.Dropped {
+							if q.DropCode != telemetry.DropCPUQueueFull || q.DropReason != "cpu_queue_full" || q.ToCPU != 0 {
+								t.Errorf("quiet packet %d: dropped with %v %q, ToCPU=%d", sent+i, q.DropCode, q.DropReason, q.ToCPU)
+							}
+							dropped[w][path]++
+						} else if q.ToCPU == 1 {
+							punted[w][path]++
+						}
 					}
-					dropped[path]++
-				} else if q.ToCPU == 1 {
-					punted[path]++
+				case 2:
+					br := s.InjectQuietBatch(0, pkts)
+					if br.Err != nil || br.ToCPU+br.Dropped != burst {
+						t.Errorf("burst at %d: %+v", sent, br)
+					}
+					punted[w][path] += br.ToCPU
+					dropped[w][path] += br.Dropped
+				}
+				if d := s.CPUQueueDepth(); d > cpuQueueCap {
+					t.Errorf("after %d punts the queue holds %d packets, cap %d", sent+burst, d, cpuQueueCap)
 				}
 			}
-		case 2:
-			br := s.InjectQuietBatch(0, pkts)
-			if br.Err != nil || br.ToCPU+br.Dropped != burst {
-				t.Fatalf("burst at %d: %+v", sent, br)
-			}
-			punted[path] += br.ToCPU
-			dropped[path] += br.Dropped
-		}
-		sent += burst
-		if d := s.CPUQueueDepth(); d > cpuQueueCap {
-			t.Fatalf("after %d punts the queue holds %d packets, cap %d", sent, d, cpuQueueCap)
-		}
+		}()
 	}
+	wg.Wait()
 
+	var took, lost int
 	for path, name := range []string{"traced", "quiet", "batched"} {
-		if punted[path] == 0 || dropped[path] == 0 {
-			t.Errorf("%s path: %d punted, %d dropped; the test wants both on every path", name, punted[path], dropped[path])
+		p, d := punted[0][path]+punted[1][path], dropped[0][path]+dropped[1][path]
+		if p == 0 || d == 0 {
+			t.Errorf("%s path: %d punted, %d dropped; the test wants both on every path", name, p, d)
 		}
+		took, lost = took+p, lost+d
 	}
-	if got := punted[0] + punted[1] + punted[2]; got != cpuQueueCap || s.CPUQueueDepth() != cpuQueueCap {
-		t.Errorf("%d punts accepted, depth %d, want the cap %d", got, s.CPUQueueDepth(), cpuQueueCap)
+	if took != cpuQueueCap || s.CPUQueueDepth() != cpuQueueCap {
+		t.Errorf("%d punts accepted, depth %d, want the cap %d", took, s.CPUQueueDepth(), cpuQueueCap)
 	}
 	const excess = 9 * cpuQueueCap
-	if got := dropped[0] + dropped[1] + dropped[2]; got != excess || s.Drops() != excess {
-		t.Errorf("%d typed drops, Switch.Drops() = %d, want %d", got, s.Drops(), excess)
+	if lost != excess || s.Drops() != excess {
+		t.Errorf("%d typed drops, Switch.Drops() = %d, want %d", lost, s.Drops(), excess)
 	}
 	snap := dp.Snapshot()
 	if snap.Drops[telemetry.DropCPUQueueFull] != excess || snap.Dropped != excess || snap.ToCPU != cpuQueueCap {
@@ -108,6 +123,7 @@ func TestCPUQueueBoundedUnderOverload(t *testing.T) {
 	if got := len(s.DrainCPU()); got != cpuQueueCap || s.CPUQueueDepth() != 0 {
 		t.Errorf("drain returned %d packets and left %d", got, s.CPUQueueDepth())
 	}
+	pkts := batchPackets(burst)
 	if br := s.InjectQuietBatch(0, pkts); br.ToCPU != burst || s.CPUQueueDepth() != burst {
 		t.Errorf("after the drain: %+v, depth %d", br, s.CPUQueueDepth())
 	}
@@ -167,41 +183,68 @@ func TestDrainedPacketsAreTheCallers(t *testing.T) {
 	}
 }
 
-// TestCPUChunkFollowsTheDrain pins the queue's allocation budget: the
-// punts between two drains cost one chunk and one queue, whether the
-// switch is polled per packet or per burst, and a chunk never outgrows
-// cpuChunkMax however much one drain took.
+// TestCPUChunkFollowsTheDrain pins the queue's allocation budget and its
+// visibility rule. A chunk is as long as the burst can still fill, at
+// most cpuChunkMax: the punts between two drains cost one chunk and one
+// queue — and one arena when they carry bytes — whether the switch is
+// polled per packet or per burst, and a burst of 40 punts is a chunk of
+// 32 and one of 8. Its punts reach the queue when a chunk fills (the
+// 33rd punt queues the first 32) or the burst returns, not before.
 func TestCPUChunkFollowsTheDrain(t *testing.T) {
-	s := puntAll()
-	bare := func(n int) []*packet.Parsed { // no payload: the copy itself allocates nothing
+	s := New(Wedge100B())
+	var seen []int // queue depth each packet of a burst found
+	s.InstallIngress(0, func(c *Ctx) {
+		seen = append(seen, s.CPUQueueDepth())
+		c.Meta.ToCPU = true
+	})
+	loaded := func(n int) []*packet.Parsed { // with bytes for the copy to carve from an arena
 		pkts := batchPackets(n)
-		for _, p := range pkts {
-			p.Payload = nil
+		for i, p := range pkts {
+			p.Payload = []byte{byte(i), 0xA5, 0x5A}
 		}
 		return pkts
 	}
 	for _, n := range []int{1, 32} {
-		pkts := bare(n)
-		cycle := func() {
-			s.InjectQuietBatch(0, pkts)
-			s.DrainCPU()
-		}
-		cycle() // the drain that sizes the next chunk
-		if got := testing.AllocsPerRun(100, cycle); got != 2 {
-			t.Errorf("%d punts and a drain: %.1f allocations, want 2 (chunk, queue)", n, got)
+		for _, tc := range []struct {
+			pkts []*packet.Parsed
+			want float64
+		}{{batchPackets(n), 2}, {loaded(n), 3}} {
+			seen = make([]int, 0, 200*n)
+			cycle := func() {
+				s.InjectQuietBatch(0, tc.pkts)
+				s.DrainCPU()
+			}
+			if got := testing.AllocsPerRun(100, cycle); got != tc.want {
+				t.Errorf("%d punts and a drain: %.1f allocations, want %.0f (chunk, queue, arena if any)", n, got, tc.want)
+			}
 		}
 	}
-	s.InjectQuietBatch(0, bare(100))
-	s.DrainCPU()
-	s.InjectQuietBatch(0, bare(1))
-	if got := cap(s.cpuChunk); got != cpuChunkMax {
-		t.Errorf("chunk after a drain of 100 holds %d packets, want %d", got, cpuChunkMax)
+
+	seen = seen[:0]
+	if br := s.InjectQuietBatch(0, batchPackets(40)); br.ToCPU != 40 {
+		t.Fatalf("burst of 40: %+v", br)
+	}
+	for i, depth := range seen {
+		if want := i / 33 * 32; depth != want {
+			t.Errorf("packet %d of the burst found %d punts queued, want %d", i, depth, want)
+		}
+	}
+	out := s.DrainCPU()
+	if len(out) != 40 {
+		t.Fatalf("drained %d packets, want 40", len(out))
+	}
+	for i := 1; i < len(out); i++ {
+		gap := uintptr(unsafe.Pointer(out[i])) - uintptr(unsafe.Pointer(out[i-1]))
+		if sameChunk := i != 32; sameChunk != (gap == unsafe.Sizeof(*out[i])) {
+			t.Errorf("packets %d and %d are %d bytes apart; a chunk boundary is wanted after 32 packets and nowhere else", i-1, i, gap)
+		}
 	}
 }
 
 // TestTracedInjectOneAllocation: a journey that fits the trace's inline
 // room — four steps and one emission, the shape of the §5 chain with
-// one recirculation — is recorded in one allocation.
+// one recirculation — is recorded in one allocation, and a traced burst
+// of such journeys in one allocation per block of cpuChunkMax traces.
 func TestTracedInjectOneAllocation(t *testing.T) {
 	s := New(Wedge100B())
 	s.InstallIngress(0, func(c *Ctx) {
@@ -219,6 +262,26 @@ func TestTracedInjectOneAllocation(t *testing.T) {
 	}
 	if len(tr.Steps) != 4 || len(tr.Out) != 1 || tr.Steps[1].Note != "recirculate" || tr.Recirculations != 1 {
 		t.Errorf("trace = %+v", tr)
+	}
+	pkts, traces, errs := batchPackets(cpuChunkMax), make([]*Trace, cpuChunkMax+8), make([]error, cpuChunkMax+8)
+	if got := testing.AllocsPerRun(100, func() { s.InjectBurst(0, pkts, traces, errs) }); got != 1 {
+		t.Errorf("traced burst of %d = %.1f allocations, want 1", len(pkts), got)
+	}
+	// A longer burst is a block per cpuChunkMax traces: neighbours are one
+	// tracedTrace apart except across the block boundary.
+	pkts = batchPackets(len(traces))
+	s.InjectBurst(0, pkts, traces, errs)
+	for i, tr := range traces {
+		if errs[i] != nil || len(tr.Steps) != 4 || len(tr.Out) != 1 || tr.Out[0].Pkt != pkts[i] {
+			t.Fatalf("traced burst of %d, trace %d = %+v, %v", len(pkts), i, tr, errs[i])
+		}
+		if i == 0 {
+			continue
+		}
+		gap := uintptr(unsafe.Pointer(tr)) - uintptr(unsafe.Pointer(traces[i-1]))
+		if sameBlock := i != cpuChunkMax; sameBlock != (gap == unsafe.Sizeof(tracedTrace{})) {
+			t.Errorf("traces %d and %d are %d bytes apart; a block boundary is wanted after %d traces and nowhere else", i-1, i, gap, cpuChunkMax)
+		}
 	}
 }
 

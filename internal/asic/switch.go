@@ -58,18 +58,21 @@ type Ctx struct {
 	shard uint8
 
 	// tel accumulates this packet's per-pipeline telemetry events in
-	// plain memory; countDone flushes it to the shard in one batch so
+	// plain memory; inject flushes it to the shard in one batch so
 	// the hot path pays one atomic add per visited pipeline instead of
 	// one per traversal. Zeroed by the wholesale Ctx reset per packet.
 	tel telemetry.DatapathDelta
 
 	// tally accumulates a burst's application counters (see TallySink)
 	// in plain memory; tallying says a switch is running the burst and
-	// will flush them. It lives here, not on InjectQuietBatch's stack,
+	// will flush them. It lives here, not on the injection core's stack,
 	// because a local handed to the sink's interface method escapes —
 	// one allocation per burst.
 	tally    [TallyCells]uint32
 	tallying bool
+
+	// mem is the burst's plain memory beside the context (see burstMem).
+	mem *burstMem
 }
 
 // TallyCells is the number of counters a burst tallies in its context:
@@ -79,7 +82,7 @@ const TallyCells = 24
 // TallySink is the seam through which application state (Ctx.App) has
 // its programs' per-packet counters paid once per burst, as the switch
 // pays its own port and datapath counters: a program counts with
-// Ctx.Tally, and when the burst returns InjectQuietBatch hands the
+// Ctx.Tally, and when the burst returns the injection core hands the
 // cells to the state of the snapshot the burst ran under — a hot swap
 // between bursts loses nothing. What a cell counts is the sink's
 // business. FlushTally adds the non-zero cells to the shard's counters
@@ -89,7 +92,7 @@ type TallySink interface {
 }
 
 // Tally counts one event into a cell of the burst's tally and reports
-// whether it did. It did not when nobody will flush the tally — a single
+// whether it did. It did not when nobody will flush the tally — a lone
 // Inject or InjectQuiet, whose counts would gain nothing from the
 // detour, or a program run outside a switch — or when the cell is out
 // of range; the caller then counts directly.
@@ -312,12 +315,11 @@ type Switch struct {
 	extraMu     sync.RWMutex
 	extraStats  map[PortID]*PortStats
 
-	// The CPU queue (see toCPU): the waiting punts, the chunk the next
-	// one is copied into, the size of the last non-empty drain.
+	// The CPU queue (see toCPU): the punts DrainCPU will hand out, and how
+	// many of cpuQueueCap they and the punts bursts still hold have taken.
 	cpuMu    sync.Mutex
 	cpuQueue []*packet.Parsed
-	cpuChunk []packet.Parsed
-	cpuBurst int
+	cpuDepth atomic.Int32
 
 	drops dropCounter
 }
@@ -371,28 +373,30 @@ func releaseShard(c *pooledCtx) {
 // padded up to a size class whose objects start on a 128-byte boundary,
 // so the memory one injector rewrites for every packet shares no cache
 // line (nor the line the adjacent-line prefetcher pairs with it) with
-// another injector's. Unpadded, contexts and traces are 136 and 144
-// bytes of one size class, and after a collection one injector's are
-// allocated from the span that holds the other's: 3 of 16 two-injector
-// runs then lost 15–20 % (EXPERIMENTS.md "NF/MAU fast path"). The array
-// length stops compiling if the context outgrows the class.
+// another injector's. Unpadded, after a collection one injector's
+// context is allocated from the span that holds the other's: 3 of 16
+// two-injector runs then lost 15–20 % (EXPERIMENTS.md "NF/MAU fast
+// path"); a quiet trace, rewritten per packet too, lives on the
+// injector's stack. The array length stops compiling if the context
+// outgrows the class.
 type pooledCtx struct {
 	Ctx
 	_ [256 - unsafe.Sizeof(Ctx{})]byte
 }
 
-// pooledTrace pads a pooled trace the same way.
-type pooledTrace struct {
-	Trace
-	_ [256 - unsafe.Sizeof(Trace{})]byte
+// pooledMem pads a context's burst memory the same way; a context pointing
+// into its own allocation would never be finalized and keep its shard.
+type pooledMem struct {
+	burstMem
+	_ [384 - unsafe.Sizeof(burstMem{})]byte
 }
 
-// tracedTrace is the allocation behind a traced Inject: the trace with
-// room for an ordinary journey — the §5 chain with one recirculation is
-// four pipelet steps and one emission — so recording it is one
-// allocation; a longer journey outgrows the room by append. A trace the
-// caller keeps pins the room, so it is no larger: 4 + 1 fills the
-// 288-byte size class.
+// tracedTrace is one element of the block behind a traced burst: the
+// trace with room for an ordinary journey — the §5 chain with one
+// recirculation is four pipelet steps and one emission — so recording it
+// allocates nothing more; a longer journey outgrows the room by append.
+// A kept trace pins its block, at most cpuChunkMax of these, so the room
+// is no larger: 4 + 1 makes 288 bytes, the size class Inject's block fills.
 type tracedTrace struct {
 	Trace
 	steps [4]Step
@@ -406,18 +410,13 @@ type tracedTrace struct {
 var ctxPool = sync.Pool{New: func() any {
 	c := new(pooledCtx)
 	c.shard = acquireShard()
+	c.mem = &new(pooledMem).burstMem
 	runtime.SetFinalizer(c, releaseShard)
 	return &c.Ctx
 }}
 
-// tracePool recycles the quiet-mode traces InjectQuiet uses
-// internally (traced Inject hands its Trace to the caller, so those
-// are not pooled).
-var tracePool = sync.Pool{New: func() any { return &new(pooledTrace).Trace }}
-
-// portDeltaPool recycles the port-counter tables of InjectQuietBatch
-// bursts; a table goes back empty. Its size class starts objects on
-// 128-byte boundaries as it is.
+// portDeltaPool recycles the port-counter tables of bursts; a table goes
+// back empty. Its size class starts objects on 128-byte boundaries as is.
 var portDeltaPool = sync.Pool{New: func() any { return new(portDelta) }}
 
 // New creates a switch with all ports in normal mode and empty
@@ -757,18 +756,16 @@ func (s *Switch) countLoopback(pd *portDelta, port PortID, bytes uint64) {
 // across the sharded cells).
 func (s *Switch) Drops() uint64 { return s.drops.Load() }
 
-// DrainCPU returns and clears the packets delivered to the CPU port.
-// The caller owns them: the switch keeps neither the slice nor the
-// chunk they live in, so later punts overwrite nothing, and a chunk is
-// freed once the last packet of it is unreachable.
+// DrainCPU returns and clears the packets delivered to the CPU port: the
+// punts of every burst that has returned or filled a chunk. The caller
+// owns them: the switch keeps neither the slice nor the chunks they live
+// in, and a chunk is freed once the last packet of it is unreachable.
 func (s *Switch) DrainCPU() []*packet.Parsed {
 	s.cpuMu.Lock()
 	defer s.cpuMu.Unlock()
 	out := s.cpuQueue
-	s.cpuQueue, s.cpuChunk = nil, nil
-	if len(out) > 0 {
-		s.cpuBurst = min(len(out), cpuChunkMax)
-	}
+	s.cpuQueue = nil
+	s.cpuDepth.Add(-int32(len(out)))
 	return out
 }
 
@@ -780,51 +777,55 @@ func (s *Switch) CPUQueueDepth() int {
 	return len(s.cpuQueue)
 }
 
-// admit runs the port-level admission checks shared by Inject and
-// InjectQuiet and counts the packet into the ingress port stats.
-func (s *Switch) admit(sn *snapshot, in PortID, pkt *packet.Parsed) error {
-	if !s.prof.ValidPort(in) || IsRecircPort(in) || in == PortCPU {
-		return fmt.Errorf("asic: cannot inject on port %d", in) //dv:allow hotpath: cold admission-error path
+// admit is the port-level admission every injection passes once.
+func (s *Switch) admit(sn *snapshot, in PortID) error {
+	switch {
+	case !s.prof.ValidPort(in) || IsRecircPort(in) || in == PortCPU:
+		return fmt.Errorf("asic: cannot inject on port %d", in)
+	case sn.loopbackOf(in) != LoopbackOff:
+		return fmt.Errorf("asic: port %d is in loopback mode and takes no external traffic", in)
+	case !sn.portUp(in):
+		return fmt.Errorf("asic: port %d is down", in)
 	}
-	if sn.loopbackOf(in) != LoopbackOff {
-		return fmt.Errorf("asic: port %d is in loopback mode and takes no external traffic", in) //dv:allow hotpath: cold admission-error path
-	}
-	if !sn.portUp(in) {
-		return fmt.Errorf("asic: port %d is down", in) //dv:allow hotpath: cold admission-error path
-	}
-	if sn.faults != nil {
-		if err := sn.faults.OnInject(in, pkt); err != nil {
-			s.drops.Add(uint8(in))
-			return fmt.Errorf("asic: inject fault on port %d: %w", in, err) //dv:allow hotpath: cold admission-error path
-		}
-	}
-	st := s.stats(in) //dv:allow hotpath: profile ports hit preallocated arrays; the locked overflow map serves only out-of-profile ports
-	st.RxPackets.Add(1)
-	st.RxBytes.Add(uint64(pkt.WireLen()))
 	return nil
 }
 
 // Inject offers a packet to a front-panel port and runs it through the
-// switch to completion, returning the trace. It fails when the port is
-// in loopback mode (such ports take no external traffic) or does not
-// exist.
+// switch to completion, returning the trace: a traced burst of one. It
+// fails when the port is in loopback mode (such ports take no external
+// traffic) or does not exist.
 func (s *Switch) Inject(in PortID, pkt *packet.Parsed) (*Trace, error) {
-	sn := s.snap.Load()
-	if err := s.admit(sn, in, pkt); err != nil {
-		s.countRefused(sn, in)
-		return nil, err
+	block := new([1]tracedTrace)
+	one := [1]*packet.Parsed{pkt}
+	var err [1]error
+	s.inject(in, one[:], nil, block[:], err[:])
+	return block[0].journey(), err[0]
+}
+
+// InjectBurst is Inject for a burst of packets entering through one port:
+// traces[i] and errs[i], which must be as long as pkts, become what
+// Inject(in, pkts[i]) would have returned, at InjectQuietBatch's
+// per-burst costs. The traces of up to cpuChunkMax consecutive packets are
+// one allocation, which one kept trace pins, and see one snapshot.
+func (s *Switch) InjectBurst(in PortID, pkts []*packet.Parsed, traces []*Trace, errs []error) {
+	clear(errs)
+	for len(pkts) > 0 {
+		n := min(len(pkts), cpuChunkMax)
+		block := make([]tracedTrace, n)
+		s.inject(in, pkts[:n], nil, block, errs[:n])
+		for i := range block {
+			traces[i] = block[i].journey()
+		}
+		pkts, traces, errs = pkts[n:], traces[n:], errs[n:]
 	}
-	t := new(tracedTrace)
-	tr := &t.Trace
-	tr.Steps, tr.Out = t.steps[:0], t.out[:0]
-	ctx := ctxPool.Get().(*Ctx)
-	shard := ctx.shard
-	*ctx = Ctx{Pkt: pkt, Meta: Meta{InPort: in, OutPort: PortUnset}, App: sn.app}
-	ctx.shard = shard
-	err := s.run(sn, ctx, tr, nil)
-	s.countDone(sn, ctx, tr)
-	ctxPool.Put(ctx)
-	return tr, err
+}
+
+// journey is what Inject returns of a filled trace: nil for a refusal.
+func (t *tracedTrace) journey() *Trace {
+	if t.DropCode == telemetry.DropRefused {
+		return nil
+	}
+	return &t.Trace
 }
 
 // InjectQuiet is the no-trace fast path: it runs the packet exactly
@@ -834,20 +835,10 @@ func (s *Switch) Inject(in PortID, pkt *packet.Parsed) (*Trace, error) {
 //
 //dv:hotpath
 func (s *Switch) InjectQuiet(in PortID, pkt *packet.Parsed) (QuietResult, error) {
-	sn := s.snap.Load()
-	if err := s.admit(sn, in, pkt); err != nil {
-		s.countRefused(sn, in)
-		return QuietResult{Dropped: true, DropReason: err.Error(), DropCode: telemetry.DropRefused}, err
-	}
-	tr := tracePool.Get().(*Trace)
-	*tr = Trace{quiet: true}
-	ctx := ctxPool.Get().(*Ctx)
-	shard := ctx.shard
-	*ctx = Ctx{Pkt: pkt, Meta: Meta{InPort: in, OutPort: PortUnset}, App: sn.app}
-	ctx.shard = shard
-	err := s.run(sn, ctx, tr, nil)
-	s.countDone(sn, ctx, tr)
-	q := QuietResult{
+	var tr Trace
+	one := [1]*packet.Parsed{pkt}
+	br := s.inject(in, one[:], &tr, nil, nil)
+	return QuietResult{
 		Dropped:        tr.Dropped,
 		DropReason:     tr.DropReason,
 		DropCode:       tr.DropCode,
@@ -856,10 +847,7 @@ func (s *Switch) InjectQuiet(in PortID, pkt *packet.Parsed) (QuietResult, error)
 		Resubmissions:  tr.Resubmissions,
 		Recirculations: tr.Recirculations,
 		Latency:        tr.Latency,
-	}
-	ctxPool.Put(ctx)
-	tracePool.Put(tr)
-	return q, err
+	}, br.Err
 }
 
 // BatchResult aggregates the dispositions of one InjectQuietBatch
@@ -898,94 +886,119 @@ const tallyFlushEvery = 1 << 16
 
 // InjectQuietBatch runs a burst of packets through the quiet hot path
 // while paying the per-packet fixed costs once per burst: one config
-// snapshot load, one pooled Ctx/Trace checkout, one stats update per
-// port the burst touched (ingress, loopback and exit ports alike; the
-// counters show the burst once it has returned), one telemetry
-// flush (a single fast-path matrix add per pipeline pair plus one
-// batched delta flush) and one flush of the programs' own counters
-// (TallySink) for the whole batch instead of per packet.
-// Dispositions are aggregated — callers that need per-packet results
-// use InjectQuiet.
-//
-// Every packet in the batch enters through the same port and runs
-// against the same configuration snapshot: a hot swap lands between
-// batches, never inside one.
+// snapshot load, one pooled Ctx checkout, one stats update per port the
+// burst touched (ingress, loopback and exit ports alike; the counters
+// show the burst once it has returned), one telemetry flush (a single
+// fast-path matrix add per pipeline pair plus one batched delta flush),
+// one flush of the programs' own counters (TallySink) and one CPU-queue
+// append. Dispositions are aggregated — callers that need per-packet
+// results use InjectQuiet. Every packet in the batch enters through the
+// same port and runs against the same configuration snapshot: a hot swap
+// lands between batches, never inside one.
 //
 //dv:hotpath
 func (s *Switch) InjectQuietBatch(in PortID, pkts []*packet.Parsed) BatchResult {
+	var tr Trace
+	return s.inject(in, pkts, &tr, nil, nil)
+}
+
+// refuse marks the trace of a packet refused at the port.
+func (tr *Trace) refuse(err error) {
+	tr.Dropped, tr.DropCode, tr.DropReason = true, telemetry.DropRefused, err.Error()
+}
+
+// fail counts packet i's injection error; a traced burst keeps it in errs.
+func (br *BatchResult) fail(errs []error, i int, err error) {
+	br.Errors++
+	if br.Err == nil {
+		br.Err = err
+	}
+	if errs != nil {
+		errs[i] = err
+	}
+}
+
+// inject is the one injection core behind Inject, InjectBurst,
+// InjectQuiet and InjectQuietBatch: port admission once, the packets one
+// after another against one snapshot, one epilogue that pays the burst's
+// port counters, application tally, punts and telemetry. Only where a
+// packet's trace goes varies: packet i of a traced burst records into
+// block[i], fresh, its error into errs[i]; else all overwrite quiet.
+//
+//dv:hotpath
+func (s *Switch) inject(in PortID, pkts []*packet.Parsed, quiet *Trace, block []tracedTrace, errs []error) BatchResult {
 	br := BatchResult{Injected: len(pkts)}
 	if len(pkts) == 0 {
 		return br
 	}
 	sn := s.snap.Load()
+	if err := s.admit(sn, in); err != nil { //dv:allow hotpath: cold admission-error path
+		if sn.tel != nil {
+			sn.tel.Shard(uintptr(in) << 6).RefusedN(uint64(len(pkts)))
+		}
+		if block == nil {
+			quiet.refuse(err)
+		}
+		for i := range block {
+			block[i].refuse(err)
+			errs[i] = err
+		}
+		br.Errors, br.Err = len(pkts), err
+		return br
+	}
 
-	// Port-level admission is per-port state: check it once and refuse
-	// the whole batch on failure, exactly as InjectQuiet would refuse
-	// each packet.
-	if !s.prof.ValidPort(in) || IsRecircPort(in) || in == PortCPU {
-		return s.refuseBatch(sn, in, len(pkts), fmt.Errorf("asic: cannot inject on port %d", in)) //dv:allow hotpath: cold admission-error path
-	}
-	if sn.loopbackOf(in) != LoopbackOff {
-		return s.refuseBatch(sn, in, len(pkts), fmt.Errorf("asic: port %d is in loopback mode and takes no external traffic", in)) //dv:allow hotpath: cold admission-error path
-	}
-	if !sn.portUp(in) {
-		return s.refuseBatch(sn, in, len(pkts), fmt.Errorf("asic: port %d is down", in)) //dv:allow hotpath: cold admission-error path
-	}
-
-	tr := tracePool.Get().(*Trace)
 	ctx := ctxPool.Get().(*Ctx)
-	pd := portDeltaPool.Get().(*portDelta)
 	shard := ctx.shard
-	ctx.tel = telemetry.DatapathDelta{} // pooled context may carry a stale delta
-	ctx.tallying = sn.tally != nil
-
+	ctx.mem.room = len(pkts) // through ctx at every use: the loop has no register left for it
+	// A burst pays its port and program counters once; a lone packet adds
+	// to the shared cells directly, 15–40 ns cheaper than the detour.
+	var pd *portDelta
+	ctx.tallying = len(pkts) > 1 && sn.tally != nil
+	if len(pkts) > 1 {
+		pd = portDeltaPool.Get().(*portDelta)
+	}
 	var sh *telemetry.DatapathShard
 	telPipes := 0
 	if sn.tel != nil {
 		sh = sn.tel.Shard(uintptr(shard) << 6)
-		if telPipes = sn.tel.Pipelines(); telPipes > telemetry.MaxPipelines {
-			telPipes = telemetry.MaxPipelines
-		}
+		telPipes = min(sn.tel.Pipelines(), telemetry.MaxPipelines)
 	}
-	// fast[pi*telPipes+pe] accumulates the burst's fast-path packets in
-	// plain memory; flushed as one FastDoneN per touched pipeline pair.
-	var fast [telemetry.MaxPipelines * telemetry.MaxPipelines]uint32
-
 	var rxPkts, rxBytes uint64
-	sinceFlush := 0
+	var sinceFlush int
 	for i, pkt := range pkts {
 		if ctx.tallying && i%tallyFlushEvery == tallyFlushEvery-1 {
 			sn.tally.FlushTally(shard, &ctx.tally)
 		}
+		tr := quiet
+		if block == nil {
+			*tr = Trace{quiet: true}
+		} else {
+			t := &block[i]
+			tr = &t.Trace
+			tr.Steps, tr.Out = t.steps[:0], t.out[:0]
+		}
 		if sn.faults != nil {
 			if err := sn.faults.OnInject(in, pkt); err != nil {
+				err = fmt.Errorf("asic: inject fault on port %d: %w", in, err) //dv:allow hotpath: cold admission-error path
 				s.drops.Add(shard)
-				br.Errors++
 				if sh != nil {
 					sh.Refused()
 				}
-				if br.Err == nil {
-					br.Err = fmt.Errorf("asic: inject fault on port %d: %w", in, err) //dv:allow hotpath: cold admission-error path
-				}
+				tr.refuse(err)
+				br.fail(errs, i, err)
 				continue
 			}
 		}
 		rxPkts++
 		rxBytes += uint64(pkt.WireLen())
-
-		*tr = Trace{quiet: true}
 		ctx.Pkt = pkt
 		ctx.Meta = Meta{InPort: in, OutPort: PortUnset}
 		ctx.Pipelet = PipeletID{}
 		ctx.App = sn.app
 		err := s.run(sn, ctx, tr, pd)
-
 		switch {
 		case err != nil:
-			br.Errors++
-			if br.Err == nil {
-				br.Err = err
-			}
+			br.fail(errs, i, err)
 		case tr.Dropped:
 			br.Dropped++
 		case tr.cpuCount > 0:
@@ -997,12 +1010,11 @@ func (s *Switch) InjectQuietBatch(in PortID, pkts []*packet.Parsed) BatchResult 
 		br.Resubmissions += tr.Resubmissions
 		br.Recirculations += tr.Recirculations
 		br.Latency += tr.Latency
-
 		if sh == nil {
 			continue
 		}
 		// Fast-path packets move from the accumulated delta into the
-		// local matrix (one batched FastDoneN at the end); everything
+		// burst's matrix (one batched FastDoneN at the end); everything
 		// else takes the per-packet disposition/histogram update and
 		// leaves its traversals in the delta for the batched flush.
 		pe := ctx.Pipelet.Pipeline
@@ -1013,7 +1025,7 @@ func (s *Switch) InjectQuietBatch(in PortID, pkts []*packet.Parsed) BatchResult 
 			if pi := s.prof.PipelineOf(ctx.Meta.InPort); pi >= 0 && pi < telPipes && pe >= 0 && pe < telPipes {
 				ctx.tel.Ingress[pi]--
 				ctx.tel.Egress[pe]--
-				fast[pi*telPipes+pe]++
+				ctx.mem.fast[pi*telPipes+pe]++
 				continue
 			}
 		}
@@ -1030,66 +1042,28 @@ func (s *Switch) InjectQuietBatch(in PortID, pkts []*packet.Parsed) BatchResult 
 		st.RxPackets.Add(rxPkts)
 		st.RxBytes.Add(rxBytes)
 	}
-	pd.flush(s)
-	portDeltaPool.Put(pd)
+	if pd != nil {
+		pd.flush(s)
+		portDeltaPool.Put(pd)
+	}
 	if ctx.tallying {
 		sn.tally.FlushTally(shard, &ctx.tally)
-		ctx.tallying = false
+	}
+	if mem := ctx.mem; len(mem.chunk) > 0 {
+		s.queuePunts(mem) //dv:allow hotpath: CPU punts leave the fast path; the control-plane queue is lock-guarded by design
 	}
 	if sh != nil {
 		sh.Flush(&ctx.tel)
-		for pi := 0; pi < telPipes; pi++ {
-			for pe := 0; pe < telPipes; pe++ {
-				if n := fast[pi*telPipes+pe]; n != 0 {
-					sh.FastDoneN(pi, pe, uint64(n))
-				}
+		for k, n := range ctx.mem.fast[:telPipes*telPipes] {
+			if n != 0 {
+				sh.FastDoneN(k/telPipes, k%telPipes, uint64(n))
+				ctx.mem.fast[k] = 0
 			}
 		}
+		ctx.tel = telemetry.DatapathDelta{} // leave the pooled delta clean
 	}
-	ctx.tel = telemetry.DatapathDelta{} // leave the pooled delta clean
 	ctxPool.Put(ctx)
-	tracePool.Put(tr)
 	return br
-}
-
-// refuseBatch accounts a whole batch rejected by port-level admission:
-// every packet is refused, none reaches a pipeline.
-func (s *Switch) refuseBatch(sn *snapshot, in PortID, n int, err error) BatchResult {
-	if sn.tel != nil {
-		sn.tel.Shard(uintptr(in) << 6).RefusedN(uint64(n))
-	}
-	return BatchResult{Injected: n, Errors: n, Err: err}
-}
-
-// countRefused charges an admission failure to the telemetry shard of
-// the refusing port. Refusals never reach a pipeline, so they are not
-// part of the per-pipelet counters.
-func (s *Switch) countRefused(sn *snapshot, in PortID) {
-	if sn.tel != nil {
-		sn.tel.Shard(uintptr(in) << 6).Refused()
-	}
-}
-
-// countDone records the packet's final disposition after run returns.
-// The common packet — delivered through one ingress and one egress
-// pass, one wire copy, nothing unusual — is a single atomic add
-// (FastDone); everything else flushes the batched per-pipeline deltas
-// and takes the full disposition/histogram update.
-func (s *Switch) countDone(sn *snapshot, ctx *Ctx, tr *Trace) {
-	if sn.tel == nil {
-		return
-	}
-	sh := sn.tel.Shard(uintptr(ctx.shard) << 6)
-	if tr.DropCode == telemetry.DropNone && tr.cpuCount == 0 && tr.emitCount == 1 &&
-		tr.Recirculations == 0 && tr.Resubmissions == 0 && ctx.Meta.Passes == 1 {
-		// Meta.Passes==1 means InPort was never rewritten by a
-		// recirculation, so it still names the ingress pipeline.
-		if sh.FastDone(s.prof.PipelineOf(ctx.Meta.InPort), ctx.Pipelet.Pipeline) {
-			return
-		}
-	}
-	sh.Flush(&ctx.tel)
-	sh.PacketDone(tr.DropCode, tr.cpuCount, tr.Recirculations, tr.emitCount, int64(tr.Latency))
 }
 
 // run executes the packet until it leaves the switch, is dropped, or
@@ -1100,7 +1074,7 @@ func (s *Switch) countDone(sn *snapshot, ctx *Ctx, tr *Trace) {
 //dv:hotpath
 func (s *Switch) run(sn *snapshot, ctx *Ctx, tr *Trace, pd *portDelta) error {
 	// Per-traversal events accumulate in the context's plain-memory
-	// delta (countDone flushes them in one batch); pipelines beyond the
+	// delta (inject flushes them in one batch); pipelines beyond the
 	// delta's fixed bound — no real profile has them — fall back to
 	// direct shard adds.
 	var sh *telemetry.DatapathShard
@@ -1294,40 +1268,66 @@ func (s *Switch) run(sn *snapshot, ctx *Ctx, tr *Trace, pd *portDelta) error {
 // (DESIGN.md §8 "Slow path" has the reasoning behind the value).
 const cpuQueueCap = 4096
 
-// cpuChunkMax is the most packets one CPU-queue chunk holds — the
-// traffic engines' burst. A drained packet pins its whole chunk.
+// cpuChunkMax is the most packets a CPU-queue chunk or a block of traces
+// holds — the engines' burst; a drained packet or a kept trace pins one.
 const cpuChunkMax = 32
 
-// toCPU queues a copy of the packet for the control plane, or drops the
-// packet (DropCPUQueueFull) when the queue is at its cap. Copies live
-// in chunks as long as the last non-empty drain was — 1 for a switch
-// polled per packet, cpuChunkMax for one polled per burst — so a burst
-// of punts pays one chunk and one queue slice, not one copy each.
+// burstMem is the plain memory a burst works in beside its context: its
+// punts on their way to the CPU queue — the copies in a chunk, their bytes
+// in one arena — and fast[pi*telPipes+pe], its fast-path packets until the
+// epilogue posts one FastDoneN a pipeline pair (on inject's stack it cost a
+// lone packet 13 ns; a pointer to it held across the loop, bare-forward 12 %).
+type burstMem struct {
+	chunk []packet.Parsed
+	arena []byte
+	room  int // punts the burst can still make: one a packet
+	fast  [telemetry.MaxPipelines * telemetry.MaxPipelines]uint32
+}
+
+// toCPU copies the packet for the control plane, or drops it
+// (DropCPUQueueFull) when the queue is at its cap. The copy takes its
+// slot of the cap at once — one atomic, so bound and drop count are exact
+// whoever else punts — and goes into the burst's chunk: as long as the
+// burst can still fill, at most cpuChunkMax, so a burst pays one chunk,
+// one arena and one locked queue append; a lone packet pins only itself.
 func (s *Switch) toCPU(ctx *Ctx, tr *Trace) {
-	s.cpuMu.Lock()
-	if len(s.cpuQueue) >= cpuQueueCap {
-		s.cpuMu.Unlock()
+	if s.cpuDepth.Add(1) > cpuQueueCap {
+		s.cpuDepth.Add(-1)
 		tr.Dropped = true
 		tr.DropCode = telemetry.DropCPUQueueFull
 		tr.DropReason = tr.DropCode.String()
 		s.drops.Add(ctx.shard)
 		return
 	}
-	n := len(s.cpuChunk)
-	if n == cap(s.cpuChunk) {
-		s.cpuChunk, n = make([]packet.Parsed, 0, max(s.cpuBurst, 1)), 0
-		if s.cpuQueue == nil {
-			s.cpuQueue = make([]*packet.Parsed, 0, cap(s.cpuChunk))
+	b := ctx.mem
+	n := len(b.chunk)
+	if n == cap(b.chunk) {
+		if n > 0 {
+			s.queuePunts(b)
 		}
+		b.chunk, n = make([]packet.Parsed, 0, min(b.room, cpuChunkMax)), 0
 	}
-	s.cpuChunk = s.cpuChunk[:n+1]
-	ctx.Pkt.CloneInto(&s.cpuChunk[n])
-	s.cpuQueue = append(s.cpuQueue, &s.cpuChunk[n])
-	s.cpuMu.Unlock()
+	b.room--
+	b.chunk = b.chunk[:n+1]
+	b.arena = ctx.Pkt.CloneIntoArena(&b.chunk[n], b.arena, cap(b.chunk)-n-1)
 	tr.cpuCount++
 	if !tr.quiet {
 		tr.CPU = append(tr.CPU, ctx.Pkt.Clone())
 	}
+}
+
+// queuePunts moves the buffered punts to the CPU queue and forgets the
+// chunk and arena they live in: whoever drains them owns both.
+func (s *Switch) queuePunts(b *burstMem) {
+	s.cpuMu.Lock()
+	if s.cpuQueue == nil {
+		s.cpuQueue = make([]*packet.Parsed, 0, len(b.chunk))
+	}
+	for i := range b.chunk {
+		s.cpuQueue = append(s.cpuQueue, &b.chunk[i])
+	}
+	s.cpuMu.Unlock()
+	b.chunk, b.arena = nil, nil
 }
 
 // emit records a packet leaving through a front-panel port. It reports

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +14,7 @@ import (
 	"dejavu/internal/packet"
 	"dejavu/internal/route"
 	"dejavu/internal/scenario"
+	"dejavu/internal/telemetry"
 )
 
 // The §5 chain through a real deployment, with the real NFs: what the
@@ -129,6 +132,172 @@ func TestChainTracedQuietBatchedAgree(t *testing.T) {
 		if got := d.Switch.Stats(scenario.PortClient).RxPackets.Load() - before; got != 5 {
 			t.Errorf("path %d: %d packets admitted, want 5", path, got)
 		}
+	}
+}
+
+// refuseMarked is a fault hook that refuses, at the port, every packet
+// whose IPv4 ID is refusedID.
+type refuseMarked struct{}
+
+const refusedID = 0xDEAD
+
+func (refuseMarked) OnInject(_ asic.PortID, p *packet.Parsed) error {
+	if p.IPv4.ID == refusedID {
+		return errors.New("marked packet")
+	}
+	return nil
+}
+func (refuseMarked) OnEmit(asic.PortID, *packet.Parsed) bool        { return true }
+func (refuseMarked) OnRecirculate(asic.PortID, *packet.Parsed) bool { return true }
+
+// TestInjectBurstMatchesSingle: a traced burst is N × Inject. Two
+// identical deployments take the same 42 packets — the §5 chain's three
+// paths, new VIP flows that are punted, packets the firewall drops,
+// packets the port's fault hook refuses — one through Inject packet by
+// packet, the other through one InjectBurst (two trace blocks), and then
+// the same again on a port that is down. Every trace and error agrees
+// (steps, emissions and punted copies byte for byte, latency, drop code),
+// and so does everything the switch counts: port statistics, the dvtel
+// snapshot, NF executions, path packets, drops, the CPU queue.
+func TestInjectBurstMatchesSingle(t *testing.T) {
+	type side struct {
+		d  *Deployment
+		dp *telemetry.Datapath
+	}
+	mk := func() side {
+		d := deployChain(t)
+		dp := telemetry.NewDatapath(d.Config.Prof.Pipelines)
+		d.Switch.SetTelemetry(dp)
+		d.Switch.SetFaultHook(refuseMarked{})
+		return side{d, dp}
+	}
+	packets := func() []*packet.Parsed {
+		var pkts []*packet.Parsed
+		for i := 0; i < 7; i++ {
+			newFlow := scenario.ClientTCP(443)
+			newFlow.TCP.SrcPort += uint16(1 + i)
+			newFlow.Payload = []byte{byte(i), 0xC0, 0xDE}
+			denied := scenario.ClientTCP(80)
+			refused := scenario.InternetBound()
+			refused.IPv4.ID = refusedID
+			pkts = append(pkts, scenario.ClientTCP(443), scenario.TenantBound(), scenario.InternetBound(), newFlow, denied, refused)
+		}
+		return pkts
+	}
+	one, all := mk(), mk()
+
+	wire := func(p *packet.Parsed) string { return string(wireOf(t, p)) }
+	check := func(round string, kindsWanted ...string) {
+		t.Helper()
+		pkts := packets()
+		want := make([]*asic.Trace, len(pkts))
+		wantErr := make([]error, len(pkts))
+		for i, p := range pkts {
+			want[i], wantErr[i] = one.d.Switch.Inject(scenario.PortClient, p)
+		}
+		got := make([]*asic.Trace, len(pkts))
+		gotErr := make([]error, len(pkts))
+		gotErr[0] = errors.New("stale") // InjectBurst owns every slot of its outputs
+		all.d.Switch.InjectBurst(scenario.PortClient, packets(), got, gotErr)
+
+		kinds := map[string]int{}
+		for i := range pkts {
+			w, g := want[i], got[i]
+			if (wantErr[i] == nil) != (gotErr[i] == nil) || (wantErr[i] != nil && wantErr[i].Error() != gotErr[i].Error()) {
+				t.Errorf("%s, packet %d: burst error %v, Inject error %v", round, i, gotErr[i], wantErr[i])
+			}
+			if (w == nil) != (g == nil) {
+				t.Errorf("%s, packet %d: burst trace %v, Inject trace %v", round, i, g, w)
+				continue
+			}
+			switch {
+			case w == nil:
+				kinds["refused"]++
+				continue
+			case w.Dropped:
+				kinds["dropped"]++
+			case len(w.CPU) > 0:
+				kinds["punted"]++
+			default:
+				kinds["delivered"]++
+			}
+			if g.Path() != w.Path() || len(g.Steps) != len(w.Steps) || g.Latency != w.Latency ||
+				g.Recirculations != w.Recirculations || g.Resubmissions != w.Resubmissions ||
+				g.Dropped != w.Dropped || g.DropCode != w.DropCode || g.DropReason != w.DropReason ||
+				len(g.Out) != len(w.Out) || len(g.CPU) != len(w.CPU) {
+				t.Errorf("%s, packet %d:\n burst  %+v\n Inject %+v", round, i, g, w)
+				continue
+			}
+			for j := range w.Steps {
+				if g.Steps[j] != w.Steps[j] {
+					t.Errorf("%s, packet %d step %d: %+v, Inject has %+v", round, i, j, g.Steps[j], w.Steps[j])
+				}
+			}
+			for j := range w.Out {
+				if g.Out[j].Port != w.Out[j].Port || wire(g.Out[j].Pkt) != wire(w.Out[j].Pkt) {
+					t.Errorf("%s, packet %d: emission %d differs from Inject's", round, i, j)
+				}
+			}
+			for j := range w.CPU {
+				if wire(g.CPU[j]) != wire(w.CPU[j]) {
+					t.Errorf("%s, packet %d: punted copy %d differs from Inject's", round, i, j)
+				}
+			}
+		}
+		t.Logf("%s: %v", round, kinds)
+
+		a, b := one.d.Switch, all.d.Switch
+		ports := []asic.PortID{asic.PortCPU}
+		for p := 0; p < a.Profile().TotalPorts(); p++ {
+			ports = append(ports, asic.PortID(p))
+		}
+		for pipe := 0; pipe < a.Profile().Pipelines; pipe++ {
+			ports = append(ports, asic.RecircPort(pipe))
+		}
+		for _, p := range ports {
+			x, y := a.Stats(p), b.Stats(p)
+			if x.RxPackets.Load() != y.RxPackets.Load() || x.RxBytes.Load() != y.RxBytes.Load() ||
+				x.TxPackets.Load() != y.TxPackets.Load() || x.TxBytes.Load() != y.TxBytes.Load() {
+				t.Errorf("%s, port %d: burst rx %d/%d tx %d/%d, Inject rx %d/%d tx %d/%d", round, p,
+					y.RxPackets.Load(), y.RxBytes.Load(), y.TxPackets.Load(), y.TxBytes.Load(),
+					x.RxPackets.Load(), x.RxBytes.Load(), x.TxPackets.Load(), x.TxBytes.Load())
+			}
+		}
+		if x, y := one.dp.Snapshot(), all.dp.Snapshot(); !reflect.DeepEqual(x, y) {
+			t.Errorf("%s: dvtel snapshots differ\n burst  %+v\n Inject %+v", round, y, x)
+		}
+		for _, name := range []string{"classifier", "fw", "vgw", "lb", "router"} {
+			if x, y := one.d.Telemetry().NFExecutions(name), all.d.Telemetry().NFExecutions(name); x != y {
+				t.Errorf("%s: %s executed %d times under the burst, %d under Inject", round, name, y, x)
+			}
+		}
+		for _, path := range []uint16{scenario.PathFull, scenario.PathMedium, scenario.PathBasic} {
+			if x, y := one.d.Telemetry().PathPackets(path), all.d.Telemetry().PathPackets(path); x != y {
+				t.Errorf("%s: path %d counted %d packets under the burst, %d under Inject", round, path, y, x)
+			}
+		}
+		if a.Drops() != b.Drops() || a.CPUQueueDepth() != b.CPUQueueDepth() {
+			t.Errorf("%s: burst %d drops, %d punts queued; Inject %d and %d", round, b.Drops(), b.CPUQueueDepth(), a.Drops(), a.CPUQueueDepth())
+		}
+		for _, k := range kindsWanted {
+			if kinds[k] == 0 {
+				t.Errorf("%s: no packet was %s", round, k)
+			}
+		}
+	}
+
+	check("port up", "delivered", "punted", "dropped", "refused")
+	if snap := all.dp.Snapshot(); snap.ToCPU != 7 || snap.Refused != 7 || snap.Drops[telemetry.DropIngress]+snap.Drops[telemetry.DropEgress] != 7 {
+		t.Errorf("dvtel after the burst: %+v; want 7 punts, 7 refusals, 7 firewall drops", snap)
+	}
+	for _, s := range []side{one, all} {
+		if err := s.d.Switch.SetPortAdminState(scenario.PortClient, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("port down", "refused")
+	if snap := all.dp.Snapshot(); snap.Refused != 7+42 {
+		t.Errorf("dvtel after the burst on the down port: %d refused, want %d", snap.Refused, 7+42)
 	}
 }
 

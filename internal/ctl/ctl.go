@@ -16,6 +16,7 @@ import (
 	"dejavu/internal/nf"
 	"dejavu/internal/nsh"
 	"dejavu/internal/packet"
+	"dejavu/internal/route"
 )
 
 // natFirstPort is the first public port the NAT allocator hands out;
@@ -92,19 +93,38 @@ func (c *Controller) nat() *nf.NAT {
 	return nil
 }
 
+// chains returns the branching state published with the switch's
+// programs (compose.Runtime carries it), which knows the paths the
+// installed chains declare; nil when the switch publishes none.
+func (c *Controller) chains() *route.Branching {
+	if rt, ok := c.sw.App().(interface{ Branching() *route.Branching }); ok {
+		return rt.Branching()
+	}
+	return nil
+}
+
 // HandlePacketIn processes one punted packet: it installs whatever
 // state the responsible NF was missing and reports whether the packet
 // should be reinjected.
 func (c *Controller) HandlePacketIn(pkt *packet.Parsed) (reinject bool, err error) {
 	var t tally
-	reinject, err = c.handle(c.lb(), c.nat(), pkt, &t)
+	reinject, err = c.handle(c.lb(), c.nat(), c.chains(), pkt, &t)
 	c.count(t)
 	return reinject, err
 }
 
-// handle is HandlePacketIn on the caller's NFs and tally.
-func (c *Controller) handle(lb *nf.LoadBalancer, nat *nf.NAT, pkt *packet.Parsed, t *tally) (reinject bool, err error) {
+// handle is HandlePacketIn on the caller's NFs, chain set and tally. A
+// punt is repaired only when installing state can have been what it
+// waited for: a packet stamped with a path no chain declares (its chain
+// was removed) or whose NAT mapping is already in would be punted again
+// the moment it is back, so it is counted unknown and goes no further —
+// reinjected, it would never leave the CPU queue, and mapped afresh every
+// round it would eat the NAT table.
+func (c *Controller) handle(lb *nf.LoadBalancer, nat *nf.NAT, chains *route.Branching, pkt *packet.Parsed, t *tally) (reinject bool, err error) {
 	ft, ok := pkt.FiveTuple()
+	if path := pkt.SFC.ServicePathID; ok && path != 0 && chains != nil {
+		_, ok = chains.ChainIndex(path) // false: the chain was removed
+	}
 	if !ok {
 		t.unknown++
 		return false, nil
@@ -126,7 +146,7 @@ func (c *Controller) handle(lb *nf.LoadBalancer, nat *nf.NAT, pkt *packet.Parsed
 
 	// NAT miss: allocate a public port. The allocator moves on only once
 	// the mapping is in, so a failed install costs no port.
-	if nat != nil {
+	if nat != nil && !nat.HasMapping(ft.Src, ft.SrcPort, ft.Proto) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		if c.natNextPort > 0xFFFF {
@@ -144,64 +164,74 @@ func (c *Controller) handle(lb *nf.LoadBalancer, nat *nf.NAT, pkt *packet.Parsed
 	return false, nil
 }
 
+// inPort prepares a handled packet for the data plane and returns the
+// port it goes back in through: the one recorded in its SFC platform
+// metadata. The punt flags are cleared — the packet re-enters with a
+// clean verdict, now that the missing state is installed.
+func inPort(pkt *packet.Parsed) asic.PortID {
+	pkt.SFC.Meta.Clear(nsh.FlagToCPU | nsh.FlagDrop | nsh.FlagResubmit | nsh.FlagRecirculate)
+	return asic.PortID(pkt.SFC.Meta.InPort)
+}
+
 // Reinject puts a handled packet back into the data plane on the port
 // recorded in its SFC platform metadata ("the control plane will
-// simply install a new session ... and reinject the packet", §3.1).
+// simply install a new session ... and reinject the packet", §3.1). A
+// packet that recorded no usable port is refused by the switch.
 func (c *Controller) Reinject(pkt *packet.Parsed) (*asic.Trace, error) {
-	var t tally
-	tr, err := c.reinject(pkt, &t)
-	c.count(t)
+	tr, err := c.sw.Inject(inPort(pkt), pkt)
+	if err == nil {
+		c.count(tally{reinjected: 1})
+	}
 	return tr, err
 }
 
-// reinject is Reinject on the caller's tally.
-func (c *Controller) reinject(pkt *packet.Parsed, t *tally) (*asic.Trace, error) {
-	in := asic.PortID(pkt.SFC.Meta.InPort)
-	if !c.sw.Profile().ValidPort(in) || asic.IsRecircPort(in) {
-		return nil, fmt.Errorf("ctl: punted packet has no usable in-port (%d)", in)
-	}
-	// Clear the punt flags: the packet re-enters the data plane with a
-	// clean verdict, now that the missing state is installed.
-	pkt.SFC.Meta.Clear(nsh.FlagToCPU | nsh.FlagDrop | nsh.FlagResubmit | nsh.FlagRecirculate)
-	t.reinjected++
-	return c.sw.Inject(in, pkt)
-}
-
 // Poll drains the switch's CPU queue, handles every punted packet, and
-// reinjects the ones whose state was repaired. One packet's failure (a
-// full session table, an unusable in-port) does not stop the drain:
-// every drained packet is handled, and Poll returns the traces of the
-// reinjected ones together with the joined errors of the rest, which
-// Stats.Failed counts. Reinjection is traced: the trace is what
-// core.Deployment.Inject returns for a repaired punt.
+// then reinjects the ones whose state was repaired, a traced burst per
+// run of packets that entered through the same port. One packet's
+// failure (a full session table, an unusable in-port) does not stop the
+// drain: every drained packet is handled, and Poll returns the traces of
+// the reinjected ones, in drain order, together with the joined errors
+// of the rest, which Stats.Failed counts. Reinjection is traced: the
+// trace is what core.Deployment.Inject returns for a repaired punt.
 func (c *Controller) Poll() ([]*asic.Trace, error) {
 	pkts := c.sw.DrainCPU()
 	if len(pkts) == 0 {
 		return nil, nil
 	}
-	lb, nat := c.lb(), c.nat()
-	traces := make([]*asic.Trace, 0, len(pkts))
-	var errs []error
+	lb, nat, chains := c.lb(), c.nat(), c.chains()
+	var failed []error
 	var t tally
+	again := pkts[:0] // the drained slice is Poll's: keep the repaired ones in place
 	for _, pkt := range pkts {
-		again, err := c.handle(lb, nat, pkt, &t)
-		if err != nil {
-			errs = append(errs, err)
-			continue
+		switch ok, err := c.handle(lb, nat, chains, pkt, &t); {
+		case err != nil:
+			failed = append(failed, err)
+		case ok:
+			again = append(again, pkt)
 		}
-		if !again {
-			continue
-		}
-		tr, err := c.reinject(pkt, &t)
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		traces = append(traces, tr)
 	}
-	t.failed = len(errs)
+
+	traces := make([]*asic.Trace, len(again))
+	errs := make([]error, len(again))
+	for from := 0; from < len(again); {
+		in, to := inPort(again[from]), from+1
+		for to < len(again) && inPort(again[to]) == in {
+			to++
+		}
+		c.sw.InjectBurst(in, again[from:to], traces[from:to], errs[from:to])
+		from = to
+	}
+	done := traces[:0]
+	for i, err := range errs {
+		if err != nil {
+			failed = append(failed, err)
+			continue
+		}
+		done = append(done, traces[i])
+	}
+	t.reinjected, t.failed = len(done), len(failed)
 	c.count(t)
-	return traces, errors.Join(errs...)
+	return done, errors.Join(failed...)
 }
 
 // Stats reports controller activity.

@@ -207,7 +207,7 @@ func (a *exactArray) grown(live int) *exactArray {
 
 // newExactSlot builds the slot for key and e in one allocation when
 // both fit inline.
-func newExactSlot(tag uint64, key []byte, e Entry) *exactSlot {
+func newExactSlot(tag uint64, key []byte, action string, params []uint64) *exactSlot {
 	var s *exactSlot
 	if len(key) <= exactInlineKey {
 		s = new(exactSlot)
@@ -215,12 +215,12 @@ func newExactSlot(tag uint64, key []byte, e Entry) *exactSlot {
 		l := &exactLongSlot{key: append([]byte(nil), key...)}
 		s, l.long = &l.exactSlot, &l.key
 	}
-	s.tag, s.e.Action = tag, e.Action
-	switch n := len(e.Params); {
+	s.tag, s.e.Action = tag, action
+	switch n := len(params); {
 	case n > len(s.param):
-		s.e.Params = append([]uint64(nil), e.Params...)
+		s.e.Params = append([]uint64(nil), params...)
 	case n > 0:
-		s.e.Params = s.param[:copy(s.param[:], e.Params)]
+		s.e.Params = s.param[:copy(s.param[:], params)]
 	}
 	return s
 }
@@ -228,9 +228,21 @@ func newExactSlot(tag uint64, key []byte, e Entry) *exactSlot {
 // Insert adds or replaces the entry for key, copying both. It fails
 // when the table is at capacity and key is new, mirroring hardware
 // table exhaustion.
+func (t *ExactTable) Insert(key []byte, e Entry) error {
+	return t.insert(key, e.Action, e.Params)
+}
+
+// Insert1 is Insert for an entry of one param — a session, a mapping —
+// taken apart from its action: nothing of the entry is the caller's to
+// build, so nothing of it escapes to the heap but the slot.
+func (t *ExactTable) Insert1(key []byte, action string, param uint64) error {
+	return t.insert(key, action, []uint64{param})
+}
+
+// insert is Insert with the entry's fields apart.
 //
 //dv:snapshotwriter
-func (t *ExactTable) Insert(key []byte, e Entry) error {
+func (t *ExactTable) insert(key []byte, action string, params []uint64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	h, tag := hashKey(key)
@@ -254,7 +266,7 @@ func (t *ExactTable) Insert(key []byte, e Entry) error {
 		at = free
 		t.n.Add(1)
 	}
-	a.slots[at].Store(newExactSlot(tag, key, e))
+	a.slots[at].Store(newExactSlot(tag, key, action, params))
 	if a != cur {
 		t.arr.Store(a) // a grown array is published complete, the new entry included
 	}

@@ -57,14 +57,18 @@ func (n *NAT) InstallMapping(src packet.IP4, srcPort uint16, proto uint8, public
 		return err
 	}
 	key := natKey(src, srcPort, proto)
-	if err := n.sessions.Insert(key[:], mau.Entry{
-		Action: "translate",
-		Params: []uint64{uint64(publicPort)},
-	}); err != nil {
+	if err := n.sessions.Insert1(key[:], "translate", uint64(publicPort)); err != nil {
 		n.reverseTbl.Delete(rev[:])
 		return err
 	}
 	return nil
+}
+
+// HasMapping reports whether (src,port,proto) has a translation.
+func (n *NAT) HasMapping(src packet.IP4, srcPort uint16, proto uint8) bool {
+	key := natKey(src, srcPort, proto)
+	_, ok := n.sessions.Lookup(key[:])
+	return ok
 }
 
 // Mappings returns the number of installed translations.

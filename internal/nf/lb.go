@@ -66,10 +66,7 @@ func (lb *LoadBalancer) IsVIP(dst packet.IP4) bool {
 // step (§3.1).
 func (lb *LoadBalancer) InstallSession(hash uint32, backend packet.IP4) error {
 	key := u32Key(hash)
-	return lb.sessions.Insert(key[:], mau.Entry{
-		Action: "modify_dstIp",
-		Params: []uint64{uint64(backend.Uint32())},
-	})
+	return lb.sessions.Insert1(key[:], "modify_dstIp", uint64(backend.Uint32()))
 }
 
 // Sessions returns the number of installed sessions.

@@ -124,13 +124,37 @@ func (p *Parsed) Clone() *Parsed {
 }
 
 // CloneInto overwrites dst with a deep copy of p, for callers that own
-// the memory the copy lives in (the switch's CPU queue copies a burst
-// of punts into one chunk). Nothing of dst's previous content is kept.
-func (p *Parsed) CloneInto(dst *Parsed) {
+// the memory the copy lives in. Nothing of dst's previous content is kept.
+func (p *Parsed) CloneInto(dst *Parsed) { p.CloneIntoArena(dst, nil, 0) }
+
+// CloneIntoArena is CloneInto with the copy's payload and option bytes
+// appended to arena, which it returns: a burst of copies costs one
+// allocation for their bytes instead of one each (the switch's CPU queue
+// copies a burst of punts into one chunk and one arena). When arena has
+// no room for p's bytes a fresh one is made, sized for more further
+// packets like p as well; what was carved from the old one stays valid.
+func (p *Parsed) CloneIntoArena(dst *Parsed, arena []byte, more int) []byte {
 	*dst = *p
-	dst.Payload = append([]byte(nil), p.Payload...)
-	dst.IPv4.Options = append([]byte(nil), p.IPv4.Options...)
-	dst.TCP.Options = append([]byte(nil), p.TCP.Options...)
-	dst.InnerIPv4.Options = append([]byte(nil), p.InnerIPv4.Options...)
-	dst.InnerTCP.Options = append([]byte(nil), p.InnerTCP.Options...)
+	need := len(p.Payload) + len(p.IPv4.Options) + len(p.TCP.Options) + len(p.InnerIPv4.Options) + len(p.InnerTCP.Options)
+	if need > cap(arena)-len(arena) {
+		arena = make([]byte, 0, need*(more+1))
+	}
+	arena, dst.Payload = carve(arena, p.Payload)
+	arena, dst.IPv4.Options = carve(arena, p.IPv4.Options)
+	arena, dst.TCP.Options = carve(arena, p.TCP.Options)
+	arena, dst.InnerIPv4.Options = carve(arena, p.InnerIPv4.Options)
+	arena, dst.InnerTCP.Options = carve(arena, p.InnerTCP.Options)
+	return arena
+}
+
+// carve appends a copy of b to arena and returns both; the copy's
+// capacity ends where it does, so appending to it never reaches a
+// neighbour's bytes.
+func carve(arena, b []byte) (grown, cp []byte) {
+	if len(b) == 0 {
+		return arena, nil
+	}
+	n := len(arena)
+	arena = append(arena, b...)
+	return arena, arena[n:len(arena):len(arena)]
 }
