@@ -212,7 +212,7 @@ func TestHotpathAnnotationCoversInjectQuiet(t *testing.T) {
 			"dejavu/internal/asic.(Switch).emit",
 			"dejavu/internal/asic.(Switch).toCPU",
 			"dejavu/internal/asic.(Switch).queuePunts",
-			"dejavu/internal/asic.(Switch).stats",
+			"dejavu/internal/asic.(Switch).Stats",
 			"dejavu/internal/asic.(portDelta).flush",
 		} {
 			if !covered[fn] {

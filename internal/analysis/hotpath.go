@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -11,7 +12,8 @@ import (
 // function it statically calls — must not allocate (escaping composite
 // literals, make, new, append growth, fmt/strings/strconv helpers,
 // string concatenation), acquire sync.Mutex/RWMutex, write maps, read
-// the wall clock, start goroutines, or use channels.
+// the wall clock, start goroutines, use channels, or call a method that
+// copies a receiver larger than 64 bytes on amd64.
 //
 // Effects are summarized per function into facts and propagated
 // bottom-up along static call edges within the module, so a violation
@@ -212,6 +214,9 @@ func collectHotpath(pass *Pass, body *ast.BlockStmt, fn *hpFunc) {
 				})
 			}
 			callee := calleeFunc(info, n.Fun)
+			if msg := receiverCopyEffect(callee); msg != "" {
+				addEffect(n.Pos(), msg)
+			}
 			if callee == nil {
 				if b := builtinName(info, n.Fun); b != "" {
 					if msg := builtinEffect(info, n, b); msg != "" {
@@ -356,6 +361,33 @@ func interfaceImpls(pass *Pass, fun ast.Expr) []*types.Func {
 		}
 	}
 	return out
+}
+
+// maxValueReceiver is the largest receiver, in bytes on amd64, a hot
+// call may copy: past it a value-receiver call is a runtime.duffcopy
+// per call (asic.Profile's 104 bytes, four times per pass).
+const maxValueReceiver = 64
+
+var amd64Sizes = types.SizesFor("gc", "amd64")
+
+// receiverCopyEffect flags a call to a method that takes a receiver
+// larger than maxValueReceiver by value; nil fn (a dynamic call) passes.
+func receiverCopyEffect(fn *types.Func) string {
+	if fn == nil {
+		return ""
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return ""
+	}
+	recv := sig.Recv().Type()
+	if _, ptr := recv.(*types.Pointer); ptr || types.IsInterface(recv) {
+		return ""
+	}
+	if size := amd64Sizes.Sizeof(recv); size > maxValueReceiver {
+		return fmt.Sprintf("copies a %d-byte receiver (value method %s.%s)", size, types.TypeString(recv, types.RelativeTo(fn.Pkg())), fn.Name())
+	}
+	return ""
 }
 
 // isInterfaceRecv reports whether fn is declared on an interface.

@@ -60,3 +60,18 @@ func (s *leakyStage) Apply(n int) int {
 func Dispatch(s Stage, n int) int {
 	return s.Apply(n)
 }
+
+// wide is past the 64-byte receiver budget: its value method copies it.
+type wide struct{ words [9]uint64 }
+
+func (w wide) first() uint64 { return w.words[0] }
+
+func (w *wide) last() uint64 { return w.words[8] }
+
+// Ends is hot; only the value-receiver call is reported.
+//
+//dv:hotpath
+func Ends(w *wide) uint64 {
+	a := w.first() // want `hot path: copies a 72-byte receiver \(value method wide\.first\)`
+	return a + w.last()
+}

@@ -268,7 +268,7 @@ func TestTracedInjectOneAllocation(t *testing.T) {
 		t.Errorf("traced burst of %d = %.1f allocations, want 1", len(pkts), got)
 	}
 	// A longer burst is a block per cpuChunkMax traces: neighbours are one
-	// tracedTrace apart except across the block boundary.
+	// TraceBuf apart except across the block boundary.
 	pkts = batchPackets(len(traces))
 	s.InjectBurst(0, pkts, traces, errs)
 	for i, tr := range traces {
@@ -279,10 +279,45 @@ func TestTracedInjectOneAllocation(t *testing.T) {
 			continue
 		}
 		gap := uintptr(unsafe.Pointer(tr)) - uintptr(unsafe.Pointer(traces[i-1]))
-		if sameBlock := i != cpuChunkMax; sameBlock != (gap == unsafe.Sizeof(tracedTrace{})) {
+		if sameBlock := i != cpuChunkMax; sameBlock != (gap == unsafe.Sizeof(TraceBuf{})) {
 			t.Errorf("traces %d and %d are %d bytes apart; a block boundary is wanted after %d traces and nowhere else", i-1, i, gap, cpuChunkMax)
 		}
 	}
+}
+
+// TestInjectIntoReusedBuffer: InjectInto overwrites the buffer it is
+// given, so a short journey recorded where a long one was — resubmits,
+// a mirror copy, a punt — equals what Inject records into a fresh one.
+func TestInjectIntoReusedBuffer(t *testing.T) {
+	s := New(Wedge100B())
+	s.InstallIngress(0, func(c *Ctx) {
+		switch {
+		case c.Pkt.IPv4.TTL == 1:
+			c.Meta.ToCPU = true
+		case c.Pkt.IPv4.TTL == 2 && c.Meta.Passes < 3:
+			c.Meta.Resubmit = true
+		case c.Pkt.IPv4.TTL == 2:
+			c.Meta.Mirror, c.Meta.MirrorPort = true, 2
+			c.Meta.OutPort = 1
+		default:
+			c.Meta.OutPort = 1
+		}
+	})
+	var buf TraceBuf
+	for _, ttl := range []uint8{2, 1, 2, 64} {
+		pkt := testPacket()
+		pkt.IPv4.TTL = ttl
+		got, err := s.InjectInto(0, pkt, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := s.Inject(0, pkt.Clone())
+		if got.Path() != want.Path() || got.Resubmissions != want.Resubmissions || len(got.Out) != len(want.Out) ||
+			len(got.CPU) != len(want.CPU) || got.Dropped != want.Dropped || got.Latency != want.Latency {
+			t.Errorf("TTL %d into a reused buffer = %+v, fresh = %+v", ttl, got, want)
+		}
+	}
+	s.DrainCPU()
 }
 
 // TestTraceOutgrowsInlineRoom: a journey longer than the inline room —

@@ -160,7 +160,7 @@ func (p Profile) CapacityGbps() float64 {
 }
 
 // PipelineOf returns the pipeline a port is hardwired to.
-func (p Profile) PipelineOf(port PortID) int {
+func (p *Profile) PipelineOf(port PortID) int {
 	if IsRecircPort(port) {
 		return int(port - recircPortBase)
 	}
@@ -169,14 +169,14 @@ func (p Profile) PipelineOf(port PortID) int {
 
 // ValidPort reports whether port exists on this profile (front-panel,
 // CPU, or per-pipeline recirculation port).
-func (p Profile) ValidPort(port PortID) bool {
+func (p *Profile) ValidPort(port PortID) bool {
 	if port == PortCPU {
 		return true
 	}
 	if IsRecircPort(port) {
 		return int(port-recircPortBase) < p.Pipelines
 	}
-	return int(port) < p.TotalPorts()
+	return int(port) < p.Pipelines*p.PortsPerPipeline
 }
 
 // PortToPortLatency returns the base latency of one full traversal

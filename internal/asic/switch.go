@@ -265,7 +265,7 @@ type snapshot struct {
 
 // clone returns a deep copy writers mutate before republishing.
 func (sn *snapshot) clone() *snapshot {
-	n := &snapshot{
+	return &snapshot{
 		loopback: append([]LoopbackMode(nil), sn.loopback...),
 		portDown: append([]bool(nil), sn.portDown...),
 		faults:   sn.faults,
@@ -275,7 +275,6 @@ func (sn *snapshot) clone() *snapshot {
 		app:      sn.app,
 		tally:    sn.tally,
 	}
-	return n
 }
 
 // loopbackOf returns the loopback mode of a front-panel port (special
@@ -391,13 +390,13 @@ type pooledMem struct {
 	_ [384 - unsafe.Sizeof(burstMem{})]byte
 }
 
-// tracedTrace is one element of the block behind a traced burst: the
-// trace with room for an ordinary journey — the §5 chain with one
-// recirculation is four pipelet steps and one emission — so recording it
-// allocates nothing more; a longer journey outgrows the room by append.
-// A kept trace pins its block, at most cpuChunkMax of these, so the room
-// is no larger: 4 + 1 makes 288 bytes, the size class Inject's block fills.
-type tracedTrace struct {
+// TraceBuf is the storage of one traced injection (InjectInto) and one
+// element of the block behind a traced burst: the trace with room for an
+// ordinary journey — the §5 chain with one recirculation is four pipelet
+// steps and one emission — so recording it allocates nothing more; a
+// longer journey outgrows the room by append. A kept trace pins the
+// storage it lives in, so the room is no larger: 288 bytes, a size class.
+type TraceBuf struct {
 	Trace
 	steps [4]Step
 	out   [1]Emitted
@@ -626,10 +625,10 @@ func (s *Switch) Commit(b *Batch) error {
 // App returns the currently published application state, or nil.
 func (s *Switch) App() any { return s.snap.Load().app }
 
-// stats returns the stats of a port: an index into the preallocated
-// per-port counters for every port the profile knows, an RLock-guarded
-// overflow map for anything else.
-func (s *Switch) stats(port PortID) *PortStats {
+// Stats returns the cumulative counters of a port: an index into the
+// preallocated per-port counters for every port the profile knows, an
+// RLock-guarded overflow map for anything else.
+func (s *Switch) Stats(port PortID) *PortStats {
 	if int(port) < len(s.frontStats) {
 		return s.frontStats[port]
 	}
@@ -658,9 +657,6 @@ func (s *Switch) stats(port PortID) *PortStats {
 	}
 	return st
 }
-
-// Stats returns the cumulative counters of a port.
-func (s *Switch) Stats(port PortID) *PortStats { return s.stats(port) }
 
 // portDeltaSlots is the size of a burst's port-counter table: every
 // front-panel port of the profiles in use has a slot of its own.
@@ -709,7 +705,7 @@ func (d *portDelta) flush(s *Switch) {
 }
 
 func (t *portTally) flush(s *Switch) {
-	st := s.stats(t.port) //dv:allow hotpath: profile ports hit preallocated arrays; the locked overflow map serves only out-of-profile ports
+	st := s.Stats(t.port) //dv:allow hotpath: profile ports hit preallocated arrays; the locked overflow map serves only out-of-profile ports
 	if t.rxPackets != 0 {
 		st.RxPackets.Add(t.rxPackets)
 		st.RxBytes.Add(t.rxBytes)
@@ -729,7 +725,7 @@ func (s *Switch) countTx(pd *portDelta, port PortID, bytes uint64) {
 		t.txBytes += bytes
 		return
 	}
-	st := s.stats(port) //dv:allow hotpath: profile ports hit preallocated arrays; the locked overflow map serves only out-of-profile ports
+	st := s.Stats(port) //dv:allow hotpath: profile ports hit preallocated arrays; the locked overflow map serves only out-of-profile ports
 	st.TxPackets.Add(1)
 	st.TxBytes.Add(bytes)
 }
@@ -745,7 +741,7 @@ func (s *Switch) countLoopback(pd *portDelta, port PortID, bytes uint64) {
 		t.rxBytes += bytes
 		return
 	}
-	st := s.stats(port) //dv:allow hotpath: profile ports hit preallocated arrays; the locked overflow map serves only out-of-profile ports
+	st := s.Stats(port) //dv:allow hotpath: profile ports hit preallocated arrays; the locked overflow map serves only out-of-profile ports
 	st.TxPackets.Add(1)
 	st.TxBytes.Add(bytes)
 	st.RxPackets.Add(1)
@@ -790,16 +786,20 @@ func (s *Switch) admit(sn *snapshot, in PortID) error {
 	return nil
 }
 
-// Inject offers a packet to a front-panel port and runs it through the
-// switch to completion, returning the trace: a traced burst of one. It
-// fails when the port is in loopback mode (such ports take no external
-// traffic) or does not exist.
+// Inject runs a packet offered to a front-panel port through the switch
+// and returns its trace: InjectInto a fresh buffer. It fails on a port
+// that does not exist or is in loopback mode (taking no external traffic).
 func (s *Switch) Inject(in PortID, pkt *packet.Parsed) (*Trace, error) {
-	block := new([1]tracedTrace)
-	one := [1]*packet.Parsed{pkt}
+	return s.InjectInto(in, pkt, new(TraceBuf))
+}
+
+// InjectInto is Inject recording into the caller's buffer, a traced burst
+// of one: buf is overwritten, and the trace returned lives in it.
+func (s *Switch) InjectInto(in PortID, pkt *packet.Parsed, buf *TraceBuf) (*Trace, error) {
 	var err [1]error
-	s.inject(in, one[:], nil, block[:], err[:])
-	return block[0].journey(), err[0]
+	buf.Trace = Trace{}
+	s.inject(in, []*packet.Parsed{pkt}, nil, unsafe.Slice(buf, 1), err[:])
+	return buf.journey(), err[0]
 }
 
 // InjectBurst is Inject for a burst of packets entering through one port:
@@ -811,7 +811,7 @@ func (s *Switch) InjectBurst(in PortID, pkts []*packet.Parsed, traces []*Trace, 
 	clear(errs)
 	for len(pkts) > 0 {
 		n := min(len(pkts), cpuChunkMax)
-		block := make([]tracedTrace, n)
+		block := make([]TraceBuf, n)
 		s.inject(in, pkts[:n], nil, block, errs[:n])
 		for i := range block {
 			traces[i] = block[i].journey()
@@ -821,7 +821,7 @@ func (s *Switch) InjectBurst(in PortID, pkts []*packet.Parsed, traces []*Trace, 
 }
 
 // journey is what Inject returns of a filled trace: nil for a refusal.
-func (t *tracedTrace) journey() *Trace {
+func (t *TraceBuf) journey() *Trace {
 	if t.DropCode == telemetry.DropRefused {
 		return nil
 	}
@@ -923,10 +923,10 @@ func (br *BatchResult) fail(errs []error, i int, err error) {
 // after another against one snapshot, one epilogue that pays the burst's
 // port counters, application tally, punts and telemetry. Only where a
 // packet's trace goes varies: packet i of a traced burst records into
-// block[i], fresh, its error into errs[i]; else all overwrite quiet.
+// block[i], zeroed, its error into errs[i]; else all overwrite quiet.
 //
 //dv:hotpath
-func (s *Switch) inject(in PortID, pkts []*packet.Parsed, quiet *Trace, block []tracedTrace, errs []error) BatchResult {
+func (s *Switch) inject(in PortID, pkts []*packet.Parsed, quiet *Trace, block []TraceBuf, errs []error) BatchResult {
 	br := BatchResult{Injected: len(pkts)}
 	if len(pkts) == 0 {
 		return br
@@ -1038,7 +1038,7 @@ func (s *Switch) inject(in PortID, pkts []*packet.Parsed, quiet *Trace, block []
 	}
 
 	if rxPkts > 0 {
-		st := s.stats(in) //dv:allow hotpath: profile ports hit preallocated arrays; the locked overflow map serves only out-of-profile ports
+		st := s.Stats(in) //dv:allow hotpath: profile ports hit preallocated arrays; the locked overflow map serves only out-of-profile ports
 		st.RxPackets.Add(rxPkts)
 		st.RxBytes.Add(rxBytes)
 	}

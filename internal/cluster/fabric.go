@@ -23,7 +23,6 @@ import (
 
 	"dejavu/internal/asic"
 	"dejavu/internal/fabricplace"
-	"dejavu/internal/fifo"
 	"dejavu/internal/packet"
 )
 
@@ -298,7 +297,12 @@ func (f *Fabric) Wired(sw int, port asic.PortID) bool {
 	return ok
 }
 
-// FabricTrace records a packet's journey across the fabric.
+// FabricTrace records a packet's journey across the fabric. It owns the
+// journey's storage: PerSwitch, Out and OutSwitch start on inline arrays
+// with room for the §5 case (four switch traversals, one exit), and the
+// first two traversals record their switch traces into it, so a common
+// probe is one allocation. A longer journey grows on the heap. A kept
+// PerSwitch trace pins the whole FabricTrace.
 type FabricTrace struct {
 	// PerSwitch holds the trace of every switch traversal in order.
 	PerSwitch []*asic.Trace
@@ -311,14 +315,22 @@ type FabricTrace struct {
 	Out []asic.Emitted
 	// OutSwitch records which switch each Out entry left from.
 	OutSwitch []int
-	// CPU collects control-plane punts (switch index parallel to CPU
-	// packets in the per-switch traces).
+	// CPUSwitch gives the switch index of each control-plane punt, in
+	// the order the punts appear in the PerSwitch traces' CPU lists.
 	CPUSwitch []int
-	Dropped   bool
+	// Dropped is set when any copy of the packet was dropped, inside a
+	// switch or by the fabric; copies emitted before the drop (a mirror)
+	// are still followed.
+	Dropped bool
 	// DropReasons lists fabric-attributable drops (dead or flapping
 	// switch, cut or flapping wire, wire corruption). Switch-internal
 	// drops carry their reason inside the PerSwitch traces instead.
 	DropReasons []string
+
+	perSwitch [4]*asic.Trace
+	out       [1]asic.Emitted
+	outSwitch [1]int
+	bufs      [2]asic.TraceBuf
 }
 
 // maxFabricHops bounds wire crossings per packet.
@@ -372,40 +384,51 @@ func (f *Fabric) crossWire(from wireEnd, pkt *packet.Parsed) (dst wireEnd, fwd *
 	return dst, fwd, true, ""
 }
 
+// pending is a packet copy waiting to be offered to a switch port.
+type pending struct {
+	sw   int
+	port asic.PortID
+	pkt  *packet.Parsed
+}
+
 // Inject offers a packet to a switch port and follows it across the
-// fabric until every copy has left, been punted, or been dropped.
+// fabric until every copy has left, been punted, or been dropped. The
+// copies waiting for their switch queue in FIFO order in an array on this
+// stack, spilling to the heap past its room; the first switch traversals
+// record into the trace's own buffers.
 func (f *Fabric) Inject(sw int, port asic.PortID, pkt *packet.Parsed) (*FabricTrace, error) {
 	if sw < 0 || sw >= len(f.Switches) {
 		return nil, fmt.Errorf("cluster: no such switch %d", sw)
 	}
 	ft := &FabricTrace{}
-	type pending struct {
-		sw   int
-		port asic.PortID
-		pkt  *packet.Parsed
-	}
-	var queue fifo.Queue[pending]
-	queue.Push(pending{sw: sw, port: port, pkt: pkt})
-	for !queue.Empty() {
+	ft.PerSwitch, ft.Out, ft.OutSwitch = ft.perSwitch[:0], ft.out[:0], ft.outSwitch[:0]
+	var room [4]pending
+	queue := append(room[:0], pending{sw: sw, port: port, pkt: pkt})
+	for next := 0; next < len(queue); next++ {
 		if ft.Hops > maxFabricHops {
 			return ft, fmt.Errorf("cluster: packet exceeded %d fabric hops (wiring loop?)", maxFabricHops)
 		}
-		cur := queue.Pop()
+		cur := queue[next]
 		if reason, drop := f.offerDrop(cur.sw); drop {
 			ft.Dropped = true
 			ft.DropReasons = append(ft.DropReasons, reason)
 			continue
 		}
-		tr, err := f.Switches[cur.sw].Inject(cur.port, cur.pkt)
+		var tr *asic.Trace
+		var err error
+		if n := len(ft.PerSwitch); n < len(ft.bufs) {
+			tr, err = f.Switches[cur.sw].InjectInto(cur.port, cur.pkt, &ft.bufs[n])
+		} else {
+			tr, err = f.Switches[cur.sw].Inject(cur.port, cur.pkt)
+		}
 		if err != nil {
 			return ft, err
 		}
 		ft.PerSwitch = append(ft.PerSwitch, tr)
 		ft.Latency += tr.Latency
-		if tr.Dropped {
-			ft.Dropped = true
-			continue
-		}
+		// A copy the switch emitted before dropping the original (a TM
+		// mirror) still crosses its wire.
+		ft.Dropped = ft.Dropped || tr.Dropped
 		for range tr.CPU {
 			ft.CPUSwitch = append(ft.CPUSwitch, cur.sw)
 		}
@@ -423,7 +446,7 @@ func (f *Fabric) Inject(sw int, port asic.PortID, pkt *packet.Parsed) (*FabricTr
 			}
 			ft.Hops++
 			ft.Latency += f.Prof.RecircOffChip // DAC hop, Fig. 8(b)
-			queue.Push(pending{sw: dst.sw, port: dst.port, pkt: fwd})
+			queue = append(queue, pending{sw: dst.sw, port: dst.port, pkt: fwd})
 		}
 	}
 	return ft, nil

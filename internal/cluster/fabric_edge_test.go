@@ -167,6 +167,7 @@ func FuzzFabricInject(f *testing.F) {
 		if ft.Latency < time.Duration(ft.Hops)*s.Prof.RecircOffChip {
 			t.Fatalf("latency %v does not cover %d wire hop(s)", ft.Latency, ft.Hops)
 		}
+		// No §5 NF mirrors, so no copy of a dropped packet is delivered.
 		if ft.Dropped && len(ft.Out) > 0 {
 			t.Fatalf("packet both dropped and delivered: %+v", ft)
 		}

@@ -172,8 +172,9 @@ func Run(sw *asic.Switch, cfg Config) (Result, error) {
 
 	// Fail fast on a dead or misconfigured injection port rather than
 	// counting cfg.Packets errors.
+	prof := sw.Profile()
 	for _, p := range cfg.Ports {
-		if !sw.Profile().ValidPort(p) || asic.IsRecircPort(p) || p == asic.PortCPU {
+		if !prof.ValidPort(p) || asic.IsRecircPort(p) || p == asic.PortCPU {
 			return Result{}, fmt.Errorf("traffic: cannot inject on port %d", p)
 		}
 		if sw.LoopbackModeOf(p) != asic.LoopbackOff {
