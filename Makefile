@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint vet check bench bench-smoke bench-pktpath bench-build fabric-chaos fabricplace fmt doccheck loc
+.PHONY: build test race lint vet check bench bench-smoke bench-build fabric-chaos fabricplace fmt doccheck loc
 
 build:
 	$(GO) build ./...
@@ -56,15 +56,6 @@ bench-smoke:
 		echo "== $$w"; \
 		$(GO) run ./bench --workload $$w --seconds 3 --trace 1 || exit 1; \
 	done
-
-# Packet hot-path benchmark: sweeps the parallel traffic engine
-# (workers x batch, GOMAXPROCS forced > 1 so the multi-worker rows are
-# honest) and snapshots the report -- worker-scaling table, batch-vs-
-# single comparison, committed pre-refactor baseline -- into
-# BENCH_pktpath.json.
-bench-pktpath: build
-	$(GO) run ./cmd/dejavu bench -workers 1,2,4,8 -batch 64 -gomaxprocs 8 -reps 5 -packets 200000 -json > BENCH_pktpath.json
-	@$(GO) run ./cmd/dejavu bench -workers 1 -packets 100000
 
 # Build-pipeline benchmark: full (cold-cache) rebuild versus the
 # incremental staged rebuild under chain churn; snapshots the report

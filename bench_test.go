@@ -275,10 +275,9 @@ func deployScenario(b *testing.B) *core.Deployment {
 }
 
 // Lock-free packet hot path: single-thread InjectQuiet through the
-// synthetic forwarder pipeline (the `dejavu bench` workload). The
+// synthetic forwarder pipeline (bench/'s bare-forward workload). The
 // committed budget is 0 allocs/op in steady state; CI runs this
-// with -benchmem as a smoke check and BENCH_pktpath.json records the
-// before/after numbers.
+// with -benchmem as a smoke check.
 func BenchmarkInjectHotPath(b *testing.B) {
 	sw := traffic.NewBenchSwitch(asic.Wedge100B(), traffic.ForwarderOpts{})
 	gen := pktgen.New(pktgen.Config{Seed: 1})
@@ -331,28 +330,6 @@ func BenchmarkInjectQuietBatch(b *testing.B) {
 			b.Fatal(br.Err)
 		}
 		done += k
-	}
-}
-
-// Parallel traffic engine over the same pipeline, injecting in
-// 64-packet bursts with the flow budget split across workers (so every
-// worker count offers the same aggregate workload). On a multi-core
-// host the workers-8 run should scale; on a single-core container the
-// Mpps metric records the (honest) lack of speedup.
-func BenchmarkParallelInject(b *testing.B) {
-	prof := asic.Wedge100B()
-	for _, w := range []int{1, 8} {
-		b.Run("workers-"+strconv.Itoa(w), func(b *testing.B) {
-			sw := traffic.NewBenchSwitch(prof, traffic.ForwarderOpts{})
-			flows := 64 / w
-			b.ReportAllocs()
-			b.ResetTimer()
-			res, err := traffic.Run(sw, traffic.Config{Workers: w, Packets: b.N, Flows: flows, Seed: 1, Batch: 64})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(res.Mpps, "Mpps")
-		})
 	}
 }
 

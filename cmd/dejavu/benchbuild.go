@@ -47,13 +47,20 @@ type buildBenchReport struct {
 	ProgramSwapsTotal uint64 `json:"program_swaps_total"`
 }
 
-// runBenchBuild measures the staged build pipeline: it deploys the
+// benchHost records what the report's timings ran on.
+type benchHost struct {
+	Go         string `json:"go"`
+	CPUs       int    `json:"cpus"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+}
+
+// runBuildBench measures the staged build pipeline: it deploys the
 // configured (or reference) scenario, then repeatedly hot-adds and
 // removes an extra chain over the deployed NFs, comparing the
 // incremental rebuild latency against a cold-cache build of the same
 // expanded config. With -check it also compares the run against a
 // committed report and fails on a regression.
-func runBenchBuild(args []string) error {
+func runBuildBench(args []string) error {
 	fs := flag.NewFlagSet("benchbuild", flag.ExitOnError)
 	rounds := fs.Int("rounds", 50, "add/remove churn rounds")
 	jsonOut := fs.Bool("json", false, "emit the report as JSON")

@@ -16,14 +16,13 @@
 //	dejavu -config x.json lint -json
 //	dejavu chaos -seed 7         # seeded fault soak with self-healing
 //	dejavu fabricchaos -seed 7   # multi-switch fabric fault soak
-//	dejavu bench -workers 1,8    # parallel traffic engine (Mpps, drops)
 //	dejavu benchbuild -rounds 50 # full vs incremental rebuild latency
 //	dejavu serve -metrics :9090  # Prometheus /metrics + pprof over HTTP
 //	dejavu top                   # one-shot telemetry snapshot
 //	dejavu top -addr :9090       # scrape a running serve instance
 //
 // See docs/OBSERVABILITY.md for the metric catalogue and docs/CLI.md
-// for the JSON schemas bench, chaos and lint emit.
+// for the JSON schemas the subcommands emit.
 package main
 
 import (
@@ -47,83 +46,58 @@ import (
 // set via the global -config flag before the subcommand.
 var configPath string
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `usage: dejavu <command> [flags]
+// command is one dejavu subcommand.
+type command struct {
+	name, summary string
+	run           func(args []string) error
+}
 
-commands:
-  plan       optimize and show NF placement and per-chain traversals
-  apply      converge the deployment toward a declarative intent document
-  diff       print the semantic delta between two intent documents
-  resources  show the framework resource overhead report
-  run        deploy and forward sample traffic on all three SFC paths
-  capacity   show the capacity split for a loopback configuration
-  emit       print the composed multi-pipeline P4 program
-  lint       statically verify the deployment; exit nonzero on errors
-  chaos      replay a seeded fault schedule and check healing invariants
-  fabricchaos  replay fabric faults (switch/link) against a multi-switch path
-  bench      drive the parallel traffic engine and report Mpps
-  benchbuild measure full vs incremental rebuild latency under churn
-  serve      serve Prometheus /metrics and pprof for the deployment
-  top        print a one-shot telemetry snapshot (local or -addr scrape)
-`)
+// commands is the one subcommand table: usage lists it and main
+// dispatches through it.
+var commands = []command{
+	{"plan", "optimize and show NF placement and per-chain traversals", runPlan},
+	{"apply", "converge the deployment toward a declarative intent document", runApply},
+	{"diff", "print the semantic delta between two intent documents", runDiff},
+	{"resources", "show the framework resource overhead report", runResources},
+	{"run", "deploy and forward sample traffic on all three SFC paths", runTraffic},
+	{"capacity", "show the capacity split for a loopback configuration", runCapacity},
+	{"emit", "print the composed multi-pipeline P4 program", runEmit},
+	{"lint", "statically verify the deployment; exit nonzero on errors", runLint},
+	{"chaos", "replay a seeded fault schedule and check healing invariants", runChaos},
+	{"fabricchaos", "replay fabric faults (switch/link) against a multi-switch path", runFabricChaos},
+	{"benchbuild", "measure full vs incremental rebuild latency under churn", runBuildBench},
+	{"serve", "serve Prometheus /metrics and pprof for the deployment", runServe},
+	{"top", "print a one-shot telemetry snapshot (local or -addr scrape)", runTop},
+}
+
+func usage() {
+	fmt.Fprint(os.Stderr, "usage: dejavu <command> [flags]\n\ncommands:\n")
+	for _, c := range commands {
+		fmt.Fprintf(os.Stderr, "  %-11s %s\n", c.name, c.summary)
+	}
 	os.Exit(2)
 }
 
 func main() {
 	args := os.Args[1:]
 	// Global flags before the subcommand.
-	for len(args) > 0 {
-		switch {
-		case args[0] == "-config" && len(args) > 1:
-			configPath = args[1]
-			args = args[2:]
-		default:
-			goto dispatch
-		}
+	for len(args) > 1 && args[0] == "-config" {
+		configPath = args[1]
+		args = args[2:]
 	}
-dispatch:
 	if len(args) < 1 {
 		usage()
 	}
-	cmd := args[0]
-	args = args[1:]
-	var err error
-	switch cmd {
-	case "plan":
-		err = runPlan(args)
-	case "apply":
-		err = runApply(args)
-	case "diff":
-		err = runDiff(args)
-	case "resources":
-		err = runResources(args)
-	case "run":
-		err = runTraffic(args)
-	case "capacity":
-		err = runCapacity(args)
-	case "emit":
-		err = runEmit(args)
-	case "lint":
-		err = runLint(args)
-	case "chaos":
-		err = runChaos(args)
-	case "fabricchaos":
-		err = runFabricChaos(args)
-	case "bench":
-		err = runBench(args)
-	case "benchbuild":
-		err = runBenchBuild(args)
-	case "serve":
-		err = runServe(args)
-	case "top":
-		err = runTop(args)
-	default:
-		usage()
+	for _, c := range commands {
+		if c.name == args[0] {
+			if err := c.run(args[1:]); err != nil {
+				fmt.Fprintln(os.Stderr, "dejavu:", err)
+				os.Exit(1)
+			}
+			return
+		}
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dejavu:", err)
-		os.Exit(1)
-	}
+	usage()
 }
 
 // deploy builds the reference scenario with the requested optimizer

@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -30,6 +33,38 @@ func TestResourcesDeterministic(t *testing.T) {
 			}
 		} else if out.String() != first {
 			t.Fatalf("run %d differs from run 0:\n%s\nvs\n%s", run, out.String(), first)
+		}
+	}
+}
+
+// TestDocsNameOnlyCommands: every `dejavu <word>` the user-facing docs
+// quote (README.md, DESIGN.md, docs/*.md; a global -config flag
+// skipped, `a|b|c` alternatives each checked) names an entry of the
+// command table, so a removed subcommand cannot stay advertised.
+func TestDocsNameOnlyCommands(t *testing.T) {
+	known := make(map[string]bool, len(commands))
+	for _, c := range commands {
+		known[c.name] = true
+	}
+	docs, err := filepath.Glob("../../docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs = append(docs, "../../README.md", "../../DESIGN.md")
+	mention := regexp.MustCompile(`\bdejavu (?:-config \S+ )?([a-z][a-z0-9|]*)`)
+	for _, doc := range docs {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(raw), "\n") {
+			for _, m := range mention.FindAllStringSubmatch(line, -1) {
+				for _, word := range strings.Split(m[1], "|") {
+					if word != "" && !known[word] {
+						t.Errorf("%s:%d: `dejavu %s` names no subcommand", filepath.Base(doc), i+1, word)
+					}
+				}
+			}
 		}
 	}
 }

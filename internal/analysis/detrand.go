@@ -14,7 +14,7 @@ import (
 // must not CALL time.Now/Since/Sleep/... or the global math/rand
 // source directly — clocks and randomness flow in through the
 // injectable seams those packages already define (fault.Driver.Sleep,
-// pktgen's seeded *rand.Rand, the traffic engine's clock variable).
+// pktgen's seeded *rand.Rand).
 //
 // Two things stay legal: referencing a time function as a VALUE
 // (wiring `var clock = time.Now` as a seam default is the pattern,

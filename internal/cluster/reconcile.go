@@ -224,10 +224,7 @@ func (fd *FabricDeployment) Plan() (*PlanReport, error) {
 	prof := fd.Fabric.Prof
 	var totalW, crossings float64
 	for _, c := range p.active {
-		w := c.Weight
-		if w == 0 {
-			w = 1
-		}
+		w := c.EffectiveWeight()
 		totalW += w
 		crossings += w * float64(p.routes[c.PathID].CrossHops)
 	}

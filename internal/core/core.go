@@ -437,10 +437,7 @@ func (d *Deployment) MaxRecirculations() int {
 func (d *Deployment) WeightedRecirculations() float64 {
 	var sum, w float64
 	for _, c := range d.Chains {
-		cw := c.Chain.Weight
-		if cw == 0 {
-			cw = 1
-		}
+		cw := c.Chain.EffectiveWeight()
 		sum += cw * float64(c.Recirculations)
 		w += cw
 	}
@@ -476,23 +473,15 @@ func (d *Deployment) EffectiveThroughputGbps(offered float64) float64 {
 func (d *Deployment) PerChainThroughputGbps(offered float64) []float64 {
 	var totalW float64
 	for _, c := range d.Chains {
-		w := c.Chain.Weight
-		if w == 0 {
-			w = 1
-		}
-		totalW += w
+		totalW += c.Chain.EffectiveWeight()
 	}
 	if totalW == 0 {
 		return nil
 	}
 	streams := make([]recirc.Stream, 0, len(d.Chains))
 	for _, c := range d.Chains {
-		w := c.Chain.Weight
-		if w == 0 {
-			w = 1
-		}
 		streams = append(streams, recirc.Stream{
-			OfferedGbps:    offered * w / totalW,
+			OfferedGbps:    offered * c.Chain.EffectiveWeight() / totalW,
 			Recirculations: c.Recirculations,
 		})
 	}

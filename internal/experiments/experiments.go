@@ -723,7 +723,7 @@ func Apply() (Table, error) {
 // All runs every experiment in order.
 func All() ([]Table, error) {
 	runs := []func() (Table, error){
-		Fig6, Fig7, Fig8a, Fig8b, Table1, Fig9, Emulation, SoftwareGap, MultiSwitch, LintReport, Chaos, Fabric, FabricPlace, PktPath, Dvtel, Apply,
+		Fig6, Fig7, Fig8a, Fig8b, Table1, Fig9, Emulation, SoftwareGap, MultiSwitch, LintReport, Chaos, Fabric, FabricPlace, Dvtel, Apply,
 	}
 	out := make([]Table, 0, len(runs))
 	for _, r := range runs {
@@ -743,7 +743,7 @@ func ByID(id string) (Table, error) {
 		"table1": Table1, "fig9": Fig9, "emul": Emulation,
 		"softgap": SoftwareGap, "multiswitch": MultiSwitch, "lint": LintReport,
 		"chaos": Chaos, "fabric": Fabric, "fabricplace": FabricPlace,
-		"pktpath": PktPath, "dvtel": Dvtel, "apply": Apply,
+		"dvtel": Dvtel, "apply": Apply,
 	}
 	r, ok := m[id]
 	if !ok {
@@ -754,5 +754,5 @@ func ByID(id string) (Table, error) {
 
 // IDs lists the experiment identifiers.
 func IDs() []string {
-	return []string{"fig6", "fig7", "fig8a", "fig8b", "table1", "fig9", "emul", "softgap", "multiswitch", "lint", "chaos", "fabric", "fabricplace", "pktpath", "dvtel", "apply"}
+	return []string{"fig6", "fig7", "fig8a", "fig8b", "table1", "fig9", "emul", "softgap", "multiswitch", "lint", "chaos", "fabric", "fabricplace", "dvtel", "apply"}
 }

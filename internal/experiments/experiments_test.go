@@ -261,39 +261,3 @@ func TestAllAndByID(t *testing.T) {
 		t.Error("unknown ID accepted")
 	}
 }
-
-func TestPktPathShape(t *testing.T) {
-	tbl, err := PktPath()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.ID != "pktpath" || len(tbl.Rows) != 5 {
-		t.Fatalf("unexpected table shape: %+v", tbl)
-	}
-	// Every measured rate must be positive, and nothing in the
-	// drop-free configurations may drop.
-	for i, r := range tbl.Rows {
-		if ns := cell(t, tbl, i, 2); ns <= 0 {
-			t.Errorf("row %d (%s): ns/pkt = %v", i, r[0], ns)
-		}
-		if mpps := cell(t, tbl, i, 3); mpps <= 0 {
-			t.Errorf("row %d (%s): Mpps = %v", i, r[0], mpps)
-		}
-		if dropped := cell(t, tbl, i, 4); dropped != 0 {
-			t.Errorf("row %d (%s): dropped = %v", i, r[0], dropped)
-		}
-	}
-	// The lock-free quiet path must not be slower than the traced
-	// path (it does strictly less work per packet). Skipped under the
-	// race detector: its instrumentation penalizes the quiet path's
-	// worker goroutines far more than the traced tight loop, and on a
-	// single-core host the two modes' timings overlap.
-	if raceEnabled {
-		return
-	}
-	traced := cell(t, tbl, 0, 3)
-	quiet := cell(t, tbl, 1, 3)
-	if quiet < traced {
-		t.Errorf("InjectQuiet (%v Mpps) slower than traced Inject (%v Mpps)", quiet, traced)
-	}
-}

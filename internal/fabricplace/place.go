@@ -192,21 +192,13 @@ func newResult(strategy string) *Result {
 	}
 }
 
-// chainWeight returns the routing weight (route's 0-means-1 rule).
-func chainWeight(c route.Chain) float64 {
-	if c.Weight == 0 {
-		return 1
-	}
-	return c.Weight
-}
-
 // placeOrder returns the chains heaviest-first, ties toward the smaller
 // path ID, so contended capacity goes to the traffic that values it
 // most and the order never depends on input ordering.
 func placeOrder(chains []route.Chain) []route.Chain {
 	out := append([]route.Chain(nil), chains...)
 	sort.SliceStable(out, func(i, j int) bool {
-		wi, wj := chainWeight(out[i]), chainWeight(out[j])
+		wi, wj := out[i].EffectiveWeight(), out[j].EffectiveWeight()
 		if wi != wj {
 			return wi > wj
 		}
@@ -233,7 +225,7 @@ func searchPlace(g *Graph, chains []route.Chain, opts Options) *Result {
 		}
 		if pl == nil {
 			res.Unplaced[c.PathID] = reason
-			res.Total.Weighted += opts.Model.UnplacedPenalty * chainWeight(c)
+			res.Total.Weighted += opts.Model.UnplacedPenalty * c.EffectiveWeight()
 			continue
 		}
 		for i, n := range c.NFs {
@@ -252,7 +244,7 @@ func searchPlace(g *Graph, chains []route.Chain, opts Options) *Result {
 // the committed state from already-placed chains (shared NFs keep their
 // homes; their budget is already charged).
 func placeChain(g *Graph, c route.Chain, homes map[string]int, used map[int]int, opts Options, states *int) (pl *ChainPlacement, reason string, truncated bool) {
-	w := chainWeight(c)
+	w := c.EffectiveWeight()
 	m := opts.Model
 
 	// Candidate homes per NF position, ascending: the committed home,
@@ -405,7 +397,7 @@ func peakLoad(g *Graph, used, add map[int]int) float64 {
 // the same tables the reconciler programs, so estimated and installed
 // routes cannot diverge.
 func realize(g *Graph, c route.Chain, homesSeq []int, opts Options) *ChainPlacement {
-	w := chainWeight(c)
+	w := c.EffectiveWeight()
 	m := opts.Model
 	pl := &ChainPlacement{
 		PathID: c.PathID,
@@ -462,7 +454,7 @@ func lexBaseline(g *Graph, chains []route.Chain, opts Options) *Result {
 	res := newResult("lex")
 	shed := func(c route.Chain, reason string) {
 		res.Unplaced[c.PathID] = reason
-		res.Total.Weighted += opts.Model.UnplacedPenalty * chainWeight(c)
+		res.Total.Weighted += opts.Model.UnplacedPenalty * c.EffectiveWeight()
 	}
 	if opts.Entry < 0 || opts.Entry >= g.NumNodes() || !g.Nodes[opts.Entry].Alive {
 		for _, c := range chains {

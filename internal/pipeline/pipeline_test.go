@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"dejavu/internal/asic"
 	"dejavu/internal/lint"
 	"dejavu/internal/nf"
 	"dejavu/internal/packet"
@@ -282,6 +283,40 @@ func TestCacheCloneIsolation(t *testing.T) {
 	for _, st := range res.Info.Stages {
 		if !st.CacheHit {
 			t.Errorf("stage %s invalidated by dry-run on clone", st.Name)
+		}
+	}
+}
+
+// namedFirewall lets one passthrough firewall play many chain roles.
+type namedFirewall struct {
+	*nf.Firewall
+	name string
+}
+
+func (f namedFirewall) Name() string { return f.name }
+
+// TestDefaultOptimizerFallsBackToAnneal: a chain with more unpinned NFs
+// than exhaustive search takes is placed by annealing, not refused.
+func TestDefaultOptimizerFallsBackToAnneal(t *testing.T) {
+	var nfs nf.List
+	var names []string
+	for i := 0; i < 13; i++ {
+		n := fmt.Sprintf("fw%d", i)
+		nfs = append(nfs, namedFirewall{Firewall: nf.NewFirewall(true), name: n})
+		names = append(names, n)
+	}
+	in := Inputs{
+		Prof:   asic.Tofino4(),
+		Chains: []route.Chain{{PathID: 1, NFs: names, Weight: 1}},
+		NFs:    nfs,
+	}
+	pl, _, err := ResolvePlacement(in)
+	if err != nil {
+		t.Fatalf("13-NF chain refused: %v", err)
+	}
+	for _, n := range names {
+		if _, ok := pl.Of(n); !ok {
+			t.Errorf("%s unplaced", n)
 		}
 	}
 }

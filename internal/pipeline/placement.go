@@ -1,8 +1,8 @@
 package pipeline
 
 import (
+	"errors"
 	"fmt"
-	"strings"
 
 	"dejavu/internal/asic"
 	"dejavu/internal/compiler"
@@ -91,7 +91,7 @@ func resolveWithDemands(in Inputs, demand map[string]int) (*route.Placement, rou
 		res, err = place.Anneal(prob, place.AnnealOpts{Seed: in.AnnealSeed})
 	case "exhaustive", "":
 		res, err = place.Exhaustive(prob)
-		if err != nil && strings.Contains(err.Error(), "infeasible") {
+		if errors.Is(err, place.ErrSearchTooLarge) {
 			res, err = place.Anneal(prob, place.AnnealOpts{Seed: in.AnnealSeed})
 		}
 	default:

@@ -17,6 +17,7 @@
 package place
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -321,6 +322,11 @@ func partialFeasible(p Problem, pl *route.Placement) bool {
 	return true
 }
 
+// ErrSearchTooLarge is Exhaustive's refusal of a problem with more than
+// 12 unpinned NFs; callers match it with errors.Is to fall back to
+// Anneal.
+var ErrSearchTooLarge = errors.New("place: exhaustive search is infeasible; use Anneal")
+
 // Exhaustive enumerates every feasible assignment of unpinned NFs to
 // pipelets and returns the optimum. Complexity is
 // (2·pipelines)^(unpinned NFs); it is exact for paper-scale problems.
@@ -337,7 +343,7 @@ func Exhaustive(p Problem) (*Result, error) {
 	}
 	pipelets := p.pipelets()
 	if len(free) > 12 {
-		return nil, fmt.Errorf("place: exhaustive search over %d NFs is infeasible; use Anneal", len(free))
+		return nil, fmt.Errorf("%w (%d unpinned NFs, at most 12)", ErrSearchTooLarge, len(free))
 	}
 
 	base := route.NewPlacement()

@@ -1,6 +1,7 @@
 package place
 
 import (
+	"errors"
 	"testing"
 
 	"dejavu/internal/asic"
@@ -212,8 +213,12 @@ func TestExhaustiveInfeasible(t *testing.T) {
 	for _, n := range []string{"A", "B", "C", "D", "E", "F"} {
 		p.StageDemand[n] = 100 // nothing fits anywhere
 	}
-	if _, err := Exhaustive(p); err == nil {
-		t.Error("infeasible problem returned a placement")
+	_, err := Exhaustive(p)
+	if err == nil {
+		t.Fatal("infeasible problem returned a placement")
+	}
+	if errors.Is(err, ErrSearchTooLarge) {
+		t.Errorf("a stage-budget refusal reads as a too-large search: %v", err)
 	}
 }
 
@@ -226,8 +231,8 @@ func TestExhaustiveTooLarge(t *testing.T) {
 		Prof:   asic.Wedge100B(),
 		Chains: []route.Chain{{PathID: 1, NFs: nfs, ExitPipeline: 0}},
 	}
-	if _, err := Exhaustive(p); err == nil {
-		t.Error("oversized exhaustive search accepted")
+	if _, err := Exhaustive(p); !errors.Is(err, ErrSearchTooLarge) {
+		t.Errorf("13 unpinned NFs: err = %v, want ErrSearchTooLarge", err)
 	}
 }
 

@@ -44,6 +44,15 @@ func (c Chain) HasStaticExit() bool { return c.StaticExitPort != 0 }
 // InitialIndex returns the service index stamped by the classifier.
 func (c Chain) InitialIndex() uint8 { return uint8(len(c.NFs)) }
 
+// EffectiveWeight returns the chain's traffic share for every weighted
+// sum: an unset (zero) Weight counts as 1.
+func (c Chain) EffectiveWeight() float64 {
+	if c.Weight == 0 {
+		return 1
+	}
+	return c.Weight
+}
+
 // NFAt returns the name of the next NF for a given service index.
 func (c Chain) NFAt(index uint8) (string, bool) {
 	if index == 0 || int(index) > len(c.NFs) {
@@ -361,10 +370,7 @@ func (a Cost) Less(b Cost) bool {
 func Evaluate(chains []Chain, p *Placement, enter int) (Cost, error) {
 	var c Cost
 	for _, ch := range chains {
-		w := ch.Weight
-		if w == 0 {
-			w = 1
-		}
+		w := ch.EffectiveWeight()
 		tr, err := Plan(ch, p, enter)
 		if err != nil {
 			return Cost{}, err

@@ -1,3 +1,13 @@
+// Package traffic holds the synthetic forwarder fixture: a stateless
+// one-hop SFC-style pipeline installed on every pipeline of a switch,
+// with no NF, MAU or compose code in the way. The repository benchmark
+// (bench/, the bare-forward workload and the asic.* rows) and the root
+// hot-path benchmarks time the switch's packet path through it.
+//
+// It measures the *model's* packet rate — how fast this reproduction
+// executes pipelet programs — not the ASIC's line rate; the paper's
+// point is precisely that the hardware number is independent of chain
+// length while a software path (like this one) is not.
 package traffic
 
 import (
@@ -48,8 +58,8 @@ func l2Rewrite(c *asic.Ctx) {
 }
 
 // NewBenchSwitch builds a switch with the synthetic forwarder
-// installed on every pipeline — the fixture `dejavu bench`, the
-// pktpath experiment and the hot-path benchmarks share.
+// installed on every pipeline — the fixture bench/, the dvtel
+// experiment and the hot-path benchmarks share.
 func NewBenchSwitch(prof asic.Profile, opts ForwarderOpts) *asic.Switch {
 	sw := asic.New(prof)
 	for pl := 0; pl < prof.Pipelines; pl++ {
