@@ -37,6 +37,38 @@ func TestResourcesDeterministic(t *testing.T) {
 	}
 }
 
+// TestEmitGolden holds `dejavu emit` to the committed bytes, for the
+// reference scenario and for configs/edgecloud.json. A change to the
+// IR, composition or emitter that is meant to keep the program must keep
+// these files; one that means to change it regenerates them:
+//
+//	go run ./cmd/dejavu emit > cmd/dejavu/testdata/emit_reference.p4
+//	go run ./cmd/dejavu -config configs/edgecloud.json emit > cmd/dejavu/testdata/emit_edgecloud.p4
+func TestEmitGolden(t *testing.T) {
+	defer func(saved string) { configPath = saved }(configPath)
+	for _, c := range []struct{ config, golden string }{
+		{"", "testdata/emit_reference.p4"},
+		{"../../configs/edgecloud.json", "testdata/emit_edgecloud.p4"},
+	} {
+		configPath = c.config
+		d, err := deploy("manual", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := d.P4Source()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(c.golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Errorf("emitted program differs from %s", c.golden)
+		}
+	}
+}
+
 // TestDocsNameOnlyCommands: every `dejavu <word>` the user-facing docs
 // quote (README.md, DESIGN.md, docs/*.md; a global -config flag
 // skipped, `a|b|c` alternatives each checked) names an entry of the

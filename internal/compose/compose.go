@@ -205,7 +205,7 @@ func (d *Deployment) EmitP4() (string, error) {
 			prog.Blocks = append(prog.Blocks, b)
 		}
 	}
-	return p4.EmitProgram(prog, p4.EmitOptions{})
+	return p4.EmitProgram(prog)
 }
 
 // InstallOn loads the deployment's behavioural programs onto a switch.

@@ -199,8 +199,8 @@ func newDepSite(a appliedTable) depSite {
 	}
 }
 
-// classify extends Classify with guard-read fields: the strictest
-// dependency from the earlier site a to the later site b.
+// classify returns the strictest dependency from the earlier site a to
+// the later site b.
 func (a depSite) classify(b depSite) DepKind {
 	for _, r := range b.reads {
 		if a.written[r] {

@@ -33,7 +33,8 @@ func (cb *ControlBlock) depsRef() ([]Dep, error) {
 	return dedupDeps(deps), nil
 }
 
-// classifyGuarded extends Classify with guard-read fields.
+// classifyGuarded is the strictest dependency from a to b, with b's
+// guard-read fields counted among its reads.
 func classifyGuarded(a, b appliedTable) DepKind {
 	aw := refSet(a.table.WriteSet())
 	reads := b.table.ReadSet()

@@ -15,28 +15,17 @@ import (
 // available), but it makes the composition output inspectable and
 // diffable exactly the way the paper's toolchain would.
 
-// EmitOptions controls source generation.
-type EmitOptions struct {
-	// Indent is the indentation unit; defaults to four spaces.
-	Indent string
-}
-
-func (o EmitOptions) indent() string {
-	if o.Indent == "" {
-		return "    "
-	}
-	return o.Indent
-}
+// indent is the indentation unit of emitted source.
+const indent = "    "
 
 // emitter accumulates source text.
 type emitter struct {
 	sb    strings.Builder
 	depth int
-	ind   string
 }
 
 func (e *emitter) line(format string, args ...any) {
-	e.sb.WriteString(strings.Repeat(e.ind, e.depth))
+	e.sb.WriteString(strings.Repeat(indent, e.depth))
 	fmt.Fprintf(&e.sb, format, args...)
 	e.sb.WriteByte('\n')
 }
@@ -71,8 +60,8 @@ func sanitize(s string) string {
 }
 
 // EmitHeaderType renders one header declaration.
-func EmitHeaderType(h *HeaderType, opts EmitOptions) string {
-	e := &emitter{ind: opts.indent()}
+func EmitHeaderType(h *HeaderType) string {
+	e := &emitter{}
 	e.open("header %s_t", sanitize(h.Name))
 	for _, f := range h.Fields {
 		e.line("bit<%d> %s;", f.Bits, sanitize(f.Name))
@@ -91,8 +80,8 @@ func parserStateName(v Vertex) string {
 
 // EmitParser renders the parser graph as a P4-16 parser block with one
 // state per (header type, offset) vertex.
-func EmitParser(name string, g *ParserGraph, opts EmitOptions) string {
-	e := &emitter{ind: opts.indent()}
+func EmitParser(name string, g *ParserGraph) string {
+	e := &emitter{}
 	e.open("parser %s(packet_in pkt, out all_headers_t hdr)", sanitize(name))
 
 	e.open("state start")
@@ -250,8 +239,8 @@ func emitStmts(e *emitter, body []Stmt) {
 }
 
 // EmitControl renders a control block: actions, tables, apply body.
-func EmitControl(cb *ControlBlock, opts EmitOptions) string {
-	e := &emitter{ind: opts.indent()}
+func EmitControl(cb *ControlBlock) string {
+	e := &emitter{}
 	e.open("control %s(inout all_headers_t hdr)", sanitize(cb.Name))
 	// Deduplicate action declarations across tables by name.
 	seen := make(map[string]bool)
@@ -278,7 +267,7 @@ func EmitControl(cb *ControlBlock, opts EmitOptions) string {
 // EmitProgram renders a full program: header declarations for every
 // standard header type, the merged parser, and every control block —
 // the "single multi-pipeline P4 program" of §3.2.
-func EmitProgram(p *Program, opts EmitOptions) (string, error) {
+func EmitProgram(p *Program) (string, error) {
 	if err := p.Validate(); err != nil {
 		return "", err
 	}
@@ -294,14 +283,14 @@ func EmitProgram(p *Program, opts EmitOptions) (string, error) {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		sb.WriteString(EmitHeaderType(types[n], opts))
+		sb.WriteString(EmitHeaderType(types[n]))
 		sb.WriteByte('\n')
 	}
 
-	sb.WriteString(EmitParser(p.Name+"_parser", p.Parser, opts))
+	sb.WriteString(EmitParser(p.Name+"_parser", p.Parser))
 	sb.WriteByte('\n')
 	for _, cb := range p.Blocks {
-		sb.WriteString(EmitControl(cb, opts))
+		sb.WriteString(EmitControl(cb))
 		sb.WriteByte('\n')
 	}
 	return sb.String(), nil

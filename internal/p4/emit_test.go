@@ -6,7 +6,7 @@ import (
 )
 
 func TestEmitHeaderType(t *testing.T) {
-	src := EmitHeaderType(HdrIPv4, EmitOptions{})
+	src := EmitHeaderType(HdrIPv4)
 	for _, want := range []string{
 		"header ipv4_t {",
 		"bit<32> src_addr;",
@@ -20,7 +20,7 @@ func TestEmitHeaderType(t *testing.T) {
 }
 
 func TestEmitParserStates(t *testing.T) {
-	src := EmitParser("generic", SFCIPv4Parser(), EmitOptions{})
+	src := EmitParser("generic", SFCIPv4Parser())
 	for _, want := range []string{
 		"parser generic(packet_in pkt, out all_headers_t hdr)",
 		"state start",
@@ -40,7 +40,7 @@ func TestEmitParserStates(t *testing.T) {
 func TestEmitParserOffsetsDistinguishVertices(t *testing.T) {
 	// The merged classifier parser has IPv4 at both offsets: the
 	// emitter must produce distinct states.
-	src := EmitParser("cls", ClassifierParser(), EmitOptions{})
+	src := EmitParser("cls", ClassifierParser())
 	if !strings.Contains(src, "parse_ipv4_at_14") || !strings.Contains(src, "parse_ipv4_at_34") {
 		t.Errorf("emitted parser does not distinguish ipv4 offsets:\n%s", src)
 	}
@@ -50,7 +50,7 @@ func TestEmitControlFig4(t *testing.T) {
 	// The LB block of Fig. 4 must render with its hash, session table,
 	// actions and apply order.
 	cb := makeLBBlock()
-	src := EmitControl(cb, EmitOptions{})
+	src := EmitControl(cb)
 	for _, want := range []string{
 		"control LB_control(inout all_headers_t hdr)",
 		"action modify_dstIp(bit<32> dip)",
@@ -83,13 +83,60 @@ func TestEmitControlConditionals(t *testing.T) {
 				Cond: Cond{Kind: CondValid, Header: "vxlan"},
 				Then: []Stmt{ApplyStmt{Table: "t"}},
 			},
+			IfStmt{
+				Cond: Cond{Kind: CondFieldNeq, Field: "meta.class_id", Value: 9},
+				Then: []Stmt{ApplyStmt{Table: "t"}},
+			},
 		},
 	}
-	src := EmitControl(cb, EmitOptions{})
+	src := EmitControl(cb)
 	for _, want := range []string{
 		"if (hdr.meta_next_nf == 3)",
 		"} else {",
 		"if (hdr.vxlan.isValid())",
+		"if (hdr.meta_class_id != 9)",
+	} {
+		if !strings.Contains(src, want) {
+			t.Errorf("emitted control missing %q:\n%s", want, src)
+		}
+	}
+}
+
+func TestEmitActionOpsAndMatchKinds(t *testing.T) {
+	tbl := &Table{
+		Name: "t",
+		Keys: []Key{
+			{Field: "ipv4.dst_addr", Kind: MatchLPM},
+			{Field: "ipv4.src_addr", Kind: MatchTernary},
+			{Field: "tcp.dst_port", Kind: MatchRange},
+		},
+		Actions: []*Action{{
+			Name:   "everything",
+			Params: []Field{{Name: "port", Bits: 12}},
+			Ops: []Op{
+				{Kind: OpSetField, Dst: "meta.out_port"},
+				{Kind: OpCopyField, Dst: "meta.drop", Srcs: []FieldRef{"sfc.flags"}},
+				{Kind: OpAddToField, Dst: "ipv4.ttl"},
+				{Kind: OpAddHeader, Dst: "vxlan.vni"},
+				{Kind: OpRemoveHeader, Dst: "sfc.service_path_id"},
+				{Kind: OpHash, Dst: "meta.session_hash", Srcs: []FieldRef{"ipv4.src_addr", "ipv4.dst_addr"}},
+				{Kind: OpCount},
+			},
+		}},
+	}
+	src := EmitControl(&ControlBlock{Name: "ops", Tables: []*Table{tbl}, Body: []Stmt{ApplyStmt{Table: "t"}}})
+	for _, want := range []string{
+		"hdr.ipv4_dst_addr : lpm;",
+		"hdr.ipv4_src_addr : ternary;",
+		"hdr.tcp_dst_port : range;",
+		"action everything(bit<12> port)",
+		"hdr.meta_out_port = port;",
+		"hdr.meta_drop = hdr.sfc_flags;",
+		"hdr.ipv4_ttl = hdr.ipv4_ttl + 1;",
+		"hdr.vxlan.setValid();",
+		"hdr.sfc.setInvalid();",
+		"hdr.meta_session_hash = hash({hdr.ipv4_src_addr, hdr.ipv4_dst_addr});",
+		"counter.count();",
 	} {
 		if !strings.Contains(src, want) {
 			t.Errorf("emitted control missing %q:\n%s", want, src)
@@ -103,7 +150,7 @@ func TestEmitProgram(t *testing.T) {
 		Parser: SFCIPv4Parser(),
 		Blocks: []*ControlBlock{makeLBBlock()},
 	}
-	src, err := EmitProgram(p, EmitOptions{})
+	src, err := EmitProgram(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,18 +167,18 @@ func TestEmitProgram(t *testing.T) {
 	}
 	// Invalid programs are rejected.
 	bad := &Program{Name: "bad"}
-	if _, err := EmitProgram(bad, EmitOptions{}); err == nil {
+	if _, err := EmitProgram(bad); err == nil {
 		t.Error("invalid program emitted")
 	}
 }
 
 func TestEmitDeterministic(t *testing.T) {
 	p := &Program{Name: "d", Parser: VXLANParser(), Blocks: []*ControlBlock{makeLBBlock()}}
-	a, err := EmitProgram(p, EmitOptions{})
+	a, err := EmitProgram(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EmitProgram(p, EmitOptions{})
+	b, err := EmitProgram(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,12 +200,5 @@ func TestSanitize(t *testing.T) {
 		if got := sanitize(in); got != want {
 			t.Errorf("sanitize(%q) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-func TestEmitCustomIndent(t *testing.T) {
-	src := EmitHeaderType(HdrUDP, EmitOptions{Indent: "\t"})
-	if !strings.Contains(src, "\tbit<16> src_port;") {
-		t.Errorf("custom indent not applied:\n%s", src)
 	}
 }

@@ -132,12 +132,3 @@ func (p *Program) Validate() error {
 	}
 	return nil
 }
-
-// Tables returns all tables across all control blocks.
-func (p *Program) Tables() []*Table {
-	var out []*Table
-	for _, b := range p.Blocks {
-		out = append(out, b.Tables...)
-	}
-	return out
-}

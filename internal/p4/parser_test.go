@@ -55,6 +55,17 @@ func TestParserEdgeRules(t *testing.T) {
 	}
 }
 
+func TestMustEdgePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("MustEdge did not panic on conflicting edge")
+		}
+	}()
+	g := NewParserGraph(EthernetStart())
+	g.MustEdge(Transition{From: g.Start, Default: true, To: Accept()})
+	g.MustEdge(Transition{From: g.Start, Default: true, To: Vertex{Type: "ipv4", Offset: 14}})
+}
+
 func TestParserValidateDeadEnd(t *testing.T) {
 	g := NewParserGraph(EthernetStart())
 	dead := Vertex{Type: "ipv4", Offset: 14}

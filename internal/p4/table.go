@@ -171,30 +171,6 @@ func (k DepKind) String() string {
 	}
 }
 
-// Classify computes the strictest dependency from an earlier table a to
-// a later table b, given whether b's execution is control-dependent on
-// a's result.
-func Classify(a, b *Table, controlDependent bool) DepKind {
-	aw := refSet(a.WriteSet())
-	// Match dependency: b reads (matches or uses in actions) a field a
-	// writes.
-	for _, r := range b.ReadSet() {
-		if aw[r] {
-			return DepMatch
-		}
-	}
-	// Action dependency: overlapping write sets.
-	for _, r := range b.WriteSet() {
-		if aw[r] {
-			return DepAction
-		}
-	}
-	if controlDependent {
-		return DepSuccessor
-	}
-	return DepNone
-}
-
 func refSet(refs []FieldRef) map[FieldRef]bool {
 	m := make(map[FieldRef]bool, len(refs))
 	for _, r := range refs {

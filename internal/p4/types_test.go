@@ -143,39 +143,6 @@ func TestTableValidate(t *testing.T) {
 	}
 }
 
-func TestClassify(t *testing.T) {
-	writer := &Table{
-		Name:    "nat",
-		Actions: []*Action{{Name: "rewrite", Ops: []Op{{Kind: OpSetField, Dst: "ipv4.dst_addr"}}}},
-	}
-	matcher := &Table{
-		Name:    "route",
-		Keys:    []Key{{Field: "ipv4.dst_addr", Kind: MatchLPM}},
-		Actions: []*Action{{Name: "fwd", Ops: []Op{{Kind: OpSetField, Dst: "meta.out_port"}}}},
-	}
-	if got := Classify(writer, matcher, false); got != DepMatch {
-		t.Errorf("Classify(writer, matcher) = %s, want match", got)
-	}
-	writer2 := &Table{
-		Name:    "nat2",
-		Actions: []*Action{{Name: "rewrite", Ops: []Op{{Kind: OpSetField, Dst: "ipv4.dst_addr"}}}},
-	}
-	if got := Classify(writer, writer2, false); got != DepAction {
-		t.Errorf("Classify(writer, writer2) = %s, want action", got)
-	}
-	indep := &Table{
-		Name:    "acl",
-		Keys:    []Key{{Field: "tcp.dst_port", Kind: MatchExact}},
-		Actions: []*Action{{Name: "drop", Ops: []Op{{Kind: OpSetField, Dst: "meta.drop"}}}},
-	}
-	if got := Classify(writer, indep, false); got != DepNone {
-		t.Errorf("Classify(writer, indep) = %s, want none", got)
-	}
-	if got := Classify(writer, indep, true); got != DepSuccessor {
-		t.Errorf("Classify(writer, indep, ctl) = %s, want successor", got)
-	}
-}
-
 func TestDepKindStrings(t *testing.T) {
 	for k, want := range map[DepKind]string{
 		DepMatch: "match", DepAction: "action", DepSuccessor: "successor", DepNone: "none",
@@ -206,8 +173,8 @@ func lpmTable() *Table {
 // TestStandardHeaderTypesIsReadOnly: every caller is handed the one
 // registry built at package initialisation, so it must hold the nine
 // built-in types under their own names and no in-tree reader may write
-// to it — the four that consult it (KeyBits, Validate, EmitProgram,
-// the reader's field-reference recovery) leave it as they found it.
+// to it — the three that consult it (KeyBits, Validate, EmitProgram)
+// leave it as they found it.
 func TestStandardHeaderTypesIsReadOnly(t *testing.T) {
 	builtin := []*HeaderType{HdrEthernet, HdrSFC, HdrIPv4, HdrTCP, HdrUDP, HdrICMP, HdrARP, HdrVXLAN, HdrMeta}
 	reg := StandardHeaderTypes()
@@ -229,11 +196,10 @@ func TestStandardHeaderTypesIsReadOnly(t *testing.T) {
 			_ = (&Table{Name: "bad", Keys: []Key{{Field: "nosuch.f"}}, Actions: tb.Actions}).Validate()
 		},
 		"EmitProgram": func() {
-			if _, err := EmitProgram(prog, EmitOptions{}); err != nil {
+			if _, err := EmitProgram(prog); err != nil {
 				t.Error(err)
 			}
 		},
-		"unsanitizeFieldRef": func() { unsanitizeFieldRef("ethernet_ether_type"); unsanitizeFieldRef("nosuch_f") },
 	}
 	for name, call := range callers {
 		before := maps.Clone(reg)
@@ -249,7 +215,7 @@ func TestStandardHeaderTypesIsReadOnly(t *testing.T) {
 // appliers or an applier beside `dejavu emit` would.
 func TestStandardHeaderTypesConcurrentReaders(t *testing.T) {
 	tb := lpmTable()
-	want, err := EmitProgram(&Program{Name: "rt", Parser: SFCIPv4Parser(), Blocks: []*ControlBlock{makeLBBlock()}}, EmitOptions{})
+	want, err := EmitProgram(&Program{Name: "rt", Parser: SFCIPv4Parser(), Blocks: []*ControlBlock{makeLBBlock()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,12 +232,9 @@ func TestStandardHeaderTypesConcurrentReaders(t *testing.T) {
 				if got := tb.KeyBits(); got != 48 {
 					t.Errorf("KeyBits = %d, want 48", got)
 				}
-				src, err := EmitProgram(prog, EmitOptions{})
+				src, err := EmitProgram(prog)
 				if err != nil || src != want {
 					t.Errorf("EmitProgram: %v; same text as alone: %v", err, src == want)
-				}
-				if _, err := ReadProgram("rt", src); err != nil {
-					t.Error(err)
 				}
 			}
 		}()

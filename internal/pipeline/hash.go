@@ -96,11 +96,11 @@ func canonPin(pin map[string]asic.PipeletID) string {
 func nfFingerprint(f nf.NF) string {
 	ctl := ""
 	if f.Block() != nil {
-		ctl = p4.EmitControl(f.Block(), p4.EmitOptions{})
+		ctl = p4.EmitControl(f.Block())
 	}
 	par := ""
 	if f.Parser() != nil {
-		par = p4.EmitParser(f.Name(), f.Parser(), p4.EmitOptions{})
+		par = p4.EmitParser(f.Name(), f.Parser())
 	}
 	return hashOf(f.Name(), ctl, par)
 }
