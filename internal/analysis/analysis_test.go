@@ -252,10 +252,13 @@ func TestHotpathAnnotationCoversChain(t *testing.T) {
 		"dejavu/internal/nf.(Router).Execute",
 		"dejavu/internal/nf.(RateLimiter).Execute",
 		"dejavu/internal/mau.(ExactTable).Lookup",
+		"dejavu/internal/mau.(ExactTable).Has",
+		"dejavu/internal/mau.(Hit).Param",
 		"dejavu/internal/mau.(LPM32).Lookup",
 		"dejavu/internal/mau.(TernaryTable).Lookup",
 		"dejavu/internal/packet.(FiveTuple).Hash",
 		// The word-wide kernels under them, and the burst tally.
+		"dejavu/internal/mau.(exactSlot).load",
 		"dejavu/internal/mau.(bitmap256).rank",
 		"dejavu/internal/mau.(TernaryTable).LookupWords",
 		"dejavu/internal/mau.(TernaryTable).match",
@@ -293,6 +296,9 @@ func TestRealTreeHotAnnotations(t *testing.T) {
 		"dejavu/internal/route.(Branching).ChainIndex",
 		"dejavu/internal/route.(Branching).Decide",
 		"dejavu/internal/mau.(ExactTable).Lookup",
+		"dejavu/internal/mau.(ExactTable).Has",
+		"dejavu/internal/mau.(exactSlot).load",
+		"dejavu/internal/mau.(Hit).Param",
 		"dejavu/internal/mau.(LPM32).Lookup",
 		"dejavu/internal/mau.(TernaryTable).Lookup",
 		"dejavu/internal/mau.(TernaryTable).LookupWords",

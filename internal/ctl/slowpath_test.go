@@ -32,10 +32,10 @@ func newFlows(from, n int) []*packet.Parsed {
 
 // TestPollBudget: a burst of 32 new flows through InjectQuietBatch and
 // one Poll — punt, session install, traced reinjection — stays within
-// two allocations a flow: the session slot, plus what the burst pays
-// once — chunk, arena and queue of the punt, trace block, trace and
-// error slices of the reinjection — and the session table's amortised
-// growth.
+// one allocation a flow: the session install makes none, so what is
+// left is what the burst pays once — chunk, arena and queue of the
+// punt, trace block, trace and error slices of the reinjection — and
+// the session table's amortised growth.
 func TestPollBudget(t *testing.T) {
 	_, sw, ctrl := deployed(t)
 	const burst, runs = 32, 100
@@ -49,8 +49,8 @@ func TestPollBudget(t *testing.T) {
 		}
 		at += burst
 	})
-	if perFlow := perBurst / burst; perFlow > 2 {
-		t.Errorf("%.2f allocations per new flow, budget 2", perFlow)
+	if perFlow := perBurst / burst; perFlow > 1 {
+		t.Errorf("%.2f allocations per new flow, budget 1", perFlow)
 	} else {
 		t.Logf("%.2f allocations per new flow", perFlow)
 	}

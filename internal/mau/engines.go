@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -12,81 +14,99 @@ import (
 // The three match engines follow the P4 split of data-plane reads and
 // control-plane writes: Lookup takes no lock and writes no shared
 // memory, so any number of injectors read one table without touching a
-// common cache line; writers serialise on a mutex and publish through
-// atomic pointers. TernaryTable and LPM32 are written at configuration
-// rate, so each write builds a new immutable generation (copy-on-write
-// rule slice, path-copying trie) and swaps one pointer. ExactTable is
-// written once per new flow, so a whole-table copy per insert is out:
-// it publishes per slot instead (see its doc).
+// common cache line; writers serialise on a mutex. TernaryTable and
+// LPM32 are written at configuration rate, so each write builds a new
+// immutable generation (copy-on-write rule slice, path-copying trie)
+// and swaps one pointer. ExactTable is written once per new flow, so a
+// whole-table copy per insert is out: a write changes one slot's words
+// in place under the slot's version word, which readers check (see its
+// doc).
 
-// Entry is the result of a table lookup: which action to run and its
-// runtime parameters, in declaration order of the action's Params.
+// Entry is a table entry: which action to run and its runtime
+// parameters, in declaration order of the action's Params.
 type Entry struct {
 	Action string
 	Params []uint64
 }
 
 // ExactTable is an exact-match table keyed by opaque byte strings: an
-// open-addressed array of atomic pointers to immutable slots. A write
-// allocates a fresh slot and stores its pointer, so an insert is O(1)
-// amortised and a concurrent Lookup sees either the old slot or the new
-// one, never a torn entry. The array grows by doubling into a fresh
-// array that is published with one pointer store; a Lookup that loaded
-// the old array finishes against it, complete as of the swap. It starts
-// at eight slots and is never presized to the capacity: a session table sized
-// for its worst case would pin that memory from the first packet.
+// open-addressed array of plain words, as a switch's SRAM holds one,
+// with no pointer and no allocation per entry. A slot is three words —
+// meta (version, state, interned action), the key's tag, one param —
+// and an entry that does not fit (a key over seven bytes, more than one
+// param) spills into a record of its generation's side store, which the
+// param word indexes. A writer changes a slot in place with its version
+// odd; a Lookup retries a slot whose version was odd or moved while it
+// read, so it sees an entry whole, old or new. The array grows by
+// doubling into a fresh generation published with one pointer store; a
+// Lookup that loaded the old one finishes against it, complete as of
+// the swap. It starts at eight slots and is never presized to the
+// capacity: a session table sized for its worst case would pin that
+// memory from the first packet.
 type ExactTable struct {
-	mu    sync.Mutex // serialises writers; readers never take it
-	arr   atomic.Pointer[exactArray]
-	n     atomic.Int64 // live entries
-	tombs int          // deleted slots still occupying probe chains
-	cap   int
+	mu     sync.Mutex // serialises writers; readers never take it
+	arr    atomic.Pointer[exactArray]
+	acts   atomic.Pointer[[]string] // interned actions, append-only; a slot holds an index
+	n      atomic.Int64             // live entries
+	tombs  int                      // deleted slots still occupying probe chains
+	spills int                      // live entries with a side-store record
+	recs   int                      // records of arr's side store in use, live or dead
+	cap    int
 }
 
-// exactArray is one generation of the slot array; len(slots) is a
-// power of two and at most half of it is ever occupied.
+// exactArray is one generation of the table; len(slots) is a power of
+// two and at most half of it is ever occupied.
 type exactArray struct {
-	slots []atomic.Pointer[exactSlot]
+	slots []exactSlot
+	// spill is the side store. A record is written once, before a slot
+	// publishes its index, and never again; a replaced or deleted one
+	// stays until the next generation, which copies only live records.
+	spill []exactSpill
 	shift uint // 64 - log2(len(slots)): the hash's top bits index the array
 }
 
-// exactSlot is one immutable key/entry pair: 64 bytes, and the only
-// allocation of an insert whose key is at most exactInlineKey bytes and
-// whose entry has at most one param (a session, a NAT mapping, a VNI).
-// Such a key is its tag, and e.Params points at the slot's own param
-// word, so Lookup hands out e as stored. A longer key spills into an
-// exactLongSlot, more params into a slice of their own. Either way the
-// slot holds copies: the caller's key and Params stay the caller's.
+// exactSlot is one entry's words, read and written only through
+// sync/atomic. param is the entry's one param, or its side-store
+// record's index when meta says spilled.
 type exactSlot struct {
-	e     Entry
-	tag   uint64  // see hashKey
-	long  *[]byte // the key when the tag cannot hold it, else nil
-	param [1]uint64
+	meta, tag, param atomic.Uint64
 }
 
-// exactLongSlot is the allocation behind a slot with a spilled key:
-// long points at key.
-type exactLongSlot struct {
-	exactSlot
-	key []byte
+// A slot's meta word: the version in the low 32 bits, odd while a
+// writer is inside the slot; then what the slot holds, and the entry's
+// action as an index into the table's action list. A slot never
+// written is all zero: empty, the end of a probe chain.
+const (
+	metaVersion  = 1<<32 - 1
+	metaTomb     = 1 << 32 // a deleted entry: probe chains continue past it
+	metaLive     = 1 << 33 // an entry
+	metaOneParam = 1 << 34 // an inline entry with one param
+	metaSpilled  = 1 << 35 // the entry is the side-store record param indexes
+	metaActShift = 40
+	exactMaxActs = 1 << (64 - metaActShift)
+)
+
+// exactSpill is a spilled entry's record: copies of the key, when its
+// tag cannot hold it, and of the params.
+type exactSpill struct {
+	key    []byte
+	params []uint64
 }
 
 // exactInlineKey is the longest key a tag holds: seven bytes under the
 // length byte.
 const exactInlineKey = 7
 
-// A tag's top byte is an inline key's length (0–7), tagLong over 56
-// bits of a spilled key's hash, or the tombstone's, which no key has.
+// A tag's top byte is an inline key's length (0–7), or tagLong over 56
+// bits of a spilled key's hash.
+const tagLong uint64 = 0xFF << 56
+
+// exactMinSlots is the size of a table's first array, exactMinRecords
+// of a side store.
 const (
-	tagLong      uint64 = 0xFF << 56
-	tagTombstone uint64 = 0xFE << 56
+	exactMinSlots   = 8
+	exactMinRecords = 16
 )
-
-// exactTombstone marks a deleted slot: probe chains continue past it.
-var exactTombstone = &exactSlot{tag: tagTombstone}
-
-// exactMinSlots is the size of a table's first array.
-const exactMinSlots = 8
 
 // NewExactTable creates a table with the given capacity; capacity 0
 // means unbounded.
@@ -94,15 +114,20 @@ const exactMinSlots = 8
 //dv:snapshotwriter
 func NewExactTable(capacity int) *ExactTable {
 	t := &ExactTable{cap: capacity}
-	t.arr.Store(newExactArray(exactMinSlots))
+	t.arr.Store(newExactArray(exactMinSlots, 0))
+	t.acts.Store(new([]string))
 	return t
 }
 
-func newExactArray(size int) *exactArray {
-	return &exactArray{
-		slots: make([]atomic.Pointer[exactSlot], size),
+func newExactArray(size, records int) *exactArray {
+	a := &exactArray{
+		slots: make([]exactSlot, size),
 		shift: uint(64 - bits.TrailingZeros(uint(size))),
 	}
+	if records > 0 {
+		a.spill = make([]exactSpill, records)
+	}
+	return a
 }
 
 // mix folds one word of key into the hash.
@@ -144,129 +169,188 @@ func hashInline(tag uint64) uint64 {
 	return mix(tag>>56, tag&^tagLong) * 0xD6E8FEB86659FD93
 }
 
-// hash returns hashKey of the slot's key.
-func (s *exactSlot) hash() uint64 {
-	if s.long == nil {
-		return hashInline(s.tag)
+// load reads the slot's words as of one instant: it retries while a
+// writer is inside the slot or was there while it read.
+//
+//dv:hotpath
+func (s *exactSlot) load() (meta, tag, param uint64) {
+	for {
+		meta = s.meta.Load()
+		tag, param = s.tag.Load(), s.param.Load()
+		if meta&1 == 0 && s.meta.Load() == meta {
+			return meta, tag, param
+		}
 	}
-	h, _ := hashKey(*s.long)
-	return h
 }
 
-// holds reports whether the slot holds the key that tag was made from.
-func (s *exactSlot) holds(tag uint64, key []byte) bool {
-	return s.tag == tag && (s.long == nil || bytes.Equal(*s.long, key))
+// write replaces the slot's words between two version bumps: odd
+// before the first word changes, even again after the last.
+func (s *exactSlot) write(meta, tag, param uint64) {
+	old := s.meta.Load()
+	s.meta.Store(old | 1)
+	s.tag.Store(tag)
+	s.param.Store(param)
+	s.meta.Store(meta | (old+2)&metaVersion)
 }
 
 // find probes for key. It returns the index holding it, or -1 and the
-// index a new slot for it belongs in (the first tombstone on the probe
-// chain, else the empty slot that ended it).
+// index a new entry for it belongs in (the first tombstone on the probe
+// chain, else the empty slot that ended it). Writers only: no one else
+// changes a slot under them.
 func (a *exactArray) find(h, tag uint64, key []byte) (at, free int) {
 	mask := len(a.slots) - 1
 	free = -1
 	for i := int(h >> a.shift); ; i = (i + 1) & mask {
-		switch s := a.slots[i].Load(); {
-		case s == nil:
+		s := &a.slots[i]
+		switch meta := s.meta.Load(); {
+		case meta&metaLive != 0:
+			if s.tag.Load() == tag && (tag < tagLong || bytes.Equal(a.spill[s.param.Load()].key, key)) {
+				return i, -1
+			}
+		case meta&metaTomb != 0:
+			if free < 0 {
+				free = i
+			}
+		default:
 			if free < 0 {
 				free = i
 			}
 			return -1, free
-		case s == exactTombstone:
-			if free < 0 {
-				free = i
-			}
-		case s.holds(tag, key):
-			return i, -1
 		}
 	}
 }
 
-// grown returns a fresh array, the smallest that is at most half full
-// with one more entry than live, holding every live slot of a and no
-// tombstones.
-func (a *exactArray) grown(live int) *exactArray {
+// grown returns a fresh generation holding every live entry of a and
+// nothing dead, and the side-store records it used: the smallest array
+// that is at most half full with one more entry than live, and, when
+// spills entries need records, room for twice that many, so the next
+// rebuild for want of a record is at least spills writes away. The
+// store is never under exactMinRecords records, nor under an eighth of
+// the array, which bounds a rebuild's amortised cost where a table
+// spills few entries.
+//
+//dv:snapshotwriter
+func (a *exactArray) grown(live, spills int) (*exactArray, int) {
 	size := exactMinSlots
 	for size < 2*(live+1) {
 		size *= 2
 	}
-	next := newExactArray(size)
+	records := 0
+	if spills > 0 {
+		records = max(2*spills, exactMinRecords, size/8)
+	}
+	next := newExactArray(size, records)
 	mask := size - 1
+	used := 0
 	for i := range a.slots {
-		s := a.slots[i].Load()
-		if s == nil || s == exactTombstone {
+		s := &a.slots[i]
+		meta, tag, param := s.meta.Load(), s.tag.Load(), s.param.Load()
+		if meta&metaLive == 0 {
 			continue
 		}
-		j := int(s.hash() >> next.shift)
-		for next.slots[j].Load() != nil {
+		h := hashInline(tag)
+		if meta&metaSpilled != 0 {
+			rec := a.spill[param]
+			if tag >= tagLong {
+				h, _ = hashKey(rec.key)
+			}
+			next.spill[used], param = rec, uint64(used)
+			used++
+		}
+		j := int(h >> next.shift)
+		for next.slots[j].meta.Load() != 0 {
 			j = (j + 1) & mask
 		}
-		next.slots[j].Store(s)
+		// No reader sees next before it is published: no version dance.
+		d := &next.slots[j]
+		d.meta.Store(meta &^ metaVersion)
+		d.tag.Store(tag)
+		d.param.Store(param)
 	}
-	return next
+	return next, used
 }
 
-// newExactSlot builds the slot for key and e in one allocation when
-// both fit inline.
-func newExactSlot(tag uint64, key []byte, action string, params []uint64) *exactSlot {
-	var s *exactSlot
-	if len(key) <= exactInlineKey {
-		s = new(exactSlot)
-	} else {
-		l := &exactLongSlot{key: append([]byte(nil), key...)}
-		s, l.long = &l.exactSlot, &l.key
-	}
-	s.tag, s.e.Action = tag, action
-	switch n := len(params); {
-	case n > len(s.param):
-		s.e.Params = append([]uint64(nil), params...)
-	case n > 0:
-		s.e.Params = s.param[:copy(s.param[:], params)]
-	}
-	return s
-}
-
-// Insert adds or replaces the entry for key, copying both. It fails
-// when the table is at capacity and key is new, mirroring hardware
-// table exhaustion.
-func (t *ExactTable) Insert(key []byte, e Entry) error {
-	return t.insert(key, e.Action, e.Params)
-}
-
-// Insert1 is Insert for an entry of one param — a session, a mapping —
-// taken apart from its action: nothing of the entry is the caller's to
-// build, so nothing of it escapes to the heap but the slot.
-func (t *ExactTable) Insert1(key []byte, action string, param uint64) error {
-	return t.insert(key, action, []uint64{param})
-}
-
-// insert is Insert with the entry's fields apart.
+// intern returns action's index in the table's action list, adding a
+// copy of it when new. A table has the handful of actions its P4
+// declaration names, so a scan finds one.
 //
 //dv:snapshotwriter
-func (t *ExactTable) insert(key []byte, action string, params []uint64) error {
+func (t *ExactTable) intern(action string) (uint64, error) {
+	acts := *t.acts.Load()
+	for i, a := range acts {
+		if a == action {
+			return uint64(i), nil
+		}
+	}
+	if len(acts) == exactMaxActs {
+		return 0, fmt.Errorf("mau: exact table has %d actions", len(acts))
+	}
+	next := append(acts[:len(acts):len(acts)], strings.Clone(action))
+	t.acts.Store(&next)
+	return uint64(len(acts)), nil
+}
+
+// Insert adds or replaces the entry for key, copying both: nothing of
+// either escapes, so a caller's key array and Params literal stay on
+// its stack. An entry with a key of at most seven bytes and at most one
+// param — a session, a NAT mapping, a VNI — is written into its slot
+// and allocates nothing; a spilled entry copies its key and params into
+// its record. Insert fails when the table is at capacity and key is
+// new, mirroring hardware table exhaustion.
+//
+//dv:snapshotwriter
+func (t *ExactTable) Insert(key []byte, e Entry) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	h, tag := hashKey(key)
 	cur := t.arr.Load()
 	a := cur
 	at, free := a.find(h, tag, key)
-	if at < 0 {
-		live := t.Len()
-		if t.cap > 0 && live >= t.cap {
-			return fmt.Errorf("mau: exact table full (%d entries)", t.cap)
+	live := t.Len()
+	if at < 0 && t.cap > 0 && live >= t.cap {
+		return fmt.Errorf("mau: exact table full (%d entries)", t.cap)
+	}
+	act, err := t.intern(e.Action)
+	if err != nil {
+		return err
+	}
+	spill := tag >= tagLong || len(e.Params) > 1
+	// Keep occupied slots (live + tombstones) at or below half the
+	// array, so probe chains stay short, and a record free for a
+	// spilled entry.
+	if at < 0 && 2*(live+t.tombs+1) > len(a.slots) || spill && t.recs == len(a.spill) {
+		spills := t.spills
+		if spill {
+			spills++
 		}
-		// Keep occupied slots (live + tombstones) at or below half the
-		// array: every probe dereferences a slot, so chains stay short.
-		if 2*(live+t.tombs+1) > len(a.slots) {
-			a = a.grown(live)
-			t.tombs = 0
-			_, free = a.find(h, tag, key)
-		} else if a.slots[free].Load() == exactTombstone {
+		a, t.recs = a.grown(live, spills)
+		t.tombs = 0
+		at, free = a.find(h, tag, key)
+	}
+	meta, param := metaLive|act<<metaActShift, uint64(0)
+	switch {
+	case spill:
+		rec := exactSpill{params: slices.Clone(e.Params)}
+		if tag >= tagLong {
+			rec.key = bytes.Clone(key)
+		}
+		a.spill[t.recs] = rec
+		meta, param = meta|metaSpilled, uint64(t.recs)
+		t.recs++
+		t.spills++
+	case len(e.Params) == 1:
+		meta, param = meta|metaOneParam, e.Params[0]
+	}
+	if at < 0 {
+		at = free
+		if a.slots[at].meta.Load()&metaTomb != 0 {
 			t.tombs--
 		}
-		at = free
 		t.n.Add(1)
+	} else if a.slots[at].meta.Load()&metaSpilled != 0 {
+		t.spills--
 	}
-	a.slots[at].Store(newExactSlot(tag, key, action, params))
+	a.slots[at].write(meta, tag, param)
 	if a != cur {
 		t.arr.Store(a) // a grown array is published complete, the new entry included
 	}
@@ -276,8 +360,6 @@ func (t *ExactTable) insert(key []byte, action string, params []uint64) error {
 // Delete removes the entry for key, reporting whether it existed. The
 // slot becomes a tombstone so probe chains through it stay intact; the
 // next growth drops it.
-//
-//dv:snapshotwriter
 func (t *ExactTable) Delete(key []byte) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -287,29 +369,83 @@ func (t *ExactTable) Delete(key []byte) bool {
 	if at < 0 {
 		return false
 	}
-	a.slots[at].Store(exactTombstone)
+	if a.slots[at].meta.Load()&metaSpilled != 0 {
+		t.spills--
+	}
+	a.slots[at].write(metaTomb, 0, 0)
 	t.tombs++
 	t.n.Add(-1)
 	return true
 }
 
-// Lookup returns the entry for key. Its Params are the table's own:
-// read them, do not write them.
+// Hit is the entry a Lookup found, as one consistent reading of its
+// slot: an inline entry's param is in the Hit itself, a spilled one's
+// params in its record, which is never rewritten. It stays what it
+// read whatever the table does next, and reading it allocates nothing.
+type Hit struct {
+	t     *ExactTable // resolves the interned action
+	rec   *exactSpill // a spilled entry's record, else nil
+	param uint64      // an inline entry's param
+	meta  uint64
+}
+
+// Action returns the entry's action.
+func (h Hit) Action() string { return (*h.t.acts.Load())[h.meta>>metaActShift] }
+
+// Len returns the number of the entry's params.
 //
 //dv:hotpath
-func (t *ExactTable) Lookup(key []byte) (Entry, bool) {
+func (h Hit) Len() int {
+	if h.rec != nil {
+		return len(h.rec.params)
+	}
+	if h.meta&metaOneParam != 0 {
+		return 1
+	}
+	return 0
+}
+
+// Param returns the entry's param i, i < Len().
+//
+//dv:hotpath
+func (h Hit) Param(i int) uint64 {
+	if h.rec != nil {
+		return h.rec.params[i]
+	}
+	one := [1]uint64{h.param}
+	return one[:h.Len()][i]
+}
+
+// Lookup returns the entry for key.
+//
+//dv:hotpath
+func (t *ExactTable) Lookup(key []byte) (Hit, bool) {
 	a := t.arr.Load()
 	h, tag := hashKey(key)
-	mask := len(a.slots) - 1
+	slots := a.slots
+	mask := len(slots) - 1
 	for i := int(h >> a.shift); ; i = (i + 1) & mask {
-		s := a.slots[i].Load()
-		if s == nil {
-			return Entry{}, false
-		}
-		if s.holds(tag, key) {
-			return s.e, true
+		meta, stag, param := slots[i].load()
+		switch {
+		case stag == tag && meta&metaLive != 0:
+			if meta&metaSpilled == 0 {
+				return Hit{t: t, param: param, meta: meta}, true
+			}
+			if rec := &a.spill[param]; tag < tagLong || bytes.Equal(rec.key, key) {
+				return Hit{t: t, rec: rec, meta: meta}, true
+			}
+		case meta&(metaLive|metaTomb) == 0:
+			return Hit{}, false
 		}
 	}
+}
+
+// Has reports whether key has an entry.
+//
+//dv:hotpath
+func (t *ExactTable) Has(key []byte) bool {
+	_, ok := t.Lookup(key)
+	return ok
 }
 
 // Len returns the number of installed entries.

@@ -24,6 +24,19 @@ func sameEntry(a, b Entry) bool {
 	return true
 }
 
+// entryOf copies what a Lookup returned into an Entry, to compare with
+// a reference; a miss is the zero Entry.
+func entryOf(h Hit, ok bool) Entry {
+	if !ok {
+		return Entry{}
+	}
+	e := Entry{Action: h.Action()}
+	for i := 0; i < h.Len(); i++ {
+		e.Params = append(e.Params, h.Param(i))
+	}
+	return e
+}
+
 func TestExactTableMatchesMap(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -70,9 +83,10 @@ func TestExactTableMatchesMap(t *testing.T) {
 				}
 				delete(ref, string(k))
 			default:
-				got, ok := tb.Lookup(k)
+				h, ok := tb.Lookup(k)
+				got := entryOf(h, ok)
 				want, exists := ref[string(k)]
-				if ok != exists || !sameEntry(got, want) {
+				if ok != exists || !sameEntry(got, want) || tb.Has(k) != exists {
 					t.Fatalf("seed %d op %d: Lookup(%x) = %+v,%v want %+v,%v", seed, op, k, got, ok, want, exists)
 				}
 			}
@@ -81,7 +95,8 @@ func TestExactTableMatchesMap(t *testing.T) {
 			}
 		}
 		for _, k := range universe {
-			got, ok := tb.Lookup(k)
+			h, ok := tb.Lookup(k)
+			got := entryOf(h, ok)
 			want, exists := ref[string(k)]
 			if ok != exists || !sameEntry(got, want) {
 				t.Fatalf("seed %d final: Lookup(%x) = %+v,%v want %+v,%v", seed, k, got, ok, want, exists)
@@ -91,8 +106,9 @@ func TestExactTableMatchesMap(t *testing.T) {
 }
 
 // TestExactTableStaysSmall pins the no-presizing rule: a table with a
-// large capacity and few entries holds an array sized to the entries,
-// and a delete-heavy table does not grow on tombstones alone.
+// large capacity and few entries holds an array sized to the entries
+// and, when none spills, no side store; a delete-heavy table does not
+// grow on tombstones alone.
 func TestExactTableStaysSmall(t *testing.T) {
 	tb := NewExactTable(1 << 16)
 	for i := 0; i < 100; i++ {
@@ -100,6 +116,9 @@ func TestExactTableStaysSmall(t *testing.T) {
 	}
 	if n := len(tb.arr.Load().slots); n != 256 {
 		t.Errorf("100 entries sit in %d slots, want 256", n)
+	}
+	if n := len(tb.arr.Load().spill); n != 0 {
+		t.Errorf("100 inline entries keep a side store of %d records", n)
 	}
 	for round := 0; round < 1000; round++ {
 		k := []byte{1, byte(round), byte(round >> 8)}
@@ -412,10 +431,10 @@ func TestTernaryWordsMatchByteScan(t *testing.T) {
 // with -race -count=10 (CI does).
 
 func TestExactTableHammer(t *testing.T) {
-	const stable, churn, readers = 3000, 400, 4
+	const stable, churn, hot, readers = 3000, 400, 8, 4
 	tb := NewExactTable(0)
-	// Every third key and entry take the spilled layout (nine-byte key,
-	// two params), the rest the inline one.
+	// Every third key takes the spilled layout (nine bytes), the rest
+	// the inline one (four).
 	key := func(i int) []byte {
 		k := []byte{byte(i >> 16), byte(i >> 8), byte(i), 0xA5}
 		if i%3 == 0 {
@@ -423,11 +442,42 @@ func TestExactTableHammer(t *testing.T) {
 		}
 		return k
 	}
-	entry := func(i int, v uint64) Entry {
-		if i%3 == 0 {
-			return Entry{Params: []uint64{v, ^v}}
+	// A stable key's entry cycles through four forms, each replace in
+	// place: action A with params all p, or action B with params all ^p,
+	// one param (inline, on a short key) or two (spilled). Every replace
+	// changes the action and every other one the layout, so a reader
+	// that mixed words of two forms sees an action whose params do not
+	// match it, or a param count neither form has.
+	entry := func(i, form int) Entry {
+		e := Entry{Action: "A", Params: []uint64{uint64(i)}}
+		if form&1 != 0 {
+			e = Entry{Action: "B", Params: []uint64{^uint64(i)}}
 		}
-		return Entry{Params: []uint64{v}}
+		if form == 1 || form == 2 {
+			e.Params = append(e.Params, e.Params[0])
+		}
+		return e
+	}
+	// check reports whether stable key i reads as one whole form.
+	check := func(i int) bool {
+		h, ok := tb.Lookup(key(i))
+		if !ok {
+			t.Errorf("stable key %d: missing", i)
+			return false
+		}
+		want := uint64(i)
+		if h.Action() == "B" {
+			want = ^want
+		}
+		ok = h.Action() == "A" || h.Action() == "B"
+		ok = ok && h.Len() >= 1 && h.Len() <= 2
+		for j := 0; ok && j < h.Len(); j++ {
+			ok = h.Param(j) == want
+		}
+		if !ok {
+			t.Errorf("stable key %d: torn read: %+v", i, entryOf(h, true))
+		}
+		return ok
 	}
 	var installed atomic.Int64 // stable keys [0, installed) are in the table for good
 	var stop atomic.Bool
@@ -437,25 +487,43 @@ func TestExactTableHammer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
+				// Every installed key, then the hot ones the writer replaces
+				// at every step, over and over.
 				n := int(installed.Load())
 				for i := 0; i < n; i++ {
-					e, ok := tb.Lookup(key(i))
-					if !ok || e.Params[0] != uint64(i) || (i%3 == 0 && e.Params[1] != ^uint64(i)) {
-						t.Errorf("stable key %d of %d installed: Lookup = %+v,%v", i, n, e, ok)
+					if !check(i) {
+						return
+					}
+				}
+				for i := 0; i < 64*hot && i < n; i++ {
+					if !check(i % hot) {
 						return
 					}
 				}
 			}
 		}()
 	}
+	form := make([]int, stable)
+	replace := func(i int) {
+		form[i] = (form[i] + 1) % 4
+		tb.Insert(key(i), entry(i, form[i]))
+	}
 	for i := 0; i < stable; i++ {
-		tb.Insert(key(i), entry(i, uint64(i)))
+		tb.Insert(key(i), entry(i, 0))
 		installed.Store(int64(i + 1))
+		// Replaces of keys the readers watch — the hot ones, an old one,
+		// the newest — across the array's growth and the side store's
+		// rebuilds.
+		for j := 0; j < hot && j < i; j++ {
+			replace(j)
+		}
+		replace(i / 2)
+		replace(i)
 		// Churn keys come and go between the stable ones: tombstones on
 		// the stable keys' probe chains, reuse of tombstones, replaces.
 		c := key(1<<20 + i%churn)
 		tb.Insert(c, entry(i, 0))
-		tb.Insert(c, entry(i+1, 1)) // a replace may change the layout
+		tb.Insert(c, entry(i, 1)) // a replace may change the layout
 		if i%3 != 0 {
 			tb.Delete(c)
 		}
@@ -558,8 +626,8 @@ func TestExactInsertCopies(t *testing.T) {
 		for i := range params {
 			params[i] = 0xDEAD
 		}
-		if got, ok := tb.Lookup(c.key); !ok || !sameEntry(got, Entry{Action: "a", Params: c.params}) {
-			t.Errorf("key %x after the caller rewrote its buffers: Lookup = %+v,%v, want params %v", c.key, got, ok, c.params)
+		if h, ok := tb.Lookup(c.key); !ok || !sameEntry(entryOf(h, ok), Entry{Action: "a", Params: c.params}) {
+			t.Errorf("key %x after the caller rewrote its buffers: Lookup = %+v,%v, want params %v", c.key, entryOf(h, ok), ok, c.params)
 		}
 		if _, ok := tb.Lookup(key); ok {
 			t.Errorf("key %x: the rewritten key buffer matches an entry", c.key)
@@ -567,26 +635,138 @@ func TestExactInsertCopies(t *testing.T) {
 	}
 }
 
-// TestExactInsertAllocBudget: an entry that fits the slot — here a
-// 4-byte key and one param, an LB session — is one allocation; a longer
-// key or more params spill into one more each.
+// exactLayouts are the entry shapes a slot holds inline and the ones
+// that spill, with the allocations an insert of each makes: the copies
+// its side-store record holds.
+var exactLayouts = []struct {
+	name   string
+	key    []byte
+	params []uint64
+	allocs float64
+}{
+	{"session (4-byte key, one param)", []byte{1, 2, 3, 4}, []uint64{7}, 0},
+	{"7-byte key, no params", []byte{1, 2, 3, 4, 5, 6, 7}, nil, 0},
+	{"8-byte key, no params", []byte{1, 2, 3, 4, 5, 6, 7, 8}, nil, 1},
+	{"8-byte key, one param", []byte{2, 2, 3, 4, 5, 6, 7, 8}, []uint64{7}, 2},
+	{"two params", []byte{1, 2, 3}, []uint64{7, 8}, 1},
+	{"three params (a VGW encap rule)", []byte{10, 0, 0, 9}, []uint64{7, 8, 9}, 1},
+}
+
+// TestExactInsertAllocBudget: an entry that fits its slot is no
+// allocation, new keys' array growth included; a spilled one is its
+// record's copies. A spilled write also pays, now and then, for the
+// rebuild that gives the side store room — under one allocation a
+// write, amortised, which AllocsPerRun's whole-number average leaves
+// out of the count.
 func TestExactInsertAllocBudget(t *testing.T) {
+	fresh := NewExactTable(0)
+	n := uint32(0)
+	if got := testing.AllocsPerRun(1<<14, func() {
+		n++
+		k := [4]byte{byte(n >> 24), byte(n >> 16), byte(n >> 8), byte(n)}
+		fresh.Insert(k[:], Entry{Action: "modify_dstIp", Params: []uint64{uint64(n)}})
+	}); got != 0 {
+		t.Errorf("new sessions: Insert = %.1f allocations, want 0", got)
+	}
 	tb := NewExactTable(0)
-	for _, c := range []struct {
-		name   string
-		key    []byte
-		params []uint64
-		want   float64
-	}{
-		{"session", []byte{1, 2, 3, 4}, []uint64{7}, 1},
-		{"7-byte key, no params", []byte{1, 2, 3, 4, 5, 6, 7}, nil, 1},
-		{"8-byte key", []byte{1, 2, 3, 4, 5, 6, 7, 8}, []uint64{7}, 2},
-		{"two params", []byte{1, 2, 3}, []uint64{7, 8}, 2},
-	} {
+	for _, c := range exactLayouts {
 		e := Entry{Action: "a", Params: c.params}
 		tb.Insert(c.key, e) // replaces from here on: no array growth
-		if got := testing.AllocsPerRun(100, func() { tb.Insert(c.key, e) }); got != c.want {
-			t.Errorf("%s: Insert = %.1f allocations, want %.0f", c.name, got, c.want)
+		if got := testing.AllocsPerRun(100, func() { tb.Insert(c.key, e) }); got != c.allocs {
+			t.Errorf("%s: Insert = %.1f allocations, want %.0f", c.name, got, c.allocs)
 		}
 	}
+}
+
+// TestExactReadAllocBudget: Lookup, Has and reading the params allocate
+// nothing, whatever the entry's layout.
+func TestExactReadAllocBudget(t *testing.T) {
+	tb := NewExactTable(0)
+	for _, c := range exactLayouts {
+		tb.Insert(c.key, Entry{Action: "a", Params: c.params})
+	}
+	for _, c := range exactLayouts {
+		var sum uint64
+		got := testing.AllocsPerRun(100, func() {
+			h, ok := tb.Lookup(c.key)
+			for i := 0; i < h.Len(); i++ {
+				sum += h.Param(i)
+			}
+			if !ok || !tb.Has(c.key) {
+				t.Fatalf("%s: missing", c.name)
+			}
+		})
+		if got != 0 {
+			t.Errorf("%s: Lookup, Has and the params = %.1f allocations, want 0", c.name, got)
+		}
+		if want := uint64(len(c.params)) * 101; len(c.params) > 0 && sum < want {
+			t.Errorf("%s: params summed to %d over 101 reads", c.name, sum)
+		}
+	}
+}
+
+// FuzzExactTable decodes its input into an op sequence — insert,
+// delete, lookup — over a small key universe and holds the table to a
+// map, as TestExactTableMatchesMap does with a seeded generator: key
+// lengths on both sides of the inline limit and the hash's eight-byte
+// round, 0, 1, 2 and 5 params, and a capacity that the first byte may
+// set.
+func FuzzExactTable(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 2, 3, 9, 4, 5, 6})
+	f.Add([]byte{3, 0x10, 0x21, 0x32, 0x43, 0x54, 0x65, 0x16, 0x27, 0x38, 0x49, 0xfa, 0xfb})
+	f.Add([]byte("\x02insert, delete, replace: every layout of every key"))
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 {
+			return
+		}
+		keyLens := []int{0, 1, 4, 7, 8, 9, 15, 16, 17}
+		paramCounts := []int{0, 1, 2, 5}
+		capacity := int(ops[0] & 7) // 0: unbounded
+		tb, ref := NewExactTable(capacity), make(map[string]Entry)
+		for i, op := range ops[1:] {
+			// The low nibble picks one of 16 keys: its length from the key
+			// number, its bytes from it and the length, so keys of equal
+			// length differ.
+			id := int(op & 15)
+			k := make([]byte, keyLens[id%len(keyLens)])
+			for j := range k {
+				k[j] = byte(id*31 + j)
+			}
+			switch op >> 4 {
+			case 0, 1, 2, 3, 4, 5, 6:
+				e := Entry{Action: fmt.Sprint("a", op>>6)}
+				for j := 0; j < paramCounts[int(op>>4)%len(paramCounts)]; j++ {
+					e.Params = append(e.Params, uint64(i)<<8|uint64(j))
+				}
+				_, exists := ref[string(k)]
+				full := capacity > 0 && !exists && len(ref) >= capacity
+				if err := tb.Insert(k, e); (err != nil) != full {
+					t.Fatalf("op %d: Insert(%x) err=%v, reference full=%v", i, k, err, full)
+				} else if err == nil {
+					ref[string(k)] = e
+				}
+			case 7, 8, 9:
+				_, exists := ref[string(k)]
+				if got := tb.Delete(k); got != exists {
+					t.Fatalf("op %d: Delete(%x)=%v, reference has it=%v", i, k, got, exists)
+				}
+				delete(ref, string(k))
+			default:
+				h, ok := tb.Lookup(k)
+				want, exists := ref[string(k)]
+				if got := entryOf(h, ok); ok != exists || !sameEntry(got, want) || tb.Has(k) != exists {
+					t.Fatalf("op %d: Lookup(%x) = %+v,%v want %+v,%v", i, k, got, ok, want, exists)
+				}
+			}
+			if tb.Len() != len(ref) {
+				t.Fatalf("op %d: Len=%d, reference %d", i, tb.Len(), len(ref))
+			}
+		}
+		for k, want := range ref {
+			h, ok := tb.Lookup([]byte(k))
+			if got := entryOf(h, ok); !ok || !sameEntry(got, want) {
+				t.Fatalf("final: Lookup(%x) = %+v,%v want %+v", k, got, ok, want)
+			}
+		}
+	})
 }

@@ -24,7 +24,7 @@ func TestExactTable(t *testing.T) {
 		t.Errorf("replace at capacity failed: %v", err)
 	}
 	e, ok := tb.Lookup([]byte("k1"))
-	if !ok || e.Action != "a2" {
+	if !ok || e.Action() != "a2" || e.Len() != 0 {
 		t.Errorf("Lookup = %+v, %v", e, ok)
 	}
 	if _, ok := tb.Lookup([]byte("nope")); ok {
@@ -286,6 +286,23 @@ func BenchmarkExactLookupSession(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tb.Lookup(key)
+	}
+}
+
+// BenchmarkExactLookupEncap reads a VGW encap rule — a 4-byte key and
+// three params, the spilled layout — and its params.
+func BenchmarkExactLookupEncap(b *testing.B) {
+	tb := NewExactTable(0)
+	key := []byte{10, 0, 0, 9}
+	tb.Insert(key, Entry{Action: "vxlan_encap", Params: []uint64{1, 2, 3}})
+	b.ReportAllocs()
+	var sum uint64
+	for i := 0; i < b.N; i++ {
+		h, _ := tb.Lookup(key)
+		sum += h.Param(0) + h.Param(1) + h.Param(2)
+	}
+	if sum != 6*uint64(b.N) {
+		b.Fatal("wrong params")
 	}
 }
 

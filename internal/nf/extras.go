@@ -22,8 +22,7 @@ const KeyMirrorPort uint8 = 6
 type NAT struct {
 	sessions   *mau.ExactTable // key: srcIP, srcPort, proto
 	PublicIP   packet.IP4
-	reverseOK  bool
-	reverseTbl *mau.ExactTable // key: publicPort -> original src (for reverse path)
+	reverseTbl *mau.ExactTable // key: publicPort, proto -> original src IP<<16 | src port (for reverse path)
 }
 
 // NewNAT creates a NAT that translates to publicIP.
@@ -52,12 +51,12 @@ func (n *NAT) InstallMapping(src packet.IP4, srcPort uint16, proto uint8, public
 	rev := [3]byte{byte(publicPort >> 8), byte(publicPort), proto}
 	if err := n.reverseTbl.Insert(rev[:], mau.Entry{
 		Action: "untranslate",
-		Params: []uint64{uint64(src.Uint32()), uint64(srcPort)},
+		Params: []uint64{uint64(src.Uint32())<<16 | uint64(srcPort)},
 	}); err != nil {
 		return err
 	}
 	key := natKey(src, srcPort, proto)
-	if err := n.sessions.Insert1(key[:], "translate", uint64(publicPort)); err != nil {
+	if err := n.sessions.Insert(key[:], mau.Entry{Action: "translate", Params: []uint64{uint64(publicPort)}}); err != nil {
 		n.reverseTbl.Delete(rev[:])
 		return err
 	}
@@ -67,8 +66,7 @@ func (n *NAT) InstallMapping(src packet.IP4, srcPort uint16, proto uint8, public
 // HasMapping reports whether (src,port,proto) has a translation.
 func (n *NAT) HasMapping(src packet.IP4, srcPort uint16, proto uint8) bool {
 	key := natKey(src, srcPort, proto)
-	_, ok := n.sessions.Lookup(key[:])
-	return ok
+	return n.sessions.Has(key[:])
 }
 
 // Mappings returns the number of installed translations.
@@ -88,7 +86,7 @@ func (n *NAT) Execute(hdr *packet.Parsed) {
 		hdr.SFC.Meta.Set(nsh.FlagToCPU)
 		return
 	}
-	pub := uint16(e.Params[0])
+	pub := uint16(e.Param(0))
 	hdr.IPv4.Src = n.PublicIP
 	switch {
 	case hdr.Valid(packet.HdrTCP):

@@ -47,26 +47,23 @@ func (lb *LoadBalancer) AddVIP(vip packet.IP4, backends []packet.IP4) error {
 
 // Backends returns the backend pool of a VIP.
 func (lb *LoadBalancer) Backends(vip packet.IP4) []packet.IP4 {
-	e, _ := lb.vips.Lookup(vip[:])
+	pool, _ := lb.vips.Lookup(vip[:])
 	var out []packet.IP4
-	for _, b := range e.Params {
-		out = append(out, packet.IP4FromUint32(uint32(b)))
+	for i := 0; i < pool.Len(); i++ {
+		out = append(out, packet.IP4FromUint32(uint32(pool.Param(i))))
 	}
 	return out
 }
 
 // IsVIP reports whether dst is a registered virtual IP.
-func (lb *LoadBalancer) IsVIP(dst packet.IP4) bool {
-	_, ok := lb.vips.Lookup(dst[:])
-	return ok
-}
+func (lb *LoadBalancer) IsVIP(dst packet.IP4) bool { return lb.vips.Has(dst[:]) }
 
 // InstallSession maps a session hash to a backend — the control
 // plane's "install a new session in lb_session upon packet reception"
 // step (§3.1).
 func (lb *LoadBalancer) InstallSession(hash uint32, backend packet.IP4) error {
 	key := u32Key(hash)
-	return lb.sessions.Insert1(key[:], "modify_dstIp", uint64(backend.Uint32()))
+	return lb.sessions.Insert(key[:], mau.Entry{Action: "modify_dstIp", Params: []uint64{uint64(backend.Uint32())}})
 }
 
 // Sessions returns the number of installed sessions.
@@ -75,12 +72,11 @@ func (lb *LoadBalancer) Sessions() int { return lb.sessions.Len() }
 // SelectBackend deterministically picks a backend for a session hash,
 // the policy the control plane applies on a miss.
 func (lb *LoadBalancer) SelectBackend(vip packet.IP4, hash uint32) (packet.IP4, error) {
-	e, _ := lb.vips.Lookup(vip[:])
-	pool := e.Params
-	if len(pool) == 0 {
+	pool, _ := lb.vips.Lookup(vip[:])
+	if pool.Len() == 0 {
 		return packet.IP4{}, fmt.Errorf("nf: no backends for VIP %s", vip)
 	}
-	return packet.IP4FromUint32(uint32(pool[int(hash)%len(pool)])), nil
+	return packet.IP4FromUint32(uint32(pool.Param(int(hash) % pool.Len()))), nil
 }
 
 // Execute implements NF (compare the paper's Fig. 4: compute the
@@ -94,8 +90,8 @@ func (lb *LoadBalancer) Execute(hdr *packet.Parsed) {
 		return
 	}
 	key := u32Key(ft.Hash())
-	if e, hit := lb.sessions.Lookup(key[:]); hit {
-		hdr.IPv4.Dst = packet.IP4FromUint32(uint32(e.Params[0]))
+	if s, hit := lb.sessions.Lookup(key[:]); hit {
+		hdr.IPv4.Dst = packet.IP4FromUint32(uint32(s.Param(0)))
 		return
 	}
 	hdr.SFC.Meta.Set(nsh.FlagToCPU)

@@ -493,7 +493,7 @@ func TestNATMappingIsAllOrNothing(t *testing.T) {
 		if !p.SFC.Meta.Has(nsh.FlagToCPU) || p.IPv4.Src != src2 {
 			t.Errorf("%s: the flow whose install failed is translated: %s", c.name, p.IPv4.Src)
 		}
-		if e, ok := n.reverseTbl.Lookup([]byte{50000 >> 8, 50000 & 0xFF, packet.ProtoTCP}); !ok || uint32(e.Params[0]) != src1.Uint32() {
+		if e, ok := n.reverseTbl.Lookup([]byte{50000 >> 8, 50000 & 0xFF, packet.ProtoTCP}); !ok || e.Param(0) != uint64(src1.Uint32())<<16|1000 {
 			t.Errorf("%s: the first flow's reverse entry: %+v,%v", c.name, e, ok)
 		}
 	}

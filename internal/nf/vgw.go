@@ -86,7 +86,7 @@ func (v *VGW) decap(hdr *packet.Parsed) {
 		hdr.SFC.Meta.Set(nsh.FlagDrop)
 		return
 	}
-	tenant := uint16(e.Params[0])
+	tenant := uint16(e.Param(0))
 	if hdr.Valid(packet.HdrSFC) {
 		hdr.SFC.SetContext(nsh.KeyTenantID, tenant)
 		hdr.SFC.SetContext(nsh.KeyVNI, uint16(hdr.VXLAN.VNI&0xFFFF))
@@ -116,9 +116,9 @@ func (v *VGW) maybeEncap(hdr *packet.Parsed) {
 		return
 	}
 	e := EncapEntry{
-		VNI:      uint32(hit.Params[0]),
-		RemoteIP: packet.IP4FromUint32(uint32(hit.Params[1])),
-		NextMAC:  paramMAC(hit.Params[2]),
+		VNI:      uint32(hit.Param(0)),
+		RemoteIP: packet.IP4FromUint32(uint32(hit.Param(1))),
+		NextMAC:  paramMAC(hit.Param(2)),
 	}
 	// Demote the current stack to inner.
 	hdr.InnerIPv4 = hdr.IPv4
