@@ -127,13 +127,46 @@ func TestCPUQueueBoundedUnderOverload(t *testing.T) {
 	if br := s.InjectQuietBatch(0, pkts); br.ToCPU != burst || s.CPUQueueDepth() != burst {
 		t.Errorf("after the drain: %+v, depth %d", br, s.CPUQueueDepth())
 	}
+
+	// The full drain's 128 chunks and its queue are not kept: after two
+	// more small drains the switch holds one chunk's worth for reuse.
+	for range 2 {
+		s.DrainCPU()
+		s.InjectQuietBatch(0, pkts[:3])
+	}
+	s.DrainCPU()
+	checkRetained(t, s)
 }
 
-// TestDrainedPacketsAreTheCallers: packets handed out by one drain are
-// deep copies no later punt writes to, and no two drains share one.
+// checkRetained fails the test unless every slice the switch keeps for its
+// CPU queue's reuse holds at most CPUChunkMax packets, and every arena the
+// bytes of as many (the test packets carry at most 64).
+func checkRetained(t *testing.T, s *Switch) {
+	t.Helper()
+	s.cpuMu.Lock()
+	defer s.cpuMu.Unlock()
+	for name, n := range map[string]int{
+		"queue": cap(s.cpuQueue), "lent queue": cap(s.cpuLent),
+		"queued chunk": cap(s.queued.chunk), "lent chunk": cap(s.lent.chunk), "spare chunk": cap(s.spare.chunk),
+	} {
+		if n > CPUChunkMax {
+			t.Errorf("the switch keeps a %s of %d packets, cap %d", name, n, CPUChunkMax)
+		}
+	}
+	for _, m := range []puntMem{s.queued, s.lent, s.spare} {
+		if cap(m.arena) > 64*CPUChunkMax {
+			t.Errorf("the switch keeps an arena of %d bytes", cap(m.arena))
+		}
+	}
+}
+
+// TestDrainedPacketsAreTheCallers: the packets one drain hands out are
+// distinct deep copies of what was punted, and they are the caller's until
+// the next drain — any number of punts before it leave a held drain as it
+// was. The drain after takes its memory back, and later punts reuse it.
 func TestDrainedPacketsAreTheCallers(t *testing.T) {
 	s := puntAll()
-	punt := func(round int) []*packet.Parsed {
+	punt := func(round int) {
 		pkts := batchPackets(32)
 		for i, p := range pkts {
 			p.IPv4.ID = uint16(round<<8 | i)
@@ -145,51 +178,106 @@ func TestDrainedPacketsAreTheCallers(t *testing.T) {
 		for _, p := range pkts {
 			p.Payload[1] = 0xEE // the copy must not alias the injector's payload
 		}
-		return s.DrainCPU()
-	}
-	wire := func(pkts []*packet.Parsed) [][]byte {
-		out := make([][]byte, len(pkts))
-		for i, p := range pkts {
-			b, err := p.Serialize(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[i] = b
-		}
-		return out
 	}
 
-	held := punt(0)
-	before := wire(held)
-	seen := make(map[*packet.Parsed]bool)
-	for _, p := range held {
-		seen[p] = true
-	}
-	for round := 1; round <= 3; round++ {
-		for _, p := range punt(round) {
+	reused := false
+	var earlier map[*packet.Parsed]bool
+	for round := 0; round < 4; round++ {
+		punt(round)
+		held := s.DrainCPU()
+		before := wireOf(t, held)
+		seen := make(map[*packet.Parsed]bool)
+		for _, p := range held {
 			if seen[p] {
-				t.Fatalf("round %d handed out a packet an earlier drain already had", round)
+				t.Fatalf("round %d: one drain handed out a packet twice", round)
 			}
 			seen[p] = true
+			reused = reused || earlier[p]
 		}
+		for later := 1; later <= 3; later++ {
+			punt(round<<2 | later)
+		}
+		for i, b := range wireOf(t, held) {
+			if string(b) != string(before[i]) {
+				t.Errorf("round %d: held packet %d changed under later punts", round, i)
+			}
+			if p := held[i]; p.IPv4.ID != uint16(round<<8|i) || p.Payload[1] != byte(i) {
+				t.Errorf("round %d: held packet %d is not the copy of what was punted: id %d payload %v", round, i, p.IPv4.ID, p.Payload)
+			}
+		}
+		s.DrainCPU() // the later punts
+		earlier = seen
 	}
-	for i, b := range wire(held) {
-		if string(b) != string(before[i]) {
-			t.Errorf("held packet %d changed under later punts", i)
-		}
-		if p := held[i]; p.IPv4.ID != uint16(i) || p.Payload[1] != byte(i) {
-			t.Errorf("held packet %d is not the copy of what was punted: id %d payload %v", i, p.IPv4.ID, p.Payload)
-		}
+	if !reused {
+		t.Error("no drain reused the memory of a drain before it")
 	}
 }
 
+// TestRecycledArenaNeverAliasesAHeldDrain: bursts of very uneven payloads
+// outgrow the arena their chunk started with and take a second one
+// mid-chunk. Recycling chunks and arenas across many such bursts never
+// writes to a byte a packet of the held drain still shows.
+func TestRecycledArenaNeverAliasesAHeldDrain(t *testing.T) {
+	s := puntAll()
+	uneven := func(round int) []*packet.Parsed {
+		pkts := batchPackets(CPUChunkMax)
+		for i, p := range pkts {
+			n := 1 + (i*37+round*11)%7 // mostly tiny, every few a large one
+			if i%5 == round%5 {
+				n = 1200 + 17*i
+			}
+			p.Payload = make([]byte, n)
+			for j := range p.Payload {
+				p.Payload[j] = byte(round*31 + i + j)
+			}
+		}
+		return pkts
+	}
+	reused, earlier := false, make(map[*packet.Parsed]bool)
+	for round := 0; round < 12; round++ {
+		if br := s.InjectQuietBatch(0, uneven(round)); br.ToCPU != CPUChunkMax {
+			t.Fatalf("round %d: %+v", round, br)
+		}
+		held := s.DrainCPU()
+		before := wireOf(t, held)
+		reused = reused || earlier[held[0]]
+		earlier[held[0]] = true
+		for later := 1; later <= 3; later++ {
+			s.InjectQuietBatch(0, uneven(round+100*later))
+		}
+		for i, b := range wireOf(t, held) {
+			if string(b) != string(before[i]) {
+				t.Fatalf("round %d: held packet %d changed under later punts", round, i)
+			}
+		}
+		s.DrainCPU()
+	}
+	if !reused {
+		t.Error("no drain reused the memory of a drain before it")
+	}
+}
+
+// wireOf serializes packets.
+func wireOf(t *testing.T, pkts []*packet.Parsed) [][]byte {
+	t.Helper()
+	out := make([][]byte, len(pkts))
+	for i, p := range pkts {
+		b, err := p.Serialize(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = b
+	}
+	return out
+}
+
 // TestCPUChunkFollowsTheDrain pins the queue's allocation budget and its
-// visibility rule. A chunk is as long as the burst can still fill, at
-// most cpuChunkMax: the punts between two drains cost one chunk and one
-// queue — and one arena when they carry bytes — whether the switch is
-// polled per packet or per burst, and a burst of 40 punts is a chunk of
-// 32 and one of 8. Its punts reach the queue when a chunk fills (the
-// 33rd punt queues the first 32) or the burst returns, not before.
+// visibility rule. Once warm, punts and a drain allocate nothing — the
+// chunk, its arena and the queue are those of the drain before last —
+// whether the switch is polled per packet or per burst, with bytes to copy
+// or without. A burst of 40 punts is a chunk of 32 and one of 8: its punts
+// reach the queue when a chunk fills (the 33rd punt queues the first 32)
+// or the burst returns, not before.
 func TestCPUChunkFollowsTheDrain(t *testing.T) {
 	s := New(Wedge100B())
 	var seen []int // queue depth each packet of a burst found
@@ -205,17 +293,16 @@ func TestCPUChunkFollowsTheDrain(t *testing.T) {
 		return pkts
 	}
 	for _, n := range []int{1, 32} {
-		for _, tc := range []struct {
-			pkts []*packet.Parsed
-			want float64
-		}{{batchPackets(n), 2}, {loaded(n), 3}} {
+		for _, pkts := range [][]*packet.Parsed{batchPackets(n), loaded(n)} {
 			seen = make([]int, 0, 200*n)
 			cycle := func() {
-				s.InjectQuietBatch(0, tc.pkts)
+				s.InjectQuietBatch(0, pkts)
 				s.DrainCPU()
 			}
-			if got := testing.AllocsPerRun(100, cycle); got != tc.want {
-				t.Errorf("%d punts and a drain: %.1f allocations, want %.0f (chunk, queue, arena if any)", n, got, tc.want)
+			cycle() // the first two cycles make the chunks, arenas and queues
+			cycle() // the later ones take turns with
+			if got := testing.AllocsPerRun(100, cycle); got != 0 {
+				t.Errorf("%d punts and a drain: %.2f allocations once warm, want 0", n, got)
 			}
 		}
 	}
@@ -244,7 +331,7 @@ func TestCPUChunkFollowsTheDrain(t *testing.T) {
 // TestTracedInjectOneAllocation: a journey that fits the trace's inline
 // room — four steps and one emission, the shape of the §5 chain with
 // one recirculation — is recorded in one allocation, and a traced burst
-// of such journeys in one allocation per block of cpuChunkMax traces.
+// of such journeys into the caller's storage in none.
 func TestTracedInjectOneAllocation(t *testing.T) {
 	s := New(Wedge100B())
 	s.InstallIngress(0, func(c *Ctx) {
@@ -263,24 +350,14 @@ func TestTracedInjectOneAllocation(t *testing.T) {
 	if len(tr.Steps) != 4 || len(tr.Out) != 1 || tr.Steps[1].Note != "recirculate" || tr.Recirculations != 1 {
 		t.Errorf("trace = %+v", tr)
 	}
-	pkts, traces, errs := batchPackets(cpuChunkMax), make([]*Trace, cpuChunkMax+8), make([]error, cpuChunkMax+8)
-	if got := testing.AllocsPerRun(100, func() { s.InjectBurst(0, pkts, traces, errs) }); got != 1 {
-		t.Errorf("traced burst of %d = %.1f allocations, want 1", len(pkts), got)
+	const n = CPUChunkMax + 8
+	pkts, bufs, traces, errs := batchPackets(n), make([]TraceBuf, n), make([]*Trace, n), make([]error, n)
+	if got := testing.AllocsPerRun(100, func() { s.InjectBurst(0, pkts, bufs, traces, errs) }); got != 0 {
+		t.Errorf("traced burst of %d = %.1f allocations, want 0", len(pkts), got)
 	}
-	// A longer burst is a block per cpuChunkMax traces: neighbours are one
-	// TraceBuf apart except across the block boundary.
-	pkts = batchPackets(len(traces))
-	s.InjectBurst(0, pkts, traces, errs)
 	for i, tr := range traces {
-		if errs[i] != nil || len(tr.Steps) != 4 || len(tr.Out) != 1 || tr.Out[0].Pkt != pkts[i] {
+		if errs[i] != nil || tr != &bufs[i].Trace || len(tr.Steps) != 4 || len(tr.Out) != 1 || tr.Out[0].Pkt != pkts[i] {
 			t.Fatalf("traced burst of %d, trace %d = %+v, %v", len(pkts), i, tr, errs[i])
-		}
-		if i == 0 {
-			continue
-		}
-		gap := uintptr(unsafe.Pointer(tr)) - uintptr(unsafe.Pointer(traces[i-1]))
-		if sameBlock := i != cpuChunkMax; sameBlock != (gap == unsafe.Sizeof(TraceBuf{})) {
-			t.Errorf("traces %d and %d are %d bytes apart; a block boundary is wanted after %d traces and nowhere else", i-1, i, gap, cpuChunkMax)
 		}
 	}
 }

@@ -316,9 +316,13 @@ type Switch struct {
 
 	// The CPU queue (see toCPU): the punts DrainCPU will hand out, and how
 	// many of cpuQueueCap they and the punts bursts still hold have taken.
-	cpuMu    sync.Mutex
-	cpuQueue []*packet.Parsed
-	cpuDepth atomic.Int32
+	// Its memory is recycled (see DrainCPU): cpuLent is the slice the last
+	// drain handed out, queued the largest chunk of the punts since, lent
+	// that of the last drain, spare one a drain took back.
+	cpuMu               sync.Mutex
+	cpuQueue, cpuLent   []*packet.Parsed
+	queued, lent, spare puntMem
+	cpuDepth            atomic.Int32
 
 	drops dropCounter
 }
@@ -390,10 +394,10 @@ type pooledMem struct {
 	_ [384 - unsafe.Sizeof(burstMem{})]byte
 }
 
-// TraceBuf is the storage of one traced injection (InjectInto) and one
-// element of the block behind a traced burst: the trace with room for an
-// ordinary journey — the §5 chain with one recirculation is four pipelet
-// steps and one emission — so recording it allocates nothing more; a
+// TraceBuf is the storage of one traced injection: InjectInto's, or one
+// packet's of InjectBurst. It is the trace with room for an ordinary
+// journey — the §5 chain with one recirculation is four pipelet steps
+// and one emission — so recording it allocates nothing more; a
 // longer journey outgrows the room by append. A kept trace pins the
 // storage it lives in, so the room is no larger: 288 bytes, a size class.
 type TraceBuf struct {
@@ -753,15 +757,25 @@ func (s *Switch) countLoopback(pd *portDelta, port PortID, bytes uint64) {
 func (s *Switch) Drops() uint64 { return s.drops.Load() }
 
 // DrainCPU returns and clears the packets delivered to the CPU port: the
-// punts of every burst that has returned or filled a chunk. The caller
-// owns them: the switch keeps neither the slice nor the chunks they live
-// in, and a chunk is freed once the last packet of it is unreachable.
+// punts of every burst that has returned or filled a chunk. The packets
+// and the slice are the caller's until the next DrainCPU, which takes them
+// back: later punts reuse their memory, so a packet kept past it must be
+// copied. What the switch keeps for reuse is at most one chunk and one
+// slice of CPUChunkMax packets; the rest of a drain goes to the collector.
 func (s *Switch) DrainCPU() []*packet.Parsed {
 	s.cpuMu.Lock()
 	defer s.cpuMu.Unlock()
 	out := s.cpuQueue
-	s.cpuQueue = nil
 	s.cpuDepth.Add(-int32(len(out)))
+	next := s.cpuLent[:0]
+	if cap(next) > CPUChunkMax {
+		next = nil
+	}
+	s.cpuQueue, s.cpuLent = next, out
+	if cap(s.lent.chunk) > cap(s.spare.chunk) {
+		s.spare = s.lent
+	}
+	s.lent, s.queued = s.queued, puntMem{}
 	return out
 }
 
@@ -802,21 +816,21 @@ func (s *Switch) InjectInto(in PortID, pkt *packet.Parsed, buf *TraceBuf) (*Trac
 	return buf.journey(), err[0]
 }
 
-// InjectBurst is Inject for a burst of packets entering through one port:
-// traces[i] and errs[i], which must be as long as pkts, become what
-// Inject(in, pkts[i]) would have returned, at InjectQuietBatch's
-// per-burst costs. The traces of up to cpuChunkMax consecutive packets are
-// one allocation, which one kept trace pins, and see one snapshot.
-func (s *Switch) InjectBurst(in PortID, pkts []*packet.Parsed, traces []*Trace, errs []error) {
+// InjectBurst is Inject for a burst of packets entering through one port,
+// recording into the caller's storage: bufs[i] is overwritten, and
+// traces[i] and errs[i] become what Inject(in, pkts[i]) would have
+// returned, the trace living in bufs[i]. All three must be as long as
+// pkts. The burst sees one snapshot, pays InjectQuietBatch's per-burst
+// costs and allocates nothing for journeys that fit their TraceBuf.
+func (s *Switch) InjectBurst(in PortID, pkts []*packet.Parsed, bufs []TraceBuf, traces []*Trace, errs []error) {
+	bufs, errs = bufs[:len(pkts)], errs[:len(pkts)]
+	for i := range bufs {
+		bufs[i].Trace = Trace{}
+	}
 	clear(errs)
-	for len(pkts) > 0 {
-		n := min(len(pkts), cpuChunkMax)
-		block := make([]TraceBuf, n)
-		s.inject(in, pkts[:n], nil, block, errs[:n])
-		for i := range block {
-			traces[i] = block[i].journey()
-		}
-		pkts, traces, errs = pkts[n:], traces[n:], errs[n:]
+	s.inject(in, pkts, nil, bufs, errs)
+	for i := range bufs {
+		traces[i] = bufs[i].journey()
 	}
 }
 
@@ -1049,7 +1063,7 @@ func (s *Switch) inject(in PortID, pkts []*packet.Parsed, quiet *Trace, block []
 	if ctx.tallying {
 		sn.tally.FlushTally(shard, &ctx.tally)
 	}
-	if mem := ctx.mem; len(mem.chunk) > 0 {
+	if mem := ctx.mem; len(mem.punts) > 0 {
 		s.queuePunts(mem) //dv:allow hotpath: CPU punts leave the fast path; the control-plane queue is lock-guarded by design
 	}
 	if sh != nil {
@@ -1268,18 +1282,27 @@ func (s *Switch) run(sn *snapshot, ctx *Ctx, tr *Trace, pd *portDelta) error {
 // (DESIGN.md §8 "Slow path" has the reasoning behind the value).
 const cpuQueueCap = 4096
 
-// cpuChunkMax is the most packets a CPU-queue chunk or a block of traces
-// holds — the engines' burst; a drained packet or a kept trace pins one.
-const cpuChunkMax = 32
+// CPUChunkMax is the most packets a CPU-queue chunk holds — the engines'
+// burst — and the most punts' or traces' memory the switch and the
+// control plane keep for reuse between drains.
+const CPUChunkMax = 32
 
-// burstMem is the plain memory a burst works in beside its context: its
-// punts on their way to the CPU queue — the copies in a chunk, their bytes
-// in one arena — and fast[pi*telPipes+pe], its fast-path packets until the
-// epilogue posts one FastDoneN a pipeline pair (on inject's stack it cost a
-// lone packet 13 ns; a pointer to it held across the loop, bare-forward 12 %).
-type burstMem struct {
+// puntMem is a chunk of punt copies at its full capacity and the arena
+// the bytes of its last packets went into.
+type puntMem struct {
 	chunk []packet.Parsed
 	arena []byte
+}
+
+// burstMem is the plain memory a burst works in beside its context: its
+// punts on their way to the CPU queue — the copies in punts, a prefix of
+// the chunk, their bytes in the arena — and fast[pi*telPipes+pe], its
+// fast-path packets until the epilogue posts one FastDoneN a pipeline pair
+// (on inject's stack it cost a lone packet 13 ns; a pointer to it held
+// across the loop, bare-forward 12 %).
+type burstMem struct {
+	puntMem
+	punts []packet.Parsed
 	room  int // punts the burst can still make: one a packet
 	fast  [telemetry.MaxPipelines * telemetry.MaxPipelines]uint32
 }
@@ -1287,9 +1310,10 @@ type burstMem struct {
 // toCPU copies the packet for the control plane, or drops it
 // (DropCPUQueueFull) when the queue is at its cap. The copy takes its
 // slot of the cap at once — one atomic, so bound and drop count are exact
-// whoever else punts — and goes into the burst's chunk: as long as the
-// burst can still fill, at most cpuChunkMax, so a burst pays one chunk,
-// one arena and one locked queue append; a lone packet pins only itself.
+// whoever else punts — and goes into the burst's chunk: the switch's
+// spare when it is large enough, else a new one, in either case sliced to
+// what the burst can still fill, at most CPUChunkMax, so a burst takes one
+// chunk and one arena and makes one locked queue append.
 func (s *Switch) toCPU(ctx *Ctx, tr *Trace) {
 	if s.cpuDepth.Add(1) > cpuQueueCap {
 		s.cpuDepth.Add(-1)
@@ -1300,34 +1324,56 @@ func (s *Switch) toCPU(ctx *Ctx, tr *Trace) {
 		return
 	}
 	b := ctx.mem
-	n := len(b.chunk)
-	if n == cap(b.chunk) {
+	n := len(b.punts)
+	if n == cap(b.punts) {
 		if n > 0 {
 			s.queuePunts(b)
 		}
-		b.chunk, n = make([]packet.Parsed, 0, min(b.room, cpuChunkMax)), 0
+		want := min(b.room, CPUChunkMax)
+		b.puntMem = s.takeSpare(want)
+		b.punts, n = b.chunk[:0:want], 0
 	}
 	b.room--
-	b.chunk = b.chunk[:n+1]
-	b.arena = ctx.Pkt.CloneIntoArena(&b.chunk[n], b.arena, cap(b.chunk)-n-1)
+	b.punts = b.punts[:n+1]
+	b.arena = ctx.Pkt.CloneIntoArena(&b.punts[n], b.arena, cap(b.punts)-n-1)
 	tr.cpuCount++
 	if !tr.quiet {
 		tr.CPU = append(tr.CPU, ctx.Pkt.Clone())
 	}
 }
 
-// queuePunts moves the buffered punts to the CPU queue and forgets the
-// chunk and arena they live in: whoever drains them owns both.
+// takeSpare returns the spare chunk and its emptied arena when the chunk
+// holds want packets, else a new chunk of want and no arena.
+func (s *Switch) takeSpare(want int) puntMem {
+	s.cpuMu.Lock()
+	m := s.spare
+	if cap(m.chunk) >= want {
+		s.spare = puntMem{}
+	}
+	s.cpuMu.Unlock()
+	if cap(m.chunk) < want {
+		return puntMem{chunk: make([]packet.Parsed, want)}
+	}
+	m.arena = m.arena[:0]
+	return m
+}
+
+// queuePunts moves the buffered punts to the CPU queue and hands the chunk
+// and arena they live in to the switch, which keeps the largest chunk of
+// a drain for reuse once the drain after it has taken the packets back.
 func (s *Switch) queuePunts(b *burstMem) {
 	s.cpuMu.Lock()
 	if s.cpuQueue == nil {
-		s.cpuQueue = make([]*packet.Parsed, 0, len(b.chunk))
+		s.cpuQueue = make([]*packet.Parsed, 0, len(b.punts))
 	}
-	for i := range b.chunk {
-		s.cpuQueue = append(s.cpuQueue, &b.chunk[i])
+	for i := range b.punts {
+		s.cpuQueue = append(s.cpuQueue, &b.punts[i])
+	}
+	if cap(b.chunk) > cap(s.queued.chunk) {
+		s.queued = b.puntMem
 	}
 	s.cpuMu.Unlock()
-	b.chunk, b.arena = nil, nil
+	b.puntMem, b.punts = puntMem{}, nil
 }
 
 // emit records a packet leaving through a front-panel port. It reports

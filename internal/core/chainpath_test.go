@@ -150,11 +150,42 @@ func (refuseMarked) OnInject(_ asic.PortID, p *packet.Parsed) error {
 func (refuseMarked) OnEmit(asic.PortID, *packet.Parsed) bool        { return true }
 func (refuseMarked) OnRecirculate(asic.PortID, *packet.Parsed) bool { return true }
 
+// TestDeploymentInjectTraceOutlivesLaterPunts: the trace Inject returns
+// for a repaired punt is the caller's. Poll reuses its traces and the
+// drained packets they show at its next call; three more punting packets
+// through Inject leave a held trace and the packet it shows as they were.
+func TestDeploymentInjectTraceOutlivesLaterPunts(t *testing.T) {
+	d := deployChain(t)
+	flow := func(i int) *packet.Parsed {
+		p := scenario.ClientTCP(443)
+		p.TCP.SrcPort += uint16(100 + i)
+		p.Payload = []byte{byte(i), 0x5E, 0x55}
+		return p
+	}
+	held, err := d.Inject(scenario.PortClient, flow(0))
+	if err != nil || len(held.Out) != 1 || held.Out[0].Port != scenario.PortBackends {
+		t.Fatalf("repaired punt: %+v, %v", held, err)
+	}
+	path, port, was, pkt := held.Path(), held.Out[0].Port, *held, string(wireOf(t, held.Out[0].Pkt))
+	for i := 1; i <= 3; i++ {
+		if tr, err := d.Inject(scenario.PortClient, flow(i)); err != nil || len(tr.Out) != 1 {
+			t.Fatalf("punt %d: %+v, %v", i, tr, err)
+		}
+	}
+	if len(held.Out) != 1 || string(wireOf(t, held.Out[0].Pkt)) != pkt || held.Out[0].Port != port {
+		t.Fatalf("the held trace's packet changed under later punts")
+	}
+	if held.Path() != path || held.Latency != was.Latency || held.Recirculations != was.Recirculations ||
+		held.Dropped != was.Dropped || held.Out[0].Pkt.Payload[0] != 0 {
+		t.Errorf("the held trace changed under later punts: %+v on %s, was %+v on %s", held, held.Path(), was, path)
+	}
+}
+
 // TestInjectBurstMatchesSingle: a traced burst is N × Inject. Two
 // identical deployments take the same 42 packets — the §5 chain's three
 // paths, new VIP flows that are punted, packets the firewall drops,
 // packets the port's fault hook refuses — one through Inject packet by
-// packet, the other through one InjectBurst (two trace blocks), and then
+// packet, the other through one InjectBurst into one block of storage, and then
 // the same again on a port that is down. Every trace and error agrees
 // (steps, emissions and punted copies byte for byte, latency, drop code),
 // and so does everything the switch counts: port statistics, the dvtel
@@ -195,10 +226,12 @@ func TestInjectBurstMatchesSingle(t *testing.T) {
 		for i, p := range pkts {
 			want[i], wantErr[i] = one.d.Switch.Inject(scenario.PortClient, p)
 		}
+		bufs := make([]asic.TraceBuf, len(pkts))
 		got := make([]*asic.Trace, len(pkts))
 		gotErr := make([]error, len(pkts))
 		gotErr[0] = errors.New("stale") // InjectBurst owns every slot of its outputs
-		all.d.Switch.InjectBurst(scenario.PortClient, packets(), got, gotErr)
+		bufs[1].Recirculations = 9      // and overwrites its storage
+		all.d.Switch.InjectBurst(scenario.PortClient, packets(), bufs, got, gotErr)
 
 		kinds := map[string]int{}
 		for i := range pkts {

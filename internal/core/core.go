@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -509,7 +510,8 @@ func (d *Deployment) Summary() string {
 
 // Inject offers a packet to the switch and services any control-plane
 // punts, returning the final trace (of the reinjected packet when a
-// punt was repaired).
+// punt was repaired). The trace and the packets it shows are the
+// caller's.
 func (d *Deployment) Inject(port asic.PortID, pkt *packetAlias) (*asic.Trace, error) {
 	tr, err := d.Switch.Inject(port, pkt)
 	if err != nil {
@@ -521,10 +523,23 @@ func (d *Deployment) Inject(port asic.PortID, pkt *packetAlias) (*asic.Trace, er
 			return tr, err
 		}
 		if len(followups) > 0 {
-			return followups[len(followups)-1], nil
+			return detach(followups[len(followups)-1]), nil
 		}
 	}
 	return tr, nil
+}
+
+// detach copies a trace Poll returned, and the packets it emitted, into
+// storage of its own: the next Poll reuses the memory of both. Punted
+// copies are the trace's own already.
+func detach(tr *asic.Trace) *asic.Trace {
+	cp := *tr
+	cp.Steps = slices.Clone(tr.Steps)
+	cp.Out = slices.Clone(tr.Out)
+	for i := range cp.Out {
+		cp.Out[i].Pkt = tr.Out[i].Pkt.Clone()
+	}
+	return &cp
 }
 
 // packetAlias keeps the public signature concise.

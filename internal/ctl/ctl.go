@@ -49,6 +49,15 @@ type Controller struct {
 	// Production leaves it nil — it is the one seam tests use to force a
 	// post-commit failure. Set it before the controller is shared.
 	VerifyCommit func() error
+
+	// Poll's storage, reused from one call to the next, which pollMu
+	// serializes: the traces it returns live in bufs until then. It is
+	// one burst's worth, asic.CPUChunkMax; a larger drain is served from
+	// storage the controller does not keep.
+	pollMu sync.Mutex
+	bufs   []asic.TraceBuf
+	traces []*asic.Trace
+	errs   []error
 }
 
 // tally is a batch of packet-in outcomes: a Poll counts into its own
@@ -192,8 +201,13 @@ func (c *Controller) Reinject(pkt *packet.Parsed) (*asic.Trace, error) {
 // drain: every drained packet is handled, and Poll returns the traces of
 // the reinjected ones, in drain order, together with the joined errors
 // of the rest, which Stats.Failed counts. Reinjection is traced: the
-// trace is what core.Deployment.Inject returns for a repaired punt.
+// trace is what core.Deployment.Inject returns for a repaired punt. The
+// traces, and the packets they show, are valid until the next Poll, which
+// reuses their memory; a caller that keeps one longer copies it. Polls
+// are serialized.
 func (c *Controller) Poll() ([]*asic.Trace, error) {
+	c.pollMu.Lock()
+	defer c.pollMu.Unlock()
 	pkts := c.sw.DrainCPU()
 	if len(pkts) == 0 {
 		return nil, nil
@@ -211,14 +225,13 @@ func (c *Controller) Poll() ([]*asic.Trace, error) {
 		}
 	}
 
-	traces := make([]*asic.Trace, len(again))
-	errs := make([]error, len(again))
+	bufs, traces, errs := c.scratch(len(again))
 	for from := 0; from < len(again); {
 		in, to := inPort(again[from]), from+1
 		for to < len(again) && inPort(again[to]) == in {
 			to++
 		}
-		c.sw.InjectBurst(in, again[from:to], traces[from:to], errs[from:to])
+		c.sw.InjectBurst(in, again[from:to], bufs[from:to], traces[from:to], errs[from:to])
 		from = to
 	}
 	done := traces[:0]
@@ -232,6 +245,20 @@ func (c *Controller) Poll() ([]*asic.Trace, error) {
 	t.reinjected, t.failed = len(done), len(failed)
 	c.count(t)
 	return done, errors.Join(failed...)
+}
+
+// scratch returns Poll's storage for n reinjections: the controller's own
+// for up to a burst, storage it does not keep for more.
+func (c *Controller) scratch(n int) ([]asic.TraceBuf, []*asic.Trace, []error) {
+	if n > asic.CPUChunkMax {
+		return make([]asic.TraceBuf, n), make([]*asic.Trace, n), make([]error, n)
+	}
+	if c.bufs == nil {
+		c.bufs = make([]asic.TraceBuf, asic.CPUChunkMax)
+		c.traces = make([]*asic.Trace, asic.CPUChunkMax)
+		c.errs = make([]error, asic.CPUChunkMax)
+	}
+	return c.bufs[:n], c.traces[:n], c.errs[:n]
 }
 
 // Stats reports controller activity.
