@@ -100,34 +100,39 @@ func main() {
 	usage()
 }
 
-// deploy builds the reference scenario with the requested optimizer
-// ("manual" keeps the Fig. 9 hand placement), or loads a declarative
-// JSON document when configPath is set.
-func deploy(optimizer string, loopback int) (*core.Deployment, error) {
+// deployConfig is the one place a command builds its deployment: the
+// declarative JSON document when configPath is set, else the reference
+// scenario. A named optimizer overrides the placement strategy; "manual"
+// (or empty) keeps the document's own, and for the scenario its Fig. 9
+// hand placement.
+func deployConfig(optimizer string) (core.Config, error) {
+	manual := optimizer == "" || optimizer == "manual"
 	if configPath != "" {
 		cfg, err := config.Load(configPath)
 		if err != nil {
-			return nil, err
+			return core.Config{}, err
 		}
-		if optimizer != "" && optimizer != "manual" {
+		if !manual {
 			cfg.Optimizer = core.Optimizer(optimizer)
 		}
-		for i := 0; i < loopback; i++ {
-			cfg.LoopbackPorts = append(cfg.LoopbackPorts, asic.PortID(16+i))
-		}
-		return core.Deploy(*cfg)
+		return *cfg, nil
 	}
 	s := scenario.MustNew()
-	cfg := core.Config{
-		Prof:   s.Prof,
-		Chains: s.Chains,
-		NFs:    s.NFs,
-		Enter:  0,
-	}
-	if optimizer == "manual" {
+	cfg := core.Config{Prof: s.Prof, Chains: s.Chains, NFs: s.NFs}
+	if manual {
 		cfg.Placement = s.Placement
 	} else {
 		cfg.Optimizer = core.Optimizer(optimizer)
+	}
+	return cfg, nil
+}
+
+// deploy deploys deployConfig's deployment with loopback extra
+// front-panel ports, from port 16 on, in loopback mode.
+func deploy(optimizer string, loopback int) (*core.Deployment, error) {
+	cfg, err := deployConfig(optimizer)
+	if err != nil {
+		return nil, err
 	}
 	for i := 0; i < loopback; i++ {
 		cfg.LoopbackPorts = append(cfg.LoopbackPorts, asic.PortID(16+i))
@@ -369,27 +374,11 @@ func runLint(args []string) error {
 	optimizer := fs.String("optimizer", "manual", "manual|naive|greedy|anneal|exhaustive")
 	fs.Parse(args)
 
-	var cfg *core.Config
-	if configPath != "" {
-		var err error
-		cfg, err = config.Load(configPath)
-		if err != nil {
-			return err
-		}
-		if *optimizer != "" && *optimizer != "manual" {
-			cfg.Optimizer = core.Optimizer(*optimizer)
-		}
-	} else {
-		s := scenario.MustNew()
-		c := core.Config{Prof: s.Prof, Chains: s.Chains, NFs: s.NFs, Enter: 0}
-		if *optimizer == "manual" {
-			c.Placement = s.Placement
-		} else {
-			c.Optimizer = core.Optimizer(*optimizer)
-		}
-		cfg = &c
+	cfg, err := deployConfig(*optimizer)
+	if err != nil {
+		return err
 	}
-	rep, err := core.Lint(*cfg)
+	rep, err := core.Lint(cfg)
 	if err != nil {
 		return err
 	}

@@ -7,43 +7,22 @@ import (
 	"sort"
 	"time"
 
-	"dejavu/internal/config"
 	"dejavu/internal/core"
 	"dejavu/internal/packet"
 	"dejavu/internal/scenario"
 	"dejavu/internal/telemetry"
 )
 
-// deployObserved builds a deployment like deploy, but with the dvtel
+// deployObserved deploys deployConfig's deployment with the dvtel
 // telemetry counters always attached (serve and top exist to read
 // them) and postcards optionally on.
 func deployObserved(optimizer string, postcards bool) (*core.Deployment, error) {
-	if configPath != "" {
-		cfg, err := config.Load(configPath)
-		if err != nil {
-			return nil, err
-		}
-		if optimizer != "" && optimizer != "manual" {
-			cfg.Optimizer = core.Optimizer(optimizer)
-		}
-		cfg.Telemetry = true
-		cfg.Postcards = cfg.Postcards || postcards
-		return core.Deploy(*cfg)
+	cfg, err := deployConfig(optimizer)
+	if err != nil {
+		return nil, err
 	}
-	s := scenario.MustNew()
-	cfg := core.Config{
-		Prof:      s.Prof,
-		Chains:    s.Chains,
-		NFs:       s.NFs,
-		Enter:     0,
-		Telemetry: true,
-		Postcards: postcards,
-	}
-	if optimizer == "manual" || optimizer == "" {
-		cfg.Placement = s.Placement
-	} else {
-		cfg.Optimizer = core.Optimizer(optimizer)
-	}
+	cfg.Telemetry = true
+	cfg.Postcards = cfg.Postcards || postcards
 	return core.Deploy(cfg)
 }
 

@@ -228,9 +228,10 @@ func TestHotpathAnnotationCoversInjectQuiet(t *testing.T) {
 // TestHotpathAnnotationCoversChain pins the contract to the composed
 // datapath: the graph rooted at the pipelet program — the StageFunc
 // asic.run calls through a func value, hence a root of its own —
-// reaches every scenario NF through the nf.NF interface, and through
-// them the match engines, the flow hash and the compiled dispatch
-// tables.
+// reaches every scenario NF through the nf.NF interface (and NAT,
+// which is off the §5 chain: interface following reaches every
+// implementation), and through them the match engines, the flow hash
+// and the compiled dispatch tables.
 func TestHotpathAnnotationCoversChain(t *testing.T) {
 	res := realTree(t)
 	const root = "dejavu/internal/compose.(pipelet).run"
@@ -250,7 +251,7 @@ func TestHotpathAnnotationCoversChain(t *testing.T) {
 		"dejavu/internal/nf.(VGW).Execute",
 		"dejavu/internal/nf.(LoadBalancer).Execute",
 		"dejavu/internal/nf.(Router).Execute",
-		"dejavu/internal/nf.(RateLimiter).Execute",
+		"dejavu/internal/nf.(NAT).Execute",
 		"dejavu/internal/mau.(ExactTable).Lookup",
 		"dejavu/internal/mau.(ExactTable).Has",
 		"dejavu/internal/mau.(Hit).Param",
@@ -284,11 +285,8 @@ func TestRealTreeHotAnnotations(t *testing.T) {
 	for _, fn := range []string{
 		"dejavu/internal/asic.(Switch).InjectQuiet",
 		"dejavu/internal/asic.(Switch).run",
-		"dejavu/internal/packet.GetParsed",
-		"dejavu/internal/packet.PutParsed",
 		"dejavu/internal/packet.(Parsed).CopyFrom",
 		"dejavu/internal/pktgen.(Generator).PacketInto",
-		"dejavu/internal/telemetry.(DatapathShard).FastDone",
 		"dejavu/internal/telemetry.(DatapathShard).Flush",
 		"dejavu/internal/telemetry.(DatapathShard).PacketDone",
 		"dejavu/internal/telemetry.(Histogram).Observe",

@@ -9,10 +9,12 @@ import (
 // path: within one function, every pool a Get is drawn from must also
 // see a Put (inline or deferred, possibly inside a nested closure) —
 // unless the gotten object is returned, which transfers ownership to
-// the caller (the packet.GetParsed idiom). Pooled objects must not
-// escape into retained structures: assigning one to a struct field,
-// a map/slice element, a package variable, or sending it on a channel
-// defeats recycling and risks aliasing after reuse.
+// the caller. asic's two pools, the per-injection context and the
+// burst's port-counter table, are the shape the rule expects: one
+// injection gets both and puts both back before it returns. Pooled
+// objects must not escape into retained structures: assigning one to
+// a struct field, a map/slice element, a package variable, or sending
+// it on a channel defeats recycling and risks aliasing after reuse.
 //
 // The check is per-function and flow-insensitive by design: it will
 // not prove a Put on every path, but it catches the two bug classes

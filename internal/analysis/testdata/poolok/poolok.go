@@ -1,6 +1,5 @@
 // Package poolok shows the conforming pool shapes: the deferred Put,
-// the ownership-transferring return, and the pooled-slice return the
-// packet package's GetBuf uses.
+// the ownership-transferring return, and the pooled-slice return.
 package poolok
 
 import "sync"
@@ -30,7 +29,7 @@ func Acquire() *buf {
 	return b
 }
 
-// Scratch returns a pooled slice the GetBuf way.
+// Scratch returns a pooled slice, reset to length zero.
 func Scratch() []byte {
 	return (*slicePool.Get().(*[]byte))[:0]
 }

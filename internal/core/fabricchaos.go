@@ -35,10 +35,6 @@ type FabricChaosOpts struct {
 	// fabric is wired 0->1->...->n-1 on port 10 with skip wires
 	// i->i+2 on port 11, so any single switch death leaves a path.
 	Switches int
-	// EventsPerTick is the expected fabric fault rate; zero means 0.5.
-	EventsPerTick float64
-	// Schedule overrides the generated fabric fault schedule.
-	Schedule fault.FabricSchedule
 	// Telemetry receives per-round fabric gauges; nil allocates a
 	// private collector (the run's final readings are in the result
 	// either way).
@@ -191,22 +187,19 @@ func RunFabricChaos(opts FabricChaosOpts) (*FabricChaosResult, error) {
 		return nil, err
 	}
 
-	// Fabric fault timeline: the entry switch is protected (without it
-	// no chain can carry traffic at all), every wire is fair game.
-	sched := opts.Schedule
-	if sched == nil {
-		var links []fault.FabricLink
-		for _, w := range f.Wires() {
-			links = append(links, fault.FabricLink{Sw: w.FromSw, Port: w.FromPort})
-		}
-		sched = fault.RandomFabricSchedule(opts.Seed, fault.FabricScheduleOpts{
-			Ticks:             ticks,
-			Switches:          n,
-			ProtectedSwitches: []int{0},
-			Links:             links,
-			EventsPerTick:     opts.EventsPerTick,
-		})
+	// Fabric fault timeline, at the generator's default rate: the entry
+	// switch is protected (without it no chain can carry traffic at all),
+	// every wire is fair game.
+	var links []fault.FabricLink
+	for _, w := range f.Wires() {
+		links = append(links, fault.FabricLink{Sw: w.FromSw, Port: w.FromPort})
 	}
+	sched := fault.RandomFabricSchedule(opts.Seed, fault.FabricScheduleOpts{
+		Ticks:             ticks,
+		Switches:          n,
+		ProtectedSwitches: []int{0},
+		Links:             links,
+	})
 	finj := fault.NewFabricInjector(opts.Seed, sched)
 	f.SetWireHook(finj.WireHook)
 

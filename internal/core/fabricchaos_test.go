@@ -110,6 +110,33 @@ func TestFabricChaosGolden(t *testing.T) {
 	}
 }
 
+// TestChaosGolden holds `dejavu chaos -seed N -ticks 40 -v -json` — the
+// single-switch soak with its transcript, so every heal action is
+// pinned — for the canonical seeds to the committed bytes. A change to
+// the reconciler or the datapath under it that is meant to keep
+// behaviour must keep these files; one that means to change behaviour
+// regenerates them with that command, into testdata/chaos_seedN.json.
+func TestChaosGolden(t *testing.T) {
+	for _, seed := range []int64{1, 7, 42} {
+		res, err := EdgeChaos(seed, 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.MarshalIndent(res, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		file := fmt.Sprintf("testdata/chaos_seed%d.json", seed)
+		want, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got)+"\n" != string(want) {
+			t.Errorf("seed %d: result differs from %s", seed, file)
+		}
+	}
+}
+
 // TestFabricChaosRetriesDrivers checks that the canonical seeds
 // actually exercise the control-plane retry path at least once across
 // the suite — reconvergence through a FlakyApplier-backed driver.

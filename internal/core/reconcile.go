@@ -56,21 +56,6 @@ type Reconciler struct {
 	// OfferedGbps is the external load the deployment must sustain;
 	// zero disables the capacity check.
 	OfferedGbps float64
-	// Optimizer picks the placement strategy for capacity-driven
-	// re-placement; empty means greedy (fast enough for a repair loop).
-	Optimizer Optimizer
-	// Desired, when set (SetDesired), is the last-applied intent's chain
-	// set: the state the reconciler converges back toward. A chain whose
-	// static exit was re-pointed away from its declared port by a
-	// failure is pointed back when that port recovers.
-	Desired []route.Chain
-}
-
-// SetDesired records the declared chain set the reconciler should
-// converge toward (the intent plane calls this after every successful
-// apply). A copy is kept so later applies can't mutate it in place.
-func (r *Reconciler) SetDesired(chains []route.Chain) {
-	r.Desired = append([]route.Chain(nil), chains...)
 }
 
 // NewReconciler builds a reconciler over a live deployment.
@@ -156,16 +141,14 @@ func (r *Reconciler) sustainableGbps() float64 {
 	return d.LoopbackGbps() / k
 }
 
-// replace stages the live chain set re-resolved from the optimizer and
-// commits it when that strictly reduces the weighted recirculation
-// cost. It reports whether a swap happened.
+// replace stages the live chain set re-resolved by the greedy optimizer
+// (fast enough for a repair loop) and commits it when that strictly
+// reduces the weighted recirculation cost. It reports whether a swap
+// happened.
 func (r *Reconciler) replace(rep *ReconcileReport) (bool, error) {
 	d := r.Dep
 	u := d.keep(d.Config.Chains)
-	u.Replace = true
-	if u.Optimizer = r.Optimizer; u.Optimizer == "" {
-		u.Optimizer = OptGreedy
-	}
+	u.Replace, u.Optimizer = true, OptGreedy
 	st, err := d.stage(u)
 	if err != nil {
 		// Infeasible re-placement is a degradation, not a reconciler
@@ -226,7 +209,9 @@ func (r *Reconciler) portDown(port asic.PortID, rep *ReconcileReport) error {
 	return r.checkCapacity(rep)
 }
 
-// portUp restores a recovered port.
+// portUp restores a recovered port. A chain re-pointed away from it
+// stays on its working spare: the reconciler has no declared intent to
+// say where the operator wants it.
 func (r *Reconciler) portUp(port asic.PortID, rep *ReconcileReport) error {
 	up, err := r.Dep.HandlePortUp(port)
 	if err != nil {
@@ -242,45 +227,6 @@ func (r *Reconciler) portUp(port asic.PortID, rep *ReconcileReport) error {
 		Where:   fmt.Sprintf("port %d", port),
 		Message: fmt.Sprintf("port recovered; %.0f Gbps recirculation budget", up.RemainingLoopbackGbps),
 	})
-	return r.restoreIntentExits(port, rep)
-}
-
-// restoreIntentExits converges recovered static exits back toward the
-// declared intent: chains the failure path re-pointed away from a port
-// the last-applied intent declares as their exit move back once that
-// port is healthy again. Without a declared intent (SetDesired never
-// called) the re-pointed exits are left alone — the reconciler has no
-// authority to guess where the operator wanted them.
-func (r *Reconciler) restoreIntentExits(port asic.PortID, rep *ReconcileReport) error {
-	if len(r.Desired) == 0 {
-		return nil
-	}
-	d := r.Dep
-	chains := append([]route.Chain(nil), d.Config.Chains...)
-	var restored []uint16
-	for i, c := range chains {
-		for _, want := range r.Desired {
-			if want.PathID == c.PathID && want.StaticExitPort == port && c.StaticExitPort != port {
-				chains[i].StaticExitPort = port
-				restored = append(restored, c.PathID)
-			}
-		}
-	}
-	if len(restored) == 0 {
-		return nil
-	}
-	if err := d.Reconfigure(chains); err != nil {
-		return fmt.Errorf("core: restoring intent exits after port %d recovery: %w", port, err)
-	}
-	for _, id := range restored {
-		rep.Repointed[id] = port
-		rep.Actions = append(rep.Actions, fmt.Sprintf("chain %d re-pointed back to intent exit port %d", id, port))
-		rep.Degradation.Add(lint.Finding{
-			Rule: RuleRCRepoint, Severity: lint.SevInfo,
-			Where:   fmt.Sprintf("chain %d", id),
-			Message: fmt.Sprintf("static exit restored to declared port %d after recovery", port),
-		})
-	}
 	return nil
 }
 

@@ -229,58 +229,3 @@ func TestEdgeChaosConfigBaseline(t *testing.T) {
 		t.Errorf("chaos scenario not lint-clean:\n%s", d.Lint)
 	}
 }
-
-// TestReconcilerRestoresIntentExit binds a declared chain set to the
-// reconciler (as the intent plane does after every apply) and proves
-// level-triggered convergence toward it: a dead static exit is
-// re-pointed to the spare, and when the declared port recovers the
-// chain moves BACK — unlike the unbound reconciler, which leaves the
-// chain on its working spare.
-func TestReconcilerRestoresIntentExit(t *testing.T) {
-	d, probes := chaosDeployment(t)
-	probe := findProbe(t, probes, 40)
-	rec := NewReconciler(d, 0)
-	// The deployed chain set IS the declared intent: chain 40 exits 30.
-	rec.SetDesired(d.Config.Chains)
-
-	if _, err := rec.HandleEvent(fault.Event{Tick: 1, Kind: fault.PortDown, Port: 30}); err != nil {
-		t.Fatal(err)
-	}
-	if port, _ := staticExitOf(d, 40); port != 31 {
-		t.Fatalf("chain 40 on port %d after failure, want spare 31", port)
-	}
-
-	up, err := rec.HandleEvent(fault.Event{Tick: 2, Kind: fault.PortUp, Port: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := up.Repointed[40]; got != 30 {
-		t.Fatalf("recovery re-pointed chain 40 to %d, want declared port 30 (Repointed=%v)",
-			got, up.Repointed)
-	}
-	if port, _ := staticExitOf(d, 40); port != 30 {
-		t.Errorf("chain 40 on port %d after recovery, want declared 30", port)
-	}
-	// The restoration is reported as an informational RC002 finding, not
-	// a degradation.
-	restored := up.Degradation.ByRule(RuleRCRepoint)
-	if len(restored) != 1 || restored[0].Severity != lint.SevInfo {
-		t.Errorf("RC002 restore finding missing or mis-leveled: %v", up.Degradation)
-	}
-	// Traffic follows the declared exit again.
-	tr, err := d.Inject(probe.Port, probe.Packet())
-	if err != nil || tr.Dropped || len(tr.Out) != 1 || tr.Out[0].Port != 30 {
-		t.Fatalf("post-recovery probe mishandled: err=%v trace=%+v", err, tr)
-	}
-	if d.Lint.HasErrors() {
-		t.Errorf("restored deployment has lint errors:\n%s", d.Lint)
-	}
-
-	// A desired set that never declared port 30 leaves recovery alone:
-	// SetDesired copies, so mutating the caller's slice is harmless.
-	rec2 := NewReconciler(d, 0)
-	rec2.SetDesired(nil)
-	if _, err := rec2.HandleEvent(fault.Event{Tick: 3, Kind: fault.PortUp, Port: 30}); err != nil {
-		t.Fatal(err)
-	}
-}

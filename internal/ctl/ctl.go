@@ -182,21 +182,11 @@ func inPort(pkt *packet.Parsed) asic.PortID {
 	return asic.PortID(pkt.SFC.Meta.InPort)
 }
 
-// Reinject puts a handled packet back into the data plane on the port
-// recorded in its SFC platform metadata ("the control plane will
-// simply install a new session ... and reinject the packet", §3.1). A
-// packet that recorded no usable port is refused by the switch.
-func (c *Controller) Reinject(pkt *packet.Parsed) (*asic.Trace, error) {
-	tr, err := c.sw.Inject(inPort(pkt), pkt)
-	if err == nil {
-		c.count(tally{reinjected: 1})
-	}
-	return tr, err
-}
-
 // Poll drains the switch's CPU queue, handles every punted packet, and
-// then reinjects the ones whose state was repaired, a traced burst per
-// run of packets that entered through the same port. One packet's
+// then reinjects the ones whose state was repaired ("the control plane
+// will simply install a new session ... and reinject the packet", §3.1)
+// on the port recorded in their SFC platform metadata, a traced burst
+// per run of packets that entered through the same port. One packet's
 // failure (a full session table, an unusable in-port) does not stop the
 // drain: every drained packet is handled, and Poll returns the traces of
 // the reinjected ones, in drain order, together with the joined errors

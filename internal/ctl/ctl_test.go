@@ -338,11 +338,31 @@ func TestApplyTableWrites(t *testing.T) {
 	}
 }
 
+// TestReinjectRejectsBadInPort: a drained packet whose recorded in-port
+// no port answers to is repaired but cannot go back in; it lands in
+// Poll's joined error and in Stats.Failed, not in the traces.
 func TestReinjectRejectsBadInPort(t *testing.T) {
-	_, _, ctrl := deployed(t)
-	pkt := scenario.ClientTCP(443)
-	pkt.SFC.Meta.InPort = 0xFFF // no usable port recorded
-	if _, err := ctrl.Reinject(pkt); err == nil {
-		t.Error("reinject with bogus in-port succeeded")
+	s := scenario.MustNew()
+	sw := asic.New(s.Prof)
+	punt := func(ctx *asic.Ctx) {
+		ctx.Pkt.SFC.Meta.InPort = 0xFFF // no usable port recorded
+		ctx.Meta.ToCPU = true
+	}
+	if err := sw.InstallIngress(s.Prof.PipelineOf(scenario.PortClient), punt); err != nil {
+		t.Fatal(err)
+	}
+	ctrl := New(sw, s.NFs)
+	if tr, err := sw.Inject(scenario.PortClient, scenario.ClientTCP(443)); err != nil || len(tr.CPU) != 1 {
+		t.Fatalf("packet not punted: %+v %v", tr, err)
+	}
+	traces, err := ctrl.Poll()
+	if len(traces) != 0 {
+		t.Errorf("reinjected %d packets through a bogus in-port", len(traces))
+	}
+	if err == nil {
+		t.Error("Poll reported no error for a bogus in-port")
+	}
+	if st := ctrl.Stats(); st.SessionsInstalled != 1 || st.Reinjected != 0 || st.Failed != 1 {
+		t.Errorf("Stats = %+v, want 1 installed, 0 reinjected, 1 failed", st)
 	}
 }

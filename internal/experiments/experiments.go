@@ -720,14 +720,38 @@ func Apply() (Table, error) {
 	}, nil
 }
 
+// experiment is one regenerable table: its ID and the function that
+// runs it.
+type experiment struct {
+	id  string
+	run func() (Table, error)
+}
+
+// catalog is the one experiment table, in run order: All, ByID and
+// IDs all read it.
+var catalog = []experiment{
+	{"fig6", Fig6},
+	{"fig7", Fig7},
+	{"fig8a", Fig8a},
+	{"fig8b", Fig8b},
+	{"table1", Table1},
+	{"fig9", Fig9},
+	{"emul", Emulation},
+	{"softgap", SoftwareGap},
+	{"multiswitch", MultiSwitch},
+	{"lint", LintReport},
+	{"chaos", Chaos},
+	{"fabric", Fabric},
+	{"fabricplace", FabricPlace},
+	{"dvtel", Dvtel},
+	{"apply", Apply},
+}
+
 // All runs every experiment in order.
 func All() ([]Table, error) {
-	runs := []func() (Table, error){
-		Fig6, Fig7, Fig8a, Fig8b, Table1, Fig9, Emulation, SoftwareGap, MultiSwitch, LintReport, Chaos, Fabric, FabricPlace, Dvtel, Apply,
-	}
-	out := make([]Table, 0, len(runs))
-	for _, r := range runs {
-		t, err := r()
+	out := make([]Table, 0, len(catalog))
+	for _, e := range catalog {
+		t, err := e.run()
 		if err != nil {
 			return out, err
 		}
@@ -738,21 +762,19 @@ func All() ([]Table, error) {
 
 // ByID runs one experiment by its table ID.
 func ByID(id string) (Table, error) {
-	m := map[string]func() (Table, error){
-		"fig6": Fig6, "fig7": Fig7, "fig8a": Fig8a, "fig8b": Fig8b,
-		"table1": Table1, "fig9": Fig9, "emul": Emulation,
-		"softgap": SoftwareGap, "multiswitch": MultiSwitch, "lint": LintReport,
-		"chaos": Chaos, "fabric": Fabric, "fabricplace": FabricPlace,
-		"dvtel": Dvtel, "apply": Apply,
+	for _, e := range catalog {
+		if e.id == id {
+			return e.run()
+		}
 	}
-	r, ok := m[id]
-	if !ok {
-		return Table{}, fmt.Errorf("experiments: unknown experiment %q", id)
-	}
-	return r()
+	return Table{}, fmt.Errorf("experiments: unknown experiment %q", id)
 }
 
-// IDs lists the experiment identifiers.
+// IDs lists the experiment identifiers in run order.
 func IDs() []string {
-	return []string{"fig6", "fig7", "fig8a", "fig8b", "table1", "fig9", "emul", "softgap", "multiswitch", "lint", "chaos", "fabric", "fabricplace", "dvtel", "apply"}
+	ids := make([]string, len(catalog))
+	for i, e := range catalog {
+		ids[i] = e.id
+	}
+	return ids
 }

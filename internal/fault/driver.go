@@ -105,9 +105,6 @@ type Driver struct {
 	Applier Applier
 	// MaxAttempts bounds tries per write; zero means 4.
 	MaxAttempts int
-	// BaseBackoff is the first retry's delay, doubled per attempt;
-	// zero means 1ms.
-	BaseBackoff time.Duration
 	// Sleep is the backoff clock; nil means time.Sleep. Tests inject a
 	// recorder to keep runs fast and deterministic.
 	Sleep func(time.Duration)
@@ -125,13 +122,8 @@ func (d *Driver) attempts() int {
 	return d.MaxAttempts
 }
 
-func (d *Driver) backoff(attempt int) time.Duration {
-	base := d.BaseBackoff
-	if base <= 0 {
-		base = time.Millisecond
-	}
-	return base << attempt
-}
+// backoff is the delay before retry attempt+1: 1 ms, doubled per attempt.
+func backoff(attempt int) time.Duration { return time.Millisecond << attempt }
 
 // Apply writes through the fallible applier, retrying transient
 // failures with exponential backoff.
@@ -141,7 +133,7 @@ func (d *Driver) Apply(w ctl.TableWrite) error {
 	for attempt := 0; attempt < d.attempts(); attempt++ {
 		if attempt > 0 {
 			d.stats.Retries++
-			delay := d.backoff(attempt - 1)
+			delay := backoff(attempt - 1)
 			d.stats.BackedOff += delay
 			sleep := d.Sleep
 			if sleep == nil {

@@ -120,18 +120,15 @@ type FabricScheduleOpts struct {
 	Links []FabricLink
 	// EventsPerTick is the expected event rate; zero means 0.4.
 	EventsPerTick float64
-	// MaxDeadSwitches bounds how many switches may be dead at once;
-	// zero means at most one below the unprotected count, so the
-	// fabric never loses every re-placement target.
-	MaxDeadSwitches int
 }
 
 // RandomFabricSchedule generates a deterministic, seed-reproducible
 // fabric fault schedule: the same seed and opts always produce the
 // identical event list. Revive/restore events are only generated for
 // elements a prior kill/cut took out, so the schedule is
-// self-consistent, and the dead-switch population never exceeds
-// MaxDeadSwitches.
+// self-consistent, and at most one below the unprotected switch count
+// are dead at once, so the fabric never loses every re-placement
+// target.
 func RandomFabricSchedule(seed int64, opts FabricScheduleOpts) FabricSchedule {
 	rng := rand.New(rand.NewSource(seed))
 	if opts.Ticks <= 0 {
@@ -151,13 +148,7 @@ func RandomFabricSchedule(seed int64, opts FabricScheduleOpts) FabricSchedule {
 			killable = append(killable, s)
 		}
 	}
-	maxDead := opts.MaxDeadSwitches
-	if maxDead <= 0 {
-		maxDead = len(killable) - 1
-	}
-	if maxDead < 0 {
-		maxDead = 0
-	}
+	maxDead := len(killable) - 1
 
 	var sched FabricSchedule
 	dead := make(map[int]bool)

@@ -49,7 +49,7 @@ func TestRandomFabricScheduleSelfConsistent(t *testing.T) {
 					t.Fatalf("seed %d killed already-dead switch %d", seed, ev.Switch)
 				}
 				dead[ev.Switch] = true
-				// MaxDeadSwitches defaults to killable-1 = 1 here.
+				// At most killable-1 = 1 dead at once here.
 				if len(dead) > 1 {
 					t.Fatalf("seed %d exceeded the dead-switch bound", seed)
 				}

@@ -85,6 +85,25 @@ func TestAllParsersMerge(t *testing.T) {
 	}
 }
 
+func TestExtensionNFsMergeWithProductionParsers(t *testing.T) {
+	// The NFs the public API ships beyond the §5 chain's five must merge
+	// cleanly into the generic parser alongside the production NFs.
+	nfs := List{
+		NewClassifier(1, 2),
+		NewVGW(packet.IP4{172, 16, 0, 1}, macB),
+		NewRouter(),
+		NewNAT(packet.IP4{192, 0, 2, 1}, 1024),
+		NewMirror(),
+	}
+	var graphs []*p4.ParserGraph
+	for _, f := range nfs {
+		graphs = append(graphs, f.Parser())
+	}
+	if _, err := p4.MergeParsers(p4.NewGlobalIDTable(), graphs...); err != nil {
+		t.Fatalf("extension parsers conflict: %v", err)
+	}
+}
+
 func TestClassifierRuleAndDefault(t *testing.T) {
 	c := NewClassifier(30, 2) // default: green path, 2 hops
 	err := c.AddRule(ClassRule{

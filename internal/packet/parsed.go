@@ -100,6 +100,16 @@ func (p *Parsed) Reset() {
 	p.Payload = nil
 }
 
+// CopyFrom overwrites p with a shallow copy of src: header fields and
+// validity bits are copied by value, while Payload and Options slices
+// alias src. That is exactly what a template-stamping traffic
+// generator wants — NFs rewrite header fields but never the payload
+// bytes — and it allocates nothing. Use Clone for an independent deep
+// copy.
+//
+//dv:hotpath
+func (p *Parsed) CopyFrom(src *Parsed) { *p = *src }
+
 // Parse decodes a full packet from data, following the generic parser
 // graph: Ethernet → {ARP | SFC | IPv4} and, under IPv4,
 // {TCP | UDP | ICMP} with UDP port 4789 triggering VXLAN → inner

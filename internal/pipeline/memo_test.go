@@ -309,9 +309,7 @@ func TestFingerprintSurvivesRuntimeWrites(t *testing.T) {
 	s := scenario.MustNew()
 	nat := nf.NewNAT(packet.IP4{192, 0, 2, 1}, 4096)
 	mirror := nf.NewMirror()
-	meter := nf.NewRateLimiter(true)
-	ctxfw := nf.NewContextFirewall(true)
-	all := append(append(nf.List(nil), s.NFs...), nat, mirror, meter, ctxfw)
+	all := append(append(nf.List(nil), s.NFs...), nat, mirror)
 
 	before := make(map[string]string, len(all))
 	for _, f := range all {
@@ -345,10 +343,6 @@ func TestFingerprintSurvivesRuntimeWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := mirror.AddTap(packet.IP4{10, 0, 0, 0}, packet.IP4{255, 0, 0, 0}, 7, 1); err != nil {
-		t.Fatal(err)
-	}
-	meter.SetRate(42, 1e6, 1e4)
-	if err := ctxfw.AddPolicy(nf.TenantPolicy{Tenant: 42, Permit: false}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -41,10 +41,6 @@ type Problem struct {
 	// Enter is the pipeline whose ingress pipe receives external
 	// traffic.
 	Enter int
-	// EntryWeights optionally spreads external traffic over several
-	// entry pipelines (pipeline index -> share). When set, the cost is
-	// the entry-weighted sum over all entries and Enter is ignored.
-	EntryWeights map[int]float64
 	// StageDemand gives each NF's own MAU stage demand (from
 	// compiler.MinStages); NFs absent from the map default to 1 stage.
 	StageDemand map[string]int
@@ -125,14 +121,6 @@ func (p Problem) Validate() error {
 	if p.Enter < 0 || p.Enter >= p.Prof.Pipelines {
 		return fmt.Errorf("place: entry pipeline %d out of range", p.Enter)
 	}
-	for enter, w := range p.EntryWeights {
-		if enter < 0 || enter >= p.Prof.Pipelines {
-			return fmt.Errorf("place: entry pipeline %d out of range", enter)
-		}
-		if w < 0 {
-			return fmt.Errorf("place: entry pipeline %d has negative weight", enter)
-		}
-	}
 	for name, at := range p.Fixed {
 		if at.Pipeline < 0 || at.Pipeline >= p.Prof.Pipelines {
 			return fmt.Errorf("place: NF %q pinned to nonexistent pipeline %d", name, at.Pipeline)
@@ -148,22 +136,9 @@ type Result struct {
 	Evaluations int // placements evaluated
 }
 
-// evaluate scores a placement: single-entry, or the entry-weighted sum
-// when EntryWeights is set.
+// evaluate scores a placement for traffic entering on p.Enter.
 func (p Problem) evaluate(pl *route.Placement) (route.Cost, error) {
-	if len(p.EntryWeights) == 0 {
-		return route.Evaluate(p.Chains, pl, p.Enter)
-	}
-	var total route.Cost
-	for enter, w := range p.EntryWeights {
-		c, err := route.Evaluate(p.Chains, pl, enter)
-		if err != nil {
-			return route.Cost{}, err
-		}
-		total.WeightedRecircs += w * c.WeightedRecircs
-		total.WeightedResubmits += w * c.WeightedResubmits
-	}
-	return total, nil
+	return route.Evaluate(p.Chains, pl, p.Enter)
 }
 
 // applyFixed writes pinned assignments into a placement.

@@ -297,50 +297,3 @@ func BenchmarkAnnealFig6(b *testing.B) {
 		}
 	}
 }
-
-func TestMultiEntryWeighting(t *testing.T) {
-	// Traffic enters on both pipelines. A placement tuned only for
-	// entry 0 can be poor for entry 1; the multi-entry objective must
-	// balance them.
-	p := fig6Problem()
-	p.EntryWeights = map[int]float64{0: 0.5, 1: 0.5}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := Exhaustive(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The optimum must not exceed the average of the per-entry optima
-	// by much; concretely, for this symmetric problem it should stay
-	// small.
-	if res.Cost.WeightedRecircs > 2 {
-		t.Errorf("multi-entry optimum = %v, suspiciously high", res.Cost)
-	}
-	// Evaluating the same placement per entry must average to the
-	// reported cost.
-	c0, err := route.Evaluate(p.Chains, res.Placement, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1, err := route.Evaluate(p.Chains, res.Placement, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 0.5*c0.WeightedRecircs + 0.5*c1.WeightedRecircs
-	if diff := res.Cost.WeightedRecircs - want; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("cost %v != weighted per-entry sum %v", res.Cost.WeightedRecircs, want)
-	}
-}
-
-func TestMultiEntryValidation(t *testing.T) {
-	p := fig6Problem()
-	p.EntryWeights = map[int]float64{7: 1}
-	if err := p.Validate(); err == nil {
-		t.Error("out-of-range entry pipeline accepted")
-	}
-	p.EntryWeights = map[int]float64{0: -1}
-	if err := p.Validate(); err == nil {
-		t.Error("negative entry weight accepted")
-	}
-}

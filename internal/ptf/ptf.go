@@ -224,13 +224,11 @@ func HasEthDst(want packet.MAC) Check {
 // Reparses asserts the packet serializes and re-parses cleanly.
 func Reparses() Check {
 	return func(p *packet.Parsed) error {
-		wire, err := p.Serialize(packet.GetBuf())
+		wire, err := p.Serialize(nil)
 		if err != nil {
 			return fmt.Errorf("serialize: %w", err)
 		}
-		defer packet.PutBuf(wire)
-		q := packet.GetParsed()
-		defer packet.PutParsed(q)
+		var q packet.Parsed
 		if err := q.Parse(wire); err != nil {
 			return fmt.Errorf("reparse: %w", err)
 		}

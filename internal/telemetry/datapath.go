@@ -91,7 +91,7 @@ type DatapathDelta struct {
 //
 // The layout is tuned so the common packet (one ingress pass, one
 // egress pass, delivered, no recirculation) costs exactly ONE atomic
-// add, into the hot-path matrix (FastDone). Packets that do anything
+// add, into the hot-path matrix (FastDoneN). Packets that do anything
 // unusual take the batched slow path — one packed pass-counter add per
 // visited pipeline (Flush) plus the histogram/disposition adds
 // (PacketDone). Everything else is derived at snapshot time:
@@ -163,25 +163,12 @@ func (s *DatapathShard) Resubmission(pipeline int) { s.resubmits[pipeline].Add(1
 //dv:hotpath
 func (s *DatapathShard) Refused() { s.refused.Add(1) }
 
-// FastDone records a fast-path packet — delivered via exactly one
-// ingress pass through pipeline pi and one egress pass through pe,
-// with no recirculation, resubmission or extra wire copies — in a
-// single atomic add. It reports false when the pair is out of range;
-// the caller then accounts the packet through Flush/PacketDone.
-//
-//dv:hotpath
-func (s *DatapathShard) FastDone(pi, pe int) bool {
-	if pi < 0 || pi >= s.pipelines || pe < 0 || pe >= s.pipelines {
-		return false
-	}
-	s.hot[pi*s.pipelines+pe].Add(1)
-	return true
-}
-
-// FastDoneN records n fast-path packets for the (pi, pe) pipeline pair
-// in one atomic add — the batched-injection counterpart of FastDone,
-// letting a whole burst of common packets cost a single update. It
-// reports false (and records nothing) when the pair is out of range.
+// FastDoneN records n fast-path packets — each delivered via exactly
+// one ingress pass through pipeline pi and one egress pass through pe,
+// with no recirculation, resubmission or extra wire copies — in one
+// atomic add, so a whole burst of common packets costs a single update.
+// It reports false (and records nothing) when the pair is out of range;
+// the caller then accounts the packets through Flush/PacketDone.
 //
 //dv:hotpath
 func (s *DatapathShard) FastDoneN(pi, pe int, n uint64) bool {
@@ -298,7 +285,7 @@ func (d *Datapath) Pipelines() int { return d.pipelines }
 
 // SetFastPathLatency declares the modelled latency (ns) of a fast-path
 // packet — the switch profile's ingress + traffic-manager + egress
-// latency — so snapshots can place FastDone packets in the latency
+// latency — so snapshots can place FastDoneN packets in the latency
 // histogram. The attaching switch calls this before counting starts;
 // changing it while counters hold fast-path packets would re-bucket
 // them retroactively.

@@ -107,15 +107,13 @@ func TestDatapathFastDone(t *testing.T) {
 	d := NewDatapath(2)
 	d.SetFastPathLatency(700) // bucket 2 of {250, 500, 1000, ...}
 	sh := d.Shard(0)
-	for i := 0; i < 3; i++ {
-		if !sh.FastDone(0, 0) {
-			t.Fatal("FastDone(0,0) refused")
-		}
+	if !sh.FastDoneN(0, 0, 3) {
+		t.Fatal("FastDoneN(0,0) refused")
 	}
-	if !sh.FastDone(0, 1) {
-		t.Fatal("FastDone(0,1) refused")
+	if !sh.FastDoneN(0, 1, 1) {
+		t.Fatal("FastDoneN(0,1) refused")
 	}
-	if sh.FastDone(2, 0) || sh.FastDone(0, -1) {
+	if sh.FastDoneN(2, 0, 1) || sh.FastDoneN(0, -1, 1) {
 		t.Error("out-of-range pipeline pair accepted")
 	}
 	// One slow-path packet alongside, to check the two paths merge.
