@@ -67,13 +67,13 @@ bench-build: build
 
 # Fabric chaos soak: the multi-switch fault-tolerance gate (DESIGN.md
 # §12) — reconciler + soak tests under the race detector (including
-# TestFabricChaosGolden: `fabricchaos -json` seeds 1/7/42 against the
-# committed internal/core/testdata bytes, and the remembered-plan
+# TestFabricChaosGolden: `chaos -switches 3 -json` seeds 1/7/42 against
+# the committed internal/core/testdata bytes, and the remembered-plan
 # differential walk), then the CLI over the canonical seeds.
 fabric-chaos: build
 	$(GO) test -race -run 'TestFabricChaos|TestReconciler' ./internal/core/ ./internal/cluster/
 	@for seed in 1 7 42; do \
-		$(GO) run ./cmd/dejavu fabricchaos -seed $$seed -ticks 40 || exit 1; \
+		$(GO) run ./cmd/dejavu chaos -switches 3 -seed $$seed -ticks 40 || exit 1; \
 	done
 
 # Topology-aware placement gate (DESIGN.md §14): placement engine and

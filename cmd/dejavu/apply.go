@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"dejavu/internal/cluster"
 	"dejavu/internal/intent"
 )
 
@@ -109,8 +110,8 @@ func printApplyReport(rep *intent.Report) {
 	}
 	if len(rep.FabricPath) > 0 {
 		fmt.Printf("fabric path: %v (reprogrammed %v)\n", rep.FabricPath, rep.FabricChanged)
-		for id, why := range rep.FabricBlackholed {
-			fmt.Printf("  chain %d blackholed: %s\n", id, why)
+		for _, id := range cluster.SortedKeys(rep.FabricBlackholed) {
+			fmt.Printf("  chain %d blackholed: %s\n", id, rep.FabricBlackholed[id])
 		}
 	}
 	if !rep.DryRun {

@@ -3,47 +3,48 @@
 //
 // Usage:
 //
-//	dejavu plan                  # show placement + traversal analysis
-//	dejavu plan -optimizer naive # compare against the strawman placer
+//	dejavu plan                  # placement, traversals, resources, capacity
+//	dejavu plan -optimizer manual -loopback 16 -offered 1600
 //	dejavu plan -to new.json     # incremental rebuild plan + table delta
 //	dejavu apply -f intent.json  # converge toward a declarative intent
 //	dejavu apply -f i.json -dry-run -json
 //	dejavu diff -f new.json -from old.json  # semantic intent delta
-//	dejavu resources             # Table-1 style framework overhead
 //	dejavu run                   # deploy and push sample traffic through
-//	dejavu capacity -loopback 16 # §5 capacity analysis
 //	dejavu lint                  # static verification (exit 1 on errors)
 //	dejavu -config x.json lint -json
 //	dejavu chaos -seed 7         # seeded fault soak with self-healing
-//	dejavu fabricchaos -seed 7   # multi-switch fabric fault soak
+//	dejavu chaos -switches 3     # the same over a multi-switch fabric
 //	dejavu benchbuild -rounds 50 # full vs incremental rebuild latency
 //	dejavu serve -metrics :9090  # Prometheus /metrics + pprof over HTTP
 //	dejavu top                   # one-shot telemetry snapshot
 //	dejavu top -addr :9090       # scrape a running serve instance
 //
+// Every -config and -to file is an intent document (docs/INTENT.md).
 // See docs/OBSERVABILITY.md for the metric catalogue and docs/CLI.md
 // for the JSON schemas the subcommands emit.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
 	"dejavu/internal/asic"
-	"dejavu/internal/config"
+	"dejavu/internal/cluster"
 	"dejavu/internal/core"
 	"dejavu/internal/fault"
+	"dejavu/internal/intent"
 	"dejavu/internal/packet"
 	"dejavu/internal/pipeline"
 	"dejavu/internal/route"
 	"dejavu/internal/scenario"
 )
 
-// configPath optionally points at a declarative JSON deployment spec;
-// set via the global -config flag before the subcommand.
+// configPath optionally points at an intent document; set via the
+// global -config flag before the subcommand.
 var configPath string
 
 // command is one dejavu subcommand.
@@ -55,23 +56,20 @@ type command struct {
 // commands is the one subcommand table: usage lists it and main
 // dispatches through it.
 var commands = []command{
-	{"plan", "optimize and show NF placement and per-chain traversals", runPlan},
+	{"plan", "show placement, traversals, resources and capacity; -to plans a rebuild", runPlan},
 	{"apply", "converge the deployment toward a declarative intent document", runApply},
 	{"diff", "print the semantic delta between two intent documents", runDiff},
-	{"resources", "show the framework resource overhead report", runResources},
 	{"run", "deploy and forward sample traffic on all three SFC paths", runTraffic},
-	{"capacity", "show the capacity split for a loopback configuration", runCapacity},
 	{"emit", "print the composed multi-pipeline P4 program", runEmit},
 	{"lint", "statically verify the deployment; exit nonzero on errors", runLint},
-	{"chaos", "replay a seeded fault schedule and check healing invariants", runChaos},
-	{"fabricchaos", "replay fabric faults (switch/link) against a multi-switch path", runFabricChaos},
+	{"chaos", "replay a seeded fault schedule (-switches N: on a fabric) and check healing", runChaos},
 	{"benchbuild", "measure full vs incremental rebuild latency under churn", runBuildBench},
 	{"serve", "serve Prometheus /metrics and pprof for the deployment", runServe},
 	{"top", "print a one-shot telemetry snapshot (local or -addr scrape)", runTop},
 }
 
 func usage() {
-	fmt.Fprint(os.Stderr, "usage: dejavu <command> [flags]\n\ncommands:\n")
+	fmt.Fprint(os.Stderr, "usage: dejavu [-config intent.json] <command> [flags]\n\ncommands:\n")
 	for _, c := range commands {
 		fmt.Fprintf(os.Stderr, "  %-11s %s\n", c.name, c.summary)
 	}
@@ -79,8 +77,16 @@ func usage() {
 }
 
 func main() {
-	args := os.Args[1:]
-	// Global flags before the subcommand.
+	if err := dispatch(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "dejavu:", err)
+		os.Exit(1)
+	}
+}
+
+// dispatch runs one command line: the global flags, then a command of
+// the table with its own flags.
+func dispatch(args []string) error {
+	configPath = ""
 	for len(args) > 1 && args[0] == "-config" {
 		configPath = args[1]
 		args = args[2:]
@@ -90,25 +96,44 @@ func main() {
 	}
 	for _, c := range commands {
 		if c.name == args[0] {
-			if err := c.run(args[1:]); err != nil {
-				fmt.Fprintln(os.Stderr, "dejavu:", err)
-				os.Exit(1)
-			}
-			return
+			return c.run(args[1:])
 		}
 	}
 	usage()
+	return nil
+}
+
+// errFabricDocument refuses a document with a fabric section on a
+// single-switch command: one ASIC cannot deploy the fleet it declares.
+// `dejavu apply` converges such a document.
+var errFabricDocument = errors.New("the document declares a fabric; single-switch commands deploy one switch (use apply)")
+
+// loadDocument reads the intent document at path for a single-switch
+// command and builds its deployment.
+func loadDocument(path string) (*intent.Document, *core.Config, error) {
+	doc, err := intent.Load(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	if doc.Fabric != nil {
+		return nil, nil, fmt.Errorf("%s: %w", path, errFabricDocument)
+	}
+	cfg, err := doc.BuildConfig()
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return doc, cfg, nil
 }
 
 // deployConfig is the one place a command builds its deployment: the
-// declarative JSON document when configPath is set, else the reference
-// scenario. A named optimizer overrides the placement strategy; "manual"
-// (or empty) keeps the document's own, and for the scenario its Fig. 9
-// hand placement.
+// intent document when configPath is set, else the reference scenario.
+// A named optimizer overrides the placement strategy; "manual" (or
+// empty) keeps the document's own, and for the scenario its Fig. 9 hand
+// placement.
 func deployConfig(optimizer string) (core.Config, error) {
 	manual := optimizer == "" || optimizer == "manual"
 	if configPath != "" {
-		cfg, err := config.Load(configPath)
+		_, cfg, err := loadDocument(configPath)
 		if err != nil {
 			return core.Config{}, err
 		}
@@ -142,66 +167,60 @@ func deploy(optimizer string, loopback int) (*core.Deployment, error) {
 
 // planJSON is the `dejavu plan -json` document (docs/CLI.md).
 type planJSON struct {
-	From   string `json:"from,omitempty"`
-	To     string `json:"to,omitempty"`
-	Stages []struct {
-		Name       string `json:"name"`
-		CacheHit   bool   `json:"cache_hit"`
-		Hash       string `json:"hash"`
-		Detail     string `json:"detail,omitempty"`
-		DurationNS int64  `json:"duration_ns"`
-	} `json:"stages"`
-	CacheHits       int      `json:"cache_hits"`
-	CacheMisses     int      `json:"cache_misses"`
-	ChangedPrograms []string `json:"changed_programs"`
-	Delta           []struct {
-		Op    string `json:"op"`
-		Entry string `json:"entry"`
-	} `json:"delta"`
-	DeltaSize int `json:"delta_size"`
+	From            string      `json:"from,omitempty"`
+	To              string      `json:"to,omitempty"`
+	Stages          []stageJSON `json:"stages"`
+	CacheHits       int         `json:"cache_hits"`
+	CacheMisses     int         `json:"cache_misses"`
+	ChangedPrograms []string    `json:"changed_programs"`
+	Delta           []opJSON    `json:"delta"`
+	DeltaSize       int         `json:"delta_size"`
+}
+
+// stageJSON is one build stage of planJSON.
+type stageJSON struct {
+	Name       string `json:"name"`
+	CacheHit   bool   `json:"cache_hit"`
+	Hash       string `json:"hash"`
+	Detail     string `json:"detail,omitempty"`
+	DurationNS int64  `json:"duration_ns"`
+}
+
+// opJSON is one branching-table write of planJSON's delta.
+type opJSON struct {
+	Op    string `json:"op"`
+	Entry string `json:"entry"`
 }
 
 func newPlanJSON(from, to string, info pipeline.BuildInfo, changed []asic.PipeletID, delta []route.EntryOp) planJSON {
-	out := planJSON{From: from, To: to, CacheHits: info.CacheHits, CacheMisses: info.CacheMisses}
+	out := planJSON{From: from, To: to, CacheHits: info.CacheHits, CacheMisses: info.CacheMisses,
+		ChangedPrograms: []string{}, Delta: []opJSON{}, DeltaSize: len(delta)}
 	for _, s := range info.Stages {
-		out.Stages = append(out.Stages, struct {
-			Name       string `json:"name"`
-			CacheHit   bool   `json:"cache_hit"`
-			Hash       string `json:"hash"`
-			Detail     string `json:"detail,omitempty"`
-			DurationNS int64  `json:"duration_ns"`
-		}{s.Name, s.CacheHit, s.Hash, s.Detail, int64(s.Duration)})
+		out.Stages = append(out.Stages, stageJSON{s.Name, s.CacheHit, s.Hash, s.Detail, int64(s.Duration)})
 	}
-	out.ChangedPrograms = []string{}
 	for _, pl := range changed {
 		out.ChangedPrograms = append(out.ChangedPrograms, pl.String())
 	}
-	out.Delta = []struct {
-		Op    string `json:"op"`
-		Entry string `json:"entry"`
-	}{}
 	for _, op := range delta {
-		out.Delta = append(out.Delta, struct {
-			Op    string `json:"op"`
-			Entry string `json:"entry"`
-		}{op.Op.String(), op.Entry.String()})
+		out.Delta = append(out.Delta, opJSON{op.Op.String(), op.Entry.String()})
 	}
-	out.DeltaSize = len(delta)
 	return out
 }
 
 func runPlan(args []string) error {
 	fs := flag.NewFlagSet("plan", flag.ExitOnError)
 	optimizer := fs.String("optimizer", "exhaustive", "manual|naive|greedy|anneal|exhaustive")
-	to := fs.String("to", "", "target config: plan the incremental rebuild from -config to this spec")
+	to := fs.String("to", "", "target intent document: plan the incremental rebuild from -config to it")
+	loopback := fs.Int("loopback", 0, "extra front-panel ports in loopback mode, from port 16 on")
+	offered := fs.Float64("offered", 1600, "offered external load (Gbps) for the throughput estimate")
 	jsonOut := fs.Bool("json", false, "emit the build/rebuild plan as JSON")
 	fs.Parse(args)
-	d, err := deploy(*optimizer, 0)
+	d, err := deploy(*optimizer, *loopback)
 	if err != nil {
 		return err
 	}
 	if *to != "" {
-		tcfg, err := config.Load(*to)
+		_, tcfg, err := loadDocument(*to)
 		if err != nil {
 			return err
 		}
@@ -252,41 +271,22 @@ func runPlan(args []string) error {
 		fmt.Println(string(out))
 		return nil
 	}
-	fmt.Print(d.Summary())
-	fmt.Println("\nplacement:")
+	writePlan(os.Stdout, d, *offered)
+	return nil
+}
+
+// writePlan prints the deployment report: traversals, placement, the
+// Table-1 framework resources, per-pipelet stage allocation in the
+// profile's pipelet order (not the plan map's), the §5 capacity split at
+// offered Gbps, and the build pipeline.
+func writePlan(w io.Writer, d *core.Deployment, offered float64) {
+	fmt.Fprint(w, d.Summary())
+	fmt.Fprintln(w, "\nplacement:")
 	for _, f := range d.Config.NFs {
 		at, _ := d.Placement.Of(f.Name())
-		fmt.Printf("  %-12s -> %s\n", f.Name(), at)
+		fmt.Fprintf(w, "  %-12s -> %s\n", f.Name(), at)
 	}
-	fmt.Println("\nbuild pipeline:")
-	fmt.Print(d.LastBuild.Summary())
-	return nil
-}
-
-// planSource names the plan's starting configuration for reports.
-func planSource() string {
-	if configPath != "" {
-		return configPath
-	}
-	return "reference scenario"
-}
-
-func runResources(args []string) error {
-	fs := flag.NewFlagSet("resources", flag.ExitOnError)
-	optimizer := fs.String("optimizer", "manual", "manual|naive|greedy|anneal|exhaustive")
-	fs.Parse(args)
-	d, err := deploy(*optimizer, 0)
-	if err != nil {
-		return err
-	}
-	writeResources(os.Stdout, d)
-	return nil
-}
-
-// writeResources prints the resource report; pipelets appear in the
-// profile's order, not the plan map's.
-func writeResources(w io.Writer, d *core.Deployment) {
-	fmt.Fprintln(w, "Dejavu framework resource overhead (cf. paper Table 1):")
+	fmt.Fprintln(w, "\nframework resources used (cf. paper Table 1):")
 	fmt.Fprint(w, d.Resources.String())
 	fmt.Fprintln(w, "\nper-pipelet stage allocation:")
 	for _, pl := range d.Config.Prof.Pipelets() {
@@ -295,6 +295,21 @@ func writeResources(w io.Writer, d *core.Deployment) {
 				pl, plan.StagesUsed(), plan.FrameworkStages())
 		}
 	}
+	fmt.Fprintln(w, "\ncapacity:")
+	fmt.Fprintf(w, "  ports: %d total, %d loopback\n", d.Capacity.TotalPorts, d.Capacity.LoopbackPorts)
+	fmt.Fprintf(w, "  weighted recircs: %.2f per packet\n", d.WeightedRecirculations())
+	fmt.Fprintf(w, "  effective throughput at %.0f G offered: %.0f Gbps\n",
+		offered, d.EffectiveThroughputGbps(offered))
+	fmt.Fprintln(w, "\nbuild pipeline:")
+	fmt.Fprint(w, d.LastBuild.Summary())
+}
+
+// planSource names the plan's starting configuration for reports.
+func planSource() string {
+	if configPath != "" {
+		return configPath
+	}
+	return "reference scenario"
 }
 
 func runTraffic(args []string) error {
@@ -397,131 +412,104 @@ func runLint(args []string) error {
 	return nil
 }
 
-// runChaos replays a seeded random fault schedule against the
-// deployment, reconciling and probing after every tick. Without
-// -config it runs the reference edge-cloud soak (the same harness the
-// chaos tests use); with -config it derives the fault surface from the
-// loaded spec. Exit status: 0 when every invariant held, 1 otherwise.
+// runChaos replays a seeded random fault schedule, reconciling and
+// probing after every tick. Without -config it runs the reference
+// edge-cloud soak (the same harness the chaos tests use); with -config
+// it derives the fault surface from the document. -switches N instead
+// soaks the edge-cloud chains segmented over an N-switch fabric, with
+// switch kills, link cuts and wire corruption. Exit status: 0 when every
+// invariant held, 1 otherwise.
 func runChaos(args []string) error {
 	fs := flag.NewFlagSet("chaos", flag.ExitOnError)
 	seed := fs.Int64("seed", 1, "fault schedule seed")
 	ticks := fs.Int("ticks", 40, "timeline length in ticks")
+	switches := fs.Int("switches", 0, "soak over a fabric of this many switches (0: one switch)")
 	verbose := fs.Bool("v", false, "print the full transcript before the summary")
 	jsonOut := fs.Bool("json", false, "emit the full result as JSON (includes the transcript with -v)")
 	fs.Parse(args)
 
+	if *switches != 0 {
+		if configPath != "" {
+			return fmt.Errorf("chaos: -switches soaks the reference chains and takes no -config")
+		}
+		res, err := core.RunFabricChaos(core.FabricChaosOpts{Seed: *seed, Ticks: *ticks, Switches: *switches})
+		if err != nil {
+			return err
+		}
+		return printSoak(res, &res.Log, res.Violations, *verbose, *jsonOut)
+	}
 	var res *core.ChaosResult
+	var err error
 	if configPath != "" {
-		cfg, err := config.Load(configPath)
-		if err != nil {
-			return err
+		doc, cfg, lerr := loadDocument(configPath)
+		if lerr != nil {
+			return lerr
 		}
-		// Derive the fault surface from the spec: loopback ports take
-		// recirculation overloads, static exit ports flap, the enter
-		// port sees wire corruption.
-		so := fault.ScheduleOpts{
-			Ticks:       *ticks,
-			WirePorts:   []asic.PortID{asic.PortID(cfg.Enter)},
-			RecircPorts: cfg.LoopbackPorts,
-		}
-		for _, c := range cfg.Chains {
-			if c.HasStaticExit() {
-				so.FlapPorts = append(so.FlapPorts, c.StaticExitPort)
-			}
-		}
+		so := faultSurface(doc, cfg.Prof, *ticks)
 		res, err = core.RunChaos(*cfg, core.ChaosOpts{Seed: *seed, Ticks: *ticks, ScheduleOpts: so})
-		if err != nil {
-			return err
-		}
 	} else {
-		var err error
 		res, err = core.EdgeChaos(*seed, *ticks)
-		if err != nil {
-			return err
-		}
 	}
-	if *jsonOut {
-		if !*verbose {
-			res.Log = nil // the transcript is opt-in; it dwarfs the result
-		}
+	if err != nil {
+		return err
+	}
+	return printSoak(res, &res.Log, res.Violations, *verbose, *jsonOut)
+}
+
+// printSoak prints a chaos result, single-switch or fabric: its JSON
+// document, or its summary. The transcript (log) comes with -v only, in
+// both forms; it dwarfs the result.
+func printSoak(res interface{ Summary() string }, log *[]string, violations []string, verbose, jsonOut bool) error {
+	if !verbose {
+		*log = nil
+	}
+	if jsonOut {
 		out, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
 			return err
 		}
 		fmt.Println(string(out))
 	} else {
-		if *verbose {
-			for _, line := range res.Log {
+		if verbose {
+			for _, line := range *log {
 				fmt.Println(line)
 			}
 			fmt.Println()
 		}
 		fmt.Print(res.Summary())
 	}
-	if !res.OK() {
-		return fmt.Errorf("chaos: %d invariant violation(s)", len(res.Violations))
+	if len(violations) > 0 {
+		return fmt.Errorf("chaos: %d invariant violation(s)", len(violations))
 	}
 	return nil
 }
 
-// runFabricChaos replays a seeded fabric fault schedule — switch
-// kills, link cuts, wire corruption windows — against the edge-cloud
-// chain set segmented over a multi-switch fabric, reconciling and
-// probing across the fabric after every tick. Exit status: 0 when
-// every fabric invariant held, 1 otherwise.
-func runFabricChaos(args []string) error {
-	fs := flag.NewFlagSet("fabricchaos", flag.ExitOnError)
-	seed := fs.Int64("seed", 1, "fabric fault schedule seed")
-	ticks := fs.Int("ticks", 40, "timeline length in ticks")
-	switches := fs.Int("switches", 3, "fabric size")
-	verbose := fs.Bool("v", false, "print the full transcript before the summary")
-	jsonOut := fs.Bool("json", false, "emit the full result as JSON (includes the transcript with -v)")
-	fs.Parse(args)
-
-	res, err := core.RunFabricChaos(core.FabricChaosOpts{
-		Seed: *seed, Ticks: *ticks, Switches: *switches,
-	})
-	if err != nil {
-		return err
+// faultSurface derives a chaos schedule's fault surface from the
+// front-panel ports the document names: its loopback ports take
+// recirculation overloads, its static exits flap, and every exit wire —
+// a static exit or a route's egress port — sees corruption.
+func faultSurface(doc *intent.Document, prof asic.Profile, ticks int) fault.ScheduleOpts {
+	so := fault.ScheduleOpts{Ticks: ticks}
+	onPanel := func(p int) bool { return p >= 0 && p < prof.TotalPorts() }
+	for _, p := range doc.LoopbackPorts {
+		if onPanel(p) {
+			so.RecircPorts = append(so.RecircPorts, asic.PortID(p))
+		}
 	}
-	if *jsonOut {
-		if !*verbose {
-			res.Log = nil // the transcript is opt-in; it dwarfs the result
+	wires := make(map[asic.PortID]bool)
+	for _, c := range doc.Chains {
+		if c.StaticExitPort != 0 && onPanel(c.StaticExitPort) {
+			so.FlapPorts = append(so.FlapPorts, asic.PortID(c.StaticExitPort))
+			wires[asic.PortID(c.StaticExitPort)] = true
 		}
-		out, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(out))
-	} else {
-		if *verbose {
-			for _, line := range res.Log {
-				fmt.Println(line)
+	}
+	if doc.Router != nil {
+		for _, r := range doc.Router.Routes {
+			if onPanel(int(r.Port)) {
+				wires[asic.PortID(r.Port)] = true
 			}
-			fmt.Println()
 		}
-		fmt.Print(res.Summary())
 	}
-	if !res.OK() {
-		return fmt.Errorf("fabricchaos: %d invariant violation(s)", len(res.Violations))
-	}
-	return nil
-}
-
-func runCapacity(args []string) error {
-	fs := flag.NewFlagSet("capacity", flag.ExitOnError)
-	loopback := fs.Int("loopback", 16, "front-panel ports in loopback mode")
-	offered := fs.Float64("offered", 1600, "offered external load (Gbps)")
-	fs.Parse(args)
-	d, err := deploy("manual", *loopback)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("ports: %d total, %d loopback\n", d.Capacity.TotalPorts, d.Capacity.LoopbackPorts)
-	fmt.Printf("external capacity:   %8.0f Gbps\n", d.Capacity.ExternalGbps())
-	fmt.Printf("loopback bandwidth:  %8.0f Gbps (incl. dedicated recirc ports)\n", d.LoopbackGbps())
-	fmt.Printf("weighted recircs:    %8.2f per packet\n", d.WeightedRecirculations())
-	fmt.Printf("effective throughput at %.0f G offered: %.0f Gbps\n",
-		*offered, d.EffectiveThroughputGbps(*offered))
-	return nil
+	so.WirePorts = cluster.SortedKeys(wires)
+	return so
 }

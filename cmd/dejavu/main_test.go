@@ -2,16 +2,94 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"dejavu/internal/asic"
+	"dejavu/internal/intent"
 )
 
-// TestResourcesDeterministic: `dejavu resources` prints the same bytes
-// on every run, the per-pipelet rows in the profile's pipelet order. It
-// ranged over the plan map, so two of five runs differed.
+var update = flag.Bool("update", false, "rewrite the CLI goldens (testdata) from this build")
+
+// runCLI runs one command line in process, as main does, and returns
+// what it printed on standard output.
+func runCLI(t *testing.T, line string) (string, error) {
+	t.Helper()
+	defer func(saved string) { configPath = saved }(configPath)
+	return capture(t, func() error { return dispatch(strings.Fields(line)) })
+}
+
+// capture runs fn with standard output redirected to a file and
+// returns what it printed.
+func capture(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = f
+	fnErr := fn()
+	os.Stdout = saved
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), fnErr
+}
+
+// TestCLIGolden holds each command line's standard output to the bytes
+// in its testdata file, written by the CLI itself. A change meant to
+// keep what the commands print must keep these files; one meant to
+// change it rewrites them with `go test ./cmd/dejavu -run TestCLIGolden
+// -update` and says why. The rows hold no wall-clock reading: latencies
+// in `run` are the switch model's, and `plan`'s text report has no
+// stage durations.
+func TestCLIGolden(t *testing.T) {
+	for _, row := range []struct {
+		line, golden string
+		fails        bool // the command exits nonzero on purpose
+	}{
+		{"plan", "plan.txt", false},
+		{"plan -optimizer manual -loopback 16", "plan_manual_loopback16.txt", false},
+		{"-config ../../configs/edgecloud.json lint -json", "lint_edgecloud.json", false},
+		{"-config ../../configs/lintdemo-bad.json lint -json", "lint_lintdemo-bad.json", true},
+		{"run", "run.txt", false},
+		{"diff -json -f ../../examples/intent/intent.json", "diff_intent.json", false},
+		{"chaos -switches 3 -seed 7 -json", "chaos_switches3_seed7.json", false},
+	} {
+		got, err := runCLI(t, row.line)
+		if (err != nil) != row.fails {
+			t.Errorf("dejavu %s: error %v, want failure %v", row.line, err, row.fails)
+		}
+		file := filepath.Join("testdata", row.golden)
+		if *update {
+			if err := os.WriteFile(file, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Errorf("dejavu %s: output differs from %s:\n%s", row.line, file, got)
+		}
+	}
+}
+
+// TestResourcesDeterministic: `dejavu plan` prints the same bytes on
+// every run, the per-pipelet allocation rows in the profile's pipelet
+// order. They ranged over the plan map, so two of five runs differed.
 func TestResourcesDeterministic(t *testing.T) {
 	var first string
 	for run := 0; run < 8; run++ {
@@ -20,12 +98,13 @@ func TestResourcesDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var out bytes.Buffer
-		writeResources(&out, d)
+		writePlan(&out, d, 1600)
 		if run == 0 {
 			first = out.String()
+			rows := first[strings.Index(first, "per-pipelet stage allocation:"):]
 			at := 0
 			for _, pl := range d.Config.Prof.Pipelets() {
-				i := strings.Index(first[at:], "  "+pl.String())
+				i := strings.Index(rows[at:], "  "+pl.String())
 				if i < 0 {
 					t.Fatalf("pipelet %s missing or out of profile order in:\n%s", pl, first)
 				}
@@ -33,6 +112,90 @@ func TestResourcesDeterministic(t *testing.T) {
 			}
 		} else if out.String() != first {
 			t.Fatalf("run %d differs from run 0:\n%s\nvs\n%s", run, out.String(), first)
+		}
+	}
+}
+
+// TestApplyReportBlackholedInChainOrder: the apply report lists a
+// fabric's blackholed chains in chain order, every time. It ranged over
+// the map.
+func TestApplyReportBlackholedInChainOrder(t *testing.T) {
+	rep := &intent.Report{
+		DryRun:           true,
+		FabricPath:       []int{0, 1},
+		FabricBlackholed: map[uint16]string{30: "no room", 10: "no room", 20: "no room"},
+	}
+	for run := 0; run < 20; run++ {
+		out, _ := capture(t, func() error { printApplyReport(rep); return nil })
+		i10, i20, i30 := strings.Index(out, "chain 10 "), strings.Index(out, "chain 20 "), strings.Index(out, "chain 30 ")
+		if i10 < 0 || !(i10 < i20 && i20 < i30) {
+			t.Fatalf("run %d: blackholed chains out of order:\n%s", run, out)
+		}
+	}
+}
+
+// TestChaosFaultSurfaceNamesDocumentPorts: `chaos -config` faults only
+// front-panel ports the document uses. It cast the entry pipeline index
+// to a wire port.
+func TestChaosFaultSurfaceNamesDocumentPorts(t *testing.T) {
+	docs, err := filepath.Glob("../../configs/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range append(docs, "../../examples/intent/intent.json") {
+		doc, cfg, err := loadDocument(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		uses := make(map[asic.PortID]bool)
+		for _, p := range doc.LoopbackPorts {
+			uses[asic.PortID(p)] = true
+		}
+		for _, c := range doc.Chains {
+			if c.StaticExitPort != 0 {
+				uses[asic.PortID(c.StaticExitPort)] = true
+			}
+		}
+		if doc.Router != nil {
+			for _, r := range doc.Router.Routes {
+				uses[asic.PortID(r.Port)] = true
+			}
+		}
+		so := faultSurface(doc, cfg.Prof, 40)
+		if len(so.WirePorts) == 0 {
+			t.Errorf("%s: no wire ports to corrupt", path)
+		}
+		for _, ports := range [][]asic.PortID{so.WirePorts, so.FlapPorts, so.RecircPorts} {
+			for _, p := range ports {
+				if !uses[p] || int(p) >= cfg.Prof.TotalPorts() {
+					t.Errorf("%s: fault surface names port %d, not a front-panel port the document uses", path, p)
+				}
+			}
+		}
+	}
+}
+
+// TestSingleSwitchCommandsRefuseFabricDocument: a document with a fabric
+// section is refused, with errFabricDocument, by every command that
+// deploys one switch from it.
+func TestSingleSwitchCommandsRefuseFabricDocument(t *testing.T) {
+	raw, err := os.ReadFile("../../examples/intent/intent.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet := filepath.Join(t.TempDir(), "fleet.json")
+	raw = bytes.Replace(raw, []byte(`"version": 1,`), []byte(`"version": 1, "fabric": {"switches": 3},`), 1)
+	if err := os.WriteFile(fleet, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		"-config " + fleet + " plan",
+		"-config " + fleet + " lint",
+		"-config " + fleet + " chaos",
+		"plan -to " + fleet,
+	} {
+		if _, err := runCLI(t, line); !errors.Is(err, errFabricDocument) {
+			t.Errorf("dejavu %s: error %v, want errFabricDocument", line, err)
 		}
 	}
 }

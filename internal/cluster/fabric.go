@@ -122,8 +122,8 @@ func NewFabric(prof asic.Profile, n int) (*Fabric, error) {
 
 // NewSpineFabric creates n switches wired as a linear spine 0->1->...
 // on port 10 with skip wires i->i+2 on port 11, so any single switch
-// death leaves a path from the entry: the topology of `dejavu
-// fabricchaos` and of an intent's `fabric` section.
+// death leaves a path from the entry: the topology of `dejavu chaos
+// -switches` and of an intent's `fabric` section.
 func NewSpineFabric(prof asic.Profile, n int) (*Fabric, error) {
 	f, err := NewFabric(prof, n)
 	if err != nil {

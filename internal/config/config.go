@@ -1,17 +1,14 @@
-// Package config loads declarative Dejavu deployment specifications
-// from JSON: switch profile, service chains, per-NF state (classifier
-// rules, firewall ACLs, VIPs, routes, tunnels), loopback budget and
-// optimizer choice. It turns an operator-editable document into a
-// ready-to-deploy core.Config, so the CLI and automation never
-// hand-construct Go structures.
+// Package config holds the sections of an intent document that
+// describe one deployment — switch profile, service chains, per-NF state
+// (classifier rules, firewall ACLs, VIPs, routes, tunnels), loopback
+// budget and optimizer choice — and their builder, which turns them into
+// a ready-to-deploy core.Config. The document itself, its parser and its
+// validation live in internal/intent, which embeds File.
 package config
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/netip"
-	"os"
 	"slices"
 
 	"dejavu/internal/asic"
@@ -21,7 +18,7 @@ import (
 	"dejavu/internal/route"
 )
 
-// File is the top-level JSON document.
+// File is the deployment half of an intent document.
 type File struct {
 	// Profile selects the switch model: "wedge100b" (default) or
 	// "tofino4".
@@ -58,6 +55,17 @@ type ChainSpec struct {
 	Weight         float64  `json:"weight"`
 	ExitPipeline   int      `json:"exit_pipeline"`
 	StaticExitPort int      `json:"static_exit_port,omitempty"`
+}
+
+// Route returns the chain in routing-layer form.
+func (c ChainSpec) Route() route.Chain {
+	return route.Chain{
+		PathID:         c.PathID,
+		NFs:            c.NFs,
+		Weight:         c.Weight,
+		ExitPipeline:   c.ExitPipeline,
+		StaticExitPort: asic.PortID(c.StaticExitPort),
+	}
 }
 
 // ClassifierSpec configures the chain-entry classifier.
@@ -269,27 +277,6 @@ func parseProto(s string) (proto, mask uint8, err error) {
 	}
 }
 
-// Parse decodes a JSON document into a deployable core.Config.
-func Parse(r io.Reader) (*core.Config, error) {
-	var f File
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&f); err != nil {
-		return nil, fmt.Errorf("config: %w", err)
-	}
-	return f.Build()
-}
-
-// Load reads and parses a JSON file.
-func Load(path string) (*core.Config, error) {
-	fh, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer fh.Close()
-	return Parse(fh)
-}
-
 // ResolveOptimizer returns the placement strategy the file names; none
 // means exhaustive.
 func (f *File) ResolveOptimizer() (core.Optimizer, error) {
@@ -327,13 +314,7 @@ func (f *File) Build() (*core.Config, error) {
 		return nil, fmt.Errorf("config: no chains declared")
 	}
 	for _, c := range f.Chains {
-		chain := route.Chain{
-			PathID:         c.PathID,
-			NFs:            c.NFs,
-			Weight:         c.Weight,
-			ExitPipeline:   c.ExitPipeline,
-			StaticExitPort: asic.PortID(c.StaticExitPort),
-		}
+		chain := c.Route()
 		if err := chain.Validate(); err != nil {
 			return nil, err
 		}

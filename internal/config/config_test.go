@@ -1,152 +1,10 @@
 package config
 
 import (
-	"os"
-	"strings"
 	"testing"
 
-	"dejavu/internal/core"
-	"dejavu/internal/lint"
 	"dejavu/internal/packet"
-	"dejavu/internal/scenario"
 )
-
-// edgeJSON is the §5 scenario as a declarative document.
-const edgeJSON = `{
-  "profile": "wedge100b",
-  "optimizer": "exhaustive",
-  "enter": 0,
-  "loopback_ports": [16, 17, 18, 19],
-  "chains": [
-    {"path_id": 10, "nfs": ["classifier", "fw", "vgw", "lb", "router"], "weight": 0.5, "exit_pipeline": 0},
-    {"path_id": 20, "nfs": ["classifier", "vgw", "router"], "weight": 0.3, "exit_pipeline": 0},
-    {"path_id": 30, "nfs": ["classifier", "router"], "weight": 0.2, "exit_pipeline": 0}
-  ],
-  "classifier": {
-    "default_path": 30,
-    "default_index": 2,
-    "rules": [
-      {"dst": "203.0.113.80/32", "proto": "tcp", "priority": 20, "path": 10, "initial_index": 5, "tenant": 42},
-      {"dst": "10.0.2.0/24", "priority": 10, "path": 20, "initial_index": 3, "tenant": 42}
-    ]
-  },
-  "firewall": {
-    "default_permit": true,
-    "rules": [
-      {"dst": "203.0.113.80/32", "proto": "tcp", "dst_port": 443, "priority": 20, "permit": true},
-      {"dst": "203.0.113.80/32", "priority": 10, "permit": false}
-    ]
-  },
-  "vgw": {
-    "local_vtep": "172.16.0.1",
-    "local_mac": "02:de:1a:00:00:01",
-    "vnis": [{"vni": 5001, "tenant": 42}],
-    "encap": [{"inner_dst": "10.0.2.5", "vni": 5001, "remote": "172.16.0.9", "next_mac": "02:de:1a:00:00:05"}]
-  },
-  "lb": {
-    "session_capacity": 4096,
-    "vips": [{"vip": "203.0.113.80", "backends": ["10.0.1.1", "10.0.1.2"]}]
-  },
-  "router": {
-    "routes": [
-      {"prefix": "10.0.0.0/16", "port": 8, "dst_mac": "02:de:1a:00:00:05", "src_mac": "02:de:1a:00:00:01"},
-      {"prefix": "172.16.0.0/16", "port": 9, "dst_mac": "02:de:1a:00:00:05", "src_mac": "02:de:1a:00:00:01"},
-      {"prefix": "0.0.0.0/0", "port": 1, "dst_mac": "02:de:1a:00:00:fe", "src_mac": "02:de:1a:00:00:01"}
-    ]
-  }
-}`
-
-func TestParseAndDeployEdgeDocument(t *testing.T) {
-	cfg, err := Parse(strings.NewReader(edgeJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cfg.Chains) != 3 || len(cfg.NFs) != 5 {
-		t.Fatalf("chains=%d nfs=%d", len(cfg.Chains), len(cfg.NFs))
-	}
-	if len(cfg.LoopbackPorts) != 4 {
-		t.Errorf("loopback ports = %d", len(cfg.LoopbackPorts))
-	}
-
-	// The parsed document must deploy and forward traffic end to end.
-	d, err := core.Deploy(*cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := d.Inject(scenario.PortClient, scenario.ClientTCP(443))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Dropped || len(tr.Out) != 1 || tr.Out[0].Port != scenario.PortBackends {
-		t.Fatalf("full path broken: dropped=%v out=%+v", tr.Dropped, tr.Out)
-	}
-	tr, err = d.Inject(scenario.PortClient, scenario.TenantBound())
-	if err != nil || tr.Dropped {
-		t.Fatalf("medium path broken: %v", err)
-	}
-	if !tr.Out[0].Pkt.Valid(packet.HdrVXLAN) {
-		t.Error("VXLAN encap missing on tenant path")
-	}
-}
-
-func TestParseRejectsMalformed(t *testing.T) {
-	cases := map[string]string{
-		"bad json":       `{`,
-		"unknown field":  `{"chains": [], "bogus": 1}`,
-		"no chains":      `{"chains": []}`,
-		"bad profile":    `{"profile": "bigswitch", "chains": [{"path_id":1,"nfs":["r"]}]}`,
-		"bad optimizer":  `{"optimizer": "magic", "chains": [{"path_id":1,"nfs":["r"]}]}`,
-		"zero path":      `{"chains": [{"path_id":0,"nfs":["r"]}]}`,
-		"missing nf":     `{"chains": [{"path_id":1,"nfs":["ghost"]}]}`,
-		"bad ip":         `{"chains": [{"path_id":1,"nfs":["router"]}], "router": {"routes": [{"prefix": "nonsense", "port": 1}]}}`,
-		"bad mac":        `{"chains": [{"path_id":1,"nfs":["vgw"]}], "vgw": {"local_vtep": "1.2.3.4", "local_mac": "zz:zz"}}`,
-		"bad proto":      `{"chains": [{"path_id":1,"nfs":["fw"]}], "firewall": {"rules": [{"proto": "sctp", "priority": 1}]}}`,
-		"bad class cidr": `{"chains": [{"path_id":1,"nfs":["classifier"]}], "classifier": {"default_path": 1, "default_index": 1, "rules": [{"dst": "1.2.3.4", "path": 1, "initial_index": 1}]}}`,
-	}
-	for name, doc := range cases {
-		if _, err := Parse(strings.NewReader(doc)); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-}
-
-func TestParseMinimalDefaults(t *testing.T) {
-	doc := `{
-	  "chains": [{"path_id": 1, "nfs": ["classifier", "router"], "exit_pipeline": 0}],
-	  "classifier": {"default_path": 1, "default_index": 2},
-	  "router": {"routes": [{"prefix": "0.0.0.0/0", "port": 1}]}
-	}`
-	cfg, err := Parse(strings.NewReader(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Prof.Pipelines != 2 {
-		t.Error("default profile not wedge100b")
-	}
-	if cfg.Optimizer != core.OptExhaustive {
-		t.Errorf("default optimizer = %q", cfg.Optimizer)
-	}
-	if _, err := core.Deploy(*cfg); err != nil {
-		t.Fatalf("minimal config does not deploy: %v", err)
-	}
-}
-
-func TestLoadFromDisk(t *testing.T) {
-	path := t.TempDir() + "/edge.json"
-	if err := writeFile(path, edgeJSON); err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cfg.Chains) != 3 {
-		t.Errorf("chains = %d", len(cfg.Chains))
-	}
-	if _, err := Load(t.TempDir() + "/missing.json"); err == nil {
-		t.Error("missing file loaded")
-	}
-}
 
 func TestParseHelpers(t *testing.T) {
 	if _, err := parseIP4("::1"); err == nil {
@@ -173,71 +31,5 @@ func TestParseHelpers(t *testing.T) {
 	}
 	if _, err := parseMAC("02:de"); err == nil {
 		t.Error("short MAC accepted")
-	}
-}
-
-// writeFile is a tiny helper (os.WriteFile with mode).
-func writeFile(path, content string) error {
-	return os.WriteFile(path, []byte(content), 0o644)
-}
-
-// The shipped demo configs are golden inputs for the static verifier:
-// edgecloud.json must be deployable (no error findings), and
-// lintdemo-bad.json must trip the DV006/DV008 error rules.
-func TestShippedConfigsLintVerdicts(t *testing.T) {
-	good, err := Load("../../configs/edgecloud.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := core.Lint(*good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.HasErrors() {
-		t.Errorf("edgecloud.json has lint errors:\n%s", rep)
-	}
-
-	bad, err := Load("../../configs/lintdemo-bad.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	badRep, err := core.Lint(*bad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !badRep.HasErrors() {
-		t.Fatalf("lintdemo-bad.json produced no errors:\n%s", badRep)
-	}
-	for _, rule := range []string{"DV006", "DV008"} {
-		found := false
-		for _, f := range badRep.ByRule(rule) {
-			if f.Severity == lint.SevError {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("lintdemo-bad.json missing %s error finding:\n%s", rule, badRep)
-		}
-	}
-}
-
-func TestStrictLintFieldGatesDeploy(t *testing.T) {
-	cfg, err := Load("../../configs/lintdemo-bad.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.StrictLint {
-		t.Fatal("lintdemo-bad.json unexpectedly sets strict_lint")
-	}
-	// The broken config deploys when unstrict...
-	if _, err := core.Deploy(*cfg); err != nil {
-		t.Fatalf("unstrict deploy failed: %v", err)
-	}
-	// ...and is refused by the lint gate when strict.
-	cfg.StrictLint = true
-	if _, err := core.Deploy(*cfg); err == nil {
-		t.Fatal("strict deploy accepted a config with lint errors")
-	} else if !strings.Contains(err.Error(), "DV00") {
-		t.Errorf("strict deploy error does not cite a rule: %v", err)
 	}
 }

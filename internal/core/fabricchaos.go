@@ -42,7 +42,7 @@ type FabricChaosOpts struct {
 }
 
 // FabricChaosResult is the outcome of one fabric chaos run. The JSON
-// shape is the `dejavu fabricchaos -json` document (docs/CLI.md).
+// shape is the `dejavu chaos -switches N -json` document (docs/CLI.md).
 type FabricChaosResult struct {
 	Seed     int64 `json:"seed"`
 	Ticks    int   `json:"ticks"`
@@ -87,7 +87,7 @@ type FabricChaosResult struct {
 }
 
 // ChainRouteRecord is one chain's installed placement in the
-// `dejavu fabricchaos -json` document: the switch sequence its traffic
+// `dejavu chaos -switches N -json` document: the switch sequence its traffic
 // follows and the NFs executed at each position (empty for transit).
 type ChainRouteRecord struct {
 	Chain     uint16     `json:"chain"`
@@ -316,16 +316,7 @@ func RunFabricChaos(opts FabricChaosOpts) (*FabricChaosResult, error) {
 			if err != nil {
 				violate(tick, "plan fails on a converged fabric: %v", err)
 			} else {
-				for id := range fd.Blackholed {
-					if _, still := plan.Blackholed[id]; !still {
-						violate(tick, "chain %d stays blackholed while a feasible placement exists", id)
-					}
-				}
-				for id := range plan.Blackholed {
-					if _, have := fd.Blackholed[id]; !have {
-						violate(tick, "chain %d carries traffic but the current plan cannot place it", id)
-					}
-				}
+				checkBlackholed(fd.Blackholed, plan.Blackholed, tick, violate)
 			}
 		}
 
@@ -409,6 +400,22 @@ func fabricExitSwitch(fd *cluster.FabricDeployment, name string) int {
 		return sw
 	}
 	return -1
+}
+
+// checkBlackholed holds the installed blackhole set to the current
+// plan's, in chain order: no chain stays blackholed while the plan can
+// place it, and none carries traffic the plan cannot place.
+func checkBlackholed(installed, planned map[uint16]string, tick int, violate func(int, string, ...any)) {
+	for _, id := range cluster.SortedKeys(installed) {
+		if _, still := planned[id]; !still {
+			violate(tick, "chain %d stays blackholed while a feasible placement exists", id)
+		}
+	}
+	for _, id := range cluster.SortedKeys(planned) {
+		if _, have := installed[id]; !have {
+			violate(tick, "chain %d carries traffic but the current plan cannot place it", id)
+		}
+	}
 }
 
 // checkFabricRoutes audits every installed per-chain route: each

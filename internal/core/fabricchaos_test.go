@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	"dejavu/internal/telemetry"
@@ -82,7 +84,7 @@ func TestFabricChaosDeterministic(t *testing.T) {
 	}
 }
 
-// TestFabricChaosGolden holds `dejavu fabricchaos -seed N -json` for the
+// TestFabricChaosGolden holds `dejavu chaos -switches 3 -seed N -json` for the
 // canonical seeds to the committed bytes, captured from the commit
 // before the reconciler began remembering plans: a change to planning,
 // placement or healing that is meant to keep behaviour must keep these
@@ -151,5 +153,29 @@ func TestFabricChaosRetriesDrivers(t *testing.T) {
 	}
 	if retries == 0 {
 		t.Error("no seed exercised the driver retry path; re-tune the table-fault rate")
+	}
+}
+
+// TestBlackholeViolationsInChainOrder: the soak reports a disagreement
+// between the installed and the planned blackhole sets chain by chain in
+// ID order, every time. It emitted them in map iteration order.
+func TestBlackholeViolationsInChainOrder(t *testing.T) {
+	installed := map[uint16]string{30: "gone", 10: "gone", 20: "gone"}
+	planned := map[uint16]string{50: "unplaceable", 40: "unplaceable"}
+	var want []string
+	for _, id := range []int{10, 20, 30} {
+		want = append(want, fmt.Sprintf("chain %d stays blackholed while a feasible placement exists", id))
+	}
+	for _, id := range []int{40, 50} {
+		want = append(want, fmt.Sprintf("chain %d carries traffic but the current plan cannot place it", id))
+	}
+	for run := 0; run < 20; run++ {
+		var got []string
+		checkBlackholed(installed, planned, 1, func(_ int, format string, args ...any) {
+			got = append(got, fmt.Sprintf(format, args...))
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("run %d: violations\n%s\nwant\n%s", run, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
 	}
 }

@@ -160,7 +160,7 @@ func checkPlan(g *Graph, chains []route.Chain, opts Options, res *Result) error 
 // TestPlaceContractOnRandomFabrics: whichever strategy wins, every
 // adopted plan on 3 000 seeded random fabrics honours the documented
 // ChainPlacement contract — the one the reconciler installs from and
-// fabricchaos audits — stays within every switch's budget and the hop
+// the fabric chaos soak audits — stays within every switch's budget and the hop
 // limit, and never costs more than the lex candidate.
 func TestPlaceContractOnRandomFabrics(t *testing.T) {
 	const instances = 3000

@@ -287,7 +287,7 @@ func (a *Applier) update(doc *Document, delta *Delta, rep *Report) error {
 }
 
 // buildFabric wires the document's fabric (the spine-plus-skip-wire
-// topology of `dejavu fabricchaos`) and prepares a deployment over it.
+// topology of `dejavu chaos -switches`) and prepares a deployment over it.
 func (a *Applier) buildFabric(doc *Document, cfg *core.Config) (*cluster.FabricDeployment, error) {
 	f, err := cluster.NewSpineFabric(cfg.Prof, doc.Fabric.Switches)
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"dejavu/internal/asic"
 	"dejavu/internal/config"
 	"dejavu/internal/route"
 )
@@ -85,25 +84,13 @@ func (d *Delta) Summary() string {
 	return b.String()
 }
 
-// chainOf converts a declared chain spec into the routing-layer chain
-// the deployment actually runs.
-func chainOf(c config.ChainSpec) route.Chain {
-	return route.Chain{
-		PathID:         c.PathID,
-		NFs:            c.NFs,
-		Weight:         c.Weight,
-		ExitPipeline:   c.ExitPipeline,
-		StaticExitPort: asic.PortID(c.StaticExitPort),
-	}
-}
-
 // RouteChains returns the document's chain set in routing-layer form,
 // ordered as declared. (The embedded config.File already promotes the
 // declared specs as d.Chains.)
 func (d *Document) RouteChains() []route.Chain {
 	out := make([]route.Chain, 0, len(d.Chains))
 	for _, c := range d.Chains {
-		out = append(out, chainOf(c))
+		out = append(out, c.Route())
 	}
 	return out
 }

@@ -9,11 +9,13 @@ import (
 )
 
 // FuzzIntentParse feeds arbitrary bytes to the intent parser, seeded
-// with the example intent and with every committed config, bare and
-// stamped with the schema version. An input is either refused with an
-// error, or it is a document that validates, builds (or refuses to)
-// without panicking, and renders to JSON that parses back to the same
-// Hash — the no-op proof `dejavu apply` reports rests on that hash.
+// with the example intent and every committed config, each as written
+// and with its version key cut (a document every command must refuse),
+// and with fabric stage demands below one stage. An input is either
+// refused with an error, or it is a document that validates, builds (or
+// refuses to) without panicking, and renders to JSON that parses back to
+// the same Hash — the no-op proof `dejavu apply` reports rests on that
+// hash.
 func FuzzIntentParse(f *testing.F) {
 	configs, err := filepath.Glob("../../configs/*.json")
 	if err != nil {
@@ -25,9 +27,12 @@ func FuzzIntentParse(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(b)
-		if b, ok := bytes.CutPrefix(b, []byte("{")); ok {
-			f.Add(append([]byte(`{"version": 1,`), b...))
-		}
+		f.Add(bytes.Replace(b, []byte(`"version": 1,`), nil, 1))
+	}
+	for _, demand := range []string{"0", "-3"} {
+		f.Add([]byte(`{"version": 1, "chains": [{"path_id": 1, "nfs": ["router"]}],
+		  "router": {"routes": [{"prefix": "0.0.0.0/0", "port": 1}]},
+		  "fabric": {"switches": 2, "stage_demand": {"router": ` + demand + `}}}`))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		doc, err := Parse(bytes.NewReader(data))

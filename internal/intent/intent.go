@@ -21,11 +21,11 @@ import (
 	"io"
 	"maps"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
 	"dejavu/internal/asic"
+	"dejavu/internal/cluster"
 	"dejavu/internal/config"
 	"dejavu/internal/core"
 )
@@ -65,12 +65,13 @@ type Document struct {
 
 // FabricSpec is the fleet section of an intent: the same chain set
 // converged over a multi-switch fabric (linear spine on port 10 with
-// skip wires on port 11, the wiring `dejavu fabricchaos` uses).
+// skip wires on port 11, the wiring `dejavu chaos -switches` uses).
 type FabricSpec struct {
 	// Switches is the fabric size (>= 2).
 	Switches int `json:"switches"`
 	// StageDemand inflates per-NF stage demand for the segmentation
-	// planner; absent NFs demand one stage.
+	// planner; absent NFs demand one stage, and a listed demand is at
+	// least one.
 	StageDemand map[string]int `json:"stage_demand,omitempty"`
 	// Pin homes NFs on specific switches, e.g. {"fw": 1}. The
 	// fabric-mode analogue of single-switch placement hints: the
@@ -160,12 +161,12 @@ func (d *Document) Validate() error {
 		if len(d.Placement) > 0 {
 			return fmt.Errorf("intent: placement hints are single-switch; use fabric.pin to home NFs on switches")
 		}
-		pinned := make([]string, 0, len(d.Fabric.Pin))
-		for n := range d.Fabric.Pin {
-			pinned = append(pinned, n)
+		for _, n := range cluster.SortedKeys(d.Fabric.StageDemand) {
+			if v := d.Fabric.StageDemand[n]; v <= 0 {
+				return fmt.Errorf("intent: fabric stage_demand for NF %q is %d; a demand must be >= 1 stage", n, v)
+			}
 		}
-		sort.Strings(pinned)
-		for _, n := range pinned {
+		for _, n := range cluster.SortedKeys(d.Fabric.Pin) {
 			if !used[n] {
 				return fmt.Errorf("intent: fabric pin for NF %q, which no chain uses", n)
 			}
@@ -174,12 +175,7 @@ func (d *Document) Validate() error {
 			}
 		}
 	}
-	hinted := make([]string, 0, len(d.Placement))
-	for n := range d.Placement {
-		hinted = append(hinted, n)
-	}
-	sort.Strings(hinted)
-	for _, n := range hinted {
+	for _, n := range cluster.SortedKeys(d.Placement) {
 		if _, err := parsePipelet(d.Placement[n]); err != nil {
 			return err
 		}
@@ -188,10 +184,10 @@ func (d *Document) Validate() error {
 		}
 	}
 	// The chain shapes themselves (reserved path 0, duplicate NFs,
-	// weight sign) are enforced by config.Build via Chain.Validate;
+	// weight sign) are enforced by config.File.Build via Chain.Validate;
 	// running it here keeps diff-only workflows honest too.
 	for _, c := range d.Chains {
-		if err := chainOf(c).Validate(); err != nil {
+		if err := c.Route().Validate(); err != nil {
 			return fmt.Errorf("intent: %w", err)
 		}
 	}
@@ -220,7 +216,8 @@ func (d *Document) pins(prof asic.Profile) (map[string]asic.PipeletID, error) {
 		return nil, nil
 	}
 	pin := make(map[string]asic.PipeletID, len(d.Placement))
-	for n, hint := range d.Placement {
+	for _, n := range cluster.SortedKeys(d.Placement) {
+		hint := d.Placement[n]
 		pl, err := parsePipelet(hint)
 		if err != nil {
 			return nil, err

@@ -6,8 +6,8 @@ import (
 	"dejavu/internal/asic"
 	"dejavu/internal/compiler"
 	"dejavu/internal/compose"
-	"dejavu/internal/config"
 	"dejavu/internal/core"
+	"dejavu/internal/intent"
 	"dejavu/internal/lint"
 	"dejavu/internal/scenario"
 )
@@ -22,7 +22,11 @@ func TestReportSameWithAndWithoutPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := config.Load("../../configs/lintdemo-bad.json")
+	doc, err := intent.Load("../../configs/lintdemo-bad.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := doc.BuildConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
