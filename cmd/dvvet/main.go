@@ -1,101 +1,64 @@
 // Command dvvet runs Dejavu's custom analyzer suite (hotpath,
 // snapshot, poolsafe, detrand — see internal/analysis and
-// docs/STATIC_ANALYSIS.md) in two interchangeable ways:
+// docs/STATIC_ANALYSIS.md) over the module in the current directory:
 //
-//	dvvet [-json] [packages]      standalone: load, typecheck, and
-//	                              analyze the module in-process
-//	                              (default ./...)
-//	go vet -vettool=bin/dvvet ./...
-//	                              unit mode: the go command drives
-//	                              dvvet once per package through
-//	                              vet.cfg files, with cross-package
-//	                              facts carried in .vetx files
+//	dvvet [-json] [packages]
 //
-// Exit status 2 on findings, 1 on operational errors, 0 when clean.
+// It loads, typechecks and analyzes the packages (default ./...) in one
+// process. Exit status 2 on findings, 1 on operational errors, 0 when
+// clean.
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"dejavu/internal/analysis"
 )
 
 func main() {
-	// go vet probes `dvvet -V=full` for a cache key and `dvvet -flags`
-	// for the tool's flag schema before ever passing a vet.cfg; both
-	// must answer exactly, on stdout.
-	for _, arg := range os.Args[1:] {
-		switch {
-		case strings.HasPrefix(arg, "-V"):
-			fmt.Printf("dvvet version %s\n", toolID())
-			return
-		case arg == "-flags":
-			fmt.Println("[]")
-			return
-		}
-	}
-
 	jsonOut := flag.Bool("json", false, "emit findings as JSON")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: dvvet [-json] [packages]\n       go vet -vettool=$(pwd)/bin/dvvet ./...\n")
+		fmt.Fprintf(os.Stderr, "usage: dvvet [-json] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	args := flag.Args()
-
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(unitMode(args[0]))
-	}
-	os.Exit(standalone(args, *jsonOut))
+	os.Exit(run(".", flag.Args(), *jsonOut, os.Stdout, os.Stderr))
 }
 
-// toolID derives go vet's cache key for this tool from the executable
-// bytes: rebuild dvvet and stale vet results self-invalidate.
-func toolID() string {
-	exe, err := os.Executable()
-	if err == nil {
-		if f, err := os.Open(exe); err == nil {
-			defer f.Close()
-			h := sha256.New()
-			if _, err := io.Copy(h, f); err == nil {
-				return fmt.Sprintf("h%x", h.Sum(nil)[:12])
-			}
-		}
-	}
-	return "devel buildID=unknown"
-}
-
-// standalone loads the module rooted in the current directory and
-// analyzes every requested package in one process.
-func standalone(patterns []string, jsonOut bool) int {
-	prog, err := analysis.Load(".", patterns...)
+// run analyzes the packages matching patterns in the module rooted at
+// dir, printing findings to stdout and errors and the summary to
+// stderr, and returns the exit status.
+func run(dir string, patterns []string, jsonOut bool, stdout, stderr io.Writer) int {
+	prog, err := analysis.Load(dir, patterns...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dvvet:", err)
+		fmt.Fprintln(stderr, "dvvet:", err)
 		return 1
 	}
 	res, err := analysis.RunPackages(prog, analysis.Analyzers())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dvvet:", err)
+		fmt.Fprintln(stderr, "dvvet:", err)
 		return 1
 	}
 	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		diags := res.Diagnostics
+		if diags == nil {
+			diags = []analysis.Diagnostic{} // a clean run is an empty array, not null
+		}
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(res.Diagnostics); err != nil {
-			fmt.Fprintln(os.Stderr, "dvvet:", err)
+		if err := enc.Encode(diags); err != nil {
+			fmt.Fprintln(stderr, "dvvet:", err)
 			return 1
 		}
 	} else {
 		for _, d := range res.Diagnostics {
-			fmt.Println(d)
+			fmt.Fprintln(stdout, d)
 		}
-		fmt.Fprintf(os.Stderr, "dvvet: %d package(s), %d finding(s), %d waived\n",
+		fmt.Fprintf(stderr, "dvvet: %d package(s), %d finding(s), %d waived\n",
 			len(prog.Packages), len(res.Diagnostics), res.Waived)
 	}
 	if len(res.Diagnostics) > 0 {

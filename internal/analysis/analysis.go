@@ -16,20 +16,16 @@
 //     traffic, or chaos code — clocks and seeds flow through seams.
 //
 // The x/tools module is deliberately not imported: the toolchain is
-// the only dependency, so `go vet -vettool=bin/dvvet` and the
-// standalone driver both work in a hermetic build. See
+// the only dependency, so the one driver (Load, then RunPackages, as
+// cmd/dvvet and the tests run it) works in a hermetic build. See
 // docs/STATIC_ANALYSIS.md for the annotation and waiver contract.
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
-	"strconv"
-	"strings"
 )
 
 // Analyzer is one named check. Run inspects a single package through
@@ -41,9 +37,8 @@ type Analyzer struct {
 	Run  func(*Pass) error
 }
 
-// Diagnostic is one finding, located by a resolved file position so
-// findings can flow through JSON fact files without a shared
-// token.FileSet.
+// Diagnostic is one finding, located by a resolved file position so it
+// prints and encodes without the run's token.FileSet.
 type Diagnostic struct {
 	Analyzer string         `json:"analyzer"`
 	Pos      token.Position `json:"pos"`
@@ -55,66 +50,10 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s [%s]", d.Pos, d.Message, d.Analyzer)
 }
 
-// Facts is the cross-package store: analyzers summarize per-function
-// behaviour bottom-up (dependencies before dependents) under stable
-// string keys. Values are JSON so the same store round-trips through
-// go vet's .vetx files in unit mode.
-type Facts struct {
-	m map[string]json.RawMessage
-}
-
-// NewFacts returns an empty fact store.
-func NewFacts() *Facts { return &Facts{m: make(map[string]json.RawMessage)} }
-
-// Export records a fact under key, overwriting any previous value.
-func (f *Facts) Export(key string, v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	f.m[key] = b
-	return nil
-}
-
-// Import loads the fact stored under key into v, reporting whether the
-// key exists.
-func (f *Facts) Import(key string, v any) bool {
-	b, ok := f.m[key]
-	if !ok {
-		return false
-	}
-	return json.Unmarshal(b, v) == nil
-}
-
-// Keys returns all fact keys with the given prefix, sorted.
-func (f *Facts) Keys(prefix string) []string {
-	var out []string
-	for k := range f.m {
-		if strings.HasPrefix(k, prefix) {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// MarshalJSON serializes the whole store (the .vetx payload).
-func (f *Facts) MarshalJSON() ([]byte, error) { return json.Marshal(f.m) }
-
-// UnmarshalJSON merges a serialized store into this one.
-func (f *Facts) UnmarshalJSON(b []byte) error {
-	if f.m == nil {
-		f.m = make(map[string]json.RawMessage)
-	}
-	var in map[string]json.RawMessage
-	if err := json.Unmarshal(b, &in); err != nil {
-		return err
-	}
-	for k, v := range in {
-		f.m[k] = v
-	}
-	return nil
-}
+// Facts holds the hotpath analyzer's per-function summaries, keyed by
+// ObjKey. RunPackages visits packages dependencies first, so a pass
+// finds the summary of every module function it can call.
+type Facts map[string]hpFact
 
 // Pass carries one analyzer's view of one package.
 type Pass struct {
@@ -128,9 +67,8 @@ type Pass struct {
 	// under analysis (the boundary for call-graph propagation).
 	InModule func(path string) bool
 
-	// Facts is shared across packages within one run; in go vet unit
-	// mode it is loaded from the dependencies' .vetx files.
-	Facts *Facts
+	// Facts is shared across the packages of one run.
+	Facts Facts
 
 	allows allowIndex
 	diags  []Diagnostic
@@ -152,10 +90,14 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ReportAt records a finding at an already-resolved position (e.g. one
-// that travelled through a fact). Waivers were applied where the
-// effect was collected, so none are re-checked here.
-func (p *Pass) ReportAt(position token.Position, msg string) {
+// ReportAt records a finding at pos, which may lie in another package
+// (an effect that travelled through a fact). Waivers were applied where
+// the effect was collected, so none are re-checked here. Such findings
+// carry file, line and column only (Offset 0), which keeps dvvet -json
+// output for them stable.
+func (p *Pass) ReportAt(pos token.Pos, msg string) {
+	position := p.Fset.Position(pos)
+	position.Offset = 0
 	p.diags = append(p.diags, Diagnostic{Analyzer: p.Analyzer.Name, Pos: position, Message: msg})
 }
 
@@ -191,29 +133,4 @@ func ObjKey(fn *types.Func) string {
 		return pkg.Path() + ".(" + types.TypeString(t, nil) + ")." + fn.Name()
 	}
 	return pkg.Path() + "." + fn.Name()
-}
-
-// ParsePosition turns a "file:line:col" string (a token.Position
-// rendered into a fact) back into a token.Position.
-func ParsePosition(s string) token.Position {
-	pos := token.Position{Filename: s}
-	// Split from the right: filenames may contain colons only in
-	// theory, but line and column never do.
-	i := strings.LastIndexByte(s, ':')
-	if i < 0 {
-		return pos
-	}
-	col, err := strconv.Atoi(s[i+1:])
-	if err != nil {
-		return pos
-	}
-	j := strings.LastIndexByte(s[:i], ':')
-	if j < 0 {
-		return pos
-	}
-	line, err := strconv.Atoi(s[j+1 : i])
-	if err != nil {
-		return pos
-	}
-	return token.Position{Filename: s[:j], Line: line, Column: col}
 }

@@ -1,11 +1,6 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/token"
-	"go/types"
-	"sort"
-)
+import "sort"
 
 // Analyzers returns the full Dejavu suite in a stable order.
 func Analyzers() []*Analyzer {
@@ -13,19 +8,19 @@ func Analyzers() []*Analyzer {
 }
 
 // Result is one run's output: sorted diagnostics plus the number of
-// findings suppressed by //dv:allow waivers, and the fact store (for
+// findings suppressed by //dv:allow waivers, and the hotpath facts (for
 // call-graph queries like CoverageFrom).
 type Result struct {
 	Diagnostics []Diagnostic
 	Waived      int
-	Facts       *Facts
+	Facts       Facts
 }
 
 // RunPackages drives the analyzers over a loaded program in dependency
 // order, sharing one fact store so bottom-up summaries flow from
 // callees to callers.
 func RunPackages(prog *Program, analyzers []*Analyzer) (Result, error) {
-	res := Result{Facts: NewFacts()}
+	res := Result{Facts: make(Facts)}
 	for _, pkg := range prog.Packages {
 		allows := buildAllowIndex(prog.Fset, pkg.Files)
 		for _, a := range analyzers {
@@ -45,43 +40,6 @@ func RunPackages(prog *Program, analyzers []*Analyzer) (Result, error) {
 			res.Diagnostics = append(res.Diagnostics, pass.diags...)
 			res.Waived += pass.waived
 		}
-	}
-	SortDiagnostics(res.Diagnostics)
-	return res, nil
-}
-
-// Unit bundles one externally typechecked package for RunPackage —
-// the go vet unit-mode entry point, with facts previously imported
-// from dependency .vetx files.
-type Unit struct {
-	Fset     *token.FileSet
-	Files    []*ast.File
-	Pkg      *types.Package
-	Info     *types.Info
-	InModule func(path string) bool
-	Facts    *Facts
-}
-
-// RunPackage drives the analyzers over one pre-typechecked package.
-func RunPackage(u *Unit, analyzers []*Analyzer) (Result, error) {
-	res := Result{Facts: u.Facts}
-	allows := buildAllowIndex(u.Fset, u.Files)
-	for _, a := range analyzers {
-		pass := &Pass{
-			Analyzer:  a,
-			Fset:      u.Fset,
-			Files:     u.Files,
-			Pkg:       u.Pkg,
-			TypesInfo: u.Info,
-			InModule:  u.InModule,
-			Facts:     u.Facts,
-			allows:    allows,
-		}
-		if err := a.Run(pass); err != nil {
-			return res, err
-		}
-		res.Diagnostics = append(res.Diagnostics, pass.diags...)
-		res.Waived += pass.waived
 	}
 	SortDiagnostics(res.Diagnostics)
 	return res, nil
@@ -109,17 +67,13 @@ func SortDiagnostics(diags []Diagnostic) {
 // root included), sorted by key. Waived call edges are followed: a
 // waiver accepts effects at a site, it does not remove the callee from
 // the checked surface.
-func CoverageFrom(facts *Facts, root string) []string {
+func CoverageFrom(facts Facts, root string) []string {
 	seen := map[string]bool{root: true}
 	work := []string{root}
 	for len(work) > 0 {
 		key := work[len(work)-1]
 		work = work[:len(work)-1]
-		var fact hpFact
-		if !facts.Import(hotFactKey(key), &fact) {
-			continue
-		}
-		for _, callee := range fact.Calls {
+		for _, callee := range facts[key].Calls {
 			if !seen[callee] {
 				seen[callee] = true
 				work = append(work, callee)
@@ -135,14 +89,14 @@ func CoverageFrom(facts *Facts, root string) []string {
 }
 
 // HotFuncs returns the ObjKeys of every //dv:hotpath-annotated
-// function recorded in the fact store, sorted.
-func HotFuncs(facts *Facts) []string {
+// function recorded in the facts, sorted.
+func HotFuncs(facts Facts) []string {
 	var out []string
-	for _, key := range facts.Keys("hotpath\x00") {
-		var fact hpFact
-		if facts.Import(key, &fact) && fact.Hot {
-			out = append(out, key[len("hotpath\x00"):])
+	for key, fact := range facts {
+		if fact.Hot {
+			out = append(out, key)
 		}
 	}
+	sort.Strings(out)
 	return out
 }

@@ -33,13 +33,13 @@ import (
 // coverage accounting).
 
 // maxEffectsPerFunc caps one function's transitive summary so a
-// pathological fan-out cannot balloon fact files.
+// pathological fan-out cannot balloon the facts.
 const maxEffectsPerFunc = 40
 
 // hpEffect is one hot-path violation, positioned at its source line.
 type hpEffect struct {
-	Pos string `json:"pos"`
-	Msg string `json:"msg"`
+	Pos token.Pos
+	Msg string
 }
 
 // hpFact is the per-function summary shared across packages: whether
@@ -47,13 +47,10 @@ type hpEffect struct {
 // module-internal static callees (waived edges included — coverage
 // accounting follows them even though effect propagation does not).
 type hpFact struct {
-	Hot     bool       `json:"hot,omitempty"`
-	Effects []hpEffect `json:"effects,omitempty"`
-	Calls   []string   `json:"calls,omitempty"`
+	Hot     bool
+	Effects []hpEffect
+	Calls   []string
 }
-
-// hotFactKey namespaces hotpath facts in the shared store.
-func hotFactKey(objKey string) string { return "hotpath\x00" + objKey }
 
 // hpCall is one static call edge out of a function.
 type hpCall struct {
@@ -109,11 +106,7 @@ func runHotpath(pass *Pass) error {
 	summarize = func(key string) []hpEffect {
 		fn := fns[key]
 		if fn == nil {
-			var fact hpFact
-			if pass.Facts.Import(hotFactKey(key), &fact) {
-				return fact.Effects
-			}
-			return nil
+			return pass.Facts[key].Effects
 		}
 		if fn.summarized {
 			return fn.summary
@@ -127,7 +120,7 @@ func runHotpath(pass *Pass) error {
 			if call.waived || len(out) >= maxEffectsPerFunc {
 				continue
 			}
-			if call.hot || importedHot(pass, call.key) {
+			if call.hot || pass.Facts[call.key].Hot {
 				continue // hot callees report their own effects
 			}
 			for _, e := range summarize(call.key) {
@@ -149,36 +142,26 @@ func runHotpath(pass *Pass) error {
 		for _, c := range fn.calls {
 			calls = append(calls, c.key)
 		}
-		if err := pass.Facts.Export(hotFactKey(key), hpFact{Hot: fn.hot, Effects: summary, Calls: calls}); err != nil {
-			return err
-		}
+		pass.Facts[key] = hpFact{Hot: fn.hot, Effects: summary, Calls: calls}
 	}
 
 	// Report: each hot function surfaces its transitive summary, once
 	// per (position, message) so two hot callers of one helper do not
 	// double-report the same line.
-	seen := make(map[string]bool)
+	seen := make(map[hpEffect]bool)
 	for _, fn := range fns {
 		if !fn.hot {
 			continue
 		}
 		for _, e := range fn.summary {
-			dedup := e.Pos + "\x00" + e.Msg
-			if seen[dedup] {
+			if seen[e] {
 				continue
 			}
-			seen[dedup] = true
-			pass.ReportAt(ParsePosition(e.Pos), "hot path: "+e.Msg)
+			seen[e] = true
+			pass.ReportAt(e.Pos, "hot path: "+e.Msg)
 		}
 	}
 	return nil
-}
-
-// importedHot reports whether a function outside this package is
-// annotated //dv:hotpath, according to its exported fact.
-func importedHot(pass *Pass, key string) bool {
-	var fact hpFact
-	return pass.Facts.Import(hotFactKey(key), &fact) && fact.Hot
 }
 
 // collectHotpath walks one function body (excluding nested function
@@ -189,7 +172,7 @@ func collectHotpath(pass *Pass, body *ast.BlockStmt, fn *hpFunc) {
 		if pass.Waived(pos) {
 			return
 		}
-		fn.effects = append(fn.effects, hpEffect{Pos: pass.Fset.Position(pos).String(), Msg: msg})
+		fn.effects = append(fn.effects, hpEffect{Pos: pos, Msg: msg})
 	}
 	info := pass.TypesInfo
 
@@ -519,7 +502,7 @@ func displayName(fn *types.Func) string {
 
 // localHot reports whether a callee declared in the package under
 // analysis carries //dv:hotpath. Cross-package callees answer through
-// facts instead (importedHot).
+// their facts instead.
 func localHot(pass *Pass, fn *types.Func) bool {
 	if fn.Pkg() != pass.Pkg {
 		return false

@@ -7,12 +7,11 @@ import (
 	"testing"
 
 	"dejavu/internal/asic"
-	"dejavu/internal/fifo"
 	"dejavu/internal/packet"
 	"dejavu/internal/scenario"
 )
 
-// referenceInject is the parent's Fabric.Inject — a fifo.Queue of pending
+// referenceInject is the parent's Fabric.Inject — a FIFO slice of pending
 // offers, a fresh switch trace per traversal, every slice grown by append
 // — with the mirror fix applied: the one-allocation Inject must equal it.
 func referenceInject(f *Fabric, sw int, port asic.PortID, pkt *packet.Parsed) (*FabricTrace, error) {
@@ -20,13 +19,13 @@ func referenceInject(f *Fabric, sw int, port asic.PortID, pkt *packet.Parsed) (*
 		return nil, fmt.Errorf("cluster: no such switch %d", sw)
 	}
 	ft := &FabricTrace{}
-	var queue fifo.Queue[pending]
-	queue.Push(pending{sw: sw, port: port, pkt: pkt})
-	for !queue.Empty() {
+	queue := []pending{{sw: sw, port: port, pkt: pkt}}
+	for len(queue) > 0 {
 		if ft.Hops > maxFabricHops {
 			return ft, fmt.Errorf("cluster: packet exceeded %d fabric hops (wiring loop?)", maxFabricHops)
 		}
-		cur := queue.Pop()
+		cur := queue[0]
+		queue = queue[1:]
 		if reason, drop := f.offerDrop(cur.sw); drop {
 			ft.Dropped = true
 			ft.DropReasons = append(ft.DropReasons, reason)
@@ -58,7 +57,7 @@ func referenceInject(f *Fabric, sw int, port asic.PortID, pkt *packet.Parsed) (*
 			}
 			ft.Hops++
 			ft.Latency += f.Prof.RecircOffChip
-			queue.Push(pending{sw: dst.sw, port: dst.port, pkt: fwd})
+			queue = append(queue, pending{sw: dst.sw, port: dst.port, pkt: fwd})
 		}
 	}
 	return ft, nil

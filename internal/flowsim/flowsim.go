@@ -17,8 +17,6 @@ package flowsim
 import (
 	"fmt"
 	"math"
-
-	"dejavu/internal/fifo"
 )
 
 // Config parameterizes one feedback-queue simulation.
@@ -103,7 +101,7 @@ func Run(cfg Config) (Result, error) {
 	extPerTick := cfg.OfferedGbps * gbpsToBytesPerTick
 	capPerTick := cfg.LoopbackGbps * gbpsToBytesPerTick
 
-	var queue fifo.Queue[segment]
+	var queue fifo[segment]
 	queueBytes := 0.0
 	// recircArrivals[i] holds bytes completing pass i this tick,
 	// arriving as pass i+1 next tick.

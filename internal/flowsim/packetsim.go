@@ -3,8 +3,6 @@ package flowsim
 import (
 	"fmt"
 	"math/rand"
-
-	"dejavu/internal/fifo"
 )
 
 // Packet-level simulator: an independent, discrete validation of the
@@ -91,7 +89,7 @@ func RunPackets(cfg PacketConfig) (PacketResult, error) {
 		pArrival = 1
 	}
 
-	var queue fifo.Queue[simPacket]
+	var queue fifo[simPacket]
 	queue.Grow(cfg.QueuePackets)
 	injected := 0
 	warmupEnd := int(float64(cfg.Packets) * cfg.WarmupFraction)

@@ -295,6 +295,32 @@ type namedFirewall struct {
 
 func (f namedFirewall) Name() string { return f.name }
 
+// TestNineNFsOnTofino4FallBackToAnneal: 8^9 assignments exceed the
+// exhaustive bound, so the default optimizer places a 9-NF chain on
+// Tofino4 by annealing instead of enumerating them.
+func TestNineNFsOnTofino4FallBackToAnneal(t *testing.T) {
+	var nfs nf.List
+	var names []string
+	for i := 0; i < 9; i++ {
+		n := fmt.Sprintf("fw%d", i)
+		nfs = append(nfs, namedFirewall{Firewall: nf.NewFirewall(true), name: n})
+		names = append(names, n)
+	}
+	pl, _, err := ResolvePlacement(Inputs{
+		Prof:   asic.Tofino4(),
+		Chains: []route.Chain{{PathID: 1, NFs: names, Weight: 1}},
+		NFs:    nfs,
+	})
+	if err != nil {
+		t.Fatalf("9-NF chain refused: %v", err)
+	}
+	for _, n := range names {
+		if _, ok := pl.Of(n); !ok {
+			t.Errorf("%s unplaced", n)
+		}
+	}
+}
+
 // TestDefaultOptimizerFallsBackToAnneal: a chain with more unpinned NFs
 // than exhaustive search takes is placed by annealing, not refused.
 func TestDefaultOptimizerFallsBackToAnneal(t *testing.T) {

@@ -298,9 +298,28 @@ func partialFeasible(p Problem, pl *route.Placement) bool {
 }
 
 // ErrSearchTooLarge is Exhaustive's refusal of a problem with more than
-// 12 unpinned NFs; callers match it with errors.Is to fall back to
-// Anneal.
-var ErrSearchTooLarge = errors.New("place: exhaustive search is infeasible; use Anneal")
+// maxAssignments candidate assignments (pipelets^unpinned NFs); callers
+// match it with errors.Is to fall back to Anneal.
+var ErrSearchTooLarge = errors.New("place: too many assignments for exhaustive search; use Anneal")
+
+// maxAssignments bounds Exhaustive's enumeration at 4^12, every
+// assignment of 12 unpinned NFs on a two-pipeline (Wedge-100B) profile.
+// It counts assignments, not NFs: a profile with more pipelets takes
+// fewer unpinned NFs (8 on the eight-pipelet Tofino4).
+const maxAssignments = 1 << 24
+
+// searchTooLarge reports whether pipelets^free exceeds maxAssignments,
+// without overflowing.
+func searchTooLarge(pipelets, free int) bool {
+	n := 1
+	for i := 0; i < free; i++ {
+		if n > maxAssignments/pipelets {
+			return true
+		}
+		n *= pipelets
+	}
+	return false
+}
 
 // Exhaustive enumerates every feasible assignment of unpinned NFs to
 // pipelets and returns the optimum. Complexity is
@@ -317,8 +336,9 @@ func Exhaustive(p Problem) (*Result, error) {
 		}
 	}
 	pipelets := p.pipelets()
-	if len(free) > 12 {
-		return nil, fmt.Errorf("%w (%d unpinned NFs, at most 12)", ErrSearchTooLarge, len(free))
+	if searchTooLarge(len(pipelets), len(free)) {
+		return nil, fmt.Errorf("%w (%d unpinned NFs over %d pipelets, at most %d assignments)",
+			ErrSearchTooLarge, len(free), len(pipelets), maxAssignments)
 	}
 
 	base := route.NewPlacement()

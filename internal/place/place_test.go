@@ -3,6 +3,7 @@ package place
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"dejavu/internal/asic"
 	"dejavu/internal/route"
@@ -233,6 +234,39 @@ func TestExhaustiveTooLarge(t *testing.T) {
 	}
 	if _, err := Exhaustive(p); !errors.Is(err, ErrSearchTooLarge) {
 		t.Errorf("13 unpinned NFs: err = %v, want ErrSearchTooLarge", err)
+	}
+}
+
+// TestExhaustiveBoundCountsAssignments: the refusal counts assignments,
+// not NFs, so 9 unpinned NFs on Tofino4's 8 pipelets (8^9 > 4^12) are
+// refused at once instead of enumerated.
+func TestExhaustiveBoundCountsAssignments(t *testing.T) {
+	nfs := make([]string, 9)
+	for i := range nfs {
+		nfs[i] = string(rune('a' + i))
+	}
+	p := Problem{
+		Prof:   asic.Tofino4(),
+		Chains: []route.Chain{{PathID: 1, NFs: nfs, ExitPipeline: 0}},
+	}
+	start := time.Now()
+	if _, err := Exhaustive(p); !errors.Is(err, ErrSearchTooLarge) {
+		t.Errorf("9 unpinned NFs on Tofino4: err = %v, want ErrSearchTooLarge", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("refusal took %v", d)
+	}
+	for _, c := range []struct {
+		pipelets, free int
+		want           bool
+	}{
+		{4, 12, false}, {4, 13, true}, // Wedge-100B
+		{8, 8, false}, {8, 9, true}, // Tofino4
+		{1 << 40, 2, true}, // no overflow
+	} {
+		if got := searchTooLarge(c.pipelets, c.free); got != c.want {
+			t.Errorf("searchTooLarge(%d, %d) = %v, want %v", c.pipelets, c.free, got, c.want)
+		}
 	}
 }
 
