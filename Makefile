@@ -102,8 +102,12 @@ doccheck:
 	$(GO) test -run 'TestDocs' .
 
 # Non-test Go lines (ROADMAP aim 2: every PR reports its non-test line
-# delta) for internal/, cmd/ and the whole module outside bench/.
-# Analyzer fixtures under testdata/ are test inputs and are not counted.
+# delta) for internal/, cmd/ and the whole module outside bench/, then
+# the number of internal/ packages (directories holding non-test Go
+# files). Analyzer fixtures under testdata/ are test inputs and are not
+# counted.
 loc:
-	@count() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './bench/*' -print0 | xargs -0 cat | wc -l; }; \
-	printf '%-22s %6d\n' 'internal/' $$(count internal) 'cmd/' $$(count cmd) 'module outside bench/' $$(count .)
+	@files() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './bench/*' -print0; }; \
+	count() { files "$$@" | xargs -0 cat | wc -l; }; \
+	printf '%-22s %6d\n' 'internal/' $$(count internal) 'cmd/' $$(count cmd) 'module outside bench/' $$(count .) \
+		'internal/ packages' $$(files internal | xargs -0 -n1 dirname | sort -u | wc -l)

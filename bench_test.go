@@ -23,7 +23,6 @@ import (
 	"dejavu/internal/compose"
 	"dejavu/internal/core"
 	"dejavu/internal/experiments"
-	"dejavu/internal/flowsim"
 	"dejavu/internal/packet"
 	"dejavu/internal/pktgen"
 	"dejavu/internal/place"
@@ -330,18 +329,6 @@ func BenchmarkInjectQuietBatch(b *testing.B) {
 			b.Fatal(br.Err)
 		}
 		done += k
-	}
-}
-
-// Feedback-queue simulator throughput (how fast the testbed substitute
-// itself runs).
-func BenchmarkFlowsimK3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := flowsim.Run(flowsim.Config{
-			OfferedGbps: 100, LoopbackGbps: 100, Recirculations: 3, DurationSeconds: 0.01,
-		}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

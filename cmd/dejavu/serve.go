@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"dejavu/internal/core"
-	"dejavu/internal/packet"
 	"dejavu/internal/scenario"
 	"dejavu/internal/telemetry"
 )
@@ -70,16 +69,13 @@ func fabricSoakLoop(ftel *telemetry.Fabric) {
 	}
 }
 
-// demoTraffic replays the scenario's three sample flows forever so the
-// served counters, histograms and postcards stay live.
+// demoTraffic replays the scenario's §5 probes forever so the served
+// counters, histograms and postcards stay live.
 func demoTraffic(d *core.Deployment) {
-	mks := []func() *packet.Parsed{
-		func() *packet.Parsed { return scenario.ClientTCP(443) },
-		scenario.TenantBound,
-		scenario.InternetBound,
-	}
+	probes := scenario.Probes()
 	for i := 0; ; i++ {
-		if _, err := d.Inject(scenario.PortClient, mks[i%len(mks)]()); err != nil {
+		pr := probes[i%len(probes)]
+		if _, err := d.Inject(pr.Port, pr.Packet()); err != nil {
 			return
 		}
 		time.Sleep(time.Millisecond)
@@ -141,13 +137,10 @@ func topLocal(optimizer string, packets int) error {
 	if err != nil {
 		return err
 	}
-	mks := []func() *packet.Parsed{
-		func() *packet.Parsed { return scenario.ClientTCP(443) },
-		scenario.TenantBound,
-		scenario.InternetBound,
-	}
+	probes := scenario.Probes()
 	for i := 0; i < packets; i++ {
-		if _, err := d.Inject(scenario.PortClient, mks[i%len(mks)]()); err != nil {
+		pr := probes[i%len(probes)]
+		if _, err := d.Inject(pr.Port, pr.Packet()); err != nil {
 			return fmt.Errorf("top: inject: %w", err)
 		}
 	}

@@ -24,18 +24,6 @@ import (
 // deployment after every repair. The same seed always reproduces the
 // identical event sequence, reconciler decisions and log.
 
-// ChaosProbe is one end-to-end probe injected every tick.
-type ChaosProbe struct {
-	// Name labels the probe in logs.
-	Name string
-	// Port is the inject port.
-	Port asic.PortID
-	// PathID is the chain the probe exercises.
-	PathID uint16
-	// Packet builds a fresh probe packet.
-	Packet func() *packet.Parsed
-}
-
 // ChaosOpts parameterizes a chaos run.
 type ChaosOpts struct {
 	Seed int64
@@ -49,7 +37,7 @@ type ChaosOpts struct {
 	// nil.
 	ScheduleOpts fault.ScheduleOpts
 	// Probes are injected each tick, after reconciliation.
-	Probes []ChaosProbe
+	Probes []scenario.Probe
 	// Refresh, when non-nil, is a control-plane write re-applied every
 	// tick through the retrying driver, so scheduled table-write faults
 	// exercise the retry/idempotency path.
@@ -279,8 +267,9 @@ func checkChaosInvariants(d *Deployment, tick int, violate func(int, string, ...
 // chaos runs: a fourth chain (classifier→fw) with a static exit
 // through port 30 — the direct-exit path the reconciler re-points when
 // that port dies — plus loopback ports 16..29, leaving port 31 as the
-// healthy spare exit.
-func EdgeChaosConfig() (Config, []ChaosProbe, error) {
+// healthy spare exit. Its probes are the §5 suite plus one for the
+// fourth chain.
+func EdgeChaosConfig() (Config, []scenario.Probe, error) {
 	s, err := scenario.New()
 	if err != nil {
 		return Config{}, nil, err
@@ -308,22 +297,16 @@ func EdgeChaosConfig() (Config, []ChaosProbe, error) {
 	for p := asic.PortID(16); p < 30; p++ {
 		cfg.LoopbackPorts = append(cfg.LoopbackPorts, p)
 	}
-	probes := []ChaosProbe{
-		{Name: "full", Port: scenario.PortClient, PathID: scenario.PathFull,
-			Packet: func() *packet.Parsed { return scenario.ClientTCP(443) }},
-		{Name: "medium", Port: scenario.PortClient, PathID: scenario.PathMedium,
-			Packet: scenario.TenantBound},
-		{Name: "basic", Port: scenario.PortClient, PathID: scenario.PathBasic,
-			Packet: scenario.InternetBound},
-		{Name: "static-exit", Port: scenario.PortClient, PathID: chaosPath,
-			Packet: func() *packet.Parsed {
-				return packet.NewUDP(packet.UDPOpts{
-					SrcMAC: scenario.ClientMAC, DstMAC: scenario.GatewayMAC,
-					Src: scenario.ClientIP, Dst: packet.IP4{198, 18, 0, 5},
-					SrcPort: 33003, DstPort: 7,
-				})
-			}},
-	}
+	probes := append(scenario.Probes(), scenario.Probe{
+		Name: "static-exit", PathID: chaosPath, Port: scenario.PortClient, Exit: 30,
+		Packet: func() *packet.Parsed {
+			return packet.NewUDP(packet.UDPOpts{
+				SrcMAC: scenario.ClientMAC, DstMAC: scenario.GatewayMAC,
+				Src: scenario.ClientIP, Dst: packet.IP4{198, 18, 0, 5},
+				SrcPort: 33003, DstPort: 7,
+			})
+		},
+	})
 	return cfg, probes, nil
 }
 

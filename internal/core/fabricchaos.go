@@ -5,12 +5,10 @@ import (
 	"strings"
 	"time"
 
-	"dejavu/internal/asic"
 	"dejavu/internal/cluster"
 	"dejavu/internal/ctl"
 	"dejavu/internal/fault"
 	"dejavu/internal/lint"
-	"dejavu/internal/packet"
 	"dejavu/internal/scenario"
 	"dejavu/internal/telemetry"
 )
@@ -123,15 +121,6 @@ func (r *FabricChaosResult) Summary() string {
 	return sb.String()
 }
 
-// fabricProbe is one end-to-end probe injected at the entry switch
-// every tick.
-type fabricProbe struct {
-	name   string
-	pathID uint16
-	exit   asic.PortID
-	packet func() *packet.Parsed
-}
-
 // fabricStageDemand inflates every edge-cloud NF to 8 stages (+2
 // framework overhead = 10 placement units), so the 5-NF chain set
 // needs two 48-stage switches and the reconciler has real segmentation
@@ -224,14 +213,7 @@ func RunFabricChaos(opts FabricChaosOpts) (*FabricChaosResult, error) {
 	}
 	rec := cluster.NewReconciler(fd)
 
-	probes := []fabricProbe{
-		{name: "full", pathID: scenario.PathFull, exit: scenario.PortBackends,
-			packet: func() *packet.Parsed { return scenario.ClientTCP(443) }},
-		{name: "medium", pathID: scenario.PathMedium, exit: scenario.PortVTEP,
-			packet: scenario.TenantBound},
-		{name: "basic", pathID: scenario.PathBasic, exit: scenario.PortUpstream,
-			packet: scenario.InternetBound},
-	}
+	probes := scenario.Probes()
 	lastNF := make(map[uint16]string)
 	for _, c := range fd.Chains {
 		lastNF[c.PathID] = c.NFs[len(c.NFs)-1]
@@ -333,43 +315,43 @@ func RunFabricChaos(opts FabricChaosOpts) (*FabricChaosResult, error) {
 		}
 		for _, pr := range probes {
 			if unconverged {
-				logf("t%03d probe %s: suppressed, fabric not converged", tick, pr.name)
+				logf("t%03d probe %s: suppressed, fabric not converged", tick, pr.Name)
 				continue
 			}
 			res.Probes++
-			ft, err := f.Inject(0, scenario.PortClient, pr.packet())
+			ft, err := f.Inject(0, pr.Port, pr.Packet())
 			if err != nil {
-				violate(tick, "probe %s: inject failed: %v", pr.name, err)
+				violate(tick, "probe %s: inject failed: %v", pr.Name, err)
 				continue
 			}
-			_, blackholed := fd.Blackholed[pr.pathID]
+			_, blackholed := fd.Blackholed[pr.PathID]
 			switch {
-			case corruptOn[pr.pathID]:
+			case corruptOn[pr.PathID]:
 				// An open corruption window on the active path can destroy,
 				// mangle or misroute any probe; outcomes are exempt.
 				res.CorruptExempt++
-				logf("t%03d probe %s: corrupt-exempt (window open on chain route)", tick, pr.name)
+				logf("t%03d probe %s: corrupt-exempt (window open on chain route)", tick, pr.Name)
 			case blackholed:
 				res.BlackholedProbes++
 				if len(ft.Out) > 0 {
-					violate(tick, "probe %s: blackholed chain %d delivered traffic", pr.name, pr.pathID)
+					violate(tick, "probe %s: blackholed chain %d delivered traffic", pr.Name, pr.PathID)
 				} else {
-					logf("t%03d probe %s: blackholed as reported", tick, pr.name)
+					logf("t%03d probe %s: blackholed as reported", tick, pr.Name)
 				}
-			case len(ft.Out) == 1 && ft.Out[0].Port == pr.exit:
+			case pr.Verify(ft.Out) == nil:
 				res.Delivered++
-				if want := fabricExitSwitch(fd, lastNF[pr.pathID]); want >= 0 && ft.OutSwitch[0] != want {
+				if want := fabricExitSwitch(fd, lastNF[pr.PathID]); want >= 0 && ft.OutSwitch[0] != want {
 					violate(tick, "probe %s: exited switch %d, chain's last NF lives on switch %d",
-						pr.name, ft.OutSwitch[0], want)
+						pr.Name, ft.OutSwitch[0], want)
 				}
 				logf("t%03d probe %s: delivered switch %d port %d (%d hop(s))",
-					tick, pr.name, ft.OutSwitch[0], ft.Out[0].Port, ft.Hops)
+					tick, pr.Name, ft.OutSwitch[0], ft.Out[0].Port, ft.Hops)
 			case len(ft.DropReasons) > 0:
 				res.Dropped++
-				logf("t%03d probe %s: dropped (%s)", tick, pr.name, strings.Join(ft.DropReasons, "; "))
+				logf("t%03d probe %s: dropped (%s)", tick, pr.Name, strings.Join(ft.DropReasons, "; "))
 			default:
 				violate(tick, "probe %s: silently blackholed (out=%d dropped=%v)",
-					pr.name, len(ft.Out), ft.Dropped)
+					pr.Name, len(ft.Out), ft.Dropped)
 			}
 		}
 	}

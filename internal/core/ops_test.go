@@ -8,7 +8,6 @@ import (
 	"dejavu/internal/asic"
 	"dejavu/internal/nf"
 	"dejavu/internal/packet"
-	"dejavu/internal/ptf"
 	"dejavu/internal/route"
 	"dejavu/internal/scenario"
 )
@@ -371,45 +370,24 @@ func TestSwapRollbackOnPostInstallFailure(t *testing.T) {
 	}
 
 	// The switch runs the OLD programs again: all three original
-	// chains still forward end-to-end, checked through ptf.
+	// chains still forward end-to-end, checked by the §5 probes once
+	// the full path's first packet has punted and been learnt.
 	d.Controller.VerifyCommit = nil
-	h := ptf.New(d.Switch)
-	h.AfterInject = func() error { _, err := d.Controller.Poll(); return err }
-	rep := h.RunAll([]ptf.TestCase{
-		{
-			Name: "full path after rollback", InPort: scenario.PortClient,
-			Pkt:               scenario.ClientTCP(443),
-			ExpectCPU:         true, // first packet of the flow punts and learns
-			ExpectOut:         nil,
-			MaxRecirculations: -1,
-		},
-		{
-			Name: "full path hit after rollback", InPort: scenario.PortClient,
-			Pkt: scenario.ClientTCP(443),
-			ExpectOut: []ptf.Expect{{Port: scenario.PortBackends, Checks: []ptf.Check{
-				ptf.NoSFC(), ptf.Reparses(),
-			}}},
-			MaxRecirculations: -1,
-		},
-		{
-			Name: "medium path after rollback", InPort: scenario.PortClient,
-			Pkt: scenario.TenantBound(),
-			ExpectOut: []ptf.Expect{{Port: scenario.PortVTEP, Checks: []ptf.Check{
-				ptf.HasVXLAN(scenario.TenantVNI), ptf.Reparses(),
-			}}},
-			MaxRecirculations: -1,
-		},
-		{
-			Name: "basic path after rollback", InPort: scenario.PortClient,
-			Pkt: scenario.InternetBound(),
-			ExpectOut: []ptf.Expect{{Port: scenario.PortUpstream, Checks: []ptf.Check{
-				ptf.NoSFC(), ptf.Reparses(),
-			}}},
-			MaxRecirculations: -1,
-		},
-	})
-	if rep.Failed > 0 {
-		t.Fatalf("old chains broken after rollback:\n%s", rep.String())
+	probes := scenario.Probes()
+	if tr, err := d.Switch.Inject(probes[0].Port, probes[0].Packet()); err != nil || len(tr.CPU) != 1 {
+		t.Fatalf("full path after rollback: first packet did not punt (err=%v)", err)
+	}
+	if _, err := d.Controller.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	for _, pr := range probes {
+		tr, err := d.Switch.Inject(pr.Port, pr.Packet())
+		if err != nil {
+			t.Fatalf("probe %s after rollback: %v", pr.Name, err)
+		}
+		if err := pr.Verify(tr.Out); err != nil {
+			t.Errorf("old chains broken after rollback: %v (path %s)", err, tr.Path())
+		}
 	}
 
 	// And the deployment is still updatable: the same chain now

@@ -9,7 +9,7 @@ import (
 	"dejavu/internal/scenario"
 )
 
-func chaosDeployment(t *testing.T) (*Deployment, []ChaosProbe) {
+func chaosDeployment(t *testing.T) (*Deployment, []scenario.Probe) {
 	t.Helper()
 	cfg, probes, err := EdgeChaosConfig()
 	if err != nil {
@@ -23,7 +23,7 @@ func chaosDeployment(t *testing.T) (*Deployment, []ChaosProbe) {
 }
 
 // findProbe returns the probe exercising a path.
-func findProbe(t *testing.T, probes []ChaosProbe, pathID uint16) ChaosProbe {
+func findProbe(t *testing.T, probes []scenario.Probe, pathID uint16) scenario.Probe {
 	t.Helper()
 	for _, p := range probes {
 		if p.PathID == pathID {
@@ -31,7 +31,7 @@ func findProbe(t *testing.T, probes []ChaosProbe, pathID uint16) ChaosProbe {
 		}
 	}
 	t.Fatalf("no probe for path %d", pathID)
-	return ChaosProbe{}
+	return scenario.Probe{}
 }
 
 // TestReconcilerRepointsStaticExit kills the static exit port and
@@ -207,22 +207,19 @@ func TestReconcilerOverloadFinding(t *testing.T) {
 // exits through its static port.
 func TestEdgeChaosConfigBaseline(t *testing.T) {
 	d, probes := chaosDeployment(t)
-	wantPorts := map[uint16]asic.PortID{
-		scenario.PathFull:   scenario.PortBackends,
-		scenario.PathMedium: scenario.PortVTEP,
-		scenario.PathBasic:  scenario.PortUpstream,
-		40:                  30,
+	if len(probes) != 4 || probes[3].PathID != 40 || probes[3].Exit != 30 {
+		t.Fatalf("chaos probes = %+v, want the §5 suite plus chain 40 exiting port 30", probes)
 	}
 	for _, pr := range probes {
 		tr, err := d.Inject(pr.Port, pr.Packet())
 		if err != nil {
 			t.Fatalf("probe %s: %v", pr.Name, err)
 		}
-		if tr.Dropped || len(tr.Out) != 1 {
-			t.Fatalf("probe %s mishandled: %+v", pr.Name, tr)
+		if tr.Dropped {
+			t.Fatalf("probe %s dropped: %+v", pr.Name, tr)
 		}
-		if want := wantPorts[pr.PathID]; tr.Out[0].Port != want {
-			t.Errorf("probe %s exited port %d, want %d", pr.Name, tr.Out[0].Port, want)
+		if err := pr.Verify(tr.Out); err != nil {
+			t.Error(err)
 		}
 	}
 	if d.Lint.HasErrors() {

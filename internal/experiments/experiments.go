@@ -10,6 +10,11 @@
 // reported values with this reproduction's measurements; the shape
 // (who wins, by what factor, where crossovers fall) is the comparison
 // target, not the absolute hardware numbers.
+//
+// The testbed and the comparison systems the paper measures against
+// live here too: a fluid and a packet-level simulator of the §4
+// loopback feedback queue (fluidsim.go, packetsim.go) and the §1/§6
+// software and emulation baselines (baseline.go).
 package experiments
 
 import (
@@ -18,17 +23,13 @@ import (
 	"time"
 
 	"dejavu/internal/asic"
-	"dejavu/internal/baseline"
 	"dejavu/internal/cluster"
 	"dejavu/internal/config"
 	"dejavu/internal/core"
-	"dejavu/internal/flowsim"
 	"dejavu/internal/intent"
 	"dejavu/internal/lint"
 	"dejavu/internal/mau"
-	"dejavu/internal/packet"
 	"dejavu/internal/place"
-	"dejavu/internal/ptf"
 	"dejavu/internal/recirc"
 	"dejavu/internal/route"
 	"dejavu/internal/scenario"
@@ -175,14 +176,14 @@ func Fig8a() (Table, error) {
 	const T = 100.0
 	const maxK = 5
 	analytic := recirc.Series(T, maxK)
-	simulated, err := flowsim.Sweep(T, maxK)
+	simulated, err := sweepFluid(T, maxK)
 	if err != nil {
 		return Table{}, err
 	}
 	paper := []string{"100", "38", "16", "7", "3"} // read off Fig. 8(a)
 	var rows [][]string
 	for k := 1; k <= maxK; k++ {
-		pkt, err := flowsim.RunPackets(flowsim.PacketConfig{
+		pkt, err := runPackets(packetConfig{
 			OfferedGbps: T, LoopbackGbps: T, Recirculations: k, Seed: 1,
 		})
 		if err != nil {
@@ -278,41 +279,13 @@ func Fig9() (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	// PTF functional validation.
-	h := ptf.New(d.Switch)
-	h.AfterInject = func() error {
-		_, err := d.Controller.Poll()
-		return err
-	}
-	cases := []ptf.TestCase{
-		{
-			Name: "full path (after learning)", InPort: scenario.PortClient, Pkt: scenario.ClientTCP(443),
-			ExpectCPU: true, MaxRecirculations: 1,
-		},
-		{
-			Name: "full path hit", InPort: scenario.PortClient, Pkt: scenario.ClientTCP(443),
-			ExpectOut:         []ptf.Expect{{Port: scenario.PortBackends, Checks: []ptf.Check{ptf.NoSFC()}}},
-			MaxRecirculations: 1,
-		},
-		{
-			Name: "medium path", InPort: scenario.PortClient, Pkt: scenario.TenantBound(),
-			ExpectOut:         []ptf.Expect{{Port: scenario.PortVTEP, Checks: []ptf.Check{ptf.HasVXLAN(scenario.TenantVNI)}}},
-			MaxRecirculations: 1,
-		},
-		{
-			Name: "basic path", InPort: scenario.PortClient, Pkt: scenario.InternetBound(),
-			ExpectOut:         []ptf.Expect{{Port: scenario.PortUpstream}},
-			MaxRecirculations: 1,
-		},
-	}
-	rep := h.RunAll(cases)
-
+	cases, failures := ptfSuite(d)
 	rows := [][]string{
 		{"external capacity (Gbps)", f(d.Capacity.ExternalGbps()), "1600"},
 		{"loopback bandwidth (Gbps)", f(d.LoopbackGbps()), "1600+"},
 		{"once-recirculable fraction", f(d.Capacity.OnceRecirculableFraction()), "1.0"},
 		{"max recirculations", fmt.Sprint(d.MaxRecirculations()), "1"},
-		{"PTF cases passed", fmt.Sprintf("%d/%d", rep.Passed, rep.Passed+rep.Failed), "all"},
+		{"PTF cases passed", fmt.Sprintf("%d/%d", cases-len(failures), cases), "all"},
 		{"effective throughput @1.6T (Gbps)", f(d.EffectiveThroughputGbps(1600)), "1600"},
 	}
 	t := Table{
@@ -321,13 +294,45 @@ func Fig9() (Table, error) {
 		Header: []string{"quantity", "measured", "paper"},
 		Rows:   rows,
 	}
-	if rep.Failed > 0 {
-		t.Notes = append(t.Notes, "FAILURES:\n"+rep.String())
+	for _, err := range failures {
+		t.Notes = append(t.Notes, "FAIL: "+err.Error())
 	}
 	for _, c := range d.Chains {
 		t.Notes = append(t.Notes, fmt.Sprintf("chain %d: %s", c.Chain.PathID, c.Traversal.Path()))
 	}
 	return t, nil
+}
+
+// ptfSuite is the paper's Packet Test Framework run on a fresh §5
+// deployment: the full path's first packet punts and the control plane
+// learns its session, then every §5 probe must pass Verify within one
+// recirculation. It returns the number of cases and one error per
+// failed case.
+func ptfSuite(d *core.Deployment) (cases int, failures []error) {
+	probes := scenario.Probes()
+	tr, err := d.Switch.Inject(probes[0].Port, probes[0].Packet())
+	if err == nil && (len(tr.CPU) == 0 || tr.Recirculations > 1) {
+		err = fmt.Errorf("%d punts, %d recirculations (path %s)", len(tr.CPU), tr.Recirculations, tr.Path())
+	}
+	if err == nil {
+		_, err = d.Controller.Poll()
+	}
+	if err != nil {
+		failures = append(failures, fmt.Errorf("learning punt: %w", err))
+	}
+	for _, pr := range probes {
+		tr, err := d.Switch.Inject(pr.Port, pr.Packet())
+		if err == nil {
+			err = pr.Verify(tr.Out)
+		}
+		if err == nil && tr.Recirculations > 1 {
+			err = fmt.Errorf("probe %s: %d recirculations, want <= 1", pr.Name, tr.Recirculations)
+		}
+		if err != nil {
+			failures = append(failures, err)
+		}
+	}
+	return 1 + len(probes), failures
 }
 
 // Emulation reproduces the §6 comparison: resource inflation of
@@ -344,8 +349,7 @@ func Emulation() (Table, error) {
 	}
 	rows := [][]string{}
 	budget := d.Config.Prof.TotalStages()
-	for _, r := range baseline.Compare(native, budget,
-		baseline.Dejavu(), baseline.CodeMerge(), baseline.HyperV(), baseline.Hyper4()) {
+	for _, r := range compareEmulation(native, budget, dejavuNative, codeMerge, hyperV, hyper4) {
 		rows = append(rows, []string{
 			r.Approach, f(r.Factor),
 			fmt.Sprint(r.Resources.SRAMBlocks), fmt.Sprint(r.Resources.TCAMBlocks),
@@ -363,7 +367,7 @@ func Emulation() (Table, error) {
 // SoftwareGap reproduces the §1 motivation: CPU cores needed to match
 // the ASIC prototype's capacity with a software SFC.
 func SoftwareGap() (Table, error) {
-	chain := baseline.SoftChain{NFs: baseline.DefaultSoftNFs()}
+	chain := softChain{NFs: defaultSoftNFs()}
 	cores1600, err := chain.CoresFor(1600)
 	if err != nil {
 		return Table{}, err
@@ -475,16 +479,12 @@ func fabricValidation() (passed, hops int, err error) {
 	if err := s.LB.InstallSession(ftuple.Hash(), backend); err != nil {
 		return 0, 0, err
 	}
-	for _, mk := range []func() *packet.Parsed{
-		func() *packet.Parsed { return scenario.ClientTCP(443) },
-		scenario.TenantBound,
-		scenario.InternetBound,
-	} {
-		tr, err := f.Inject(0, scenario.PortClient, mk())
+	for _, pr := range scenario.Probes() {
+		tr, err := f.Inject(0, pr.Port, pr.Packet())
 		if err != nil {
 			return passed, hops, err
 		}
-		if !tr.Dropped && len(tr.Out) == 1 {
+		if pr.Verify(tr.Out) == nil {
 			passed++
 			hops = tr.Hops
 		}

@@ -112,6 +112,7 @@ func (n *NAT) Block() *p4.ControlBlock {
 				Ops: []p4.Op{
 					{Kind: p4.OpSetField, Dst: "ipv4.src_addr"},
 					{Kind: p4.OpSetField, Dst: "tcp.src_port"},
+					{Kind: p4.OpSetField, Dst: "udp.src_port"},
 				},
 			},
 			{Name: "toCpu", Ops: []p4.Op{{Kind: p4.OpSetField, Dst: "sfc.flags"}}},

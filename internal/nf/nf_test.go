@@ -483,6 +483,69 @@ func TestNAT(t *testing.T) {
 	}
 }
 
+// TestNATDeclaresTheFieldsItWrites runs Execute on a translated TCP
+// flow and a translated UDP flow: every header field it changes must be
+// the destination of an OpSetField in some action of the NAT's Block,
+// or the dependency analysis reasons about a different NF from the one
+// that runs.
+func TestNATDeclaresTheFieldsItWrites(t *testing.T) {
+	n := NewNAT(packet.IP4{192, 0, 2, 1}, 16)
+	src := packet.IP4{10, 0, 5, 5}
+	if err := n.InstallMapping(src, 44444, packet.ProtoTCP, 61000); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.InstallMapping(src, 5353, packet.ProtoUDP, 61001); err != nil {
+		t.Fatal(err)
+	}
+	declared := make(map[p4.FieldRef]bool)
+	for _, tbl := range n.Block().Tables {
+		for _, a := range tbl.Actions {
+			for _, op := range a.Ops {
+				if op.Kind == p4.OpSetField {
+					declared[op.Dst] = true
+				}
+			}
+		}
+	}
+	// Header fields NAT could touch, by their P4 names.
+	fields := map[p4.FieldRef]func(*packet.Parsed) any{
+		"ipv4.src_addr": func(p *packet.Parsed) any { return p.IPv4.Src },
+		"ipv4.dst_addr": func(p *packet.Parsed) any { return p.IPv4.Dst },
+		"ipv4.protocol": func(p *packet.Parsed) any { return p.IPv4.Protocol },
+		"tcp.src_port":  func(p *packet.Parsed) any { return p.TCP.SrcPort },
+		"tcp.dst_port":  func(p *packet.Parsed) any { return p.TCP.DstPort },
+		"udp.src_port":  func(p *packet.Parsed) any { return p.UDP.SrcPort },
+		"udp.dst_port":  func(p *packet.Parsed) any { return p.UDP.DstPort },
+	}
+	for _, c := range []struct {
+		name string
+		pkt  *packet.Parsed
+	}{
+		{"tcp", packet.NewTCP(packet.TCPOpts{Src: src, Dst: ipA, SrcPort: 44444, DstPort: 80})},
+		{"udp", packet.NewUDP(packet.UDPOpts{Src: src, Dst: ipA, SrcPort: 5353, DstPort: 53})},
+	} {
+		before := withSFC(c.pkt, 1, 2)
+		after := before.Clone()
+		n.Execute(after)
+		if after.SFC.Meta.Has(nsh.FlagToCPU) {
+			t.Fatalf("%s: mapped flow punted", c.name)
+		}
+		changed := 0
+		for name, get := range fields {
+			if get(before) == get(after) {
+				continue
+			}
+			changed++
+			if !declared[name] {
+				t.Errorf("%s: Execute writes %s, which no NAT action declares", c.name, name)
+			}
+		}
+		if changed == 0 {
+			t.Errorf("%s: Execute changed no header field", c.name)
+		}
+	}
+}
+
 // TestNATMappingIsAllOrNothing: a translation whose second table write
 // fails leaves nothing behind in the first — with either table as the
 // one that is full.
