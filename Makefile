@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint vet check bench bench-smoke bench-build fabric-chaos fabricplace fmt doccheck loc
+.PHONY: build test race lint vet check bench bench-smoke fabric-chaos fabricplace fmt doccheck loc
 
 build:
 	$(GO) build ./...
@@ -55,21 +55,14 @@ bench-smoke:
 		$(GO) run ./bench --workload $$w --seconds 3 --trace 1 || exit 1; \
 	done
 
-# Build-pipeline benchmark: full (cold-cache) rebuild versus the
-# incremental staged rebuild under chain churn; snapshots the report
-# into BENCH_build.json. CI does not regenerate the file, it runs
-# `dejavu benchbuild -check BENCH_build.json` against the committed one.
-bench-build: build
-	$(GO) run ./cmd/dejavu benchbuild -rounds 50 -json > BENCH_build.json
-	@$(GO) run ./cmd/dejavu benchbuild -rounds 10
-
 # Fabric chaos soak: the multi-switch fault-tolerance gate (DESIGN.md
-# §12) — reconciler + soak tests under the race detector (including
-# TestFabricChaosGolden: `chaos -switches 3 -json` seeds 1/7/42 against
-# the committed internal/core/testdata bytes, and the remembered-plan
-# differential walk), then the CLI over the canonical seeds.
+# §12) — reconciler + soak tests under the race detector (including the
+# remembered-plan differential walk), TestCLIGolden (`chaos -switches 3
+# -json` seeds 1/7/42 against the committed cmd/dejavu/testdata bytes),
+# then the CLI over the canonical seeds.
 fabric-chaos: build
 	$(GO) test -race -run 'TestFabricChaos|TestReconciler' ./internal/core/ ./internal/cluster/
+	$(GO) test -run 'TestCLIGolden' ./cmd/dejavu/
 	@for seed in 1 7 42; do \
 		$(GO) run ./cmd/dejavu chaos -switches 3 -seed $$seed -ticks 40 || exit 1; \
 	done

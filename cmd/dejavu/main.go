@@ -14,7 +14,6 @@
 //	dejavu -config x.json lint -json
 //	dejavu chaos -seed 7         # seeded fault soak with self-healing
 //	dejavu chaos -switches 3     # the same over a multi-switch fabric
-//	dejavu benchbuild -rounds 50 # full vs incremental rebuild latency
 //	dejavu serve -metrics :9090  # Prometheus /metrics + pprof over HTTP
 //	dejavu top                   # one-shot telemetry snapshot
 //	dejavu top -addr :9090       # scrape a running serve instance
@@ -63,7 +62,6 @@ var commands = []command{
 	{"emit", "print the composed multi-pipeline P4 program", runEmit},
 	{"lint", "statically verify the deployment; exit nonzero on errors", runLint},
 	{"chaos", "replay a seeded fault schedule (-switches N: on a fabric) and check healing", runChaos},
-	{"benchbuild", "measure full vs incremental rebuild latency under churn", runBuildBench},
 	{"serve", "serve Prometheus /metrics and pprof for the deployment", runServe},
 	{"top", "print a one-shot telemetry snapshot (local or -addr scrape)", runTop},
 }

@@ -50,9 +50,14 @@ func capture(t *testing.T, fn func() error) (string, error) {
 // in its testdata file, written by the CLI itself. A change meant to
 // keep what the commands print must keep these files; one meant to
 // change it rewrites them with `go test ./cmd/dejavu -run TestCLIGolden
-// -update` and says why. The rows hold no wall-clock reading: latencies
+// -update` and says why. Each row runs as a subtest named after its
+// golden file, so `-run 'TestCLIGolden/chaos_'` checks the chaos rows
+// alone. The rows hold no wall-clock reading: latencies
 // in `run` are the switch model's, and `plan`'s text report has no
-// stage durations.
+// stage durations. The chaos rows pin the single-switch soak with its
+// transcript (every heal action) and the 3-switch fabric soak for the
+// canonical seeds; the emit rows pin the composed P4 program, which
+// `pipeline/hash.go` also fingerprints.
 func TestCLIGolden(t *testing.T) {
 	for _, row := range []struct {
 		line, golden string
@@ -64,26 +69,36 @@ func TestCLIGolden(t *testing.T) {
 		{"-config ../../configs/lintdemo-bad.json lint -json", "lint_lintdemo-bad.json", true},
 		{"run", "run.txt", false},
 		{"diff -json -f ../../examples/intent/intent.json", "diff_intent.json", false},
+		{"chaos -seed 1 -ticks 40 -v -json", "chaos_seed1.json", false},
+		{"chaos -seed 7 -ticks 40 -v -json", "chaos_seed7.json", false},
+		{"chaos -seed 42 -ticks 40 -v -json", "chaos_seed42.json", false},
+		{"chaos -switches 3 -seed 1 -json", "chaos_switches3_seed1.json", false},
 		{"chaos -switches 3 -seed 7 -json", "chaos_switches3_seed7.json", false},
+		{"chaos -switches 3 -seed 42 -json", "chaos_switches3_seed42.json", false},
+		{"emit", "emit_reference.p4", false},
+		{"-config ../../configs/edgecloud.json emit", "emit_edgecloud.p4", false},
 	} {
-		got, err := runCLI(t, row.line)
-		if (err != nil) != row.fails {
-			t.Errorf("dejavu %s: error %v, want failure %v", row.line, err, row.fails)
-		}
-		file := filepath.Join("testdata", row.golden)
-		if *update {
-			if err := os.WriteFile(file, []byte(got), 0o644); err != nil {
+		name := strings.TrimSuffix(row.golden, filepath.Ext(row.golden))
+		t.Run(name, func(t *testing.T) {
+			got, err := runCLI(t, row.line)
+			if (err != nil) != row.fails {
+				t.Errorf("dejavu %s: error %v, want failure %v", row.line, err, row.fails)
+			}
+			file := filepath.Join("testdata", row.golden)
+			if *update {
+				if err := os.WriteFile(file, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(file)
+			if err != nil {
 				t.Fatal(err)
 			}
-			continue
-		}
-		want, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != string(want) {
-			t.Errorf("dejavu %s: output differs from %s:\n%s", row.line, file, got)
-		}
+			if got != string(want) {
+				t.Errorf("dejavu %s: output differs from %s:\n%s", row.line, file, got)
+			}
+		})
 	}
 }
 
@@ -196,38 +211,6 @@ func TestSingleSwitchCommandsRefuseFabricDocument(t *testing.T) {
 	} {
 		if _, err := runCLI(t, line); !errors.Is(err, errFabricDocument) {
 			t.Errorf("dejavu %s: error %v, want errFabricDocument", line, err)
-		}
-	}
-}
-
-// TestEmitGolden holds `dejavu emit` to the committed bytes, for the
-// reference scenario and for configs/edgecloud.json. A change to the
-// IR, composition or emitter that is meant to keep the program must keep
-// these files; one that means to change it regenerates them:
-//
-//	go run ./cmd/dejavu emit > cmd/dejavu/testdata/emit_reference.p4
-//	go run ./cmd/dejavu -config configs/edgecloud.json emit > cmd/dejavu/testdata/emit_edgecloud.p4
-func TestEmitGolden(t *testing.T) {
-	defer func(saved string) { configPath = saved }(configPath)
-	for _, c := range []struct{ config, golden string }{
-		{"", "testdata/emit_reference.p4"},
-		{"../../configs/edgecloud.json", "testdata/emit_edgecloud.p4"},
-	} {
-		configPath = c.config
-		d, err := deploy("manual", 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := d.P4Source()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := os.ReadFile(c.golden)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != string(want) {
-			t.Errorf("emitted program differs from %s", c.golden)
 		}
 	}
 }

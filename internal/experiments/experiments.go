@@ -648,12 +648,14 @@ func applyIntent(seed int64) *intent.Document {
 	}
 }
 
-// Apply measures the declarative config plane's convergence: for each
-// seed, the latency and write-set of a proved no-op re-apply, a
-// one-chain delta, and a full-fleet (3-switch fabric) apply with its
-// no-op re-apply. Action counts come from the semantic differ; entries
+// Apply records the declarative config plane's write-set: for each
+// seed, what an initial apply, a proved no-op re-apply, a one-chain
+// delta, and a full-fleet (3-switch fabric) apply with its no-op
+// re-apply push. Action counts come from the semantic differ; entries
 // and reloads are the write the converger actually pushed — the no-op
 // rows prove the idempotency contract (docs/INTENT.md) with zeros.
+// Apply latency is timed by the repository benchmark (bench/,
+// apply-churn), not here.
 func Apply() (Table, error) {
 	var rows [][]string
 	row := func(seed int64, scenario string, rep *intent.Report) {
@@ -662,7 +664,6 @@ func Apply() (Table, error) {
 			fmt.Sprint(seed), scenario,
 			fmt.Sprintf("%d/%d/%d", d.Count(intent.KindAdd), d.Count(intent.KindRemove), d.Count(intent.KindUpdate)),
 			fmt.Sprint(rep.DeltaEntries), fmt.Sprint(rep.ProgramReloads),
-			time.Duration(rep.ConvergenceNS).Round(time.Microsecond).String(),
 		})
 	}
 	for _, seed := range []int64{1, 7, 42} {
@@ -710,12 +711,12 @@ func Apply() (Table, error) {
 	}
 	return Table{
 		ID:     "apply",
-		Title:  "Declarative apply convergence: latency and write-set by scenario",
-		Header: []string{"seed", "scenario", "add/rem/upd", "entries", "reloads", "convergence"},
+		Title:  "Declarative apply write-set by scenario",
+		Header: []string{"seed", "scenario", "add/rem/upd", "entries", "reloads"},
 		Rows:   rows,
 		Notes: []string{
 			"no-op rows must show 0 entries and 0 reloads: the idempotency proof of `dejavu apply`",
-			"seeds parameterize the annealing placement; convergence times are this machine's, shapes are the target",
+			"seeds parameterize the annealing placement",
 		},
 	}, nil
 }

@@ -1,10 +1,45 @@
 package experiments
 
 import (
+	"flag"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the dvexp golden (testdata) from this build")
+
+// TestDvexpGolden holds every table, rendered as `dvexp` prints the full
+// run, to testdata/dvexp.txt. Every cell is a model figure, a count or a
+// seeded result — none is a wall-clock reading — so the run prints the
+// same bytes everywhere. A change meant to move a table rewrites the
+// file with `go test ./internal/experiments -run TestDvexpGolden -update`
+// and says why.
+func TestDvexpGolden(t *testing.T) {
+	tables, err := All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for _, tbl := range tables {
+		sb.WriteString(tbl.String() + "\n")
+	}
+	const file = "testdata/dvexp.txt"
+	if *update {
+		if err := os.WriteFile(file, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sb.String() != string(want) {
+		t.Errorf("dvexp output differs from %s:\n%s", file, sb.String())
+	}
+}
 
 // cell parses a numeric cell.
 func cell(t *testing.T, tbl Table, row, col int) float64 {

@@ -3,9 +3,11 @@ package intent
 import (
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 
 	"dejavu/internal/config"
+	"dejavu/internal/core"
 )
 
 // churnDocs returns the §5 edge-cloud intent (the committed example)
@@ -31,18 +33,18 @@ func churnDocs(tb testing.TB) (base, plus *Document) {
 	return base, plus
 }
 
-// churnApplier deploys base and returns a function that applies the
-// other of the two documents on every call, failing unless the apply
-// hot-swapped the live deployment.
-func churnApplier(tb testing.TB) (toggle func()) {
+// churnApplier deploys base and returns the applier and a function that
+// applies the other of the two documents on every call, failing unless
+// the apply hot-swapped the live deployment.
+func churnApplier(tb testing.TB) (a *Applier, toggle func()) {
 	tb.Helper()
 	base, plus := churnDocs(tb)
-	a := NewApplier(nil)
+	a = NewApplier(nil)
 	if _, err := a.Apply(base, Options{}); err != nil {
 		tb.Fatal(err)
 	}
 	docs, next := [2]*Document{plus, base}, 0
-	return func() {
+	return a, func() {
 		rep, err := a.Apply(docs[next], Options{})
 		if err != nil || rep.NoOp || rep.Redeployed || rep.RolledBack || rep.DeltaEntries == 0 {
 			tb.Fatalf("one-chain delta did not hot-swap: %v %+v", err, rep)
@@ -58,15 +60,31 @@ func churnApplier(tb testing.TB) (toggle func()) {
 // lint rule, DV004 re-merging the parser fragments, the applier copying
 // its document through JSON or building every NF of it to read four
 // settings — so a regression in that reuse shows here as a count, not
-// as a timing.
+// as a timing. The same reuse must keep an apply at most half what a
+// cold core.Compose of the base + chain 40 set allocates on the live
+// placement (measured: 3.0x), a ratio of counts that no host moves.
 func TestApplyAllocBudget(t *testing.T) {
 	const budget = 2075
-	toggle := churnApplier(t)
-	toggle()
+	a, toggle := churnApplier(t)
+	toggle() // base + chain 40 is live
+	d := a.Deployment()
+	cold := d.Config
+	cold.Chains = slices.Clone(d.Config.Chains)
+	cold.Placement = d.Placement.Clone()
 	toggle() // both documents' artifacts have been built once
-	if got := testing.AllocsPerRun(20, toggle); got > budget {
-		t.Errorf("one-chain apply allocates %.0f objects, budget %d", got, budget)
+	apply := testing.AllocsPerRun(20, toggle)
+	if apply > budget {
+		t.Errorf("one-chain apply allocates %.0f objects, budget %d", apply, budget)
 	}
+	full := testing.AllocsPerRun(20, func() {
+		if _, _, err := core.Compose(cold, false); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if full < 2*apply {
+		t.Errorf("a cold build allocates %.0f objects, under twice the %.0f of one incremental apply", full, apply)
+	}
+	t.Logf("one-chain apply %.0f allocations, cold build %.0f (%.1fx)", apply, full, full/apply)
 }
 
 // TestApplyHeapDoesNotGrow: what the deployment and its build cache
@@ -77,7 +95,7 @@ func TestApplyHeapDoesNotGrow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("16 000 applies")
 	}
-	toggle := churnApplier(t)
+	_, toggle := churnApplier(t)
 	liveHeap := func() uint64 {
 		runtime.GC()
 		runtime.GC() // the second pass frees what the first one's finalizers released
@@ -100,7 +118,7 @@ func TestApplyHeapDoesNotGrow(t *testing.T) {
 // BenchmarkApplyOneChainDelta times the apply-churn operation: base ↔
 // base + chain 40, every apply a hot swap of the live deployment.
 func BenchmarkApplyOneChainDelta(b *testing.B) {
-	toggle := churnApplier(b)
+	_, toggle := churnApplier(b)
 	toggle()
 	toggle()
 	b.ReportAllocs()

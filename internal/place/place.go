@@ -384,10 +384,15 @@ func Exhaustive(p Problem) (*Result, error) {
 // AnnealOpts parameterizes simulated annealing.
 type AnnealOpts struct {
 	Seed       int64
-	Iterations int     // default 20000
-	InitTemp   float64 // default 4
-	Cooling    float64 // default 0.999
+	Iterations int // default 20000
 }
+
+// The annealing schedule: the starting temperature and the factor it
+// cools by after every iteration.
+const (
+	annealInitTemp = 4.0
+	annealCooling  = 0.999
+)
 
 // Anneal optimizes the placement with simulated annealing, starting
 // from the greedy solution (or naive if greedy fails).
@@ -397,12 +402,6 @@ func Anneal(p Problem, opts AnnealOpts) (*Result, error) {
 	}
 	if opts.Iterations == 0 {
 		opts.Iterations = 20000
-	}
-	if opts.InitTemp == 0 {
-		opts.InitTemp = 4
-	}
-	if opts.Cooling == 0 {
-		opts.Cooling = 0.999
 	}
 	start, err := Greedy(p)
 	if err != nil {
@@ -427,7 +426,7 @@ func Anneal(p Problem, opts AnnealOpts) (*Result, error) {
 	currCost := start.Cost
 	best := &Result{Placement: curr.Clone(), Cost: currCost, Evaluations: start.Evaluations}
 
-	temp := opts.InitTemp
+	temp := annealInitTemp
 	score := func(c route.Cost) float64 {
 		return c.WeightedRecircs + 0.01*c.WeightedResubmits
 	}
@@ -462,7 +461,7 @@ func Anneal(p Problem, opts AnnealOpts) (*Result, error) {
 		} else {
 			curr.Assign(name, old)
 		}
-		temp *= opts.Cooling
+		temp *= annealCooling
 	}
 	return best, nil
 }

@@ -58,8 +58,8 @@ func l2Rewrite(c *asic.Ctx) {
 }
 
 // NewBenchSwitch builds a switch with the synthetic forwarder
-// installed on every pipeline — the fixture bench/, the dvtel
-// experiment and the hot-path benchmarks share.
+// installed on every pipeline — the fixture bench/ and the hot-path
+// benchmarks share.
 func NewBenchSwitch(prof asic.Profile, opts ForwarderOpts) *asic.Switch {
 	sw := asic.New(prof)
 	for pl := 0; pl < prof.Pipelines; pl++ {
