@@ -53,18 +53,21 @@ func churnApplier(tb testing.TB) (a *Applier, toggle func()) {
 	}
 }
 
-// TestApplyAllocBudget bounds what one incremental apply allocates.
-// The budget is the measured 1 729 plus 20 %. Work the staged build is
-// supposed to reuse costs hundreds to thousands of allocations when it
-// is redone — re-emitting and hashing every NF, a dependency graph per
-// lint rule, DV004 re-merging the parser fragments, the applier copying
-// its document through JSON or building every NF of it to read four
-// settings — so a regression in that reuse shows here as a count, not
-// as a timing. The same reuse must keep an apply at most half what a
-// cold core.Compose of the base + chain 40 set allocates on the live
-// placement (measured: 3.0x), a ratio of counts that no host moves.
+// TestApplyAllocBudget bounds two counts that no host moves. One
+// incremental apply: the measured 1 729 plus 20 %. Work the staged
+// build is supposed to reuse costs hundreds to thousands of allocations
+// when it is redone — re-emitting and hashing every NF, a dependency
+// graph per lint rule, DV004 re-merging the parser fragments, the
+// applier copying its document through JSON or building every NF of it
+// to read four settings — so a regression in that reuse shows here as
+// a count, not as a timing. One cold core.Compose of the base + chain
+// 40 set on the live placement: the measured 2 608 plus 10 %. A cold
+// build that rebuilds, re-validates or re-emits the shared static
+// parser fragments (5 133 before they were shared) fails it. The race
+// detector adds ≈ 12 % to the cold count, so that budget holds in
+// ordinary builds only.
 func TestApplyAllocBudget(t *testing.T) {
-	const budget = 2075
+	const budget, coldBudget = 2075, 2869
 	a, toggle := churnApplier(t)
 	toggle() // base + chain 40 is live
 	d := a.Deployment()
@@ -81,8 +84,8 @@ func TestApplyAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if full < 2*apply {
-		t.Errorf("a cold build allocates %.0f objects, under twice the %.0f of one incremental apply", full, apply)
+	if full > coldBudget && !raceEnabled {
+		t.Errorf("a cold build allocates %.0f objects, budget %d", full, coldBudget)
 	}
 	t.Logf("one-chain apply %.0f allocations, cold build %.0f (%.1fx)", apply, full, full/apply)
 }

@@ -49,6 +49,9 @@ func TestAllBlocksValidate(t *testing.T) {
 		if err := f.Parser().Validate(); err != nil {
 			t.Errorf("%s parser invalid: %v", f.Name(), err)
 		}
+		if g := f.Parser(); g != f.Parser() || !panics(func() { g.AddVertex(p4.Vertex{Type: "vxlan", Offset: 99}) }) {
+			t.Errorf("%s: Parser() is not one shared, frozen graph", f.Name())
+		}
 	}
 	if nfs.ByName("lb") == nil || nfs.ByName("nope") != nil {
 		t.Error("List.ByName broken")
@@ -56,6 +59,13 @@ func TestAllBlocksValidate(t *testing.T) {
 	if len(nfs.Names()) != 7 {
 		t.Error("List.Names broken")
 	}
+}
+
+// panics reports whether f panics.
+func panics(f func()) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	f()
+	return false
 }
 
 func TestAllParsersMerge(t *testing.T) {

@@ -124,10 +124,14 @@ func (r *Router) Block() *p4.ControlBlock {
 }
 
 // Parser implements NF: the router handles both IP and ARP.
-func (r *Router) Parser() *p4.ParserGraph {
+func (r *Router) Parser() *p4.ParserGraph { return routerParser() }
+
+// routerParser is the router's SFC+ARP fragment, merged once per
+// process and shared.
+var routerParser = p4.SharedParser(func() *p4.ParserGraph {
 	merged, err := p4.MergeParsers(p4.NewGlobalIDTable(), p4.SFCIPv4Parser(), p4.ARPParser())
 	if err != nil {
 		panic(err) // static graphs: cannot conflict
 	}
 	return merged
-}
+})

@@ -25,7 +25,9 @@ type emitter struct {
 }
 
 func (e *emitter) line(format string, args ...any) {
-	e.sb.WriteString(strings.Repeat(indent, e.depth))
+	for i := 0; i < e.depth; i++ {
+		e.sb.WriteString(indent)
+	}
 	fmt.Fprintf(&e.sb, format, args...)
 	e.sb.WriteByte('\n')
 }
@@ -40,23 +42,41 @@ func (e *emitter) close(suffix string) {
 	e.line("}%s", suffix)
 }
 
-// sanitize turns an IR identifier into a valid P4 identifier.
+// sanitize turns an IR identifier into a valid P4 identifier; one that
+// already is one is returned as it is.
 func sanitize(s string) string {
-	var out []rune
+	if isIdent(s) {
+		return s
+	}
+	var out strings.Builder
+	out.Grow(len(s) + 1)
 	for i, r := range s {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r == '_':
-			out = append(out, r)
+			out.WriteByte(byte(r))
 		case r >= '0' && r <= '9':
 			if i == 0 {
-				out = append(out, '_')
+				out.WriteByte('_')
 			}
-			out = append(out, r)
+			out.WriteByte(byte(r))
 		default:
-			out = append(out, '_')
+			out.WriteByte('_')
 		}
 	}
-	return string(out)
+	return out.String()
+}
+
+// isIdent reports whether s is non-empty, starts with a letter or '_'
+// and continues with letters, digits or '_' — what sanitize keeps.
+func isIdent(s string) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_' || i > 0 && c >= '0' && c <= '9' {
+			continue
+		}
+		return false
+	}
+	return s != ""
 }
 
 // EmitHeaderType renders one header declaration.
@@ -79,10 +99,21 @@ func parserStateName(v Vertex) string {
 }
 
 // EmitParser renders the parser graph as a P4-16 parser block with one
-// state per (header type, offset) vertex.
+// state per (header type, offset) vertex. A frozen graph's states were
+// emitted once, when it was frozen; only the declaration line naming
+// the parser is rendered per call.
 func EmitParser(name string, g *ParserGraph) string {
-	e := &emitter{}
-	e.open("parser %s(packet_in pkt, out all_headers_t hdr)", sanitize(name))
+	body := g.body
+	if !g.frozen {
+		body = emitParserBody(g)
+	}
+	return "parser " + sanitize(name) + "(packet_in pkt, out all_headers_t hdr) {\n" + body
+}
+
+// emitParserBody renders everything of EmitParser's block below the
+// declaration line, down to its closing brace.
+func emitParserBody(g *ParserGraph) string {
+	e := &emitter{depth: 1}
 
 	e.open("state start")
 	e.line("transition %s;", parserStateName(g.Start))

@@ -3,6 +3,7 @@ package p4
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Vertex is one node of a parser graph: a header type at a particular
@@ -42,6 +43,35 @@ type ParserGraph struct {
 	Start    Vertex
 	vertices map[Vertex]bool
 	edges    []Transition
+	// frozen marks a graph SharedParser built: one value per process,
+	// shared by every NF that declares it, so it must not change. body is
+	// its parser text below the declaration line, emitted once when it
+	// was frozen (see EmitParser).
+	frozen bool
+	body   string
+}
+
+// SharedParser returns an accessor for a static parser fragment: the
+// first call builds it, validates it and freezes it, and every call
+// returns that one graph. A parse graph is declared once, not rebuilt
+// per use; a caller that needs to extend a shared graph Clones it.
+func SharedParser(build func() *ParserGraph) func() *ParserGraph {
+	return sync.OnceValue(func() *ParserGraph {
+		g := build()
+		if err := g.Validate(); err != nil {
+			panic(err) // static graph: a bug in its declaration
+		}
+		g.frozen = true
+		g.body = emitParserBody(g)
+		return g
+	})
+}
+
+// mustBeMutable panics when g is a shared, frozen graph.
+func (g *ParserGraph) mustBeMutable() {
+	if g.frozen {
+		panic(fmt.Sprintf("p4: parser graph rooted at %s is shared and frozen; Clone it before changing it", g.Start))
+	}
 }
 
 // NewParserGraph creates a graph rooted at start.
@@ -50,8 +80,11 @@ func NewParserGraph(start Vertex) *ParserGraph {
 	return g
 }
 
-// AddVertex inserts a vertex (idempotent).
-func (g *ParserGraph) AddVertex(v Vertex) { g.vertices[v] = true }
+// AddVertex inserts a vertex (idempotent). It panics on a frozen graph.
+func (g *ParserGraph) AddVertex(v Vertex) {
+	g.mustBeMutable()
+	g.vertices[v] = true
+}
 
 // HasVertex reports whether the graph contains v.
 func (g *ParserGraph) HasVertex(v Vertex) bool { return g.vertices[v] }
@@ -77,8 +110,9 @@ func (g *ParserGraph) Edges() []Transition { return g.edges }
 // AddEdge inserts a transition, adding endpoints as needed. It rejects
 // duplicate select values from the same vertex that lead to different
 // targets, and transitions that do not advance the offset (which would
-// create a cycle).
+// create a cycle). It panics on a frozen graph.
 func (g *ParserGraph) AddEdge(t Transition) error {
+	g.mustBeMutable()
 	if t.To.Type != AcceptType && t.To.Offset <= t.From.Offset {
 		return fmt.Errorf("p4: parser edge %s -> %s does not advance offset", t.From, t.To)
 	}
@@ -173,7 +207,7 @@ func (g *ParserGraph) reachesAccept(v Vertex, visiting map[Vertex]bool) bool {
 	return false
 }
 
-// Clone returns a deep copy of the graph.
+// Clone returns a deep copy of the graph; the copy is never frozen.
 func (g *ParserGraph) Clone() *ParserGraph {
 	c := NewParserGraph(g.Start)
 	for v := range g.vertices {

@@ -227,3 +227,62 @@ func TestParserClone(t *testing.T) {
 		t.Error("Clone shares edge slice with original")
 	}
 }
+
+// mustPanic fails the test unless f panics with a message naming Clone.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, "Clone") {
+			t.Errorf("%s: recovered %v, want a panic that says to Clone first", what, r)
+		}
+	}()
+	f()
+}
+
+// TestStdParsersSharedAndFrozen: every standard fragment is one graph
+// per process; changing it panics, and its Clone is an ordinary,
+// mutable graph.
+func TestStdParsersSharedAndFrozen(t *testing.T) {
+	orphan := Vertex{Type: "vxlan", Offset: 99}
+	for name, get := range map[string]func() *ParserGraph{
+		"basic": BasicIPv4Parser, "sfc": SFCIPv4Parser, "arp": ARPParser,
+		"vxlan": VXLANParser, "classifier": ClassifierParser,
+	} {
+		g := get()
+		if get() != g {
+			t.Errorf("%s: two calls returned different graphs", name)
+		}
+		edges, states := len(g.Edges()), g.ParseStates()
+		mustPanic(t, name+" AddVertex", func() { g.AddVertex(orphan) })
+		mustPanic(t, name+" AddEdge", func() { _ = g.AddEdge(Transition{From: g.Start, Default: true, To: Accept()}) })
+		mustPanic(t, name+" MustEdge", func() { g.MustEdge(Transition{From: orphan, Default: true, To: Accept()}) })
+		if len(g.Edges()) != edges || g.ParseStates() != states || g.HasVertex(orphan) {
+			t.Errorf("%s: a refused change altered the shared graph", name)
+		}
+
+		c := g.Clone()
+		c.AddVertex(orphan)
+		c.MustEdge(Transition{From: orphan, Default: true, To: Accept()})
+		if !c.HasVertex(orphan) || g.HasVertex(orphan) || len(g.Edges()) != edges {
+			t.Errorf("%s: the Clone is not an independent, mutable graph", name)
+		}
+		if EmitParser("n", c) == EmitParser("n", g) {
+			t.Errorf("%s: the changed Clone emits the shared graph's text", name)
+		}
+	}
+}
+
+// TestEmitParserFrozenMatchesFresh: the text of a frozen graph, emitted
+// once when it was frozen, is byte for byte what emitting an unfrozen
+// copy of it gives, under any parser name.
+func TestEmitParserFrozenMatchesFresh(t *testing.T) {
+	for _, g := range []*ParserGraph{BasicIPv4Parser(), SFCIPv4Parser(), ARPParser(), VXLANParser(), ClassifierParser()} {
+		for _, name := range []string{"fw", "1st-parser", ""} {
+			if got, want := EmitParser(name, g), EmitParser(name, g.Clone()); got != want {
+				t.Errorf("%s: frozen text\n%s\nfresh text\n%s", name, got, want)
+			}
+		}
+	}
+}

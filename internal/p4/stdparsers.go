@@ -41,10 +41,16 @@ const (
 // EthernetStart returns the common start vertex.
 func EthernetStart() Vertex { return Vertex{Type: "ethernet", Offset: OffEth} }
 
+// The standard fragments are shared and frozen (SharedParser): every
+// call of an accessor below returns the same graph, and extending one
+// means Cloning it.
+
 // BasicIPv4Parser parses eth/ipv4/{tcp,udp,icmp} without an SFC header
 // — the parser an NF author would write for a standalone router or
 // firewall.
-func BasicIPv4Parser() *ParserGraph {
+func BasicIPv4Parser() *ParserGraph { return basicIPv4Parser() }
+
+var basicIPv4Parser = SharedParser(func() *ParserGraph {
 	g := NewParserGraph(EthernetStart())
 	eth := g.Start
 	ip := Vertex{Type: "ipv4", Offset: OffIPv4Plain}
@@ -52,12 +58,14 @@ func BasicIPv4Parser() *ParserGraph {
 	g.MustEdge(Transition{From: eth, Default: true, To: Accept()})
 	addL4(g, ip, OffL4Plain)
 	return g
-}
+})
 
 // SFCIPv4Parser parses eth/sfc/ipv4/{tcp,udp,icmp} — the layout NFs
 // see inside the Dejavu chain, after the Classifier has pushed the SFC
 // header.
-func SFCIPv4Parser() *ParserGraph {
+func SFCIPv4Parser() *ParserGraph { return sfcIPv4Parser() }
+
+var sfcIPv4Parser = SharedParser(func() *ParserGraph {
 	g := NewParserGraph(EthernetStart())
 	eth := g.Start
 	sfc := Vertex{Type: "sfc", Offset: OffSFC}
@@ -68,10 +76,12 @@ func SFCIPv4Parser() *ParserGraph {
 	g.MustEdge(Transition{From: sfc, Default: true, To: Accept()})
 	addL4(g, ip, OffL4SFC)
 	return g
-}
+})
 
 // ARPParser parses eth/{arp,ipv4} — used by the router NF.
-func ARPParser() *ParserGraph {
+func ARPParser() *ParserGraph { return arpParser() }
+
+var arpParser = SharedParser(func() *ParserGraph {
 	g := NewParserGraph(EthernetStart())
 	eth := g.Start
 	arp := Vertex{Type: "arp", Offset: OffIPv4Plain}
@@ -79,12 +89,14 @@ func ARPParser() *ParserGraph {
 	g.MustEdge(Transition{From: eth, Default: true, To: Accept()})
 	g.MustEdge(Transition{From: arp, Default: true, To: Accept()})
 	return g
-}
+})
 
 // VXLANParser parses the full virtualization gateway stack:
 // eth/sfc/ipv4/udp(4789)/vxlan/inner-eth/inner-ipv4/inner-l4.
-func VXLANParser() *ParserGraph {
-	g := SFCIPv4Parser()
+func VXLANParser() *ParserGraph { return vxlanParser() }
+
+var vxlanParser = SharedParser(func() *ParserGraph {
+	g := SFCIPv4Parser().Clone()
 	udp := Vertex{Type: "udp", Offset: OffL4SFC}
 	vx := Vertex{Type: "vxlan", Offset: OffVXLAN}
 	ieth := Vertex{Type: "ethernet", Offset: OffInnerEth}
@@ -101,20 +113,20 @@ func VXLANParser() *ParserGraph {
 	g.MustEdge(Transition{From: itcp, Default: true, To: Accept()})
 	g.MustEdge(Transition{From: iudp, Default: true, To: Accept()})
 	return g
-}
+})
 
 // ClassifierParser is the packet-facing parser: it must understand both
 // plain traffic arriving from the Internet and already-tagged SFC
 // traffic (resubmitted or recirculated packets).
-func ClassifierParser() *ParserGraph {
-	g := BasicIPv4Parser()
-	sfcG := SFCIPv4Parser()
-	merged, err := MergeParsers(NewGlobalIDTable(), g, sfcG)
+func ClassifierParser() *ParserGraph { return classifierParser() }
+
+var classifierParser = SharedParser(func() *ParserGraph {
+	merged, err := MergeParsers(NewGlobalIDTable(), BasicIPv4Parser(), SFCIPv4Parser())
 	if err != nil {
 		panic(err) // static graphs: cannot conflict
 	}
 	return merged
-}
+})
 
 // addL4 attaches tcp/udp/icmp transitions under an IPv4 vertex.
 func addL4(g *ParserGraph, ip Vertex, l4Off int) {

@@ -94,13 +94,12 @@ func canonPin(pin map[string]asic.PipeletID) string {
 // name stands in for it, which is sound because the cache never
 // outlives the NF objects it was built from.
 func nfFingerprint(f nf.NF) string {
-	ctl := ""
-	if f.Block() != nil {
-		ctl = p4.EmitControl(f.Block())
+	ctl, par := "", ""
+	if b := f.Block(); b != nil {
+		ctl = p4.EmitControl(b)
 	}
-	par := ""
-	if f.Parser() != nil {
-		par = p4.EmitParser(f.Name(), f.Parser())
+	if g := f.Parser(); g != nil {
+		par = p4.EmitParser(f.Name(), g)
 	}
 	return hashOf(f.Name(), ctl, par)
 }
