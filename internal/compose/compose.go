@@ -143,11 +143,13 @@ func (c *Composer) orderedNFsOn(pl asic.PipeletID) []nf.NF {
 	return out
 }
 
-// GenericParser merges every placed NF's parser fragment into the
-// generic parser shared by all pipelets (§3), assigning global vertex
-// IDs along the way.
-func (c *Composer) GenericParser() (*p4.ParserGraph, *p4.GlobalIDTable, error) {
-	return MergeParser(c.Chains, c.NFs)
+// EnterPipeline is the pipeline receiving external traffic as placed:
+// the classifier's ingress pipeline when it sits on one, else 0.
+func (c *Composer) EnterPipeline() int {
+	if pl, ok := c.Placement.Of(ClassifierNF); ok && pl.Dir == asic.Ingress {
+		return pl.Pipeline
+	}
+	return 0
 }
 
 // Deployment is the composed output for a whole switch.
@@ -165,7 +167,7 @@ type Deployment struct {
 
 // Build composes every pipelet of the switch.
 func (c *Composer) Build() (*Deployment, error) {
-	parser, idt, err := c.GenericParser()
+	parser, idt, err := MergeParser(ChainNFs(c.Chains), c.NFs)
 	if err != nil {
 		return nil, err
 	}

@@ -56,8 +56,7 @@ func TestNFIDsStable(t *testing.T) {
 
 func TestGenericParserCoversAllNFs(t *testing.T) {
 	s := scenario.MustNew()
-	c, _ := New(s.Prof, s.Chains, s.Placement, s.NFs)
-	g, idt, err := c.GenericParser()
+	g, idt, err := MergeParser(ChainNFs(s.Chains), s.NFs)
 	if err != nil {
 		t.Fatal(err)
 	}

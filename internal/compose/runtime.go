@@ -223,34 +223,38 @@ func (c *Composer) PipeletNFOrder(pl asic.PipeletID) []string {
 	return out
 }
 
-// MergeParser merges the parser fragments of every NF the chains use
-// into the generic parser shared by all pipelets (§3), in first-seen
-// chain order, assigning global vertex IDs along the way. It is a free
-// function so the build pipeline can produce (and cache) the parser
-// artifact without a composer.
-func MergeParser(chains []route.Chain, nfs nf.List) (*p4.ParserGraph, *p4.GlobalIDTable, error) {
-	table := p4.NewGlobalIDTable()
-	var graphs []*p4.ParserGraph
+// ChainNFs returns the NFs the chains use, in first-seen chain order:
+// the order the generic parser merges their fragments in (§3).
+func ChainNFs(chains []route.Chain) []string {
+	var names []string
 	seen := make(map[string]bool)
 	for _, ch := range chains {
 		for _, name := range ch.NFs {
-			if seen[name] {
-				continue
+			if !seen[name] {
+				seen[name] = true
+				names = append(names, name)
 			}
-			seen[name] = true
-			f := nfs.ByName(name)
-			if f == nil {
-				return nil, nil, fmt.Errorf("compose: NF %q has no implementation", name)
-			}
-			graphs = append(graphs, f.Parser())
 		}
 	}
-	if len(graphs) == 0 {
-		return nil, nil, fmt.Errorf("compose: no NFs to merge")
+	return names
+}
+
+// MergeParser merges the parser fragments of the named NFs, in order,
+// into the generic parser shared by all pipelets (§3), assigning global
+// vertex IDs along the way. On a merge conflict it returns what merged
+// and p4.MergeParsers' *p4.MergeError, whose fragment indices index
+// names. It is a free function so the build pipeline can produce (and
+// cache) the parser artifact without a composer.
+func MergeParser(names []string, nfs nf.List) (*p4.ParserGraph, *p4.GlobalIDTable, error) {
+	graphs := make([]*p4.ParserGraph, len(names))
+	for i, name := range names {
+		f := nfs.ByName(name)
+		if f == nil {
+			return nil, nil, fmt.Errorf("compose: NF %q has no implementation", name)
+		}
+		graphs[i] = f.Parser()
 	}
+	table := p4.NewGlobalIDTable()
 	merged, err := p4.MergeParsers(table, graphs...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return merged, table, nil
+	return merged, table, err
 }

@@ -5,6 +5,8 @@
 // fits the ASIC's stage budget like a P4 compiler would, loads the
 // behavioural programs onto the switch model, configures loopback
 // bandwidth, and reports the resource and throughput analysis of §4–§5.
+// One staged build (internal/pipeline) does the composing and the
+// verifying for Deploy, Compose, every live update and Lint alike.
 package core
 
 import (
@@ -62,8 +64,8 @@ type Config struct {
 	AnnealSeed int64
 	// StrictLint makes composition refuse deployments with
 	// error-severity static-verification findings (internal/lint): the
-	// lint gate runs inside Build and again before installation. Warn
-	// and info findings never block; they appear in Deployment.Lint.
+	// gate at the end of the build's lint stage. Warn and info findings
+	// never block; they appear in Deployment.Lint.
 	StrictLint bool
 	// Telemetry attaches a dvtel datapath counter set (per-pipelet
 	// passes, drops by reason, latency/recirculation histograms) to the
@@ -261,29 +263,6 @@ func buildInputs(cfg Config, placement *route.Placement) pipeline.Inputs {
 	}
 }
 
-// Composer resolves the placement (configured or optimized) and
-// returns the configured composer plus the placement's weighted
-// recirculation cost, without building or installing anything. It is
-// the entry point for static analysis: lint.Analyze can inspect the
-// composer's output even when a full Build would abort.
-func Composer(cfg Config) (*compose.Composer, route.Cost, error) {
-	if len(cfg.Chains) == 0 {
-		return nil, route.Cost{}, fmt.Errorf("core: no chains configured")
-	}
-	if cfg.Prof.Pipelines == 0 {
-		cfg.Prof = asic.Wedge100B()
-	}
-	placement, cost, err := pipeline.ResolvePlacement(buildInputs(cfg, cfg.Placement))
-	if err != nil {
-		return nil, route.Cost{}, fmt.Errorf("core: %w", err)
-	}
-	comp, err := compose.New(cfg.Prof, cfg.Chains, placement, cfg.NFs)
-	if err != nil {
-		return nil, route.Cost{}, err
-	}
-	return comp, cost, nil
-}
-
 // Compose runs placement optimization and program composition without
 // touching a switch: the staged build pipeline resolves the placement,
 // composes the per-pipelet programs plus framework tables, and the
@@ -300,16 +279,18 @@ func Compose(cfg Config, strict bool) (*compose.Deployment, route.Cost, error) {
 	return res.Dep, res.Cost, nil
 }
 
-// Lint statically verifies a configuration without deploying it: the
-// placement is resolved, each pipelet is composed individually, and the
-// full rule set runs over the result. Compose/Build failures surface as
-// findings where possible rather than aborting the analysis.
+// Lint statically verifies a configuration without deploying it: it
+// is the lint report of the staged build Deploy runs, whose lint stage
+// also reports why a build cannot deploy (a parser-merge conflict, a
+// pipelet that does not compose or does not fit its stages). It fails
+// only when the build stops before lint, e.g. on a placement it cannot
+// resolve.
 func Lint(cfg Config) (*lint.Report, error) {
-	comp, _, err := Composer(cfg)
-	if err != nil {
+	res, err := pipeline.Build(buildInputs(cfg, cfg.Placement), nil)
+	if res == nil {
 		return nil, err
 	}
-	return lint.Analyze(comp), nil
+	return res.Lint, nil
 }
 
 // sortedPlans renders a plan map as a list sorted by block name — the

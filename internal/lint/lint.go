@@ -45,7 +45,8 @@ const (
 
 // Target is the composed deployment state the rules analyze. All
 // fields derive from a compose.Composer; Blocks may be partial when
-// some pipelets failed to compose (the failures appear as findings).
+// some pipelets failed to compose (pipeline.Build reports those as
+// DV002 findings).
 type Target struct {
 	Prof      asic.Profile
 	Chains    []route.Chain
@@ -53,15 +54,20 @@ type Target struct {
 	NFs       nf.List
 	Branching *route.Branching
 	Blocks    map[asic.PipeletID]*p4.ControlBlock
-	// Enter is the pipeline receiving external traffic, derived from
-	// the classifier's pinned placement when available.
+	// Parser is the merged generic parser, whose unreachable vertices
+	// DV004 reports; the merge's conflicts are the parser-merge stage's
+	// to report (ParserFindings).
+	Parser *p4.ParserGraph
+	// Enter is the pipeline receiving external traffic, as placed
+	// (compose.Composer.EnterPipeline).
 	Enter int
 	// Plans holds, per pipelet, the stage allocation of Blocks[pl] at
 	// Prof.StagesPerPipelet together with the dependency graph it was
 	// allocated from (compiler.Plan.Deps) — what DV001 and DV002 read.
 	// pipeline.Build supplies its allocation stage's plans; a block
-	// without one is allocated by the first rule that asks (planFor)
-	// and the result is kept here for the rules that follow.
+	// without one (including one the stage could not allocate) is
+	// allocated by the first rule that asks (planFor) and the result is
+	// kept here for the rules that follow.
 	Plans map[asic.PipeletID]*compiler.Plan
 	// allocErr remembers why a block has no plan.
 	allocErr map[asic.PipeletID]error
@@ -146,20 +152,12 @@ func BlockRules() []Rule {
 	return []Rule{stageBudgetRule{}, tableDepsRule{}}
 }
 
-// ParserRules returns the rule whose findings depend only on the parser
-// fragments of the chain NFs, in first-seen chain order — the inputs of
-// the generic-parser merge: DV004. The incremental build pipeline
-// caches its findings under the parser-merge stage's input hash, so a
-// rebuild over the same NF set asks no NF for its parser.
-func ParserRules() []Rule {
-	return []Rule{parserMergeRule{}}
-}
-
 // GlobalRules returns the rules that read cross-pipelet routing state
 // (chains, placement, branching): everything except BlockRules and
-// ParserRules. Their inputs change with every chain edit, so the
-// incremental build pipeline runs them on every rebuild and caches
-// only the block and parser findings.
+// DV004, whose findings the build pipeline's parser-merge stage renders
+// (ParserFindings) and keeps with the generic parser. Their inputs
+// change with every chain edit, so the incremental build pipeline runs
+// them on every rebuild and caches only the block and parser findings.
 func GlobalRules() []Rule {
 	return []Rule{
 		contextDefUseRule{},
@@ -182,83 +180,27 @@ func AnalyzeTarget(t *Target, rules []Rule) *Report {
 	return r
 }
 
-// enterPipeline derives the external entry pipeline: the classifier's
-// ingress pipeline when one is placed, else pipeline 0.
-func enterPipeline(c *compose.Composer) int {
-	if pl, ok := c.Placement.Of(compose.ClassifierNF); ok && pl.Dir == asic.Ingress {
-		return pl.Pipeline
-	}
-	return 0
-}
-
-// NewTarget derives an analysis target from a composer, composing each
-// pipelet's control block individually. Pipelets that fail to compose
-// are reported as error findings (attributed to DV002, the structural
-// rule) rather than aborting, so the remaining rules still run.
-func NewTarget(c *compose.Composer, r *Report) *Target {
-	t := &Target{
+// AnalyzeDeployment runs the default rule set over an already-built
+// deployment, reusing its composed blocks and generic parser.
+func AnalyzeDeployment(d *compose.Deployment) *Report {
+	c := d.Composer
+	return AnalyzeTarget(&Target{
 		Prof:      c.Prof,
 		Chains:    c.Chains,
 		Placement: c.Placement,
 		NFs:       c.NFs,
 		Branching: c.Branching,
-		Blocks:    make(map[asic.PipeletID]*p4.ControlBlock),
-		Enter:     enterPipeline(c),
-	}
-	for _, pl := range t.Pipelets() {
-		block, err := c.BlockFor(pl)
-		if err != nil {
-			r.Add(Finding{
-				Rule:     RuleTableDeps,
-				Severity: SevError,
-				Where:    pl.String(),
-				Message:  fmt.Sprintf("pipelet failed to compose: %v", err),
-				Fix:      "fix the NF control block so the pipelet program is well-formed",
-			})
-			continue
-		}
-		t.Blocks[pl] = block
-	}
-	return t
-}
-
-// Analyze runs the default rule set over a composer's output and
-// returns the sorted report. It never fails: problems become findings.
-func Analyze(c *compose.Composer) *Report {
-	r := NewReport()
-	t := NewTarget(c, r)
-	runRules(t, r)
-	return r
-}
-
-// AnalyzeDeployment runs the default rule set over an already-built
-// deployment, reusing its composed blocks instead of recomposing.
-func AnalyzeDeployment(d *compose.Deployment) *Report {
-	r := NewReport()
-	t := &Target{
-		Prof:      d.Composer.Prof,
-		Chains:    d.Composer.Chains,
-		Placement: d.Composer.Placement,
-		NFs:       d.Composer.NFs,
-		Branching: d.Composer.Branching,
 		Blocks:    d.Blocks,
-		Enter:     enterPipeline(d.Composer),
-	}
-	runRules(t, r)
-	return r
-}
-
-func runRules(t *Target, r *Report) {
-	for _, rule := range Rules() {
-		rule.Check(t, r)
-	}
-	r.Sort()
+		Parser:    d.Parser,
+		Enter:     c.EnterPipeline(),
+	}, Rules())
 }
 
 // GateError renders the report's error-severity findings as a one-line
 // gate error, or nil when the report has none. The build pipeline uses
-// it to enforce strict mode (pipeline.Inputs.Strict) on a report
-// assembled from cached and fresh findings.
+// it, on a report assembled from cached and fresh findings, to refuse
+// a strict build (pipeline.Inputs.Strict) and a build missing an
+// artifact.
 func (r *Report) GateError() error {
 	if !r.HasErrors() {
 		return nil

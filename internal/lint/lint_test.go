@@ -124,18 +124,12 @@ func TestScenarioHasNoErrorFindings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := Analyze(c)
-	if rep.HasErrors() {
-		t.Errorf("clean scenario produced error findings:\n%s", rep)
-	}
-	// The scenario must also be clean after a full build.
 	d, err := c.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep2 := AnalyzeDeployment(d)
-	if rep2.HasErrors() {
-		t.Errorf("built scenario produced error findings:\n%s", rep2)
+	if rep := AnalyzeDeployment(d); rep.HasErrors() {
+		t.Errorf("built scenario produced error findings:\n%s", rep)
 	}
 }
 
@@ -222,20 +216,20 @@ func TestParserMergeAmbiguity(t *testing.T) {
 		From: ethStart, Select: "ethernet.ether_type", Value: 0x0800,
 		To: p4.Vertex{Type: "arp", Offset: 14},
 	})
-	tg := baseTarget()
-	tg.NFs = nf.List{a, b}
-	tg.Chains = []route.Chain{{PathID: 10, NFs: []string{"a", "b"}}}
-	r := NewReport()
-	parserMergeRule{}.Check(tg, r)
-	wantFinding(t, r, RuleParserMerge, SevError, "parser merge ambiguity")
+	merged, err := p4.MergeParsers(p4.NewGlobalIDTable(), a.parser, b.parser)
+	conflicts, _ := err.(*p4.MergeError)
+	r := &Report{Findings: ParserFindings([]string{"a", "b"}, merged, conflicts)}
+	wantFinding(t, r, RuleParserMerge, SevError, `select ethernet.ether_type=0x800 leads to arp@14 here but to ipv4@14 in NF "a"`)
+	if got := r.ByRule(RuleParserMerge)[0].Where; got != "b" {
+		t.Errorf("ambiguity reported at %q, want the fragment it came from, b", got)
+	}
 }
 
 func TestParserUnreachableVertex(t *testing.T) {
 	a := newStub("a")
 	a.parser.AddVertex(p4.Vertex{Type: "vxlan", Offset: 50}) // orphan state
 	tg := baseTarget()
-	tg.NFs = nf.List{a}
-	tg.Chains = []route.Chain{{PathID: 10, NFs: []string{"a"}}}
+	tg.Parser = a.parser
 	r := NewReport()
 	parserMergeRule{}.Check(tg, r)
 	wantFinding(t, r, RuleParserMerge, SevWarn, "unreachable")
@@ -423,10 +417,11 @@ func TestRuleCatalogue(t *testing.T) {
 			t.Errorf("rule %s has no title", id)
 		}
 	}
-	// The incremental build assembles its report from the three subsets:
-	// every rule must be in exactly one of them.
+	// The incremental build assembles its report from the block rules,
+	// the global rules and the parser-merge stage's DV004 findings: every
+	// rule must be in exactly one of them.
 	subsets := 0
-	for _, set := range [][]Rule{BlockRules(), ParserRules(), GlobalRules()} {
+	for _, set := range [][]Rule{BlockRules(), {parserMergeRule{}}, GlobalRules()} {
 		for _, rule := range set {
 			if !seen[rule.ID()] {
 				t.Errorf("rule %s is in two subsets or not in Rules()", rule.ID())

@@ -2,130 +2,69 @@ package lint
 
 import (
 	"fmt"
-	"sort"
 
 	"dejavu/internal/p4"
 )
 
-// parserMergeRule (DV004) re-runs the §3 generic-parser merge over the
-// parser fragments of every chain NF, collecting ambiguities instead
-// of aborting on the first one: two NFs whose fragments take the same
-// (header type, offset) vertex to different successors on the same
-// select value disagree about the packet format, and the merged parser
-// cannot represent both. The rule also flags fragment vertices that
-// end up unreachable from the shared Ethernet start vertex — parser
-// states that consume TCAM but can never fire.
+// parserMergeRule (DV004) reports on the §3 generic-parser merge. The
+// merge itself is p4.MergeParsers, run once by the build pipeline's
+// parser-merge stage; ParserFindings renders what it found. Two NFs
+// whose fragments take the same (header type, offset) vertex to
+// different successors on the same select value disagree about the
+// packet format, and the merged parser cannot represent both. Vertices
+// of the merged parser unreachable from the shared Ethernet start
+// vertex are parser states that consume TCAM but can never fire.
 type parserMergeRule struct{}
 
 func (parserMergeRule) ID() string    { return RuleParserMerge }
 func (parserMergeRule) Title() string { return "generic-parser merge ambiguity" }
 
-// edgeKey identifies one select decision of a parse vertex.
-type edgeKey struct {
-	From    p4.Vertex
-	Default bool
-	Select  p4.FieldRef
-	Value   uint64
+// Check reports the target's generic parser's unreachable vertices.
+func (parserMergeRule) Check(t *Target, r *Report) {
+	for _, f := range ParserFindings(nil, t.Parser, nil) {
+		r.Add(f)
+	}
 }
 
-func (parserMergeRule) Check(t *Target, r *Report) {
-	// Collect each placed NF's fragment once, in chain order.
-	type fragment struct {
-		nf    string
-		graph *p4.ParserGraph
-	}
-	var frags []fragment
-	seen := make(map[string]bool)
-	for _, ch := range t.Chains {
-		for _, name := range ch.NFs {
-			if seen[name] {
-				continue
-			}
-			seen[name] = true
-			f := t.NFs.ByName(name)
-			if f == nil {
-				continue // placementRule reports the missing implementation
-			}
-			frags = append(frags, fragment{nf: name, graph: f.Parser()})
-		}
-	}
-	if len(frags) == 0 {
-		return
-	}
-
-	start := frags[0].graph.Start
-	merged := p4.NewParserGraph(start)
-	owners := make(map[edgeKey]struct {
-		to p4.Vertex
-		nf string
-	})
-	for _, fr := range frags {
-		if fr.graph.Start != start {
-			r.Add(Finding{
+// ParserFindings renders one generic-parser merge as DV004 findings:
+// an error for every conflict it reported (nil: none), naming each
+// fragment by the NF at its index in nfs, then a warning for every
+// vertex of merged that no packet can reach from its start.
+func ParserFindings(nfs []string, merged *p4.ParserGraph, conflicts *p4.MergeError) []Finding {
+	var out []Finding
+	if conflicts != nil {
+		for _, c := range conflicts.Conflicts {
+			f := Finding{
 				Rule:     RuleParserMerge,
 				Severity: SevError,
-				Where:    fr.nf,
-				Message: fmt.Sprintf("parser fragment starts at %s but the generic parser starts at %s",
-					fr.graph.Start, start),
-				Fix: "root every NF parser at the shared Ethernet@0 vertex",
-			})
-			continue
-		}
-		for _, v := range fr.graph.Vertices() {
-			merged.AddVertex(v)
-		}
-		for _, e := range fr.graph.Edges() {
-			k := edgeKey{From: e.From, Default: e.Default, Select: e.Select, Value: e.Value}
-			if prev, ok := owners[k]; ok && prev.to != e.To {
+				Where:    "generic parser",
+				Message:  fmt.Sprintf("parser merge failed: %v", c.Err),
+				Fix:      "root every NF parser at the shared Ethernet@0 vertex and let every transition advance the byte offset toward accept",
+			}
+			if c.Fragment >= 0 {
+				f.Where = nfs[c.Fragment]
+			}
+			if c.Owner >= 0 {
 				detail := "default transition"
-				if !e.Default {
-					detail = fmt.Sprintf("select %s=%#x", e.Select, e.Value)
+				if !c.Edge.Default {
+					detail = fmt.Sprintf("select %s=%#x", c.Edge.Select, c.Edge.Value)
 				}
-				r.Add(Finding{
-					Rule:     RuleParserMerge,
-					Severity: SevError,
-					Where:    fr.nf,
-					Message: fmt.Sprintf("parser merge ambiguity at %s: %s leads to %s here but to %s in NF %q",
-						e.From, detail, e.To, prev.to, prev.nf),
-					Fix: "align the NFs' parser fragments on one successor for the vertex",
-				})
-				continue
+				f.Message = fmt.Sprintf("parser merge ambiguity at %s: %s leads to %s here but to %s in NF %q",
+					c.Edge.From, detail, c.Edge.To, c.OwnerTo, nfs[c.Owner])
+				f.Fix = "align the NFs' parser fragments on one successor for the vertex"
 			}
-			owners[k] = struct {
-				to p4.Vertex
-				nf string
-			}{e.To, fr.nf}
-			// AddEdge cannot conflict after the ownership check; other
-			// failures (offset not advancing) are real fragment bugs.
-			if err := merged.AddEdge(e); err != nil {
-				r.Add(Finding{
-					Rule:     RuleParserMerge,
-					Severity: SevError,
-					Where:    fr.nf,
-					Message:  fmt.Sprintf("parser fragment edge rejected: %v", err),
-					Fix:      "every transition must advance the byte offset toward accept",
-				})
-			}
+			out = append(out, f)
 		}
 	}
-
-	// Unreachable vertices: merged states no packet can ever enter.
+	if merged == nil {
+		return out
+	}
 	reach := merged.Reachable()
-	var unreachable []p4.Vertex
 	for _, v := range merged.Vertices() {
 		if v.Type == p4.AcceptType || reach[v] {
 			continue
 		}
-		unreachable = append(unreachable, v)
-	}
-	sort.Slice(unreachable, func(i, j int) bool {
-		if unreachable[i].Offset != unreachable[j].Offset {
-			return unreachable[i].Offset < unreachable[j].Offset
-		}
-		return unreachable[i].Type < unreachable[j].Type
-	})
-	for _, v := range unreachable {
-		r.Add(Finding{
+		out = append(out, Finding{
 			Rule:     RuleParserMerge,
 			Severity: SevWarn,
 			Where:    v.String(),
@@ -133,4 +72,5 @@ func (parserMergeRule) Check(t *Target, r *Report) {
 			Fix:      "remove the orphan vertex or add the transition that reaches it",
 		})
 	}
+	return out
 }

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -288,7 +289,7 @@ func (placementRule) Check(t *Target, r *Report) {
 	for name := range t.Placement.NF {
 		placedNames = append(placedNames, name)
 	}
-	sortStrings(placedNames)
+	slices.Sort(placedNames)
 	for _, name := range placedNames {
 		if !used[name] {
 			r.Add(Finding{
@@ -389,14 +390,5 @@ func (chainShapeRule) Check(t *Target, r *Report) {
 			Message:  "no chain contains the classifier; untagged traffic will be punted to the control plane",
 			Fix:      "start each externally-facing chain with the classifier",
 		})
-	}
-}
-
-// sortStrings sorts in place (tiny wrapper to keep imports tidy).
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
 	}
 }

@@ -66,40 +66,96 @@ func (t *GlobalIDTable) Entries() []struct {
 	return out
 }
 
+// MergeConflict is one part of one input graph that MergeParsers left
+// out of the generic parser.
+type MergeConflict struct {
+	// Fragment indexes the input graph the part came from; -1 stands for
+	// the merged graph as a whole, which failed Validate.
+	Fragment int
+	// Edge is the refused transition; the zero Transition when the whole
+	// graph was refused because it starts elsewhere than the first.
+	Edge Transition
+	// Owner indexes the earlier graph whose transition from Edge.From on
+	// the same select value (or default) leads to OwnerTo instead: the
+	// two NFs disagree about the packet format. It is -1 when Edge was
+	// refused for another reason.
+	Owner   int
+	OwnerTo Vertex
+	// Err says why the part was refused.
+	Err error
+}
+
+// MergeError lists every conflict of one merge, in input order.
+type MergeError struct {
+	Conflicts []MergeConflict
+}
+
+func (e *MergeError) Error() string {
+	msg := "p4: merging parsers: " + e.Conflicts[0].Err.Error()
+	if n := len(e.Conflicts) - 1; n > 0 {
+		msg += fmt.Sprintf(" (and %d more conflict(s))", n)
+	}
+	return msg
+}
+
 // MergeParsers merges the parser graphs of individual NFs into a single
 // generic parser (§3 "Generic Parser"). Vertices are unified through
 // the global ID table: two vertices are the same parse state only when
 // their (header type, offset) tuples coincide. Transitions are
-// unioned; a conflict (the same vertex selecting the same value toward
-// different headers) is an error because the NFs disagree about the
-// packet format.
+// unioned. Packets enter at the first graph's start vertex (Ethernet
+// offset 0), and a graph rooted elsewhere is left out.
 //
-// All input graphs must share the same start vertex (packets enter at
-// Ethernet offset 0).
+// A transition that conflicts with one already merged (the same vertex
+// selecting the same value toward different headers: the NFs disagree
+// about the packet format) or that does not advance the offset is left
+// out, and the merge goes on. When anything was left out, or the
+// merged graph does not validate, MergeParsers returns what did merge
+// together with a *MergeError listing every conflict.
 func MergeParsers(table *GlobalIDTable, graphs ...*ParserGraph) (*ParserGraph, error) {
 	if len(graphs) == 0 {
 		return nil, fmt.Errorf("p4: no parsers to merge")
 	}
 	start := graphs[0].Start
-	for _, g := range graphs[1:] {
-		if g.Start != start {
-			return nil, fmt.Errorf("p4: parser start vertices differ: %s vs %s", start, g.Start)
-		}
-	}
 	merged := NewParserGraph(start)
-	for _, g := range graphs {
+	// owners maps a select decision (a transition without its target) to
+	// where it leads and the graph that last declared it.
+	type owner struct {
+		to       Vertex
+		fragment int
+	}
+	owners := make(map[Transition]owner)
+	var conflicts []MergeConflict
+	for i, g := range graphs {
+		if g.Start != start {
+			conflicts = append(conflicts, MergeConflict{Fragment: i, Owner: -1,
+				Err: fmt.Errorf("parser start vertices differ: %s vs %s", start, g.Start)})
+			continue
+		}
 		for _, v := range g.Vertices() {
 			table.ID(v)
 			merged.AddVertex(v)
 		}
 		for _, e := range g.Edges() {
+			decision := e
+			decision.To = Vertex{}
 			if err := merged.AddEdge(e); err != nil {
-				return nil, fmt.Errorf("p4: merging parsers: %w", err)
+				c := MergeConflict{Fragment: i, Edge: e, Owner: -1, Err: err}
+				if o, ok := owners[decision]; ok && o.to != e.To {
+					c.Owner, c.OwnerTo = o.fragment, o.to
+				}
+				conflicts = append(conflicts, c)
+				continue
 			}
+			owners[decision] = owner{to: e.To, fragment: i}
 		}
 	}
-	if err := merged.Validate(); err != nil {
-		return nil, fmt.Errorf("p4: merged parser invalid: %w", err)
+	if len(conflicts) == 0 {
+		if err := merged.Validate(); err != nil {
+			conflicts = append(conflicts, MergeConflict{Fragment: -1, Owner: -1, Err: err})
+		}
+	}
+	if len(conflicts) > 0 {
+		return merged, &MergeError{Conflicts: conflicts}
 	}
 	return merged, nil
 }

@@ -1,6 +1,7 @@
 package p4
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -133,8 +134,30 @@ func TestMergeParsersConflict(t *testing.T) {
 	g2.MustEdge(Transition{From: Vertex{Type: "arp", Offset: 14}, Default: true, To: Accept()})
 	g2.MustEdge(Transition{From: g2.Start, Default: true, To: Accept()})
 
-	if _, err := MergeParsers(NewGlobalIDTable(), g1, g2); err == nil {
-		t.Error("conflicting parsers merged without error")
+	// Every conflict is reported with the graph it came from and the
+	// earlier graph it contradicts, and the rest still merges.
+	g3 := NewParserGraph(EthernetStart())
+	g3.MustEdge(Transition{From: g3.Start, Default: true, To: Vertex{Type: "vlan", Offset: 14}})
+	g3.MustEdge(Transition{From: Vertex{Type: "vlan", Offset: 14}, Default: true, To: Accept()})
+	merged, err := MergeParsers(NewGlobalIDTable(), g1, g2, g3)
+	var me *MergeError
+	if !errors.As(err, &me) {
+		t.Fatalf("conflicting parsers: error %v, want a *MergeError", err)
+	}
+	want := []struct {
+		fragment, owner int
+		ownerTo         Vertex
+	}{{1, 0, Vertex{Type: "ipv4", Offset: 14}}, {2, 1, Accept()}}
+	if len(me.Conflicts) != len(want) {
+		t.Fatalf("%d conflicts, want %d: %v", len(me.Conflicts), len(want), err)
+	}
+	for i, w := range want {
+		if c := me.Conflicts[i]; c.Fragment != w.fragment || c.Owner != w.owner || c.OwnerTo != w.ownerTo {
+			t.Errorf("conflict %d: %+v, want fragment %d against %d's %s", i, c, w.fragment, w.owner, w.ownerTo)
+		}
+	}
+	if merged == nil || !merged.HasVertex(Vertex{Type: "arp", Offset: 14}) || len(merged.Edges()) != 5 {
+		t.Errorf("the merge did not go on past the conflicts: %v", merged.Edges())
 	}
 }
 

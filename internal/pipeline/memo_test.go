@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -79,11 +80,12 @@ func TestWarmCacheFingerprintsNothing(t *testing.T) {
 	}
 }
 
-// TestWarmBuildCallsNoParser: the generic parser and its DV004
-// findings are both keyed by the parser-merge stage's input hash, so
-// once the cache has seen the NF objects, toggling a chain over the
-// same NF set asks no NF for its parser fragment — not to fingerprint
-// it, not to merge it, not to lint it.
+// TestWarmBuildCallsNoParser: a cold build asks each NF for its parser
+// fragment twice — to fingerprint it and to merge it, once; DV004 reads
+// that merge. The generic parser and its DV004 findings are one
+// artifact keyed by the parser-merge stage's input hash, so once the
+// cache has seen the NF objects, toggling a chain over the same NF set
+// asks no NF for its parser fragment at all.
 func TestWarmBuildCallsNoParser(t *testing.T) {
 	base := scenarioInputs(t)
 	_, parsers := counted(&base)
@@ -93,8 +95,8 @@ func TestWarmBuildCallsNoParser(t *testing.T) {
 	if _, err := Build(base, cache); err != nil {
 		t.Fatal(err)
 	}
-	if *parsers == 0 {
-		t.Fatal("the cold build never read an NF parser; the counter is not wired")
+	if *parsers != 2*len(base.NFs) {
+		t.Fatalf("the cold build read NF parsers %d times, want %d (fingerprint and merge)", *parsers, 2*len(base.NFs))
 	}
 	*parsers = 0
 	for i, in := range []Inputs{plus, base, plus, base} {
@@ -136,9 +138,10 @@ func swapNF(in Inputs, with nf.NF) Inputs {
 // next build and swapping the original back removes it; at every step
 // the report is the one the full rule set gives on a fresh target. A
 // fragment that disagrees with another NF's on a transition (the
-// fixture of lint.TestParserMergeAmbiguity) never reaches lint: the
-// parser-merge stage refuses it, as it does without a cache, and the
-// refusal leaves nothing behind in the cache.
+// fixture of lint.TestParserMergeAmbiguity) leaves the build without a
+// generic parser: cached or cold, the build reaches lint, reports the
+// DV004 ambiguity and is refused naming it, and the refusal leaves the
+// cache's entries as they were.
 func TestParserLintFollowsTheParserStage(t *testing.T) {
 	in := scenarioInputs(t)
 	router := in.NFs.ByName("router")
@@ -179,15 +182,27 @@ func TestParserLintFollowsTheParserStage(t *testing.T) {
 	}
 
 	bad := swapNF(in, &reparsedNF{NF: router, parser: ambiguous})
-	entries := len(cache.entries)
-	_, err := Build(bad, cache)
-	_, errCold := Build(bad, nil)
-	if err == nil || errCold == nil || err.Error() != errCold.Error() ||
-		!strings.Contains(err.Error(), "conflicting transitions") {
-		t.Fatalf("ambiguous fragment: cached build %v, cold build %v; want the same merge conflict", err, errCold)
+	hashes := func() map[string]string {
+		out := make(map[string]string, len(cache.entries))
+		for k, e := range cache.entries {
+			out[k] = e.hash
+		}
+		return out
 	}
-	if len(cache.entries) != entries {
-		t.Errorf("the refused build changed the cache: %d entries, had %d", len(cache.entries), entries)
+	before := hashes()
+	res, err := Build(bad, cache)
+	resCold, errCold := Build(bad, nil)
+	if err == nil || errCold == nil || err.Error() != errCold.Error() ||
+		!strings.Contains(err.Error(), "DV004 router: parser merge ambiguity") {
+		t.Fatalf("ambiguous fragment: cached build %v, cold build %v; want the same DV004 refusal", err, errCold)
+	}
+	for _, r := range []*Result{res, resCold} {
+		if r == nil || len(r.Lint.ByRule(lint.RuleParserMerge)) == 0 || r.Dep != nil {
+			t.Fatalf("ambiguous fragment: refused build %+v, want its DV004 report and no deployment", r)
+		}
+	}
+	if after := hashes(); !reflect.DeepEqual(after, before) {
+		t.Errorf("the refused build changed the cache:\nbefore %v\nafter  %v", before, after)
 	}
 	if got := dv004("original after the refusal", in); len(got) != 0 {
 		t.Fatalf("original after the refusal: DV004 findings %v", got)
@@ -195,8 +210,8 @@ func TestParserLintFollowsTheParserStage(t *testing.T) {
 }
 
 // TestCacheEntriesBoundedUnderChurn: the cache holds one generation
-// per stage key — the parser findings under "lint/parser" included —
-// and one fingerprint per live NF object, however many rebuilds and
+// per stage key — the parser findings with the parser artifact — and
+// one fingerprint per live NF object, however many rebuilds and
 // NF-object replacements it has served.
 func TestCacheEntriesBoundedUnderChurn(t *testing.T) {
 	base := scenarioInputs(t)
@@ -209,8 +224,8 @@ func TestCacheEntriesBoundedUnderChurn(t *testing.T) {
 		}
 	}
 	want := len(cache.entries)
-	if _, ok := cache.entries["lint/parser"]; !ok {
-		t.Fatal("no lint/parser entry after two builds")
+	if _, ok := cache.entries["parser"]; !ok {
+		t.Fatal("no parser entry after two builds")
 	}
 	router := base.NFs.ByName("router")
 	swaps := 0
@@ -240,6 +255,10 @@ func TestCacheEntriesBoundedUnderChurn(t *testing.T) {
 	}
 	if got := len(cache.entries); got != want {
 		t.Errorf("%d cache entries after the churn, %d after the second build", got, want)
+	}
+	// The last swap put in a fragment without the orphan vertex.
+	if pa := cache.entries["parser"].val.(parserArtifact); len(pa.findings) != 0 {
+		t.Errorf("the parser entry holds stale findings after the churn: %v", pa.findings)
 	}
 	if len(cache.fps) != len(base.NFs) {
 		t.Errorf("cache remembers %d NF objects, the list has %d", len(cache.fps), len(base.NFs))

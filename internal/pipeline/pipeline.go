@@ -22,6 +22,7 @@
 package pipeline
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -134,7 +135,8 @@ type Result struct {
 	// builds' Programs yields a live reconfiguration's write-set.
 	Program route.TableProgram
 	// Lint is the static-verification report (cached block and parser
-	// findings merged with freshly run global rules).
+	// findings merged with freshly run global rules). It is the one
+	// field a refused build fills for certain: it says why.
 	Lint *lint.Report
 	// ChangedFuncs lists the pipelets whose behavioural programs were
 	// rebuilt — the pipelet_program writes of an incremental swap.
@@ -145,10 +147,12 @@ type Result struct {
 	Info           BuildInfo
 }
 
-// parserArtifact is the parser-merge stage output.
+// parserArtifact is the parser-merge stage output: the generic parser
+// (nil when the fragments conflict) and that merge's DV004 findings.
 type parserArtifact struct {
-	parser *p4.ParserGraph
-	idt    *p4.GlobalIDTable
+	parser   *p4.ParserGraph
+	idt      *p4.GlobalIDTable
+	findings []lint.Finding
 }
 
 // placementArtifact is the optimized-placement stage output. (A
@@ -172,6 +176,16 @@ type routingArtifact struct {
 // composer as the previous generation for the next call. Build never
 // mutates the switch: installing (or diffing and hot-swapping) the
 // result is the caller's move.
+//
+// Lint is the last stage. A stage that cannot produce an artifact —
+// fragments that conflict in the parser merge, a pipelet that does not
+// compose or does not fit its stage budget — leaves it empty and the
+// build goes on to lint, which reports why (DV004, DV002, DV001). Such
+// a build, like a strict one with error findings, is refused: Build
+// returns the Result, its Lint filled, together with an error naming
+// the findings, and keeps none of the artifacts it stored after the
+// missing one. Other failures (no chains, a placement it cannot
+// resolve) stop the build with no Result.
 func Build(in Inputs, cache *Cache) (*Result, error) {
 	t0 := time.Now()
 	if in.Prof.Pipelines == 0 {
@@ -194,20 +208,20 @@ func Build(in Inputs, cache *Cache) (*Result, error) {
 		}
 	}
 	fps, fpAll := cache.fingerprints(in.NFs)
-
-	// Stage: parser-merge. The generic parser depends on the NFs the
-	// chains use, in first-seen chain order (§3).
-	start := time.Now()
-	var order []string
-	seen := make(map[string]bool)
-	for _, ch := range in.Chains {
-		for _, name := range ch.NFs {
-			if !seen[name] {
-				seen[name] = true
-				order = append(order, name)
-			}
+	// incomplete marks a build missing an artifact; from then on it
+	// stores into a scratch copy of the cache.
+	incomplete := false
+	markIncomplete := func() {
+		if !incomplete {
+			incomplete, cache = true, cache.Clone()
 		}
 	}
+
+	// Stage: parser-merge. The generic parser depends on the NFs the
+	// chains use, in first-seen chain order (§3); its DV004 findings are
+	// kept with it.
+	start := time.Now()
+	order := compose.ChainNFs(in.Chains)
 	parserParts := []string{"parser"}
 	for _, name := range order {
 		parserParts = append(parserParts, name, fps[name])
@@ -218,15 +232,24 @@ func Build(in Inputs, cache *Cache) (*Result, error) {
 	if parserHit {
 		pa = pv.(parserArtifact)
 	} else {
-		g, idt, err := compose.MergeParser(in.Chains, in.NFs)
-		if err != nil {
+		g, idt, err := compose.MergeParser(order, in.NFs)
+		var conflicts *p4.MergeError
+		if err != nil && !errors.As(err, &conflicts) {
 			return nil, fmt.Errorf("pipeline: %w", err)
 		}
-		pa = parserArtifact{parser: g, idt: idt}
-		cache.store("parser", parserHash, pa)
+		pa.findings = lint.ParserFindings(order, g, conflicts)
+		if conflicts != nil {
+			markIncomplete()
+		} else {
+			pa.parser, pa.idt = g, idt
+			cache.store("parser", parserHash, pa)
+		}
 	}
-	record(StageParserMerge, parserHash, parserHit,
-		fmt.Sprintf("%d NFs merged, %d parse states", len(order), pa.parser.ParseStates()), start)
+	parserDetail := fmt.Sprintf("%d NFs, merge conflicts", len(order))
+	if pa.parser != nil {
+		parserDetail = fmt.Sprintf("%d NFs merged, %d parse states", len(order), pa.parser.ParseStates())
+	}
+	record(StageParserMerge, parserHash, parserHit, parserDetail, start)
 
 	// Stage: placement. A provided placement is hashed by content (its
 	// chain-dependent cost is cheap and recomputed every build); an
@@ -304,6 +327,7 @@ func Build(in Inputs, cache *Cache) (*Result, error) {
 	egress := make([]asic.StageFunc, in.Prof.Pipelines)
 	blocksRebuilt, funcsRebuilt := 0, 0
 	var compHashes []string
+	var composeFailures []lint.Finding
 	for _, pl := range pipelets {
 		idParts := make([]string, 0, 4)
 		for _, name := range comp.PipeletNFOrder(pl) {
@@ -315,11 +339,16 @@ func Build(in Inputs, cache *Cache) (*Result, error) {
 		blockHashes[pl] = bh
 		if v, ok := cache.lookup("block/"+pl.String(), bh); ok {
 			blocks[pl] = v.(*p4.ControlBlock)
+		} else if block, err := comp.BlockFor(pl); err != nil {
+			composeFailures = append(composeFailures, lint.Finding{
+				Rule:     lint.RuleTableDeps,
+				Severity: lint.SevError,
+				Where:    pl.String(),
+				Message:  fmt.Sprintf("pipelet failed to compose: %v", err),
+				Fix:      "fix the NF control block so the pipelet program is well-formed",
+			})
+			markIncomplete()
 		} else {
-			block, err := comp.BlockFor(pl)
-			if err != nil {
-				return nil, fmt.Errorf("pipeline: pipelet %s: %w", pl, err)
-			}
 			blocks[pl] = block
 			cache.store("block/"+pl.String(), bh, block)
 			blocksRebuilt++
@@ -353,13 +382,17 @@ func Build(in Inputs, cache *Cache) (*Result, error) {
 	for _, pl := range pipelets {
 		ah := hashOf("alloc", blockHashes[pl], itoa(in.Prof.StagesPerPipelet))
 		allocHashes = append(allocHashes, ah)
+		if blocks[pl] == nil {
+			continue
+		}
 		if v, ok := cache.lookup("alloc/"+pl.String(), ah); ok {
 			plans[pl] = v.(*compiler.Plan)
 			continue
 		}
 		plan, err := compiler.Allocate(blocks[pl], in.Prof.StagesPerPipelet)
 		if err != nil {
-			return nil, fmt.Errorf("pipeline: pipelet %s: %w", pl, err)
+			markIncomplete() // DV001 reports it, allocating the block again
+			continue
 		}
 		plans[pl] = plan
 		cache.store("alloc/"+pl.String(), ah, plan)
@@ -405,32 +438,21 @@ func Build(in Inputs, cache *Cache) (*Result, error) {
 	// Stage: lint. Block-scoped findings (DV001/DV002) are cached by
 	// block hash and, on a miss, read the allocation stage's plan and
 	// the dependency graph it carries instead of deriving their own;
-	// the parser-merge findings (DV004) are cached by the parser-merge
-	// stage's input hash, so they are recomputed exactly when the
-	// generic parser is (that hash is the parser-merge stage's reported
-	// Hash and is not folded into this stage's a second time); the
-	// global rules read the chains, placement and branching a rebuild
-	// changes and run every build. The merged, sorted report equals a
-	// full lint.AnalyzeDeployment run.
+	// the parser-merge findings (DV004) come with the parser artifact;
+	// the global rules read the chains, placement and branching a
+	// rebuild changes and run every build. The merged, sorted report
+	// equals a full lint.AnalyzeDeployment run.
 	start = time.Now()
-	enter := 0
-	if pl, ok := placement.Of(compose.ClassifierNF); ok && pl.Dir == asic.Ingress {
-		enter = pl.Pipeline
-	}
+	enter := comp.EnterPipeline()
 	target := &lint.Target{
 		Prof: in.Prof, Chains: in.Chains, Placement: placement,
 		NFs: in.NFs, Branching: comp.Branching, Blocks: blocks, Enter: enter,
 	}
 	rep := lint.AnalyzeTarget(target, lint.GlobalRules())
-	var parserFindings []lint.Finding
-	v, parserLintHit := cache.lookup("lint/parser", parserHash)
-	if parserLintHit {
-		parserFindings = v.([]lint.Finding)
-	} else {
-		parserFindings = lint.AnalyzeTarget(target, lint.ParserRules()).Findings
-		cache.store("lint/parser", parserHash, parserFindings)
+	for _, f := range pa.findings {
+		rep.Add(f)
 	}
-	for _, f := range parserFindings {
+	for _, f := range composeFailures {
 		rep.Add(f)
 	}
 	lintRebuilt := 0
@@ -458,13 +480,14 @@ func Build(in Inputs, cache *Cache) (*Result, error) {
 	}
 	rep.Sort()
 	res.Lint = rep
-	record(StageLint, hashOf(lintHashes...), parserLintHit && lintRebuilt == 0,
+	record(StageLint, hashOf(lintHashes...), lintRebuilt == 0,
 		fmt.Sprintf("%d findings, %d/%d pipelets re-linted",
 			len(rep.Findings), lintRebuilt, len(pipelets)), start)
-	if in.Strict {
-		if err := rep.GateError(); err != nil {
-			return nil, fmt.Errorf("pipeline: deployment rejected by verifier: %w", err)
-		}
+	// Every missing artifact left an error finding, so this refuses
+	// each incomplete build.
+	if err := rep.GateError(); err != nil && (in.Strict || incomplete) {
+		res.Info.Duration = time.Since(t0)
+		return res, fmt.Errorf("pipeline: deployment rejected by verifier: %w", err)
 	}
 
 	res.Dep = comp.Assemble(pa.parser, pa.idt, blocks, ingress, egress)

@@ -87,6 +87,32 @@ func TestStrictBuildNamesTheRule(t *testing.T) {
 	}
 }
 
+// TestOverflowReachesLint: a pipelet that does not fit its stage budget
+// leaves the build without its plan, and the build goes on to lint:
+// unstrict, it is refused naming the DV001 finding, returns the report
+// it refused on, and keeps none of the artifacts after the allocation
+// stage in the cache.
+func TestOverflowReachesLint(t *testing.T) {
+	in := scenarioInputs(t)
+	in.Placement = route.NewPlacement()
+	for _, f := range in.NFs {
+		in.Placement.Assign(f.Name(), asic.PipeletID{Pipeline: 0, Dir: asic.Ingress})
+	}
+	cache := NewCache()
+	res, err := Build(in, cache)
+	if err == nil || !strings.Contains(err.Error(), "DV001 ingress 0: program needs") {
+		t.Fatalf("overflowing build: error %v, want the DV001 refusal", err)
+	}
+	if res == nil || res.Dep != nil || len(res.Lint.ByRule(lint.RuleStageBudget)) == 0 {
+		t.Fatalf("overflowing build returned %+v, want its DV001 report and no deployment", res)
+	}
+	for key := range cache.entries {
+		if strings.HasPrefix(key, "lint/") || key == "routing" {
+			t.Errorf("the refused build kept %s, stored after the missing plan", key)
+		}
+	}
+}
+
 // TestRebuildSameInputsAllCached: building identical inputs against a
 // warm cache recomputes nothing and reproduces the same program.
 func TestRebuildSameInputsAllCached(t *testing.T) {
