@@ -10,12 +10,12 @@ import (
 	"time"
 
 	"dejavu/internal/asic"
-	"dejavu/internal/compose"
 	"dejavu/internal/ctl"
 	"dejavu/internal/fabricplace"
 	"dejavu/internal/fault"
 	"dejavu/internal/lint"
 	"dejavu/internal/nf"
+	"dejavu/internal/pipeline"
 	"dejavu/internal/place"
 	"dejavu/internal/route"
 )
@@ -56,30 +56,8 @@ type ChainRoute struct {
 }
 
 func (cr ChainRoute) equal(o ChainRoute) bool {
-	if len(cr.Path) != len(o.Path) || len(cr.Ports) != len(o.Ports) || len(cr.Segments) != len(o.Segments) {
-		return false
-	}
-	for i := range cr.Path {
-		if cr.Path[i] != o.Path[i] {
-			return false
-		}
-	}
-	for i := range cr.Ports {
-		if cr.Ports[i] != o.Ports[i] {
-			return false
-		}
-	}
-	for i := range cr.Segments {
-		if len(cr.Segments[i]) != len(o.Segments[i]) {
-			return false
-		}
-		for j := range cr.Segments[i] {
-			if cr.Segments[i][j] != o.Segments[i][j] {
-				return false
-			}
-		}
-	}
-	return true
+	return slices.Equal(cr.Path, o.Path) && slices.Equal(cr.Ports, o.Ports) &&
+		slices.EqualFunc(cr.Segments, o.Segments, slices.Equal[[]string])
 }
 
 // FabricDeployment is a chain set live on a multi-switch fabric,
@@ -112,7 +90,10 @@ type FabricDeployment struct {
 	// reconciliation (including the initial deploy).
 	Replacements int
 
-	composed []*compose.Deployment
+	// built is each switch's installed build, and caches each switch's
+	// build cache: one per switch, as one per single-switch deployment.
+	built  []*pipeline.Result
+	caches []*pipeline.Cache
 	// progSig is each switch's installed program signature; only
 	// switches whose desired signature differs are reprogrammed, so
 	// a health change converges per chain instead of re-touching the
@@ -150,10 +131,11 @@ func NewFabricDeployment(f *Fabric, chains []route.Chain, nfs nf.List, stageDema
 		Routes:      make(map[uint16]ChainRoute),
 		Homes:       make(map[string]int),
 		Blackholed:  make(map[uint16]string),
-		composed:    make([]*compose.Deployment, len(f.Switches)),
+		built:       make([]*pipeline.Result, len(f.Switches)),
 		progSig:     make([]string, len(f.Switches)),
 	}
 	for _, sw := range f.Switches {
+		fd.caches = append(fd.caches, pipeline.NewCache())
 		ctrl := ctl.New(sw, nfs)
 		fd.Controllers = append(fd.Controllers, ctrl)
 		fd.Drivers = append(fd.Drivers, fault.NewDriver(ctrl))
@@ -278,7 +260,8 @@ type fabricPlan struct {
 	// the seed are fixed per switch).
 	annealKeys map[int]string
 	// remote maps switch -> remote NF -> egress port toward its home,
-	// following the placement graph's per-destination forwarding trees.
+	// following the placement graph's per-destination forwarding trees;
+	// asic.PortUnset where no wire leads there.
 	remote map[int]map[string]asic.PortID
 	// sigs is each in-use switch's desired program signature.
 	sigs     map[int]string
@@ -368,18 +351,18 @@ func (fd *FabricDeployment) desired() (p *fabricPlan) {
 	// Remote forwarding entries follow the per-destination trees: at
 	// every in-use switch, every non-local NF is forwarded out the next
 	// hop toward its home. Per-destination (not per-chain) forwarding
-	// keeps the single SetRemote slot per NF per switch globally
-	// consistent even when chains branch over different subsets.
+	// keeps the one remote port per NF per switch globally consistent
+	// even when chains branch over different subsets. A home with no
+	// next hop keeps asic.PortUnset, whose branching entry punts.
 	for _, s := range p.switches {
+		p.remote[s] = make(map[string]asic.PortID)
 		for _, n := range SortedKeys(p.homes) {
 			h := p.homes[n]
 			if h == s {
 				continue
 			}
+			p.remote[s][n] = asic.PortUnset
 			if e, ok := g.NextHop(s, h); ok {
-				if p.remote[s] == nil {
-					p.remote[s] = make(map[string]asic.PortID)
-				}
 				p.remote[s][n] = e.Port
 			}
 		}
@@ -493,44 +476,48 @@ func (fd *FabricDeployment) equalPlan(p *fabricPlan) bool {
 	return true
 }
 
-// composeAt builds the deployment for one switch: the full active
-// chain set, this switch's NFs placed locally on their annealed
-// pipelets, everything else remote with per-destination forwarding.
-func (fd *FabricDeployment) composeAt(p *fabricPlan, s int) (*compose.Deployment, error) {
+// composeAt builds the program for one switch with the staged build, as
+// a single switch's deploy does: the full active chain set, this
+// switch's NFs placed locally on their annealed pipelets, everything
+// else remote toward its home. It builds against a copy of the switch's
+// cache, which the caller keeps only once the program installs. The
+// build is not strict: it is refused only when an artifact is missing
+// (DV001, DV002, DV004), and its error names those findings.
+func (fd *FabricDeployment) composeAt(p *fabricPlan, s int) (*pipeline.Result, *pipeline.Cache, error) {
 	placement := route.NewPlacement()
 	for _, n := range SortedKeys(p.homes) {
 		if p.homes[n] == s {
 			placement.Assign(n, p.pipelets[n])
 		} else {
-			placement.AssignRemote(n)
+			placement.AssignRemote(n, p.remote[s][n])
 		}
 	}
-	comp, err := compose.New(fd.Fabric.Prof, p.active, placement, fd.NFs)
+	cache := fd.caches[s].Clone()
+	res, err := pipeline.Build(pipeline.Inputs{
+		Prof: fd.Fabric.Prof, Chains: p.active, NFs: fd.NFs, Enter: 0, Placement: placement,
+	}, cache)
 	if err != nil {
-		return nil, err
+		return nil, nil, fmt.Errorf("cluster: switch %d build: %w", s, err)
 	}
-	for _, n := range SortedKeys(p.remote[s]) {
-		comp.Branching.SetRemote(n, p.remote[s][n])
-	}
-	return comp.Build()
+	return res, cache, nil
 }
 
-// installProgram pushes a composed deployment onto switch s as one
+// installProgram pushes a built program onto switch s as one
 // control-plane program transaction (ctl.UpdateProgram) replacing every
 // pipelet program through the switch's retrying driver.
-func (fd *FabricDeployment) installProgram(s int, built *compose.Deployment) error {
+func (fd *FabricDeployment) installProgram(s int, built *pipeline.Result) error {
 	var restore func() error
-	if prev := fd.composed[s]; prev != nil {
-		restore = func() error { return prev.InstallOn(fd.Fabric.Switches[s]) }
+	if prev := fd.built[s]; prev != nil {
+		restore = func() error { return prev.Dep.InstallOn(fd.Fabric.Switches[s]) }
 	}
 	err := fd.Controllers[s].UpdateProgram(fd.Drivers[s].Apply, ctl.ProgramUpdate{
 		Pipelets: fd.Fabric.Prof.Pipelets(),
-		Ingress:  built.Ingress, Egress: built.Egress, App: built.Runtime,
+		Ingress:  built.Dep.Ingress, Egress: built.Dep.Egress, App: built.Dep.Runtime,
 	}, restore)
 	if err != nil {
 		return fmt.Errorf("cluster: switch %d %w", s, err)
 	}
-	fd.composed[s] = built
+	fd.built[s] = built
 	return nil
 }
 
@@ -647,7 +634,7 @@ func (r *Reconciler) Reconcile() (*ReconcileReport, error) {
 		if fd.progSig[s] == p.sigs[s] {
 			continue // per-chain convergence: unchanged programs stay put
 		}
-		built, err := fd.composeAt(p, s)
+		built, cache, err := fd.composeAt(p, s)
 		if err == nil {
 			err = fd.installProgram(s, built)
 		}
@@ -659,6 +646,7 @@ func (r *Reconciler) Reconcile() (*ReconcileReport, error) {
 			})
 			return rep, fmt.Errorf("cluster: reconcile: %w", err)
 		}
+		fd.caches[s] = cache
 		fd.progSig[s] = p.sigs[s]
 		rep.Changed = append(rep.Changed, s)
 	}

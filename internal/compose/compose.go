@@ -165,31 +165,8 @@ type Deployment struct {
 	Runtime *Runtime
 }
 
-// Build composes every pipelet of the switch.
-func (c *Composer) Build() (*Deployment, error) {
-	parser, idt, err := MergeParser(ChainNFs(c.Chains), c.NFs)
-	if err != nil {
-		return nil, err
-	}
-	blocks := make(map[asic.PipeletID]*p4.ControlBlock)
-	ingress := make([]asic.StageFunc, c.Prof.Pipelines)
-	egress := make([]asic.StageFunc, c.Prof.Pipelines)
-	for _, pl := range c.Prof.Pipelets() {
-		if blocks[pl], err = c.BlockFor(pl); err != nil {
-			return nil, err
-		}
-		if pl.Dir == asic.Ingress {
-			ingress[pl.Pipeline] = c.FuncFor(pl)
-		} else {
-			egress[pl.Pipeline] = c.FuncFor(pl)
-		}
-	}
-	return c.Assemble(parser, idt, blocks, ingress, egress), nil
-}
-
-// BlockFor composes the control block of a single pipelet. It is the
-// per-pipelet subset of Build for analyzers that must inspect blocks
-// even when composing the whole switch fails.
+// BlockFor composes the control block of a single pipelet, the unit
+// the build pipeline caches and allocates.
 func (c *Composer) BlockFor(pl asic.PipeletID) (*p4.ControlBlock, error) {
 	return c.PipeletBlock(pl, c.orderedNFsOn(pl), c.Placement.ModeOf(pl))
 }

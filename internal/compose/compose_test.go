@@ -21,7 +21,7 @@ func deploy(t *testing.T) (*scenario.Scenario, *Composer, *asic.Switch) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := c.Build()
+	d, err := build(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestGenericParserCoversAllNFs(t *testing.T) {
 
 func TestPipeletBlocksCompile(t *testing.T) {
 	s, c, _ := deploy(t)
-	d, err := c.Build()
+	d, err := build(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestParallelCompositionTransitionsCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := c.Build()
+	d, err := build(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestMirrorFlagTranslation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := c.Build()
+	d, err := build(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +388,7 @@ func TestMirrorFlagTranslation(t *testing.T) {
 
 func TestBlockNamesDescriptive(t *testing.T) {
 	_, c, _ := deploy(t)
-	d, _ := c.Build()
+	d, _ := build(c)
 	for pl, b := range d.Blocks {
 		if !strings.Contains(b.Name, pl.Dir.String()) {
 			t.Errorf("block name %q does not mention direction %s", b.Name, pl.Dir)
@@ -399,7 +399,7 @@ func TestBlockNamesDescriptive(t *testing.T) {
 func BenchmarkEndToEndFullChain(b *testing.B) {
 	s := scenario.MustNew()
 	c, _ := New(s.Prof, s.Chains, s.Placement, s.NFs)
-	d, _ := c.Build()
+	d, _ := build(c)
 	sw := asic.New(s.Prof)
 	d.InstallOn(sw)
 	p := scenario.ClientTCP(443)

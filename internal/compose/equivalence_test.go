@@ -82,7 +82,7 @@ func TestStaticDynamicEquivalenceRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: compose: %v", trial, err)
 		}
-		dep, err := comp.Build()
+		dep, err := build(comp)
 		if err != nil {
 			t.Fatalf("trial %d: build: %v", trial, err)
 		}
@@ -175,7 +175,7 @@ func TestStaticDynamicEquivalenceMultiChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dep, err := comp.Build()
+		dep, err := build(comp)
 		if err != nil {
 			t.Fatal(err)
 		}

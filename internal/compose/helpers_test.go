@@ -3,10 +3,35 @@ package compose
 import (
 	"testing"
 
+	"dejavu/internal/asic"
 	"dejavu/internal/nf"
 	"dejavu/internal/p4"
 	"dejavu/internal/packet"
 )
+
+// build composes every pipelet of the switch and assembles them: the
+// build pipeline's composition without its cache, allocation or lint,
+// which this package's tests cannot import (pipeline imports compose).
+func build(c *Composer) (*Deployment, error) {
+	parser, idt, err := MergeParser(ChainNFs(c.Chains), c.NFs)
+	if err != nil {
+		return nil, err
+	}
+	blocks := make(map[asic.PipeletID]*p4.ControlBlock)
+	ingress := make([]asic.StageFunc, c.Prof.Pipelines)
+	egress := make([]asic.StageFunc, c.Prof.Pipelines)
+	for _, pl := range c.Prof.Pipelets() {
+		if blocks[pl], err = c.BlockFor(pl); err != nil {
+			return nil, err
+		}
+		if pl.Dir == asic.Ingress {
+			ingress[pl.Pipeline] = c.FuncFor(pl)
+		} else {
+			egress[pl.Pipeline] = c.FuncFor(pl)
+		}
+	}
+	return c.Assemble(parser, idt, blocks, ingress, egress), nil
+}
 
 // vertexOf builds a parser vertex for assertions.
 func vertexOf(typ string, off int) p4.Vertex { return p4.Vertex{Type: typ, Offset: off} }

@@ -187,10 +187,10 @@ func (c *Composer) FuncFor(pl asic.PipeletID) asic.StageFunc {
 }
 
 // Assemble packages independently produced per-pipelet artifacts into
-// a Deployment, wiring the runtime the programs will read. Build ends
-// with it; the incremental pipeline calls it directly, with blocks and
-// funcs that may come from this composer or from a cache of a previous
-// generation (AdoptState makes the latter safe).
+// a Deployment, wiring the runtime the programs will read. The build
+// pipeline calls it with blocks and funcs that may come from this
+// composer or from a cache of a previous generation (AdoptState makes
+// the latter safe).
 //
 //dv:snapshotwriter
 func (c *Composer) Assemble(parser *p4.ParserGraph, idt *p4.GlobalIDTable,

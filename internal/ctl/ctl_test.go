@@ -8,6 +8,7 @@ import (
 	"dejavu/internal/compose"
 	"dejavu/internal/nf"
 	"dejavu/internal/packet"
+	"dejavu/internal/route"
 	"dejavu/internal/scenario"
 )
 
@@ -15,19 +16,31 @@ import (
 func deployed(t testing.TB) (*scenario.Scenario, *asic.Switch, *Controller) {
 	t.Helper()
 	s := scenario.MustNew()
-	c, err := compose.New(s.Prof, s.Chains, s.Placement, s.NFs)
+	sw := installed(t, s, s.Chains, s.NFs)
+	return s, sw, New(sw, s.NFs)
+}
+
+// installed composes the scenario's pipelet programs for a chain set and
+// NF list over compose's Assemble and installs them on a fresh switch.
+// The build pipeline does this in production, but this package's tests
+// cannot import it (pipeline imports lint, which imports ctl).
+func installed(t testing.TB, s *scenario.Scenario, chains []route.Chain, nfs nf.List) *asic.Switch {
+	t.Helper()
+	c, err := compose.New(s.Prof, chains, s.Placement, nfs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := c.Build()
-	if err != nil {
-		t.Fatal(err)
+	ingress := make([]asic.StageFunc, s.Prof.Pipelines)
+	egress := make([]asic.StageFunc, s.Prof.Pipelines)
+	for pipe := range ingress {
+		ingress[pipe] = c.FuncFor(asic.PipeletID{Pipeline: pipe, Dir: asic.Ingress})
+		egress[pipe] = c.FuncFor(asic.PipeletID{Pipeline: pipe, Dir: asic.Egress})
 	}
 	sw := asic.New(s.Prof)
-	if err := d.InstallOn(sw); err != nil {
+	if err := c.Assemble(nil, nil, nil, ingress, egress).InstallOn(sw); err != nil {
 		t.Fatal(err)
 	}
-	return s, sw, New(sw, s.NFs)
+	return sw
 }
 
 func TestSessionLearningAndReinject(t *testing.T) {
@@ -100,18 +113,7 @@ func TestPollHandlesEveryDrainedPacket(t *testing.T) {
 			s.NFs[i] = lb
 		}
 	}
-	c, err := compose.New(s.Prof, s.Chains, s.Placement, s.NFs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := c.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw := asic.New(s.Prof)
-	if err := d.InstallOn(sw); err != nil {
-		t.Fatal(err)
-	}
+	sw := installed(t, s, s.Chains, s.NFs)
 	ctrl := New(sw, s.NFs)
 
 	for i := 0; i < 6; i++ {

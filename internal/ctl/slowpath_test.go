@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"dejavu/internal/asic"
-	"dejavu/internal/compose"
 	"dejavu/internal/nf"
 	"dejavu/internal/packet"
 	"dejavu/internal/route"
@@ -329,18 +328,7 @@ func TestRemovedChainPuntsAreNotRepaired(t *testing.T) {
 			kept = append(kept, ch)
 		}
 	}
-	c, err := compose.New(s.Prof, kept, s.Placement, s.NFs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := c.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw := asic.New(s.Prof)
-	if err := d.InstallOn(sw); err != nil {
-		t.Fatal(err)
-	}
+	sw := installed(t, s, kept, s.NFs)
 	nat := nf.NewNAT(packet.IP4{192, 0, 2, 1}, 1024)
 	ctrl := New(sw, append(nf.List{nat}, s.NFs...))
 

@@ -7,13 +7,11 @@ import (
 	"testing"
 
 	"dejavu/internal/asic"
-	"dejavu/internal/compose"
 	"dejavu/internal/nf"
 	"dejavu/internal/nsh"
 	"dejavu/internal/p4"
 	"dejavu/internal/packet"
 	"dejavu/internal/route"
-	"dejavu/internal/scenario"
 )
 
 // stubNF is a minimal NF for building known-bad deployments.
@@ -116,21 +114,6 @@ func wantFinding(t *testing.T, r *Report, rule string, sev Severity, substr stri
 		}
 	}
 	t.Errorf("missing %s %s finding containing %q; report:\n%s", rule, sev, substr, r)
-}
-
-func TestScenarioHasNoErrorFindings(t *testing.T) {
-	s := scenario.MustNew()
-	c, err := compose.New(s.Prof, s.Chains, s.Placement, s.NFs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := c.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep := AnalyzeDeployment(d); rep.HasErrors() {
-		t.Errorf("built scenario produced error findings:\n%s", rep)
-	}
 }
 
 func TestStageBudgetOverflow(t *testing.T) {

@@ -6,8 +6,20 @@ import (
 	"dejavu/internal/core"
 	"dejavu/internal/intent"
 	"dejavu/internal/lint"
+	"dejavu/internal/pipeline"
 	"dejavu/internal/scenario"
 )
+
+func TestScenarioHasNoErrorFindings(t *testing.T) {
+	s := scenario.MustNew()
+	res, err := pipeline.Build(pipeline.Inputs{Prof: s.Prof, Chains: s.Chains, NFs: s.NFs, Placement: s.Placement}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := lint.AnalyzeDeployment(res.Dep); rep.HasErrors() {
+		t.Errorf("built scenario produced error findings:\n%s", rep)
+	}
+}
 
 // TestReportSameWithAndWithoutPlans: the full report over a composed
 // deployment is the same whether Target.Plans arrives filled (the

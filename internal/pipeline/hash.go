@@ -56,7 +56,8 @@ func canonChains(chains []route.Chain) string {
 }
 
 // canonPlacement renders a placement as sorted assignment, mode and
-// remote lists, so map iteration order cannot perturb the hash.
+// remote lists, so map iteration order cannot perturb the hash. A
+// remote NF renders with its wire port: moving a wire moves the hash.
 func canonPlacement(p *route.Placement) string {
 	assigns := make([]string, 0, len(p.NF))
 	for name, pl := range p.NF {
@@ -69,10 +70,8 @@ func canonPlacement(p *route.Placement) string {
 	}
 	sort.Strings(modes)
 	remotes := make([]string, 0, len(p.Remote))
-	for name, ok := range p.Remote {
-		if ok {
-			remotes = append(remotes, name)
-		}
+	for name, port := range p.Remote {
+		remotes = append(remotes, fmt.Sprintf("%s>%d", name, port))
 	}
 	sort.Strings(remotes)
 	return strings.Join(assigns, ",") + "#" + strings.Join(modes, ",") + "#" + strings.Join(remotes, ",")

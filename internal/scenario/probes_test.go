@@ -5,10 +5,10 @@ import (
 	"testing"
 
 	"dejavu/internal/asic"
-	"dejavu/internal/compose"
 	"dejavu/internal/ctl"
 	"dejavu/internal/nsh"
 	"dejavu/internal/packet"
+	"dejavu/internal/pipeline"
 )
 
 // learnt deploys the scenario on a fresh switch and runs the learning
@@ -17,16 +17,12 @@ import (
 func learnt(t *testing.T) *asic.Switch {
 	t.Helper()
 	s := MustNew()
-	c, err := compose.New(s.Prof, s.Chains, s.Placement, s.NFs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := c.Build()
+	res, err := pipeline.Build(pipeline.Inputs{Prof: s.Prof, Chains: s.Chains, NFs: s.NFs, Placement: s.Placement}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sw := asic.New(s.Prof)
-	if err := d.InstallOn(sw); err != nil {
+	if err := res.Dep.InstallOn(sw); err != nil {
 		t.Fatal(err)
 	}
 	ctrl := ctl.New(sw, s.NFs)
