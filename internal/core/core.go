@@ -180,13 +180,20 @@ func newLoopbackPool(pipelines int, byPipe map[int][]asic.PortID) *loopbackPool 
 	return p
 }
 
-func (p *loopbackPool) choose(pipeline int) asic.PortID {
+func (p *loopbackPool) choose(pipeline int) asic.PortID { return p.pick(pipeline, 1) }
+
+// peek returns the port choose returns next, leaving the rotation as it is.
+func (p *loopbackPool) peek(pipeline int) asic.PortID { return p.pick(pipeline, 0) }
+
+// pick returns the rotation's next port toward a pipeline and advances
+// the rotation by step.
+func (p *loopbackPool) pick(pipeline int, step uint64) asic.PortID {
 	lp := p.ports.Load()
 	if pipeline < 0 || pipeline >= len(lp.byPipe) || len(lp.byPipe[pipeline]) == 0 {
 		return asic.RecircPort(pipeline)
 	}
 	ports := lp.byPipe[pipeline]
-	n := p.rr[pipeline].Add(1) - 1
+	n := p.rr[pipeline].Add(step) - step
 	return ports[n%uint64(len(ports))]
 }
 
@@ -348,6 +355,7 @@ func Deploy(cfg Config) (*Deployment, error) {
 	// ports from rotation.
 	pool := newLoopbackPool(cfg.Prof.Pipelines, loopsByPipe)
 	comp.Branching.SetLoopbackChooser(pool.choose)
+	comp.Branching.SetLoopbackPeek(pool.peek)
 	if err := res.Dep.InstallOn(sw); err != nil {
 		return nil, err
 	}

@@ -231,6 +231,7 @@ func (d *Deployment) commit(st *staged) error {
 		// A fresh Branching generation needs the loopback spreader; a
 		// cached one already carries it (and is live — don't re-set).
 		res.Composer.Branching.SetLoopbackChooser(d.loops.choose)
+		res.Composer.Branching.SetLoopbackPeek(d.loops.peek)
 	}
 	prev := d.composed
 	err := d.Controller.UpdateProgram(d.Driver.Apply, ctl.ProgramUpdate{

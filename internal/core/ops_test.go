@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dejavu/internal/asic"
+	"dejavu/internal/lint"
 	"dejavu/internal/nf"
 	"dejavu/internal/packet"
 	"dejavu/internal/route"
@@ -294,6 +295,40 @@ func TestLoopbackSpreading(t *testing.T) {
 	}
 	if got := d.Switch.Stats(asic.RecircPort(1)).RxPackets.Load(); got == 0 {
 		t.Error("dedicated recirc port not used as fallback")
+	}
+}
+
+// DV005 decides every (path, index) through the branching's view, so
+// linting an installed deployment leaves the loopback rotation where
+// live traffic left it, and so does the lint of a build whose routing
+// stage reuses the installed branching.
+func TestLintLeavesLoopbackRotation(t *testing.T) {
+	cfg := edgeConfig()
+	for p := 16; p < 20; p++ {
+		cfg.LoopbackPorts = append(cfg.LoopbackPorts, asic.PortID(p))
+	}
+	d, err := Deploy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Inject(scenario.PortClient, scenario.InternetBound()); err != nil {
+		t.Fatal(err)
+	}
+	rotation := func() (out []uint64) {
+		for i := range d.loops.rr {
+			out = append(out, d.loops.rr[i].Load())
+		}
+		return out
+	}
+	before := fmt.Sprint(rotation())
+	if rep := lint.AnalyzeDeployment(d.composed); rep.HasErrors() {
+		t.Fatalf("scenario lints with errors:\n%s", rep)
+	}
+	if res, _, err := d.PlanReconfigure(cfg.Chains); err != nil || res.RoutingRebuilt {
+		t.Fatalf("dry run of the installed chains: routing rebuilt %v, %v", res != nil && res.RoutingRebuilt, err)
+	}
+	if after := fmt.Sprint(rotation()); after != before {
+		t.Errorf("linting moved the loopback rotation from %s to %s", before, after)
 	}
 }
 
