@@ -70,11 +70,13 @@ fabric-chaos: build
 # Topology-aware placement gate (DESIGN.md §14): placement engine and
 # per-chain reconciler convergence tests under the race detector —
 # TestPlace* includes the placement-contract property test over 3 000
-# seeded random fabrics — then the dvexp comparison table, which itself
+# seeded random fabrics; the two TestFabric{SwitchOverflow,PlanMatches}
+# tests hold each switch's staged build (DV001 refusal, route.Plan ≡
+# datapath per switch) — then the dvexp comparison table, which itself
 # errors if the adopted plan ever scores worse than the lex-path
 # candidate or no row wins strictly via a branching placement.
 fabricplace: build
-	$(GO) test -race -run 'TestPlace|TestGreedySegment|TestReconciler|TestPlan|TestFlapLink|TestFabricPlace' ./internal/fabricplace/ ./internal/cluster/ ./internal/experiments/
+	$(GO) test -race -run 'TestPlace|TestGreedySegment|TestReconciler|TestPlan|TestFlapLink|TestFabricPlace|TestFabricSwitchOverflowIsRefused|TestFabricPlanMatchesDatapath' ./internal/fabricplace/ ./internal/cluster/ ./internal/experiments/
 	$(GO) run ./cmd/dvexp -exp fabricplace
 
 fmt:

@@ -53,18 +53,22 @@ func capture(t *testing.T, fn func() error) (string, error) {
 // -update` and says why. Each row runs as a subtest named after its
 // golden file, so `-run 'TestCLIGolden/chaos_'` checks the chaos rows
 // alone. The rows hold no wall-clock reading: latencies
-// in `run` are the switch model's, and `plan`'s text report has no
-// stage durations. The chaos rows pin the single-switch soak with its
+// in `run` are the switch model's, `plan`'s text report has no stage
+// durations, and every "duration_ns" of `plan -json` is written and
+// compared as 0. The chaos rows pin the single-switch soak with its
 // transcript (every heal action) and the 3-switch fabric soak for the
 // canonical seeds; the emit rows pin the composed P4 program, which
 // `pipeline/hash.go` also fingerprints.
 func TestCLIGolden(t *testing.T) {
+	durations := regexp.MustCompile(`"duration_ns": \d+`)
 	for _, row := range []struct {
 		line, golden string
 		fails        bool // the command exits nonzero on purpose
 	}{
 		{"plan", "plan.txt", false},
 		{"plan -optimizer manual -loopback 16", "plan_manual_loopback16.txt", false},
+		{"plan -json", "plan.json", false},
+		{"-config ../../configs/edgecloud.json plan -json", "plan_edgecloud.json", false},
 		{"-config ../../configs/edgecloud.json lint -json", "lint_edgecloud.json", false},
 		{"-config ../../configs/lintdemo-bad.json lint -json", "lint_lintdemo-bad.json", true},
 		{"run", "run.txt", false},
@@ -84,6 +88,7 @@ func TestCLIGolden(t *testing.T) {
 			if (err != nil) != row.fails {
 				t.Errorf("dejavu %s: error %v, want failure %v", row.line, err, row.fails)
 			}
+			got = durations.ReplaceAllString(got, `"duration_ns": 0`)
 			file := filepath.Join("testdata", row.golden)
 			if *update {
 				if err := os.WriteFile(file, []byte(got), 0o644); err != nil {
