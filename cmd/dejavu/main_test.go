@@ -69,6 +69,7 @@ func TestCLIGolden(t *testing.T) {
 		{"plan -optimizer manual -loopback 16", "plan_manual_loopback16.txt", false},
 		{"plan -json", "plan.json", false},
 		{"-config ../../configs/edgecloud.json plan -json", "plan_edgecloud.json", false},
+		{"lint -json", "lint_reference.json", false},
 		{"-config ../../configs/edgecloud.json lint -json", "lint_edgecloud.json", false},
 		{"-config ../../configs/lintdemo-bad.json lint -json", "lint_lintdemo-bad.json", true},
 		{"run", "run.txt", false},

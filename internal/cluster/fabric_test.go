@@ -190,13 +190,13 @@ func TestFabricTelemetrySplit(t *testing.T) {
 		}
 	}
 	// Classifier executions counted on switch 0, router on switch 1.
-	if got := fd.built[0].Composer.Telemetry().NFExecutions("classifier"); got != 4 {
+	if got := fd.installed[0].Res.Composer.Telemetry().NFExecutions("classifier"); got != 4 {
 		t.Errorf("switch 0 classifier executions = %d", got)
 	}
-	if got := fd.built[1].Composer.Telemetry().NFExecutions("router"); got != 4 {
+	if got := fd.installed[1].Res.Composer.Telemetry().NFExecutions("router"); got != 4 {
 		t.Errorf("switch 1 router executions = %d", got)
 	}
-	if got := fd.built[0].Composer.Telemetry().NFExecutions("router"); got != 0 {
+	if got := fd.installed[0].Res.Composer.Telemetry().NFExecutions("router"); got != 0 {
 		t.Errorf("router ran on switch 0: %d", got)
 	}
 }

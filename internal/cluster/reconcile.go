@@ -90,10 +90,9 @@ type FabricDeployment struct {
 	// reconciliation (including the initial deploy).
 	Replacements int
 
-	// built is each switch's installed build, and caches each switch's
-	// build cache: one per switch, as one per single-switch deployment.
-	built  []*pipeline.Result
-	caches []*pipeline.Cache
+	// installed is each switch's installed build and its build cache:
+	// one per switch, as one per single-switch deployment.
+	installed []pipeline.Installed
 	// progSig is each switch's installed program signature; only
 	// switches whose desired signature differs are reprogrammed, so
 	// a health change converges per chain instead of re-touching the
@@ -131,11 +130,10 @@ func NewFabricDeployment(f *Fabric, chains []route.Chain, nfs nf.List, stageDema
 		Routes:      make(map[uint16]ChainRoute),
 		Homes:       make(map[string]int),
 		Blackholed:  make(map[uint16]string),
-		built:       make([]*pipeline.Result, len(f.Switches)),
 		progSig:     make([]string, len(f.Switches)),
 	}
 	for _, sw := range f.Switches {
-		fd.caches = append(fd.caches, pipeline.NewCache())
+		fd.installed = append(fd.installed, pipeline.Installed{Cache: pipeline.NewCache()})
 		ctrl := ctl.New(sw, nfs)
 		fd.Controllers = append(fd.Controllers, ctrl)
 		fd.Drivers = append(fd.Drivers, fault.NewDriver(ctrl))
@@ -476,14 +474,13 @@ func (fd *FabricDeployment) equalPlan(p *fabricPlan) bool {
 	return true
 }
 
-// composeAt builds the program for one switch with the staged build, as
-// a single switch's deploy does: the full active chain set, this
-// switch's NFs placed locally on their annealed pipelets, everything
-// else remote toward its home. It builds against a copy of the switch's
-// cache, which the caller keeps only once the program installs. The
-// build is not strict: it is refused only when an artifact is missing
-// (DV001, DV002, DV004), and its error names those findings.
-func (fd *FabricDeployment) composeAt(p *fabricPlan, s int) (*pipeline.Result, *pipeline.Cache, error) {
+// inputsAt declares the build of one switch's program, as a single
+// switch's deploy does: the full active chain set, this switch's NFs
+// placed locally on their annealed pipelets, everything else remote
+// toward its home. The build is not strict: it is refused only when an
+// artifact is missing (DV001, DV002, DV004), and its error names those
+// findings.
+func (fd *FabricDeployment) inputsAt(p *fabricPlan, s int) pipeline.Inputs {
 	placement := route.NewPlacement()
 	for _, n := range SortedKeys(p.homes) {
 		if p.homes[n] == s {
@@ -492,33 +489,7 @@ func (fd *FabricDeployment) composeAt(p *fabricPlan, s int) (*pipeline.Result, *
 			placement.AssignRemote(n, p.remote[s][n])
 		}
 	}
-	cache := fd.caches[s].Clone()
-	res, err := pipeline.Build(pipeline.Inputs{
-		Prof: fd.Fabric.Prof, Chains: p.active, NFs: fd.NFs, Enter: 0, Placement: placement,
-	}, cache)
-	if err != nil {
-		return nil, nil, fmt.Errorf("cluster: switch %d build: %w", s, err)
-	}
-	return res, cache, nil
-}
-
-// installProgram pushes a built program onto switch s as one
-// control-plane program transaction (ctl.UpdateProgram) replacing every
-// pipelet program through the switch's retrying driver.
-func (fd *FabricDeployment) installProgram(s int, built *pipeline.Result) error {
-	var restore func() error
-	if prev := fd.built[s]; prev != nil {
-		restore = func() error { return prev.Dep.InstallOn(fd.Fabric.Switches[s]) }
-	}
-	err := fd.Controllers[s].UpdateProgram(fd.Drivers[s].Apply, ctl.ProgramUpdate{
-		Pipelets: fd.Fabric.Prof.Pipelets(),
-		Ingress:  built.Dep.Ingress, Egress: built.Dep.Egress, App: built.Dep.Runtime,
-	}, restore)
-	if err != nil {
-		return fmt.Errorf("cluster: switch %d %w", s, err)
-	}
-	fd.built[s] = built
-	return nil
+	return pipeline.Inputs{Prof: fd.Fabric.Prof, Chains: p.active, NFs: fd.NFs, Enter: 0, Placement: placement}
 }
 
 // ReconcileReport is the structured outcome of one reconcile round.
@@ -600,10 +571,7 @@ func (r *Reconciler) Reconcile() (*ReconcileReport, error) {
 		return rep, fmt.Errorf("cluster: reconcile: %w", p.err)
 	}
 	rep.Switches = append([]int(nil), p.switches...)
-	rep.Routes = make(map[uint16]ChainRoute, len(p.routes))
-	for id, cr := range p.routes {
-		rep.Routes[id] = cr
-	}
+	rep.Routes = maps.Clone(p.routes)
 	rep.Blackholed = p.dropped
 	rep.Cost = p.cost
 	rep.Strategy = p.strategy
@@ -634,9 +602,12 @@ func (r *Reconciler) Reconcile() (*ReconcileReport, error) {
 		if fd.progSig[s] == p.sigs[s] {
 			continue // per-chain convergence: unchanged programs stay put
 		}
-		built, cache, err := fd.composeAt(p, s)
-		if err == nil {
-			err = fd.installProgram(s, built)
+		inst := &fd.installed[s]
+		next, delta, err := inst.Stage(fd.inputsAt(p, s))
+		if err != nil {
+			err = fmt.Errorf("cluster: switch %d build: %w", s, err)
+		} else if err = inst.Commit(fd.Fabric.Switches[s], fd.Controllers[s], fd.Drivers[s].Apply, next, delta); err != nil {
+			err = fmt.Errorf("cluster: switch %d %w", s, err)
 		}
 		if err != nil {
 			rep.Findings.Add(lint.Finding{
@@ -646,7 +617,6 @@ func (r *Reconciler) Reconcile() (*ReconcileReport, error) {
 			})
 			return rep, fmt.Errorf("cluster: reconcile: %w", err)
 		}
-		fd.caches[s] = cache
 		fd.progSig[s] = p.sigs[s]
 		rep.Changed = append(rep.Changed, s)
 	}

@@ -381,16 +381,22 @@ func (f *faultyApplier) Apply(w ctl.TableWrite) error {
 func TestReconcilerRollsBackOnPostCommitFailure(t *testing.T) {
 	for _, tc := range []struct {
 		name, want string
-		arm        func(fd *FabricDeployment) // the fault, on switch 0
+		arm        func(t *testing.T, fd *FabricDeployment) // the fault, on switch 0
 	}{
-		{"staged write", "switch 0 update rejected, switch untouched: write rejected", func(fd *FabricDeployment) {
+		{"staged write", "switch 0 update rejected, switch untouched: write rejected", func(t *testing.T, fd *FabricDeployment) {
 			fd.Drivers[0] = &fault.Driver{Applier: &faultyApplier{ctrl: fd.Controllers[0], failAt: 3}, MaxAttempts: 1}
 		}},
-		{"commit", "switch 0 update rejected, switch untouched: ctl: no open", func(fd *FabricDeployment) {
-			writes := len(fd.Fabric.Prof.Pipelets())
+		{"commit", "switch 0 update rejected, switch untouched: ctl: no open", func(t *testing.T, fd *FabricDeployment) {
+			// Lose the transaction after its last write: switch 0's staged
+			// entry diff and rebuilt pipelet programs.
+			next, delta, err := fd.installed[0].Stage(fd.inputsAt(fd.desired(), 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			writes := len(delta) + len(next.Res.ChangedFuncs)
 			fd.Drivers[0] = &fault.Driver{Applier: &faultyApplier{ctrl: fd.Controllers[0], abortAfter: writes}, MaxAttempts: 1}
 		}},
-		{"post-commit seam", "switch 0 update rejected, switch rolled back to prior programs", func(fd *FabricDeployment) {
+		{"post-commit seam", "switch 0 update rejected, switch rolled back to prior programs", func(t *testing.T, fd *FabricDeployment) {
 			fd.Controllers[0].VerifyCommit = func() error {
 				return &fault.TransientError{Op: "post-commit verify", Err: errTest}
 			}
@@ -405,7 +411,7 @@ func TestReconcilerRollsBackOnPostCommitFailure(t *testing.T) {
 				t.Fatal(err)
 			}
 			drv := fd.Drivers[0]
-			tc.arm(fd)
+			tc.arm(t, fd)
 			if _, err := rec.Reconcile(); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("reconcile through the fault: %v, want %q", err, tc.want)
 			}

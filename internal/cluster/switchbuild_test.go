@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -64,7 +66,7 @@ func TestFabricSwitchOverflowIsRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := fd.caches[0]
+	cache := fd.installed[0].Cache
 	rec := NewReconciler(fd)
 
 	rep, err := rec.Reconcile()
@@ -75,9 +77,9 @@ func TestFabricSwitchOverflowIsRefused(t *testing.T) {
 	if len(fb) != 1 || !strings.Contains(fb[0].Message, "DV001") {
 		t.Fatalf("want one FB006 finding naming DV001, got %v", fb)
 	}
-	if len(fd.Routes) != 0 || fd.progSig[0] != "" || fd.built[0] != nil || fd.caches[0] != cache {
+	if len(fd.Routes) != 0 || fd.progSig[0] != "" || fd.installed[0].Res != nil || fd.installed[0].Cache != cache {
 		t.Fatalf("a refused round changed the installed state: routes %v, sig %q, cache kept %v",
-			fd.Routes, fd.progSig[0], fd.caches[0] == cache)
+			fd.Routes, fd.progSig[0], fd.installed[0].Cache == cache)
 	}
 
 	fd.StageDemand = make(map[string]int)
@@ -89,7 +91,7 @@ func TestFabricSwitchOverflowIsRefused(t *testing.T) {
 	if rep, err = rec.Reconcile(); err != nil {
 		t.Fatalf("true stage demands: %v\n%s", err, rep.Findings)
 	}
-	if len(rep.Changed) == 0 || fd.built[0] == nil || fd.caches[0] == cache {
+	if len(rep.Changed) == 0 || fd.installed[0].Res == nil || fd.installed[0].Cache == cache {
 		t.Fatalf("true stage demands installed nothing: %+v", rep)
 	}
 }
@@ -125,8 +127,8 @@ func TestFabricPlanMatchesDatapath(t *testing.T) {
 						}
 					}
 					var plan *route.Traversal
-					for i := range fd.built[s].Traversals {
-						if tr := &fd.built[s].Traversals[i]; tr.Chain == pr.PathID {
+					for i := range fd.installed[s].Res.Traversals {
+						if tr := &fd.installed[s].Res.Traversals[i]; tr.Chain == pr.PathID {
 							plan = tr
 						}
 					}
@@ -147,5 +149,35 @@ func TestFabricPlanMatchesDatapath(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// A heal writes only what changed (§7): killing switch 1 moves its
+// chains onto switch 2, but the entry switch keeps its NFs on the same
+// pipelets, so its reprogram is a branching-entry diff that reloads no
+// pipelet program.
+func TestFabricHealWritesOnlyWhatChanged(t *testing.T) {
+	_, f, fd, rec := newTestFabric(t)
+	if _, err := rec.Reconcile(); err != nil {
+		t.Fatal(err)
+	}
+	local := fd.installed[0].Res.Placement.NF
+	was := fd.Controllers[0].Stats()
+	if err := f.KillSwitch(1); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := rec.Reconcile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Replaced) == 0 || !slices.Contains(rep.Changed, 0) {
+		t.Fatalf("the heal moved no chain or left the entry switch alone: replaced %v, changed %v", rep.Replaced, rep.Changed)
+	}
+	if now := fd.installed[0].Res.Placement.NF; !maps.Equal(local, now) {
+		t.Fatalf("the entry switch's NFs moved: %v -> %v", local, now)
+	}
+	now := fd.Controllers[0].Stats()
+	if programs, entries := now.ProgramWrites-was.ProgramWrites, now.EntryWrites-was.EntryWrites; programs != 0 || entries == 0 {
+		t.Errorf("entry switch heal wrote %d pipelet programs and %d branching entries, want 0 and some", programs, entries)
 	}
 }

@@ -562,7 +562,7 @@ func TestBurstCountersExact(t *testing.T) {
 		return p
 	}
 	tel := d.Telemetry() // one Telemetry across every generation of the runtime
-	if ci, ok := d.composed.Runtime.Branching().ChainIndex(lastPath); !ok || ci < 8 {
+	if ci, ok := d.installed.Res.Dep.Runtime.Branching().ChainIndex(lastPath); !ok || ci < 8 {
 		t.Fatalf("path %d has chain index %d, %v: not past the tally's chain cells", lastPath, ci, ok)
 	}
 	base := map[string]uint64{}

@@ -256,7 +256,7 @@ func checkChaosInvariants(d *Deployment, tick int, violate func(int, string, ...
 		}
 	}
 	// The running programs must stay statically clean after every repair.
-	if rep := lint.AnalyzeDeployment(d.composed); rep.HasErrors() {
+	if rep := lint.AnalyzeDeployment(d.installed.Res.Dep); rep.HasErrors() {
 		for _, f := range rep.BySeverity(lint.SevError) {
 			violate(tick, "lint: %s", f)
 		}

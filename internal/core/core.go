@@ -116,8 +116,8 @@ type Deployment struct {
 	// (the initial deploy, then every AddChain/RemoveChain/Reconfigure):
 	// per-stage cache status, hashes and timings.
 	LastBuild pipeline.BuildInfo
-	// LastDelta is the branching-table write-set the most recent live
-	// reconfiguration applied (empty after the initial deploy).
+	// LastDelta is the branching-table write-set the most recent build
+	// pushed: after Deploy, every entry of the initial program.
 	LastDelta []route.EntryOp
 	// LastReloads is the number of pipelet behavioural programs the most
 	// recent build actually reloaded — zero on a proved no-op rebuild.
@@ -130,15 +130,10 @@ type Deployment struct {
 	// fault.FlakyApplier.
 	Driver *fault.Driver
 
-	composed *compose.Deployment
-	loops    *loopbackPool
-	// cache holds the staged build pipeline's per-stage artifacts so
-	// reconfigurations rebuild only invalidated stages.
-	cache *pipeline.Cache
-	// program is the branching-table program currently on the switch;
-	// diffing it against a rebuild's program yields the hot-swap
-	// write-set.
-	program route.TableProgram
+	// installed is the build on the switch and its artifact cache:
+	// reconfigurations rebuild and push only what changed.
+	installed pipeline.Installed
+	loops     *loopbackPool
 	// dead tracks ports taken out by HandlePortDown so repeat failures
 	// cannot double-decrement capacity and HandlePortUp can restore the
 	// port's prior role.
@@ -246,12 +241,12 @@ func (p *loopbackPool) remove(port asic.PortID, pipeline int) bool {
 // P4Source renders the deployment as a single multi-pipeline
 // P4-16-style program (§3.2).
 func (d *Deployment) P4Source() (string, error) {
-	return d.composed.EmitP4()
+	return d.installed.Res.Dep.EmitP4()
 }
 
 // Telemetry returns the datapath's per-NF and per-path counters.
 func (d *Deployment) Telemetry() *compose.Telemetry {
-	return d.composed.Composer.Telemetry()
+	return d.installed.Res.Composer.Telemetry()
 }
 
 // buildInputs translates a deployment config into the staged build
@@ -325,20 +320,21 @@ func chainReports(chains []route.Chain, travs []route.Traversal) []ChainReport {
 // Deploy builds a deployment from a config. The build runs through the
 // staged incremental pipeline exactly once — placement, composition,
 // allocation, routing and lint each happen a single time regardless of
-// StrictLint — and the resulting artifact cache stays with the
-// deployment so live reconfigurations rebuild only invalidated stages.
+// StrictLint — and reaches the new switch the way every later update
+// does: staged against an empty installed state and committed as one
+// program transaction. The artifact cache stays with the deployment so
+// live reconfigurations rebuild only invalidated stages.
 func Deploy(cfg Config) (*Deployment, error) {
 	if cfg.Prof.Pipelines == 0 {
 		cfg.Prof = asic.Wedge100B()
 	}
-	cache := pipeline.NewCache()
-	res, err := pipeline.Build(buildInputs(cfg, cfg.Placement), cache)
-	if err != nil {
+	d := &Deployment{Rebuild: telemetry.NewRebuild(), installed: pipeline.Installed{Cache: pipeline.NewCache()}}
+	st := &staged{cfg: cfg}
+	var err error
+	if st.next, st.delta, err = d.installed.Stage(buildInputs(cfg, cfg.Placement)); err != nil {
 		return nil, err
 	}
-	comp := res.Composer
 
-	// Install on the switch.
 	sw := asic.New(cfg.Prof)
 	loopsByPipe := make(map[int][]asic.PortID)
 	for _, port := range cfg.LoopbackPorts {
@@ -353,57 +349,40 @@ func Deploy(cfg Config) (*Deployment, error) {
 	// bandwidth); the dedicated recirculation port is the fallback. The
 	// pool is shared with the deployment so port failures remove dead
 	// ports from rotation.
-	pool := newLoopbackPool(cfg.Prof.Pipelines, loopsByPipe)
-	comp.Branching.SetLoopbackChooser(pool.choose)
-	comp.Branching.SetLoopbackPeek(pool.peek)
-	if err := res.Dep.InstallOn(sw); err != nil {
+	d.loops = newLoopbackPool(cfg.Prof.Pipelines, loopsByPipe)
+	d.Switch, d.Controller = sw, ctl.New(sw, cfg.NFs)
+	d.Driver = fault.NewDriver(d.Controller)
+	d.Capacity = recirc.CapacitySplit{
+		TotalPorts:    cfg.Prof.TotalPorts(),
+		LoopbackPorts: len(cfg.LoopbackPorts),
+		PortGbps:      cfg.Prof.PortGbps,
+	}
+	if err := d.commit(st); err != nil {
 		return nil, err
 	}
-	var dp *telemetry.Datapath
 	if cfg.Telemetry {
-		dp = telemetry.NewDatapath(cfg.Prof.Pipelines)
-		sw.SetTelemetry(dp)
+		d.Datapath = telemetry.NewDatapath(cfg.Prof.Pipelines)
+		sw.SetTelemetry(d.Datapath)
 	}
-	var pcl *telemetry.PostcardLog
 	if cfg.Postcards {
-		pcl = telemetry.NewPostcardLog(0)
-		comp.SetPostcardLog(pcl)
+		d.Postcards = telemetry.NewPostcardLog(0)
+		st.next.Res.Composer.SetPostcardLog(d.Postcards)
 	}
-
-	ctrl := ctl.New(sw, cfg.NFs)
-	d := &Deployment{
-		Switch:     sw,
-		Controller: ctrl,
-		Driver:     fault.NewDriver(ctrl),
-		Datapath:   dp,
-		Postcards:  pcl,
-		loops:      pool,
-		Rebuild:    telemetry.NewRebuild(),
-		Capacity: recirc.CapacitySplit{
-			TotalPorts:    cfg.Prof.TotalPorts(),
-			LoopbackPorts: len(cfg.LoopbackPorts),
-			PortGbps:      cfg.Prof.PortGbps,
-		},
-	}
-	d.adopt(&staged{cfg: cfg, cache: cache, res: res})
 	return d, nil
 }
 
 // adopt makes a build that reached the switch the deployment's state:
-// artifact cache, config, placement, plans and reports, together.
+// config, placement, plans and reports, together.
 func (d *Deployment) adopt(st *staged) {
-	res := st.res
-	d.cache = st.cache
+	res := st.next.Res
 	d.Config = st.cfg
 	d.Placement = res.Placement
 	d.Cost = res.Cost
 	d.Plans = res.Plans
 	d.Resources = compiler.FrameworkReport(st.cfg.Prof, sortedPlans(res.Plans))
 	d.ParserStates = res.Dep.Parser.ParseStates()
-	d.composed = res.Dep
 	d.Chains = chainReports(st.cfg.Chains, res.Traversals)
 	d.Lint = res.Lint
-	d.program = res.Program
 	d.LastBuild = res.Info
 	d.LastDelta = st.delta
 	d.LastReloads = len(res.ChangedFuncs)

@@ -46,15 +46,15 @@ func assertEquivalentToFresh(t *testing.T, d *Deployment, label string) (fresh *
 	if ip4 != fp4 {
 		t.Errorf("%s: P4 source differs between incremental and fresh build", label)
 	}
-	if d.program.String() != fresh.program.String() {
+	if d.installed.Res.Program.String() != fresh.installed.Res.Program.String() {
 		t.Errorf("%s: table programs differ:\nincremental:\n%s\nfresh:\n%s",
-			label, d.program.String(), fresh.program.String())
+			label, d.installed.Res.Program.String(), fresh.installed.Res.Program.String())
 	}
-	if ops := route.Diff(d.program, fresh.program); len(ops) != 0 {
+	if ops := route.Diff(d.installed.Res.Program, fresh.installed.Res.Program); len(ops) != 0 {
 		t.Errorf("%s: program diff vs fresh = %d ops", label, len(ops))
 	}
-	ib := d.composed.Composer.Branching.BranchingEntries()
-	fb := fresh.composed.Composer.Branching.BranchingEntries()
+	ib := d.installed.Res.Dep.Composer.Branching.BranchingEntries()
+	fb := fresh.installed.Res.Dep.Composer.Branching.BranchingEntries()
 	if ib != fb {
 		t.Errorf("%s: branching entries differ: %d vs %d", label, ib, fb)
 	}
@@ -108,8 +108,8 @@ func stateOf(t *testing.T, d *Deployment) liveState {
 		}
 	}
 	return liveState{
-		Settings: d.keep(d.Config.Chains), Cache: d.cache,
-		Placement: strings.Join(placed, " "), Program: d.program.String(),
+		Settings: d.keep(d.Config.Chains), Cache: d.installed.Cache,
+		Placement: strings.Join(placed, " "), Program: d.installed.Res.Program.String(),
 		Probes: probeOutputs(t, d),
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"slices"
 
 	"dejavu/internal/asic"
-	"dejavu/internal/ctl"
-	"dejavu/internal/lint"
 	"dejavu/internal/pipeline"
 	"dejavu/internal/route"
 )
@@ -100,14 +98,13 @@ func (d *Deployment) Plan(u Update) (*pipeline.Result, []route.EntryOp, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return st.res, st.delta, nil
+	return st.next.Res, st.delta, nil
 }
 
 // staged is an update computed but not yet on the switch.
 type staged struct {
-	cfg   Config          // the live Config with the update's chains and settings
-	cache *pipeline.Cache // the artifact cache this build extended
-	res   *pipeline.Result
+	cfg   Config // the live Config with the update's chains and settings
+	next  pipeline.Installed
 	delta []route.EntryOp
 }
 
@@ -136,23 +133,9 @@ func (d *Deployment) stage(u Update) (*staged, error) {
 	if err := placement.Validate(cfg.Prof, cfg.Chains); err != nil {
 		return nil, err
 	}
-	// Build against a clone of the artifact cache, adopted only by a
-	// successful commit: an update that aborts (or rolls back) must leave
-	// the cache at the prior generation too, or the next build of the
-	// prior state would spuriously miss — breaking the provable no-op
-	// re-apply.
-	st := &staged{cfg: cfg, cache: d.cache.Clone()}
-	if st.res, err = pipeline.Build(buildInputs(cfg, placement), st.cache); err != nil {
-		return nil, err
-	}
-	st.delta = route.Diff(d.program, st.res.Program)
-	// DV009: every branching-entry write must target a table the
-	// candidate build actually placed, on a stage the profile has.
-	// Rejecting here costs a map lookup per touched pipeline; letting
-	// a bad write through costs silently black-holed traffic.
-	if ws := lint.AnalyzeWriteSet(cfg.Prof, st.res.Plans, st.delta); ws.HasErrors() {
-		return nil, fmt.Errorf("core: update rejected, switch untouched: write-set fails DV009: %s",
-			ws.Findings[0].Message)
+	st := &staged{cfg: cfg}
+	if st.next, st.delta, err = d.installed.Stage(buildInputs(cfg, placement)); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	return st, nil
 }
@@ -219,30 +202,26 @@ func placeNewNF(cfg Config, placement *route.Placement, name string) error {
 	return nil
 }
 
-// commit applies a staged update to the live switch as a minimal delta
-// — the branching-table entry diff plus the pipelet programs whose NF
-// sets changed ("the data plane programs have a much higher loading
-// cost", §7, so unchanged programs are not reloaded) — in one program
-// transaction through the retrying driver, and adopts cache, settings,
-// placement, plans and reports together once it succeeded.
+// commit puts a staged build on the switch as its minimal write-set
+// (pipeline.Installed.Commit) through the retrying driver, and adopts
+// settings, placement, plans and reports together once it succeeded.
+// Every commit after the initial deploy's is a hot swap.
 func (d *Deployment) commit(st *staged) error {
-	res := st.res
+	res := st.next.Res
 	if res.RoutingRebuilt {
 		// A fresh Branching generation needs the loopback spreader; a
 		// cached one already carries it (and is live — don't re-set).
 		res.Composer.Branching.SetLoopbackChooser(d.loops.choose)
 		res.Composer.Branching.SetLoopbackPeek(d.loops.peek)
 	}
-	prev := d.composed
-	err := d.Controller.UpdateProgram(d.Driver.Apply, ctl.ProgramUpdate{
-		Entries: st.delta, Pipelets: res.ChangedFuncs,
-		Ingress: res.Dep.Ingress, Egress: res.Dep.Egress, App: res.Dep.Runtime,
-	}, func() error { return prev.InstallOn(d.Switch) })
-	if err != nil {
+	swap := d.installed.Res != nil
+	if err := d.installed.Commit(d.Switch, d.Controller, d.Driver.Apply, st.next, st.delta); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
 	d.adopt(st)
-	d.Rebuild.ObserveSwap(len(st.delta), len(res.ChangedFuncs))
+	if swap {
+		d.Rebuild.ObserveSwap(len(st.delta), len(res.ChangedFuncs))
+	}
 	return nil
 }
 

@@ -159,7 +159,7 @@ func (r *Reconciler) replace(rep *ReconcileReport) (bool, error) {
 		})
 		return false, nil
 	}
-	oldCost, cost := d.Cost, st.res.Cost
+	oldCost, cost := d.Cost, st.next.Res.Cost
 	if !cost.Less(oldCost) {
 		return false, nil
 	}

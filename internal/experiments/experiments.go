@@ -578,7 +578,9 @@ func Chaos() (Table, error) {
 // reproducible bit for bit. An "ok" verdict means every fabric
 // invariant held: probes delivered, attributably dropped, exempted by
 // an open corruption window or aimed at a reported blackhole — never
-// silently lost — and segmentation chain-consecutive throughout.
+// silently lost — and segmentation chain-consecutive throughout. The
+// retries column reads retries/writes, a write being one branching
+// entry or one pipelet program of a switch's minimal write-set.
 func Fabric() (Table, error) {
 	const ticks = 40
 	var rows [][]string

@@ -46,13 +46,14 @@ type Report struct {
 	Redeployed bool `json:"redeployed,omitempty"`
 	// ConvergenceNS is the wall time of the converge.
 	ConvergenceNS int64 `json:"convergence_ns"`
-	// Build is the staged-pipeline report of the converge's rebuild
-	// (per-stage cached/dirty); zero-valued for redeploys and fabric
-	// applies.
+	// Build is the staged-pipeline report of the converge's build
+	// (per-stage cached/dirty), a deploy's included; zero-valued for
+	// fabric applies.
 	Build pipeline.BuildInfo `json:"build"`
 	// DeltaEntries and ProgramReloads are the write-set sizes the
 	// converge pushed: branching-table entry ops and pipelet program
-	// swaps. Both zero on a proved no-op.
+	// swaps — a deploy's whole initial program, and in fabric mode what
+	// every switch's controller committed. Both zero on a proved no-op.
 	DeltaEntries   int `json:"delta_entries"`
 	ProgramReloads int `json:"program_reloads"`
 	// Fabric-mode results: the switches the placement uses, the
@@ -244,8 +245,7 @@ func (a *Applier) deploy(doc *Document, rep *Report) error {
 	if err != nil {
 		return err
 	}
-	rep.Build = dep.LastBuild
-	rep.ProgramReloads = dep.LastReloads
+	rep.Build, rep.DeltaEntries, rep.ProgramReloads = dep.LastBuild, len(dep.LastDelta), dep.LastReloads
 	a.dep, a.fab, a.frec = dep, nil, nil
 	return nil
 }
@@ -338,6 +338,14 @@ func (a *Applier) convergeFabric(doc *Document, fresh bool, rep *Report) error {
 			return err
 		}
 	}
+	committed := func() (entries, programs int) {
+		for _, c := range fab.Controllers {
+			st := c.Stats()
+			entries, programs = entries+st.EntryWrites, programs+st.ProgramWrites
+		}
+		return entries, programs
+	}
+	entries, programs := committed()
 	frep, err := frec.Reconcile()
 	switch {
 	case err != nil && fresh:
@@ -358,9 +366,8 @@ func (a *Applier) convergeFabric(doc *Document, fresh bool, rep *Report) error {
 	rep.FabricRoutes = frep.Routes
 	rep.FabricReplaced = frep.Replaced
 	rep.FabricBlackholed = frep.Blackholed
-	if !fresh && !frep.Converged {
-		rep.ProgramReloads = len(frep.Changed) * fab.Fabric.Prof.Pipelines * 2
-	}
+	e, p := committed()
+	rep.DeltaEntries, rep.ProgramReloads = e-entries, p-programs
 	a.fab, a.frec, a.dep = fab, frec, nil
 	return nil
 }

@@ -409,6 +409,56 @@ func TestApplyFabric(t *testing.T) {
 	}
 }
 
+// TestApplyReportsCommittedWrites: an apply reports the write-set its
+// switches committed — a fleet's summed over its switch controllers, a
+// fleet chain delta only what it added, a deploy its whole initial
+// program — and a converged re-apply reports none.
+func TestApplyReportsCommittedWrites(t *testing.T) {
+	committed := func(ctrls ...*ctl.Controller) (entries, programs int) {
+		for _, c := range ctrls {
+			st := c.Stats()
+			entries, programs = entries+st.EntryWrites, programs+st.ProgramWrites
+		}
+		return entries, programs
+	}
+	check := func(what string, rep *Report, entries, programs int) {
+		t.Helper()
+		if rep.DeltaEntries != entries || rep.ProgramReloads != programs {
+			t.Errorf("%s reports %d entries and %d program reloads; its switches committed %d and %d",
+				what, rep.DeltaEntries, rep.ProgramReloads, entries, programs)
+		}
+	}
+
+	a := NewApplier(nil)
+	doc := testDoc(t)
+	doc.Fabric = &FabricSpec{Switches: 3, StageDemand: map[string]int{"classifier": 6, "fw": 6, "router": 6}}
+	rep := applyDoc(t, a, doc)
+	e, p := committed(a.FabricDeployment().Controllers...)
+	if p == 0 {
+		t.Fatal("the fleet's initial apply committed no pipelet program")
+	}
+	check("fleet initial apply", rep, e, p)
+
+	next := doc.Clone()
+	next.File.Chains = append(next.File.Chains, config.ChainSpec{
+		PathID: 20, NFs: []string{"classifier", "fw", "router"}, Weight: 0.1,
+	})
+	rep = applyDoc(t, a, next)
+	e2, p2 := committed(a.FabricDeployment().Controllers...)
+	check("fleet chain delta", rep, e2-e, p2-p)
+	if rep = applyDoc(t, a, next.Clone()); !rep.NoOp || rep.DeltaEntries != 0 || rep.ProgramReloads != 0 {
+		t.Errorf("fleet re-apply not a proved no-op: %s", rep.Summary())
+	}
+
+	a = NewApplier(nil)
+	rep = applyDoc(t, a, testDoc(t))
+	e, p = committed(a.Deployment().Controller)
+	if p == 0 {
+		t.Fatal("the initial deploy committed no pipelet program")
+	}
+	check("single-switch initial apply", rep, e, p)
+}
+
 // TestApplyFabricPins: fabric.pin homes an NF on the named switch and
 // the placer routes every chain using it through that switch — the
 // fabric-mode analogue of single-switch placement hints.
