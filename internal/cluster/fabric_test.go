@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 
 	"dejavu/internal/asic"
 	"dejavu/internal/packet"
+	"dejavu/internal/route"
 	"dejavu/internal/scenario"
 )
 
@@ -148,6 +150,15 @@ func TestFabricValidation(t *testing.T) {
 	}
 	if _, err := f.Inject(7, 0, scenario.InternetBound()); err == nil {
 		t.Error("inject on missing switch accepted")
+	}
+	// A deployment with NF implementations refuses a chain naming one it
+	// lacks, as SetChains does; a model deployment has none to check.
+	chains := []route.Chain{{PathID: 1, NFs: []string{"fw", "nope"}, Weight: 1}}
+	if _, err := NewFabricDeployment(f, chains, s.NFs, nil); err == nil || !strings.Contains(err.Error(), `unknown NF "nope"`) {
+		t.Errorf("a chain naming an unimplemented NF was accepted: %v", err)
+	}
+	if _, err := NewFabricDeployment(f, chains, nil, nil); err != nil {
+		t.Errorf("a model deployment refused its chain: %v", err)
 	}
 }
 

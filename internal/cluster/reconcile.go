@@ -6,10 +6,10 @@ import (
 	"maps"
 	"slices"
 	"sort"
-	"strings"
 	"time"
 
 	"dejavu/internal/asic"
+	"dejavu/internal/compiler"
 	"dejavu/internal/ctl"
 	"dejavu/internal/fabricplace"
 	"dejavu/internal/fault"
@@ -68,8 +68,12 @@ type FabricDeployment struct {
 	Fabric *Fabric
 	Chains []route.Chain
 	NFs    nf.List
-	// StageDemand feeds the placement engine and per-switch pipelet
-	// optimization; nil means every NF demands one stage.
+	// StageDemand is each NF's MAU stage demand, the one map both
+	// placers read. NewFabricDeployment completes the declared map with
+	// compiler.MinStages of every implemented NF it lacks, so an entry
+	// is an override: one below the NF's real demand plans a switch
+	// program the build then refuses (DV001). NFs without an entry (a
+	// model deployment has no implementations) count one stage.
 	StageDemand map[string]int
 	// Pins optionally force NFs onto specific home switches (the
 	// intent plane's fabric placement hints). Set before the first
@@ -91,16 +95,11 @@ type FabricDeployment struct {
 	Replacements int
 
 	// installed is each switch's installed build and its build cache:
-	// one per switch, as one per single-switch deployment.
+	// one per switch, as one per single-switch deployment. A switch
+	// whose installed composer has the desired chains and placement is
+	// not rebuilt, so a health change converges per chain instead of
+	// re-touching the whole fabric.
 	installed []pipeline.Installed
-	// progSig is each switch's installed program signature; only
-	// switches whose desired signature differs are reprogrammed, so
-	// a health change converges per chain instead of re-touching the
-	// whole fabric.
-	progSig []string
-	// pending marks a desired chain-set change (SetChains) not yet
-	// converged.
-	pending bool
 	// last is the last successful plan: desired returns it while what
 	// determined it holds, and a new plan takes over its per-switch
 	// anneal results where the sub-chain sets still match.
@@ -111,26 +110,25 @@ type FabricDeployment struct {
 }
 
 // NewFabricDeployment prepares a fabric deployment: per-switch
-// controllers and retrying drivers over them. Nothing is installed
-// until the first Reconcile; wire the fabric (Connect) first.
+// controllers and retrying drivers over them, and the stage demand of
+// every implemented NF stageDemand does not declare. Nothing is
+// installed until the first Reconcile; wire the fabric (Connect) first.
 func NewFabricDeployment(f *Fabric, chains []route.Chain, nfs nf.List, stageDemand map[string]int) (*FabricDeployment, error) {
-	if len(chains) == 0 {
-		return nil, fmt.Errorf("cluster: no chains to deploy")
+	if err := checkChains(chains, nfs); err != nil {
+		return nil, err
 	}
-	for _, c := range chains {
-		if err := c.Validate(); err != nil {
-			return nil, err
-		}
+	demand, err := withMinStages(stageDemand, nfs)
+	if err != nil {
+		return nil, err
 	}
 	fd := &FabricDeployment{
 		Fabric:      f,
 		Chains:      append([]route.Chain(nil), chains...),
 		NFs:         nfs,
-		StageDemand: stageDemand,
+		StageDemand: demand,
 		Routes:      make(map[uint16]ChainRoute),
 		Homes:       make(map[string]int),
 		Blackholed:  make(map[uint16]string),
-		progSig:     make([]string, len(f.Switches)),
 	}
 	for _, sw := range f.Switches {
 		fd.installed = append(fd.installed, pipeline.Installed{Cache: pipeline.NewCache()})
@@ -141,29 +139,55 @@ func NewFabricDeployment(f *Fabric, chains []route.Chain, nfs nf.List, stageDema
 	return fd, nil
 }
 
-// SetChains replaces the fabric deployment's desired chain set (the
-// intent plane calls this when an applied document's chains change);
-// the next Reconcile converges every switch toward it. The installed
-// state is left untouched here — convergence is the reconciler's job.
-func (fd *FabricDeployment) SetChains(chains []route.Chain) error {
+// withMinStages completes a declared stage-demand map with
+// compiler.MinStages of each implemented NF it lacks.
+func withMinStages(declared map[string]int, nfs nf.List) (map[string]int, error) {
+	demand := maps.Clone(declared)
+	for _, f := range nfs {
+		if _, ok := demand[f.Name()]; ok {
+			continue
+		}
+		d, err := compiler.MinStages(f.Block())
+		if err != nil {
+			return nil, fmt.Errorf("cluster: NF %s: %w", f.Name(), err)
+		}
+		if demand == nil {
+			demand = make(map[string]int, len(nfs))
+		}
+		demand[f.Name()] = d
+	}
+	return demand, nil
+}
+
+// checkChains refuses an empty chain set, an invalid chain and, when
+// the deployment has NF implementations, a chain naming an NF it has
+// none of.
+func checkChains(chains []route.Chain, nfs nf.List) error {
 	if len(chains) == 0 {
-		return fmt.Errorf("cluster: refusing to set zero chains")
+		return fmt.Errorf("cluster: no chains to deploy")
 	}
 	for _, c := range chains {
 		if err := c.Validate(); err != nil {
 			return err
 		}
 		for _, n := range c.NFs {
-			if fd.NFs.ByName(n) == nil {
+			if len(nfs) > 0 && nfs.ByName(n) == nil {
 				return fmt.Errorf("cluster: chain %d references unknown NF %q", c.PathID, n)
 			}
 		}
 	}
-	if chainsEqual(fd.Chains, chains) {
-		return nil // unchanged desired state must stay a provable no-op
+	return nil
+}
+
+// SetChains replaces the fabric deployment's desired chain set (the
+// intent plane calls this when an applied document's chains change);
+// the next Reconcile converges every switch toward it. The installed
+// state is left untouched here — convergence is the reconciler's job.
+func (fd *FabricDeployment) SetChains(chains []route.Chain) error {
+	if err := checkChains(chains, fd.NFs); err != nil {
+		return err
 	}
 	fd.Chains = append([]route.Chain(nil), chains...)
-	fd.pending = true
 	return nil
 }
 
@@ -175,56 +199,11 @@ func chainsEqual(a, b []route.Chain) bool {
 	})
 }
 
-// PlanReport is the outcome of a dry-run placement.
-type PlanReport struct {
-	// Switches lists every switch the plan uses (hosting or transit),
-	// ascending.
-	Switches []int
-	// Routes is the per-chain route map; Blackholed maps the chains that
-	// cannot be placed to the reason.
-	Routes     map[uint16]ChainRoute
-	Blackholed map[uint16]string
-	// Latency is the weighted end-to-end latency estimate for one packet
-	// (§7): a port-to-port traversal of every switch in use, each
-	// switch's weighted on-chip recirculations, and the weighted
-	// inter-switch hops at the off-chip DAC latency of Fig. 8(b).
-	Latency time.Duration
-}
-
-// Plan computes the desired placement over the current topology health
-// without touching any switch: the switches that would carry programs,
-// the per-chain routes and the chains that would be blackholed. It is
-// the fabric-mode dry run behind `dejavu apply -dry-run`, and fails
-// exactly when Reconcile's planning would.
-func (fd *FabricDeployment) Plan() (*PlanReport, error) {
-	p := fd.desired()
-	if p.err != nil {
-		return nil, p.err
-	}
-	prof := fd.Fabric.Prof
-	var totalW, crossings float64
-	for _, c := range p.active {
-		w := c.EffectiveWeight()
-		totalW += w
-		crossings += w * float64(p.routes[c.PathID].CrossHops)
-	}
-	// Weighted counts are fractions of a packet: sum in float64 and
-	// convert once.
-	var ns float64
-	if totalW > 0 {
-		ns = crossings / totalW * float64(prof.RecircOffChip)
-		for _, s := range p.switches {
-			recircs := p.perSwitch[s].WeightedRecircs / totalW
-			ns += float64(prof.PortToPortLatency()) + recircs*float64(prof.PortToPortLatency()+prof.RecircOnChip)
-		}
-	}
-	return &PlanReport{
-		Switches:   p.switches,
-		Routes:     p.routes,
-		Blackholed: p.dropped,
-		Latency:    time.Duration(ns),
-	}, nil
-}
+// Plan is a reconcile round without the commit, the fabric-mode dry
+// run behind `dejavu apply -dry-run`: it plans over the current
+// topology health and stages every switch build the plan changes, and
+// it fails exactly where Reconcile would, touching no switch.
+func (fd *FabricDeployment) Plan() (*ReconcileReport, error) { return fd.round(false) }
 
 // placeOptions derives the placement engine's options from the
 // deployment: entry switch 0, the packet hop bound as the route hop
@@ -243,8 +222,8 @@ func (fd *FabricDeployment) placeOptions() fabricplace.Options {
 
 // fabricPlan is the desired state computed over the current topology
 // health: per-chain routes, NF homes and pipelet slots, per-switch
-// remote-forwarding entries and program signatures. A plan is immutable
-// once desired returns it: the deployment remembers it, and reports and
+// sub-chains and remote-forwarding entries. A plan is immutable once
+// desired returns it: the deployment remembers it, and reports and
 // installed state share its maps.
 type fabricPlan struct {
 	routes   map[uint16]ChainRoute
@@ -253,31 +232,33 @@ type fabricPlan struct {
 	// perSwitch is each hosting switch's single-switch traversal cost
 	// under its annealed pipelet placement.
 	perSwitch map[int]route.Cost
-	// annealKeys is what determined each hosting switch's anneal: its
-	// sub-chains in order with their NFs' stage demands (the profile and
-	// the seed are fixed per switch).
-	annealKeys map[int]string
+	// subs is each hosting switch's sub-chains, the problem its anneal
+	// solved with the plan's stage demands (the profile and the seed are
+	// fixed per switch).
+	subs map[int][]route.Chain
 	// remote maps switch -> remote NF -> egress port toward its home,
 	// following the placement graph's per-destination forwarding trees;
 	// asic.PortUnset where no wire leads there.
-	remote map[int]map[string]asic.PortID
-	// sigs is each in-use switch's desired program signature.
-	sigs     map[int]string
+	remote   map[int]map[string]asic.PortID
 	switches []int
 	active   []route.Chain
 	dropped  map[uint16]string
 	cost     fabricplace.Cost
 	strategy string
+	latency  time.Duration
 	err      error
 }
 
 // rememberedPlan is a plan with what determined it: the fabric's health
 // epoch and copies of the deployment's chain set, StageDemand and Pins.
+// adopted marks the plan a committing round installed on every switch
+// it uses: a round that finds it again has nothing to do.
 type rememberedPlan struct {
 	plan         *fabricPlan
 	epoch        uint64
 	chains       []route.Chain
 	demand, pins map[string]int
+	adopted      bool
 }
 
 // desired computes the target plan over the current topology health.
@@ -300,14 +281,13 @@ func (fd *FabricDeployment) desired() (p *fabricPlan) {
 		}
 	}()
 	p = &fabricPlan{
-		routes:     make(map[uint16]ChainRoute),
-		homes:      make(map[string]int),
-		pipelets:   make(map[string]asic.PipeletID),
-		perSwitch:  make(map[int]route.Cost),
-		annealKeys: make(map[int]string),
-		remote:     make(map[int]map[string]asic.PortID),
-		sigs:       make(map[int]string),
-		dropped:    make(map[uint16]string),
+		routes:    make(map[uint16]ChainRoute),
+		homes:     make(map[string]int),
+		pipelets:  make(map[string]asic.PipeletID),
+		perSwitch: make(map[int]route.Cost),
+		subs:      make(map[int][]route.Chain),
+		remote:    make(map[int]map[string]asic.PortID),
+		dropped:   make(map[uint16]string),
 	}
 	if fd.Fabric.SwitchHealth(0) == HealthDead {
 		for _, c := range fd.Chains {
@@ -318,12 +298,7 @@ func (fd *FabricDeployment) desired() (p *fabricPlan) {
 	fd.graphBuilds++
 	g := fd.Fabric.PlacementGraph()
 	res := fabricplace.Place(g, fd.Chains, fd.placeOptions())
-	p.dropped = res.Unplaced
-	p.cost = res.Total
-	p.strategy = res.Strategy
-	for n, h := range res.Homes {
-		p.homes[n] = h
-	}
+	p.homes, p.dropped, p.cost, p.strategy = res.Homes, res.Unplaced, res.Total, res.Strategy
 	inUse := make(map[int]bool)
 	for _, c := range fd.Chains {
 		pl, ok := res.Chains[c.PathID]
@@ -341,10 +316,7 @@ func (fd *FabricDeployment) desired() (p *fabricPlan) {
 			inUse[s] = true
 		}
 	}
-	for s := range inUse {
-		p.switches = append(p.switches, s)
-	}
-	sort.Ints(p.switches)
+	p.switches = SortedKeys(inUse)
 
 	// Remote forwarding entries follow the per-destination trees: at
 	// every in-use switch, every non-local NF is forwarded out the next
@@ -369,26 +341,29 @@ func (fd *FabricDeployment) desired() (p *fabricPlan) {
 	if p.err = fd.placePipelets(p); p.err != nil {
 		return p
 	}
-
-	// Program signatures: everything that determines a switch's
-	// installed programs — local pipelet slots, remote forwarding
-	// entries and the full active chain set.
-	for _, s := range p.switches {
-		var b strings.Builder
-		for _, n := range SortedKeys(p.homes) {
-			if p.homes[n] == s {
-				fmt.Fprintf(&b, "L%s=%v;", n, p.pipelets[n])
-			}
-		}
-		for _, n := range SortedKeys(p.remote[s]) {
-			fmt.Fprintf(&b, "R%s>%d;", n, p.remote[s][n])
-		}
-		for _, c := range p.active {
-			fmt.Fprintf(&b, "C%d:%s:w%g:e%d:x%d;", c.PathID, strings.Join(c.NFs, ","), c.Weight, c.ExitPipeline, c.StaticExitPort)
-		}
-		p.sigs[s] = b.String()
-	}
+	p.latency = fd.latency(p)
 	return p
+}
+
+// latency is a plan's ReconcileReport.Latency. Weighted counts are
+// fractions of a packet: it sums in float64 and converts once.
+func (fd *FabricDeployment) latency(p *fabricPlan) time.Duration {
+	prof := fd.Fabric.Prof
+	var totalW, crossings float64
+	for _, c := range p.active {
+		w := c.EffectiveWeight()
+		totalW += w
+		crossings += w * float64(p.routes[c.PathID].CrossHops)
+	}
+	if totalW == 0 {
+		return 0
+	}
+	ns := crossings / totalW * float64(prof.RecircOffChip)
+	for _, s := range p.switches {
+		recircs := p.perSwitch[s].WeightedRecircs / totalW
+		ns += float64(prof.PortToPortLatency()) + recircs*float64(prof.PortToPortLatency()+prof.RecircOnChip)
+	}
+	return time.Duration(ns)
 }
 
 // placePipelets turns the plan's routes into per-switch sub-chains —
@@ -400,7 +375,6 @@ func (fd *FabricDeployment) desired() (p *fabricPlan) {
 // plan's result, so a heal re-anneals only the switches whose share of
 // the chains changed and nothing outlives the plan it belongs to.
 func (fd *FabricDeployment) placePipelets(p *fabricPlan) error {
-	bySwitch := make(map[int][]route.Chain)
 	for _, c := range p.active {
 		r := p.routes[c.PathID]
 		for pos, seg := range r.Segments {
@@ -408,28 +382,15 @@ func (fd *FabricDeployment) placePipelets(p *fabricPlan) error {
 				continue
 			}
 			s := r.Path[pos]
-			bySwitch[s] = append(bySwitch[s], route.Chain{PathID: uint16(len(bySwitch[s]) + 1), NFs: seg, Weight: c.Weight})
+			p.subs[s] = append(p.subs[s], route.Chain{PathID: uint16(len(p.subs[s]) + 1), NFs: seg, Weight: c.Weight})
 		}
 	}
 	for _, s := range p.switches {
-		subs := bySwitch[s]
+		subs := p.subs[s]
 		if len(subs) == 0 {
 			continue
 		}
-		var key strings.Builder
-		for _, sub := range subs {
-			fmt.Fprintf(&key, "w%g", sub.Weight)
-			for _, n := range sub.NFs {
-				d, ok := fd.StageDemand[n]
-				if !ok {
-					d = 1 // place.Problem's default
-				}
-				fmt.Fprintf(&key, ",%q:%d", n, d)
-			}
-			key.WriteByte(';')
-		}
-		p.annealKeys[s] = key.String()
-		if prev := fd.last.plan; prev != nil && prev.annealKeys[s] == p.annealKeys[s] {
+		if prev := fd.last.plan; prev != nil && fd.annealedBefore(prev.subs[s], subs) {
 			p.perSwitch[s] = prev.perSwitch[s]
 			for _, sub := range subs {
 				for _, n := range sub.NFs {
@@ -454,21 +415,21 @@ func (fd *FabricDeployment) placePipelets(p *fabricPlan) error {
 	return nil
 }
 
-// equalPlan reports whether the desired plan matches the installed
-// state exactly: every in-use switch already carries the desired
-// program signature and the blackholed set is unchanged.
-func (fd *FabricDeployment) equalPlan(p *fabricPlan) bool {
-	if len(p.dropped) != len(fd.Blackholed) {
+// annealedBefore reports whether the remembered plan annealed a
+// switch's sub-chains already: the same NFs and weights in order, each
+// NF at the stage demand it has now.
+func (fd *FabricDeployment) annealedBefore(prev, subs []route.Chain) bool {
+	if len(prev) != len(subs) {
 		return false
 	}
-	for id := range p.dropped {
-		if _, ok := fd.Blackholed[id]; !ok {
+	for i, sub := range subs {
+		if sub.Weight != prev[i].Weight || !slices.Equal(sub.NFs, prev[i].NFs) {
 			return false
 		}
-	}
-	for _, s := range p.switches {
-		if fd.progSig[s] != p.sigs[s] {
-			return false
+		for _, n := range sub.NFs {
+			if fd.last.demand[n] != fd.StageDemand[n] {
+				return false
+			}
 		}
 	}
 	return true
@@ -492,7 +453,9 @@ func (fd *FabricDeployment) inputsAt(p *fabricPlan, s int) pipeline.Inputs {
 	return pipeline.Inputs{Prof: fd.Fabric.Prof, Chains: p.active, NFs: fd.NFs, Enter: 0, Placement: placement}
 }
 
-// ReconcileReport is the structured outcome of one reconcile round.
+// ReconcileReport is the structured outcome of one reconcile round,
+// or of a Plan: the round without the commit, whose Changed and
+// Replaced say what a commit would change.
 type ReconcileReport struct {
 	// Converged reports that the installed state already matched the
 	// desired plan — nothing was reprogrammed.
@@ -514,6 +477,12 @@ type ReconcileReport struct {
 	Cost fabricplace.Cost
 	// Strategy reports which placer won the portfolio ("cost"/"lex").
 	Strategy string
+	// Latency is the desired plan's weighted end-to-end latency
+	// estimate for one packet (§7): a port-to-port traversal of every
+	// switch in use, each switch's weighted on-chip recirculations, and
+	// the weighted inter-switch hops at the off-chip DAC latency of
+	// Fig. 8(b).
+	Latency time.Duration
 	// Findings collects FB001-FB006 degradation findings.
 	Findings *lint.Report
 }
@@ -530,16 +499,35 @@ type Reconciler struct {
 // NewReconciler builds a reconciler over a fabric deployment.
 func NewReconciler(dep *FabricDeployment) *Reconciler { return &Reconciler{Dep: dep} }
 
-// Reconcile runs one round: report element health, recompute the
-// desired plan, and reprogram exactly the switches whose desired
-// program signature differs from what is installed — a failure that
-// touches only one chain's switches leaves the others' programs
-// untouched. The first call performs the initial deploy.
-// Deterministic: the same fabric health and chain set always produce
-// the same plan, programs and findings.
-func (r *Reconciler) Reconcile() (*ReconcileReport, error) {
-	fd := r.Dep
+// Reconcile runs one round and commits it; the first call performs the
+// initial deploy. Deterministic: the same fabric health and chain set
+// always produce the same plan, programs and findings.
+func (r *Reconciler) Reconcile() (*ReconcileReport, error) { return r.Dep.round(true) }
+
+// stagedBuild is one switch's build, staged and not yet committed.
+type stagedBuild struct {
+	sw    int
+	next  pipeline.Installed
+	delta []route.EntryOp
+}
+
+// round runs one reconcile round: report element health, take the
+// desired plan, and stage every in-use switch whose desired build
+// differs from its installed one — a failure that touches only one
+// chain's switches leaves the others' programs untouched. With commit,
+// and only if every stage succeeded, it commits the staged builds in
+// ascending switch order and adopts the plan, so a refused build
+// touches no switch. A model deployment (no NF implementations) plans
+// without staging: a build needs the NFs.
+func (fd *FabricDeployment) round(commit bool) (*ReconcileReport, error) {
 	rep := &ReconcileReport{Findings: lint.NewReport()}
+	fail := func(where string, err error) (*ReconcileReport, error) {
+		rep.Findings.Add(lint.Finding{
+			Rule: RuleFBConvergeFailed, Severity: lint.SevError,
+			Where: where, Message: err.Error(),
+		})
+		return rep, fmt.Errorf("cluster: reconcile: %w", err)
+	}
 
 	for i := 0; i < fd.Fabric.NumSwitches(); i++ {
 		if h := fd.Fabric.SwitchHealth(i); h != HealthAlive {
@@ -564,17 +552,10 @@ func (r *Reconciler) Reconcile() (*ReconcileReport, error) {
 
 	p := fd.desired()
 	if p.err != nil {
-		rep.Findings.Add(lint.Finding{
-			Rule: RuleFBConvergeFailed, Severity: lint.SevError,
-			Where: "plan", Message: p.err.Error(),
-		})
-		return rep, fmt.Errorf("cluster: reconcile: %w", p.err)
+		return fail("plan", p.err)
 	}
-	rep.Switches = append([]int(nil), p.switches...)
-	rep.Routes = maps.Clone(p.routes)
-	rep.Blackholed = p.dropped
-	rep.Cost = p.cost
-	rep.Strategy = p.strategy
+	rep.Switches, rep.Routes, rep.Blackholed = append([]int(nil), p.switches...), maps.Clone(p.routes), p.dropped
+	rep.Cost, rep.Strategy, rep.Latency = p.cost, p.strategy, p.latency
 	for _, id := range SortedKeys(p.dropped) {
 		rep.Findings.Add(lint.Finding{
 			Rule: RuleFBBlackhole, Severity: lint.SevError,
@@ -592,33 +573,34 @@ func (r *Reconciler) Reconcile() (*ReconcileReport, error) {
 			})
 		}
 	}
-
-	if fd.equalPlan(p) && !fd.pending {
+	if fd.last.plan == p && fd.last.adopted {
 		rep.Converged = true
 		return rep, nil
 	}
 
+	var builds []stagedBuild
 	for _, s := range p.switches {
-		if fd.progSig[s] == p.sigs[s] {
-			continue // per-chain convergence: unchanged programs stay put
+		if len(fd.NFs) == 0 {
+			break // a model deployment has nothing to build
 		}
-		inst := &fd.installed[s]
-		next, delta, err := inst.Stage(fd.inputsAt(p, s))
+		in := fd.inputsAt(p, s)
+		if cur := fd.installed[s].Res; cur != nil && chainsEqual(cur.Composer.Chains, in.Chains) &&
+			cur.Composer.Placement.Equal(in.Placement) {
+			continue // per-chain convergence: an unchanged switch stays put
+		}
+		next, delta, err := fd.installed[s].Stage(in)
 		if err != nil {
-			err = fmt.Errorf("cluster: switch %d build: %w", s, err)
-		} else if err = inst.Commit(fd.Fabric.Switches[s], fd.Controllers[s], fd.Drivers[s].Apply, next, delta); err != nil {
-			err = fmt.Errorf("cluster: switch %d %w", s, err)
+			return fail(fmt.Sprintf("switch %d", s), fmt.Errorf("cluster: switch %d build: %w", s, err))
 		}
-		if err != nil {
-			rep.Findings.Add(lint.Finding{
-				Rule: RuleFBConvergeFailed, Severity: lint.SevError,
-				Where:   fmt.Sprintf("switch %d", s),
-				Message: err.Error(),
-			})
-			return rep, fmt.Errorf("cluster: reconcile: %w", err)
+		builds = append(builds, stagedBuild{sw: s, next: next, delta: delta})
+	}
+	for _, b := range builds {
+		if commit {
+			if err := fd.installed[b.sw].Commit(fd.Fabric.Switches[b.sw], fd.Controllers[b.sw], fd.Drivers[b.sw].Apply, b.next, b.delta); err != nil {
+				return fail(fmt.Sprintf("switch %d", b.sw), fmt.Errorf("cluster: switch %d %w", b.sw, err))
+			}
 		}
-		fd.progSig[s] = p.sigs[s]
-		rep.Changed = append(rep.Changed, s)
+		rep.Changed = append(rep.Changed, b.sw)
 	}
 	for _, c := range p.active {
 		if old, ok := fd.Routes[c.PathID]; !ok || !old.equal(p.routes[c.PathID]) {
@@ -626,11 +608,7 @@ func (r *Reconciler) Reconcile() (*ReconcileReport, error) {
 		}
 	}
 	sort.Slice(rep.Replaced, func(i, j int) bool { return rep.Replaced[i] < rep.Replaced[j] })
-	fd.Routes = p.routes
-	fd.Homes = p.homes
-	fd.Blackholed = p.dropped
-	fd.Replacements += len(rep.Changed)
-	fd.pending = false
+	rep.Converged = len(rep.Changed) == 0 && len(rep.Replaced) == 0 && maps.Equal(p.dropped, fd.Blackholed)
 	if len(rep.Changed) > 0 {
 		rep.Findings.Add(lint.Finding{
 			Rule: RuleFBReplaced, Severity: lint.SevInfo,
@@ -638,6 +616,11 @@ func (r *Reconciler) Reconcile() (*ReconcileReport, error) {
 			Message: fmt.Sprintf("re-placed %d chain(s) over switches %v (%d reprogrammed)",
 				len(p.active), p.switches, len(rep.Changed)),
 		})
+	}
+	if commit {
+		fd.Routes, fd.Homes, fd.Blackholed = p.routes, p.homes, p.dropped
+		fd.Replacements += len(rep.Changed)
+		fd.last.adopted = true
 	}
 	return rep, nil
 }

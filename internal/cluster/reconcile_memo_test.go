@@ -103,10 +103,11 @@ func samePlan(t *testing.T, step int, what string, got, want *fabricPlan) {
 	}{
 		{"routes", got.routes, want.routes}, {"homes", got.homes, want.homes},
 		{"pipelets", got.pipelets, want.pipelets}, {"perSwitch", got.perSwitch, want.perSwitch},
-		{"annealKeys", got.annealKeys, want.annealKeys}, {"remote", got.remote, want.remote},
-		{"sigs", got.sigs, want.sigs}, {"switches", got.switches, want.switches},
+		{"subs", got.subs, want.subs}, {"remote", got.remote, want.remote},
+		{"switches", got.switches, want.switches},
 		{"active", got.active, want.active}, {"dropped", got.dropped, want.dropped},
 		{"cost", got.cost, want.cost}, {"strategy", got.strategy, want.strategy},
+		{"latency", got.latency, want.latency},
 		{"err", errText(got.err), errText(want.err)},
 	} {
 		if !reflect.DeepEqual(f.got, f.want) {
@@ -258,7 +259,7 @@ func TestReconcilerMemoDifferentialWalk(t *testing.T) {
 			t.Fatalf("step %d (%s): reconcile reports differ:\n%+v\n%+v", step, what, repMem, repRef)
 		}
 		if !reflect.DeepEqual(mem.fd.Routes, ref.fd.Routes) || !reflect.DeepEqual(mem.fd.Homes, ref.fd.Homes) ||
-			!reflect.DeepEqual(mem.fd.Blackholed, ref.fd.Blackholed) || !reflect.DeepEqual(mem.fd.progSig, ref.fd.progSig) ||
+			!reflect.DeepEqual(mem.fd.Blackholed, ref.fd.Blackholed) || !sameInstalled(mem.fd, ref.fd) ||
 			mem.fd.Replacements != ref.fd.Replacements {
 			t.Fatalf("step %d (%s): installed state differs", step, what)
 		}
@@ -267,6 +268,19 @@ func TestReconcilerMemoDifferentialWalk(t *testing.T) {
 		t.Errorf("remembering deployment ran %d anneals, the forgetful one %d", mem.fd.anneals, ref.fd.anneals)
 	}
 	t.Logf("%d steps: %d anneals remembering, %d forgetting", steps, mem.fd.anneals, ref.fd.anneals)
+}
+
+// sameInstalled reports whether two deployments' switches run builds
+// of the same chains and placements.
+func sameInstalled(a, b *FabricDeployment) bool {
+	for s := range a.installed {
+		x, y := a.installed[s].Res, b.installed[s].Res
+		if (x == nil) != (y == nil) || x != nil && (!chainsEqual(x.Composer.Chains, y.Composer.Chains) ||
+			!x.Composer.Placement.Equal(y.Composer.Placement)) {
+			return false
+		}
+	}
+	return true
 }
 
 // work runs fn and returns how many placement graphs it built and how
@@ -325,7 +339,7 @@ func TestReconcilerRoundCostsWhatChanged(t *testing.T) {
 	}
 
 	for _, set := range []func(int) error{f.KillSwitch, f.ReviveSwitch} {
-		before := fd.last.plan.annealKeys
+		before := fd.last.plan.subs
 		if err := set(1); err != nil {
 			t.Fatal(err)
 		}
@@ -335,8 +349,8 @@ func TestReconcilerRoundCostsWhatChanged(t *testing.T) {
 			}
 		})
 		changed := 0
-		for s, key := range fd.last.plan.annealKeys {
-			if before[s] != key {
+		for s, subs := range fd.last.plan.subs {
+			if !reflect.DeepEqual(before[s], subs) {
 				changed++
 			}
 		}

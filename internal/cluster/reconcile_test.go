@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"sort"
 	"strings"
@@ -493,6 +494,9 @@ func TestReconcilerConvergesPerChain(t *testing.T) {
 // The dry run fails exactly where the reconcile does: a 13-stage NF
 // fits a 48-unit switch, so the fabric placer homes it, but no 12-stage
 // pipelet. Plan used to drop the error and report three healthy routes.
+// Plan stages the switch builds too, so a program the build refuses
+// (DV001: three 5-stage NFs declared at one stage each) is the same
+// FB006 refusal from both; Plan used to approve it.
 func TestPlanFailsWhereReconcileFails(t *testing.T) {
 	_, _, fd, rec := newTestFabric(t)
 	fd.StageDemand = map[string]int{"fw": 13}
@@ -516,6 +520,13 @@ func TestPlanFailsWhereReconcileFails(t *testing.T) {
 		len(plan.Blackholed) != 0 || len(rep.Blackholed) != 0 {
 		t.Errorf("plan %+v disagrees with the reconcile that followed: %+v", plan, rep)
 	}
+
+	fd = deepDeployment(t, 2, []int{5, 5, 5}, map[string]int{"a": 1, "b": 1, "c": 1})
+	_, planErr := fd.Plan()
+	rep, err = NewReconciler(fd).Reconcile()
+	if err == nil || !strings.Contains(err.Error(), "DV001") || fmt.Sprint(planErr) != err.Error() {
+		t.Errorf("DV001: Plan: %v\nReconcile: %v\nwant the same DV001 refusal", planErr, err)
+	}
 }
 
 // The §7 model through the one path: a chain that fits the entry never
@@ -525,7 +536,7 @@ func TestPlanFailsWhereReconcileFails(t *testing.T) {
 // covers five traversals and four DAC hops.
 func TestPlanLongChainSpillsAcrossSwitches(t *testing.T) {
 	prof := asic.Wedge100B()
-	plan := func(switches int, c route.Chain, demand map[string]int) *PlanReport {
+	plan := func(switches int, c route.Chain, demand map[string]int) *ReconcileReport {
 		t.Helper()
 		f, err := NewFabric(prof, switches)
 		if err != nil {

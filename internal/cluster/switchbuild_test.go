@@ -8,10 +8,10 @@ import (
 	"testing"
 
 	"dejavu/internal/asic"
-	"dejavu/internal/compiler"
 	"dejavu/internal/nf"
 	"dejavu/internal/p4"
 	"dejavu/internal/packet"
+	"dejavu/internal/pipeline"
 	"dejavu/internal/route"
 	"dejavu/internal/scenario"
 )
@@ -47,52 +47,81 @@ func (d *deepNF) Block() *p4.ControlBlock    { return d.block }
 func (d *deepNF) Parser() *p4.ParserGraph    { return p4.SFCIPv4Parser() }
 func (d *deepNF) Execute(hdr *packet.Parsed) {}
 
+// deepDeployment deploys one chain over deepNFs of the given table
+// counts, in order, on an n-switch spine under a declared stage demand.
+func deepDeployment(t *testing.T, switches int, tables []int, demand map[string]int) *FabricDeployment {
+	t.Helper()
+	f, err := NewSpineFabric(asic.Wedge100B(), switches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nfs nf.List
+	chain := route.Chain{PathID: 1, Weight: 1}
+	for i, n := range tables {
+		name := string(rune('a' + i))
+		nfs = append(nfs, newDeepNF(name, n))
+		chain.NFs = append(chain.NFs, name)
+	}
+	fd, err := NewFabricDeployment(f, []route.Chain{chain}, nfs, demand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fd
+}
+
 // A fabric switch's program goes through the staged build, stage
-// allocation included. With StageDemand unset every NF counts one
-// stage, so the per-switch anneal packs three 5-stage NFs into one
-// 12-stage pipelet (their composed block needs 14). Composed directly,
-// that program used to install; built, it fails DV001, and the round
-// is refused with an FB006 finding that names it, leaving the installed
-// state and the switch's build cache as they were. True stage demands
-// then place it.
+// allocation included. Three 5-stage NFs declared at one stage each fit
+// one 12-stage pipelet as far as the per-switch anneal can tell, but
+// their composed block needs 14: the build fails DV001, and the round is
+// refused with an FB006 finding that names it. A refused build commits
+// nothing: on the 7-NF chain the entry switch's build (four NFs at ten
+// stages, one per pipelet) succeeds and switch 1's fails, and no switch
+// is committed, no installed build or cache moves, and no route is
+// adopted. Left undeclared, each NF is planned at its compiler.MinStages
+// and the chain installs.
 func TestFabricSwitchOverflowIsRefused(t *testing.T) {
-	f, err := NewSpineFabric(asic.Wedge100B(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nfs := nf.List{newDeepNF("a", 5), newDeepNF("b", 5), newDeepNF("c", 5)}
-	chains := []route.Chain{{PathID: 1, NFs: []string{"a", "b", "c"}, Weight: 1}}
-	fd, err := NewFabricDeployment(f, chains, nfs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := fd.installed[0].Cache
-	rec := NewReconciler(fd)
-
-	rep, err := rec.Reconcile()
-	if err == nil {
-		t.Fatalf("an overflowing switch program was installed: %+v", rep)
-	}
-	fb := rep.Findings.ByRule(RuleFBConvergeFailed)
-	if len(fb) != 1 || !strings.Contains(fb[0].Message, "DV001") {
-		t.Fatalf("want one FB006 finding naming DV001, got %v", fb)
-	}
-	if len(fd.Routes) != 0 || fd.progSig[0] != "" || fd.installed[0].Res != nil || fd.installed[0].Cache != cache {
-		t.Fatalf("a refused round changed the installed state: routes %v, sig %q, cache kept %v",
-			fd.Routes, fd.progSig[0], fd.installed[0].Cache == cache)
-	}
-
-	fd.StageDemand = make(map[string]int)
-	for _, f := range nfs {
-		if fd.StageDemand[f.Name()], err = compiler.MinStages(f.Block()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if rep, err = rec.Reconcile(); err != nil {
-		t.Fatalf("true stage demands: %v\n%s", err, rep.Findings)
-	}
-	if len(rep.Changed) == 0 || fd.installed[0].Res == nil || fd.installed[0].Cache == cache {
-		t.Fatalf("true stage demands installed nothing: %+v", rep)
+	for _, tc := range []struct {
+		name   string
+		tables []int
+		demand map[string]int
+		// refusal names the refused build; empty: the chain installs.
+		refusal string
+	}{
+		{"understated", []int{5, 5, 5}, map[string]int{"a": 1, "b": 1, "c": 1}, "switch 0 build"},
+		{"understated on switch 1", []int{1, 1, 1, 1, 5, 5, 5},
+			map[string]int{"a": 10, "b": 10, "c": 10, "d": 10, "e": 1, "f": 1, "g": 1}, "switch 1 build"},
+		{"undeclared", []int{5, 5, 5}, nil, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fd := deepDeployment(t, 2, tc.tables, tc.demand)
+			caches := make([]*pipeline.Cache, len(fd.installed))
+			for s := range fd.installed {
+				caches[s] = fd.installed[s].Cache
+			}
+			rep, err := NewReconciler(fd).Reconcile()
+			if tc.refusal == "" {
+				if err != nil || len(rep.Changed) == 0 || fd.installed[0].Res == nil || fd.installed[0].Cache == caches[0] {
+					t.Fatalf("nothing installed: %v, %+v", err, rep)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.refusal) {
+				t.Fatalf("reconcile: %v, want the %s refused: %+v", err, tc.refusal, rep)
+			}
+			fb := rep.Findings.ByRule(RuleFBConvergeFailed)
+			if len(fb) != 1 || !strings.Contains(fb[0].Message, "DV001") {
+				t.Fatalf("want one FB006 finding naming DV001, got %v", fb)
+			}
+			if len(rep.Changed) != 0 || len(fd.Routes) != 0 {
+				t.Errorf("a refused round changed %v and adopted routes %v", rep.Changed, fd.Routes)
+			}
+			for s := range fd.installed {
+				if commits := fd.Controllers[s].Stats().ProgramCommits; commits != 0 || fd.installed[s].Res != nil || fd.installed[s].Cache != caches[s] {
+					t.Errorf("switch %d: %d program commits, installed build %v, cache kept %v",
+						s, commits, fd.installed[s].Res != nil, fd.installed[s].Cache == caches[s])
+				}
+			}
+		})
 	}
 }
 

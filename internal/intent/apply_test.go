@@ -2,6 +2,7 @@ package intent
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -9,11 +10,16 @@ import (
 	"testing"
 
 	"dejavu/internal/asic"
+	"dejavu/internal/cluster"
 	"dejavu/internal/config"
 	"dejavu/internal/core"
 	"dejavu/internal/ctl"
 	"dejavu/internal/fault"
+	"dejavu/internal/nf"
+	"dejavu/internal/p4"
+	"dejavu/internal/packet"
 	"dejavu/internal/pipeline"
+	"dejavu/internal/route"
 	"dejavu/internal/scenario"
 )
 
@@ -507,7 +513,8 @@ func TestApplyFabricPins(t *testing.T) {
 // 48-unit switch, so the fabric placer homes it, but fits no 12-stage
 // pipelet, so the per-switch placement fails. The dry run used to drop
 // that error and approve an intent the real apply refuses — on a fresh
-// fabric and on a live one alike.
+// fabric and on a live one alike. It also approved a switch program the
+// build refuses (DV001), because it staged no switch build.
 func TestFabricDryRunRejectsWhatApplyRejects(t *testing.T) {
 	const refusal = `cannot fit NF "fw"`
 	doc := testDoc(t)
@@ -534,7 +541,66 @@ func TestFabricDryRunRejectsWhatApplyRejects(t *testing.T) {
 	if _, err := a.Apply(doc, Options{}); err == nil || !strings.Contains(err.Error(), refusal) {
 		t.Fatalf("real apply on the live fabric: err = %v; want %s", err, refusal)
 	}
+
+	// DV001: the placers accept a switch program that the build refuses.
+	// A document's own NF sections need nine stages all together, so they
+	// cannot overflow a 12-stage pipelet. The live fabric here runs three
+	// 5-stage NFs declared at one stage each instead, and the document
+	// chains all three of them.
+	f, err := cluster.NewSpineFabric(asic.Wedge100B(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deep := nf.List{newDeepNF("a", 5), newDeepNF("b", 5), newDeepNF("c", 5)}
+	fd, err := cluster.NewFabricDeployment(f, []route.Chain{{PathID: 10, NFs: []string{"a"}, Weight: 1}}, deep,
+		map[string]int{"a": 1, "b": 1, "c": 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a = NewApplier(nil)
+	a.fab, a.frec = fd, cluster.NewReconciler(fd)
+	if _, err := a.frec.Reconcile(); err != nil {
+		t.Fatal(err)
+	}
+	overflow := testDoc(t)
+	overflow.Chains = []config.ChainSpec{{PathID: 10, NFs: []string{"a", "b", "c"}, Weight: 1}}
+	for _, dry := range []bool{true, false} {
+		if err := a.convergeFabric(overflow, false, &Report{DryRun: dry}); err == nil || !strings.Contains(err.Error(), "DV001") {
+			t.Errorf("DV001, dry run %v: err = %v; want the build's refusal", dry, err)
+		}
+	}
 }
+
+// deepNF is an NF whose control block is a chain of dependent tables,
+// each keyed on the field the one before writes, so compiler.MinStages
+// reads the chain's length.
+type deepNF struct {
+	name  string
+	block *p4.ControlBlock
+}
+
+func newDeepNF(name string, tables int) *deepNF {
+	cb := &p4.ControlBlock{Name: name}
+	for i := 0; i < tables; i++ {
+		tbl := &p4.Table{
+			Name: fmt.Sprintf("%s_t%d", name, i),
+			Actions: []*p4.Action{{Name: "setf",
+				Ops: []p4.Op{{Kind: p4.OpSetField, Dst: p4.FieldRef(fmt.Sprintf("meta.%s_f%d", name, i))}}}},
+			Size: 1,
+		}
+		if i > 0 {
+			tbl.Keys = []p4.Key{{Field: p4.FieldRef(fmt.Sprintf("meta.%s_f%d", name, i-1)), Kind: p4.MatchExact, Bits: 8}}
+		}
+		cb.Tables = append(cb.Tables, tbl)
+		cb.Body = append(cb.Body, p4.ApplyStmt{Table: tbl.Name})
+	}
+	return &deepNF{name: name, block: cb}
+}
+
+func (d *deepNF) Name() string               { return d.name }
+func (d *deepNF) Block() *p4.ControlBlock    { return d.block }
+func (d *deepNF) Parser() *p4.ParserGraph    { return p4.SFCIPv4Parser() }
+func (d *deepNF) Execute(hdr *packet.Parsed) {}
 
 // TestApplyRejectsInvalidDocument: validation failures surface before
 // any converge and leave the applier untouched.

@@ -69,9 +69,10 @@ type Document struct {
 type FabricSpec struct {
 	// Switches is the fabric size (>= 2).
 	Switches int `json:"switches"`
-	// StageDemand inflates per-NF stage demand for the segmentation
-	// planner; absent NFs demand one stage, and a listed demand is at
-	// least one.
+	// StageDemand overrides per-NF MAU stage demand for the fabric
+	// placers; an absent NF is planned at its block's compiler.MinStages.
+	// A listed demand is at least one, and one below the NF's real
+	// demand plans a switch program that the build refuses (DV001).
 	StageDemand map[string]int `json:"stage_demand,omitempty"`
 	// Pin homes NFs on specific switches, e.g. {"fw": 1}. The
 	// fabric-mode analogue of single-switch placement hints: the

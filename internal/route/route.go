@@ -9,6 +9,7 @@ package route
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 
 	"dejavu/internal/asic"
@@ -178,6 +179,12 @@ func (p *Placement) Clone() *Placement {
 		c.Remote[k] = v
 	}
 	return c
+}
+
+// Equal reports whether two placements assign every NF, pipelet mode
+// and remote port alike.
+func (p *Placement) Equal(o *Placement) bool {
+	return maps.Equal(p.NF, o.NF) && maps.Equal(p.Mode, o.Mode) && maps.Equal(p.Remote, o.Remote)
 }
 
 // Validate checks the placement covers a chain and respects the
