@@ -57,11 +57,14 @@ bench-smoke:
 
 # Fabric chaos soak: the multi-switch fault-tolerance gate (DESIGN.md
 # §12) — reconciler + soak tests under the race detector (including the
-# remembered-plan differential walk), TestCLIGolden (`chaos -switches 3
+# remembered-plan differential walk and the all-or-nothing commit), the
+# single-switch round's tests (DESIGN.md §7, including its
+# level-triggered differential), TestCLIGolden (`chaos -switches 3
 # -json` seeds 1/7/42 against the committed cmd/dejavu/testdata bytes),
 # then the CLI over the canonical seeds.
 fabric-chaos: build
-	$(GO) test -race -run 'TestFabricChaos|TestReconciler' ./internal/core/ ./internal/cluster/
+	$(GO) test -race -run 'TestFabricChaos|TestReconciler|TestReconcilerCommitsAllOrNothing' ./internal/core/ ./internal/cluster/
+	$(GO) test -race -run 'TestReconcileLevelTriggered|TestHandlePort' ./internal/core/
 	$(GO) test -run 'TestCLIGolden' ./cmd/dejavu/
 	@for seed in 1 7 42; do \
 		$(GO) run ./cmd/dejavu chaos -switches 3 -seed $$seed -ticks 40 || exit 1; \

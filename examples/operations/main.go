@@ -73,15 +73,23 @@ func main() {
 
 	// --- Failure handling: a loopback port dies. -----------------------
 	fmt.Println("\n=== failure: loopback port 20 goes down ===")
-	rep, err := d.HandlePortDown(20)
+	// The port's admin state goes down on the switch; one reconcile
+	// round reads it and re-budgets (0: no offered-load check).
+	before := d.LoopbackGbps()
+	must(d.Switch.SetPortAdminState(20, false))
+	rep, err := d.Reconcile(0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  lost %.0f Gbps of recirculation bandwidth\n", rep.LostLoopbackGbps)
-	fmt.Printf("  remaining loopback: %.0f Gbps\n", rep.RemainingLoopbackGbps)
-	fmt.Printf("  sustainable offered load: %.0f Gbps\n", rep.SustainableOfferedGbps)
-	if len(rep.AffectedChains) > 0 {
-		fmt.Printf("  chains needing re-pointing: %v\n", rep.AffectedChains)
+	fmt.Printf("  lost %.0f Gbps of recirculation bandwidth\n", before-d.LoopbackGbps())
+	fmt.Printf("  remaining loopback: %.0f Gbps\n", d.LoopbackGbps())
+	sustainable := d.Capacity.ExternalGbps() // no chain recirculates
+	if k := d.WeightedRecirculations(); k > 0 {
+		sustainable = d.LoopbackGbps() / k
+	}
+	fmt.Printf("  sustainable offered load: %.0f Gbps\n", sustainable)
+	if len(rep.Repointed) > 0 {
+		fmt.Printf("  chains re-pointed: %v\n", rep.Repointed)
 	}
 	// Traffic continues to flow.
 	tr, err = d.Inject(2, dejavu.NewUDP(dejavu.UDPOpts{

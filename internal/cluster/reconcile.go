@@ -191,14 +191,6 @@ func (fd *FabricDeployment) SetChains(chains []route.Chain) error {
 	return nil
 }
 
-// chainsEqual compares two chain sets field by field, order included.
-func chainsEqual(a, b []route.Chain) bool {
-	return slices.EqualFunc(a, b, func(x, y route.Chain) bool {
-		return x.PathID == y.PathID && x.Weight == y.Weight && x.ExitPipeline == y.ExitPipeline &&
-			x.StaticExitPort == y.StaticExitPort && slices.Equal(x.NFs, y.NFs)
-	})
-}
-
 // Plan is a reconcile round without the commit, the fabric-mode dry
 // run behind `dejavu apply -dry-run`: it plans over the current
 // topology health and stages every switch build the plan changes, and
@@ -270,7 +262,7 @@ type rememberedPlan struct {
 // failed plan is not remembered.
 func (fd *FabricDeployment) desired() (p *fabricPlan) {
 	epoch := fd.Fabric.healthEpoch() // read before the health it stamps
-	if l := &fd.last; l.plan != nil && l.epoch == epoch && chainsEqual(l.chains, fd.Chains) &&
+	if l := &fd.last; l.plan != nil && l.epoch == epoch && route.EqualChains(l.chains, fd.Chains) &&
 		maps.Equal(l.demand, fd.StageDemand) && maps.Equal(l.pins, fd.Pins) {
 		return l.plan
 	}
@@ -504,11 +496,12 @@ func NewReconciler(dep *FabricDeployment) *Reconciler { return &Reconciler{Dep: 
 // always produce the same plan, programs and findings.
 func (r *Reconciler) Reconcile() (*ReconcileReport, error) { return r.Dep.round(true) }
 
-// stagedBuild is one switch's build, staged and not yet committed.
+// stagedBuild is one switch's build, staged and not yet committed, and
+// the build it replaces.
 type stagedBuild struct {
-	sw    int
-	next  pipeline.Installed
-	delta []route.EntryOp
+	sw         int
+	prev, next pipeline.Installed
+	delta      []route.EntryOp
 }
 
 // round runs one reconcile round: report element health, take the
@@ -517,8 +510,10 @@ type stagedBuild struct {
 // chain's switches leaves the others' programs untouched. With commit,
 // and only if every stage succeeded, it commits the staged builds in
 // ascending switch order and adopts the plan, so a refused build
-// touches no switch. A model deployment (no NF implementations) plans
-// without staging: a build needs the NFs.
+// touches no switch; a failed commit restores every switch the round
+// already committed, so the fabric keeps running its installed builds.
+// A model deployment (no NF implementations) plans without staging: a
+// build needs the NFs.
 func (fd *FabricDeployment) round(commit bool) (*ReconcileReport, error) {
 	rep := &ReconcileReport{Findings: lint.NewReport()}
 	fail := func(where string, err error) (*ReconcileReport, error) {
@@ -584,7 +579,7 @@ func (fd *FabricDeployment) round(commit bool) (*ReconcileReport, error) {
 			break // a model deployment has nothing to build
 		}
 		in := fd.inputsAt(p, s)
-		if cur := fd.installed[s].Res; cur != nil && chainsEqual(cur.Composer.Chains, in.Chains) &&
+		if cur := fd.installed[s].Res; cur != nil && route.EqualChains(cur.Composer.Chains, in.Chains) &&
 			cur.Composer.Placement.Equal(in.Placement) {
 			continue // per-chain convergence: an unchanged switch stays put
 		}
@@ -592,14 +587,25 @@ func (fd *FabricDeployment) round(commit bool) (*ReconcileReport, error) {
 		if err != nil {
 			return fail(fmt.Sprintf("switch %d", s), fmt.Errorf("cluster: switch %d build: %w", s, err))
 		}
-		builds = append(builds, stagedBuild{sw: s, next: next, delta: delta})
+		builds = append(builds, stagedBuild{sw: s, prev: fd.installed[s], next: next, delta: delta})
+	}
+	for i := 0; commit && i < len(builds); i++ {
+		b := builds[i]
+		if err := fd.installed[b.sw].Commit(fd.Fabric.Switches[b.sw], fd.Controllers[b.sw], fd.Drivers[b.sw].Apply, b.next, b.delta); err != nil {
+			err = fmt.Errorf("cluster: switch %d %w", b.sw, err)
+			// All or nothing: the switches this round already committed
+			// go back to their prior builds, last first.
+			for j := i - 1; j >= 0; j-- {
+				c := builds[j]
+				fd.installed[c.sw] = c.prev
+				if rerr := c.prev.Restore(fd.Fabric.Switches[c.sw]); rerr != nil {
+					err = fmt.Errorf("%w; rolling back switch %d failed: %v", err, c.sw, rerr)
+				}
+			}
+			return fail(fmt.Sprintf("switch %d", b.sw), err)
+		}
 	}
 	for _, b := range builds {
-		if commit {
-			if err := fd.installed[b.sw].Commit(fd.Fabric.Switches[b.sw], fd.Controllers[b.sw], fd.Drivers[b.sw].Apply, b.next, b.delta); err != nil {
-				return fail(fmt.Sprintf("switch %d", b.sw), fmt.Errorf("cluster: switch %d %w", b.sw, err))
-			}
-		}
 		rep.Changed = append(rep.Changed, b.sw)
 	}
 	for _, c := range p.active {

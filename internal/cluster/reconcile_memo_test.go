@@ -275,7 +275,7 @@ func TestReconcilerMemoDifferentialWalk(t *testing.T) {
 func sameInstalled(a, b *FabricDeployment) bool {
 	for s := range a.installed {
 		x, y := a.installed[s].Res, b.installed[s].Res
-		if (x == nil) != (y == nil) || x != nil && (!chainsEqual(x.Composer.Chains, y.Composer.Chains) ||
+		if (x == nil) != (y == nil) || x != nil && (!route.EqualChains(x.Composer.Chains, y.Composer.Chains) ||
 			!x.Composer.Placement.Equal(y.Composer.Placement)) {
 			return false
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -436,6 +437,79 @@ func TestReconcilerRollsBackOnPostCommitFailure(t *testing.T) {
 }
 
 var errTest = errors.New("injected post-commit failure")
+
+// TestReconcilerCommitsAllOrNothing: a round whose commit fails on one
+// switch restores every switch it already committed, last first, so
+// each switch keeps running its installed build, the installed routes
+// stand and probes follow them. The fault is a failed post-commit
+// check on each switch in turn: the initial round commits switches 0
+// and 1, and with switch 1 killed the next round commits 0 and 2. A
+// switch with no prior build goes back to empty programs.
+func TestReconcilerCommitsAllOrNothing(t *testing.T) {
+	for _, tc := range []struct {
+		fault int
+		kill  bool // fault the round after switch 1 dies, not the initial one
+	}{{0, true}, {1, false}, {2, true}} {
+		t.Run(fmt.Sprintf("switch %d", tc.fault), func(t *testing.T) {
+			_, f, fd, rec := newTestFabric(t)
+			if tc.kill {
+				if _, err := rec.Reconcile(); err != nil {
+					t.Fatal(err)
+				}
+				if err := f.KillSwitch(1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if plan, err := fd.Plan(); err != nil || !slices.Contains(plan.Changed, tc.fault) || plan.Changed[0] != 0 {
+				t.Fatalf("the round would commit %v, want switch 0 and %d: %v", plan.Changed, tc.fault, err)
+			}
+			routes, installed := fd.Routes, slices.Clone(fd.installed)
+			fd.Controllers[tc.fault].VerifyCommit = func() error { return errTest }
+			rep, err := rec.Reconcile()
+			if err == nil || !strings.Contains(err.Error(), "rolled back") || len(rep.Changed) != 0 {
+				t.Fatalf("reconcile through the fault: changed %v, %v", rep.Changed, err)
+			}
+			if !reflect.DeepEqual(fd.Routes, routes) {
+				t.Errorf("routes %v, want the installed %v", fd.Routes, routes)
+			}
+			for s, sw := range f.Switches {
+				var want any
+				if res := installed[s].Res; res != nil {
+					want = res.Dep.Runtime
+				}
+				if fd.installed[s] != installed[s] || sw.App() != want {
+					t.Errorf("switch %d does not run its installed build", s)
+				}
+			}
+			for _, pr := range scenario.Probes() {
+				r, routed := fd.Routes[pr.PathID]
+				ft, err := f.Inject(0, pr.Port, pr.Packet())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !routed {
+					if len(ft.Out) != 0 {
+						t.Errorf("%s probe with no installed route left switch %v", pr.Name, ft.OutSwitch)
+					}
+					continue
+				}
+				hops := len(ft.PerSwitch)
+				delivered := len(ft.Out) == 1 && hops == len(r.Path) && ft.OutSwitch[0] == r.Path[hops-1]
+				died := len(ft.Out) == 0 && hops < len(r.Path) &&
+					slices.Contains(ft.DropReasons, fmt.Sprintf("switch %d dead", r.Path[hops]))
+				if !delivered && !died {
+					t.Errorf("%s probe strays from its route %v: %d switch(es), out %v on %v, drops %v",
+						pr.Name, r.Path, hops, ft.Out, ft.OutSwitch, ft.DropReasons)
+				}
+			}
+			// Once the fault clears, the next round converges.
+			fd.Controllers[tc.fault].VerifyCommit = nil
+			if _, err := rec.Reconcile(); err != nil || probeAll(t, f) != 3 {
+				t.Errorf("the round after the fault: %v, or not every path delivered", err)
+			}
+		})
+	}
+}
 
 // TestReconcilerConvergesPerChain: a link cut that re-routes only one
 // chain reprograms only the switches whose programs actually changed;

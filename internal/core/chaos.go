@@ -17,19 +17,20 @@ import (
 )
 
 // This file is the chaos harness: it replays a seeded fault schedule
-// (internal/fault) against a live deployment, reconciles after every
-// tick, probes every chain end-to-end, and checks the §7 operational
-// invariants — no chain silently blackholed, capacity bookkeeping
-// consistent with the switch's loopback state, and a lint-clean
-// deployment after every repair. The same seed always reproduces the
-// identical event sequence, reconciler decisions and log.
+// (internal/fault) against a live deployment, runs one Reconcile round
+// after every tick, probes every chain end-to-end, and checks the §7
+// operational invariants — no chain silently blackholed, capacity
+// bookkeeping consistent with the switch's port state, and a
+// lint-clean deployment after every repair. The same seed always
+// reproduces the identical event sequence, round decisions and log.
 
 // ChaosOpts parameterizes a chaos run.
 type ChaosOpts struct {
 	Seed int64
 	// Ticks is the timeline length; zero means 40.
 	Ticks int
-	// OfferedGbps feeds the reconciler's capacity check; zero disables.
+	// OfferedGbps feeds the Reconcile round's capacity check; zero
+	// disables it.
 	OfferedGbps float64
 	// Schedule overrides the generated fault schedule when non-nil.
 	Schedule fault.Schedule
@@ -66,7 +67,9 @@ type ChaosResult struct {
 	// Driver reports the control-plane retry statistics of the Refresh
 	// write stream.
 	Driver fault.DriverStats `json:"driver"`
-	// Findings accumulates every reconcile's degradation report.
+	// Findings accumulates the degradation report of every round that
+	// changed something and the recirculation overloads the schedule
+	// fired.
 	Findings *lint.Report `json:"degradation"`
 	// Violations lists invariant breaches; empty means the run passed.
 	Violations []string `json:"violations"`
@@ -133,7 +136,6 @@ func RunChaos(cfg Config, opts ChaosOpts) (*ChaosResult, error) {
 	}
 	inj := fault.NewInjector(opts.Seed, sched)
 	d.Switch.SetFaultHook(inj)
-	rec := NewReconciler(d, opts.OfferedGbps)
 
 	res := &ChaosResult{Seed: opts.Seed, Ticks: ticks, Findings: lint.NewReport()}
 	var driver *fault.Driver
@@ -151,21 +153,35 @@ func RunChaos(cfg Config, opts ChaosOpts) (*ChaosResult, error) {
 	}
 
 	for tick := 1; tick <= ticks; tick++ {
-		// 1. Fire the tick's faults and reconcile each one.
+		// 1. Fire the tick's faults, then run one reconcile round over
+		// the switch's port state. A recirculation overload leaves no
+		// state to reconcile, so it is reported where it is seen; wire
+		// and table-write faults are absorbed by the parser and the
+		// retrying driver.
 		for _, ev := range inj.Advance(d.Switch) {
 			res.Events++
 			logf("%s", ev)
-			rep, err := rec.HandleEvent(ev)
-			if err != nil {
-				return res, fmt.Errorf("core: chaos tick %d: %w", tick, err)
+			if ev.Kind == fault.RecircOverload {
+				res.Findings.Add(lint.Finding{
+					Rule: RuleRCCapacity, Severity: lint.SevWarn,
+					Where:   fmt.Sprintf("port %d", ev.Port),
+					Message: fmt.Sprintf("recirculation queue overloaded for %d tick(s); transient loss expected", ev.Dur()),
+					Fix:     "add loopback ports or reduce weighted recirculations",
+				})
 			}
-			for _, a := range rep.Actions {
-				logf("t%03d heal: %s", tick, a)
-			}
-			res.Repoints += len(rep.Repointed)
-			if rep.Replaced {
-				res.Replacements++
-			}
+		}
+		rep, err := d.Reconcile(opts.OfferedGbps)
+		if err != nil {
+			return res, fmt.Errorf("core: chaos tick %d: %w", tick, err)
+		}
+		for _, a := range rep.Actions {
+			logf("t%03d heal: %s", tick, a)
+		}
+		res.Repoints += len(rep.Repointed)
+		if rep.Replaced {
+			res.Replacements++
+		}
+		if !rep.Converged { // a converged round re-reports the standing degradation
 			for _, f := range rep.Degradation.Findings {
 				res.Findings.Add(f)
 			}
@@ -194,7 +210,7 @@ func RunChaos(cfg Config, opts ChaosOpts) (*ChaosResult, error) {
 			case len(tr.Out) > 0:
 				res.Delivered++
 				logf("t%03d probe %s: delivered port %d", tick, pr.Name, tr.Out[0].Port)
-				if port, ok := staticExitOf(d, pr.PathID); ok && tr.Out[0].Port != port {
+				if port := staticExitOf(d.installed.Res.Composer.Chains, pr.PathID); port != 0 && tr.Out[0].Port != port {
 					violate(tick, "probe %s: exited port %d, static exit is %d",
 						pr.Name, tr.Out[0].Port, port)
 				}
@@ -220,39 +236,43 @@ func RunChaos(cfg Config, opts ChaosOpts) (*ChaosResult, error) {
 	return res, nil
 }
 
-// staticExitOf returns the current static exit port of a chain, if set.
-func staticExitOf(d *Deployment, pathID uint16) (asic.PortID, bool) {
-	for _, c := range d.Config.Chains {
-		if c.PathID == pathID && c.HasStaticExit() {
-			return c.StaticExitPort, true
-		}
-	}
-	return 0, false
-}
-
-// checkChaosInvariants audits the deployment after a reconcile step:
-// the capacity bookkeeping must match the switch's actual port state,
-// and the running programs must stay lint-clean.
+// checkChaosInvariants audits the deployment after a reconcile round:
+// the capacity bookkeeping and the loopback rotation must match the
+// switch's actual port state, and the running programs must stay
+// lint-clean.
 func checkChaosInvariants(d *Deployment, tick int, violate func(int, string, ...any)) {
-	// Capacity bookkeeping vs switch loopback state.
-	dead := d.DeadPorts()
-	if want := d.Config.Prof.TotalPorts() - len(dead); d.Capacity.TotalPorts != want {
-		violate(tick, "capacity: TotalPorts=%d, switch has %d live ports", d.Capacity.TotalPorts, want)
+	// Capacity bookkeeping vs switch port and loopback state.
+	prof, up := d.Config.Prof, 0
+	for p := 0; p < prof.TotalPorts(); p++ {
+		if d.Switch.PortIsUp(asic.PortID(p)) {
+			up++
+		}
 	}
-	if d.Capacity.LoopbackPorts != len(d.Config.LoopbackPorts) {
-		violate(tick, "capacity: LoopbackPorts=%d, config lists %d", d.Capacity.LoopbackPorts, len(d.Config.LoopbackPorts))
+	if d.Capacity.TotalPorts != up {
+		violate(tick, "capacity: TotalPorts=%d, switch has %d live ports", d.Capacity.TotalPorts, up)
 	}
+	live := 0
 	for _, p := range d.Config.LoopbackPorts {
-		if d.Switch.LoopbackModeOf(p) == asic.LoopbackOff {
+		switch {
+		case !d.Switch.PortIsUp(p):
+			if d.Switch.LoopbackModeOf(p) != asic.LoopbackOff {
+				violate(tick, "capacity: dead port %d still in loopback mode", p)
+			}
+		case d.Switch.LoopbackModeOf(p) == asic.LoopbackOff:
 			violate(tick, "capacity: port %d budgeted as loopback but not in loopback mode", p)
-		}
-		if !d.Switch.PortIsUp(p) {
-			violate(tick, "capacity: port %d budgeted as loopback but administratively down", p)
+			live++
+		default:
+			live++
 		}
 	}
-	for _, p := range dead {
-		if d.Switch.LoopbackModeOf(p) != asic.LoopbackOff {
-			violate(tick, "capacity: dead port %d still in loopback mode", p)
+	if d.Capacity.LoopbackPorts != live {
+		violate(tick, "capacity: LoopbackPorts=%d, %d declared loopback ports are up", d.Capacity.LoopbackPorts, live)
+	}
+	for _, ports := range d.loops.ports.Load().byPipe {
+		for _, p := range ports {
+			if !d.Switch.PortIsUp(p) {
+				violate(tick, "capacity: port %d budgeted as loopback but administratively down", p)
+			}
 		}
 	}
 	// The running programs must stay statically clean after every repair.

@@ -77,9 +77,10 @@ func TestChaosDeterministic(t *testing.T) {
 }
 
 // TestChaosScriptedExitFailure pins the headline self-healing story:
-// the static exit port dies mid-run, the reconciler re-points the
-// chain, and the probe keeps delivering — no invariant violations, and
-// the transcript shows the repair.
+// the static exit port dies mid-run, the round re-points the chain,
+// and the probe keeps delivering — no invariant violations, the
+// transcript shows the repair, and the chain returns to its declared
+// exit when the port recovers.
 func TestChaosScriptedExitFailure(t *testing.T) {
 	cfg, probes, err := EdgeChaosConfig()
 	if err != nil {
@@ -107,13 +108,19 @@ func TestChaosScriptedExitFailure(t *testing.T) {
 	if res.Delivered != 24 {
 		t.Errorf("delivered = %d, want 24 (4 probes x 6 ticks)", res.Delivered)
 	}
-	healed := false
-	for _, line := range res.Log {
-		if strings.Contains(line, "chain 40 re-pointed to port 31") {
-			healed = true
-		}
+	log := strings.Join(res.Log, "\n")
+	if !strings.Contains(log, "t002 heal: chain 40 re-pointed to port 31") {
+		t.Errorf("transcript missing the re-point action:\n%s", log)
 	}
-	if !healed {
-		t.Errorf("transcript missing the re-point action:\n%s", strings.Join(res.Log, "\n"))
+	// The chain follows its declared intent: off port 30 while it is
+	// down, back on it once it recovers.
+	for tick := 1; tick <= 6; tick++ {
+		want := 30
+		if tick >= 2 && tick < 5 {
+			want = 31
+		}
+		if line := fmt.Sprintf("t%03d probe static-exit: delivered port %d", tick, want); !strings.Contains(log, line) {
+			t.Errorf("transcript missing %q:\n%s", line, log)
+		}
 	}
 }

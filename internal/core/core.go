@@ -14,7 +14,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"dejavu/internal/asic"
@@ -57,8 +56,8 @@ type Config struct {
 	// pinned to the entry ingress automatically when present).
 	Pin map[string]asic.PipeletID
 	// LoopbackPorts puts extra front-panel ports into on-chip loopback
-	// mode for recirculation bandwidth (§4); the per-pipeline dedicated
-	// recirculation ports are always available.
+	// mode for recirculation bandwidth (§4) while they are up; the
+	// per-pipeline dedicated recirculation ports are always available.
 	LoopbackPorts []asic.PortID
 	// AnnealSeed seeds the annealing optimizer.
 	AnnealSeed int64
@@ -92,7 +91,9 @@ type Deployment struct {
 	Controller *ctl.Controller
 	Placement  *route.Placement
 	Cost       route.Cost
-	Chains     []ChainReport
+	// Chains reports each installed chain as it runs, on the static exit
+	// the port health allows; Config.Chains holds the declared exits.
+	Chains []ChainReport
 	// Plans holds the per-pipelet stage allocations.
 	Plans map[asic.PipeletID]*compiler.Plan
 	// Resources is the Table-1 style framework overhead report.
@@ -134,25 +135,17 @@ type Deployment struct {
 	// reconfigurations rebuild and push only what changed.
 	installed pipeline.Installed
 	loops     *loopbackPool
-	// dead tracks ports taken out by HandlePortDown so repeat failures
-	// cannot double-decrement capacity and HandlePortUp can restore the
-	// port's prior role.
-	dead map[asic.PortID]deadPort
-}
-
-// deadPort remembers what a failed port was doing when it died.
-type deadPort struct {
-	wasLoopback bool
+	// down lists the front-panel ports the last Reconcile round found
+	// down, ascending: what the next round reports changes against.
+	down []asic.PortID
 }
 
 // loopbackPool round-robins recirculation traffic over a pipeline's
 // loopback ports, falling back to the dedicated recirculation port.
-// Ports can be removed at runtime (failure handling). choose runs once
-// per recirculated packet, so it takes no lock: the port lists are an
-// immutable snapshot that add and remove replace, and a pipeline
-// served by its dedicated port alone touches no shared counter.
+// choose runs once per recirculated packet, so it takes no lock: the
+// port lists are an immutable snapshot that publish replaces, and a
+// pipeline served by its dedicated port alone touches no shared counter.
 type loopbackPool struct {
-	mu    sync.Mutex // serialises add and remove
 	ports atomic.Pointer[loopbackPorts]
 	// rr counts, per pipeline, the packets rotated over its ports.
 	rr []atomic.Uint64
@@ -162,17 +155,6 @@ type loopbackPool struct {
 // loopback ports of each pipeline, indexed by pipeline.
 type loopbackPorts struct {
 	byPipe [][]asic.PortID
-}
-
-//dv:snapshotwriter
-func newLoopbackPool(pipelines int, byPipe map[int][]asic.PortID) *loopbackPool {
-	p := &loopbackPool{rr: make([]atomic.Uint64, pipelines)}
-	lp := &loopbackPorts{byPipe: make([][]asic.PortID, pipelines)}
-	for pipe, ports := range byPipe {
-		lp.byPipe[pipe] = ports
-	}
-	p.ports.Store(lp)
-	return p
 }
 
 func (p *loopbackPool) choose(pipeline int) asic.PortID { return p.pick(pipeline, 1) }
@@ -192,50 +174,37 @@ func (p *loopbackPool) pick(pipeline int, step uint64) asic.PortID {
 	return ports[n%uint64(len(ports))]
 }
 
-// replace publishes the rotation with one pipeline's ports swapped for
-// the list edit returns; a nil list leaves the rotation as it is.
+// publish is the one writer of the loopback ports: each declared port
+// that is up is put in loopback mode and in its pipeline's rotation, in
+// declared order; each one that is down leaves both. It writes only
+// what changed and returns how many ports are live.
 //
 //dv:snapshotwriter
-func (p *loopbackPool) replace(pipeline int, edit func(ports []asic.PortID) []asic.PortID) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	cur := p.ports.Load()
-	if pipeline < 0 || pipeline >= len(cur.byPipe) {
-		return false
-	}
-	ports := edit(cur.byPipe[pipeline])
-	if ports == nil {
-		return false
-	}
-	next := &loopbackPorts{byPipe: append([][]asic.PortID(nil), cur.byPipe...)}
-	next.byPipe[pipeline] = ports
-	p.ports.Store(next)
-	return true
-}
-
-// add returns a port to the rotation (recovery), keeping the pool
-// duplicate-free.
-func (p *loopbackPool) add(port asic.PortID, pipeline int) {
-	p.replace(pipeline, func(ports []asic.PortID) []asic.PortID {
-		for _, candidate := range ports {
-			if candidate == port {
-				return nil
+func (p *loopbackPool) publish(sw *asic.Switch, declared []asic.PortID) (int, error) {
+	prof := sw.Profile()
+	next := &loopbackPorts{byPipe: make([][]asic.PortID, prof.Pipelines)}
+	live := 0
+	for _, port := range declared {
+		if !prof.ValidPort(port) || asic.IsRecircPort(port) || port == asic.PortCPU {
+			return 0, fmt.Errorf("core: loopback %d: not a front-panel port", port)
+		}
+		up, mode := sw.PortIsUp(port), asic.LoopbackOff
+		if up {
+			mode = asic.LoopbackOnChip
+			pipe := prof.PipelineOf(port)
+			next.byPipe[pipe] = append(next.byPipe[pipe], port)
+			live++
+		}
+		if sw.LoopbackModeOf(port) != mode {
+			if err := sw.SetLoopback(port, mode); err != nil {
+				return 0, fmt.Errorf("core: loopback %d: %w", port, err)
 			}
 		}
-		return append(ports[:len(ports):len(ports)], port)
-	})
-}
-
-// remove drops a port from rotation, reporting whether it was present.
-func (p *loopbackPool) remove(port asic.PortID, pipeline int) bool {
-	return p.replace(pipeline, func(ports []asic.PortID) []asic.PortID {
-		for i, candidate := range ports {
-			if candidate == port {
-				return append(ports[:i:i], ports[i+1:]...)
-			}
-		}
-		return nil
-	})
+	}
+	if cur := p.ports.Load(); cur == nil || !slices.EqualFunc(cur.byPipe, next.byPipe, slices.Equal[[]asic.PortID]) {
+		p.ports.Store(next)
+	}
+	return live, nil
 }
 
 // P4Source renders the deployment as a single multi-pipeline
@@ -336,25 +305,19 @@ func Deploy(cfg Config) (*Deployment, error) {
 	}
 
 	sw := asic.New(cfg.Prof)
-	loopsByPipe := make(map[int][]asic.PortID)
-	for _, port := range cfg.LoopbackPorts {
-		if err := sw.SetLoopback(port, asic.LoopbackOnChip); err != nil {
-			return nil, fmt.Errorf("core: loopback %d: %w", port, err)
-		}
-		pipe := cfg.Prof.PipelineOf(port)
-		loopsByPipe[pipe] = append(loopsByPipe[pipe], port)
-	}
 	// Spread recirculation over the configured loopback ports of each
 	// pipeline (§5 puts 16 ports in loopback for exactly this
-	// bandwidth); the dedicated recirculation port is the fallback. The
-	// pool is shared with the deployment so port failures remove dead
-	// ports from rotation.
-	d.loops = newLoopbackPool(cfg.Prof.Pipelines, loopsByPipe)
+	// bandwidth); the dedicated recirculation port is the fallback.
+	d.loops = &loopbackPool{rr: make([]atomic.Uint64, cfg.Prof.Pipelines)}
+	live, err := d.loops.publish(sw, cfg.LoopbackPorts)
+	if err != nil {
+		return nil, err
+	}
 	d.Switch, d.Controller = sw, ctl.New(sw, cfg.NFs)
 	d.Driver = fault.NewDriver(d.Controller)
 	d.Capacity = recirc.CapacitySplit{
 		TotalPorts:    cfg.Prof.TotalPorts(),
-		LoopbackPorts: len(cfg.LoopbackPorts),
+		LoopbackPorts: live,
 		PortGbps:      cfg.Prof.PortGbps,
 	}
 	if err := d.commit(st); err != nil {
@@ -381,7 +344,7 @@ func (d *Deployment) adopt(st *staged) {
 	d.Plans = res.Plans
 	d.Resources = compiler.FrameworkReport(st.cfg.Prof, sortedPlans(res.Plans))
 	d.ParserStates = res.Dep.Parser.ParseStates()
-	d.Chains = chainReports(st.cfg.Chains, res.Traversals)
+	d.Chains = chainReports(res.Composer.Chains, res.Traversals)
 	d.Lint = res.Lint
 	d.LastBuild = res.Info
 	d.LastDelta = st.delta

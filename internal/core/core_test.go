@@ -174,9 +174,11 @@ func TestDeployErrors(t *testing.T) {
 		t.Error("unknown optimizer accepted")
 	}
 	bad := edgeConfig()
-	bad.LoopbackPorts = []asic.PortID{999}
-	if _, err := Deploy(bad); err == nil {
-		t.Error("invalid loopback port accepted")
+	for _, port := range []asic.PortID{999, asic.RecircPort(0), asic.PortCPU} {
+		bad.LoopbackPorts = []asic.PortID{port}
+		if _, err := Deploy(bad); err == nil {
+			t.Errorf("loopback port %d accepted", port)
+		}
 	}
 }
 

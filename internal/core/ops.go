@@ -10,11 +10,10 @@ import (
 	"dejavu/internal/route"
 )
 
-// This file implements the operational concerns §7 raises ("service
-// upgrade and expansion, failure handling"): live chain updates that
-// recompose and atomically swap the pipelet programs on the running
-// switch, and loopback-port failure handling with capacity
-// re-analysis.
+// This file implements the service upgrade and expansion half of the
+// operational concerns §7 raises: live chain updates that recompose and
+// atomically swap the pipelet programs on the running switch. Failure
+// handling is the Reconcile round (reconcile.go).
 
 // Update is a target state for a running deployment: the chain set
 // plus the settings a live update can change without a redeploy. Every
@@ -81,8 +80,11 @@ func (d *Deployment) PlanReconfigure(chains []route.Chain) (*pipeline.Result, []
 }
 
 // Apply stages u and commits it to the live switch.
-func (d *Deployment) Apply(u Update) error {
-	st, err := d.stage(u)
+func (d *Deployment) Apply(u Update) error { return d.apply(u, nil) }
+
+// apply is Apply under a given placement (nil: the derived one).
+func (d *Deployment) apply(u Update, placement *route.Placement) error {
+	st, err := d.stage(u, placement)
 	if err != nil {
 		return err
 	}
@@ -94,7 +96,7 @@ func (d *Deployment) Apply(u Update) error {
 // the switch untouched. It fails exactly where Apply would before its
 // first write.
 func (d *Deployment) Plan(u Update) (*pipeline.Result, []route.EntryOp, error) {
-	st, err := d.stage(u)
+	st, err := d.stage(u, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -109,8 +111,10 @@ type staged struct {
 }
 
 // stage computes everything an update needs short of touching the
-// switch or the deployment.
-func (d *Deployment) stage(u Update) (*staged, error) {
+// switch or the deployment. The build runs each chain on the exit the
+// switch's port health allows (exits), under placement when it is
+// non-nil and the derived placement otherwise.
+func (d *Deployment) stage(u Update, placement *route.Placement) (*staged, error) {
 	if len(u.Chains) == 0 {
 		return nil, fmt.Errorf("core: refusing to reconfigure to zero chains")
 	}
@@ -126,18 +130,54 @@ func (d *Deployment) stage(u Update) (*staged, error) {
 			}
 		}
 	}
-	placement, err := d.derivePlacement(cfg, u.Replace)
-	if err != nil {
-		return nil, err
+	var err error
+	if placement == nil {
+		if placement, err = d.derivePlacement(cfg, u.Replace); err != nil {
+			return nil, err
+		}
 	}
 	if err := placement.Validate(cfg.Prof, cfg.Chains); err != nil {
 		return nil, err
 	}
+	build := cfg
+	build.Chains, _ = d.exits(cfg)
 	st := &staged{cfg: cfg}
-	if st.next, st.delta, err = d.installed.Stage(buildInputs(cfg, placement)); err != nil {
+	if st.next, st.delta, err = d.installed.Stage(buildInputs(build, placement)); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	return st, nil
+}
+
+// exits returns cfg's chains with every static exit on a port that is
+// up: the declared one when it is, else the lowest healthy port of the
+// chain's exit pipeline. A chain with neither keeps its declared exit
+// and is listed in blackholed.
+func (d *Deployment) exits(cfg Config) (chains, blackholed []route.Chain) {
+	chains = slices.Clone(cfg.Chains)
+	for i, c := range chains {
+		if !c.HasStaticExit() || d.Switch.PortIsUp(c.StaticExitPort) {
+			continue
+		}
+		if port, ok := healthyExitPort(cfg, d.Switch, c.ExitPipeline); ok {
+			chains[i].StaticExitPort = port
+		} else {
+			blackholed = append(blackholed, c)
+		}
+	}
+	return chains, blackholed
+}
+
+// healthyExitPort is the lowest-numbered port of a pipeline a chain can
+// exit through: up, not a declared loopback port, and not port 0, which
+// Chain.StaticExitPort reads as "no static exit".
+func healthyExitPort(cfg Config, sw *asic.Switch, pipeline int) (asic.PortID, bool) {
+	base := pipeline * cfg.Prof.PortsPerPipeline
+	for p := base; p < base+cfg.Prof.PortsPerPipeline; p++ {
+		if port := asic.PortID(p); port != 0 && sw.PortIsUp(port) && !slices.Contains(cfg.LoopbackPorts, port) {
+			return port, true
+		}
+	}
+	return 0, false
 }
 
 // derivePlacement is an update's one fork. Unless asked to re-resolve,
@@ -223,123 +263,4 @@ func (d *Deployment) commit(st *staged) error {
 		d.Rebuild.ObserveSwap(len(st.delta), len(res.ChangedFuncs))
 	}
 	return nil
-}
-
-// PortDownReport describes the impact of a failed port.
-type PortDownReport struct {
-	Port asic.PortID
-	// WasLoopback reports whether the port carried recirculation
-	// bandwidth.
-	WasLoopback bool
-	// LostLoopbackGbps is the recirculation bandwidth lost.
-	LostLoopbackGbps float64
-	// AffectedChains lists chains whose static exit port died.
-	AffectedChains []uint16
-	// RemainingLoopbackGbps is the post-failure recirculation budget.
-	RemainingLoopbackGbps float64
-	// SustainableOfferedGbps is the offered load the remaining loopback
-	// budget sustains losslessly at the deployment's weighted
-	// recirculation count.
-	SustainableOfferedGbps float64
-}
-
-// HandlePortDown processes a front-panel port failure: loopback
-// bandwidth is re-budgeted and chains that statically exit through the
-// dead port are reported so the operator (or controller) can re-point
-// them. A port already handled is rejected — capacity must never be
-// decremented twice for one failure.
-func (d *Deployment) HandlePortDown(port asic.PortID) (PortDownReport, error) {
-	if !d.Config.Prof.ValidPort(port) || asic.IsRecircPort(port) || port == asic.PortCPU {
-		return PortDownReport{}, fmt.Errorf("core: port %d is not a front-panel port", port)
-	}
-	if _, gone := d.dead[port]; gone {
-		return PortDownReport{}, fmt.Errorf("core: port %d is already down", port)
-	}
-	rep := PortDownReport{Port: port}
-	if d.dead == nil {
-		d.dead = make(map[asic.PortID]deadPort)
-	}
-	if d.Switch.LoopbackModeOf(port) != asic.LoopbackOff {
-		rep.WasLoopback = true
-		rep.LostLoopbackGbps = d.Config.Prof.PortGbps
-		if err := d.Switch.SetLoopback(port, asic.LoopbackOff); err != nil {
-			return rep, err
-		}
-		// Update the capacity bookkeeping.
-		d.Config.LoopbackPorts = slices.DeleteFunc(slices.Clone(d.Config.LoopbackPorts),
-			func(p asic.PortID) bool { return p == port })
-		d.Capacity.LoopbackPorts = len(d.Config.LoopbackPorts)
-		// Take it out of the recirculation rotation so no traffic is
-		// steered into a dead port.
-		d.loops.remove(port, d.Config.Prof.PipelineOf(port))
-	}
-	// The failed port no longer serves external traffic either.
-	d.Capacity.TotalPorts--
-	d.dead[port] = deadPort{wasLoopback: rep.WasLoopback}
-	for _, c := range d.Config.Chains {
-		if c.StaticExitPort == port {
-			rep.AffectedChains = append(rep.AffectedChains, c.PathID)
-		}
-	}
-	rep.RemainingLoopbackGbps = d.LoopbackGbps()
-	k := d.WeightedRecirculations()
-	if k > 0 {
-		rep.SustainableOfferedGbps = rep.RemainingLoopbackGbps / k
-	} else {
-		rep.SustainableOfferedGbps = d.Capacity.ExternalGbps()
-	}
-	return rep, nil
-}
-
-// PortUpReport describes the effect of a recovered port.
-type PortUpReport struct {
-	Port asic.PortID
-	// RestoredLoopback reports whether the port resumed its
-	// recirculation role.
-	RestoredLoopback bool
-	// RestoredLoopbackGbps is the recirculation bandwidth regained.
-	RestoredLoopbackGbps float64
-	// RemainingLoopbackGbps is the post-recovery recirculation budget.
-	RemainingLoopbackGbps float64
-}
-
-// HandlePortUp is the recovery inverse of HandlePortDown: the port
-// returns to capacity bookkeeping and, if it carried recirculation
-// bandwidth before it died, its loopback mode and place in the
-// rotation are restored. Only ports previously taken down by
-// HandlePortDown can be brought back.
-func (d *Deployment) HandlePortUp(port asic.PortID) (PortUpReport, error) {
-	if !d.Config.Prof.ValidPort(port) || asic.IsRecircPort(port) || port == asic.PortCPU {
-		return PortUpReport{}, fmt.Errorf("core: port %d is not a front-panel port", port)
-	}
-	was, gone := d.dead[port]
-	if !gone {
-		return PortUpReport{}, fmt.Errorf("core: port %d is not down", port)
-	}
-	rep := PortUpReport{Port: port}
-	if was.wasLoopback {
-		if err := d.Switch.SetLoopback(port, asic.LoopbackOnChip); err != nil {
-			return rep, err
-		}
-		rep.RestoredLoopback = true
-		rep.RestoredLoopbackGbps = d.Config.Prof.PortGbps
-		d.Config.LoopbackPorts = append(d.Config.LoopbackPorts, port)
-		d.Capacity.LoopbackPorts = len(d.Config.LoopbackPorts)
-		d.loops.add(port, d.Config.Prof.PipelineOf(port))
-	}
-	d.Capacity.TotalPorts++
-	delete(d.dead, port)
-	rep.RemainingLoopbackGbps = d.LoopbackGbps()
-	return rep, nil
-}
-
-// DeadPorts returns the ports currently taken out by HandlePortDown,
-// in ascending order.
-func (d *Deployment) DeadPorts() []asic.PortID {
-	out := make([]asic.PortID, 0, len(d.dead))
-	for p := range d.dead {
-		out = append(out, p)
-	}
-	slices.Sort(out)
-	return out
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -164,19 +166,21 @@ func TestHandlePortDownLoopback(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := d.LoopbackGbps()
-	rep, err := d.HandlePortDown(20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.WasLoopback || rep.LostLoopbackGbps != 100 {
-		t.Errorf("report = %+v", rep)
+	portState(t, d, false, 20)
+	rep := reconcile(t, d, 0)
+	down := rep.Degradation.ByRule(RuleRCPortDown)
+	if len(down) != 1 || down[0].Severity != lint.SevWarn || !strings.Contains(down[0].Message, "loopback=true") {
+		t.Errorf("RC001 = %v, want one loopback-port warning", down)
 	}
 	if d.LoopbackGbps() != before-100 {
 		t.Errorf("loopback budget = %v, want %v", d.LoopbackGbps(), before-100)
 	}
+	if d.Switch.LoopbackModeOf(20) != asic.LoopbackOff || slices.Contains(d.loops.ports.Load().byPipe[1], 20) {
+		t.Error("dead port 20 still in loopback mode or in the rotation")
+	}
 	// k=1: sustainable offered equals remaining loopback budget.
-	if rep.SustainableOfferedGbps != rep.RemainingLoopbackGbps {
-		t.Errorf("sustainable = %v, want %v", rep.SustainableOfferedGbps, rep.RemainingLoopbackGbps)
+	if d.sustainableGbps() != d.LoopbackGbps() {
+		t.Errorf("sustainable = %v, want %v", d.sustainableGbps(), d.LoopbackGbps())
 	}
 	// Traffic still flows (recirc uses the dedicated port in the model).
 	tr, err := d.Inject(scenario.PortClient, scenario.InternetBound())
@@ -194,25 +198,11 @@ func TestHandlePortDownStaticExit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := d.HandlePortDown(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.AffectedChains) != 1 || rep.AffectedChains[0] != scenario.PathBasic {
-		t.Errorf("AffectedChains = %v", rep.AffectedChains)
-	}
-}
-
-func TestHandlePortDownValidation(t *testing.T) {
-	d, err := Deploy(edgeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.HandlePortDown(asic.RecircPort(0)); err == nil {
-		t.Error("recirc port failure accepted")
-	}
-	if _, err := d.HandlePortDown(999); err == nil {
-		t.Error("invalid port accepted")
+	portState(t, d, false, 5)
+	rep := reconcile(t, d, 0)
+	want := map[uint16]asic.PortID{scenario.PathBasic: 1} // pipeline 0's lowest healthy port
+	if !maps.Equal(rep.Repointed, want) {
+		t.Errorf("Repointed = %v, want %v", rep.Repointed, want)
 	}
 }
 
@@ -284,11 +274,8 @@ func TestLoopbackSpreading(t *testing.T) {
 
 	// After the pool's ports fail, recirculation falls back to the
 	// dedicated port and traffic keeps flowing.
-	for p := asic.PortID(16); p < 20; p++ {
-		if _, err := d.HandlePortDown(p); err != nil {
-			t.Fatal(err)
-		}
-	}
+	portState(t, d, false, 16, 17, 18, 19)
+	reconcile(t, d, 0)
 	tr, err := d.Inject(scenario.PortClient, scenario.InternetBound())
 	if err != nil || tr.Dropped {
 		t.Fatalf("traffic broken after pool drained: %v", err)
@@ -432,6 +419,8 @@ func TestSwapRollbackOnPostInstallFailure(t *testing.T) {
 	}
 }
 
+// A port that stays down is one failure: later rounds neither count it
+// again nor report it again.
 func TestHandlePortDownRepeatRejected(t *testing.T) {
 	cfg := edgeConfig()
 	for p := 16; p < 20; p++ {
@@ -442,31 +431,34 @@ func TestHandlePortDownRepeatRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := d.Capacity.TotalPorts
-	if _, err := d.HandlePortDown(18); err != nil {
-		t.Fatal(err)
-	}
+	portState(t, d, false, 18)
+	reconcile(t, d, 0)
 	if d.Capacity.TotalPorts != total-1 {
 		t.Fatalf("TotalPorts = %d, want %d", d.Capacity.TotalPorts, total-1)
 	}
-	// The repeat must be rejected and must NOT decrement again.
-	if _, err := d.HandlePortDown(18); err == nil {
-		t.Fatal("second HandlePortDown for the same port accepted")
+	// The repeat — the same admin state written again, then a round —
+	// must change nothing and decrement nothing.
+	portState(t, d, false, 18)
+	if rep := reconcile(t, d, 0); !rep.Converged || len(rep.Degradation.Findings) != 0 {
+		t.Errorf("repeat round: converged %v, findings %v", rep.Converged, rep.Degradation)
 	}
 	if d.Capacity.TotalPorts != total-1 {
 		t.Errorf("TotalPorts double-decremented: %d, want %d", d.Capacity.TotalPorts, total-1)
 	}
 	// Same for a non-loopback port.
-	if _, err := d.HandlePortDown(5); err != nil {
-		t.Fatal(err)
+	portState(t, d, false, 5)
+	if rep := reconcile(t, d, 0); len(rep.Degradation.ByRule(RuleRCPortDown)) != 1 {
+		t.Errorf("port 5 failure: %v", rep.Degradation)
 	}
-	if _, err := d.HandlePortDown(5); err == nil {
-		t.Error("repeat failure of front-panel port accepted")
+	portState(t, d, false, 5)
+	if rep := reconcile(t, d, 0); !rep.Converged {
+		t.Errorf("repeat failure of front-panel port reported again: %v", rep.Degradation)
 	}
 	if d.Capacity.TotalPorts != total-2 {
 		t.Errorf("TotalPorts = %d, want %d", d.Capacity.TotalPorts, total-2)
 	}
-	if got := d.DeadPorts(); len(got) != 2 || got[0] != 5 || got[1] != 18 {
-		t.Errorf("DeadPorts = %v", got)
+	if d.Capacity.LoopbackPorts != 3 {
+		t.Errorf("LoopbackPorts = %d, want 3", d.Capacity.LoopbackPorts)
 	}
 }
 
@@ -483,15 +475,12 @@ func TestHandlePortUpRestoresLoopback(t *testing.T) {
 	totalBefore := d.Capacity.TotalPorts
 
 	// Down → up → down must be symmetric at every step.
-	if _, err := d.HandlePortDown(17); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := d.HandlePortUp(17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.RestoredLoopback || rep.RestoredLoopbackGbps != 100 {
-		t.Errorf("up report = %+v", rep)
+	portState(t, d, false, 17)
+	reconcile(t, d, 0)
+	portState(t, d, true, 17)
+	rep := reconcile(t, d, 0)
+	if n := len(rep.Degradation.ByRule(RuleRCRecovered)); n != 1 || !slices.Contains(rep.Actions, "port 17 up: restored (loopback=true)") {
+		t.Errorf("up round = %+v", rep)
 	}
 	if d.LoopbackGbps() != before {
 		t.Errorf("loopback budget = %v, want %v restored", d.LoopbackGbps(), before)
@@ -505,8 +494,12 @@ func TestHandlePortUpRestoresLoopback(t *testing.T) {
 	if d.Switch.LoopbackModeOf(17) != asic.LoopbackOnChip {
 		t.Error("switch loopback mode not restored")
 	}
-	// The port is back in the recirculation rotation: with all four
-	// pool ports alive again, sustained traffic touches port 17.
+	// The port is back in the recirculation rotation, in its declared
+	// place: with all four pool ports alive again, sustained traffic
+	// touches port 17.
+	if got := d.loops.ports.Load().byPipe[1]; !slices.Equal(got, cfg.LoopbackPorts) {
+		t.Errorf("rotation = %v, want the declared %v", got, cfg.LoopbackPorts)
+	}
 	for i := 0; i < 16; i++ {
 		if _, err := d.Inject(scenario.PortClient, scenario.InternetBound()); err != nil {
 			t.Fatal(err)
@@ -517,25 +510,21 @@ func TestHandlePortUpRestoresLoopback(t *testing.T) {
 	}
 
 	// Second down works again after recovery.
-	if _, err := d.HandlePortDown(17); err != nil {
-		t.Fatalf("down after up rejected: %v", err)
-	}
+	portState(t, d, false, 17)
+	reconcile(t, d, 0)
 	if d.LoopbackGbps() != before-100 {
 		t.Errorf("loopback budget after re-down = %v, want %v", d.LoopbackGbps(), before-100)
 	}
-	// Up of a port that never went down is rejected.
-	if _, err := d.HandlePortUp(3); err == nil {
-		t.Error("HandlePortUp on healthy port accepted")
+	// Up of a port that never went down is no change.
+	portState(t, d, true, 3)
+	if rep := reconcile(t, d, 0); !rep.Converged {
+		t.Errorf("healthy port 3 reported: %v", rep.Actions)
 	}
 	// Up of a plain (non-loopback) port restores only external capacity.
-	if _, err := d.HandlePortDown(5); err != nil {
-		t.Fatal(err)
-	}
-	rep, err = d.HandlePortUp(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.RestoredLoopback {
-		t.Error("plain port reported loopback restore")
+	portState(t, d, false, 5)
+	reconcile(t, d, 0)
+	portState(t, d, true, 5)
+	if rep := reconcile(t, d, 0); !slices.Contains(rep.Actions, "port 5 up: restored (loopback=false)") {
+		t.Errorf("plain port up round: %v", rep.Actions)
 	}
 }

@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dejavu/internal/asic"
-	"dejavu/internal/fault"
 	"dejavu/internal/lint"
+	"dejavu/internal/pipeline"
 	"dejavu/internal/route"
 )
 
@@ -17,7 +17,8 @@ const (
 	RuleRCPortDown = "RC001"
 	// RuleRCRepoint: a chain's static exit was re-pointed to a live port.
 	RuleRCRepoint = "RC002"
-	// RuleRCCapacity: sustainable capacity dropped below offered load.
+	// RuleRCCapacity: sustainable capacity is below offered load, or a
+	// recirculation queue overloaded.
 	RuleRCCapacity = "RC003"
 	// RuleRCBlackhole: a chain has no healthy exit — operator action
 	// required. The only error-severity degradation.
@@ -28,112 +29,153 @@ const (
 	RuleRCReplaced = "RC006"
 )
 
-// ReconcileReport is the structured outcome of reconciling one fault
-// event: what the reconciler did, and a degradation report in the
-// lint findings format.
+// ReconcileReport is the structured outcome of one Reconcile round:
+// what the round changed, and the deployment's health in the lint
+// findings format.
 type ReconcileReport struct {
-	Event fault.Event
+	// Converged reports that the port health had not changed since the
+	// last round and nothing was reprogrammed.
+	Converged bool
 	// Actions lists what was changed, in execution order, as
 	// deterministic human-readable lines.
 	Actions []string
-	// Degradation collects findings about the deployment's post-event
-	// health; error severity means the reconciler could not self-heal.
+	// Degradation collects findings about the deployment's health;
+	// error severity means the round could not self-heal.
 	Degradation *lint.Report
-	// Repointed maps chain path IDs to their new static exit ports.
+	// Repointed maps the chains this round moved off their declared
+	// static exit to the port they now exit through.
 	Repointed map[uint16]asic.PortID
 	// Replaced reports whether placement was re-optimized.
 	Replaced bool
 }
 
-// Reconciler is the self-healing loop of a live deployment: it
-// consumes fault events (port flaps, overloads) and port-health
-// signals, repairs what it can — re-budgeting recirculation bandwidth,
-// re-pointing chains whose static exit died, re-running placement when
-// sustainable capacity falls below the offered load — and reports the
-// degradation it could not repair.
-type Reconciler struct {
-	Dep *Deployment
-	// OfferedGbps is the external load the deployment must sustain;
-	// zero disables the capacity check.
-	OfferedGbps float64
-}
-
-// NewReconciler builds a reconciler over a live deployment.
-func NewReconciler(d *Deployment, offeredGbps float64) *Reconciler {
-	return &Reconciler{Dep: d, OfferedGbps: offeredGbps}
-}
-
-// HandleEvent reconciles one fault event against the deployment. It
-// is deterministic: the same deployment state and event sequence
-// produce the same actions and findings.
-func (r *Reconciler) HandleEvent(ev fault.Event) (*ReconcileReport, error) {
-	rep := &ReconcileReport{
-		Event:       ev,
-		Degradation: lint.NewReport(),
-		Repointed:   make(map[uint16]asic.PortID),
+// Reconcile runs one self-healing round over the switch's own port
+// state, like the fabric's round: it reads every front-panel port's
+// admin state and derives the desired state from the declared Config —
+// the declared loopback ports that are up carry recirculation, each
+// chain exits through its declared port if that is up and otherwise
+// through the lowest healthy port of its exit pipeline, and when the
+// sustainable load is below offeredGbps (zero disables the check) the
+// greedy optimizer's placement is taken if it is strictly cheaper. It
+// stages and commits one build only if the installed chains or
+// placement differ, so a second round on unchanged health writes
+// nothing; a port that went down and came back between two rounds
+// changes nothing either. RC001 and RC005 report port changes against
+// the health the last round adopted, RC002 and RC006 what the round
+// changed, and RC003 and RC004 the degradation it finds.
+func (d *Deployment) Reconcile(offeredGbps float64) (*ReconcileReport, error) {
+	rep := &ReconcileReport{Degradation: lint.NewReport(), Repointed: make(map[uint16]asic.PortID)}
+	prof := d.Config.Prof
+	var down []asic.PortID
+	for p := 0; p < prof.TotalPorts(); p++ {
+		if !d.Switch.PortIsUp(asic.PortID(p)) {
+			down = append(down, asic.PortID(p))
+		}
 	}
-	switch ev.Kind {
-	case fault.PortDown:
-		if err := r.portDown(ev.Port, rep); err != nil {
-			return rep, err
+	live, err := d.loops.publish(d.Switch, d.Config.LoopbackPorts)
+	if err != nil {
+		return rep, err
+	}
+	d.Capacity.TotalPorts, d.Capacity.LoopbackPorts = prof.TotalPorts()-len(down), live
+	budget := d.LoopbackGbps()
+	for _, p := range down {
+		if slices.Contains(d.down, p) {
+			continue
 		}
-	case fault.PortUp:
-		if err := r.portUp(ev.Port, rep); err != nil {
-			return rep, err
+		loopback := slices.Contains(d.Config.LoopbackPorts, p)
+		sev := lint.SevInfo
+		if loopback {
+			sev = lint.SevWarn
 		}
-	case fault.RecircOverload:
+		rep.Actions = append(rep.Actions, fmt.Sprintf("port %d down: re-budgeted capacity", p))
 		rep.Degradation.Add(lint.Finding{
-			Rule: RuleRCCapacity, Severity: lint.SevWarn,
-			Where:   fmt.Sprintf("port %d", ev.Port),
-			Message: fmt.Sprintf("recirculation queue overloaded for %d tick(s); transient loss expected", ev.Dur()),
-			Fix:     "add loopback ports or reduce weighted recirculations",
+			Rule: RuleRCPortDown, Severity: sev, Where: fmt.Sprintf("port %d", p),
+			Message: fmt.Sprintf("port failed (loopback=%v): %.0f Gbps recirculation budget remains", loopback, budget),
 		})
-	default:
-		// Wire corruption and table-write faults are absorbed by the
-		// parser and the retry driver; nothing to reconcile.
 	}
+	for _, p := range d.down {
+		if slices.Contains(down, p) {
+			continue
+		}
+		rep.Actions = append(rep.Actions, fmt.Sprintf("port %d up: restored (loopback=%v)", p, slices.Contains(d.Config.LoopbackPorts, p)))
+		rep.Degradation.Add(lint.Finding{
+			Rule: RuleRCRecovered, Severity: lint.SevInfo, Where: fmt.Sprintf("port %d", p),
+			Message: fmt.Sprintf("port recovered; %.0f Gbps recirculation budget", budget),
+		})
+	}
+
+	var placement *route.Placement // nil: keep the installed one
+	if sustainable := d.sustainableGbps(); offeredGbps > 0 && sustainable < offeredGbps {
+		rep.Degradation.Add(lint.Finding{
+			Rule: RuleRCCapacity, Severity: lint.SevWarn, Where: "capacity",
+			Message: fmt.Sprintf("sustainable load %.0f Gbps below offered %.0f Gbps", sustainable, offeredGbps),
+			Fix:     "re-run placement or shed load",
+		})
+		cfg := d.Config
+		cfg.Optimizer = OptGreedy // fast enough for a repair loop
+		greedy, cost, err := pipeline.ResolvePlacement(buildInputs(cfg, nil))
+		switch {
+		case err != nil:
+			rep.Degradation.Add(lint.Finding{
+				Rule: RuleRCCapacity, Severity: lint.SevWarn, Where: "placement",
+				Message: fmt.Sprintf("re-placement infeasible: %v", err),
+			})
+		case cost.Less(d.Cost):
+			placement, rep.Replaced = greedy, true
+			msg := fmt.Sprintf("weighted recircs %.2f -> %.2f", d.Cost.WeightedRecircs, cost.WeightedRecircs)
+			rep.Actions = append(rep.Actions, "re-placed NFs: "+msg)
+			rep.Degradation.Add(lint.Finding{
+				Rule: RuleRCReplaced, Severity: lint.SevInfo, Where: "placement",
+				Message: "placement re-optimized, " + msg,
+			})
+		default:
+			rep.Degradation.Add(lint.Finding{
+				Rule: RuleRCCapacity, Severity: lint.SevWarn, Where: "capacity",
+				Message: "placement already minimal; deployment stays degraded",
+				Fix:     "restore failed loopback ports or add more",
+			})
+		}
+	}
+
+	chains, blackholed := d.exits(d.Config)
+	for _, c := range blackholed {
+		rep.Degradation.Add(lint.Finding{
+			Rule: RuleRCBlackhole, Severity: lint.SevError, Where: fmt.Sprintf("chain %d", c.PathID),
+			Message: fmt.Sprintf("static exit port %d is down and pipeline %d has no healthy replacement", c.StaticExitPort, c.ExitPipeline),
+			Fix:     "restore a port or move the chain's exit pipeline",
+		})
+	}
+	cur := d.installed.Res
+	changed := placement != nil || !route.EqualChains(cur.Composer.Chains, chains)
+	if changed {
+		if err := d.apply(d.keep(d.Config.Chains), placement); err != nil {
+			return rep, fmt.Errorf("core: reconcile: %w", err)
+		}
+		for i, c := range chains {
+			was := staticExitOf(cur.Composer.Chains, c.PathID)
+			switch declared := d.Config.Chains[i].StaticExitPort; {
+			case c.StaticExitPort == was:
+			case c.StaticExitPort != declared:
+				rep.Repointed[c.PathID] = c.StaticExitPort
+				rep.Actions = append(rep.Actions, fmt.Sprintf("chain %d re-pointed to port %d", c.PathID, c.StaticExitPort))
+				rep.Degradation.Add(lint.Finding{
+					Rule: RuleRCRepoint, Severity: lint.SevWarn, Where: fmt.Sprintf("chain %d", c.PathID),
+					Message: fmt.Sprintf("static exit moved from dead port %d to port %d", declared, c.StaticExitPort),
+				})
+			default:
+				rep.Actions = append(rep.Actions, fmt.Sprintf("chain %d back on its declared exit port %d", c.PathID, declared))
+			}
+		}
+	}
+	rep.Converged = !changed && slices.Equal(down, d.down)
+	d.down = down
 	rep.Degradation.Sort()
 	return rep, nil
 }
 
-// checkCapacity verifies the post-failure loopback budget still
-// sustains the offered load and tries a re-placement when it does not.
-func (r *Reconciler) checkCapacity(rep *ReconcileReport) error {
-	if r.OfferedGbps <= 0 {
-		return nil
-	}
-	sustainable := r.sustainableGbps()
-	if sustainable >= r.OfferedGbps {
-		return nil
-	}
-	rep.Degradation.Add(lint.Finding{
-		Rule: RuleRCCapacity, Severity: lint.SevWarn,
-		Where: "capacity",
-		Message: fmt.Sprintf("sustainable load %.0f Gbps below offered %.0f Gbps after failure",
-			sustainable, r.OfferedGbps),
-		Fix: "re-run placement or shed load",
-	})
-	// Try to claw capacity back by re-optimizing the placement for
-	// fewer weighted recirculations.
-	improved, err := r.replace(rep)
-	if err != nil {
-		return err
-	}
-	if !improved && r.sustainableGbps() < r.OfferedGbps {
-		rep.Degradation.Add(lint.Finding{
-			Rule: RuleRCCapacity, Severity: lint.SevWarn,
-			Where:   "capacity",
-			Message: "placement already minimal; deployment stays degraded",
-			Fix:     "restore failed loopback ports or add more",
-		})
-	}
-	return nil
-}
-
-// sustainableGbps is the offered load the remaining loopback budget
-// sustains losslessly at the current weighted recirculation count.
-func (r *Reconciler) sustainableGbps() float64 {
-	d := r.Dep
+// sustainableGbps is the offered load the loopback budget sustains
+// losslessly at the current weighted recirculation count.
+func (d *Deployment) sustainableGbps() float64 {
 	k := d.WeightedRecirculations()
 	if k <= 0 {
 		return d.Capacity.ExternalGbps()
@@ -141,174 +183,13 @@ func (r *Reconciler) sustainableGbps() float64 {
 	return d.LoopbackGbps() / k
 }
 
-// replace stages the live chain set re-resolved by the greedy optimizer
-// (fast enough for a repair loop) and commits it when that strictly
-// reduces the weighted recirculation cost. It reports whether a swap
-// happened.
-func (r *Reconciler) replace(rep *ReconcileReport) (bool, error) {
-	d := r.Dep
-	u := d.keep(d.Config.Chains)
-	u.Replace, u.Optimizer = true, OptGreedy
-	st, err := d.stage(u)
-	if err != nil {
-		// Infeasible re-placement is a degradation, not a reconciler
-		// crash.
-		rep.Degradation.Add(lint.Finding{
-			Rule: RuleRCCapacity, Severity: lint.SevWarn,
-			Where: "placement", Message: fmt.Sprintf("re-placement infeasible: %v", err),
-		})
-		return false, nil
-	}
-	oldCost, cost := d.Cost, st.next.Res.Cost
-	if !cost.Less(oldCost) {
-		return false, nil
-	}
-	// The repair loop's strategy is not the operator's declared one.
-	st.cfg.Optimizer = d.Config.Optimizer
-	if err := d.commit(st); err != nil {
-		return false, err
-	}
-	rep.Replaced = true
-	rep.Actions = append(rep.Actions,
-		fmt.Sprintf("re-placed NFs: weighted recircs %.2f -> %.2f", oldCost.WeightedRecircs, cost.WeightedRecircs))
-	rep.Degradation.Add(lint.Finding{
-		Rule: RuleRCReplaced, Severity: lint.SevInfo,
-		Where:   "placement",
-		Message: fmt.Sprintf("placement re-optimized, weighted recirculations %.2f -> %.2f", oldCost.WeightedRecircs, cost.WeightedRecircs),
-	})
-	return true, nil
-}
-
-// portDown absorbs a port failure: capacity re-budgeting via
-// HandlePortDown, then re-pointing every chain whose static exit died.
-func (r *Reconciler) portDown(port asic.PortID, rep *ReconcileReport) error {
-	d := r.Dep
-	down, err := d.HandlePortDown(port)
-	if err != nil {
-		// Already-handled ports (duplicate events) degrade to a note.
-		rep.Degradation.Add(lint.Finding{
-			Rule: RuleRCPortDown, Severity: lint.SevInfo,
-			Where: fmt.Sprintf("port %d", port), Message: fmt.Sprintf("ignored: %v", err),
-		})
-		return nil
-	}
-	rep.Actions = append(rep.Actions, fmt.Sprintf("port %d down: re-budgeted capacity", port))
-	sev := lint.SevInfo
-	if down.WasLoopback {
-		sev = lint.SevWarn
-	}
-	rep.Degradation.Add(lint.Finding{
-		Rule: RuleRCPortDown, Severity: sev,
-		Where: fmt.Sprintf("port %d", port),
-		Message: fmt.Sprintf("port failed (loopback=%v): %.0f Gbps recirculation budget remains",
-			down.WasLoopback, down.RemainingLoopbackGbps),
-	})
-	if err := r.repoint(down.AffectedChains, port, rep); err != nil {
-		return err
-	}
-	return r.checkCapacity(rep)
-}
-
-// portUp restores a recovered port. A chain re-pointed away from it
-// stays on its working spare: the reconciler has no declared intent to
-// say where the operator wants it.
-func (r *Reconciler) portUp(port asic.PortID, rep *ReconcileReport) error {
-	up, err := r.Dep.HandlePortUp(port)
-	if err != nil {
-		rep.Degradation.Add(lint.Finding{
-			Rule: RuleRCRecovered, Severity: lint.SevInfo,
-			Where: fmt.Sprintf("port %d", port), Message: fmt.Sprintf("ignored: %v", err),
-		})
-		return nil
-	}
-	rep.Actions = append(rep.Actions, fmt.Sprintf("port %d up: restored (loopback=%v)", port, up.RestoredLoopback))
-	rep.Degradation.Add(lint.Finding{
-		Rule: RuleRCRecovered, Severity: lint.SevInfo,
-		Where:   fmt.Sprintf("port %d", port),
-		Message: fmt.Sprintf("port recovered; %.0f Gbps recirculation budget", up.RemainingLoopbackGbps),
-	})
-	return nil
-}
-
-// repoint redirects chains whose static exit port died to the
-// lowest-numbered healthy port of their exit pipeline, swapping the
-// recomposed programs onto the switch.
-func (r *Reconciler) repoint(pathIDs []uint16, deadPort asic.PortID, rep *ReconcileReport) error {
-	if len(pathIDs) == 0 {
-		return nil
-	}
-	d := r.Dep
-	affected := make(map[uint16]bool, len(pathIDs))
-	for _, id := range pathIDs {
-		affected[id] = true
-	}
-	chains := append([]route.Chain(nil), d.Config.Chains...)
-	moved := false
-	for i, c := range chains {
-		if !affected[c.PathID] {
-			continue
+// staticExitOf returns a chain's static exit port in a chain list, 0
+// when it has none or is not listed.
+func staticExitOf(chains []route.Chain, pathID uint16) asic.PortID {
+	for _, c := range chains {
+		if c.PathID == pathID {
+			return c.StaticExitPort
 		}
-		replacement, ok := r.healthyExitPort(c.ExitPipeline, deadPort)
-		if !ok {
-			rep.Degradation.Add(lint.Finding{
-				Rule: RuleRCBlackhole, Severity: lint.SevError,
-				Where:   fmt.Sprintf("chain %d", c.PathID),
-				Message: fmt.Sprintf("static exit port %d died and pipeline %d has no healthy replacement", deadPort, c.ExitPipeline),
-				Fix:     "restore a port or move the chain's exit pipeline",
-			})
-			continue
-		}
-		chains[i].StaticExitPort = replacement
-		rep.Repointed[c.PathID] = replacement
-		moved = true
 	}
-	if !moved {
-		return nil
-	}
-	if err := d.Reconfigure(chains); err != nil {
-		return fmt.Errorf("core: re-pointing chains after port %d failure: %w", deadPort, err)
-	}
-	ids := make([]int, 0, len(rep.Repointed))
-	for id := range rep.Repointed {
-		ids = append(ids, int(id))
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		port := rep.Repointed[uint16(id)]
-		rep.Actions = append(rep.Actions, fmt.Sprintf("chain %d re-pointed to port %d", id, port))
-		rep.Degradation.Add(lint.Finding{
-			Rule: RuleRCRepoint, Severity: lint.SevWarn,
-			Where:   fmt.Sprintf("chain %d", id),
-			Message: fmt.Sprintf("static exit moved from dead port %d to port %d", deadPort, port),
-		})
-	}
-	return nil
-}
-
-// healthyExitPort picks the lowest-numbered usable exit port of a
-// pipeline: administratively up, not in loopback, not dead, not the
-// CPU/recirc port, and not the port that just failed.
-func (r *Reconciler) healthyExitPort(pipeline int, avoid asic.PortID) (asic.PortID, bool) {
-	d := r.Dep
-	prof := d.Config.Prof
-	base := pipeline * prof.PortsPerPipeline
-	for p := base; p < base+prof.PortsPerPipeline; p++ {
-		port := asic.PortID(p)
-		// Port 0 is Chain.StaticExitPort's "no static exit" sentinel —
-		// re-pointing there would silently disable the direct exit.
-		if port == 0 || port == avoid {
-			continue
-		}
-		if _, gone := d.dead[port]; gone {
-			continue
-		}
-		if !d.Switch.PortIsUp(port) {
-			continue
-		}
-		if d.Switch.LoopbackModeOf(port) != asic.LoopbackOff {
-			continue
-		}
-		return port, true
-	}
-	return 0, false
+	return 0
 }

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"dejavu/internal/asic"
 	"dejavu/internal/fault"
 	"dejavu/internal/lint"
+	"dejavu/internal/route"
 	"dejavu/internal/scenario"
 )
 
@@ -34,26 +39,52 @@ func findProbe(t *testing.T, probes []scenario.Probe, pathID uint16) scenario.Pr
 	return scenario.Probe{}
 }
 
-// TestReconcilerRepointsStaticExit kills the static exit port and
-// requires the reconciler to move the chain to the healthy spare, with
-// traffic following.
-func TestReconcilerRepointsStaticExit(t *testing.T) {
-	d, probes := chaosDeployment(t)
-	probe := findProbe(t, probes, 40)
-
-	// Sanity: the chain exits port 30 before the failure.
-	tr, err := d.Inject(probe.Port, probe.Packet())
-	if err != nil || tr.Dropped || len(tr.Out) != 1 || tr.Out[0].Port != 30 {
-		t.Fatalf("pre-failure probe mishandled: err=%v trace=%+v", err, tr)
+// portState sets the admin state of front-panel ports on a deployment's
+// switch, as a fault injector or an operator would.
+func portState(t *testing.T, d *Deployment, up bool, ports ...asic.PortID) {
+	t.Helper()
+	for _, p := range ports {
+		if err := d.Switch.SetPortAdminState(p, up); err != nil {
+			t.Fatal(err)
+		}
 	}
+}
 
-	rec := NewReconciler(d, 0)
-	rep, err := rec.HandleEvent(fault.Event{Tick: 1, Kind: fault.PortDown, Port: 30})
+// reconcile runs one round and fails the test on an error.
+func reconcile(t *testing.T, d *Deployment, offered float64) *ReconcileReport {
+	t.Helper()
+	rep, err := d.Reconcile(offered)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rep.Repointed[40]; got != 31 {
-		t.Fatalf("chain 40 re-pointed to %d, want 31 (Repointed=%v)", got, rep.Repointed)
+	return rep
+}
+
+// exitOf injects a chain's probe and returns the port it left on.
+func exitOf(t *testing.T, d *Deployment, probe scenario.Probe) asic.PortID {
+	t.Helper()
+	tr, err := d.Inject(probe.Port, probe.Packet())
+	if err != nil || tr.Dropped || len(tr.Out) != 1 {
+		t.Fatalf("probe %s mishandled: err=%v trace=%+v", probe.Name, err, tr)
+	}
+	return tr.Out[0].Port
+}
+
+// TestReconcilerRepointsStaticExit kills the static exit port and
+// requires the round to move the chain to the healthy spare, with
+// traffic following; a chain added during the outage keeps it there,
+// and the chain returns to its declared exit once that port recovers.
+func TestReconcilerRepointsStaticExit(t *testing.T) {
+	d, probes := chaosDeployment(t)
+	probe := findProbe(t, probes, 40)
+	if port := exitOf(t, d, probe); port != 30 {
+		t.Fatalf("pre-failure probe left on port %d, want 30", port)
+	}
+
+	portState(t, d, false, 30)
+	rep := reconcile(t, d, 0)
+	if got := rep.Repointed[40]; got != 31 || rep.Converged {
+		t.Fatalf("chain 40 re-pointed to %d, want 31 (Repointed=%v, converged %v)", got, rep.Repointed, rep.Converged)
 	}
 	// The degradation report carries the port failure and the repair.
 	if n := len(rep.Degradation.ByRule(RuleRCPortDown)); n != 1 {
@@ -65,57 +96,63 @@ func TestReconcilerRepointsStaticExit(t *testing.T) {
 	if rep.Degradation.HasErrors() {
 		t.Errorf("self-healed failure reported error findings:\n%s", rep.Degradation)
 	}
-	// Traffic now exits the spare port.
-	tr, err = d.Inject(probe.Port, probe.Packet())
-	if err != nil || tr.Dropped || len(tr.Out) != 1 || tr.Out[0].Port != 31 {
-		t.Fatalf("post-repair probe mishandled: err=%v trace=%+v", err, tr)
+	if port := exitOf(t, d, probe); port != 31 {
+		t.Fatalf("post-repair probe left on port %d, want 31", port)
 	}
-	// The re-pointed deployment stays lint-clean.
 	if d.Lint.HasErrors() {
 		t.Errorf("re-pointed deployment has lint errors:\n%s", d.Lint)
 	}
+	// The declared intent is untouched: only Apply writes Config.
+	if port := staticExitOf(d.Config.Chains, 40); port != 30 {
+		t.Errorf("the round rewrote chain 40's declared exit to %d", port)
+	}
 
-	// Recovery: the port comes back; bookkeeping is restored, the chain
-	// stays on its working exit (no needless swap).
-	up, err := rec.HandleEvent(fault.Event{Tick: 2, Kind: fault.PortUp, Port: 30})
-	if err != nil {
+	// A chain added during the outage is staged on the same port
+	// health: chain 40 stays off the dead port.
+	if err := d.AddChain(route.Chain{PathID: 41, NFs: []string{"classifier", "router"}, Weight: 0.1, ExitPipeline: 0}); err != nil {
 		t.Fatal(err)
 	}
+	if port := exitOf(t, d, probe); port != 31 {
+		t.Errorf("AddChain during the outage moved chain 40 to port %d", port)
+	}
+	if rep := reconcile(t, d, 0); !rep.Converged || len(rep.Actions) != 0 {
+		t.Errorf("round after AddChain: converged %v, actions %v", rep.Converged, rep.Actions)
+	}
+
+	// Recovery: the port comes back, and so does the chain.
+	portState(t, d, true, 30)
+	up := reconcile(t, d, 0)
 	if n := len(up.Degradation.ByRule(RuleRCRecovered)); n != 1 {
 		t.Errorf("RC005 findings = %d, want 1", n)
 	}
-	if len(d.DeadPorts()) != 0 {
-		t.Errorf("dead ports after recovery: %v", d.DeadPorts())
+	if len(up.Repointed) != 0 || up.Converged {
+		t.Errorf("recovery round: repointed %v, converged %v", up.Repointed, up.Converged)
 	}
-	if port, _ := staticExitOf(d, 40); port != 31 {
-		t.Errorf("recovery moved the chain back to %d mid-traffic", port)
+	if port := exitOf(t, d, probe); port != 30 {
+		t.Errorf("after recovery chain 40 leaves on port %d, want its declared 30", port)
 	}
 }
 
 // TestReconcilerBlackholeReported exhausts every healthy exit of the
-// chain's pipeline: the reconciler must emit an RC004 error finding
-// rather than silently leaving the chain pointed at a dead port.
+// chain's pipeline: the round must emit an RC004 error finding rather
+// than silently leaving the chain pointed at a dead port, and keeps
+// emitting it while the chain has no exit.
 func TestReconcilerBlackholeReported(t *testing.T) {
 	d, _ := chaosDeployment(t)
-	rec := NewReconciler(d, 0)
 	// Port 31 is the only non-loopback spare in pipeline 1; kill it
 	// first, then the static exit.
-	if _, err := rec.HandleEvent(fault.Event{Tick: 1, Kind: fault.PortDown, Port: 31}); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := rec.HandleEvent(fault.Event{Tick: 2, Kind: fault.PortDown, Port: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Repointed) != 0 {
-		t.Errorf("re-pointed to a dead or loopback port: %v", rep.Repointed)
-	}
-	black := rep.Degradation.ByRule(RuleRCBlackhole)
-	if len(black) != 1 || black[0].Severity != lint.SevError {
-		t.Fatalf("RC004 error finding missing: %v", rep.Degradation)
-	}
-	if !rep.Degradation.HasErrors() {
-		t.Error("unhealable failure not reported at error severity")
+	portState(t, d, false, 31)
+	reconcile(t, d, 0)
+	portState(t, d, false, 30)
+	for round := 0; round < 2; round++ {
+		rep := reconcile(t, d, 0)
+		if len(rep.Repointed) != 0 {
+			t.Errorf("round %d re-pointed to a dead or loopback port: %v", round, rep.Repointed)
+		}
+		black := rep.Degradation.ByRule(RuleRCBlackhole)
+		if len(black) != 1 || black[0].Severity != lint.SevError || black[0].Where != "chain 40" {
+			t.Fatalf("round %d: RC004 error finding missing: %v", round, rep.Degradation)
+		}
 	}
 }
 
@@ -124,81 +161,164 @@ func TestReconcilerBlackholeReported(t *testing.T) {
 // degradation finding.
 func TestReconcilerCapacityDegradation(t *testing.T) {
 	d, _ := chaosDeployment(t)
-	rec := NewReconciler(d, 1800)
 	// 14 loopback ports + 2 dedicated = 1600 G over ~0.83 weighted
 	// recircs → ~1900 G sustainable. One loopback loss keeps it above
 	// 1800; the second dips below.
-	rep1, err := rec.HandleEvent(fault.Event{Tick: 1, Kind: fault.PortDown, Port: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
+	portState(t, d, false, 20)
+	rep1 := reconcile(t, d, 1800)
 	if n := len(rep1.Degradation.ByRule(RuleRCCapacity)); n != 0 {
 		t.Errorf("capacity flagged while still sustainable: %v", rep1.Degradation)
 	}
-	rep2, err := rec.HandleEvent(fault.Event{Tick: 2, Kind: fault.PortDown, Port: 24})
-	if err != nil {
-		t.Fatal(err)
-	}
+	portState(t, d, false, 24)
+	rep2 := reconcile(t, d, 1800)
 	if n := len(rep2.Degradation.ByRule(RuleRCCapacity)); n == 0 {
-		t.Fatalf("sustainable %.0f < offered 1800 not flagged: %v", rec.sustainableGbps(), rep2.Degradation)
+		t.Fatalf("sustainable %.0f < offered 1800 not flagged: %v", d.sustainableGbps(), rep2.Degradation)
 	}
 	// Degradation findings about capacity are warnings, never errors —
 	// the deployment still forwards, just slower.
 	if rep2.Degradation.HasErrors() {
 		t.Errorf("capacity degradation reported as error:\n%s", rep2.Degradation)
 	}
+	// The scenario's placement is already minimal: nothing re-placed.
+	if rep2.Replaced || len(rep2.Degradation.ByRule(RuleRCReplaced)) != 0 {
+		t.Errorf("re-placed a minimal placement: %v", rep2.Degradation)
+	}
 }
 
-// TestReconcilerDuplicateAndUnknownEvents verifies duplicate failures
-// degrade to informational notes instead of corrupting bookkeeping.
+// TestReconcilerDuplicateAndUnknownEvents replays duplicate and
+// meaningless events through the chaos harness: a port failed twice is
+// one failure, a port "recovering" that never went down is no change,
+// and wire faults need no reconciliation.
 func TestReconcilerDuplicateAndUnknownEvents(t *testing.T) {
-	d, _ := chaosDeployment(t)
-	rec := NewReconciler(d, 0)
-	if _, err := rec.HandleEvent(fault.Event{Tick: 1, Kind: fault.PortDown, Port: 20}); err != nil {
-		t.Fatal(err)
-	}
-	before := d.Capacity.TotalPorts
-	rep, err := rec.HandleEvent(fault.Event{Tick: 2, Kind: fault.PortDown, Port: 20})
+	cfg, probes, err := EdgeChaosConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Capacity.TotalPorts != before {
-		t.Error("duplicate failure decremented capacity again")
-	}
-	if len(rep.Degradation.Findings) == 0 {
-		t.Error("duplicate failure left no trace in the report")
-	}
-	// Upping a port that never went down is likewise a note, not a
-	// crash.
-	repUp, err := rec.HandleEvent(fault.Event{Tick: 3, Kind: fault.PortUp, Port: asic.PortID(9)})
+	res, err := RunChaos(cfg, ChaosOpts{
+		Seed:  1,
+		Ticks: 4,
+		Schedule: fault.Schedule{
+			{Tick: 1, Kind: fault.PortDown, Port: 20},
+			{Tick: 2, Kind: fault.PortDown, Port: 20},
+			{Tick: 3, Kind: fault.PortUp, Port: 9},
+			{Tick: 4, Kind: fault.Corrupt, Port: 1},
+		},
+		Probes: probes,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(repUp.Degradation.Findings) == 0 {
-		t.Error("bogus recovery left no trace in the report")
+	if !res.OK() {
+		t.Fatalf("invariants violated (capacity counted twice?):\n%s", res.Summary())
 	}
-	// Wire and table faults need no reconciliation.
-	repWire, err := rec.HandleEvent(fault.Event{Tick: 4, Kind: fault.Corrupt, Port: 1})
-	if err != nil {
-		t.Fatal(err)
+	if n := len(res.Findings.ByRule(RuleRCPortDown)); n != 1 {
+		t.Errorf("RC001 findings = %d, want 1 for one failed port", n)
 	}
-	if len(repWire.Actions) != 0 {
-		t.Errorf("wire fault triggered healing actions: %v", repWire.Actions)
+	if n := len(res.Findings.ByRule(RuleRCRecovered)); n != 0 {
+		t.Errorf("RC005 findings = %d for a port that never went down", n)
+	}
+	for _, line := range res.Log {
+		if strings.Contains(line, " heal: ") && !strings.HasPrefix(line, "t001") {
+			t.Errorf("healing action after the first failure: %s", line)
+		}
 	}
 }
 
 // TestReconcilerOverloadFinding verifies a recirculation overload
 // surfaces as a capacity warning with the window length.
 func TestReconcilerOverloadFinding(t *testing.T) {
-	d, _ := chaosDeployment(t)
-	rec := NewReconciler(d, 0)
-	rep, err := rec.HandleEvent(fault.Event{Tick: 1, Kind: fault.RecircOverload, Port: 17, Ticks: 3})
+	cfg, _, err := EdgeChaosConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := rep.Degradation.ByRule(RuleRCCapacity)
-	if len(fs) != 1 || fs[0].Severity != lint.SevWarn {
-		t.Fatalf("overload finding missing: %v", rep.Degradation)
+	res, err := RunChaos(cfg, ChaosOpts{
+		Seed: 1, Ticks: 2,
+		Schedule: fault.Schedule{{Tick: 1, Kind: fault.RecircOverload, Port: 17, Ticks: 3}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := res.Findings.ByRule(RuleRCCapacity)
+	if len(fs) != 1 || fs[0].Severity != lint.SevWarn || fs[0].Where != "port 17" || !strings.Contains(fs[0].Message, "3 tick(s)") {
+		t.Fatalf("overload finding missing: %v", res.Findings)
+	}
+}
+
+// sameDeployment fails unless two deployments run the same state: the
+// switch's loopback modes, the rotation, every installed chain's exit,
+// the capacity bookkeeping, and the installed placement and program.
+func sameDeployment(t *testing.T, what string, got, want *Deployment) {
+	t.Helper()
+	for p := 0; p < got.Config.Prof.TotalPorts(); p++ {
+		if g, w := got.Switch.LoopbackModeOf(asic.PortID(p)), want.Switch.LoopbackModeOf(asic.PortID(p)); g != w {
+			t.Errorf("%s: port %d loopback mode %v, want %v", what, p, g, w)
+		}
+	}
+	if g, w := got.loops.ports.Load().byPipe, want.loops.ports.Load().byPipe; !slices.EqualFunc(g, w, slices.Equal[[]asic.PortID]) {
+		t.Errorf("%s: rotation %v, want %v", what, g, w)
+	}
+	g, w := got.installed.Res, want.installed.Res
+	if !route.EqualChains(g.Composer.Chains, w.Composer.Chains) {
+		t.Errorf("%s: installed chains %+v, want %+v", what, g.Composer.Chains, w.Composer.Chains)
+	}
+	if got.Capacity != want.Capacity {
+		t.Errorf("%s: capacity %+v, want %+v", what, got.Capacity, want.Capacity)
+	}
+	if !g.Placement.Equal(w.Placement) || len(route.Diff(g.Program, w.Program)) != 0 {
+		t.Errorf("%s: installed placement or program differs from a fresh deployment's", what)
+	}
+}
+
+// TestReconcileLevelTriggered replays random admin-state histories over
+// EdgeChaos's flap ports, running a round after every few changes: the
+// deployment each history leaves equals a fresh Deploy plus one round
+// at the same port health, a second round is converged and writes
+// nothing, and so is a round after a port went down and came back.
+func TestReconcileLevelTriggered(t *testing.T) {
+	flaps := []asic.PortID{30, 20, 24, 28}
+	const offered = 1800                  // EdgeChaos's: two lost loopback ports degrade it
+	fresh := make(map[string]*Deployment) // by the ports down
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d, _ := chaosDeployment(t)
+		for i, n := 0, 4+rng.Intn(16); i < n; i++ {
+			portState(t, d, rng.Intn(2) == 0, flaps[rng.Intn(len(flaps))])
+			if rng.Intn(3) == 0 {
+				reconcile(t, d, offered)
+			}
+		}
+		reconcile(t, d, offered)
+		var down []asic.PortID
+		for _, p := range flaps {
+			if !d.Switch.PortIsUp(p) {
+				down = append(down, p)
+			}
+		}
+		key := fmt.Sprint(down)
+		if fresh[key] == nil {
+			f, _ := chaosDeployment(t)
+			portState(t, f, false, down...)
+			reconcile(t, f, offered)
+			fresh[key] = f
+		}
+		what := fmt.Sprintf("seed %d, ports %v down", seed, down)
+		sameDeployment(t, what, d, fresh[key])
+
+		was := d.Controller.Stats()
+		if rep := reconcile(t, d, offered); !rep.Converged || len(rep.Actions) != 0 {
+			t.Errorf("%s: second round not converged: %v", what, rep.Actions)
+		}
+		p := flaps[rng.Intn(len(flaps))]
+		up := d.Switch.PortIsUp(p)
+		portState(t, d, !up, p)
+		portState(t, d, up, p)
+		if rep := reconcile(t, d, offered); !rep.Converged || len(rep.Actions) != 0 {
+			t.Errorf("%s: port %d flapped between rounds: %v", what, p, rep.Actions)
+		}
+		if now := d.Controller.Stats(); now != was {
+			t.Errorf("%s: converged rounds wrote to the controller: %+v -> %+v", what, was, now)
+		}
+		sameDeployment(t, what+", after the converged rounds", d, fresh[key])
 	}
 }
 

@@ -107,8 +107,8 @@ type ProgramUpdate struct {
 // UpdateProgram runs one program transaction: open, stage every write
 // of u through apply, commit. A failure up to the commit aborts and the
 // switch is untouched; one after it (VerifyCommit) reinstalls the prior
-// programs through restore — nil when there are none — so the switch
-// never runs new programs against the caller's stale bookkeeping.
+// programs through restore, so the switch never runs new programs
+// against the caller's stale bookkeeping.
 // Callers adopt the new state only on a nil return.
 func (c *Controller) UpdateProgram(apply func(TableWrite) error, u ProgramUpdate, restore func() error) error {
 	if err := c.BeginProgram(); err != nil {
@@ -122,15 +122,12 @@ func (c *Controller) UpdateProgram(apply func(TableWrite) error, u ProgramUpdate
 		c.AbortProgram()
 		return fmt.Errorf("update rejected, switch untouched: %w", err)
 	}
-	var cause error
-	if c.VerifyCommit != nil {
-		cause = c.VerifyCommit()
-	}
-	switch {
-	case cause == nil:
+	if c.VerifyCommit == nil {
 		return nil
-	case restore == nil:
-		return fmt.Errorf("update failed with no prior programs to restore: %w", cause)
+	}
+	cause := c.VerifyCommit()
+	if cause == nil {
+		return nil
 	}
 	if err := restore(); err != nil {
 		return fmt.Errorf("update failed (%w) AND rollback failed: %v", cause, err)

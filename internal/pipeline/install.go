@@ -44,20 +44,32 @@ func (cur *Installed) Stage(in Inputs) (next Installed, delta []route.EntryOp, e
 
 // Commit puts a staged build on sw as one program transaction through
 // apply: the entry write-set, then the pipelet programs the build
-// rebuilt. A failure after the commit reinstalls the installed build's
-// programs; only success installs next.
+// rebuilt. A failure after the commit restores the installed build
+// (Restore); only success installs next.
 func (cur *Installed) Commit(sw *asic.Switch, ctrl *ctl.Controller, apply func(ctl.TableWrite) error, next Installed, delta []route.EntryOp) error {
-	var restore func() error
-	if prev := cur.Res; prev != nil {
-		restore = func() error { return prev.Dep.InstallOn(sw) }
-	}
 	dep := next.Res.Dep
 	if err := ctrl.UpdateProgram(apply, ctl.ProgramUpdate{
 		Entries: delta, Pipelets: next.Res.ChangedFuncs,
 		Ingress: dep.Ingress, Egress: dep.Egress, App: dep.Runtime,
-	}, restore); err != nil {
+	}, func() error { return cur.Restore(sw) }); err != nil {
 		return err
 	}
 	*cur = next
 	return nil
+}
+
+// Restore reinstalls the installed build's programs on sw, or empty
+// programs when nothing is installed: what a failed commit leaves the
+// switch running.
+func (cur *Installed) Restore(sw *asic.Switch) error {
+	if cur.Res != nil {
+		return cur.Res.Dep.InstallOn(sw)
+	}
+	b := sw.NewBatch()
+	for pipe := 0; pipe < sw.Profile().Pipelines; pipe++ {
+		b.SetIngress(pipe, nil)
+		b.SetEgress(pipe, nil)
+	}
+	b.SetApp(nil)
+	return sw.Commit(b)
 }

@@ -10,6 +10,7 @@ package route
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"strings"
 
 	"dejavu/internal/asic"
@@ -41,6 +42,14 @@ type Chain struct {
 // HasStaticExit reports whether the chain's exit port is known at
 // placement time.
 func (c Chain) HasStaticExit() bool { return c.StaticExitPort != 0 }
+
+// EqualChains compares two chain sets field by field, order included.
+func EqualChains(a, b []Chain) bool {
+	return slices.EqualFunc(a, b, func(x, y Chain) bool {
+		return x.PathID == y.PathID && x.Weight == y.Weight && x.ExitPipeline == y.ExitPipeline &&
+			x.StaticExitPort == y.StaticExitPort && slices.Equal(x.NFs, y.NFs)
+	})
+}
 
 // InitialIndex returns the service index stamped by the classifier.
 func (c Chain) InitialIndex() uint8 { return uint8(len(c.NFs)) }
