@@ -14,6 +14,7 @@ package compiler
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"dejavu/internal/asic"
 	"dejavu/internal/mau"
@@ -158,13 +159,9 @@ func Allocate(cb *p4.ControlBlock, maxStages int) (*Plan, error) {
 					if t.Framework {
 						stageFramework[s] = true
 					}
-					if i == 0 {
-						assigned[t.Name] = s
-					} else {
-						// Later slices record the deepest stage so
-						// dependents land after the whole table.
-						assigned[t.Name] = s
-					}
+					// Later slices record the deepest stage so
+					// dependents land after the whole table.
+					assigned[t.Name] = s
 					next = s // further slices may not precede this one
 					placed = true
 					break
@@ -250,14 +247,25 @@ func sliceTable(t *p4.Table) ([]*p4.Table, error) {
 
 // MinStages returns the number of stages a control block needs with
 // unlimited stage budget — the measure used to decide whether two NFs
-// can share a pipelet.
+// can share a pipelet. A shared, frozen block (p4.SharedControl) is
+// allocated once per process.
 func MinStages(cb *p4.ControlBlock) (int, error) {
+	if n, ok := sharedMinStages.Load(cb); ok {
+		return n.(int), nil
+	}
 	plan, err := Allocate(cb, 1<<20)
 	if err != nil {
 		return 0, err
 	}
+	if cb.Frozen() {
+		sharedMinStages.Store(cb, plan.StagesUsed())
+	}
 	return plan.StagesUsed(), nil
 }
+
+// sharedMinStages maps each frozen block MinStages has allocated to its
+// demand: one entry per shared block.
+var sharedMinStages sync.Map
 
 // ResourceLine is one row of the ASIC-wide resource report.
 type ResourceLine struct {

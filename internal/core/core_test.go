@@ -182,6 +182,18 @@ func TestDeployErrors(t *testing.T) {
 	}
 }
 
+// BenchmarkColdDeploy times one fresh §5 scenario plus its deploy on
+// the manual Fig. 9 placement: the cold build newflow-punt's setup_s
+// measures once per epoch.
+func BenchmarkColdDeploy(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Deploy(edgeConfig()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkDeployExhaustive(b *testing.B) {
 	cfg := edgeConfig()
 	cfg.Placement = nil

@@ -208,6 +208,26 @@ func TestParserMergeAmbiguity(t *testing.T) {
 	}
 }
 
+// TestParserMergeNamesFirstDeadEnd: when the merged parser has two
+// vertices that cannot reach accept, DV004 names the first by offset
+// then header type, the same on every run.
+func TestParserMergeNamesFirstDeadEnd(t *testing.T) {
+	const want = "parser merge failed: p4: parser vertex arp@14 cannot reach accept"
+	for i := 0; i < 100; i++ {
+		a := p4.NewParserGraph(ethStart)
+		a.MustEdge(p4.Transition{From: ethStart, Select: "ethernet.ether_type", Value: 0x0800, To: p4.Vertex{Type: "ipv4", Offset: 14}})
+		a.MustEdge(p4.Transition{From: ethStart, Default: true, To: p4.Accept()})
+		b := p4.NewParserGraph(ethStart)
+		b.MustEdge(p4.Transition{From: ethStart, Select: "ethernet.ether_type", Value: 0x0806, To: p4.Vertex{Type: "arp", Offset: 14}})
+		merged, err := p4.MergeParsers(p4.NewGlobalIDTable(), a, b)
+		conflicts, _ := err.(*p4.MergeError)
+		fs := ParserFindings([]string{"a", "b"}, merged, conflicts)
+		if len(fs) != 1 || fs[0].Message != want {
+			t.Fatalf("run %d: DV004 findings %+v, want one saying %q", i, fs, want)
+		}
+	}
+}
+
 func TestParserUnreachableVertex(t *testing.T) {
 	a := newStub("a")
 	a.parser.AddVertex(p4.Vertex{Type: "vxlan", Offset: 50}) // orphan state

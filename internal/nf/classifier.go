@@ -154,7 +154,9 @@ func (c *Classifier) StampedPaths() map[uint16]uint8 {
 }
 
 // Block implements NF.
-func (c *Classifier) Block() *p4.ControlBlock {
+func (c *Classifier) Block() *p4.ControlBlock { return classifierBlock() }
+
+var classifierBlock = p4.SharedControl(func() *p4.ControlBlock {
 	classMap := &p4.Table{
 		Name: "class_map",
 		Keys: []p4.Key{
@@ -193,7 +195,7 @@ func (c *Classifier) Block() *p4.ControlBlock {
 		Tables: []*p4.Table{classMap},
 		Body:   []p4.Stmt{p4.ApplyStmt{Table: "class_map"}},
 	}
-}
+})
 
 // Parser implements NF: the classifier must parse both untagged and
 // SFC-tagged packets.

@@ -97,7 +97,9 @@ func (n *NAT) Execute(hdr *packet.Parsed) {
 }
 
 // Block implements NF.
-func (n *NAT) Block() *p4.ControlBlock {
+func (n *NAT) Block() *p4.ControlBlock { return natBlock() }
+
+var natBlock = p4.SharedControl(func() *p4.ControlBlock {
 	tbl := &p4.Table{
 		Name: "nat_session",
 		Keys: []p4.Key{
@@ -125,7 +127,7 @@ func (n *NAT) Block() *p4.ControlBlock {
 		Tables: []*p4.Table{tbl},
 		Body:   []p4.Stmt{p4.ApplyStmt{Table: "nat_session"}},
 	}
-}
+})
 
 // Parser implements NF.
 func (n *NAT) Parser() *p4.ParserGraph { return p4.SFCIPv4Parser() }
@@ -175,7 +177,9 @@ func (m *Mirror) Execute(hdr *packet.Parsed) {
 }
 
 // Block implements NF.
-func (m *Mirror) Block() *p4.ControlBlock {
+func (m *Mirror) Block() *p4.ControlBlock { return mirrorBlock() }
+
+var mirrorBlock = p4.SharedControl(func() *p4.ControlBlock {
 	tbl := &p4.Table{
 		Name: "mirror_taps",
 		Keys: []p4.Key{{Field: "ipv4.dst_addr", Kind: p4.MatchTernary}},
@@ -198,7 +202,7 @@ func (m *Mirror) Block() *p4.ControlBlock {
 		Tables: []*p4.Table{tbl},
 		Body:   []p4.Stmt{p4.ApplyStmt{Table: "mirror_taps"}},
 	}
-}
+})
 
 // Parser implements NF.
 func (m *Mirror) Parser() *p4.ParserGraph { return p4.SFCIPv4Parser() }

@@ -77,12 +77,21 @@ func (f *Firewall) Execute(hdr *packet.Parsed) {
 	}
 }
 
-// Block implements NF.
+// Block implements NF: one shared block per miss behaviour.
 func (f *Firewall) Block() *p4.ControlBlock {
-	def := "deny"
 	if f.DefaultPermit {
-		def = "permit"
+		return fwPermitBlock()
 	}
+	return fwDenyBlock()
+}
+
+var (
+	fwPermitBlock = p4.SharedControl(func() *p4.ControlBlock { return firewallBlock("permit") })
+	fwDenyBlock   = p4.SharedControl(func() *p4.ControlBlock { return firewallBlock("deny") })
+)
+
+// firewallBlock declares the firewall's program with miss action def.
+func firewallBlock(def string) *p4.ControlBlock {
 	acl := &p4.Table{
 		Name: "fw_acl",
 		Keys: []p4.Key{

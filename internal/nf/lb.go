@@ -98,7 +98,9 @@ func (lb *LoadBalancer) Execute(hdr *packet.Parsed) {
 }
 
 // Block implements NF; it is a direct transcription of Fig. 4.
-func (lb *LoadBalancer) Block() *p4.ControlBlock {
+func (lb *LoadBalancer) Block() *p4.ControlBlock { return lbBlock() }
+
+var lbBlock = p4.SharedControl(func() *p4.ControlBlock {
 	hash := &p4.Table{
 		Name: "compute_five_tuple_hash",
 		Actions: []*p4.Action{{
@@ -131,7 +133,7 @@ func (lb *LoadBalancer) Block() *p4.ControlBlock {
 			p4.ApplyStmt{Table: "lb_session"},
 		},
 	}
-}
+})
 
 // Parser implements NF.
 func (lb *LoadBalancer) Parser() *p4.ParserGraph { return p4.SFCIPv4Parser() }

@@ -61,6 +61,54 @@ func TestAllBlocksValidate(t *testing.T) {
 	}
 }
 
+// TestStdBlocksSharedAndFrozen: every NF's control block is one frozen
+// value per process and per variant — two instances of an NF hand out
+// the same block, and the firewall's permit and deny variants are two
+// blocks — and its Clone is an ordinary block that can change without
+// touching the shared one.
+func TestStdBlocksSharedAndFrozen(t *testing.T) {
+	fresh := []func() NF{
+		func() NF { return NewClassifier(1, 2) },
+		func() NF { return NewFirewall(true) },
+		func() NF { return NewFirewall(false) },
+		func() NF { return NewVGW(packet.IP4{172, 16, 0, 1}, macB) },
+		func() NF { return NewLoadBalancer(1024) },
+		func() NF { return NewRouter() },
+		func() NF { return NewNAT(packet.IP4{192, 0, 2, 1}, 1024) },
+		func() NF { return NewMirror() },
+	}
+	seen := make(map[*p4.ControlBlock]string)
+	for _, mk := range fresh {
+		f := mk()
+		cb := f.Block()
+		if !cb.Frozen() || f.Block() != cb || mk().Block() != cb {
+			t.Errorf("%s: Block() is not one shared, frozen block", f.Name())
+		}
+		if other, dup := seen[cb]; dup {
+			t.Errorf("%s: shares its block with %s", f.Name(), other)
+		}
+		seen[cb] = f.Name()
+
+		text := p4.EmitControl(cb)
+		c := cb.Clone()
+		if c.Frozen() || p4.EmitControl(c) != text {
+			t.Errorf("%s: the Clone is frozen or emits other text", f.Name())
+		}
+		c.Tables[0].Actions[0].Name = "changed"
+		c.Tables[0].Keys = append(c.Tables[0].Keys, p4.Key{Field: "meta.class_id", Kind: p4.MatchExact})
+		c.Body = append(c.Body, p4.ApplyStmt{Table: c.Tables[0].Name})
+		if p4.EmitControl(cb.Clone()) != text || p4.EmitControl(c) == text {
+			t.Errorf("%s: changing the Clone changed the shared block", f.Name())
+		}
+	}
+	if len(seen) != len(fresh) {
+		t.Errorf("%d blocks for %d NF variants", len(seen), len(fresh))
+	}
+	if NewFirewall(true).Block().Tables[0].DefaultAction != "permit" || NewFirewall(false).Block().Tables[0].DefaultAction != "deny" {
+		t.Error("a firewall's block does not follow its miss behaviour")
+	}
+}
+
 // panics reports whether f panics.
 func panics(f func()) (panicked bool) {
 	defer func() { panicked = recover() != nil }()

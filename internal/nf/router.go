@@ -77,7 +77,9 @@ func (r *Router) Execute(hdr *packet.Parsed) {
 }
 
 // Block implements NF.
-func (r *Router) Block() *p4.ControlBlock {
+func (r *Router) Block() *p4.ControlBlock { return routerBlock() }
+
+var routerBlock = p4.SharedControl(func() *p4.ControlBlock {
 	lpm := &p4.Table{
 		Name: "ipv4_lpm",
 		Keys: []p4.Key{{Field: "ipv4.dst_addr", Kind: p4.MatchLPM}},
@@ -121,7 +123,7 @@ func (r *Router) Block() *p4.ControlBlock {
 			},
 		},
 	}
-}
+})
 
 // Parser implements NF: the router handles both IP and ARP.
 func (r *Router) Parser() *p4.ParserGraph { return routerParser() }

@@ -159,7 +159,9 @@ func vxlanSrcPort(hdr *packet.Parsed) uint16 {
 func (v *VGW) VNIs() int { return v.vniTable.Len() }
 
 // Block implements NF.
-func (v *VGW) Block() *p4.ControlBlock {
+func (v *VGW) Block() *p4.ControlBlock { return vgwBlock() }
+
+var vgwBlock = p4.SharedControl(func() *p4.ControlBlock {
 	vni := &p4.Table{
 		Name: "vni_table",
 		Keys: []p4.Key{{Field: "vxlan.vni", Kind: p4.MatchExact}},
@@ -209,7 +211,7 @@ func (v *VGW) Block() *p4.ControlBlock {
 			},
 		},
 	}
-}
+})
 
 // Parser implements NF: the VGW needs the full VXLAN parse graph.
 func (v *VGW) Parser() *p4.ParserGraph { return p4.VXLANParser() }

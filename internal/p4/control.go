@@ -2,6 +2,8 @@ package p4
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 )
 
 // CondKind enumerates gateway condition forms.
@@ -61,6 +63,64 @@ type ControlBlock struct {
 	Name   string
 	Tables []*Table
 	Body   []Stmt
+	// frozen marks a block SharedControl built, which nothing may
+	// change; text is its EmitControl text, emitted when it was frozen.
+	frozen bool
+	text   string
+}
+
+// SharedControl returns an accessor for a static NF control block, the
+// twin of SharedParser: the first call builds, validates and freezes
+// it, and every call returns that one block, so what a build derives
+// from it alone (its text, its stage demand) is derived once per
+// process. A caller that needs to change a shared block Clones it.
+func SharedControl(build func() *ControlBlock) func() *ControlBlock {
+	return sync.OnceValue(func() *ControlBlock {
+		cb := build()
+		if err := cb.Validate(); err != nil {
+			panic(err) // static block: a bug in its declaration
+		}
+		cb.text = emitControl(cb)
+		cb.frozen = true
+		return cb
+	})
+}
+
+// Frozen reports whether cb is a shared block SharedControl built,
+// which never changes.
+func (cb *ControlBlock) Frozen() bool { return cb.frozen }
+
+// Clone returns a deep copy of the block; the copy is never frozen.
+func (cb *ControlBlock) Clone() *ControlBlock {
+	c := &ControlBlock{Name: cb.Name, Tables: make([]*Table, len(cb.Tables)), Body: cloneStmts(cb.Body)}
+	for i, t := range cb.Tables {
+		ct := *t
+		ct.Keys = slices.Clone(t.Keys)
+		ct.Actions = make([]*Action, len(t.Actions))
+		for j, a := range t.Actions {
+			ca := *a
+			ca.Params = slices.Clone(a.Params)
+			ca.Ops = slices.Clone(a.Ops)
+			for k := range ca.Ops {
+				ca.Ops[k].Srcs = slices.Clone(ca.Ops[k].Srcs)
+			}
+			ct.Actions[j] = &ca
+		}
+		c.Tables[i] = &ct
+	}
+	return c
+}
+
+// cloneStmts deep-copies an apply body.
+func cloneStmts(body []Stmt) []Stmt {
+	out := slices.Clone(body)
+	for i, s := range out {
+		if st, ok := s.(IfStmt); ok {
+			st.Then, st.Else = cloneStmts(st.Then), cloneStmts(st.Else)
+			out[i] = st
+		}
+	}
+	return out
 }
 
 // TableByName returns the named table, or nil.

@@ -2,6 +2,7 @@ package p4
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -114,6 +115,8 @@ func EmitParser(name string, g *ParserGraph) string {
 // declaration line, down to its closing brace.
 func emitParserBody(g *ParserGraph) string {
 	e := &emitter{depth: 1}
+	x := g.index()
+	var succ []Transition
 
 	e.open("state start")
 	e.line("transition %s;", parserStateName(g.Start))
@@ -125,7 +128,11 @@ func emitParserBody(g *ParserGraph) string {
 		}
 		e.open("state %s", parserStateName(v))
 		e.line("pkt.extract(hdr.%s_at_%d);", sanitize(v.Type), v.Offset)
-		succ := g.Successors(v)
+		succ = succ[:0]
+		for i := x.last[v]; i > 0; i = x.prev[i-1] {
+			succ = append(succ, g.edges[i-1])
+		}
+		slices.Reverse(succ) // insertion order
 		if len(succ) == 0 {
 			e.line("transition accept;")
 			e.close("")
@@ -269,8 +276,16 @@ func emitStmts(e *emitter, body []Stmt) {
 	}
 }
 
-// EmitControl renders a control block: actions, tables, apply body.
+// EmitControl renders a control block: actions, tables, apply body. A
+// frozen block's text was emitted once, when it was frozen.
 func EmitControl(cb *ControlBlock) string {
+	if cb.frozen {
+		return cb.text
+	}
+	return emitControl(cb)
+}
+
+func emitControl(cb *ControlBlock) string {
 	e := &emitter{}
 	e.open("control %s(inout all_headers_t hdr)", sanitize(cb.Name))
 	// Deduplicate action declarations across tables by name.

@@ -2,6 +2,7 @@ package p4
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -111,12 +112,16 @@ func (e *MergeError) Error() string {
 // out, and the merge goes on. When anything was left out, or the
 // merged graph does not validate, MergeParsers returns what did merge
 // together with a *MergeError listing every conflict.
+// A graph handed in again after it merged cleanly (a fragment several
+// NFs share) is not merged again, but its decisions become the later
+// index's, as a second merge would have made them.
 func MergeParsers(table *GlobalIDTable, graphs ...*ParserGraph) (*ParserGraph, error) {
 	if len(graphs) == 0 {
 		return nil, fmt.Errorf("p4: no parsers to merge")
 	}
 	start := graphs[0].Start
 	merged := NewParserGraph(start)
+	x := merged.index()
 	// owners maps a select decision (a transition without its target) to
 	// where it leads and the graph that last declared it.
 	type owner struct {
@@ -125,28 +130,38 @@ func MergeParsers(table *GlobalIDTable, graphs ...*ParserGraph) (*ParserGraph, e
 	}
 	owners := make(map[Transition]owner)
 	var conflicts []MergeConflict
+	var clean []*ParserGraph // graphs merged without conflict
 	for i, g := range graphs {
 		if g.Start != start {
 			conflicts = append(conflicts, MergeConflict{Fragment: i, Owner: -1,
 				Err: fmt.Errorf("parser start vertices differ: %s vs %s", start, g.Start)})
 			continue
 		}
+		if slices.Contains(clean, g) {
+			for _, e := range g.edges {
+				owners[decision(e)] = owner{to: e.To, fragment: i}
+			}
+			continue
+		}
+		before := len(conflicts)
 		for _, v := range g.Vertices() {
 			table.ID(v)
 			merged.AddVertex(v)
 		}
-		for _, e := range g.Edges() {
-			decision := e
-			decision.To = Vertex{}
-			if err := merged.AddEdge(e); err != nil {
+		for _, e := range g.edges {
+			d := decision(e)
+			if err := merged.addEdge(e, x); err != nil {
 				c := MergeConflict{Fragment: i, Edge: e, Owner: -1, Err: err}
-				if o, ok := owners[decision]; ok && o.to != e.To {
+				if o, ok := owners[d]; ok && o.to != e.To {
 					c.Owner, c.OwnerTo = o.fragment, o.to
 				}
 				conflicts = append(conflicts, c)
 				continue
 			}
-			owners[decision] = owner{to: e.To, fragment: i}
+			owners[d] = owner{to: e.To, fragment: i}
+		}
+		if len(conflicts) == before {
+			clean = append(clean, g)
 		}
 	}
 	if len(conflicts) == 0 {
@@ -158,6 +173,13 @@ func MergeParsers(table *GlobalIDTable, graphs ...*ParserGraph) (*ParserGraph, e
 		return merged, &MergeError{Conflicts: conflicts}
 	}
 	return merged, nil
+}
+
+// decision is a transition without its target: the select decision it
+// makes.
+func decision(e Transition) Transition {
+	e.To = Vertex{}
+	return e
 }
 
 // Program is a complete data plane program: a parser graph plus an

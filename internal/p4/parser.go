@@ -1,8 +1,9 @@
 package p4
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -67,6 +68,10 @@ func SharedParser(build func() *ParserGraph) func() *ParserGraph {
 	})
 }
 
+// Frozen reports whether g is a shared graph SharedParser built, which
+// never changes.
+func (g *ParserGraph) Frozen() bool { return g.frozen }
+
 // mustBeMutable panics when g is a shared, frozen graph.
 func (g *ParserGraph) mustBeMutable() {
 	if g.frozen {
@@ -89,19 +94,23 @@ func (g *ParserGraph) AddVertex(v Vertex) {
 // HasVertex reports whether the graph contains v.
 func (g *ParserGraph) HasVertex(v Vertex) bool { return g.vertices[v] }
 
-// Vertices returns the vertex set in deterministic order.
+// Vertices returns the vertex set in deterministic order: by offset,
+// then by header type.
 func (g *ParserGraph) Vertices() []Vertex {
 	out := make([]Vertex, 0, len(g.vertices))
 	for v := range g.vertices {
 		out = append(out, v)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Offset != out[j].Offset {
-			return out[i].Offset < out[j].Offset
-		}
-		return out[i].Type < out[j].Type
-	})
+	slices.SortFunc(out, compareVertices)
 	return out
+}
+
+// compareVertices orders vertices as Vertices lists them.
+func compareVertices(a, b Vertex) int {
+	if c := cmp.Compare(a.Offset, b.Offset); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Type, b.Type)
 }
 
 // Edges returns the transitions in insertion order.
@@ -111,15 +120,19 @@ func (g *ParserGraph) Edges() []Transition { return g.edges }
 // duplicate select values from the same vertex that lead to different
 // targets, and transitions that do not advance the offset (which would
 // create a cycle). It panics on a frozen graph.
-func (g *ParserGraph) AddEdge(t Transition) error {
+func (g *ParserGraph) AddEdge(t Transition) error { return g.addEdge(t, g.index()) }
+
+// addEdge is AddEdge given an index of g's edges, which it extends. At
+// most one transition from t.From can equal or contradict t (two that
+// did would contradict each other), so the order the index lists them
+// in cannot change the outcome.
+func (g *ParserGraph) addEdge(t Transition, x *edgeIndex) error {
 	g.mustBeMutable()
 	if t.To.Type != AcceptType && t.To.Offset <= t.From.Offset {
 		return fmt.Errorf("p4: parser edge %s -> %s does not advance offset", t.From, t.To)
 	}
-	for _, e := range g.edges {
-		if e.From != t.From {
-			continue
-		}
+	for i := x.last[t.From]; i > 0; i = x.prev[i-1] {
+		e := g.edges[i-1]
 		if e.Default && t.Default && e.To != t.To {
 			return fmt.Errorf("p4: conflicting default transitions from %s: %s vs %s", t.From, e.To, t.To)
 		}
@@ -134,7 +147,32 @@ func (g *ParserGraph) AddEdge(t Transition) error {
 	g.AddVertex(t.From)
 	g.AddVertex(t.To)
 	g.edges = append(g.edges, t)
+	x.add(t.From)
 	return nil
+}
+
+// edgeIndex chains a graph's edges by source vertex, newest first:
+// last[v] is 1 + the position of the last edge added from v, and
+// prev[i] 1 + the position of the edge added before edge i from the
+// same vertex (0: none). One pass over the graph builds it and drops
+// it; the graph stores no index.
+type edgeIndex struct {
+	last map[Vertex]int
+	prev []int
+}
+
+func (g *ParserGraph) index() *edgeIndex {
+	x := &edgeIndex{last: make(map[Vertex]int, len(g.vertices)), prev: make([]int, 0, len(g.edges))}
+	for _, e := range g.edges {
+		x.add(e.From)
+	}
+	return x
+}
+
+// add indexes the edge after the last one indexed, which leaves from.
+func (x *edgeIndex) add(from Vertex) {
+	x.prev = append(x.prev, x.last[from])
+	x.last[from] = len(x.prev)
 }
 
 // MustEdge is AddEdge that panics on error; used for static graphs.
@@ -144,28 +182,19 @@ func (g *ParserGraph) MustEdge(t Transition) {
 	}
 }
 
-// Successors returns the transitions leaving v.
-func (g *ParserGraph) Successors(v Vertex) []Transition {
-	var out []Transition
-	for _, e := range g.edges {
-		if e.From == v {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // Reachable returns the set of vertices reachable from Start.
-func (g *ParserGraph) Reachable() map[Vertex]bool {
+func (g *ParserGraph) Reachable() map[Vertex]bool { return g.reachable(g.index()) }
+
+func (g *ParserGraph) reachable(x *edgeIndex) map[Vertex]bool {
 	seen := map[Vertex]bool{g.Start: true}
 	stack := []Vertex{g.Start}
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, e := range g.Successors(v) {
-			if !seen[e.To] {
-				seen[e.To] = true
-				stack = append(stack, e.To)
+		for i := x.last[v]; i > 0; i = x.prev[i-1] {
+			if to := g.edges[i-1].To; !seen[to] {
+				seen[to] = true
+				stack = append(stack, to)
 			}
 		}
 	}
@@ -174,33 +203,43 @@ func (g *ParserGraph) Reachable() map[Vertex]bool {
 
 // Validate checks that the graph is rooted, acyclic (guaranteed by the
 // offset-advance rule but re-verified), and that every non-accept
-// vertex reaches accept.
+// vertex reaches accept. Of several vertices that cannot, it names the
+// first in Vertices order.
 func (g *ParserGraph) Validate() error {
 	if !g.vertices[g.Start] {
 		return fmt.Errorf("p4: parser start vertex %s not in graph", g.Start)
 	}
-	reach := g.Reachable()
+	x := g.index()
+	reach := g.reachable(x)
+	exits := make(map[Vertex]bool, len(reach))
+	var dead Vertex
+	found := false
 	for v := range reach {
-		if v.Type == AcceptType {
+		if g.reachesAccept(v, x, exits) || found && compareVertices(dead, v) < 0 {
 			continue
 		}
-		if !g.reachesAccept(v, map[Vertex]bool{}) {
-			return fmt.Errorf("p4: parser vertex %s cannot reach accept", v)
-		}
+		dead, found = v, true
+	}
+	if found {
+		return fmt.Errorf("p4: parser vertex %s cannot reach accept", dead)
 	}
 	return nil
 }
 
-func (g *ParserGraph) reachesAccept(v Vertex, visiting map[Vertex]bool) bool {
+// reachesAccept reports whether a path leads from v to accept. memo
+// records the answer for every vertex the search settles, so one pass
+// over the graph answers for all of its vertices.
+func (g *ParserGraph) reachesAccept(v Vertex, x *edgeIndex, memo map[Vertex]bool) bool {
 	if v.Type == AcceptType {
 		return true
 	}
-	if visiting[v] {
-		return false
+	if r, ok := memo[v]; ok {
+		return r
 	}
-	visiting[v] = true
-	for _, e := range g.Successors(v) {
-		if g.reachesAccept(e.To, visiting) {
+	memo[v] = false // while v is being searched (a cycle leads nowhere)
+	for i := x.last[v]; i > 0; i = x.prev[i-1] {
+		if g.reachesAccept(g.edges[i-1].To, x, memo) {
+			memo[v] = true
 			return true
 		}
 	}

@@ -13,7 +13,7 @@ package p4
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -217,15 +217,8 @@ func (a *Action) WriteSet() []FieldRef {
 	return dedupRefs(out)
 }
 
-func dedupRefs(in []FieldRef) []FieldRef {
-	seen := make(map[FieldRef]bool, len(in))
-	out := in[:0]
-	for _, r := range in {
-		if !seen[r] {
-			seen[r] = true
-			out = append(out, r)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// dedupRefs sorts refs and drops repeats, in place.
+func dedupRefs(refs []FieldRef) []FieldRef {
+	slices.Sort(refs)
+	return slices.Compact(refs)
 }

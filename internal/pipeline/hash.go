@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"dejavu/internal/asic"
 	"dejavu/internal/nf"
@@ -24,12 +25,20 @@ import (
 // hashOf fingerprints an ordered list of content parts. Parts are
 // length-prefixed so concatenation cannot alias two distinct inputs.
 func hashOf(parts ...string) string {
-	h := sha256.New()
+	n := 0
 	for _, p := range parts {
-		fmt.Fprintf(h, "%d:", len(p))
-		h.Write([]byte(p))
+		n += len(p) + 8
 	}
-	return hex.EncodeToString(h.Sum(nil))[:16]
+	buf := make([]byte, 0, n)
+	for _, p := range parts {
+		buf = strconv.AppendInt(buf, int64(len(p)), 10)
+		buf = append(buf, ':')
+		buf = append(buf, p...)
+	}
+	sum := sha256.Sum256(buf)
+	var out [16]byte
+	hex.Encode(out[:], sum[:8])
+	return string(out[:])
 }
 
 // profSig captures the profile properties composition and allocation
@@ -91,17 +100,38 @@ func canonPin(pin map[string]asic.PipeletID) string {
 // the build observes it: its name plus its emitted control block and
 // parser fragment. The behavioural closure (Execute) is opaque Go; the
 // name stands in for it, which is sound because the cache never
-// outlives the NF objects it was built from.
+// outlives the NF objects it was built from. An NF whose block and
+// parser are both shared, frozen values is hashed once per process.
 func nfFingerprint(f nf.NF) string {
+	name, b, g := f.Name(), f.Block(), f.Parser()
+	shared := b != nil && b.Frozen() && g != nil && g.Frozen()
+	if v, ok := sharedFingerprints.Load(sharedProgram{b, g}); shared && ok && v.([2]string)[0] == name {
+		return v.([2]string)[1]
+	}
 	ctl, par := "", ""
-	if b := f.Block(); b != nil {
+	if b != nil {
 		ctl = p4.EmitControl(b)
 	}
-	if g := f.Parser(); g != nil {
-		par = p4.EmitParser(f.Name(), g)
+	if g != nil {
+		par = p4.EmitParser(name, g)
 	}
-	return hashOf(f.Name(), ctl, par)
+	fp := hashOf(name, ctl, par)
+	if shared {
+		sharedFingerprints.Store(sharedProgram{b, g}, [2]string{name, fp})
+	}
+	return fp
 }
+
+// sharedProgram is an NF's block and parser.
+type sharedProgram struct {
+	block  *p4.ControlBlock
+	parser *p4.ParserGraph
+}
+
+// sharedFingerprints maps each shared program nfFingerprint has hashed
+// to the NF name it hashed it under and the fingerprint. It is keyed by
+// the frozen values themselves, so it holds one entry per NF variant.
+var sharedFingerprints sync.Map
 
 // chainEntriesOf counts (pathID, serviceIndex) pairs across the chain
 // set — the only property of the chains a pipelet's control block

@@ -24,6 +24,7 @@ package pipeline
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -274,7 +275,7 @@ func Build(in Inputs, cache *Cache) (*Result, error) {
 		record(StagePlacement, placeHash, hit, "pinned placement", start)
 	} else {
 		placeHash = hashOf("placement-opt", profSig(in.Prof), canonChains(in.Chains),
-			itoa(in.Enter), in.Optimizer, fmt.Sprintf("%d", in.AnnealSeed),
+			itoa(in.Enter), in.Optimizer, strconv.FormatInt(in.AnnealSeed, 10),
 			canonPin(in.Pin), fpAll)
 		if v, ok := cache.lookup("placement-opt", placeHash); ok {
 			art := v.(placementArtifact)
@@ -331,7 +332,7 @@ func Build(in Inputs, cache *Cache) (*Result, error) {
 	for _, pl := range pipelets {
 		idParts := make([]string, 0, 4)
 		for _, name := range comp.PipeletNFOrder(pl) {
-			idParts = append(idParts, fmt.Sprintf("%s=%d:%s", name, comp.NFID(name), fps[name]))
+			idParts = append(idParts, name+"="+itoa(int(comp.NFID(name)))+":"+fps[name])
 		}
 		base := []string{profSig(in.Prof), pl.String(), placement.ModeOf(pl).String(),
 			strings.Join(idParts, ",")}

@@ -29,15 +29,14 @@ func ResolvePlacement(in Inputs) (*route.Placement, route.Cost, error) {
 }
 
 // stageDemands computes every NF's minimum stage demand
-// (compiler.MinStages over its emitted block). The demand is a pure
-// function of the block, so with a cache (nil: none) and the NFs'
-// content fingerprints it is served from previous builds — MinStages
-// runs a full trial allocation per NF, which would otherwise dominate
-// incremental rebuilds.
+// (compiler.MinStages over its block). The demand is a pure function
+// of the block, so with a cache (nil: none) it is served from previous
+// builds under the NF's content fingerprint, without asking the NF for
+// its block; MinStages itself allocates a shared block once per process.
 func stageDemands(nfs nf.List, cache *Cache, fps map[string]string) (map[string]int, error) {
 	demand := make(map[string]int, len(nfs))
 	for _, f := range nfs {
-		h := hashOf("demand", fps[f.Name()])
+		h := fps[f.Name()]
 		if v, ok := cache.lookup("demand/"+f.Name(), h); ok {
 			demand[f.Name()] = v.(int)
 			continue
