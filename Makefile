@@ -61,11 +61,13 @@ bench-smoke:
 # single-switch round's tests (DESIGN.md §7, including its
 # level-triggered differential), TestCLIGolden (`chaos -switches 3
 # -json` seeds 1/7/42 against the committed cmd/dejavu/testdata bytes),
-# then the CLI over the canonical seeds.
+# the CLI's refusal of a negative -switches/-ticks, then the CLI over
+# the canonical seeds.
 fabric-chaos: build
 	$(GO) test -race -run 'TestFabricChaos|TestReconciler|TestReconcilerCommitsAllOrNothing' ./internal/core/ ./internal/cluster/
 	$(GO) test -race -run 'TestReconcileLevelTriggered|TestHandlePort' ./internal/core/
 	$(GO) test -run 'TestCLIGolden' ./cmd/dejavu/
+	$(GO) test -race -run 'TestChaosRefusesNegativeOptions' ./cmd/dejavu/
 	@for seed in 1 7 42; do \
 		$(GO) run ./cmd/dejavu chaos -switches 3 -seed $$seed -ticks 40 || exit 1; \
 	done

@@ -426,40 +426,36 @@ func runChaos(args []string) error {
 	jsonOut := fs.Bool("json", false, "emit the full result as JSON (includes the transcript with -v)")
 	fs.Parse(args)
 
-	if *switches != 0 {
+	var res *core.SoakResult
+	var err error
+	switch {
+	case *switches != 0:
 		if configPath != "" {
 			return fmt.Errorf("chaos: -switches soaks the reference chains and takes no -config")
 		}
-		res, err := core.RunFabricChaos(core.FabricChaosOpts{Seed: *seed, Ticks: *ticks, Switches: *switches})
-		if err != nil {
-			return err
-		}
-		return printSoak(res, &res.Log, res.Violations, *verbose, *jsonOut)
-	}
-	var res *core.ChaosResult
-	var err error
-	if configPath != "" {
+		res, err = core.RunFabricChaos(core.FabricChaosOpts{Seed: *seed, Ticks: *ticks, Switches: *switches})
+	case configPath != "":
 		doc, cfg, lerr := loadDocument(configPath)
 		if lerr != nil {
 			return lerr
 		}
 		so := faultSurface(doc, cfg.Prof, *ticks)
 		res, err = core.RunChaos(*cfg, core.ChaosOpts{Seed: *seed, Ticks: *ticks, ScheduleOpts: so})
-	} else {
+	default:
 		res, err = core.EdgeChaos(*seed, *ticks)
 	}
 	if err != nil {
 		return err
 	}
-	return printSoak(res, &res.Log, res.Violations, *verbose, *jsonOut)
+	return printSoak(res, *verbose, *jsonOut)
 }
 
-// printSoak prints a chaos result, single-switch or fabric: its JSON
+// printSoak prints a soak result, single-switch or fabric: its JSON
 // document, or its summary. The transcript (log) comes with -v only, in
 // both forms; it dwarfs the result.
-func printSoak(res interface{ Summary() string }, log *[]string, violations []string, verbose, jsonOut bool) error {
+func printSoak(res *core.SoakResult, verbose, jsonOut bool) error {
 	if !verbose {
-		*log = nil
+		res.Log = nil
 	}
 	if jsonOut {
 		out, err := json.MarshalIndent(res, "", "  ")
@@ -469,15 +465,15 @@ func printSoak(res interface{ Summary() string }, log *[]string, violations []st
 		fmt.Println(string(out))
 	} else {
 		if verbose {
-			for _, line := range *log {
+			for _, line := range res.Log {
 				fmt.Println(line)
 			}
 			fmt.Println()
 		}
 		fmt.Print(res.Summary())
 	}
-	if len(violations) > 0 {
-		return fmt.Errorf("chaos: %d invariant violation(s)", len(violations))
+	if !res.OK() {
+		return fmt.Errorf("chaos: %d invariant violation(s)", len(res.Violations))
 	}
 	return nil
 }

@@ -196,6 +196,22 @@ func TestChaosFaultSurfaceNamesDocumentPorts(t *testing.T) {
 	}
 }
 
+// TestChaosRefusesNegativeOptions: a negative -ticks or -switches is
+// refused with an error naming the option. Both were replaced by a
+// default: `-ticks -5` ran 40 ticks under a 20-tick fault schedule, and
+// `-switches -2` a 3-switch fabric.
+func TestChaosRefusesNegativeOptions(t *testing.T) {
+	for line, option := range map[string]string{
+		"chaos -ticks -5 -seed 7": "ticks",
+		"chaos -switches -2":      "switches",
+	} {
+		_, err := runCLI(t, line)
+		if err == nil || !strings.Contains(err.Error(), option) {
+			t.Errorf("dejavu %s: error %v, want one naming %s", line, err, option)
+		}
+	}
+}
+
 // TestSingleSwitchCommandsRefuseFabricDocument: a document with a fabric
 // section is refused, with errFabricDocument, by every command that
 // deploys one switch from it.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 	"time"
@@ -16,15 +17,15 @@ import (
 	"dejavu/internal/telemetry"
 )
 
-// This file is the chaos harness: it replays a seeded fault schedule
-// (internal/fault) against a live deployment, runs one Reconcile round
-// after every tick, probes every chain end-to-end, and checks the §7
-// operational invariants — no chain silently blackholed, capacity
-// bookkeeping consistent with the switch's port state, and a
-// lint-clean deployment after every repair. The same seed always
-// reproduces the identical event sequence, round decisions and log.
+// This file is the chaos soak: it replays a seeded fault schedule
+// against one target — a single switch (RunChaos) or a multi-switch
+// fabric (RunFabricChaos) — and runs the same protocol every tick:
+// fire the tick's faults, run one reconcile round, probe every chain
+// end-to-end, check the target's §7 operational invariants. The same
+// seed always reproduces the identical event sequence, round decisions
+// and log.
 
-// ChaosOpts parameterizes a chaos run.
+// ChaosOpts parameterizes a single-switch chaos run.
 type ChaosOpts struct {
 	Seed int64
 	// Ticks is the timeline length; zero means 40.
@@ -45,202 +46,287 @@ type ChaosOpts struct {
 	Refresh *ctl.TableWrite
 }
 
-// ChaosResult is the outcome of one chaos run. The JSON shape is the
-// `dejavu chaos -json` document (docs/CLI.md).
-type ChaosResult struct {
-	Seed  int64 `json:"seed"`
-	Ticks int   `json:"ticks"`
-	// Events is the number of fault events fired.
-	Events int `json:"events"`
-	// Probe accounting: every probe is delivered, dropped with a
-	// recorded reason, or punted — anything else is a violation.
-	Probes    int `json:"probes"`
-	Delivered int `json:"delivered"`
-	Dropped   int `json:"dropped"`
-	Punted    int `json:"punted"`
-	// Repoints counts chains re-pointed to a healthy exit port.
-	Repoints int `json:"repoints"`
-	// Replacements counts capacity-driven placement re-optimizations.
-	Replacements int `json:"replacements"`
-	// WireLosses counts packets the injector destroyed on the wire.
-	WireLosses int `json:"wire_losses"`
-	// Driver reports the control-plane retry statistics of the Refresh
-	// write stream.
-	Driver fault.DriverStats `json:"driver"`
-	// Findings accumulates the degradation report of every round that
-	// changed something and the recirculation overloads the schedule
-	// fired.
-	Findings *lint.Report `json:"degradation"`
-	// Violations lists invariant breaches; empty means the run passed.
-	Violations []string `json:"violations"`
-	// Log is the deterministic transcript of the run.
-	Log []string `json:"log,omitempty"`
-	// Telemetry is the datapath counter snapshot taken after the last
-	// tick (chaos runs always count; the probes are the traffic).
-	Telemetry telemetry.DatapathSnapshot `json:"telemetry"`
+// SoakResult is the outcome of one chaos soak, over one switch or a
+// fabric: the `dejavu chaos -json` document (docs/CLI.md). A field its
+// target does not fill reads 0; a fabric's document omits the
+// single-switch-only punted, repoints and telemetry.
+type SoakResult struct {
+	Seed     int64 `json:"seed"`
+	Ticks    int   `json:"ticks"`
+	Switches int   `json:"switches"`
+	Events   int   `json:"events"` // fault events fired
+	// Probe accounting: every probe is delivered at its chain's exit,
+	// dropped with a recorded reason, punted, exempted by an open
+	// corruption window on its chain's route, or aimed at a reported
+	// blackhole — anything else is a violation.
+	Probes           int `json:"probes"`
+	Delivered        int `json:"delivered"`
+	Dropped          int `json:"dropped"`
+	Punted           int `json:"punted,omitempty"`
+	CorruptExempt    int `json:"corrupt_exempt"`
+	BlackholedProbes int `json:"blackholed_probes"`
+	// Healing: reconcile rounds, the program transactions they committed
+	// (one per reprogrammed switch), chains re-pointed to a healthy exit
+	// port (one switch) or moved onto a new route (a fabric), and the
+	// rounds that committed — each a convergence, whose time to repair
+	// runs from the first failed round before it.
+	Reconciles        int                `json:"reconciles"`
+	Replacements      int                `json:"replacements"`
+	Repoints          int                `json:"repoints,omitempty"`
+	ChainReplacements int                `json:"chain_replacements"`
+	Convergences      int                `json:"convergences"`
+	MaxConvergeTicks  int                `json:"max_converge_ticks"`
+	WireLosses        int                `json:"wire_losses"` // packets the injector destroyed on wires
+	AliveAtEnd        int                `json:"alive_at_end"`
+	Driver            fault.DriverStats  `json:"driver"` // every switch's driver: heal commits and the Refresh stream
+	Routes            []ChainRouteRecord `json:"routes"` // a fabric's final installed per-chain placement
+	// Findings accumulates the rounds' degradation findings and, on one
+	// switch, the recirculation overloads the schedule fired.
+	Findings   *lint.Report                `json:"degradation"`
+	Violations []string                    `json:"violations"` // invariant breaches; empty means the run passed
+	Log        []string                    `json:"log,omitempty"`
+	Telemetry  *telemetry.DatapathSnapshot `json:"telemetry,omitempty"` // one switch's datapath counters after the last tick
+
+	tick int // the tick in progress, which stamps every log line and violation
+}
+
+// ChainRouteRecord is one chain's installed placement in the
+// `dejavu chaos -switches N -json` document: the switch sequence its traffic
+// follows and the NFs executed at each position (empty for transit).
+type ChainRouteRecord struct {
+	Chain     uint16     `json:"chain"`
+	Path      []int      `json:"path"`
+	Segments  [][]string `json:"segments"`
+	CrossHops int        `json:"cross_hops"`
 }
 
 // OK reports whether the run held every invariant.
-func (r *ChaosResult) OK() bool { return len(r.Violations) == 0 }
+func (r *SoakResult) OK() bool { return len(r.Violations) == 0 }
 
 // Summary renders a one-paragraph result overview.
-func (r *ChaosResult) Summary() string {
+func (r *SoakResult) Summary() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "chaos seed %d: %d ticks, %d fault events\n", r.Seed, r.Ticks, r.Events)
-	fmt.Fprintf(&sb, "probes: %d total, %d delivered, %d dropped (attributed), %d punted\n",
-		r.Probes, r.Delivered, r.Dropped, r.Punted)
-	fmt.Fprintf(&sb, "healing: %d chain re-points, %d placement re-optimizations\n",
-		r.Repoints, r.Replacements)
-	fmt.Fprintf(&sb, "wire losses: %d; driver: %d writes, %d retries, %d failures\n",
-		r.WireLosses, r.Driver.Writes, r.Driver.Retries, r.Driver.Failures)
+	fmt.Fprintf(&sb, "chaos seed %d: %d switch(es), %d ticks, %d fault events\n", r.Seed, r.Switches, r.Ticks, r.Events)
+	fmt.Fprintf(&sb, "probes: %d total, %d delivered, %d dropped (attributed), %d punted, %d corrupt-exempt, %d blackholed\n",
+		r.Probes, r.Delivered, r.Dropped, r.Punted, r.CorruptExempt, r.BlackholedProbes)
+	fmt.Fprintf(&sb, "healing: %d reconcile rounds, %d program transactions, %d chain re-points, %d chain re-places, %d reconvergences (max %d tick(s))\n",
+		r.Reconciles, r.Replacements, r.Repoints, r.ChainReplacements, r.Convergences, r.MaxConvergeTicks)
+	fmt.Fprintf(&sb, "wire losses: %d; driver: %d writes, %d retries, %d failures; alive at end: %d/%d\n",
+		r.WireLosses, r.Driver.Writes, r.Driver.Retries, r.Driver.Failures, r.AliveAtEnd, r.Switches)
 	fmt.Fprintf(&sb, "degradation findings: %d (%d error, %d warn)\n",
 		len(r.Findings.Findings), r.Findings.Errors(), r.Findings.Warnings())
-	t := r.Telemetry
-	if done := t.Completed(); done > 0 {
+	if t := r.Telemetry; t != nil && t.Completed() > 0 {
 		fmt.Fprintf(&sb, "telemetry: %d packets (%d delivered, %d dropped, %d to CPU), p99 latency %d ns, mean recircs %.2f\n",
-			done, t.Delivered, t.Dropped, t.ToCPU, t.Latency.Quantile(0.99), t.Recirculation.Mean())
+			t.Completed(), t.Delivered, t.Dropped, t.ToCPU, t.Latency.Quantile(0.99), t.Recirculation.Mean())
 	}
 	if r.OK() {
 		sb.WriteString("invariants: all held\n")
 	} else {
-		fmt.Fprintf(&sb, "invariants: %d VIOLATION(S)\n", len(r.Violations))
-		for _, v := range r.Violations {
-			fmt.Fprintf(&sb, "  %s\n", v)
-		}
+		fmt.Fprintf(&sb, "invariants: %d VIOLATION(S)\n  %s\n", len(r.Violations), strings.Join(r.Violations, "\n  "))
 	}
 	return sb.String()
 }
 
-// RunChaos deploys cfg, replays a seeded fault schedule against it
-// tick by tick — reconciling, probing and checking invariants after
-// every tick — and returns the accumulated result. It is fully
+// soakTarget is what one target supplies to the tick loop: its faults,
+// its reconcile round and the program transactions it committed, an
+// observer of each convergence's time to repair in ticks, its probe
+// classification, and its invariants, told whether the round failed.
+type soakTarget interface {
+	faults(r *SoakResult)
+	round(r *SoakResult) (commits int, err error)
+	converged(ticks int)
+	probe(r *SoakResult, pr scenario.Probe)
+	check(r *SoakResult, roundFailed bool)
+}
+
+// newSoak starts a result; zero ticks means 40, and fewer is refused.
+func newSoak(seed int64, ticks, switches int) (*SoakResult, error) {
+	if ticks < 0 {
+		return nil, fmt.Errorf("core: chaos: ticks is %d, must not be negative", ticks)
+	}
+	return &SoakResult{Seed: seed, Ticks: cmp.Or(ticks, 40), Switches: switches, Findings: lint.NewReport()}, nil
+}
+
+func (r *SoakResult) logf(format string, args ...any) {
+	r.Log = append(r.Log, fmt.Sprintf("t%03d ", r.tick)+fmt.Sprintf(format, args...))
+}
+
+// event records a fired fault; its line carries its own tick.
+func (r *SoakResult) event(ev fmt.Stringer) {
+	r.Events++
+	r.Log = append(r.Log, ev.String())
+}
+
+func (r *SoakResult) violate(format string, args ...any) {
+	v := fmt.Sprintf("t%03d ", r.tick) + fmt.Sprintf(format, args...)
+	r.Violations = append(r.Violations, v)
+	r.Log = append(r.Log, v+" VIOLATION")
+}
+
+// run replays every tick against t: faults, one reconcile round, the
+// probes, the invariants. A failed round is logged, leaves the tick
+// unconverged and suppresses its probes; the next tick's round retries
+// it.
+func (r *SoakResult) run(t soakTarget, probes []scenario.Probe) {
+	degradedSince := 0 // first tick of the current failed stretch
+	for r.tick = 1; r.tick <= r.Ticks; r.tick++ {
+		t.faults(r)
+		commits, err := t.round(r)
+		r.Reconciles++
+		if err != nil {
+			r.logf("round failed: %v", err)
+			degradedSince = cmp.Or(degradedSince, r.tick)
+		} else {
+			if commits > 0 {
+				ticks := r.tick - cmp.Or(degradedSince, r.tick) + 1
+				r.Replacements += commits
+				r.Convergences++
+				r.MaxConvergeTicks = max(r.MaxConvergeTicks, ticks)
+				t.converged(ticks)
+				r.logf("converged in %d tick(s)", ticks)
+			}
+			degradedSince = 0
+		}
+		for _, pr := range probes {
+			if err != nil {
+				r.logf("probe %s: suppressed, round failed", pr.Name)
+			} else {
+				t.probe(r, pr)
+			}
+		}
+		t.check(r, err != nil)
+	}
+}
+
+// flakyDriver is a switch's retrying driver over a table-write fault
+// injector; it never sleeps, so a simulated run never blocks.
+func flakyDriver(ctrl *ctl.Controller, inj *fault.Injector) *fault.Driver {
+	return &fault.Driver{Applier: fault.NewFlakyApplier(ctrl, inj), Sleep: func(time.Duration) {}}
+}
+
+// RunChaos deploys cfg and soaks it under a seeded fault schedule. The
+// deployment's own driver becomes the flaky one, so heal commits and
+// the Refresh stream share its faults and its statistics. Fully
 // deterministic: the same cfg and opts produce the identical result
 // and log.
-func RunChaos(cfg Config, opts ChaosOpts) (*ChaosResult, error) {
-	cfg.Telemetry = true // chaos runs always count; the probes are the traffic
+func RunChaos(cfg Config, opts ChaosOpts) (*SoakResult, error) {
+	res, err := newSoak(opts.Seed, opts.Ticks, 1)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Telemetry = true // the soak always counts; the probes are the traffic
 	d, err := Deploy(cfg)
 	if err != nil {
 		return nil, err
 	}
-	ticks := opts.Ticks
-	if ticks <= 0 {
-		ticks = 40
-	}
 	sched := opts.Schedule
 	if sched == nil {
 		so := opts.ScheduleOpts
-		if so.Ticks == 0 {
-			so.Ticks = ticks
-		}
+		so.Ticks = cmp.Or(so.Ticks, res.Ticks)
 		sched = fault.RandomSchedule(opts.Seed, so)
 	}
-	inj := fault.NewInjector(opts.Seed, sched)
-	d.Switch.SetFaultHook(inj)
-
-	res := &ChaosResult{Seed: opts.Seed, Ticks: ticks, Findings: lint.NewReport()}
-	var driver *fault.Driver
-	if opts.Refresh != nil {
-		driver = fault.NewDriver(fault.NewFlakyApplier(d.Controller, inj))
-		driver.Sleep = func(time.Duration) {} // never block a simulated run
-	}
-	logf := func(format string, args ...any) {
-		res.Log = append(res.Log, fmt.Sprintf(format, args...))
-	}
-	violate := func(tick int, format string, args ...any) {
-		v := fmt.Sprintf("t%03d ", tick) + fmt.Sprintf(format, args...)
-		res.Violations = append(res.Violations, v)
-		logf("%s VIOLATION", v)
-	}
-
-	for tick := 1; tick <= ticks; tick++ {
-		// 1. Fire the tick's faults, then run one reconcile round over
-		// the switch's port state. A recirculation overload leaves no
-		// state to reconcile, so it is reported where it is seen; wire
-		// and table-write faults are absorbed by the parser and the
-		// retrying driver.
-		for _, ev := range inj.Advance(d.Switch) {
-			res.Events++
-			logf("%s", ev)
-			if ev.Kind == fault.RecircOverload {
-				res.Findings.Add(lint.Finding{
-					Rule: RuleRCCapacity, Severity: lint.SevWarn,
-					Where:   fmt.Sprintf("port %d", ev.Port),
-					Message: fmt.Sprintf("recirculation queue overloaded for %d tick(s); transient loss expected", ev.Dur()),
-					Fix:     "add loopback ports or reduce weighted recirculations",
-				})
-			}
-		}
-		rep, err := d.Reconcile(opts.OfferedGbps)
-		if err != nil {
-			return res, fmt.Errorf("core: chaos tick %d: %w", tick, err)
-		}
-		for _, a := range rep.Actions {
-			logf("t%03d heal: %s", tick, a)
-		}
-		res.Repoints += len(rep.Repointed)
-		if rep.Replaced {
-			res.Replacements++
-		}
-		if !rep.Converged { // a converged round re-reports the standing degradation
-			for _, f := range rep.Degradation.Findings {
-				res.Findings.Add(f)
-			}
-		}
-
-		// 2. Exercise the control plane through the retrying driver.
-		if driver != nil {
-			if err := driver.Apply(*opts.Refresh); err != nil {
-				violate(tick, "control-plane refresh not recovered: %v", err)
-			}
-		}
-
-		// 3. Probe every chain end-to-end.
-		for _, pr := range opts.Probes {
-			if !d.Switch.PortIsUp(pr.Port) {
-				logf("t%03d probe %s: suppressed, inject port %d down", tick, pr.Name, pr.Port)
-				continue
-			}
-			res.Probes++
-			tr, err := d.Inject(pr.Port, pr.Packet())
-			if err != nil {
-				violate(tick, "probe %s: inject failed: %v", pr.Name, err)
-				continue
-			}
-			switch {
-			case len(tr.Out) > 0:
-				res.Delivered++
-				logf("t%03d probe %s: delivered port %d", tick, pr.Name, tr.Out[0].Port)
-				if port := staticExitOf(d.installed.Res.Composer.Chains, pr.PathID); port != 0 && tr.Out[0].Port != port {
-					violate(tick, "probe %s: exited port %d, static exit is %d",
-						pr.Name, tr.Out[0].Port, port)
-				}
-			case tr.Dropped && tr.DropReason != "":
-				res.Dropped++
-				logf("t%03d probe %s: dropped (%s)", tick, pr.Name, tr.DropReason)
-			case len(tr.CPU) > 0:
-				res.Punted++
-				logf("t%03d probe %s: punted to CPU", tick, pr.Name)
-			default:
-				violate(tick, "probe %s: silently blackholed", pr.Name)
-			}
-		}
-
-		// 4. Invariants.
-		checkChaosInvariants(d, tick, violate)
-	}
-	res.WireLosses = len(inj.Losses())
-	if driver != nil {
-		res.Driver = driver.Stats()
-	}
-	res.Telemetry = d.Datapath.Snapshot()
+	t := &switchTarget{d: d, inj: fault.NewInjector(opts.Seed, sched), opts: opts}
+	d.Switch.SetFaultHook(t.inj)
+	d.Driver = flakyDriver(d.Controller, t.inj)
+	res.run(t, opts.Probes)
+	snap := d.Datapath.Snapshot()
+	res.WireLosses, res.AliveAtEnd, res.Driver, res.Telemetry = len(t.inj.Losses()), 1, d.Driver.Stats(), &snap
 	return res, nil
 }
+
+// switchTarget is one switch under the soak.
+type switchTarget struct {
+	d    *Deployment
+	inj  *fault.Injector
+	opts ChaosOpts
+}
+
+// faults fires the tick's faults. A recirculation overload leaves no
+// state to reconcile, so it is reported where it is seen; wire and
+// table-write faults are absorbed by the parser and the retrying
+// driver.
+func (t *switchTarget) faults(r *SoakResult) {
+	for _, ev := range t.inj.Advance(t.d.Switch) {
+		r.event(ev)
+		if ev.Kind == fault.RecircOverload {
+			r.Findings.Add(lint.Finding{
+				Rule: RuleRCCapacity, Severity: lint.SevWarn,
+				Where:   fmt.Sprintf("port %d", ev.Port),
+				Message: fmt.Sprintf("recirculation queue overloaded for %d tick(s); transient loss expected", ev.Dur()),
+				Fix:     "add loopback ports or reduce weighted recirculations",
+			})
+		}
+	}
+}
+
+// round runs one Reconcile round, then re-applies the Refresh write. A
+// failed round adopts nothing, so the next one reports its findings
+// and actions again; a converged round does not record the standing
+// degradation again either.
+func (t *switchTarget) round(r *SoakResult) (commits int, err error) {
+	installed := t.d.installed.Res
+	rep, err := t.d.Reconcile(t.opts.OfferedGbps)
+	if err == nil {
+		for _, a := range rep.Actions {
+			r.logf("heal: %s", a)
+		}
+		r.Repoints += len(rep.Repointed)
+		if !rep.Converged {
+			for _, f := range rep.Degradation.Findings {
+				r.Findings.Add(f)
+			}
+		}
+	}
+	if t.opts.Refresh != nil {
+		if err := t.d.Driver.Apply(*t.opts.Refresh); err != nil {
+			r.violate("control-plane refresh not recovered: %v", err)
+		}
+	}
+	if t.d.installed.Res != installed {
+		commits = 1
+	}
+	return commits, err
+}
+
+func (t *switchTarget) converged(int) {}
+
+// probe injects one probe, suppressed while its inject port is down:
+// it is delivered (at the chain's installed static exit, if it has
+// one), dropped with a recorded reason, or punted.
+func (t *switchTarget) probe(r *SoakResult, pr scenario.Probe) {
+	if !t.d.Switch.PortIsUp(pr.Port) {
+		r.logf("probe %s: suppressed, inject port %d down", pr.Name, pr.Port)
+		return
+	}
+	r.Probes++
+	tr, err := t.d.Inject(pr.Port, pr.Packet())
+	switch {
+	case err != nil:
+		r.violate("probe %s: inject failed: %v", pr.Name, err)
+	case len(tr.Out) > 0:
+		r.Delivered++
+		r.logf("probe %s: delivered port %d", pr.Name, tr.Out[0].Port)
+		if port := staticExitOf(t.d.installed.Res.Composer.Chains, pr.PathID); port != 0 && tr.Out[0].Port != port {
+			r.violate("probe %s: exited port %d, static exit is %d", pr.Name, tr.Out[0].Port, port)
+		}
+	case tr.Dropped && tr.DropReason != "":
+		r.Dropped++
+		r.logf("probe %s: dropped (%s)", pr.Name, tr.DropReason)
+	case len(tr.CPU) > 0:
+		r.Punted++
+		r.logf("probe %s: punted to CPU", pr.Name)
+	default:
+		r.violate("probe %s: silently blackholed", pr.Name)
+	}
+}
+
+func (t *switchTarget) check(r *SoakResult, _ bool) { checkChaosInvariants(t.d, r.violate) }
 
 // checkChaosInvariants audits the deployment after a reconcile round:
 // the capacity bookkeeping and the loopback rotation must match the
 // switch's actual port state, and the running programs must stay
 // lint-clean.
-func checkChaosInvariants(d *Deployment, tick int, violate func(int, string, ...any)) {
+func checkChaosInvariants(d *Deployment, violate func(string, ...any)) {
 	// Capacity bookkeeping vs switch port and loopback state.
 	prof, up := d.Config.Prof, 0
 	for p := 0; p < prof.TotalPorts(); p++ {
@@ -249,36 +335,36 @@ func checkChaosInvariants(d *Deployment, tick int, violate func(int, string, ...
 		}
 	}
 	if d.Capacity.TotalPorts != up {
-		violate(tick, "capacity: TotalPorts=%d, switch has %d live ports", d.Capacity.TotalPorts, up)
+		violate("capacity: TotalPorts=%d, switch has %d live ports", d.Capacity.TotalPorts, up)
 	}
 	live := 0
 	for _, p := range d.Config.LoopbackPorts {
 		switch {
 		case !d.Switch.PortIsUp(p):
 			if d.Switch.LoopbackModeOf(p) != asic.LoopbackOff {
-				violate(tick, "capacity: dead port %d still in loopback mode", p)
+				violate("capacity: dead port %d still in loopback mode", p)
 			}
 		case d.Switch.LoopbackModeOf(p) == asic.LoopbackOff:
-			violate(tick, "capacity: port %d budgeted as loopback but not in loopback mode", p)
+			violate("capacity: port %d budgeted as loopback but not in loopback mode", p)
 			live++
 		default:
 			live++
 		}
 	}
 	if d.Capacity.LoopbackPorts != live {
-		violate(tick, "capacity: LoopbackPorts=%d, %d declared loopback ports are up", d.Capacity.LoopbackPorts, live)
+		violate("capacity: LoopbackPorts=%d, %d declared loopback ports are up", d.Capacity.LoopbackPorts, live)
 	}
 	for _, ports := range d.loops.ports.Load().byPipe {
 		for _, p := range ports {
 			if !d.Switch.PortIsUp(p) {
-				violate(tick, "capacity: port %d budgeted as loopback but administratively down", p)
+				violate("capacity: port %d budgeted as loopback but administratively down", p)
 			}
 		}
 	}
 	// The running programs must stay statically clean after every repair.
 	if rep := lint.AnalyzeDeployment(d.installed.Res.Dep); rep.HasErrors() {
 		for _, f := range rep.BySeverity(lint.SevError) {
-			violate(tick, "lint: %s", f)
+			violate("lint: %s", f)
 		}
 	}
 }
@@ -336,17 +422,16 @@ func EdgeChaosConfig() (Config, []scenario.Probe, error) {
 // and fails control-plane writes against the router's LPM table. This
 // is the shared harness behind the chaos soak test, `dejavu chaos` and
 // the dvexp chaos table.
-func EdgeChaos(seed int64, ticks int) (*ChaosResult, error) {
+func EdgeChaos(seed int64, ticks int) (*SoakResult, error) {
 	cfg, probes, err := EdgeChaosConfig()
 	if err != nil {
 		return nil, err
 	}
-	opts := ChaosOpts{
+	return RunChaos(cfg, ChaosOpts{
 		Seed:        seed,
 		Ticks:       ticks,
 		OfferedGbps: 1800,
 		ScheduleOpts: fault.ScheduleOpts{
-			Ticks: ticks,
 			// Flap the static exit and three loopback ports; never the
 			// probe inject port (2) or the dynamic exits (1, 8, 9).
 			FlapPorts:   []asic.PortID{30, 20, 24, 28},
@@ -360,6 +445,5 @@ func EdgeChaos(seed int64, ticks int) (*ChaosResult, error) {
 			Args: []any{packet.IP4{0, 0, 0, 0}, 0,
 				nf.NextHop{Port: uint16(scenario.PortUpstream), DstMAC: scenario.UpstreamMAC, SrcMAC: scenario.GatewayMAC}},
 		},
-	}
-	return RunChaos(cfg, opts)
+	})
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"dejavu/internal/ctl"
 	"dejavu/internal/fault"
 )
 
@@ -122,5 +123,59 @@ func TestChaosScriptedExitFailure(t *testing.T) {
 		if line := fmt.Sprintf("t%03d probe static-exit: delivered port %d", tick, want); !strings.Contains(log, line) {
 			t.Errorf("transcript missing %q:\n%s", line, log)
 		}
+	}
+}
+
+// TestChaosFailedRoundRetries: a round whose commit exhausts the
+// driver's retries does not end the soak. The tick logs the failed
+// round and suppresses its probes; the next tick's round re-points the
+// chain and converges, two ticks after the failure began.
+func TestChaosFailedRoundRetries(t *testing.T) {
+	cfg, probes, err := EdgeChaosConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunChaos(cfg, ChaosOpts{
+		Seed:  1,
+		Ticks: 4,
+		Schedule: fault.Schedule{
+			{Tick: 2, Kind: fault.PortDown, Port: 30},
+			// One more failure than the driver's 4 attempts: the re-point's
+			// branching write fails at tick 2 and once more at tick 3.
+			{Tick: 2, Kind: fault.TableWriteFail, NF: ctl.FrameworkNF, Table: ctl.BranchingTable, Failures: 5},
+		},
+		Probes: probes,
+	})
+	if err != nil {
+		t.Fatalf("a failed round ended the soak: %v", err)
+	}
+	if !res.OK() {
+		t.Fatalf("invariants violated:\n%s", res.Summary())
+	}
+	log := strings.Join(res.Log, "\n")
+	for _, want := range []string{
+		"t002 round failed: ",
+		"t002 probe static-exit: suppressed, round failed",
+		"t003 heal: chain 40 re-pointed to port 31",
+		"t003 converged in 2 tick(s)",
+		"t003 probe static-exit: delivered port 31",
+	} {
+		if !strings.Contains(log, want) {
+			t.Errorf("transcript missing %q:\n%s", want, log)
+		}
+	}
+	if strings.Contains(log, "t002 probe static-exit: delivered") {
+		t.Errorf("tick 2 probed after its round failed:\n%s", log)
+	}
+	if res.Reconciles != 4 || res.Convergences != 1 || res.MaxConvergeTicks != 2 || res.Repoints != 1 {
+		t.Errorf("reconciles %d, convergences %d, max converge ticks %d, repoints %d; want 4, 1, 2, 1",
+			res.Reconciles, res.Convergences, res.MaxConvergeTicks, res.Repoints)
+	}
+	// 4 probes on ticks 1, 3 and 4; none on tick 2.
+	if res.Probes != 12 || res.Delivered != 12 {
+		t.Errorf("probes %d, delivered %d; want 12, 12", res.Probes, res.Delivered)
+	}
+	if res.Driver.Failures != 1 {
+		t.Errorf("driver failures = %d, want the one exhausted write", res.Driver.Failures)
 	}
 }

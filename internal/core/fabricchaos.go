@@ -1,28 +1,21 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
-	"time"
 
 	"dejavu/internal/cluster"
 	"dejavu/internal/ctl"
 	"dejavu/internal/fault"
-	"dejavu/internal/lint"
 	"dejavu/internal/scenario"
 	"dejavu/internal/telemetry"
 )
 
-// This file is the fabric chaos harness: it replays a seeded fabric
-// fault schedule (switch kills, link cuts, wire corruption windows)
-// against a multi-switch deployment, runs the fabric reconciler after
-// every tick, probes every chain end-to-end across the fabric, and
-// checks the fabric-level operational invariants — no chain stays
-// blackholed while the placement engine can still place it on the
-// surviving subgraph, every installed per-chain route is well-formed
-// and hosts the chain's NFs in order, and every probe outcome is
-// attributable. The same seed always reproduces the identical event
-// sequence, reconciler decisions and log.
+// This file is the fabric target of the chaos soak (chaos.go): switch
+// kills, link cuts and wire corruption windows, the fabric reconciler
+// as the round, and the fabric-level invariants.
 
 // FabricChaosOpts parameterizes a fabric chaos run.
 type FabricChaosOpts struct {
@@ -39,128 +32,31 @@ type FabricChaosOpts struct {
 	Telemetry *telemetry.Fabric
 }
 
-// FabricChaosResult is the outcome of one fabric chaos run. The JSON
-// shape is the `dejavu chaos -switches N -json` document (docs/CLI.md).
-type FabricChaosResult struct {
-	Seed     int64 `json:"seed"`
-	Ticks    int   `json:"ticks"`
-	Switches int   `json:"switches"`
-	// Events is the number of fabric fault events fired.
-	Events int `json:"events"`
-	// Probe accounting: every probe is delivered to its chain's exit,
-	// dropped with a fabric-attributable reason, exempted by an open
-	// corruption window on the active path, or aimed at a blackholed
-	// chain — anything else is a violation.
-	Probes           int `json:"probes"`
-	Delivered        int `json:"delivered"`
-	Dropped          int `json:"dropped"`
-	CorruptExempt    int `json:"corrupt_exempt"`
-	BlackholedProbes int `json:"blackholed_probes"`
-	// Reconciles counts reconcile rounds; Replacements counts switch
-	// program transactions committed by them; ChainReplacements counts
-	// per-chain route changes observed across the run.
-	Reconciles        int `json:"reconciles"`
-	Replacements      int `json:"replacements"`
-	ChainReplacements int `json:"chain_replacements"`
-	// Convergences counts completed reconvergences and
-	// MaxConvergeTicks the longest time-to-repair observed.
-	Convergences     int `json:"convergences"`
-	MaxConvergeTicks int `json:"max_converge_ticks"`
-	// WireLosses counts packets corruption windows destroyed on wires.
-	WireLosses int `json:"wire_losses"`
-	// AliveAtEnd is the alive-switch count after the last tick.
-	AliveAtEnd int `json:"alive_at_end"`
-	// Driver aggregates control-plane retry statistics across every
-	// switch's program-write driver.
-	Driver fault.DriverStats `json:"driver"`
-	// Routes is the final installed per-chain placement: each active
-	// chain's switch route and per-position NF segments.
-	Routes []ChainRouteRecord `json:"routes"`
-	// Findings accumulates every reconcile round's FB findings.
-	Findings *lint.Report `json:"degradation"`
-	// Violations lists invariant breaches; empty means the run passed.
-	Violations []string `json:"violations"`
-	// Log is the deterministic transcript of the run.
-	Log []string `json:"log,omitempty"`
-}
-
-// ChainRouteRecord is one chain's installed placement in the
-// `dejavu chaos -switches N -json` document: the switch sequence its traffic
-// follows and the NFs executed at each position (empty for transit).
-type ChainRouteRecord struct {
-	Chain     uint16     `json:"chain"`
-	Path      []int      `json:"path"`
-	Segments  [][]string `json:"segments"`
-	CrossHops int        `json:"cross_hops"`
-}
-
-// OK reports whether the run held every invariant.
-func (r *FabricChaosResult) OK() bool { return len(r.Violations) == 0 }
-
-// Summary renders a one-paragraph result overview.
-func (r *FabricChaosResult) Summary() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "fabric chaos seed %d: %d switches, %d ticks, %d fault events\n",
-		r.Seed, r.Switches, r.Ticks, r.Events)
-	fmt.Fprintf(&sb, "probes: %d total, %d delivered, %d dropped (attributed), %d corrupt-exempt, %d blackholed\n",
-		r.Probes, r.Delivered, r.Dropped, r.CorruptExempt, r.BlackholedProbes)
-	fmt.Fprintf(&sb, "healing: %d reconcile rounds, %d program transactions, %d chain re-places, %d reconvergences (max %d tick(s))\n",
-		r.Reconciles, r.Replacements, r.ChainReplacements, r.Convergences, r.MaxConvergeTicks)
-	fmt.Fprintf(&sb, "wire losses: %d; driver: %d writes, %d retries, %d failures; alive at end: %d/%d\n",
-		r.WireLosses, r.Driver.Writes, r.Driver.Retries, r.Driver.Failures, r.AliveAtEnd, r.Switches)
-	fmt.Fprintf(&sb, "degradation findings: %d (%d error, %d warn)\n",
-		len(r.Findings.Findings), r.Findings.Errors(), r.Findings.Warnings())
-	if r.OK() {
-		sb.WriteString("invariants: all held\n")
-	} else {
-		fmt.Fprintf(&sb, "invariants: %d VIOLATION(S)\n", len(r.Violations))
-		for _, v := range r.Violations {
-			fmt.Fprintf(&sb, "  %s\n", v)
-		}
-	}
-	return sb.String()
-}
-
-// fabricStageDemand inflates every edge-cloud NF to 8 stages (+2
-// framework overhead = 10 placement units), so the 5-NF chain set
-// needs two 48-stage switches and the reconciler has real segmentation
-// work to do.
-func fabricStageDemand() map[string]int {
-	d := make(map[string]int)
-	for _, n := range []string{"classifier", "fw", "vgw", "lb", "router"} {
-		d[n] = 8
-	}
-	return d
-}
-
 // RunFabricChaos builds the §5 edge-cloud chain set on a multi-switch
-// fabric, replays a seeded fabric fault schedule against it tick by
-// tick — reconciling, probing every chain across the fabric and
-// checking invariants after every tick — and returns the accumulated
-// result. Fully deterministic: the same opts produce the identical
-// result and log.
-func RunFabricChaos(opts FabricChaosOpts) (*FabricChaosResult, error) {
-	n := opts.Switches
-	if n <= 0 {
-		n = 3
-	}
+// fabric and soaks it under a seeded fabric fault schedule. Fully
+// deterministic: the same opts produce the identical result and log.
+func RunFabricChaos(opts FabricChaosOpts) (*SoakResult, error) {
+	n := cmp.Or(opts.Switches, 3)
 	if n < 2 {
-		return nil, fmt.Errorf("core: fabric chaos needs at least 2 switches")
+		return nil, fmt.Errorf("core: fabric chaos: switches is %d, need at least 2", n)
 	}
-	ticks := opts.Ticks
-	if ticks <= 0 {
-		ticks = 40
-	}
-
-	s, err := scenario.New()
+	res, err := newSoak(opts.Seed, opts.Ticks, n)
 	if err != nil {
 		return nil, err
 	}
-	f, err := cluster.NewSpineFabric(s.Prof, n)
+	sc, err := scenario.New()
 	if err != nil {
 		return nil, err
 	}
-	fd, err := cluster.NewFabricDeployment(f, s.Chains, s.NFs, fabricStageDemand())
+	f, err := cluster.NewSpineFabric(sc.Prof, n)
+	if err != nil {
+		return nil, err
+	}
+	// Every NF takes 8 stages (+2 framework overhead = 10 placement
+	// units), so the 5-NF chain set needs two 48-stage switches and the
+	// reconciler has real segmentation work to do.
+	demand := map[string]int{"classifier": 8, "fw": 8, "vgw": 8, "lb": 8, "router": 8}
+	fd, err := cluster.NewFabricDeployment(f, sc.Chains, sc.NFs, demand)
 	if err != nil {
 		return nil, err
 	}
@@ -168,11 +64,11 @@ func RunFabricChaos(opts FabricChaosOpts) (*FabricChaosResult, error) {
 	// Pre-install the LB session so the full path needs no punt.
 	vip := scenario.ClientTCP(443)
 	ftuple, _ := vip.FiveTuple()
-	backend, err := s.LB.SelectBackend(scenario.VIP, ftuple.Hash())
-	if err != nil {
-		return nil, err
+	backend, err := sc.LB.SelectBackend(scenario.VIP, ftuple.Hash())
+	if err == nil {
+		err = sc.LB.InstallSession(ftuple.Hash(), backend)
 	}
-	if err := s.LB.InstallSession(ftuple.Hash(), backend); err != nil {
+	if err != nil {
 		return nil, err
 	}
 
@@ -184,186 +80,31 @@ func RunFabricChaos(opts FabricChaosOpts) (*FabricChaosResult, error) {
 		links = append(links, fault.FabricLink{Sw: w.FromSw, Port: w.FromPort})
 	}
 	sched := fault.RandomFabricSchedule(opts.Seed, fault.FabricScheduleOpts{
-		Ticks:             ticks,
-		Switches:          n,
-		ProtectedSwitches: []int{0},
-		Links:             links,
+		Ticks: res.Ticks, Switches: n, ProtectedSwitches: []int{0}, Links: links,
 	})
-	finj := fault.NewFabricInjector(opts.Seed, sched)
-	f.SetWireHook(finj.WireHook)
-
 	// Control-plane faults: scheduled write failures against the
 	// pipelet-program table on every switch, so reconvergence always
 	// flows through the retrying driver's recovery path.
-	tableInj := fault.NewInjector(opts.Seed, fault.RandomSchedule(opts.Seed, fault.ScheduleOpts{
-		Ticks:         ticks,
+	tables := fault.NewInjector(opts.Seed, fault.RandomSchedule(opts.Seed, fault.ScheduleOpts{
+		Ticks:         res.Ticks,
 		Tables:        []fault.TableRef{{NF: ctl.FrameworkNF, Table: ctl.PipeletProgramTable}},
 		EventsPerTick: 0.3,
 	}))
+	t := &fabricTarget{fd: fd, rec: cluster.NewReconciler(fd), tel: cmp.Or(opts.Telemetry, telemetry.NewFabric()),
+		inj: fault.NewFabricInjector(opts.Seed, sched), tables: tables, lastNF: make(map[uint16]string)}
+	f.SetWireHook(t.inj.WireHook)
 	for i := range fd.Drivers {
-		fd.Drivers[i] = &fault.Driver{
-			Applier: fault.NewFlakyApplier(fd.Controllers[i], tableInj),
-			Sleep:   func(time.Duration) {}, // never block a simulated run
-		}
+		fd.Drivers[i] = flakyDriver(fd.Controllers[i], tables)
 	}
-
-	tel := opts.Telemetry
-	if tel == nil {
-		tel = telemetry.NewFabric()
-	}
-	rec := cluster.NewReconciler(fd)
-
-	probes := scenario.Probes()
-	lastNF := make(map[uint16]string)
 	for _, c := range fd.Chains {
-		lastNF[c.PathID] = c.NFs[len(c.NFs)-1]
+		t.lastNF[c.PathID] = c.NFs[len(c.NFs)-1]
 	}
 
-	res := &FabricChaosResult{
-		Seed: opts.Seed, Ticks: ticks, Switches: n,
-		Findings: lint.NewReport(),
-	}
-	logf := func(format string, args ...any) {
-		res.Log = append(res.Log, fmt.Sprintf(format, args...))
-	}
-	violate := func(tick int, format string, args ...any) {
-		v := fmt.Sprintf("t%03d ", tick) + fmt.Sprintf(format, args...)
-		res.Violations = append(res.Violations, v)
-		logf("%s VIOLATION", v)
-	}
-
-	degradedSince := 0 // first tick of the current un-converged stretch
-	unconverged := false
-	for tick := 1; tick <= ticks; tick++ {
-		// 1. Fire the tick's fabric faults and arm control-plane faults.
-		for _, ev := range finj.Advance(f) {
-			res.Events++
-			logf("%s", ev)
-		}
-		tableInj.Advance(nil)
-
-		// 2. One reconcile round. A failed round (transaction aborted or
-		// rolled back) leaves the installed state consistent; the next
-		// round retries from scratch.
-		rep, recErr := rec.Reconcile()
-		res.Reconciles++
-		if rep != nil {
-			for _, fdg := range rep.Findings.Findings {
-				res.Findings.Add(fdg)
-			}
-		}
-		if recErr != nil {
-			logf("t%03d reconcile failed: %v", tick, recErr)
-			if degradedSince == 0 {
-				degradedSince = tick
-			}
-			unconverged = true
-		} else {
-			if len(rep.Changed) > 0 {
-				since := degradedSince
-				if since == 0 {
-					since = tick
-				}
-				lat := tick - since + 1
-				res.Convergences++
-				if lat > res.MaxConvergeTicks {
-					res.MaxConvergeTicks = lat
-				}
-				tel.ObserveConvergence(lat)
-				logf("t%03d converged over switches %v in %d tick(s)", tick, rep.Switches, lat)
-			}
-			degradedSince = 0
-			unconverged = false
-		}
-		tel.ObserveReconcile(f.AliveSwitches(), f.NumSwitches(), len(fd.Blackholed), len(rep.Changed))
-		if recErr == nil {
-			res.ChainReplacements += len(rep.Replaced)
-			replaced := make(map[uint16]bool, len(rep.Replaced))
-			for _, id := range rep.Replaced {
-				replaced[id] = true
-			}
-			for _, id := range cluster.SortedKeys(fd.Routes) {
-				r := fd.Routes[id]
-				tel.ObservePlacement(id, len(r.Path), r.CrossHops, replaced[id])
-			}
-		}
-
-		// 3. Invariants: every installed route is well-formed and hosts
-		// its chain's NFs in order, and no chain stays blackholed while
-		// the placement engine still finds it a feasible placement on
-		// the surviving subgraph.
-		if !unconverged {
-			checkFabricRoutes(fd, tick, violate)
-			plan, err := fd.Plan()
-			if err != nil {
-				violate(tick, "plan fails on a converged fabric: %v", err)
-			} else {
-				checkBlackholed(fd.Blackholed, plan.Blackholed, tick, violate)
-			}
-		}
-
-		// 4. Probe every chain end-to-end across the fabric. Corruption
-		// windows are scoped per chain: an open window exempts only the
-		// chains whose installed route crosses that wire.
-		corruptOn := make(map[uint16]bool)
-		for id, r := range fd.Routes {
-			for i, port := range r.Ports {
-				if finj.CorruptionOpen(r.Path[i], port) {
-					corruptOn[id] = true
-				}
-			}
-		}
-		for _, pr := range probes {
-			if unconverged {
-				logf("t%03d probe %s: suppressed, fabric not converged", tick, pr.Name)
-				continue
-			}
-			res.Probes++
-			ft, err := f.Inject(0, pr.Port, pr.Packet())
-			if err != nil {
-				violate(tick, "probe %s: inject failed: %v", pr.Name, err)
-				continue
-			}
-			_, blackholed := fd.Blackholed[pr.PathID]
-			switch {
-			case corruptOn[pr.PathID]:
-				// An open corruption window on the active path can destroy,
-				// mangle or misroute any probe; outcomes are exempt.
-				res.CorruptExempt++
-				logf("t%03d probe %s: corrupt-exempt (window open on chain route)", tick, pr.Name)
-			case blackholed:
-				res.BlackholedProbes++
-				if len(ft.Out) > 0 {
-					violate(tick, "probe %s: blackholed chain %d delivered traffic", pr.Name, pr.PathID)
-				} else {
-					logf("t%03d probe %s: blackholed as reported", tick, pr.Name)
-				}
-			case pr.Verify(ft.Out) == nil:
-				res.Delivered++
-				if want := fabricExitSwitch(fd, lastNF[pr.PathID]); want >= 0 && ft.OutSwitch[0] != want {
-					violate(tick, "probe %s: exited switch %d, chain's last NF lives on switch %d",
-						pr.Name, ft.OutSwitch[0], want)
-				}
-				logf("t%03d probe %s: delivered switch %d port %d (%d hop(s))",
-					tick, pr.Name, ft.OutSwitch[0], ft.Out[0].Port, ft.Hops)
-			case len(ft.DropReasons) > 0:
-				res.Dropped++
-				logf("t%03d probe %s: dropped (%s)", tick, pr.Name, strings.Join(ft.DropReasons, "; "))
-			default:
-				violate(tick, "probe %s: silently blackholed (out=%d dropped=%v)",
-					pr.Name, len(ft.Out), ft.Dropped)
-			}
-		}
-	}
-
-	res.WireLosses = len(finj.Losses())
-	res.AliveAtEnd = f.AliveSwitches()
-	res.Replacements = fd.Replacements
+	res.run(t, scenario.Probes())
+	res.WireLosses, res.AliveAtEnd = len(t.inj.Losses()), f.AliveSwitches()
 	for _, id := range cluster.SortedKeys(fd.Routes) {
 		r := fd.Routes[id]
-		res.Routes = append(res.Routes, ChainRouteRecord{
-			Chain: id, Path: r.Path, Segments: r.Segments, CrossHops: r.CrossHops,
-		})
+		res.Routes = append(res.Routes, ChainRouteRecord{Chain: id, Path: r.Path, Segments: r.Segments, CrossHops: r.CrossHops})
 	}
 	for _, d := range fd.Drivers {
 		st := d.Stats()
@@ -375,27 +116,127 @@ func RunFabricChaos(opts FabricChaosOpts) (*FabricChaosResult, error) {
 	return res, nil
 }
 
-// fabricExitSwitch returns the fabric switch hosting the named NF in
-// the installed placement, or -1 if it is not placed.
-func fabricExitSwitch(fd *cluster.FabricDeployment, name string) int {
-	if sw, ok := fd.Homes[name]; ok {
-		return sw
+// fabricTarget is a multi-switch fabric under the soak.
+type fabricTarget struct {
+	fd     *cluster.FabricDeployment
+	rec    *cluster.Reconciler
+	tel    *telemetry.Fabric
+	inj    *fault.FabricInjector
+	tables *fault.Injector
+	lastNF map[uint16]string // each chain's last NF, whose home is its exit switch
+}
+
+// faults fires the tick's fabric faults and arms its control-plane
+// faults.
+func (t *fabricTarget) faults(r *SoakResult) {
+	for _, ev := range t.inj.Advance(t.fd.Fabric) {
+		r.event(ev)
 	}
-	return -1
+	t.tables.Advance(nil)
+}
+
+// round runs one fabric reconcile round. A failed round (transaction
+// aborted or rolled back) leaves the installed state consistent, and
+// its findings name the failure.
+func (t *fabricTarget) round(r *SoakResult) (int, error) {
+	rep, err := t.rec.Reconcile()
+	for _, f := range rep.Findings.Findings {
+		r.Findings.Add(f)
+	}
+	t.tel.ObserveReconcile(t.fd.Fabric.AliveSwitches(), t.fd.Fabric.NumSwitches(), len(t.fd.Blackholed), len(rep.Changed))
+	if err != nil {
+		return 0, err
+	}
+	if len(rep.Changed) > 0 {
+		r.logf("heal: reprogrammed switches %v", rep.Changed)
+	}
+	r.ChainReplacements += len(rep.Replaced)
+	for _, id := range cluster.SortedKeys(t.fd.Routes) {
+		cr := t.fd.Routes[id]
+		t.tel.ObservePlacement(id, len(cr.Path), cr.CrossHops, slices.Contains(rep.Replaced, id))
+	}
+	return len(rep.Changed), nil
+}
+
+func (t *fabricTarget) converged(ticks int) { t.tel.ObserveConvergence(ticks) }
+
+// probe injects one probe at the entry switch. An open corruption
+// window on the chain's installed route can destroy, mangle or
+// misroute it, so its outcome is exempt; a probe at a blackholed chain
+// must not deliver; a delivered probe must exit the switch hosting its
+// chain's last NF.
+func (t *fabricTarget) probe(r *SoakResult, pr scenario.Probe) {
+	r.Probes++
+	ft, err := t.fd.Fabric.Inject(0, pr.Port, pr.Packet())
+	_, blackholed := t.fd.Blackholed[pr.PathID]
+	switch {
+	case err != nil:
+		r.violate("probe %s: inject failed: %v", pr.Name, err)
+	case t.corrupting(pr.PathID):
+		r.CorruptExempt++
+		r.logf("probe %s: corrupt-exempt (window open on chain route)", pr.Name)
+	case blackholed:
+		r.BlackholedProbes++
+		if len(ft.Out) > 0 {
+			r.violate("probe %s: blackholed chain %d delivered traffic", pr.Name, pr.PathID)
+		} else {
+			r.logf("probe %s: blackholed as reported", pr.Name)
+		}
+	case pr.Verify(ft.Out) == nil:
+		r.Delivered++
+		if want, placed := t.fd.Homes[t.lastNF[pr.PathID]]; placed && ft.OutSwitch[0] != want {
+			r.violate("probe %s: exited switch %d, chain's last NF lives on switch %d", pr.Name, ft.OutSwitch[0], want)
+		}
+		r.logf("probe %s: delivered switch %d port %d (%d hop(s))", pr.Name, ft.OutSwitch[0], ft.Out[0].Port, ft.Hops)
+	case len(ft.DropReasons) > 0:
+		r.Dropped++
+		r.logf("probe %s: dropped (%s)", pr.Name, strings.Join(ft.DropReasons, "; "))
+	default:
+		r.violate("probe %s: silently blackholed (out=%d dropped=%v)", pr.Name, len(ft.Out), ft.Dropped)
+	}
+}
+
+// corrupting reports whether a corruption window is open on a wire the
+// chain's installed route crosses.
+func (t *fabricTarget) corrupting(chain uint16) bool {
+	cr := t.fd.Routes[chain]
+	for i, port := range cr.Ports {
+		if t.inj.CorruptionOpen(cr.Path[i], port) {
+			return true
+		}
+	}
+	return false
+}
+
+// check audits a converged fabric: every installed route is
+// well-formed and hosts its chain's NFs in order, and no chain stays
+// blackholed while the placement engine still finds it a feasible
+// placement on the surviving subgraph. A failed round is not audited:
+// the next round retries it.
+func (t *fabricTarget) check(r *SoakResult, roundFailed bool) {
+	if roundFailed {
+		return
+	}
+	checkFabricRoutes(t.fd, r.violate)
+	if plan, err := t.fd.Plan(); err != nil {
+		r.violate("plan fails on a converged fabric: %v", err)
+	} else {
+		checkBlackholed(t.fd.Blackholed, plan.Blackholed, r.violate)
+	}
 }
 
 // checkBlackholed holds the installed blackhole set to the current
 // plan's, in chain order: no chain stays blackholed while the plan can
 // place it, and none carries traffic the plan cannot place.
-func checkBlackholed(installed, planned map[uint16]string, tick int, violate func(int, string, ...any)) {
+func checkBlackholed(installed, planned map[uint16]string, violate func(string, ...any)) {
 	for _, id := range cluster.SortedKeys(installed) {
 		if _, still := planned[id]; !still {
-			violate(tick, "chain %d stays blackholed while a feasible placement exists", id)
+			violate("chain %d stays blackholed while a feasible placement exists", id)
 		}
 	}
 	for _, id := range cluster.SortedKeys(planned) {
 		if _, have := installed[id]; !have {
-			violate(tick, "chain %d carries traffic but the current plan cannot place it", id)
+			violate("chain %d carries traffic but the current plan cannot place it", id)
 		}
 	}
 }
@@ -405,25 +246,25 @@ func checkBlackholed(installed, planned map[uint16]string, tick int, violate fun
 // ports parallel to hops), its segments concatenate to exactly the
 // chain's NF sequence, every NF executes on its recorded home switch,
 // and no blackholed chain holds a route.
-func checkFabricRoutes(fd *cluster.FabricDeployment, tick int, violate func(int, string, ...any)) {
+func checkFabricRoutes(fd *cluster.FabricDeployment, violate func(string, ...any)) {
 	for _, c := range fd.Chains {
 		r, ok := fd.Routes[c.PathID]
 		if _, blackholed := fd.Blackholed[c.PathID]; blackholed {
 			if ok {
-				violate(tick, "routes: blackholed chain %d still holds a route %v", c.PathID, r.Path)
+				violate("routes: blackholed chain %d still holds a route %v", c.PathID, r.Path)
 			}
 			continue
 		}
 		if !ok {
-			violate(tick, "routes: active chain %d has no installed route", c.PathID)
+			violate("routes: active chain %d has no installed route", c.PathID)
 			continue
 		}
 		if len(r.Path) == 0 || r.Path[0] != 0 {
-			violate(tick, "routes: chain %d route %v does not start at the entry switch", c.PathID, r.Path)
+			violate("routes: chain %d route %v does not start at the entry switch", c.PathID, r.Path)
 			continue
 		}
 		if len(r.Segments) != len(r.Path) || len(r.Ports) != len(r.Path)-1 {
-			violate(tick, "routes: chain %d route malformed (path %d, segments %d, ports %d)",
+			violate("routes: chain %d route malformed (path %d, segments %d, ports %d)",
 				c.PathID, len(r.Path), len(r.Segments), len(r.Ports))
 			continue
 		}
@@ -432,18 +273,18 @@ func checkFabricRoutes(fd *cluster.FabricDeployment, tick int, violate func(int,
 			for _, n := range seg {
 				flat = append(flat, n)
 				if home, placed := fd.Homes[n]; !placed || home != r.Path[pos] {
-					violate(tick, "routes: chain %d executes NF %q on switch %d but its home is %v",
+					violate("routes: chain %d executes NF %q on switch %d but its home is %v",
 						c.PathID, n, r.Path[pos], home)
 				}
 			}
 		}
 		if len(flat) != len(c.NFs) {
-			violate(tick, "routes: chain %d segments hold %d NFs, chain has %d", c.PathID, len(flat), len(c.NFs))
+			violate("routes: chain %d segments hold %d NFs, chain has %d", c.PathID, len(flat), len(c.NFs))
 			continue
 		}
 		for i, n := range c.NFs {
 			if flat[i] != n {
-				violate(tick, "routes: chain %d executes %q at step %d, want %q", c.PathID, flat[i], i, n)
+				violate("routes: chain %d executes %q at step %d, want %q", c.PathID, flat[i], i, n)
 			}
 		}
 	}

@@ -59,7 +59,7 @@ func TestFabricChaosSoak(t *testing.T) {
 // TestFabricChaosDeterministic proves the whole run — events, healing
 // decisions, probe outcomes, log — replays identically from the seed.
 func TestFabricChaosDeterministic(t *testing.T) {
-	run := func() *FabricChaosResult {
+	run := func() *SoakResult {
 		res, err := RunFabricChaos(FabricChaosOpts{Seed: 7, Ticks: 40})
 		if err != nil {
 			t.Fatal(err)
@@ -115,7 +115,7 @@ func TestBlackholeViolationsInChainOrder(t *testing.T) {
 	}
 	for run := 0; run < 20; run++ {
 		var got []string
-		checkBlackholed(installed, planned, 1, func(_ int, format string, args ...any) {
+		checkBlackholed(installed, planned, func(format string, args ...any) {
 			got = append(got, fmt.Sprintf(format, args...))
 		})
 		if !slices.Equal(got, want) {
