@@ -340,7 +340,7 @@ func TestReconcilerRetriesThroughFlakyDriver(t *testing.T) {
 	inj := fault.NewInjector(1, fault.Schedule{
 		{Tick: 1, Kind: fault.TableWriteFail, NF: "framework", Table: "pipelet_program", Failures: 2},
 	})
-	inj.Advance(nil)
+	inj.Advance()
 	fd.Drivers[1] = &fault.Driver{
 		Applier: fault.NewFlakyApplier(fd.Controllers[1], inj),
 		Sleep:   func(time.Duration) {},

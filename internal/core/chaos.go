@@ -127,12 +127,13 @@ func (r *SoakResult) Summary() string {
 	return sb.String()
 }
 
-// soakTarget is what one target supplies to the tick loop: its faults,
-// its reconcile round and the program transactions it committed, an
-// observer of each convergence's time to repair in ticks, its probe
-// classification, and its invariants, told whether the round failed.
+// soakTarget is what one target supplies to the tick loop: how it
+// applies a fired fault to its own topology, its reconcile round and
+// the program transactions it committed, an observer of each
+// convergence's time to repair in ticks, its probe classification, and
+// its invariants, told whether the round failed.
 type soakTarget interface {
-	faults(r *SoakResult)
+	apply(r *SoakResult, ev fault.Event) error
 	round(r *SoakResult) (commits int, err error)
 	converged(ticks int)
 	probe(r *SoakResult, pr scenario.Probe)
@@ -151,26 +152,27 @@ func (r *SoakResult) logf(format string, args ...any) {
 	r.Log = append(r.Log, fmt.Sprintf("t%03d ", r.tick)+fmt.Sprintf(format, args...))
 }
 
-// event records a fired fault; its line carries its own tick.
-func (r *SoakResult) event(ev fmt.Stringer) {
-	r.Events++
-	r.Log = append(r.Log, ev.String())
-}
-
 func (r *SoakResult) violate(format string, args ...any) {
 	v := fmt.Sprintf("t%03d ", r.tick) + fmt.Sprintf(format, args...)
 	r.Violations = append(r.Violations, v)
 	r.Log = append(r.Log, v+" VIOLATION")
 }
 
-// run replays every tick against t: faults, one reconcile round, the
-// probes, the invariants. A failed round is logged, leaves the tick
-// unconverged and suppresses its probes; the next tick's round retries
-// it.
-func (r *SoakResult) run(t soakTarget, probes []scenario.Probe) {
+// run replays every tick against t: the injector's faults, each
+// recorded (its line carries its own tick) and applied by t, one
+// reconcile round, the probes, the invariants. A failed round is
+// logged, leaves the tick unconverged and suppresses its probes; the
+// next tick's round retries it.
+func (r *SoakResult) run(t soakTarget, inj *fault.Injector, probes []scenario.Probe) {
 	degradedSince := 0 // first tick of the current failed stretch
 	for r.tick = 1; r.tick <= r.Ticks; r.tick++ {
-		t.faults(r)
+		for _, ev := range inj.Advance() {
+			r.Events++
+			r.Log = append(r.Log, ev.String())
+			if err := t.apply(r, ev); err != nil {
+				r.violate("%s not applied: %v", ev.Kind, err)
+			}
+		}
 		commits, err := t.round(r)
 		r.Reconciles++
 		if err != nil {
@@ -196,6 +198,7 @@ func (r *SoakResult) run(t soakTarget, probes []scenario.Probe) {
 		}
 		t.check(r, err != nil)
 	}
+	r.WireLosses = len(inj.Losses())
 }
 
 // flakyDriver is a switch's retrying driver over a table-write fault
@@ -225,38 +228,58 @@ func RunChaos(cfg Config, opts ChaosOpts) (*SoakResult, error) {
 		so.Ticks = cmp.Or(so.Ticks, res.Ticks)
 		sched = fault.RandomSchedule(opts.Seed, so)
 	}
-	t := &switchTarget{d: d, inj: fault.NewInjector(opts.Seed, sched), opts: opts}
-	d.Switch.SetFaultHook(t.inj)
-	d.Driver = flakyDriver(d.Controller, t.inj)
-	res.run(t, opts.Probes)
+	if err := checkSchedule(&cfg.Prof, sched); err != nil {
+		return nil, err
+	}
+	inj := fault.NewInjector(opts.Seed, sched)
+	t := &switchTarget{d: d, opts: opts}
+	d.Switch.SetFaultHook(inj)
+	d.Driver = flakyDriver(d.Controller, inj)
+	res.run(t, inj, opts.Probes)
 	snap := d.Datapath.Snapshot()
-	res.WireLosses, res.AliveAtEnd, res.Driver, res.Telemetry = len(t.inj.Losses()), 1, d.Driver.Stats(), &snap
+	res.AliveAtEnd, res.Driver, res.Telemetry = 1, d.Driver.Stats(), &snap
 	return res, nil
+}
+
+// checkSchedule refuses a fault one switch cannot apply, naming it, so
+// the soak never counts a fault that did nothing.
+func checkSchedule(prof *asic.Profile, sched fault.Schedule) error {
+	for _, ev := range sched {
+		switch {
+		case ev.Kind.Fabric() || ev.Switch != 0:
+			return fmt.Errorf("core: chaos: %s is not a fault of switch 0", ev)
+		case ev.Kind != fault.TableWriteFail && !prof.ValidPort(ev.Port):
+			return fmt.Errorf("core: chaos: %s: the switch has no port %d", ev, ev.Port)
+		case (ev.Kind == fault.PortDown || ev.Kind == fault.PortUp) && (asic.IsRecircPort(ev.Port) || ev.Port == asic.PortCPU):
+			return fmt.Errorf("core: chaos: %s: port %d has no admin state", ev, ev.Port)
+		}
+	}
+	return nil
 }
 
 // switchTarget is one switch under the soak.
 type switchTarget struct {
 	d    *Deployment
-	inj  *fault.Injector
 	opts ChaosOpts
 }
 
-// faults fires the tick's faults. A recirculation overload leaves no
-// state to reconcile, so it is reported where it is seen; wire and
-// table-write faults are absorbed by the parser and the retrying
-// driver.
-func (t *switchTarget) faults(r *SoakResult) {
-	for _, ev := range t.inj.Advance(t.d.Switch) {
-		r.event(ev)
-		if ev.Kind == fault.RecircOverload {
-			r.Findings.Add(lint.Finding{
-				Rule: RuleRCCapacity, Severity: lint.SevWarn,
-				Where:   fmt.Sprintf("port %d", ev.Port),
-				Message: fmt.Sprintf("recirculation queue overloaded for %d tick(s); transient loss expected", ev.Dur()),
-				Fix:     "add loopback ports or reduce weighted recirculations",
-			})
-		}
+// apply applies a port flap to the switch. A recirculation overload
+// leaves no state to reconcile, so it is reported where it is seen;
+// wire and table-write faults are absorbed by the parser and the
+// retrying driver.
+func (t *switchTarget) apply(r *SoakResult, ev fault.Event) error {
+	switch ev.Kind {
+	case fault.PortDown, fault.PortUp:
+		return t.d.Switch.SetPortAdminState(ev.Port, ev.Kind == fault.PortUp)
+	case fault.RecircOverload:
+		r.Findings.Add(lint.Finding{
+			Rule: RuleRCCapacity, Severity: lint.SevWarn,
+			Where:   fmt.Sprintf("port %d", ev.Port),
+			Message: fmt.Sprintf("recirculation queue overloaded for %d tick(s); transient loss expected", ev.Dur()),
+			Fix:     "add loopback ports or reduce weighted recirculations",
+		})
 	}
+	return nil
 }
 
 // round runs one Reconcile round, then re-applies the Refresh write. A

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"dejavu/internal/asic"
 	"dejavu/internal/ctl"
 	"dejavu/internal/fault"
 )
@@ -177,5 +178,71 @@ func TestChaosFailedRoundRetries(t *testing.T) {
 	}
 	if res.Driver.Failures != 1 {
 		t.Errorf("driver failures = %d, want the one exhausted write", res.Driver.Failures)
+	}
+}
+
+// TestChaosAppliesPortFlaps: the injector only reports a port flap; the
+// single-switch target applies it to the switch's admin state.
+func TestChaosAppliesPortFlaps(t *testing.T) {
+	cfg, _, err := EdgeChaosConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := Deploy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg := &switchTarget{d: d}
+	r, err := newSoak(1, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range []fault.Event{{Tick: 1, Kind: fault.PortDown, Port: 5}, {Tick: 2, Kind: fault.PortUp, Port: 5}} {
+		if err := tg.apply(r, ev); err != nil {
+			t.Fatal(err)
+		}
+		if up, want := d.Switch.PortIsUp(5), ev.Kind == fault.PortUp; up != want {
+			t.Errorf("after %s: port 5 up = %v, want %v", ev, up, want)
+		}
+	}
+	if err := tg.apply(r, fault.Event{Kind: fault.PortDown, Port: asic.PortCPU}); err == nil {
+		t.Error("a flap of the CPU port applied without error")
+	}
+}
+
+// TestChaosRefusesFaultsOneSwitchCannotApply: a schedule holding a
+// fault the switch cannot apply is refused before tick 1, naming the
+// event, instead of being counted as fired while nothing happens.
+func TestChaosRefusesFaultsOneSwitchCannotApply(t *testing.T) {
+	cfg, probes, err := EdgeChaosConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		bad  fault.Event
+	}{
+		{"flap on a port the switch lacks", fault.Event{Tick: 2, Kind: fault.PortDown, Port: 999}},
+		{"corruption on a port the switch lacks", fault.Event{Tick: 3, Kind: fault.Corrupt, Port: 700}},
+		{"overload on a port the switch lacks", fault.Event{Tick: 3, Kind: fault.RecircOverload, Port: 700}},
+		{"flap on the CPU port", fault.Event{Tick: 2, Kind: fault.PortUp, Port: asic.PortCPU}},
+		{"flap on a recirculation port", fault.Event{Tick: 2, Kind: fault.PortDown, Port: asic.RecircPort(0)}},
+		{"switch kill", fault.Event{Tick: 2, Kind: fault.SwitchKill, Switch: 1}},
+		{"link cut", fault.Event{Tick: 2, Kind: fault.LinkCut, Port: 10}},
+		{"wire corruption window", fault.Event{Tick: 2, Kind: fault.WireCorruptWindow, Port: 10}},
+		{"port flap on another switch", fault.Event{Tick: 2, Kind: fault.PortDown, Switch: 1, Port: 30}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := RunChaos(cfg, ChaosOpts{
+				Seed: 1, Ticks: 4, Probes: probes,
+				Schedule: fault.Schedule{{Tick: 1, Kind: fault.PortDown, Port: 30}, tc.bad},
+			})
+			if err == nil {
+				t.Fatalf("schedule accepted (%d events):\n%s", res.Events, res.Summary())
+			}
+			if !strings.Contains(err.Error(), tc.bad.String()) {
+				t.Errorf("error %q does not name %q", err, tc.bad)
+			}
+		})
 	}
 }

@@ -72,36 +72,33 @@ func RunFabricChaos(opts FabricChaosOpts) (*SoakResult, error) {
 		return nil, err
 	}
 
-	// Fabric fault timeline, at the generator's default rate: the entry
-	// switch is protected (without it no chain can carry traffic at all),
-	// every wire is fair game.
+	// One fault timeline: fabric faults at the generator's default rate
+	// (the entry switch protected, every wire fair game), then write
+	// failures against every switch's pipelet-program table, so
+	// reconvergence always flows through the retrying driver.
 	var links []fault.FabricLink
 	for _, w := range f.Wires() {
 		links = append(links, fault.FabricLink{Sw: w.FromSw, Port: w.FromPort})
 	}
-	sched := fault.RandomFabricSchedule(opts.Seed, fault.FabricScheduleOpts{
+	sched := append(fault.RandomFabricSchedule(opts.Seed, fault.FabricScheduleOpts{
 		Ticks: res.Ticks, Switches: n, ProtectedSwitches: []int{0}, Links: links,
-	})
-	// Control-plane faults: scheduled write failures against the
-	// pipelet-program table on every switch, so reconvergence always
-	// flows through the retrying driver's recovery path.
-	tables := fault.NewInjector(opts.Seed, fault.RandomSchedule(opts.Seed, fault.ScheduleOpts{
+	}), fault.RandomSchedule(opts.Seed, fault.ScheduleOpts{
 		Ticks:         res.Ticks,
 		Tables:        []fault.TableRef{{NF: ctl.FrameworkNF, Table: ctl.PipeletProgramTable}},
 		EventsPerTick: 0.3,
-	}))
+	})...)
 	t := &fabricTarget{fd: fd, rec: cluster.NewReconciler(fd), tel: cmp.Or(opts.Telemetry, telemetry.NewFabric()),
-		inj: fault.NewFabricInjector(opts.Seed, sched), tables: tables, lastNF: make(map[uint16]string)}
+		inj: fault.NewInjector(opts.Seed, sched), lastNF: make(map[uint16]string)}
 	f.SetWireHook(t.inj.WireHook)
 	for i := range fd.Drivers {
-		fd.Drivers[i] = flakyDriver(fd.Controllers[i], tables)
+		fd.Drivers[i] = flakyDriver(fd.Controllers[i], t.inj)
 	}
 	for _, c := range fd.Chains {
 		t.lastNF[c.PathID] = c.NFs[len(c.NFs)-1]
 	}
 
-	res.run(t, scenario.Probes())
-	res.WireLosses, res.AliveAtEnd = len(t.inj.Losses()), f.AliveSwitches()
+	res.run(t, t.inj, scenario.Probes())
+	res.AliveAtEnd = f.AliveSwitches()
 	for _, id := range cluster.SortedKeys(fd.Routes) {
 		r := fd.Routes[id]
 		res.Routes = append(res.Routes, ChainRouteRecord{Chain: id, Path: r.Path, Segments: r.Segments, CrossHops: r.CrossHops})
@@ -121,18 +118,24 @@ type fabricTarget struct {
 	fd     *cluster.FabricDeployment
 	rec    *cluster.Reconciler
 	tel    *telemetry.Fabric
-	inj    *fault.FabricInjector
-	tables *fault.Injector
+	inj    *fault.Injector
 	lastNF map[uint16]string // each chain's last NF, whose home is its exit switch
 }
 
-// faults fires the tick's fabric faults and arms its control-plane
-// faults.
-func (t *fabricTarget) faults(r *SoakResult) {
-	for _, ev := range t.inj.Advance(t.fd.Fabric) {
-		r.event(ev)
+// apply applies a switch or link change to the fabric. The injector
+// itself serves wire corruption and the drivers' write failures.
+func (t *fabricTarget) apply(_ *SoakResult, ev fault.Event) error {
+	switch f := t.fd.Fabric; ev.Kind {
+	case fault.SwitchKill:
+		return f.KillSwitch(ev.Switch)
+	case fault.SwitchRevive:
+		return f.ReviveSwitch(ev.Switch)
+	case fault.LinkCut:
+		return f.CutLink(ev.Switch, ev.Port)
+	case fault.LinkRestore:
+		return f.RestoreLink(ev.Switch, ev.Port)
 	}
-	t.tables.Advance(nil)
+	return nil
 }
 
 // round runs one fabric reconcile round. A failed round (transaction

@@ -7,6 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"dejavu/internal/cluster"
+	"dejavu/internal/ctl"
+	"dejavu/internal/fault"
+	"dejavu/internal/scenario"
 	"dejavu/internal/telemetry"
 )
 
@@ -121,5 +125,88 @@ func TestBlackholeViolationsInChainOrder(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("run %d: violations\n%s\nwant\n%s", run, strings.Join(got, "\n"), strings.Join(want, "\n"))
 		}
+	}
+}
+
+// TestFabricChaosReportsEveryFault: the fabric soak fires its
+// control-plane faults on the one timeline with its fabric faults, so
+// every table-write failure is counted and shows in the transcript, and
+// the target applies every switch kill and revival to the fabric.
+func TestFabricChaosReportsEveryFault(t *testing.T) {
+	res, err := RunFabricChaos(FabricChaosOpts{Seed: 7, Ticks: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := scenario.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := cluster.NewSpineFabric(sc.Prof, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var links []fault.FabricLink
+	for _, w := range f.Wires() {
+		links = append(links, fault.FabricLink{Sw: w.FromSw, Port: w.FromPort})
+	}
+	fabric := fault.RandomFabricSchedule(7, fault.FabricScheduleOpts{Ticks: 40, Switches: 3, ProtectedSwitches: []int{0}, Links: links})
+	tables := fault.RandomSchedule(7, fault.ScheduleOpts{
+		Ticks:         40,
+		Tables:        []fault.TableRef{{NF: ctl.FrameworkNF, Table: ctl.PipeletProgramTable}},
+		EventsPerTick: 0.3,
+	})
+	if res.Events != len(fabric)+len(tables) || res.Events != 25 {
+		t.Errorf("events = %d, want %d fabric + %d table-write faults = 25", res.Events, len(fabric), len(tables))
+	}
+	dead := make(map[int]bool)
+	for _, ev := range append(fabric, tables...) {
+		if !slices.Contains(res.Log, ev.String()) {
+			t.Errorf("transcript misses fired fault %q", ev)
+		}
+		switch ev.Kind {
+		case fault.SwitchKill:
+			dead[ev.Switch] = true
+		case fault.SwitchRevive:
+			delete(dead, ev.Switch)
+		}
+	}
+	if len(tables) == 0 || res.Driver.Retries == 0 {
+		t.Errorf("%d table-write faults, %d driver retries; the seed exercises neither", len(tables), res.Driver.Retries)
+	}
+	if res.AliveAtEnd != 3-len(dead) {
+		t.Errorf("alive at end = %d, the schedule leaves %d of 3 switches dead", res.AliveAtEnd, len(dead))
+	}
+}
+
+// TestFabricChaosAppliesTopologyFaults: the injector only reports
+// switch and link faults; the fabric target applies each to the fabric.
+func TestFabricChaosAppliesTopologyFaults(t *testing.T) {
+	sc, err := scenario.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := cluster.NewSpineFabric(sc.Prof, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg := &fabricTarget{fd: &cluster.FabricDeployment{Fabric: f}}
+	for _, step := range []struct {
+		faults []fault.Event
+		want   cluster.Health
+	}{
+		{[]fault.Event{{Kind: fault.SwitchKill, Switch: 2}, {Kind: fault.LinkCut, Switch: 0, Port: 10}}, cluster.HealthDead},
+		{[]fault.Event{{Kind: fault.SwitchRevive, Switch: 2}, {Kind: fault.LinkRestore, Switch: 0, Port: 10}}, cluster.HealthAlive},
+	} {
+		for _, ev := range step.faults {
+			if err := tg.apply(nil, ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if sw, link := f.SwitchHealth(2), f.LinkHealth(0, 10); sw != step.want || link != step.want {
+			t.Errorf("after %v: switch 2 %v, wire 0:10 %v; want both %v", step.faults, sw, link, step.want)
+		}
+	}
+	if err := tg.apply(nil, fault.Event{Kind: fault.SwitchKill, Switch: 7}); err == nil {
+		t.Error("a kill of switch 7 of 3 applied without error")
 	}
 }

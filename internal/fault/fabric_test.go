@@ -2,9 +2,11 @@ package fault
 
 import (
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 
-	"dejavu/internal/asic"
+	"dejavu/internal/ctl"
 )
 
 func fabricOpts() FabricScheduleOpts {
@@ -59,13 +61,13 @@ func TestRandomFabricScheduleSelfConsistent(t *testing.T) {
 				}
 				delete(dead, ev.Switch)
 			case LinkCut:
-				l := FabricLink{Sw: ev.LinkSw, Port: ev.LinkPort}
+				l := FabricLink{Sw: ev.Switch, Port: ev.Port}
 				if cut[l] {
 					t.Fatalf("seed %d cut already-cut link %v", seed, l)
 				}
 				cut[l] = true
 			case LinkRestore:
-				l := FabricLink{Sw: ev.LinkSw, Port: ev.LinkPort}
+				l := FabricLink{Sw: ev.Switch, Port: ev.Port}
 				if !cut[l] {
 					t.Fatalf("seed %d restored intact link %v", seed, l)
 				}
@@ -75,73 +77,95 @@ func TestRandomFabricScheduleSelfConsistent(t *testing.T) {
 	}
 }
 
-// recordingTarget captures the injector's calls in order.
-type recordingTarget struct {
-	calls []string
-}
-
-func (r *recordingTarget) NumSwitches() int { return 3 }
-func (r *recordingTarget) KillSwitch(i int) error {
-	r.calls = append(r.calls, FabricEvent{Kind: SwitchKill, Switch: i}.String())
-	return nil
-}
-func (r *recordingTarget) ReviveSwitch(i int) error {
-	r.calls = append(r.calls, FabricEvent{Kind: SwitchRevive, Switch: i}.String())
-	return nil
-}
-func (r *recordingTarget) FlapSwitch(i int) error {
-	r.calls = append(r.calls, FabricEvent{Kind: SwitchFlap, Switch: i}.String())
-	return nil
-}
-func (r *recordingTarget) CutLink(sw int, port asic.PortID) error {
-	r.calls = append(r.calls, FabricEvent{Kind: LinkCut, LinkSw: sw, LinkPort: port}.String())
-	return nil
-}
-func (r *recordingTarget) RestoreLink(sw int, port asic.PortID) error {
-	r.calls = append(r.calls, FabricEvent{Kind: LinkRestore, LinkSw: sw, LinkPort: port}.String())
-	return nil
-}
-
 func TestFabricInjectorReplaysDeterministically(t *testing.T) {
 	sched := RandomFabricSchedule(42, fabricOpts())
-	run := func() []string {
-		in := NewFabricInjector(42, sched)
-		tgt := &recordingTarget{}
+	run := func() ([]Event, []Loss) {
+		in := NewInjector(42, sched)
+		var fired []Event
 		for tick := 0; tick < 45; tick++ {
-			in.Advance(tgt)
+			fired = append(fired, in.Advance()...)
+			for _, l := range fabricOpts().Links {
+				in.WireHook(l.Sw, l.Port, testPacket())
+			}
 		}
 		if !in.Done() {
 			t.Fatal("injector not done after the full timeline")
 		}
-		return tgt.calls
+		return fired, in.Losses()
 	}
-	a, b := run(), run()
-	if !reflect.DeepEqual(a, b) {
+	evA, lossA := run()
+	evB, lossB := run()
+	if !reflect.DeepEqual(evA, evB) || !reflect.DeepEqual(lossA, lossB) {
 		t.Fatal("two replays diverged")
 	}
-	if len(a) == 0 {
-		t.Fatal("no target calls recorded")
+	if !reflect.DeepEqual(evA, []Event(sched)) {
+		t.Fatalf("fired %v, want the whole schedule %v", evA, sched)
+	}
+	if len(lossA) == 0 {
+		t.Error("replay destroyed no packet; the loss comparison is vacuous")
 	}
 }
 
 func TestFabricInjectorCorruptionWindow(t *testing.T) {
-	sched := FabricSchedule{
-		{Tick: 1, Kind: WireCorruptWindow, LinkSw: 0, LinkPort: 10, Ticks: 2, Bytes: 3},
+	sched := Schedule{
+		{Tick: 1, Kind: WireCorruptWindow, Switch: 0, Port: 10, Ticks: 2, Bytes: 3},
 	}
-	in := NewFabricInjector(1, sched)
-	in.Advance(nil)
+	in := NewInjector(1, sched)
+	in.Advance()
 	if !in.CorruptionOpen(0, 10) {
 		t.Error("window not open on its first tick")
 	}
 	if in.CorruptionOpen(1, 10) || in.CorruptionOpen(0, 11) {
 		t.Error("window open on the wrong wire")
 	}
-	in.Advance(nil)
+	in.Advance()
 	if !in.CorruptionOpen(0, 10) {
 		t.Error("2-tick window closed after one tick")
 	}
-	in.Advance(nil)
+	in.Advance()
 	if in.CorruptionOpen(0, 10) {
 		t.Error("window still open after expiry")
+	}
+}
+
+// TestInjectorHooksShareOneLock: Advance, the wire hook, the window
+// query and the flaky applier run concurrently against one injector, as
+// a fabric soak's ticks, wire crossings and driver retries do; run
+// under -race.
+func TestInjectorHooksShareOneLock(t *testing.T) {
+	sched := append(RandomFabricSchedule(7, fabricOpts()), Schedule{
+		{Tick: 1, Kind: TableWriteFail, NF: "router", Table: "ipv4_lpm", Failures: -1},
+	}...)
+	in := NewInjector(7, sched)
+	d := &Driver{Applier: NewFlakyApplier(&applyCounter{}, in), Sleep: func(time.Duration) {}}
+	w := ctl.TableWrite{NF: "router", Table: "ipv4_lpm"}
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for tick := 0; tick < 45; tick++ {
+			in.Advance()
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			l := fabricOpts().Links[i%3]
+			in.WireHook(l.Sw, l.Port, testPacket())
+			in.CorruptionOpen(l.Sw, l.Port)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			_ = d.Apply(w) // fails once the permanent fault is armed
+		}
+	}()
+	wg.Wait()
+	if !in.Done() {
+		t.Error("schedule not drained")
+	}
+	if err := d.Apply(w); err == nil {
+		t.Error("a write succeeded under a permanent table fault")
 	}
 }

@@ -1,13 +1,17 @@
 // Package fault is Dejavu's deterministic fault-injection layer: the
 // chaos substrate behind the §7 operational concerns ("service upgrade
-// and expansion, failure handling"). It produces seeded, reproducible
-// fault schedules — port flaps, wire corruption and truncation,
-// recirculation-queue overload, transient/permanent control-plane
-// write failures — and an Injector that replays a schedule against the
-// behavioural switch via asic.FaultHook, so the self-healing machinery
-// in internal/core can be exercised and regression-tested: the same
-// seed and schedule always reproduce the identical event sequence,
-// packet losses and reconciler decisions.
+// and expansion, failure handling"). One event vocabulary covers a
+// single switch and a multi-switch fabric — port flaps, wire
+// corruption and truncation, recirculation-queue overload, transient/
+// permanent control-plane write failures, switch kills and link cuts —
+// and seeded generators produce reproducible schedules of it. One
+// Injector replays a schedule: it arms the faults it serves itself
+// (wire damage through asic.FaultHook and the fabric's wire hook,
+// overload and corruption windows, table-write faults the Driver shim
+// consults) and hands every fired event back, so the soak target
+// applies port, switch and link state changes to its own topology. The
+// same seed and schedule always reproduce the identical event
+// sequence, packet losses and reconciler decisions.
 package fault
 
 import (
@@ -20,7 +24,8 @@ import (
 // Kind classifies one injected fault.
 type Kind uint8
 
-// Fault kinds.
+// Fault kinds. The first six are faults of one switch; the rest exist
+// only in a fabric.
 const (
 	// PortDown takes a front-panel port administratively down: a link
 	// flap, a pulled cable, a dead transceiver.
@@ -40,35 +45,48 @@ const (
 	// (permanent), or with the write applied but the ack lost
 	// (ambiguous — the idempotency case).
 	TableWriteFail
+	// SwitchKill powers a whole fabric switch off: every packet offered
+	// to it drops until a SwitchRevive.
+	SwitchKill
+	// SwitchRevive brings a killed switch back.
+	SwitchRevive
+	// LinkCut severs a directed inter-switch wire.
+	LinkCut
+	// LinkRestore reattaches a previously cut wire.
+	LinkRestore
+	// WireCorruptWindow opens a window during which every packet
+	// crossing one directed wire has bytes flipped (destroying packets
+	// whose mangled bytes no longer parse).
+	WireCorruptWindow
 )
+
+var kindNames = [...]string{
+	"port-down", "port-up", "corrupt", "truncate", "recirc-overload", "table-write-fail",
+	"switch-kill", "switch-revive", "link-cut", "link-restore", "wire-corrupt-window",
+}
 
 // String names the kind.
 func (k Kind) String() string {
-	switch k {
-	case PortDown:
-		return "port-down"
-	case PortUp:
-		return "port-up"
-	case Corrupt:
-		return "corrupt"
-	case Truncate:
-		return "truncate"
-	case RecircOverload:
-		return "recirc-overload"
-	case TableWriteFail:
-		return "table-write-fail"
-	default:
-		return fmt.Sprintf("Kind(%d)", uint8(k))
+	if int(k) < len(kindNames) {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
+
+// Fabric reports whether the kind exists only in a fabric.
+func (k Kind) Fabric() bool { return k >= SwitchKill }
 
 // Event is one scheduled fault.
 type Event struct {
 	// Tick is the virtual time the event fires at (1-based).
 	Tick int
 	Kind Kind
+	// Switch targets SwitchKill/SwitchRevive and, with Port, names the
+	// near end of the directed wire for LinkCut/LinkRestore/
+	// WireCorruptWindow. A single switch is switch 0.
+	Switch int
 	// Port targets port-scoped faults (PortDown/PortUp/Corrupt/
-	// Truncate).
+	// Truncate/RecircOverload) and the wire's near-end port.
 	Port asic.PortID
 	// NF and Table target TableWriteFail events.
 	NF, Table string
@@ -79,10 +97,11 @@ type Event struct {
 	// switch but the acknowledgement is lost, so a naive retry would
 	// apply it twice.
 	Ambiguous bool
-	// Bytes is how many bytes to flip (Corrupt) or strip (Truncate);
-	// zero means a default of 2.
+	// Bytes is how many bytes to flip (Corrupt, WireCorruptWindow, per
+	// packet) or strip (Truncate); zero means a default of 2.
 	Bytes int
-	// Ticks is how long a RecircOverload window lasts; zero means 1.
+	// Ticks is how long a RecircOverload or WireCorruptWindow lasts;
+	// zero means 1.
 	Ticks int
 }
 
@@ -102,16 +121,31 @@ func (e Event) String() string {
 		return fmt.Sprintf("t%03d %s port %d for %d tick(s)", e.Tick, e.Kind, e.Port, e.Dur())
 	case Corrupt, Truncate:
 		return fmt.Sprintf("t%03d %s port %d (%d bytes)", e.Tick, e.Kind, e.Port, e.bytes())
+	case SwitchKill, SwitchRevive:
+		return fmt.Sprintf("t%03d %s switch %d", e.Tick, e.Kind, e.Switch)
+	case LinkCut, LinkRestore:
+		return fmt.Sprintf("t%03d %s wire %d:%d", e.Tick, e.Kind, e.Switch, e.Port)
+	case WireCorruptWindow:
+		return fmt.Sprintf("t%03d %s wire %d:%d for %d tick(s) (%d bytes)", e.Tick, e.Kind, e.Switch, e.Port, e.Dur(), e.bytes())
 	default:
 		return fmt.Sprintf("t%03d %s port %d", e.Tick, e.Kind, e.Port)
 	}
 }
 
-func (e Event) at() int    { return e.Tick }
 func (e Event) bytes() int { return positiveOr(e.Bytes, 2) }
 
-// Dur is the effective duration of a RecircOverload window in ticks.
+// Dur is the effective duration of a RecircOverload or
+// WireCorruptWindow in ticks.
 func (e Event) Dur() int { return positiveOr(e.Ticks, 1) }
+
+// positiveOr returns n, or def when n is not positive — the "zero means
+// a default" rule of the events' Bytes and Ticks fields.
+func positiveOr(n, def int) int {
+	if n <= 0 {
+		return def
+	}
+	return n
+}
 
 // Schedule is a fault timeline; an injector replays it in tick order.
 type Schedule []Event

@@ -60,48 +60,54 @@ func TestRandomScheduleDeterministic(t *testing.T) {
 }
 
 // replay drives one injector over a fresh switch, pushing a packet per
-// tick, and returns the injector's log.
-func replay(t *testing.T, seed int64) []string {
+// tick, and returns every event it fired and every loss it recorded.
+// The switch takes no port flap: applying those is the soak target's
+// job, not the injector's.
+func replay(t *testing.T, seed int64) ([]Event, []Loss) {
 	t.Helper()
 	sw := asic.New(asic.Wedge100B())
 	sw.InstallIngress(0, func(ctx *asic.Ctx) { ctx.Meta.OutPort = 3 })
 	sw.InstallIngress(1, func(ctx *asic.Ctx) { ctx.Meta.OutPort = 3 })
 	inj := NewInjector(seed, RandomSchedule(seed, testOpts()))
 	sw.SetFaultHook(inj)
+	var fired []Event
 	for tick := 0; tick < 45; tick++ {
-		inj.Advance(sw)
-		if sw.PortIsUp(2) {
-			sw.Inject(2, testPacket())
-		}
+		fired = append(fired, inj.Advance()...)
+		sw.Inject(2, testPacket())
 	}
-	return inj.Log()
+	return fired, inj.Losses()
 }
 
 func TestInjectorReplayDeterministic(t *testing.T) {
-	a := replay(t, 11)
-	b := replay(t, 11)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same seed+schedule diverged:\n%v\nvs\n%v", a, b)
+	evA, lossA := replay(t, 11)
+	evB, lossB := replay(t, 11)
+	if !reflect.DeepEqual(evA, evB) || !reflect.DeepEqual(lossA, lossB) {
+		t.Fatalf("same seed+schedule diverged:\n%v %v\nvs\n%v %v", evA, lossA, evB, lossB)
+	}
+	if want := RandomSchedule(11, testOpts()); !reflect.DeepEqual(evA, []Event(want)) {
+		t.Errorf("fired %v, want the whole schedule %v", evA, want)
+	}
+	if len(lossA) == 0 {
+		t.Error("replay destroyed no packet; the loss comparison is vacuous")
 	}
 }
 
+// TestInjectorPortFlap: a port flap fires at its tick and touches no
+// switch — TestChaosAppliesPortFlaps (core) holds the soak target that
+// applies it.
 func TestInjectorPortFlap(t *testing.T) {
-	sw := asic.New(asic.Wedge100B())
 	inj := NewInjector(1, Schedule{
 		{Tick: 1, Kind: PortDown, Port: 5},
 		{Tick: 3, Kind: PortUp, Port: 5},
 	})
-	evs := inj.Advance(sw)
-	if len(evs) != 1 || evs[0].Kind != PortDown {
+	if evs := inj.Advance(); len(evs) != 1 || evs[0].Kind != PortDown {
 		t.Fatalf("tick 1 events = %v", evs)
 	}
-	if sw.PortIsUp(5) {
-		t.Error("port 5 still up after PortDown event")
+	if evs := inj.Advance(); len(evs) != 0 {
+		t.Fatalf("tick 2 events = %v, want none", evs)
 	}
-	inj.Advance(sw) // tick 2: nothing
-	inj.Advance(sw) // tick 3: PortUp
-	if !sw.PortIsUp(5) {
-		t.Error("port 5 still down after PortUp event")
+	if evs := inj.Advance(); len(evs) != 1 || evs[0].Kind != PortUp {
+		t.Fatalf("tick 3 events = %v", evs)
 	}
 	if !inj.Done() {
 		t.Error("schedule not drained")
@@ -109,12 +115,12 @@ func TestInjectorPortFlap(t *testing.T) {
 }
 
 func TestInjectorCorruptIsOneShotAndDeterministic(t *testing.T) {
-	run := func() (first, second *packet.Parsed, log []string) {
+	run := func() (first, second *packet.Parsed, fired []Event, losses []Loss) {
 		sw := asic.New(asic.Wedge100B())
 		sw.InstallIngress(0, func(ctx *asic.Ctx) { ctx.Meta.OutPort = 3 })
 		inj := NewInjector(5, Schedule{{Tick: 1, Kind: Corrupt, Port: 3, Bytes: 2}})
 		sw.SetFaultHook(inj)
-		inj.Advance(sw)
+		fired = inj.Advance()
 		tr1, err := sw.Inject(2, testPacket())
 		if err != nil {
 			t.Fatal(err)
@@ -129,12 +135,15 @@ func TestInjectorCorruptIsOneShotAndDeterministic(t *testing.T) {
 		if len(tr2.Out) != 1 {
 			t.Fatal("second (clean) packet lost")
 		}
-		return first, tr2.Out[0].Pkt, inj.Log()
+		return first, tr2.Out[0].Pkt, fired, inj.Losses()
 	}
-	f1, s1, log1 := run()
-	f2, _, log2 := run()
-	if !reflect.DeepEqual(log1, log2) {
+	f1, s1, ev1, loss1 := run()
+	f2, _, ev2, loss2 := run()
+	if !reflect.DeepEqual(ev1, ev2) || !reflect.DeepEqual(loss1, loss2) {
 		t.Fatal("corruption runs diverged")
+	}
+	if len(ev1) != 1 || ev1[0].Kind != Corrupt {
+		t.Fatalf("fired %v, want the one corrupt event", ev1)
 	}
 	// Second packet is untouched (one-shot fault).
 	w, _ := s1.Serialize(nil)
@@ -159,7 +168,7 @@ func TestInjectorTruncateDestroysPacket(t *testing.T) {
 	// Truncating most of the packet must make it unparseable.
 	inj := NewInjector(5, Schedule{{Tick: 1, Kind: Truncate, Port: 3, Bytes: 1000}})
 	sw.SetFaultHook(inj)
-	inj.Advance(sw)
+	inj.Advance()
 	tr, err := sw.Inject(2, testPacket())
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +196,7 @@ func TestInjectorRecircOverload(t *testing.T) {
 	})
 	inj := NewInjector(1, Schedule{{Tick: 1, Kind: RecircOverload, Port: 8, Ticks: 1}})
 	sw.SetFaultHook(inj)
-	inj.Advance(sw)
+	inj.Advance()
 	// During the window every other recirculation drops: 1st lost, 2nd
 	// delivered, 3rd lost, 4th delivered.
 	var dropped, delivered int
@@ -206,7 +215,7 @@ func TestInjectorRecircOverload(t *testing.T) {
 		t.Errorf("overload window: dropped=%d delivered=%d, want 2/2", dropped, delivered)
 	}
 	// Window over: everything flows.
-	inj.Advance(sw)
+	inj.Advance()
 	tr, err := sw.Inject(2, testPacket())
 	if err != nil || tr.Dropped {
 		t.Fatalf("traffic broken after overload window: %v", err)
@@ -232,7 +241,7 @@ func (a *applyCounter) Apply(w ctl.TableWrite) error {
 
 func TestDriverRetriesTransientFailure(t *testing.T) {
 	inj := NewInjector(1, Schedule{{Tick: 1, Kind: TableWriteFail, NF: "router", Table: "ipv4_lpm", Failures: 2}})
-	inj.Advance(nil)
+	inj.Advance()
 	inner := &applyCounter{}
 	var backoffs []time.Duration
 	d := NewDriver(NewFlakyApplier(inner, inj))
@@ -257,7 +266,7 @@ func TestDriverRetriesTransientFailure(t *testing.T) {
 
 func TestDriverExhaustsPermanentFailure(t *testing.T) {
 	inj := NewInjector(1, Schedule{{Tick: 1, Kind: TableWriteFail, NF: "lb", Table: "lb_session", Failures: -1}})
-	inj.Advance(nil)
+	inj.Advance()
 	inner := &applyCounter{}
 	d := NewDriver(NewFlakyApplier(inner, inj))
 	d.MaxAttempts = 3
@@ -282,7 +291,7 @@ func TestDriverAmbiguousFailureIsIdempotent(t *testing.T) {
 	router := nf.NewRouter()
 	ctrl := ctl.New(sw, nf.List{router})
 	inj := NewInjector(1, Schedule{{Tick: 1, Kind: TableWriteFail, NF: "router", Table: "ipv4_lpm", Failures: 1, Ambiguous: true}})
-	inj.Advance(nil)
+	inj.Advance()
 	d := NewDriver(NewFlakyApplier(ctrl, inj))
 	d.Sleep = func(time.Duration) {}
 
