@@ -138,7 +138,7 @@ func main() {
 		fmt.Printf("  %s\n", op)
 	}
 	fmt.Printf("rebuild telemetry: builds=%d swaps=%d cache hit rate=%.0f%%\n",
-		d.Rebuild.Builds(), d.Rebuild.Swaps(), 100*d.Rebuild.CacheHitRate())
+		d.Control.Builds(), d.Control.Swaps(), 100*d.Control.CacheHitRate())
 
 	// Steer tenant web traffic onto the new path and prove it flows.
 	classifier := nfs.ByName("classifier").(*dejavu.Classifier)

@@ -18,6 +18,7 @@ import (
 	"dejavu/internal/pipeline"
 	"dejavu/internal/place"
 	"dejavu/internal/route"
+	"dejavu/internal/telemetry"
 )
 
 // Fabric reconciler rule IDs, in the internal/lint findings format so
@@ -90,9 +91,10 @@ type FabricDeployment struct {
 	Routes     map[uint16]ChainRoute // per-chain installed route
 	Homes      map[string]int        // per-NF installed home switch
 	Blackholed map[uint16]string
-	// Replacements counts switch program installs committed by
-	// reconciliation (including the initial deploy).
-	Replacements int
+	// Control records every committed round: fabric health, the
+	// transactions it committed, each installed route and each
+	// convergence. NewFabricDeployment gives each deployment its own.
+	Control *telemetry.Control
 
 	// installed is each switch's installed build and its build cache:
 	// one per switch, as one per single-switch deployment. A switch
@@ -107,6 +109,8 @@ type FabricDeployment struct {
 	// graphBuilds and anneals count desired's two expensive steps, for
 	// the tests that hold a round's cost to what changed.
 	graphBuilds, anneals int
+	// routes is record's buffer, reused round to round.
+	routes []telemetry.Route
 }
 
 // NewFabricDeployment prepares a fabric deployment: per-switch
@@ -129,6 +133,7 @@ func NewFabricDeployment(f *Fabric, chains []route.Chain, nfs nf.List, stageDema
 		Routes:      make(map[uint16]ChainRoute),
 		Homes:       make(map[string]int),
 		Blackholed:  make(map[uint16]string),
+		Control:     telemetry.NewControl(),
 	}
 	for _, sw := range f.Switches {
 		fd.installed = append(fd.installed, pipeline.Installed{Cache: pipeline.NewCache()})
@@ -496,6 +501,20 @@ func NewReconciler(dep *FabricDeployment) *Reconciler { return &Reconciler{Dep: 
 // always produce the same plan, programs and findings.
 func (r *Reconciler) Reconcile() (*ReconcileReport, error) { return r.Dep.round(true) }
 
+// record records a committed round, failed or not, into fd.Control.
+func (fd *FabricDeployment) record(rep *ReconcileReport, err error) {
+	fd.routes = fd.routes[:0]
+	for id, cr := range fd.Routes {
+		fd.routes = append(fd.routes, telemetry.Route{
+			Chain: id, PathLen: len(cr.Path), CrossHops: cr.CrossHops, Replaced: slices.Contains(rep.Replaced, id),
+		})
+	}
+	fd.Control.RecordRound(telemetry.Round{
+		Alive: fd.Fabric.AliveSwitches(), Switches: fd.Fabric.NumSwitches(),
+		Blackholed: len(fd.Blackholed), Commits: len(rep.Changed), Failed: err != nil, Routes: fd.routes,
+	})
+}
+
 // stagedBuild is one switch's build, staged and not yet committed, and
 // the build it replaces.
 type stagedBuild struct {
@@ -513,9 +532,13 @@ type stagedBuild struct {
 // touches no switch; a failed commit restores every switch the round
 // already committed, so the fabric keeps running its installed builds.
 // A model deployment (no NF implementations) plans without staging: a
-// build needs the NFs.
-func (fd *FabricDeployment) round(commit bool) (*ReconcileReport, error) {
-	rep := &ReconcileReport{Findings: lint.NewReport()}
+// build needs the NFs. A committed round, failed or not, is recorded
+// into fd.Control; a plan records nothing.
+func (fd *FabricDeployment) round(commit bool) (rep *ReconcileReport, err error) {
+	if commit {
+		defer func() { fd.record(rep, err) }()
+	}
+	rep = &ReconcileReport{Findings: lint.NewReport()}
 	fail := func(where string, err error) (*ReconcileReport, error) {
 		rep.Findings.Add(lint.Finding{
 			Rule: RuleFBConvergeFailed, Severity: lint.SevError,
@@ -625,7 +648,6 @@ func (fd *FabricDeployment) round(commit bool) (*ReconcileReport, error) {
 	}
 	if commit {
 		fd.Routes, fd.Homes, fd.Blackholed = p.routes, p.homes, p.dropped
-		fd.Replacements += len(rep.Changed)
 		fd.last.adopted = true
 	}
 	return rep, nil

@@ -260,7 +260,7 @@ func TestReconcilerMemoDifferentialWalk(t *testing.T) {
 		}
 		if !reflect.DeepEqual(mem.fd.Routes, ref.fd.Routes) || !reflect.DeepEqual(mem.fd.Homes, ref.fd.Homes) ||
 			!reflect.DeepEqual(mem.fd.Blackholed, ref.fd.Blackholed) || !sameInstalled(mem.fd, ref.fd) ||
-			mem.fd.Replacements != ref.fd.Replacements {
+			!reflect.DeepEqual(mem.fd.Control.Gather(), ref.fd.Control.Gather()) {
 			t.Fatalf("step %d (%s): installed state differs", step, what)
 		}
 	}

@@ -153,12 +153,23 @@ func TestReconcilerInitialDeploy(t *testing.T) {
 	}
 }
 
+// committed reads the switch program transactions fd's rounds
+// committed, initial deploy included.
+func committed(fd *FabricDeployment) float64 {
+	for _, f := range fd.Control.Gather() {
+		if f.Name == "dejavu_fabric_replacements_total" {
+			return f.Samples[0].Value
+		}
+	}
+	return 0
+}
+
 func TestReconcilerRoutesAroundDeadSwitch(t *testing.T) {
 	_, f, fd, rec := newTestFabric(t)
 	if _, err := rec.Reconcile(); err != nil {
 		t.Fatal(err)
 	}
-	before := fd.Replacements
+	before := committed(fd)
 
 	if err := f.KillSwitch(1); err != nil {
 		t.Fatal(err)
@@ -176,7 +187,7 @@ func TestReconcilerRoutesAroundDeadSwitch(t *testing.T) {
 	if len(fd.Blackholed) != 0 {
 		t.Fatalf("chains blackholed despite a surviving path: %v", fd.Blackholed)
 	}
-	if fd.Replacements <= before {
+	if committed(fd) <= before {
 		t.Error("re-placement not counted")
 	}
 	var sawDown, sawReplaced bool

@@ -129,13 +129,11 @@ func (r *SoakResult) Summary() string {
 
 // soakTarget is what one target supplies to the tick loop: how it
 // applies a fired fault to its own topology, its reconcile round and
-// the program transactions it committed, an observer of each
-// convergence's time to repair in ticks, its probe classification, and
+// the program transactions it committed, its probe classification, and
 // its invariants, told whether the round failed.
 type soakTarget interface {
 	apply(r *SoakResult, ev fault.Event) error
 	round(r *SoakResult) (commits int, err error)
-	converged(ticks int)
 	probe(r *SoakResult, pr scenario.Probe)
 	check(r *SoakResult, roundFailed bool)
 }
@@ -184,7 +182,6 @@ func (r *SoakResult) run(t soakTarget, inj *fault.Injector, probes []scenario.Pr
 				r.Replacements += commits
 				r.Convergences++
 				r.MaxConvergeTicks = max(r.MaxConvergeTicks, ticks)
-				t.converged(ticks)
 				r.logf("converged in %d tick(s)", ticks)
 			}
 			degradedSince = 0
@@ -310,8 +307,6 @@ func (t *switchTarget) round(r *SoakResult) (commits int, err error) {
 	}
 	return commits, err
 }
-
-func (t *switchTarget) converged(int) {}
 
 // probe injects one probe, suppressed while its inject port is down:
 // it is delivered (at the chain's installed static exit, if it has

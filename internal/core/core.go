@@ -123,9 +123,9 @@ type Deployment struct {
 	// LastReloads is the number of pipelet behavioural programs the most
 	// recent build actually reloaded — zero on a proved no-op rebuild.
 	LastReloads int
-	// Rebuild is the dvtel counter set for build/hot-swap activity,
-	// exported by RegisterMetrics.
-	Rebuild *telemetry.Rebuild
+	// Control records this deployment's builds and hot swaps, exported
+	// by RegisterMetrics.
+	Control *telemetry.Control
 	// Driver is the retrying control-plane write path hot swaps push
 	// their delta through; tests may swap in one wrapping a
 	// fault.FlakyApplier.
@@ -297,7 +297,7 @@ func Deploy(cfg Config) (*Deployment, error) {
 	if cfg.Prof.Pipelines == 0 {
 		cfg.Prof = asic.Wedge100B()
 	}
-	d := &Deployment{Rebuild: telemetry.NewRebuild(), installed: pipeline.Installed{Cache: pipeline.NewCache()}}
+	d := &Deployment{Control: telemetry.NewControl(), installed: pipeline.Installed{Cache: pipeline.NewCache()}}
 	st := &staged{cfg: cfg}
 	var err error
 	if st.next, st.delta, err = d.installed.Stage(buildInputs(cfg, cfg.Placement)); err != nil {
@@ -349,7 +349,7 @@ func (d *Deployment) adopt(st *staged) {
 	d.LastBuild = res.Info
 	d.LastDelta = st.delta
 	d.LastReloads = len(res.ChangedFuncs)
-	d.Rebuild.ObserveBuild(res.Info.CacheHits, res.Info.CacheMisses, int64(res.Info.Duration))
+	d.Control.RecordBuild(res.Info.CacheHits, res.Info.CacheMisses, int64(res.Info.Duration))
 }
 
 // MaxRecirculations returns the worst-case recirculation count across

@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"slices"
 	"strings"
 
 	"dejavu/internal/cluster"
@@ -26,10 +25,10 @@ type FabricChaosOpts struct {
 	// fabric is wired 0->1->...->n-1 on port 10 with skip wires
 	// i->i+2 on port 11, so any single switch death leaves a path.
 	Switches int
-	// Telemetry receives per-round fabric gauges; nil allocates a
-	// private collector (the run's final readings are in the result
-	// either way).
-	Telemetry *telemetry.Fabric
+	// Telemetry, when set, is the set the soak's fabric deployment
+	// records its rounds into instead of its own (the run's final
+	// readings are in the result either way).
+	Telemetry *telemetry.Control
 }
 
 // RunFabricChaos builds the §5 edge-cloud chain set on a multi-switch
@@ -60,6 +59,7 @@ func RunFabricChaos(opts FabricChaosOpts) (*SoakResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	fd.Control = cmp.Or(opts.Telemetry, fd.Control)
 
 	// Pre-install the LB session so the full path needs no punt.
 	vip := scenario.ClientTCP(443)
@@ -87,8 +87,7 @@ func RunFabricChaos(opts FabricChaosOpts) (*SoakResult, error) {
 		Tables:        []fault.TableRef{{NF: ctl.FrameworkNF, Table: ctl.PipeletProgramTable}},
 		EventsPerTick: 0.3,
 	})...)
-	t := &fabricTarget{fd: fd, rec: cluster.NewReconciler(fd), tel: cmp.Or(opts.Telemetry, telemetry.NewFabric()),
-		inj: fault.NewInjector(opts.Seed, sched), lastNF: make(map[uint16]string)}
+	t := &fabricTarget{fd: fd, rec: cluster.NewReconciler(fd), inj: fault.NewInjector(opts.Seed, sched), lastNF: make(map[uint16]string)}
 	f.SetWireHook(t.inj.WireHook)
 	for i := range fd.Drivers {
 		fd.Drivers[i] = flakyDriver(fd.Controllers[i], t.inj)
@@ -117,7 +116,6 @@ func RunFabricChaos(opts FabricChaosOpts) (*SoakResult, error) {
 type fabricTarget struct {
 	fd     *cluster.FabricDeployment
 	rec    *cluster.Reconciler
-	tel    *telemetry.Fabric
 	inj    *fault.Injector
 	lastNF map[uint16]string // each chain's last NF, whose home is its exit switch
 }
@@ -146,7 +144,6 @@ func (t *fabricTarget) round(r *SoakResult) (int, error) {
 	for _, f := range rep.Findings.Findings {
 		r.Findings.Add(f)
 	}
-	t.tel.ObserveReconcile(t.fd.Fabric.AliveSwitches(), t.fd.Fabric.NumSwitches(), len(t.fd.Blackholed), len(rep.Changed))
 	if err != nil {
 		return 0, err
 	}
@@ -154,14 +151,8 @@ func (t *fabricTarget) round(r *SoakResult) (int, error) {
 		r.logf("heal: reprogrammed switches %v", rep.Changed)
 	}
 	r.ChainReplacements += len(rep.Replaced)
-	for _, id := range cluster.SortedKeys(t.fd.Routes) {
-		cr := t.fd.Routes[id]
-		t.tel.ObservePlacement(id, len(cr.Path), cr.CrossHops, slices.Contains(rep.Replaced, id))
-	}
 	return len(rep.Changed), nil
 }
-
-func (t *fabricTarget) converged(ticks int) { t.tel.ObserveConvergence(ticks) }
 
 // probe injects one probe at the entry switch. An open corruption
 // window on the chain's installed route can destroy, mangle or

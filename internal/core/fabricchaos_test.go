@@ -23,7 +23,7 @@ func TestFabricChaosSoak(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			tel := telemetry.NewFabric()
+			tel := telemetry.NewControl()
 			res, err := RunFabricChaos(FabricChaosOpts{Seed: seed, Ticks: 40, Telemetry: tel})
 			if err != nil {
 				t.Fatal(err)
@@ -49,14 +49,87 @@ func TestFabricChaosSoak(t *testing.T) {
 			if res.AliveAtEnd < 1 {
 				t.Error("entry switch did not survive a protected schedule")
 			}
-			// The telemetry collector tracked the run.
-			if got := tel.Replacements(); got != uint64(res.Replacements) {
-				t.Errorf("telemetry replacements = %d, result says %d", got, res.Replacements)
+			// The fabric deployment recorded the run into the given set.
+			got := gathered(tel)
+			for name, want := range map[string]int{
+				"dejavu_fabric_replacements_total":      res.Replacements,
+				`dejavu_fabric_switches{state="alive"}`: res.AliveAtEnd,
+				"dejavu_fabric_reconciles_total":        res.Reconciles,
+				"dejavu_fabric_convergences_total":      res.Convergences,
+			} {
+				if got[name] != float64(want) {
+					t.Errorf("telemetry %s = %v, result says %d", name, got[name], want)
+				}
 			}
-			if got := tel.SwitchesAlive(); got != uint64(res.AliveAtEnd) {
-				t.Errorf("telemetry switches alive = %d, result says %d", got, res.AliveAtEnd)
+			if v := got["dejavu_fabric_last_converge_ticks"]; v < 1 || v > float64(res.MaxConvergeTicks) {
+				t.Errorf("last convergence took %v rounds, result's longest is %d", v, res.MaxConvergeTicks)
 			}
 		})
+	}
+}
+
+// gathered indexes a gather pass by family name, with the label set in
+// braces when the sample has one.
+func gathered(c telemetry.Collector) map[string]float64 {
+	out := make(map[string]float64)
+	for _, f := range c.Gather() {
+		for _, s := range f.Samples {
+			key := f.Name
+			if s.Labels != "" {
+				key += "{" + s.Labels + "}"
+			}
+			out[key] = s.Value
+		}
+	}
+	return out
+}
+
+// TestFabricChaosRouteGaugesFollowInstalledRoutes: the per-chain route
+// gauges sample exactly the chains with an installed route at the end
+// of a soak, and the per-chain re-place counter every chain the soak
+// ever routed. Seeds 7 and 42 end with chain 10 blackholed.
+func TestFabricChaosRouteGaugesFollowInstalledRoutes(t *testing.T) {
+	for _, seed := range []int64{7, 42} {
+		tel := telemetry.NewControl()
+		res, err := RunFabricChaos(FabricChaosOpts{Seed: seed, Telemetry: tel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		routed := make(map[string]ChainRouteRecord)
+		for _, r := range res.Routes {
+			routed[fmt.Sprintf(`chain="%d"`, r.Chain)] = r
+		}
+		if _, ok := routed[`chain="10"`]; ok {
+			t.Fatalf("seed %d: chain 10 ends routed; the test needs it blackholed", seed)
+		}
+		for _, f := range tel.Gather() {
+			switch f.Name {
+			case "dejavu_fabric_place_path_length", "dejavu_fabric_place_cross_hops":
+				var labels []string
+				for _, s := range f.Samples {
+					labels = append(labels, s.Labels)
+					r, ok := routed[s.Labels]
+					if !ok {
+						t.Errorf("seed %d: %s samples %s, which has no installed route", seed, f.Name, s.Labels)
+						continue
+					}
+					want := float64(len(r.Path))
+					if f.Name == "dejavu_fabric_place_cross_hops" {
+						want = float64(r.CrossHops)
+					}
+					if s.Value != want {
+						t.Errorf("seed %d: %s{%s} = %v, installed route says %v", seed, f.Name, s.Labels, s.Value, want)
+					}
+				}
+				if len(labels) != len(routed) {
+					t.Errorf("seed %d: %s samples %v, want one per installed route (%d)", seed, f.Name, labels, len(routed))
+				}
+			case "dejavu_fabric_place_replacements_total":
+				if len(f.Samples) != 3 || f.Samples[0].Labels != `chain="10"` {
+					t.Errorf("seed %d: %s samples %v, want chains 10, 20 and 30", seed, f.Name, f.Samples)
+				}
+			}
+		}
 	}
 }
 

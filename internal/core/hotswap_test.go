@@ -471,7 +471,7 @@ func TestHotSwapHammer(t *testing.T) {
 		t.Errorf("emitted %d < injected %d: packets lost in flight",
 			emitted.Load(), injected.Load())
 	}
-	if got := d.Rebuild.Swaps(); got != uint64(2*churns) {
+	if got := d.Control.Swaps(); got != uint64(2*churns) {
 		t.Errorf("rebuild telemetry counted %d swaps, want %d", got, 2*churns)
 	}
 }

@@ -10,7 +10,8 @@ import (
 // RegisterMetrics registers every metric source of this deployment with
 // a telemetry registry: the switch-level datapath counters (when
 // Config.Telemetry is on), the composer's per-NF and per-chain
-// counters, the postcard log (when Config.Postcards is on), and a
+// counters, the postcard log (when Config.Postcards is on), the
+// control-plane set its builds and hot swaps record into, and a
 // port-stats collector derived from the switch's own PortStats. This is
 // what `dejavu serve -metrics` exposes; docs/OBSERVABILITY.md catalogues
 // the resulting families.
@@ -24,9 +25,7 @@ func (d *Deployment) RegisterMetrics(reg *telemetry.Registry) {
 	if d.Postcards != nil {
 		reg.Register(d.Postcards)
 	}
-	if d.Rebuild != nil {
-		reg.Register(d.Rebuild)
-	}
+	reg.Register(d.Control)
 	reg.Register(telemetry.CollectorFunc(d.gatherPorts))
 }
 

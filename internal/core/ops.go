@@ -260,7 +260,7 @@ func (d *Deployment) commit(st *staged) error {
 	}
 	d.adopt(st)
 	if swap {
-		d.Rebuild.ObserveSwap(len(st.delta), len(res.ChangedFuncs))
+		d.Control.RecordSwap(len(st.delta), len(res.ChangedFuncs))
 	}
 	return nil
 }

@@ -94,18 +94,18 @@ type Applier struct {
 	dep  *core.Deployment
 	fab  *cluster.FabricDeployment
 	frec *cluster.Reconciler
-
-	// Stats receives dejavu_apply_* observations; never nil.
-	Stats *telemetry.Apply
+	// control records every apply, rollback and dry run; never nil.
+	control *telemetry.Control
 }
 
-// NewApplier creates an applier with no applied intent. Pass a shared
-// telemetry.Apply to export its counters, or nil for a private set.
-func NewApplier(stats *telemetry.Apply) *Applier {
-	if stats == nil {
-		stats = telemetry.NewApply()
+// NewApplier creates an applier with no applied intent that records
+// its applies into control, or into a set of its own when control is
+// nil.
+func NewApplier(control *telemetry.Control) *Applier {
+	if control == nil {
+		control = telemetry.NewControl()
 	}
-	return &Applier{Stats: stats}
+	return &Applier{control: control}
 }
 
 // Current returns a copy of the last successfully applied document, or
@@ -206,7 +206,7 @@ func (a *Applier) Apply(doc *Document, opts Options) (*Report, error) {
 	}
 	if opts.DryRun {
 		if err == nil {
-			a.Stats.ObserveDryRun()
+			a.control.RecordDryRun()
 		}
 		return rep, err
 	}
@@ -214,17 +214,18 @@ func (a *Applier) Apply(doc *Document, opts Options) (*Report, error) {
 	if err != nil {
 		// The converge paths guarantee the prior deployment is intact
 		// (pre-commit failures abort, post-commit failures reinstall the
-		// prior programs), so the recorded intent stays too.
+		// prior programs), so the recorded intent stays too. A failed
+		// first apply has no prior intent to roll back to.
 		if a.last != nil {
 			rep.RolledBack = true
+			a.control.RecordRollback()
 		}
-		a.Stats.ObserveRollback()
 		return rep, err
 	}
 
 	a.last = doc.Clone()
 	rep.NoOp = !rep.Initial && delta.Empty() && rep.DeltaEntries == 0 && rep.ProgramReloads == 0
-	a.Stats.ObserveApply(delta.Count(KindAdd), delta.Count(KindRemove), delta.Count(KindUpdate),
+	a.control.RecordApply(delta.Count(KindAdd), delta.Count(KindRemove), delta.Count(KindUpdate),
 		rep.NoOp, rep.ConvergenceNS)
 	return rep, nil
 }

@@ -21,6 +21,7 @@ import (
 	"dejavu/internal/pipeline"
 	"dejavu/internal/route"
 	"dejavu/internal/scenario"
+	"dejavu/internal/telemetry"
 )
 
 // applyDoc applies doc and fails the test on error.
@@ -31,6 +32,17 @@ func applyDoc(t *testing.T, a *Applier, doc *Document) *Report {
 		t.Fatalf("Apply: %v", err)
 	}
 	return rep
+}
+
+// counter reads an unlabelled family from a control-plane set, 0 when
+// the set does not render it.
+func counter(c *telemetry.Control, name string) float64 {
+	for _, f := range c.Gather() {
+		if f.Name == name && len(f.Samples) == 1 {
+			return f.Samples[0].Value
+		}
+	}
+	return 0
 }
 
 // assertProvedNoOp checks the full no-op proof on a report: empty
@@ -72,8 +84,8 @@ func TestApplyInitialAndNoOp(t *testing.T) {
 	if rep2.Hash != rep.Hash {
 		t.Errorf("no-op re-apply changed the hash: %s vs %s", rep2.Hash, rep.Hash)
 	}
-	if a.Stats.NoOps() != 1 || a.Stats.Applies() != 2 {
-		t.Errorf("stats applies=%d noops=%d, want 2/1", a.Stats.Applies(), a.Stats.NoOps())
+	if noops, applies := counter(a.control, "dejavu_apply_noop_total"), counter(a.control, "dejavu_apply_total"); noops != 1 || applies != 2 {
+		t.Errorf("stats applies=%v noops=%v, want 2/1", applies, noops)
 	}
 }
 
@@ -265,8 +277,8 @@ func TestApplyRollbackOnFault(t *testing.T) {
 			if !rep.RolledBack {
 				t.Errorf("report not marked rolled back: %s", rep.Summary())
 			}
-			if a.Stats.Rollbacks() != 1 {
-				t.Errorf("rollbacks counter = %d, want 1", a.Stats.Rollbacks())
+			if n := counter(a.control, "dejavu_apply_rollback_total"); n != 1 {
+				t.Errorf("rollbacks counter = %v, want 1", n)
 			}
 
 			// The prior intent is still the applied one and the switch still
@@ -309,6 +321,25 @@ func TestApplyRollbackOnFault(t *testing.T) {
 	}
 }
 
+// TestApplyFailedInitialApplyRollsNothingBack: a first apply that fails
+// has no prior intent to restore, so neither its report nor the
+// rollback counter says it rolled back.
+func TestApplyFailedInitialApplyRollsNothingBack(t *testing.T) {
+	a := NewApplier(nil)
+	doc := testDoc(t)
+	doc.Placement = map[string]string{"fw": "ingress 9"}
+	rep, err := a.Apply(doc, Options{})
+	if err == nil {
+		t.Fatal("a hint beyond the profile's pipelines applied")
+	}
+	if rep.RolledBack {
+		t.Errorf("failed initial apply reports a rollback: %s", rep.Summary())
+	}
+	if n := counter(a.control, "dejavu_apply_rollback_total"); n != 0 {
+		t.Errorf("rollbacks counter = %v after a failed initial apply, want 0", n)
+	}
+}
+
 // TestApplyDryRun proves -dry-run plans without touching anything: the
 // write-set is reported, the recorded intent and the switch stay put.
 func TestApplyDryRun(t *testing.T) {
@@ -342,8 +373,8 @@ func TestApplyDryRun(t *testing.T) {
 	if got := len(a.Deployment().Config.Chains); got != len(doc.Chains) {
 		t.Fatalf("dry run mutated the deployment: %d chains", got)
 	}
-	if a.Stats.DryRuns() != 2 {
-		t.Errorf("dry-run counter = %d, want 2", a.Stats.DryRuns())
+	if n := counter(a.control, "dejavu_apply_dryrun_total"); n != 2 {
+		t.Errorf("dry-run counter = %v, want 2", n)
 	}
 	// The planned apply then really converges.
 	if rep = applyDoc(t, a, next); rep.DeltaEntries == 0 {
@@ -412,6 +443,33 @@ func TestApplyFabric(t *testing.T) {
 	rep = applyDoc(t, a, next.Clone())
 	if !rep.NoOp || len(rep.FabricChanged) != 0 || rep.ProgramReloads != 0 {
 		t.Fatalf("fabric re-apply not a proved no-op: %s (changed %v)", rep.Summary(), rep.FabricChanged)
+	}
+}
+
+// TestApplyFabricRecordsRounds: a fabric driven by applies, with no
+// soak, records each reconcile round into its deployment's set — the
+// initial apply's commits, and none for an unchanged re-apply.
+func TestApplyFabricRecordsRounds(t *testing.T) {
+	a := NewApplier(nil)
+	doc := testDoc(t)
+	doc.Fabric = &FabricSpec{Switches: 3, StageDemand: map[string]int{"classifier": 6, "fw": 6, "router": 6}}
+	first := applyDoc(t, a, doc)
+	if len(first.FabricChanged) == 0 {
+		t.Fatal("the initial fabric apply programmed no switch")
+	}
+	control := a.FabricDeployment().Control
+	after := counter(control, "dejavu_fabric_replacements_total")
+	if rep := applyDoc(t, a, doc.Clone()); !rep.NoOp {
+		t.Fatalf("re-apply not a no-op: %s", rep.Summary())
+	}
+	if n := counter(control, "dejavu_fabric_reconciles_total"); n != 2 {
+		t.Errorf("reconciles = %v, want 2", n)
+	}
+	if after != float64(len(first.FabricChanged)) {
+		t.Errorf("replacements after the initial apply = %v, it programmed switches %v", after, first.FabricChanged)
+	}
+	if n := counter(control, "dejavu_fabric_replacements_total"); n != after {
+		t.Errorf("the no-op re-apply added %v replacements", n-after)
 	}
 }
 

@@ -7,7 +7,8 @@
 // The package is a leaf: it imports nothing from the repo except
 // internal/nsh (for the postcard wire format), so every layer — the
 // behavioural ASIC hot path, the composer's per-NF/per-chain counters,
-// the benchmark harness, the chaos harness — can feed it without cycles.
+// the control plane's builds, applies and fabric rounds (Control in
+// control.go), the benchmark harness — can feed it without cycles.
 //
 // Three building blocks:
 //
