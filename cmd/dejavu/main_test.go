@@ -56,8 +56,9 @@ func capture(t *testing.T, fn func() error) (string, error) {
 // in `run` are the switch model's, `plan`'s text report has no stage
 // durations, and every "duration_ns" of `plan -json` is written and
 // compared as 0. The chaos rows pin the single-switch soak with its
-// transcript (every heal action) and the 3-switch fabric soak for the
-// canonical seeds; the emit rows pin the composed P4 program, which
+// transcript (every heal action), the 3-switch fabric soak for the
+// canonical seeds (seed 7 with its transcript too) and the soak of a
+// -config document; the emit rows pin the composed P4 program, which
 // `pipeline/hash.go` also fingerprints.
 func TestCLIGolden(t *testing.T) {
 	durations := regexp.MustCompile(`"duration_ns": \d+`)
@@ -80,6 +81,8 @@ func TestCLIGolden(t *testing.T) {
 		{"chaos -switches 3 -seed 1 -json", "chaos_switches3_seed1.json", false},
 		{"chaos -switches 3 -seed 7 -json", "chaos_switches3_seed7.json", false},
 		{"chaos -switches 3 -seed 42 -json", "chaos_switches3_seed42.json", false},
+		{"chaos -switches 3 -seed 7 -ticks 40 -v -json", "chaos_switches3_seed7_v.json", false},
+		{"-config ../../configs/edgecloud.json chaos -seed 1 -v -json", "chaos_edgecloud_seed1.json", false},
 		{"emit", "emit_reference.p4", false},
 		{"-config ../../configs/edgecloud.json emit", "emit_edgecloud.p4", false},
 	} {
