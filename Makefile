@@ -57,10 +57,12 @@ bench-smoke:
 
 # Fabric chaos soak: the multi-switch fault-tolerance gate (DESIGN.md
 # §12) — reconciler + soak tests under the race detector (including the
-# remembered-plan differential walk and the all-or-nothing commit), the
-# single-switch round's tests (DESIGN.md §7, including its
+# remembered-plan differential walk, the all-or-nothing commit, a
+# scripted kill and revival, and the refusal of faults a fabric cannot
+# apply), the single-switch round's tests (DESIGN.md §7, including its
 # level-triggered differential), TestCLIGolden (`chaos -switches 3
-# -json` seeds 1/7/42 against the committed cmd/dejavu/testdata bytes),
+# -json` seeds 1/7/42, seed 7's transcript, against the committed
+# cmd/dejavu/testdata bytes),
 # the CLI's refusal of a negative -switches/-ticks, then the CLI over
 # the canonical seeds.
 fabric-chaos: build

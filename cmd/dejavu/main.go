@@ -24,6 +24,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -411,60 +412,55 @@ func runLint(args []string) error {
 }
 
 // runChaos replays a seeded random fault schedule, reconciling and
-// probing after every tick. Without -config it runs the reference
-// edge-cloud soak (the same harness the chaos tests use); with -config
-// it derives the fault surface from the document. -switches N instead
-// soaks the edge-cloud chains segmented over an N-switch fabric, with
-// switch kills, link cuts and wire corruption. Exit status: 0 when every
-// invariant held, 1 otherwise.
+// probing after every tick. Without -config it runs core.EdgeSoak, the
+// reference edge-cloud soak the chaos tests use, on one switch or, with
+// -switches N, segmented over an N-switch fabric with switch kills,
+// link cuts and wire corruption. With -config it derives the fault
+// surface from the document, which declares no probes, so that soak
+// sends none. Exit status: 0 when every invariant held, 1 otherwise.
 func runChaos(args []string) error {
 	fs := flag.NewFlagSet("chaos", flag.ExitOnError)
 	seed := fs.Int64("seed", 1, "fault schedule seed")
-	ticks := fs.Int("ticks", 40, "timeline length in ticks")
+	ticks := fs.Int("ticks", 40, "timeline length in ticks (0: 40)")
 	switches := fs.Int("switches", 0, "soak over a fabric of this many switches (0: one switch)")
 	verbose := fs.Bool("v", false, "print the full transcript before the summary")
 	jsonOut := fs.Bool("json", false, "emit the full result as JSON (includes the transcript with -v)")
 	fs.Parse(args)
 
-	var res *core.SoakResult
+	var s core.Soak
 	var err error
 	switch {
+	case configPath == "":
+		s, err = core.EdgeSoak(*seed, *ticks, *switches)
 	case *switches != 0:
-		if configPath != "" {
-			return fmt.Errorf("chaos: -switches soaks the reference chains and takes no -config")
-		}
-		res, err = core.RunFabricChaos(core.FabricChaosOpts{Seed: *seed, Ticks: *ticks, Switches: *switches})
-	case configPath != "":
+		return fmt.Errorf("chaos: -switches soaks the reference chains and takes no -config")
+	default:
 		doc, cfg, lerr := loadDocument(configPath)
 		if lerr != nil {
 			return lerr
 		}
-		so := faultSurface(doc, cfg.Prof, *ticks)
-		res, err = core.RunChaos(*cfg, core.ChaosOpts{Seed: *seed, Ticks: *ticks, ScheduleOpts: so})
-	default:
-		res, err = core.EdgeChaos(*seed, *ticks)
+		so := faultSurface(doc, cfg.Prof, cmp.Or(*ticks, 40)) // RunSoak's default timeline
+		s = core.Soak{Seed: *seed, Ticks: *ticks, Config: *cfg, Schedule: fault.RandomSchedule(*seed, so)}
 	}
 	if err != nil {
 		return err
 	}
-	return printSoak(res, *verbose, *jsonOut)
-}
-
-// printSoak prints a soak result, single-switch or fabric: its JSON
-// document, or its summary. The transcript (log) comes with -v only, in
-// both forms; it dwarfs the result.
-func printSoak(res *core.SoakResult, verbose, jsonOut bool) error {
-	if !verbose {
+	res, err := core.RunSoak(s)
+	if err != nil {
+		return err
+	}
+	// The transcript comes with -v only, in both forms; it dwarfs the result.
+	if !*verbose {
 		res.Log = nil
 	}
-	if jsonOut {
+	if *jsonOut {
 		out, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
 			return err
 		}
 		fmt.Println(string(out))
 	} else {
-		if verbose {
+		if *verbose {
 			for _, line := range res.Log {
 				fmt.Println(line)
 			}

@@ -68,16 +68,21 @@ func metricsRegistry(d *core.Deployment, fabric *telemetry.Control) *telemetry.R
 	return reg
 }
 
-// fabricSoakLoop runs seeded fabric chaos soaks back to back, each
-// fabric deployment recording its rounds into ftel, so the exported
-// dejavu_fabric_* families (switches alive, re-placements, convergence
-// ticks) stay live.
+// fabricSoakLoop runs seeded 3-switch edge-cloud soaks back to back,
+// each fabric deployment recording its rounds into ftel, so the
+// exported dejavu_fabric_* families (switches alive, re-placements,
+// convergence ticks) stay live.
 func fabricSoakLoop(ftel *telemetry.Control) {
 	for seed := int64(1); ; seed++ {
-		if _, err := core.RunFabricChaos(core.FabricChaosOpts{Seed: seed, Telemetry: ftel}); err != nil {
+		s, err := core.EdgeSoak(seed, 0, 3)
+		if err == nil {
+			s.Telemetry = ftel
+			_, err = core.RunSoak(s)
+		}
+		if err != nil {
 			return
 		}
-		time.Sleep(100 * time.Millisecond)
+		time.Sleep(100 * time.Millisecond) //dv:allow detrand: paces a live demo between soaks; each soak is seeded and never reads the clock
 	}
 }
 

@@ -41,7 +41,12 @@ func TestServeRegistryNamesEachFamilyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	fabric := telemetry.NewControl()
-	if _, err := core.RunFabricChaos(core.FabricChaosOpts{Seed: 1, Telemetry: fabric}); err != nil {
+	s, err := core.EdgeSoak(1, 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Telemetry = fabric
+	if _, err := core.RunSoak(s); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {

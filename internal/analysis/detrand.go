@@ -10,7 +10,7 @@ import (
 // deterministic and reproducible: inside internal/fault,
 // internal/traffic, internal/fabricplace (the cost-based placer's
 // scoring must replay identically for the recorded dvexp seeds), any
-// *chaos* file, or any *Chaos* function, code
+// *chaos* or *soak* file, or any *Chaos* or *Soak* function, code
 // must not CALL time.Now/Since/Sleep/... or the global math/rand
 // source directly — clocks and randomness flow in through the
 // injectable seams those packages already define (fault.Driver.Sleep,
@@ -92,17 +92,17 @@ func detrandPackageInScope(path string) bool {
 	return last == "fault" || last == "traffic" || last == "fabricplace" || strings.Contains(path, "chaos")
 }
 
-// detrandFileInScope matches *chaos* files in any package.
+// detrandFileInScope matches *chaos* and *soak* files in any package.
 func detrandFileInScope(pass *Pass, file *ast.File) bool {
 	name := pass.Fset.Position(file.Pos()).Filename
 	if i := strings.LastIndexByte(name, '/'); i >= 0 {
 		name = name[i+1:]
 	}
-	return strings.Contains(strings.ToLower(name), "chaos")
+	return strings.Contains(strings.ToLower(name), "chaos") || strings.Contains(strings.ToLower(name), "soak")
 }
 
-// inChaosFunc reports whether the stack is inside a *Chaos* function.
+// inChaosFunc reports whether the stack is inside a *Chaos*/*Soak* function.
 func inChaosFunc(stack []ast.Node) bool {
 	fd := enclosingDecl(stack)
-	return fd != nil && strings.Contains(fd.Name.Name, "Chaos")
+	return fd != nil && (strings.Contains(fd.Name.Name, "Chaos") || strings.Contains(fd.Name.Name, "Soak"))
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dejavu/internal/asic"
+	"dejavu/internal/cluster"
 	"dejavu/internal/ctl"
 	"dejavu/internal/fault"
 	"dejavu/internal/lint"
@@ -17,33 +18,31 @@ import (
 	"dejavu/internal/telemetry"
 )
 
-// This file is the chaos soak: it replays a seeded fault schedule
-// against one target — a single switch (RunChaos) or a multi-switch
-// fabric (RunFabricChaos) — and runs the same protocol every tick:
-// fire the tick's faults, run one reconcile round, probe every chain
-// end-to-end, check the target's §7 operational invariants. The same
-// seed always reproduces the identical event sequence, round decisions
-// and log.
+// This file is the chaos soak: one Soak scenario, replayed by RunSoak
+// against one target — a single switch or a multi-switch fabric
+// (fabricchaos.go) — with the same protocol every tick: fire the
+// tick's faults, run one reconcile round, probe every chain end to end,
+// check the target's §7 operational invariants. The same Soak always
+// reproduces the identical event sequence, round decisions and log.
 
-// ChaosOpts parameterizes a single-switch chaos run.
-type ChaosOpts struct {
-	Seed int64
-	// Ticks is the timeline length; zero means 40.
-	Ticks int
-	// OfferedGbps feeds the Reconcile round's capacity check; zero
-	// disables it.
-	OfferedGbps float64
-	// Schedule overrides the generated fault schedule when non-nil.
-	Schedule fault.Schedule
-	// ScheduleOpts parameterizes schedule generation when Schedule is
-	// nil.
-	ScheduleOpts fault.ScheduleOpts
-	// Probes are injected each tick, after reconciliation.
-	Probes []scenario.Probe
-	// Refresh, when non-nil, is a control-plane write re-applied every
-	// tick through the retrying driver, so scheduled table-write faults
-	// exercise the retry/idempotency path.
-	Refresh *ctl.TableWrite
+// Soak is one chaos soak scenario: the target, the fault timeline
+// replayed against it and the probes sent every tick.
+type Soak struct {
+	Seed  int64 // seeds the injector's byte flips and packet losses
+	Ticks int   // the timeline length; zero means 40
+	// Switches 0 soaks one switch deployed from Config; n >= 2 soaks
+	// Config's chains and NFs on cluster.NewSpineFabric(Config.Prof, n),
+	// as an intent's fabric section does.
+	Switches    int
+	Config      Config
+	StageDemand map[string]int   // a fabric's per-NF stage demand (the intent's stage_demand)
+	Schedule    fault.Schedule   // replayed as given; a fault the target cannot apply is refused
+	Probes      []scenario.Probe // sent every tick after the round; on a fabric at switch 0
+	OfferedGbps float64          // one switch's capacity check input; zero disables the check
+	// Refresh, when non-nil, is a control-plane write one switch re-applies
+	// every tick, so table-write faults exercise the driver's retries.
+	Refresh   *ctl.TableWrite
+	Telemetry *telemetry.Control // when set, a fabric deployment records its rounds here
 }
 
 // SoakResult is the outcome of one chaos soak, over one switch or a
@@ -127,23 +126,56 @@ func (r *SoakResult) Summary() string {
 	return sb.String()
 }
 
-// soakTarget is what one target supplies to the tick loop: how it
-// applies a fired fault to its own topology, its reconcile round and
-// the program transactions it committed, its probe classification, and
-// its invariants, told whether the round failed.
+// soakTarget is what one target supplies to the tick loop: the faults
+// it refuses, how it applies a fired fault to its own topology, its
+// round and the program transactions it committed, its probe verdict,
+// its invariants (told whether the round failed), its final readings.
 type soakTarget interface {
+	refuse(ev fault.Event) error
 	apply(r *SoakResult, ev fault.Event) error
 	round(r *SoakResult) (commits int, err error)
 	probe(r *SoakResult, pr scenario.Probe)
 	check(r *SoakResult, roundFailed bool)
+	finish(r *SoakResult)
 }
 
-// newSoak starts a result; zero ticks means 40, and fewer is refused.
-func newSoak(seed int64, ticks, switches int) (*SoakResult, error) {
-	if ticks < 0 {
-		return nil, fmt.Errorf("core: chaos: ticks is %d, must not be negative", ticks)
+// soakTicks refuses a fabric of fewer than two switches and a negative
+// timeline, and resolves zero ticks to 40.
+func soakTicks(ticks, switches int) (int, error) {
+	if switches != 0 && switches < 2 {
+		return 0, fmt.Errorf("core: fabric chaos: switches is %d, need at least 2", switches)
 	}
-	return &SoakResult{Seed: seed, Ticks: cmp.Or(ticks, 40), Switches: switches, Findings: lint.NewReport()}, nil
+	if ticks < 0 {
+		return 0, fmt.Errorf("core: chaos: ticks is %d, must not be negative", ticks)
+	}
+	return cmp.Or(ticks, 40), nil
+}
+
+// RunSoak builds s's target, its faults served by one injector over
+// s.Schedule, and replays every tick against it. Fully deterministic:
+// the same s produces the identical result and log.
+func RunSoak(s Soak) (*SoakResult, error) {
+	ticks, err := soakTicks(s.Ticks, s.Switches)
+	if err != nil {
+		return nil, err
+	}
+	inj, newTarget := fault.NewInjector(s.Seed, s.Schedule), newSwitchTarget
+	if s.Switches != 0 {
+		newTarget = newFabricTarget
+	}
+	t, err := newTarget(s, inj)
+	if err != nil {
+		return nil, err
+	}
+	for _, ev := range s.Schedule {
+		if err := t.refuse(ev); err != nil {
+			return nil, fmt.Errorf("core: chaos: %s: %w", ev, err)
+		}
+	}
+	r := &SoakResult{Seed: s.Seed, Ticks: ticks, Switches: max(s.Switches, 1), Findings: lint.NewReport()}
+	r.run(t, inj, s.Probes)
+	t.finish(r)
+	return r, nil
 }
 
 func (r *SoakResult) logf(format string, args ...any) {
@@ -204,60 +236,39 @@ func flakyDriver(ctrl *ctl.Controller, inj *fault.Injector) *fault.Driver {
 	return &fault.Driver{Applier: fault.NewFlakyApplier(ctrl, inj), Sleep: func(time.Duration) {}}
 }
 
-// RunChaos deploys cfg and soaks it under a seeded fault schedule. The
-// deployment's own driver becomes the flaky one, so heal commits and
-// the Refresh stream share its faults and its statistics. Fully
-// deterministic: the same cfg and opts produce the identical result
-// and log.
-func RunChaos(cfg Config, opts ChaosOpts) (*SoakResult, error) {
-	res, err := newSoak(opts.Seed, opts.Ticks, 1)
+// newSwitchTarget deploys s.Config with its datapath counters on (the
+// probes are the traffic) and hands the switch's faults to inj: its
+// fault hook and its driver, so heal commits and the Refresh stream
+// share one flaky driver and its statistics.
+func newSwitchTarget(s Soak, inj *fault.Injector) (soakTarget, error) {
+	s.Config.Telemetry = true
+	d, err := Deploy(s.Config)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Telemetry = true // the soak always counts; the probes are the traffic
-	d, err := Deploy(cfg)
-	if err != nil {
-		return nil, err
-	}
-	sched := opts.Schedule
-	if sched == nil {
-		so := opts.ScheduleOpts
-		so.Ticks = cmp.Or(so.Ticks, res.Ticks)
-		sched = fault.RandomSchedule(opts.Seed, so)
-	}
-	if err := checkSchedule(&cfg.Prof, sched); err != nil {
-		return nil, err
-	}
-	inj := fault.NewInjector(opts.Seed, sched)
-	t := &switchTarget{d: d, opts: opts}
 	d.Switch.SetFaultHook(inj)
 	d.Driver = flakyDriver(d.Controller, inj)
-	res.run(t, inj, opts.Probes)
-	snap := d.Datapath.Snapshot()
-	res.AliveAtEnd, res.Driver, res.Telemetry = 1, d.Driver.Stats(), &snap
-	return res, nil
-}
-
-// checkSchedule refuses a fault one switch cannot apply, naming it, so
-// the soak never counts a fault that did nothing.
-func checkSchedule(prof *asic.Profile, sched fault.Schedule) error {
-	for _, ev := range sched {
-		switch {
-		case ev.Kind.Fabric() || ev.Switch != 0:
-			return fmt.Errorf("core: chaos: %s is not a fault of switch 0", ev)
-		case ev.Kind != fault.TableWriteFail && !prof.ValidPort(ev.Port):
-			return fmt.Errorf("core: chaos: %s: the switch has no port %d", ev, ev.Port)
-		case (ev.Kind == fault.PortDown || ev.Kind == fault.PortUp) && (asic.IsRecircPort(ev.Port) || ev.Port == asic.PortCPU):
-			return fmt.Errorf("core: chaos: %s: port %d has no admin state", ev, ev.Port)
-		}
-	}
-	return nil
+	return &switchTarget{d: d, s: s}, nil
 }
 
 // switchTarget is one switch under the soak.
 type switchTarget struct {
-	d    *Deployment
-	opts ChaosOpts
+	d *Deployment
+	s Soak
+}
+
+// refuse names a fault one switch cannot apply, so the soak never
+// counts a fault that did nothing.
+func (t *switchTarget) refuse(ev fault.Event) error {
+	switch prof := &t.d.Config.Prof; {
+	case ev.Kind.Fabric() || ev.Switch != 0:
+		return fmt.Errorf("not a fault of switch 0")
+	case ev.Kind != fault.TableWriteFail && !prof.ValidPort(ev.Port):
+		return fmt.Errorf("the switch has no port %d", ev.Port)
+	case (ev.Kind == fault.PortDown || ev.Kind == fault.PortUp) && (asic.IsRecircPort(ev.Port) || ev.Port == asic.PortCPU):
+		return fmt.Errorf("port %d has no admin state", ev.Port)
+	}
+	return nil
 }
 
 // apply applies a port flap to the switch. A recirculation overload
@@ -285,7 +296,7 @@ func (t *switchTarget) apply(r *SoakResult, ev fault.Event) error {
 // degradation again either.
 func (t *switchTarget) round(r *SoakResult) (commits int, err error) {
 	installed := t.d.installed.Res
-	rep, err := t.d.Reconcile(t.opts.OfferedGbps)
+	rep, err := t.d.Reconcile(t.s.OfferedGbps)
 	if err == nil {
 		for _, a := range rep.Actions {
 			r.logf("heal: %s", a)
@@ -297,8 +308,8 @@ func (t *switchTarget) round(r *SoakResult) (commits int, err error) {
 			}
 		}
 	}
-	if t.opts.Refresh != nil {
-		if err := t.d.Driver.Apply(*t.opts.Refresh); err != nil {
+	if t.s.Refresh != nil {
+		if err := t.d.Driver.Apply(*t.s.Refresh); err != nil {
 			r.violate("control-plane refresh not recovered: %v", err)
 		}
 	}
@@ -309,8 +320,8 @@ func (t *switchTarget) round(r *SoakResult) (commits int, err error) {
 }
 
 // probe injects one probe, suppressed while its inject port is down:
-// it is delivered (at the chain's installed static exit, if it has
-// one), dropped with a recorded reason, or punted.
+// it passes Verify at the chain's installed exit (its static exit, if
+// it has one), is dropped with a recorded reason, or punted.
 func (t *switchTarget) probe(r *SoakResult, pr scenario.Probe) {
 	if !t.d.Switch.PortIsUp(pr.Port) {
 		r.logf("probe %s: suppressed, inject port %d down", pr.Name, pr.Port)
@@ -318,15 +329,17 @@ func (t *switchTarget) probe(r *SoakResult, pr scenario.Probe) {
 	}
 	r.Probes++
 	tr, err := t.d.Inject(pr.Port, pr.Packet())
+	pr.Exit = cmp.Or(staticExitOf(t.d.installed.Res.Composer.Chains, pr.PathID), pr.Exit)
 	switch {
 	case err != nil:
 		r.violate("probe %s: inject failed: %v", pr.Name, err)
 	case len(tr.Out) > 0:
+		if err := pr.Verify(tr.Out); err != nil {
+			r.violate("%v", err)
+			return
+		}
 		r.Delivered++
 		r.logf("probe %s: delivered port %d", pr.Name, tr.Out[0].Port)
-		if port := staticExitOf(t.d.installed.Res.Composer.Chains, pr.PathID); port != 0 && tr.Out[0].Port != port {
-			r.violate("probe %s: exited port %d, static exit is %d", pr.Name, tr.Out[0].Port, port)
-		}
 	case tr.Dropped && tr.DropReason != "":
 		r.Dropped++
 		r.logf("probe %s: dropped (%s)", pr.Name, tr.DropReason)
@@ -338,14 +351,17 @@ func (t *switchTarget) probe(r *SoakResult, pr scenario.Probe) {
 	}
 }
 
-func (t *switchTarget) check(r *SoakResult, _ bool) { checkChaosInvariants(t.d, r.violate) }
+func (t *switchTarget) finish(r *SoakResult) {
+	snap := t.d.Datapath.Snapshot()
+	r.AliveAtEnd, r.Driver, r.Telemetry = 1, t.d.Driver.Stats(), &snap
+}
 
-// checkChaosInvariants audits the deployment after a reconcile round:
-// the capacity bookkeeping and the loopback rotation must match the
-// switch's actual port state, and the running programs must stay
-// lint-clean.
-func checkChaosInvariants(d *Deployment, violate func(string, ...any)) {
+// check audits the deployment after a reconcile round: the capacity
+// bookkeeping and the loopback rotation must match the switch's actual
+// port state, and the running programs must stay lint-clean.
+func (t *switchTarget) check(r *SoakResult, _ bool) {
 	// Capacity bookkeeping vs switch port and loopback state.
+	d, violate := t.d, r.violate
 	prof, up := d.Config.Prof, 0
 	for p := 0; p < prof.TotalPorts(); p++ {
 		if d.Switch.PortIsUp(asic.PortID(p)) {
@@ -387,81 +403,93 @@ func checkChaosInvariants(d *Deployment, violate func(string, ...any)) {
 	}
 }
 
-// EdgeChaosConfig returns the §5 edge-cloud scenario extended for
-// chaos runs: a fourth chain (classifier→fw) with a static exit
-// through port 30 — the direct-exit path the reconciler re-points when
-// that port dies — plus loopback ports 16..29, leaving port 31 as the
-// healthy spare exit. Its probes are the §5 suite plus one for the
-// fourth chain.
-func EdgeChaosConfig() (Config, []scenario.Probe, error) {
-	s, err := scenario.New()
+// EdgeSoak returns the §5 edge-cloud soak (tests, `dejavu chaos`, dvexp)
+// on one switch (switches 0) or n, its schedule generated from seed.
+// One switch adds chain 40 (classifier→fw), whose static exit 30 the
+// round re-points to spare port 31 when it dies, loopback ports 16..29
+// and a probe; its faults flap port 30 and three loopback ports, corrupt
+// exit wires, overload recirculation and fail the LPM writes Refresh
+// repeats. A fabric gives each NF 8 stages (+2 framework), so the chains
+// need two 48-stage switches, learns the LB session up front, and takes
+// fabric faults (entry switch protected), then pipelet-program write
+// failures.
+func EdgeSoak(seed int64, ticks, switches int) (Soak, error) {
+	ticks, err := soakTicks(ticks, switches)
 	if err != nil {
-		return Config{}, nil, err
+		return Soak{}, err
 	}
-	const chaosPath uint16 = 40
-	chains := append(s.Chains, route.Chain{
-		PathID: chaosPath, NFs: []string{"classifier", "fw"},
-		Weight: 0.2, ExitPipeline: 1, StaticExitPort: 30,
-	})
-	// Steer a dedicated prefix onto the chaos chain.
-	if err := s.Classifier.AddRule(nf.ClassRule{
-		DstIP: packet.IP4{198, 18, 0, 0}, DstMask: packet.IP4{255, 255, 0, 0},
-		Priority: 15,
-		Path:     chaosPath, InitialIndex: 2, Tenant: scenario.TenantID,
-	}); err != nil {
-		return Config{}, nil, err
-	}
-	cfg := Config{
-		Prof:      s.Prof,
-		Chains:    chains,
-		NFs:       s.NFs,
-		Enter:     0,
-		Placement: s.Placement,
-	}
-	for p := asic.PortID(16); p < 30; p++ {
-		cfg.LoopbackPorts = append(cfg.LoopbackPorts, p)
-	}
-	probes := append(scenario.Probes(), scenario.Probe{
-		Name: "static-exit", PathID: chaosPath, Port: scenario.PortClient, Exit: 30,
-		Packet: func() *packet.Parsed {
-			return packet.NewUDP(packet.UDPOpts{
-				SrcMAC: scenario.ClientMAC, DstMAC: scenario.GatewayMAC,
-				Src: scenario.ClientIP, Dst: packet.IP4{198, 18, 0, 5},
-				SrcPort: 33003, DstPort: 7,
-			})
-		},
-	})
-	return cfg, probes, nil
-}
-
-// EdgeChaos runs a seeded chaos soak over the edge-cloud scenario: the
-// fault schedule flaps the static exit port and three loopback ports,
-// corrupts packets on the exit wires, overloads recirculation queues,
-// and fails control-plane writes against the router's LPM table. This
-// is the shared harness behind the chaos soak test, `dejavu chaos` and
-// the dvexp chaos table.
-func EdgeChaos(seed int64, ticks int) (*SoakResult, error) {
-	cfg, probes, err := EdgeChaosConfig()
+	sc, err := scenario.New()
 	if err != nil {
-		return nil, err
+		return Soak{}, err
 	}
-	return RunChaos(cfg, ChaosOpts{
-		Seed:        seed,
-		Ticks:       ticks,
-		OfferedGbps: 1800,
-		ScheduleOpts: fault.ScheduleOpts{
-			// Flap the static exit and three loopback ports; never the
-			// probe inject port (2) or the dynamic exits (1, 8, 9).
+	s := Soak{
+		Seed: seed, Ticks: ticks, Switches: switches, Probes: scenario.Probes(),
+		Config: Config{Prof: sc.Prof, Chains: sc.Chains, NFs: sc.NFs, Enter: 0, Placement: sc.Placement},
+	}
+	if switches == 0 {
+		const chaosPath uint16 = 40
+		s.Config.Chains = append(s.Config.Chains, route.Chain{
+			PathID: chaosPath, NFs: []string{"classifier", "fw"},
+			Weight: 0.2, ExitPipeline: 1, StaticExitPort: 30,
+		})
+		// Steer a dedicated prefix onto the chaos chain.
+		if err := sc.Classifier.AddRule(nf.ClassRule{
+			DstIP: packet.IP4{198, 18, 0, 0}, DstMask: packet.IP4{255, 255, 0, 0},
+			Priority: 15, Path: chaosPath, InitialIndex: 2, Tenant: scenario.TenantID,
+		}); err != nil {
+			return Soak{}, err
+		}
+		for p := asic.PortID(16); p < 30; p++ {
+			s.Config.LoopbackPorts = append(s.Config.LoopbackPorts, p)
+		}
+		s.Probes = append(s.Probes, scenario.Probe{
+			Name: "static-exit", PathID: chaosPath, Port: scenario.PortClient, Exit: 30,
+			Packet: func() *packet.Parsed {
+				return packet.NewUDP(packet.UDPOpts{
+					SrcMAC: scenario.ClientMAC, DstMAC: scenario.GatewayMAC, Src: scenario.ClientIP,
+					Dst: packet.IP4{198, 18, 0, 5}, SrcPort: 33003, DstPort: 7,
+				})
+			},
+		})
+		s.Schedule = fault.RandomSchedule(seed, fault.ScheduleOpts{
+			Ticks: ticks,
+			// Never the probe inject port (2) or the dynamic exits (1, 8, 9).
 			FlapPorts:   []asic.PortID{30, 20, 24, 28},
 			WirePorts:   []asic.PortID{1, 8, 30},
 			RecircPorts: []asic.PortID{16, 17, 18, 19},
 			Tables:      []fault.TableRef{{NF: "router", Table: "ipv4_lpm"}},
-		},
-		Probes: probes,
-		Refresh: &ctl.TableWrite{
+		})
+		s.OfferedGbps = 1800
+		s.Refresh = &ctl.TableWrite{
 			NF: "router", Table: "ipv4_lpm",
 			Args: []any{packet.IP4{0, 0, 0, 0}, 0,
 				nf.NextHop{Port: uint16(scenario.PortUpstream), DstMAC: scenario.UpstreamMAC, SrcMAC: scenario.GatewayMAC}},
-		},
-	})
+		}
+		return s, nil
+	}
+	s.StageDemand = map[string]int{"classifier": 8, "fw": 8, "vgw": 8, "lb": 8, "router": 8}
+	ftuple, _ := scenario.ClientTCP(443).FiveTuple()
+	backend, err := sc.LB.SelectBackend(scenario.VIP, ftuple.Hash())
+	if err == nil {
+		err = sc.LB.InstallSession(ftuple.Hash(), backend)
+	}
+	if err != nil {
+		return Soak{}, err
+	}
+	f, err := cluster.NewSpineFabric(sc.Prof, switches)
+	if err != nil {
+		return Soak{}, err
+	}
+	var links []fault.FabricLink
+	for _, w := range f.Wires() {
+		links = append(links, fault.FabricLink{Sw: w.FromSw, Port: w.FromPort})
+	}
+	s.Schedule = append(fault.RandomFabricSchedule(seed, fault.FabricScheduleOpts{
+		Ticks: ticks, Switches: switches, ProtectedSwitches: []int{0}, Links: links,
+	}), fault.RandomSchedule(seed, fault.ScheduleOpts{
+		Ticks:         ticks,
+		Tables:        []fault.TableRef{{NF: ctl.FrameworkNF, Table: ctl.PipeletProgramTable}},
+		EventsPerTick: 0.3,
+	})...)
+	return s, nil
 }

@@ -3,114 +3,17 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"dejavu/internal/cluster"
-	"dejavu/internal/ctl"
 	"dejavu/internal/fault"
 	"dejavu/internal/scenario"
-	"dejavu/internal/telemetry"
 )
 
 // This file is the fabric target of the chaos soak (chaos.go): switch
 // kills, link cuts and wire corruption windows, the fabric reconciler
 // as the round, and the fabric-level invariants.
-
-// FabricChaosOpts parameterizes a fabric chaos run.
-type FabricChaosOpts struct {
-	Seed int64
-	// Ticks is the timeline length; zero means 40.
-	Ticks int
-	// Switches is the fabric size; zero means 3 (minimum 2). The
-	// fabric is wired 0->1->...->n-1 on port 10 with skip wires
-	// i->i+2 on port 11, so any single switch death leaves a path.
-	Switches int
-	// Telemetry, when set, is the set the soak's fabric deployment
-	// records its rounds into instead of its own (the run's final
-	// readings are in the result either way).
-	Telemetry *telemetry.Control
-}
-
-// RunFabricChaos builds the §5 edge-cloud chain set on a multi-switch
-// fabric and soaks it under a seeded fabric fault schedule. Fully
-// deterministic: the same opts produce the identical result and log.
-func RunFabricChaos(opts FabricChaosOpts) (*SoakResult, error) {
-	n := cmp.Or(opts.Switches, 3)
-	if n < 2 {
-		return nil, fmt.Errorf("core: fabric chaos: switches is %d, need at least 2", n)
-	}
-	res, err := newSoak(opts.Seed, opts.Ticks, n)
-	if err != nil {
-		return nil, err
-	}
-	sc, err := scenario.New()
-	if err != nil {
-		return nil, err
-	}
-	f, err := cluster.NewSpineFabric(sc.Prof, n)
-	if err != nil {
-		return nil, err
-	}
-	// Every NF takes 8 stages (+2 framework overhead = 10 placement
-	// units), so the 5-NF chain set needs two 48-stage switches and the
-	// reconciler has real segmentation work to do.
-	demand := map[string]int{"classifier": 8, "fw": 8, "vgw": 8, "lb": 8, "router": 8}
-	fd, err := cluster.NewFabricDeployment(f, sc.Chains, sc.NFs, demand)
-	if err != nil {
-		return nil, err
-	}
-	fd.Control = cmp.Or(opts.Telemetry, fd.Control)
-
-	// Pre-install the LB session so the full path needs no punt.
-	vip := scenario.ClientTCP(443)
-	ftuple, _ := vip.FiveTuple()
-	backend, err := sc.LB.SelectBackend(scenario.VIP, ftuple.Hash())
-	if err == nil {
-		err = sc.LB.InstallSession(ftuple.Hash(), backend)
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	// One fault timeline: fabric faults at the generator's default rate
-	// (the entry switch protected, every wire fair game), then write
-	// failures against every switch's pipelet-program table, so
-	// reconvergence always flows through the retrying driver.
-	var links []fault.FabricLink
-	for _, w := range f.Wires() {
-		links = append(links, fault.FabricLink{Sw: w.FromSw, Port: w.FromPort})
-	}
-	sched := append(fault.RandomFabricSchedule(opts.Seed, fault.FabricScheduleOpts{
-		Ticks: res.Ticks, Switches: n, ProtectedSwitches: []int{0}, Links: links,
-	}), fault.RandomSchedule(opts.Seed, fault.ScheduleOpts{
-		Ticks:         res.Ticks,
-		Tables:        []fault.TableRef{{NF: ctl.FrameworkNF, Table: ctl.PipeletProgramTable}},
-		EventsPerTick: 0.3,
-	})...)
-	t := &fabricTarget{fd: fd, rec: cluster.NewReconciler(fd), inj: fault.NewInjector(opts.Seed, sched), lastNF: make(map[uint16]string)}
-	f.SetWireHook(t.inj.WireHook)
-	for i := range fd.Drivers {
-		fd.Drivers[i] = flakyDriver(fd.Controllers[i], t.inj)
-	}
-	for _, c := range fd.Chains {
-		t.lastNF[c.PathID] = c.NFs[len(c.NFs)-1]
-	}
-
-	res.run(t, t.inj, scenario.Probes())
-	res.AliveAtEnd = f.AliveSwitches()
-	for _, id := range cluster.SortedKeys(fd.Routes) {
-		r := fd.Routes[id]
-		res.Routes = append(res.Routes, ChainRouteRecord{Chain: id, Path: r.Path, Segments: r.Segments, CrossHops: r.CrossHops})
-	}
-	for _, d := range fd.Drivers {
-		st := d.Stats()
-		res.Driver.Writes += st.Writes
-		res.Driver.Retries += st.Retries
-		res.Driver.Failures += st.Failures
-		res.Driver.BackedOff += st.BackedOff
-	}
-	return res, nil
-}
 
 // fabricTarget is a multi-switch fabric under the soak.
 type fabricTarget struct {
@@ -118,6 +21,63 @@ type fabricTarget struct {
 	rec    *cluster.Reconciler
 	inj    *fault.Injector
 	lastNF map[uint16]string // each chain's last NF, whose home is its exit switch
+}
+
+// newFabricTarget wires s.Config's chains and NFs over a spine fabric
+// of s.Switches switches and hands the fabric's faults to inj: its wire
+// hook and every switch's driver.
+func newFabricTarget(s Soak, inj *fault.Injector) (soakTarget, error) {
+	f, err := cluster.NewSpineFabric(s.Config.Prof, s.Switches)
+	if err != nil {
+		return nil, err
+	}
+	fd, err := cluster.NewFabricDeployment(f, s.Config.Chains, s.Config.NFs, s.StageDemand)
+	if err != nil {
+		return nil, err
+	}
+	fd.Control = cmp.Or(s.Telemetry, fd.Control)
+	t := &fabricTarget{fd: fd, rec: cluster.NewReconciler(fd), inj: inj, lastNF: make(map[uint16]string)}
+	f.SetWireHook(inj.WireHook)
+	for i := range fd.Drivers {
+		fd.Drivers[i] = flakyDriver(fd.Controllers[i], inj)
+	}
+	for _, c := range fd.Chains {
+		t.lastNF[c.PathID] = c.NFs[len(c.NFs)-1]
+	}
+	return t, nil
+}
+
+// refuse names a fault the fabric cannot apply: a fault of one switch
+// other than a table-write failure (no fabric switch has a fault hook),
+// a switch the fabric lacks, and a link fault on a port no wire leaves.
+func (t *fabricTarget) refuse(ev fault.Event) error {
+	link := ev.Kind == fault.LinkCut || ev.Kind == fault.LinkRestore || ev.Kind == fault.WireCorruptWindow
+	switch n := len(t.fd.Fabric.Switches); {
+	case !ev.Kind.Fabric() && ev.Kind != fault.TableWriteFail:
+		return fmt.Errorf("a fabric applies no %s", ev.Kind)
+	case ev.Switch < 0 || ev.Switch >= n:
+		return fmt.Errorf("the fabric has no switch %d (%d switches)", ev.Switch, n)
+	case link && !slices.ContainsFunc(t.fd.Fabric.Wires(), func(w cluster.Wire) bool {
+		return w.FromSw == ev.Switch && w.FromPort == ev.Port
+	}):
+		return fmt.Errorf("no wire leaves switch %d port %d", ev.Switch, ev.Port)
+	}
+	return nil
+}
+
+func (t *fabricTarget) finish(r *SoakResult) {
+	r.AliveAtEnd = t.fd.Fabric.AliveSwitches()
+	for _, id := range cluster.SortedKeys(t.fd.Routes) {
+		cr := t.fd.Routes[id]
+		r.Routes = append(r.Routes, ChainRouteRecord{Chain: id, Path: cr.Path, Segments: cr.Segments, CrossHops: cr.CrossHops})
+	}
+	for _, d := range t.fd.Drivers {
+		st := d.Stats()
+		r.Driver.Writes += st.Writes
+		r.Driver.Retries += st.Retries
+		r.Driver.Failures += st.Failures
+		r.Driver.BackedOff += st.BackedOff
+	}
 }
 
 // apply applies a switch or link change to the fabric. The injector

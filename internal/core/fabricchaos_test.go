@@ -24,7 +24,12 @@ func TestFabricChaosSoak(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			tel := telemetry.NewControl()
-			res, err := RunFabricChaos(FabricChaosOpts{Seed: seed, Ticks: 40, Telemetry: tel})
+			s, err := EdgeSoak(seed, 40, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Telemetry = tel
+			res, err := RunSoak(s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +96,12 @@ func gathered(c telemetry.Collector) map[string]float64 {
 func TestFabricChaosRouteGaugesFollowInstalledRoutes(t *testing.T) {
 	for _, seed := range []int64{7, 42} {
 		tel := telemetry.NewControl()
-		res, err := RunFabricChaos(FabricChaosOpts{Seed: seed, Telemetry: tel})
+		s, err := EdgeSoak(seed, 0, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Telemetry = tel
+		res, err := RunSoak(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,14 +146,7 @@ func TestFabricChaosRouteGaugesFollowInstalledRoutes(t *testing.T) {
 // TestFabricChaosDeterministic proves the whole run — events, healing
 // decisions, probe outcomes, log — replays identically from the seed.
 func TestFabricChaosDeterministic(t *testing.T) {
-	run := func() *SoakResult {
-		res, err := RunFabricChaos(FabricChaosOpts{Seed: 7, Ticks: 40})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(), run()
+	a, b := runEdgeSoak(t, 7, 40, 3), runEdgeSoak(t, 7, 40, 3)
 	ja, err := json.Marshal(a)
 	if err != nil {
 		t.Fatal(err)
@@ -166,11 +169,7 @@ func TestFabricChaosDeterministic(t *testing.T) {
 func TestFabricChaosRetriesDrivers(t *testing.T) {
 	retries := 0
 	for _, seed := range []int64{1, 7, 42} {
-		res, err := RunFabricChaos(FabricChaosOpts{Seed: seed, Ticks: 40})
-		if err != nil {
-			t.Fatal(err)
-		}
-		retries += res.Driver.Retries
+		retries += runEdgeSoak(t, seed, 40, 3).Driver.Retries
 	}
 	if retries == 0 {
 		t.Error("no seed exercised the driver retry path; re-tune the table-fault rate")
@@ -206,33 +205,19 @@ func TestBlackholeViolationsInChainOrder(t *testing.T) {
 // every table-write failure is counted and shows in the transcript, and
 // the target applies every switch kill and revival to the fabric.
 func TestFabricChaosReportsEveryFault(t *testing.T) {
-	res, err := RunFabricChaos(FabricChaosOpts{Seed: 7, Ticks: 40})
+	s, err := EdgeSoak(7, 40, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := scenario.New()
+	res, err := RunSoak(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := cluster.NewSpineFabric(sc.Prof, 3)
-	if err != nil {
-		t.Fatal(err)
+	if res.Events != len(s.Schedule) || res.Events != 25 {
+		t.Errorf("events = %d, schedule holds %d, want 25", res.Events, len(s.Schedule))
 	}
-	var links []fault.FabricLink
-	for _, w := range f.Wires() {
-		links = append(links, fault.FabricLink{Sw: w.FromSw, Port: w.FromPort})
-	}
-	fabric := fault.RandomFabricSchedule(7, fault.FabricScheduleOpts{Ticks: 40, Switches: 3, ProtectedSwitches: []int{0}, Links: links})
-	tables := fault.RandomSchedule(7, fault.ScheduleOpts{
-		Ticks:         40,
-		Tables:        []fault.TableRef{{NF: ctl.FrameworkNF, Table: ctl.PipeletProgramTable}},
-		EventsPerTick: 0.3,
-	})
-	if res.Events != len(fabric)+len(tables) || res.Events != 25 {
-		t.Errorf("events = %d, want %d fabric + %d table-write faults = 25", res.Events, len(fabric), len(tables))
-	}
-	dead := make(map[int]bool)
-	for _, ev := range append(fabric, tables...) {
+	dead, tables := make(map[int]bool), 0
+	for _, ev := range s.Schedule {
 		if !slices.Contains(res.Log, ev.String()) {
 			t.Errorf("transcript misses fired fault %q", ev)
 		}
@@ -241,10 +226,12 @@ func TestFabricChaosReportsEveryFault(t *testing.T) {
 			dead[ev.Switch] = true
 		case fault.SwitchRevive:
 			delete(dead, ev.Switch)
+		case fault.TableWriteFail:
+			tables++
 		}
 	}
-	if len(tables) == 0 || res.Driver.Retries == 0 {
-		t.Errorf("%d table-write faults, %d driver retries; the seed exercises neither", len(tables), res.Driver.Retries)
+	if tables == 0 || res.Driver.Retries == 0 {
+		t.Errorf("%d table-write faults, %d driver retries; the seed exercises neither", tables, res.Driver.Retries)
 	}
 	if res.AliveAtEnd != 3-len(dead) {
 		t.Errorf("alive at end = %d, the schedule leaves %d of 3 switches dead", res.AliveAtEnd, len(dead))
@@ -281,5 +268,78 @@ func TestFabricChaosAppliesTopologyFaults(t *testing.T) {
 	}
 	if err := tg.apply(nil, fault.Event{Kind: fault.SwitchKill, Switch: 7}); err == nil {
 		t.Error("a kill of switch 7 of 3 applied without error")
+	}
+}
+
+// TestFabricChaosRefusesFaultsItCannotApply: a fabric schedule holding a
+// fault the fabric cannot apply is refused before tick 1, naming the
+// event. No fabric switch has a fault hook, so a port fault of one
+// switch did nothing and was counted as fired.
+func TestFabricChaosRefusesFaultsItCannotApply(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bad  fault.Event
+	}{
+		{"port flap", fault.Event{Tick: 2, Kind: fault.PortDown, Port: 1}},
+		{"wire corruption of one switch", fault.Event{Tick: 2, Kind: fault.Corrupt, Port: 10}},
+		{"recirculation overload", fault.Event{Tick: 2, Kind: fault.RecircOverload, Port: 16}},
+		{"kill of a switch the fabric lacks", fault.Event{Tick: 2, Kind: fault.SwitchKill, Switch: 3}},
+		{"revival of a negative switch", fault.Event{Tick: 2, Kind: fault.SwitchRevive, Switch: -1}},
+		{"table-write fault on a switch the fabric lacks", fault.Event{Tick: 2, Kind: fault.TableWriteFail, Switch: 4,
+			NF: ctl.FrameworkNF, Table: ctl.PipeletProgramTable, Failures: 1}},
+		{"link cut where no wire leaves", fault.Event{Tick: 2, Kind: fault.LinkCut, Switch: 2, Port: 10}},
+		{"link restore where no wire leaves", fault.Event{Tick: 2, Kind: fault.LinkRestore, Switch: 0, Port: 12}},
+		{"corruption window where no wire leaves", fault.Event{Tick: 2, Kind: fault.WireCorruptWindow, Switch: 2, Port: 10}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := RunSoak(scripted(t, 4, 3, fault.Event{Tick: 1, Kind: fault.LinkCut, Switch: 0, Port: 11}, tc.bad))
+			if err == nil {
+				t.Fatalf("schedule accepted (%d events):\n%s", res.Events, res.Summary())
+			}
+			if !strings.Contains(err.Error(), tc.bad.String()) {
+				t.Errorf("error %q does not name %q", err, tc.bad)
+			}
+		})
+	}
+}
+
+// TestFabricChaosScriptedKillAndRevive drives a fabric end to end
+// through a scripted schedule: switch 1 dies at tick 2 and comes back
+// at tick 5, and one pipelet-program write fails on the way. Each
+// change heals in its own tick, the failed write is retried, and every
+// probe is delivered.
+func TestFabricChaosScriptedKillAndRevive(t *testing.T) {
+	res, err := RunSoak(scripted(t, 6, 3,
+		fault.Event{Tick: 2, Kind: fault.SwitchKill, Switch: 1},
+		fault.Event{Tick: 2, Kind: fault.TableWriteFail, NF: ctl.FrameworkNF, Table: ctl.PipeletProgramTable, Failures: 1},
+		fault.Event{Tick: 5, Kind: fault.SwitchRevive, Switch: 1},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.OK() {
+		t.Fatalf("invariants violated:\n%s", res.Summary())
+	}
+	var heals []string
+	for _, line := range res.Log {
+		if strings.Contains(line, " heal: ") || strings.Contains(line, " converged ") {
+			heals = append(heals, line)
+		}
+	}
+	want := []string{
+		"t001 heal: reprogrammed switches [0 1]", "t001 converged in 1 tick(s)",
+		"t002 heal: reprogrammed switches [0 2]", "t002 converged in 1 tick(s)",
+		"t005 heal: reprogrammed switches [0]", "t005 converged in 1 tick(s)",
+	}
+	if !slices.Equal(heals, want) {
+		t.Errorf("heal lines\n%s\nwant\n%s", strings.Join(heals, "\n"), strings.Join(want, "\n"))
+	}
+	if res.Events != 3 || res.Convergences != 3 || res.MaxConvergeTicks != 1 || res.AliveAtEnd != 3 {
+		t.Errorf("events %d, convergences %d (max %d tick(s)), alive at end %d; want 3, 3 (max 1), 3",
+			res.Events, res.Convergences, res.MaxConvergeTicks, res.AliveAtEnd)
+	}
+	if res.Driver.Retries != 1 || res.Driver.Failures != 0 || res.Delivered != 18 {
+		t.Errorf("driver retries %d, failures %d, delivered %d; want 1, 0, 18 (3 probes x 6 ticks)",
+			res.Driver.Retries, res.Driver.Failures, res.Delivered)
 	}
 }

@@ -16,15 +16,15 @@ import (
 
 func chaosDeployment(t *testing.T) (*Deployment, []scenario.Probe) {
 	t.Helper()
-	cfg, probes, err := EdgeChaosConfig()
+	s, err := EdgeSoak(1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Deploy(cfg)
+	d, err := Deploy(s.Config)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, probes
+	return d, s.Probes
 }
 
 // findProbe returns the probe exercising a path.
@@ -190,21 +190,12 @@ func TestReconcilerCapacityDegradation(t *testing.T) {
 // one failure, a port "recovering" that never went down is no change,
 // and wire faults need no reconciliation.
 func TestReconcilerDuplicateAndUnknownEvents(t *testing.T) {
-	cfg, probes, err := EdgeChaosConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunChaos(cfg, ChaosOpts{
-		Seed:  1,
-		Ticks: 4,
-		Schedule: fault.Schedule{
-			{Tick: 1, Kind: fault.PortDown, Port: 20},
-			{Tick: 2, Kind: fault.PortDown, Port: 20},
-			{Tick: 3, Kind: fault.PortUp, Port: 9},
-			{Tick: 4, Kind: fault.Corrupt, Port: 1},
-		},
-		Probes: probes,
-	})
+	res, err := RunSoak(scripted(t, 4, 0,
+		fault.Event{Tick: 1, Kind: fault.PortDown, Port: 20},
+		fault.Event{Tick: 2, Kind: fault.PortDown, Port: 20},
+		fault.Event{Tick: 3, Kind: fault.PortUp, Port: 9},
+		fault.Event{Tick: 4, Kind: fault.Corrupt, Port: 1},
+	))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,14 +218,7 @@ func TestReconcilerDuplicateAndUnknownEvents(t *testing.T) {
 // TestReconcilerOverloadFinding verifies a recirculation overload
 // surfaces as a capacity warning with the window length.
 func TestReconcilerOverloadFinding(t *testing.T) {
-	cfg, _, err := EdgeChaosConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunChaos(cfg, ChaosOpts{
-		Seed: 1, Ticks: 2,
-		Schedule: fault.Schedule{{Tick: 1, Kind: fault.RecircOverload, Port: 17, Ticks: 3}},
-	})
+	res, err := RunSoak(scripted(t, 2, 0, fault.Event{Tick: 1, Kind: fault.RecircOverload, Port: 17, Ticks: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,13 +254,13 @@ func sameDeployment(t *testing.T, what string, got, want *Deployment) {
 }
 
 // TestReconcileLevelTriggered replays random admin-state histories over
-// EdgeChaos's flap ports, running a round after every few changes: the
+// EdgeSoak's flap ports, running a round after every few changes: the
 // deployment each history leaves equals a fresh Deploy plus one round
 // at the same port health, a second round is converged and writes
 // nothing, and so is a round after a port went down and came back.
 func TestReconcileLevelTriggered(t *testing.T) {
 	flaps := []asic.PortID{30, 20, 24, 28}
-	const offered = 1800                  // EdgeChaos's: two lost loopback ports degrade it
+	const offered = 1800                  // EdgeSoak's: two lost loopback ports degrade it
 	fresh := make(map[string]*Deployment) // by the ports down
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -322,10 +306,10 @@ func TestReconcileLevelTriggered(t *testing.T) {
 	}
 }
 
-// TestEdgeChaosConfigBaseline sanity-checks the chaos scenario itself:
+// TestEdgeSoakBaseline sanity-checks the single-switch chaos scenario:
 // all four probes deliver on a healthy deployment, and the extra chain
 // exits through its static port.
-func TestEdgeChaosConfigBaseline(t *testing.T) {
+func TestEdgeSoakBaseline(t *testing.T) {
 	d, probes := chaosDeployment(t)
 	if len(probes) != 4 || probes[3].PathID != 40 || probes[3].Exit != 30 {
 		t.Fatalf("chaos probes = %+v, want the §5 suite plus chain 40 exiting port 30", probes)

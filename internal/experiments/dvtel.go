@@ -12,10 +12,11 @@ import (
 // rounds put through. What telemetry costs per packet is timed by the
 // repository benchmark (bench/, telemetry.overhead_pct), not here.
 func Dvtel() (Table, error) {
-	cfg, probes, err := core.EdgeChaosConfig()
+	s, err := core.EdgeSoak(1, 0, 0)
 	if err != nil {
 		return Table{}, err
 	}
+	cfg, probes := s.Config, s.Probes
 	cfg.Telemetry = true
 	cfg.Postcards = true
 	d, err := core.Deploy(cfg)

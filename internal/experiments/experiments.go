@@ -541,7 +541,7 @@ func Chaos() (Table, error) {
 	const ticks = 40
 	var rows [][]string
 	for _, seed := range []int64{1, 7, 42} {
-		res, err := core.EdgeChaos(seed, ticks)
+		res, err := soak(seed, ticks, 0)
 		if err != nil {
 			return Table{}, err
 		}
@@ -585,7 +585,7 @@ func Fabric() (Table, error) {
 	const ticks = 40
 	var rows [][]string
 	for _, seed := range []int64{1, 7, 42} {
-		res, err := core.RunFabricChaos(core.FabricChaosOpts{Seed: seed, Ticks: ticks})
+		res, err := soak(seed, ticks, 3)
 		if err != nil {
 			return Table{}, err
 		}
@@ -613,6 +613,15 @@ func Fabric() (Table, error) {
 			"re-programs are per-switch program transactions committed through the retrying driver",
 		},
 	}, nil
+}
+
+// soak runs core.EdgeSoak's scenario.
+func soak(seed int64, ticks, switches int) (*core.SoakResult, error) {
+	s, err := core.EdgeSoak(seed, ticks, switches)
+	if err != nil {
+		return nil, err
+	}
+	return core.RunSoak(s)
 }
 
 // applyIntent builds the Apply experiment's base intent in code
