@@ -83,7 +83,7 @@ fabric-chaos: build
 # errors if the adopted plan ever scores worse than the lex-path
 # candidate or no row wins strictly via a branching placement.
 fabricplace: build
-	$(GO) test -race -run 'TestPlace|TestGreedySegment|TestReconciler|TestPlan|TestFlapLink|TestFabricPlace|TestFabricSwitchOverflowIsRefused|TestFabricPlanMatchesDatapath|TestFabricHealWritesOnlyWhatChanged|TestFabricValidation|TestFabricDryRunRejectsWhatApplyRejects' ./internal/fabricplace/ ./internal/cluster/ ./internal/experiments/ ./internal/intent/
+	$(GO) test -race -run 'TestPlace|TestGreedySegment|TestReconciler|TestPlan|TestFabricPlace|TestFabricSwitchOverflowIsRefused|TestFabricPlanMatchesDatapath|TestFabricHealWritesOnlyWhatChanged|TestFabricValidation|TestFabricDryRunRejectsWhatApplyRejects' ./internal/fabricplace/ ./internal/cluster/ ./internal/experiments/ ./internal/intent/
 	$(GO) run ./cmd/dvexp -exp fabricplace
 
 fmt:

@@ -33,10 +33,6 @@ type Health uint8
 const (
 	// HealthAlive elements carry traffic normally.
 	HealthAlive Health = iota
-	// HealthFlapping elements deterministically drop every other
-	// packet offered to them — the fabric analogue of a link
-	// renegotiating, visible but not fatal.
-	HealthFlapping
 	// HealthDead elements drop everything: a powered-off switch or a
 	// pulled DAC cable.
 	HealthDead
@@ -46,8 +42,6 @@ func (h Health) String() string {
 	switch h {
 	case HealthAlive:
 		return "alive"
-	case HealthFlapping:
-		return "flapping"
 	case HealthDead:
 		return "dead"
 	}
@@ -66,7 +60,7 @@ type WireHook func(fromSw int, fromPort asic.PortID, pkt *packet.Parsed) (*packe
 // on consecutive switches with full header continuity.
 //
 // Every switch and every directed wire carries an explicit Health
-// state; packets offered to dead or flapping elements are dropped with
+// state; packets offered to dead elements are dropped with
 // an attributable reason in FabricTrace.DropReasons, which is what the
 // chaos soak's no-silent-blackhole invariant checks against.
 type Fabric struct {
@@ -77,14 +71,12 @@ type Fabric struct {
 	wires map[wireEnd]wireEnd
 	// epoch counts the changes to what PlacementGraph reads: a new wire,
 	// or a switch or wire health set to a different value. Reads and
-	// packet offers (flap sequences) never move it, so an unchanged epoch
-	// means an unchanged placement graph.
-	epoch       uint64
-	swHealth    []Health
-	wireHealth  map[wireEnd]Health
-	swFlapSeq   []uint64
-	wireFlapSeq map[wireEnd]uint64
-	wireHook    WireHook
+	// packet offers never move it, so an unchanged epoch means an
+	// unchanged placement graph.
+	epoch      uint64
+	swHealth   []Health
+	wireHealth map[wireEnd]Health
+	wireHook   WireHook
 }
 
 type wireEnd struct {
@@ -107,12 +99,10 @@ func NewFabric(prof asic.Profile, n int) (*Fabric, error) {
 		return nil, fmt.Errorf("cluster: fabric needs at least one switch")
 	}
 	f := &Fabric{
-		Prof:        prof,
-		wires:       make(map[wireEnd]wireEnd),
-		swHealth:    make([]Health, n),
-		wireHealth:  make(map[wireEnd]Health),
-		swFlapSeq:   make([]uint64, n),
-		wireFlapSeq: make(map[wireEnd]uint64),
+		Prof:       prof,
+		wires:      make(map[wireEnd]wireEnd),
+		swHealth:   make([]Health, n),
+		wireHealth: make(map[wireEnd]Health),
 	}
 	for i := 0; i < n; i++ {
 		f.Switches = append(f.Switches, asic.New(prof))
@@ -165,9 +155,6 @@ func (f *Fabric) KillSwitch(i int) error { return f.setSwitchHealth(i, HealthDea
 // intact — death was a fabric-level condition, not a config wipe — so
 // the reconciler decides whether to fold it back in.
 func (f *Fabric) ReviveSwitch(i int) error { return f.setSwitchHealth(i, HealthAlive) }
-
-// FlapSwitch marks switch i flapping: every other packet drops.
-func (f *Fabric) FlapSwitch(i int) error { return f.setSwitchHealth(i, HealthFlapping) }
 
 // SwitchHealth reports switch i's health (alive for out-of-range, so
 // callers can probe speculatively).
@@ -223,11 +210,6 @@ func (f *Fabric) CutLink(sw int, port asic.PortID) error {
 // RestoreLink returns the directed wire leaving (sw, port) to service.
 func (f *Fabric) RestoreLink(sw int, port asic.PortID) error {
 	return f.setWireHealth(sw, port, HealthAlive)
-}
-
-// FlapLink marks the directed wire leaving (sw, port) flapping.
-func (f *Fabric) FlapLink(sw int, port asic.PortID) error {
-	return f.setWireHealth(sw, port, HealthFlapping)
 }
 
 // LinkHealth reports the health of the directed wire leaving
@@ -322,8 +304,8 @@ type FabricTrace struct {
 	// switch or by the fabric; copies emitted before the drop (a mirror)
 	// are still followed.
 	Dropped bool
-	// DropReasons lists fabric-attributable drops (dead or flapping
-	// switch, cut or flapping wire, wire corruption). Switch-internal
+	// DropReasons lists fabric-attributable drops (dead switch, cut
+	// wire, wire corruption). Switch-internal
 	// drops carry their reason inside the PerSwitch traces instead.
 	DropReasons []string
 
@@ -341,14 +323,8 @@ const maxFabricHops = 32
 func (f *Fabric) offerDrop(sw int) (string, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	switch f.swHealth[sw] {
-	case HealthDead:
+	if f.swHealth[sw] == HealthDead {
 		return fmt.Sprintf("switch %d dead", sw), true
-	case HealthFlapping:
-		f.swFlapSeq[sw]++
-		if f.swFlapSeq[sw]%2 == 1 {
-			return fmt.Sprintf("switch %d flapping", sw), true
-		}
 	}
 	return "", false
 }
@@ -364,14 +340,8 @@ func (f *Fabric) crossWire(from wireEnd, pkt *packet.Parsed) (dst wireEnd, fwd *
 	if !wired {
 		return dst, nil, false, ""
 	}
-	switch f.wireHealth[from] {
-	case HealthDead:
+	if f.wireHealth[from] == HealthDead {
 		return dst, nil, true, fmt.Sprintf("wire %d:%d cut", from.sw, from.port)
-	case HealthFlapping:
-		f.wireFlapSeq[from]++
-		if f.wireFlapSeq[from]%2 == 1 {
-			return dst, nil, true, fmt.Sprintf("wire %d:%d flapping", from.sw, from.port)
-		}
 	}
 	fwd = pkt
 	if f.wireHook != nil {
@@ -453,16 +423,13 @@ func (f *Fabric) Inject(sw int, port asic.PortID, pkt *packet.Parsed) (*FabricTr
 }
 
 // PlacementGraph projects the fabric's current health onto the
-// placement engine's weighted graph: dead elements are excluded, and
-// flapping switches and wires are kept usable but marked flaky so the
-// cost model can steer chains away from them. Per-switch stage budget
-// is the profile's total MAU stages, in placement units.
+// placement engine's weighted graph: dead elements are excluded. The
+// per-switch stage budget is the profile's total MAU stages, in
+// placement units.
 func (f *Fabric) PlacementGraph() *fabricplace.Graph {
 	g := fabricplace.NewGraph(len(f.Switches))
 	for i := range f.Switches {
-		h := f.SwitchHealth(i)
-		g.Nodes[i].Alive = h != HealthDead
-		g.Nodes[i].Flaky = h == HealthFlapping
+		g.Nodes[i].Alive = f.SwitchHealth(i) != HealthDead
 		g.Nodes[i].StageBudget = f.Prof.TotalStages()
 	}
 	for _, w := range f.Wires() {
@@ -472,9 +439,7 @@ func (f *Fabric) PlacementGraph() *fabricplace.Graph {
 		if f.SwitchHealth(w.FromSw) == HealthDead || f.SwitchHealth(w.ToSw) == HealthDead {
 			continue
 		}
-		g.AddEdge(w.FromSw, fabricplace.Edge{
-			To: w.ToSw, Port: w.FromPort, Flaky: w.Health == HealthFlapping,
-		})
+		g.AddEdge(w.FromSw, fabricplace.Edge{To: w.ToSw, Port: w.FromPort})
 	}
 	g.Normalize()
 	return g

@@ -108,11 +108,8 @@ func randomFabric(t *testing.T, seed int64) *Fabric {
 		}
 	}
 	health := func() Health {
-		switch r := rng.Intn(10); {
-		case r == 0:
+		if rng.Intn(10) == 0 {
 			return HealthDead
-		case r <= 2:
-			return HealthFlapping
 		}
 		return HealthAlive
 	}

@@ -24,9 +24,9 @@ import (
 // Fabric reconciler rule IDs, in the internal/lint findings format so
 // fabric chaos reports read like the single-switch RC findings.
 const (
-	// RuleFBSwitchDown: a fabric switch is dead or flapping.
+	// RuleFBSwitchDown: a fabric switch is dead.
 	RuleFBSwitchDown = "FB001"
-	// RuleFBLinkDown: an inter-switch wire is cut or flapping.
+	// RuleFBLinkDown: an inter-switch wire is cut.
 	RuleFBLinkDown = "FB002"
 	// RuleFBReplaced: chains were re-placed over the surviving
 	// topology and the affected switches reprogrammed.

@@ -160,7 +160,7 @@ func TestReconcilerMemoDifferentialWalk(t *testing.T) {
 	apply := func(w *walkWorld, m move) (string, error) {
 		sw, wire, name := m.a%4, wires[m.a%len(wires)], nfs[m.a%len(nfs)]
 		switch m.kind {
-		case 0: // mostly not the entry: with it dead there is nothing to plan
+		case 0, 2: // mostly not the entry: with it dead there is nothing to plan
 			if m.b%8 != 0 {
 				sw = 1 + m.a%3
 			}
@@ -170,9 +170,7 @@ func TestReconcilerMemoDifferentialWalk(t *testing.T) {
 				sw = (sw + 1) % 4
 			}
 			return fmt.Sprintf("revive switch %d", sw), w.f.ReviveSwitch(sw)
-		case 2:
-			return fmt.Sprintf("flap switch %d", sw), w.f.FlapSwitch(sw)
-		case 3:
+		case 3, 5:
 			return fmt.Sprintf("cut %d:%d", wire.FromSw, wire.FromPort), w.f.CutLink(wire.FromSw, wire.FromPort)
 		case 4: // likewise the first wire that is down
 			for _, cur := range w.f.Wires() {
@@ -182,8 +180,6 @@ func TestReconcilerMemoDifferentialWalk(t *testing.T) {
 				}
 			}
 			return fmt.Sprintf("restore %d:%d", wire.FromSw, wire.FromPort), w.f.RestoreLink(wire.FromSw, wire.FromPort)
-		case 5:
-			return fmt.Sprintf("flap %d:%d", wire.FromSw, wire.FromPort), w.f.FlapLink(wire.FromSw, wire.FromPort)
 		case 6: // add or remove one pool chain, keeping at least one
 			c := pool[m.a%len(pool)]
 			var next []route.Chain
@@ -362,7 +358,7 @@ func TestReconcilerRoundCostsWhatChanged(t *testing.T) {
 
 // The health epoch moves when — and only when — what the placement graph
 // reads changes: not on a setter called with the current value, not on a
-// read, not on packets offered to flapping elements.
+// read, not on packets offered to dead elements.
 func TestReconcilerEpochMovesOnlyOnChange(t *testing.T) {
 	_, f, _, rec := newSpineDeployment(t, 4)
 	if _, err := rec.Reconcile(); err != nil {
@@ -381,10 +377,11 @@ func TestReconcilerEpochMovesOnlyOnChange(t *testing.T) {
 	moves("revive an alive switch", false, func() error { return f.ReviveSwitch(2) })
 	moves("kill", true, func() error { return f.KillSwitch(2) })
 	moves("kill again", false, func() error { return f.KillSwitch(2) })
-	moves("flap a dead switch", true, func() error { return f.FlapSwitch(2) })
+	moves("revive", true, func() error { return f.ReviveSwitch(2) })
+	moves("revive again", false, func() error { return f.ReviveSwitch(2) })
 	moves("restore an alive wire", false, func() error { return f.RestoreLink(0, 10) })
-	moves("flap a wire", true, func() error { return f.FlapLink(0, 10) })
-	moves("flap it again", false, func() error { return f.FlapLink(0, 10) })
+	moves("cut a wire", true, func() error { return f.CutLink(0, 10) })
+	moves("cut it again", false, func() error { return f.CutLink(0, 10) })
 	moves("connect", true, func() error { return f.Connect(3, 12, 0, 12) })
 	moves("reads and packet offers", false, func() error {
 		f.SwitchHealth(2)
@@ -392,7 +389,7 @@ func TestReconcilerEpochMovesOnlyOnChange(t *testing.T) {
 		f.Wires()
 		f.PlacementGraph()
 		f.SetWireHook(nil)
-		for i := 0; i < 3; i++ { // crosses the flapping wire 0:10
+		for i := 0; i < 3; i++ { // meets the cut wire 0:10
 			if _, err := f.Inject(0, scenario.PortClient, scenario.InternetBound()); err != nil {
 				return err
 			}

@@ -247,7 +247,7 @@ func TestFabricPlaceShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl.ID != "fabricplace" || len(tbl.Rows) != 9 {
+	if tbl.ID != "fabricplace" || len(tbl.Rows) != 6 {
 		t.Fatalf("unexpected table shape: %d rows", len(tbl.Rows))
 	}
 	branchWin := false

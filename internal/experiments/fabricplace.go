@@ -53,16 +53,6 @@ func fpDiamond() *fabricplace.Graph {
 	return g
 }
 
-// fpDiamondFlaky is the diamond with switch 1 flapping: the healthy
-// detour through 2 costs the same hops, so only a health-aware placer
-// avoids the flaky spine.
-func fpDiamondFlaky() *fabricplace.Graph {
-	g := fpDiamond()
-	g.Nodes[1].Flaky = true
-	g.Normalize() // reset memoized tables after the health edit
-	return g
-}
-
 // fpWeight derives a deterministic per-chain weight from the seeded
 // rng, keeping every chain's traffic share positive so cost deltas
 // never collapse to zero.
@@ -71,10 +61,8 @@ func fpWeight(rng *rand.Rand) float64 {
 }
 
 // fabricPlaceTopos are the recorded topologies: a line where both
-// placers tie, the branching diamond where only a multi-path placement
-// avoids snaking the second chain across three hops, and the flaky
-// diamond where the cost model's health penalty steers around the
-// flapping spine the lex path walks straight through.
+// placers tie, and the branching diamond where only a multi-path
+// placement avoids snaking the second chain across three hops.
 func fabricPlaceTopos() []placeTopo {
 	return []placeTopo{
 		{
@@ -101,16 +89,6 @@ func fabricPlaceTopos() []placeTopo {
 				"a": 22, "b": 22, "c": 22, "d": 22,
 				"e": 22, "f": 22, "g": 22, "h": 22,
 			},
-		},
-		{
-			name:  "diamond4-flaky",
-			graph: fpDiamondFlaky,
-			chains: func(rng *rand.Rand) []route.Chain {
-				return []route.Chain{
-					{PathID: 21, NFs: []string{"p", "q", "r"}, Weight: fpWeight(rng)},
-				}
-			},
-			demand: map[string]int{"p": 22, "q": 22, "r": 22},
 		},
 	}
 }
@@ -167,7 +145,7 @@ func FabricPlace() (Table, error) {
 	}
 	return Table{
 		ID:     "fabricplace",
-		Title:  "Topology-aware placement vs lex-path baseline (cost = weighted hops + recircs + health)",
+		Title:  "Topology-aware placement vs lex-path baseline (cost = weighted hops + recircs)",
 		Header: []string{"seed", "topology", "chains", "strategy", "cost", "lex cost", "hops", "recircs", "branching", "verdict"},
 		Rows:   rows,
 		Notes: []string{

@@ -1,6 +1,6 @@
 // Package fabricplace is the topology-aware fabric placement engine:
 // it models a multi-switch fabric as a weighted directed graph (per-hop
-// wire latency, per-switch remaining stage budget, element health) and
+// wire latency, per-switch remaining stage budget, switch liveness) and
 // places each service chain's NFs onto switches by cost — cross-switch
 // hops weighed against on-switch recirculations under the paper's
 // latency model — instead of segmenting every chain along one
@@ -28,9 +28,6 @@ type Node struct {
 	// Alive is false for dead switches: they host nothing and carry
 	// nothing.
 	Alive bool
-	// Flaky marks a flapping switch — usable, but cost-penalized so
-	// placements prefer healthy elements.
-	Flaky bool
 	// StageBudget is the switch's total MAU stage capacity in placement
 	// units (NF stage demand + framework wrapper).
 	StageBudget int
@@ -42,11 +39,9 @@ type Edge struct {
 	To int
 	// Port is the local egress port the wire leaves from.
 	Port asic.PortID
-	// Flaky marks a flapping wire — usable but cost-penalized.
-	Flaky bool
 }
 
-// Graph is the weighted placement view of a fabric: health-filtered
+// Graph is the weighted placement view of a fabric: liveness-filtered
 // nodes and directed edges. Build one per placement decision (it
 // memoizes next-hop tables and is not safe for concurrent use).
 type Graph struct {
@@ -78,20 +73,14 @@ func (g *Graph) AddEdge(from int, e Edge) {
 }
 
 // Normalize dedupes parallel edges — keeping, per (from, to) pair, the
-// healthiest wire and among equals the smallest egress port — and sorts
+// wire with the smallest egress port — and sorts
 // each adjacency list ascending by neighbour so every path search in
 // this package is deterministic. Idempotent.
 func (g *Graph) Normalize() {
 	for from := range g.adj {
 		best := make(map[int]Edge)
 		for _, e := range g.adj[from] {
-			prev, ok := best[e.To]
-			switch {
-			case !ok:
-				best[e.To] = e
-			case prev.Flaky && !e.Flaky:
-				best[e.To] = e
-			case prev.Flaky == e.Flaky && e.Port < prev.Port:
+			if prev, ok := best[e.To]; !ok || e.Port < prev.Port {
 				best[e.To] = e
 			}
 		}
@@ -117,19 +106,18 @@ func (g *Graph) Edges(from int) []Edge {
 func (g *Graph) NumNodes() int { return len(g.Nodes) }
 
 // hopTable is the per-destination routing table: for every source
-// switch, the distance to the destination in wire hops, the edge to
-// take next, and the flakiness accumulated along the chosen path.
+// switch, the distance to the destination in wire hops and the edge to
+// take next.
 type hopTable struct {
 	dist  []int
 	via   []Edge
 	hasit []bool
-	flaky []int
 }
 
 // table returns (building if needed) the next-hop table toward dst.
 // Routing is BFS shortest-path over alive elements with a fixed
-// tie-break — prefer the healthy edge, then the smallest neighbour,
-// then the smallest port — so forwarding toward a destination is a
+// tie-break — the smallest neighbour, then the smallest port (the one
+// Normalize keeps) — so forwarding toward a destination is a
 // loop-free tree and identical across runs.
 func (g *Graph) table(dst int) *hopTable {
 	if t, ok := g.hops[dst]; ok {
@@ -140,7 +128,6 @@ func (g *Graph) table(dst int) *hopTable {
 		dist:  make([]int, n),
 		via:   make([]Edge, n),
 		hasit: make([]bool, n),
-		flaky: make([]int, n),
 	}
 	if dst < 0 || dst >= n || !g.Nodes[dst].Alive {
 		if g.hops == nil {
@@ -186,38 +173,9 @@ func (g *Graph) table(dst int) *hopTable {
 				t.via[src], chosen = e, true
 				continue
 			}
-			cur := t.via[src]
-			// Flakiness of the step = the wire's or the next switch's.
-			curF := cur.Flaky || g.Nodes[cur.To].Flaky
-			eF := e.Flaky || g.Nodes[e.To].Flaky
-			switch {
-			case curF && !eF:
-				t.via[src] = e
-			case curF == eF && e.To < cur.To:
+			if e.To < t.via[src].To {
 				t.via[src] = e
 			}
-		}
-	}
-	// Accumulate path flakiness source->dst in increasing-distance
-	// order so each entry can reuse its successor's.
-	order := make([]int, 0, n)
-	for src := 0; src < n; src++ {
-		if t.hasit[src] {
-			order = append(order, src)
-		}
-	}
-	sort.Slice(order, func(i, j int) bool { return t.dist[order[i]] < t.dist[order[j]] })
-	for _, src := range order {
-		if src == dst {
-			continue
-		}
-		via := t.via[src]
-		t.flaky[src] = t.flaky[via.To]
-		if via.Flaky {
-			t.flaky[src]++
-		}
-		if g.Nodes[via.To].Flaky {
-			t.flaky[src]++
 		}
 	}
 	if g.hops == nil {
@@ -252,20 +210,6 @@ func (g *Graph) NextHop(from, to int) (Edge, bool) {
 		return Edge{}, false
 	}
 	return t.via[from], true
-}
-
-// PathFlaky returns the count of flapping elements (wires and
-// intermediate switches) along the forwarding path from one switch to
-// another; 0 when from==to or unreachable.
-func (g *Graph) PathFlaky(from, to int) int {
-	if from == to {
-		return 0
-	}
-	t := g.table(to)
-	if from < 0 || from >= len(g.Nodes) || !t.hasit[from] {
-		return 0
-	}
-	return t.flaky[from]
 }
 
 // Route expands the forwarding path from one switch to another into

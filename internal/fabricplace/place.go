@@ -16,17 +16,20 @@ type CostModel struct {
 	// on-switch recirculation (the paper measures ~145ns off-chip vs
 	// ~75ns on-chip, so ≈1.93).
 	HopCost float64
-	// RecircCost is the cost of one on-switch recirculation (the unit).
-	RecircCost float64
-	// FlakyPenalty is added per flapping element (wire or switch) a
-	// chain's placement touches, steering placements toward healthy
-	// hardware without forbidding degraded paths.
-	FlakyPenalty float64
-	// UnplacedPenalty is charged per shed chain so totals stay
+}
+
+const (
+	// recircCost is the cost of one on-switch recirculation (the unit).
+	recircCost = 1.0
+	// unplacedPenalty is charged per shed chain so totals stay
 	// comparable between plans that place different chain counts. It
 	// must dwarf any realistic routing cost.
-	UnplacedPenalty float64
-}
+	unplacedPenalty = 1000.0
+	// maxStates bounds the home-assignment search per placement run.
+	// When exhausted the best placement found so far still wins, so the
+	// cap trades optimality, never correctness.
+	maxStates = 1 << 18
+)
 
 // DefaultModel derives the cost model from an ASIC profile: the hop
 // weight is the measured off-chip/on-chip recirculation latency ratio.
@@ -35,7 +38,7 @@ func DefaultModel(prof asic.Profile) CostModel {
 	if prof.RecircOnChip > 0 && prof.RecircOffChip > 0 {
 		hop = float64(prof.RecircOffChip) / float64(prof.RecircOnChip)
 	}
-	return CostModel{HopCost: hop, RecircCost: 1, FlakyPenalty: 0.5, UnplacedPenalty: 1000}
+	return CostModel{HopCost: hop}
 }
 
 // Cost is a placement's spend under a CostModel. The integer fields are
@@ -44,14 +47,12 @@ func DefaultModel(prof asic.Profile) CostModel {
 type Cost struct {
 	CrossHops int     `json:"cross_hops"`
 	Recircs   int     `json:"recircs"`
-	Flaky     int     `json:"flaky"`
 	Weighted  float64 `json:"weighted"`
 }
 
 func (c *Cost) add(o Cost) {
 	c.CrossHops += o.CrossHops
 	c.Recircs += o.Recircs
-	c.Flaky += o.Flaky
 	c.Weighted += o.Weighted
 }
 
@@ -75,10 +76,6 @@ type Options struct {
 	// (2 × stages-per-pipelet); it drives the recirculation estimate.
 	// 0 means 24, the Wedge100B value.
 	StagesPerPass int
-	// MaxStates bounds the home-assignment search per placement run;
-	// 0 means 1<<18. When exhausted the best placement found so far
-	// still wins, so the cap trades optimality, never correctness.
-	MaxStates int
 }
 
 func (o Options) withDefaults() Options {
@@ -87,9 +84,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.StagesPerPass <= 0 {
 		o.StagesPerPass = 24
-	}
-	if o.MaxStates <= 0 {
-		o.MaxStates = 1 << 18
 	}
 	return o
 }
@@ -153,7 +147,7 @@ type Result struct {
 	// cheaper or places a chain the search sheds. Without pins,
 	// Total <= Baseline always.
 	Strategy string
-	// Truncated reports the search hit MaxStates somewhere.
+	// Truncated reports the search hit maxStates somewhere.
 	Truncated bool
 }
 
@@ -213,7 +207,7 @@ func placeOrder(chains []route.Chain) []route.Chain {
 func searchPlace(g *Graph, chains []route.Chain, opts Options) *Result {
 	res := newResult("cost")
 	entryBad := opts.Entry < 0 || opts.Entry >= g.NumNodes() || !g.Nodes[opts.Entry].Alive
-	states := opts.MaxStates
+	states := maxStates
 	for _, c := range placeOrder(chains) {
 		if entryBad {
 			res.Unplaced[c.PathID] = fmt.Sprintf("entry switch %d dead", opts.Entry)
@@ -225,7 +219,7 @@ func searchPlace(g *Graph, chains []route.Chain, opts Options) *Result {
 		}
 		if pl == nil {
 			res.Unplaced[c.PathID] = reason
-			res.Total.Weighted += opts.Model.UnplacedPenalty * c.EffectiveWeight()
+			res.Total.Weighted += unplacedPenalty * c.EffectiveWeight()
 			continue
 		}
 		for i, n := range c.NFs {
@@ -316,7 +310,7 @@ func placeChain(g *Graph, c route.Chain, homes map[string]int, used map[int]int,
 			if need > 0 && used[h]+add[h]+need > g.Nodes[h].StageBudget {
 				continue
 			}
-			step := m.HopCost*float64(d)*w + m.FlakyPenalty*float64(g.PathFlaky(at, h))*w
+			step := m.HopCost * float64(d) * w
 			nextUnits := segUnits
 			if d > 0 || pos == 0 {
 				// New segment starts at h; close the previous run.
@@ -324,10 +318,7 @@ func placeChain(g *Graph, c route.Chain, homes map[string]int, used map[int]int,
 			}
 			before := nextUnits
 			nextUnits += Demand(opts.StageDemand, c.NFs[pos])
-			step += m.RecircCost * float64(passes(nextUnits, opts.StagesPerPass)-passes(max(before, 1), opts.StagesPerPass)) * w
-			if g.Nodes[h].Flaky {
-				step += m.FlakyPenalty * w
-			}
+			step += recircCost * float64(passes(nextUnits, opts.StagesPerPass)-passes(max(before, 1), opts.StagesPerPass)) * w
 			np := partial + step
 			if best != nil && np > best.weighted+1e-9 {
 				// The remaining NFs can only add cost; a strictly worse
@@ -421,7 +412,6 @@ func realize(g *Graph, c route.Chain, homesSeq []int, opts Options) *ChainPlacem
 				return nil
 			}
 			pl.Cost.CrossHops += len(path) - 1
-			pl.Cost.Flaky += g.PathFlaky(at, h)
 			for j := 1; j < len(path); j++ {
 				pl.Path = append(pl.Path, path[j])
 				pl.Ports = append(pl.Ports, ports[j-1])
@@ -431,15 +421,11 @@ func realize(g *Graph, c route.Chain, homesSeq []int, opts Options) *ChainPlacem
 		}
 		segs[len(segs)-1] = append(segs[len(segs)-1], c.NFs[i])
 		segUnits += Demand(opts.StageDemand, c.NFs[i])
-		if g.Nodes[h].Flaky {
-			pl.Cost.Flaky++
-		}
 	}
 	flushRecircs()
 	pl.Segments = segs
 	pl.Cost.Weighted = w * (m.HopCost*float64(pl.Cost.CrossHops) +
-		m.RecircCost*float64(pl.Cost.Recircs) +
-		m.FlakyPenalty*float64(pl.Cost.Flaky))
+		recircCost*float64(pl.Cost.Recircs))
 	return pl
 }
 
@@ -454,7 +440,7 @@ func lexBaseline(g *Graph, chains []route.Chain, opts Options) *Result {
 	res := newResult("lex")
 	shed := func(c route.Chain, reason string) {
 		res.Unplaced[c.PathID] = reason
-		res.Total.Weighted += opts.Model.UnplacedPenalty * c.EffectiveWeight()
+		res.Total.Weighted += unplacedPenalty * c.EffectiveWeight()
 	}
 	if opts.Entry < 0 || opts.Entry >= g.NumNodes() || !g.Nodes[opts.Entry].Alive {
 		for _, c := range chains {

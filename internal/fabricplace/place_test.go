@@ -49,16 +49,15 @@ func chain(id uint16, w float64, nfs ...string) route.Chain {
 func TestNormalizeDedupesAndDropsSelfLoops(t *testing.T) {
 	g := NewGraph(2)
 	g.AddEdge(0, Edge{To: 0, Port: 5}) // self-loop: dropped
-	g.AddEdge(0, Edge{To: 1, Port: 9, Flaky: true})
-	g.AddEdge(0, Edge{To: 1, Port: 12}) // healthy wins despite larger port
 	g.AddEdge(0, Edge{To: 1, Port: 14})
+	g.AddEdge(0, Edge{To: 1, Port: 12}) // smallest port wins
 	g.Normalize()
 	edges := g.Edges(0)
 	if len(edges) != 1 {
 		t.Fatalf("want 1 deduped edge, got %v", edges)
 	}
-	if edges[0].Flaky || edges[0].Port != 12 {
-		t.Fatalf("want healthy smallest-port edge {1,12}, got %+v", edges[0])
+	if edges[0].Port != 12 {
+		t.Fatalf("want smallest-port edge {1,12}, got %+v", edges[0])
 	}
 }
 
@@ -78,13 +77,6 @@ func TestRouteFollowsDeterministicNextHops(t *testing.T) {
 	}
 	if d, ok := g.Dist(0, 3); !ok || d != 2 {
 		t.Fatalf("Dist(0,3) = %d,%v want 2,true", d, ok)
-	}
-	// A flapping switch 1 flips the tie toward 2.
-	g.Nodes[1].Flaky = true
-	g.hops = nil
-	path, _, _ = g.Route(0, 3)
-	if !reflect.DeepEqual(path, []int{0, 2, 3}) {
-		t.Fatalf("flaky-aware path = %v, want [0 2 3]", path)
 	}
 }
 
