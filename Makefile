@@ -66,7 +66,7 @@ bench-smoke:
 # the CLI's refusal of a negative -switches/-ticks, then the CLI over
 # the canonical seeds.
 fabric-chaos: build
-	$(GO) test -race -run 'TestFabricChaos|TestReconciler|TestReconcilerCommitsAllOrNothing' ./internal/core/ ./internal/cluster/
+	$(GO) test -race -run 'TestFabricChaos|TestReconciler|TestReconcilerCommitsAllOrNothing|TestFabricReadersTakeNoLock|TestFabricProbesRaceWriters' ./internal/core/ ./internal/cluster/
 	$(GO) test -race -run 'TestReconcileLevelTriggered|TestHandlePort' ./internal/core/
 	$(GO) test -run 'TestCLIGolden' ./cmd/dejavu/
 	$(GO) test -race -run 'TestChaosRefusesNegativeOptions' ./cmd/dejavu/

@@ -16,9 +16,11 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dejavu/internal/asic"
@@ -63,25 +65,32 @@ type WireHook func(fromSw int, fromPort asic.PortID, pkt *packet.Parsed) (*packe
 // state; packets offered to dead elements are dropped with
 // an attributable reason in FabricTrace.DropReasons, which is what the
 // chaos soak's no-silent-blackhole invariant checks against.
+//
+// The wiring, the health and the wire hook are one published
+// generation (fabricState): writers clone it and swap the clone in
+// under mu (update), readers load it and take no lock.
 type Fabric struct {
 	Prof     asic.Profile
 	Switches []*asic.Switch
 
 	mu    sync.Mutex
-	wires map[wireEnd]wireEnd
-	// epoch counts the changes to what PlacementGraph reads: a new wire,
-	// or a switch or wire health set to a different value. Reads and
-	// packet offers never move it, so an unchanged epoch means an
-	// unchanged placement graph.
-	epoch      uint64
-	swHealth   []Health
-	wireHealth map[wireEnd]Health
-	wireHook   WireHook
+	state atomic.Pointer[fabricState]
 }
 
-type wireEnd struct {
-	sw   int
-	port asic.PortID
+// fabricState is one generation of the fabric's wiring and health. It
+// is never changed once published, so a reader that loads it once — a
+// probe for its whole journey, a reconcile round for its findings, plan
+// memo and placement graph — sees one view of the fabric.
+type fabricState struct {
+	// epoch counts the changes to what the placement graph reads: a new
+	// wire, or a switch or wire health set to a different value. Reads
+	// and packet offers never move it, so an unchanged epoch means an
+	// unchanged placement graph.
+	epoch    uint64
+	swHealth []Health
+	// wires holds every directed wire, sorted by (FromSw, FromPort).
+	wires []Wire
+	hook  WireHook
 }
 
 // Wire describes one directed fabric wire and its health.
@@ -98,16 +107,35 @@ func NewFabric(prof asic.Profile, n int) (*Fabric, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("cluster: fabric needs at least one switch")
 	}
-	f := &Fabric{
-		Prof:       prof,
-		wires:      make(map[wireEnd]wireEnd),
-		swHealth:   make([]Health, n),
-		wireHealth: make(map[wireEnd]Health),
-	}
+	f := &Fabric{Prof: prof}
 	for i := 0; i < n; i++ {
 		f.Switches = append(f.Switches, asic.New(prof))
 	}
-	return f, nil
+	return f, f.update(func(st *fabricState) (bool, error) {
+		st.swHealth = make([]Health, n)
+		return true, nil
+	})
+}
+
+// update is the fabric's one writer: under mu it clones the published
+// generation (an empty one before the first), lets change edit the
+// clone, and publishes it if change reports a change and no error — a
+// clone that is not published moves nothing, its epoch included.
+//
+//dv:snapshotwriter
+func (f *Fabric) update(change func(st *fabricState) (bool, error)) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	next := &fabricState{}
+	if cur := f.state.Load(); cur != nil {
+		*next = *cur
+		next.swHealth, next.wires = slices.Clone(cur.swHealth), slices.Clone(cur.wires)
+	}
+	changed, err := change(next)
+	if changed && err == nil {
+		f.state.Store(next)
+	}
+	return err
 }
 
 // NewSpineFabric creates n switches wired as a linear spine 0->1->...
@@ -132,20 +160,15 @@ func NewSpineFabric(prof asic.Profile, n int) (*Fabric, error) {
 	return f, nil
 }
 
-// NumSwitches returns the fabric size.
-func (f *Fabric) NumSwitches() int { return len(f.Switches) }
-
 func (f *Fabric) setSwitchHealth(i int, h Health) error {
 	if i < 0 || i >= len(f.Switches) {
 		return fmt.Errorf("cluster: no such switch %d", i)
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.swHealth[i] != h {
-		f.swHealth[i] = h
-		f.epoch++
-	}
-	return nil
+	return f.update(func(st *fabricState) (bool, error) {
+		changed := st.swHealth[i] != h
+		st.swHealth[i], st.epoch = h, st.epoch+1
+		return changed, nil
+	})
 }
 
 // KillSwitch marks switch i dead: every packet offered to it drops.
@@ -159,27 +182,18 @@ func (f *Fabric) ReviveSwitch(i int) error { return f.setSwitchHealth(i, HealthA
 // SwitchHealth reports switch i's health (alive for out-of-range, so
 // callers can probe speculatively).
 func (f *Fabric) SwitchHealth(i int) Health {
-	if i < 0 || i >= len(f.Switches) {
-		return HealthAlive
+	if st := f.state.Load(); i >= 0 && i < len(st.swHealth) {
+		return st.swHealth[i]
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.swHealth[i]
-}
-
-// healthEpoch returns the fabric's change counter (see Fabric.epoch).
-func (f *Fabric) healthEpoch() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.epoch
+	return HealthAlive
 }
 
 // AliveSwitches counts switches that are not dead.
-func (f *Fabric) AliveSwitches() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+func (f *Fabric) AliveSwitches() int { return f.state.Load().alive() }
+
+func (st *fabricState) alive() int {
 	n := 0
-	for _, h := range f.swHealth {
+	for _, h := range st.swHealth {
 		if h != HealthDead {
 			n++
 		}
@@ -187,18 +201,29 @@ func (f *Fabric) AliveSwitches() int {
 	return n
 }
 
-func (f *Fabric) setWireHealth(sw int, port asic.PortID, h Health) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	from := wireEnd{sw: sw, port: port}
-	if _, ok := f.wires[from]; !ok {
-		return fmt.Errorf("cluster: no wire from switch %d port %d", sw, port)
-	}
-	if f.wireHealth[from] != h {
-		f.wireHealth[from] = h
-		f.epoch++
+// byFrom orders wires by their near end, (FromSw, FromPort).
+func byFrom(a, b Wire) int {
+	return cmp.Or(cmp.Compare(a.FromSw, b.FromSw), cmp.Compare(a.FromPort, b.FromPort))
+}
+
+// wire returns the wire leaving (sw, port), or nil for a fabric edge.
+func (st *fabricState) wire(sw int, port asic.PortID) *Wire {
+	if i, ok := slices.BinarySearchFunc(st.wires, Wire{FromSw: sw, FromPort: port}, byFrom); ok {
+		return &st.wires[i]
 	}
 	return nil
+}
+
+func (f *Fabric) setWireHealth(sw int, port asic.PortID, h Health) error {
+	return f.update(func(st *fabricState) (bool, error) {
+		w := st.wire(sw, port)
+		if w == nil {
+			return false, fmt.Errorf("cluster: no wire from switch %d port %d", sw, port)
+		}
+		changed := w.Health != h
+		w.Health, st.epoch = h, st.epoch+1
+		return changed, nil
+	})
 }
 
 // CutLink marks the directed wire leaving (sw, port) dead: packets
@@ -215,41 +240,26 @@ func (f *Fabric) RestoreLink(sw int, port asic.PortID) error {
 // LinkHealth reports the health of the directed wire leaving
 // (sw, port); unwired ports report alive.
 func (f *Fabric) LinkHealth(sw int, port asic.PortID) Health {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.wireHealth[wireEnd{sw: sw, port: port}]
+	if w := f.state.Load().wire(sw, port); w != nil {
+		return w.Health
+	}
+	return HealthAlive
 }
 
 // SetWireHook installs the wire-crossing interceptor (nil clears it).
+// The hook is not part of the placement graph: it never moves the epoch,
+// and setting it cannot fail.
 func (f *Fabric) SetWireHook(h WireHook) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.wireHook = h
+	_ = f.update(func(st *fabricState) (bool, error) {
+		changed := h != nil || st.hook != nil
+		st.hook = h
+		return changed, nil
+	})
 }
 
 // Wires lists every directed wire with its health, ordered by
 // (FromSw, FromPort) so topology walks are deterministic.
-func (f *Fabric) Wires() []Wire {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	ws := make([]Wire, 0, len(f.wires))
-	for from, to := range f.wires {
-		ws = append(ws, Wire{
-			FromSw:   from.sw,
-			FromPort: from.port,
-			ToSw:     to.sw,
-			ToPort:   to.port,
-			Health:   f.wireHealth[from],
-		})
-	}
-	sort.Slice(ws, func(i, j int) bool {
-		if ws[i].FromSw != ws[j].FromSw {
-			return ws[i].FromSw < ws[j].FromSw
-		}
-		return ws[i].FromPort < ws[j].FromPort
-	})
-	return ws
-}
+func (f *Fabric) Wires() []Wire { return slices.Clone(f.state.Load().wires) }
 
 // Connect wires an egress port of switch a to an ingress port of
 // switch b (one direction; call twice for full duplex).
@@ -260,24 +270,20 @@ func (f *Fabric) Connect(a int, portA asic.PortID, b int, portB asic.PortID) err
 	if !f.Prof.ValidPort(portA) || !f.Prof.ValidPort(portB) {
 		return fmt.Errorf("cluster: invalid wire ports %d->%d", portA, portB)
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	from := wireEnd{sw: a, port: portA}
-	if _, dup := f.wires[from]; dup {
-		return fmt.Errorf("cluster: switch %d port %d already wired", a, portA)
-	}
-	f.wires[from] = wireEnd{sw: b, port: portB}
-	f.epoch++
-	return nil
+	w := Wire{FromSw: a, FromPort: portA, ToSw: b, ToPort: portB}
+	return f.update(func(st *fabricState) (bool, error) {
+		i, dup := slices.BinarySearchFunc(st.wires, w, byFrom)
+		if dup {
+			return false, fmt.Errorf("cluster: switch %d port %d already wired", a, portA)
+		}
+		st.wires = slices.Insert(st.wires, i, w)
+		st.epoch++
+		return true, nil
+	})
 }
 
 // Wired reports whether an egress wire leaves (sw, port).
-func (f *Fabric) Wired(sw int, port asic.PortID) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	_, ok := f.wires[wireEnd{sw: sw, port: port}]
-	return ok
-}
+func (f *Fabric) Wired(sw int, port asic.PortID) bool { return f.state.Load().wire(sw, port) != nil }
 
 // FabricTrace records a packet's journey across the fabric. It owns the
 // journey's storage: PerSwitch, Out and OutSwitch start on inline arrays
@@ -318,40 +324,21 @@ type FabricTrace struct {
 // maxFabricHops bounds wire crossings per packet.
 const maxFabricHops = 32
 
-// offerDrop decides whether switch sw's health drops a packet offered
-// to it, returning the attributable reason.
-func (f *Fabric) offerDrop(sw int) (string, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.swHealth[sw] == HealthDead {
-		return fmt.Sprintf("switch %d dead", sw), true
-	}
-	return "", false
-}
-
-// crossWire resolves the wire leaving from, applies wire health and the
-// corruption hook, and returns the far end plus the (possibly mutated)
-// packet. wired=false means the port is a fabric edge; a non-empty
+// crossWire applies a wire's health and the corruption hook to a packet
+// crossing it, returning the (possibly mutated) packet; a non-empty
 // reason means the packet died on the wire.
-func (f *Fabric) crossWire(from wireEnd, pkt *packet.Parsed) (dst wireEnd, fwd *packet.Parsed, wired bool, reason string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	dst, wired = f.wires[from]
-	if !wired {
-		return dst, nil, false, ""
+func (st *fabricState) crossWire(w *Wire, pkt *packet.Parsed) (fwd *packet.Parsed, reason string) {
+	if w.Health == HealthDead {
+		return nil, fmt.Sprintf("wire %d:%d cut", w.FromSw, w.FromPort)
 	}
-	if f.wireHealth[from] == HealthDead {
-		return dst, nil, true, fmt.Sprintf("wire %d:%d cut", from.sw, from.port)
+	if st.hook == nil {
+		return pkt, ""
 	}
-	fwd = pkt
-	if f.wireHook != nil {
-		mutated, ok := f.wireHook(from.sw, from.port, pkt)
-		if !ok {
-			return dst, nil, true, fmt.Sprintf("wire %d:%d corruption destroyed packet", from.sw, from.port)
-		}
-		fwd = mutated
+	fwd, ok := st.hook(w.FromSw, w.FromPort, pkt)
+	if !ok {
+		return nil, fmt.Sprintf("wire %d:%d corruption destroyed packet", w.FromSw, w.FromPort)
 	}
-	return dst, fwd, true, ""
+	return fwd, ""
 }
 
 // pending is a packet copy waiting to be offered to a switch port.
@@ -365,11 +352,13 @@ type pending struct {
 // fabric until every copy has left, been punted, or been dropped. The
 // copies waiting for their switch queue in FIFO order in an array on this
 // stack, spilling to the heap past its room; the first switch traversals
-// record into the trace's own buffers.
+// record into the trace's own buffers. The whole journey sees the one
+// generation of wiring and health published when it started.
 func (f *Fabric) Inject(sw int, port asic.PortID, pkt *packet.Parsed) (*FabricTrace, error) {
 	if sw < 0 || sw >= len(f.Switches) {
 		return nil, fmt.Errorf("cluster: no such switch %d", sw)
 	}
+	st := f.state.Load()
 	ft := &FabricTrace{}
 	ft.PerSwitch, ft.Out, ft.OutSwitch = ft.perSwitch[:0], ft.out[:0], ft.outSwitch[:0]
 	var room [4]pending
@@ -379,9 +368,9 @@ func (f *Fabric) Inject(sw int, port asic.PortID, pkt *packet.Parsed) (*FabricTr
 			return ft, fmt.Errorf("cluster: packet exceeded %d fabric hops (wiring loop?)", maxFabricHops)
 		}
 		cur := queue[next]
-		if reason, drop := f.offerDrop(cur.sw); drop {
+		if st.swHealth[cur.sw] == HealthDead {
 			ft.Dropped = true
-			ft.DropReasons = append(ft.DropReasons, reason)
+			ft.DropReasons = append(ft.DropReasons, fmt.Sprintf("switch %d dead", cur.sw))
 			continue
 		}
 		var tr *asic.Trace
@@ -403,12 +392,13 @@ func (f *Fabric) Inject(sw int, port asic.PortID, pkt *packet.Parsed) (*FabricTr
 			ft.CPUSwitch = append(ft.CPUSwitch, cur.sw)
 		}
 		for _, out := range tr.Out {
-			dst, fwd, wired, reason := f.crossWire(wireEnd{sw: cur.sw, port: out.Port}, out.Pkt)
-			if !wired {
+			w := st.wire(cur.sw, out.Port)
+			if w == nil {
 				ft.Out = append(ft.Out, out)
 				ft.OutSwitch = append(ft.OutSwitch, cur.sw)
 				continue
 			}
+			fwd, reason := st.crossWire(w, out.Pkt)
 			if reason != "" {
 				ft.Dropped = true
 				ft.DropReasons = append(ft.DropReasons, reason)
@@ -416,7 +406,7 @@ func (f *Fabric) Inject(sw int, port asic.PortID, pkt *packet.Parsed) (*FabricTr
 			}
 			ft.Hops++
 			ft.Latency += f.Prof.RecircOffChip // DAC hop, Fig. 8(b)
-			queue = append(queue, pending{sw: dst.sw, port: dst.port, pkt: fwd})
+			queue = append(queue, pending{sw: w.ToSw, port: w.ToPort, pkt: fwd})
 		}
 	}
 	return ft, nil
@@ -426,17 +416,16 @@ func (f *Fabric) Inject(sw int, port asic.PortID, pkt *packet.Parsed) (*FabricTr
 // placement engine's weighted graph: dead elements are excluded. The
 // per-switch stage budget is the profile's total MAU stages, in
 // placement units.
-func (f *Fabric) PlacementGraph() *fabricplace.Graph {
-	g := fabricplace.NewGraph(len(f.Switches))
-	for i := range f.Switches {
-		g.Nodes[i].Alive = f.SwitchHealth(i) != HealthDead
-		g.Nodes[i].StageBudget = f.Prof.TotalStages()
+func (f *Fabric) PlacementGraph() *fabricplace.Graph { return f.state.Load().placementGraph(f.Prof) }
+
+func (st *fabricState) placementGraph(prof asic.Profile) *fabricplace.Graph {
+	g := fabricplace.NewGraph(len(st.swHealth))
+	for i, h := range st.swHealth {
+		g.Nodes[i].Alive = h != HealthDead
+		g.Nodes[i].StageBudget = prof.TotalStages()
 	}
-	for _, w := range f.Wires() {
-		if w.Health == HealthDead {
-			continue
-		}
-		if f.SwitchHealth(w.FromSw) == HealthDead || f.SwitchHealth(w.ToSw) == HealthDead {
+	for _, w := range st.wires {
+		if w.Health == HealthDead || st.swHealth[w.FromSw] == HealthDead || st.swHealth[w.ToSw] == HealthDead {
 			continue
 		}
 		g.AddEdge(w.FromSw, fabricplace.Edge{To: w.ToSw, Port: w.FromPort})

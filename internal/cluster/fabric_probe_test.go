@@ -11,10 +11,13 @@ import (
 	"dejavu/internal/scenario"
 )
 
-// referenceInject is the parent's Fabric.Inject — a FIFO slice of pending
-// offers, a fresh switch trace per traversal, every slice grown by append
-// — with the mirror fix applied: the one-allocation Inject must equal it.
-func referenceInject(f *Fabric, sw int, port asic.PortID, pkt *packet.Parsed) (*FabricTrace, error) {
+// referenceInject is a second Fabric.Inject — a FIFO slice of pending
+// offers, a fresh switch trace per traversal, every slice grown by append,
+// the mirror fix applied — that shares no per-hop code with it: switch
+// death from SwitchHealth, each wire's far end and health from a scan of
+// Wires(), and its own call of the wire hook the fabric was given. The
+// one-allocation Inject must equal it.
+func referenceInject(f *Fabric, hook WireHook, sw int, port asic.PortID, pkt *packet.Parsed) (*FabricTrace, error) {
 	if sw < 0 || sw >= len(f.Switches) {
 		return nil, fmt.Errorf("cluster: no such switch %d", sw)
 	}
@@ -26,9 +29,9 @@ func referenceInject(f *Fabric, sw int, port asic.PortID, pkt *packet.Parsed) (*
 		}
 		cur := queue[0]
 		queue = queue[1:]
-		if reason, drop := f.offerDrop(cur.sw); drop {
+		if f.SwitchHealth(cur.sw) == HealthDead {
 			ft.Dropped = true
-			ft.DropReasons = append(ft.DropReasons, reason)
+			ft.DropReasons = append(ft.DropReasons, fmt.Sprintf("switch %d dead", cur.sw))
 			continue
 		}
 		tr, err := f.Switches[cur.sw].Inject(cur.port, cur.pkt)
@@ -44,20 +47,35 @@ func referenceInject(f *Fabric, sw int, port asic.PortID, pkt *packet.Parsed) (*
 			ft.CPUSwitch = append(ft.CPUSwitch, cur.sw)
 		}
 		for _, out := range tr.Out {
-			dst, fwd, wired, reason := f.crossWire(wireEnd{sw: cur.sw, port: out.Port}, out.Pkt)
-			if !wired {
+			var wire *Wire
+			for _, w := range f.Wires() {
+				if w.FromSw == cur.sw && w.FromPort == out.Port {
+					wire = &w
+					break
+				}
+			}
+			if wire == nil {
 				ft.Out = append(ft.Out, out)
 				ft.OutSwitch = append(ft.OutSwitch, cur.sw)
 				continue
 			}
-			if reason != "" {
+			fwd, ok := out.Pkt, true
+			switch {
+			case wire.Health == HealthDead:
+				ft.DropReasons = append(ft.DropReasons, fmt.Sprintf("wire %d:%d cut", cur.sw, out.Port))
+				ok = false
+			case hook != nil:
+				if fwd, ok = hook(cur.sw, out.Port, fwd); !ok {
+					ft.DropReasons = append(ft.DropReasons, fmt.Sprintf("wire %d:%d corruption destroyed packet", cur.sw, out.Port))
+				}
+			}
+			if !ok {
 				ft.Dropped = true
-				ft.DropReasons = append(ft.DropReasons, reason)
 				continue
 			}
 			ft.Hops++
 			ft.Latency += f.Prof.RecircOffChip
-			queue = append(queue, pending{sw: dst.sw, port: dst.port, pkt: fwd})
+			queue = append(queue, pending{sw: wire.ToSw, port: wire.ToPort, pkt: fwd})
 		}
 	}
 	return ft, nil
@@ -92,9 +110,10 @@ type hopBehaviour struct {
 // sometimes a wire from the last switch back to the first, a loop) whose
 // switches act on a packet by its key: forward along the spine, skip a
 // switch, leave, mirror, resubmit, recirculate, punt or drop. Health is
-// drawn per switch and per wire, and a wire hook corrupts or destroys
-// some packets. Two fabrics built from one seed are identical.
-func randomFabric(t *testing.T, seed int64) *Fabric {
+// drawn per switch and per wire, and a wire hook, returned too (nil when
+// none was installed), corrupts or destroys some packets. Two fabrics
+// built from one seed are identical.
+func randomFabric(t *testing.T, seed int64) (*Fabric, WireHook) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	n := 1 + rng.Intn(5)
@@ -178,21 +197,23 @@ func randomFabric(t *testing.T, seed int64) *Fabric {
 			}
 		}
 	}
-	if rng.Intn(2) == 0 {
-		f.SetWireHook(func(sw int, port asic.PortID, pkt *packet.Parsed) (*packet.Parsed, bool) {
-			switch (sw + int(port) + int(pkt.UDP.SrcPort)) % 7 {
-			case 0:
-				return nil, false
-			case 1:
-				cp := pkt.Clone()
-				cp.UDP.SrcPort++
-				cp.IPv4.TTL--
-				return cp, true
-			}
-			return pkt, true
-		})
+	if rng.Intn(2) != 0 {
+		return f, nil
 	}
-	return f
+	hook := func(sw int, port asic.PortID, pkt *packet.Parsed) (*packet.Parsed, bool) {
+		switch (sw + int(port) + int(pkt.UDP.SrcPort)) % 7 {
+		case 0:
+			return nil, false
+		case 1:
+			cp := pkt.Clone()
+			cp.UDP.SrcPort++
+			cp.IPv4.TTL--
+			return cp, true
+		}
+		return pkt, true
+	}
+	f.SetWireHook(hook)
+	return f, hook
 }
 
 // TestFabricInjectMatchesReference holds the one-allocation Inject to the
@@ -204,7 +225,8 @@ func randomFabric(t *testing.T, seed int64) *Fabric {
 func TestFabricInjectMatchesReference(t *testing.T) {
 	seen := map[string]int{}
 	for seed := int64(1); seed <= 400; seed++ {
-		got, want := randomFabric(t, seed), randomFabric(t, seed)
+		got, _ := randomFabric(t, seed)
+		want, hook := randomFabric(t, seed)
 		rng := rand.New(rand.NewSource(-seed))
 		for k := 0; k < 16; k++ {
 			sw, port := 0, asic.PortID(rng.Intn(6))
@@ -217,7 +239,7 @@ func TestFabricInjectMatchesReference(t *testing.T) {
 			pkt := scenario.InternetBound()
 			pkt.UDP.SrcPort = uint16(rng.Intn(1 << 16))
 			gft, gerr := got.Inject(sw, port, pkt.Clone())
-			wft, werr := referenceInject(want, sw, port, pkt)
+			wft, werr := referenceInject(want, hook, sw, port, pkt)
 			for _, s := range append(got.Switches, want.Switches...) {
 				s.DrainCPU()
 			}

@@ -1,8 +1,12 @@
 package cluster
 
 import (
+	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"dejavu/internal/asic"
 	"dejavu/internal/packet"
@@ -164,32 +168,52 @@ func TestFabricValidation(t *testing.T) {
 
 // Pins that would pull a chain back against the only wire's direction
 // are a placement outcome, not a deploy error: every chain is reported
-// blackholed with a reason and nothing is delivered.
+// blackholed with a reason and nothing is delivered — also when the
+// pins arrive after a deploy, whose build the entry switch must not keep
+// running (it did, delivering every path, when the round left a plan of
+// no switch uninstalled).
 func TestPinsAgainstTheWireBlackhole(t *testing.T) {
-	s := scenario.MustNew()
-	f, err := NewSpineFabric(s.Prof, 2) // one wire, 0 -> 1
-	if err != nil {
-		t.Fatal(err)
-	}
-	fd, err := NewFabricDeployment(f, s.Chains, s.NFs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fd.Pins = map[string]int{"classifier": 1, "fw": 1, "vgw": 0, "lb": 0, "router": 0}
-	rep, err := NewReconciler(fd).Reconcile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Blackholed) != len(s.Chains) || len(fd.Routes) != 0 {
-		t.Fatalf("backwards pins placed: routes %v, blackholed %v", fd.Routes, rep.Blackholed)
-	}
-	for id, reason := range rep.Blackholed {
-		if reason == "" {
-			t.Errorf("chain %d blackholed without a reason", id)
+	for _, deployFirst := range []bool{false, true} {
+		s := scenario.MustNew()
+		f, err := NewSpineFabric(s.Prof, 2) // one wire, 0 -> 1
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if got := probeAll(t, f); got != 0 {
-		t.Errorf("%d path(s) delivered through an unplaceable deployment", got)
+		fd, err := NewFabricDeployment(f, s.Chains, s.NFs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, deployed := NewReconciler(fd), 0
+		if deployFirst {
+			if _, err := rec.Reconcile(); err != nil {
+				t.Fatal(err)
+			}
+			deployed = probeAll(t, f) // the full path's first packet punts
+		}
+		fd.Pins = map[string]int{"classifier": 1, "fw": 1, "vgw": 0, "lb": 0, "router": 0}
+		rep, err := rec.Reconcile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Blackholed) != len(s.Chains) || len(fd.Routes) != 0 {
+			t.Fatalf("backwards pins placed: routes %v, blackholed %v", fd.Routes, rep.Blackholed)
+		}
+		for id, reason := range rep.Blackholed {
+			if reason == "" {
+				t.Errorf("chain %d blackholed without a reason", id)
+			}
+		}
+		if got := probeAll(t, f); got != 0 {
+			t.Errorf("deployed first %v: %d path(s) delivered through an unplaceable deployment", deployFirst, got)
+		}
+		if !deployFirst {
+			continue
+		}
+		// Unpinned, the next round deploys the entry afresh.
+		fd.Pins = nil
+		if rep, err := rec.Reconcile(); err != nil || len(rep.Blackholed) != 0 || probeAll(t, f) != deployed {
+			t.Errorf("unpinned round: %v, blackholed %v, or fewer than the %d paths the deploy delivered", err, rep.Blackholed, deployed)
+		}
 	}
 }
 
@@ -209,5 +233,110 @@ func TestFabricTelemetrySplit(t *testing.T) {
 	}
 	if got := fd.installed[0].Res.Composer.Telemetry().NFExecutions("router"); got != 0 {
 		t.Errorf("router ran on switch 0: %d", got)
+	}
+}
+
+// TestFabricReadersTakeNoLock holds the writer mutex: a probe, a dry-run
+// round, the placement graph and every health and wiring reader must
+// still return, because each loads one published generation.
+func TestFabricReadersTakeNoLock(t *testing.T) {
+	_, f, fd, rec := newSpineDeployment(t, 4)
+	if _, err := rec.Reconcile(); err != nil {
+		t.Fatal(err)
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	done := make(chan error, 1)
+	go func() {
+		_, err := f.Inject(0, scenario.PortClient, scenario.InternetBound())
+		if _, perr := fd.Plan(); err == nil {
+			err = perr
+		}
+		f.PlacementGraph()
+		f.SwitchHealth(1)
+		f.AliveSwitches()
+		f.Wires()
+		f.LinkHealth(0, 10)
+		f.Wired(0, 10)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a fabric reader waited for the writer mutex")
+	}
+}
+
+// TestFabricProbesRaceWriters: two goroutines probe the installed chains
+// while a third kills, revives, cuts, restores, swaps the wire hook and
+// builds placement graphs. Each journey runs on the generation it
+// loaded, so every one is delivered, punted, or dropped with a reason.
+// Run under -race.
+func TestFabricProbesRaceWriters(t *testing.T) {
+	_, f, _, rec := newSpineDeployment(t, 4)
+	if _, err := rec.Reconcile(); err != nil {
+		t.Fatal(err)
+	}
+	destroy := func(int, asic.PortID, *packet.Parsed) (*packet.Parsed, bool) { return nil, false }
+	stop := make(chan struct{})
+	writer := make(chan error, 1)
+	go func() {
+		var err error
+		for i := 0; err == nil; i++ {
+			select {
+			case <-stop:
+				writer <- nil
+				return
+			default:
+			}
+			sw := 1 + i%3
+			err = errors.Join(f.KillSwitch(sw), f.CutLink(0, 10))
+			f.SetWireHook(destroy)
+			f.PlacementGraph()
+			err = errors.Join(err, f.ReviveSwitch(sw), f.RestoreLink(0, 10))
+			f.SetWireHook(nil)
+		}
+		writer <- err
+	}()
+	var wg sync.WaitGroup
+	outcomes := make([]map[string]int, 2)
+	for g := range outcomes {
+		outcomes[g] = map[string]int{}
+		wg.Add(1)
+		go func(seen map[string]int) {
+			defer wg.Done()
+			for i, prs := 0, scenario.Probes(); i < 300; i++ {
+				pr := prs[i%len(prs)]
+				ft, err := f.Inject(0, pr.Port, pr.Packet())
+				switch {
+				case err != nil:
+					seen[err.Error()]++
+				case pr.Verify(ft.Out) == nil:
+					seen["delivered"]++
+				case len(ft.CPUSwitch) > 0:
+					seen["punted"]++
+				case len(ft.DropReasons) > 0:
+					seen["dropped with a reason"]++
+				default:
+					seen[fmt.Sprintf("silent: out %v dropped %v", ft.Out, ft.Dropped)]++
+				}
+			}
+		}(outcomes[g])
+	}
+	wg.Wait()
+	close(stop)
+	if err := <-writer; err != nil {
+		t.Fatal(err)
+	}
+	for _, seen := range outcomes {
+		for what, n := range seen {
+			if what != "delivered" && what != "punted" && what != "dropped with a reason" {
+				t.Errorf("%d journey(s): %s", n, what)
+			}
+		}
+		t.Logf("journeys: %v", seen)
 	}
 }

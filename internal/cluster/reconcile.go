@@ -258,15 +258,15 @@ type rememberedPlan struct {
 	adopted      bool
 }
 
-// desired computes the target plan over the current topology health.
-// Chains that cannot be placed are dropped deterministically with a
-// reason rather than failing the whole plan. The plan is a function of
-// the fabric's health epoch and the deployment's chain set, StageDemand
-// and Pins — compared by value, callers write those fields directly —
-// so while none of them moved the last successful plan is the answer; a
-// failed plan is not remembered.
-func (fd *FabricDeployment) desired() (p *fabricPlan) {
-	epoch := fd.Fabric.healthEpoch() // read before the health it stamps
+// desired computes the target plan over one generation of the fabric's
+// topology health. Chains that cannot be placed are dropped
+// deterministically with a reason rather than failing the whole plan.
+// The plan is a function of the generation's health epoch and the
+// deployment's chain set, StageDemand and Pins — compared by value,
+// callers write those fields directly — so while none of them moved the
+// last successful plan is the answer; a failed plan is not remembered.
+func (fd *FabricDeployment) desired(st *fabricState) (p *fabricPlan) {
+	epoch := st.epoch
 	if l := &fd.last; l.plan != nil && l.epoch == epoch && route.EqualChains(l.chains, fd.Chains) &&
 		maps.Equal(l.demand, fd.StageDemand) && maps.Equal(l.pins, fd.Pins) {
 		return l.plan
@@ -286,14 +286,14 @@ func (fd *FabricDeployment) desired() (p *fabricPlan) {
 		remote:    make(map[int]map[string]asic.PortID),
 		dropped:   make(map[uint16]string),
 	}
-	if fd.Fabric.SwitchHealth(0) == HealthDead {
+	if st.swHealth[0] == HealthDead {
 		for _, c := range fd.Chains {
 			p.dropped[c.PathID] = "entry switch 0 dead"
 		}
 		return p
 	}
 	fd.graphBuilds++
-	g := fd.Fabric.PlacementGraph()
+	g := st.placementGraph(fd.Fabric.Prof)
 	res := fabricplace.Place(g, fd.Chains, fd.placeOptions())
 	p.homes, p.dropped, p.cost, p.strategy = res.Homes, res.Unplaced, res.Total, res.Strategy
 	inUse := make(map[int]bool)
@@ -501,8 +501,9 @@ func NewReconciler(dep *FabricDeployment) *Reconciler { return &Reconciler{Dep: 
 // always produce the same plan, programs and findings.
 func (r *Reconciler) Reconcile() (*ReconcileReport, error) { return r.Dep.round(true) }
 
-// record records a committed round, failed or not, into fd.Control.
-func (fd *FabricDeployment) record(rep *ReconcileReport, err error) {
+// record records a committed round, failed or not, into fd.Control,
+// with the alive count of the generation the round planned from.
+func (fd *FabricDeployment) record(st *fabricState, rep *ReconcileReport, err error) {
 	fd.routes = fd.routes[:0]
 	for id, cr := range fd.Routes {
 		fd.routes = append(fd.routes, telemetry.Route{
@@ -510,7 +511,7 @@ func (fd *FabricDeployment) record(rep *ReconcileReport, err error) {
 		})
 	}
 	fd.Control.RecordRound(telemetry.Round{
-		Alive: fd.Fabric.AliveSwitches(), Switches: fd.Fabric.NumSwitches(),
+		Alive: st.alive(), Switches: len(st.swHealth),
 		Blackholed: len(fd.Blackholed), Commits: len(rep.Changed), Failed: err != nil, Routes: fd.routes,
 	})
 }
@@ -523,20 +524,21 @@ type stagedBuild struct {
 	delta      []route.EntryOp
 }
 
-// round runs one reconcile round: report element health, take the
-// desired plan, and stage every in-use switch whose desired build
-// differs from its installed one — a failure that touches only one
-// chain's switches leaves the others' programs untouched. With commit,
-// and only if every stage succeeded, it commits the staged builds in
-// ascending switch order and adopts the plan, so a refused build
-// touches no switch; a failed commit restores every switch the round
-// already committed, so the fabric keeps running its installed builds.
-// A model deployment (no NF implementations) plans without staging: a
-// build needs the NFs. A committed round, failed or not, is recorded
-// into fd.Control; a plan records nothing.
+// round runs one reconcile round over one generation of fabric state:
+// report element health, take the desired plan, and stage every in-use
+// switch whose desired build differs from its installed one — a failure
+// that touches only one chain's switches leaves the others' programs
+// untouched. With commit, and only if every stage succeeded, it commits
+// the staged builds in ascending switch order and adopts the plan, so a
+// refused build touches no switch; a failed commit restores every switch
+// the round already committed, so the fabric keeps running its installed
+// builds. A model deployment (no NF implementations) plans without
+// staging: a build needs the NFs. A committed round, failed or not, is
+// recorded into fd.Control; a plan records nothing.
 func (fd *FabricDeployment) round(commit bool) (rep *ReconcileReport, err error) {
+	st := fd.Fabric.state.Load()
 	if commit {
-		defer func() { fd.record(rep, err) }()
+		defer func() { fd.record(st, rep, err) }()
 	}
 	rep = &ReconcileReport{Findings: lint.NewReport()}
 	fail := func(where string, err error) (*ReconcileReport, error) {
@@ -547,8 +549,8 @@ func (fd *FabricDeployment) round(commit bool) (rep *ReconcileReport, err error)
 		return rep, fmt.Errorf("cluster: reconcile: %w", err)
 	}
 
-	for i := 0; i < fd.Fabric.NumSwitches(); i++ {
-		if h := fd.Fabric.SwitchHealth(i); h != HealthAlive {
+	for i, h := range st.swHealth {
+		if h != HealthAlive {
 			rep.Findings.Add(lint.Finding{
 				Rule: RuleFBSwitchDown, Severity: lint.SevWarn,
 				Where:   fmt.Sprintf("switch %d", i),
@@ -557,7 +559,7 @@ func (fd *FabricDeployment) round(commit bool) (rep *ReconcileReport, err error)
 			})
 		}
 	}
-	for _, w := range fd.Fabric.Wires() {
+	for _, w := range st.wires {
 		if w.Health != HealthAlive {
 			rep.Findings.Add(lint.Finding{
 				Rule: RuleFBLinkDown, Severity: lint.SevWarn,
@@ -568,7 +570,7 @@ func (fd *FabricDeployment) round(commit bool) (rep *ReconcileReport, err error)
 		}
 	}
 
-	p := fd.desired()
+	p := fd.desired(st)
 	if p.err != nil {
 		return fail("plan", p.err)
 	}
@@ -630,6 +632,18 @@ func (fd *FabricDeployment) round(commit bool) (rep *ReconcileReport, err error)
 	}
 	for _, b := range builds {
 		rep.Changed = append(rep.Changed, b.sw)
+	}
+	// A plan that uses no switch blackholes every chain, yet the build an
+	// alive entry still runs would carry them on: a commit clears it, and
+	// its cache, so the next build of the entry installs every program.
+	if len(p.switches) == 0 && st.swHealth[0] == HealthAlive && fd.installed[0].Res != nil {
+		rep.Changed = append(rep.Changed, 0)
+		if commit {
+			fd.installed[0] = pipeline.Installed{Cache: pipeline.NewCache()}
+			if err := fd.installed[0].Restore(fd.Fabric.Switches[0]); err != nil {
+				return fail("switch 0", err)
+			}
+		}
 	}
 	for _, c := range p.active {
 		if old, ok := fd.Routes[c.PathID]; !ok || !old.equal(p.routes[c.PathID]) {

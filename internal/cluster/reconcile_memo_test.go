@@ -131,8 +131,9 @@ type walkWorld struct {
 // plan and its anneals; the other forgets both before every round, which
 // is the planner of the parent commit. After every step the remembering
 // plan must equal, field by field, both the plan of a fresh deployment
-// over the same fabric and the forgetful twin's, and the two reconcile
-// reports must match.
+// over the same fabric and the forgetful twin's, the two reconcile
+// reports must match, and the remembering fabric's probes must follow
+// its installed routes.
 func TestReconcilerMemoDifferentialWalk(t *testing.T) {
 	steps := 240
 	if testing.Short() {
@@ -150,6 +151,7 @@ func TestReconcilerMemoDifferentialWalk(t *testing.T) {
 	nfs := []string{"classifier", "fw", "vgw", "lb", "router"}
 	wires := mem.f.Wires()
 	rng := rand.New(rand.NewSource(16))
+	probes := map[string]int{}
 
 	// apply makes one move in a world; the random draws are made by the
 	// caller so both worlds see the same move.
@@ -232,8 +234,8 @@ func TestReconcilerMemoDifferentialWalk(t *testing.T) {
 			t.Fatalf("step %d (%s): worlds diverged: %v / %v", step, what, err, refErr)
 		}
 
-		got := mem.fd.desired()
-		if again := mem.fd.desired(); again != got && got.err == nil {
+		got := mem.fd.desired(mem.f.state.Load())
+		if again := mem.fd.desired(mem.f.state.Load()); again != got && got.err == nil {
 			t.Fatalf("step %d (%s): a second desired() planned again", step, what)
 		}
 		fresh, err := NewFabricDeployment(mem.f, mem.fd.Chains, mem.s.NFs, mem.fd.StageDemand)
@@ -241,10 +243,10 @@ func TestReconcilerMemoDifferentialWalk(t *testing.T) {
 			t.Fatal(err)
 		}
 		fresh.Pins = mem.fd.Pins
-		samePlan(t, step, what+", fresh deployment", got, fresh.desired())
+		samePlan(t, step, what+", fresh deployment", got, fresh.desired(mem.f.state.Load()))
 
 		ref.fd.last.plan = nil // forget: plan and anneals from scratch
-		samePlan(t, step, what+", forgetful twin", got, ref.fd.desired())
+		samePlan(t, step, what+", forgetful twin", got, ref.fd.desired(ref.f.state.Load()))
 
 		repMem, errMem := mem.rec.Reconcile()
 		repRef, errRef := ref.rec.Reconcile()
@@ -259,7 +261,37 @@ func TestReconcilerMemoDifferentialWalk(t *testing.T) {
 			!reflect.DeepEqual(mem.fd.Control.Gather(), ref.fd.Control.Gather()) {
 			t.Fatalf("step %d (%s): installed state differs", step, what)
 		}
+		// Every chain the installed state knows: a delivered probe exits
+		// the last switch of its installed route after the route's wire
+		// hops, and a blackholed chain delivers nothing.
+		for _, pr := range scenario.Probes() {
+			r, routed := mem.fd.Routes[pr.PathID]
+			_, blackholed := mem.fd.Blackholed[pr.PathID]
+			if !routed && !blackholed {
+				continue
+			}
+			ft, err := mem.f.Inject(0, pr.Port, pr.Packet())
+			switch {
+			case err != nil:
+				t.Fatalf("step %d (%s): probe %s: %v", step, what, pr.Name, err)
+			case blackholed && len(ft.Out) > 0:
+				t.Fatalf("step %d (%s): blackholed chain %d left switches %v", step, what, pr.PathID, ft.OutSwitch)
+			case blackholed:
+				probes["blackholed"]++
+			case pr.Verify(ft.Out) != nil:
+				probes["not delivered"]++
+			case ft.OutSwitch[0] != r.Path[len(r.Path)-1] || ft.Hops != r.CrossHops:
+				t.Fatalf("step %d (%s): probe %s left switch %d after %d hop(s); installed route %v crosses %d",
+					step, what, pr.Name, ft.OutSwitch[0], ft.Hops, r.Path, r.CrossHops)
+			default:
+				probes[fmt.Sprintf("delivered after %d hop(s)", ft.Hops)]++
+			}
+		}
+		for _, sw := range mem.f.Switches {
+			sw.DrainCPU()
+		}
 	}
+	t.Logf("probes: %v", probes)
 	if mem.fd.anneals >= ref.fd.anneals {
 		t.Errorf("remembering deployment ran %d anneals, the forgetful one %d", mem.fd.anneals, ref.fd.anneals)
 	}
@@ -366,11 +398,11 @@ func TestReconcilerEpochMovesOnlyOnChange(t *testing.T) {
 	}
 	moves := func(what string, want bool, fn func() error) {
 		t.Helper()
-		before := f.healthEpoch()
+		before := f.state.Load().epoch
 		if err := fn(); err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
-		if got := f.healthEpoch() != before; got != want {
+		if got := f.state.Load().epoch != before; got != want {
 			t.Errorf("%s: epoch moved = %v, want %v", what, got, want)
 		}
 	}
@@ -402,9 +434,8 @@ func TestReconcilerEpochMovesOnlyOnChange(t *testing.T) {
 }
 
 // A converged round allocates its report and findings and nothing that
-// scales with planning: 9 allocations on the healthy 4-switch spine (the
-// report, its findings, the sorted wire list, the switch list and the
-// route map).
+// scales with planning: 5 allocations on the healthy 4-switch spine (the
+// report, its findings, the switch list and the route map).
 func TestReconcileNoopBudget(t *testing.T) {
 	_, _, fd, rec := newSpineDeployment(t, 4)
 	if _, err := rec.Reconcile(); err != nil {

@@ -427,7 +427,7 @@ func TestReconcilerRollsBackOnPostCommitFailure(t *testing.T) {
 		{"commit", "switch 0 update rejected, switch untouched: ctl: no open", func(t *testing.T, fd *FabricDeployment) {
 			// Lose the transaction after its last write: switch 0's staged
 			// entry diff and rebuilt pipelet programs.
-			next, delta, err := fd.installed[0].Stage(fd.inputsAt(fd.desired(), 0))
+			next, delta, err := fd.installed[0].Stage(fd.inputsAt(fd.desired(fd.Fabric.state.Load()), 0))
 			if err != nil {
 				t.Fatal(err)
 			}

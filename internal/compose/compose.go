@@ -53,18 +53,12 @@ type Composer struct {
 	// It is a pointer so AdoptState can share one cell across composer
 	// generations during live reconfiguration.
 	postcards *atomic.Pointer[telemetry.PostcardLog]
-
-	// fallback is the runtime used by pipelet programs running outside
-	// a switch snapshot (ctx.App unset); see runtimeOf.
-	fallback atomic.Pointer[Runtime]
 }
 
 // Telemetry returns the composer's datapath counters.
 func (c *Composer) Telemetry() *Telemetry { return c.telemetry }
 
 // New creates a composer and precomputes the branching function.
-//
-//dv:snapshotwriter
 func New(prof asic.Profile, chains []route.Chain, placement *route.Placement, nfs nf.List) (*Composer, error) {
 	if err := placement.Validate(prof, chains); err != nil {
 		return nil, err
@@ -92,7 +86,6 @@ func New(prof asic.Profile, chains []route.Chain, placement *route.Placement, nf
 	for i, n := range names {
 		c.ids[n] = uint8(i + 1)
 	}
-	c.fallback.Store(c.newRuntime())
 	return c, nil
 }
 
@@ -251,7 +244,7 @@ func (c *Composer) pipeletFunc(pl asic.PipeletID, nfs []nf.NF, mode route.Mode) 
 //
 //dv:hotpath
 func (p *pipelet) run(ctx *asic.Ctx) {
-	rt := p.c.runtimeOf(ctx)
+	rt := runtimeOf(ctx)
 	hdr := ctx.Pkt
 	if fresh(hdr) {
 		// Seed the SFC header's platform metadata copy (Fig. 3):

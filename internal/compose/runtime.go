@@ -134,16 +134,9 @@ func (r *Runtime) FlushTally(shard uint8, cells *[asic.TallyCells]uint32) {
 	}
 }
 
-// runtimeOf resolves the routing state for one packet: the snapshot's
-// published runtime when the program runs on a switch, the composer's
-// own (build-time) runtime otherwise — e.g. in unit tests that call a
-// StageFunc directly.
-func (c *Composer) runtimeOf(ctx *asic.Ctx) *Runtime {
-	if rt, ok := ctx.App.(*Runtime); ok && rt != nil {
-		return rt
-	}
-	return c.fallback.Load()
-}
+// runtimeOf resolves the routing state for one packet: the Runtime every
+// install path publishes in the switch snapshot with the programs.
+func runtimeOf(ctx *asic.Ctx) *Runtime { return ctx.App.(*Runtime) }
 
 // AdoptState carries the mutable, traffic-accumulated state of a
 // previous composer generation into this one: the per-NF/per-path
@@ -153,8 +146,6 @@ func (c *Composer) runtimeOf(ctx *asic.Ctx) *Runtime {
 // the previous generation — whose closures captured that state — stay
 // valid under the new one. The NF universe must be unchanged; only the
 // chain set and placement may differ.
-//
-//dv:snapshotwriter
 func (c *Composer) AdoptState(prev *Composer) error {
 	if prev == nil {
 		return nil
@@ -169,10 +160,6 @@ func (c *Composer) AdoptState(prev *Composer) error {
 	}
 	c.telemetry = prev.telemetry
 	c.postcards = prev.postcards
-	// Rebuild the fallback runtime: same shared postcard cell and
-	// counters (grown by any path this chain set introduces), this
-	// generation's branching.
-	c.fallback.Store(c.newRuntime())
 	return nil
 }
 
@@ -191,14 +178,8 @@ func (c *Composer) FuncFor(pl asic.PipeletID) asic.StageFunc {
 // pipeline calls it with blocks and funcs that may come from this
 // composer or from a cache of a previous generation (AdoptState makes
 // the latter safe).
-//
-//dv:snapshotwriter
 func (c *Composer) Assemble(parser *p4.ParserGraph, idt *p4.GlobalIDTable,
 	blocks map[asic.PipeletID]*p4.ControlBlock, ingress, egress []asic.StageFunc) *Deployment {
-	rt := c.newRuntime()
-	// Refresh the build-time fallback: the pipeline may have swapped in
-	// a cached Branching generation since this composer was created.
-	c.fallback.Store(rt)
 	return &Deployment{
 		Parser:   parser,
 		IDTable:  idt,
@@ -206,7 +187,7 @@ func (c *Composer) Assemble(parser *p4.ParserGraph, idt *p4.GlobalIDTable,
 		Ingress:  ingress,
 		Egress:   egress,
 		Composer: c,
-		Runtime:  rt,
+		Runtime:  c.newRuntime(),
 	}
 }
 
