@@ -133,7 +133,8 @@ type walkWorld struct {
 // plan must equal, field by field, both the plan of a fresh deployment
 // over the same fabric and the forgetful twin's, the two reconcile
 // reports must match, and the remembering fabric's probes must follow
-// its installed routes.
+// its installed routes: a routed chain's probe is delivered on its
+// route or dropped by the fabric with a reason.
 func TestReconcilerMemoDifferentialWalk(t *testing.T) {
 	steps := 240
 	if testing.Short() {
@@ -261,9 +262,11 @@ func TestReconcilerMemoDifferentialWalk(t *testing.T) {
 			!reflect.DeepEqual(mem.fd.Control.Gather(), ref.fd.Control.Gather()) {
 			t.Fatalf("step %d (%s): installed state differs", step, what)
 		}
-		// Every chain the installed state knows: a delivered probe exits
-		// the last switch of its installed route after the route's wire
-		// hops, and a blackholed chain delivers nothing.
+		// Every chain the installed state knows: a routed chain's probe is
+		// delivered, exiting the last switch of its installed route after
+		// the route's wire hops, or carries a fabric drop reason (a round
+		// that failed left an older route installed); a blackholed chain
+		// delivers nothing.
 		for _, pr := range scenario.Probes() {
 			r, routed := mem.fd.Routes[pr.PathID]
 			_, blackholed := mem.fd.Blackholed[pr.PathID]
@@ -278,8 +281,11 @@ func TestReconcilerMemoDifferentialWalk(t *testing.T) {
 				t.Fatalf("step %d (%s): blackholed chain %d left switches %v", step, what, pr.PathID, ft.OutSwitch)
 			case blackholed:
 				probes["blackholed"]++
+			case pr.Verify(ft.Out) != nil && len(ft.DropReasons) == 0:
+				t.Fatalf("step %d (%s): probe %s of chain %d, routed on %v, was not delivered and the fabric dropped nothing: %v",
+					step, what, pr.Name, pr.PathID, r.Path, pr.Verify(ft.Out))
 			case pr.Verify(ft.Out) != nil:
-				probes["not delivered"]++
+				probes["fabric drop"]++
 			case ft.OutSwitch[0] != r.Path[len(r.Path)-1] || ft.Hops != r.CrossHops:
 				t.Fatalf("step %d (%s): probe %s left switch %d after %d hop(s); installed route %v crosses %d",
 					step, what, pr.Name, ft.OutSwitch[0], ft.Hops, r.Path, r.CrossHops)
