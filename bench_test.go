@@ -20,7 +20,6 @@ import (
 
 	"dejavu/internal/asic"
 	"dejavu/internal/cluster"
-	"dejavu/internal/compose"
 	"dejavu/internal/core"
 	"dejavu/internal/experiments"
 	"dejavu/internal/packet"
@@ -331,10 +330,6 @@ func BenchmarkInjectQuietBatch(b *testing.B) {
 		done += k
 	}
 }
-
-// Guard: compose must remain importable from the bench layer (the
-// blank import keeps the dependency explicit for the ablations).
-var _ = compose.ClassifierNF
 
 // Ablation: annealing iteration budget vs solution quality on a
 // 10-NF chain over 4 pipelines (where exhaustive search is infeasible).

@@ -397,7 +397,7 @@ func (fd *FabricDeployment) placePipelets(p *fabricPlan) error {
 			continue
 		}
 		fd.anneals++
-		prob := place.Problem{Prof: fd.Fabric.Prof, Chains: subs, Enter: 0, StageDemand: fd.StageDemand}
+		prob := pipeline.Problem(pipeline.Inputs{Prof: fd.Fabric.Prof, Chains: subs, Enter: 0}, fd.StageDemand)
 		res, err := place.Anneal(prob, place.AnnealOpts{Seed: int64(s + 1), Iterations: 4000})
 		if err != nil {
 			return fmt.Errorf("cluster: switch %d placement: %w", s, err)

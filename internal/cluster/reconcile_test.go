@@ -346,6 +346,31 @@ func TestReconcilerShedsUnplaceableChains(t *testing.T) {
 	_ = s
 }
 
+// A pin that homes the classifier off the entry switch sheds every chain
+// that uses it, each with an FB004 naming the pin, and delivers
+// nothing; unpinned, every chain is routed again.
+func TestReconcilerShedsClassifierPinnedOffEntry(t *testing.T) {
+	s, f, fd, rec := newTestFabric(t)
+	fd.Pins = map[string]int{"classifier": 1}
+	rep, err := rec.Reconcile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb := rep.Findings.ByRule(RuleFBBlackhole)
+	for _, fdg := range fb {
+		if !strings.Contains(fdg.Message, "classifier pinned to switch 1, off the entry switch 0") {
+			t.Errorf("FB004 without the pin: %s", fdg.Message)
+		}
+	}
+	if len(fb) != len(s.Chains) || len(fd.Routes) != 0 || probeAll(t, f) != 0 {
+		t.Fatalf("pinned off the entry: %d FB004, routes %v", len(fb), fd.Routes)
+	}
+	fd.Pins = nil
+	if rep, err := rec.Reconcile(); err != nil || len(rep.Blackholed) != 0 || len(fd.Routes) != len(s.Chains) {
+		t.Fatalf("unpinned: %v, blackholed %v", err, rep.Blackholed)
+	}
+}
+
 func TestReconcilerEntrySwitchDeadBlackholesAll(t *testing.T) {
 	_, f, fd, rec := newTestFabric(t)
 	if _, err := rec.Reconcile(); err != nil {

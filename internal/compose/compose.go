@@ -30,10 +30,6 @@ type packetAlias = packet.Parsed
 // sfcBit is the SFC header validity bit.
 const sfcBit = packet.HdrSFC
 
-// ClassifierNF is the reserved NF name the framework dispatches
-// untagged packets to.
-const ClassifierNF = "classifier"
-
 // Composer builds pipelet programs for a switch profile from a chain
 // set, a placement, and the NF implementations.
 type Composer struct {
@@ -136,15 +132,6 @@ func (c *Composer) orderedNFsOn(pl asic.PipeletID) []nf.NF {
 	return out
 }
 
-// EnterPipeline is the pipeline receiving external traffic as placed:
-// the classifier's ingress pipeline when it sits on one, else 0.
-func (c *Composer) EnterPipeline() int {
-	if pl, ok := c.Placement.Of(ClassifierNF); ok && pl.Dir == asic.Ingress {
-		return pl.Pipeline
-	}
-	return 0
-}
-
 // Deployment is the composed output for a whole switch.
 type Deployment struct {
 	Parser   *p4.ParserGraph
@@ -226,7 +213,7 @@ func (c *Composer) pipeletFunc(pl asic.PipeletID, nfs []nf.NF, mode route.Mode) 
 		id:         pl,
 		parallel:   mode == route.Parallel,
 		slotOf:     make([]int16, len(c.ids)+1),
-		classifier: c.ids[ClassifierNF],
+		classifier: c.ids[route.Classifier],
 	}
 	for i := range p.slotOf {
 		p.slotOf[i] = -1

@@ -396,7 +396,7 @@ func (t *switchTarget) check(r *SoakResult, _ bool) {
 		}
 	}
 	// The running programs must stay statically clean after every repair.
-	if rep := lint.AnalyzeDeployment(d.installed.Res.Dep); rep.HasErrors() {
+	if rep := lint.AnalyzeDeployment(d.installed.Res.Dep, d.Config.Enter); rep.HasErrors() {
 		for _, f := range rep.BySeverity(lint.SevError) {
 			violate("lint: %s", f)
 		}

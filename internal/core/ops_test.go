@@ -308,7 +308,7 @@ func TestLintLeavesLoopbackRotation(t *testing.T) {
 		return out
 	}
 	before := fmt.Sprint(rotation())
-	if rep := lint.AnalyzeDeployment(d.installed.Res.Dep); rep.HasErrors() {
+	if rep := lint.AnalyzeDeployment(d.installed.Res.Dep, d.Config.Enter); rep.HasErrors() {
 		t.Fatalf("scenario lints with errors:\n%s", rep)
 	}
 	if res, _, err := d.PlanReconfigure(cfg.Chains); err != nil || res.RoutingRebuilt {

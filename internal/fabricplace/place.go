@@ -2,6 +2,7 @@ package fabricplace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dejavu/internal/asic"
@@ -104,20 +105,6 @@ type ChainPlacement struct {
 	Segments [][]string `json:"segments"`
 	// Cost is this chain's individual spend under the model.
 	Cost Cost `json:"cost"`
-}
-
-// SwitchSet returns the sorted distinct switches on the chain's path.
-func (cp *ChainPlacement) SwitchSet() []int {
-	seen := make(map[int]bool, len(cp.Path))
-	for _, s := range cp.Path {
-		seen[s] = true
-	}
-	out := make([]int, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // Result is a full fabric placement: per-chain placements, the shared
@@ -242,7 +229,7 @@ func placeChain(g *Graph, c route.Chain, homes map[string]int, used map[int]int,
 	m := opts.Model
 
 	// Candidate homes per NF position, ascending: the committed home,
-	// the pin, or every alive switch.
+	// the pin (the entry, for the classifier), or every alive switch.
 	cands := make([][]int, len(c.NFs))
 	charge := make([]int, len(c.NFs)) // units to charge if newly placed
 	for i, n := range c.NFs {
@@ -254,7 +241,14 @@ func placeChain(g *Graph, c route.Chain, homes map[string]int, used map[int]int,
 			continue
 		}
 		charge[i] = Demand(opts.StageDemand, n)
-		if p, ok := opts.Pins[n]; ok {
+		p, pinned := opts.Pins[n]
+		if n == route.Classifier { // untagged traffic meets it first
+			if pinned && p != opts.Entry {
+				return nil, fmt.Sprintf("classifier pinned to switch %d, off the entry switch %d", p, opts.Entry), false
+			}
+			p, pinned = opts.Entry, true
+		}
+		if pinned {
 			if p < 0 || p >= g.NumNodes() || !g.Nodes[p].Alive {
 				return nil, fmt.Sprintf("NF %q pinned to dead switch %d", n, p), false
 			}
@@ -474,6 +468,10 @@ func lexBaseline(g *Graph, chains []route.Chain, opts Options) *Result {
 			homes := make([]int, len(c.NFs))
 			for i, n := range c.NFs {
 				homes[i] = path[nfPos[n]]
+			}
+			if i := slices.Index(c.NFs, route.Classifier); i >= 0 && homes[i] != opts.Entry {
+				shed(c, "classifier segmented off the entry switch")
+				continue
 			}
 			// Shared NFs can pull a chain back up the path, where a
 			// directed wiring may offer no return route, and the detours

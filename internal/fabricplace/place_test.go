@@ -151,7 +151,7 @@ func TestPlaceSelfLoopWires(t *testing.T) {
 	res = Place(g, []route.Chain{chain(10, 1, "a", "b", "c")}, Options{Entry: 0})
 	if pl, ok := res.Chains[10]; !ok {
 		t.Fatalf("chain should place over the real wire: %v", res.Unplaced)
-	} else if len(pl.SwitchSet()) != 2 {
+	} else if !reflect.DeepEqual(pl.Path, []int{0, 1}) {
 		t.Fatalf("want both switches used, got path %v", pl.Path)
 	}
 }
@@ -464,6 +464,36 @@ func TestPlacePins(t *testing.T) {
 	}
 	if res.Unplaced[10] != `NF "b" pinned to dead switch 2` {
 		t.Fatalf("reason = %q", res.Unplaced[10])
+	}
+}
+
+// The classifier is homed on the entry or nowhere: with the entry full
+// both candidates shed its chain rather than home it on switch 1, and a
+// pin off the entry sheds every chain that uses it, with the reason,
+// while a chain without it places.
+func TestPlaceHomesTheClassifierOnTheEntry(t *testing.T) {
+	// Two 1-stage NFs fit a switch, and x and z fill the entry.
+	g := lineGraph(2, 6)
+	chains := []route.Chain{chain(10, 1, "x", "z"), chain(20, 0.5, route.Classifier, "y")}
+	search, lex := candidates(t, g, chains, Options{Entry: 0})
+	for _, res := range []*Result{search, lex} {
+		if _, placed := res.Chains[20]; placed || res.Homes["x"] != 0 {
+			t.Errorf("%s: homes %v, chain 20 placed %v", res.Strategy, res.Homes, placed)
+		}
+	}
+	if lex.Unplaced[20] != "classifier segmented off the entry switch" {
+		t.Errorf("lex reason = %q", lex.Unplaced[20])
+	}
+
+	chains = []route.Chain{chain(10, 1, route.Classifier, "a"), chain(20, 0.5, route.Classifier), chain(30, 0.1, "b")}
+	res := Place(lineGraph(2, 48), chains, Options{Entry: 0, Pins: map[string]int{route.Classifier: 1}})
+	for _, id := range []uint16{10, 20} {
+		if want := "classifier pinned to switch 1, off the entry switch 0"; res.Unplaced[id] != want {
+			t.Errorf("chain %d: reason %q, want %q", id, res.Unplaced[id], want)
+		}
+	}
+	if _, placed := res.Chains[30]; !placed {
+		t.Errorf("chain 30 shed: %q", res.Unplaced[30])
 	}
 }
 

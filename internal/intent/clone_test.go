@@ -159,6 +159,16 @@ func randDoc(rng *rand.Rand) *Document {
 			return fmt.Sprintf("%s %d", [...]string{"ingress", "egress"}[rng.Intn(2)], rng.Intn(2))
 		})
 	}
+	// A valid document hints the classifier only onto the entry; the
+	// draws above stay as they were.
+	if _, ok := d.Placement["classifier"]; ok {
+		d.Placement["classifier"] = fmt.Sprintf("ingress %d", d.Enter)
+	}
+	if d.Fabric != nil {
+		if _, ok := d.Fabric.Pin["classifier"]; ok {
+			d.Fabric.Pin["classifier"] = 0
+		}
+	}
 	return d
 }
 

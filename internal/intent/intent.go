@@ -28,6 +28,7 @@ import (
 	"dejavu/internal/cluster"
 	"dejavu/internal/config"
 	"dejavu/internal/core"
+	"dejavu/internal/route"
 )
 
 // Version is the intent schema version this package understands.
@@ -135,8 +136,9 @@ func parsePipelet(s string) (asic.PipeletID, error) {
 // Validate checks the document's schema and semantic invariants:
 // supported version, at least one chain, unique path IDs, valid chain
 // shapes, parseable placement hints naming NFs the chains actually
-// use, and a sane fabric section. The NF sections themselves are
-// validated by Build (they materialize real NF implementations).
+// use, and a sane fabric section; a classifier hint or pin must name
+// the entry (route.ErrClassifierOffEntry). The NF sections themselves
+// are validated by Build (they materialize real NF implementations).
 func (d *Document) Validate() error {
 	if d.SchemaVersion != Version {
 		return fmt.Errorf("intent: unknown schema version %d (this build supports version %d)", d.SchemaVersion, Version)
@@ -173,15 +175,22 @@ func (d *Document) Validate() error {
 			}
 			if s := d.Fabric.Pin[n]; s < 0 || s >= d.Fabric.Switches {
 				return fmt.Errorf("intent: fabric pin for NF %q names switch %d, outside the %d-switch fabric", n, s, d.Fabric.Switches)
+			} else if n == route.Classifier && s != 0 {
+				return fmt.Errorf("intent: fabric pin for NF %q names switch %d, not the entry switch 0: %w", n, s, route.ErrClassifierOffEntry)
 			}
 		}
 	}
 	for _, n := range cluster.SortedKeys(d.Placement) {
-		if _, err := parsePipelet(d.Placement[n]); err != nil {
+		pl, err := parsePipelet(d.Placement[n])
+		if err != nil {
 			return err
 		}
 		if !used[n] {
 			return fmt.Errorf("intent: placement hint for NF %q, which no chain uses", n)
+		}
+		if n == route.Classifier && pl != (asic.PipeletID{Pipeline: d.Enter, Dir: asic.Ingress}) {
+			return fmt.Errorf("intent: placement hint %q for NF %q, not ingress %d where traffic enters: %w",
+				d.Placement[n], n, d.Enter, route.ErrClassifierOffEntry)
 		}
 	}
 	// The chain shapes themselves (reserved path 0, duplicate NFs,

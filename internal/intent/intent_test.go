@@ -1,6 +1,7 @@
 package intent
 
 import (
+	"errors"
 	"os"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"dejavu/internal/asic"
 	"dejavu/internal/core"
 	"dejavu/internal/packet"
+	"dejavu/internal/route"
 	"dejavu/internal/scenario"
 )
 
@@ -177,6 +179,33 @@ func TestCloneIsDeep(t *testing.T) {
 	b.File.Chains[0].NFs[0] = "nat"
 	if a.File.Chains[0].NFs[0] != "classifier" {
 		t.Fatal("Clone aliased the chain NF slice")
+	}
+}
+
+// Both hint doors keep the classifier on the entry, where untagged
+// traffic meets it first: a fabric pin off switch 0 and a single-switch
+// hint off the entry ingress are refused with route.ErrClassifierOffEntry,
+// and a hint onto the entry ingress is accepted.
+func TestPlacementHintsKeepTheClassifierOnTheEntry(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(d *Document)
+		ok   bool
+	}{
+		{"fabric pin off the entry", func(d *Document) { d.Fabric = &FabricSpec{Switches: 3, Pin: map[string]int{"classifier": 2}} }, false},
+		{"fabric pin on the entry", func(d *Document) { d.Fabric = &FabricSpec{Switches: 3, Pin: map[string]int{"classifier": 0}} }, true},
+		{"hint on egress 0", func(d *Document) { d.Placement = map[string]string{"classifier": "egress 0"} }, false},
+		{"hint on ingress 1", func(d *Document) { d.Placement = map[string]string{"classifier": "ingress 1"} }, false},
+		{"hint on the entry, ingress 1", func(d *Document) {
+			d.Enter = 1
+			d.Placement = map[string]string{"classifier": "ingress 1"}
+		}, true},
+	} {
+		doc := testDoc(t)
+		tc.edit(doc)
+		if err := doc.Validate(); (err == nil) != tc.ok || (err != nil && !errors.Is(err, route.ErrClassifierOffEntry)) {
+			t.Errorf("%s: Validate = %v", tc.name, err)
+		}
 	}
 }
 

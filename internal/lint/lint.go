@@ -58,8 +58,8 @@ type Target struct {
 	// DV004 reports; the merge's conflicts are the parser-merge stage's
 	// to report (ParserFindings).
 	Parser *p4.ParserGraph
-	// Enter is the pipeline receiving external traffic, as placed
-	// (compose.Composer.EnterPipeline).
+	// Enter is the pipeline receiving external traffic, the one the
+	// build's routing stage plans from (pipeline.Inputs.Enter).
 	Enter int
 	// Plans holds, per pipelet, the stage allocation of Blocks[pl] at
 	// Prof.StagesPerPipelet together with the dependency graph it was
@@ -181,8 +181,9 @@ func AnalyzeTarget(t *Target, rules []Rule) *Report {
 }
 
 // AnalyzeDeployment runs the default rule set over an already-built
-// deployment, reusing its composed blocks and generic parser.
-func AnalyzeDeployment(d *compose.Deployment) *Report {
+// deployment, reusing its composed blocks and generic parser; enter is
+// the pipeline its external traffic enters on.
+func AnalyzeDeployment(d *compose.Deployment, enter int) *Report {
 	c := d.Composer
 	return AnalyzeTarget(&Target{
 		Prof:      c.Prof,
@@ -192,7 +193,7 @@ func AnalyzeDeployment(d *compose.Deployment) *Report {
 		Branching: c.Branching,
 		Blocks:    d.Blocks,
 		Parser:    d.Parser,
-		Enter:     c.EnterPipeline(),
+		Enter:     enter,
 	}, Rules())
 }
 

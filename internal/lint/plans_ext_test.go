@@ -16,7 +16,7 @@ func TestScenarioHasNoErrorFindings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep := lint.AnalyzeDeployment(res.Dep); rep.HasErrors() {
+	if rep := lint.AnalyzeDeployment(res.Dep, 0); rep.HasErrors() {
 		t.Errorf("built scenario produced error findings:\n%s", rep)
 	}
 }
@@ -55,7 +55,7 @@ func TestReportSameWithAndWithoutPlans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		with, without := render(built), render(lint.AnalyzeDeployment(dep))
+		with, without := render(built), render(lint.AnalyzeDeployment(dep, cfg.Enter))
 		if without != with {
 			t.Errorf("%s: reports differ\nplans nil:\n%s\nplans supplied:\n%s", name, without, with)
 		}

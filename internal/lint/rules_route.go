@@ -321,7 +321,7 @@ func (chainShapeRule) Check(t *Target, r *Report) {
 			continue
 		}
 		for i, name := range ch.NFs {
-			if name != "classifier" {
+			if name != route.Classifier {
 				continue
 			}
 			haveClassifier = true

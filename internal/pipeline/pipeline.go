@@ -444,10 +444,9 @@ func Build(in Inputs, cache *Cache) (*Result, error) {
 	// rebuild changes and run every build. The merged, sorted report
 	// equals a full lint.AnalyzeDeployment run.
 	start = time.Now()
-	enter := comp.EnterPipeline()
 	target := &lint.Target{
 		Prof: in.Prof, Chains: in.Chains, Placement: placement,
-		NFs: in.NFs, Branching: comp.Branching, Blocks: blocks, Enter: enter,
+		NFs: in.NFs, Branching: comp.Branching, Blocks: blocks, Enter: in.Enter,
 	}
 	rep := lint.AnalyzeTarget(target, lint.GlobalRules())
 	for _, f := range pa.findings {
@@ -467,7 +466,7 @@ func Build(in Inputs, cache *Cache) (*Result, error) {
 		} else {
 			single := &lint.Target{
 				Prof: in.Prof, Chains: in.Chains, Placement: placement,
-				NFs: in.NFs, Branching: comp.Branching, Enter: enter,
+				NFs: in.NFs, Branching: comp.Branching, Enter: in.Enter,
 				Blocks: map[asic.PipeletID]*p4.ControlBlock{pl: blocks[pl]},
 				Plans:  plans,
 			}

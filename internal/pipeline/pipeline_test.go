@@ -205,7 +205,7 @@ func assertSameBuild(t *testing.T, step string, incr, fresh *Result) {
 	if !reflect.DeepEqual(incr.Lint.Findings, fresh.Lint.Findings) {
 		t.Errorf("%s: lint reports differ:\nincremental:\n%s\nfresh:\n%s", step, incr.Lint, fresh.Lint)
 	}
-	if full := lint.AnalyzeDeployment(fresh.Dep); !reflect.DeepEqual(incr.Lint.Findings, full.Findings) {
+	if full := lint.AnalyzeDeployment(fresh.Dep, 0); !reflect.DeepEqual(incr.Lint.Findings, full.Findings) {
 		t.Errorf("%s: lint report differs from lint.Rules() in one pass:\nincremental:\n%s\nfull:\n%s", step, incr.Lint, full)
 	}
 	if len(incr.Plans) != len(fresh.Plans) {
@@ -370,5 +370,25 @@ func TestDefaultOptimizerFallsBackToAnneal(t *testing.T) {
 		if _, ok := pl.Of(n); !ok {
 			t.Errorf("%s unplaced", n)
 		}
+	}
+}
+
+// Problem pins the classifier to the entry ingress when the chains use
+// it, keeping every other pin and leaving the caller's map alone; chains
+// without it (a non-entry fabric switch's sub-chains) get no pin, even
+// when the NF list holds a classifier, so no placer charges its stages.
+func TestProblemPinsTheClassifierOnlyWhereChainsUseIt(t *testing.T) {
+	in := scenarioInputs(t)
+	in.Enter = 1
+	in.Pin = map[string]asic.PipeletID{"fw": {Pipeline: 0, Dir: asic.Egress}}
+	prob := Problem(in, nil)
+	want := map[string]asic.PipeletID{"fw": {Pipeline: 0, Dir: asic.Egress}, route.Classifier: {Pipeline: 1, Dir: asic.Ingress}}
+	if !reflect.DeepEqual(prob.Fixed, want) || len(in.Pin) != 1 || prob.Enter != 1 {
+		t.Errorf("classifier chains: pins %v (caller's %v), enter %d", prob.Fixed, in.Pin, prob.Enter)
+	}
+	in.Pin = nil
+	in.Chains = []route.Chain{{PathID: 1, NFs: []string{"vgw", "router"}, Weight: 1}}
+	if prob := Problem(in, nil); len(prob.Fixed) != 0 {
+		t.Errorf("sub-chains without the classifier pinned %v", prob.Fixed)
 	}
 }

@@ -3,10 +3,11 @@ package pipeline
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"dejavu/internal/asic"
 	"dejavu/internal/compiler"
-	"dejavu/internal/compose"
 	"dejavu/internal/nf"
 	"dejavu/internal/place"
 	"dejavu/internal/route"
@@ -51,6 +52,20 @@ func stageDemands(nfs nf.List, cache *Cache, fps map[string]string) (map[string]
 	return demand, nil
 }
 
+// Problem is the placement problem of a build: its profile, chains,
+// entry pipeline, pins and the per-NF stage demands. When the chains use
+// the classifier it is pinned to the entry ingress pipe, the one home
+// route.Plan accepts for it. Both placers' problems are built here: a
+// build's optimizer and each fabric switch's anneal.
+func Problem(in Inputs, demand map[string]int) place.Problem {
+	pin := make(map[string]asic.PipeletID, len(in.Pin)+1)
+	maps.Copy(pin, in.Pin)
+	if slices.ContainsFunc(in.Chains, func(c route.Chain) bool { return slices.Contains(c.NFs, route.Classifier) }) {
+		pin[route.Classifier] = asic.PipeletID{Pipeline: in.Enter, Dir: asic.Ingress}
+	}
+	return place.Problem{Prof: in.Prof, Chains: in.Chains, Enter: in.Enter, StageDemand: demand, Fixed: pin}
+}
+
 // resolveWithDemands is ResolvePlacement with the per-NF stage
 // demands already computed (and possibly cache-served).
 func resolveWithDemands(in Inputs, demand map[string]int) (*route.Placement, route.Cost, error) {
@@ -62,23 +77,7 @@ func resolveWithDemands(in Inputs, demand map[string]int) (*route.Placement, rou
 		return in.Placement, cost, nil
 	}
 
-	pin := make(map[string]asic.PipeletID, len(in.Pin)+1)
-	for k, v := range in.Pin {
-		pin[k] = v
-	}
-	if in.NFs.ByName(compose.ClassifierNF) != nil {
-		// The classifier must face external traffic.
-		if _, ok := pin[compose.ClassifierNF]; !ok {
-			pin[compose.ClassifierNF] = asic.PipeletID{Pipeline: in.Enter, Dir: asic.Ingress}
-		}
-	}
-	prob := place.Problem{
-		Prof:        in.Prof,
-		Chains:      in.Chains,
-		Enter:       in.Enter,
-		StageDemand: demand,
-		Fixed:       pin,
-	}
+	prob := Problem(in, demand)
 	var res *place.Result
 	var err error
 	switch in.Optimizer {

@@ -8,6 +8,7 @@
 package route
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -15,6 +16,15 @@ import (
 
 	"dejavu/internal/asic"
 )
+
+// Classifier is the reserved name of the NF that stamps the SFC header
+// (Fig. 3) every later hop routes from (§3.3, §3.4), so an untagged
+// packet must meet it on the ingress pipe it enters.
+const Classifier = "classifier"
+
+// ErrClassifierOffEntry is Plan's refusal of a chain whose classifier
+// the switch hosts anywhere but on the entry ingress pipe.
+var ErrClassifierOffEntry = errors.New("route: the classifier must sit on the entry ingress pipe")
 
 // Chain is one SFC policy: an ordered list of NF names and the share
 // of traffic following it. The service index convention mirrors the
@@ -261,11 +271,17 @@ func (t Traversal) Path() string {
 //     forwards the packet out the wire toward their home (§7). The next
 //     local NF starts a new visit at enter's ingress, where the wire
 //     delivers the packet back; the round trip costs no recirculation.
+//   - A chain's classifier, when hosted on this switch, sits on enter's
+//     ingress pipe (ErrClassifierOffEntry).
 //
 // enter is the pipeline whose ingress pipe receives the packet.
 func Plan(c Chain, p *Placement, enter int) (Traversal, error) {
 	if err := c.Validate(); err != nil {
 		return Traversal{}, err
+	}
+	if at, ok := p.Of(Classifier); ok && !p.IsRemote(Classifier) && slices.Contains(c.NFs, Classifier) &&
+		at != (asic.PipeletID{Pipeline: enter, Dir: asic.Ingress}) {
+		return Traversal{}, fmt.Errorf("%w: chain %d has it on %s, traffic enters ingress %d", ErrClassifierOffEntry, c.PathID, at, enter)
 	}
 	tr := Traversal{Chain: c.PathID}
 	pos := 0 // next NF index in c.NFs
