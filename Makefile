@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint vet check bench bench-smoke fabric-chaos fabricplace fmt doccheck loc
+.PHONY: build test race lint vet check bench bench-smoke fabric-chaos fabricplace fmt doccheck loc identity
 
 build:
 	$(GO) build ./...
@@ -113,3 +113,12 @@ loc:
 	count() { files "$$@" | xargs -0 cat | wc -l; }; \
 	printf '%-22s %6d\n' 'internal/' $$(count internal) 'cmd/' $$(count cmd) 'module outside bench/' $$(count .) \
 		'internal/ packages' $$(files internal | xargs -0 -n1 dirname | sort -u | wc -l)
+
+# Byte-identity against a base revision (scripts/identity.sh): the
+# chaos forms over seeds 1–25 with and without -config, the one-shot
+# commands and dvexp, compared on stdout, stderr and exit status. A
+# simplicity change proves it moved no behaviour with
+# `make identity BASE=<parent>`. Not a CI step: CI has no parent build.
+identity:
+	@test -n "$(BASE)" || { echo "usage: make identity BASE=<rev>"; exit 2; }
+	./scripts/identity.sh $(BASE)

@@ -261,19 +261,24 @@ type snapshot struct {
 	app any
 	// tally is app when it is a TallySink, resolved once per commit.
 	tally TallySink
+	// loopbacks lists, per pipeline, its front-panel ports in loopback
+	// mode, ascending: the ports its recirculations take in turn. It is
+	// last so the fields every packet reads keep their cache lines.
+	loopbacks [][]PortID
 }
 
 // clone returns a deep copy writers mutate before republishing.
 func (sn *snapshot) clone() *snapshot {
 	return &snapshot{
-		loopback: append([]LoopbackMode(nil), sn.loopback...),
-		portDown: append([]bool(nil), sn.portDown...),
-		faults:   sn.faults,
-		tel:      sn.tel,
-		ingress:  append([]StageFunc(nil), sn.ingress...),
-		egress:   append([]StageFunc(nil), sn.egress...),
-		app:      sn.app,
-		tally:    sn.tally,
+		loopback:  append([]LoopbackMode(nil), sn.loopback...),
+		portDown:  append([]bool(nil), sn.portDown...),
+		faults:    sn.faults,
+		tel:       sn.tel,
+		ingress:   append([]StageFunc(nil), sn.ingress...),
+		egress:    append([]StageFunc(nil), sn.egress...),
+		app:       sn.app,
+		tally:     sn.tally,
+		loopbacks: sn.loopbacks,
 	}
 }
 
@@ -304,6 +309,9 @@ type Switch struct {
 
 	mu   sync.Mutex // serializes configuration writers
 	snap atomic.Pointer[snapshot]
+	// turns counts, per pipeline, the recirculations spread over its
+	// loopback ports.
+	turns []atomic.Uint64
 
 	// Preallocated per-port counters: the hot path indexes these
 	// without locking. extraStats covers out-of-profile ports queried
@@ -432,6 +440,7 @@ func New(prof Profile) *Switch {
 		frontStats:  make([]*PortStats, prof.TotalPorts()),
 		recircStats: make([]*PortStats, prof.Pipelines),
 		cpuStats:    &PortStats{},
+		turns:       make([]atomic.Uint64, prof.Pipelines),
 	}
 	for i := range s.frontStats {
 		s.frontStats[i] = &PortStats{}
@@ -440,10 +449,11 @@ func New(prof Profile) *Switch {
 		s.recircStats[i] = &PortStats{}
 	}
 	s.snap.Store(&snapshot{
-		loopback: make([]LoopbackMode, prof.TotalPorts()),
-		portDown: make([]bool, prof.TotalPorts()),
-		ingress:  make([]StageFunc, prof.Pipelines),
-		egress:   make([]StageFunc, prof.Pipelines),
+		loopback:  make([]LoopbackMode, prof.TotalPorts()),
+		portDown:  make([]bool, prof.TotalPorts()),
+		ingress:   make([]StageFunc, prof.Pipelines),
+		egress:    make([]StageFunc, prof.Pipelines),
+		loopbacks: make([][]PortID, prof.Pipelines),
 	})
 	return s
 }
@@ -509,7 +519,10 @@ func (s *Switch) PortIsUp(port PortID) bool {
 }
 
 // SetLoopback configures a front-panel port's loopback mode. A port in
-// loopback can no longer take external traffic: Inject on it fails.
+// loopback can no longer take external traffic: Inject on it fails. It
+// takes its turn among its pipeline's loopback ports: traffic the
+// branching sends to the pipeline's dedicated recirculation port leaves
+// through those ports in ascending order, one packet each.
 func (s *Switch) SetLoopback(port PortID, mode LoopbackMode) error {
 	if !s.prof.ValidPort(port) {
 		return fmt.Errorf("asic: no such port %d", port)
@@ -517,7 +530,16 @@ func (s *Switch) SetLoopback(port PortID, mode LoopbackMode) error {
 	if IsRecircPort(port) || port == PortCPU {
 		return fmt.Errorf("asic: port %d mode is fixed", port)
 	}
-	s.update(func(sn *snapshot) { sn.loopback[port] = mode })
+	s.update(func(sn *snapshot) {
+		sn.loopback[port] = mode
+		sn.loopbacks = make([][]PortID, s.prof.Pipelines)
+		for p, m := range sn.loopback {
+			if m != LoopbackOff {
+				pipe := s.prof.PipelineOf(PortID(p))
+				sn.loopbacks[pipe] = append(sn.loopbacks[pipe], PortID(p))
+			}
+		}
+	})
 	return nil
 }
 
@@ -530,14 +552,12 @@ func (s *Switch) LoopbackModeOf(port PortID) LoopbackMode {
 	return s.snap.Load().loopbackOf(port)
 }
 
-// LoopbackPorts returns the front-panel ports currently in loopback.
+// LoopbackPorts returns the front-panel ports currently in loopback,
+// ascending.
 func (s *Switch) LoopbackPorts() []PortID {
-	sn := s.snap.Load()
 	var out []PortID
-	for p, m := range sn.loopback {
-		if m != LoopbackOff {
-			out = append(out, PortID(p))
-		}
+	for _, ports := range s.snap.Load().loopbacks {
+		out = append(out, ports...)
 	}
 	return out
 }
@@ -1217,11 +1237,14 @@ func (s *Switch) run(sn *snapshot, ctx *Ctx, tr *Trace, pd *portDelta) error {
 
 		// Constraint (b): recirculation happens because the egress port
 		// is in loopback mode, not by a per-packet decision at egress.
-		var mode LoopbackMode
-		if IsRecircPort(out) {
-			mode = LoopbackOnChip
-		} else {
+		// Traffic for the dedicated port takes the pipeline's loopback
+		// ports in turn when it has any.
+		mode := LoopbackOnChip
+		if !IsRecircPort(out) {
 			mode = sn.loopbackOf(out)
+		} else if ports := sn.loopbacks[egPipeline]; len(ports) > 0 {
+			out = ports[(s.turns[egPipeline].Add(1)-1)%uint64(len(ports))]
+			mode = sn.loopback[out]
 		}
 		if mode == LoopbackOff {
 			if ok, reason, code := s.emit(sn, out, ctx.Pkt, tr, pd); !ok {

@@ -388,13 +388,6 @@ func (t *switchTarget) check(r *SoakResult, _ bool) {
 	if d.Capacity.LoopbackPorts != live {
 		violate("capacity: LoopbackPorts=%d, %d declared loopback ports are up", d.Capacity.LoopbackPorts, live)
 	}
-	for _, ports := range d.loops.ports.Load().byPipe {
-		for _, p := range ports {
-			if !d.Switch.PortIsUp(p) {
-				violate("capacity: port %d budgeted as loopback but administratively down", p)
-			}
-		}
-	}
 	// The running programs must stay statically clean after every repair.
 	if rep := lint.AnalyzeDeployment(d.installed.Res.Dep, d.Config.Enter); rep.HasErrors() {
 		for _, f := range rep.BySeverity(lint.SevError) {

@@ -14,7 +14,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"dejavu/internal/asic"
 	"dejavu/internal/compiler"
@@ -134,55 +133,18 @@ type Deployment struct {
 	// installed is the build on the switch and its artifact cache:
 	// reconfigurations rebuild and push only what changed.
 	installed pipeline.Installed
-	loops     *loopbackPool
 	// down lists the front-panel ports the last Reconcile round found
 	// down, ascending: what the next round reports changes against.
 	down []asic.PortID
 }
 
-// loopbackPool round-robins recirculation traffic over a pipeline's
-// loopback ports, falling back to the dedicated recirculation port.
-// choose runs once per recirculated packet, so it takes no lock: the
-// port lists are an immutable snapshot that publish replaces, and a
-// pipeline served by its dedicated port alone touches no shared counter.
-type loopbackPool struct {
-	ports atomic.Pointer[loopbackPorts]
-	// rr counts, per pipeline, the packets rotated over its ports.
-	rr []atomic.Uint64
-}
-
-// loopbackPorts is one published generation of the rotation: the
-// loopback ports of each pipeline, indexed by pipeline.
-type loopbackPorts struct {
-	byPipe [][]asic.PortID
-}
-
-func (p *loopbackPool) choose(pipeline int) asic.PortID { return p.pick(pipeline, 1) }
-
-// peek returns the port choose returns next, leaving the rotation as it is.
-func (p *loopbackPool) peek(pipeline int) asic.PortID { return p.pick(pipeline, 0) }
-
-// pick returns the rotation's next port toward a pipeline and advances
-// the rotation by step.
-func (p *loopbackPool) pick(pipeline int, step uint64) asic.PortID {
-	lp := p.ports.Load()
-	if pipeline < 0 || pipeline >= len(lp.byPipe) || len(lp.byPipe[pipeline]) == 0 {
-		return asic.RecircPort(pipeline)
-	}
-	ports := lp.byPipe[pipeline]
-	n := p.rr[pipeline].Add(step) - step
-	return ports[n%uint64(len(ports))]
-}
-
-// publish is the one writer of the loopback ports: each declared port
-// that is up is put in loopback mode and in its pipeline's rotation, in
-// declared order; each one that is down leaves both. It writes only
-// what changed and returns how many ports are live.
-//
-//dv:snapshotwriter
-func (p *loopbackPool) publish(sw *asic.Switch, declared []asic.PortID) (int, error) {
+// publishLoopback writes the declared loopback ports' modes: each one
+// that is up is put in loopback mode, and so takes its turn in its
+// pipeline's recirculation spreading (asic.Switch.SetLoopback); each one
+// that is down is taken out. It writes only what changed and returns
+// how many ports are live.
+func publishLoopback(sw *asic.Switch, declared []asic.PortID) (int, error) {
 	prof := sw.Profile()
-	next := &loopbackPorts{byPipe: make([][]asic.PortID, prof.Pipelines)}
 	live := 0
 	for _, port := range declared {
 		if !prof.ValidPort(port) || asic.IsRecircPort(port) || port == asic.PortCPU {
@@ -191,8 +153,6 @@ func (p *loopbackPool) publish(sw *asic.Switch, declared []asic.PortID) (int, er
 		up, mode := sw.PortIsUp(port), asic.LoopbackOff
 		if up {
 			mode = asic.LoopbackOnChip
-			pipe := prof.PipelineOf(port)
-			next.byPipe[pipe] = append(next.byPipe[pipe], port)
 			live++
 		}
 		if sw.LoopbackModeOf(port) != mode {
@@ -200,9 +160,6 @@ func (p *loopbackPool) publish(sw *asic.Switch, declared []asic.PortID) (int, er
 				return 0, fmt.Errorf("core: loopback %d: %w", port, err)
 			}
 		}
-	}
-	if cur := p.ports.Load(); cur == nil || !slices.EqualFunc(cur.byPipe, next.byPipe, slices.Equal[[]asic.PortID]) {
-		p.ports.Store(next)
 	}
 	return live, nil
 }
@@ -305,11 +262,10 @@ func Deploy(cfg Config) (*Deployment, error) {
 	}
 
 	sw := asic.New(cfg.Prof)
-	// Spread recirculation over the configured loopback ports of each
-	// pipeline (§5 puts 16 ports in loopback for exactly this
-	// bandwidth); the dedicated recirculation port is the fallback.
-	d.loops = &loopbackPool{rr: make([]atomic.Uint64, cfg.Prof.Pipelines)}
-	live, err := d.loops.publish(sw, cfg.LoopbackPorts)
+	// The switch spreads recirculation over the configured loopback
+	// ports of each pipeline (§5 puts 16 ports in loopback for exactly
+	// this bandwidth); the dedicated recirculation port is the fallback.
+	live, err := publishLoopback(sw, cfg.LoopbackPorts)
 	if err != nil {
 		return nil, err
 	}

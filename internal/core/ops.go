@@ -248,12 +248,6 @@ func placeNewNF(cfg Config, placement *route.Placement, name string) error {
 // Every commit after the initial deploy's is a hot swap.
 func (d *Deployment) commit(st *staged) error {
 	res := st.next.Res
-	if res.RoutingRebuilt {
-		// A fresh Branching generation needs the loopback spreader; a
-		// cached one already carries it (and is live — don't re-set).
-		res.Composer.Branching.SetLoopbackChooser(d.loops.choose)
-		res.Composer.Branching.SetLoopbackPeek(d.loops.peek)
-	}
 	swap := d.installed.Res != nil
 	if err := d.installed.Commit(d.Switch, d.Controller, d.Driver.Apply, st.next, st.delta); err != nil {
 		return fmt.Errorf("core: %w", err)

@@ -11,6 +11,7 @@ import (
 	"dejavu/internal/lint"
 	"dejavu/internal/nf"
 	"dejavu/internal/packet"
+	"dejavu/internal/pipeline"
 	"dejavu/internal/route"
 	"dejavu/internal/scenario"
 )
@@ -175,7 +176,7 @@ func TestHandlePortDownLoopback(t *testing.T) {
 	if d.LoopbackGbps() != before-100 {
 		t.Errorf("loopback budget = %v, want %v", d.LoopbackGbps(), before-100)
 	}
-	if d.Switch.LoopbackModeOf(20) != asic.LoopbackOff || slices.Contains(d.loops.ports.Load().byPipe[1], 20) {
+	if d.Switch.LoopbackModeOf(20) != asic.LoopbackOff || slices.Contains(d.Switch.LoopbackPorts(), 20) {
 		t.Error("dead port 20 still in loopback mode or in the rotation")
 	}
 	// k=1: sustainable offered equals remaining loopback budget.
@@ -285,10 +286,10 @@ func TestLoopbackSpreading(t *testing.T) {
 	}
 }
 
-// DV005 decides every (path, index) through the branching's view, so
-// linting an installed deployment leaves the loopback rotation where
-// live traffic left it, and so does the lint of a build whose routing
-// stage reuses the installed branching.
+// Linting an installed deployment, and the lint of a build whose
+// routing stage reuses the installed branching, leave the loopback
+// turn where live traffic left it: the packet after them takes the
+// port after the one the packet before them took.
 func TestLintLeavesLoopbackRotation(t *testing.T) {
 	cfg := edgeConfig()
 	for p := 16; p < 20; p++ {
@@ -298,24 +299,34 @@ func TestLintLeavesLoopbackRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Inject(scenario.PortClient, scenario.InternetBound()); err != nil {
-		t.Fatal(err)
-	}
-	rotation := func() (out []uint64) {
-		for i := range d.loops.rr {
-			out = append(out, d.loops.rr[i].Load())
+	// took injects one basic-path packet, which recirculates once, and
+	// returns the loopback port whose TxPackets it moved.
+	took := func() asic.PortID {
+		t.Helper()
+		var before []uint64
+		for _, p := range cfg.LoopbackPorts {
+			before = append(before, d.Switch.Stats(p).TxPackets.Load())
 		}
-		return out
+		if tr, err := d.Inject(scenario.PortClient, scenario.InternetBound()); err != nil || tr.Dropped {
+			t.Fatalf("basic-path packet lost: %v", err)
+		}
+		for i, p := range cfg.LoopbackPorts {
+			if d.Switch.Stats(p).TxPackets.Load() != before[i] {
+				return p
+			}
+		}
+		t.Fatal("the packet took no loopback port")
+		return 0
 	}
-	before := fmt.Sprint(rotation())
+	first := took()
 	if rep := lint.AnalyzeDeployment(d.installed.Res.Dep, d.Config.Enter); rep.HasErrors() {
 		t.Fatalf("scenario lints with errors:\n%s", rep)
 	}
-	if res, _, err := d.PlanReconfigure(cfg.Chains); err != nil || res.RoutingRebuilt {
-		t.Fatalf("dry run of the installed chains: routing rebuilt %v, %v", res != nil && res.RoutingRebuilt, err)
+	if res, _, err := d.PlanReconfigure(cfg.Chains); err != nil || !res.Info.Stage(pipeline.StageRouting).CacheHit {
+		t.Fatalf("dry run of the installed chains rebuilt routing: %v", err)
 	}
-	if after := fmt.Sprint(rotation()); after != before {
-		t.Errorf("linting moved the loopback rotation from %s to %s", before, after)
+	if next := took(); next != first+1 {
+		t.Errorf("after a lint the next packet took port %d, want %d, the port after %d", next, first+1, first)
 	}
 }
 
@@ -494,11 +505,10 @@ func TestHandlePortUpRestoresLoopback(t *testing.T) {
 	if d.Switch.LoopbackModeOf(17) != asic.LoopbackOnChip {
 		t.Error("switch loopback mode not restored")
 	}
-	// The port is back in the recirculation rotation, in its declared
-	// place: with all four pool ports alive again, sustained traffic
-	// touches port 17.
-	if got := d.loops.ports.Load().byPipe[1]; !slices.Equal(got, cfg.LoopbackPorts) {
-		t.Errorf("rotation = %v, want the declared %v", got, cfg.LoopbackPorts)
+	// The port is back in its pipeline's loopback turn, in port order:
+	// with all four ports alive again, sustained traffic touches port 17.
+	if got := d.Switch.LoopbackPorts(); !slices.Equal(got, cfg.LoopbackPorts) {
+		t.Errorf("loopback ports = %v, want the declared %v", got, cfg.LoopbackPorts)
 	}
 	for i := 0; i < 16; i++ {
 		if _, err := d.Inject(scenario.PortClient, scenario.InternetBound()); err != nil {

@@ -72,7 +72,7 @@ func (d *Deployment) Reconcile(offeredGbps float64) (*ReconcileReport, error) {
 			down = append(down, asic.PortID(p))
 		}
 	}
-	live, err := d.loops.publish(d.Switch, d.Config.LoopbackPorts)
+	live, err := publishLoopback(d.Switch, d.Config.LoopbackPorts)
 	if err != nil {
 		return rep, err
 	}

@@ -238,7 +238,7 @@ func sameDeployment(t *testing.T, what string, got, want *Deployment) {
 			t.Errorf("%s: port %d loopback mode %v, want %v", what, p, g, w)
 		}
 	}
-	if g, w := got.loops.ports.Load().byPipe, want.loops.ports.Load().byPipe; !slices.EqualFunc(g, w, slices.Equal[[]asic.PortID]) {
+	if g, w := got.Switch.LoopbackPorts(), want.Switch.LoopbackPorts(); !slices.Equal(g, w) {
 		t.Errorf("%s: rotation %v, want %v", what, g, w)
 	}
 	g, w := got.installed.Res, want.installed.Res

@@ -63,9 +63,6 @@ func (recircLegalRule) Check(t *Target, r *Report) {
 	if t.Branching == nil || t.Placement == nil {
 		return
 	}
-	// Through a view: on an installed deployment, deciding must not
-	// advance the loopback rotation live traffic reads.
-	br := t.Branching.View()
 	for _, ch := range t.Chains {
 		for idx := ch.InitialIndex(); idx >= 1; idx-- {
 			name, ok := ch.NFAt(idx)
@@ -77,7 +74,7 @@ func (recircLegalRule) Check(t *Target, r *Report) {
 				continue // placementRule reports it
 			}
 			for pipe := 0; pipe < t.Prof.Pipelines; pipe++ {
-				hop := br.Decide(ch.PathID, idx, pipe, asic.PortUnset)
+				hop := t.Branching.Decide(ch.PathID, idx, pipe, asic.PortUnset)
 				switch hop.Kind {
 				case route.HopResubmit:
 					if at != (asic.PipeletID{Pipeline: pipe, Dir: asic.Ingress}) {

@@ -142,10 +142,7 @@ type Result struct {
 	// ChangedFuncs lists the pipelets whose behavioural programs were
 	// rebuilt — the pipelet_program writes of an incremental swap.
 	ChangedFuncs []asic.PipeletID
-	// RoutingRebuilt is true when the routing stage missed: the
-	// Branching instance is new and still needs its loopback chooser.
-	RoutingRebuilt bool
-	Info           BuildInfo
+	Info         BuildInfo
 }
 
 // parserArtifact is the parser-merge stage output: the generic parser
@@ -409,8 +406,6 @@ func Build(in Inputs, cache *Cache) (*Result, error) {
 		canonPlacement(placement), itoa(in.Enter))
 	if v, ok := cache.lookup("routing", routeHash); ok {
 		art := v.(routingArtifact)
-		// Adopt the cached generation wholesale: it carries runtime-set
-		// state (loopback chooser, exit ports) the fresh instance lacks.
 		comp.Branching = art.branching
 		res.Program = art.program
 		res.Traversals = art.traversals
@@ -431,7 +426,6 @@ func Build(in Inputs, cache *Cache) (*Result, error) {
 		})
 		res.Program = prog
 		res.Traversals = travs
-		res.RoutingRebuilt = true
 		record(StageRouting, routeHash, false,
 			fmt.Sprintf("%d table entries", prog.Len()), start)
 	}

@@ -52,7 +52,7 @@ func TestBuildNilCache(t *testing.T) {
 	if res.Info.CacheMisses == 0 || len(res.Info.Stages) != 6 {
 		t.Errorf("stage accounting off: %+v", res.Info)
 	}
-	if !res.RoutingRebuilt {
+	if res.Info.Stage(StageRouting).CacheHit {
 		t.Error("nil-cache build did not rebuild routing")
 	}
 	if res.Program.Len() == 0 {
@@ -134,7 +134,7 @@ func TestRebuildSameInputsAllCached(t *testing.T) {
 	if len(second.ChangedFuncs) != 0 {
 		t.Errorf("identical rebuild changed programs: %v", second.ChangedFuncs)
 	}
-	if second.RoutingRebuilt {
+	if !second.Info.Stage(StageRouting).CacheHit {
 		t.Error("identical rebuild rebuilt routing")
 	}
 	if first.Program.String() != second.Program.String() {
@@ -174,7 +174,7 @@ func TestChainChurnSkipsStages(t *testing.T) {
 	if len(res.ChangedFuncs) != 0 {
 		t.Errorf("same-NF chain add rebuilt programs: %v", res.ChangedFuncs)
 	}
-	if !res.RoutingRebuilt {
+	if res.Info.Stage(StageRouting).CacheHit {
 		t.Error("chain add did not rebuild routing")
 	}
 }

@@ -41,9 +41,9 @@ type Hop struct {
 // (chain, service index) → precomputed entry — that the per-packet
 // lookups index without hashing a Go map, copying a Chain or comparing
 // an NF name. A Branching must be fully configured before it is
-// published to a switch and is read-only from then on. Only the
-// loopback *port* toward a pipeline is resolved per packet, because the
-// chooser rotates over a pool.
+// published to a switch and is read-only from then on. A loopback hop
+// names the target pipeline's dedicated recirculation port; the switch
+// spreads that traffic over the pipeline's loopback ports.
 type Branching struct {
 	chains    []Chain // compact chain index → chain
 	placement *Placement
@@ -53,9 +53,7 @@ type Branching struct {
 	exitPort map[uint16]asic.PortID
 	// loopbackFor chooses the loopback port used to reach a pipeline's
 	// ingress; defaults to the pipeline's dedicated recirculation port.
-	// peekFor, when set, answers as loopbackFor would next without
-	// advancing its rotation (see View).
-	loopbackFor, peekFor func(pipeline int) asic.PortID
+	loopbackFor func(pipeline int) asic.PortID
 
 	// paths is an open-addressed table from path ID to chain index:
 	// each slot packs path<<16 | index, 0 marks an empty slot (path 0 is
@@ -169,25 +167,9 @@ func (b *Branching) hopFor(c Chain, index uint8) hop {
 	return h
 }
 
-// SetLoopbackChooser overrides loopback port selection (e.g. to spread
-// recirculation over front-panel loopback ports).
+// SetLoopbackChooser overrides loopback port selection, a test seam:
+// deployments leave the default, and the switch spreads recirculation.
 func (b *Branching) SetLoopbackChooser(f func(pipeline int) asic.PortID) { b.loopbackFor = f }
-
-// SetLoopbackPeek gives a chooser that rotates over a pool its view:
-// peek returns the port the chooser would return next without
-// advancing the rotation (see View).
-func (b *Branching) SetLoopbackPeek(peek func(pipeline int) asic.PortID) { b.peekFor = peek }
-
-// View returns a copy of b whose decisions read the loopback rotation
-// without advancing it: a checker deciding through it leaves the
-// rotation live traffic sees as it was.
-func (b *Branching) View() *Branching {
-	v := *b
-	if v.peekFor != nil {
-		v.loopbackFor = v.peekFor
-	}
-	return &v
-}
 
 // ChainIndex returns the compact index (0..Chains()-1) of the chain
 // with the given path ID — the key of every per-chain dense table.

@@ -95,12 +95,10 @@ func (c Chain) Validate() error {
 	if c.Weight < 0 {
 		return fmt.Errorf("route: chain %d has negative weight", c.PathID)
 	}
-	seen := make(map[string]bool, len(c.NFs))
-	for _, n := range c.NFs {
-		if seen[n] {
+	for i, n := range c.NFs {
+		if slices.Contains(c.NFs[:i], n) {
 			return fmt.Errorf("route: chain %d visits NF %q twice", c.PathID, n)
 		}
-		seen[n] = true
 	}
 	return nil
 }
@@ -283,7 +281,7 @@ func Plan(c Chain, p *Placement, enter int) (Traversal, error) {
 		at != (asic.PipeletID{Pipeline: enter, Dir: asic.Ingress}) {
 		return Traversal{}, fmt.Errorf("%w: chain %d has it on %s, traffic enters ingress %d", ErrClassifierOffEntry, c.PathID, at, enter)
 	}
-	tr := Traversal{Chain: c.PathID}
+	tr := Traversal{Chain: c.PathID, Steps: make([]asic.PipeletID, 0, 2*len(c.NFs)+2)}
 	pos := 0 // next NF index in c.NFs
 	curr := enter
 

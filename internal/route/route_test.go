@@ -69,14 +69,23 @@ func TestChainValidate(t *testing.T) {
 	if err := fig6Chain().Validate(); err != nil {
 		t.Errorf("valid chain rejected: %v", err)
 	}
-	bad := []Chain{
-		{PathID: 1},
-		{PathID: 1, NFs: []string{"a", "a"}},
-		{PathID: 1, NFs: []string{"a"}, Weight: -1},
+	bad := []struct {
+		c    Chain
+		want string
+	}{
+		{Chain{NFs: []string{"a"}}, "route: path ID 0 is reserved for unclassified traffic"},
+		{Chain{PathID: 1}, "route: chain 1 has no NFs"},
+		{Chain{PathID: 1, NFs: []string{"a", "a"}}, `route: chain 1 visits NF "a" twice`},
+		{Chain{PathID: 1, NFs: []string{"a", "b", "c", "b"}}, `route: chain 1 visits NF "b" twice`},
+		{Chain{PathID: 1, NFs: []string{"a"}, Weight: -1}, "route: chain 1 has negative weight"},
 	}
-	for i, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("bad chain %d validated", i)
+	for i, b := range bad {
+		err := b.c.Validate()
+		if err == nil || err.Error() != b.want {
+			t.Errorf("bad chain %d: Validate = %v, want %q", i, err, b.want)
+		}
+		if _, err := Plan(b.c, fig6aPlacement(), 0); err == nil || err.Error() != b.want {
+			t.Errorf("bad chain %d: Plan = %v, want %q", i, err, b.want)
 		}
 	}
 }
@@ -94,6 +103,12 @@ func TestPlanFig6a(t *testing.T) {
 	want := "ingress 0 -> egress 0 -> ingress 0 -> egress 1 -> ingress 1 -> egress 1 -> ingress 1 -> egress 0"
 	if tr.Path() != want {
 		t.Errorf("Path:\n got  %s\n want %s", tr.Path(), want)
+	}
+	// Placers call Plan for every candidate: the traversal's steps are
+	// its one allocation.
+	c, p := fig6Chain(), fig6aPlacement()
+	if n := testing.AllocsPerRun(100, func() { Plan(c, p, 0) }); n > 1 {
+		t.Errorf("Plan allocates %v times per call, want at most 1", n)
 	}
 }
 
