@@ -331,3 +331,41 @@ func BenchmarkAnnealFig6(b *testing.B) {
 		}
 	}
 }
+
+// TestPinsAreFacts: pins that overload a pipelet by themselves are
+// facts the optimizers work around, not a refusal of the problem. Every
+// strategy places the free NFs where they fit, and none joins the
+// overloaded pipelet; the build's own stage check judges the pinned one.
+func TestPinsAreFacts(t *testing.T) {
+	crowded := asic.PipeletID{Pipeline: 0, Dir: asic.Ingress}
+	p := Problem{
+		Prof:        asic.Wedge100B(),
+		Chains:      []route.Chain{{PathID: 1, NFs: []string{"A", "B", "C", "D"}, Weight: 1, ExitPipeline: 0}},
+		StageDemand: map[string]int{"A": 5, "B": 5}, // 5+2 + 5+2 + 1 = 15 > 12
+		Fixed:       map[string]asic.PipeletID{"A": crowded, "B": crowded},
+	}
+	for _, s := range []struct {
+		name  string
+		solve func(Problem) (*Result, error)
+	}{
+		{"exhaustive", Exhaustive},
+		{"greedy", Greedy},
+		{"anneal", func(p Problem) (*Result, error) { return Anneal(p, AnnealOpts{Seed: 1, Iterations: 2000}) }},
+	} {
+		res, err := s.solve(p)
+		if err != nil {
+			t.Errorf("%s: %v", s.name, err)
+			continue
+		}
+		for _, n := range []string{"C", "D"} {
+			if at, _ := res.Placement.Of(n); at == crowded {
+				t.Errorf("%s: free NF %s joins the overloaded %s", s.name, n, crowded)
+			}
+		}
+		// The optimum, C and D on egress 0, recirculates once; naive's
+		// walk over the pipelets with room recirculates twice.
+		if res.Cost.WeightedRecircs != 1 {
+			t.Errorf("%s: %v weighted recirculations, want 1", s.name, res.Cost.WeightedRecircs)
+		}
+	}
+}
