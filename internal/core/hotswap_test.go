@@ -267,7 +267,7 @@ func TestIncrementalEquivalenceAfterChurn(t *testing.T) {
 			name := movable[rng.Intn(len(movable))]
 			pl := asic.PipeletID{Pipeline: rng.Intn(d.Config.Prof.Pipelines), Dir: asic.Direction(rng.Intn(2))}
 			move = func(u Update) Update {
-				u.Pin, u.Optimizer, u.Replace = map[string]asic.PipeletID{name: pl}, OptGreedy, true
+				u.Pin, u.Optimizer = map[string]asic.PipeletID{name: pl}, OptGreedy
 				return u
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"strings"
 
 	"dejavu/internal/asic"
 	"dejavu/internal/pipeline"
@@ -23,16 +24,13 @@ import (
 type Update struct {
 	Chains []route.Chain
 	// Pin, Optimizer, AnnealSeed and StrictLint replace the live
-	// Config's on commit.
+	// Config's on commit. Changing the optimizer, the seed or the pin of
+	// a live NF the chains still use re-solves the whole placement
+	// (derivePlacement).
 	Pin        map[string]asic.PipeletID
 	Optimizer  Optimizer
 	AnnealSeed int64
 	StrictLint bool
-	// Replace re-resolves the whole placement from the optimizer. The
-	// default keeps every live NF where it is (moving one disrupts its
-	// traffic), which is exactly wrong when a hint or the optimizer
-	// choice changed: the operator's declared intent is to move them.
-	Replace bool
 }
 
 // keep is the update to chains under the live settings.
@@ -132,7 +130,7 @@ func (d *Deployment) stage(u Update, placement *route.Placement) (*staged, error
 	}
 	var err error
 	if placement == nil {
-		if placement, err = d.derivePlacement(cfg, u.Replace); err != nil {
+		if placement, err = d.derivePlacement(cfg); err != nil {
 			return nil, err
 		}
 	}
@@ -180,12 +178,35 @@ func healthyExitPort(cfg Config, sw *asic.Switch, pipeline int) (asic.PortID, bo
 	return 0, false
 }
 
-// derivePlacement is an update's one fork. Unless asked to re-resolve,
-// it extends the running placement the way live updates must: existing
-// NFs stay where they are, NFs no chain uses anymore are unplaced, and
-// each NF the new set introduces is placed greedily, in chain order.
-func (d *Deployment) derivePlacement(cfg Config, replace bool) (*route.Placement, error) {
-	if replace {
+// derivePlacement is an update's one fork. A changed optimizer or
+// anneal seed, or a pin added, removed or moved for a live NF the new
+// chains still use, declares that live NFs should move: the whole
+// placement is solved again. Otherwise it extends the running placement
+// the way live updates must: live NFs stay where they run, with their
+// pipelets' composition modes, NFs no chain uses anymore are unplaced,
+// and the NFs the new chains introduce are placed by the deploy's own
+// optimizer, with every live NF pinned where it runs.
+func (d *Deployment) derivePlacement(cfg Config) (*route.Placement, error) {
+	live := d.Config
+	resolve := cfg.Optimizer != live.Optimizer || cfg.AnnealSeed != live.AnnealSeed
+	still := make(map[string]bool)
+	var introduced []string
+	for _, c := range cfg.Chains {
+		for _, n := range c.NFs {
+			if still[n] {
+				continue
+			}
+			still[n] = true
+			old, had := live.Pin[n]
+			now, has := cfg.Pin[n]
+			if _, placed := d.Placement.Of(n); !placed {
+				introduced = append(introduced, n)
+			} else if had != has || old != now {
+				resolve = true
+			}
+		}
+	}
+	if resolve {
 		placement, _, err := pipeline.ResolvePlacement(buildInputs(cfg, nil))
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
@@ -193,53 +214,24 @@ func (d *Deployment) derivePlacement(cfg Config, replace bool) (*route.Placement
 		return placement, nil
 	}
 	placement := d.Placement.Clone()
-	still := make(map[string]bool)
-	for _, c := range cfg.Chains {
-		for _, n := range c.NFs {
-			still[n] = true
-		}
-	}
 	maps.DeleteFunc(placement.NF, func(name string, _ asic.PipeletID) bool { return !still[name] })
-	for _, c := range cfg.Chains {
-		for _, n := range c.NFs {
-			if _, ok := placement.Of(n); ok {
-				continue
-			}
-			if err := placeNewNF(cfg, placement, n); err != nil {
-				return nil, err
-			}
-		}
+	if len(introduced) == 0 {
+		return placement, nil
+	}
+	pin := make(map[string]asic.PipeletID, len(cfg.Pin)+len(placement.NF))
+	maps.Copy(pin, cfg.Pin)
+	maps.Copy(pin, placement.NF) // a live NF stays where it runs, whatever its pin
+	in := buildInputs(cfg, nil)
+	in.Pin = pin
+	solved, _, err := pipeline.ResolvePlacement(in)
+	if err != nil {
+		return nil, fmt.Errorf("core: placing %s: %w", strings.Join(introduced, ", "), err)
+	}
+	for _, n := range introduced {
+		at, _ := solved.Of(n)
+		placement.Assign(n, at)
 	}
 	return placement, nil
-}
-
-// placeNewNF puts one unplaced NF on the pipelet that minimizes the cost
-// of the chains fully placed once it is. Stage feasibility is verified
-// by the build that follows.
-func placeNewNF(cfg Config, placement *route.Placement, name string) error {
-	unplaced := func(n string) bool {
-		_, ok := placement.Of(n)
-		return !ok && n != name
-	}
-	ready := slices.DeleteFunc(slices.Clone(cfg.Chains), func(c route.Chain) bool {
-		return slices.ContainsFunc(c.NFs, unplaced)
-	})
-	var best asic.PipeletID
-	var bestCost route.Cost
-	found := false
-	for _, pl := range cfg.Prof.Pipelets() {
-		cand := placement.Clone()
-		cand.Assign(name, pl)
-		cost, err := route.Evaluate(ready, cand, cfg.Enter)
-		if err == nil && (!found || cost.Less(bestCost)) {
-			best, bestCost, found = pl, cost, true
-		}
-	}
-	if !found {
-		return fmt.Errorf("core: no feasible pipelet for new NF %q", name)
-	}
-	placement.Assign(name, best)
-	return nil
 }
 
 // commit puts a staged build on the switch as its minimal write-set

@@ -148,25 +148,6 @@ func needsRedeploy(delta *Delta) bool {
 	return slices.ContainsFunc(delta.Global, func(g string) bool { return redeployGlobals[g] })
 }
 
-// needsReplace reports whether the delta moves placement-affecting
-// inputs (optimizer, anneal seed, per-NF hints) that an update keeping
-// live NFs where they are would ignore.
-func needsReplace(delta *Delta) bool {
-	for _, g := range delta.Global {
-		if g == "optimizer" || g == "anneal_seed" {
-			return true
-		}
-	}
-	for _, act := range delta.Actions {
-		for _, f := range act.Fields {
-			if f == "placement" {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Apply converges toward doc. The first call deploys it; later calls
 // diff doc against the last applied document and converge the
 // difference — an unchanged document is a proved no-op (every pipeline
@@ -202,7 +183,7 @@ func (a *Applier) Apply(doc *Document, opts Options) (*Report, error) {
 	case fresh:
 		err = a.deploy(doc, rep)
 	default:
-		err = a.update(doc, delta, rep)
+		err = a.update(doc, rep)
 	}
 	if opts.DryRun {
 		if err == nil {
@@ -253,12 +234,12 @@ func (a *Applier) deploy(doc *Document, rep *Report) error {
 
 // update drives everything else through the live deployment's one
 // update path: the chain set and the hot-swappable settings go in
-// together, the placement is kept or — when the delta moved a
-// placement input — re-resolved, and a dry run stops before the first
-// write. The telemetry collector is toggled in place after the commit.
-func (a *Applier) update(doc *Document, delta *Delta, rep *Report) error {
+// together, core keeps the placement or re-resolves it, and a dry run
+// stops before the first write. The telemetry collector is toggled in
+// place after the commit.
+func (a *Applier) update(doc *Document, rep *Report) error {
 	d := a.dep
-	u, err := doc.update(d.Config.Prof, needsReplace(delta))
+	u, err := doc.update(d.Config.Prof)
 	if err != nil {
 		return err
 	}

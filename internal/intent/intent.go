@@ -245,7 +245,7 @@ func (d *Document) pins(prof asic.Profile) (map[string]asic.PipeletID, error) {
 // chain set and the settings a hot swap can change, checked as
 // BuildConfig checks them. No NF is built: a changed NF section forces
 // a redeploy (redeployGlobals), so the live ones are the declared ones.
-func (d *Document) update(prof asic.Profile, replace bool) (core.Update, error) {
+func (d *Document) update(prof asic.Profile) (core.Update, error) {
 	opt, err := d.ResolveOptimizer()
 	if err != nil {
 		return core.Update{}, fmt.Errorf("intent: %w", err)
@@ -256,7 +256,7 @@ func (d *Document) update(prof asic.Profile, replace bool) (core.Update, error) 
 	}
 	return core.Update{
 		Chains: d.RouteChains(), Pin: pin, Optimizer: opt,
-		AnnealSeed: d.AnnealSeed, StrictLint: d.StrictLint, Replace: replace,
+		AnnealSeed: d.AnnealSeed, StrictLint: d.StrictLint,
 	}, nil
 }
 

@@ -84,18 +84,34 @@ func (p Problem) demand(name string) int {
 }
 
 // Feasible reports whether a placement fits the per-pipelet stage
-// budget under sequential composition, including framework overhead.
-func (p Problem) Feasible(pl *route.Placement) bool {
-	load := make(map[asic.PipeletID]int)
-	for _, name := range p.nfNames() {
-		at, ok := pl.Of(name)
-		if !ok {
-			return false
-		}
-		load[at] += p.demand(name) + frameworkStagesPerNF
+// budget under sequential composition, framework overhead included.
+// Pins are facts: a pipelet is judged only when it holds an unpinned NF
+// (its pinned NFs count toward its load), so one that pins alone
+// overload is left to the build's own stage check. An NF not yet
+// placed adds nothing, which lets Greedy judge partial placements.
+func (p Problem) Feasible(pl *route.Placement) bool { return p.fits(pl, p.nfNames()) }
+
+// fits is Feasible over names, the problem's NFs, which each optimizer
+// computes once per run.
+func (p Problem) fits(pl *route.Placement, names []string) bool {
+	var small [16]int // every shipped profile's pipelets, off the heap
+	load := small[:]
+	if n := p.Prof.TotalPipelets(); n > len(small) {
+		load = make([]int, n)
 	}
-	for pipelet, stages := range load {
-		if pipelet.Dir == asic.Ingress {
+	slot := func(at asic.PipeletID) *int { return &load[2*at.Pipeline+int(at.Dir)] }
+	for _, name := range names {
+		if at, ok := pl.Of(name); ok {
+			*slot(at) += p.demand(name) + frameworkStagesPerNF
+		}
+	}
+	for _, name := range names {
+		at, ok := pl.Of(name)
+		if _, pinned := p.Fixed[name]; !ok || pinned {
+			continue
+		}
+		stages := *slot(at)
+		if at.Dir == asic.Ingress {
 			stages += branchingStages
 		}
 		if stages > p.Prof.StagesPerPipelet {
@@ -122,8 +138,8 @@ func (p Problem) Validate() error {
 		return fmt.Errorf("place: entry pipeline %d out of range", p.Enter)
 	}
 	for name, at := range p.Fixed {
-		if at.Pipeline < 0 || at.Pipeline >= p.Prof.Pipelines {
-			return fmt.Errorf("place: NF %q pinned to nonexistent pipeline %d", name, at.Pipeline)
+		if at.Pipeline < 0 || at.Pipeline >= p.Prof.Pipelines || at.Dir > asic.Egress {
+			return fmt.Errorf("place: NF %q pinned to nonexistent pipelet %s", name, at)
 		}
 	}
 	return nil
@@ -157,41 +173,29 @@ func Naive(p Problem) (*Result, error) {
 	}
 	pl := route.NewPlacement()
 	p.applyFixed(pl)
-	order := p.pipelets()
-	// Reorder to alternate ingress/egress starting at the entry
-	// pipeline: ing(enter), eg(enter), ing(enter+1), eg(enter+1), ...
-	var alt []asic.PipeletID
+	// Alternate ingress/egress starting at the entry pipeline:
+	// ing(enter), eg(enter), ing(enter+1), eg(enter+1), ...
+	var order []asic.PipeletID
 	for i := 0; i < p.Prof.Pipelines; i++ {
 		pipe := (p.Enter + i) % p.Prof.Pipelines
-		alt = append(alt, asic.PipeletID{Pipeline: pipe, Dir: asic.Ingress},
+		order = append(order, asic.PipeletID{Pipeline: pipe, Dir: asic.Ingress},
 			asic.PipeletID{Pipeline: pipe, Dir: asic.Egress})
 	}
-	order = alt
 
+	// Each NF goes to the next pipelet in turn with room for it.
+	names := p.nfNames()
 	slot := 0
-	load := make(map[asic.PipeletID]int)
-	for name, at := range p.Fixed {
-		load[at] += p.demand(name) + frameworkStagesPerNF
-	}
-	for _, name := range p.nfNames() {
+	for _, name := range names {
 		if _, pinned := p.Fixed[name]; pinned {
 			continue
 		}
-		// Advance to the next pipelet with room.
 		for tries := 0; tries < len(order); tries++ {
-			at := order[slot%len(order)]
-			need := p.demand(name) + frameworkStagesPerNF
-			budget := p.Prof.StagesPerPipelet
-			if at.Dir == asic.Ingress {
-				budget -= branchingStages
-			}
-			if load[at]+need <= budget {
-				pl.Assign(name, at)
-				load[at] += need
-				slot++
+			pl.Assign(name, order[slot%len(order)])
+			slot++
+			if p.fits(pl, names) {
 				break
 			}
-			slot++
+			delete(pl.NF, name)
 		}
 		if _, ok := pl.Of(name); !ok {
 			return nil, fmt.Errorf("place: naive placement cannot fit NF %q", name)
@@ -217,8 +221,9 @@ func Greedy(p Problem) (*Result, error) {
 	for n := range p.Fixed {
 		placed[n] = true
 	}
+	names := p.nfNames()
 	evals := 0
-	for _, name := range p.nfNames() {
+	for _, name := range names {
 		if placed[name] {
 			continue
 		}
@@ -228,7 +233,7 @@ func Greedy(p Problem) (*Result, error) {
 		for _, at := range p.pipelets() {
 			cand := pl.Clone()
 			cand.Assign(name, at)
-			if !partialFeasible(p, cand) {
+			if !p.fits(cand, names) {
 				continue
 			}
 			cost, err := partialCost(p, cand)
@@ -276,25 +281,6 @@ func partialCost(p Problem, pl *route.Placement) (route.Cost, error) {
 	sub := p
 	sub.Chains = trunc
 	return sub.evaluate(pl)
-}
-
-// partialFeasible checks the stage budget over currently-placed NFs.
-func partialFeasible(p Problem, pl *route.Placement) bool {
-	load := make(map[asic.PipeletID]int)
-	for _, name := range p.nfNames() {
-		if at, ok := pl.Of(name); ok {
-			load[at] += p.demand(name) + frameworkStagesPerNF
-		}
-	}
-	for pipelet, stages := range load {
-		if pipelet.Dir == asic.Ingress {
-			stages += branchingStages
-		}
-		if stages > p.Prof.StagesPerPipelet {
-			return false
-		}
-	}
-	return true
 }
 
 // ErrSearchTooLarge is Exhaustive's refusal of a problem with more than
@@ -352,7 +338,7 @@ func Exhaustive(p Problem) (*Result, error) {
 		for i, n := range free {
 			cand.Assign(n, pipelets[assign[i]])
 		}
-		if p.Feasible(cand) {
+		if p.fits(cand, names) {
 			cost, err := p.evaluate(cand)
 			if err == nil {
 				evals++
@@ -438,7 +424,7 @@ func Anneal(p Problem, opts AnnealOpts) (*Result, error) {
 			continue
 		}
 		curr.Assign(name, target)
-		ok := p.Feasible(curr)
+		ok := p.fits(curr, names)
 		var cost route.Cost
 		if ok {
 			cost, err = p.evaluate(curr)

@@ -9,6 +9,8 @@
 #   chaos -switches 3 -seed s -v -json for s in SEEDS (default 1..25),
 #   each with and without -config configs/edgecloud.json;
 #   run, plan, lint, emit and top, with and without that -config;
+#   plan -to examples/intent/intent.json and plan -to the CLI golden
+#   fixture that adds chain 40, with and without that -config;
 #   dvexp.
 # It prints every form that differs and exits 1 if any does.
 set -eu
@@ -16,6 +18,9 @@ set -eu
 base=${1:?usage: scripts/identity.sh BASE}
 seeds=${SEEDS:-$(seq 1 25)}
 config=configs/edgecloud.json
+# The working tree's copy of the fixture, so a BASE older than it reads
+# the same document.
+add40=$(pwd)/cmd/dejavu/testdata/intent_add40.json
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
@@ -35,7 +40,7 @@ forms() {
 			echo "dejavu $cfg chaos -switches 3 -seed $s -v -json"
 		done
 	done
-	for cmd in run plan lint emit top; do
+	for cmd in run plan lint emit top "plan -to examples/intent/intent.json" "plan -to $add40"; do
 		echo "dejavu $cmd"
 		echo "dejavu -config $config $cmd"
 	done
