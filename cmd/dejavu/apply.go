@@ -8,6 +8,7 @@ import (
 
 	"dejavu/internal/cluster"
 	"dejavu/internal/intent"
+	"dejavu/internal/route"
 )
 
 // This file implements the declarative config plane's CLI surface:
@@ -21,11 +22,36 @@ type applyJSON struct {
 	File string `json:"file"`
 	From string `json:"from,omitempty"`
 	// Apply is the converge report for the -f document.
-	Apply *intent.Report `json:"apply"`
+	Apply *reportJSON `json:"apply"`
 	// NoopReapply is the immediate re-apply of the same document — the
 	// idempotency proof: empty delta, all pipeline stages cached, zero
 	// entries, zero program reloads. Absent with -dry-run.
-	NoopReapply *intent.Report `json:"noop_reapply,omitempty"`
+	NoopReapply *reportJSON `json:"noop_reapply,omitempty"`
+}
+
+// reportJSON is one converge report with its single-switch write-set
+// listed as `plan -json` lists a delta.
+type reportJSON struct {
+	*intent.Report
+	ChangedPrograms []string `json:"changed_programs,omitempty"`
+	Delta           []opJSON `json:"delta,omitempty"`
+}
+
+// opJSON is one branching-table write.
+type opJSON struct {
+	Op    string `json:"op"`
+	Entry string `json:"entry"`
+}
+
+func newReportJSON(rep *intent.Report) *reportJSON {
+	out := &reportJSON{Report: rep}
+	for _, pl := range rep.ChangedPrograms {
+		out.ChangedPrograms = append(out.ChangedPrograms, pl.String())
+	}
+	for _, op := range rep.Delta {
+		out.Delta = append(out.Delta, opJSON{op.Op.String(), op.Entry.String()})
+	}
+	return out
 }
 
 // runApply converges a deployment toward the -f intent document. With
@@ -37,7 +63,7 @@ func runApply(args []string) error {
 	fs := flag.NewFlagSet("apply", flag.ExitOnError)
 	file := fs.String("f", "", "intent document to converge toward (required)")
 	from := fs.String("from", "", "intent document to apply first (the starting state)")
-	dryRun := fs.Bool("dry-run", false, "compute the delta and rebuild plan; touch nothing")
+	dryRun := fs.Bool("dry-run", false, "run the converge up to its first write and report what it would write")
 	jsonOut := fs.Bool("json", false, "emit the apply report(s) as JSON")
 	fs.Parse(args)
 	if *file == "" {
@@ -65,16 +91,18 @@ func runApply(args []string) error {
 		}
 		return err
 	}
-	out := applyJSON{File: *file, From: *from, Apply: rep}
+	var re *intent.Report
 	if !*dryRun {
-		re, err := a.Apply(doc, intent.Options{})
-		if err != nil {
+		if re, err = a.Apply(doc, intent.Options{}); err != nil {
 			return fmt.Errorf("apply: idempotency re-apply: %w", err)
 		}
-		out.NoopReapply = re
 	}
 
 	if *jsonOut {
+		out := applyJSON{File: *file, From: *from, Apply: newReportJSON(rep)}
+		if re != nil {
+			out.NoopReapply = newReportJSON(re)
+		}
 		js, err := json.MarshalIndent(out, "", "  ")
 		if err != nil {
 			return err
@@ -83,10 +111,10 @@ func runApply(args []string) error {
 		return nil
 	}
 	printApplyReport(rep)
-	if out.NoopReapply != nil {
+	if re != nil {
 		fmt.Println("\nidempotency proof (immediate re-apply):")
-		printApplyReport(out.NoopReapply)
-		if !out.NoopReapply.NoOp {
+		printApplyReport(re)
+		if !re.NoOp {
 			return fmt.Errorf("apply: re-apply was not a no-op")
 		}
 	}
@@ -107,6 +135,9 @@ func printApplyReport(rep *intent.Report) {
 	}
 	if len(rep.Build.Stages) > 0 {
 		fmt.Print(rep.Build.Summary())
+		if rep.DryRun {
+			printWrites(rep)
+		}
 	}
 	if len(rep.FabricPath) > 0 {
 		fmt.Printf("fabric path: %v (reprogrammed %v)\n", rep.FabricPath, rep.FabricChanged)
@@ -117,6 +148,28 @@ func printApplyReport(rep *intent.Report) {
 	if !rep.DryRun {
 		fmt.Printf("converged in %v: %d branching entries, %d program reloads\n",
 			time.Duration(rep.ConvergenceNS), rep.DeltaEntries, rep.ProgramReloads)
+	}
+}
+
+// printWrites lists the write-set a dry run found: the pipelet programs
+// the apply would reload and its branching-table delta.
+func printWrites(rep *intent.Report) {
+	if len(rep.ChangedPrograms) == 0 {
+		fmt.Println("pipelet programs: all cached, none reloaded")
+	} else {
+		fmt.Printf("pipelet programs reloaded: %d\n", len(rep.ChangedPrograms))
+		for _, pl := range rep.ChangedPrograms {
+			fmt.Printf("  %s\n", pl)
+		}
+	}
+	ops := make(map[route.OpKind]int)
+	for _, op := range rep.Delta {
+		ops[op.Op]++
+	}
+	fmt.Printf("branching delta: %d ops (%d add, %d del, %d mod)\n",
+		len(rep.Delta), ops[route.OpAdd], ops[route.OpDel], ops[route.OpMod])
+	for _, op := range rep.Delta {
+		fmt.Printf("  %s\n", op)
 	}
 }
 

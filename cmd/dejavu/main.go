@@ -5,9 +5,9 @@
 //
 //	dejavu plan                  # placement, traversals, resources, capacity
 //	dejavu plan -optimizer manual -loopback 16 -offered 1600
-//	dejavu plan -to new.json     # incremental rebuild plan + table delta
 //	dejavu apply -f intent.json  # converge toward a declarative intent
 //	dejavu apply -f i.json -dry-run -json
+//	dejavu apply -from old.json -f new.json -dry-run  # rebuild plan + table delta
 //	dejavu diff -f new.json -from old.json  # semantic intent delta
 //	dejavu run                   # deploy and push sample traffic through
 //	dejavu lint                  # static verification (exit 1 on errors)
@@ -18,7 +18,7 @@
 //	dejavu top                   # one-shot telemetry snapshot
 //	dejavu top -addr :9090       # scrape a running serve instance
 //
-// Every -config and -to file is an intent document (docs/INTENT.md).
+// Every -config, -f and -from file is an intent document (docs/INTENT.md).
 // See docs/OBSERVABILITY.md for the metric catalogue and docs/CLI.md
 // for the JSON schemas the subcommands emit.
 package main
@@ -39,7 +39,6 @@ import (
 	"dejavu/internal/intent"
 	"dejavu/internal/packet"
 	"dejavu/internal/pipeline"
-	"dejavu/internal/route"
 	"dejavu/internal/scenario"
 )
 
@@ -56,7 +55,7 @@ type command struct {
 // commands is the one subcommand table: usage lists it and main
 // dispatches through it.
 var commands = []command{
-	{"plan", "show placement, traversals, resources and capacity; -to plans a rebuild", runPlan},
+	{"plan", "show placement, traversals, resources and capacity", runPlan},
 	{"apply", "converge the deployment toward a declarative intent document", runApply},
 	{"diff", "print the semantic delta between two intent documents", runDiff},
 	{"run", "deploy and forward sample traffic on all three SFC paths", runTraffic},
@@ -164,10 +163,11 @@ func deploy(optimizer string, loopback int) (*core.Deployment, error) {
 	return core.Deploy(cfg)
 }
 
-// planJSON is the `dejavu plan -json` document (docs/CLI.md).
+// planJSON is the `dejavu plan -json` document (docs/CLI.md). Its
+// changed_programs and delta are always empty and kept for the schema:
+// `apply -dry-run -json` lists an update's write-set.
 type planJSON struct {
 	From            string      `json:"from,omitempty"`
-	To              string      `json:"to,omitempty"`
 	Stages          []stageJSON `json:"stages"`
 	CacheHits       int         `json:"cache_hits"`
 	CacheMisses     int         `json:"cache_misses"`
@@ -185,85 +185,31 @@ type stageJSON struct {
 	DurationNS int64  `json:"duration_ns"`
 }
 
-// opJSON is one branching-table write of planJSON's delta.
-type opJSON struct {
-	Op    string `json:"op"`
-	Entry string `json:"entry"`
-}
-
-func newPlanJSON(from, to string, info pipeline.BuildInfo, changed []asic.PipeletID, delta []route.EntryOp) planJSON {
-	out := planJSON{From: from, To: to, CacheHits: info.CacheHits, CacheMisses: info.CacheMisses,
-		ChangedPrograms: []string{}, Delta: []opJSON{}, DeltaSize: len(delta)}
+func newPlanJSON(from string, info pipeline.BuildInfo) planJSON {
+	out := planJSON{From: from, CacheHits: info.CacheHits, CacheMisses: info.CacheMisses,
+		ChangedPrograms: []string{}, Delta: []opJSON{}}
 	for _, s := range info.Stages {
 		out.Stages = append(out.Stages, stageJSON{s.Name, s.CacheHit, s.Hash, s.Detail, int64(s.Duration)})
-	}
-	for _, pl := range changed {
-		out.ChangedPrograms = append(out.ChangedPrograms, pl.String())
-	}
-	for _, op := range delta {
-		out.Delta = append(out.Delta, opJSON{op.Op.String(), op.Entry.String()})
 	}
 	return out
 }
 
 func runPlan(args []string) error {
 	fs := flag.NewFlagSet("plan", flag.ExitOnError)
-	optimizer := fs.String("optimizer", "exhaustive", "manual|naive|greedy|anneal|exhaustive")
-	to := fs.String("to", "", "target intent document: plan the incremental rebuild from -config to it")
+	optimizer := fs.String("optimizer", "", "manual|naive|greedy|anneal|exhaustive (default: the -config document's own, exhaustive for the reference scenario)")
 	loopback := fs.Int("loopback", 0, "extra front-panel ports in loopback mode, from port 16 on")
 	offered := fs.Float64("offered", 1600, "offered external load (Gbps) for the throughput estimate")
-	jsonOut := fs.Bool("json", false, "emit the build/rebuild plan as JSON")
+	jsonOut := fs.Bool("json", false, "emit the build plan as JSON")
 	fs.Parse(args)
+	if configPath == "" {
+		*optimizer = cmp.Or(*optimizer, string(core.OptExhaustive))
+	}
 	d, err := deploy(*optimizer, *loopback)
 	if err != nil {
 		return err
 	}
-	if *to != "" {
-		_, tcfg, err := loadDocument(*to)
-		if err != nil {
-			return err
-		}
-		res, delta, err := d.PlanReconfigure(tcfg.Chains)
-		if err != nil {
-			return err
-		}
-		if *jsonOut {
-			out, err := json.MarshalIndent(newPlanJSON(configPath, *to, res.Info, res.ChangedFuncs, delta), "", "  ")
-			if err != nil {
-				return err
-			}
-			fmt.Println(string(out))
-			return nil
-		}
-		fmt.Printf("incremental rebuild %s -> %s\n", planSource(), *to)
-		fmt.Print(res.Info.Summary())
-		if len(res.ChangedFuncs) == 0 {
-			fmt.Println("pipelet programs: all cached, none reloaded")
-		} else {
-			fmt.Printf("pipelet programs reloaded: %d\n", len(res.ChangedFuncs))
-			for _, pl := range res.ChangedFuncs {
-				fmt.Printf("  %s\n", pl)
-			}
-		}
-		adds, dels, mods := 0, 0, 0
-		for _, op := range delta {
-			switch op.Op {
-			case route.OpAdd:
-				adds++
-			case route.OpDel:
-				dels++
-			default:
-				mods++
-			}
-		}
-		fmt.Printf("branching delta: %d ops (%d add, %d del, %d mod)\n", len(delta), adds, dels, mods)
-		for _, op := range delta {
-			fmt.Printf("  %s\n", op)
-		}
-		return nil
-	}
 	if *jsonOut {
-		out, err := json.MarshalIndent(newPlanJSON(planSource(), "", d.LastBuild, nil, nil), "", "  ")
+		out, err := json.MarshalIndent(newPlanJSON(cmp.Or(configPath, "reference scenario"), d.LastBuild), "", "  ")
 		if err != nil {
 			return err
 		}
@@ -301,14 +247,6 @@ func writePlan(w io.Writer, d *core.Deployment, offered float64) {
 		offered, d.EffectiveThroughputGbps(offered))
 	fmt.Fprintln(w, "\nbuild pipeline:")
 	fmt.Fprint(w, d.LastBuild.Summary())
-}
-
-// planSource names the plan's starting configuration for reports.
-func planSource() string {
-	if configPath != "" {
-		return configPath
-	}
-	return "reference scenario"
 }
 
 func runTraffic(args []string) error {

@@ -55,9 +55,12 @@ func capture(t *testing.T, fn func() error) (string, error) {
 // alone. The rows hold no wall-clock reading: latencies
 // in `run` are the switch model's, `plan`'s text report has no stage
 // durations, and every "duration_ns" of `plan -json` is written and
-// compared as 0. The plan -to rows pin a live update's rebuild plan:
-// one adds a chain over placed NFs, one introduces a NAT that the
-// deploy's optimizer places around the live NFs. The chaos rows pin
+// compared as 0. The -config plan row plans the document's own
+// optimizer. The apply -dry-run rows pin a live update's rebuild plan
+// and write-set: one adds a chain over placed NFs, one introduces a NAT
+// that the deploy's optimizer places around the live NFs; a fresh dry
+// run refuses a loopback port off the front panel, as the apply does.
+// The chaos rows pin
 // the single-switch soak with its
 // transcript (every heal action), the 3-switch fabric soak for the
 // canonical seeds (seed 7 with its transcript too) and the soak of a
@@ -73,8 +76,10 @@ func TestCLIGolden(t *testing.T) {
 		{"plan -optimizer manual -loopback 16", "plan_manual_loopback16.txt", false},
 		{"plan -json", "plan.json", false},
 		{"-config ../../configs/edgecloud.json plan -json", "plan_edgecloud.json", false},
-		{"plan -to testdata/intent_add40.json", "plan_to_add40.txt", false},
-		{"-config testdata/intent_nat.json plan -to testdata/intent_nat_add50.json", "plan_to_nat_add50.txt", false},
+		{"-config ../../examples/intent/intent.json plan", "plan_intent.txt", false},
+		{"apply -from testdata/intent_add40_from.json -f testdata/intent_add40.json -dry-run", "apply_dryrun_add40.txt", false},
+		{"apply -from testdata/intent_nat.json -f testdata/intent_nat_add50.json -dry-run", "apply_dryrun_nat_add50.txt", false},
+		{"apply -f testdata/intent_loopback500.json -dry-run", "apply_dryrun_loopback500.txt", true},
 		{"lint -json", "lint_reference.json", false},
 		{"-config ../../configs/edgecloud.json lint -json", "lint_edgecloud.json", false},
 		{"-config ../../configs/lintdemo-bad.json lint -json", "lint_lintdemo-bad.json", true},
@@ -237,7 +242,6 @@ func TestSingleSwitchCommandsRefuseFabricDocument(t *testing.T) {
 		"-config " + fleet + " plan",
 		"-config " + fleet + " lint",
 		"-config " + fleet + " chaos",
-		"plan -to " + fleet,
 	} {
 		if _, err := runCLI(t, line); !errors.Is(err, errFabricDocument) {
 			t.Errorf("dejavu %s: error %v, want errFabricDocument", line, err)

@@ -119,9 +119,9 @@ type Deployment struct {
 	// LastDelta is the branching-table write-set the most recent build
 	// pushed: after Deploy, every entry of the initial program.
 	LastDelta []route.EntryOp
-	// LastReloads is the number of pipelet behavioural programs the most
-	// recent build actually reloaded — zero on a proved no-op rebuild.
-	LastReloads int
+	// LastReloaded lists the pipelets whose programs the most recent
+	// build actually reloaded — none on a proved no-op rebuild.
+	LastReloaded []asic.PipeletID
 	// Control records this deployment's builds and hot swaps, exported
 	// by RegisterMetrics.
 	Control *telemetry.Control
@@ -279,10 +279,6 @@ func Deploy(cfg Config) (*Deployment, error) {
 	if err := d.commit(st); err != nil {
 		return nil, err
 	}
-	if cfg.Telemetry {
-		d.Datapath = telemetry.NewDatapath(cfg.Prof.Pipelines)
-		sw.SetTelemetry(d.Datapath)
-	}
 	if cfg.Postcards {
 		d.Postcards = telemetry.NewPostcardLog(0)
 		st.next.Res.Composer.SetPostcardLog(d.Postcards)
@@ -291,7 +287,7 @@ func Deploy(cfg Config) (*Deployment, error) {
 }
 
 // adopt makes a build that reached the switch the deployment's state:
-// config, placement, plans and reports, together.
+// config, placement, plans, reports and datapath collector, together.
 func (d *Deployment) adopt(st *staged) {
 	res := st.next.Res
 	d.Config = st.cfg
@@ -304,7 +300,14 @@ func (d *Deployment) adopt(st *staged) {
 	d.Lint = res.Lint
 	d.LastBuild = res.Info
 	d.LastDelta = st.delta
-	d.LastReloads = len(res.ChangedFuncs)
+	d.LastReloaded = res.ChangedFuncs
+	if on := d.Config.Telemetry; on != (d.Datapath != nil) {
+		d.Datapath = nil
+		if on {
+			d.Datapath = telemetry.NewDatapath(d.Config.Prof.Pipelines)
+		}
+		d.Switch.SetTelemetry(d.Datapath)
+	}
 	d.Control.RecordBuild(res.Info.CacheHits, res.Info.CacheMisses, int64(res.Info.Duration))
 }
 

@@ -323,9 +323,9 @@ func TestIncrementalEquivalenceAfterChurn(t *testing.T) {
 			t.Fatalf("%s: dry run said %v, apply said %v", label, planErr, errD)
 		}
 		if errD == nil {
-			if len(planned) != len(d.LastDelta) || len(res.ChangedFuncs) != d.LastReloads {
+			if len(planned) != len(d.LastDelta) || len(res.ChangedFuncs) != len(d.LastReloaded) {
 				t.Errorf("%s: dry run planned %d entries / %d reloads, apply pushed %d / %d",
-					label, len(planned), len(res.ChangedFuncs), len(d.LastDelta), d.LastReloads)
+					label, len(planned), len(res.ChangedFuncs), len(d.LastDelta), len(d.LastReloaded))
 			}
 			for j, st := range d.LastBuild.Stages {
 				if p := res.Info.Stages[j]; p.Name != st.Name || p.CacheHit != st.CacheHit || p.Hash != st.Hash {

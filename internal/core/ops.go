@@ -23,20 +23,22 @@ import (
 // then — unless it is a dry run — committed.
 type Update struct {
 	Chains []route.Chain
-	// Pin, Optimizer, AnnealSeed and StrictLint replace the live
-	// Config's on commit. Changing the optimizer, the seed or the pin of
-	// a live NF the chains still use re-solves the whole placement
-	// (derivePlacement).
+	// Pin, Optimizer, AnnealSeed, StrictLint and Telemetry replace the
+	// live Config's on commit. A changed optimizer, seed or pin of a live
+	// NF the chains still use re-solves the whole placement
+	// (derivePlacement); a changed Telemetry toggles the collector.
 	Pin        map[string]asic.PipeletID
 	Optimizer  Optimizer
 	AnnealSeed int64
 	StrictLint bool
+	Telemetry  bool
 }
 
 // keep is the update to chains under the live settings.
 func (d *Deployment) keep(chains []route.Chain) Update {
 	c := d.Config
-	return Update{Chains: chains, Pin: c.Pin, Optimizer: c.Optimizer, AnnealSeed: c.AnnealSeed, StrictLint: c.StrictLint}
+	return Update{Chains: chains, Pin: c.Pin, Optimizer: c.Optimizer, AnnealSeed: c.AnnealSeed,
+		StrictLint: c.StrictLint, Telemetry: c.Telemetry}
 }
 
 // AddChain introduces a new service chain into the running deployment:
@@ -69,12 +71,6 @@ func (d *Deployment) RemoveChain(pathID uint16) error {
 // chain set in one hot swap under the live settings.
 func (d *Deployment) Reconfigure(chains []route.Chain) error {
 	return d.Apply(d.keep(chains))
-}
-
-// PlanReconfigure dry-runs Reconfigure. This is what `dejavu plan -to`
-// prints.
-func (d *Deployment) PlanReconfigure(chains []route.Chain) (*pipeline.Result, []route.EntryOp, error) {
-	return d.Plan(d.keep(chains))
 }
 
 // Apply stages u and commits it to the live switch.
@@ -117,7 +113,8 @@ func (d *Deployment) stage(u Update, placement *route.Placement) (*staged, error
 		return nil, fmt.Errorf("core: refusing to reconfigure to zero chains")
 	}
 	cfg := d.Config
-	cfg.Chains, cfg.Pin, cfg.Optimizer, cfg.AnnealSeed, cfg.StrictLint = u.Chains, u.Pin, u.Optimizer, u.AnnealSeed, u.StrictLint
+	cfg.Chains, cfg.Pin, cfg.Optimizer, cfg.AnnealSeed = u.Chains, u.Pin, u.Optimizer, u.AnnealSeed
+	cfg.StrictLint, cfg.Telemetry = u.StrictLint, u.Telemetry
 	for _, c := range cfg.Chains {
 		if err := c.Validate(); err != nil {
 			return nil, err

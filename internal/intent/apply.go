@@ -6,23 +6,25 @@ import (
 	"sync"
 	"time"
 
+	"dejavu/internal/asic"
 	"dejavu/internal/cluster"
 	"dejavu/internal/core"
 	"dejavu/internal/pipeline"
+	"dejavu/internal/route"
 	"dejavu/internal/telemetry"
 )
 
 // Options tunes one Apply call.
 type Options struct {
-	// DryRun computes the delta and the rebuild plan without touching
-	// any switch or the applier's recorded state.
+	// DryRun runs the converge up to its first write and reports what
+	// the apply would write; nothing live or recorded is touched.
 	DryRun bool
 }
 
 // Report is the structured outcome of one Apply: the semantic delta,
 // the convergence proof (pipeline cache statuses, write-set sizes) and
-// what actually happened. Its JSON shape is what `dejavu apply -json`
-// prints (docs/CLI.md).
+// what actually happened. Its JSON shape, plus the write-set the CLI
+// renders, is what `dejavu apply -json` prints (docs/CLI.md).
 type Report struct {
 	// Name and Hash identify the applied document.
 	Name string `json:"name,omitempty"`
@@ -56,6 +58,10 @@ type Report struct {
 	// every switch's controller committed. Both zero on a proved no-op.
 	DeltaEntries   int `json:"delta_entries"`
 	ProgramReloads int `json:"program_reloads"`
+	// ChangedPrograms and Delta are that write-set on one switch, a dry
+	// run's included, left to the printer to render; nil in fabric mode.
+	ChangedPrograms []asic.PipeletID `json:"-"`
+	Delta           []route.EntryOp  `json:"-"`
 	// Fabric-mode results: the switches the placement uses, the
 	// switches reprogrammed this apply, per-chain routes from the
 	// cost-based placer, chains the converge re-placed onto new
@@ -80,6 +86,12 @@ func (r *Report) Summary() string {
 	default:
 		return fmt.Sprintf("applied: %s; %d entries, %d program reloads", d.Summary(), r.DeltaEntries, r.ProgramReloads)
 	}
+}
+
+// wrote records a single-switch converge's build and write-set.
+func (r *Report) wrote(info pipeline.BuildInfo, programs []asic.PipeletID, delta []route.EntryOp) {
+	r.Build, r.ChangedPrograms, r.Delta = info, programs, delta
+	r.DeltaEntries, r.ProgramReloads = len(delta), len(programs)
 }
 
 // Applier converges deployments toward applied intent documents. It
@@ -153,8 +165,8 @@ func needsRedeploy(delta *Delta) bool {
 // difference — an unchanged document is a proved no-op (every pipeline
 // stage cached, zero branching entries, zero program reloads), and any
 // failure leaves both the recorded intent and the switch at the prior
-// state. With Options.DryRun the delta and rebuild plan are computed
-// against a cache copy and nothing is touched.
+// state. With Options.DryRun the converge stops before its first write
+// to anything live: a fresh deploy lands on a throwaway switch.
 func (a *Applier) Apply(doc *Document, opts Options) (*Report, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -212,31 +224,28 @@ func (a *Applier) Apply(doc *Document, opts Options) (*Report, error) {
 }
 
 // deploy builds the document fresh on a new switch — the initial apply
-// and every redeploy-forcing global change. A dry run proves the
-// document composes instead.
+// and every redeploy-forcing global change; a dry run deploys onto a
+// throwaway switch the applier does not adopt.
 func (a *Applier) deploy(doc *Document, rep *Report) error {
 	cfg, err := doc.BuildConfig()
 	if err != nil {
-		return err
-	}
-	if rep.DryRun {
-		_, _, err = core.Compose(*cfg, cfg.StrictLint)
 		return err
 	}
 	dep, err := core.Deploy(*cfg)
 	if err != nil {
 		return err
 	}
-	rep.Build, rep.DeltaEntries, rep.ProgramReloads = dep.LastBuild, len(dep.LastDelta), dep.LastReloads
-	a.dep, a.fab, a.frec = dep, nil, nil
+	rep.wrote(dep.LastBuild, dep.LastReloaded, dep.LastDelta)
+	if !rep.DryRun {
+		a.dep, a.fab, a.frec = dep, nil, nil
+	}
 	return nil
 }
 
 // update drives everything else through the live deployment's one
-// update path: the chain set and the hot-swappable settings go in
-// together, core keeps the placement or re-resolves it, and a dry run
-// stops before the first write. The telemetry collector is toggled in
-// place after the commit.
+// update path: the chain set and the hot-swappable settings, telemetry
+// included, go in together, core keeps the placement or re-resolves
+// it, and a dry run stops before the first write.
 func (a *Applier) update(doc *Document, rep *Report) error {
 	d := a.dep
 	u, err := doc.update(d.Config.Prof)
@@ -244,27 +253,17 @@ func (a *Applier) update(doc *Document, rep *Report) error {
 		return err
 	}
 	if rep.DryRun {
-		res, entryOps, err := d.Plan(u)
+		res, delta, err := d.Plan(u)
 		if err != nil {
 			return err
 		}
-		rep.Build, rep.DeltaEntries, rep.ProgramReloads = res.Info, len(entryOps), len(res.ChangedFuncs)
+		rep.wrote(res.Info, res.ChangedFuncs, delta)
 		return nil
 	}
 	if err := d.Apply(u); err != nil {
 		return err
 	}
-	if d.Config.Telemetry != doc.Telemetry {
-		if doc.Telemetry {
-			d.Datapath = telemetry.NewDatapath(d.Config.Prof.Pipelines)
-			d.Switch.SetTelemetry(d.Datapath)
-		} else {
-			d.Switch.SetTelemetry(nil)
-			d.Datapath = nil
-		}
-		d.Config.Telemetry = doc.Telemetry
-	}
-	rep.Build, rep.DeltaEntries, rep.ProgramReloads = d.LastBuild, len(d.LastDelta), d.LastReloads
+	rep.wrote(d.LastBuild, d.LastReloaded, d.LastDelta)
 	return nil
 }
 

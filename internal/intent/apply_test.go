@@ -346,7 +346,7 @@ func TestApplyDryRun(t *testing.T) {
 	a := NewApplier(nil)
 	doc := testDoc(t)
 
-	// A dry run before anything is applied proves the document composes.
+	// A dry run before anything is applied deploys onto a throwaway switch.
 	rep, err := a.Apply(doc, Options{DryRun: true})
 	if err != nil {
 		t.Fatalf("initial dry run: %v", err)

@@ -256,7 +256,7 @@ func (d *Document) update(prof asic.Profile) (core.Update, error) {
 	}
 	return core.Update{
 		Chains: d.RouteChains(), Pin: pin, Optimizer: opt,
-		AnnealSeed: d.AnnealSeed, StrictLint: d.StrictLint,
+		AnnealSeed: d.AnnealSeed, StrictLint: d.StrictLint, Telemetry: d.Telemetry,
 	}, nil
 }
 

@@ -9,8 +9,10 @@
 #   chaos -switches 3 -seed s -v -json for s in SEEDS (default 1..25),
 #   each with and without -config configs/edgecloud.json;
 #   run, plan, lint, emit and top, with and without that -config;
-#   plan -to examples/intent/intent.json and plan -to the CLI golden
-#   fixture that adds chain 40, with and without that -config;
+#   apply -dry-run to examples/intent/intent.json and to the CLI golden
+#   fixture that adds chain 40, each from that -config and from the
+#   fixture without chain 40 (the document form of the reference
+#   scenario);
 #   dvexp.
 # It prints every form that differs and exits 1 if any does.
 set -eu
@@ -18,9 +20,10 @@ set -eu
 base=${1:?usage: scripts/identity.sh BASE}
 seeds=${SEEDS:-$(seq 1 25)}
 config=configs/edgecloud.json
-# The working tree's copy of the fixture, so a BASE older than it reads
-# the same document.
+# The working tree's copies of the fixtures, so a BASE older than them
+# reads the same documents.
 add40=$(pwd)/cmd/dejavu/testdata/intent_add40.json
+from40=$(pwd)/cmd/dejavu/testdata/intent_add40_from.json
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
@@ -40,9 +43,13 @@ forms() {
 			echo "dejavu $cfg chaos -switches 3 -seed $s -v -json"
 		done
 	done
-	for cmd in run plan lint emit top "plan -to examples/intent/intent.json" "plan -to $add40"; do
+	for cmd in run plan lint emit top; do
 		echo "dejavu $cmd"
 		echo "dejavu -config $config $cmd"
+	done
+	for to in examples/intent/intent.json "$add40"; do
+		echo "dejavu apply -from $from40 -f $to -dry-run"
+		echo "dejavu apply -from $config -f $to -dry-run"
 	done
 	echo "dvexp"
 }
