@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"time"
@@ -103,12 +102,7 @@ func runApply(args []string) error {
 		if re != nil {
 			out.NoopReapply = newReportJSON(re)
 		}
-		js, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(js))
-		return nil
+		return printJSON(out)
 	}
 	printApplyReport(rep)
 	if re != nil {
@@ -213,12 +207,7 @@ func runDiff(args []string) error {
 			Summary: delta.Summary(), Empty: delta.Empty(),
 			Actions: delta.Actions, Global: delta.Global,
 		}
-		js, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(js))
-		return nil
+		return printJSON(out)
 	}
 	fmt.Println(delta.Summary())
 	for _, act := range delta.Actions {

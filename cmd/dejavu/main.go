@@ -185,6 +185,16 @@ type stageJSON struct {
 	DurationNS int64  `json:"duration_ns"`
 }
 
+// printJSON writes v to stdout as indented JSON: the one writer of every
+// -json report. '<', '>' and '&' stay themselves, so a chaos transcript
+// reads "wire 0:10 -> 1:10", not "-\u003e".
+func printJSON(v any) error {
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetEscapeHTML(false)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
 func newPlanJSON(from string, info pipeline.BuildInfo) planJSON {
 	out := planJSON{From: from, CacheHits: info.CacheHits, CacheMisses: info.CacheMisses,
 		ChangedPrograms: []string{}, Delta: []opJSON{}}
@@ -209,12 +219,7 @@ func runPlan(args []string) error {
 		return err
 	}
 	if *jsonOut {
-		out, err := json.MarshalIndent(newPlanJSON(cmp.Or(configPath, "reference scenario"), d.LastBuild), "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(out))
-		return nil
+		return printJSON(newPlanJSON(cmp.Or(configPath, "reference scenario"), d.LastBuild))
 	}
 	writePlan(os.Stdout, d, *offered)
 	return nil
@@ -392,11 +397,9 @@ func runChaos(args []string) error {
 		res.Log = nil
 	}
 	if *jsonOut {
-		out, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
+		if err := printJSON(res); err != nil {
 			return err
 		}
-		fmt.Println(string(out))
 	} else {
 		if *verbose {
 			for _, line := range res.Log {

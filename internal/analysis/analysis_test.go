@@ -257,7 +257,9 @@ func TestHotpathAnnotationCoversChain(t *testing.T) {
 		"dejavu/internal/mau.(Hit).Param",
 		"dejavu/internal/mau.(LPM32).Lookup",
 		"dejavu/internal/mau.(TernaryTable).Lookup",
-		"dejavu/internal/packet.(FiveTuple).Hash",
+		"dejavu/internal/packet.(Parsed).FlowWords",
+		"dejavu/internal/packet.(IPv4).FlowWords",
+		"dejavu/internal/packet.FlowHash",
 		// The word-wide kernels under them, and the burst tally.
 		"dejavu/internal/mau.(exactSlot).load",
 		"dejavu/internal/mau.(bitmap256).rank",
@@ -301,6 +303,9 @@ func TestRealTreeHotAnnotations(t *testing.T) {
 		"dejavu/internal/mau.(TernaryTable).Lookup",
 		"dejavu/internal/mau.(TernaryTable).LookupWords",
 		"dejavu/internal/packet.(FiveTuple).Hash",
+		"dejavu/internal/packet.(Parsed).FlowWords",
+		"dejavu/internal/packet.(IPv4).FlowWords",
+		"dejavu/internal/packet.FlowHash",
 		"dejavu/internal/asic.(Switch).InjectQuietBatch",
 		"dejavu/internal/asic.(Ctx).Tally",
 		// Reached through asic.TallySink, an interface the graph does not

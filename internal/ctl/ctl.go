@@ -10,6 +10,7 @@ package ctl
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"dejavu/internal/asic"
@@ -130,7 +131,7 @@ func (c *Controller) HandlePacketIn(pkt *packet.Parsed) (reinject bool, err erro
 // reinjected, it would never leave the CPU queue, and mapped afresh every
 // round it would eat the NAT table.
 func (c *Controller) handle(lb *nf.LoadBalancer, nat *nf.NAT, chains *route.Branching, pkt *packet.Parsed, t *tally) (reinject bool, err error) {
-	ft, ok := pkt.FiveTuple()
+	k0, k1, ok := pkt.FlowWords()
 	if path := pkt.SFC.ServicePathID; ok && path != 0 && chains != nil {
 		_, ok = chains.ChainIndex(path) // false: the chain was removed
 	}
@@ -140,9 +141,9 @@ func (c *Controller) handle(lb *nf.LoadBalancer, nat *nf.NAT, chains *route.Bran
 	}
 
 	// LB session miss: the destination still names a VIP.
-	if lb != nil && lb.IsVIP(ft.Dst) {
-		hash := ft.Hash()
-		backend, err := lb.SelectBackend(ft.Dst, hash)
+	if dst := pkt.IPv4.Dst; lb != nil && lb.IsVIP(dst) {
+		hash := packet.FlowHash(k0, k1)
+		backend, err := lb.SelectBackend(dst, hash)
 		if err != nil {
 			return false, err
 		}
@@ -154,14 +155,16 @@ func (c *Controller) handle(lb *nf.LoadBalancer, nat *nf.NAT, chains *route.Bran
 	}
 
 	// NAT miss: allocate a public port. The allocator moves on only once
-	// the mapping is in, so a failed install costs no port.
-	if nat != nil && !nat.HasMapping(ft.Src, ft.SrcPort, ft.Proto) {
+	// the mapping is in, so a failed install costs no port. The source
+	// port is the one the flow words carry, big-endian in k1's bytes 1–2.
+	src, sport, proto := pkt.IPv4.Src, bits.ReverseBytes16(uint16(k1>>8)), pkt.IPv4.Protocol
+	if nat != nil && !nat.HasMapping(src, sport, proto) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		if c.natNextPort > 0xFFFF {
 			return false, ErrNATPortsExhausted
 		}
-		if err := nat.InstallMapping(ft.Src, ft.SrcPort, ft.Proto, uint16(c.natNextPort)); err != nil {
+		if err := nat.InstallMapping(src, sport, proto, uint16(c.natNextPort)); err != nil {
 			return false, fmt.Errorf("ctl: nat install: %w", err)
 		}
 		c.natNextPort++

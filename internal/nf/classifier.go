@@ -3,7 +3,6 @@ package nf
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 
 	"dejavu/internal/mau"
 	"dejavu/internal/nsh"
@@ -29,17 +28,10 @@ type Classifier struct {
 }
 
 // classKeyLen is the ternary key layout:
-// srcIP(4) dstIP(4) proto(1) srcPort(2) dstPort(2).
+// srcIP(4) dstIP(4) proto(1) srcPort(2) dstPort(2) — the wire order of
+// the flow key, so the classifier and the firewall match on
+// packet.Parsed.FlowWords as it comes.
 const classKeyLen = 13
-
-// classKey lays a five-tuple out as the ternary key the classifier and
-// the firewall match on, packed as mau.TernaryTable.LookupWords takes
-// it: the addresses in the first word, protocol and ports in the second.
-func classKey(ft packet.FiveTuple) (k0, k1 uint64) {
-	k0 = uint64(binary.LittleEndian.Uint32(ft.Src[:])) | uint64(binary.LittleEndian.Uint32(ft.Dst[:]))<<32
-	k1 = uint64(ft.Proto) | uint64(bits.ReverseBytes16(ft.SrcPort))<<8 | uint64(bits.ReverseBytes16(ft.DstPort))<<24
-	return k0, k1
-}
 
 // classRule lays a rule's match out in the same key layout; a zero port
 // is a wildcard.
@@ -117,8 +109,7 @@ func (c *Classifier) Execute(hdr *packet.Parsed) {
 	}
 	path, index := c.defaultPath, c.defaultIndex
 	var tenant uint16
-	if ft, ok := hdr.FiveTuple(); ok {
-		k0, k1 := classKey(ft)
+	if k0, k1, ok := hdr.FlowWords(); ok {
 		if e := c.rules.LookupWords(k0, k1, classKeyLen); e != nil {
 			path = uint16(e.Params[0])
 			index = uint8(e.Params[1])

@@ -1,6 +1,8 @@
 package nf
 
 import (
+	"encoding/binary"
+
 	"dejavu/internal/mau"
 	"dejavu/internal/nsh"
 	"dejavu/internal/p4"
@@ -37,9 +39,20 @@ func NewNAT(publicIP packet.IP4, sessionCapacity int) *NAT {
 // Name implements NF.
 func (n *NAT) Name() string { return "nat" }
 
-// natKey builds the session key.
-func natKey(src packet.IP4, port uint16, proto uint8) [7]byte {
-	return [7]byte{src[0], src[1], src[2], src[3], byte(port >> 8), byte(port), proto}
+// natKeyLen is the session key layout: srcIP(4) srcPort(2) proto(1).
+const natKeyLen = 7
+
+// natKey builds the session key from a flow's word-form key
+// (packet.Parsed.FlowWords) in one store; the key is its first
+// natKeyLen bytes.
+func natKey(k0, k1 uint64) (key [8]byte) {
+	binary.LittleEndian.PutUint64(key[:], uint64(uint32(k0))|(k1&0xFFFF00)<<24|(k1&0xFF)<<48)
+	return key
+}
+
+// natTupleKey is natKey of a control-plane (src, port, proto) triple.
+func natTupleKey(src packet.IP4, port uint16, proto uint8) [8]byte {
+	return natKey(packet.FiveTuple{Src: src, SrcPort: port, Proto: proto}.Words())
 }
 
 // InstallMapping installs a translation (src,port,proto) -> publicPort
@@ -55,8 +68,8 @@ func (n *NAT) InstallMapping(src packet.IP4, srcPort uint16, proto uint8, public
 	}); err != nil {
 		return err
 	}
-	key := natKey(src, srcPort, proto)
-	if err := n.sessions.Insert(key[:], mau.Entry{Action: "translate", Params: []uint64{uint64(publicPort)}}); err != nil {
+	key := natTupleKey(src, srcPort, proto)
+	if err := n.sessions.Insert(key[:natKeyLen], mau.Entry{Action: "translate", Params: []uint64{uint64(publicPort)}}); err != nil {
 		n.reverseTbl.Delete(rev[:])
 		return err
 	}
@@ -65,8 +78,8 @@ func (n *NAT) InstallMapping(src packet.IP4, srcPort uint16, proto uint8, public
 
 // HasMapping reports whether (src,port,proto) has a translation.
 func (n *NAT) HasMapping(src packet.IP4, srcPort uint16, proto uint8) bool {
-	key := natKey(src, srcPort, proto)
-	return n.sessions.Has(key[:])
+	key := natTupleKey(src, srcPort, proto)
+	return n.sessions.Has(key[:natKeyLen])
 }
 
 // Mappings returns the number of installed translations.
@@ -76,12 +89,12 @@ func (n *NAT) Mappings() int { return n.sessions.Len() }
 //
 //dv:hotpath
 func (n *NAT) Execute(hdr *packet.Parsed) {
-	ft, ok := hdr.FiveTuple()
+	k0, k1, ok := hdr.FlowWords()
 	if !ok {
 		return
 	}
-	key := natKey(ft.Src, ft.SrcPort, ft.Proto)
-	e, hit := n.sessions.Lookup(key[:])
+	key := natKey(k0, k1)
+	e, hit := n.sessions.Lookup(key[:natKeyLen])
 	if !hit {
 		hdr.SFC.Meta.Set(nsh.FlagToCPU)
 		return

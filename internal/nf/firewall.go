@@ -56,18 +56,15 @@ func (f *Firewall) Rules() int { return f.acl.Len() }
 //
 //dv:hotpath
 func (f *Firewall) Execute(hdr *packet.Parsed) {
-	ft, ok := hdr.FiveTuple()
-	if !ok {
-		// Non-TCP/UDP traffic (e.g. ICMP) is evaluated with zero ports.
-		if !hdr.Valid(packet.HdrIPv4) {
-			if !f.DefaultPermit {
-				hdr.SFC.Meta.Set(nsh.FlagDrop)
-			}
-			return
+	// Non-TCP/UDP traffic (e.g. ICMP) is evaluated with the zero ports
+	// its flow words carry.
+	k0, k1, ok := hdr.FlowWords()
+	if !ok && !hdr.Valid(packet.HdrIPv4) {
+		if !f.DefaultPermit {
+			hdr.SFC.Meta.Set(nsh.FlagDrop)
 		}
-		ft = packet.FiveTuple{Src: hdr.IPv4.Src, Dst: hdr.IPv4.Dst, Proto: hdr.IPv4.Protocol}
+		return
 	}
-	k0, k1 := classKey(ft)
 	permit := f.DefaultPermit
 	if e := f.acl.LookupWords(k0, k1, classKeyLen); e != nil {
 		permit = e.Params[0] != 0

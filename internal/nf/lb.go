@@ -1,6 +1,7 @@
 package nf
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"dejavu/internal/mau"
@@ -85,13 +86,13 @@ func (lb *LoadBalancer) SelectBackend(vip packet.IP4, hash uint32) (packet.IP4, 
 //
 //dv:hotpath
 func (lb *LoadBalancer) Execute(hdr *packet.Parsed) {
-	ft, ok := hdr.FiveTuple()
-	if !ok || !lb.IsVIP(ft.Dst) {
+	k0, k1, ok := hdr.FlowWords()
+	if !ok || !lb.vips.Has(hdr.IPv4.Dst[:]) {
 		return
 	}
-	key := u32Key(ft.Hash())
+	key := u32Key(packet.FlowHash(k0, k1))
 	if s, hit := lb.sessions.Lookup(key[:]); hit {
-		hdr.IPv4.Dst = packet.IP4FromUint32(uint32(s.Param(0)))
+		binary.BigEndian.PutUint32(hdr.IPv4.Dst[:], uint32(s.Param(0)))
 		return
 	}
 	hdr.SFC.Meta.Set(nsh.FlagToCPU)

@@ -20,6 +20,8 @@
 package nf
 
 import (
+	"encoding/binary"
+
 	"dejavu/internal/p4"
 	"dejavu/internal/packet"
 )
@@ -98,7 +100,9 @@ func macParam(m packet.MAC) uint64 {
 	return uint64(m[0])<<40 | uint64(m[1])<<32 | uint64(m[2])<<24 | uint64(m[3])<<16 | uint64(m[4])<<8 | uint64(m[5])
 }
 
-// paramMAC unpacks macParam.
-func paramMAC(v uint64) packet.MAC {
-	return packet.MAC{byte(v >> 40), byte(v >> 32), byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}
+// putMAC unpacks macParam into m in place: two stores into the header,
+// not a 6-byte temporary that the copy into it would have to wait for.
+func putMAC(m *packet.MAC, v uint64) {
+	binary.BigEndian.PutUint32(m[:4], uint32(v>>16))
+	binary.BigEndian.PutUint16(m[4:], uint16(v))
 }

@@ -70,8 +70,8 @@ func (r *Router) Execute(hdr *packet.Parsed) {
 		hdr.SFC.Meta.Set(nsh.FlagToCPU) // no route: punt for ICMP unreachable
 		return
 	}
-	hdr.Eth.Dst = paramMAC(e.Params[1])
-	hdr.Eth.Src = paramMAC(e.Params[2])
+	putMAC(&hdr.Eth.Dst, e.Params[1])
+	putMAC(&hdr.Eth.Src, e.Params[2])
 	hdr.IPv4.TTL--
 	hdr.SFC.Meta.OutPort = uint16(e.Params[0])
 }

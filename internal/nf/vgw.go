@@ -1,6 +1,8 @@
 package nf
 
 import (
+	"encoding/binary"
+
 	"dejavu/internal/mau"
 	"dejavu/internal/nsh"
 	"dejavu/internal/p4"
@@ -115,14 +117,11 @@ func (v *VGW) maybeEncap(hdr *packet.Parsed) {
 	if !ok {
 		return
 	}
-	e := EncapEntry{
-		VNI:      uint32(hit.Param(0)),
-		RemoteIP: packet.IP4FromUint32(uint32(hit.Param(1))),
-		NextMAC:  paramMAC(hit.Param(2)),
-	}
+	vni := uint32(hit.Param(0))
 	// Demote the current stack to inner.
 	hdr.InnerIPv4 = hdr.IPv4
-	hdr.InnerEth = packet.Ethernet{Dst: e.NextMAC, Src: v.LocalMAC, EtherType: packet.EtherTypeIPv4}
+	putMAC(&hdr.InnerEth.Dst, hit.Param(2))
+	hdr.InnerEth.Src, hdr.InnerEth.EtherType = v.LocalMAC, packet.EtherTypeIPv4
 	hdr.SetValid(packet.HdrInnerEth | packet.HdrInnerIPv4)
 	switch {
 	case hdr.Valid(packet.HdrTCP):
@@ -134,25 +133,26 @@ func (v *VGW) maybeEncap(hdr *packet.Parsed) {
 		hdr.SetValid(packet.HdrInnerUDP)
 	}
 	// Build the outer stack.
-	hdr.IPv4 = packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP, Src: v.LocalVTEP, Dst: e.RemoteIP}
+	hdr.IPv4 = packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP, Src: v.LocalVTEP}
+	binary.BigEndian.PutUint32(hdr.IPv4.Dst[:], uint32(hit.Param(1)))
 	hdr.UDP = packet.UDP{SrcPort: vxlanSrcPort(hdr), DstPort: packet.VXLANPort}
-	hdr.VXLAN = packet.VXLAN{VNIValid: true, VNI: e.VNI}
+	hdr.VXLAN = packet.VXLAN{VNIValid: true, VNI: vni}
 	hdr.SetValid(packet.HdrUDP | packet.HdrVXLAN)
 	if hdr.Valid(packet.HdrSFC) {
-		hdr.SFC.SetContext(nsh.KeyVNI, uint16(e.VNI&0xFFFF))
+		hdr.SFC.SetContext(nsh.KeyVNI, uint16(vni&0xFFFF))
 	}
 }
 
 // vxlanSrcPort derives the outer UDP source port from the inner flow
 // hash for ECMP entropy, as VTEPs conventionally do.
 func vxlanSrcPort(hdr *packet.Parsed) uint16 {
-	ft := packet.FiveTuple{Src: hdr.InnerIPv4.Src, Dst: hdr.InnerIPv4.Dst, Proto: hdr.InnerIPv4.Protocol}
+	var sport, dport uint16
 	if hdr.Valid(packet.HdrInnerTCP) {
-		ft.SrcPort, ft.DstPort = hdr.InnerTCP.SrcPort, hdr.InnerTCP.DstPort
+		sport, dport = hdr.InnerTCP.SrcPort, hdr.InnerTCP.DstPort
 	} else if hdr.Valid(packet.HdrInnerUDP) {
-		ft.SrcPort, ft.DstPort = hdr.InnerUDP.SrcPort, hdr.InnerUDP.DstPort
+		sport, dport = hdr.InnerUDP.SrcPort, hdr.InnerUDP.DstPort
 	}
-	return 0xC000 | uint16(ft.Hash()&0x3FFF)
+	return 0xC000 | uint16(packet.FlowHash(hdr.InnerIPv4.FlowWords(sport, dport))&0x3FFF)
 }
 
 // VNIs returns the number of authorized VNIs.

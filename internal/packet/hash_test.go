@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"encoding/binary"
 	"hash/crc32"
 	"math/rand"
 	"testing"
@@ -81,11 +82,78 @@ func FuzzFiveTupleHash(f *testing.F) {
 	})
 }
 
+// flowHeaders are the validity bits flowPacket draws from; the fuzzer
+// sets any subset of them, so TCP beside UDP and ports without IPv4
+// are covered as well as the four stacks a parser produces.
+var flowHeaders = [...]HeaderBit{HdrIPv4, HdrTCP, HdrUDP, HdrICMP}
+
+// flowPacket is a header vector with the given addresses, protocol and
+// TCP ports, UDP ports that differ from them, and the headers of
+// flowHeaders whose bit is set in hdrs.
+func flowPacket(src, dst uint32, proto uint8, sport, dport uint16, hdrs uint8) *Parsed {
+	p := &Parsed{}
+	p.IPv4.Src, p.IPv4.Dst, p.IPv4.Protocol = IP4FromUint32(src), IP4FromUint32(dst), proto
+	p.TCP.SrcPort, p.TCP.DstPort = sport, dport
+	p.UDP.SrcPort, p.UDP.DstPort = ^dport, sport+1
+	for i, h := range flowHeaders {
+		if hdrs&(1<<i) != 0 {
+			p.SetValid(h)
+		}
+	}
+	return p
+}
+
+// checkFlowWords holds the word-form key to the tuple FiveTuple
+// returns: the words are that tuple's 13 wire bytes read little-endian,
+// ok agrees, and FlowHash is hash/crc32's checksum of those bytes.
+func checkFlowWords(t *testing.T, p *Parsed) {
+	t.Helper()
+	ft, ftOK := p.FiveTuple()
+	key := tupleKey(ft)
+	var w [16]byte
+	copy(w[:], key)
+	want0, want1 := binary.LittleEndian.Uint64(w[:8]), binary.LittleEndian.Uint64(w[8:])
+	k0, k1, ok := p.FlowWords()
+	if k0 != want0 || k1 != want1 || ok != ftOK {
+		t.Fatalf("%v FlowWords = %#x, %#x, %v; FiveTuple %+v, %v has words %#x, %#x", p, k0, k1, ok, ft, ftOK, want0, want1)
+	}
+	if got, want := FlowHash(k0, k1), crc32.ChecksumIEEE(key); got != want {
+		t.Fatalf("FlowHash(%#x, %#x) = %#x, hash/crc32 says %#x", k0, k1, got, want)
+	}
+}
+
+func TestFlowWordsMatchFiveTuple(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 20_000; i++ {
+		checkFlowWords(t, flowPacket(rng.Uint32(), rng.Uint32(), uint8(rng.Intn(256)),
+			uint16(rng.Intn(1<<16)), uint16(rng.Intn(1<<16)), uint8(rng.Intn(1<<len(flowHeaders)))))
+	}
+}
+
+// FuzzFlowWords: the word-form key and its hash agree with FiveTuple
+// and hash/crc32 on TCP, UDP, ICMP and non-IPv4 header vectors.
+func FuzzFlowWords(f *testing.F) {
+	f.Add(uint32(0xC6336440), uint32(0xCB007150), ProtoTCP, uint16(40000), uint16(443), uint8(0b0011)) // TCP
+	f.Add(uint32(0x0A000205), uint32(0xAC100009), ProtoUDP, uint16(4789), uint16(53), uint8(0b0101))   // UDP
+	f.Add(uint32(0x0A000001), uint32(0x0A000002), ProtoICMP, uint16(0), uint16(0), uint8(0b1001))      // ICMP
+	f.Add(^uint32(0), ^uint32(0), uint8(255), uint16(65535), uint16(65535), uint8(0b0110))             // no IPv4
+	f.Fuzz(func(t *testing.T, src, dst uint32, proto uint8, sport, dport uint16, hdrs uint8) {
+		checkFlowWords(t, flowPacket(src, dst, proto, sport, dport, hdrs))
+	})
+}
+
 func TestFiveTupleHashDoesNotAllocate(t *testing.T) {
 	ft := FiveTuple{Src: IP4{1, 2, 3, 4}, Dst: IP4{5, 6, 7, 8}, Proto: ProtoTCP, SrcPort: 9, DstPort: 10}
+	p := flowPacket(0x01020304, 0x05060708, ProtoTCP, 9, 10, 0b0011)
 	var sink uint32
 	if n := testing.AllocsPerRun(1000, func() { sink += ft.Hash() }); n != 0 {
 		t.Errorf("Hash allocates %.1f times per call", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		k0, k1, _ := p.FlowWords()
+		sink += FlowHash(k0, k1)
+	}); n != 0 {
+		t.Errorf("FlowWords+FlowHash allocates %.1f times per call", n)
 	}
 	_ = sink
 }

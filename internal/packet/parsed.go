@@ -474,20 +474,73 @@ func (p *Parsed) FiveTuple() (ft FiveTuple, ok bool) {
 	return ft, true
 }
 
-// Hash returns the CRC-32 (IEEE) of the five-tuple in wire order,
-// matching the sessionHash computation in the paper's LB example
-// (Fig. 4): the 13 key bytes folded as three words — source,
-// destination, protocol with the ports' first three bytes — and the
+// FlowWords is the outer flow key in word form — the 13 wire bytes
+// source, destination, protocol, source port, destination port (ports
+// big-endian) packed little-endian into two words, k0 holding the
+// addresses and k1 the rest — read straight from the header fields.
+// It is the key FiveTuple returns, in the form the ternary tables
+// (mau.TernaryTable.LookupWords) and FlowHash take, without a 13-byte
+// copy on the stack that the next read would have to wait for. When
+// IPv4 is valid but neither TCP nor UDP is, the words carry zero ports
+// and ok is false; without IPv4 they are zero.
+//
+//dv:hotpath
+func (p *Parsed) FlowWords() (k0, k1 uint64, ok bool) {
+	if !p.Valid(HdrIPv4) {
+		return 0, 0, false
+	}
+	var sport, dport uint16
+	switch {
+	case p.Valid(HdrTCP):
+		sport, dport, ok = p.TCP.SrcPort, p.TCP.DstPort, true
+	case p.Valid(HdrUDP):
+		sport, dport, ok = p.UDP.SrcPort, p.UDP.DstPort, true
+	}
+	k0, k1 = p.IPv4.FlowWords(sport, dport)
+	return k0, k1, ok
+}
+
+// FlowWords is the word-form flow key (Parsed.FlowWords) of this
+// header's addresses and protocol with the given ports: the VXLAN
+// encap reads the inner stack's key through it.
+//
+//dv:hotpath
+func (h *IPv4) FlowWords(sport, dport uint16) (k0, k1 uint64) {
+	return flowWords(binary.LittleEndian.Uint32(h.Src[:]), binary.LittleEndian.Uint32(h.Dst[:]), h.Protocol, sport, dport)
+}
+
+// Words returns the tuple's word-form flow key (Parsed.FlowWords).
+func (ft FiveTuple) Words() (k0, k1 uint64) {
+	return flowWords(binary.LittleEndian.Uint32(ft.Src[:]), binary.LittleEndian.Uint32(ft.Dst[:]), ft.Proto, ft.SrcPort, ft.DstPort)
+}
+
+// flowWords packs the key; src and dst are the addresses' wire bytes
+// read little-endian.
+func flowWords(src, dst uint32, proto uint8, sport, dport uint16) (k0, k1 uint64) {
+	k0 = uint64(src) | uint64(dst)<<32
+	k1 = uint64(proto) | uint64(bits.ReverseBytes16(sport))<<8 | uint64(bits.ReverseBytes16(dport))<<24
+	return k0, k1
+}
+
+// Hash returns the tuple's FlowHash.
+//
+//dv:hotpath
+func (ft FiveTuple) Hash() uint32 { return FlowHash(ft.Words()) }
+
+// FlowHash returns the CRC-32 (IEEE) of a word-form flow key's 13 wire
+// bytes, matching the sessionHash computation in the paper's LB example
+// (Fig. 4): the key folded as three words — source, destination, then
+// protocol with the ports' first three bytes (k1's low half) — and the
 // last port byte. It does not call crc32.ChecksumIEEE: that goes
 // through an architecture-dispatch function variable, which makes a key
 // on the caller's stack escape to the heap — one allocation per packet.
 //
 //dv:hotpath
-func (ft FiveTuple) Hash() uint32 {
-	crc := crcWord(^uint32(0), binary.LittleEndian.Uint32(ft.Src[:]))
-	crc = crcWord(crc, binary.LittleEndian.Uint32(ft.Dst[:]))
-	crc = crcWord(crc, uint32(ft.Proto)|uint32(bits.ReverseBytes16(ft.SrcPort))<<8|uint32(ft.DstPort>>8)<<24)
-	return ^(crcSlice[0][byte(crc)^byte(ft.DstPort)] ^ crc>>8)
+func FlowHash(k0, k1 uint64) uint32 {
+	crc := crcWord(^uint32(0), uint32(k0))
+	crc = crcWord(crc, uint32(k0>>32))
+	crc = crcWord(crc, uint32(k1))
+	return ^(crcSlice[0][byte(crc)^byte(k1>>32)] ^ crc>>8)
 }
 
 // crcSlice are the slicing-by-4 tables of the reflected IEEE

@@ -41,12 +41,12 @@ func Forwarder(prof asic.Profile, opts ForwarderOpts) asic.StageFunc {
 			return
 		}
 		c.Pkt.IPv4.TTL--
-		ft, ok := c.Pkt.FiveTuple()
+		k0, k1, ok := c.Pkt.FlowWords()
 		if !ok {
 			c.Meta.Drop = true
 			return
 		}
-		c.Meta.OutPort = asic.PortID(ft.Hash() % ports)
+		c.Meta.OutPort = asic.PortID(packet.FlowHash(k0, k1) % ports)
 	}
 }
 
