@@ -207,6 +207,7 @@ func TestHotpathAnnotationCoversInjectQuiet(t *testing.T) {
 		for _, fn := range []string{
 			root,
 			"dejavu/internal/asic.(Switch).inject",
+			"dejavu/internal/asic.(Trace).resetQuiet",
 			"dejavu/internal/asic.(Switch).admit",
 			"dejavu/internal/asic.(Switch).run",
 			"dejavu/internal/asic.(Switch).emit",
@@ -243,9 +244,11 @@ func TestHotpathAnnotationCoversChain(t *testing.T) {
 		root,
 		"dejavu/internal/compose.applyBranching",
 		"dejavu/internal/compose.checkSFCFlags",
-		"dejavu/internal/compose.(Runtime).nextNF",
+		// The chain is resolved once per traversal and what it resolved
+		// handed to check_nextNF, the path counter and the branching.
+		"dejavu/internal/compose.(Runtime).chain",
 		"dejavu/internal/route.(Branching).ChainIndex",
-		"dejavu/internal/route.(Branching).Decide",
+		"dejavu/internal/route.(Branching).DecideAt",
 		"dejavu/internal/nf.(Classifier).Execute",
 		"dejavu/internal/nf.(Firewall).Execute",
 		"dejavu/internal/nf.(VGW).Execute",
@@ -295,6 +298,10 @@ func TestRealTreeHotAnnotations(t *testing.T) {
 		"dejavu/internal/compose.(pipelet).run",
 		"dejavu/internal/route.(Branching).ChainIndex",
 		"dejavu/internal/route.(Branching).Decide",
+		"dejavu/internal/route.(Branching).DecideAt",
+		"dejavu/internal/compose.(Runtime).chain",
+		"dejavu/internal/compose.(Runtime).countPath",
+		"dejavu/internal/asic.(Trace).resetQuiet",
 		"dejavu/internal/mau.(ExactTable).Lookup",
 		"dejavu/internal/mau.(ExactTable).Has",
 		"dejavu/internal/mau.(exactSlot).load",

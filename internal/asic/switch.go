@@ -936,6 +936,17 @@ func (s *Switch) InjectQuietBatch(in PortID, pkts []*packet.Parsed) BatchResult 
 	return s.inject(in, pkts, &tr, nil, nil)
 }
 
+// resetQuiet readies a quiet trace for the next packet. A quiet trace
+// never records, so its slices stay nil and only the scalars the
+// previous packet wrote need clearing.
+//
+//dv:hotpath
+func (tr *Trace) resetQuiet() {
+	tr.Resubmissions, tr.Recirculations, tr.Latency = 0, 0, 0
+	tr.Dropped, tr.DropReason, tr.DropCode = false, "", telemetry.DropNone
+	tr.quiet, tr.emitCount, tr.cpuCount = true, 0, 0
+}
+
 // refuse marks the trace of a packet refused at the port.
 func (tr *Trace) refuse(err error) {
 	tr.Dropped, tr.DropCode, tr.DropReason = true, telemetry.DropRefused, err.Error()
@@ -1005,7 +1016,7 @@ func (s *Switch) inject(in PortID, pkts []*packet.Parsed, quiet *Trace, block []
 		}
 		tr := quiet
 		if block == nil {
-			*tr = Trace{quiet: true}
+			tr.resetQuiet()
 		} else {
 			t := &block[i]
 			tr = &t.Trace

@@ -229,6 +229,12 @@ func (c *Composer) pipeletFunc(pl asic.PipeletID, nfs []nf.NF, mode route.Mode) 
 // must visit next for as long as they are hosted here (check_nextNF),
 // translate SFC flags after each (check_sfcFlags), then branch.
 //
+// The traversal resolves its packet's chain once, as a P4 program
+// carries a table's result to later stages in metadata: path is the
+// path ID last resolved, ci its chain index in rt and next that chain's
+// check_nextNF row. Only an NF that rewrites the path ID (the
+// classifier stamping one, or any other) makes it resolve again.
+//
 //dv:hotpath
 func (p *pipelet) run(ctx *asic.Ctx) {
 	rt := runtimeOf(ctx)
@@ -241,6 +247,10 @@ func (p *pipelet) run(ctx *asic.Ctx) {
 		hdr.SFC.Meta.InPort = uint16(ctx.Meta.InPort) & 0xFFF
 		hdr.SFC.Meta.OutPort = nsh.OutPortUnset
 	}
+	path, ci, next := hdr.SFC.ServicePathID, -1, []uint8(nil)
+	if path != 0 { // reserved for unclassified traffic: no chain declares it
+		ci, next = rt.chain(path)
+	}
 
 	for {
 		// Untagged packets go to the classifier; tagged packets consult
@@ -248,7 +258,11 @@ func (p *pipelet) run(ctx *asic.Ctx) {
 		wasFresh := fresh(hdr)
 		id := p.classifier
 		if !wasFresh {
-			id = rt.nextNF(hdr.SFC.ServicePathID, hdr.SFC.ServiceIndex)
+			// check_nextNF: one byte of the chain's row (0 past its end).
+			id = 0
+			if i := int(hdr.SFC.ServiceIndex); i < len(next) {
+				id = next[i]
+			}
 		}
 		if int(id) >= len(p.slotOf) {
 			break
@@ -263,9 +277,13 @@ func (p *pipelet) run(ctx *asic.Ctx) {
 		if i := p.placed[ran].telIdx; !ctx.Tally(nfCell(i)) {
 			rt.telemetry.addNF(i, ctx.Shard(), 1)
 		}
+		if hdr.SFC.ServicePathID != path {
+			path = hdr.SFC.ServicePathID
+			ci, next = rt.chain(path)
+		}
 		if wasFresh && hdr.Valid(sfcBit) {
 			// The classifier just stamped a path.
-			rt.countPath(hdr.SFC.ServicePathID, ctx)
+			rt.countPath(ci, path, ctx)
 		}
 		// check_sfcFlags: translate SFC header flags to platform
 		// metadata after every NF (§3.2, Fig. 5).
@@ -284,7 +302,7 @@ func (p *pipelet) run(ctx *asic.Ctx) {
 		postcardHook(log, hdr, ctx, p.id.Pipeline, isIngress) //dv:allow hotpath: postcards are opt-in debug telemetry; the log is lock-guarded by design
 	}
 	if isIngress {
-		applyBranching(rt, hdr, ctx, p.id.Pipeline)
+		applyBranching(rt, ci, hdr, ctx, p.id.Pipeline)
 	}
 }
 
@@ -357,8 +375,8 @@ func checkSFCFlags(hdr *packetAlias, ctx *asic.Ctx) (stop bool) {
 
 // applyBranching runs the §3.4 branching decision at the end of an
 // ingress pipelet, against the branching state of the packet's
-// snapshot-published runtime.
-func applyBranching(rt *Runtime, hdr *packetAlias, ctx *asic.Ctx, pipeline int) {
+// snapshot-published runtime; ci is the packet's chain index in rt.
+func applyBranching(rt *Runtime, ci int, hdr *packetAlias, ctx *asic.Ctx, pipeline int) {
 	if ctx.Meta.Drop || ctx.Meta.ToCPU || ctx.Meta.Resubmit {
 		return
 	}
@@ -367,7 +385,7 @@ func applyBranching(rt *Runtime, hdr *packetAlias, ctx *asic.Ctx, pipeline int) 
 		ctx.Meta.ToCPU = true
 		return
 	}
-	hop := rt.branching.Decide(hdr.SFC.ServicePathID, hdr.SFC.ServiceIndex, pipeline, asic.PortID(hdr.SFC.Meta.OutPort))
+	hop := rt.branching.DecideAt(ci, hdr.SFC.ServiceIndex, pipeline, asic.PortID(hdr.SFC.Meta.OutPort))
 	switch hop.Kind {
 	case route.HopForward:
 		ctx.Meta.OutPort = hop.Port

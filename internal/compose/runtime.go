@@ -67,24 +67,27 @@ func (c *Composer) newRuntime() *Runtime {
 // Branching returns the runtime's branching function.
 func (r *Runtime) Branching() *route.Branching { return r.branching }
 
-// nextNF is the check_nextNF lookup of §3.2: the ID of the NF a packet
-// on (path, index) must visit next, 0 when the chain is complete or the
-// path unknown.
-func (r *Runtime) nextNF(path uint16, index uint8) uint8 {
-	ci, ok := r.branching.ChainIndex(path)
-	if !ok {
-		return 0
+// chain resolves a path ID to its compact chain index in this runtime
+// and the chain's check_nextNF row: next[index] is the ID of the NF a
+// packet at that service index visits next, 0 none. A path no chain
+// declares (path 0 included) is -1 and an empty row. A traversal
+// resolves once and hands the index to countPath and the branching; it
+// is only ever read against the runtime it came from.
+//
+//dv:hotpath
+func (r *Runtime) chain(path uint16) (ci int, next []uint8) {
+	if ci, ok := r.branching.ChainIndex(path); ok {
+		return ci, r.nextID[ci]
 	}
-	row := r.nextID[ci]
-	if int(index) >= len(row) {
-		return 0
-	}
-	return row[index]
+	return -1, nil
 }
 
-// countPath records one packet classified onto a path.
-func (r *Runtime) countPath(path uint16, ctx *asic.Ctx) {
-	if ci, ok := r.branching.ChainIndex(path); ok {
+// countPath records one packet classified onto path, whose chain index
+// is ci (-1: a path no chain declares).
+//
+//dv:hotpath
+func (r *Runtime) countPath(ci int, path uint16, ctx *asic.Ctx) {
+	if ci >= 0 {
 		if !ctx.Tally(chainCell(ci)) {
 			r.pathCount[ci].add(ctx.Shard(), 1)
 		}

@@ -665,12 +665,14 @@ func (t *LPM32) Delete(prefix uint32, plen int) bool {
 }
 
 // Lookup returns the entry of the longest matching prefix for addr.
+// The entry is the published one, as LookupWords hands out: read it,
+// do not write it; a miss is nil, false.
 //
 //dv:hotpath
-func (t *LPM32) Lookup(addr uint32) (Entry, bool) {
+func (t *LPM32) Lookup(addr uint32) (*Entry, bool) {
 	s := t.snap.Load()
 	if s == nil {
-		return Entry{}, false
+		return nil, false
 	}
 	best := s.def
 	n := s.root
@@ -687,10 +689,7 @@ func (t *LPM32) Lookup(addr uint32) (Entry, bool) {
 		}
 		n = n.child[i]
 	}
-	if best == nil {
-		return Entry{}, false
-	}
-	return *best, true
+	return best, best != nil
 }
 
 // Len returns the number of installed prefixes.

@@ -201,7 +201,7 @@ func TestLPM32MatchesLinearScan(t *testing.T) {
 					}
 				}
 				got, ok := tb.Lookup(a)
-				if ok != (best >= 0) || (ok && !sameEntry(got, ref[best].e)) {
+				if ok != (best >= 0) || (ok && !sameEntry(*got, ref[best].e)) {
 					t.Fatalf("seed %d op %d: Lookup(%#x) = %+v,%v, reference index %d", seed, op, a, got, ok, best)
 				}
 			}
@@ -236,7 +236,7 @@ func TestLPM32MatchesLinearScan(t *testing.T) {
 	lookup := func(op int, a uint32) {
 		got, ok := tb.Lookup(a)
 		want, exists := ref.Lookup(a)
-		if ok != exists || !sameEntry(got, want) {
+		if ok != exists || (ok && !sameEntry(*got, want)) {
 			t.Fatalf("op %d: Lookup(%#x) = %+v,%v, binary trie %+v,%v", op, a, got, ok, want, exists)
 		}
 	}

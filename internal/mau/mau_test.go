@@ -86,7 +86,7 @@ func TestLPM32LongestPrefixWins(t *testing.T) {
 	for _, c := range cases {
 		e, ok := tb.Lookup(c.addr)
 		if !ok || e.Action != c.want {
-			t.Errorf("Lookup(%#x) = %q,%v want %q", c.addr, e.Action, ok, c.want)
+			t.Errorf("Lookup(%#x) = %+v,%v want %q", c.addr, e, ok, c.want)
 		}
 	}
 	if tb.Len() != 4 {

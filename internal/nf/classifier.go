@@ -116,13 +116,18 @@ func (c *Classifier) Execute(hdr *packet.Parsed) {
 			tenant = uint16(e.Params[2])
 		}
 	}
-	h := nsh.New(path, index)
-	h.Meta = hdr.SFC.Meta // preserve platform metadata seeded by the framework
+	// Written in place (a header built on the stack and copied in is
+	// reloaded before its stores retire): the platform metadata the
+	// framework seeded stays, the rest is what nsh.New would stamp.
+	h := &hdr.SFC
+	h.ServicePathID, h.ServiceIndex = path, index
 	h.Meta.OutPort = nsh.OutPortUnset
+	h.Context = [nsh.NumContextPairs]nsh.ContextPair{}
+	h.NextProto = nsh.ProtoNone
 	if tenant != 0 {
-		h.SetContext(nsh.KeyTenantID, tenant)
+		h.Context[0] = nsh.ContextPair{Key: nsh.KeyTenantID, Value: tenant}
 	}
-	hdr.PushSFC(h)
+	hdr.SetValid(packet.HdrSFC)
 }
 
 // Rules returns the number of installed rules.

@@ -178,7 +178,8 @@ func (h *Header) SerializeTo(b []byte) (int, error) {
 	b[1] = byte(h.ServicePathID)
 	b[2] = h.ServiceIndex
 	h.Meta.encode(b[3:7])
-	for i, p := range h.Context {
+	for i := range h.Context {
+		p := &h.Context[i]
 		off := 7 + 3*i
 		b[off] = p.Key
 		b[off+1] = byte(p.Value >> 8)
@@ -206,8 +207,8 @@ func (h *Header) LookupContext(key uint8) (uint16, bool) {
 	if key == KeyNone {
 		return 0, false
 	}
-	for _, p := range h.Context {
-		if p.Key == key {
+	for i := range h.Context {
+		if p := &h.Context[i]; p.Key == key {
 			return p.Value, true
 		}
 	}
@@ -223,9 +224,10 @@ func (h *Header) SetContext(key uint8, value uint16) error {
 		return ErrReservedKey
 	}
 	empty := -1
-	for i, p := range h.Context {
+	for i := range h.Context {
+		p := &h.Context[i]
 		if p.Key == key {
-			h.Context[i].Value = value
+			p.Value = value
 			return nil
 		}
 		if p.Key == KeyNone && empty < 0 {
@@ -242,8 +244,8 @@ func (h *Header) SetContext(key uint8, value uint16) error {
 // DeleteContext removes key from the context area, reporting whether it
 // was present.
 func (h *Header) DeleteContext(key uint8) bool {
-	for i, p := range h.Context {
-		if key != KeyNone && p.Key == key {
+	for i := range h.Context {
+		if key != KeyNone && h.Context[i].Key == key {
 			h.Context[i] = ContextPair{}
 			return true
 		}
@@ -254,8 +256,8 @@ func (h *Header) DeleteContext(key uint8) bool {
 // ContextLen returns the number of occupied context slots.
 func (h *Header) ContextLen() int {
 	n := 0
-	for _, p := range h.Context {
-		if p.Key != KeyNone {
+	for i := range h.Context {
+		if h.Context[i].Key != KeyNone {
 			n++
 		}
 	}
@@ -302,8 +304,8 @@ func (h *Header) String() string {
 	if len(flags) > 0 {
 		fmt.Fprintf(&sb, " flags=%s", strings.Join(flags, "|"))
 	}
-	for _, p := range h.Context {
-		if p.Key != KeyNone {
+	for i := range h.Context {
+		if p := &h.Context[i]; p.Key != KeyNone {
 			fmt.Fprintf(&sb, " ctx[%d]=%d", p.Key, p.Value)
 		}
 	}

@@ -235,47 +235,52 @@ func (p *Parsed) parseVXLAN(rest []byte) error {
 	return nil
 }
 
+// allHeaders is every validity bit.
+const allHeaders = HdrInnerUDP<<1 - 1
+
+// wireFixed[mask] is the serialized length of the headers in a
+// validity mask without their options: a 4 KiB table (the headers sum
+// to at most 188 bytes) that WireLen indexes instead of testing twelve
+// bits, as a deparser knows each header's width at compile time.
+var wireFixed = func() (t [allHeaders + 1]uint8) {
+	fixed := []struct {
+		bit HeaderBit
+		n   uint8
+	}{
+		{HdrEth, EthernetLen}, {HdrSFC, nsh.HeaderLen}, {HdrARP, ARPLen},
+		{HdrIPv4, IPv4MinLen}, {HdrTCP, TCPMinLen}, {HdrUDP, UDPLen},
+		{HdrICMP, ICMPLen}, {HdrVXLAN, VXLANLen}, {HdrInnerEth, EthernetLen},
+		{HdrInnerIPv4, IPv4MinLen}, {HdrInnerTCP, TCPMinLen}, {HdrInnerUDP, UDPLen},
+	}
+	for mask := range t {
+		for _, h := range fixed {
+			if HeaderBit(mask)&h.bit != 0 {
+				t[mask] += h.n
+			}
+		}
+	}
+	return t
+}()
+
 // WireLen returns the total serialized packet length for the current
-// validity bits and payload.
+// validity bits and payload: the valid headers' fixed lengths, their
+// options (IPv4 and TCP, outer and inner) and the payload.
 func (p *Parsed) WireLen() int {
-	n := 0
-	if p.Valid(HdrEth) {
-		n += EthernetLen
+	v := p.valid
+	n := int(wireFixed[v&allHeaders]) + len(p.Payload)
+	if v&HdrIPv4 != 0 {
+		n += len(p.IPv4.Options)
 	}
-	if p.Valid(HdrSFC) {
-		n += nsh.HeaderLen
+	if v&HdrTCP != 0 {
+		n += len(p.TCP.Options)
 	}
-	if p.Valid(HdrARP) {
-		n += ARPLen
+	if v&HdrInnerIPv4 != 0 {
+		n += len(p.InnerIPv4.Options)
 	}
-	if p.Valid(HdrIPv4) {
-		n += p.IPv4.HeaderLen()
+	if v&HdrInnerTCP != 0 {
+		n += len(p.InnerTCP.Options)
 	}
-	if p.Valid(HdrTCP) {
-		n += p.TCP.HeaderLen()
-	}
-	if p.Valid(HdrUDP) {
-		n += UDPLen
-	}
-	if p.Valid(HdrICMP) {
-		n += ICMPLen
-	}
-	if p.Valid(HdrVXLAN) {
-		n += VXLANLen
-	}
-	if p.Valid(HdrInnerEth) {
-		n += EthernetLen
-	}
-	if p.Valid(HdrInnerIPv4) {
-		n += p.InnerIPv4.HeaderLen()
-	}
-	if p.Valid(HdrInnerTCP) {
-		n += p.InnerTCP.HeaderLen()
-	}
-	if p.Valid(HdrInnerUDP) {
-		n += UDPLen
-	}
-	return n + len(p.Payload)
+	return n
 }
 
 // Serialize appends the packet's wire representation to b and returns

@@ -44,10 +44,71 @@ func (r refIPv4) SerializeTo(b []byte) (int, error) {
 	return hdrLen, nil
 }
 
+// refWireLen is the branchy WireLen the length table replaced: one
+// test per validity bit.
+func refWireLen(p *Parsed) int {
+	n := 0
+	if p.Valid(HdrEth) {
+		n += EthernetLen
+	}
+	if p.Valid(HdrSFC) {
+		n += nsh.HeaderLen
+	}
+	if p.Valid(HdrARP) {
+		n += ARPLen
+	}
+	if p.Valid(HdrIPv4) {
+		n += p.IPv4.HeaderLen()
+	}
+	if p.Valid(HdrTCP) {
+		n += p.TCP.HeaderLen()
+	}
+	if p.Valid(HdrUDP) {
+		n += UDPLen
+	}
+	if p.Valid(HdrICMP) {
+		n += ICMPLen
+	}
+	if p.Valid(HdrVXLAN) {
+		n += VXLANLen
+	}
+	if p.Valid(HdrInnerEth) {
+		n += EthernetLen
+	}
+	if p.Valid(HdrInnerIPv4) {
+		n += p.InnerIPv4.HeaderLen()
+	}
+	if p.Valid(HdrInnerTCP) {
+		n += p.InnerTCP.HeaderLen()
+	}
+	if p.Valid(HdrInnerUDP) {
+		n += UDPLen
+	}
+	return n + len(p.Payload)
+}
+
+// refHeader is one header the reference deparser writes.
+type refHeader struct {
+	bit HeaderBit
+	hdr interface {
+		SerializeTo([]byte) (int, error)
+	}
+}
+
+// refHeaders lists p's headers in wire order.
+func refHeaders(p *Parsed) []refHeader {
+	return []refHeader{
+		{HdrEth, &p.Eth}, {HdrSFC, &p.SFC}, {HdrARP, &p.ARP}, {HdrIPv4, refIPv4{&p.IPv4}},
+		{HdrTCP, &p.TCP}, {HdrUDP, &p.UDP}, {HdrICMP, &p.ICMP}, {HdrVXLAN, &p.VXLAN},
+		{HdrInnerEth, &p.InnerEth}, {HdrInnerIPv4, refIPv4{&p.InnerIPv4}},
+		{HdrInnerTCP, &p.InnerTCP}, {HdrInnerUDP, &p.InnerUDP},
+	}
+}
+
 func refSerialize(p *Parsed, b []byte) ([]byte, error) {
 	p.fixup()
 	start := len(b)
-	n := p.WireLen()
+	n := refWireLen(p)
 	if cap(b)-start < n {
 		nb := make([]byte, start, start+n)
 		copy(nb, b)
@@ -56,17 +117,7 @@ func refSerialize(p *Parsed, b []byte) ([]byte, error) {
 	b = b[:start+n]
 	out := b[start:]
 	off := 0
-	for _, h := range []struct {
-		bit HeaderBit
-		hdr interface {
-			SerializeTo([]byte) (int, error)
-		}
-	}{
-		{HdrEth, &p.Eth}, {HdrSFC, &p.SFC}, {HdrARP, &p.ARP}, {HdrIPv4, refIPv4{&p.IPv4}},
-		{HdrTCP, &p.TCP}, {HdrUDP, &p.UDP}, {HdrICMP, &p.ICMP}, {HdrVXLAN, &p.VXLAN},
-		{HdrInnerEth, &p.InnerEth}, {HdrInnerIPv4, refIPv4{&p.InnerIPv4}},
-		{HdrInnerTCP, &p.InnerTCP}, {HdrInnerUDP, &p.InnerUDP},
-	} {
+	for _, h := range refHeaders(p) {
 		if !p.Valid(h.bit) {
 			continue
 		}
@@ -195,4 +246,79 @@ func TestSerializeMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// wireLenPacket is a header vector with the given validity bits, option
+// lengths on the four headers that carry options (outer and inner IPv4
+// and TCP) and payload length.
+func wireLenPacket(mask HeaderBit, ip, tcp, innerIP, innerTCP, payload int) *Parsed {
+	return &Parsed{
+		valid:     mask,
+		IPv4:      IPv4{Options: make([]byte, ip)},
+		TCP:       TCP{Options: make([]byte, tcp)},
+		InnerIPv4: IPv4{Options: make([]byte, innerIP)},
+		InnerTCP:  TCP{Options: make([]byte, innerTCP)},
+		Payload:   make([]byte, payload),
+	}
+}
+
+// TestWireLenMatchesReference: the length table agrees with the branchy
+// sum it replaced on every validity mask, with options of 0, 4 and 40
+// bytes on each option-carrying header (valid or not) and payloads of
+// 0, 1 and 1500 bytes.
+func TestWireLenMatchesReference(t *testing.T) {
+	opts := []int{0, 4, 40}
+	for mask := HeaderBit(0); mask <= allHeaders; mask++ {
+		for _, ip := range opts {
+			for _, tcp := range opts {
+				for _, innerIP := range opts {
+					for _, innerTCP := range opts {
+						p := wireLenPacket(mask, ip, tcp, innerIP, innerTCP, 0)
+						for _, payload := range []int{0, 1, 1500} {
+							p.Payload = make([]byte, payload)
+							if got, want := p.WireLen(), refWireLen(p); got != want {
+								t.Fatalf("mask %#x options %d/%d/%d/%d payload %d: WireLen %d, reference %d",
+									mask, ip, tcp, innerIP, innerTCP, payload, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzWireLen: over any validity mask (bits past the last header
+// included), option and payload lengths, WireLen is the reference sum,
+// and whenever Serialize succeeds it is the length Serialize returns and
+// the number of bytes the headers' serializers write plus the payload.
+func FuzzWireLen(f *testing.F) {
+	f.Add(uint16(HdrEth|HdrIPv4|HdrTCP), uint8(0), uint8(0), uint8(0), uint8(0), uint16(64))
+	f.Add(uint16(HdrEth|HdrSFC|HdrIPv4|HdrUDP|HdrVXLAN|HdrInnerEth|HdrInnerIPv4|HdrInnerTCP), uint8(4), uint8(12), uint8(40), uint8(8), uint16(1500))
+	f.Add(uint16(0xFFFF), uint8(3), uint8(41), uint8(0), uint8(255), uint16(1))
+	f.Fuzz(func(t *testing.T, mask uint16, ip, tcp, innerIP, innerTCP uint8, payload uint16) {
+		p := wireLenPacket(HeaderBit(mask), int(ip), int(tcp), int(innerIP), int(innerTCP), int(payload%2048))
+		n := p.WireLen()
+		if want := refWireLen(p); n != want {
+			t.Fatalf("mask %#x: WireLen %d, reference %d", mask, n, want)
+		}
+		out, err := p.Clone().Serialize(nil)
+		if err != nil {
+			return
+		}
+		written := len(p.Payload)
+		var scratch [IPv4MinLen + 255]byte // the widest header: 255 option bytes
+		for _, h := range refHeaders(p) {
+			if p.Valid(h.bit) {
+				m, err := h.hdr.SerializeTo(scratch[:])
+				if err != nil {
+					t.Fatalf("mask %#x: Serialize succeeded, %T.SerializeTo failed: %v", mask, h.hdr, err)
+				}
+				written += m
+			}
+		}
+		if len(out) != n || written != n {
+			t.Fatalf("mask %#x: WireLen %d, Serialize returned %d bytes, headers and payload write %d", mask, n, len(out), written)
+		}
+	})
 }

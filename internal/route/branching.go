@@ -213,17 +213,28 @@ func (b *Branching) NextNF(path uint16, index uint8) (string, bool) {
 // Decide implements the ingress branching decision for a packet with
 // the given SFC state, currently finishing ingress processing on
 // pipeline curr. outPort is the packet's platform out port (unset if
-// no NF has chosen one yet).
+// no NF has chosen one yet). It is DecideAt of the path's chain index.
 //
 //dv:hotpath
 func (b *Branching) Decide(path uint16, index uint8, curr int, outPort asic.PortID) Hop {
+	ci, ok := b.ChainIndex(path)
+	if !ok {
+		ci = -1
+	}
+	return b.DecideAt(ci, index, curr, outPort)
+}
+
+// DecideAt is Decide for a packet whose chain the caller has already
+// resolved: ci is its ChainIndex, or -1 for a path no chain declares.
+//
+//dv:hotpath
+func (b *Branching) DecideAt(ci int, index uint8, curr int, outPort asic.PortID) Hop {
 	// "If the outPort of a packet is already set, the branching table
 	// will directly forward the packet to the port" (§3.4).
 	if outPort != asic.PortUnset {
 		return Hop{Kind: HopForward, Port: outPort}
 	}
-	ci, ok := b.ChainIndex(path)
-	if !ok {
+	if ci < 0 {
 		return Hop{Kind: HopToCPU}
 	}
 	row := b.hops[ci]

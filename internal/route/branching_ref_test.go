@@ -92,7 +92,8 @@ func (b *refBranching) entryFor(pipe int, c Chain, index uint8) Entry {
 // tables against the reference over random chain sets, placements,
 // composition modes, static exits, remotes (with and without a wire),
 // unplaced NFs and unknown paths, for every (path, index, pipeline,
-// outPort).
+// outPort): Decide, and DecideAt of the path's ChainIndex (-1 for a path
+// no chain declares), as a traversal calls it.
 func TestCompiledDispatchMatchesReference(t *testing.T) {
 	const pipelines = 4
 	names := []string{"classifier", "fw", "vgw", "lb", "router", "nat", "mirror", "meter"}
@@ -169,8 +170,12 @@ func TestCompiledDispatchMatchesReference(t *testing.T) {
 			if gotOK != wantOK || fmt.Sprint(gotC) != fmt.Sprint(wantC) {
 				t.Fatalf("seed %d: Chain(%d) = %v,%v want %v,%v", seed, path, gotC, gotOK, wantC, wantOK)
 			}
-			if ci, ok := b.ChainIndex(path); ok != wantOK || (ok && b.ChainAt(ci).PathID != path) {
+			ci, ok := b.ChainIndex(path)
+			if ok != wantOK || (ok && b.ChainAt(ci).PathID != path) {
 				t.Fatalf("seed %d: ChainIndex(%d) = %d,%v", seed, path, ci, ok)
+			}
+			if !ok {
+				ci = -1 // what a traversal hands DecideAt for an undeclared path
 			}
 			for index := 0; index <= len(names)+2; index++ {
 				gotN, gotOK := b.NextNF(path, uint8(index))
@@ -185,6 +190,10 @@ func TestCompiledDispatchMatchesReference(t *testing.T) {
 						if got != want {
 							t.Fatalf("seed %d: Decide(path %d, index %d, pipe %d, out %d) = %+v want %+v\nchains %+v\nplacement %+v",
 								seed, path, index, curr, out, got, want, chains, placement)
+						}
+						if got := b.DecideAt(ci, uint8(index), curr, out); got != want {
+							t.Fatalf("seed %d: DecideAt(chain %d of path %d, index %d, pipe %d, out %d) = %+v want %+v",
+								seed, ci, path, index, curr, out, got, want)
 						}
 					}
 				}
