@@ -28,10 +28,19 @@ type applyJSON struct {
 	NoopReapply *reportJSON `json:"noop_reapply,omitempty"`
 }
 
-// reportJSON is one converge report with its single-switch write-set
-// listed as `plan -json` lists a delta.
+// reportJSON is one converge report with its write-set listed as
+// `plan -json` lists a delta: on a fabric the round's fabric_* keys and
+// one writes entry per switch, on one switch that switch's inline.
 type reportJSON struct {
 	*intent.Report
+	*cluster.ReconcileReport
+	Writes []writesJSON `json:"writes,omitempty"`
+	writesJSON
+}
+
+// writesJSON is one switch's write-set; Switch is left out on one switch.
+type writesJSON struct {
+	Switch          *int     `json:"switch,omitempty"`
 	ChangedPrograms []string `json:"changed_programs,omitempty"`
 	Delta           []opJSON `json:"delta,omitempty"`
 }
@@ -42,13 +51,26 @@ type opJSON struct {
 	Entry string `json:"entry"`
 }
 
+// newReportJSON renders rep, or nil for none.
 func newReportJSON(rep *intent.Report) *reportJSON {
-	out := &reportJSON{Report: rep}
-	for _, pl := range rep.ChangedPrograms {
-		out.ChangedPrograms = append(out.ChangedPrograms, pl.String())
+	if rep == nil {
+		return nil
 	}
-	for _, op := range rep.Delta {
-		out.Delta = append(out.Delta, opJSON{op.Op.String(), op.Entry.String()})
+	out := &reportJSON{Report: rep, ReconcileReport: rep.Fabric}
+	for _, w := range rep.Writes {
+		var sw writesJSON
+		for _, pl := range w.Programs {
+			sw.ChangedPrograms = append(sw.ChangedPrograms, pl.String())
+		}
+		for _, op := range w.Delta {
+			sw.Delta = append(sw.Delta, opJSON{op.Op.String(), op.Entry.String()})
+		}
+		if rep.Fabric == nil { // one switch: its write-set inline, unnumbered
+			out.writesJSON = sw
+		} else {
+			sw.Switch = &w.Switch
+			out.Writes = append(out.Writes, sw)
+		}
 	}
 	return out
 }
@@ -98,11 +120,7 @@ func runApply(args []string) error {
 	}
 
 	if *jsonOut {
-		out := applyJSON{File: *file, From: *from, Apply: newReportJSON(rep)}
-		if re != nil {
-			out.NoopReapply = newReportJSON(re)
-		}
-		return printJSON(out)
+		return printJSON(applyJSON{File: *file, From: *from, Apply: newReportJSON(rep), NoopReapply: newReportJSON(re)})
 	}
 	printApplyReport(rep)
 	if re != nil {
@@ -118,26 +136,18 @@ func runApply(args []string) error {
 // printApplyReport renders one converge report as text.
 func printApplyReport(rep *intent.Report) {
 	fmt.Printf("intent %s: %s\n", rep.Hash, rep.Summary())
-	for _, act := range rep.Actions {
-		if act.Kind == intent.KindNoOp {
-			continue
-		}
-		fmt.Printf("  %s\n", act.Detail)
-	}
-	for _, g := range rep.Global {
-		fmt.Printf("  global: %s changed\n", g)
-	}
+	printDelta(&intent.Delta{Actions: rep.Actions, Global: rep.Global})
 	if len(rep.Build.Stages) > 0 {
 		fmt.Print(rep.Build.Summary())
-		if rep.DryRun {
-			printWrites(rep)
+	}
+	if f := rep.Fabric; f != nil && len(f.Switches) > 0 {
+		fmt.Printf("fabric path: %v (reprogrammed %v)\n", f.Switches, f.Changed)
+		for _, id := range cluster.SortedKeys(f.Blackholed) {
+			fmt.Printf("  chain %d blackholed: %s\n", id, f.Blackholed[id])
 		}
 	}
-	if len(rep.FabricPath) > 0 {
-		fmt.Printf("fabric path: %v (reprogrammed %v)\n", rep.FabricPath, rep.FabricChanged)
-		for _, id := range cluster.SortedKeys(rep.FabricBlackholed) {
-			fmt.Printf("  chain %d blackholed: %s\n", id, rep.FabricBlackholed[id])
-		}
+	for i := 0; rep.DryRun && i < len(rep.Writes); i++ {
+		printWrites(rep.Writes[i], rep.Fabric != nil)
 	}
 	if !rep.DryRun {
 		fmt.Printf("converged in %v: %d branching entries, %d program reloads\n",
@@ -145,36 +155,39 @@ func printApplyReport(rep *intent.Report) {
 	}
 }
 
-// printWrites lists the write-set a dry run found: the pipelet programs
-// the apply would reload and its branching-table delta.
-func printWrites(rep *intent.Report) {
-	if len(rep.ChangedPrograms) == 0 {
+// printWrites lists one switch's write-set a dry run found, under the
+// switch's number on a fabric: the pipelet programs the apply would
+// reload and its branching-table delta.
+func printWrites(w cluster.SwitchWrite, fabric bool) {
+	if fabric {
+		fmt.Printf("switch %d:\n", w.Switch)
+	}
+	if len(w.Programs) == 0 {
 		fmt.Println("pipelet programs: all cached, none reloaded")
 	} else {
-		fmt.Printf("pipelet programs reloaded: %d\n", len(rep.ChangedPrograms))
-		for _, pl := range rep.ChangedPrograms {
+		fmt.Printf("pipelet programs reloaded: %d\n", len(w.Programs))
+		for _, pl := range w.Programs {
 			fmt.Printf("  %s\n", pl)
 		}
 	}
 	ops := make(map[route.OpKind]int)
-	for _, op := range rep.Delta {
+	for _, op := range w.Delta {
 		ops[op.Op]++
 	}
 	fmt.Printf("branching delta: %d ops (%d add, %d del, %d mod)\n",
-		len(rep.Delta), ops[route.OpAdd], ops[route.OpDel], ops[route.OpMod])
-	for _, op := range rep.Delta {
+		len(w.Delta), ops[route.OpAdd], ops[route.OpDel], ops[route.OpMod])
+	for _, op := range w.Delta {
 		fmt.Printf("  %s\n", op)
 	}
 }
 
 // diffJSON is the `dejavu diff -json` document (docs/CLI.md).
 type diffJSON struct {
-	File    string          `json:"file"`
-	From    string          `json:"from,omitempty"`
-	Summary string          `json:"summary"`
-	Empty   bool            `json:"empty"`
-	Actions []intent.Action `json:"actions"`
-	Global  []string        `json:"global,omitempty"`
+	File    string `json:"file"`
+	From    string `json:"from,omitempty"`
+	Summary string `json:"summary"`
+	Empty   bool   `json:"empty"`
+	*intent.Delta
 }
 
 // runDiff prints the semantic delta between two intent documents (or
@@ -202,22 +215,22 @@ func runDiff(args []string) error {
 	}
 	delta := intent.Diff(oldDoc, newDoc)
 	if *jsonOut {
-		out := diffJSON{
-			File: *file, From: *from,
-			Summary: delta.Summary(), Empty: delta.Empty(),
-			Actions: delta.Actions, Global: delta.Global,
-		}
-		return printJSON(out)
+		return printJSON(diffJSON{File: *file, From: *from, Summary: delta.Summary(), Empty: delta.Empty(), Delta: delta})
 	}
 	fmt.Println(delta.Summary())
-	for _, act := range delta.Actions {
-		if act.Kind == intent.KindNoOp {
-			continue
+	printDelta(delta)
+	return nil
+}
+
+// printDelta lists a delta's chain actions, no-ops left out, and its
+// changed global settings.
+func printDelta(d *intent.Delta) {
+	for _, act := range d.Actions {
+		if act.Kind != intent.KindNoOp {
+			fmt.Printf("  %s\n", act.Detail)
 		}
-		fmt.Printf("  %s\n", act.Detail)
 	}
-	for _, g := range delta.Global {
+	for _, g := range d.Global {
 		fmt.Printf("  global: %s changed\n", g)
 	}
-	return nil
 }

@@ -278,20 +278,19 @@ func runTraffic(args []string) error {
 		}
 		return nil
 	}
-	if err := inject("full path (miss+learn)", func() *packet.Parsed { return scenario.ClientTCP(443) }); err != nil {
-		return err
-	}
-	if err := inject("full path (hit)", func() *packet.Parsed { return scenario.ClientTCP(443) }); err != nil {
-		return err
-	}
-	if err := inject("firewall deny", func() *packet.Parsed { return scenario.ClientTCP(22) }); err != nil {
-		return err
-	}
-	if err := inject("tenant (VXLAN encap)", scenario.TenantBound); err != nil {
-		return err
-	}
-	if err := inject("internet (default route)", scenario.InternetBound); err != nil {
-		return err
+	for _, p := range []struct {
+		name string
+		mk   func() *packet.Parsed
+	}{
+		{"full path (miss+learn)", func() *packet.Parsed { return scenario.ClientTCP(443) }},
+		{"full path (hit)", func() *packet.Parsed { return scenario.ClientTCP(443) }},
+		{"firewall deny", func() *packet.Parsed { return scenario.ClientTCP(22) }},
+		{"tenant (VXLAN encap)", scenario.TenantBound},
+		{"internet (default route)", scenario.InternetBound},
+	} {
+		if err := inject(p.name, p.mk); err != nil {
+			return err
+		}
 	}
 	st := d.Controller.Stats()
 	fmt.Printf("\ncontrol plane: %d sessions installed, %d reinjects\n", st.SessionsInstalled, st.Reinjected)

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"dejavu/internal/asic"
+	"dejavu/internal/cluster"
 	"dejavu/internal/intent"
 )
 
@@ -59,7 +60,9 @@ func capture(t *testing.T, fn func() error) (string, error) {
 // optimizer. The apply -dry-run rows pin a live update's rebuild plan
 // and write-set: one adds a chain over placed NFs, one introduces a NAT
 // that the deploy's optimizer places around the live NFs; a fresh dry
-// run refuses a loopback port off the front panel, as the apply does.
+// run refuses a loopback port off the front panel, as the apply does;
+// a fabric dry run that pins fw to switch 2 lists each switch's
+// write-set, in text and JSON.
 // The chaos rows pin
 // the single-switch soak with its
 // transcript (every heal action), the 3-switch fabric soak for the
@@ -80,6 +83,8 @@ func TestCLIGolden(t *testing.T) {
 		{"apply -from testdata/intent_add40_from.json -f testdata/intent_add40.json -dry-run", "apply_dryrun_add40.txt", false},
 		{"apply -from testdata/intent_nat.json -f testdata/intent_nat_add50.json -dry-run", "apply_dryrun_nat_add50.txt", false},
 		{"apply -f testdata/intent_loopback500.json -dry-run", "apply_dryrun_loopback500.txt", true},
+		{"apply -from testdata/intent_fabric.json -f testdata/intent_fabric_pin.json -dry-run", "apply_dryrun_fabric_pin.txt", false},
+		{"apply -from testdata/intent_fabric.json -f testdata/intent_fabric_pin.json -dry-run -json", "apply_dryrun_fabric_pin.json", false},
 		{"lint -json", "lint_reference.json", false},
 		{"-config ../../configs/edgecloud.json lint -json", "lint_edgecloud.json", false},
 		{"-config ../../configs/lintdemo-bad.json lint -json", "lint_lintdemo-bad.json", true},
@@ -154,11 +159,10 @@ func TestResourcesDeterministic(t *testing.T) {
 // fabric's blackholed chains in chain order, every time. It ranged over
 // the map.
 func TestApplyReportBlackholedInChainOrder(t *testing.T) {
-	rep := &intent.Report{
-		DryRun:           true,
-		FabricPath:       []int{0, 1},
-		FabricBlackholed: map[uint16]string{30: "no room", 10: "no room", 20: "no room"},
-	}
+	rep := &intent.Report{DryRun: true, Fabric: &cluster.ReconcileReport{
+		Switches:   []int{0, 1},
+		Blackholed: map[uint16]string{30: "no room", 10: "no room", 20: "no room"},
+	}}
 	for run := 0; run < 20; run++ {
 		out, _ := capture(t, func() error { printApplyReport(rep); return nil })
 		i10, i20, i30 := strings.Index(out, "chain 10 "), strings.Index(out, "chain 20 "), strings.Index(out, "chain 30 ")

@@ -1,12 +1,13 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"net/http"
-	"sort"
 	"time"
 
+	"dejavu/internal/cluster"
 	"dejavu/internal/core"
 	"dejavu/internal/scenario"
 	"dejavu/internal/telemetry"
@@ -132,10 +133,7 @@ func topScrape(addr string) error {
 	for _, fam := range fams {
 		fmt.Printf("%s (%s)\n", fam.Name, fam.Kind)
 		for _, s := range fam.Samples {
-			label := s.Labels
-			if label == "" {
-				label = "-"
-			}
+			label := cmp.Or(s.Labels, "-")
 			if s.Hist != nil {
 				fmt.Printf("  %-40s count=%d sum=%d p50=%d p99=%d\n",
 					label, s.Hist.Count, s.Hist.Sum, s.Hist.Quantile(0.5), s.Hist.Quantile(0.99))
@@ -173,13 +171,8 @@ func topLocal(optimizer string, packets int) error {
 			p, snap.IngressPasses[p], snap.EgressPasses[p], snap.Recircs[p], snap.Resubmits[p])
 	}
 	if len(snap.Drops) > 0 {
-		reasons := make([]telemetry.DropReason, 0, len(snap.Drops))
-		for r := range snap.Drops {
-			reasons = append(reasons, r)
-		}
-		sort.Slice(reasons, func(i, j int) bool { return reasons[i] < reasons[j] })
 		fmt.Println("drops:")
-		for _, r := range reasons {
+		for _, r := range cluster.SortedKeys(snap.Drops) {
 			fmt.Printf("  %-20s %d\n", r, snap.Drops[r])
 		}
 	}

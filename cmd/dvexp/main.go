@@ -27,22 +27,20 @@ func main() {
 		return
 	}
 
+	var tables []experiments.Table
+	var err error
 	if *exp == "all" {
-		tables, err := experiments.All()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dvexp:", err)
-			os.Exit(1)
-		}
-		for _, t := range tables {
-			fmt.Println(t.String())
-		}
-		return
+		tables, err = experiments.All()
+	} else {
+		var t experiments.Table
+		t, err = experiments.ByID(*exp)
+		tables = append(tables, t)
 	}
-
-	t, err := experiments.ByID(*exp)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dvexp:", err)
 		os.Exit(1)
 	}
-	fmt.Println(t.String())
+	for _, t := range tables {
+		fmt.Println(t.String())
+	}
 }

@@ -44,10 +44,7 @@ func run(dir string, patterns []string, jsonOut bool, stdout, stderr io.Writer) 
 		return 1
 	}
 	if jsonOut {
-		diags := res.Diagnostics
-		if diags == nil {
-			diags = []analysis.Diagnostic{} // a clean run is an empty array, not null
-		}
+		diags := append([]analysis.Diagnostic{}, res.Diagnostics...) // a clean run is [], not null
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(diags); err != nil {

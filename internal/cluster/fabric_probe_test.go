@@ -381,3 +381,99 @@ func TestFabricProbeOneAllocation(t *testing.T) {
 		t.Errorf("2-switch probe = %.1f allocations, want 1", got)
 	}
 }
+
+// TestFabricPlanMatchesCommit: over random spine fabrics of 1–5 switches
+// in random health, a Plan toward a chain set stages exactly the writes
+// that the Reconcile toward that set then commits, and each switch's
+// controller counts exactly them: its EntryWrites grow by the switch's
+// branching ops and its ProgramWrites by its reloaded pipelets, and a
+// switch without a write-set commits nothing. The walk repeats the first
+// round unchanged, then twice kills or revives a switch and changes the
+// chain set, and ends with every switch dead, where no switch is usable,
+// and every switch revived.
+func TestFabricPlanMatchesCommit(t *testing.T) {
+	seen := map[string]int{}
+	for seed := int64(1); seed <= 30; seed++ {
+		f, _ := randomFabric(t, seed)
+		s := scenario.MustNew()
+		fd, err := NewFabricDeployment(f, s.Chains, s.NFs, fabricDemand())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := NewReconciler(fd)
+		rng := rand.New(rand.NewSource(-seed))
+		for round := 0; round < 6; round++ {
+			chains := fd.Chains
+			switch round {
+			case 2, 3:
+				sw := rng.Intn(len(f.Switches))
+				if err := f.setSwitchHealth(sw, Health(1-f.SwitchHealth(sw))); err != nil {
+					t.Fatal(err)
+				}
+				chains = nil
+				for _, k := range rng.Perm(len(s.Chains))[:1+rng.Intn(len(s.Chains))] {
+					chains = append(chains, s.Chains[k])
+				}
+			case 4, 5:
+				for sw := range f.Switches {
+					if err := f.setSwitchHealth(sw, Health(5-round)); err != nil { // dead, then alive
+						t.Fatal(err)
+					}
+				}
+			}
+			where := fmt.Sprintf("seed %d round %d (%d switches, chains %v)", seed, round, len(f.Switches), chains)
+			plan, planErr := fd.Plan(chains)
+			if err := fd.SetChains(chains); err != nil {
+				t.Fatal(err)
+			}
+			before := controllerWrites(fd)
+			rep, err := rec.Reconcile()
+			if fmt.Sprint(planErr) != fmt.Sprint(err) {
+				t.Fatalf("%s: Plan error %v, Reconcile error %v", where, planErr, err)
+			}
+			if err != nil {
+				seen["refused"]++
+				continue
+			}
+			if !reflect.DeepEqual(plan.Writes, rep.Writes) || !reflect.DeepEqual(plan.Changed, rep.Changed) {
+				t.Fatalf("%s: Plan writes %+v on %v, Reconcile wrote %+v on %v", where, plan.Writes, plan.Changed, rep.Writes, rep.Changed)
+			}
+			want := make([][2]int, len(f.Switches))
+			for _, w := range rep.Writes {
+				want[w.Switch] = [2]int{len(w.Delta), len(w.Programs)}
+			}
+			after := controllerWrites(fd)
+			for sw := range after {
+				if got := [2]int{after[sw][0] - before[sw][0], after[sw][1] - before[sw][1]}; got != want[sw] {
+					t.Fatalf("%s: switch %d's controller committed %d entries and %d programs, the report says %d and %d",
+						where, sw, got[0], got[1], want[sw][0], want[sw][1])
+				}
+			}
+			switch {
+			case len(rep.Switches) == 0:
+				seen["no switch used"]++
+			case rep.Converged:
+				seen["converged"]++
+			default:
+				seen[fmt.Sprintf("writes on %d switches", len(rep.Writes))]++
+			}
+		}
+	}
+	t.Logf("rounds: %v", seen)
+	for _, c := range []string{"no switch used", "converged", "writes on 1 switches", "writes on 2 switches"} {
+		if seen[c] == 0 {
+			t.Errorf("no round covered %q (%v)", c, seen)
+		}
+	}
+}
+
+// controllerWrites is each switch controller's committed entry and
+// program writes.
+func controllerWrites(fd *FabricDeployment) [][2]int {
+	out := make([][2]int, len(fd.Controllers))
+	for i, c := range fd.Controllers {
+		st := c.Stats()
+		out[i] = [2]int{st.EntryWrites, st.ProgramWrites}
+	}
+	return out
+}

@@ -249,7 +249,7 @@ func TestFabricReadersTakeNoLock(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		_, err := f.Inject(0, scenario.PortClient, scenario.InternetBound())
-		if _, perr := fd.Plan(); err == nil {
+		if _, perr := fd.Plan(fd.Chains); err == nil {
 			err = perr
 		}
 		f.PlacementGraph()

@@ -102,11 +102,11 @@ type FabricDeployment struct {
 	// not rebuilt, so a health change converges per chain instead of
 	// re-touching the whole fabric.
 	installed []pipeline.Installed
-	// last is the last successful plan: desired returns it while what
-	// determined it holds, and a new plan takes over its per-switch
-	// anneal results where the sub-chain sets still match.
+	// last is the last successful plan of a committing round: planFor
+	// returns it while what determined it holds, and a new plan takes
+	// over its per-switch anneal results where the sub-chain sets match.
 	last rememberedPlan
-	// graphBuilds and anneals count desired's two expensive steps, for
+	// graphBuilds and anneals count planFor's two expensive steps, for
 	// the tests that hold a round's cost to what changed.
 	graphBuilds, anneals int
 	// routes is record's buffer, reused round to round.
@@ -196,11 +196,16 @@ func (fd *FabricDeployment) SetChains(chains []route.Chain) error {
 	return nil
 }
 
-// Plan is a reconcile round without the commit, the fabric-mode dry
-// run behind `dejavu apply -dry-run`: it plans over the current
-// topology health and stages every switch build the plan changes, and
-// it fails exactly where Reconcile would, touching no switch.
-func (fd *FabricDeployment) Plan() (*ReconcileReport, error) { return fd.round(false) }
+// Plan is the reconcile round toward chains stopped before its first
+// write, the fabric's dry run behind `dejavu apply -dry-run`: it refuses
+// what SetChains refuses and fails, stages and reports Writes exactly as
+// that Reconcile would, touching no switch and not the remembered plan.
+func (fd *FabricDeployment) Plan(chains []route.Chain) (*ReconcileReport, error) {
+	if err := checkChains(chains, fd.NFs); err != nil {
+		return nil, err
+	}
+	return fd.round(chains, false)
+}
 
 // placeOptions derives the placement engine's options from the
 // deployment: entry switch 0, the packet hop bound as the route hop
@@ -220,7 +225,7 @@ func (fd *FabricDeployment) placeOptions() fabricplace.Options {
 // fabricPlan is the desired state computed over the current topology
 // health: per-chain routes, NF homes and pipelet slots, per-switch
 // sub-chains and remote-forwarding entries. A plan is immutable once
-// desired returns it: the deployment remembers it, and reports and
+// planFor returns it: the deployment may remember it, and reports and
 // installed state share its maps.
 type fabricPlan struct {
 	routes   map[uint16]ChainRoute
@@ -258,26 +263,28 @@ type rememberedPlan struct {
 	adopted      bool
 }
 
-// desired computes the target plan over one generation of the fabric's
-// topology health. Chains that cannot be placed are dropped
+// remember makes a committing round's plan of the deployment's chain set
+// the remembered plan, unless it failed.
+func (fd *FabricDeployment) remember(st *fabricState, p *fabricPlan) {
+	if p.err == nil && p != fd.last.plan {
+		fd.last = rememberedPlan{plan: p, epoch: st.epoch, chains: slices.Clone(fd.Chains),
+			demand: maps.Clone(fd.StageDemand), pins: maps.Clone(fd.Pins)}
+	}
+}
+
+// planFor computes the target plan of chains over one generation of the
+// fabric's topology health. Chains that cannot be placed are dropped
 // deterministically with a reason rather than failing the whole plan.
-// The plan is a function of the generation's health epoch and the
-// deployment's chain set, StageDemand and Pins — compared by value,
+// The plan is a function of the generation's health epoch, the chain
+// set and the deployment's StageDemand and Pins — compared by value,
 // callers write those fields directly — so while none of them moved the
-// last successful plan is the answer; a failed plan is not remembered.
-func (fd *FabricDeployment) desired(st *fabricState) (p *fabricPlan) {
-	epoch := st.epoch
-	if l := &fd.last; l.plan != nil && l.epoch == epoch && route.EqualChains(l.chains, fd.Chains) &&
+// remembered plan is the answer; planFor never replaces it.
+func (fd *FabricDeployment) planFor(st *fabricState, chains []route.Chain) *fabricPlan {
+	if l := &fd.last; l.plan != nil && l.epoch == st.epoch && route.EqualChains(l.chains, chains) &&
 		maps.Equal(l.demand, fd.StageDemand) && maps.Equal(l.pins, fd.Pins) {
 		return l.plan
 	}
-	defer func() {
-		if p.err == nil {
-			fd.last = rememberedPlan{plan: p, epoch: epoch, chains: slices.Clone(fd.Chains),
-				demand: maps.Clone(fd.StageDemand), pins: maps.Clone(fd.Pins)}
-		}
-	}()
-	p = &fabricPlan{
+	p := &fabricPlan{
 		routes:    make(map[uint16]ChainRoute),
 		homes:     make(map[string]int),
 		pipelets:  make(map[string]asic.PipeletID),
@@ -287,17 +294,17 @@ func (fd *FabricDeployment) desired(st *fabricState) (p *fabricPlan) {
 		dropped:   make(map[uint16]string),
 	}
 	if st.swHealth[0] == HealthDead {
-		for _, c := range fd.Chains {
+		for _, c := range chains {
 			p.dropped[c.PathID] = "entry switch 0 dead"
 		}
 		return p
 	}
 	fd.graphBuilds++
 	g := st.placementGraph(fd.Fabric.Prof)
-	res := fabricplace.Place(g, fd.Chains, fd.placeOptions())
+	res := fabricplace.Place(g, chains, fd.placeOptions())
 	p.homes, p.dropped, p.cost, p.strategy = res.Homes, res.Unplaced, res.Total, res.Strategy
 	inUse := make(map[int]bool)
-	for _, c := range fd.Chains {
+	for _, c := range chains {
 		pl, ok := res.Chains[c.PathID]
 		if !ok {
 			continue
@@ -450,38 +457,50 @@ func (fd *FabricDeployment) inputsAt(p *fabricPlan, s int) pipeline.Inputs {
 	return pipeline.Inputs{Prof: fd.Fabric.Prof, Chains: p.active, NFs: fd.NFs, Enter: 0, Placement: placement}
 }
 
+// SwitchWrite is one switch's write-set in a round: the pipelets whose
+// programs its commit reloads and its branching-table entry ops.
+type SwitchWrite struct {
+	Switch   int
+	Programs []asic.PipeletID
+	Delta    []route.EntryOp
+}
+
 // ReconcileReport is the structured outcome of one reconcile round,
-// or of a Plan: the round without the commit, whose Changed and
-// Replaced say what a commit would change.
+// or of a Plan: the round without the commit, whose Changed, Replaced
+// and Writes say what a commit would change. Its JSON keys are the
+// fabric_* keys of `dejavu apply -json`.
 type ReconcileReport struct {
 	// Converged reports that the installed state already matched the
 	// desired plan — nothing was reprogrammed.
-	Converged bool
-	// Changed lists the switches reprogrammed this round, ascending.
-	Changed []int
+	Converged bool `json:"-"`
 	// Switches lists every switch the desired plan uses (hosting or
 	// transit), ascending.
-	Switches []int
+	Switches []int `json:"fabric_path,omitempty"`
+	// Changed lists the switches reprogrammed this round, ascending.
+	Changed []int `json:"fabric_changed,omitempty"`
 	// Routes is the desired (and, on success, installed) per-chain
 	// route map.
-	Routes map[uint16]ChainRoute
+	Routes map[uint16]ChainRoute `json:"fabric_routes,omitempty"`
 	// Replaced lists chains whose installed route changed this round,
 	// ascending.
-	Replaced []uint16
+	Replaced []uint16 `json:"fabric_replaced,omitempty"`
 	// Blackholed maps chains that cannot carry traffic to the reason.
-	Blackholed map[uint16]string
+	Blackholed map[uint16]string `json:"fabric_blackholed,omitempty"`
+	// Writes is each staged switch's write-set, ascending: what its
+	// controller commits (an entry switch only cleared writes none).
+	Writes []SwitchWrite `json:"-"`
 	// Cost is the desired plan's spend under the placement cost model.
-	Cost fabricplace.Cost
+	Cost fabricplace.Cost `json:"-"`
 	// Strategy reports which placer won the portfolio ("cost"/"lex").
-	Strategy string
+	Strategy string `json:"-"`
 	// Latency is the desired plan's weighted end-to-end latency
 	// estimate for one packet (§7): a port-to-port traversal of every
 	// switch in use, each switch's weighted on-chip recirculations, and
 	// the weighted inter-switch hops at the off-chip DAC latency of
 	// Fig. 8(b).
-	Latency time.Duration
+	Latency time.Duration `json:"-"`
 	// Findings collects FB001-FB006 degradation findings.
-	Findings *lint.Report
+	Findings *lint.Report `json:"-"`
 }
 
 // Reconciler is the fabric self-healing loop: each Reconcile computes
@@ -499,7 +518,7 @@ func NewReconciler(dep *FabricDeployment) *Reconciler { return &Reconciler{Dep: 
 // Reconcile runs one round and commits it; the first call performs the
 // initial deploy. Deterministic: the same fabric health and chain set
 // always produce the same plan, programs and findings.
-func (r *Reconciler) Reconcile() (*ReconcileReport, error) { return r.Dep.round(true) }
+func (r *Reconciler) Reconcile() (*ReconcileReport, error) { return r.Dep.round(r.Dep.Chains, true) }
 
 // record records a committed round, failed or not, into fd.Control,
 // with the alive count of the generation the round planned from.
@@ -516,16 +535,15 @@ func (fd *FabricDeployment) record(st *fabricState, rep *ReconcileReport, err er
 	})
 }
 
-// stagedBuild is one switch's build, staged and not yet committed, and
-// the build it replaces.
+// stagedBuild is one switch's build, staged and not yet committed, its
+// write-set and the build it replaces.
 type stagedBuild struct {
-	sw         int
+	SwitchWrite
 	prev, next pipeline.Installed
-	delta      []route.EntryOp
 }
 
-// round runs one reconcile round over one generation of fabric state:
-// report element health, take the desired plan, and stage every in-use
+// round runs one reconcile round toward chains over one generation of
+// fabric state: report element health, take the plan, and stage every in-use
 // switch whose desired build differs from its installed one — a failure
 // that touches only one chain's switches leaves the others' programs
 // untouched. With commit, and only if every stage succeeded, it commits
@@ -534,8 +552,8 @@ type stagedBuild struct {
 // the round already committed, so the fabric keeps running its installed
 // builds. A model deployment (no NF implementations) plans without
 // staging: a build needs the NFs. A committed round, failed or not, is
-// recorded into fd.Control; a plan records nothing.
-func (fd *FabricDeployment) round(commit bool) (rep *ReconcileReport, err error) {
+// recorded into fd.Control and remembers its plan; a plan does neither.
+func (fd *FabricDeployment) round(chains []route.Chain, commit bool) (rep *ReconcileReport, err error) {
 	st := fd.Fabric.state.Load()
 	if commit {
 		defer func() { fd.record(st, rep, err) }()
@@ -570,7 +588,10 @@ func (fd *FabricDeployment) round(commit bool) (rep *ReconcileReport, err error)
 		}
 	}
 
-	p := fd.desired(st)
+	p := fd.planFor(st, chains)
+	if commit {
+		fd.remember(st, p)
+	}
 	if p.err != nil {
 		return fail("plan", p.err)
 	}
@@ -612,26 +633,26 @@ func (fd *FabricDeployment) round(commit bool) (rep *ReconcileReport, err error)
 		if err != nil {
 			return fail(fmt.Sprintf("switch %d", s), fmt.Errorf("cluster: switch %d build: %w", s, err))
 		}
-		builds = append(builds, stagedBuild{sw: s, prev: fd.installed[s], next: next, delta: delta})
+		builds = append(builds, stagedBuild{SwitchWrite{s, next.Res.ChangedFuncs, delta}, fd.installed[s], next})
 	}
 	for i := 0; commit && i < len(builds); i++ {
 		b := builds[i]
-		if err := fd.installed[b.sw].Commit(fd.Fabric.Switches[b.sw], fd.Controllers[b.sw], fd.Drivers[b.sw].Apply, b.next, b.delta); err != nil {
-			err = fmt.Errorf("cluster: switch %d %w", b.sw, err)
+		if err := fd.installed[b.Switch].Commit(fd.Fabric.Switches[b.Switch], fd.Controllers[b.Switch], fd.Drivers[b.Switch].Apply, b.next, b.Delta); err != nil {
+			err = fmt.Errorf("cluster: switch %d %w", b.Switch, err)
 			// All or nothing: the switches this round already committed
 			// go back to their prior builds, last first.
 			for j := i - 1; j >= 0; j-- {
 				c := builds[j]
-				fd.installed[c.sw] = c.prev
-				if rerr := c.prev.Restore(fd.Fabric.Switches[c.sw]); rerr != nil {
-					err = fmt.Errorf("%w; rolling back switch %d failed: %v", err, c.sw, rerr)
+				fd.installed[c.Switch] = c.prev
+				if rerr := c.prev.Restore(fd.Fabric.Switches[c.Switch]); rerr != nil {
+					err = fmt.Errorf("%w; rolling back switch %d failed: %v", err, c.Switch, rerr)
 				}
 			}
-			return fail(fmt.Sprintf("switch %d", b.sw), err)
+			return fail(fmt.Sprintf("switch %d", b.Switch), err)
 		}
 	}
 	for _, b := range builds {
-		rep.Changed = append(rep.Changed, b.sw)
+		rep.Changed, rep.Writes = append(rep.Changed, b.Switch), append(rep.Writes, b.SwitchWrite)
 	}
 	// A plan that uses no switch blackholes every chain, yet the build an
 	// alive entry still runs would carry them on: a commit clears it, and

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -23,7 +24,7 @@ func TestPlanLatencyMatchesTracedProbes(t *testing.T) {
 	if _, err := rec.Reconcile(); err != nil {
 		t.Fatal(err)
 	}
-	plan, err := fd.Plan()
+	plan, err := fd.Plan(fd.Chains)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestPlanHighPathIDManySegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	fd.Pins = pins
-	p, err := fd.Plan()
+	p, err := fd.Plan(fd.Chains)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +351,7 @@ func TestReconcilerRoundCostsWhatChanged(t *testing.T) {
 		if !round("no-op").Converged {
 			t.Error("no-op round did not converge")
 		}
-		if _, err := fd.Plan(); err != nil {
+		if _, err := fd.Plan(fd.Chains); err != nil {
 			t.Error(err)
 		}
 	}); g != 0 || a != 0 {
@@ -391,6 +392,34 @@ func TestReconcilerRoundCostsWhatChanged(t *testing.T) {
 		if g != 1 || a != changed || a != 1 {
 			t.Errorf("moved segment: %d graphs, %d anneals, %d switches' sub-chain sets changed; want 1, 1, 1", g, a, changed)
 		}
+	}
+}
+
+// A Plan reads the remembered plan and never replaces it: after an
+// adopted round, a dry run toward another chain set leaves the next
+// unchanged round converged at no planning cost. It replaced the
+// remembered plan, so that round built a placement graph and ran two
+// anneals.
+func TestPlanKeepsTheAdoptedPlan(t *testing.T) {
+	s, _, fd, rec := newSpineDeployment(t, 4)
+	if _, err := rec.Reconcile(); err != nil {
+		t.Fatal(err)
+	}
+	other := append(slices.Clone(s.Chains), route.Chain{PathID: 40, NFs: []string{"classifier", "fw", "router"}, Weight: 0.1})
+	if g, _ := fd.work(func() {
+		if plan, err := fd.Plan(other); err != nil || len(plan.Writes) == 0 {
+			t.Fatalf("Plan toward chain 40 added: %v, writes %+v", err, plan)
+		}
+	}); g != 1 {
+		t.Fatalf("Plan toward another chain set built %d placement graphs, want 1", g)
+	}
+	g, a := fd.work(func() {
+		if rep, err := rec.Reconcile(); err != nil || !rep.Converged || len(rep.Writes) != 0 {
+			t.Fatalf("unchanged round after a Plan: %v, %+v", err, rep)
+		}
+	})
+	if g != 0 || a != 0 {
+		t.Errorf("unchanged round after a Plan: %d graphs, %d anneals; want 0 and 0", g, a)
 	}
 }
 

@@ -63,6 +63,14 @@ func newSpineDeployment(t testing.TB, n int) (*scenario.Scenario, *Fabric, *Fabr
 	return s, f, fd, NewReconciler(fd)
 }
 
+// desired is a committing round's plan: planFor the deployment's chain
+// set, remembered as the round remembers it.
+func (fd *FabricDeployment) desired(st *fabricState) *fabricPlan {
+	p := fd.planFor(st, fd.Chains)
+	fd.remember(st, p)
+	return p
+}
+
 // probeAll injects the three scenario paths and returns how many were
 // delivered end-to-end.
 func probeAll(t *testing.T, f *Fabric) int {
@@ -521,7 +529,7 @@ func TestReconcilerCommitsAllOrNothing(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if plan, err := fd.Plan(); err != nil || !slices.Contains(plan.Changed, tc.fault) || plan.Changed[0] != 0 {
+			if plan, err := fd.Plan(fd.Chains); err != nil || !slices.Contains(plan.Changed, tc.fault) || plan.Changed[0] != 0 {
 				t.Fatalf("the round would commit %v, want switch 0 and %d: %v", plan.Changed, tc.fault, err)
 			}
 			routes, installed := fd.Routes, slices.Clone(fd.installed)
@@ -635,7 +643,7 @@ func TestReconcilerConvergesPerChain(t *testing.T) {
 func TestPlanFailsWhereReconcileFails(t *testing.T) {
 	_, _, fd, rec := newTestFabric(t)
 	fd.StageDemand = map[string]int{"fw": 13}
-	if plan, err := fd.Plan(); err == nil || !strings.Contains(err.Error(), `cannot fit NF "fw"`) {
+	if plan, err := fd.Plan(fd.Chains); err == nil || !strings.Contains(err.Error(), `cannot fit NF "fw"`) {
 		t.Fatalf("Plan: err = %v, plan %+v; want the pipelet-fit refusal", err, plan)
 	}
 	if _, err := rec.Reconcile(); err == nil || !strings.Contains(err.Error(), `cannot fit NF "fw"`) {
@@ -643,7 +651,7 @@ func TestPlanFailsWhereReconcileFails(t *testing.T) {
 	}
 
 	fd.StageDemand = fabricDemand()
-	plan, err := fd.Plan()
+	plan, err := fd.Plan(fd.Chains)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -657,7 +665,7 @@ func TestPlanFailsWhereReconcileFails(t *testing.T) {
 	}
 
 	fd = deepDeployment(t, 2, []int{5, 5, 5}, map[string]int{"a": 1, "b": 1, "c": 1})
-	_, planErr := fd.Plan()
+	_, planErr := fd.Plan(fd.Chains)
 	rep, err = NewReconciler(fd).Reconcile()
 	if err == nil || !strings.Contains(err.Error(), "DV001") || fmt.Sprint(planErr) != err.Error() {
 		t.Errorf("DV001: Plan: %v\nReconcile: %v\nwant the same DV001 refusal", planErr, err)
@@ -686,7 +694,7 @@ func TestPlanLongChainSpillsAcrossSwitches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := fd.Plan()
+		p, err := fd.Plan(fd.Chains)
 		if err != nil {
 			t.Fatal(err)
 		}

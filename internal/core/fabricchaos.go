@@ -172,7 +172,7 @@ func (t *fabricTarget) check(r *SoakResult, roundFailed bool) {
 		return
 	}
 	checkFabricRoutes(t.fd, r.violate)
-	if plan, err := t.fd.Plan(); err != nil {
+	if plan, err := t.fd.Plan(t.fd.Chains); err != nil {
 		r.violate("plan fails on a converged fabric: %v", err)
 	} else {
 		checkBlackholed(t.fd.Blackholed, plan.Blackholed, r.violate)

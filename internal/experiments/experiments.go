@@ -420,7 +420,7 @@ func MultiSwitch() (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		plan, err := fd.Plan()
+		plan, err := fd.Plan(fd.Chains)
 		if err != nil {
 			return Table{}, err
 		}

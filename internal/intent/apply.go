@@ -6,11 +6,9 @@ import (
 	"sync"
 	"time"
 
-	"dejavu/internal/asic"
 	"dejavu/internal/cluster"
 	"dejavu/internal/core"
 	"dejavu/internal/pipeline"
-	"dejavu/internal/route"
 	"dejavu/internal/telemetry"
 )
 
@@ -53,24 +51,18 @@ type Report struct {
 	// fabric applies.
 	Build pipeline.BuildInfo `json:"build"`
 	// DeltaEntries and ProgramReloads are the write-set sizes the
-	// converge pushed: branching-table entry ops and pipelet program
-	// swaps — a deploy's whole initial program, and in fabric mode what
-	// every switch's controller committed. Both zero on a proved no-op.
+	// converge pushed, summed over Writes: branching-table entry ops and
+	// pipelet program swaps — a deploy's whole initial program. Both
+	// zero on a proved no-op.
 	DeltaEntries   int `json:"delta_entries"`
 	ProgramReloads int `json:"program_reloads"`
-	// ChangedPrograms and Delta are that write-set on one switch, a dry
-	// run's included, left to the printer to render; nil in fabric mode.
-	ChangedPrograms []asic.PipeletID `json:"-"`
-	Delta           []route.EntryOp  `json:"-"`
-	// Fabric-mode results: the switches the placement uses, the
-	// switches reprogrammed this apply, per-chain routes from the
-	// cost-based placer, chains the converge re-placed onto new
-	// routes, and chains that cannot carry traffic.
-	FabricPath       []int                         `json:"fabric_path,omitempty"`
-	FabricChanged    []int                         `json:"fabric_changed,omitempty"`
-	FabricRoutes     map[uint16]cluster.ChainRoute `json:"fabric_routes,omitempty"`
-	FabricReplaced   []uint16                      `json:"fabric_replaced,omitempty"`
-	FabricBlackholed map[uint16]string             `json:"fabric_blackholed,omitempty"`
+	// Writes is that write-set per switch, a dry run's included, left to
+	// the printer to render: one switch's as switch 0, and in fabric mode
+	// each switch the round staged.
+	Writes []cluster.SwitchWrite `json:"-"`
+	// Fabric is the fabric round's report (routes, changed switches,
+	// re-placed and blackholed chains), nil for one switch.
+	Fabric *cluster.ReconcileReport `json:"-"`
 }
 
 // Summary renders the report in one line.
@@ -88,10 +80,14 @@ func (r *Report) Summary() string {
 	}
 }
 
-// wrote records a single-switch converge's build and write-set.
-func (r *Report) wrote(info pipeline.BuildInfo, programs []asic.PipeletID, delta []route.EntryOp) {
-	r.Build, r.ChangedPrograms, r.Delta = info, programs, delta
-	r.DeltaEntries, r.ProgramReloads = len(delta), len(programs)
+// wrote records a converge's build (none on a fabric) and its write-set
+// per switch, with the sizes summed over the switches.
+func (r *Report) wrote(info pipeline.BuildInfo, writes ...cluster.SwitchWrite) {
+	r.Build, r.Writes = info, writes
+	for _, w := range writes {
+		r.DeltaEntries += len(w.Delta)
+		r.ProgramReloads += len(w.Programs)
+	}
 }
 
 // Applier converges deployments toward applied intent documents. It
@@ -105,7 +101,6 @@ type Applier struct {
 	last *Document
 	dep  *core.Deployment
 	fab  *cluster.FabricDeployment
-	frec *cluster.Reconciler
 	// control records every apply, rollback and dry run; never nil.
 	control *telemetry.Control
 }
@@ -235,9 +230,9 @@ func (a *Applier) deploy(doc *Document, rep *Report) error {
 	if err != nil {
 		return err
 	}
-	rep.wrote(dep.LastBuild, dep.LastReloaded, dep.LastDelta)
+	rep.wrote(dep.LastBuild, cluster.SwitchWrite{Programs: dep.LastReloaded, Delta: dep.LastDelta})
 	if !rep.DryRun {
-		a.dep, a.fab, a.frec = dep, nil, nil
+		a.dep, a.fab = dep, nil
 	}
 	return nil
 }
@@ -254,80 +249,55 @@ func (a *Applier) update(doc *Document, rep *Report) error {
 	}
 	if rep.DryRun {
 		res, delta, err := d.Plan(u)
-		if err != nil {
-			return err
+		if err == nil {
+			rep.wrote(res.Info, cluster.SwitchWrite{Programs: res.ChangedFuncs, Delta: delta})
 		}
-		rep.wrote(res.Info, res.ChangedFuncs, delta)
-		return nil
+		return err
 	}
 	if err := d.Apply(u); err != nil {
 		return err
 	}
-	rep.wrote(d.LastBuild, d.LastReloaded, d.LastDelta)
+	rep.wrote(d.LastBuild, cluster.SwitchWrite{Programs: d.LastReloaded, Delta: d.LastDelta})
 	return nil
 }
 
-// buildFabric wires the document's fabric (the spine-plus-skip-wire
-// topology of `dejavu chaos -switches`) and prepares a deployment over it.
-func (a *Applier) buildFabric(doc *Document, cfg *core.Config) (*cluster.FabricDeployment, error) {
-	f, err := cluster.NewSpineFabric(cfg.Prof, doc.Fabric.Switches)
-	if err != nil {
-		return nil, err
-	}
-	fd, err := cluster.NewFabricDeployment(f, cfg.Chains, cfg.NFs, doc.Fabric.StageDemand)
-	if err != nil {
-		return nil, err
-	}
-	fd.Pins = doc.Fabric.Pin
-	return fd, nil
-}
-
-// convergeFabric drives a fabric-mode apply: initial (or
-// redeploy-forcing) applies build the fabric fresh and reconcile it
-// onto the topology; chain-only deltas update the desired set on the
-// live fabric and let the level-triggered reconciler converge — an
-// unchanged intent reconciles to Converged with zero reprogrammed
-// switches. A failed chain-delta converge restores the prior chain set
-// and re-reconciles, so the fabric ends at the prior intent. A dry run
-// plans the same fabric and chain set and installs nothing; a plan the
-// reconcile would reject is an error there too.
+// convergeFabric drives a fabric-mode apply on a fresh fabric (the
+// `dejavu chaos -switches` spine) or the live one. A dry run is the
+// fabric's Plan toward the document's chains; an apply sets the chains
+// and reconciles, an unchanged intent to Converged with zero
+// reprogrammed switches. A failed chain-delta converge restores the
+// prior chain set and re-reconciles, so the fabric ends at the prior
+// intent.
 func (a *Applier) convergeFabric(doc *Document, fresh bool, rep *Report) error {
-	fab, frec := a.fab, a.frec
+	fab := a.fab
 	if fresh {
 		cfg, err := doc.BuildConfig()
 		if err != nil {
 			return err
 		}
-		if fab, err = a.buildFabric(doc, cfg); err != nil {
-			return err
-		}
-		frec = cluster.NewReconciler(fab)
-	}
-	prior := fab.Chains
-	if rep.DryRun {
-		fab.Chains = doc.RouteChains()
-		plan, err := fab.Plan()
-		fab.Chains = prior
+		f, err := cluster.NewSpineFabric(cfg.Prof, doc.Fabric.Switches)
 		if err != nil {
 			return err
 		}
-		rep.FabricPath, rep.FabricRoutes, rep.FabricBlackholed = plan.Switches, plan.Routes, plan.Blackholed
-		return nil
-	}
-	if !fresh {
-		if err := fab.SetChains(doc.RouteChains()); err != nil {
+		if fab, err = cluster.NewFabricDeployment(f, cfg.Chains, cfg.NFs, doc.Fabric.StageDemand); err != nil {
 			return err
 		}
+		fab.Pins = doc.Fabric.Pin
 	}
-	committed := func() (entries, programs int) {
-		for _, c := range fab.Controllers {
-			st := c.Stats()
-			entries, programs = entries+st.EntryWrites, programs+st.ProgramWrites
+	chains := doc.RouteChains()
+	if rep.DryRun {
+		round, err := fab.Plan(chains)
+		if err == nil {
+			rep.Fabric = round
+			rep.wrote(pipeline.BuildInfo{}, round.Writes...)
 		}
-		return entries, programs
+		return err
 	}
-	entries, programs := committed()
-	frep, err := frec.Reconcile()
+	prior, frec := fab.Chains, cluster.NewReconciler(fab)
+	if err := fab.SetChains(chains); err != nil {
+		return err
+	}
+	round, err := frec.Reconcile()
 	switch {
 	case err != nil && fresh:
 		return err
@@ -342,13 +312,8 @@ func (a *Applier) convergeFabric(doc *Document, fresh bool, rep *Report) error {
 		}
 		return fmt.Errorf("intent: apply failed, fabric rolled back to prior intent: %w", err)
 	}
-	rep.FabricPath = frep.Switches
-	rep.FabricChanged = frep.Changed
-	rep.FabricRoutes = frep.Routes
-	rep.FabricReplaced = frep.Replaced
-	rep.FabricBlackholed = frep.Blackholed
-	e, p := committed()
-	rep.DeltaEntries, rep.ProgramReloads = e-entries, p-programs
-	a.fab, a.frec, a.dep = fab, frec, nil
+	rep.Fabric = round
+	rep.wrote(pipeline.BuildInfo{}, round.Writes...)
+	a.fab, a.dep = fab, nil
 	return nil
 }

@@ -401,16 +401,16 @@ func TestApplyFabric(t *testing.T) {
 	if a.FabricDeployment() == nil || a.Deployment() != nil {
 		t.Fatal("fabric apply did not adopt a fabric deployment")
 	}
-	if len(rep.FabricPath) == 0 {
+	if len(rep.Fabric.Switches) == 0 {
 		t.Fatal("fabric apply reports no switch path")
 	}
-	if len(rep.FabricBlackholed) != 0 {
-		t.Fatalf("fabric blackholed chains: %v", rep.FabricBlackholed)
+	if len(rep.Fabric.Blackholed) != 0 {
+		t.Fatalf("fabric blackholed chains: %v", rep.Fabric.Blackholed)
 	}
-	if len(rep.FabricRoutes) != len(doc.Chains) {
-		t.Fatalf("fabric apply reports %d chain routes, want %d", len(rep.FabricRoutes), len(doc.Chains))
+	if len(rep.Fabric.Routes) != len(doc.Chains) {
+		t.Fatalf("fabric apply reports %d chain routes, want %d", len(rep.Fabric.Routes), len(doc.Chains))
 	}
-	for id, r := range rep.FabricRoutes {
+	for id, r := range rep.Fabric.Routes {
 		if len(r.Path) == 0 || len(r.Segments) != len(r.Path) {
 			t.Fatalf("chain %d route malformed: path %v, %d segments", id, r.Path, len(r.Segments))
 		}
@@ -421,9 +421,9 @@ func TestApplyFabric(t *testing.T) {
 			t.Fatalf("unchanged fabric re-apply not a no-op: %s", rep.Summary())
 		}
 	}
-	if len(rep.FabricChanged) != 0 || rep.ProgramReloads != 0 {
+	if len(rep.Fabric.Changed) != 0 || rep.ProgramReloads != 0 {
 		t.Errorf("fabric no-op reprogrammed switches %v (%d reloads)",
-			rep.FabricChanged, rep.ProgramReloads)
+			rep.Fabric.Changed, rep.ProgramReloads)
 	}
 
 	next := doc.Clone()
@@ -441,8 +441,8 @@ func TestApplyFabric(t *testing.T) {
 	// zero reprogrammed switches (there is no staged single-switch build
 	// to cache-check in fabric mode).
 	rep = applyDoc(t, a, next.Clone())
-	if !rep.NoOp || len(rep.FabricChanged) != 0 || rep.ProgramReloads != 0 {
-		t.Fatalf("fabric re-apply not a proved no-op: %s (changed %v)", rep.Summary(), rep.FabricChanged)
+	if !rep.NoOp || len(rep.Fabric.Changed) != 0 || rep.ProgramReloads != 0 {
+		t.Fatalf("fabric re-apply not a proved no-op: %s (changed %v)", rep.Summary(), rep.Fabric.Changed)
 	}
 }
 
@@ -454,7 +454,7 @@ func TestApplyFabricRecordsRounds(t *testing.T) {
 	doc := testDoc(t)
 	doc.Fabric = &FabricSpec{Switches: 3, StageDemand: map[string]int{"classifier": 6, "fw": 6, "router": 6}}
 	first := applyDoc(t, a, doc)
-	if len(first.FabricChanged) == 0 {
+	if len(first.Fabric.Changed) == 0 {
 		t.Fatal("the initial fabric apply programmed no switch")
 	}
 	control := a.FabricDeployment().Control
@@ -465,8 +465,8 @@ func TestApplyFabricRecordsRounds(t *testing.T) {
 	if n := counter(control, "dejavu_fabric_reconciles_total"); n != 2 {
 		t.Errorf("reconciles = %v, want 2", n)
 	}
-	if after != float64(len(first.FabricChanged)) {
-		t.Errorf("replacements after the initial apply = %v, it programmed switches %v", after, first.FabricChanged)
+	if after != float64(len(first.Fabric.Changed)) {
+		t.Errorf("replacements after the initial apply = %v, it programmed switches %v", after, first.Fabric.Changed)
 	}
 	if n := counter(control, "dejavu_fabric_replacements_total"); n != after {
 		t.Errorf("the no-op re-apply added %v replacements", n-after)
@@ -536,8 +536,8 @@ func TestApplyFabricPins(t *testing.T) {
 	}
 
 	rep := applyDoc(t, a, doc)
-	if len(rep.FabricBlackholed) != 0 {
-		t.Fatalf("pinned fabric apply blackholed chains: %v", rep.FabricBlackholed)
+	if len(rep.Fabric.Blackholed) != 0 {
+		t.Fatalf("pinned fabric apply blackholed chains: %v", rep.Fabric.Blackholed)
 	}
 	fd := a.FabricDeployment()
 	if fd == nil {
@@ -580,7 +580,7 @@ func TestFabricDryRunRejectsWhatApplyRejects(t *testing.T) {
 
 	a := NewApplier(nil)
 	if rep, err := a.Apply(doc, Options{DryRun: true}); err == nil || !strings.Contains(err.Error(), refusal) {
-		t.Fatalf("fresh-fabric dry run: err = %v, routes %v; want %s", err, rep.FabricRoutes, refusal)
+		t.Fatalf("fresh-fabric dry run: err = %v, round %+v; want %s", err, rep.Fabric, refusal)
 	}
 	if _, err := a.Apply(doc, Options{}); err == nil || !strings.Contains(err.Error(), refusal) {
 		t.Fatalf("real apply: err = %v; want %s", err, refusal)
@@ -591,7 +591,7 @@ func TestFabricDryRunRejectsWhatApplyRejects(t *testing.T) {
 	without.Chains = without.Chains[1:]
 	applyDoc(t, a, without)
 	if rep, err := a.Apply(doc, Options{DryRun: true}); err == nil || !strings.Contains(err.Error(), refusal) {
-		t.Fatalf("live-fabric dry run: err = %v, routes %v; want %s", err, rep.FabricRoutes, refusal)
+		t.Fatalf("live-fabric dry run: err = %v, round %+v; want %s", err, rep.Fabric, refusal)
 	}
 	if got := len(a.FabricDeployment().Chains); got != 1 {
 		t.Fatalf("dry run left %d desired chains on the live fabric, want 1", got)
@@ -616,8 +616,8 @@ func TestFabricDryRunRejectsWhatApplyRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	a = NewApplier(nil)
-	a.fab, a.frec = fd, cluster.NewReconciler(fd)
-	if _, err := a.frec.Reconcile(); err != nil {
+	a.fab = fd
+	if _, err := cluster.NewReconciler(fd).Reconcile(); err != nil {
 		t.Fatal(err)
 	}
 	overflow := testDoc(t)

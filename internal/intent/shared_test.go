@@ -24,7 +24,7 @@ func TestSharedBlocksUnchangedByBuilds(t *testing.T) {
 	fleet := base.Clone()
 	fleet.Fabric = &FabricSpec{Switches: 4}
 	rep := applyDoc(t, NewApplier(nil), fleet)
-	if len(rep.FabricChanged) == 0 {
+	if len(rep.Fabric.Changed) == 0 {
 		t.Fatalf("the fabric apply reprogrammed no switch: %s", rep.Summary())
 	}
 

@@ -17,7 +17,7 @@ type IPv4 struct {
 	Checksum uint16
 	Src      IP4
 	Dst      IP4
-	Options  []byte // raw options, length must be a multiple of 4
+	Options  []byte // raw options: a multiple of 4 bytes, at most 40
 }
 
 // IPv4 flag bits.
@@ -68,8 +68,8 @@ func (ip *IPv4) Len() int { return ip.HeaderLen() }
 // Length to the full datagram length.
 func (ip *IPv4) SerializeTo(b []byte) (int, error) {
 	hdrLen := ip.HeaderLen()
-	if len(ip.Options)%4 != 0 {
-		return 0, errOptionsAlign
+	if !optionsLenOK(len(ip.Options)) {
+		return 0, &OptionsError{"IPv4", len(ip.Options)}
 	}
 	if len(b) < hdrLen {
 		return 0, ErrShortBuf
@@ -105,8 +105,6 @@ func (ip *IPv4) SerializeTo(b []byte) (int, error) {
 	ip.IHL = ihl
 	return hdrLen, nil
 }
-
-var errOptionsAlign = errorString("packet: IPv4 options length not a multiple of 4")
 
 // ValidChecksum reports whether the checksum in a raw IPv4 header is
 // correct. data must contain at least the full header.

@@ -64,8 +64,8 @@ func (t *TCP) Len() int { return t.HeaderLen() }
 // use ComputeTCPChecksum to fill it from the pseudo-header.
 func (t *TCP) SerializeTo(b []byte) (int, error) {
 	hdrLen := t.HeaderLen()
-	if len(t.Options)%4 != 0 {
-		return 0, errorString("packet: TCP options length not a multiple of 4")
+	if !optionsLenOK(len(t.Options)) {
+		return 0, &OptionsError{"TCP", len(t.Options)}
 	}
 	if len(b) < hdrLen {
 		return 0, ErrShortBuf

@@ -15,6 +15,7 @@ package packet
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Common errors shared by the header decoders.
@@ -22,6 +23,21 @@ var (
 	ErrTruncated = errors.New("packet: buffer too short for header")
 	ErrShortBuf  = errors.New("packet: serialize buffer too short")
 )
+
+// OptionsError refuses to serialize an IPv4 or TCP header whose options
+// its 4-bit length field cannot describe: not a multiple of 4, or over 40.
+type OptionsError struct {
+	Header string // "IPv4" or "TCP"
+	Len    int
+}
+
+func (e *OptionsError) Error() string {
+	return fmt.Sprintf("packet: %s options length %d: not a multiple of 4 up to 40 bytes", e.Header, e.Len)
+}
+
+// optionsLenOK reports whether n option bytes fit that field in one test:
+// rotated right by 2, n is n/4 if a multiple of 4 and huge otherwise.
+func optionsLenOK(n int) bool { return bits.RotateLeft(uint(n), -2) <= 10 }
 
 // EtherType values understood by the parser.
 const (

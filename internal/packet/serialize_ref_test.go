@@ -2,7 +2,9 @@ package packet
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dejavu/internal/nsh"
@@ -19,7 +21,7 @@ func (r refIPv4) SerializeTo(b []byte) (int, error) {
 	ip := r.IPv4
 	hdrLen := ip.HeaderLen()
 	if len(ip.Options)%4 != 0 {
-		return 0, errOptionsAlign
+		return 0, &OptionsError{"IPv4", len(ip.Options)}
 	}
 	if len(b) < hdrLen {
 		return 0, ErrShortBuf
@@ -179,16 +181,7 @@ func TestIPv4FieldwiseChecksum(t *testing.T) {
 // mask — with random fields, IPv4 and TCP options and payloads, and
 // requires Serialize to write what the reference deparser writes.
 func TestSerializeMatchesReference(t *testing.T) {
-	const outer = HdrEth | HdrIPv4
-	const vx = outer | HdrUDP | HdrVXLAN | HdrInnerEth
-	masks := []HeaderBit{
-		HdrEth, HdrEth | HdrARP, HdrEth | HdrSFC,
-		outer, outer | HdrTCP, outer | HdrUDP, outer | HdrICMP,
-		vx, vx | HdrInnerIPv4, vx | HdrInnerIPv4 | HdrInnerTCP, vx | HdrInnerIPv4 | HdrInnerUDP,
-	}
-	for _, m := range masks[3:] {
-		masks = append(masks, m|HdrSFC)
-	}
+	masks := parserStacks()
 	rng := rand.New(rand.NewSource(2))
 	options := func() []byte {
 		o := make([]byte, 4*[]int{0, 0, 1, 3}[rng.Intn(4)])
@@ -248,6 +241,87 @@ func TestSerializeMatchesReference(t *testing.T) {
 	}
 }
 
+// parserStacks lists every header stack the generic parser accepts.
+func parserStacks() []HeaderBit {
+	const outer = HdrEth | HdrIPv4
+	const vx = outer | HdrUDP | HdrVXLAN | HdrInnerEth
+	masks := []HeaderBit{
+		HdrEth, HdrEth | HdrARP, HdrEth | HdrSFC,
+		outer, outer | HdrTCP, outer | HdrUDP, outer | HdrICMP,
+		vx, vx | HdrInnerIPv4, vx | HdrInnerIPv4 | HdrInnerTCP, vx | HdrInnerIPv4 | HdrInnerUDP,
+	}
+	for _, m := range masks[3:] {
+		masks = append(masks, m|HdrSFC)
+	}
+	return masks
+}
+
+// parseable reports whether p's validity mask is a stack the generic
+// parser accepts, and if so fills the fields the parser branches on that
+// Serialize does not write: a well-formed SFC header and the VXLAN port
+// and flag.
+func parseable(p *Parsed) bool {
+	if !slices.Contains(parserStacks(), p.ValidMask()) {
+		return false
+	}
+	p.SFC = nsh.New(1, 1)
+	p.UDP.DstPort, p.VXLAN = 53, VXLAN{}
+	if p.Valid(HdrVXLAN) {
+		p.UDP.DstPort, p.VXLAN = VXLANPort, VXLAN{VNIValid: true, VNI: 5001}
+	}
+	return true
+}
+
+// TestSerializeRefusesOptionsPastTheLengthField: outer and inner IPv4
+// and TCP headers serialize with every option length from 0 to 40 bytes
+// in steps of 4 and parse back to the same header lengths; 44 option
+// bytes, which a 4-bit length field cannot describe, and lengths that
+// are not a multiple of 4 are refused with an OptionsError naming the
+// header. A TCP header with 44 option bytes serialized with data offset
+// 0 and then failed to parse.
+func TestSerializeRefusesOptionsPastTheLengthField(t *testing.T) {
+	const outer = HdrEth | HdrIPv4 | HdrTCP
+	const inner = HdrEth | HdrIPv4 | HdrUDP | HdrVXLAN | HdrInnerEth | HdrInnerIPv4 | HdrInnerTCP
+	for _, tc := range []struct {
+		name   string
+		mask   HeaderBit
+		header string
+		at     int // option lengths (ip, tcp, innerIP, innerTCP) index
+	}{
+		{"outer IPv4", outer, "IPv4", 0}, {"outer TCP", outer, "TCP", 1},
+		{"inner IPv4", inner, "IPv4", 2}, {"inner TCP", inner, "TCP", 3},
+	} {
+		for n := 0; n <= 48; n++ {
+			opts := [4]int{}
+			opts[tc.at] = n
+			p := wireLenPacket(tc.mask, opts[0], opts[1], opts[2], opts[3], 16)
+			if !parseable(p) {
+				t.Fatalf("%s: mask %#x is not a stack the parser accepts", tc.name, tc.mask)
+			}
+			out, err := p.Clone().Serialize(nil)
+			if n%4 != 0 || n > 40 {
+				var oe *OptionsError
+				if !errors.As(err, &oe) || oe.Header != tc.header || oe.Len != n {
+					t.Errorf("%s with %d option bytes: Serialize error %v, want an OptionsError for %s, %d bytes", tc.name, n, err, tc.header, n)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s with %d option bytes: %v", tc.name, n, err)
+			}
+			var back Parsed
+			if err := back.Parse(out); err != nil || back.ValidMask() != tc.mask {
+				t.Fatalf("%s with %d option bytes parses back as %#x, %v", tc.name, n, back.ValidMask(), err)
+			}
+			got := [4]int{back.IPv4.HeaderLen(), back.TCP.HeaderLen(), back.InnerIPv4.HeaderLen(), back.InnerTCP.HeaderLen()}
+			want := [4]int{p.IPv4.HeaderLen(), p.TCP.HeaderLen(), p.InnerIPv4.HeaderLen(), p.InnerTCP.HeaderLen()}
+			if got != want || !bytes.Equal(back.Payload, p.Payload) {
+				t.Fatalf("%s with %d option bytes: header lengths %v parse back as %v", tc.name, n, want, got)
+			}
+		}
+	}
+}
+
 // wireLenPacket is a header vector with the given validity bits, option
 // lengths on the four headers that carry options (outer and inner IPv4
 // and TCP) and payload length.
@@ -291,13 +365,17 @@ func TestWireLenMatchesReference(t *testing.T) {
 // FuzzWireLen: over any validity mask (bits past the last header
 // included), option and payload lengths, WireLen is the reference sum,
 // and whenever Serialize succeeds it is the length Serialize returns and
-// the number of bytes the headers' serializers write plus the payload.
+// the number of bytes the headers' serializers write plus the payload;
+// and a stack the parser accepts parses back with the same validity mask
+// and header lengths.
 func FuzzWireLen(f *testing.F) {
 	f.Add(uint16(HdrEth|HdrIPv4|HdrTCP), uint8(0), uint8(0), uint8(0), uint8(0), uint16(64))
 	f.Add(uint16(HdrEth|HdrSFC|HdrIPv4|HdrUDP|HdrVXLAN|HdrInnerEth|HdrInnerIPv4|HdrInnerTCP), uint8(4), uint8(12), uint8(40), uint8(8), uint16(1500))
 	f.Add(uint16(0xFFFF), uint8(3), uint8(41), uint8(0), uint8(255), uint16(1))
+	f.Add(uint16(HdrEth|HdrIPv4|HdrTCP), uint8(40), uint8(44), uint8(0), uint8(0), uint16(64))
 	f.Fuzz(func(t *testing.T, mask uint16, ip, tcp, innerIP, innerTCP uint8, payload uint16) {
 		p := wireLenPacket(HeaderBit(mask), int(ip), int(tcp), int(innerIP), int(innerTCP), int(payload%2048))
+		stack := parseable(p)
 		n := p.WireLen()
 		if want := refWireLen(p); n != want {
 			t.Fatalf("mask %#x: WireLen %d, reference %d", mask, n, want)
@@ -319,6 +397,13 @@ func FuzzWireLen(f *testing.F) {
 		}
 		if len(out) != n || written != n {
 			t.Fatalf("mask %#x: WireLen %d, Serialize returned %d bytes, headers and payload write %d", mask, n, len(out), written)
+		}
+		if !stack {
+			return
+		}
+		var back Parsed
+		if err := back.Parse(out); err != nil || back.ValidMask() != p.ValidMask() || back.WireLen() != n {
+			t.Fatalf("mask %#x: serialized %d bytes parse back as %#x (%d bytes), %v", mask, n, back.ValidMask(), back.WireLen(), err)
 		}
 	})
 }

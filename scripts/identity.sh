@@ -13,6 +13,8 @@
 #   fixture that adds chain 40, each from that -config and from the
 #   fixture without chain 40 (the document form of the reference
 #   scenario);
+#   apply -dry-run, in text and -json, from the 3-switch fabric fixture
+#   to the one that pins fw to switch 2;
 #   dvexp.
 # It prints every form that differs and exits 1 if any does.
 set -eu
@@ -24,6 +26,8 @@ config=configs/edgecloud.json
 # reads the same documents.
 add40=$(pwd)/cmd/dejavu/testdata/intent_add40.json
 from40=$(pwd)/cmd/dejavu/testdata/intent_add40_from.json
+fabric=$(pwd)/cmd/dejavu/testdata/intent_fabric.json
+fabricpin=$(pwd)/cmd/dejavu/testdata/intent_fabric_pin.json
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
@@ -51,6 +55,8 @@ forms() {
 		echo "dejavu apply -from $from40 -f $to -dry-run"
 		echo "dejavu apply -from $config -f $to -dry-run"
 	done
+	echo "dejavu apply -from $fabric -f $fabricpin -dry-run"
+	echo "dejavu apply -from $fabric -f $fabricpin -dry-run -json"
 	echo "dvexp"
 }
 
