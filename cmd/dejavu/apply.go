@@ -118,19 +118,26 @@ func runApply(args []string) error {
 			return fmt.Errorf("apply: idempotency re-apply: %w", err)
 		}
 	}
+	return reportApply(applyJSON{File: *file, From: *from, Apply: newReportJSON(rep), NoopReapply: newReportJSON(re)}, *jsonOut)
+}
 
-	if *jsonOut {
-		return printJSON(applyJSON{File: *file, From: *from, Apply: newReportJSON(rep), NoopReapply: newReportJSON(re)})
-	}
-	printApplyReport(rep)
-	if re != nil {
-		fmt.Println("\nidempotency proof (immediate re-apply):")
-		printApplyReport(re)
-		if !re.NoOp {
-			return fmt.Errorf("apply: re-apply was not a no-op")
+// reportApply prints an apply's reports, as JSON or text, and fails
+// in either form when the idempotency re-apply was not a proved no-op.
+func reportApply(doc applyJSON, jsonOut bool) error {
+	var err error
+	if jsonOut {
+		err = printJSON(doc)
+	} else {
+		printApplyReport(doc.Apply.Report)
+		if doc.NoopReapply != nil {
+			fmt.Println("\nidempotency proof (immediate re-apply):")
+			printApplyReport(doc.NoopReapply.Report)
 		}
 	}
-	return nil
+	if re := doc.NoopReapply; err == nil && re != nil && !re.NoOp {
+		err = fmt.Errorf("apply: re-apply was not a no-op")
+	}
+	return err
 }
 
 // printApplyReport renders one converge report as text.

@@ -172,6 +172,20 @@ func TestApplyReportBlackholedInChainOrder(t *testing.T) {
 	}
 }
 
+// TestApplyFailsWhenReapplyWrites: apply fails, in text and in JSON
+// alike, when its idempotency re-apply was not a proved no-op, and only
+// then. The JSON form returned before the check and exited 0.
+func TestApplyFailsWhenReapplyWrites(t *testing.T) {
+	for _, noop := range []bool{true, false} {
+		for _, jsonOut := range []bool{false, true} {
+			doc := applyJSON{File: "intent.json", Apply: newReportJSON(&intent.Report{}), NoopReapply: newReportJSON(&intent.Report{NoOp: noop})}
+			if _, err := capture(t, func() error { return reportApply(doc, jsonOut) }); (err == nil) != noop {
+				t.Errorf("re-apply no-op %v, -json %v: err = %v", noop, jsonOut, err)
+			}
+		}
+	}
+}
+
 // TestChaosFaultSurfaceNamesDocumentPorts: `chaos -config` faults only
 // front-panel ports the document uses. It cast the entry pipeline index
 // to a wire port.

@@ -265,6 +265,8 @@ func TestHotpathAnnotationCoversChain(t *testing.T) {
 		"dejavu/internal/packet.FlowHash",
 		// The word-wide kernels under them, and the burst tally.
 		"dejavu/internal/mau.(exactSlot).load",
+		"dejavu/internal/mau.matchCtrl",
+		"dejavu/internal/mau.matchEmpty",
 		"dejavu/internal/mau.(bitmap256).rank",
 		"dejavu/internal/mau.(TernaryTable).LookupWords",
 		"dejavu/internal/mau.(TernaryTable).match",
@@ -305,6 +307,8 @@ func TestRealTreeHotAnnotations(t *testing.T) {
 		"dejavu/internal/mau.(ExactTable).Lookup",
 		"dejavu/internal/mau.(ExactTable).Has",
 		"dejavu/internal/mau.(exactSlot).load",
+		"dejavu/internal/mau.matchCtrl",
+		"dejavu/internal/mau.matchEmpty",
 		"dejavu/internal/mau.(Hit).Param",
 		"dejavu/internal/mau.(LPM32).Lookup",
 		"dejavu/internal/mau.(TernaryTable).Lookup",

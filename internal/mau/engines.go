@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"strings"
@@ -35,34 +36,45 @@ type Entry struct {
 // meta (version, state, interned action), the key's tag, one param —
 // and an entry that does not fit (a key over seven bytes, more than one
 // param) spills into a record of its generation's side store, which the
-// param word indexes. A writer changes a slot in place with its version
-// odd; a Lookup retries a slot whose version was odd or moved while it
-// read, so it sees an entry whole, old or new. The array grows by
-// doubling into a fresh generation published with one pointer store; a
+// param word indexes. Slots come in groups of eight, and each group has
+// a control word of one byte per slot: empty, tombstone, or live over
+// seven bits of the key's hash. A probe matches those bits across the
+// word and reads a slot only where they match, so a miss reads no slot.
+// Live entries and tombstones fill at most 7 of every 8 slots. A writer
+// changes a slot in place with its version odd, then its control byte;
+// a Lookup retries a slot whose version was odd or moved while it read,
+// so it sees an entry whole, old or new. The array grows by doubling
+// its groups into a fresh generation published with one pointer store,
+// but never past the ⌈capacity/7⌉ groups that hold capacity entries,
+// which it takes at once when they are at most two doublings away; a
 // Lookup that loaded the old one finishes against it, complete as of
-// the swap. It starts at eight slots and is never presized to the
+// the swap. It starts at one group and is never presized to the
 // capacity: a session table sized for its worst case would pin that
 // memory from the first packet.
 type ExactTable struct {
-	mu     sync.Mutex // serialises writers; readers never take it
-	arr    atomic.Pointer[exactArray]
-	acts   atomic.Pointer[[]string] // interned actions, append-only; a slot holds an index
-	n      atomic.Int64             // live entries
-	tombs  int                      // deleted slots still occupying probe chains
-	spills int                      // live entries with a side-store record
-	recs   int                      // records of arr's side store in use, live or dead
-	cap    int
+	mu        sync.Mutex // serialises writers; readers never take it
+	arr       atomic.Pointer[exactArray]
+	acts      atomic.Pointer[[]string] // interned actions, append-only; a slot holds an index
+	n         atomic.Int64             // live entries
+	tombs     int                      // tombstone control bytes: deleted slots still on probe chains
+	spills    int                      // live entries with a side-store record
+	recs      int                      // records of arr's side store in use, live or dead
+	cap       int
+	maxGroups int // the most groups the array grows to: ⌈cap/7⌉, or unbounded
 }
 
-// exactArray is one generation of the table; len(slots) is a power of
-// two and at most half of it is ever occupied.
+// exactArray is one generation of the table: len(ctrl) groups of
+// exactGroup slots, slot g*exactGroup+j under byte j of ctrl[g]. Live
+// and tombstone bytes number at most exactGroupFill times the groups,
+// so some group has an empty byte, and a probe, which goes round the
+// groups, meets one.
 type exactArray struct {
+	ctrl  []atomic.Uint64
 	slots []exactSlot
 	// spill is the side store. A record is written once, before a slot
 	// publishes its index, and never again; a replaced or deleted one
 	// stays until the next generation, which copies only live records.
 	spill []exactSpill
-	shift uint // 64 - log2(len(slots)): the hash's top bits index the array
 }
 
 // exactSlot is one entry's words, read and written only through
@@ -73,17 +85,37 @@ type exactSlot struct {
 }
 
 // A slot's meta word: the version in the low 32 bits, odd while a
-// writer is inside the slot; then what the slot holds, and the entry's
-// action as an index into the table's action list. A slot never
-// written is all zero: empty, the end of a probe chain.
+// writer is inside the slot; then whether it holds an entry and how,
+// and the entry's action as an index into the table's action list. A
+// slot that holds none is zero above the version.
 const (
 	metaVersion  = 1<<32 - 1
-	metaTomb     = 1 << 32 // a deleted entry: probe chains continue past it
-	metaLive     = 1 << 33 // an entry
-	metaOneParam = 1 << 34 // an inline entry with one param
-	metaSpilled  = 1 << 35 // the entry is the side-store record param indexes
+	metaLive     = 1 << 32 // an entry
+	metaOneParam = 1 << 33 // an inline entry with one param
+	metaSpilled  = 1 << 34 // the entry is the side-store record param indexes
 	metaActShift = 40
 	exactMaxActs = 1 << (64 - metaActShift)
+)
+
+// A control byte is empty (zero, as a new array holds), a tombstone (a
+// deleted entry: probes go on past it), or ctrlLive over the low seven
+// bits of the entry's hash. The group index is the high word of hash ×
+// groups, which rests on the hash's top bits, so the two hardly agree
+// by chance.
+const (
+	ctrlEmpty = 0x00
+	ctrlTomb  = 0x01
+	ctrlLive  = 0x80
+	// One bit at the bottom, and one at the top, of every byte.
+	ctrlLSB uint64 = 0x0101010101010101
+	ctrlMSB uint64 = 0x8080808080808080
+)
+
+// exactGroup is the slots of a group, exactGroupFill how many of them
+// live entries and tombstones may fill, on average over the array.
+const (
+	exactGroup     = 8
+	exactGroupFill = 7
 )
 
 // exactSpill is a spilled entry's record: copies of the key, when its
@@ -101,28 +133,27 @@ const exactInlineKey = 7
 // bits of a spilled key's hash.
 const tagLong uint64 = 0xFF << 56
 
-// exactMinSlots is the size of a table's first array, exactMinRecords
-// of a side store.
-const (
-	exactMinSlots   = 8
-	exactMinRecords = 16
-)
+// exactMinRecords is the size of a side store's first generation.
+const exactMinRecords = 16
 
 // NewExactTable creates a table with the given capacity; capacity 0
 // means unbounded.
 //
 //dv:snapshotwriter
 func NewExactTable(capacity int) *ExactTable {
-	t := &ExactTable{cap: capacity}
-	t.arr.Store(newExactArray(exactMinSlots, 0))
+	t := &ExactTable{cap: capacity, maxGroups: math.MaxInt}
+	if capacity > 0 {
+		t.maxGroups = (capacity + exactGroupFill - 1) / exactGroupFill
+	}
+	t.arr.Store(newExactArray(1, 0))
 	t.acts.Store(new([]string))
 	return t
 }
 
-func newExactArray(size, records int) *exactArray {
+func newExactArray(groups, records int) *exactArray {
 	a := &exactArray{
-		slots: make([]exactSlot, size),
-		shift: uint(64 - bits.TrailingZeros(uint(size))),
+		ctrl:  make([]atomic.Uint64, groups),
+		slots: make([]exactSlot, groups*exactGroup),
 	}
 	if records > 0 {
 		a.spill = make([]exactSpill, records)
@@ -137,7 +168,7 @@ func mix(h, w uint64) uint64 {
 }
 
 // hashKey mixes a key into 64 bits, eight bytes per multiply; the top
-// bits, which index the array, depend on every byte. Table keys are a
+// bits, which pick the group, depend on every byte. Table keys are a
 // few bytes (a session hash, an address, a VNI), so the common case is
 // one round. tag is what a slot holding the key stores: the key itself
 // under its length when it fits (equal tags, equal keys), else tagLong
@@ -169,6 +200,60 @@ func hashInline(tag uint64) uint64 {
 	return mix(tag>>56, tag&^tagLong) * 0xD6E8FEB86659FD93
 }
 
+// ctrlOf is the control byte of a live entry whose key hashes to h.
+func ctrlOf(h uint64) uint8 { return ctrlLive | uint8(h&0x7F) }
+
+// matchCtrl sets the top bit of every byte of the control word c that
+// equals b, and of no other: a byte of x is zero exactly where c's is
+// b, and its low seven bits plus 0x7F carry into its top bit, never
+// into the next byte, unless they are zero.
+//
+//dv:hotpath
+func matchCtrl(c uint64, b uint8) uint64 {
+	x := c ^ ctrlLSB*uint64(b)
+	return ^(x&^ctrlMSB + ^ctrlMSB | x) & ctrlMSB
+}
+
+// matchEmpty sets the top bit of every empty byte of c: top and bottom
+// bit clear, which no other control byte is.
+//
+//dv:hotpath
+func matchEmpty(c uint64) uint64 { return ^(c | c<<7) & ctrlMSB }
+
+// matchFree sets the top bit of every empty or tombstone byte of c.
+func matchFree(c uint64) uint64 { return ^c & ctrlMSB }
+
+// firstOf is the slot of the lowest byte a match set in group g.
+func firstOf(g int, m uint64) int { return g*exactGroup + bits.TrailingZeros64(m)>>3 }
+
+// home is the first group a probe for hash h visits: the high word of
+// h × groups, so a group count need not be a power of two.
+func (a *exactArray) home(h uint64) int {
+	g, _ := bits.Mul64(h, uint64(len(a.ctrl)))
+	return int(g)
+}
+
+// next is the group a probe visits after g: the next one, round past
+// the last.
+func (a *exactArray) next(g int) int {
+	if g++; g == len(a.ctrl) {
+		return 0
+	}
+	return g
+}
+
+// ctrlAt returns slot i's control byte.
+func (a *exactArray) ctrlAt(i int) uint8 {
+	return uint8(a.ctrl[i/exactGroup].Load() >> (8 * uint(i%exactGroup)))
+}
+
+// setCtrl writes slot i's control byte. Writers only, and after the
+// slot's words: a reader that sees a live byte then reads a whole slot.
+func (a *exactArray) setCtrl(i int, b uint8) {
+	w, sh := &a.ctrl[i/exactGroup], 8*uint(i%exactGroup)
+	w.Store(w.Load()&^(0xFF<<sh) | uint64(b)<<sh)
+}
+
 // load reads the slot's words as of one instant: it retries while a
 // writer is inside the slot or was there while it read.
 //
@@ -193,54 +278,78 @@ func (s *exactSlot) write(meta, tag, param uint64) {
 	s.meta.Store(meta | (old+2)&metaVersion)
 }
 
-// find probes for key. It returns the index holding it, or -1 and the
-// index a new entry for it belongs in (the first tombstone on the probe
-// chain, else the empty slot that ended it). Writers only: no one else
-// changes a slot under them.
+// find probes for key. It returns the slot holding it, or -1 and the
+// slot a new entry for it belongs in: the first free one on the probe
+// chain, a tombstone or an empty slot of the group that ended it.
+// Writers only: no one else changes a slot under them.
 func (a *exactArray) find(h, tag uint64, key []byte) (at, free int) {
-	mask := len(a.slots) - 1
 	free = -1
-	for i := int(h >> a.shift); ; i = (i + 1) & mask {
-		s := &a.slots[i]
-		switch meta := s.meta.Load(); {
-		case meta&metaLive != 0:
+	fp := ctrlOf(h)
+	for g := a.home(h); ; g = a.next(g) {
+		c := a.ctrl[g].Load()
+		for m := matchCtrl(c, fp); m != 0; m &= m - 1 {
+			i := firstOf(g, m)
+			s := &a.slots[i]
 			if s.tag.Load() == tag && (tag < tagLong || bytes.Equal(a.spill[s.param.Load()].key, key)) {
 				return i, -1
 			}
-		case meta&metaTomb != 0:
-			if free < 0 {
-				free = i
-			}
-		default:
-			if free < 0 {
-				free = i
-			}
+		}
+		if m := matchFree(c); free < 0 && m != 0 {
+			free = firstOf(g, m)
+		}
+		if matchEmpty(c) != 0 {
 			return -1, free
 		}
 	}
 }
 
-// grown returns a fresh generation holding every live entry of a and
-// nothing dead, and the side-store records it used: the smallest array
-// that is at most half full with one more entry than live, and, when
-// spills entries need records, room for twice that many, so the next
-// rebuild for want of a record is at least spills writes away. The
+// hashOf returns the hash of the key a live slot holds. Writers only.
+func (a *exactArray) hashOf(tag, param uint64) uint64 {
+	if tag >= tagLong {
+		h, _ := hashKey(a.spill[param].key)
+		return h
+	}
+	return hashInline(tag)
+}
+
+// passed reports whether a live entry's probe goes through full group
+// g: whether an entry in the groups after g, up to the first with an
+// empty byte, has its home at or before g on the way round. Every group
+// between an entry's home and its own is full, so no entry further on
+// can. Writers only.
+func (a *exactArray) passed(g int) bool {
+	n := len(a.ctrl)
+	for at := a.next(g); at != g; at = a.next(at) {
+		c := a.ctrl[at].Load()
+		for m := c & ctrlMSB; m != 0; m &= m - 1 {
+			s := &a.slots[firstOf(at, m)]
+			home := a.home(a.hashOf(s.tag.Load(), s.param.Load()))
+			if (g-home+n)%n < (at-home+n)%n {
+				return true
+			}
+		}
+		if matchEmpty(c) != 0 {
+			break
+		}
+	}
+	return false
+}
+
+// grown returns a fresh generation of groups groups holding every live
+// entry of a and nothing dead, and the side-store records it used:
+// when spills entries need records, room for twice that many, so the
+// next rebuild for want of a record is at least spills writes away. The
 // store is never under exactMinRecords records, nor under an eighth of
-// the array, which bounds a rebuild's amortised cost where a table
+// the slots, which bounds a rebuild's amortised cost where a table
 // spills few entries.
 //
 //dv:snapshotwriter
-func (a *exactArray) grown(live, spills int) (*exactArray, int) {
-	size := exactMinSlots
-	for size < 2*(live+1) {
-		size *= 2
-	}
+func (a *exactArray) grown(groups, spills int) (*exactArray, int) {
 	records := 0
 	if spills > 0 {
-		records = max(2*spills, exactMinRecords, size/8)
+		records = max(2*spills, exactMinRecords, groups*exactGroup/8)
 	}
-	next := newExactArray(size, records)
-	mask := size - 1
+	next := newExactArray(groups, records)
 	used := 0
 	for i := range a.slots {
 		s := &a.slots[i]
@@ -248,26 +357,44 @@ func (a *exactArray) grown(live, spills int) (*exactArray, int) {
 		if meta&metaLive == 0 {
 			continue
 		}
-		h := hashInline(tag)
+		h := a.hashOf(tag, param)
 		if meta&metaSpilled != 0 {
-			rec := a.spill[param]
-			if tag >= tagLong {
-				h, _ = hashKey(rec.key)
-			}
-			next.spill[used], param = rec, uint64(used)
+			next.spill[used], param = a.spill[param], uint64(used)
 			used++
 		}
-		j := int(h >> next.shift)
-		for next.slots[j].meta.Load() != 0 {
-			j = (j + 1) & mask
+		g := next.home(h)
+		m := matchEmpty(next.ctrl[g].Load())
+		for m == 0 {
+			g = next.next(g)
+			m = matchEmpty(next.ctrl[g].Load())
 		}
 		// No reader sees next before it is published: no version dance.
+		j := firstOf(g, m)
 		d := &next.slots[j]
 		d.meta.Store(meta &^ metaVersion)
 		d.tag.Store(tag)
 		d.param.Store(param)
+		next.setCtrl(j, ctrlOf(h))
 	}
 	return next, used
+}
+
+// groupsFor returns the group count of the generation that replaces a
+// when an insert needs a rebuild: a's own when only the side store is
+// short (grow false), when tombstones fill a's share — at least one a
+// group — or when a is at the capacity's bound; else twice a's, or the
+// bound itself once it is at most twice further, so that a table
+// filled to its capacity does not rebuild a last time for the few
+// groups left above the doubling.
+func (t *ExactTable) groupsFor(a *exactArray, grow bool) int {
+	g := len(a.ctrl)
+	if !grow || t.tombs >= g {
+		return g
+	}
+	if 4*g >= t.maxGroups {
+		return t.maxGroups
+	}
+	return 2 * g
 }
 
 // intern returns action's index in the table's action list, adding a
@@ -315,15 +442,16 @@ func (t *ExactTable) Insert(key []byte, e Entry) error {
 		return err
 	}
 	spill := tag >= tagLong || len(e.Params) > 1
-	// Keep occupied slots (live + tombstones) at or below half the
-	// array, so probe chains stay short, and a record free for a
-	// spilled entry.
-	if at < 0 && 2*(live+t.tombs+1) > len(a.slots) || spill && t.recs == len(a.spill) {
+	// A new entry that takes an empty byte must leave live entries and
+	// tombstones at most exactGroupFill a group, so every probe still
+	// meets an empty byte; a spilled one needs a free record.
+	grow := at < 0 && a.ctrlAt(free) == ctrlEmpty && live+t.tombs+1 > exactGroupFill*len(a.ctrl)
+	if grow || spill && t.recs == len(a.spill) {
 		spills := t.spills
 		if spill {
 			spills++
 		}
-		a, t.recs = a.grown(live, spills)
+		a, t.recs = a.grown(t.groupsFor(a, grow), spills)
 		t.tombs = 0
 		at, free = a.find(h, tag, key)
 	}
@@ -341,16 +469,19 @@ func (t *ExactTable) Insert(key []byte, e Entry) error {
 	case len(e.Params) == 1:
 		meta, param = meta|metaOneParam, e.Params[0]
 	}
-	if at < 0 {
-		at = free
-		if a.slots[at].meta.Load()&metaTomb != 0 {
+	if at >= 0 {
+		if a.slots[at].meta.Load()&metaSpilled != 0 {
+			t.spills--
+		}
+		a.slots[at].write(meta, tag, param)
+	} else {
+		if a.ctrlAt(free) == ctrlTomb {
 			t.tombs--
 		}
+		a.slots[free].write(meta, tag, param)
+		a.setCtrl(free, ctrlOf(h))
 		t.n.Add(1)
-	} else if a.slots[at].meta.Load()&metaSpilled != 0 {
-		t.spills--
 	}
-	a.slots[at].write(meta, tag, param)
 	if a != cur {
 		t.arr.Store(a) // a grown array is published complete, the new entry included
 	}
@@ -358,8 +489,13 @@ func (t *ExactTable) Insert(key []byte, e Entry) error {
 }
 
 // Delete removes the entry for key, reporting whether it existed. The
-// slot becomes a tombstone so probe chains through it stay intact; the
-// next growth drops it.
+// slot becomes empty unless a probe for another live entry goes through
+// its group: none does when the group still has an empty byte, which
+// ends every probe that reaches it, nor when no entry in the groups
+// after it, up to the first with an empty byte, has its home at or
+// before it. Then any tombstone of the group is empty too. Otherwise
+// the slot becomes a tombstone, so those probes stay intact, and the
+// next rebuild drops it.
 func (t *ExactTable) Delete(key []byte) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -372,8 +508,16 @@ func (t *ExactTable) Delete(key []byte) bool {
 	if a.slots[at].meta.Load()&metaSpilled != 0 {
 		t.spills--
 	}
-	a.slots[at].write(metaTomb, 0, 0)
-	t.tombs++
+	a.slots[at].write(0, 0, 0)
+	g := at / exactGroup
+	if c := a.ctrl[g].Load(); matchEmpty(c) == 0 && a.passed(g) {
+		a.setCtrl(at, ctrlTomb)
+		t.tombs++
+	} else {
+		tombs := matchFree(c) &^ matchEmpty(c)
+		t.tombs -= bits.OnesCount64(tombs)
+		a.ctrl[g].Store(c &^ (0xFF << (8 * uint(at%exactGroup))) &^ (tombs >> 7))
+	}
 	t.n.Add(-1)
 	return true
 }
@@ -416,25 +560,31 @@ func (h Hit) Param(i int) uint64 {
 	return one[:h.Len()][i]
 }
 
-// Lookup returns the entry for key.
+// Lookup returns the entry for key. It reads a slot only where a
+// control byte matches the key's, and decides a miss from the control
+// words alone: the first group with an empty byte ends the probe.
 //
 //dv:hotpath
 func (t *ExactTable) Lookup(key []byte) (Hit, bool) {
 	a := t.arr.Load()
 	h, tag := hashKey(key)
-	slots := a.slots
-	mask := len(slots) - 1
-	for i := int(h >> a.shift); ; i = (i + 1) & mask {
-		meta, stag, param := slots[i].load()
-		switch {
-		case stag == tag && meta&metaLive != 0:
-			if meta&metaSpilled == 0 {
+	fp := ctrlOf(h)
+	for g := a.home(h); ; g = a.next(g) {
+		c := a.ctrl[g].Load()
+		for m := matchCtrl(c, fp); m != 0; m &= m - 1 {
+			meta, stag, param := a.slots[firstOf(g, m)].load()
+			switch {
+			case stag != tag || meta&metaLive == 0:
+				// Another key, or one deleted since c was read.
+			case meta&metaSpilled == 0:
 				return Hit{t: t, param: param, meta: meta}, true
+			default:
+				if rec := &a.spill[param]; tag < tagLong || bytes.Equal(rec.key, key) {
+					return Hit{t: t, rec: rec, meta: meta}, true
+				}
 			}
-			if rec := &a.spill[param]; tag < tagLong || bytes.Equal(rec.key, key) {
-				return Hit{t: t, rec: rec, meta: meta}, true
-			}
-		case meta&(metaLive|metaTomb) == 0:
+		}
+		if matchEmpty(c) != 0 {
 			return Hit{}, false
 		}
 	}

@@ -2,6 +2,7 @@ package mau
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -93,6 +94,9 @@ func TestExactTableMatchesMap(t *testing.T) {
 			if tb.Len() != len(ref) {
 				t.Fatalf("seed %d op %d: Len=%d, reference %d", seed, op, tb.Len(), len(ref))
 			}
+			if op%64 == 0 {
+				checkExact(t, tb)
+			}
 		}
 		for _, k := range universe {
 			h, ok := tb.Lookup(k)
@@ -105,17 +109,156 @@ func TestExactTableMatchesMap(t *testing.T) {
 	}
 }
 
+// exactCensus is what checkExact counted in a table's current
+// generation.
+type exactCensus struct {
+	groups, live, tombs int
+	wrapped             int // entries whose probe went round past the last group
+	displaced           int // entries outside their home group
+}
+
+// checkExact holds tb's index to its invariants, read from the arrays
+// rather than from the table's counters. Every live control byte is
+// ctrlLive over the low seven bits of its slot's key's hash, and its
+// slot holds an entry; no other byte's slot does, and no byte is
+// anything else. A tombstone sits only in a group with no empty byte.
+// Every entry is reached from its home group — the high word of hash ×
+// groups — through groups that have no empty byte. The live and
+// tombstone bytes equal Len and the table's count, and together fill at
+// most 7 slots a group. The hash is hashKey of the key: an inline key
+// read back from its tag, a long one from its record.
+func checkExact(t *testing.T, tb *ExactTable) exactCensus {
+	t.Helper()
+	a := tb.arr.Load()
+	n := len(a.ctrl)
+	ctrl := func(g, j int) uint8 { return uint8(a.ctrl[g].Load() >> (8 * j)) }
+	hasEmpty := func(g int) bool {
+		for j := 0; j < exactGroup; j++ {
+			if ctrl(g, j) == 0 {
+				return true
+			}
+		}
+		return false
+	}
+	c := exactCensus{groups: n}
+	if len(a.slots) != n*exactGroup {
+		t.Fatalf("%d groups over %d slots", n, len(a.slots))
+	}
+	for g := 0; g < n; g++ {
+		for j := 0; j < exactGroup; j++ {
+			i := g*exactGroup + j
+			b := ctrl(g, j)
+			meta, tag, param := a.slots[i].load()
+			switch {
+			case b == 0x00 || b == 0x01:
+				if meta&metaLive != 0 {
+					t.Fatalf("slot %d holds an entry under control byte %#x", i, b)
+				}
+				if b == 0x01 {
+					c.tombs++
+					if hasEmpty(g) {
+						t.Fatalf("slot %d: a tombstone in group %d, which has an empty byte", i, g)
+					}
+				}
+			case b >= 0x80:
+				c.live++
+				if meta&metaLive == 0 {
+					t.Fatalf("slot %d: live control byte %#x over a slot with no entry", i, b)
+				}
+				var key []byte
+				if tag >= tagLong {
+					key = a.spill[param].key
+				} else {
+					for k := 0; k < int(tag>>56); k++ {
+						key = append(key, byte(tag>>(8*k)))
+					}
+				}
+				h, _ := hashKey(key)
+				if want := 0x80 | uint8(h&0x7F); b != want {
+					t.Fatalf("slot %d (key %x): control byte %#x, want %#x", i, key, b, want)
+				}
+				home, _ := bits.Mul64(h, uint64(n))
+				for p := int(home); p != g; p = (p + 1) % n {
+					if hasEmpty(p) {
+						t.Fatalf("slot %d (key %x): group %d on the probe from home %d has an empty byte", i, key, p, home)
+					}
+				}
+				if g != int(home) {
+					c.displaced++
+				}
+				if g < int(home) {
+					c.wrapped++
+				}
+			default:
+				t.Fatalf("slot %d: control byte %#x is none of empty, tombstone, live", i, b)
+			}
+		}
+	}
+	if c.live != tb.Len() || c.tombs != tb.tombs {
+		t.Fatalf("control bytes: %d live, %d tombstones; table counts %d, %d", c.live, c.tombs, tb.Len(), tb.tombs)
+	}
+	if c.live+c.tombs > 7*n {
+		t.Fatalf("%d live and %d tombstones in %d groups: over 7 a group", c.live, c.tombs, n)
+	}
+	return c
+}
+
+// TestExactTableFootprint pins the array a full table holds: a table of
+// capacity C filled to C sits in 8·⌈C/7⌉ slots — doubling from one
+// group, then the ⌈C/7⌉ that hold C at 7 a group — and live entries
+// plus tombstones never pass 7 a group on the way. At 2^18 (the LB's
+// session table) that is 37 450 groups, 25 bytes a slot, reached from
+// 16 384 groups in one rebuild: the array doubles until the bound is at
+// most two doublings away, then takes it.
+func TestExactTableFootprint(t *testing.T) {
+	for _, capacity := range []int{7, 8, 1000, 1 << 18} {
+		tb := NewExactTable(capacity)
+		groups := (capacity + 6) / 7
+		sizes := []int{1} // the group counts the array went through
+		for i := 0; i < capacity; i++ {
+			k := [4]byte{byte(i >> 24), byte(i >> 16), byte(i >> 8), byte(i)}
+			if err := tb.Insert(k[:], Entry{Action: "a", Params: []uint64{uint64(i)}}); err != nil {
+				t.Fatalf("capacity %d, insert %d: %v", capacity, i, err)
+			}
+			g := len(tb.arr.Load().ctrl)
+			if tb.Len()+tb.tombs > 7*g {
+				t.Fatalf("capacity %d, insert %d: %d live and %d tombstones in %d groups", capacity, i, tb.Len(), tb.tombs, g)
+			}
+			if last := sizes[len(sizes)-1]; g != last {
+				if g != 2*last && (g != groups || 4*last < groups) {
+					t.Fatalf("capacity %d, insert %d: grew from %d to %d groups", capacity, i, last, g)
+				}
+				sizes = append(sizes, g)
+			}
+			if capacity <= 8 || capacity <= 1000 && i%50 == 0 {
+				checkExact(t, tb)
+			}
+		}
+		c := checkExact(t, tb)
+		if n := len(tb.arr.Load().slots); n != 8*groups {
+			t.Errorf("capacity %d full: %d slots, want %d", capacity, n, 8*groups)
+		}
+		if err := tb.Insert([]byte("new"), Entry{}); err == nil {
+			t.Errorf("capacity %d: an insert past capacity succeeded", capacity)
+		}
+		bytes := c.groups * exactGroup * 25 // a 24-byte slot and its control byte
+		t.Logf("capacity %d: %d groups (through %v), %d bytes, %.1f B an entry, %d entries off their home group", capacity, c.groups, sizes, bytes, float64(bytes)/float64(capacity), c.displaced)
+	}
+}
+
 // TestExactTableStaysSmall pins the no-presizing rule: a table with a
 // large capacity and few entries holds an array sized to the entries
-// and, when none spills, no side store; a delete-heavy table does not
-// grow on tombstones alone.
+// and, when none spills, no side store. Insert/delete churn leaves no
+// tombstone: a key deleted from the group it filled frees its slot,
+// since no other entry's probe went through that group, and so the
+// array does not grow on churn alone.
 func TestExactTableStaysSmall(t *testing.T) {
 	tb := NewExactTable(1 << 16)
 	for i := 0; i < 100; i++ {
 		tb.Insert([]byte{byte(i)}, Entry{})
 	}
-	if n := len(tb.arr.Load().slots); n != 256 {
-		t.Errorf("100 entries sit in %d slots, want 256", n)
+	if n := len(tb.arr.Load().slots); n != 128 {
+		t.Errorf("100 entries sit in %d slots, want 128 (16 groups, 7/8 of which hold 112)", n)
 	}
 	if n := len(tb.arr.Load().spill); n != 0 {
 		t.Errorf("100 inline entries keep a side store of %d records", n)
@@ -125,8 +268,8 @@ func TestExactTableStaysSmall(t *testing.T) {
 		tb.Insert(k, Entry{})
 		tb.Delete(k)
 	}
-	if n := len(tb.arr.Load().slots); n > 512 {
-		t.Errorf("insert/delete churn grew the array to %d slots", n)
+	if c := checkExact(t, tb); c.tombs != 0 || c.groups != 16 {
+		t.Errorf("insert/delete churn left %d tombstones in %d groups, want none in 16", c.tombs, c.groups)
 	}
 }
 
@@ -426,9 +569,9 @@ func TestTernaryWordsMatchByteScan(t *testing.T) {
 }
 
 // The hammers: one writer, several readers, across array growth,
-// tombstones and republished generations. Every key a reader saw
-// installed before a pass must be visible throughout that pass. Run
-// with -race -count=10 (CI does).
+// tombstones, deletes and reinserts in full groups and republished
+// generations. Every key a reader saw installed before a pass must be
+// visible throughout that pass. Run with -race -count=10 (CI does).
 
 func TestExactTableHammer(t *testing.T) {
 	const stable, churn, hot, readers = 3000, 400, 8, 4
@@ -503,6 +646,15 @@ func TestExactTableHammer(t *testing.T) {
 			}
 		}()
 	}
+	// inFullGroup reports whether k is in the table, in a group with no
+	// empty byte. The writer's own read: no one else writes.
+	inFullGroup := func(k []byte) bool {
+		a := tb.arr.Load()
+		h, tag := hashKey(k)
+		at, _ := a.find(h, tag, k)
+		return at >= 0 && matchEmpty(a.ctrl[at/exactGroup].Load()) == 0
+	}
+	fullDeletes, tombstoned := 0, 0
 	form := make([]int, stable)
 	replace := func(i int) {
 		form[i] = (form[i] + 1) % 4
@@ -527,9 +679,26 @@ func TestExactTableHammer(t *testing.T) {
 		if i%3 != 0 {
 			tb.Delete(c)
 		}
+		// A churn key in a full group is deleted and put back: a
+		// tombstone where another key's probe goes through, or an empty
+		// byte in a full group, and the reinsert that takes a free slot
+		// on its probe again.
+		if c := key(1<<20 + (i+churn/2)%churn); inFullGroup(c) {
+			tombs := tb.tombs
+			tb.Delete(c)
+			fullDeletes++
+			if tb.tombs > tombs {
+				tombstoned++
+			}
+			tb.Insert(c, entry(i, 2))
+		}
 	}
 	stop.Store(true)
 	wg.Wait()
+	if fullDeletes == 0 || tombstoned == 0 {
+		t.Errorf("%d deletes in full groups, %d of them tombstones: want some of each", fullDeletes, tombstoned)
+	}
+	t.Logf("%d deletes in full groups, %d of them tombstones; %d groups at the end", fullDeletes, tombstoned, len(tb.arr.Load().ctrl))
 }
 
 func TestLPM32Hammer(t *testing.T) {
@@ -705,68 +874,154 @@ func TestExactReadAllocBudget(t *testing.T) {
 	}
 }
 
-// FuzzExactTable decodes its input into an op sequence — insert,
-// delete, lookup — over a small key universe and holds the table to a
-// map, as TestExactTableMatchesMap does with a seeded generator: key
-// lengths on both sides of the inline limit and the hash's eight-byte
-// round, 0, 1, 2 and 5 params, and a capacity that the first byte may
-// set.
-func FuzzExactTable(f *testing.F) {
-	f.Add([]byte{0, 0, 1, 2, 3, 9, 4, 5, 6})
-	f.Add([]byte{3, 0x10, 0x21, 0x32, 0x43, 0x54, 0x65, 0x16, 0x27, 0x38, 0x49, 0xfa, 0xfb})
-	f.Add([]byte("\x02insert, delete, replace: every layout of every key"))
-	f.Fuzz(func(t *testing.T, ops []byte) {
-		if len(ops) == 0 {
-			return
+// exactOps decodes ops into an op sequence — insert, delete, lookup —
+// over a universe of 64 keys and holds the table to a map, as
+// TestExactTableMatchesMap does with a seeded generator, and to
+// checkExact after every op. ops[0] picks the capacity: unbounded, or
+// one whose ⌈C/7⌉ groups are 1, 2, 3, 4, 6 or 9, so the array grows by
+// doubling and then to a count that is not a power of two, and a probe
+// wraps round past the last group. Each later byte is one op: its top
+// two bits the kind, its low six the key. Key lengths sit on both sides
+// of the inline limit and the hash's eight-byte round; an insert's
+// params, 0, 1, 2 or 5, and its action come from its position. It
+// returns what the run reached.
+func exactOps(t *testing.T, ops []byte) (cov exactCoverage) {
+	if len(ops) == 0 {
+		return cov
+	}
+	keyLens := []int{1, 4, 7, 8, 9, 15, 16, 17}
+	paramCounts := []int{0, 1, 2, 5}
+	capacity := []int{0, 1, 7, 8, 15, 22, 40, 60}[ops[0]&7] // 0: unbounded
+	tb, ref := NewExactTable(capacity), make(map[string]Entry)
+	for i, op := range ops[1:] {
+		// The key's length from its number (0 has none), its bytes from
+		// the number, so keys of equal length differ.
+		id := int(op & 63)
+		k := make([]byte, keyLens[id%len(keyLens)])
+		if id == 0 {
+			k = nil
 		}
-		keyLens := []int{0, 1, 4, 7, 8, 9, 15, 16, 17}
-		paramCounts := []int{0, 1, 2, 5}
-		capacity := int(ops[0] & 7) // 0: unbounded
-		tb, ref := NewExactTable(capacity), make(map[string]Entry)
-		for i, op := range ops[1:] {
-			// The low nibble picks one of 16 keys: its length from the key
-			// number, its bytes from it and the length, so keys of equal
-			// length differ.
-			id := int(op & 15)
-			k := make([]byte, keyLens[id%len(keyLens)])
-			for j := range k {
-				k[j] = byte(id*31 + j)
+		for j := range k {
+			k[j] = byte(id*31 + j)
+		}
+		switch op >> 6 {
+		case 0, 1:
+			e := Entry{Action: fmt.Sprint("a", i%3)}
+			for j := 0; j < paramCounts[i%len(paramCounts)]; j++ {
+				e.Params = append(e.Params, uint64(i)<<8|uint64(j))
 			}
-			switch op >> 4 {
-			case 0, 1, 2, 3, 4, 5, 6:
-				e := Entry{Action: fmt.Sprint("a", op>>6)}
-				for j := 0; j < paramCounts[int(op>>4)%len(paramCounts)]; j++ {
-					e.Params = append(e.Params, uint64(i)<<8|uint64(j))
-				}
-				_, exists := ref[string(k)]
-				full := capacity > 0 && !exists && len(ref) >= capacity
-				if err := tb.Insert(k, e); (err != nil) != full {
-					t.Fatalf("op %d: Insert(%x) err=%v, reference full=%v", i, k, err, full)
-				} else if err == nil {
-					ref[string(k)] = e
-				}
-			case 7, 8, 9:
-				_, exists := ref[string(k)]
-				if got := tb.Delete(k); got != exists {
-					t.Fatalf("op %d: Delete(%x)=%v, reference has it=%v", i, k, got, exists)
-				}
-				delete(ref, string(k))
+			_, exists := ref[string(k)]
+			full := capacity > 0 && !exists && len(ref) >= capacity
+			if err := tb.Insert(k, e); (err != nil) != full {
+				t.Fatalf("op %d: Insert(%x) err=%v, reference full=%v", i, k, err, full)
+			} else if err == nil {
+				ref[string(k)] = e
+			}
+		case 2:
+			_, exists := ref[string(k)]
+			var group uint64 // the key's group's control word before the delete
+			if h, tag := hashKey(k); exists {
+				a := tb.arr.Load()
+				at, _ := a.find(h, tag, k)
+				group = a.ctrl[at/exactGroup].Load()
+			}
+			tombs := tb.tombs
+			if got := tb.Delete(k); got != exists {
+				t.Fatalf("op %d: Delete(%x)=%v, reference has it=%v", i, k, got, exists)
+			}
+			delete(ref, string(k))
+			switch {
+			case !exists:
+			case tb.tombs > tombs:
+				cov.toTomb = true
+			case matchEmpty(group) == 0:
+				cov.fullToEmpty = true
 			default:
-				h, ok := tb.Lookup(k)
-				want, exists := ref[string(k)]
-				if got := entryOf(h, ok); ok != exists || !sameEntry(got, want) || tb.Has(k) != exists {
-					t.Fatalf("op %d: Lookup(%x) = %+v,%v want %+v,%v", i, k, got, ok, want, exists)
-				}
+				cov.toEmpty = true
 			}
-			if tb.Len() != len(ref) {
-				t.Fatalf("op %d: Len=%d, reference %d", i, tb.Len(), len(ref))
-			}
-		}
-		for k, want := range ref {
-			h, ok := tb.Lookup([]byte(k))
-			if got := entryOf(h, ok); !ok || !sameEntry(got, want) {
-				t.Fatalf("final: Lookup(%x) = %+v,%v want %+v", k, got, ok, want)
+		default:
+			h, ok := tb.Lookup(k)
+			want, exists := ref[string(k)]
+			if got := entryOf(h, ok); ok != exists || !sameEntry(got, want) || tb.Has(k) != exists {
+				t.Fatalf("op %d: Lookup(%x) = %+v,%v want %+v,%v", i, k, got, ok, want, exists)
 			}
 		}
-	})
+		if tb.Len() != len(ref) {
+			t.Fatalf("op %d: Len=%d, reference %d", i, tb.Len(), len(ref))
+		}
+		c := checkExact(t, tb)
+		cov.oddGroups = cov.oddGroups || c.groups&(c.groups-1) != 0
+		cov.wrapped = cov.wrapped || c.wrapped > 0
+	}
+	for k, want := range ref {
+		h, ok := tb.Lookup([]byte(k))
+		if got := entryOf(h, ok); !ok || !sameEntry(got, want) {
+			t.Fatalf("final: Lookup(%x) = %+v,%v want %+v", k, got, ok, want)
+		}
+	}
+	return cov
+}
+
+// exactCoverage is what an exactOps run reached.
+type exactCoverage struct {
+	oddGroups   bool // a group count that is not a power of two
+	wrapped     bool // an entry whose probe went round past the last group
+	toEmpty     bool // a delete in a group with an empty byte to spare
+	fullToEmpty bool // a delete in a full group that no probe went through
+	toTomb      bool // a delete that left a tombstone
+}
+
+// exactSeed is an exactOps input: fill a table of the capacity picked
+// by pick with random keys, then churn — deletes, reinserts, lookups —
+// from a fixed seed.
+func exactSeed(pick byte, seed int64, n int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	ops := []byte{pick}
+	for i := 0; i < n; i++ {
+		kind := byte(rng.Intn(4))
+		if i < n/3 {
+			kind = 0
+		}
+		ops = append(ops, kind<<6|byte(rng.Intn(64)))
+	}
+	return ops
+}
+
+// exactFuzzSeeds are FuzzExactTable's seed corpus.
+var exactFuzzSeeds = [][]byte{
+	{0, 0, 1, 2, 3, 9, 4, 5, 6},
+	{3, 0x10, 0x21, 0x32, 0x43, 0x54, 0x65, 0x16, 0x27, 0x38, 0x49, 0xfa, 0xfb},
+	[]byte("\x02insert, delete, replace: every layout of every key"),
+	exactSeed(4, 1, 300), // 3 groups
+	exactSeed(6, 2, 400), // 6 groups
+	exactSeed(7, 3, 600), // 9 groups
+	exactSeed(0, 4, 600), // unbounded
+}
+
+// TestExactFuzzSeedsCover: FuzzExactTable's seeds alone reach a group
+// count that is not a power of two, a probe that wraps past the last
+// group, and each kind of delete — to an empty byte in a group with one
+// to spare, to an empty byte in a full group no probe went through, and
+// to a tombstone.
+func TestExactFuzzSeedsCover(t *testing.T) {
+	var all exactCoverage
+	for _, ops := range exactFuzzSeeds {
+		c := exactOps(t, ops)
+		all.oddGroups = all.oddGroups || c.oddGroups
+		all.wrapped = all.wrapped || c.wrapped
+		all.toEmpty = all.toEmpty || c.toEmpty
+		all.fullToEmpty = all.fullToEmpty || c.fullToEmpty
+		all.toTomb = all.toTomb || c.toTomb
+	}
+	if all != (exactCoverage{true, true, true, true, true}) {
+		t.Errorf("the seed corpus reaches %+v, want every case", all)
+	}
+}
+
+// FuzzExactTable runs exactOps on its input.
+func FuzzExactTable(f *testing.F) {
+	for _, ops := range exactFuzzSeeds {
+		f.Add(ops)
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) { exactOps(t, ops) })
 }

@@ -334,3 +334,33 @@ func BenchmarkExactInsert(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkExactLookupFull reads a session table filled to the LB's
+// capacity, 2^18 sessions, at keys spread over it: hits, and misses —
+// a new flow's first packet.
+func BenchmarkExactLookupFull(b *testing.B) {
+	const sessions = 1 << 18
+	key := func(i int) [4]byte {
+		h := uint32(i) * 2654435761
+		return [4]byte{byte(h >> 24), byte(h >> 16), byte(h >> 8), byte(h)}
+	}
+	tb := NewExactTable(sessions)
+	for i := 0; i < sessions; i++ {
+		k := key(i)
+		tb.Insert(k[:], Entry{Action: "modify_dstIp", Params: []uint64{uint64(i)}})
+	}
+	for _, c := range []struct {
+		name string
+		from int
+	}{{"hit", 0}, {"miss", sessions}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k := key(c.from + i%sessions)
+				if _, ok := tb.Lookup(k[:]); ok != (c.from == 0) {
+					b.Fatalf("key %d: found %v", c.from+i%sessions, ok)
+				}
+			}
+		})
+	}
+}
