@@ -264,7 +264,6 @@ func TestHotpathAnnotationCoversChain(t *testing.T) {
 		"dejavu/internal/packet.(IPv4).FlowWords",
 		"dejavu/internal/packet.FlowHash",
 		// The word-wide kernels under them, and the burst tally.
-		"dejavu/internal/mau.(exactSlot).load",
 		"dejavu/internal/mau.matchCtrl",
 		"dejavu/internal/mau.matchEmpty",
 		"dejavu/internal/mau.(bitmap256).rank",
@@ -306,7 +305,6 @@ func TestRealTreeHotAnnotations(t *testing.T) {
 		"dejavu/internal/asic.(Trace).resetQuiet",
 		"dejavu/internal/mau.(ExactTable).Lookup",
 		"dejavu/internal/mau.(ExactTable).Has",
-		"dejavu/internal/mau.(exactSlot).load",
 		"dejavu/internal/mau.matchCtrl",
 		"dejavu/internal/mau.matchEmpty",
 		"dejavu/internal/mau.(Hit).Param",

@@ -14,6 +14,7 @@ import (
 	"sync"
 
 	"dejavu/internal/asic"
+	"dejavu/internal/mau"
 	"dejavu/internal/nf"
 	"dejavu/internal/nsh"
 	"dejavu/internal/packet"
@@ -69,6 +70,7 @@ type tally struct {
 	reinjected        int
 	unknown           int
 	failed            int
+	tableFull         int
 }
 
 // count adds a batch of outcomes to the controller's counters.
@@ -79,6 +81,7 @@ func (c *Controller) count(t tally) {
 	c.reinjected += t.reinjected
 	c.unknown += t.unknown
 	c.failed += t.failed
+	c.tableFull += t.tableFull
 	c.mu.Unlock()
 }
 
@@ -193,11 +196,12 @@ func inPort(pkt *packet.Parsed) asic.PortID {
 // failure (a full session table, an unusable in-port) does not stop the
 // drain: every drained packet is handled, and Poll returns the traces of
 // the reinjected ones, in drain order, together with the joined errors
-// of the rest, which Stats.Failed counts. Reinjection is traced: the
-// trace is what core.Deployment.Inject returns for a repaired punt. The
-// traces, and the packets they show, are valid until the next Poll, which
-// reuses their memory; a caller that keeps one longer copies it. Polls
-// are serialized.
+// of the rest, which Stats.Failed counts (and Stats.TableFull those a
+// full table refused). Reinjection is traced: the trace is what
+// core.Deployment.Inject returns for a repaired punt. The traces, and
+// the packets they show, are valid until the next Poll, which reuses
+// their memory; a caller that keeps one longer copies it. Polls are
+// serialized.
 func (c *Controller) Poll() ([]*asic.Trace, error) {
 	c.pollMu.Lock()
 	defer c.pollMu.Unlock()
@@ -213,6 +217,9 @@ func (c *Controller) Poll() ([]*asic.Trace, error) {
 		switch ok, err := c.handle(lb, nat, chains, pkt, &t); {
 		case err != nil:
 			failed = append(failed, err)
+			if errors.Is(err, mau.ErrTableFull) {
+				t.tableFull++
+			}
 		case ok:
 			again = append(again, pkt)
 		}
@@ -262,6 +269,9 @@ type Stats struct {
 	Unknown           int
 	// Failed counts punted packets Poll could not handle or reinject.
 	Failed int
+	// TableFull counts the Failed punts whose state a full table refused
+	// (mau.ErrTableFull).
+	TableFull int
 	// ProgramCommits counts committed program transactions.
 	ProgramCommits int
 	// EntryWrites counts branching-table entry ops committed.
@@ -280,6 +290,7 @@ func (c *Controller) Stats() Stats {
 		Reinjected:        c.reinjected,
 		Unknown:           c.unknown,
 		Failed:            c.failed,
+		TableFull:         c.tableFull,
 		ProgramCommits:    c.programCommits,
 		EntryWrites:       c.entryWrites,
 		ProgramWrites:     c.programWrites,

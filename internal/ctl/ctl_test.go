@@ -1,11 +1,13 @@
 package ctl
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"dejavu/internal/asic"
 	"dejavu/internal/compose"
+	"dejavu/internal/mau"
 	"dejavu/internal/nf"
 	"dejavu/internal/packet"
 	"dejavu/internal/route"
@@ -97,14 +99,12 @@ func TestPollIdempotentWhenQuiet(t *testing.T) {
 	}
 }
 
-// TestPollHandlesEveryDrainedPacket: a punt the controller cannot
-// repair must not take the packets drained behind it with it. With a
-// two-entry session table, a burst of six new VIP flows and one ARP
-// gives two reinjections, four failures and one unknown punt; nothing
-// stays queued.
-func TestPollHandlesEveryDrainedPacket(t *testing.T) {
+// withSessions builds the scenario switch with a controller, its load
+// balancer replaced by one whose session table holds capacity entries.
+func withSessions(t *testing.T, capacity int) (*asic.Switch, *Controller) {
+	t.Helper()
 	s := scenario.MustNew()
-	lb := nf.NewLoadBalancer(2)
+	lb := nf.NewLoadBalancer(capacity)
 	if err := lb.AddVIP(scenario.VIP, []packet.IP4{scenario.Backend1, scenario.Backend2}); err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +114,16 @@ func TestPollHandlesEveryDrainedPacket(t *testing.T) {
 		}
 	}
 	sw := installed(t, s, s.Chains, s.NFs)
-	ctrl := New(sw, s.NFs)
+	return sw, New(sw, s.NFs)
+}
 
+// TestPollHandlesEveryDrainedPacket: a punt the controller cannot
+// repair must not take the packets drained behind it with it. With a
+// two-entry session table, a burst of six new VIP flows and one ARP
+// gives two reinjections, four failures and one unknown punt; nothing
+// stays queued.
+func TestPollHandlesEveryDrainedPacket(t *testing.T) {
+	sw, ctrl := withSessions(t, 2)
 	for i := 0; i < 6; i++ {
 		pkt := packet.NewTCP(packet.TCPOpts{
 			SrcMAC: scenario.ClientMAC, DstMAC: scenario.GatewayMAC,
@@ -152,6 +160,30 @@ func TestPollHandlesEveryDrainedPacket(t *testing.T) {
 	}
 	if traces, err := ctrl.Poll(); len(traces) != 0 || err != nil {
 		t.Errorf("second Poll returned %d traces, %v", len(traces), err)
+	}
+}
+
+// TestTableFullIsTyped: a punt whose session a full table refuses fails
+// with an error that matches mau.ErrTableFull through the controller's
+// wrapping, and is counted as TableFull inside Failed.
+func TestTableFullIsTyped(t *testing.T) {
+	sw, ctrl := withSessions(t, 1)
+	for i := 0; i < 2; i++ {
+		pkt := packet.NewTCP(packet.TCPOpts{
+			SrcMAC: scenario.ClientMAC, DstMAC: scenario.GatewayMAC,
+			Src: scenario.ClientIP, Dst: scenario.VIP,
+			SrcPort: uint16(33000 + i), DstPort: 443,
+		})
+		if tr, err := sw.Inject(scenario.PortClient, pkt); err != nil || len(tr.CPU) != 1 {
+			t.Fatalf("flow %d not punted: %+v %v", i, tr, err)
+		}
+		traces, err := ctrl.Poll()
+		if full := errors.Is(err, mau.ErrTableFull); full != (i == 1) || len(traces) != 1-i {
+			t.Errorf("flow %d: %d reinjected, err %v; want ErrTableFull from the second only", i, len(traces), err)
+		}
+	}
+	if st := ctrl.Stats(); st.SessionsInstalled != 1 || st.Failed != 1 || st.TableFull != 1 {
+		t.Errorf("Stats = %+v, want 1 installed, 1 failed, 1 table full", st)
 	}
 }
 

@@ -3,6 +3,7 @@ package mau
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -20,7 +21,7 @@ import (
 // immutable generation (copy-on-write rule slice, path-copying trie)
 // and swaps one pointer. ExactTable is written once per new flow, so a
 // whole-table copy per insert is out: a write changes one slot's words
-// in place under the slot's version word, which readers check (see its
+// in place under its group's version word, which readers check (see its
 // doc).
 
 // Entry is a table entry: which action to run and its runtime
@@ -30,25 +31,34 @@ type Entry struct {
 	Params []uint64
 }
 
+// ErrTableFull is the refusal of a new key by an exact table that holds
+// its capacity, as a hardware table refuses an entry past its size.
+var ErrTableFull = errors.New("mau: exact table full")
+
 // ExactTable is an exact-match table keyed by opaque byte strings: an
 // open-addressed array of plain words, as a switch's SRAM holds one,
-// with no pointer and no allocation per entry. A slot is three words —
-// meta (version, state, interned action), the key's tag, one param —
-// and an entry that does not fit (a key over seven bytes, more than one
-// param) spills into a record of its generation's side store, which the
-// param word indexes. Slots come in groups of eight, and each group has
-// a control word of one byte per slot: empty, tombstone, or live over
-// seven bits of the key's hash. A probe matches those bits across the
-// word and reads a slot only where they match, so a miss reads no slot.
-// Live entries and tombstones fill at most 7 of every 8 slots. A writer
-// changes a slot in place with its version odd, then its control byte;
-// a Lookup retries a slot whose version was odd or moved while it read,
-// so it sees an entry whole, old or new. The array grows by doubling
-// its groups into a fresh generation published with one pointer store,
-// but never past the ⌈capacity/7⌉ groups that hold capacity entries,
-// which it takes at once when they are at most two doublings away; a
-// Lookup that loaded the old one finishes against it, complete as of
-// the swap. It starts at one group and is never presized to the
+// with no pointer and no allocation per entry. A slot is two words —
+// the key's tag, and the entry: its layout, its action interned to 8
+// bits and a 54-bit param — and an entry that does not fit (a key over
+// seven bytes, more than one param, a param over 54 bits) spills into a
+// record of its generation's side store, which the param indexes. Slots
+// come in groups of eight under a header of two words: the group's
+// version, and a control word of one byte per slot — empty, tombstone,
+// or live over seven bits of the key's hash. A probe matches those bits
+// across the word and reads a slot only where they match, so a miss
+// reads no slot. Live entries and tombstones fill at most 7 of every 8
+// slots. A writer makes its group's version odd, changes a slot's words
+// and then its control byte, and makes the version even again; a Lookup
+// that found its key reads the group again when the version was odd or
+// moved while it read, so it sees an entry whole, old or new. The array
+// grows by doubling its groups into a fresh generation published with
+// one pointer store, but never past the ⌈capacity/7⌉ groups that hold
+// capacity entries, which it takes at once when they are at most two
+// doublings away; a Lookup that loaded the old one finishes against it,
+// complete as of the swap. At that bound only tombstones force a
+// rebuild, and the first such rebuild adds an eighth of the capacity,
+// so that churn at the capacity rebuilds at most once per capacity/8
+// deletes. The table starts at one group and is never presized to the
 // capacity: a session table sized for its worst case would pin that
 // memory from the first packet.
 type ExactTable struct {
@@ -60,16 +70,16 @@ type ExactTable struct {
 	spills    int                      // live entries with a side-store record
 	recs      int                      // records of arr's side store in use, live or dead
 	cap       int
-	maxGroups int // the most groups the array grows to: ⌈cap/7⌉, or unbounded
+	maxGroups int // the most groups the array grows to for live entries: ⌈cap/7⌉, or unbounded
 }
 
-// exactArray is one generation of the table: len(ctrl) groups of
-// exactGroup slots, slot g*exactGroup+j under byte j of ctrl[g]. Live
-// and tombstone bytes number at most exactGroupFill times the groups,
-// so some group has an empty byte, and a probe, which goes round the
-// groups, meets one.
+// exactArray is one generation of the table: len(hdr) groups of
+// exactGroup slots, slot g*exactGroup+j under byte j of group g's
+// control word. Live and tombstone bytes number at most exactGroupFill
+// times the groups, so some group has an empty byte, and a probe, which
+// goes round the groups, meets one.
 type exactArray struct {
-	ctrl  []atomic.Uint64
+	hdr   []exactHeader
 	slots []exactSlot
 	// spill is the side store. A record is written once, before a slot
 	// publishes its index, and never again; a replaced or deleted one
@@ -77,24 +87,28 @@ type exactArray struct {
 	spill []exactSpill
 }
 
-// exactSlot is one entry's words, read and written only through
-// sync/atomic. param is the entry's one param, or its side-store
-// record's index when meta says spilled.
-type exactSlot struct {
-	meta, tag, param atomic.Uint64
+// exactHeader is a group's two words, in one cache line: its version,
+// odd while a writer is inside the group, and its control word.
+type exactHeader struct {
+	ver, ctrl atomic.Uint64
 }
 
-// A slot's meta word: the version in the low 32 bits, odd while a
-// writer is inside the slot; then whether it holds an entry and how,
-// and the entry's action as an index into the table's action list. A
-// slot that holds none is zero above the version.
+// exactSlot is one entry's words, read and written only through
+// sync/atomic: the key's tag and the entry word. A slot whose control
+// byte is not live holds zero in both.
+type exactSlot struct {
+	tag, word atomic.Uint64
+}
+
+// An entry word: the param in the low 54 bits — the entry's one param,
+// or its side-store record's index when spilled — then the entry's
+// action as an index into the table's action list, then how it is held.
 const (
-	metaVersion  = 1<<32 - 1
-	metaLive     = 1 << 32 // an entry
-	metaOneParam = 1 << 33 // an inline entry with one param
-	metaSpilled  = 1 << 34 // the entry is the side-store record param indexes
-	metaActShift = 40
-	exactMaxActs = 1 << (64 - metaActShift)
+	wordParam    = 1<<54 - 1
+	wordActShift = 54
+	exactMaxActs = 1 << 8
+	wordOneParam = 1 << 62 // an inline entry with one param
+	wordSpilled  = 1 << 63 // the entry is the side-store record param indexes
 )
 
 // A control byte is empty (zero, as a new array holds), a tombstone (a
@@ -152,7 +166,7 @@ func NewExactTable(capacity int) *ExactTable {
 
 func newExactArray(groups, records int) *exactArray {
 	a := &exactArray{
-		ctrl:  make([]atomic.Uint64, groups),
+		hdr:   make([]exactHeader, groups),
 		slots: make([]exactSlot, groups*exactGroup),
 	}
 	if records > 0 {
@@ -229,14 +243,14 @@ func firstOf(g int, m uint64) int { return g*exactGroup + bits.TrailingZeros64(m
 // home is the first group a probe for hash h visits: the high word of
 // h × groups, so a group count need not be a power of two.
 func (a *exactArray) home(h uint64) int {
-	g, _ := bits.Mul64(h, uint64(len(a.ctrl)))
+	g, _ := bits.Mul64(h, uint64(len(a.hdr)))
 	return int(g)
 }
 
 // next is the group a probe visits after g: the next one, round past
 // the last.
 func (a *exactArray) next(g int) int {
-	if g++; g == len(a.ctrl) {
+	if g++; g == len(a.hdr) {
 		return 0
 	}
 	return g
@@ -244,38 +258,22 @@ func (a *exactArray) next(g int) int {
 
 // ctrlAt returns slot i's control byte.
 func (a *exactArray) ctrlAt(i int) uint8 {
-	return uint8(a.ctrl[i/exactGroup].Load() >> (8 * uint(i%exactGroup)))
+	return uint8(a.hdr[i/exactGroup].ctrl.Load() >> (8 * uint(i%exactGroup)))
 }
 
-// setCtrl writes slot i's control byte. Writers only, and after the
-// slot's words: a reader that sees a live byte then reads a whole slot.
+// setCtrl writes slot i's control byte. Writers only, inside the
+// group's version window and after the slot's words: a reader that sees
+// a live byte under an unmoved even version read a whole slot.
 func (a *exactArray) setCtrl(i int, b uint8) {
-	w, sh := &a.ctrl[i/exactGroup], 8*uint(i%exactGroup)
+	w, sh := &a.hdr[i/exactGroup].ctrl, 8*uint(i%exactGroup)
 	w.Store(w.Load()&^(0xFF<<sh) | uint64(b)<<sh)
 }
 
-// load reads the slot's words as of one instant: it retries while a
-// writer is inside the slot or was there while it read.
-//
-//dv:hotpath
-func (s *exactSlot) load() (meta, tag, param uint64) {
-	for {
-		meta = s.meta.Load()
-		tag, param = s.tag.Load(), s.param.Load()
-		if meta&1 == 0 && s.meta.Load() == meta {
-			return meta, tag, param
-		}
-	}
-}
-
-// write replaces the slot's words between two version bumps: odd
-// before the first word changes, even again after the last.
-func (s *exactSlot) write(meta, tag, param uint64) {
-	old := s.meta.Load()
-	s.meta.Store(old | 1)
-	s.tag.Store(tag)
-	s.param.Store(param)
-	s.meta.Store(meta | (old+2)&metaVersion)
+// bump moves group g's version on by one: odd as a writer enters the
+// group, even again as it leaves. Writers only.
+func (a *exactArray) bump(g int) {
+	v := &a.hdr[g].ver
+	v.Store(v.Load() + 1)
 }
 
 // find probes for key. It returns the slot holding it, or -1 and the
@@ -286,11 +284,11 @@ func (a *exactArray) find(h, tag uint64, key []byte) (at, free int) {
 	free = -1
 	fp := ctrlOf(h)
 	for g := a.home(h); ; g = a.next(g) {
-		c := a.ctrl[g].Load()
+		c := a.hdr[g].ctrl.Load()
 		for m := matchCtrl(c, fp); m != 0; m &= m - 1 {
 			i := firstOf(g, m)
 			s := &a.slots[i]
-			if s.tag.Load() == tag && (tag < tagLong || bytes.Equal(a.spill[s.param.Load()].key, key)) {
+			if s.tag.Load() == tag && (tag < tagLong || bytes.Equal(a.spill[s.word.Load()&wordParam].key, key)) {
 				return i, -1
 			}
 		}
@@ -304,9 +302,9 @@ func (a *exactArray) find(h, tag uint64, key []byte) (at, free int) {
 }
 
 // hashOf returns the hash of the key a live slot holds. Writers only.
-func (a *exactArray) hashOf(tag, param uint64) uint64 {
+func (a *exactArray) hashOf(tag, word uint64) uint64 {
 	if tag >= tagLong {
-		h, _ := hashKey(a.spill[param].key)
+		h, _ := hashKey(a.spill[word&wordParam].key)
 		return h
 	}
 	return hashInline(tag)
@@ -318,12 +316,12 @@ func (a *exactArray) hashOf(tag, param uint64) uint64 {
 // between an entry's home and its own is full, so no entry further on
 // can. Writers only.
 func (a *exactArray) passed(g int) bool {
-	n := len(a.ctrl)
+	n := len(a.hdr)
 	for at := a.next(g); at != g; at = a.next(at) {
-		c := a.ctrl[at].Load()
+		c := a.hdr[at].ctrl.Load()
 		for m := c & ctrlMSB; m != 0; m &= m - 1 {
 			s := &a.slots[firstOf(at, m)]
-			home := a.home(a.hashOf(s.tag.Load(), s.param.Load()))
+			home := a.home(a.hashOf(s.tag.Load(), s.word.Load()))
 			if (g-home+n)%n < (at-home+n)%n {
 				return true
 			}
@@ -351,47 +349,53 @@ func (a *exactArray) grown(groups, spills int) (*exactArray, int) {
 	}
 	next := newExactArray(groups, records)
 	used := 0
-	for i := range a.slots {
-		s := &a.slots[i]
-		meta, tag, param := s.meta.Load(), s.tag.Load(), s.param.Load()
-		if meta&metaLive == 0 {
-			continue
+	for g := range a.hdr {
+		for m := a.hdr[g].ctrl.Load() & ctrlMSB; m != 0; m &= m - 1 {
+			s := &a.slots[firstOf(g, m)]
+			tag, word := s.tag.Load(), s.word.Load()
+			h := a.hashOf(tag, word)
+			if word&wordSpilled != 0 {
+				next.spill[used], word = a.spill[word&wordParam], word&^wordParam|uint64(used)
+				used++
+			}
+			to := next.home(h)
+			free := matchEmpty(next.hdr[to].ctrl.Load())
+			for free == 0 {
+				to = next.next(to)
+				free = matchEmpty(next.hdr[to].ctrl.Load())
+			}
+			// No reader sees next before it is published: no version bump.
+			j := firstOf(to, free)
+			next.slots[j].tag.Store(tag)
+			next.slots[j].word.Store(word)
+			next.setCtrl(j, ctrlOf(h))
 		}
-		h := a.hashOf(tag, param)
-		if meta&metaSpilled != 0 {
-			next.spill[used], param = a.spill[param], uint64(used)
-			used++
-		}
-		g := next.home(h)
-		m := matchEmpty(next.ctrl[g].Load())
-		for m == 0 {
-			g = next.next(g)
-			m = matchEmpty(next.ctrl[g].Load())
-		}
-		// No reader sees next before it is published: no version dance.
-		j := firstOf(g, m)
-		d := &next.slots[j]
-		d.meta.Store(meta &^ metaVersion)
-		d.tag.Store(tag)
-		d.param.Store(param)
-		next.setCtrl(j, ctrlOf(h))
 	}
 	return next, used
 }
 
 // groupsFor returns the group count of the generation that replaces a
 // when an insert needs a rebuild: a's own when only the side store is
-// short (grow false), when tombstones fill a's share — at least one a
-// group — or when a is at the capacity's bound; else twice a's, or the
-// bound itself once it is at most twice further, so that a table
-// filled to its capacity does not rebuild a last time for the few
-// groups left above the doubling.
+// short (grow false) or when tombstones fill a's share — at least one
+// group — below the capacity's bound; else twice a's, or the bound
+// itself once it is at most twice further, so that a table filled to
+// its capacity does not rebuild a last time for the few groups left
+// above the doubling. At the bound, where only tombstones force a
+// rebuild, it is the groups that hold the capacity and an eighth more,
+// once; from there on a's own. So a table that only fills holds
+// 8·⌈cap/7⌉ slots, and one churned at its capacity rebuilds after at
+// least cap/8 tombstones, not after the few the bound leaves room for.
 func (t *ExactTable) groupsFor(a *exactArray, grow bool) int {
-	g := len(a.ctrl)
-	if !grow || t.tombs >= g {
+	g := len(a.hdr)
+	switch {
+	case !grow:
 		return g
-	}
-	if 4*g >= t.maxGroups {
+	case g >= t.maxGroups:
+		slack := t.cap + (t.cap+exactGroup-1)/exactGroup
+		return max(g, (slack+exactGroupFill-1)/exactGroupFill)
+	case t.tombs >= g:
+		return g
+	case 4*g >= t.maxGroups:
 		return t.maxGroups
 	}
 	return 2 * g
@@ -420,10 +424,12 @@ func (t *ExactTable) intern(action string) (uint64, error) {
 // Insert adds or replaces the entry for key, copying both: nothing of
 // either escapes, so a caller's key array and Params literal stay on
 // its stack. An entry with a key of at most seven bytes and at most one
-// param — a session, a NAT mapping, a VNI — is written into its slot
-// and allocates nothing; a spilled entry copies its key and params into
-// its record. Insert fails when the table is at capacity and key is
-// new, mirroring hardware table exhaustion.
+// param of at most 54 bits — a session, a NAT mapping, a VNI — is
+// written into its slot and allocates nothing; a spilled entry copies
+// its key and params into its record. Insert fails with ErrTableFull
+// when the table is at capacity and key is new, mirroring hardware
+// table exhaustion; it also fails when e.Action would be the table's
+// 257th action.
 //
 //dv:snapshotwriter
 func (t *ExactTable) Insert(key []byte, e Entry) error {
@@ -435,17 +441,17 @@ func (t *ExactTable) Insert(key []byte, e Entry) error {
 	at, free := a.find(h, tag, key)
 	live := t.Len()
 	if at < 0 && t.cap > 0 && live >= t.cap {
-		return fmt.Errorf("mau: exact table full (%d entries)", t.cap)
+		return fmt.Errorf("%w (%d entries)", ErrTableFull, t.cap)
 	}
 	act, err := t.intern(e.Action)
 	if err != nil {
 		return err
 	}
-	spill := tag >= tagLong || len(e.Params) > 1
+	spill := tag >= tagLong || len(e.Params) > 1 || len(e.Params) == 1 && e.Params[0] > wordParam
 	// A new entry that takes an empty byte must leave live entries and
 	// tombstones at most exactGroupFill a group, so every probe still
 	// meets an empty byte; a spilled one needs a free record.
-	grow := at < 0 && a.ctrlAt(free) == ctrlEmpty && live+t.tombs+1 > exactGroupFill*len(a.ctrl)
+	grow := at < 0 && a.ctrlAt(free) == ctrlEmpty && live+t.tombs+1 > exactGroupFill*len(a.hdr)
 	if grow || spill && t.recs == len(a.spill) {
 		spills := t.spills
 		if spill {
@@ -455,7 +461,7 @@ func (t *ExactTable) Insert(key []byte, e Entry) error {
 		t.tombs = 0
 		at, free = a.find(h, tag, key)
 	}
-	meta, param := metaLive|act<<metaActShift, uint64(0)
+	word := act << wordActShift
 	switch {
 	case spill:
 		rec := exactSpill{params: slices.Clone(e.Params)}
@@ -463,23 +469,28 @@ func (t *ExactTable) Insert(key []byte, e Entry) error {
 			rec.key = bytes.Clone(key)
 		}
 		a.spill[t.recs] = rec
-		meta, param = meta|metaSpilled, uint64(t.recs)
+		word |= wordSpilled | uint64(t.recs)
 		t.recs++
 		t.spills++
 	case len(e.Params) == 1:
-		meta, param = meta|metaOneParam, e.Params[0]
+		word |= wordOneParam | e.Params[0]
 	}
-	if at >= 0 {
-		if a.slots[at].meta.Load()&metaSpilled != 0 {
-			t.spills--
-		}
-		a.slots[at].write(meta, tag, param)
-	} else {
+	i := at
+	if at < 0 {
+		i = free
 		if a.ctrlAt(free) == ctrlTomb {
 			t.tombs--
 		}
-		a.slots[free].write(meta, tag, param)
-		a.setCtrl(free, ctrlOf(h))
+	} else if a.slots[at].word.Load()&wordSpilled != 0 {
+		t.spills--
+	}
+	g := i / exactGroup
+	a.bump(g)
+	a.slots[i].tag.Store(tag)
+	a.slots[i].word.Store(word)
+	a.setCtrl(i, ctrlOf(h))
+	a.bump(g)
+	if at < 0 {
 		t.n.Add(1)
 	}
 	if a != cur {
@@ -505,19 +516,25 @@ func (t *ExactTable) Delete(key []byte) bool {
 	if at < 0 {
 		return false
 	}
-	if a.slots[at].meta.Load()&metaSpilled != 0 {
+	s := &a.slots[at]
+	if s.word.Load()&wordSpilled != 0 {
 		t.spills--
 	}
-	a.slots[at].write(0, 0, 0)
 	g := at / exactGroup
-	if c := a.ctrl[g].Load(); matchEmpty(c) == 0 && a.passed(g) {
+	c := a.hdr[g].ctrl.Load()
+	tomb := matchEmpty(c) == 0 && a.passed(g)
+	a.bump(g)
+	s.tag.Store(0)
+	s.word.Store(0)
+	if tomb {
 		a.setCtrl(at, ctrlTomb)
 		t.tombs++
 	} else {
 		tombs := matchFree(c) &^ matchEmpty(c)
 		t.tombs -= bits.OnesCount64(tombs)
-		a.ctrl[g].Store(c &^ (0xFF << (8 * uint(at%exactGroup))) &^ (tombs >> 7))
+		a.hdr[g].ctrl.Store(c &^ (0xFF << (8 * uint(at%exactGroup))) &^ (tombs >> 7))
 	}
+	a.bump(g)
 	t.n.Add(-1)
 	return true
 }
@@ -527,14 +544,15 @@ func (t *ExactTable) Delete(key []byte) bool {
 // params in its record, which is never rewritten. It stays what it
 // read whatever the table does next, and reading it allocates nothing.
 type Hit struct {
-	t     *ExactTable // resolves the interned action
-	rec   *exactSpill // a spilled entry's record, else nil
-	param uint64      // an inline entry's param
-	meta  uint64
+	t    *ExactTable // resolves the interned action
+	rec  *exactSpill // a spilled entry's record, else nil
+	word uint64      // the slot's entry word
 }
 
 // Action returns the entry's action.
-func (h Hit) Action() string { return (*h.t.acts.Load())[h.meta>>metaActShift] }
+func (h Hit) Action() string {
+	return (*h.t.acts.Load())[(h.word>>wordActShift)%exactMaxActs]
+}
 
 // Len returns the number of the entry's params.
 //
@@ -543,7 +561,7 @@ func (h Hit) Len() int {
 	if h.rec != nil {
 		return len(h.rec.params)
 	}
-	if h.meta&metaOneParam != 0 {
+	if h.word&wordOneParam != 0 {
 		return 1
 	}
 	return 0
@@ -556,13 +574,16 @@ func (h Hit) Param(i int) uint64 {
 	if h.rec != nil {
 		return h.rec.params[i]
 	}
-	one := [1]uint64{h.param}
+	one := [1]uint64{h.word & wordParam}
 	return one[:h.Len()][i]
 }
 
 // Lookup returns the entry for key. It reads a slot only where a
 // control byte matches the key's, and decides a miss from the control
-// words alone: the first group with an empty byte ends the probe.
+// words alone: the first group with an empty byte ends the probe. A hit
+// is the group's version, its control word, the slot's two words and
+// the version again, which must be the first, and even: otherwise a
+// writer was inside the group, and Lookup reads it again.
 //
 //dv:hotpath
 func (t *ExactTable) Lookup(key []byte) (Hit, bool) {
@@ -570,22 +591,31 @@ func (t *ExactTable) Lookup(key []byte) (Hit, bool) {
 	h, tag := hashKey(key)
 	fp := ctrlOf(h)
 	for g := a.home(h); ; g = a.next(g) {
-		c := a.ctrl[g].Load()
-		for m := matchCtrl(c, fp); m != 0; m &= m - 1 {
-			meta, stag, param := a.slots[firstOf(g, m)].load()
-			switch {
-			case stag != tag || meta&metaLive == 0:
-				// Another key, or one deleted since c was read.
-			case meta&metaSpilled == 0:
-				return Hit{t: t, param: param, meta: meta}, true
-			default:
-				if rec := &a.spill[param]; tag < tagLong || bytes.Equal(rec.key, key) {
-					return Hit{t: t, rec: rec, meta: meta}, true
+		hd := &a.hdr[g]
+	group:
+		for {
+			v, c := hd.ver.Load(), hd.ctrl.Load()
+			for m := matchCtrl(c, fp); m != 0; m &= m - 1 {
+				s := &a.slots[firstOf(g, m)]
+				stag, word := s.tag.Load(), s.word.Load()
+				if stag != tag {
+					continue // another key, or a slot a writer is changing
 				}
+				var rec *exactSpill
+				if word&wordSpilled != 0 {
+					if rec = &a.spill[word&wordParam]; tag >= tagLong && !bytes.Equal(rec.key, key) {
+						continue
+					}
+				}
+				if v&1 != 0 || hd.ver.Load() != v {
+					continue group
+				}
+				return Hit{t: t, rec: rec, word: word}, true
 			}
-		}
-		if matchEmpty(c) != 0 {
-			return Hit{}, false
+			if matchEmpty(c) != 0 {
+				return Hit{}, false
+			}
+			break
 		}
 	}
 }

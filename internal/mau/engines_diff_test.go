@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // Randomized op-sequence differential tests: each engine against the
@@ -50,8 +51,9 @@ func TestExactTableMatchesMap(t *testing.T) {
 		// A small key universe forces replaces, deletes of present keys
 		// and re-inserts over tombstones. Key lengths sit on both sides
 		// of the slot's inline limit (7) and of the hash's eight-byte
-		// round, param counts on both sides of the one inline param, so
-		// the inline and the spilled layout are both held to the map.
+		// round, param counts and widths on both sides of the one inline
+		// param of 54 bits, so the inline and the spilled layout are both
+		// held to the map.
 		keyLens := []int{0, 1, 4, 7, 14, 15, 40}
 		paramCounts := []int{0, 1, 2, 5}
 		universe := make([][]byte, 300)
@@ -66,7 +68,7 @@ func TestExactTableMatchesMap(t *testing.T) {
 			case 0, 1, 2, 3, 4:
 				e := Entry{Action: fmt.Sprint("a", op%7), Params: make([]uint64, paramCounts[rng.Intn(len(paramCounts))])}
 				for j := range e.Params {
-					e.Params[j] = rng.Uint64()
+					e.Params[j] = rng.Uint64() >> (10 * rng.Intn(2)) // half within the 54 bits a slot holds
 				}
 				err := tb.Insert(k, e)
 				_, exists := ref[string(k)]
@@ -118,20 +120,22 @@ type exactCensus struct {
 }
 
 // checkExact holds tb's index to its invariants, read from the arrays
-// rather than from the table's counters. Every live control byte is
-// ctrlLive over the low seven bits of its slot's key's hash, and its
-// slot holds an entry; no other byte's slot does, and no byte is
-// anything else. A tombstone sits only in a group with no empty byte.
-// Every entry is reached from its home group — the high word of hash ×
-// groups — through groups that have no empty byte. The live and
-// tombstone bytes equal Len and the table's count, and together fill at
-// most 7 slots a group. The hash is hashKey of the key: an inline key
-// read back from its tag, a long one from its record.
+// rather than from the table's counters. Every group's version is even:
+// no writer is inside a group at rest. Every live control byte is
+// ctrlLive over the low seven bits of its slot's key's hash, and a
+// spilled slot's record is one the store has handed out; every other
+// byte's slot holds zero words, and no byte is anything else. A
+// tombstone sits only in a group with no empty byte. Every entry is
+// reached from its home group — the high word of hash × groups —
+// through groups that have no empty byte. The live and tombstone bytes
+// equal Len and the table's count, and together fill at most 7 slots a
+// group. The hash is hashKey of the key: an inline key read back from
+// its tag, a long one from its record.
 func checkExact(t *testing.T, tb *ExactTable) exactCensus {
 	t.Helper()
 	a := tb.arr.Load()
-	n := len(a.ctrl)
-	ctrl := func(g, j int) uint8 { return uint8(a.ctrl[g].Load() >> (8 * j)) }
+	n := len(a.hdr)
+	ctrl := func(g, j int) uint8 { return uint8(a.hdr[g].ctrl.Load() >> (8 * j)) }
 	hasEmpty := func(g int) bool {
 		for j := 0; j < exactGroup; j++ {
 			if ctrl(g, j) == 0 {
@@ -145,14 +149,17 @@ func checkExact(t *testing.T, tb *ExactTable) exactCensus {
 		t.Fatalf("%d groups over %d slots", n, len(a.slots))
 	}
 	for g := 0; g < n; g++ {
+		if v := a.hdr[g].ver.Load(); v&1 != 0 {
+			t.Fatalf("group %d: version %d is odd at rest", g, v)
+		}
 		for j := 0; j < exactGroup; j++ {
 			i := g*exactGroup + j
 			b := ctrl(g, j)
-			meta, tag, param := a.slots[i].load()
+			tag, word := a.slots[i].tag.Load(), a.slots[i].word.Load()
 			switch {
 			case b == 0x00 || b == 0x01:
-				if meta&metaLive != 0 {
-					t.Fatalf("slot %d holds an entry under control byte %#x", i, b)
+				if tag != 0 || word != 0 {
+					t.Fatalf("slot %d holds words %#x, %#x under control byte %#x", i, tag, word, b)
 				}
 				if b == 0x01 {
 					c.tombs++
@@ -162,12 +169,13 @@ func checkExact(t *testing.T, tb *ExactTable) exactCensus {
 				}
 			case b >= 0x80:
 				c.live++
-				if meta&metaLive == 0 {
-					t.Fatalf("slot %d: live control byte %#x over a slot with no entry", i, b)
+				spilled := word&wordSpilled != 0
+				if spilled && (word&wordOneParam != 0 || word&wordParam >= uint64(tb.recs)) || !spilled && tag >= tagLong {
+					t.Fatalf("slot %d: entry word %#x under tag %#x, %d records in use", i, word, tag, tb.recs)
 				}
 				var key []byte
 				if tag >= tagLong {
-					key = a.spill[param].key
+					key = a.spill[word&wordParam].key
 				} else {
 					for k := 0; k < int(tag>>56); k++ {
 						key = append(key, byte(tag>>(8*k)))
@@ -207,7 +215,8 @@ func checkExact(t *testing.T, tb *ExactTable) exactCensus {
 // capacity C filled to C sits in 8·⌈C/7⌉ slots — doubling from one
 // group, then the ⌈C/7⌉ that hold C at 7 a group — and live entries
 // plus tombstones never pass 7 a group on the way. At 2^18 (the LB's
-// session table) that is 37 450 groups, 25 bytes a slot, reached from
+// session table) that is 37 450 groups of a 16-byte header and eight
+// 16-byte slots, 18 bytes a slot and 5 392 800 in all, reached from
 // 16 384 groups in one rebuild: the array doubles until the bound is at
 // most two doublings away, then takes it.
 func TestExactTableFootprint(t *testing.T) {
@@ -220,7 +229,7 @@ func TestExactTableFootprint(t *testing.T) {
 			if err := tb.Insert(k[:], Entry{Action: "a", Params: []uint64{uint64(i)}}); err != nil {
 				t.Fatalf("capacity %d, insert %d: %v", capacity, i, err)
 			}
-			g := len(tb.arr.Load().ctrl)
+			g := len(tb.arr.Load().hdr)
 			if tb.Len()+tb.tombs > 7*g {
 				t.Fatalf("capacity %d, insert %d: %d live and %d tombstones in %d groups", capacity, i, tb.Len(), tb.tombs, g)
 			}
@@ -241,8 +250,12 @@ func TestExactTableFootprint(t *testing.T) {
 		if err := tb.Insert([]byte("new"), Entry{}); err == nil {
 			t.Errorf("capacity %d: an insert past capacity succeeded", capacity)
 		}
-		bytes := c.groups * exactGroup * 25 // a 24-byte slot and its control byte
-		t.Logf("capacity %d: %d groups (through %v), %d bytes, %.1f B an entry, %d entries off their home group", capacity, c.groups, sizes, bytes, float64(bytes)/float64(capacity), c.displaced)
+		a := tb.arr.Load()
+		bytes := len(a.hdr)*int(unsafe.Sizeof(exactHeader{})) + len(a.slots)*int(unsafe.Sizeof(exactSlot{}))
+		if capacity == 1<<18 && bytes != 5392800 {
+			t.Errorf("capacity %d full: %d bytes of headers and slots, want 5 392 800", capacity, bytes)
+		}
+		t.Logf("capacity %d: %d groups (through %v), %d bytes, %.0f B a slot, %.1f B an entry, %d entries off their home group", capacity, c.groups, sizes, bytes, float64(bytes)/float64(len(a.slots)), float64(bytes)/float64(capacity), c.displaced)
 	}
 }
 
@@ -271,6 +284,60 @@ func TestExactTableStaysSmall(t *testing.T) {
 	if c := checkExact(t, tb); c.tombs != 0 || c.groups != 16 {
 		t.Errorf("insert/delete churn left %d tombstones in %d groups, want none in 16", c.tombs, c.groups)
 	}
+}
+
+// TestExactTableChurnAtCap: a table churned at its capacity — filled,
+// then each pair deletes the oldest key and inserts a new one — rebuilds
+// at most once per capacity/8 pairs. The first rebuild at the bound
+// takes ⌈(C + ⌈C/8⌉)/7⌉ groups, room for an eighth of the capacity in
+// tombstones, and every later one purges them at that size. checkExact
+// holds after every rebuild, and a steady-state pair allocates nothing.
+func TestExactTableChurnAtCap(t *testing.T) {
+	const capacity, pairs = 4096, 20000
+	key := func(i int) [4]byte {
+		h := uint32(i) * 2654435761
+		return [4]byte{byte(h >> 24), byte(h >> 16), byte(h >> 8), byte(h)}
+	}
+	tb := NewExactTable(capacity)
+	insert := func(i int) {
+		k := key(i)
+		if err := tb.Insert(k[:], Entry{Action: "modify_dstIp", Params: []uint64{uint64(i)}}); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+	for i := 0; i < capacity; i++ {
+		insert(i)
+	}
+	filled := len(tb.arr.Load().hdr)
+	next := capacity
+	pair := func() {
+		if old := key(next - capacity); !tb.Delete(old[:]) {
+			t.Fatalf("delete %d: missing", next-capacity)
+		}
+		insert(next)
+		next++
+	}
+	rebuilds := 0
+	for p := 0; p < pairs; p++ {
+		a := tb.arr.Load()
+		pair()
+		if tb.arr.Load() != a {
+			rebuilds++
+			checkExact(t, tb)
+		}
+	}
+	if bound := pairs/(capacity/8) + 1; rebuilds > bound {
+		t.Errorf("%d rebuilds over %d pairs at capacity %d, want at most %d", rebuilds, pairs, capacity, bound)
+	}
+	slack := (capacity + capacity/8 + 6) / 7
+	if g := len(tb.arr.Load().hdr); filled != (capacity+6)/7 || g != slack {
+		t.Errorf("filled to capacity: %d groups, then %d under churn; want %d, then %d", filled, g, (capacity+6)/7, slack)
+	}
+	if got := testing.AllocsPerRun(1000, pair); got != 0 {
+		t.Errorf("a delete/insert pair at capacity = %.1f allocations, want 0", got)
+	}
+	c := checkExact(t, tb)
+	t.Logf("%d rebuilds over %d pairs; %d groups filled, %d under churn, %d tombstones at the end", rebuilds, pairs, filled, c.groups, c.tombs)
 }
 
 type refRoute struct {
@@ -585,21 +652,26 @@ func TestExactTableHammer(t *testing.T) {
 		}
 		return k
 	}
-	// A stable key's entry cycles through four forms, each replace in
-	// place: action A with params all p, or action B with params all ^p,
-	// one param (inline, on a short key) or two (spilled). Every replace
-	// changes the action and every other one the layout, so a reader
-	// that mixed words of two forms sees an action whose params do not
-	// match it, or a param count neither form has.
+	// A stable key's entry cycles through five forms, each replace in
+	// place: action A with params all p, or action B with params all ^p;
+	// one param or two (spilled). B's one param is ^p masked to the 54
+	// bits a slot holds (inline, on a short key) or all 64 of it
+	// (spilled), so both layouts hold both actions. A reader that mixed
+	// words of two forms sees an action whose params do not match it, or
+	// a param count neither form has.
 	entry := func(i, form int) Entry {
-		e := Entry{Action: "A", Params: []uint64{uint64(i)}}
-		if form&1 != 0 {
-			e = Entry{Action: "B", Params: []uint64{^uint64(i)}}
+		p := uint64(i)
+		switch form {
+		case 1:
+			return Entry{Action: "B", Params: []uint64{^p, ^p}}
+		case 2:
+			return Entry{Action: "A", Params: []uint64{p, p}}
+		case 3:
+			return Entry{Action: "B", Params: []uint64{^p & wordParam}}
+		case 4:
+			return Entry{Action: "B", Params: []uint64{^p}}
 		}
-		if form == 1 || form == 2 {
-			e.Params = append(e.Params, e.Params[0])
-		}
-		return e
+		return Entry{Action: "A", Params: []uint64{p}}
 	}
 	// check reports whether stable key i reads as one whole form.
 	check := func(i int) bool {
@@ -615,10 +687,35 @@ func TestExactTableHammer(t *testing.T) {
 		ok = h.Action() == "A" || h.Action() == "B"
 		ok = ok && h.Len() >= 1 && h.Len() <= 2
 		for j := 0; ok && j < h.Len(); j++ {
-			ok = h.Param(j) == want
+			ok = h.Param(j) == want || h.Len() == 1 && h.Param(j) == want&wordParam
 		}
 		if !ok {
 			t.Errorf("stable key %d: torn read: %+v", i, entryOf(h, true))
+		}
+		return ok
+	}
+	// A neighbour is a key of its own family that the writer puts into a
+	// hot stable key's group, replaces, deletes and puts back while the
+	// readers read it. Its slot's words are written before its control
+	// byte on an insert and zeroed before it on a delete, so a reader that
+	// read the live byte, then the tag before a delete and the entry word
+	// after it, holds a key with no entry: only the group's version says
+	// the words moved under it. A neighbour reads as action N with one or
+	// two params equal to its number, or not at all.
+	nkey := func(x int) []byte { return []byte{0x20, byte(x >> 16), byte(x >> 8), byte(x)} }
+	var neighbour atomic.Int64 // the neighbour the writer is moving
+	checkNeighbour := func() bool {
+		x := int(neighbour.Load())
+		h, ok := tb.Lookup(nkey(x))
+		if !ok {
+			return true
+		}
+		ok = h.Action() == "N" && h.Len() >= 1 && h.Len() <= 2
+		for j := 0; ok && j < h.Len(); j++ {
+			ok = h.Param(j) == uint64(x)
+		}
+		if !ok {
+			t.Errorf("neighbour %d: torn read: %+v", x, entryOf(h, true))
 		}
 		return ok
 	}
@@ -631,7 +728,8 @@ func TestExactTableHammer(t *testing.T) {
 			defer wg.Done()
 			for !stop.Load() {
 				// Every installed key, then the hot ones the writer replaces
-				// at every step, over and over.
+				// at every step and the neighbour in their groups, over and
+				// over.
 				n := int(installed.Load())
 				for i := 0; i < n; i++ {
 					if !check(i) {
@@ -639,25 +737,62 @@ func TestExactTableHammer(t *testing.T) {
 					}
 				}
 				for i := 0; i < 64*hot && i < n; i++ {
-					if !check(i % hot) {
+					if !check(i%hot) || !checkNeighbour() {
 						return
 					}
 				}
 			}
 		}()
 	}
-	// inFullGroup reports whether k is in the table, in a group with no
-	// empty byte. The writer's own read: no one else writes.
-	inFullGroup := func(k []byte) bool {
+	// where returns the array and the slot k sits in, or -1. The
+	// writer's own read: no one else writes.
+	where := func(k []byte) (*exactArray, int) {
 		a := tb.arr.Load()
 		h, tag := hashKey(k)
 		at, _ := a.find(h, tag, k)
-		return at >= 0 && matchEmpty(a.ctrl[at/exactGroup].Load()) == 0
+		return a, at
+	}
+	// inFullGroup reports whether k is in the table, in a group with no
+	// empty byte.
+	inFullGroup := func(k []byte) bool {
+		a, at := where(k)
+		return at >= 0 && matchEmpty(a.hdr[at/exactGroup].ctrl.Load()) == 0
+	}
+	// shake moves a new neighbour through stable key w's group when the
+	// group has a free byte: one whose home is that group, so its insert
+	// takes the free byte there.
+	nx, shaken := 0, 0
+	shake := func(w int) {
+		a, at := where(key(w))
+		g := at / exactGroup
+		if matchFree(a.hdr[g].ctrl.Load()) == 0 {
+			return
+		}
+		for nx++; ; nx++ {
+			if h, _ := hashKey(nkey(nx)); a.home(h) == g {
+				break
+			}
+		}
+		neighbour.Store(int64(nx))
+		k := nkey(nx)
+		for f := 0; f < 4; f++ {
+			e := Entry{Action: "N", Params: []uint64{uint64(nx)}}
+			if f%2 == 1 {
+				e.Params = append(e.Params, uint64(nx))
+			}
+			tb.Insert(k, e)
+			if now, at := where(k); f == 0 && now == a && at/exactGroup == g {
+				shaken++
+			}
+			if f%2 == 1 {
+				tb.Delete(k)
+			}
+		}
 	}
 	fullDeletes, tombstoned := 0, 0
 	form := make([]int, stable)
 	replace := func(i int) {
-		form[i] = (form[i] + 1) % 4
+		form[i] = (form[i] + 1) % 5
 		tb.Insert(key(i), entry(i, form[i]))
 	}
 	for i := 0; i < stable; i++ {
@@ -671,6 +806,7 @@ func TestExactTableHammer(t *testing.T) {
 		}
 		replace(i / 2)
 		replace(i)
+		shake(i % hot)
 		// Churn keys come and go between the stable ones: tombstones on
 		// the stable keys' probe chains, reuse of tombstones, replaces.
 		c := key(1<<20 + i%churn)
@@ -695,10 +831,10 @@ func TestExactTableHammer(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
-	if fullDeletes == 0 || tombstoned == 0 {
-		t.Errorf("%d deletes in full groups, %d of them tombstones: want some of each", fullDeletes, tombstoned)
+	if fullDeletes == 0 || tombstoned == 0 || shaken == 0 {
+		t.Errorf("%d deletes in full groups, %d of them tombstones, %d neighbours in a hot key's group: want some of each", fullDeletes, tombstoned, shaken)
 	}
-	t.Logf("%d deletes in full groups, %d of them tombstones; %d groups at the end", fullDeletes, tombstoned, len(tb.arr.Load().ctrl))
+	t.Logf("%d deletes in full groups, %d of them tombstones; %d neighbours in a hot key's group; %d groups at the end", fullDeletes, tombstoned, shaken, len(tb.arr.Load().hdr))
 }
 
 func TestLPM32Hammer(t *testing.T) {
@@ -883,8 +1019,9 @@ func TestExactReadAllocBudget(t *testing.T) {
 // wraps round past the last group. Each later byte is one op: its top
 // two bits the kind, its low six the key. Key lengths sit on both sides
 // of the inline limit and the hash's eight-byte round; an insert's
-// params, 0, 1, 2 or 5, and its action come from its position. It
-// returns what the run reached.
+// params, 0, 1, 2 or 5, their values — small, 2^54 - 1, 2^54, or past
+// 2^63 — and its action come from its position. It returns what the
+// run reached.
 func exactOps(t *testing.T, ops []byte) (cov exactCoverage) {
 	if len(ops) == 0 {
 		return cov
@@ -908,7 +1045,18 @@ func exactOps(t *testing.T, ops []byte) (cov exactCoverage) {
 		case 0, 1:
 			e := Entry{Action: fmt.Sprint("a", i%3)}
 			for j := 0; j < paramCounts[i%len(paramCounts)]; j++ {
-				e.Params = append(e.Params, uint64(i)<<8|uint64(j))
+				p := uint64(i)<<8 | uint64(j)
+				// Params about the 54 bits a slot holds inline: 2^54 - 1
+				// and under stay in the slot, 2^54 and over spill.
+				switch i / len(paramCounts) % 4 {
+				case 1:
+					p = wordParam - uint64(j)
+				case 2:
+					p = wordParam + 1 + uint64(j)
+				case 3:
+					p = ^p
+				}
+				e.Params = append(e.Params, p)
 			}
 			_, exists := ref[string(k)]
 			full := capacity > 0 && !exists && len(ref) >= capacity
@@ -923,7 +1071,7 @@ func exactOps(t *testing.T, ops []byte) (cov exactCoverage) {
 			if h, tag := hashKey(k); exists {
 				a := tb.arr.Load()
 				at, _ := a.find(h, tag, k)
-				group = a.ctrl[at/exactGroup].Load()
+				group = a.hdr[at/exactGroup].ctrl.Load()
 			}
 			tombs := tb.tombs
 			if got := tb.Delete(k); got != exists {

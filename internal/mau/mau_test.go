@@ -1,6 +1,9 @@
 package mau
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -17,8 +20,8 @@ func TestExactTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Capacity reached: a new key fails, a replace succeeds.
-	if err := tb.Insert([]byte("k3"), Entry{Action: "c"}); err == nil {
-		t.Error("insert beyond capacity succeeded")
+	if err := tb.Insert([]byte("k3"), Entry{Action: "c"}); !errors.Is(err, ErrTableFull) || !strings.Contains(fmt.Sprint(err), "(2 entries)") {
+		t.Errorf("insert beyond capacity: %v, want ErrTableFull naming its 2 entries", err)
 	}
 	if err := tb.Insert([]byte("k1"), Entry{Action: "a2"}); err != nil {
 		t.Errorf("replace at capacity failed: %v", err)
@@ -35,6 +38,30 @@ func TestExactTable(t *testing.T) {
 	}
 	if tb.Len() != 1 {
 		t.Errorf("Len = %d, want 1", tb.Len())
+	}
+}
+
+// TestExactTableActionCap: a slot holds its action in 8 bits, so a
+// table takes 256 actions and refuses a 257th, while a new key under an
+// action it has still goes in.
+func TestExactTableActionCap(t *testing.T) {
+	tb := NewExactTable(0)
+	for i := 0; i < 256; i++ {
+		if err := tb.Insert([]byte{byte(i)}, Entry{Action: fmt.Sprint("act", i), Params: []uint64{uint64(i)}}); err != nil {
+			t.Fatalf("action %d: %v", i, err)
+		}
+	}
+	if err := tb.Insert([]byte{1, 0}, Entry{Action: "act256"}); err == nil || tb.Len() != 256 {
+		t.Errorf("the 257th action: %v, %d entries; want a refusal", err, tb.Len())
+	}
+	if err := tb.Insert([]byte{1, 1}, Entry{Action: "act255"}); err != nil {
+		t.Errorf("a new key under a known action: %v", err)
+	}
+	for i := 0; i < 256; i++ {
+		h, ok := tb.Lookup([]byte{byte(i)})
+		if !ok || h.Action() != fmt.Sprint("act", i) || h.Len() != 1 || h.Param(0) != uint64(i) {
+			t.Fatalf("key %d: %+v, %v", i, entryOf(h, ok), ok)
+		}
 	}
 }
 
@@ -331,6 +358,31 @@ func BenchmarkExactInsert(b *testing.B) {
 		tb := NewExactTable(0)
 		for j, k := range keys {
 			tb.Insert(k, Entry{Action: "modify_dstIp", Params: []uint64{uint64(j)}})
+		}
+	}
+}
+
+// BenchmarkExactChurnAtCap is a session table at the LB's capacity,
+// 2^18, under flow churn: each op deletes the oldest session and
+// inserts a new one, the rebuilds tombstones force amortised in.
+func BenchmarkExactChurnAtCap(b *testing.B) {
+	const sessions = 1 << 18
+	key := func(i int) [4]byte {
+		h := uint32(i) * 2654435761
+		return [4]byte{byte(h >> 24), byte(h >> 16), byte(h >> 8), byte(h)}
+	}
+	tb := NewExactTable(sessions)
+	for i := 0; i < sessions; i++ {
+		k := key(i)
+		tb.Insert(k[:], Entry{Action: "modify_dstIp", Params: []uint64{uint64(i)}})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		old, k := key(i), key(sessions+i)
+		tb.Delete(old[:])
+		if err := tb.Insert(k[:], Entry{Action: "modify_dstIp", Params: []uint64{uint64(i)}}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
