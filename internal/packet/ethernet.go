@@ -1,5 +1,7 @@
 package packet
 
+import "encoding/binary"
+
 // EthernetLen is the size of an untagged Ethernet header.
 const EthernetLen = 14
 
@@ -10,14 +12,26 @@ type Ethernet struct {
 	EtherType uint16
 }
 
+// get reads the header's fields from their wire offsets.
+func (e *Ethernet) get(b *[EthernetLen]byte) {
+	e.Dst = MAC(b[0:6])
+	e.Src = MAC(b[6:12])
+	e.EtherType = binary.BigEndian.Uint16(b[12:])
+}
+
+// put writes the header's fields at their wire offsets.
+func (e *Ethernet) put(b *[EthernetLen]byte) {
+	*(*MAC)(b[0:6]) = e.Dst
+	*(*MAC)(b[6:12]) = e.Src
+	binary.BigEndian.PutUint16(b[12:], e.EtherType)
+}
+
 // DecodeFromBytes parses an Ethernet header from the front of data.
 func (e *Ethernet) DecodeFromBytes(data []byte) error {
 	if len(data) < EthernetLen {
 		return ErrTruncated
 	}
-	copy(e.Dst[:], data[0:6])
-	copy(e.Src[:], data[6:12])
-	e.EtherType = be16(data[12:14])
+	e.get((*[EthernetLen]byte)(data))
 	return nil
 }
 
@@ -26,9 +40,7 @@ func (e *Ethernet) SerializeTo(b []byte) (int, error) {
 	if len(b) < EthernetLen {
 		return 0, ErrShortBuf
 	}
-	copy(b[0:6], e.Dst[:])
-	copy(b[6:12], e.Src[:])
-	put16(b[12:14], e.EtherType)
+	e.put((*[EthernetLen]byte)(b))
 	return EthernetLen, nil
 }
 

@@ -1,5 +1,7 @@
 package packet
 
+import "encoding/binary"
+
 // IPv4MinLen is the size of an IPv4 header without options.
 const IPv4MinLen = 20
 
@@ -26,29 +28,77 @@ const (
 	IPv4MoreFragments uint8 = 0x1
 )
 
+// The fixed header's kernels split it where each fits the compiler's
+// inlining budget, which the fixed layouts need and a whole header's
+// fields exceed: reads in two, writes in three (the checksum last).
+
+// getHead reads bytes 0–7: version, IHL, TOS, total length, ID, flags
+// and fragment offset.
+func (ip *IPv4) getHead(b *[IPv4MinLen]byte) {
+	ip.Version = b[0] >> 4
+	ip.IHL = b[0] & 0x0F
+	ip.TOS = b[1]
+	ip.Length = binary.BigEndian.Uint16(b[2:])
+	ip.ID = binary.BigEndian.Uint16(b[4:])
+	ip.Flags = b[6] >> 5
+	ip.FragOff = binary.BigEndian.Uint16(b[6:]) & 0x1FFF
+}
+
+// getTail reads bytes 8–19: TTL, protocol, checksum and addresses.
+func (ip *IPv4) getTail(b *[IPv4MinLen]byte) {
+	ip.TTL = b[8]
+	ip.Protocol = b[9]
+	ip.Checksum = binary.BigEndian.Uint16(b[10:])
+	ip.Src = IP4(b[12:16])
+	ip.Dst = IP4(b[16:20])
+}
+
+// putHead writes bytes 0–7 of a header ihl words long, records the
+// version and IHL written, and returns the sum of the 16-bit words.
+func (ip *IPv4) putHead(b *[IPv4MinLen]byte, ihl uint8) uint32 {
+	vt := uint32(4<<4|ihl)<<8 | uint32(ip.TOS)
+	ff := uint32(ip.Flags&0x7)<<13 | uint32(ip.FragOff&0x1FFF)
+	binary.BigEndian.PutUint32(b[0:], vt<<16|uint32(ip.Length))
+	binary.BigEndian.PutUint32(b[4:], uint32(ip.ID)<<16|ff)
+	ip.Version, ip.IHL = 4, ihl
+	return vt + uint32(ip.Length) + uint32(ip.ID) + ff
+}
+
+// putTail writes bytes 8–19 but the checksum — TTL, protocol and the
+// addresses — and returns the sum of their 16-bit words.
+func (ip *IPv4) putTail(b *[IPv4MinLen]byte) uint32 {
+	tp := uint32(ip.TTL)<<8 | uint32(ip.Protocol)
+	src, dst := binary.BigEndian.Uint32(ip.Src[:]), binary.BigEndian.Uint32(ip.Dst[:])
+	binary.BigEndian.PutUint16(b[8:], uint16(tp))
+	binary.BigEndian.PutUint32(b[12:], src)
+	binary.BigEndian.PutUint32(b[16:], dst)
+	return tp + src>>16 + src&0xFFFF + dst>>16 + dst&0xFFFF
+}
+
+// seal writes and records the checksum of a header whose other 16-bit
+// words sum to sum: putHead's and putTail's, and the options'. Summing
+// the words as they are written reads back none of the bytes the
+// stores are still writing.
+func (ip *IPv4) seal(b *[IPv4MinLen]byte, sum uint32) {
+	sum = sum&0xFFFF + sum>>16
+	cs := ^uint16(sum + sum>>16)
+	binary.BigEndian.PutUint16(b[10:], cs)
+	ip.Checksum = cs
+}
+
 // DecodeFromBytes parses an IPv4 header from the front of data. Options
 // are copied out so the decoded header does not alias data.
 func (ip *IPv4) DecodeFromBytes(data []byte) error {
 	if len(data) < IPv4MinLen {
 		return ErrTruncated
 	}
-	ip.Version = data[0] >> 4
-	ip.IHL = data[0] & 0x0F
-	hdrLen := int(ip.IHL) * 4
+	hdrLen := int(data[0]&0x0F) * 4
 	if hdrLen < IPv4MinLen || len(data) < hdrLen {
 		return ErrTruncated
 	}
-	ip.TOS = data[1]
-	ip.Length = be16(data[2:4])
-	ip.ID = be16(data[4:6])
-	ff := be16(data[6:8])
-	ip.Flags = uint8(ff >> 13)
-	ip.FragOff = ff & 0x1FFF
-	ip.TTL = data[8]
-	ip.Protocol = data[9]
-	ip.Checksum = be16(data[10:12])
-	copy(ip.Src[:], data[12:16])
-	copy(ip.Dst[:], data[16:20])
+	fixed := (*[IPv4MinLen]byte)(data)
+	ip.getHead(fixed)
+	ip.getTail(fixed)
 	if hdrLen > IPv4MinLen {
 		ip.Options = append(ip.Options[:0], data[IPv4MinLen:hdrLen]...)
 	} else {
@@ -74,35 +124,9 @@ func (ip *IPv4) SerializeTo(b []byte) (int, error) {
 	if len(b) < hdrLen {
 		return 0, ErrShortBuf
 	}
-	ihl := uint8(hdrLen / 4)
-	ff := uint16(ip.Flags&0x7)<<13 | ip.FragOff&0x1FFF
-	b[0] = 4<<4 | ihl
-	b[1] = ip.TOS
-	put16(b[2:4], ip.Length)
-	put16(b[4:6], ip.ID)
-	put16(b[6:8], ff)
-	b[8] = ip.TTL
-	b[9] = ip.Protocol
-	b[10], b[11] = 0, 0 // checksum computed below
-	copy(b[12:16], ip.Src[:])
-	copy(b[16:20], ip.Dst[:])
-	var cs uint16
-	if hdrLen == IPv4MinLen {
-		// No options: the ten header words are the fields just written.
-		sum := uint32(b[0])<<8 + uint32(ip.TOS) + uint32(ip.Length) + uint32(ip.ID) + uint32(ff) +
-			uint32(ip.TTL)<<8 + uint32(ip.Protocol)
-		src, dst := ip.Src.Uint32(), ip.Dst.Uint32()
-		sum += src>>16 + src&0xFFFF + dst>>16 + dst&0xFFFF
-		sum = sum&0xFFFF + sum>>16
-		cs = ^uint16(sum + sum>>16)
-	} else {
-		copy(b[20:hdrLen], ip.Options)
-		cs = Checksum(b[:hdrLen])
-	}
-	put16(b[10:12], cs)
-	ip.Checksum = cs
-	ip.Version = 4
-	ip.IHL = ihl
+	fixed := (*[IPv4MinLen]byte)(b)
+	ip.seal(fixed, ip.putHead(fixed, uint8(hdrLen/4))+ip.putTail(fixed)+onesSum(ip.Options))
+	copy(b[IPv4MinLen:hdrLen], ip.Options)
 	return hdrLen, nil
 }
 
@@ -122,19 +146,28 @@ func ValidChecksum(data []byte) bool {
 // Checksum computes the RFC 1071 Internet checksum over data.
 // When data already contains a checksum field, a correct packet sums
 // to zero.
-func Checksum(data []byte) uint16 {
+func Checksum(data []byte) uint16 { return ^fold(onesSum(data)) }
+
+// onesSum is the unfolded one's-complement sum of data's big-endian
+// 16-bit words, an odd last byte padded with zero.
+func onesSum(data []byte) uint32 {
 	var sum uint32
 	for len(data) >= 2 {
-		sum += uint32(be16(data))
+		sum += uint32(binary.BigEndian.Uint16(data))
 		data = data[2:]
 	}
 	if len(data) == 1 {
 		sum += uint32(data[0]) << 8
 	}
+	return sum
+}
+
+// fold folds the carries of a one's-complement sum into 16 bits.
+func fold(sum uint32) uint16 {
 	for sum > 0xFFFF {
 		sum = sum&0xFFFF + sum>>16
 	}
-	return ^uint16(sum)
+	return uint16(sum)
 }
 
 // errorString is a trivial constant-friendly error type.

@@ -1,5 +1,7 @@
 package packet
 
+import "encoding/binary"
+
 // TCPMinLen is the size of a TCP header without options.
 const TCPMinLen = 20
 
@@ -27,24 +29,46 @@ type TCP struct {
 	Options  []byte
 }
 
+// get reads the fixed part of the header from its wire offsets; the
+// options are the caller's.
+func (t *TCP) get(b *[TCPMinLen]byte) {
+	t.SrcPort = binary.BigEndian.Uint16(b[0:])
+	t.DstPort = binary.BigEndian.Uint16(b[2:])
+	t.Seq = binary.BigEndian.Uint32(b[4:])
+	t.Ack = binary.BigEndian.Uint32(b[8:])
+	t.DataOff = b[12] >> 4
+	t.Flags = b[13] & 0x3F
+	t.Window = binary.BigEndian.Uint16(b[14:])
+	t.Checksum = binary.BigEndian.Uint16(b[16:])
+	t.Urgent = binary.BigEndian.Uint16(b[18:])
+}
+
+// put writes the fixed part of a header off words long at its wire
+// offsets and records the written data offset. The caller writes the
+// options.
+func (t *TCP) put(b *[TCPMinLen]byte, off uint8) {
+	binary.BigEndian.PutUint16(b[0:], t.SrcPort)
+	binary.BigEndian.PutUint16(b[2:], t.DstPort)
+	binary.BigEndian.PutUint32(b[4:], t.Seq)
+	binary.BigEndian.PutUint32(b[8:], t.Ack)
+	b[12] = off << 4
+	b[13] = t.Flags & 0x3F
+	binary.BigEndian.PutUint16(b[14:], t.Window)
+	binary.BigEndian.PutUint16(b[16:], t.Checksum)
+	binary.BigEndian.PutUint16(b[18:], t.Urgent)
+	t.DataOff = off
+}
+
 // DecodeFromBytes parses a TCP header from the front of data.
 func (t *TCP) DecodeFromBytes(data []byte) error {
 	if len(data) < TCPMinLen {
 		return ErrTruncated
 	}
-	t.SrcPort = be16(data[0:2])
-	t.DstPort = be16(data[2:4])
-	t.Seq = be32(data[4:8])
-	t.Ack = be32(data[8:12])
-	t.DataOff = data[12] >> 4
-	hdrLen := int(t.DataOff) * 4
+	hdrLen := int(data[12]>>4) * 4
 	if hdrLen < TCPMinLen || len(data) < hdrLen {
 		return ErrTruncated
 	}
-	t.Flags = data[13] & 0x3F
-	t.Window = be16(data[14:16])
-	t.Checksum = be16(data[16:18])
-	t.Urgent = be16(data[18:20])
+	t.get((*[TCPMinLen]byte)(data))
 	if hdrLen > TCPMinLen {
 		t.Options = append(t.Options[:0], data[TCPMinLen:hdrLen]...)
 	} else {
@@ -61,7 +85,7 @@ func (t *TCP) Len() int { return t.HeaderLen() }
 
 // SerializeTo writes the header into b, recomputing the data offset,
 // and returns the bytes written. The checksum field is written as-is;
-// use ComputeTCPChecksum to fill it from the pseudo-header.
+// use PseudoHeaderChecksum to compute it from the pseudo-header.
 func (t *TCP) SerializeTo(b []byte) (int, error) {
 	hdrLen := t.HeaderLen()
 	if !optionsLenOK(len(t.Options)) {
@@ -70,18 +94,8 @@ func (t *TCP) SerializeTo(b []byte) (int, error) {
 	if len(b) < hdrLen {
 		return 0, ErrShortBuf
 	}
-	put16(b[0:2], t.SrcPort)
-	put16(b[2:4], t.DstPort)
-	put32(b[4:8], t.Seq)
-	put32(b[8:12], t.Ack)
-	off := uint8(hdrLen / 4)
-	b[12] = off << 4
-	b[13] = t.Flags & 0x3F
-	put16(b[14:16], t.Window)
-	put16(b[16:18], t.Checksum)
-	put16(b[18:20], t.Urgent)
-	copy(b[20:hdrLen], t.Options)
-	t.DataOff = off
+	t.put((*[TCPMinLen]byte)(b), uint8(hdrLen/4))
+	copy(b[TCPMinLen:hdrLen], t.Options)
 	return hdrLen, nil
 }
 
@@ -96,15 +110,28 @@ type UDP struct {
 	Checksum uint16
 }
 
+// get reads the header's fields from their wire offsets.
+func (u *UDP) get(b *[UDPLen]byte) {
+	u.SrcPort = binary.BigEndian.Uint16(b[0:])
+	u.DstPort = binary.BigEndian.Uint16(b[2:])
+	u.Length = binary.BigEndian.Uint16(b[4:])
+	u.Checksum = binary.BigEndian.Uint16(b[6:])
+}
+
+// put writes the header's fields at their wire offsets.
+func (u *UDP) put(b *[UDPLen]byte) {
+	binary.BigEndian.PutUint16(b[0:], u.SrcPort)
+	binary.BigEndian.PutUint16(b[2:], u.DstPort)
+	binary.BigEndian.PutUint16(b[4:], u.Length)
+	binary.BigEndian.PutUint16(b[6:], u.Checksum)
+}
+
 // DecodeFromBytes parses a UDP header from the front of data.
 func (u *UDP) DecodeFromBytes(data []byte) error {
 	if len(data) < UDPLen {
 		return ErrTruncated
 	}
-	u.SrcPort = be16(data[0:2])
-	u.DstPort = be16(data[2:4])
-	u.Length = be16(data[4:6])
-	u.Checksum = be16(data[6:8])
+	u.get((*[UDPLen]byte)(data))
 	return nil
 }
 
@@ -113,10 +140,7 @@ func (u *UDP) SerializeTo(b []byte) (int, error) {
 	if len(b) < UDPLen {
 		return 0, ErrShortBuf
 	}
-	put16(b[0:2], u.SrcPort)
-	put16(b[2:4], u.DstPort)
-	put16(b[4:6], u.Length)
-	put16(b[6:8], u.Checksum)
+	u.put((*[UDPLen]byte)(b))
 	return UDPLen, nil
 }
 
@@ -142,16 +166,30 @@ type ICMP struct {
 	Seq      uint16
 }
 
+// get reads the header's fields from their wire offsets.
+func (ic *ICMP) get(b *[ICMPLen]byte) {
+	ic.Type = b[0]
+	ic.Code = b[1]
+	ic.Checksum = binary.BigEndian.Uint16(b[2:])
+	ic.ID = binary.BigEndian.Uint16(b[4:])
+	ic.Seq = binary.BigEndian.Uint16(b[6:])
+}
+
+// put writes the header's fields at their wire offsets.
+func (ic *ICMP) put(b *[ICMPLen]byte) {
+	b[0] = ic.Type
+	b[1] = ic.Code
+	binary.BigEndian.PutUint16(b[2:], ic.Checksum)
+	binary.BigEndian.PutUint16(b[4:], ic.ID)
+	binary.BigEndian.PutUint16(b[6:], ic.Seq)
+}
+
 // DecodeFromBytes parses an ICMP header from the front of data.
 func (ic *ICMP) DecodeFromBytes(data []byte) error {
 	if len(data) < ICMPLen {
 		return ErrTruncated
 	}
-	ic.Type = data[0]
-	ic.Code = data[1]
-	ic.Checksum = be16(data[2:4])
-	ic.ID = be16(data[4:6])
-	ic.Seq = be16(data[6:8])
+	ic.get((*[ICMPLen]byte)(data))
 	return nil
 }
 
@@ -160,11 +198,7 @@ func (ic *ICMP) SerializeTo(b []byte) (int, error) {
 	if len(b) < ICMPLen {
 		return 0, ErrShortBuf
 	}
-	b[0] = ic.Type
-	b[1] = ic.Code
-	put16(b[2:4], ic.Checksum)
-	put16(b[4:6], ic.ID)
-	put16(b[6:8], ic.Seq)
+	ic.put((*[ICMPLen]byte)(b))
 	return ICMPLen, nil
 }
 
@@ -179,24 +213,9 @@ func PseudoHeaderChecksum(src, dst IP4, proto uint8, segment []byte) uint16 {
 	copy(pseudo[0:4], src[:])
 	copy(pseudo[4:8], dst[:])
 	pseudo[9] = proto
-	put16(pseudo[10:12], uint16(len(segment)))
+	binary.BigEndian.PutUint16(pseudo[10:12], uint16(len(segment)))
 
-	var sum uint32
-	add := func(data []byte) {
-		for len(data) >= 2 {
-			sum += uint32(be16(data))
-			data = data[2:]
-		}
-		if len(data) == 1 {
-			sum += uint32(data[0]) << 8
-		}
-	}
-	add(pseudo[:])
-	add(segment)
-	for sum > 0xFFFF {
-		sum = sum&0xFFFF + sum>>16
-	}
-	cs := ^uint16(sum)
+	cs := ^fold(onesSum(pseudo[:]) + onesSum(segment))
 	if cs == 0 && proto == ProtoUDP {
 		cs = 0xFFFF // UDP uses 0 to mean "no checksum"
 	}

@@ -4,12 +4,17 @@
 // and VXLAN (including one level of inner Ethernet/IPv4/L4 headers for
 // the virtualization gateway).
 //
-// The design follows the gopacket layering conventions: each header
-// type has DecodeFromBytes and SerializeTo methods that operate on
-// caller-provided buffers without retaining or allocating memory, so a
-// datapath can decode millions of packets per second with zero
-// allocations. The Parsed type is the analogue of P4's parsed header
-// vector: a struct of all supported headers plus validity bits.
+// Each header's field layout is written once, in kernels
+// that read and write its fields at constant offsets in a fixed-size
+// array (get and put on *[N]byte). DecodeFromBytes and SerializeTo
+// check a caller's buffer and call them, without retaining or
+// allocating memory. The Parsed type is the analogue of P4's parsed
+// header vector: a struct of all supported headers plus validity bits.
+// Its Parse and Serialize read and write the header stacks the §5
+// traffic carries at fixed offsets after one length check per frame,
+// like the paper's merged parse graph, whose (header, offset) vertices
+// fix every field's offset for a given stack; every other stack is
+// walked one header at a time.
 package packet
 
 import (
@@ -91,23 +96,4 @@ func (a IP4) Uint32() uint32 {
 // IP4FromUint32 converts a big-endian integer to an address.
 func IP4FromUint32(v uint32) IP4 {
 	return IP4{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}
-}
-
-// be16 reads a big-endian 16-bit value.
-func be16(b []byte) uint16 { return uint16(b[0])<<8 | uint16(b[1]) }
-
-// be32 reads a big-endian 32-bit value.
-func be32(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-
-// put16 writes a big-endian 16-bit value.
-func put16(b []byte, v uint16) { b[0] = byte(v >> 8); b[1] = byte(v) }
-
-// put32 writes a big-endian 32-bit value.
-func put32(b []byte, v uint32) {
-	b[0] = byte(v >> 24)
-	b[1] = byte(v >> 16)
-	b[2] = byte(v >> 8)
-	b[3] = byte(v)
 }

@@ -463,6 +463,18 @@ func BenchmarkParseTCP(b *testing.B) {
 	}
 }
 
+func BenchmarkParseUDP(b *testing.B) {
+	p := NewUDP(UDPOpts{SrcMAC: macA, DstMAC: macB, Src: ipA, Dst: ipB, SrcPort: 1, DstPort: 2, Payload: make([]byte, 64)})
+	wire, _ := p.Serialize(nil)
+	var q Parsed
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := q.Parse(wire); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkParseVXLAN(b *testing.B) {
 	p := NewVXLAN(VXLANOpts{OuterSrc: ipA, OuterDst: ipB, VNI: 1, InnerSrc: ipA, InnerDst: ipB, InnerSrcPort: 1, InnerDstPort: 2})
 	wire, _ := p.Serialize(nil)
@@ -482,6 +494,132 @@ func BenchmarkSerializeTCP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := p.Serialize(buf[:0]); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkSerializeUDP(b *testing.B) {
+	p := NewUDP(UDPOpts{SrcMAC: macA, DstMAC: macB, Src: ipA, Dst: ipB, SrcPort: 1, DstPort: 2, Payload: make([]byte, 64)})
+	buf := make([]byte, 0, 256)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Serialize(buf[:0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkSerializeVXLAN(b *testing.B) {
+	p := NewVXLAN(VXLANOpts{OuterSrc: ipA, OuterDst: ipB, VNI: 1, InnerSrc: ipA, InnerDst: ipB, InnerSrcPort: 1, InnerDstPort: 2, Payload: make([]byte, 64)})
+	buf := make([]byte, 0, 256)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Serialize(buf[:0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestParseDropsEthernetPadding: a frame zero-padded to Ethernet's
+// 60-byte minimum (a longer one by 6 bytes) parses with its payload
+// ended where the outer IPv4 datagram ends, so it serializes back to the
+// unpadded frame rather than carrying the padding on as L4 payload. An
+// IPv4 length that does not cover the parsed headers, or runs past the
+// frame, leaves the payload running to the end of the frame.
+func TestParseDropsEthernetPadding(t *testing.T) {
+	udp := NewUDP(UDPOpts{SrcMAC: macA, DstMAC: macB, Src: ipA, Dst: ipB, SrcPort: 1, DstPort: 2, Payload: []byte("abcd")})
+	tcp := NewTCP(TCPOpts{SrcMAC: macA, DstMAC: macB, Src: ipA, Dst: ipB, SrcPort: 1, DstPort: 2, Payload: []byte("ab")})
+	sfc := tcp.Clone()
+	sfc.TCP.Options = []byte{1, 1, 1, 1}
+	sfc.PushSFC(nsh.New(5, 3))
+	icmp := NewTCP(TCPOpts{SrcMAC: macA, DstMAC: macB, Src: ipA, Dst: ipB})
+	icmp.SetInvalid(HdrTCP)
+	icmp.SetValid(HdrICMP)
+	for _, tc := range []struct {
+		name string
+		pkt  *Parsed
+		wire int // unpadded frame length
+	}{
+		{"udp", udp, 46}, {"tcp", tcp, 56}, {"sfc+tcp options", sfc, 80}, {"icmp", icmp, 42},
+	} {
+		wire, err := tc.pkt.Serialize(nil)
+		if err != nil || len(wire) != tc.wire {
+			t.Fatalf("%s: serialized %d bytes, %v; want %d", tc.name, len(wire), err, tc.wire)
+		}
+		padded := append(append([]byte(nil), wire...), make([]byte, max(60, len(wire)+6)-len(wire))...)
+		var p Parsed
+		if err := p.Parse(padded); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !bytes.Equal(p.Payload, tc.pkt.Payload) {
+			t.Errorf("%s: padded frame's payload %x, want %x", tc.name, p.Payload, tc.pkt.Payload)
+		}
+		out, err := p.Serialize(nil)
+		if err != nil || !bytes.Equal(out, wire) {
+			t.Errorf("%s: padded frame reserializes as\n %x (%v), want\n %x", tc.name, out, err, wire)
+		}
+	}
+
+	// Lengths the rule does not trust: the payload keeps every byte.
+	wire, _ := udp.Serialize(nil)
+	padded := append(append([]byte(nil), wire...), make([]byte, 14)...)
+	for _, ipLen := range []uint16{0, 20 + UDPLen - 1, 60} {
+		put16(padded[EthernetLen+2:], ipLen)
+		var p Parsed
+		if err := p.Parse(padded); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := len(p.Payload), len(padded)-42; got != want {
+			t.Errorf("IPv4 length %d in a %d-byte frame: payload %d bytes, want %d", ipLen, len(padded), got, want)
+		}
+	}
+	// The datagram exactly covering the headers: an empty payload.
+	put16(padded[EthernetLen+2:], 20+UDPLen)
+	var p Parsed
+	if err := p.Parse(padded); err != nil || len(p.Payload) != 0 {
+		t.Errorf("IPv4 length 28: payload %d bytes, %v; want 0", len(p.Payload), err)
+	}
+}
+
+// TestCodecAllocBudget: once its slot and buffer are warm, Parse and
+// Serialize allocate nothing on each fixed layout (Ethernet/IPv4/TCP,
+// Ethernet/IPv4/UDP, and VXLAN around an inner TCP stack) and on a
+// per-header stack (an SFC header, with IPv4 and TCP options).
+func TestCodecAllocBudget(t *testing.T) {
+	sfc := NewTCP(TCPOpts{SrcMAC: macA, DstMAC: macB, Src: ipA, Dst: ipB, SrcPort: 1, DstPort: 2, Payload: make([]byte, 32)})
+	sfc.IPv4.Options, sfc.TCP.Options = make([]byte, 8), make([]byte, 12)
+	sfc.PushSFC(nsh.New(5, 3))
+	for _, tc := range []struct {
+		name string
+		pkt  *Parsed
+	}{
+		{"tcp", NewTCP(TCPOpts{SrcMAC: macA, DstMAC: macB, Src: ipA, Dst: ipB, SrcPort: 1, DstPort: 2, Payload: make([]byte, 10)})},
+		{"udp", NewUDP(UDPOpts{SrcMAC: macA, DstMAC: macB, Src: ipA, Dst: ipB, SrcPort: 1, DstPort: 2, Payload: make([]byte, 10)})},
+		{"vxlan", NewVXLAN(VXLANOpts{OuterSrc: ipA, OuterDst: ipB, VNI: 1, InnerSrc: ipA, InnerDst: ipB, InnerSrcPort: 1, InnerDstPort: 2, Payload: make([]byte, 10)})},
+		{"sfc with options", sfc},
+	} {
+		wire, err := tc.pkt.Serialize(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var slot Parsed
+		buf := make([]byte, 0, 256)
+		if n := testing.AllocsPerRun(1000, func() {
+			if err := slot.Parse(wire); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: Parse %v allocs/op, want 0", tc.name, n)
+		}
+		if n := testing.AllocsPerRun(1000, func() {
+			if buf, err = slot.Serialize(buf[:0]); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: Serialize %v allocs/op, want 0", tc.name, n)
+		}
+		if !bytes.Equal(buf, wire) {
+			t.Errorf("%s: reserialized as %x, want %x", tc.name, buf, wire)
 		}
 	}
 }

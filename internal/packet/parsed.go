@@ -115,8 +115,113 @@ func (p *Parsed) CopyFrom(src *Parsed) { *p = *src }
 // {TCP | UDP | ICMP} with UDP port 4789 triggering VXLAN → inner
 // Ethernet → inner IPv4 → inner {TCP | UDP}. Unknown EtherTypes or IP
 // protocols leave the remainder as payload rather than failing, like a
-// P4 parser accepting on a default transition.
+// P4 parser accepting on a default transition. When the outer IPv4
+// total length covers the parsed headers and ends before the frame
+// does, the payload ends with the datagram: the bytes past it are
+// link-layer padding.
+//
+// The stacks the §5 traffic carries — Ethernet/IPv4/TCP and
+// Ethernet/IPv4/UDP without options or VXLAN — are read at fixed
+// offsets after one length check (getTCPStack, getUDPStack); every
+// other packet takes the graph one header at a time.
 func (p *Parsed) Parse(data []byte) error {
+	switch recvLayout(data) {
+	case layoutTCP:
+		p.getTCPStack((*[tcpStackLen]byte)(data))
+		p.Payload = datagram(data[EthernetLen:], data[tcpStackLen:], p.IPv4.Length)
+		return nil
+	case layoutUDP:
+		p.getUDPStack((*[udpStackLen]byte)(data))
+		p.Payload = datagram(data[EthernetLen:], data[udpStackLen:], p.IPv4.Length)
+		return nil
+	}
+	if err := p.parseHeaders(data); err != nil || !p.Valid(HdrIPv4) {
+		return err
+	}
+	ip := data[EthernetLen:]
+	if p.Valid(HdrSFC) {
+		ip = ip[nsh.HeaderLen:]
+	}
+	p.Payload = datagram(ip, p.Payload, p.IPv4.Length)
+	return nil
+}
+
+// recvLayout is the fixed layout of a received frame: Ethernet/IPv4
+// with version 4 and IHL 5, then TCP with data offset 5 or UDP to a
+// port other than VXLAN's. Any other frame, or one too short for its
+// layout, is perHeader.
+func recvLayout(data []byte) layout {
+	if len(data) < udpStackLen || binary.BigEndian.Uint16(data[12:]) != EtherTypeIPv4 || data[EthernetLen] != 0x45 {
+		return perHeader
+	}
+	switch data[EthernetLen+9] {
+	case ProtoTCP:
+		if len(data) >= tcpStackLen && data[ipStackLen+12]>>4 == TCPMinLen/4 {
+			return layoutTCP
+		}
+	case ProtoUDP:
+		if binary.BigEndian.Uint16(data[ipStackLen+2:]) != VXLANPort {
+			return layoutUDP
+		}
+	}
+	return perHeader
+}
+
+// datagram ends payload, the bytes after the parsed headers, where the
+// outer IPv4 datagram does. ip is the frame from that header on; length
+// is its total length. A length that falls inside the headers or past
+// the frame is not trusted, and payload runs to the end of the frame.
+func datagram(ip, payload []byte, length uint16) []byte {
+	hdrs := len(ip) - len(payload)
+	if n := int(length); n >= hdrs && n < len(ip) {
+		return payload[:n-hdrs]
+	}
+	return payload
+}
+
+// Header-stack lengths of the fixed layouts, payload excluded.
+const (
+	ipStackLen  = EthernetLen + IPv4MinLen
+	tcpStackLen = ipStackLen + TCPMinLen // Ethernet/IPv4/TCP
+	udpStackLen = ipStackLen + UDPLen    // Ethernet/IPv4/UDP
+	vxlanLen    = udpStackLen + VXLANLen // Ethernet/IPv4/UDP/VXLAN, before the inner stack
+)
+
+// getTCPStack resets p and reads an Ethernet/IPv4/TCP stack without
+// options from its fixed offsets.
+//
+//dv:hotpath
+func (p *Parsed) getTCPStack(b *[tcpStackLen]byte) {
+	p.valid = HdrEth | HdrIPv4 | HdrTCP
+	p.SFC = nsh.Header{}
+	p.Eth.get((*[EthernetLen]byte)(b[0:]))
+	h := (*[IPv4MinLen]byte)(b[EthernetLen:])
+	p.IPv4.getHead(h)
+	p.IPv4.getTail(h)
+	p.IPv4.Options = p.IPv4.Options[:0]
+	p.TCP.get((*[TCPMinLen]byte)(b[ipStackLen:]))
+	p.TCP.Options = p.TCP.Options[:0]
+}
+
+// getUDPStack resets p and reads an Ethernet/IPv4/UDP stack without
+// options from its fixed offsets.
+//
+//dv:hotpath
+func (p *Parsed) getUDPStack(b *[udpStackLen]byte) {
+	p.valid = HdrEth | HdrIPv4 | HdrUDP
+	p.SFC = nsh.Header{}
+	p.Eth.get((*[EthernetLen]byte)(b[0:]))
+	h := (*[IPv4MinLen]byte)(b[EthernetLen:])
+	p.IPv4.getHead(h)
+	p.IPv4.getTail(h)
+	p.IPv4.Options = p.IPv4.Options[:0]
+	p.UDP.get((*[UDPLen]byte)(b[ipStackLen:]))
+}
+
+// parseHeaders is Parse one header at a time, each header's length
+// checked on its own: the path for every stack the fixed layouts do
+// not cover.
+func (p *Parsed) parseHeaders(data []byte) error {
 	p.Reset()
 	if err := p.Eth.DecodeFromBytes(data); err != nil {
 		return fmt.Errorf("ethernet: %w", err)
@@ -289,6 +394,11 @@ func (p *Parsed) WireLen() int {
 // SFC header is valid, IP protocol numbers, IP and UDP total lengths)
 // and recomputes the IPv4 header checksums, so NFs may toggle header
 // validity without maintaining those invariants themselves.
+//
+// The stacks the §5 traffic emits — Ethernet/IPv4/TCP, Ethernet/IPv4/UDP
+// and either inside a VXLAN encapsulation, all without options — are
+// written at fixed offsets (putTCPStack, putUDPStack, putVXLAN); every
+// other validity mask is written one header at a time.
 func (p *Parsed) Serialize(b []byte) ([]byte, error) {
 	p.fixup()
 	start := len(b)
@@ -300,84 +410,181 @@ func (p *Parsed) Serialize(b []byte) ([]byte, error) {
 	}
 	b = b[:start+n]
 	out := b[start:]
-	// Each header's SerializeTo is called directly, in wire order: through
-	// an interface the calls could not be inlined or devirtualized.
+	var off int
+	switch p.emitLayout() {
+	case layoutTCP:
+		off = tcpStackLen
+		putTCPStack((*[tcpStackLen]byte)(out), &p.Eth, &p.IPv4, &p.TCP)
+	case layoutUDP:
+		off = udpStackLen
+		putUDPStack((*[udpStackLen]byte)(out), &p.Eth, &p.IPv4, &p.UDP)
+	case layoutVXLANTCP:
+		off = vxlanLen + tcpStackLen
+		p.putVXLAN((*[vxlanLen]byte)(out))
+		putTCPStack((*[tcpStackLen]byte)(out[vxlanLen:]), &p.InnerEth, &p.InnerIPv4, &p.InnerTCP)
+	case layoutVXLANUDP:
+		off = vxlanLen + udpStackLen
+		p.putVXLAN((*[vxlanLen]byte)(out))
+		putUDPStack((*[udpStackLen]byte)(out[vxlanLen:]), &p.InnerEth, &p.InnerIPv4, &p.InnerUDP)
+	default:
+		var err error
+		if off, err = p.serializeHeaders(out); err != nil {
+			return nil, err
+		}
+	}
+	copy(out[off:], p.Payload)
+	return b, nil
+}
+
+// layout names a header stack written at fixed offsets.
+type layout uint8
+
+const (
+	perHeader layout = iota // no fixed layout: one header at a time
+	layoutTCP
+	layoutUDP
+	layoutVXLANTCP
+	layoutVXLANUDP
+)
+
+// emitLayout is the fixed layout of p's validity mask, or perHeader
+// when it has none or a header on it carries options.
+func (p *Parsed) emitLayout() layout {
+	const vx = HdrEth | HdrIPv4 | HdrUDP | HdrVXLAN | HdrInnerEth | HdrInnerIPv4
+	if len(p.IPv4.Options) != 0 {
+		return perHeader
+	}
+	switch p.valid {
+	case HdrEth | HdrIPv4 | HdrTCP:
+		if len(p.TCP.Options) == 0 {
+			return layoutTCP
+		}
+	case HdrEth | HdrIPv4 | HdrUDP:
+		return layoutUDP
+	case vx | HdrInnerTCP:
+		if len(p.InnerIPv4.Options)|len(p.InnerTCP.Options) == 0 {
+			return layoutVXLANTCP
+		}
+	case vx | HdrInnerUDP:
+		if len(p.InnerIPv4.Options) == 0 {
+			return layoutVXLANUDP
+		}
+	}
+	return perHeader
+}
+
+// putTCPStack writes an Ethernet/IPv4/TCP stack without options at its
+// fixed offsets.
+//
+//dv:hotpath
+func putTCPStack(b *[tcpStackLen]byte, eth *Ethernet, ip *IPv4, tcp *TCP) {
+	eth.put((*[EthernetLen]byte)(b[0:]))
+	h := (*[IPv4MinLen]byte)(b[EthernetLen:])
+	ip.seal(h, ip.putHead(h, IPv4MinLen/4)+ip.putTail(h))
+	tcp.put((*[TCPMinLen]byte)(b[ipStackLen:]), TCPMinLen/4)
+}
+
+// putUDPStack writes an Ethernet/IPv4/UDP stack without options at its
+// fixed offsets.
+//
+//dv:hotpath
+func putUDPStack(b *[udpStackLen]byte, eth *Ethernet, ip *IPv4, udp *UDP) {
+	eth.put((*[EthernetLen]byte)(b[0:]))
+	h := (*[IPv4MinLen]byte)(b[EthernetLen:])
+	ip.seal(h, ip.putHead(h, IPv4MinLen/4)+ip.putTail(h))
+	udp.put((*[UDPLen]byte)(b[ipStackLen:]))
+}
+
+// putVXLAN writes the outer Ethernet/IPv4/UDP stack and the VXLAN
+// header of an encapsulation without options at their fixed offsets.
+//
+//dv:hotpath
+func (p *Parsed) putVXLAN(b *[vxlanLen]byte) {
+	putUDPStack((*[udpStackLen]byte)(b[0:]), &p.Eth, &p.IPv4, &p.UDP)
+	p.VXLAN.put((*[VXLANLen]byte)(b[udpStackLen:]))
+}
+
+// serializeHeaders writes p's valid headers one at a time, in wire
+// order, and returns the bytes written: the path for every validity
+// mask the fixed layouts do not cover. Each header's SerializeTo is
+// called directly: through an interface the calls could not be inlined
+// or devirtualized.
+func (p *Parsed) serializeHeaders(out []byte) (int, error) {
 	off, m := 0, 0
 	var err error
 	if p.Valid(HdrEth) {
 		if m, err = p.Eth.SerializeTo(out[off:]); err != nil {
-			return nil, err
+			return 0, err
 		}
 		off += m
 	}
 	if p.Valid(HdrSFC) {
 		if m, err = p.SFC.SerializeTo(out[off:]); err != nil {
-			return nil, err
+			return 0, err
 		}
 		off += m
 	}
 	if p.Valid(HdrARP) {
 		if m, err = p.ARP.SerializeTo(out[off:]); err != nil {
-			return nil, err
+			return 0, err
 		}
 		off += m
 	}
 	if p.Valid(HdrIPv4) {
 		if m, err = p.IPv4.SerializeTo(out[off:]); err != nil {
-			return nil, err
+			return 0, err
 		}
 		off += m
 	}
 	if p.Valid(HdrTCP) {
 		if m, err = p.TCP.SerializeTo(out[off:]); err != nil {
-			return nil, err
+			return 0, err
 		}
 		off += m
 	}
 	if p.Valid(HdrUDP) {
 		if m, err = p.UDP.SerializeTo(out[off:]); err != nil {
-			return nil, err
+			return 0, err
 		}
 		off += m
 	}
 	if p.Valid(HdrICMP) {
 		if m, err = p.ICMP.SerializeTo(out[off:]); err != nil {
-			return nil, err
+			return 0, err
 		}
 		off += m
 	}
 	if p.Valid(HdrVXLAN) {
 		if m, err = p.VXLAN.SerializeTo(out[off:]); err != nil {
-			return nil, err
+			return 0, err
 		}
 		off += m
 	}
 	if p.Valid(HdrInnerEth) {
 		if m, err = p.InnerEth.SerializeTo(out[off:]); err != nil {
-			return nil, err
+			return 0, err
 		}
 		off += m
 	}
 	if p.Valid(HdrInnerIPv4) {
 		if m, err = p.InnerIPv4.SerializeTo(out[off:]); err != nil {
-			return nil, err
+			return 0, err
 		}
 		off += m
 	}
 	if p.Valid(HdrInnerTCP) {
 		if m, err = p.InnerTCP.SerializeTo(out[off:]); err != nil {
-			return nil, err
+			return 0, err
 		}
 		off += m
 	}
 	if p.Valid(HdrInnerUDP) {
 		if m, err = p.InnerUDP.SerializeTo(out[off:]); err != nil {
-			return nil, err
+			return 0, err
 		}
 		off += m
 	}
-	copy(out[off:], p.Payload)
-	return b, nil
+	return off, nil
 }
 
 // fixup repairs chaining fields and lengths before serialization.

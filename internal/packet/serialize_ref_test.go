@@ -4,15 +4,18 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
 	"dejavu/internal/nsh"
 )
 
-// The deparser Serialize replaced, kept as the reference: every header
-// written through one interface-typed call, the IPv4 checksum summed
-// over the serialized bytes.
+// The deparser Serialize's fixed layouts sit beside, kept as the
+// reference: every header written through one interface-typed call by
+// an encoder written byte by byte, sharing no field code with the
+// package's kernels, and the IPv4 checksum summed over the serialized
+// bytes.
 
 // refIPv4 serializes an IPv4 header the way IPv4.SerializeTo did.
 type refIPv4 struct{ *IPv4 }
@@ -20,7 +23,7 @@ type refIPv4 struct{ *IPv4 }
 func (r refIPv4) SerializeTo(b []byte) (int, error) {
 	ip := r.IPv4
 	hdrLen := ip.HeaderLen()
-	if len(ip.Options)%4 != 0 {
+	if len(ip.Options)%4 != 0 || len(ip.Options) > 40 {
 		return 0, &OptionsError{"IPv4", len(ip.Options)}
 	}
 	if len(b) < hdrLen {
@@ -44,6 +47,103 @@ func (r refIPv4) SerializeTo(b []byte) (int, error) {
 	ip.Version = 4
 	ip.IHL = ihl
 	return hdrLen, nil
+}
+
+type refEthernet struct{ *Ethernet }
+
+func (r refEthernet) SerializeTo(b []byte) (int, error) {
+	if len(b) < EthernetLen {
+		return 0, ErrShortBuf
+	}
+	copy(b[0:6], r.Dst[:])
+	copy(b[6:12], r.Src[:])
+	put16(b[12:14], r.EtherType)
+	return EthernetLen, nil
+}
+
+type refTCP struct{ *TCP }
+
+func (r refTCP) SerializeTo(b []byte) (int, error) {
+	t := r.TCP
+	hdrLen := t.HeaderLen()
+	if len(t.Options)%4 != 0 || len(t.Options) > 40 {
+		return 0, &OptionsError{"TCP", len(t.Options)}
+	}
+	if len(b) < hdrLen {
+		return 0, ErrShortBuf
+	}
+	put16(b[0:2], t.SrcPort)
+	put16(b[2:4], t.DstPort)
+	put32(b[4:8], t.Seq)
+	put32(b[8:12], t.Ack)
+	off := uint8(hdrLen / 4)
+	b[12] = off << 4
+	b[13] = t.Flags & 0x3F
+	put16(b[14:16], t.Window)
+	put16(b[16:18], t.Checksum)
+	put16(b[18:20], t.Urgent)
+	copy(b[20:hdrLen], t.Options)
+	t.DataOff = off
+	return hdrLen, nil
+}
+
+type refUDP struct{ *UDP }
+
+func (r refUDP) SerializeTo(b []byte) (int, error) {
+	if len(b) < UDPLen {
+		return 0, ErrShortBuf
+	}
+	put16(b[0:2], r.SrcPort)
+	put16(b[2:4], r.DstPort)
+	put16(b[4:6], r.Length)
+	put16(b[6:8], r.Checksum)
+	return UDPLen, nil
+}
+
+type refICMP struct{ *ICMP }
+
+func (r refICMP) SerializeTo(b []byte) (int, error) {
+	if len(b) < ICMPLen {
+		return 0, ErrShortBuf
+	}
+	b[0] = r.Type
+	b[1] = r.Code
+	put16(b[2:4], r.Checksum)
+	put16(b[4:6], r.ID)
+	put16(b[6:8], r.Seq)
+	return ICMPLen, nil
+}
+
+type refVXLAN struct{ *VXLAN }
+
+func (r refVXLAN) SerializeTo(b []byte) (int, error) {
+	if len(b) < VXLANLen {
+		return 0, ErrShortBuf
+	}
+	b[0] = 0
+	if r.VNIValid {
+		b[0] = vxlanFlagVNI
+	}
+	b[1], b[2], b[3] = 0, 0, 0
+	put32(b[4:8], r.VNI&0xFFFFFF<<8)
+	return VXLANLen, nil
+}
+
+type refARP struct{ *ARP }
+
+func (r refARP) SerializeTo(b []byte) (int, error) {
+	if len(b) < ARPLen {
+		return 0, ErrShortBuf
+	}
+	put16(b[0:2], 1)
+	put16(b[2:4], EtherTypeIPv4)
+	b[4], b[5] = 6, 4
+	put16(b[6:8], r.Op)
+	copy(b[8:14], r.SenderMAC[:])
+	copy(b[14:18], r.SenderIP[:])
+	copy(b[18:24], r.TargetMAC[:])
+	copy(b[24:28], r.TargetIP[:])
+	return ARPLen, nil
 }
 
 // refWireLen is the branchy WireLen the length table replaced: one
@@ -100,10 +200,10 @@ type refHeader struct {
 // refHeaders lists p's headers in wire order.
 func refHeaders(p *Parsed) []refHeader {
 	return []refHeader{
-		{HdrEth, &p.Eth}, {HdrSFC, &p.SFC}, {HdrARP, &p.ARP}, {HdrIPv4, refIPv4{&p.IPv4}},
-		{HdrTCP, &p.TCP}, {HdrUDP, &p.UDP}, {HdrICMP, &p.ICMP}, {HdrVXLAN, &p.VXLAN},
-		{HdrInnerEth, &p.InnerEth}, {HdrInnerIPv4, refIPv4{&p.InnerIPv4}},
-		{HdrInnerTCP, &p.InnerTCP}, {HdrInnerUDP, &p.InnerUDP},
+		{HdrEth, refEthernet{&p.Eth}}, {HdrSFC, &p.SFC}, {HdrARP, refARP{&p.ARP}}, {HdrIPv4, refIPv4{&p.IPv4}},
+		{HdrTCP, refTCP{&p.TCP}}, {HdrUDP, refUDP{&p.UDP}}, {HdrICMP, refICMP{&p.ICMP}}, {HdrVXLAN, refVXLAN{&p.VXLAN}},
+		{HdrInnerEth, refEthernet{&p.InnerEth}}, {HdrInnerIPv4, refIPv4{&p.InnerIPv4}},
+		{HdrInnerTCP, refTCP{&p.InnerTCP}}, {HdrInnerUDP, refUDP{&p.InnerUDP}},
 	}
 }
 
@@ -135,7 +235,7 @@ func refSerialize(p *Parsed, b []byte) ([]byte, error) {
 
 func randomIPv4(rng *rand.Rand, options int) IPv4 {
 	ip := IPv4{
-		TOS: uint8(rng.Intn(256)), Length: uint16(rng.Intn(1 << 16)), ID: uint16(rng.Intn(1 << 16)),
+		Version: uint8(rng.Intn(16)), IHL: uint8(rng.Intn(16)), TOS: uint8(rng.Intn(256)), Length: uint16(rng.Intn(1 << 16)), ID: uint16(rng.Intn(1 << 16)),
 		Flags: uint8(rng.Intn(8)), FragOff: uint16(rng.Intn(1 << 13)), TTL: uint8(rng.Intn(256)),
 		Protocol: uint8(rng.Intn(256)), Checksum: uint16(rng.Intn(1 << 16)),
 		Options: make([]byte, options),
@@ -179,7 +279,12 @@ func TestIPv4FieldwiseChecksum(t *testing.T) {
 // TestSerializeMatchesReference builds every header stack the generic
 // parser accepts — each checked by parsing it back to the same validity
 // mask — with random fields, IPv4 and TCP options and payloads, and
-// requires Serialize to write what the reference deparser writes.
+// requires Serialize to write what the reference deparser writes and to
+// leave the packet as the reference leaves it: the fields Serialize
+// writes back (IPv4 Checksum, Version and IHL, TCP DataOff) and those
+// fixup sets (IP and UDP lengths, protocols, EtherTypes) included. Both
+// of Serialize's paths must run: every fixed layout and the per-header
+// path.
 func TestSerializeMatchesReference(t *testing.T) {
 	masks := parserStacks()
 	rng := rand.New(rand.NewSource(2))
@@ -188,6 +293,7 @@ func TestSerializeMatchesReference(t *testing.T) {
 		rng.Read(o)
 		return o
 	}
+	paths := map[layout]int{}
 	for _, mask := range masks {
 		for i := 0; i < 200; i++ {
 			p := &Parsed{valid: mask, Payload: make([]byte, rng.Intn(64))}
@@ -202,27 +308,32 @@ func TestSerializeMatchesReference(t *testing.T) {
 			p.IPv4.Options, p.InnerIPv4.Options = options(), options()
 			// Unparsed protocols and ports, unless a valid header says otherwise.
 			p.IPv4.Protocol, p.InnerIPv4.Protocol, p.InnerEth.EtherType = 253, 253, 0x88B5
-			p.TCP = TCP{SrcPort: uint16(rng.Intn(1 << 16)), DstPort: uint16(rng.Intn(1 << 16)), Seq: rng.Uint32(), Flags: TCPAck, Options: options()}
+			p.TCP = TCP{SrcPort: uint16(rng.Intn(1 << 16)), DstPort: uint16(rng.Intn(1 << 16)), Seq: rng.Uint32(), Flags: TCPAck, DataOff: 15, Options: options()}
 			p.InnerTCP = TCP{SrcPort: uint16(rng.Intn(1 << 16)), Ack: rng.Uint32(), Flags: TCPSyn, Options: options()}
-			p.UDP = UDP{SrcPort: uint16(rng.Intn(1 << 16)), DstPort: 53}
+			p.UDP = UDP{SrcPort: uint16(rng.Intn(1 << 16)), DstPort: 53, Length: 7}
 			if mask&HdrVXLAN != 0 {
 				p.UDP.DstPort = VXLANPort
 			}
 			p.InnerUDP = UDP{SrcPort: uint16(rng.Intn(1 << 16)), DstPort: uint16(rng.Intn(1 << 16))}
 			p.ICMP = ICMP{Type: 8, ID: uint16(rng.Intn(1 << 16)), Seq: uint16(i)}
 			p.VXLAN = VXLAN{VNIValid: true, VNI: uint32(rng.Intn(1 << 24))}
+			paths[p.emitLayout()]++
 
 			prefix := []byte{0xAA, 0xBB} // Serialize appends
-			got, err := p.Clone().Serialize(prefix)
+			gotPkt, wantPkt := p.Clone(), p.Clone()
+			got, err := gotPkt.Serialize(prefix)
 			if err != nil {
 				t.Fatalf("mask %#x: %v", mask, err)
 			}
-			want, err := refSerialize(p.Clone(), prefix)
+			want, err := refSerialize(wantPkt, prefix)
 			if err != nil {
 				t.Fatalf("mask %#x: reference: %v", mask, err)
 			}
 			if !bytes.Equal(got, want) {
 				t.Fatalf("mask %#x packet %d:\n got  %x\n want %x", mask, i, got, want)
+			}
+			if !reflect.DeepEqual(gotPkt, wantPkt) {
+				t.Fatalf("mask %#x packet %d: Serialize left\n %+v\nthe reference\n %+v", mask, i, gotPkt, wantPkt)
 			}
 			var back Parsed
 			if err := back.Parse(got[len(prefix):]); err != nil || back.ValidMask() != mask {
@@ -237,6 +348,11 @@ func TestSerializeMatchesReference(t *testing.T) {
 					t.Fatalf("mask %#x packet %d: IPv4 header checksum invalid in %x", mask, i, got[off:])
 				}
 			}
+		}
+	}
+	for l := perHeader; l <= layoutVXLANUDP; l++ {
+		if paths[l] == 0 {
+			t.Errorf("no packet serialized through layout %d (packets per layout: %v)", l, paths)
 		}
 	}
 }

@@ -1,5 +1,7 @@
 package packet
 
+import "encoding/binary"
+
 // VXLANLen is the size of a VXLAN header.
 const VXLANLen = 8
 
@@ -13,13 +15,29 @@ type VXLAN struct {
 	VNI      uint32 // 24 bits
 }
 
+// get reads the header's fields from their wire offsets.
+func (v *VXLAN) get(b *[VXLANLen]byte) {
+	v.VNIValid = b[0]&vxlanFlagVNI != 0
+	v.VNI = binary.BigEndian.Uint32(b[4:]) >> 8
+}
+
+// put writes the header's fields at their wire offsets, the reserved
+// ones zero.
+func (v *VXLAN) put(b *[VXLANLen]byte) {
+	b[0] = 0
+	if v.VNIValid {
+		b[0] = vxlanFlagVNI
+	}
+	b[1], b[2], b[3] = 0, 0, 0
+	binary.BigEndian.PutUint32(b[4:], v.VNI&0xFFFFFF<<8)
+}
+
 // DecodeFromBytes parses a VXLAN header from the front of data.
 func (v *VXLAN) DecodeFromBytes(data []byte) error {
 	if len(data) < VXLANLen {
 		return ErrTruncated
 	}
-	v.VNIValid = data[0]&vxlanFlagVNI != 0
-	v.VNI = be32(data[4:8]) >> 8
+	v.get((*[VXLANLen]byte)(data))
 	return nil
 }
 
@@ -28,12 +46,7 @@ func (v *VXLAN) SerializeTo(b []byte) (int, error) {
 	if len(b) < VXLANLen {
 		return 0, ErrShortBuf
 	}
-	b[0] = 0
-	if v.VNIValid {
-		b[0] = vxlanFlagVNI
-	}
-	b[1], b[2], b[3] = 0, 0, 0
-	put32(b[4:8], v.VNI&0xFFFFFF<<8)
+	v.put((*[VXLANLen]byte)(b))
 	return VXLANLen, nil
 }
 
@@ -58,19 +71,37 @@ type ARP struct {
 	TargetIP  IP4
 }
 
+// get reads the message's fields from their wire offsets.
+func (a *ARP) get(b *[ARPLen]byte) {
+	a.Op = binary.BigEndian.Uint16(b[6:])
+	a.SenderMAC = MAC(b[8:14])
+	a.SenderIP = IP4(b[14:18])
+	a.TargetMAC = MAC(b[18:24])
+	a.TargetIP = IP4(b[24:28])
+}
+
+// put writes the message's fields at their wire offsets, with the
+// Ethernet/IPv4 hardware and protocol types.
+func (a *ARP) put(b *[ARPLen]byte) {
+	binary.BigEndian.PutUint16(b[0:], 1) // Ethernet
+	binary.BigEndian.PutUint16(b[2:], EtherTypeIPv4)
+	b[4], b[5] = 6, 4
+	binary.BigEndian.PutUint16(b[6:], a.Op)
+	*(*MAC)(b[8:14]) = a.SenderMAC
+	*(*IP4)(b[14:18]) = a.SenderIP
+	*(*MAC)(b[18:24]) = a.TargetMAC
+	*(*IP4)(b[24:28]) = a.TargetIP
+}
+
 // DecodeFromBytes parses an ARP message from the front of data.
 func (a *ARP) DecodeFromBytes(data []byte) error {
 	if len(data) < ARPLen {
 		return ErrTruncated
 	}
-	if be16(data[0:2]) != 1 || be16(data[2:4]) != EtherTypeIPv4 || data[4] != 6 || data[5] != 4 {
+	if binary.BigEndian.Uint16(data[0:2]) != 1 || binary.BigEndian.Uint16(data[2:4]) != EtherTypeIPv4 || data[4] != 6 || data[5] != 4 {
 		return errorString("packet: unsupported ARP hardware/protocol type")
 	}
-	a.Op = be16(data[6:8])
-	copy(a.SenderMAC[:], data[8:14])
-	copy(a.SenderIP[:], data[14:18])
-	copy(a.TargetMAC[:], data[18:24])
-	copy(a.TargetIP[:], data[24:28])
+	a.get((*[ARPLen]byte)(data))
 	return nil
 }
 
@@ -79,14 +110,7 @@ func (a *ARP) SerializeTo(b []byte) (int, error) {
 	if len(b) < ARPLen {
 		return 0, ErrShortBuf
 	}
-	put16(b[0:2], 1) // Ethernet
-	put16(b[2:4], EtherTypeIPv4)
-	b[4], b[5] = 6, 4
-	put16(b[6:8], a.Op)
-	copy(b[8:14], a.SenderMAC[:])
-	copy(b[14:18], a.SenderIP[:])
-	copy(b[18:24], a.TargetMAC[:])
-	copy(b[24:28], a.TargetIP[:])
+	a.put((*[ARPLen]byte)(b))
 	return ARPLen, nil
 }
 
