@@ -166,30 +166,16 @@ type ICMP struct {
 	Seq      uint16
 }
 
-// get reads the header's fields from their wire offsets.
-func (ic *ICMP) get(b *[ICMPLen]byte) {
-	ic.Type = b[0]
-	ic.Code = b[1]
-	ic.Checksum = binary.BigEndian.Uint16(b[2:])
-	ic.ID = binary.BigEndian.Uint16(b[4:])
-	ic.Seq = binary.BigEndian.Uint16(b[6:])
-}
-
-// put writes the header's fields at their wire offsets.
-func (ic *ICMP) put(b *[ICMPLen]byte) {
-	b[0] = ic.Type
-	b[1] = ic.Code
-	binary.BigEndian.PutUint16(b[2:], ic.Checksum)
-	binary.BigEndian.PutUint16(b[4:], ic.ID)
-	binary.BigEndian.PutUint16(b[6:], ic.Seq)
-}
-
 // DecodeFromBytes parses an ICMP header from the front of data.
 func (ic *ICMP) DecodeFromBytes(data []byte) error {
 	if len(data) < ICMPLen {
 		return ErrTruncated
 	}
-	ic.get((*[ICMPLen]byte)(data))
+	ic.Type = data[0]
+	ic.Code = data[1]
+	ic.Checksum = binary.BigEndian.Uint16(data[2:4])
+	ic.ID = binary.BigEndian.Uint16(data[4:6])
+	ic.Seq = binary.BigEndian.Uint16(data[6:8])
 	return nil
 }
 
@@ -198,7 +184,11 @@ func (ic *ICMP) SerializeTo(b []byte) (int, error) {
 	if len(b) < ICMPLen {
 		return 0, ErrShortBuf
 	}
-	ic.put((*[ICMPLen]byte)(b))
+	b[0] = ic.Type
+	b[1] = ic.Code
+	binary.BigEndian.PutUint16(b[2:4], ic.Checksum)
+	binary.BigEndian.PutUint16(b[4:6], ic.ID)
+	binary.BigEndian.PutUint16(b[6:8], ic.Seq)
 	return ICMPLen, nil
 }
 

@@ -396,9 +396,9 @@ func (p *Parsed) WireLen() int {
 // validity without maintaining those invariants themselves.
 //
 // The stacks the §5 traffic emits — Ethernet/IPv4/TCP, Ethernet/IPv4/UDP
-// and either inside a VXLAN encapsulation, all without options — are
-// written at fixed offsets (putTCPStack, putUDPStack, putVXLAN); every
-// other validity mask is written one header at a time.
+// and Ethernet/IPv4/TCP inside a VXLAN encapsulation, all without
+// options — are written at fixed offsets (putTCPStack, putUDPStack,
+// putVXLAN); every other validity mask is written one header at a time.
 func (p *Parsed) Serialize(b []byte) ([]byte, error) {
 	p.fixup()
 	start := len(b)
@@ -422,10 +422,6 @@ func (p *Parsed) Serialize(b []byte) ([]byte, error) {
 		off = vxlanLen + tcpStackLen
 		p.putVXLAN((*[vxlanLen]byte)(out))
 		putTCPStack((*[tcpStackLen]byte)(out[vxlanLen:]), &p.InnerEth, &p.InnerIPv4, &p.InnerTCP)
-	case layoutVXLANUDP:
-		off = vxlanLen + udpStackLen
-		p.putVXLAN((*[vxlanLen]byte)(out))
-		putUDPStack((*[udpStackLen]byte)(out[vxlanLen:]), &p.InnerEth, &p.InnerIPv4, &p.InnerUDP)
 	default:
 		var err error
 		if off, err = p.serializeHeaders(out); err != nil {
@@ -444,13 +440,12 @@ const (
 	layoutTCP
 	layoutUDP
 	layoutVXLANTCP
-	layoutVXLANUDP
 )
 
 // emitLayout is the fixed layout of p's validity mask, or perHeader
 // when it has none or a header on it carries options.
 func (p *Parsed) emitLayout() layout {
-	const vx = HdrEth | HdrIPv4 | HdrUDP | HdrVXLAN | HdrInnerEth | HdrInnerIPv4
+	const vxTCP = HdrEth | HdrIPv4 | HdrUDP | HdrVXLAN | HdrInnerEth | HdrInnerIPv4 | HdrInnerTCP
 	if len(p.IPv4.Options) != 0 {
 		return perHeader
 	}
@@ -461,13 +456,9 @@ func (p *Parsed) emitLayout() layout {
 		}
 	case HdrEth | HdrIPv4 | HdrUDP:
 		return layoutUDP
-	case vx | HdrInnerTCP:
+	case vxTCP:
 		if len(p.InnerIPv4.Options)|len(p.InnerTCP.Options) == 0 {
 			return layoutVXLANTCP
-		}
-	case vx | HdrInnerUDP:
-		if len(p.InnerIPv4.Options) == 0 {
-			return layoutVXLANUDP
 		}
 	}
 	return perHeader

@@ -350,7 +350,7 @@ func TestSerializeMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	for l := perHeader; l <= layoutVXLANUDP; l++ {
+	for l := perHeader; l <= layoutVXLANTCP; l++ {
 		if paths[l] == 0 {
 			t.Errorf("no packet serialized through layout %d (packets per layout: %v)", l, paths)
 		}

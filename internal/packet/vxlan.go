@@ -15,12 +15,6 @@ type VXLAN struct {
 	VNI      uint32 // 24 bits
 }
 
-// get reads the header's fields from their wire offsets.
-func (v *VXLAN) get(b *[VXLANLen]byte) {
-	v.VNIValid = b[0]&vxlanFlagVNI != 0
-	v.VNI = binary.BigEndian.Uint32(b[4:]) >> 8
-}
-
 // put writes the header's fields at their wire offsets, the reserved
 // ones zero.
 func (v *VXLAN) put(b *[VXLANLen]byte) {
@@ -37,7 +31,8 @@ func (v *VXLAN) DecodeFromBytes(data []byte) error {
 	if len(data) < VXLANLen {
 		return ErrTruncated
 	}
-	v.get((*[VXLANLen]byte)(data))
+	v.VNIValid = data[0]&vxlanFlagVNI != 0
+	v.VNI = binary.BigEndian.Uint32(data[4:8]) >> 8
 	return nil
 }
 
@@ -71,28 +66,6 @@ type ARP struct {
 	TargetIP  IP4
 }
 
-// get reads the message's fields from their wire offsets.
-func (a *ARP) get(b *[ARPLen]byte) {
-	a.Op = binary.BigEndian.Uint16(b[6:])
-	a.SenderMAC = MAC(b[8:14])
-	a.SenderIP = IP4(b[14:18])
-	a.TargetMAC = MAC(b[18:24])
-	a.TargetIP = IP4(b[24:28])
-}
-
-// put writes the message's fields at their wire offsets, with the
-// Ethernet/IPv4 hardware and protocol types.
-func (a *ARP) put(b *[ARPLen]byte) {
-	binary.BigEndian.PutUint16(b[0:], 1) // Ethernet
-	binary.BigEndian.PutUint16(b[2:], EtherTypeIPv4)
-	b[4], b[5] = 6, 4
-	binary.BigEndian.PutUint16(b[6:], a.Op)
-	*(*MAC)(b[8:14]) = a.SenderMAC
-	*(*IP4)(b[14:18]) = a.SenderIP
-	*(*MAC)(b[18:24]) = a.TargetMAC
-	*(*IP4)(b[24:28]) = a.TargetIP
-}
-
 // DecodeFromBytes parses an ARP message from the front of data.
 func (a *ARP) DecodeFromBytes(data []byte) error {
 	if len(data) < ARPLen {
@@ -101,7 +74,11 @@ func (a *ARP) DecodeFromBytes(data []byte) error {
 	if binary.BigEndian.Uint16(data[0:2]) != 1 || binary.BigEndian.Uint16(data[2:4]) != EtherTypeIPv4 || data[4] != 6 || data[5] != 4 {
 		return errorString("packet: unsupported ARP hardware/protocol type")
 	}
-	a.get((*[ARPLen]byte)(data))
+	a.Op = binary.BigEndian.Uint16(data[6:8])
+	a.SenderMAC = MAC(data[8:14])
+	a.SenderIP = IP4(data[14:18])
+	a.TargetMAC = MAC(data[18:24])
+	a.TargetIP = IP4(data[24:28])
 	return nil
 }
 
@@ -110,7 +87,14 @@ func (a *ARP) SerializeTo(b []byte) (int, error) {
 	if len(b) < ARPLen {
 		return 0, ErrShortBuf
 	}
-	a.put((*[ARPLen]byte)(b))
+	binary.BigEndian.PutUint16(b[0:2], 1) // Ethernet
+	binary.BigEndian.PutUint16(b[2:4], EtherTypeIPv4)
+	b[4], b[5] = 6, 4
+	binary.BigEndian.PutUint16(b[6:8], a.Op)
+	*(*MAC)(b[8:14]) = a.SenderMAC
+	*(*IP4)(b[14:18]) = a.SenderIP
+	*(*MAC)(b[18:24]) = a.TargetMAC
+	*(*IP4)(b[24:28]) = a.TargetIP
 	return ARPLen, nil
 }
 
